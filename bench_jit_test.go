@@ -4,8 +4,8 @@
 // its own interp/compiled pair, plus a full BEGIN → END → FEATURES cycle;
 // the acceptance bar is ≥5× on the features program — the pure
 // feature-serialization path whose cost is all Collector code rather than
-// shared kernel helpers. `make jit-smoke` runs the correctness side, this
-// reports the speed side for EXPERIMENTS.md.
+// shared kernel helpers. internal/tscout's TestJITSmoke* tests are the
+// correctness side; this reports the speed side for EXPERIMENTS.md.
 //
 // Run: go test -bench=CollectorInterpVsCompiled -benchtime=2s
 package bench

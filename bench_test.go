@@ -477,13 +477,6 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			drained += int64(p.Drain(tscout.DrainOptions{PerRingCap: 512}).Drained)
-			if i%64 == 63 {
-				// Periodically discard the in-memory archive so long runs
-				// measure drain throughput, not append-only memory growth.
-				b.StopTimer()
-				p.Reset()
-				b.StartTimer()
-			}
 		}
 		b.StopTimer()
 		close(stop)
@@ -522,7 +515,7 @@ func BenchmarkCollectorInvocation(b *testing.B) {
 		m.Features(task, 64, 1, 2)
 	}
 	b.StopTimer()
-	ts.Processor().Poll()
+	ts.Processor().Drain(tscout.DrainOptions{})
 }
 
 // BenchmarkCollectorVsDirectGo is the DESIGN.md ablation: the verified

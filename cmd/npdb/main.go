@@ -13,11 +13,13 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"tscout/internal/archive"
 	"tscout/internal/dbms"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -34,10 +36,14 @@ func main() {
 	if *profileName == "small" {
 		profile = sim.SmallHW
 	}
+	// The training archive: the Processor's sink, read back by \points.
+	var arch bytes.Buffer
+	sink := archive.NewWriter(&arch)
 	srv, err := dbms.NewServer(dbms.Config{
 		Profile:    profile,
 		Seed:       1,
 		Instrument: *instrument,
+		Sink:       sink,
 		WAL:        wal.Config{Synchronous: true},
 	})
 	if err != nil {
@@ -78,7 +84,11 @@ func main() {
 				continue
 			}
 			srv.TS.Processor().Drain(tscout.DrainOptions{})
-			pts := srv.TS.Processor().Points()
+			pts, err := archivedPoints(sink, &arch)
+			if err != nil {
+				fmt.Printf("error: %v\n", err)
+				continue
+			}
 			fmt.Printf("%d training points\n", len(pts))
 			for i, p := range pts {
 				if i >= 20 {
@@ -113,4 +123,16 @@ func main() {
 		}
 		fmt.Printf("(%d row(s), %.1f us virtual)\n", len(res.Rows), float64(elapsed)/1000)
 	}
+}
+
+// archivedPoints seals what the sink has buffered and decodes the archive.
+func archivedPoints(sink *archive.Writer, arch *bytes.Buffer) ([]tscout.TrainingPoint, error) {
+	if err := sink.Flush(); err != nil {
+		return nil, err
+	}
+	r, err := archive.NewReader(arch.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return r.Points()
 }

@@ -11,9 +11,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
+	"tscout/internal/archive"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -27,7 +29,11 @@ const (
 
 func main() {
 	k := kernel.New(sim.LargeHW, 5, 0.02)
-	ts := tscout.New(k, tscout.Config{Seed: 5})
+	// Training points land in the Processor's sink: a columnar archive,
+	// written to memory here.
+	var buf bytes.Buffer
+	sink := archive.NewWriter(&buf)
+	ts := tscout.New(k, tscout.Config{Seed: 5, ProcessorSink: sink})
 
 	// The GC subsystem piggybacks on the log-serializer subsystem slot's
 	// sibling: for a real integration you would extend SubsystemID; here
@@ -82,8 +88,19 @@ func main() {
 		runGC(n)
 	}
 	ts.Processor().Drain(tscout.DrainOptions{})
+	if err := sink.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("fused GC samples split into per-OU training points:")
-	for _, p := range ts.Processor().Points() {
+	for _, p := range pts {
 		fmt.Printf("  %-10s objects=%6.0f elapsed=%8.1fus alloc=%dB\n",
 			p.OUName, p.Features[0], float64(p.Metrics.ElapsedNS)/1000, p.Metrics.AllocBytes)
 	}
@@ -97,7 +114,7 @@ func main() {
 	}
 	ts.Processor().Drain(tscout.DrainOptions{})
 	fmt.Printf("\nat a 10%% sampling rate, 100 GC runs produced %d fused samples (~10 expected)\n",
-		len(ts.Processor().Points())/2)
+		ts.Processor().Stats().Processed/2)
 
 	// The marker state machine guards against instrumentation bugs.
 	ts.Sampler().SetRate(tscout.SubsystemExecutionEngine, 100)

@@ -7,9 +7,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
+	"tscout/internal/archive"
 	"tscout/internal/dbms"
 	"tscout/internal/model"
 	"tscout/internal/runner"
@@ -20,8 +22,10 @@ import (
 )
 
 func collectOffline(profile sim.HardwareProfile) []model.Point {
+	var buf bytes.Buffer
+	sink := archive.NewWriter(&buf)
 	srv, err := dbms.NewServer(dbms.Config{
-		Profile: profile, Seed: 11, NoiseSigma: 0.04, Instrument: true,
+		Profile: profile, Seed: 11, NoiseSigma: 0.04, Instrument: true, Sink: sink,
 		WAL: wal.Config{Synchronous: true},
 	})
 	if err != nil {
@@ -31,15 +35,16 @@ func collectOffline(profile sim.HardwareProfile) []model.Point {
 		log.Fatal(err)
 	}
 	srv.TS.Processor().Drain(tscout.DrainOptions{})
-	return model.FromTrainingPoints(srv.TS.Processor().Points(),
-		[]float64{profile.ClockGHz * 1000})
+	return archivePoints(sink, &buf, []float64{profile.ClockGHz * 1000})
 }
 
 func collectOnline(profile sim.HardwareProfile) []model.Point {
+	var buf bytes.Buffer
+	sink := archive.NewWriter(&buf)
 	srv, err := dbms.NewServer(dbms.Config{
 		Profile: profile, Seed: 12, NoiseSigma: 0.04, Instrument: true,
-		DisableFeedback: true,
-		WAL:             wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
+		DisableFeedback: true, Sink: sink,
+		WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -55,8 +60,24 @@ func collectOnline(profile sim.HardwareProfile) []model.Point {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	return model.FromTrainingPoints(srv.TS.Processor().Points(),
-		[]float64{profile.ClockGHz * 1000})
+	return archivePoints(sink, &buf, []float64{profile.ClockGHz * 1000})
+}
+
+// archivePoints seals the archive the run wrote and reads it back as
+// model points, the path a trainer takes in production.
+func archivePoints(sink *archive.Writer, buf *bytes.Buffer, hw []float64) []model.Point {
+	if err := sink.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := model.FromArchive(r, hw)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pts
 }
 
 func main() {

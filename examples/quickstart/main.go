@@ -11,9 +11,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
+	"tscout/internal/archive"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -24,7 +26,11 @@ func main() {
 	k := kernel.New(sim.LargeHW, 42, 0.02)
 
 	// 1. Declare the framework and the OU's input features (Setup Phase).
-	ts := tscout.New(k, tscout.Config{Mode: tscout.KernelContinuous, Seed: 1})
+	//    Finished training points go to the Processor's sink: here the
+	//    columnar archive, written to memory.
+	var buf bytes.Buffer
+	sink := archive.NewWriter(&buf)
+	ts := tscout.New(k, tscout.Config{Mode: tscout.KernelContinuous, Seed: 1, ProcessorSink: sink})
 	scan := ts.MustRegisterOU(tscout.OUDef{
 		ID:        1,
 		Name:      "seq_scan",
@@ -60,9 +66,21 @@ func main() {
 	scan.End(worker)
 	scan.Features(worker, 4096, rows, rowBytes)
 
-	// 4. The Processor drains the perf ring buffer into training points.
+	// 4. The Processor drains the perf ring buffer into training points and
+	//    writes them to the archive; read them back from there.
 	ts.Processor().Drain(tscout.DrainOptions{})
-	for _, p := range ts.Processor().Points() {
+	if err := sink.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range pts {
 		fmt.Printf("\ntraining point for %q (%s):\n", p.OUName, p.Subsystem)
 		for i, name := range p.FeatureNames {
 			fmt.Printf("  feature %-10s = %.0f\n", name, p.Features[i])

@@ -6,9 +6,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
+	"tscout/internal/archive"
 	"tscout/internal/dbms"
 	"tscout/internal/model"
 	"tscout/internal/runner"
@@ -20,8 +22,10 @@ import (
 
 func main() {
 	// --- Offline data: runners on an idle, synchronous-WAL server ------
+	var offBuf bytes.Buffer
+	offSink := archive.NewWriter(&offBuf)
 	offSrv, err := dbms.NewServer(dbms.Config{
-		Seed: 1, NoiseSigma: 0.04, Instrument: true,
+		Seed: 1, NoiseSigma: 0.04, Instrument: true, Sink: offSink,
 		WAL: wal.Config{Synchronous: true},
 	})
 	if err != nil {
@@ -32,12 +36,14 @@ func main() {
 	}
 	offSrv.TS.Processor().Drain(tscout.DrainOptions{})
 	hw := []float64{sim.LargeHW.ClockGHz * 1000}
-	offline := model.FromTrainingPoints(offSrv.TS.Processor().Points(), hw)
+	offline := archivePoints(offSink, &offBuf, hw)
 	fmt.Printf("offline runner data: %d points\n", len(offline))
 
 	// --- Online data: instrumented TPC-C with 16 clients ---------------
+	var onBuf bytes.Buffer
+	onSink := archive.NewWriter(&onBuf)
 	onSrv, err := dbms.NewServer(dbms.Config{
-		Seed: 2, NoiseSigma: 0.04, Instrument: true, DisableFeedback: true,
+		Seed: 2, NoiseSigma: 0.04, Instrument: true, DisableFeedback: true, Sink: onSink,
 		WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
 	})
 	if err != nil {
@@ -55,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	online := model.FromTrainingPoints(onSrv.TS.Processor().Points(), hw)
+	online := archivePoints(onSink, &onBuf, hw)
 	fmt.Printf("online TPC-C data:   %d points (%.0f txn/s, %.1f%% aborts)\n",
 		len(online), res.ThroughputTPS,
 		100*float64(res.Aborted)/float64(res.Completed+res.Aborted))
@@ -84,4 +90,21 @@ func main() {
 	}
 	fmt.Println("\nThe WAL subsystems improve the most: their behavior depends on group-commit")
 	fmt.Println("batching that the offline runners never observe (paper §6.5).")
+}
+
+// archivePoints seals the archive the run wrote and reads it back as
+// model points, the path a trainer takes in production.
+func archivePoints(sink *archive.Writer, buf *bytes.Buffer, hw []float64) []model.Point {
+	if err := sink.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	r, err := archive.NewReader(buf.Bytes())
+	if err != nil {
+		log.Fatal(err)
+	}
+	pts, err := model.FromArchive(r, hw)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pts
 }

@@ -28,7 +28,6 @@ var runMethodNames = map[string]bool{"Run": true, "RunInterpreted": true}
 var drainReceivers = []struct{ pkgSuffix, typeName string }{
 	{"internal/tscout", "Processor"},
 	{bpfPkgSuffix, "PerCPURing"},
-	{bpfPkgSuffix, "PerfRingBuffer"},
 }
 
 // ConstructedLoadedProgramAnalyzer flags composite literals of

@@ -57,8 +57,8 @@ func blankDrain(r *bpf.PerCPURing) {
 	_ = r.Drain(8) // want:discarded-run-error
 }
 
-func blankDrainBatch(r *bpf.PerfRingBuffer, b *bpf.Batch) {
-	_ = r.DrainBatch(b, 8) // want:discarded-run-error
+func blankDrainBatch(r *bpf.PerCPURing, b *bpf.Batch) {
+	_ = r.DrainBatch(0, b, 8) // want:discarded-run-error
 }
 
 // ...but a bare Drain is the quiesce idiom: not flagged.

@@ -1,5 +1,6 @@
-// Package archive implements TScout's columnar training-data archive: a
-// binary segment format written directly from the Processor's drain path
+// Package archive implements TScout's columnar training-data archive — the
+// only store of training points; the Processor keeps none — as a binary
+// segment format written directly from the Processor's drain path
 // (batch-first Sink), and a reader serving column-projected,
 // predicate-pushdown scans without materializing TrainingPoint structs.
 //

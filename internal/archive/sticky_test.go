@@ -29,8 +29,8 @@ func (d *brokenDisk) Write(p []byte) (int, error) {
 // TestStickyWriterFailsFastInPipeline injects a real segment Writer over a
 // disk that dies mid-run and asserts the Processor's sticky fast-fail
 // path end to end: after the one failing seal, no retry attempts are
-// burned, nothing stays parked in the retry queue, the dropped points are
-// counted, and the in-memory archive still holds every point.
+// burned, nothing stays parked in the retry queue, and every point the
+// dead writer lost is counted.
 func TestStickyWriterFailsFastInPipeline(t *testing.T) {
 	disk := &brokenDisk{okWrites: 2}
 	aw := NewWriterSize(disk, 16) // seal every 16 rows: failure hits early
@@ -78,10 +78,7 @@ func TestStickyWriterFailsFastInPipeline(t *testing.T) {
 		t.Fatalf("points lost to the dead writer were not counted in SinkRetryDrops")
 	}
 	ks := st.Kernel[tscout.SubsystemExecutionEngine]
-	if got := int64(len(p.PointsFor(tscout.SubsystemExecutionEngine))); got != ks.Points {
-		t.Fatalf("in-memory archive holds %d points, stats say %d", got, ks.Points)
-	}
-	// Every archived point either made it into the writer's accepted rows
+	// Every produced point either made it into the writer's accepted rows
 	// (including rows pending in an unsealed segment) or was charged as a
 	// sink rejection — no silent loss on the delivery path.
 	if ks.Points != aw.Rows()+ks.SinkErrors {

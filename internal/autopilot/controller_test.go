@@ -192,11 +192,11 @@ func TestNoteHardwareChange(t *testing.T) {
 }
 
 // TestControllerDeterminism: two same-seed runs with the controller
-// attached produce bit-identical stats, rates, and archived points —
+// attached produce bit-identical stats, rates, and archive bytes —
 // ticks fire on the virtual-time schedule and every random choice is
 // seeded, so the closed loop adds no nondeterminism.
 func TestControllerDeterminism(t *testing.T) {
-	run := func() (tscout.AutopilotStats, [tscout.NumSubsystems]int, []tscout.TrainingPoint) {
+	run := func() (tscout.AutopilotStats, [tscout.NumSubsystems]int, []byte) {
 		d := newDeployment(t, 47, 1, ridgeConfig())
 		rng := rand.New(rand.NewSource(3))
 		for e := 0; e < 10; e++ {
@@ -206,7 +206,10 @@ func TestControllerDeterminism(t *testing.T) {
 		for e := 0; e < 10; e++ {
 			d.epoch(rng, 100, 400)
 		}
-		return d.ctrl.Stats(), d.ts.Sampler().Rates(), d.ts.Processor().Points()
+		if err := d.aw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return d.ctrl.Stats(), d.ts.Sampler().Rates(), d.buf.Bytes()
 	}
 	st1, r1, p1 := run()
 	st2, r2, p2 := run()
@@ -216,8 +219,8 @@ func TestControllerDeterminism(t *testing.T) {
 	if r1 != r2 {
 		t.Fatalf("rates diverged: %v vs %v", r1, r2)
 	}
-	if !reflect.DeepEqual(p1, p2) {
-		t.Fatalf("archived points diverged: %d vs %d rows", len(p1), len(p2))
+	if !bytes.Equal(p1, p2) {
+		t.Fatalf("archives diverged: %d vs %d bytes", len(p1), len(p2))
 	}
 }
 
@@ -388,8 +391,8 @@ func TestChaosIdentitiesWithAutopilot(t *testing.T) {
 				if err != nil {
 					t.Fatalf("segment archive unreadable after chaos: %v", err)
 				}
-				if r.NumRows() != int64(len(p.Points())) {
-					t.Fatalf("archive rows %d != in-memory rows %d", r.NumRows(), len(p.Points()))
+				if r.NumRows() != st.Processed {
+					t.Fatalf("archive rows %d != %d points produced", r.NumRows(), st.Processed)
 				}
 			})
 		}

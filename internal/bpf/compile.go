@@ -943,7 +943,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 		}
 	case HelperPerfOutput:
 		m := cc.constMap(st, R1)
-		rb, ok := m.(PerfOutputTarget)
+		rb, ok := m.(*PerCPURing)
 		if m == nil || !ok {
 			return nil
 		}

@@ -146,9 +146,11 @@ func FuzzVerifyThenRun(f *testing.F) {
 	})
 }
 
-// FuzzRingbuf differentially tests PerfRingBuffer against a trivial model
-// queue: FIFO order, overwrite-oldest-on-full, and the accounting
-// identity submitted == drained + dropped + pending at every step.
+// FuzzRingbuf differentially tests a one-CPU PerCPURing against a trivial
+// model queue through the CPU-agnostic surface (Submit, Drain incl. the
+// unbounded Drain(0), Len, Reset, aggregate Stats): FIFO order,
+// overwrite-oldest-on-full, and the accounting identity
+// submitted == drained + dropped + pending at every step.
 func FuzzRingbuf(f *testing.F) {
 	f.Add(uint8(4), []byte{0x09, 0x11, 0x09, 0xFF, 0x00})
 	f.Add(uint8(1), []byte{0x09, 0x09, 0x09, 0x11})
@@ -156,7 +158,7 @@ func FuzzRingbuf(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, capacity uint8, ops []byte) {
 		capV := int(capacity%32) + 1
-		rb := NewPerfRingBuffer("fuzz/rb", capV)
+		rb := NewPerCPURing("fuzz/rb", 1, capV)
 
 		type model struct {
 			queue     [][]byte

@@ -40,7 +40,7 @@ func NewGenMaps() []Map {
 		genMapHash:    NewHashMap("fuzz/hash", genHashKeySize, genHashValueSize, 16),
 		genMapArray:   NewArrayMap("fuzz/array", genArrayValue, 4),
 		genMapStack:   NewStackMap("fuzz/stack", genStackValue, 4),
-		genMapRing:    NewPerfRingBuffer("fuzz/ring", 32),
+		genMapRing:    NewPerCPURing("fuzz/ring", 1, 32),
 		genMapPerTask: NewPerTaskMap("fuzz/pertask", genHashValueSize),
 		genMapPerCPU:  NewPerCPURing("fuzz/percpu", 4, 8),
 	}
@@ -526,8 +526,7 @@ func (g *progGen) genPerfOutput() {
 	n := g.rng.Intn(4) + 1
 	w := g.rng.Intn(StackSize/8 - n)
 	g.initRange(w, n)
-	// Either perf-output target kind verifies; alternate between the
-	// shared ring and the per-CPU ring set.
+	// Alternate between the one-CPU and the four-CPU ring set.
 	ring := int(genMapRing)
 	if g.rng.Intn(2) == 1 {
 		ring = genMapPerCPU

@@ -55,7 +55,7 @@ func TestLivenessHelperStackArgs(t *testing.T) {
 	// PerfOutput reads size bytes through an ArgPtrSized argument: the
 	// buffer bytes must be live at the store that fills them.
 	b := NewBuilder("live-helper")
-	rb := b.AddMap(NewPerfRingBuffer("rb", 4))
+	rb := b.AddMap(NewPerCPURing("rb", 1, 4))
 	b.StoreImm(R10, -8, 42).
 		LoadMapPtr(R1, rb).
 		MovReg(R2, R10).

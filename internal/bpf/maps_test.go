@@ -203,8 +203,12 @@ func TestPerTaskMap(t *testing.T) {
 	}
 }
 
+// The TestPerfRingBuffer* tests keep the name of the single shared ring
+// they were written against so their ids stay stable; that type is gone and
+// each now exercises its replacement, a PerCPURing with one CPU.
+
 func TestPerfRingBufferOrder(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 4)
+	r := NewPerCPURing("rb", 1, 4)
 	for i := byte(0); i < 3; i++ {
 		r.Submit([]byte{i})
 	}
@@ -223,7 +227,7 @@ func TestPerfRingBufferOrder(t *testing.T) {
 }
 
 func TestPerfRingBufferOverwrite(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
+	r := NewPerCPURing("rb", 1, 2)
 	for i := byte(0); i < 5; i++ {
 		r.Submit([]byte{i})
 	}
@@ -240,7 +244,7 @@ func TestPerfRingBufferOverwrite(t *testing.T) {
 }
 
 func TestPerfRingBufferDrainMax(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 8)
+	r := NewPerCPURing("rb", 1, 8)
 	for i := byte(0); i < 6; i++ {
 		r.Submit([]byte{i})
 	}
@@ -255,7 +259,7 @@ func TestPerfRingBufferDrainMax(t *testing.T) {
 }
 
 func TestPerfRingBufferSubmitCopies(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
+	r := NewPerCPURing("rb", 1, 2)
 	buf := []byte{1, 2, 3}
 	r.Submit(buf)
 	buf[0] = 9
@@ -266,7 +270,7 @@ func TestPerfRingBufferSubmitCopies(t *testing.T) {
 }
 
 func TestPerfRingBufferReset(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
+	r := NewPerCPURing("rb", 1, 2)
 	r.Submit([]byte{1})
 	r.Submit([]byte{2})
 	r.Submit([]byte{3})
@@ -277,7 +281,7 @@ func TestPerfRingBufferReset(t *testing.T) {
 }
 
 func TestPerfRingBufferMapAdapter(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 2)
+	r := NewPerCPURing("rb", 1, 2)
 	if r.Lookup(nil) != nil || r.Delete(nil) {
 		t.Fatalf("lookup/delete unsupported")
 	}
@@ -293,7 +297,7 @@ func TestPerfRingBufferMapAdapter(t *testing.T) {
 }
 
 func TestPerfRingBufferMinCapacity(t *testing.T) {
-	r := NewPerfRingBuffer("rb", 0)
+	r := NewPerCPURing("rb", 1, 0)
 	r.Submit([]byte{1})
 	if r.Len() != 1 {
 		t.Fatalf("capacity must clamp to >=1")
@@ -305,7 +309,7 @@ func TestPerfRingBufferMinCapacity(t *testing.T) {
 func TestPerfRingBufferProperty(t *testing.T) {
 	f := func(n uint8, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		r := NewPerfRingBuffer("rb", capacity)
+		r := NewPerCPURing("rb", 1, capacity)
 		for i := 0; i < int(n); i++ {
 			r.Submit([]byte{byte(i)})
 		}

@@ -56,9 +56,11 @@ func mapFingerprint(m Map) string {
 			fmt.Fprintf(&b, "%d=%x;", pid, snap[pid])
 		}
 		return "pertask:" + b.String()
-	case *PerfRingBuffer:
-		st := mm.Stats()
-		return fmt.Sprintf("ring:sub=%d,drop=%d:%x", st.Submitted, st.Dropped, mm.Drain(0))
+	case *PerCPURing:
+		// Per-CPU counters first (Drain moves them), then every ring's
+		// contents in CPU order: routing, overwrites and payloads all show.
+		st := mm.CPUStats()
+		return fmt.Sprintf("ring:%+v:%x", st, mm.Drain(0))
 	default:
 		return fmt.Sprintf("unknown:%s", m.Name())
 	}

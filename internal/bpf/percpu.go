@@ -2,14 +2,16 @@ package bpf
 
 import "sync"
 
-// PerfOutputTarget is the map contract perf_event_output submits through:
-// any bounded sample channel that can route a submission by the submitting
-// task's CPU. *PerfRingBuffer (one shared ring; the CPU hint is ignored)
-// and *PerCPURing (one ring per simulated CPU) both implement it, and the
-// verifier's helper/map compatibility check admits either.
-type PerfOutputTarget interface {
-	Map
-	SubmitFrom(cpu int, data []byte)
+// RingStats is a consistent snapshot of a ring buffer's counters, taken
+// under one lock so submitted/dropped/pending cannot tear against a
+// concurrent Submit (the accounting hazard behind stale feedback deltas).
+type RingStats struct {
+	Submitted int64 // cumulative Submit calls
+	Drained   int64 // cumulative samples pulled out by the consumer
+	Dropped   int64 // cumulative overwrites
+	Pending   int   // samples currently buffered
+	HighWater int   // peak Pending since creation/Reset (overflow forensics)
+	Capacity  int
 }
 
 // cpuRing is one CPU's slice of a PerCPURing: a bounded FIFO with its own
@@ -88,10 +90,14 @@ func (r *cpuRing) reset() {
 	r.mu.Unlock()
 }
 
-// PerCPURing is the per-CPU analogue of PerfRingBuffer: one bounded ring
-// per simulated CPU, as the Linux perf subsystem allocates its buffers
-// (paper §3.2 — what lets Processor threads scale without contending on
-// one lock). Submissions route by the submitting task's CPU; each CPU's
+// PerCPURing is the bounded channel between the kernel-space Collector and
+// the user-space Processor (paper §3.2): perf_event_output submits a
+// completed sample, the Processor drains batches from user space, and a
+// full ring overwrites its oldest sample and counts a drop — the Collector
+// never blocks, which is TScout's "no back pressure" guarantee. There is
+// one bounded ring per simulated CPU, as the Linux perf subsystem allocates
+// its buffers (what lets Processor threads scale without contending on one
+// lock). Submissions route by the submitting task's CPU; each CPU's
 // ring has its own mutex, so submitters on different CPUs never contend
 // and a drain thread that owns a disjoint set of CPU rings never shares a
 // lock with another drain thread.

@@ -102,12 +102,12 @@ func TestPerCPURingDrainIsAllocationFree(t *testing.T) {
 }
 
 func TestPerfRingBufferDrainBatch(t *testing.T) {
-	r := NewPerfRingBuffer("t/rb", 4)
+	r := NewPerCPURing("t/rb", 1, 4)
 	for i := 0; i < 6; i++ {
-		r.SubmitFrom(3, []byte{byte(i)}) // CPU hint ignored
+		r.SubmitFrom(3, []byte{byte(i)}) // out-of-range CPU wraps onto ring 0
 	}
 	var b Batch
-	if n := r.DrainBatch(&b, 0); n != 4 {
+	if n := r.DrainBatch(0, &b, 0); n != 4 {
 		t.Fatalf("drained %d, want 4", n)
 	}
 	for i := 0; i < 4; i++ {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRingBufferFIFOAndOverwrite(t *testing.T) {
-	r := NewPerfRingBuffer("t", 4)
+	r := NewPerCPURing("t", 1, 4)
 	for i := 0; i < 6; i++ {
 		buf := make([]byte, 8)
 		binary.LittleEndian.PutUint64(buf, uint64(i))
@@ -29,23 +29,23 @@ func TestRingBufferFIFOAndOverwrite(t *testing.T) {
 	}
 }
 
+// TestRingBufferDrainAppendBatches: DrainBatch appends to the batch it is
+// given, so successive bounded drains accumulate in submission order.
 func TestRingBufferDrainAppendBatches(t *testing.T) {
-	r := NewPerfRingBuffer("t", 16)
+	r := NewPerCPURing("t", 1, 16)
 	for i := 0; i < 10; i++ {
 		r.Submit([]byte{byte(i)})
 	}
-	dst := make([][]byte, 0, 16)
-	dst, n := r.DrainAppend(dst, 3)
-	if n != 3 || len(dst) != 3 {
-		t.Fatalf("first batch: n=%d len=%d", n, len(dst))
+	var dst Batch
+	if n := r.DrainBatch(0, &dst, 3); n != 3 || dst.Len() != 3 {
+		t.Fatalf("first batch: n=%d len=%d", n, dst.Len())
 	}
-	dst, n = r.DrainAppend(dst, 0)
-	if n != 7 || len(dst) != 10 {
-		t.Fatalf("second batch: n=%d len=%d", n, len(dst))
+	if n := r.DrainBatch(0, &dst, 0); n != 7 || dst.Len() != 10 {
+		t.Fatalf("second batch: n=%d len=%d", n, dst.Len())
 	}
-	for i, buf := range dst {
-		if buf[0] != byte(i) {
-			t.Fatalf("order broken at %d: %d", i, buf[0])
+	for i := 0; i < dst.Len(); i++ {
+		if got := dst.Sample(i)[0]; got != byte(i) {
+			t.Fatalf("order broken at %d: %d", i, got)
 		}
 	}
 	if st := r.Stats(); st.Pending != 0 {
@@ -56,10 +56,10 @@ func TestRingBufferDrainAppendBatches(t *testing.T) {
 // TestRingBufferConcurrentSubmitDrainReset exercises the ring under
 // concurrent producers, a draining consumer, and periodic resets; run with
 // -race it proves the buffer's locking discipline (the Processor's sharded
-// drain path calls DrainAppend from its own goroutine while Collectors
+// drain path calls DrainBatch from its own goroutine while Collectors
 // submit).
 func TestRingBufferConcurrentSubmitDrainReset(t *testing.T) {
-	r := NewPerfRingBuffer("t", 64)
+	r := NewPerCPURing("t", 1, 64)
 	const producers = 4
 	const perProducer = 2000
 	var wg sync.WaitGroup
@@ -80,14 +80,14 @@ func TestRingBufferConcurrentSubmitDrainReset(t *testing.T) {
 		close(done)
 	}()
 	drained := 0
+	var batch Batch
 	for i := 0; ; i++ {
-		var batch [][]byte
-		var n int
-		batch, n = r.DrainAppend(batch[:0], 32)
+		batch.Reset()
+		n := r.DrainBatch(0, &batch, 32)
 		drained += n
-		for _, buf := range batch {
-			if len(buf) != 8 {
-				t.Errorf("corrupt entry of %d bytes", len(buf))
+		for j := 0; j < n; j++ {
+			if got := len(batch.Sample(j)); got != 8 {
+				t.Errorf("corrupt entry of %d bytes", got)
 				return
 			}
 		}
@@ -116,7 +116,7 @@ func TestRingBufferConcurrentSubmitDrainReset(t *testing.T) {
 // pending at any quiescent point (the invariant the Processor's telemetry
 // reports on).
 func TestRingBufferStatsConsistency(t *testing.T) {
-	r := NewPerfRingBuffer("t", 8)
+	r := NewPerCPURing("t", 1, 8)
 	for i := 0; i < 20; i++ {
 		r.Submit([]byte{byte(i)})
 	}

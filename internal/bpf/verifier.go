@@ -524,10 +524,7 @@ func step(p *Program, pc int, in absState) ([]succ, error) {
 						return nil, verr(pc, "%s arg %d must be a stack map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 					}
 				case HelperPerfOutput:
-					// Any PerfOutputTarget is admissible: the shared ring
-					// and the per-CPU ring set share the helper signature,
-					// like perf_event_output over BPF_MAP_TYPE_PERF_EVENT_ARRAY.
-					if _, ok := p.Maps[constMap].(PerfOutputTarget); !ok {
+					if _, ok := p.Maps[constMap].(*PerCPURing); !ok {
 						return nil, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 					}
 				}

@@ -380,7 +380,7 @@ func TestVerifyMapValueBounds(t *testing.T) {
 }
 
 func TestVerifyPerfOutputSizeMustBeConst(t *testing.T) {
-	rb := NewPerfRingBuffer("rb", 4)
+	rb := NewPerCPURing("rb", 1, 4)
 	b := NewBuilder("perfsize")
 	idx := b.AddMap(rb)
 	p := b.StoreImm(R10, -8, 1).
@@ -403,7 +403,7 @@ func TestVerifyPerfOutputSizeMustBeConst(t *testing.T) {
 }
 
 func TestVerifyPerfOutputOK(t *testing.T) {
-	rb := NewPerfRingBuffer("rb", 4)
+	rb := NewPerCPURing("rb", 1, 4)
 	b := NewBuilder("perfok")
 	idx := b.AddMap(rb)
 	p := b.StoreImm(R10, -16, 1).

@@ -495,7 +495,7 @@ func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
 		if err != nil {
 			return spec.CostNS, err
 		}
-		rb, ok := m.(PerfOutputTarget)
+		rb, ok := m.(*PerCPURing)
 		if !ok {
 			return spec.CostNS, ErrNotPerfArray
 		}
@@ -504,9 +504,7 @@ func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
 		if err != nil {
 			return spec.CostNS, err
 		}
-		// Route by the submitting task's current CPU, as perf does: a
-		// per-CPU target lands the sample in that CPU's ring, the shared
-		// ring ignores the hint.
+		// Route by the submitting task's current CPU, as perf does.
 		rb.SubmitFrom(ec.task.CPU(), data)
 		ec.regs[R0] = 0
 		// Copy cost scales with sample size.

@@ -217,7 +217,7 @@ func TestRunStackMapPushPop(t *testing.T) {
 }
 
 func TestRunPerfOutput(t *testing.T) {
-	rb := NewPerfRingBuffer("rb", 4)
+	rb := NewPerCPURing("rb", 1, 4)
 	b := NewBuilder("perf")
 	idx := b.AddMap(rb)
 	p := b.
@@ -364,7 +364,7 @@ func TestAttachToTracepoint(t *testing.T) {
 	task := k.NewTask("w")
 	tp := k.Tracepoint("ou/seqscan/begin")
 
-	rb := NewPerfRingBuffer("rb", 8)
+	rb := NewPerCPURing("rb", 1, 8)
 	b := NewBuilder("collector")
 	idx := b.AddMap(rb)
 	p := b.

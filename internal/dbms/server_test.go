@@ -1,9 +1,11 @@
 package dbms
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/network"
 	"tscout/internal/storage"
 	"tscout/internal/tscout"
@@ -12,9 +14,41 @@ import (
 
 func newTestServer(t *testing.T, instrument bool) *Server {
 	t.Helper()
+	return newTestServerSink(t, instrument, nil)
+}
+
+// newArchivingServer is an instrumented test server whose training points
+// go to an in-memory archive; the returned function drains the rings and
+// reads the archive back.
+func newArchivingServer(t *testing.T) (*Server, func() []tscout.TrainingPoint) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := archive.NewWriter(&buf)
+	srv := newTestServerSink(t, true, w)
+	return srv, func() []tscout.TrainingPoint {
+		t.Helper()
+		srv.TS.Processor().Drain(tscout.DrainOptions{})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := archive.NewReader(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := r.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+}
+
+func newTestServerSink(t *testing.T, instrument bool, sink tscout.Sink) *Server {
+	t.Helper()
 	srv, err := NewServer(Config{
 		Seed:       1,
 		Instrument: instrument,
+		Sink:       sink,
 		WAL:        wal.Config{Synchronous: true},
 	})
 	if err != nil {
@@ -141,7 +175,7 @@ func TestSessionExecuteWithParams(t *testing.T) {
 }
 
 func TestInstrumentedServerCollectsAllSubsystems(t *testing.T) {
-	srv := newTestServer(t, true)
+	srv, points := newArchivingServer(t)
 	se := srv.NewSession()
 	for i := 0; i < 5; i++ {
 		pr := se.SubmitPacket(network.EncodeQuery(
@@ -151,9 +185,9 @@ func TestInstrumentedServerCollectsAllSubsystems(t *testing.T) {
 		}
 	}
 	se.SubmitPacket(network.EncodeQuery("SELECT COUNT(*) FROM kv"))
-	srv.TS.Processor().Poll()
+	pts := points()
 	bySub := map[tscout.SubsystemID]int{}
-	for _, p := range srv.TS.Processor().Points() {
+	for _, p := range pts {
 		bySub[p.Subsystem]++
 	}
 	for _, sub := range tscout.AllSubsystems {
@@ -161,15 +195,13 @@ func TestInstrumentedServerCollectsAllSubsystems(t *testing.T) {
 			t.Fatalf("subsystem %v produced no training data: %v", sub, bySub)
 		}
 	}
-	// Networking points must carry socket metrics.
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemNetworking) {
+	for _, p := range pts {
+		// Networking points must carry socket metrics.
 		if p.OUName == "net_read" && p.Metrics.NetRecvBytes == 0 {
 			t.Fatalf("net_read without recv bytes: %+v", p)
 		}
-	}
-	// Disk writer points must carry IO metrics.
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemDiskWriter) {
-		if p.Metrics.DiskWriteBytes == 0 {
+		// Disk writer points must carry IO metrics.
+		if p.Subsystem == tscout.SubsystemDiskWriter && p.Metrics.DiskWriteBytes == 0 {
 			t.Fatalf("disk_writer without write bytes: %+v", p)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tscout/internal/storage"
-	"tscout/internal/tscout"
 	"tscout/internal/txn"
 	"tscout/internal/wal"
 )
@@ -131,14 +130,13 @@ func TestSessionWriteConflictIsRetryable(t *testing.T) {
 }
 
 func TestSessionStatementChargesNetworking(t *testing.T) {
-	srv := newTestServer(t, true)
+	srv, points := newArchivingServer(t)
 	se := srv.NewSession()
 	se.BeginTxn()
 	se.Statement("SELECT COUNT(*) FROM kv")
 	se.Commit()
-	srv.TS.Processor().Poll()
 	reads := 0
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemNetworking) {
+	for _, p := range points() {
 		if p.OUName == "net_read" {
 			reads++
 			if p.Metrics.NetRecvBytes <= 0 {

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/catalog"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
@@ -20,15 +22,21 @@ type testDB struct {
 	k      *kernel.Kernel
 	ts     *tscout.TScout
 	task   *kernel.Task
+
+	// The instrumented deployment's training archive (its Processor sink).
+	arch bytes.Buffer
+	sink *archive.Writer
 }
 
 func newTestDB(t *testing.T, instrumented bool) *testDB {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 1, 0)
 	cat := catalog.New()
+	db := &testDB{cat: cat, mgr: txn.NewManager(), k: k, task: k.NewTask("w")}
 	var ts *tscout.TScout
 	if instrumented {
-		ts = tscout.New(k, tscout.Config{Seed: 4})
+		db.sink = archive.NewWriter(&db.arch)
+		ts = tscout.New(k, tscout.Config{Seed: 4, ProcessorSink: db.sink})
 	}
 	eng, err := New(cat, ts)
 	if err != nil {
@@ -40,7 +48,7 @@ func newTestDB(t *testing.T, instrumented bool) *testDB {
 		}
 		ts.Sampler().SetAllRates(100)
 	}
-	db := &testDB{cat: cat, engine: eng, mgr: txn.NewManager(), k: k, ts: ts, task: k.NewTask("w")}
+	db.engine, db.ts = eng, ts
 
 	// accounts(id INT PK btree, branch INT, balance FLOAT, name VARCHAR hash)
 	_, err = cat.CreateTable("accounts", storage.MustSchema(
@@ -69,6 +77,26 @@ func newTestDB(t *testing.T, instrumented bool) *testDB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// drainPoints drains the rings and returns the training points archived
+// since the previous call.
+func (db *testDB) drainPoints(t *testing.T) []tscout.TrainingPoint {
+	t.Helper()
+	db.ts.Processor().Drain(tscout.DrainOptions{})
+	if err := db.sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.NewReader(db.arch.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := r.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.arch.Reset()
+	return pts
 }
 
 // run executes SQL in a fresh committed transaction.
@@ -330,8 +358,7 @@ func TestInstrumentedQueryEmitsOUTrainingData(t *testing.T) {
 	db.seed(t, 20)
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE balance >= 110 ORDER BY id LIMIT 5")
-	db.ts.Processor().Poll()
-	pts := db.ts.Processor().Points()
+	pts := db.drainPoints(t)
 	names := map[string]bool{}
 	for _, p := range pts {
 		names[p.OUName] = true
@@ -344,9 +371,8 @@ func TestInstrumentedQueryEmitsOUTrainingData(t *testing.T) {
 	// Index scans for point queries.
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE id = 3")
-	db.ts.Processor().Poll()
 	found := false
-	for _, p := range db.ts.Processor().Points() {
+	for _, p := range db.drainPoints(t) {
 		if p.OUName == "index_scan" {
 			found = true
 			if p.Features[1] < 1 {
@@ -368,8 +394,7 @@ func TestFusedPipelineEmitsVectorizedFeatures(t *testing.T) {
 	db.engine.FuseSimpleSelects = true
 	db.ts.Processor().Reset()
 	db.run(t, "SELECT id FROM accounts WHERE id = 3")
-	db.ts.Processor().Poll()
-	pts := db.ts.Processor().Points()
+	pts := db.drainPoints(t)
 	// The fused sample expands into per-OU points (index_scan + output).
 	names := map[string]int{}
 	for _, p := range pts {

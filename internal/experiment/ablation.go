@@ -3,7 +3,6 @@ package experiment
 import (
 	"tscout/internal/dbms"
 	"tscout/internal/model"
-	"tscout/internal/runner"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
 	"tscout/internal/workload"
@@ -30,37 +29,16 @@ func AblationNoise(sc Scale) ([]NoiseAblationRow, error) {
 	var rows []NoiseAblationRow
 	for _, sigma := range []float64{0, 0.02, 0.04, 0.08} {
 		collect := func(seed int64, offline bool) ([]model.Point, error) {
-			cfg := dbms.Config{
-				Profile: defaultProfile(), Seed: seed, NoiseSigma: sigma,
-				Instrument: true, DisableFeedback: true,
-				WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
-			}
+			cfg := serverConfig(defaultProfile(), tscout.KernelContinuous, true, seed, offline)
+			cfg.NoiseSigma = sigma
 			if offline {
-				cfg.WAL = wal.Config{Synchronous: true}
+				return runOffline(cfg, sc)
 			}
-			srv, err := dbms.NewServer(cfg)
+			run, err := runOnline(cfg, tpccGen(2), 16, sc.OnlineTxns, 100, false)
 			if err != nil {
 				return nil, err
 			}
-			if offline {
-				if err := runner.RunAll(srv, runner.Config{Scale: sc.RunnerScale}); err != nil {
-					return nil, err
-				}
-				srv.TS.Processor().Drain(tscout.DrainOptions{})
-			} else {
-				gen := tpccGen(2)
-				if err := gen.Setup(srv); err != nil {
-					return nil, err
-				}
-				srv.TS.Sampler().SetAllRates(100)
-				if _, err := workload.Run(srv, gen, workload.Config{
-					Terminals: 16, Transactions: sc.OnlineTxns, Seed: seed,
-				}); err != nil {
-					return nil, err
-				}
-			}
-			return model.FromTrainingPoints(srv.TS.Processor().Points(),
-				hwContext(defaultProfile())), nil
+			return run.Points, nil
 		}
 		offline, err := collect(201, true)
 		if err != nil {

@@ -66,8 +66,8 @@ const noiseSigma = 0.04
 // defaultProfile is the paper's primary evaluation machine.
 func defaultProfile() sim.HardwareProfile { return sim.LargeHW }
 
-// newServer builds a server for an experiment.
-func newServer(profile sim.HardwareProfile, mode tscout.Mode, instrument bool, seed int64, syncWAL bool) (*dbms.Server, error) {
+// serverConfig is the server configuration shared by the experiments.
+func serverConfig(profile sim.HardwareProfile, mode tscout.Mode, instrument bool, seed int64, syncWAL bool) dbms.Config {
 	cfg := dbms.Config{
 		Profile:    profile,
 		Seed:       seed,
@@ -83,13 +83,58 @@ func newServer(profile sim.HardwareProfile, mode tscout.Mode, instrument bool, s
 	} else {
 		cfg.WAL = wal.Config{GroupSize: 32, FlushIntervalNS: 200_000}
 	}
-	return dbms.NewServer(cfg)
+	return cfg
+}
+
+// newServer builds a server for an experiment that measures the run, not
+// the training data: without a sink the Processor counts points and
+// discards them.
+func newServer(profile sim.HardwareProfile, mode tscout.Mode, instrument bool, seed int64, syncWAL bool) (*dbms.Server, error) {
+	return dbms.NewServer(serverConfig(profile, mode, instrument, seed, syncWAL))
+}
+
+// archiveCapture is an experiment's training store: the Processor's drain
+// path streams segments into buf through w (the server's Sink), and after
+// the run the points are read back column-wise. The sink receives batches
+// in global ring order at any drain parallelism, so the pool — and the
+// seeded train/test splits downstream — is a function of the seed alone.
+type archiveCapture struct {
+	buf bytes.Buffer
+	w   *archive.Writer
+}
+
+// newArchiveCapture returns a capture sealing segments of rowsPerSegment
+// rows (0 = the writer's default).
+func newArchiveCapture(rowsPerSegment int) *archiveCapture {
+	ac := &archiveCapture{}
+	ac.w = archive.NewWriterSize(&ac.buf, rowsPerSegment)
+	return ac
+}
+
+// points flushes the writer and reads the archive back as model points.
+func (ac *archiveCapture) points(profile sim.HardwareProfile) ([]model.Point, error) {
+	if err := ac.w.Flush(); err != nil {
+		return nil, err
+	}
+	r, err := archive.NewReader(ac.buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return model.FromArchive(r, hwContext(profile))
 }
 
 // collectOffline runs the offline runners on the given hardware and
 // returns their training data (with hardware context features attached).
 func collectOffline(profile sim.HardwareProfile, seed int64, sc Scale) ([]model.Point, error) {
-	srv, err := newServer(profile, tscout.KernelContinuous, true, seed, true)
+	return runOffline(serverConfig(profile, tscout.KernelContinuous, true, seed, true), sc)
+}
+
+// runOffline builds the server for cfg with an archive as its sink, runs
+// the offline runners and reads the archive back.
+func runOffline(cfg dbms.Config, sc Scale) ([]model.Point, error) {
+	ac := newArchiveCapture(0)
+	cfg.Sink = ac.w
+	srv, err := dbms.NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +142,7 @@ func collectOffline(profile sim.HardwareProfile, seed int64, sc Scale) ([]model.
 		return nil, err
 	}
 	srv.TS.Processor().Drain(tscout.DrainOptions{})
-	return model.FromTrainingPoints(srv.TS.Processor().Points(), hwContext(profile)), nil
+	return ac.points(cfg.Profile)
 }
 
 // onlineRun is one instrumented workload execution.
@@ -113,11 +158,8 @@ type onlineRun struct {
 // would.
 func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
 	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
-	srv, err := newServer(profile, tscout.KernelContinuous, true, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	return runOnline(srv, profile, gen, terminals, txns, rate, seed, false, nil)
+	return runOnline(serverConfig(profile, tscout.KernelContinuous, true, seed, false),
+		gen, terminals, txns, rate, false)
 }
 
 // collectOnlineComplete is the data-hungry variant: a deep ring and an
@@ -126,82 +168,39 @@ func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
 // whole run (Fig. 11's high-contention sweep, where 20 terminals
 // oversubscribe the budgeted polls several times over) collect with
 // this; the rest keep the production-shaped lossy pipeline.
-//
-// Drain parallelism stays at 1 deliberately: with multiple drain
-// threads the global archive sequence is claimed in wall-clock order,
-// so Points() — and the seeded train/test split downstream — would vary
-// with goroutine scheduling. Completeness comes from ring depth plus
-// the final sweep, not from thread count, and a single thread keeps the
-// collected pool bit-identical across reruns.
 func collectOnlineComplete(profile sim.HardwareProfile, gen workload.Generator,
 	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
-	ac := newArchiveCapture()
-	srv, err := dbms.NewServer(dbms.Config{
-		Profile:              profile,
-		Seed:                 seed,
-		NoiseSigma:           noiseSigma,
-		Instrument:           true,
-		Mode:                 tscout.KernelContinuous,
-		DisableFeedback:      true,
-		ProcessorParallelism: 1,
-		RingCapacity:         1 << 17,
-		Sink:                 ac.w,
-		WAL:                  wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
-	})
+	cfg := serverConfig(profile, tscout.KernelContinuous, true, seed, false)
+	cfg.RingCapacity = 1 << 17
+	return runOnline(cfg, gen, terminals, txns, rate, true)
+}
+
+// runOnline builds the server for cfg with an archive as its sink, runs
+// the workload at the given sampling rate and reads the archive back.
+func runOnline(cfg dbms.Config, gen workload.Generator,
+	terminals, txns int, rate int, finalDrain bool) (*onlineRun, error) {
+	ac := newArchiveCapture(0)
+	cfg.Sink = ac.w
+	srv, err := dbms.NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runOnline(srv, profile, gen, terminals, txns, rate, seed, true, ac)
-}
-
-// archiveCapture threads the columnar archive through an online run: the
-// Processor's drain path streams segments into buf, and after the run the
-// training points are read back column-wise (model.FromArchive) instead of
-// materializing the in-memory Points() slice. With a single drain thread
-// the sink receives batches in archive order, so the round-trip is
-// bit-identical to the in-memory path.
-type archiveCapture struct {
-	buf bytes.Buffer
-	w   *archive.Writer
-}
-
-func newArchiveCapture() *archiveCapture {
-	ac := &archiveCapture{}
-	ac.w = archive.NewWriter(&ac.buf)
-	return ac
-}
-
-func runOnline(srv *dbms.Server, profile sim.HardwareProfile, gen workload.Generator,
-	terminals, txns int, rate int, seed int64, finalDrain bool, ac *archiveCapture) (*onlineRun, error) {
 	if err := gen.Setup(srv); err != nil {
 		return nil, err
 	}
 	srv.TS.Sampler().SetAllRates(rate)
 	res, err := workload.Run(srv, gen, workload.Config{
-		Terminals: terminals, Transactions: txns, Seed: seed,
+		Terminals: terminals, Transactions: txns, Seed: cfg.Seed,
 		FinalDrain: finalDrain,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ac != nil {
-		if err := ac.w.Flush(); err != nil {
-			return nil, err
-		}
-		r, err := archive.NewReader(ac.buf.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		pts, err := model.FromArchive(r, hwContext(profile))
-		if err != nil {
-			return nil, err
-		}
-		return &onlineRun{Points: pts, Result: res}, nil
+	pts, err := ac.points(cfg.Profile)
+	if err != nil {
+		return nil, err
 	}
-	return &onlineRun{
-		Points: model.FromTrainingPoints(srv.TS.Processor().Points(), hwContext(profile)),
-		Result: res,
-	}, nil
+	return &onlineRun{Points: pts, Result: res}, nil
 }
 
 // tpccGen returns the scaled-down TPC-C generator. warehouses follows the

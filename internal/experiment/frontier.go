@@ -3,13 +3,11 @@ package experiment
 import (
 	"fmt"
 
-	"tscout/internal/archive"
 	"tscout/internal/autopilot"
 	"tscout/internal/dbms"
 	"tscout/internal/model"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
-	"tscout/internal/wal"
 	"tscout/internal/workload"
 )
 
@@ -133,8 +131,8 @@ func overheadPct(base, tps float64) float64 {
 const frontierChunk = 512
 
 // frontierRun is one measured policy run: an instrumented server with
-// the segment writer as sink, drain parallelism 1 (bit-reproducible
-// collection), and — for the autopilot policy — the controller ticking
+// the segment writer as sink (the default single drain thread), and —
+// for the autopilot policy — the controller ticking
 // from the driver's OnDrain hook, inside the measured run. It returns
 // the run and the online model set trained on the policy's data.
 //
@@ -147,19 +145,10 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 	// Short segments so seals land every few controller epochs: at the
 	// default 4096-row segments the controller would starve until the
 	// final flush and never converge inside the measured run.
-	ac := newArchiveCapture()
-	ac.w = archive.NewWriterSize(&ac.buf, frontierChunk)
-	srv, err := dbms.NewServer(dbms.Config{
-		Profile:              profile,
-		Seed:                 seed,
-		NoiseSigma:           noiseSigma,
-		Instrument:           true,
-		Mode:                 tscout.KernelContinuous,
-		DisableFeedback:      true,
-		ProcessorParallelism: 1,
-		Sink:                 ac.w,
-		WAL:                  wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
-	})
+	ac := newArchiveCapture(frontierChunk)
+	cfg := serverConfig(profile, tscout.KernelContinuous, true, seed, false)
+	cfg.Sink = ac.w
+	srv, err := dbms.NewServer(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,24 +193,18 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 	}
 
 	set := model.NewOnlineSet(frontierModel)
-	if res.TrainingPoints > 0 {
-		r, err := archive.NewReader(ac.buf.Bytes())
-		if err != nil {
-			return nil, nil, err
+	pts, err := ac.points(profile)
+	if err != nil {
+		return nil, nil, err
+	}
+	for lo := 0; lo < len(pts); lo += frontierChunk {
+		hi := lo + frontierChunk
+		if hi > len(pts) {
+			hi = len(pts)
 		}
-		pts, err := model.FromArchive(r, hwContext(profile))
-		if err != nil {
+		set.ObservePrequential(pts[lo:hi], nil)
+		if err := set.Refit(); err != nil {
 			return nil, nil, err
-		}
-		for lo := 0; lo < len(pts); lo += frontierChunk {
-			hi := lo + frontierChunk
-			if hi > len(pts) {
-				hi = len(pts)
-			}
-			set.ObservePrequential(pts[lo:hi], nil)
-			if err := set.Refit(); err != nil {
-				return nil, nil, err
-			}
 		}
 	}
 	return &onlineRun{Result: res}, set, nil

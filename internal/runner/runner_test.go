@@ -1,32 +1,55 @@
 package runner
 
 import (
+	"bytes"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/dbms"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
 )
 
-func offlineServer(t *testing.T) *dbms.Server {
+// offlineServer returns an instrumented synchronous-WAL server whose
+// training points go to an in-memory archive, and a function that drains
+// the rings and reads the archive back.
+func offlineServer(t *testing.T) (*dbms.Server, func() []tscout.TrainingPoint) {
 	t.Helper()
+	var buf bytes.Buffer
+	w := archive.NewWriter(&buf)
 	srv, err := dbms.NewServer(dbms.Config{
 		Seed:       3,
 		Instrument: true,
+		Sink:       w,
 		WAL:        wal.Config{Synchronous: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	return srv, func() []tscout.TrainingPoint {
+		t.Helper()
+		srv.TS.Processor().Drain(tscout.DrainOptions{})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := archive.NewReader(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := r.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
 }
 
 func TestRunAllGeneratesAllSubsystems(t *testing.T) {
-	srv := offlineServer(t)
+	srv, points := offlineServer(t)
 	if err := RunAll(srv, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	pts := srv.TS.Processor().Points()
+	pts := points()
 	if len(pts) < 200 {
 		t.Fatalf("too little offline data: %d points", len(pts))
 	}
@@ -63,14 +86,14 @@ func TestRunAllRequiresInstrumentation(t *testing.T) {
 }
 
 func TestRunAllSweepsFeatureSpace(t *testing.T) {
-	srv := offlineServer(t)
+	srv, points := offlineServer(t)
 	if err := RunAll(srv, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	// The seq_scan OU must have been exercised across multiple table
 	// sizes (the sweep that makes runner data robust, §2.4).
 	sizes := map[uint64]bool{}
-	for _, p := range srv.TS.Processor().Points() {
+	for _, p := range points() {
 		if p.OUName == "seq_scan" && len(p.Features) > 0 {
 			sizes[uint64(p.Features[0])] = true
 		}
@@ -81,21 +104,21 @@ func TestRunAllSweepsFeatureSpace(t *testing.T) {
 }
 
 func TestOfflineWALBatchesAreSingletons(t *testing.T) {
-	srv := offlineServer(t)
+	srv, points := offlineServer(t)
 	if err := RunAll(srv, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	// Synchronous offline config: every serializer sample is one txn —
 	// the exact blind spot §6.5 attributes to offline runners.
-	for _, p := range srv.TS.Processor().PointsFor(tscout.SubsystemLogSerializer) {
-		if len(p.Features) >= 3 && p.Features[2] > 1 {
+	for _, p := range points() {
+		if p.Subsystem == tscout.SubsystemLogSerializer && len(p.Features) >= 3 && p.Features[2] > 1 {
 			t.Fatalf("offline flush with %v txns; group commit must not batch", p.Features[2])
 		}
 	}
 }
 
 func TestRunAllIdempotentSetup(t *testing.T) {
-	srv := offlineServer(t)
+	srv, _ := offlineServer(t)
 	if err := RunAll(srv, Config{}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,11 +17,18 @@ import (
 // accounting identities must hold per kernel subsystem:
 //
 //	begins    == submitted + BeginWithoutEnd + TornMigration + StaleReaped
-//	submitted == archived + ring drops + decode errors + corrupt discards
+//	submitted == points + ring drops + decode errors + corrupt discards
+//
+// and a third for the Processor as a whole, since the sink is the only
+// place a point is kept:
+//
+//	processed == sink rows + SinkRetryDrops + FlushQueueDrops
+//	             + PendingFlush + PendingRetry
 //
 // Every BEGIN the kernel delivered ends in exactly one bucket; every
-// submitted sample ends in exactly one bucket. No loss is silent, no loss
-// is double-counted — under any fault schedule in the corpus.
+// submitted sample and every produced point ends in exactly one bucket. No
+// loss is silent, no loss is double-counted — under any fault schedule in
+// the corpus.
 
 // chaosSeeds are the seed-corpus fault schedules the chaos tests run under;
 // FuzzFaultSchedule seeds its corpus from the same values.
@@ -62,6 +69,7 @@ func runChaos(tb testing.TB, cfg chaosConfig) (*TScout, *kernel.FaultInjector) {
 		ProcessorParallelism:     cfg.par,
 		DisableProcessorFeedback: true,
 		CompileCollectors:        cfg.compile,
+		ProcessorSink:            &recordingBatchSink{},
 	})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
@@ -137,12 +145,12 @@ func runChaos(tb testing.TB, cfg chaosConfig) (*TScout, *kernel.FaultInjector) {
 	return ts, fi
 }
 
-// assertChaosIdentities checks both exact accounting identities plus
-// archive seq-monotonicity, and returns the total orphan count.
+// assertChaosIdentities checks the exact accounting identities against the
+// run's recording sink and returns the total orphan count.
 func assertChaosIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 	tb.Helper()
-	p := ts.Processor()
-	st := p.Stats()
+	st := ts.Processor().Stats()
+	sink := sinkOf(ts)
 	var orphans OrphanCounts
 	for _, sub := range AllSubsystems {
 		col := ts.CollectorFor(sub)
@@ -171,7 +179,7 @@ func assertChaosIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 			tb.Fatalf("%s: %d runtime faults from verified programs (jit=%+v)",
 				sub, ks.RuntimeFaults, st.JIT[sub])
 		}
-		// Identity 2: every submitted sample is archived or counted lost.
+		// Identity 2: every submitted sample became a point or is counted lost.
 		if rs.Submitted != ks.Points+rs.Dropped+ks.DecodeErrors+ks.CorruptDiscards {
 			tb.Fatalf("%s submit identity: submitted %d != points %d + dropped %d + decode %d + corrupt %d",
 				sub, rs.Submitted, ks.Points, rs.Dropped, ks.DecodeErrors, ks.CorruptDiscards)
@@ -181,35 +189,23 @@ func assertChaosIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 		}
 		orphans.Add(ks.Orphans)
 
-		// No archived point may carry a cross-CPU base offset or wrapped
-		// delta: that corruption must have been torn/discarded upstream.
-		for _, tp := range p.PointsFor(sub) {
+		// The healthy sink received every point of the subsystem, and none
+		// carries a cross-CPU base offset or wrapped delta: that corruption
+		// must have been torn/discarded upstream.
+		pts := sink.pointsFor(sub)
+		if int64(len(pts)) != ks.Points {
+			tb.Fatalf("%s: sink holds %d points, stats say %d", sub, len(pts), ks.Points)
+		}
+		for _, tp := range pts {
 			if tp.Metrics.Cycles >= 1<<40 || tp.Metrics.Instructions >= 1<<40 {
-				tb.Fatalf("%s: corrupt sample reached the archive: %+v", sub, tp.Metrics)
+				tb.Fatalf("%s: corrupt sample reached the sink: %+v", sub, tp.Metrics)
 			}
 		}
 	}
 
-	// Seq-monotonicity (the PR-2 ordering contract) must survive chaos:
-	// strictly increasing per shard, globally unique.
-	seen := map[uint64]bool{}
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		last := uint64(0)
-		for _, e := range sh.archive {
-			if e.seq <= last {
-				sh.mu.Unlock()
-				tb.Fatalf("shard archive seq not strictly increasing: %d after %d", e.seq, last)
-			}
-			if seen[e.seq] {
-				sh.mu.Unlock()
-				tb.Fatalf("duplicate archive seq %d", e.seq)
-			}
-			seen[e.seq] = true
-			last = e.seq
-		}
-		sh.mu.Unlock()
-	}
+	// Identity 3: every produced point is in the sink or in a counted
+	// delivery bucket.
+	assertDeliveryIdentity(tb, st, sink.Rows())
 	return orphans
 }
 

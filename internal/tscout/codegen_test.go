@@ -158,13 +158,13 @@ func TestMarkerFeatureEncoding(t *testing.T) {
 			ts, k, scan, _ := newDeployment(t, KernelContinuous)
 			task := k.NewTask("worker")
 			runOU(ts, task, scan, sim.Work{Instructions: 10000}, tc.feats...)
-			ts.Processor().Poll()
+			ts.Processor().Drain(DrainOptions{})
 
 			col := ts.CollectorFor(SubsystemExecutionEngine)
 			if got := col.ErrorCount(); got != tc.errors {
 				t.Fatalf("state-machine errors = %d, want %d", got, tc.errors)
 			}
-			pts := ts.Processor().Points()
+			pts := sinkOf(ts).points()
 			if tc.want == nil {
 				if len(pts) != 0 {
 					t.Fatalf("rejected sample still produced %d points", len(pts))
@@ -197,7 +197,7 @@ func TestMarkerFeatureEncoding(t *testing.T) {
 // part, with metrics apportioned by the (default, equal-weight) splitter.
 func TestMarkerFusedVector(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 7, 0)
-	ts := New(k, Config{Mode: KernelContinuous, Seed: 11})
+	ts := New(k, Config{Mode: KernelContinuous, Seed: 11, ProcessorSink: &recordingBatchSink{}})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
@@ -223,10 +223,10 @@ func TestMarkerFusedVector(t *testing.T) {
 		t.Fatalf("FeaturesVector: %v", err)
 	}
 
-	if n := ts.Processor().Poll(); n != 2 {
+	if n := ts.Processor().Drain(DrainOptions{}).Points; n != 2 {
 		t.Fatalf("fused sample expanded to %d points, want 2", n)
 	}
-	pts := ts.Processor().Points()
+	pts := sinkOf(ts).points()
 	if pts[0].OU != testOUSeqScan || pts[1].OU != testOUFilter {
 		t.Fatalf("fused order: %d then %d", pts[0].OU, pts[1].OU)
 	}

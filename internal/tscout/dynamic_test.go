@@ -15,7 +15,7 @@ import (
 // the OU with new features, and redeploying.
 func TestDynamicFeatureSelection(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 9, 0)
-	ts := New(k, Config{Seed: 9})
+	ts := New(k, Config{Seed: 9, ProcessorSink: &recordingBatchSink{}})
 	m := ts.MustRegisterOU(OUDef{
 		ID: 1, Name: "scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows"},
@@ -31,7 +31,7 @@ func TestDynamicFeatureSelection(t *testing.T) {
 	task.Charge(sim.Work{Instructions: 1000, BytesTouched: 64})
 	m.End(task)
 	m.Features(task, 0, 500)
-	ts.Processor().Poll()
+	ts.Processor().Drain(DrainOptions{})
 
 	// The models now need a second feature: unload, modify, reload.
 	ts.Undeploy()
@@ -50,9 +50,9 @@ func TestDynamicFeatureSelection(t *testing.T) {
 	task.Charge(sim.Work{Instructions: 1000, BytesTouched: 64, DiskWriteBytes: 512, DiskOps: 1})
 	m2.End(task)
 	m2.Features(task, 0, 500, 64)
-	ts.Processor().Poll()
+	ts.Processor().Drain(DrainOptions{})
 
-	pts := ts.Processor().Points()
+	pts := sinkOf(ts).points()
 	if len(pts) != 2 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -71,7 +71,7 @@ func TestDynamicFeatureSelection(t *testing.T) {
 func TestMarkerStateMachineProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		k := kernel.New(sim.LargeHW, 3, 0)
-		ts := New(k, Config{Seed: 3, DisableProcessorFeedback: true})
+		ts := New(k, Config{Seed: 3, DisableProcessorFeedback: true, ProcessorSink: &recordingBatchSink{}})
 		m := ts.MustRegisterOU(OUDef{
 			ID: 1, Name: "x", Subsystem: SubsystemExecutionEngine,
 			Features: []string{"n"},
@@ -97,14 +97,14 @@ func TestMarkerStateMachineProperty(t *testing.T) {
 		task.Charge(sim.Work{Instructions: 100, BytesTouched: 64})
 		m.End(task)
 		m.Features(task, 0, 42)
-		ts.Processor().Poll()
-		pts := ts.Processor().Points()
+		ts.Processor().Drain(DrainOptions{})
+		pts := sinkOf(ts).points()
 		if len(pts) == 0 {
 			return false
 		}
 		// The newest point must be the clean cycle's.
 		last := pts[len(pts)-1]
-		return last.Features[0] == 42 && ts.Processor().DecodeErrors() == 0
+		return last.Features[0] == 42 && ts.Processor().Stats().Kernel[SubsystemExecutionEngine].DecodeErrors == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestCSVSink(t *testing.T) {
 	task.Charge(sim.Work{Instructions: 9000, BytesTouched: 640})
 	m.End(task)
 	m.Features(task, 128, 77)
-	ts.Processor().Poll()
+	ts.Processor().Drain(DrainOptions{})
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}

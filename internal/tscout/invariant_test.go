@@ -2,8 +2,6 @@ package tscout
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -15,10 +13,11 @@ import (
 // Collector → ring → Processor pipeline (ISSUE 2 tentpole, part 3). The
 // load-bearing invariant is the accounting identity
 //
-//	submitted == archived + dropped_ring + dropped_queue + dropped_shape
+//	submitted == points + dropped_ring + dropped_queue + dropped_shape
 //
-// where archived is the training points in the shard archives, dropped_ring
-// is ring-buffer overwrite, dropped_queue is user-queue overflow, and
+// where points is the training points produced (and, with a healthy sink,
+// delivered — see assertDeliveryIdentity), dropped_ring is ring-buffer
+// overwrite, dropped_queue is user-queue overflow, and
 // dropped_shape is samples the Processor drained but could not decode.
 // Every sample a probe ever offered must be in exactly one of those
 // buckets once the rings are fully drained — a leak in either direction
@@ -34,6 +33,7 @@ func deployInvariant(t *testing.T, mode Mode, seed int64, ringCap, par int) (*TS
 		Seed:                     seed,
 		ProcessorParallelism:     par,
 		DisableProcessorFeedback: true,
+		ProcessorSink:            &recordingBatchSink{},
 	})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
@@ -55,8 +55,7 @@ func deployInvariant(t *testing.T, mode Mode, seed int64, ringCap, par int) (*TS
 // total ring drops so callers can assert the workload exercised overflow.
 func checkKernelIdentity(t *testing.T, ts *TScout) int64 {
 	t.Helper()
-	p := ts.Processor()
-	st := p.Stats()
+	st := ts.Processor().Stats()
 	var totalDropped int64
 	for _, sub := range AllSubsystems {
 		col := ts.CollectorFor(sub)
@@ -85,9 +84,7 @@ func checkKernelIdentity(t *testing.T, ts *TScout) int64 {
 		}
 		totalDropped += rs.Dropped
 	}
-	if got := int64(len(p.Points())); got != st.Processed {
-		t.Fatalf("merged archive has %d points, Processed says %d", got, st.Processed)
-	}
+	assertDeliveryIdentity(t, st, sinkOf(ts).Rows())
 	return totalDropped
 }
 
@@ -129,9 +126,9 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 				}
 				// Budgeted drains race the submitters under the same
 				// deterministic schedule.
-				iv.Add("drain", 15, func(int) { p.PollBudget(3) })
+				iv.Add("drain", 15, func(int) { p.Drain(DrainOptions{Budget: 3}) })
 				iv.Run()
-				p.Poll() // unbudgeted sweep: empty the rings
+				p.Drain(DrainOptions{}) // unbudgeted sweep: empty the rings
 
 				dropped := checkKernelIdentity(t, ts)
 				if dropped == 0 {
@@ -174,7 +171,7 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 			for i := 0; i < userQueueCapacity+100; i++ {
 				p.SubmitUserSample(EncodeSample(testOUSeqScan, 1, Metrics{}, []uint64{1, 2}))
 			}
-			p.Poll()
+			p.Drain(DrainOptions{})
 
 			st := p.Stats()
 			if st.User.Submitted != st.User.Drained+st.User.Dropped {
@@ -195,11 +192,12 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 	}
 }
 
-// TestMergedArchiveSeqMonotonic drains concurrently with live submitters
-// (real goroutines, real races for the -race build) and then checks the
-// ordering contract: each shard archive is strictly seq-increasing, seqs
-// are globally unique, and Points() equals the seq-merge of the shards.
-func TestMergedArchiveSeqMonotonic(t *testing.T) {
+// TestConcurrentDrainKeepsRingOrder drains concurrently with live
+// submitters (real goroutines, real races for the -race build) and then
+// checks the ordering contract of the sink stream: points leave in ring
+// order, so each worker's samples arrive in the order it produced them,
+// every point arrives exactly once, and the accounting identities hold.
+func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
 	ts, k, scan, wal := deployInvariant(t, KernelContinuous, 11, 64, 2)
 	p := ts.Processor()
 
@@ -228,46 +226,29 @@ func TestMergedArchiveSeqMonotonic(t *testing.T) {
 		case <-done:
 			draining = false
 		default:
-			p.PollBudget(32)
+			p.Drain(DrainOptions{Budget: 32})
 		}
 	}
-	p.Poll()
+	p.Drain(DrainOptions{})
 
-	type flatEntry struct {
-		seq uint64
-		tp  TrainingPoint
-	}
-	var all []flatEntry
-	seen := make(map[uint64]bool)
-	for sub, sh := range p.shards {
-		sh.mu.Lock()
-		prev := uint64(0)
-		for _, e := range sh.archive {
-			if e.seq <= prev {
-				sh.mu.Unlock()
-				t.Fatalf("shard %d archive not strictly seq-increasing: %d after %d", sub, e.seq, prev)
-			}
-			prev = e.seq
-			if seen[e.seq] {
-				sh.mu.Unlock()
-				t.Fatalf("seq %d archived in more than one shard", e.seq)
-			}
-			seen[e.seq] = true
-			all = append(all, flatEntry{seq: e.seq, tp: e.tp})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	merged := make([]TrainingPoint, len(all))
-	for i, e := range all {
-		merged[i] = e.tp
-	}
-	pts := p.Points()
-	if !reflect.DeepEqual(merged, pts) {
-		t.Fatalf("Points() is not the seq-merge of the shard archives (%d vs %d points)", len(pts), len(merged))
-	}
-	if int64(len(pts)) != p.Processed() {
-		t.Fatalf("archive holds %d points, Processed says %d", len(pts), p.Processed())
-	}
+	checkWorkerOrder(t, ts)
 	checkKernelIdentity(t, ts)
+}
+
+// checkWorkerOrder asserts the sink stream keeps ring order for workloads
+// whose features are (iteration, worker): a worker submits to one ring per
+// subsystem, rings drain FIFO, so within a subsystem each worker's
+// iterations must reach the sink strictly ascending.
+func checkWorkerOrder(t *testing.T, ts *TScout) {
+	t.Helper()
+	for _, sub := range AllSubsystems {
+		last := map[float64]float64{}
+		for _, tp := range sinkOf(ts).pointsFor(sub) {
+			i, w := tp.Features[0], tp.Features[1]
+			if prev, ok := last[w]; ok && i <= prev {
+				t.Fatalf("%s: worker %v iteration %v reached the sink after %v", sub, w, i, prev)
+			}
+			last[w] = i
+		}
+	}
 }

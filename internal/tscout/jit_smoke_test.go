@@ -10,7 +10,7 @@ import (
 	"tscout/internal/sim"
 )
 
-// This file is the JIT smoke suite `make jit-smoke` runs: every Collector
+// This file is the JIT smoke suite: every Collector
 // program the codegen can emit must compile (generated programs are
 // loop-free straight-line/forward-branch code, so a decline is a JIT
 // regression, not an expected fallback), and a deterministic marker

@@ -3,9 +3,7 @@ package tscout
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
@@ -13,7 +11,7 @@ import (
 
 // Processor virtual-time costs.
 const (
-	// processSampleNS is the per-sample decode/transform/archive cost on
+	// processSampleNS is the per-sample decode/transform/emit cost on
 	// a Processor drain thread. It bounds the Processor's throughput,
 	// which in turn drives drops and the §3.2 feedback mechanism.
 	processSampleNS = 900
@@ -47,8 +45,8 @@ const userDrainPenalty = 3
 const flushQueueCapacity = 8192
 
 // maxSinkRetries bounds redelivery attempts for a batch the sink rejected.
-// After the last attempt fails the points are dropped (SinkRetryDrops) —
-// the archive keeps them, so a flaky sink degrades delivery, not intake.
+// After the last attempt fails the points are dropped (SinkRetryDrops): a
+// flaky sink degrades delivery, not intake.
 const maxSinkRetries = 3
 
 // maxRetryQueueBatches bounds the sink retry queue; a persistently dead
@@ -142,7 +140,8 @@ func BudgetForPeriod(periodNS int64) int {
 // call, so a sink amortizes its per-write overhead (lock acquisition, row
 // encoding, syscalls) across a whole flush. A WriteBatch error counts
 // against every point in the batch — the sink rejected the delivery as a
-// unit. A nil sink keeps points only in the in-memory archive.
+// unit. The sink is the only place a point lives after Drain: with a nil
+// sink points are counted (Stats().Processed) and discarded.
 //
 // Sink calls are issued outside all Processor locks, so a Sink may call
 // back into the Processor (stats, submissions) without deadlocking.
@@ -183,21 +182,11 @@ type StickySink interface {
 // normalized over the sample. The default splits equally.
 type SplitWeightFunc func(ou OUID, features []float64) float64
 
-// archEntry tags an archived point with a global sequence number so the
-// per-subsystem shard archives can be merged back into processing order.
-type archEntry struct {
-	seq uint64
-	tp  TrainingPoint
-}
-
-// drainShard is one subsystem's slice of the drain pipeline: its archive
-// segment and its telemetry counters. Sharding keeps archive appends and
-// stat updates off the Processor-wide mutex, and lets PointsFor serve a
-// subsystem without scanning the merged archive.
+// drainShard is one subsystem's telemetry counters. Sharding keeps stat
+// updates off the Processor-wide mutex.
 type drainShard struct {
-	mu      sync.Mutex
-	archive []archEntry    // guarded by mu
-	stats   SubsystemStats // guarded by mu
+	mu    sync.Mutex
+	stats SubsystemStats // guarded by mu
 }
 
 func (s *drainShard) snapshotStats() SubsystemStats {
@@ -210,9 +199,9 @@ func (s *drainShard) snapshotStats() SubsystemStats {
 // sharded, budgeted, self-observable pipeline: per-subsystem drain shards
 // share one global token budget per drain period (a single thread-period
 // times the configured parallelism), decode/transform runs batched per
-// shard on the modeled drain threads, archives are sharded per subsystem
-// and merged on read, and sink writes leave through a bounded flush queue
-// outside every lock.
+// shard on the modeled drain threads, and finished points leave for the
+// Sink — their only store — through a bounded flush queue outside every
+// lock.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -223,7 +212,6 @@ type Processor struct {
 	pollMu sync.Mutex
 
 	shards [NumSubsystems]*drainShard
-	seq    atomic.Uint64
 
 	mu                  sync.Mutex
 	group               *kernel.TaskGroup            // guarded by mu
@@ -291,16 +279,6 @@ func (p *Processor) SubmitUserSample(buf []byte) {
 	p.userQueue = append(p.userQueue, buf)
 }
 
-// UserSubmitted reports samples offered to the user-probe queue.
-//
-// Deprecated: read Stats().User.Submitted.
-func (p *Processor) UserSubmitted() int64 { return p.Stats().User.Submitted }
-
-// UserDropped reports samples lost to user-queue overflow.
-//
-// Deprecated: read Stats().User.Dropped.
-func (p *Processor) UserDropped() int64 { return p.Stats().User.Dropped }
-
 // Task returns the first of the Processor's drain-thread tasks (created on
 // first use), on which its processing time is charged. With the default
 // parallelism of 1 this is the paper's single-threaded Processor.
@@ -355,23 +333,9 @@ type DrainResult struct {
 	Batches int
 }
 
-// Poll drains all pending samples without a budget: the offline path,
-// where the Processor has idle time between sweeps.
-//
-// Deprecated: use Drain(DrainOptions{}).
-func (p *Processor) Poll() int { return p.Drain(DrainOptions{}).Points }
-
-// PollBudget runs one drain period with the sample budget one period
-// affords a single drain thread (0 = unlimited).
-//
-// Deprecated: use Drain(DrainOptions{Budget: budget}).
-func (p *Processor) PollBudget(budget int) int {
-	return p.Drain(DrainOptions{Budget: budget}).Points
-}
-
 // drainTally accumulates one drain thread's work for the post-join merge:
 // workers never touch shard stats directly, so the only cross-thread
-// synchronization on the drain path is the archive/flush handoff.
+// synchronization on the drain path is the flush-queue handoff.
 type drainTally struct {
 	drained       [NumSubsystems]int64
 	decodeErrs    [NumSubsystems]int64
@@ -390,7 +354,7 @@ type drainTally struct {
 // produced. Each modeled drain thread owns a disjoint set of CPU rings
 // (ring affinity: global ring index mod parallelism), the effective budget
 // is waterfilled over each thread's rings, and the threads run as real
-// goroutines — batched decode/transform/archive proceeds concurrently with
+// goroutines — batched decode/transform proceeds concurrently with
 // zero cross-thread ring-lock sharing. Sustained oversubmission overwrites
 // ring entries (kernel path) or overflows the user queue, and the
 // pipeline's efficiency degrades under overload — the §6.2 dynamics behind
@@ -531,11 +495,11 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 
 	// Affinity-sharded drain: one goroutine per modeled drain thread, each
 	// draining only the rings it owns into its own reusable batch buffer.
-	// Workers buffer the points they produce per ring instead of archiving
+	// Workers buffer the points they produce per ring instead of emitting
 	// inline — ring ownership is disjoint, so the slots are race-free — and
-	// the post-join loop below archives them in global ring order. Archive
-	// sequence numbers are therefore a pure function of the drained data:
-	// the same seed yields bit-identical archives at any drain parallelism,
+	// the post-join loop below emits them in global ring order. The order
+	// the sink sees is therefore a pure function of the drained data: the
+	// same seed yields a bit-identical sink stream at any drain parallelism,
 	// and parallelism 1 reproduces the historical inline order exactly.
 	tallies := make([]drainTally, parallelism)
 	ptsByRing := make([][]TrainingPoint, numRings+1)
@@ -549,7 +513,7 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	}
 	wg.Wait()
 	for g := 0; g <= numRings; g++ {
-		p.archivePoints(ptsByRing[g])
+		p.emitPoints(ptsByRing[g])
 	}
 
 	// Charge virtual time after the join: Task charging shares the kernel's
@@ -630,8 +594,8 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 // slot of ptsByRing, and (for the owner of the user pseudo-ring) drain the
 // user-probe queue into the pseudo-ring slot. Everything it touches is
 // either thread-owned (batch, tally, ring set, its ptsByRing slots) or
-// internally synchronized (user queue); archiving happens post-join in
-// ring order so the archive sequence is parallelism-independent.
+// internally synchronized (user queue); emission happens post-join in
+// ring order so the sink order is parallelism-independent.
 func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsystems]*Collector, alloc []int, tally *drainTally, ptsByRing [][]TrainingPoint) {
 	batch := &p.drainBatches[t]
 	numCPUs := numRings / int(NumSubsystems)
@@ -755,7 +719,7 @@ func waterfill(demands []int, tokens int) []int {
 }
 
 // processUserBatch transforms drained user-probe samples and returns the
-// points for the post-join archive pass; points count toward the shard of
+// points for the post-join emit pass; points count toward the shard of
 // the OU's subsystem, while drain/decode accounting stays on the
 // user-queue stats.
 func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
@@ -775,7 +739,7 @@ func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
 		pts = append(pts, out...)
 	}
 
-	// Archived points count toward the subsystem shard they decode into.
+	// Points count toward the subsystem shard they decode into.
 	perSub := [NumSubsystems]int64{}
 	for _, tp := range pts {
 		perSub[tp.Subsystem]++
@@ -801,19 +765,13 @@ func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
 	return pts
 }
 
-// archivePoints appends finished points to their subsystems' archive
-// shards and enqueues them on the bounded flush queue for sink delivery.
-// No sink call happens here: delivery is deferred to flushSink, outside
-// every Processor lock.
-func (p *Processor) archivePoints(pts []TrainingPoint) {
+// emitPoints counts finished points and enqueues them on the bounded
+// flush queue for sink delivery; with no sink they are only counted. No
+// sink call happens here: delivery is deferred to flushSink, outside every
+// Processor lock.
+func (p *Processor) emitPoints(pts []TrainingPoint) {
 	if len(pts) == 0 {
 		return
-	}
-	for _, tp := range pts {
-		sh := p.shards[tp.Subsystem]
-		sh.mu.Lock()
-		sh.archive = append(sh.archive, archEntry{seq: p.seq.Add(1), tp: tp})
-		sh.mu.Unlock()
 	}
 	p.mu.Lock()
 	p.processed += int64(len(pts))
@@ -932,8 +890,8 @@ func (p *Processor) sinkStickyErr() error {
 // failure) and the pending flush queue is charged and dropped in one
 // step. Without it, every queued batch burned maxSinkRetries backoff
 // cycles — 2+4+8 drain periods of guaranteed-futile redelivery each —
-// against a sink that can never accept another write. The archive shards
-// still hold every dropped point, so the loss identities are unchanged.
+// against a sink that can never accept another write. Every dropped point
+// is counted in SinkRetryDrops, so the loss identities are unchanged.
 func (p *Processor) failStickySink() {
 	p.mu.Lock()
 	for _, rb := range p.retryQueue {
@@ -1182,70 +1140,9 @@ func (p *Processor) SetAutopilotStats(st AutopilotStats) {
 	p.mu.Unlock()
 }
 
-// Points returns a snapshot of the archived training points across all
-// shards, merged back into processing order.
-func (p *Processor) Points() []TrainingPoint {
-	var entries []archEntry
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		entries = append(entries, sh.archive...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
-	out := make([]TrainingPoint, len(entries))
-	for i, e := range entries {
-		out[i] = e.tp
-	}
-	return out
-}
-
-// PointsFor returns the archived points for one subsystem. Archives are
-// sharded per subsystem, so this reads a single shard without scanning or
-// merging.
-func (p *Processor) PointsFor(sub SubsystemID) []TrainingPoint {
-	sh := p.shards[sub]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]TrainingPoint, len(sh.archive))
-	for i, e := range sh.archive {
-		out[i] = e.tp
-	}
-	return out
-}
-
-// Processed returns the total number of training points produced.
-//
-// Deprecated: read Stats().Processed — the Stats snapshot is the single
-// source of truth for pipeline telemetry.
-func (p *Processor) Processed() int64 { return p.Stats().Processed }
-
-// DecodeErrors returns the number of undecodable samples seen.
-//
-// Deprecated: sum DecodeErrors over Stats().Kernel and Stats().User.
-func (p *Processor) DecodeErrors() int64 {
-	st := p.Stats()
-	n := st.User.DecodeErrors
-	for _, k := range st.Kernel {
-		n += k.DecodeErrors
-	}
-	return n
-}
-
-// SinkErrors returns the number of training points the sink rejected.
-//
-// Deprecated: sum SinkErrors over Stats().Kernel.
-func (p *Processor) SinkErrors() int64 {
-	st := p.Stats()
-	var n int64
-	for _, k := range st.Kernel {
-		n += k.SinkErrors
-	}
-	return n
-}
-
-// Reset clears the archive, all pipeline statistics, and the demand
-// baselines (between experiment trials). The Collector ring buffers are
-// reset too: a trial must not start with the previous trial's pending
+// Reset clears all pipeline statistics and the demand baselines (between
+// experiment trials). The Collector ring buffers are reset too: a trial
+// must not start with the previous trial's pending
 // samples, and — just as important — the first post-reset poll must not
 // compute its demand or feedback deltas from a previous trial's cumulative
 // counters. Points already handed to the flush queue are discarded.
@@ -1259,7 +1156,6 @@ func (p *Processor) Reset() {
 	}
 	for _, sh := range p.shards {
 		sh.mu.Lock()
-		sh.archive = nil
 		sh.stats = SubsystemStats{}
 		sh.mu.Unlock()
 	}

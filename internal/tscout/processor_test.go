@@ -2,6 +2,7 @@ package tscout
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 	// A long healthy run: 200 periods of 50 samples, fully drained.
 	for period := 0; period < 200; period++ {
 		submitKernel(ts, sub, ous[sub], 50)
-		p.PollBudget(200)
+		p.Drain(DrainOptions{Budget: 200})
 	}
 	if got := ts.Sampler().Rate(sub); got != 100 {
 		t.Fatalf("feedback fired during healthy run: rate=%d", got)
@@ -65,7 +66,7 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 	// samples this period (18%% of the period's 5000, but only 6%% of the
 	// run's cumulative 15000).
 	submitKernel(ts, sub, ous[sub], 5000)
-	p.PollBudget(200)
+	p.Drain(DrainOptions{Budget: 200})
 	if got := ts.Sampler().Rate(sub); got >= 100 {
 		t.Fatalf("feedback did not fire on a late drop burst: rate=%d", got)
 	}
@@ -75,8 +76,8 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 }
 
 // TestResetClearsPipelineState: Reset must clear the user-queue counters
-// and the per-period baselines, not just the archive — stale baselines
-// would poison the first post-reset feedback and demand computation.
+// and the per-period baselines, not just the point counters — stale
+// baselines would poison the first post-reset feedback and demand computation.
 func TestResetClearsPipelineState(t *testing.T) {
 	ts, ous := newShardedDeployment(t, Config{Seed: 6, RingCapacity: 64})
 	p := ts.Processor()
@@ -86,23 +87,20 @@ func TestResetClearsPipelineState(t *testing.T) {
 		p.SubmitUserSample(EncodeSample(ous[SubsystemNetworking], 2, Metrics{}, []uint64{1, 2}))
 	}
 	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], 30)
-	p.Poll()
-	if p.UserSubmitted() == 0 || p.UserDropped() == 0 || p.Processed() == 0 {
+	p.Drain(DrainOptions{})
+	if p.Stats().User.Submitted == 0 || p.Stats().User.Dropped == 0 || p.Stats().Processed == 0 {
 		t.Fatalf("setup did not exercise the pipeline: %+v", p.Stats())
 	}
 
 	p.Reset()
-	if got := p.UserSubmitted(); got != 0 {
+	if got := p.Stats().User.Submitted; got != 0 {
 		t.Fatalf("UserSubmitted after Reset = %d", got)
 	}
-	if got := p.UserDropped(); got != 0 {
+	if got := p.Stats().User.Dropped; got != 0 {
 		t.Fatalf("UserDropped after Reset = %d", got)
 	}
-	if got := p.Processed(); got != 0 {
+	if got := p.Stats().Processed; got != 0 {
 		t.Fatalf("Processed after Reset = %d", got)
-	}
-	if got := len(p.Points()); got != 0 {
-		t.Fatalf("archive after Reset: %d points", got)
 	}
 	st := p.Stats()
 	if st.TotalSubmitted() != 0 || st.TotalDropped() != 0 || st.Polls != 0 {
@@ -113,7 +111,7 @@ func TestResetClearsPipelineState(t *testing.T) {
 	// the pre-reset cumulative counters (which would yield negative
 	// deltas and suppress the demand calculation).
 	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], 20)
-	p.PollBudget(100)
+	p.Drain(DrainOptions{Budget: 100})
 	st = p.Stats()
 	ee := st.Kernel[SubsystemExecutionEngine]
 	if ee.DeltaSubmitted != 20 || ee.DeltaDrained != 20 {
@@ -132,7 +130,7 @@ func TestGlobalBudgetSharedAcrossSubsystems(t *testing.T) {
 	}
 
 	const budget = 50
-	p.PollBudget(budget)
+	p.Drain(DrainOptions{Budget: budget})
 	st := p.Stats()
 	if st.GlobalBudget != budget {
 		t.Fatalf("global budget = %d, want %d (parallelism 1)", st.GlobalBudget, budget)
@@ -171,7 +169,7 @@ func TestShardedParallelismScalesBudget(t *testing.T) {
 		for _, sub := range AllSubsystems {
 			submitKernel(ts, sub, ous[sub], 100)
 		}
-		p.PollBudget(50)
+		p.Drain(DrainOptions{Budget: 50})
 		st := p.Stats()
 		var drained int64
 		for _, sub := range AllSubsystems {
@@ -213,7 +211,7 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 	// Demand (20 samples × 3 tokens = 60) fits the budget: everything
 	// drains, but the 90 tokens bought only 30 samples' worth of work.
 	const budget = 90
-	if n := p.PollBudget(budget); n != 20 {
+	if n := p.Drain(DrainOptions{Budget: budget}).Points; n != 20 {
 		t.Fatalf("underloaded poll drained %d user samples, want all 20", n)
 	}
 
@@ -225,7 +223,7 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.SubmitUserSample(EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
 	}
-	n := p.PollBudget(budget)
+	n := p.Drain(DrainOptions{Budget: budget}).Points
 	st := p.Stats()
 	if st.EffectiveBudget >= budget {
 		t.Fatalf("no degradation under overload: %+v", st)
@@ -249,12 +247,12 @@ type reentrantSink struct {
 func (s *reentrantSink) WriteBatch(pts []TrainingPoint) error {
 	for _, tp := range pts {
 		s.writes++
-		_ = s.p.Processed()
+		_ = s.p.Stats().Processed
 		_ = s.p.Stats()
 		s.p.SubmitUserSample(EncodeSample(tp.OU, tp.PID, Metrics{}, []uint64{1, 2}))
 		if !s.repolled {
 			s.repolled = true
-			s.p.Poll()
+			s.p.Drain(DrainOptions{})
 		}
 	}
 	return nil
@@ -280,23 +278,23 @@ func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 	p := ts.Processor()
 	sink.p = p
 	submitKernel(ts, SubsystemExecutionEngine, 71, 20)
-	p.Poll()
+	p.Drain(DrainOptions{})
 	if sink.writes == 0 {
 		t.Fatalf("sink never invoked")
 	}
 	// The samples the sink itself submitted drain on a later poll.
-	p.Poll()
-	if got := p.UserSubmitted(); got == 0 {
+	p.Drain(DrainOptions{})
+	if got := p.Stats().User.Submitted; got == 0 {
 		t.Fatalf("re-entrant submissions lost")
 	}
 }
 
 // TestFeatureVectorPadAndTruncate: decoded vectors are normalized to the
 // OU's declared width — short ones zero-padded, long ones truncated — and
-// both repairs are counted in the shard stats. Silently archiving short
+// both repairs are counted in the shard stats. Silently emitting short
 // vectors would misalign Features against FeatureNames downstream.
 func TestFeatureVectorPadAndTruncate(t *testing.T) {
-	ts, _ := newShardedDeployment(t, Config{Seed: 11})
+	ts, _ := newShardedDeployment(t, Config{Seed: 11, ProcessorSink: &recordingBatchSink{}})
 	sub := SubsystemNetworking
 	ts.Undeploy()
 	ou := ts.MustRegisterOU(OUDef{
@@ -311,9 +309,9 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 	col.Ring.Submit(EncodeSample(72, 1, Metrics{}, []uint64{7}))             // short
 	col.Ring.Submit(EncodeSample(72, 1, Metrics{}, []uint64{1, 2, 3, 4, 5})) // long
 	p := ts.Processor()
-	p.Poll()
+	p.Drain(DrainOptions{})
 
-	pts := p.PointsFor(sub)
+	pts := sinkOf(ts).pointsFor(sub)
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
@@ -339,7 +337,8 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 // polls, stats reads, and resets — and relies on -race to prove the
 // locking discipline.
 func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
-	ts, ous := newShardedDeployment(t, Config{Seed: 12, RingCapacity: 128, ProcessorParallelism: 2})
+	sink := &recordingBatchSink{}
+	ts, ous := newShardedDeployment(t, Config{Seed: 12, RingCapacity: 128, ProcessorParallelism: 2, ProcessorSink: sink})
 	p := ts.Processor()
 
 	var wg sync.WaitGroup
@@ -372,7 +371,7 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 			default:
 			}
 			_ = p.Stats()
-			_ = p.Points()
+			_ = sink.Rows()
 			if i%13 == 12 {
 				p.Reset()
 			}
@@ -386,7 +385,7 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 	}()
 	polls := 0
 	for done := false; !done; {
-		p.PollBudget(64)
+		p.Drain(DrainOptions{Budget: 64})
 		polls++
 		select {
 		case <-producersDone:
@@ -397,12 +396,60 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 	close(stop)
 	<-observerDone
 	// Final unlimited sweep: everything still buffered comes out.
-	p.Poll()
+	p.Drain(DrainOptions{})
 	if polls == 0 {
 		t.Fatalf("no polls ran")
 	}
 	st := p.Stats()
 	if st.TotalDrained() < 0 || st.TotalSubmitted() < st.TotalDrained() {
 		t.Fatalf("impossible accounting after concurrent run: %+v", st)
+	}
+}
+
+// TestDrainMemoryIsBounded: the sink is the only place a point lives after
+// Drain, so half a million points through a sink that discards them must
+// leave the heap where it started — the Processor's memory is a function of
+// its queues, not of how long it has been running.
+func TestDrainMemoryIsBounded(t *testing.T) {
+	sink := &recordingBatchSink{discard: true}
+	ts, ous := newShardedDeployment(t, Config{Seed: 14, ProcessorSink: sink})
+	p := ts.Processor()
+	const perDrain, drains = 250, 500 // × 4 subsystems = 500 000 points
+	round := func() {
+		for _, sub := range AllSubsystems {
+			submitKernel(ts, sub, ous[sub], perDrain)
+		}
+		p.Drain(DrainOptions{})
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	// Warm-up: one lap of every 4096-slot ring (slots allocate on first
+	// use), the drain batches and the flush queue.
+	const warm = 20
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	before := heap()
+	for i := 0; i < drains; i++ {
+		round()
+	}
+	after := heap()
+
+	st := p.Stats()
+	want := int64(perDrain * (warm + drains) * int(NumSubsystems))
+	if st.Processed != want || st.TotalDropped() != 0 {
+		t.Fatalf("processed %d points with %d ring drops, want %d and 0", st.Processed, st.TotalDropped(), want)
+	}
+	assertDeliveryIdentity(t, st, sink.Rows())
+	// Keeping even 8 bytes per point would show as 4 MB.
+	const slack = 1 << 20
+	if after > before+slack {
+		t.Fatalf("heap grew %d bytes over %d drains (%d -> %d): something still keeps every point",
+			after-before, drains, before, after)
 	}
 }

@@ -20,7 +20,7 @@ func deployResilience(t *testing.T, mode Mode) (*TScout, *kernel.Kernel, *Marker
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 5, 0)
 	k.SetNumCPUs(2)
-	ts := New(k, Config{Mode: mode, Seed: 13, DisableProcessorFeedback: true})
+	ts := New(k, Config{Mode: mode, Seed: 13, DisableProcessorFeedback: true, ProcessorSink: &recordingBatchSink{}})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
@@ -61,7 +61,7 @@ func TestTornMigrationDiscard(t *testing.T) {
 	if got := ks.Orphans.TornMigration; got != 1 {
 		t.Fatalf("TornMigration = %d, want 1", got)
 	}
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := sinkOf(ts).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 1 {
 		t.Fatalf("archived %d points, want only the clean control sample", len(pts))
 	}
@@ -108,7 +108,7 @@ func TestPIDReuseRespawnCounters(t *testing.T) {
 	runOU(ts, b, scan, sim.Work{Instructions: 2000}, 2, 2)
 
 	p.Drain(DrainOptions{})
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := sinkOf(ts).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 2 {
 		t.Fatalf("archived %d points, want 2", len(pts))
 	}
@@ -149,7 +149,7 @@ func TestPIDReuseKillMidOUReap(t *testing.T) {
 	if ec := ts.CollectorFor(SubsystemExecutionEngine).ErrorCount(); ec != 0 {
 		t.Fatalf("pid reuse caused %d state-machine violations; gen keying should isolate the respawn", ec)
 	}
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := sinkOf(ts).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 1 {
 		t.Fatalf("archived %d points, want exactly the respawned task's sample", len(pts))
 	}
@@ -194,7 +194,7 @@ func TestCounterWrapDiscard(t *testing.T) {
 	if ks.DecodeErrors != 0 {
 		t.Fatalf("wrapped sample miscounted as a decode error")
 	}
-	pts := p.PointsFor(SubsystemExecutionEngine)
+	pts := sinkOf(ts).pointsFor(SubsystemExecutionEngine)
 	if len(pts) != 1 {
 		t.Fatalf("archived %d points, want only the clean control sample", len(pts))
 	}
@@ -229,7 +229,7 @@ func TestUserModeWrapClamps(t *testing.T) {
 	if st.User.WrapClamps == 0 {
 		t.Fatalf("backwards counter readings were clamped without being counted")
 	}
-	pts := p.Points()
+	pts := sinkOf(ts).points()
 	if len(pts) != 2 {
 		t.Fatalf("archived %d points, want 2 (clamped sample is kept, at zero)", len(pts))
 	}
@@ -300,6 +300,7 @@ func TestSinkRetryRedelivers(t *testing.T) {
 	if firstErrors == 0 {
 		t.Fatalf("first failure not charged to SinkErrors")
 	}
+	assertDeliveryIdentity(t, st, sink.Rows()) // the point is parked, not lost
 
 	// Drains advance the poll clock past the backoff; the sink now works.
 	for i := 0; i < 4 && p.Stats().PendingRetry > 0; i++ {
@@ -321,6 +322,7 @@ func TestSinkRetryRedelivers(t *testing.T) {
 	if sink.delivered == 0 {
 		t.Fatalf("sink never received the retried points")
 	}
+	assertDeliveryIdentity(t, st, sink.Rows())
 }
 
 // TestSinkRetryExhaustionDrops: a sink that keeps failing exhausts the
@@ -347,6 +349,7 @@ func TestSinkRetryExhaustionDrops(t *testing.T) {
 	if got := int64(maxSinkRetries); st.SinkRetries != got {
 		t.Fatalf("SinkRetries = %d, want %d (one per backoff attempt)", st.SinkRetries, got)
 	}
+	assertDeliveryIdentity(t, st, sink.Rows())
 }
 
 func deployWithSink(t *testing.T, sink Sink) (*TScout, *kernel.Kernel, *Marker) {
@@ -370,8 +373,8 @@ func deployWithSink(t *testing.T, sink Sink) (*TScout, *kernel.Kernel, *Marker) 
 // like archive.Writer) must not have batches redelivered through the
 // 2+4+8-poll backoff ladder. After the one failing delivery, queued and
 // future points fail fast into SinkRetryDrops, SinkRetries stays at zero,
-// the sink sees no further WriteBatch calls, and the in-memory archive
-// still holds every point (the loss identities never involve the sink).
+// the sink sees no further WriteBatch calls, and every produced point is
+// either in the sink or counted in SinkRetryDrops.
 func TestStickySinkFailsFast(t *testing.T) {
 	sink := &stickySink{}
 	ts, k, scan := deployWithSink(t, sink)
@@ -408,7 +411,7 @@ func TestStickySinkFailsFast(t *testing.T) {
 	if sink.calls != callsAtFailure {
 		t.Fatalf("sticky sink saw %d WriteBatch calls after its failing one", sink.calls-callsAtFailure)
 	}
-	// The accounting identity: every archived point either reached the
+	// The accounting identity: every produced point either reached the
 	// sink or is counted as an error, and drops never exceed errors.
 	ks := st.Kernel[SubsystemExecutionEngine]
 	if ks.Points != int64(sink.delivered)+ks.SinkErrors {
@@ -418,10 +421,7 @@ func TestStickySinkFailsFast(t *testing.T) {
 		t.Fatalf("SinkRetryDrops %d != SinkErrors %d: a point was dropped without being charged, or charged twice",
 			st.SinkRetryDrops, ks.SinkErrors)
 	}
-	// The in-memory archive is unaffected by sink loss.
-	if got := int64(len(p.PointsFor(SubsystemExecutionEngine))); got != ks.Points {
-		t.Fatalf("archive holds %d points, stats say %d", got, ks.Points)
-	}
+	assertDeliveryIdentity(t, st, sink.Rows())
 }
 
 // stickySink mimics archive.Writer's failure model: after fail() every

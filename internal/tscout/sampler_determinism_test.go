@@ -15,7 +15,7 @@ import (
 // parallelism-dependent number of times — the shape of a controller whose
 // cadence tracks drain width, or of parallelism-dependent overload
 // feedback. It returns the execution engine's bit field after each retune
-// and the points it archived.
+// and the points it delivered to the sink.
 func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []TrainingPoint) {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, seed, 0)
@@ -24,6 +24,7 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 		RingCapacity:             256,
 		ProcessorParallelism:     par,
 		DisableProcessorFeedback: true,
+		ProcessorSink:            &recordingBatchSink{},
 	})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: 1, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
@@ -69,12 +70,12 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 	for i := 0; i < 2; i++ {
 		p.Drain(DrainOptions{})
 	}
-	return fields, p.PointsFor(SubsystemExecutionEngine)
+	return fields, sinkOf(ts).pointsFor(SubsystemExecutionEngine)
 }
 
 // TestLiveRetuneBitEquality is the regression test for the shared-stream
 // SetRate bug: with rates toggled mid-run, a subsystem's sampling fields
-// (and therefore its archived points) must be bit-equal across drain
+// (and therefore the points its sink receives) must be bit-equal across drain
 // parallelism 1/2/4 and across same-seed reruns, even when other
 // subsystems' retune counts differ per parallelism.
 func TestLiveRetuneBitEquality(t *testing.T) {

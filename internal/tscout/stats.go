@@ -21,7 +21,7 @@ type SubsystemStats struct {
 	DecodeErrors int64
 	// CorruptDiscards counts samples that decoded but carried physically
 	// impossible metrics (negative elapsed/IO deltas, counter deltas in the
-	// unsigned-wraparound range) and were discarded rather than archived —
+	// unsigned-wraparound range) and were discarded rather than emitted —
 	// the last line of defense against mid-OU corruption reaching a model.
 	CorruptDiscards int64
 	// WrapClamps counts counter deltas clamped to zero because the end
@@ -37,7 +37,7 @@ type SubsystemStats struct {
 	// TruncatedFeatures counts samples that arrived with more feature
 	// words than the OU declares.
 	TruncatedFeatures int64
-	// Points counts training points archived for this subsystem (fused
+	// Points counts training points produced for this subsystem (fused
 	// samples expand to several points).
 	Points int64
 	// RuntimeFaults counts marker-context program executions that returned

@@ -4,8 +4,10 @@
 // kernel-space Collector (a verified BPF program per subsystem) that
 // snapshots hardware metrics at OU boundaries, pairs them with the
 // DBMS-provided input features, and ships completed samples through a perf
-// ring buffer to the user-space Processor, which transforms and archives
-// them as training data for the DBMS's behavior models.
+// ring buffer to the user-space Processor, which transforms them into
+// training points for the DBMS's behavior models and writes those to its
+// Sink — the one place a training point is kept (internal/archive in
+// production).
 //
 // Three collection modes are supported for the §6.2 comparison:
 // Kernel-Continuous (the paper's recommended configuration), User-Toggle,
@@ -128,8 +130,8 @@ type Config struct {
 	RingCapacity int
 	// Seed feeds the sampling-bit shuffle.
 	Seed int64
-	// ProcessorSink receives finished training points; nil uses an
-	// in-memory archive only.
+	// ProcessorSink receives finished training points — the only place
+	// they are kept; with nil they are counted and discarded.
 	ProcessorSink Sink
 	// DisableProcessorFeedback turns off the automatic sampling-rate
 	// reduction when the Processor falls behind (paper §3.2).

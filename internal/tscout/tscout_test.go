@@ -19,7 +19,7 @@ const (
 func newDeployment(t *testing.T, mode Mode) (*TScout, *kernel.Kernel, *Marker, *Marker) {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 7, 0)
-	ts := New(k, Config{Mode: mode, Seed: 11})
+	ts := New(k, Config{Mode: mode, Seed: 11, ProcessorSink: &recordingBatchSink{}})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
@@ -86,11 +86,11 @@ func TestKernelModeEndToEnd(t *testing.T) {
 	w := sim.Work{Instructions: 200000, BytesTouched: 1 << 16, WorkingSetBytes: 1 << 20, AllocBytes: 4096}
 	runOU(ts, task, scan, w, 1000, 64)
 
-	n := ts.Processor().Poll()
+	n := ts.Processor().Drain(DrainOptions{}).Points
 	if n != 1 {
 		t.Fatalf("expected 1 training point, got %d", n)
 	}
-	pts := ts.Processor().Points()
+	pts := sinkOf(ts).points()
 	tp := pts[0]
 	if tp.OU != testOUSeqScan || tp.OUName != "seq_scan" || tp.Subsystem != SubsystemExecutionEngine {
 		t.Fatalf("identity: %+v", tp)
@@ -123,9 +123,9 @@ func TestKernelModeMetricsIsolatedBetweenOUs(t *testing.T) {
 
 	runOU(ts, task, scan, sim.Work{Instructions: 50000, BytesTouched: 4096})
 	runOU(ts, task, wal, sim.Work{Instructions: 10000, BytesTouched: 1024, DiskWriteBytes: 8192, DiskOps: 1}, 5, 8192)
-	ts.Processor().Poll()
+	ts.Processor().Drain(DrainOptions{})
 
-	pts := ts.Processor().Points()
+	pts := sinkOf(ts).points()
 	if len(pts) != 2 {
 		t.Fatalf("points: %d", len(pts))
 	}
@@ -169,8 +169,8 @@ func TestRecursiveOUNesting(t *testing.T) {
 	scan.End(task)
 	scan.Features(task, 0, 2, 2)
 
-	ts.Processor().Poll()
-	pts := ts.Processor().Points()
+	ts.Processor().Drain(DrainOptions{})
+	pts := sinkOf(ts).points()
 	if len(pts) != 2 {
 		t.Fatalf("recursion must yield 2 points, got %d", len(pts))
 	}
@@ -217,8 +217,8 @@ func TestMarkerStateMachineViolations(t *testing.T) {
 	}
 	// After the reset, a clean cycle works again.
 	runOU(ts, task, scan, sim.Work{Instructions: 1000, BytesTouched: 64}, 9, 9)
-	ts.Processor().Poll()
-	if got := len(ts.Processor().Points()); got != 1 {
+	ts.Processor().Drain(DrainOptions{})
+	if got := len(sinkOf(ts).points()); got != 1 {
 		t.Fatalf("recovery after reset: %d points", got)
 	}
 }
@@ -237,8 +237,8 @@ func TestSamplingDisabledIsNearlyFree(t *testing.T) {
 	if overhead > 100 {
 		t.Fatalf("unsampled markers must cost almost nothing: %dns", overhead)
 	}
-	ts.Processor().Poll()
-	if len(ts.Processor().Points()) != 0 {
+	ts.Processor().Drain(DrainOptions{})
+	if len(sinkOf(ts).points()) != 0 {
 		t.Fatalf("no data at 0%% sampling")
 	}
 }
@@ -248,8 +248,8 @@ func TestUserModesEndToEnd(t *testing.T) {
 		ts, k, scan, _ := newDeployment(t, mode)
 		task := k.NewTask("worker")
 		runOU(ts, task, scan, sim.Work{Instructions: 80000, BytesTouched: 8192, AllocBytes: 256}, 500, 32)
-		ts.Processor().Poll()
-		pts := ts.Processor().Points()
+		ts.Processor().Drain(DrainOptions{})
+		pts := sinkOf(ts).points()
 		if len(pts) != 1 {
 			t.Fatalf("%v: points %d", mode, len(pts))
 		}
@@ -310,7 +310,7 @@ func TestUserContinuousContextSwitchPenalty(t *testing.T) {
 func TestFusedFeatureVector(t *testing.T) {
 	// Paper §5.2 / Fig. 4: one metrics set, features for three OUs.
 	k2 := kernel.New(sim.LargeHW, 3, 0)
-	ts2 := New(k2, Config{Seed: 5})
+	ts2 := New(k2, Config{Seed: 5, ProcessorSink: &recordingBatchSink{}})
 	pipeline := ts2.MustRegisterOU(OUDef{ID: 100, Name: "fused_pipeline",
 		Subsystem: SubsystemExecutionEngine, Features: []string{"n"}},
 		ResourceSet{CPU: true})
@@ -345,8 +345,8 @@ func TestFusedFeatureVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2.Processor().Poll()
-	pts := ts2.Processor().Points()
+	ts2.Processor().Drain(DrainOptions{})
+	pts := sinkOf(ts2).points()
 	if len(pts) != 3 {
 		t.Fatalf("fused sample must expand to 3 points: %d", len(pts))
 	}
@@ -429,8 +429,8 @@ func TestAdjustableRatesPerSubsystem(t *testing.T) {
 
 	runOU(ts, task, scan, sim.Work{Instructions: 1000, BytesTouched: 64}, 1, 1)
 	runOU(ts, task, wal, sim.Work{Instructions: 1000, BytesTouched: 64}, 1, 1)
-	ts.Processor().Poll()
-	pts := ts.Processor().Points()
+	ts.Processor().Drain(DrainOptions{})
+	pts := sinkOf(ts).points()
 	if len(pts) != 1 || pts[0].Subsystem != SubsystemLogSerializer {
 		t.Fatalf("per-subsystem sampling: %+v", pts)
 	}
@@ -453,7 +453,7 @@ func TestProcessorFeedbackLowersRate(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		runOU(ts, task, m, sim.Work{Instructions: 100, BytesTouched: 64}, uint64(i))
 	}
-	ts.Processor().Poll()
+	ts.Processor().Drain(DrainOptions{})
 	if got := ts.Sampler().Rate(SubsystemExecutionEngine); got >= 100 {
 		t.Fatalf("feedback must lower the sampling rate: still %d%%", got)
 	}
@@ -470,7 +470,7 @@ func TestUndeployRedeploy(t *testing.T) {
 	runOU(ts, task, scan, sim.Work{Instructions: 1000, BytesTouched: 64}, 1, 1)
 	// Drain before unloading: detaching a Collector frees its kernel-side
 	// maps, so unfetched samples are gone (as with real BPF unload).
-	ts.Processor().Poll()
+	ts.Processor().Drain(DrainOptions{})
 	ts.Undeploy()
 	if ts.Deployed() {
 		t.Fatalf("undeploy must clear deployment")
@@ -481,8 +481,8 @@ func TestUndeployRedeploy(t *testing.T) {
 		t.Fatal(err)
 	}
 	runOU(ts, task, scan, sim.Work{Instructions: 1000, BytesTouched: 64}, 3, 3)
-	ts.Processor().Poll()
-	pts := ts.Processor().Points()
+	ts.Processor().Drain(DrainOptions{})
+	pts := sinkOf(ts).points()
 	// Point 1 (drained pre-undeploy) and point 3; point 2 was a NOP.
 	if len(pts) != 2 {
 		t.Fatalf("points across redeploy: %d", len(pts))
@@ -598,7 +598,7 @@ func TestSlowProcessorDropsDontCorrupt(t *testing.T) {
 	// Failure injection (§3.2): the ring overwrites under pressure; the
 	// Processor must still decode everything it drains.
 	k := kernel.New(sim.LargeHW, 1, 0)
-	ts := New(k, Config{RingCapacity: 4, Seed: 3, DisableProcessorFeedback: true})
+	ts := New(k, Config{RingCapacity: 4, Seed: 3, DisableProcessorFeedback: true, ProcessorSink: &recordingBatchSink{}})
 	m := ts.MustRegisterOU(OUDef{ID: 1, Name: "x", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"n"}}, ResourceSet{CPU: true})
 	if err := ts.Deploy(); err != nil {
@@ -609,15 +609,16 @@ func TestSlowProcessorDropsDontCorrupt(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		runOU(ts, task, m, sim.Work{Instructions: 100, BytesTouched: 64}, uint64(i))
 	}
-	ts.Processor().Poll()
-	if ts.Processor().DecodeErrors() != 0 {
-		t.Fatalf("decode errors under overwrite pressure: %d", ts.Processor().DecodeErrors())
+	ts.Processor().Drain(DrainOptions{})
+	if n := ts.Processor().Stats().Kernel[SubsystemExecutionEngine].DecodeErrors; n != 0 {
+		t.Fatalf("decode errors under overwrite pressure: %d", n)
 	}
-	if got := len(ts.Processor().Points()); got != 4 {
+	pts := sinkOf(ts).points()
+	if got := len(pts); got != 4 {
 		t.Fatalf("ring of 4 must deliver newest 4: %d", got)
 	}
 	// The newest samples survive.
-	if ts.Processor().Points()[3].Features[0] != 49 {
-		t.Fatalf("newest sample must survive: %+v", ts.Processor().Points()[3])
+	if pts[3].Features[0] != 49 {
+		t.Fatalf("newest sample must survive: %+v", pts[3])
 	}
 }

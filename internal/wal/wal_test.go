@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"testing"
 
+	"tscout/internal/archive"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -17,10 +19,14 @@ func testRecords(txn uint64, n int) []Record {
 	return out
 }
 
-func newWAL(t *testing.T, cfg Config) (*Serializer, *tscout.TScout) {
+// newWAL returns a serializer on an instrumented kernel and a function
+// that drains TScout's rings and reads the training archive back.
+func newWAL(t *testing.T, cfg Config) (*Serializer, func() []tscout.TrainingPoint) {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 1, 0)
-	ts := tscout.New(k, tscout.Config{Seed: 2})
+	var buf bytes.Buffer
+	w := archive.NewWriter(&buf)
+	ts := tscout.New(k, tscout.Config{Seed: 2, ProcessorSink: w})
 	serM := ts.MustRegisterOU(tscout.OUDef{
 		ID: 50, Name: "log_serializer", Subsystem: tscout.SubsystemLogSerializer,
 		Features: []string{"num_records", "bytes", "num_txns"},
@@ -33,7 +39,22 @@ func newWAL(t *testing.T, cfg Config) (*Serializer, *tscout.TScout) {
 		t.Fatal(err)
 	}
 	ts.Sampler().SetAllRates(100)
-	return New(k, ts, serM, wrM, cfg), ts
+	return New(k, ts, serM, wrM, cfg), func() []tscout.TrainingPoint {
+		t.Helper()
+		ts.Processor().Drain(tscout.DrainOptions{})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := archive.NewReader(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := r.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
 }
 
 func TestGroupCommitBatchesBySize(t *testing.T) {
@@ -118,11 +139,10 @@ func TestGroupCommitAmortizes(t *testing.T) {
 }
 
 func TestWALEmitsTrainingData(t *testing.T) {
-	s, ts := newWAL(t, Config{GroupSize: 2, FlushIntervalNS: 1 << 40})
+	s, points := newWAL(t, Config{GroupSize: 2, FlushIntervalNS: 1 << 40})
 	s.Submit(testRecords(1, 3), 0)
 	s.Submit(testRecords(2, 3), 10)
-	ts.Processor().Poll()
-	pts := ts.Processor().Points()
+	pts := points()
 	if len(pts) != 2 {
 		t.Fatalf("expected serializer + writer points, got %d", len(pts))
 	}

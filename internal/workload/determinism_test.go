@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"tscout/internal/dbms"
 	"tscout/internal/tscout"
+	"tscout/internal/wal"
 )
 
 // TestRunsAreDeterministic validates the repository's core methodological
@@ -14,7 +16,14 @@ import (
 // reported number and on the collected training data.
 func TestRunsAreDeterministic(t *testing.T) {
 	run := func() (Result, []tscout.TrainingPoint) {
-		srv := newServer(t, true)
+		arch := newTestArchive(0)
+		srv, err := dbms.NewServer(dbms.Config{
+			Seed: 7, Instrument: true, Sink: arch.w,
+			WAL: wal.Config{GroupSize: 8, FlushIntervalNS: 100_000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		gen := &TPCC{Warehouses: 1, CustomersPerDistrict: 10, Items: 100, InitialOrdersPerDistrict: 10}
 		if err := gen.Setup(srv); err != nil {
 			t.Fatal(err)
@@ -24,7 +33,7 @@ func TestRunsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, srv.TS.Processor().Points()
+		return res, arch.points(t)
 	}
 	r1, p1 := run()
 	r2, p2 := run()

@@ -105,7 +105,7 @@ type Result struct {
 	P50NS, P99NS int64
 	// MeanNS is the mean transaction latency.
 	MeanNS int64
-	// TrainingPoints is the number of points the Processor archived
+	// TrainingPoints is the number of points the Processor produced
 	// during the run (instrumented runs only).
 	TrainingPoints int64
 	// SamplesPerSec is the training-data generation rate.

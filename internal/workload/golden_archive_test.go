@@ -5,40 +5,31 @@ import (
 	"testing"
 
 	"tscout/internal/archive"
-	"tscout/internal/dbms"
-	"tscout/internal/wal"
+	"tscout/internal/tscout"
 )
 
-// TestSegmentSinkGoldenFingerprint re-runs the canonical single-CPU golden
-// workload with the columnar segment writer attached as the Processor sink,
-// then fingerprints the points read back FROM THE SEGMENTS. The hash must
-// equal the recorded golden value: the archive path neither perturbs the
-// run (sink delivery happens outside the simulated clock) nor loses or
-// reorders a single point through encode → seal → decode.
-func TestSegmentSinkGoldenFingerprint(t *testing.T) {
-	var buf bytes.Buffer
-	aw := archive.NewWriter(&buf)
-	srv, err := dbms.NewServer(dbms.Config{
-		Seed: 77, NoiseSigma: 0.03, Instrument: true,
-		Sink: aw,
-		WAL:  wal.Config{GroupSize: 8, FlushIntervalNS: 100_000},
-	})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	gen := &TPCC{Warehouses: 1, CustomersPerDistrict: 10, Items: 100, InitialOrdersPerDistrict: 10}
-	if err := gen.Setup(srv); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	srv.TS.Sampler().SetAllRates(100)
-	res, err := Run(srv, gen, Config{Terminals: 4, Transactions: 300, Seed: 77})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if err := aw.Flush(); err != nil {
+// testArchive is a test server's training store: a segment writer over
+// memory, handed to the server as dbms.Config.Sink and read back after the
+// run — the only place the run's training points exist.
+type testArchive struct {
+	buf bytes.Buffer
+	w   *archive.Writer
+}
+
+// newTestArchive seals rowsPerSegment-row segments (0 = the default).
+func newTestArchive(rowsPerSegment int) *testArchive {
+	a := &testArchive{}
+	a.w = archive.NewWriterSize(&a.buf, rowsPerSegment)
+	return a
+}
+
+// points flushes the writer and decodes the archive in sink order.
+func (a *testArchive) points(t *testing.T) []tscout.TrainingPoint {
+	t.Helper()
+	if err := a.w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := archive.NewReader(buf.Bytes())
+	r, err := archive.NewReader(a.buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +37,18 @@ func TestSegmentSinkGoldenFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pts
+}
+
+// TestSegmentSinkGoldenFingerprint re-runs the canonical single-CPU golden
+// workload sealing a segment every 64 rows — 174 segments instead of
+// the default writer's 3 — and fingerprints the points read back from the
+// segments. The hash must equal the recorded golden value: the archive path
+// neither perturbs the run (sink delivery happens outside the simulated
+// clock) nor loses or reorders a single point through encode → seal →
+// decode, wherever the segment boundaries fall.
+func TestSegmentSinkGoldenFingerprint(t *testing.T) {
+	res, pts := goldenRun(t, 64)
 	if len(pts) != goldenSingleCPUPoints {
 		t.Fatalf("segment archive holds %d points, want %d", len(pts), goldenSingleCPUPoints)
 	}

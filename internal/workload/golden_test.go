@@ -29,7 +29,7 @@ const (
 )
 
 // goldenFingerprint hashes the pre-PR-observable outputs of a run: the
-// scalar results plus every archived training point in archive order.
+// scalar results plus every training point the sink received, in order.
 func goldenFingerprint(res Result, pts []tscout.TrainingPoint) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "completed=%d aborted=%d elapsed=%d tps=%.9g p50=%d p99=%d mean=%d points=%d sps=%.9g\n",
@@ -44,12 +44,15 @@ func goldenFingerprint(res Result, pts []tscout.TrainingPoint) uint64 {
 // goldenRun executes the canonical fingerprint workload: instrumented
 // TPC-C at 4 terminals with 3% measurement noise on the default
 // single-CPU topology — the configuration class every recorded
-// experiment used.
-func goldenRun(t *testing.T) (Result, []tscout.TrainingPoint) {
+// experiment used. The points are what the Processor's sink received,
+// through an archive sealing rowsPerSegment-row segments (0 = default).
+func goldenRun(t *testing.T, rowsPerSegment int) (Result, []tscout.TrainingPoint) {
 	t.Helper()
+	arch := newTestArchive(rowsPerSegment)
 	srv, err := dbms.NewServer(dbms.Config{
 		Seed: 77, NoiseSigma: 0.03, Instrument: true,
-		WAL: wal.Config{GroupSize: 8, FlushIntervalNS: 100_000},
+		Sink: arch.w,
+		WAL:  wal.Config{GroupSize: 8, FlushIntervalNS: 100_000},
 	})
 	if err != nil {
 		t.Fatalf("server: %v", err)
@@ -63,13 +66,13 @@ func goldenRun(t *testing.T) (Result, []tscout.TrainingPoint) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return res, srv.TS.Processor().Points()
+	return res, arch.points(t)
 }
 
 // TestSingleCPUGoldenFingerprint locks the NumCPUs=1 schedule to the
 // pre-refactor single-clock scheduler, bit for bit.
 func TestSingleCPUGoldenFingerprint(t *testing.T) {
-	res, pts := goldenRun(t)
+	res, pts := goldenRun(t, 0)
 	if res.Completed != goldenSingleCPUCompleted {
 		t.Fatalf("completed = %d, want %d", res.Completed, goldenSingleCPUCompleted)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the multi-core determinism regression suite for the pooled
-// epoch/barrier driver: the schedule — and therefore the sample archive and
+// epoch/barrier driver: the schedule — and therefore the sink stream and
 // every per-CPU noise stream — must be a pure function of the seed at every
 // (NumCPUs, drain parallelism) point in the support grid. The companion
 // golden_test.go locks NumCPUs=1 on the legacy driver to the pre-refactor
@@ -24,9 +24,10 @@ import (
 // full Result.
 func scaleRun(t *testing.T, numCPUs, par, terminals, txns, pool int) (uint64, []uint64, Result) {
 	t.Helper()
+	arch := newTestArchive(0)
 	srv, err := dbms.NewServer(dbms.Config{
 		Seed: 42, NoiseSigma: 0.03, Instrument: true,
-		NumCPUs: numCPUs, ProcessorParallelism: par,
+		NumCPUs: numCPUs, ProcessorParallelism: par, Sink: arch.w,
 		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000, BucketGrainNS: 25_000},
 	})
 	if err != nil {
@@ -43,7 +44,7 @@ func scaleRun(t *testing.T, numCPUs, par, terminals, txns, pool int) (uint64, []
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return goldenFingerprint(res, srv.TS.Processor().Points()), srv.Kernel.NoiseDraws(), res
+	return goldenFingerprint(res, arch.points(t)), srv.Kernel.NoiseDraws(), res
 }
 
 // TestEpochEngineDeterminism runs every (NumCPUs, drain parallelism) point
@@ -76,9 +77,10 @@ func TestEpochEngineDeterminism(t *testing.T) {
 // not collide on the fingerprint, or the suite above is vacuous.
 func TestEpochEngineSeedsDiffer(t *testing.T) {
 	srvFor := func(seed int64) uint64 {
+		arch := newTestArchive(0)
 		srv, err := dbms.NewServer(dbms.Config{
 			Seed: seed, NoiseSigma: 0.03, Instrument: true,
-			NumCPUs: 8, ProcessorParallelism: 2,
+			NumCPUs: 8, ProcessorParallelism: 2, Sink: arch.w,
 			WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000, BucketGrainNS: 25_000},
 		})
 		if err != nil {
@@ -95,14 +97,14 @@ func TestEpochEngineSeedsDiffer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return goldenFingerprint(res, srv.TS.Processor().Points())
+		return goldenFingerprint(res, arch.points(t))
 	}
 	if srvFor(1) == srvFor(2) {
 		t.Fatalf("different seeds produced identical fingerprints")
 	}
 }
 
-// TestScaleSmoke is the `make scale-smoke` target: a thousand terminals
+// TestScaleSmoke is the scale smoke test: a thousand terminals
 // multiplexed onto 96 pooled sessions on an 8-CPU kernel. The budget must
 // be exactly honored, the admission gate must drain without leaking a
 // single slot, queueing (not rejection) must absorb the terminal surplus,

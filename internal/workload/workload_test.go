@@ -106,13 +106,10 @@ func TestInstrumentedRunGeneratesTrainingData(t *testing.T) {
 	if res.TrainingPoints == 0 || res.SamplesPerSec <= 0 {
 		t.Fatalf("no training data: %+v", res)
 	}
-	bySub := map[tscout.SubsystemID]int{}
-	for _, p := range srv.TS.Processor().Points() {
-		bySub[p.Subsystem]++
-	}
+	st := srv.TS.Processor().Stats()
 	for _, sub := range tscout.AllSubsystems {
-		if bySub[sub] == 0 {
-			t.Fatalf("subsystem %v has no data: %v", sub, bySub)
+		if st.Kernel[sub].Points == 0 {
+			t.Fatalf("subsystem %v has no data: %+v", sub, st.Kernel)
 		}
 	}
 	// The marker state machine must stay clean across a full benchmark.

@@ -1,68 +1,74 @@
 #!/bin/sh
-# Tier-1 gate: build, vet, and the full test suite under the race detector.
-# Mirrors `make check` for environments without make.
+# Tier-1 gate, written once. With no argument it runs every step in order
+# (`make check` is this script); with a step name it runs that step alone,
+# which is what the Makefile's build/lint/race/bench-smoke/fuzz-smoke
+# targets call. Needs only a POSIX shell and the go toolchain.
+#
+#   scripts/check.sh                    build, lint, race, bench-smoke
+#   FUZZ=1 FUZZTIME=5s scripts/check.sh ... then fuzz-smoke
+#   scripts/check.sh fuzz-smoke         one step
 set -eu
 cd "$(dirname "$0")/.."
+GO="${GO:-go}"
 
-go build ./...
-go vet ./...
-# tsvet: the repo's typed static-analysis suite (determinism, guarded-by,
-# verify-before-run discipline). Zero unsuppressed findings required.
-go run ./internal/analysis/tsvet .
-go test -race -timeout 45m ./...
+build() { $GO build ./...; }
 
-# Single-shot smoke of the per-CPU drain benchmark and the end-to-end
-# multi-core scaling benchmark: the batched drain path must assemble at
-# every thread/topology combination, and the pooled epoch driver must run
-# at 1/8/32/64 CPUs.
-go test -bench '^BenchmarkDrainPerCPUvsSingle$' -benchtime 1x -run xxx .
-go test -bench '^BenchmarkEndToEndNumCPUs$' -benchtime 1x -run xxx .
+# lint = go vet plus tsvet, the repo's typed static-analysis suite
+# (internal/analysis): determinism rules, the guarded-by annotation checker
+# and the verify-before-run rules. Zero unsuppressed findings required;
+# suppressions are //tsvet:ignore <rule> <reason>.
+lint() {
+	$GO vet ./...
+	$GO run ./internal/analysis/tsvet .
+}
 
-# JIT smoke: every generated Collector program must compile (zero
-# declines) and agree with the interpreter on differential spot-checks;
-# the single-shot benchmark keeps the speed harness assembling.
-go test ./internal/tscout -run '^TestJITSmoke' -count=1
-go test -bench '^BenchmarkCollectorInterpVsCompiled$' -benchtime 1x -run xxx .
+# The whole suite under the race detector, which slows the virtual-time
+# experiments ~10x past go test's default 10m deadline.
+race() { $GO test -race -timeout 45m ./...; }
 
-# Seed-corpus chaos runs: the pipeline under deterministic fault schedules
-# must satisfy the exact accounting identities at every drain parallelism.
-go test ./internal/tscout -run '^TestChaos' -count=1
+# Single-shot runs that keep the benchmark harnesses assembling (speed is
+# benchmark/'s job): the batched drain at 1/2/4 threads, the pooled epoch
+# driver at 1/8/32/64 CPUs, and the interpreter-vs-JIT Collector harness.
+bench_smoke() {
+	for b in DrainPerCPUvsSingle EndToEndNumCPUs CollectorInterpVsCompiled; do
+		$GO test -bench "^Benchmark$b\$" -benchtime 1x -run xxx .
+	done
+}
 
-# Scale smoke: 1000 terminals on 96 pooled sessions behind the admission
-# gate, plus the (NumCPUs x drain parallelism) determinism grid.
-go test ./internal/workload -run '^(TestScaleSmoke|TestEpochEngineDeterminism|TestPooledBoundedQueueRejects)$' -count=1
+# A short pass over every fuzz target (go test allows one -fuzz pattern per
+# package invocation). Raise FUZZTIME for real sessions; crashers land in
+# testdata/fuzz/ for replay.
+fuzz_smoke() {
+	while read -r pkg target; do
+		$GO test "./internal/$pkg" -run '^$' -fuzz "^$target\$" -fuzztime "${FUZZTIME:-10s}"
+	done <<-END
+		bpf FuzzVerify
+		bpf FuzzVerifyThenRun
+		bpf FuzzOptimize
+		bpf FuzzRingbuf
+		bpf FuzzPerCPURing
+		tscout FuzzProcessorDecode
+		tscout FuzzFaultSchedule
+		kernel FuzzPerCPUFaultOrder
+		archive FuzzSegmentCodec
+	END
+}
 
-# Archive smoke: the columnar training archive's acceptance surface —
-# bit-exact round-trip, CSV-export equivalence, SQL-over-mount cross-check,
-# chaos identities with the segment sink, the golden fingerprint through
-# segments, the 2x density floor, and the model-path equivalence.
-go test ./internal/archive -run '^(TestRoundTripBitExact|TestExportCSVMatchesDirectSink|TestSQLOverArchive|TestChaosIdentitiesWithSegmentSink|TestColumnarDensityVsCSV)$' -count=1
-go test ./internal/workload -run '^TestSegmentSinkGoldenFingerprint$' -count=1
-go test ./internal/model -run '^TestFromArchiveMatchesFromTrainingPoints$' -count=1
-go test ./cmd/tsctl -run '^TestArchiveCmd' -count=1
-
-# Autopilot smoke: the self-driving loop's acceptance surface — the
-# online-retraining controller converging/bursting/holding deterministic,
-# the online learners, chaos identities under live retuning, the
-# error-vs-overhead frontier shape, and the golden fingerprint with the
-# two-stream sampler.
-go test ./internal/autopilot -count=1
-go test ./internal/model -run '^(TestOnlineRidge|TestWindowedForest|TestErrorSurface|TestOnlineSet)' -count=1
-go test ./internal/experiment -run '^TestFrontierShape$' -count=1
-go test ./internal/tscout -run '^(TestLiveRetuneBitEquality|TestRetuneIsolationAcrossSubsystems|TestStickySinkFailsFast)$' -count=1
-go test ./internal/workload -run '^TestSingleCPUGoldenFingerprint$' -count=1
-
-# FUZZ=1 adds a short fuzzing pass over every fuzz target (one -fuzz
-# pattern per package invocation is a go test restriction).
-if [ "${FUZZ:-0}" = "1" ]; then
-	fuzztime="${FUZZTIME:-10s}"
-	go test ./internal/bpf -run '^$' -fuzz '^FuzzVerify$' -fuzztime "$fuzztime"
-	go test ./internal/bpf -run '^$' -fuzz '^FuzzVerifyThenRun$' -fuzztime "$fuzztime"
-	go test ./internal/bpf -run '^$' -fuzz '^FuzzOptimize$' -fuzztime "$fuzztime"
-	go test ./internal/bpf -run '^$' -fuzz '^FuzzRingbuf$' -fuzztime "$fuzztime"
-	go test ./internal/bpf -run '^$' -fuzz '^FuzzPerCPURing$' -fuzztime "$fuzztime"
-	go test ./internal/tscout -run '^$' -fuzz '^FuzzProcessorDecode$' -fuzztime "$fuzztime"
-	go test ./internal/tscout -run '^$' -fuzz '^FuzzFaultSchedule$' -fuzztime "$fuzztime"
-	go test ./internal/kernel -run '^$' -fuzz '^FuzzPerCPUFaultOrder$' -fuzztime "$fuzztime"
-	go test ./internal/archive -run '^$' -fuzz '^FuzzSegmentCodec$' -fuzztime "$fuzztime"
-fi
+case "${1:-check}" in
+check)
+	build
+	lint
+	race
+	bench_smoke
+	if [ "${FUZZ:-0}" = 1 ]; then fuzz_smoke; fi
+	;;
+build) build ;;
+lint) lint ;;
+race) race ;;
+bench-smoke) bench_smoke ;;
+fuzz-smoke) fuzz_smoke ;;
+*)
+	echo "usage: $0 [check|build|lint|race|bench-smoke|fuzz-smoke]" >&2
+	exit 2
+	;;
+esac
