@@ -540,10 +540,10 @@ type Stats struct {
 // Stats walks the footers (no column decode) and aggregates row counts.
 func (r *Reader) Stats() Stats {
 	st := Stats{
-		Segments: len(r.segs),
-		Rows:     r.rows,
-		Bytes:    r.size,
-		RowsByOU: map[string]int64{},
+		Segments:  len(r.segs),
+		Rows:      r.rows,
+		Bytes:     r.size,
+		RowsByOU:  map[string]int64{},
 		RowsBySub: map[string]int64{},
 	}
 	r.Blocks(func(b *Block) bool {

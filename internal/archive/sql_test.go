@@ -228,4 +228,3 @@ func TestExplainVirtualScan(t *testing.T) {
 		t.Fatalf("EXPLAIN missing virtual scan line:\n%s", joined)
 	}
 }
-

@@ -95,10 +95,10 @@ type Controller struct {
 	set     *model.OnlineSet
 
 	mu       sync.Mutex
-	tail     []byte                 // guarded by mu — sealed segments not yet consumed
-	tailSegs int64                  // guarded by mu — segment count in tail
-	drains   int64                  // guarded by mu — OnDrain calls seen
-	stats    tscout.AutopilotStats  // guarded by mu — last published self-report
+	tail     []byte                     // guarded by mu — sealed segments not yet consumed
+	tailSegs int64                      // guarded by mu — segment count in tail
+	drains   int64                      // guarded by mu — OnDrain calls seen
+	stats    tscout.AutopilotStats      // guarded by mu — last published self-report
 	drifting [tscout.NumSubsystems]bool // guarded by mu — current drift latch
 }
 

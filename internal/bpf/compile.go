@@ -7,9 +7,9 @@ import (
 )
 
 // This file implements the post-verify JIT: it compiles a verified program
-// to closure-threaded native Go, using the abstract-interpretation proofs
-// the verifier already computed (DESIGN.md §9) to elide exactly the checks
-// the interpreter performs dynamically:
+// to native Go, using the abstract-interpretation proofs the verifier
+// already computed (DESIGN.md §9) to elide exactly the checks the
+// interpreter performs dynamically:
 //
 //   - No runtime instruction budget: the compiler declines any program with
 //     a backward jump, so executed instructions ≤ static length < budget.
@@ -21,11 +21,18 @@ import (
 //     the concrete Map at compile time, stack-pointer arguments to direct
 //     slices; the call devirtualizes to the helper's body.
 //
-// Each instruction becomes one closure of type copFn returning the next
-// closure to run (or nil to stop); straight-line patterns additionally fuse
-// (runs of constant stack stores, load+store pairs) so several
-// instructions execute per indirect call. The dispatch loop is
-// runCompiled's `for f != nil { f = f(ec) }`.
+// The compiled form is terminator closures plus micro-op blocks. One pass
+// over the instructions (compileInsn) validates each one and either
+// pre-decodes it to a microOp — every straight-line instruction: moves,
+// ALU, proven loads and stores, pure and proven helper calls — or, for
+// Exit, Ja, conditional jumps and helper calls the analysis could not
+// prove out, builds a terminator closure of type copFn. fuse then turns
+// every maximal run of micro-ops (any length ≥ 1) into one superblock
+// closure (blockRunner) after peephole has combined idiomatic sequences
+// into pattern super-ops. A copFn returns the next closure to run (or nil
+// to stop); the dispatch loop is runCompiled's `for f != nil { f = f(ec) }`.
+// The instruction set therefore has two implementations: the interpreter
+// (the reference) and blockRunner.
 //
 // Anything the compiler cannot prove makes it decline the whole program
 // with a reason; Run then falls back to the interpreter, which remains the
@@ -65,25 +72,15 @@ type CompileInfo struct {
 	Reason string
 	// Insns is the static instruction count.
 	Insns int
-	// FusedInsns counts instructions folded into multi-instruction
-	// closures (store runs, load+store pairs).
-	FusedInsns int
-	// DirectCalls counts helper call sites devirtualized to direct
-	// closures (the rest go through the interpreter's helper dispatcher).
-	DirectCalls int
-	// ElidedChecks counts memory accesses and helper pointer arguments
-	// whose runtime tag/bounds checks were dropped under verifier proofs.
-	ElidedChecks int
 }
 
-// copFn is one compiled instruction (or fused group): execute against ec,
+// copFn is one compiled terminator or superblock: execute against ec,
 // return the next closure, or nil when the program exits or faults (the
 // latter sets ec.err).
 type copFn func(ec *execState) copFn
 
 type compiledProg struct {
 	entry copFn
-	fns   []copFn
 }
 
 // Compile attempts to JIT the program. On success subsequent Run calls
@@ -91,7 +88,14 @@ type compiledProg struct {
 // Compile is meant to be called at load time, before the program is
 // attached; it is not synchronized against concurrent Run.
 func (lp *LoadedProgram) Compile() CompileInfo {
-	info := lp.compileProgram()
+	info := CompileInfo{Attempted: true, Insns: len(lp.prog.Insns)}
+	if cc, reason := lp.decode(); reason != "" {
+		info.Reason = reason
+	} else {
+		cc.fuse()
+		lp.compiled.Store(&compiledProg{entry: cc.fns[0]})
+		info.Compiled = true
+	}
 	lp.compileInfo = info
 	return info
 }
@@ -123,40 +127,32 @@ func (lp *LoadedProgram) JITStats() ProgramJITStats {
 	}
 }
 
-func (lp *LoadedProgram) compileProgram() CompileInfo {
-	info := CompileInfo{Attempted: true, Insns: len(lp.prog.Insns)}
+// decode runs the whole-program checks and then the per-instruction pass,
+// returning the compiler state fuse works from or the first decline reason.
+func (lp *LoadedProgram) decode() (*compiler, string) {
 	if lp.analysis == nil {
-		info.Reason = DeclineNoAnalysis
-		return info
+		return nil, DeclineNoAnalysis
 	}
 	for _, in := range lp.prog.Insns {
 		if isJump(in.Op) && in.Off < 0 {
-			info.Reason = DeclineBackEdge
-			return info
+			return nil, DeclineBackEdge
 		}
 	}
-	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis, info: info}
-	cc.fns = make([]copFn, len(cc.p.Insns))
-	cc.callBodies = make([]func(*execState), len(cc.p.Insns))
+	n := len(lp.prog.Insns)
+	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis,
+		fns: make([]copFn, n), ops: make([]microOp, n)}
 	if !cc.markTargets() {
-		cc.info.Reason = DeclineMalformed
-		return cc.info
+		return nil, DeclineMalformed
 	}
-	for pc := range cc.p.Insns {
-		f, reason := cc.buildInsn(pc, cc.p.Insns[pc])
-		if reason != "" {
-			cc.info.Reason = reason
-			return cc.info
+	for pc, in := range cc.p.Insns {
+		if reason := cc.compileInsn(pc, in); reason != "" {
+			return nil, reason
 		}
-		cc.fns[pc] = f
 	}
-	cc.fuse()
-	lp.compiled.Store(&compiledProg{entry: cc.fns[0], fns: cc.fns})
-	cc.info.Compiled = true
-	return cc.info
+	return cc, ""
 }
 
-// runCompiled drives the closure-threaded form. There is no instruction
+// runCompiled drives the compiled form. There is no instruction
 // budget check (no back-edges, so executed ≤ static length) and no
 // per-access error plumbing; a verifier/compiler disagreement surfaces as
 // a Go panic, converted here to ErrRuntime so the caller-visible contract
@@ -217,16 +213,17 @@ func (lp *LoadedProgram) putExecState(ec *execState) {
 }
 
 type compiler struct {
-	lp       *LoadedProgram
-	p        *Program
-	a        *Analysis
+	lp *LoadedProgram
+	p  *Program
+	a  *Analysis
+	// After the compileInsn pass every pc holds exactly one of: a
+	// terminator closure in fns[pc], or — where fns[pc] is nil — a
+	// straight-line micro-op in ops[pc]. fuse then fills the head slot of
+	// each micro-op run with its block closure; run interiors stay nil
+	// (they are never jump targets, so only the head can be entered).
 	fns      []copFn
+	ops      []microOp
 	isTarget []bool
-	info     CompileInfo
-	// callBodies[pc] holds the devirtualized, fault-free body of the
-	// helper call at pc (nil when the call fell back to the generic
-	// dispatcher); the fuser absorbs these into superblocks.
-	callBodies []func(*execState)
 }
 
 // markTargets records which pcs are explicit jump targets (fusion must not
@@ -247,8 +244,8 @@ func (cc *compiler) markTargets() bool {
 }
 
 // next returns the dispatch slot for the instruction after pc. Closures
-// capture the slot address, not its value, so fusion pass replacements
-// take effect everywhere.
+// capture the slot address, not its value, so the block closures fuse
+// installs later take effect everywhere.
 func (cc *compiler) next(pc int) (*copFn, bool) {
 	if pc+1 >= len(cc.fns) {
 		return nil, false
@@ -269,171 +266,53 @@ func (cc *compiler) trap(pc int) copFn {
 	}
 }
 
-func (cc *compiler) buildInsn(pc int, in Insn) (copFn, string) {
+// compileInsn is the single per-instruction pass: it validates the
+// instruction at pc and records its compiled form — a terminator closure
+// in fns[pc] for Exit, Ja, conditional jumps, unproven helper calls and
+// statically-dead pcs, a pre-decoded micro-op in ops[pc] for everything
+// else — or returns the reason the program must be declined.
+func (cc *compiler) compileInsn(pc int, in Insn) string {
 	if !cc.a.Reached(pc) {
-		return cc.trap(pc), ""
+		cc.fns[pc] = cc.trap(pc)
+		return ""
 	}
 	switch {
 	case in.Op == OpExit:
-		return func(ec *execState) copFn {
+		cc.fns[pc] = func(ec *execState) copFn {
 			ec.executed++
 			return nil
-		}, ""
-
-	case in.Op == OpMovImm:
-		next, ok := cc.next(pc)
-		if !ok {
-			return nil, DeclineMalformed
 		}
-		dst, imm := in.Dst, uint64(in.Imm)
-		return func(ec *execState) copFn {
-			ec.regs[dst] = imm
-			ec.executed++
-			return *next
-		}, ""
-	case in.Op == OpMovReg:
-		next, ok := cc.next(pc)
-		if !ok {
-			return nil, DeclineMalformed
-		}
-		dst, src := in.Dst, in.Src
-		return func(ec *execState) copFn {
-			ec.regs[dst] = ec.regs[src]
-			ec.executed++
-			return *next
-		}, ""
-
-	case isALU(in.Op):
-		return cc.buildALU(pc, in)
-
-	case in.Op == OpLoadMapPtr:
-		next, ok := cc.next(pc)
-		if !ok {
-			return nil, DeclineMalformed
-		}
-		dst, handle := in.Dst, mapTag|uint64(in.Imm)
-		return func(ec *execState) copFn {
-			ec.regs[dst] = handle
-			ec.executed++
-			return *next
-		}, ""
-
-	case in.Op == OpLoad:
-		return cc.buildLoad(pc, in)
-	case in.Op == OpStore, in.Op == OpStoreImm:
-		return cc.buildStore(pc, in)
-
+		return ""
 	case in.Op == OpJa:
 		tgt := cc.slot(pc + 1 + int(in.Off))
-		return func(ec *execState) copFn {
+		cc.fns[pc] = func(ec *execState) copFn {
 			ec.executed++
 			return *tgt
-		}, ""
+		}
+		return ""
 	case isCondJump(in.Op):
 		return cc.buildCondJump(pc, in)
+	}
 
-	case in.Op == OpCall:
-		return cc.buildCall(pc, in)
+	// Straight-line code: falls through to pc+1. The decline order is
+	// fixed: no template at all, then no successor, then an unproven
+	// access.
+	op, ok := cc.microFor(pc, in)
+	isMem := in.Op == OpLoad || in.Op == OpStore || in.Op == OpStoreImm
+	next, hasNext := cc.next(pc)
+	switch {
+	case !ok && !isMem && in.Op != OpCall:
+		return DeclineUnsupportedOpcode
+	case !hasNext:
+		return DeclineMalformed
+	case ok:
+		cc.ops[pc] = op
+	case isMem:
+		return DeclineUnprovenAccess
+	default:
+		cc.fns[pc] = cc.genericCall(in.Imm, next)
 	}
-	return nil, DeclineUnsupportedOpcode
-}
-
-// aluFunc returns the scalar semantics of op on raw 64-bit register values,
-// exactly matching evalALU (which operates on int64 bit patterns).
-func aluFunc(op Op) func(a, b uint64) uint64 {
-	switch op {
-	case OpAddImm, OpAddReg:
-		return func(a, b uint64) uint64 { return a + b }
-	case OpSubImm, OpSubReg:
-		return func(a, b uint64) uint64 { return a - b }
-	case OpMulImm, OpMulReg:
-		return func(a, b uint64) uint64 { return a * b }
-	case OpDivImm, OpDivReg:
-		return func(a, b uint64) uint64 {
-			if b == 0 {
-				return 0
-			}
-			return a / b
-		}
-	case OpModImm, OpModReg:
-		return func(a, b uint64) uint64 {
-			if b == 0 {
-				return 0
-			}
-			return a % b
-		}
-	case OpAndImm, OpAndReg:
-		return func(a, b uint64) uint64 { return a & b }
-	case OpOrImm, OpOrReg:
-		return func(a, b uint64) uint64 { return a | b }
-	case OpXorImm, OpXorReg:
-		return func(a, b uint64) uint64 { return a ^ b }
-	case OpLshImm, OpLshReg:
-		return func(a, b uint64) uint64 { return a << (b & 63) }
-	case OpRshImm, OpRshReg:
-		return func(a, b uint64) uint64 { return a >> (b & 63) }
-	case OpArshImm, OpArshReg:
-		return func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) }
-	case OpNeg:
-		return func(a, _ uint64) uint64 { return -a }
-	}
-	return nil
-}
-
-func (cc *compiler) buildALU(pc int, in Insn) (copFn, string) {
-	next, ok := cc.next(pc)
-	if !ok {
-		return nil, DeclineMalformed
-	}
-	dst := in.Dst
-	if cc.lp.ptrALU[pc] {
-		// Verified pointer arithmetic: add/sub on a tagged pointer keeps
-		// the object id and moves the 32-bit address, same as the
-		// interpreter's ptrALU path.
-		if isRegSrc(in.Op) {
-			src := in.Src
-			neg := in.Op == OpSubReg
-			return func(ec *execState) copFn {
-				d := ec.regs[dst]
-				delta := int64(ec.regs[src])
-				if neg {
-					delta = -delta
-				}
-				ec.regs[dst] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+delta))
-				ec.executed++
-				return *next
-			}, ""
-		}
-		delta := in.Imm
-		if in.Op == OpSubImm {
-			delta = -delta
-		}
-		d64 := delta
-		return func(ec *execState) copFn {
-			d := ec.regs[dst]
-			ec.regs[dst] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+d64))
-			ec.executed++
-			return *next
-		}, ""
-	}
-	alu := aluFunc(in.Op)
-	if alu == nil {
-		return nil, DeclineUnsupportedOpcode
-	}
-	if isRegSrc(in.Op) {
-		src := in.Src
-		return func(ec *execState) copFn {
-			ec.regs[dst] = alu(ec.regs[dst], ec.regs[src])
-			ec.executed++
-			return *next
-		}, ""
-	}
-	imm := uint64(in.Imm)
-	return func(ec *execState) copFn {
-		ec.regs[dst] = alu(ec.regs[dst], imm)
-		ec.executed++
-		return *next
-	}, ""
+	return ""
 }
 
 // memKind classifies a proven memory operand.
@@ -474,116 +353,6 @@ func (cc *compiler) resolveMem(pc int, r Reg, off int32) memRef {
 	return memRef{kind: memBad}
 }
 
-func (cc *compiler) buildLoad(pc int, in Insn) (copFn, string) {
-	next, ok := cc.next(pc)
-	if !ok {
-		return nil, DeclineMalformed
-	}
-	dst := in.Dst
-	m := cc.resolveMem(pc, in.Src, in.Off)
-	cc.info.ElidedChecks++
-	switch m.kind {
-	case memStackExact:
-		idx := m.idx
-		return func(ec *execState) copFn {
-			ec.regs[dst] = U64(ec.stack[idx : idx+8])
-			ec.executed++
-			return *next
-		}, ""
-	case memStackDyn:
-		src, off := in.Src, int(in.Off)
-		return func(ec *execState) copFn {
-			a := int(ptrAddr(ec.regs[src])) + off
-			ec.regs[dst] = U64(ec.stack[a : a+8])
-			ec.executed++
-			return *next
-		}, ""
-	case memObjDyn:
-		src, off := in.Src, int(in.Off)
-		return func(ec *execState) copFn {
-			v := ec.regs[src]
-			b := ec.objects[ptrObj(v)-1]
-			a := int(ptrAddr(v)) + off
-			ec.regs[dst] = U64(b[a : a+8])
-			ec.executed++
-			return *next
-		}, ""
-	}
-	cc.info.ElidedChecks--
-	return nil, DeclineUnprovenAccess
-}
-
-func (cc *compiler) buildStore(pc int, in Insn) (copFn, string) {
-	next, ok := cc.next(pc)
-	if !ok {
-		return nil, DeclineMalformed
-	}
-	m := cc.resolveMem(pc, in.Dst, in.Off)
-	if m.kind == memBad {
-		return nil, DeclineUnprovenAccess
-	}
-	cc.info.ElidedChecks++
-	// value source: register for OpStore, immediate for OpStoreImm
-	if in.Op == OpStoreImm {
-		imm := uint64(in.Imm)
-		switch m.kind {
-		case memStackExact:
-			idx := m.idx
-			return func(ec *execState) copFn {
-				PutU64(ec.stack[idx:idx+8], imm)
-				ec.executed++
-				return *next
-			}, ""
-		case memStackDyn:
-			base, off := in.Dst, int(in.Off)
-			return func(ec *execState) copFn {
-				a := int(ptrAddr(ec.regs[base])) + off
-				PutU64(ec.stack[a:a+8], imm)
-				ec.executed++
-				return *next
-			}, ""
-		default: // memObjDyn
-			base, off := in.Dst, int(in.Off)
-			return func(ec *execState) copFn {
-				v := ec.regs[base]
-				b := ec.objects[ptrObj(v)-1]
-				a := int(ptrAddr(v)) + off
-				PutU64(b[a:a+8], imm)
-				ec.executed++
-				return *next
-			}, ""
-		}
-	}
-	src := in.Src
-	switch m.kind {
-	case memStackExact:
-		idx := m.idx
-		return func(ec *execState) copFn {
-			PutU64(ec.stack[idx:idx+8], ec.regs[src])
-			ec.executed++
-			return *next
-		}, ""
-	case memStackDyn:
-		base, off := in.Dst, int(in.Off)
-		return func(ec *execState) copFn {
-			a := int(ptrAddr(ec.regs[base])) + off
-			PutU64(ec.stack[a:a+8], ec.regs[src])
-			ec.executed++
-			return *next
-		}, ""
-	default: // memObjDyn
-		base, off := in.Dst, int(in.Off)
-		return func(ec *execState) copFn {
-			v := ec.regs[base]
-			b := ec.objects[ptrObj(v)-1]
-			a := int(ptrAddr(v)) + off
-			PutU64(b[a:a+8], ec.regs[src])
-			ec.executed++
-			return *next
-		}, ""
-	}
-}
-
 // condFunc returns the comparison semantics of a conditional jump, exactly
 // matching the interpreter's condTrue (all compares unsigned).
 func condFunc(op Op) func(a, b uint64) bool {
@@ -606,35 +375,37 @@ func condFunc(op Op) func(a, b uint64) bool {
 	return nil
 }
 
-func (cc *compiler) buildCondJump(pc int, in Insn) (copFn, string) {
+func (cc *compiler) buildCondJump(pc int, in Insn) string {
 	fall, ok := cc.next(pc)
 	if !ok {
-		return nil, DeclineMalformed
+		return DeclineMalformed
 	}
 	taken := cc.slot(pc + 1 + int(in.Off))
 	pred := condFunc(in.Op)
 	if pred == nil {
-		return nil, DeclineUnsupportedOpcode
+		return DeclineUnsupportedOpcode
 	}
 	dst := in.Dst
 	if isRegSrc(in.Op) {
 		src := in.Src
-		return func(ec *execState) copFn {
+		cc.fns[pc] = func(ec *execState) copFn {
 			ec.executed++
 			if pred(ec.regs[dst], ec.regs[src]) {
 				return *taken
 			}
 			return *fall
-		}, ""
+		}
+		return ""
 	}
 	imm := uint64(in.Imm)
-	return func(ec *execState) copFn {
+	cc.fns[pc] = func(ec *execState) copFn {
 		ec.executed++
 		if pred(ec.regs[dst], imm) {
 			return *taken
 		}
 		return *fall
-	}, ""
+	}
+	return ""
 }
 
 // constMap resolves the map a helper call's R1 is proven to hold, or nil.
@@ -665,11 +436,9 @@ func (cc *compiler) stackArg(st *absState, r Reg, size int) func(*execState) []b
 	if rs.lo == rs.hi {
 		idx := StackSize + int(rs.lo)
 		if idx >= 0 && idx+size <= StackSize {
-			cc.info.ElidedChecks++
 			return func(ec *execState) []byte { return ec.stack[idx : idx+size] }
 		}
 	}
-	cc.info.ElidedChecks++
 	reg := r
 	return func(ec *execState) []byte {
 		a := int(ptrAddr(ec.regs[reg]))
@@ -701,34 +470,11 @@ func scalarConst(st *absState, r Reg) (int64, bool) {
 	return int64(rs.vr.Const()), true
 }
 
-// buildCall devirtualizes helper calls. Pure helpers (reads of task/kernel
-// state) always compile to direct bodies. Impure helpers additionally
-// need their map handle proven rkConstMap so the concrete Map binds at
-// compile time; they preserve the interpreter's observable order — R0 set
-// before the trace record — and its exact helperNS charging. Any call the
-// compiler cannot prove out falls back to the interpreter's dispatcher
-// through a generic closure, which is always correct.
-//
-// A proven body is also recorded in cc.callBodies: it never faults (the
-// verifier's argument-type proofs rule out every error path), so the
-// superblock fuser may absorb the call into a block as a muHelperCall
-// micro-op instead of ending the block at it.
-func (cc *compiler) buildCall(pc int, in Insn) (copFn, string) {
-	next, ok := cc.next(pc)
-	if !ok {
-		return nil, DeclineMalformed
-	}
+// genericCall is the terminator for a helper call the analysis could not
+// prove out: it goes through the interpreter's dispatcher, which is always
+// correct and reproduces the interpreter's runtime faults.
+func (cc *compiler) genericCall(id int64, next *copFn) copFn {
 	lp := cc.lp
-	id := in.Imm
-	if body := cc.callBody(pc, in); body != nil {
-		cc.info.DirectCalls++
-		cc.callBodies[pc] = body
-		return func(ec *execState) copFn {
-			body(ec)
-			ec.executed++
-			return *next
-		}, ""
-	}
 	return func(ec *execState) copFn {
 		ec.executed++
 		ns, err := lp.call(ec, id)
@@ -741,13 +487,19 @@ func (cc *compiler) buildCall(pc int, in Insn) (copFn, string) {
 			lp.recordCall(ec, id)
 		}
 		return *next
-	}, ""
+	}
 }
 
-// callBody builds the fault-free devirtualized body for a helper call, or
-// nil when the analysis cannot prove one (unknown helper, unproven map
-// handle or argument pointer — the caller falls back to the generic
-// dispatcher, which reproduces the interpreter's runtime faults).
+// callBody devirtualizes an impure helper call: it builds the helper's
+// fault-free body, or returns nil when the analysis cannot prove one
+// (unknown helper, unproven map handle or argument pointer — the caller
+// falls back to genericCall). Impure helpers need their map handle proven
+// rkConstMap so the concrete Map binds at compile time; the verifier's
+// argument-type proofs then rule out every error path, which is what lets
+// the body run inside a block as a muHelperCall micro-op. Each body
+// preserves the interpreter's observable order — R0 set before the trace
+// record — and its exact helperNS charging. Pure helpers never get here:
+// callMicro gives them micro kinds of their own.
 func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 	lp := cc.lp
 	id := in.Imm
@@ -759,52 +511,6 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 	st := &cc.a.states[pc]
 
 	switch id {
-	case HelperGetPID:
-		return func(ec *execState) {
-			ec.regs[R0] = uint64(ec.task.PID)
-			ec.helperNS += costNS
-		}
-	case HelperGetTaskGen:
-		return func(ec *execState) {
-			ec.regs[R0] = ec.task.Gen()
-			ec.helperNS += costNS
-		}
-	case HelperGetCPU:
-		return func(ec *execState) {
-			ec.regs[R0] = uint64(ec.task.CPU())
-			ec.helperNS += costNS
-		}
-	case HelperKtime:
-		return func(ec *execState) {
-			ec.regs[R0] = uint64(ec.task.Now())
-			ec.helperNS += costNS
-		}
-	case HelperGetArg:
-		return func(ec *execState) {
-			i := int(ec.regs[R1])
-			if i >= 0 && i < len(ec.args) {
-				ec.regs[R0] = ec.args[i]
-			} else {
-				ec.regs[R0] = 0
-			}
-			ec.helperNS += costNS
-		}
-	case HelperReadCounter:
-		return func(ec *execState) {
-			ec.regs[R0] = readCounterHelper(ec.task, ec.regs[R1], ec.regs[R2])
-			ec.helperNS += costNS
-		}
-	case HelperReadIOAC:
-		return func(ec *execState) {
-			ec.regs[R0] = readIOACHelper(ec.task, ec.regs[R1])
-			ec.helperNS += costNS
-		}
-	case HelperReadSock:
-		return func(ec *execState) {
-			ec.regs[R0] = readSockHelper(ec.task, ec.regs[R1])
-			ec.helperNS += costNS
-		}
-
 	case HelperTracePrintk:
 		return func(ec *execState) {
 			lp.printkMu.Lock()
@@ -969,57 +675,35 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 	return nil
 }
 
-// fuse replaces maximal straight-line runs of simple instructions —
-// moves, ALU, proven loads and stores — with superblock closures. A
-// superblock pre-decodes its instructions into resolved micro-ops
-// (constant stack indices, pre-negated pointer deltas, pre-tagged map
-// handles) and executes them in one tight switch-dispatch loop, so the
-// per-instruction indirect call, next-slot load, and executed-counter
-// update of closure threading are paid once per block instead of once per
-// instruction. Interior pcs keep their individual closures (they are never
-// jump targets, so only the fused head can be entered), and the head's
-// dispatch slot is overwritten so every predecessor picks up the fused
-// form. Jumps, helper calls, and Exit stay as closures: they end a block.
+// fuse turns every maximal run of micro-ops — consecutive straight-line
+// pcs, cut at jump targets — into one superblock closure in the run's head
+// slot, so every predecessor (fall-through or jump) enters the block there.
+// A run of one instruction is a block like any other: blockRunner is the
+// only native implementation of straight-line code. The run's micro-ops
+// are peephole-combined into pattern super-ops first, so one dispatched op
+// can retire several instructions; the block's instruction count is passed
+// separately for exact cost accounting.
 func (cc *compiler) fuse() {
-	for pc := 0; pc < len(cc.p.Insns); {
-		if n := cc.fuseBlock(pc); n > 0 {
-			pc += n
+	for pc := 0; pc < len(cc.fns); {
+		run := cc.run(pc)
+		if len(run) == 0 {
+			pc++
 			continue
 		}
-		pc++
+		cc.fns[pc] = blockRunner(peephole(run), len(run), cc.slot(pc+len(run)))
+		pc += len(run)
 	}
 }
 
-// fuseBlock fuses the maximal micro-compilable run starting at pc.
-// Returns the run length in instructions when ≥2 fused, else 0. The
-// collected per-instruction micro-ops are peephole-combined into pattern
-// super-ops before the block closure is built, so one dispatched op can
-// retire several instructions; the block's instruction count is tracked
-// separately for exact cost accounting.
-func (cc *compiler) fuseBlock(pc int) int {
-	var ops []microOp
-	for q := pc; q < len(cc.p.Insns); q++ {
-		if q > pc && cc.isTarget[q] {
-			break
-		}
-		if !cc.a.Reached(q) {
-			break
-		}
-		op, ok := cc.microFor(q, cc.p.Insns[q])
-		if !ok {
-			break
-		}
-		ops = append(ops, op)
+// run returns the micro-ops of the maximal run starting at pc (empty when
+// pc holds a terminator). compileInsn declined any straight-line
+// instruction with no successor, so a run never reaches the last pc.
+func (cc *compiler) run(pc int) []microOp {
+	end := pc
+	for end < len(cc.fns) && cc.fns[end] == nil && (end == pc || !cc.isTarget[end]) {
+		end++
 	}
-	n := len(ops)
-	if n < 2 {
-		return 0
-	}
-	next := cc.slot(pc + n)
-	fused := peephole(ops)
-	cc.fns[pc] = blockRunner(fused, n, next)
-	cc.info.FusedInsns += n
-	return n
+	return cc.ops[pc:end]
 }
 
 // microKind discriminates pre-decoded superblock micro-ops. Single-insn
@@ -1087,7 +771,6 @@ const (
 	// Pattern super-ops (see peephole).
 	muStoreZeroRun    // stack[idx : idx+8*idx2] = 0 (idx2 consecutive st 0)
 	muLoadObjStore    // x = obj(src)[addr(src)+idx2]; stack[idx] = x
-	muLoadStackStore  // dst = stack[idx2]; stack[idx] = dst
 	muGetArgStore     // r1 = imm; r0 = args[imm] (0 if OOB); stack[idx] = r0; +idx2 ns
 	muReadCounterLoad // r1 = imm; r2 = src; r0 = read(imm, src); +idx2 ns
 	muReadCounterStore
@@ -1175,9 +858,9 @@ func aluMicro(op Op) (microKind, bool) {
 	return 0, false
 }
 
-// callMicro maps a fusible pure helper call to its micro kind. Impure
-// helpers (maps, stacks, perf output, printk) stay closures: they need
-// trace recording and object registration, and they end a block.
+// callMicro maps a pure helper call to its micro kind. Impure helpers
+// (maps, stacks, perf output, printk) need trace recording and object
+// registration; they run as muHelperCall bodies built by callBody.
 func callMicro(id int64) (microKind, bool) {
 	switch id {
 	case HelperGetPID:
@@ -1200,11 +883,12 @@ func callMicro(id int64) (microKind, bool) {
 	return 0, false
 }
 
-// microFor pre-decodes one instruction into a micro-op, or reports that it
-// must stay a closure (jumps, impure calls, Exit). The semantics of every
-// kind mirror the per-instruction closures in buildInsn exactly; buildInsn
-// has already validated (and counted elisions for) every access, so this
-// pass never declines and never touches the info counters.
+// microFor pre-decodes one straight-line instruction into a micro-op with
+// its operands fully resolved, mirroring the interpreter's semantics for
+// that instruction exactly. It reports false for what has no micro form: a
+// memory access whose base the analysis did not prove, a helper call it
+// could not devirtualize, and any opcode that is not straight-line code;
+// compileInsn maps each to its decline reason or fallback.
 func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 	switch {
 	case in.Op == OpMovImm:
@@ -1227,7 +911,7 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 				return microOp{kind: k, imm: uint64(spec.CostNS)}, true
 			}
 		}
-		if body := cc.callBodies[pc]; body != nil {
+		if body := cc.callBody(pc, in); body != nil {
 			return microOp{kind: muHelperCall, fn: body}, true
 		}
 		return microOp{}, false
@@ -1349,17 +1033,12 @@ func matchPattern(w []microOp) (microOp, int) {
 		return microOp{kind: muMovImm, dst: w[0].dst,
 			imm: mkPtr(ptrObj(p), uint32(int64(ptrAddr(p))+int64(w[1].imm)))}, 2
 	}
-	if len(w) >= 2 && w[1].kind == muStoreRegExact {
-		// Load-then-spill pairs: codegen stages every sample field through
+	if len(w) >= 2 && w[0].kind == muLoadObjDyn &&
+		w[1].kind == muStoreRegExact && w[1].src == w[0].dst {
+		// Load-then-spill pair: codegen stages every sample field through
 		// a scratch register into the output frame.
-		if w[0].kind == muLoadObjDyn && w[1].src == w[0].dst {
-			return microOp{kind: muLoadObjStore, src: w[0].src, x: w[0].dst,
-				idx2: w[0].idx, idx: w[1].idx}, 2
-		}
-		if w[0].kind == muLoadStackExact && w[1].src == w[0].dst {
-			return microOp{kind: muLoadStackStore, dst: w[0].dst,
-				idx2: w[0].idx, idx: w[1].idx}, 2
-		}
+		return microOp{kind: muLoadObjStore, src: w[0].src, x: w[0].dst,
+			idx2: w[0].idx, idx: w[1].idx}, 2
 	}
 	return microOp{}, 0
 }
@@ -1788,10 +1467,6 @@ func blockRunner(ops []microOp, insns int, next *copFn) copFn {
 				x := U64(b[a : a+8])
 				ec.regs[op.x&regMask] = x
 				PutU64(ec.stack[op.idx:op.idx+8], x)
-			case muLoadStackStore:
-				v := U64(ec.stack[op.idx2 : op.idx2+8])
-				ec.regs[op.dst&regMask] = v
-				PutU64(ec.stack[op.idx:op.idx+8], v)
 			case muGetArgStore:
 				ec.regs[R1] = op.imm
 				var v uint64
@@ -1887,7 +1562,7 @@ func blockRunner(ops []microOp, insns int, next *copFn) copFn {
 }
 
 // readCounterHelper is the shared core of HelperReadCounter across the
-// direct-call closure and the fused micro-ops: exact interpreter
+// single-call micro-op and the counter-read super-ops: exact interpreter
 // semantics, including the invalid-selector and unknown-part zeros.
 func readCounterHelper(task *kernel.Task, sel, part uint64) uint64 {
 	c := kernel.Counter(sel)

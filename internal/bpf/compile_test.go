@@ -175,21 +175,16 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 	})
 
 	t.Run(DeclineUnsupportedOpcode, func(t *testing.T) {
-		cc := testCompiler(t)
-		if _, reason := cc.buildInsn(0, Insn{Op: Op(250)}); reason != DeclineUnsupportedOpcode {
-			t.Fatalf("reason %q, want %q", reason, DeclineUnsupportedOpcode)
-		}
+		wantDecline(t, DeclineUnsupportedOpcode, 0, Insn{Op: Op(250)})
+		// No template outranks no successor: same answer at the last pc.
+		wantDecline(t, DeclineUnsupportedOpcode, 1, Insn{Op: Op(250)})
 	})
 
 	t.Run(DeclineUnprovenAccess, func(t *testing.T) {
-		cc := testCompiler(t)
 		// R5 is uninitialized at pc 0: no proof it points anywhere.
-		if _, reason := cc.buildInsn(0, Insn{Op: OpLoad, Dst: R0, Src: R5}); reason != DeclineUnprovenAccess {
-			t.Fatalf("load reason %q, want %q", reason, DeclineUnprovenAccess)
-		}
-		if _, reason := cc.buildInsn(0, Insn{Op: OpStore, Dst: R5, Src: R0}); reason != DeclineUnprovenAccess {
-			t.Fatalf("store reason %q, want %q", reason, DeclineUnprovenAccess)
-		}
+		wantDecline(t, DeclineUnprovenAccess, 0, Insn{Op: OpLoad, Dst: R0, Src: R5})
+		wantDecline(t, DeclineUnprovenAccess, 0, Insn{Op: OpStore, Dst: R5, Src: R0})
+		wantDecline(t, DeclineUnprovenAccess, 0, Insn{Op: OpStoreImm, Dst: R5, Imm: 1})
 	})
 
 	t.Run(DeclineMalformed, func(t *testing.T) {
@@ -201,12 +196,19 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 		if info := lp.Compile(); info.Compiled || info.Reason != DeclineMalformed {
 			t.Fatalf("out-of-range jump not declined: %+v", info)
 		}
+		// Straight-line code, an unproven access and a helper call with no
+		// successor all run off the end.
+		wantDecline(t, DeclineMalformed, 1, Insn{Op: OpMovImm, Dst: R0, Imm: 2})
+		wantDecline(t, DeclineMalformed, 1, Insn{Op: OpLoad, Dst: R0, Src: R5})
+		wantDecline(t, DeclineMalformed, 1, Insn{Op: OpCall, Imm: HelperGetPID})
 	})
 }
 
-// testCompiler builds a compiler over a trivial verified program so decline
-// paths can be probed instruction by instruction.
-func testCompiler(t *testing.T) *compiler {
+// wantDecline loads the trivial program `mov r0, 1; exit`, overwrites the
+// instruction at pc (the retained analysis still marks both pcs reached),
+// and requires Compile — the whole merged pass, not one step of it — to
+// decline with reason and leave the program on the interpreter.
+func wantDecline(t *testing.T, reason string, pc int, in Insn) {
 	t.Helper()
 	p := &Program{Name: "jit/probe", Insns: []Insn{
 		{Op: OpMovImm, Dst: R0, Imm: 1},
@@ -216,12 +218,11 @@ func testCompiler(t *testing.T) *compiler {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	cc := &compiler{lp: lp, p: p, a: lp.analysis}
-	cc.fns = make([]copFn, len(p.Insns))
-	if !cc.markTargets() {
-		t.Fatal("markTargets failed on trivial program")
+	p.Insns[pc] = in
+	info := lp.Compile()
+	if info.Compiled || info.Reason != reason || lp.compiled.Load() != nil {
+		t.Fatalf("%v at pc %d: got %+v, want decline %q", in, pc, info, reason)
 	}
-	return cc
 }
 
 // TestCompileGeneratedProgramsAgree sweeps the constructive generator as an
@@ -477,5 +478,187 @@ func TestCostRoundsHalfUp(t *testing.T) {
 		if got := cost(c.insns, c.helperNS, c.insnNS); got != c.want {
 			t.Fatalf("cost(%d, %d, %v) = %d, want %d", c.insns, c.helperNS, c.insnNS, got, c.want)
 		}
+	}
+}
+
+// isolateInsns pads p with a `ja +0` in front of every straight-line
+// instruction and retargets p's own jumps onto the pads. Every straight-line
+// pc is then a jump target whose successor is a jump or Exit, so each one
+// compiles to a block of exactly one micro-op.
+func isolateInsns(p *Program) *Program {
+	straight := func(in Insn) bool { return !isJump(in.Op) && in.Op != OpExit }
+	newPC := make([]int, len(p.Insns))
+	n := 0
+	for pc, in := range p.Insns {
+		newPC[pc] = n
+		if straight(in) {
+			n++
+		}
+		n++
+	}
+	out := make([]Insn, 0, n)
+	for pc, in := range p.Insns {
+		if straight(in) {
+			out = append(out, Insn{Op: OpJa})
+		}
+		if isJump(in.Op) {
+			in.Off = int32(newPC[pc+1+int(in.Off)] - (len(out) + 1))
+		}
+		out = append(out, in)
+	}
+	return &Program{Name: p.Name, Insns: out, Maps: p.Maps}
+}
+
+// singleInsnBlocksProgram touches every micro-op family once; r9
+// accumulates each result so a wrong one changes R0. args = {1, 2, 3, 4}.
+func singleInsnBlocksProgram() *Program {
+	b := genMapsBuilder("jit/single-insn-blocks")
+	raw := func(op Op, dst, src Reg) { b.emit(Insn{Op: op, Dst: dst, Src: src}) }
+	acc := func(r Reg) { b.AddReg(R9, r) }
+	b.Mov(R9, 0)
+
+	// Scalars the verifier cannot bound: r6 = 0 (out-of-range argument),
+	// r7 = 100 and r8 = 8 (from args[3] = 4).
+	b.Mov(R1, 99).Call(HelperGetArg).MovReg(R6, R0)
+	b.Mov(R1, 3).Call(HelperGetArg).MovReg(R7, R0).Mul(R7, 25)
+	b.MovReg(R8, R0).Lsh(R8, 1).And(R8, 8)
+
+	// ALU, immediate forms.
+	b.Mov(R1, -1000).Add(R1, 7).Sub(R1, 3).Mul(R1, 5).Div(R1, 3).Mod(R1, 100000).
+		And(R1, 0xffff0).Or(R1, 3).Xor(R1, 0x55).Lsh(R1, 9).Rsh(R1, 2)
+	acc(R1)
+	b.Mov(R1, -64).Arsh(R1, 3)
+	raw(OpNeg, R1, 0)
+	acc(R1)
+
+	// ALU, register forms: division and modulo by zero, shifts by 100
+	// (masked to 36).
+	b.Mov(R1, 77).MovReg(R2, R1).AddReg(R1, R7).SubReg(R1, R8).MulReg(R1, R7)
+	raw(OpAndReg, R1, R2)
+	raw(OpOrReg, R1, R7)
+	raw(OpXorReg, R1, R8)
+	raw(OpLshReg, R1, R7)
+	raw(OpRshReg, R1, R7)
+	acc(R1)
+	b.Mov(R1, -8).ArshReg(R1, R7)
+	acc(R1)
+	b.Mov(R1, 10).DivReg(R1, R6)
+	acc(R1)
+	b.Mov(R1, -7)
+	raw(OpModReg, R1, R6)
+	acc(R1)
+	b.Mov(R1, 100).DivReg(R1, R8)
+	raw(OpModReg, R1, R7)
+	acc(R1)
+
+	// Exact stack stores and loads.
+	b.StoreImm(R10, -8, 0x0102030405060708).Store(R10, -16, R7).Load(R1, R10, -8).Load(R2, R10, -16)
+	acc(R1)
+	acc(R2)
+
+	// Pointer ALU (immediate and register, add and sub) and dynamic stack
+	// access: interval arithmetic bounds r3 to [fp-40, fp-16], all of it
+	// initialized; at run time it is fp-24.
+	b.StoreImm(R10, -40, 4).StoreImm(R10, -32, 5).StoreImm(R10, -24, 6)
+	b.MovReg(R3, R10).Sub(R3, 40).Add(R3, 8).AddReg(R3, R8).SubReg(R3, R8).AddReg(R3, R8)
+	b.Load(R1, R3, 0)
+	acc(R1)
+	b.StoreImm(R3, 0, 9).Load(R1, R10, -24)
+	acc(R1)
+	b.Store(R3, 0, R7).Load(R1, R10, -24)
+	acc(R1)
+
+	// Pure helpers.
+	for _, id := range []int64{HelperGetPID, HelperGetTaskGen, HelperGetCPU, HelperKtime} {
+		b.Call(id)
+		acc(R0)
+	}
+	b.Mov(R1, 1).Call(HelperGetArg)
+	acc(R0)
+	b.Mov(R1, 0).Mov(R2, CounterPartEnabled).Call(HelperReadCounter)
+	acc(R0)
+	b.Mov(R1, IOACReadBytes).Call(HelperReadIOAC)
+	acc(R0)
+	b.Mov(R1, SockSegsIn).Call(HelperReadSock)
+	acc(R0)
+
+	// Proven impure helpers: update, lookup and map-value access, delete.
+	b.LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 8).MovReg(R3, R10).Sub(R3, 32).
+		Call(HelperMapUpdate)
+	acc(R0)
+	b.LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 8).Call(HelperMapLookup).
+		Jeq(R0, 0, "miss").
+		MovReg(R4, R0).
+		StoreImm(R4, 0, 11).Store(R4, 8, R7).Load(R1, R4, 0).Load(R2, R4, 8)
+	acc(R1)
+	acc(R2)
+	b.AddReg(R4, R8).Load(R1, R4, 0).Sub(R4, 8).Add(R4, 8).StoreImm(R4, 0, 13)
+	acc(R1)
+	b.Label("miss")
+	b.LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 16).Call(HelperMapDelete)
+	acc(R0)
+
+	// Stack map push and pop (the second pop fails and must not write).
+	b.LoadMapPtr(R1, genMapStack).MovReg(R2, R10).Sub(R2, 8).Call(HelperStackPush)
+	acc(R0)
+	for i := 0; i < 2; i++ {
+		b.LoadMapPtr(R1, genMapStack).MovReg(R2, R10).Sub(R2, 16).Call(HelperStackPop)
+		acc(R0)
+	}
+	b.Load(R1, R10, -16)
+	acc(R1)
+
+	// Perf output and printk.
+	b.LoadMapPtr(R1, genMapPerCPU).MovReg(R2, R10).Sub(R2, 32).Mov(R3, 24).Call(HelperPerfOutput)
+	acc(R0)
+	b.MovReg(R1, R9).Call(HelperTracePrintk)
+	b.MovReg(R0, R9).Exit()
+	return isolateInsns(b.MustBuild())
+}
+
+// TestSingleInstructionBlocksAgree runs a program in which every block has
+// length 1, so each micro kind family executes as a block of its own — the
+// shape the per-instruction closures used to cover — and must match the
+// interpreter on R0, cost, helper trace, printk and map end-states.
+func TestSingleInstructionBlocksAgree(t *testing.T) {
+	p := singleInsnBlocksProgram()
+	lp, err := Load(p, 0)
+	if err != nil {
+		t.Fatalf("load: %v\n%s", err, p.Disassemble())
+	}
+	cc, reason := lp.decode()
+	if reason != "" {
+		t.Fatalf("declined: %q", reason)
+	}
+	var seen [muHelperCall + 1]bool
+	helperCalls := 0
+	for pc, in := range p.Insns {
+		if in.Op == OpCall && cc.fns[pc] != nil {
+			t.Fatalf("pc %d: %v fell back to the generic dispatcher", pc, in)
+		}
+		if cc.fns[pc] == nil {
+			seen[cc.ops[pc].kind] = true
+			if cc.ops[pc].kind == muHelperCall {
+				helperCalls++
+			}
+		}
+	}
+	for pc := range p.Insns {
+		if n := len(cc.run(pc)); n > 1 {
+			t.Fatalf("pc %d starts a block of %d instructions, want 1", pc, n)
+		}
+	}
+	// Every single-instruction kind (the ones before the pattern super-ops)
+	// and all eight impure helper call sites.
+	for k := muMovImm; k < muStoreZeroRun; k++ {
+		if !seen[k] {
+			t.Errorf("micro kind %d never decoded: the program no longer covers it", k)
+		}
+	}
+	if helperCalls != 8 {
+		t.Fatalf("%d proven impure helper calls, want 8", helperCalls)
+	}
+	if info := assertCompiledAgreement(t, p, 5); !info.Compiled {
+		t.Fatalf("program declined: %+v", info)
 	}
 }

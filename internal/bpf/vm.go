@@ -64,7 +64,7 @@ type LoadedProgram struct {
 	// programs that bypassed Load, which Compile declines.
 	analysis *Analysis
 
-	// compiled holds the closure-threaded native form once Compile has
+	// compiled holds the native form (compile.go) once Compile has
 	// accepted the program; Run dispatches through it when non-nil and
 	// falls back to the interpreter otherwise.
 	compiled atomic.Pointer[compiledProg]
@@ -231,8 +231,8 @@ func (ec *execState) mem(ptr uint64, off int32, size int) ([]byte, error) {
 // Run executes the program for task with the given tracepoint arguments.
 // It returns R0, the virtual-time cost of the execution (instruction count
 // times the profile's per-instruction cost, plus helper costs), and any
-// runtime fault. When Compile has accepted the program, execution threads
-// through the compiled closures; otherwise (never compiled, or declined)
+// runtime fault. When Compile has accepted the program, execution runs
+// the compiled blocks; otherwise (never compiled, or declined)
 // it falls back to the interpreter. Both paths produce bit-identical
 // results — R0, cost, helper trace, printk, and map end-states — which
 // the differential fuzz oracles enforce.

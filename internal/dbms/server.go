@@ -214,12 +214,6 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	pr := &PacketResult{}
 
 	// --- Networking read OU -------------------------------------------
-	if srv.TS != nil {
-		srv.TS.BeginEvent(task, tscout.SubsystemNetworking)
-	}
-	if srv.netRead != nil {
-		srv.netRead.Begin(task)
-	}
 	msgs, derr := network.Decode(packet)
 	var stmts []sql.Statement
 	if derr == nil {
@@ -236,19 +230,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 			stmts = append(stmts, st)
 		}
 	}
-	task.Charge(sim.Work{
-		Instructions:    350 + 2.4*float64(len(packet)) + 420*float64(len(msgs)),
-		BytesTouched:    2 * float64(len(packet)),
-		WorkingSetBytes: float64(len(packet)) + 4096,
-		NetRecvBytes:    int64(len(packet)),
-		NetMessages:     int64(len(msgs)),
-		AllocBytes:      int64(len(packet)),
-	})
-	if srv.netRead != nil {
-		srv.netRead.End(task)
-		srv.netRead.Features(task, int64(len(packet)),
-			uint64(len(packet)), uint64(len(msgs)))
-	}
+	se.netRead(len(packet), len(msgs))
 	if derr != nil {
 		pr.Err = derr
 		pr.Aborted = true
@@ -284,22 +266,57 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	}
 
 	// --- WAL group commit ----------------------------------------------
-	if len(writes) > 0 {
-		records := make([]wal.Record, 0, len(writes)+1)
-		for _, w := range writes {
-			records = append(records, wal.Record{
-				Kind:  recordKind(w.Kind),
-				TxnID: tx.ID,
-				Table: w.Table.Name(),
-				Bytes: w.RedoBytes,
-			})
-		}
-		records = append(records, wal.Record{Kind: wal.RecordCommit, TxnID: tx.ID, Bytes: 16})
-		pr.Commit = srv.WAL.SubmitFrom(records, task.Now(), task.CPU())
-	}
+	pr.Commit = se.submitRedo(tx, writes)
 
 	pr.Response = se.respond(respMsgs...)
 	return pr
+}
+
+// netRead runs the networking read OU for one received packet of
+// packetBytes carrying msgs protocol messages. Decoding and parsing are
+// host-side work with no virtual cost of their own, so callers do them
+// first and the charge here stands for both.
+func (se *Session) netRead(packetBytes, msgs int) {
+	srv, task := se.srv, se.Task
+	if srv.TS != nil {
+		srv.TS.BeginEvent(task, tscout.SubsystemNetworking)
+	}
+	if srv.netRead != nil {
+		srv.netRead.Begin(task)
+	}
+	task.Charge(sim.Work{
+		Instructions:    350 + 2.4*float64(packetBytes) + 420*float64(msgs),
+		BytesTouched:    2 * float64(packetBytes),
+		WorkingSetBytes: float64(packetBytes) + 4096,
+		NetRecvBytes:    int64(packetBytes),
+		NetMessages:     int64(msgs),
+		AllocBytes:      int64(packetBytes),
+	})
+	if srv.netRead != nil {
+		srv.netRead.End(task)
+		srv.netRead.Features(task, int64(packetBytes),
+			uint64(packetBytes), uint64(msgs))
+	}
+}
+
+// submitRedo enters a committed transaction's redo records, one per write
+// plus the commit record, into the group-commit WAL at the session's
+// current virtual time. It returns nil for a read-only transaction.
+func (se *Session) submitRedo(tx *txn.Txn, writes []txn.Write) *wal.Commit {
+	if len(writes) == 0 {
+		return nil
+	}
+	records := make([]wal.Record, 0, len(writes)+1)
+	for _, w := range writes {
+		records = append(records, wal.Record{
+			Kind:  recordKind(w.Kind),
+			TxnID: tx.ID,
+			Table: w.Table.Name(),
+			Bytes: w.RedoBytes,
+		})
+	}
+	records = append(records, wal.Record{Kind: wal.RecordCommit, TxnID: tx.ID, Bytes: 16})
+	return se.srv.WAL.SubmitFrom(records, se.Task.Now(), se.Task.CPU())
 }
 
 // respond runs the networking write OU for the response messages.
@@ -378,19 +395,8 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if _, err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	if len(writes) > 0 {
-		records := make([]wal.Record, 0, len(writes)+1)
-		for _, w := range writes {
-			records = append(records, wal.Record{
-				Kind: recordKind(w.Kind), TxnID: tx.ID,
-				Table: w.Table.Name(), Bytes: w.RedoBytes,
-			})
-		}
-		records = append(records, wal.Record{Kind: wal.RecordCommit, TxnID: tx.ID, Bytes: 16})
-		c := se.srv.WAL.SubmitFrom(records, se.Task.Now(), se.Task.CPU())
-		if c.Resolved {
-			se.Task.Clock.AdvanceTo(c.DoneNS)
-		}
+	if c := se.submitRedo(tx, writes); c != nil && c.Resolved {
+		se.Task.Clock.AdvanceTo(c.DoneNS)
 	}
 	return res, nil
 }

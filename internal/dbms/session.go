@@ -53,25 +53,8 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	for _, p := range params {
 		packetBytes += int(p.Size()) + 4
 	}
-	if srv.TS != nil {
-		srv.TS.BeginEvent(task, tscout.SubsystemNetworking)
-	}
-	if srv.netRead != nil {
-		srv.netRead.Begin(task)
-	}
 	st, perr := sql.Parse(query)
-	task.Charge(sim.Work{
-		Instructions:    350 + 2.4*float64(packetBytes) + 420,
-		BytesTouched:    2 * float64(packetBytes),
-		WorkingSetBytes: float64(packetBytes) + 4096,
-		NetRecvBytes:    int64(packetBytes),
-		NetMessages:     1,
-		AllocBytes:      int64(packetBytes),
-	})
-	if srv.netRead != nil {
-		srv.netRead.End(task)
-		srv.netRead.Features(task, int64(packetBytes), uint64(packetBytes), 1)
-	}
+	se.netRead(packetBytes, 1)
 	if perr != nil {
 		se.rollback()
 		return nil, perr
@@ -128,18 +111,7 @@ func (se *Session) Commit() (*wal.Commit, error) {
 	if _, err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	if len(writes) == 0 {
-		return nil, nil
-	}
-	records := make([]wal.Record, 0, len(writes)+1)
-	for _, w := range writes {
-		records = append(records, wal.Record{
-			Kind: recordKind(w.Kind), TxnID: tx.ID,
-			Table: w.Table.Name(), Bytes: w.RedoBytes,
-		})
-	}
-	records = append(records, wal.Record{Kind: wal.RecordCommit, TxnID: tx.ID, Bytes: 16})
-	return se.srv.WAL.SubmitFrom(records, se.Task.Now(), se.Task.CPU()), nil
+	return se.submitRedo(tx, writes), nil
 }
 
 // Rollback aborts the open transaction.

@@ -58,8 +58,8 @@ type CollectorConfig struct {
 	// path. The optimizer re-verifies its output, so an enabled pass can
 	// never load a program the verifier would reject.
 	Optimize bool
-	// Compile JIT-compiles each loaded program to closure-threaded native
-	// code (bpf.Compile), eliding the checks the verifier's proof already
+	// Compile JIT-compiles each loaded program to native micro-op blocks
+	// (bpf.Compile), eliding the checks the verifier's proof already
 	// covers. Declines are not errors: a declined program simply keeps
 	// running on the interpreter, and the per-program outcome is surfaced
 	// through JITStats.

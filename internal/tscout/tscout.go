@@ -147,7 +147,7 @@ type Config struct {
 	OptimizeCollectors bool
 	// CompileCollectors JIT-compiles every generated Collector program at
 	// Deploy (after the optional optimizer pass), replacing interpretation
-	// on the marker hot path with verifier-proof-guided native closures.
+	// on the marker hot path with verifier-proof-guided native blocks.
 	// Declined programs silently keep the interpreter; per-program
 	// outcomes and dispatch counts appear in ProcessorStats.
 	CompileCollectors bool

@@ -247,49 +247,6 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		}
 	}
 
-	// Final flush so no terminal's time is left dangling, then one last
-	// budgeted drain covering the time since the previous poll. Samples
-	// still buffered when the run ends stay undelivered, as they would
-	// in a real deployment snapshot.
-	if dl := srv.WAL.NextDeadline(); dl >= 0 {
-		srv.WAL.Tick(dl)
-	}
-	if srv.TS != nil && cfg.ProcessorPollNS > 0 {
-		var maxNow int64
-		for _, t := range terms {
-			if n := t.se.Task.Now(); n > maxNow {
-				maxNow = n
-			}
-		}
-		period := maxNow - lastPoll
-		if period < cfg.ProcessorPollNS {
-			period = cfg.ProcessorPollNS
-		}
-		if cfg.FinalDrain {
-			srv.TS.Processor().Drain(tscout.DrainOptions{})
-		} else {
-			srv.TS.Processor().Drain(tscout.DrainOptions{Budget: tscout.BudgetForPeriod(period)})
-		}
-		if cfg.OnDrain != nil {
-			cfg.OnDrain(maxNow)
-		}
-		res.TrainingPoints = srv.TS.Processor().Stats().Processed - basePoints
-		res.Processor = srv.TS.Processor().Stats()
-	} else if srv.TS != nil {
-		srv.TS.Processor().Drain(tscout.DrainOptions{})
-		if cfg.OnDrain != nil {
-			var maxNow int64
-			for _, t := range terms {
-				if n := t.se.Task.Now(); n > maxNow {
-					maxNow = n
-				}
-			}
-			cfg.OnDrain(maxNow)
-		}
-		res.TrainingPoints = srv.TS.Processor().Stats().Processed - basePoints
-		res.Processor = srv.TS.Processor().Stats()
-	}
-
 	// Makespan: terminals run in parallel up to the core budget.
 	var maxNS, totalNS int64
 	for _, t := range terms {
@@ -299,25 +256,61 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 			maxNS = now
 		}
 	}
+	windDown(srv, cfg, &res, maxNS, lastPoll, basePoints)
 	cores := int64(srv.Kernel.Profile.Cores)
 	elapsed := maxNS
 	if byCPU := totalNS / cores; byCPU > elapsed {
 		elapsed = byCPU
 	}
+	summarize(&res, latencies, elapsed)
+	return res, nil
+}
+
+// windDown ends a run for both drivers: it flushes the WAL so no terminal's
+// time is left dangling, then runs one last drain at endNS, the latest
+// virtual time any session reached. With a poll schedule the drain is
+// budgeted for the time since the previous poll (at least one period) —
+// samples still buffered when the run ends stay undelivered, as they would
+// in a real deployment snapshot — unless cfg.FinalDrain asks for everything.
+func windDown(srv *dbms.Server, cfg Config, res *Result, endNS, lastPoll, basePoints int64) {
+	if dl := srv.WAL.NextDeadline(); dl >= 0 {
+		srv.WAL.Tick(dl)
+	}
+	if srv.TS == nil {
+		return
+	}
+	var opts tscout.DrainOptions
+	if cfg.ProcessorPollNS > 0 && !cfg.FinalDrain {
+		period := endNS - lastPoll
+		if period < cfg.ProcessorPollNS {
+			period = cfg.ProcessorPollNS
+		}
+		opts.Budget = tscout.BudgetForPeriod(period)
+	}
+	srv.TS.Processor().Drain(opts)
+	if cfg.OnDrain != nil {
+		cfg.OnDrain(endNS)
+	}
+	res.Processor = srv.TS.Processor().Stats()
+	res.TrainingPoints = res.Processor.Processed - basePoints
+}
+
+// summarize fills in the run's elapsed time, rates and latency percentiles.
+func summarize(res *Result, latencies []int64, elapsed int64) {
 	res.ElapsedNS = elapsed
 	if elapsed > 0 {
 		res.ThroughputTPS = float64(res.Completed) / (float64(elapsed) / 1e9)
 		res.SamplesPerSec = float64(res.TrainingPoints) / (float64(elapsed) / 1e9)
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50NS = latencies[len(latencies)/2]
-		res.P99NS = latencies[len(latencies)*99/100]
-		var sum int64
-		for _, l := range latencies {
-			sum += l
-		}
-		res.MeanNS = sum / int64(len(latencies))
+	if len(latencies) == 0 {
+		return
 	}
-	return res, nil
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	res.P50NS = latencies[len(latencies)/2]
+	res.P99NS = latencies[len(latencies)*99/100]
+	var sum int64
+	for _, l := range latencies {
+		sum += l
+	}
+	res.MeanNS = sum / int64(len(latencies))
 }

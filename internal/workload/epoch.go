@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"tscout/internal/dbms"
 	"tscout/internal/sim"
@@ -301,56 +300,16 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	}
 
 	// --- Wind down ----------------------------------------------------
-	// Replay any straggler submissions, flush the WAL dry, and run the
+	// Replay any straggler submissions, then flush the WAL dry and run the
 	// final drain with the legacy driver's semantics.
 	srv.WAL.CommitStaged()
 	srv.WAL.SetDeferMode(false)
-	if dl := srv.WAL.NextDeadline(); dl >= 0 {
-		srv.WAL.Tick(dl)
-	}
 	elapsed := tl.Makespan()
 	if maxDoneNS > elapsed {
 		elapsed = maxDoneNS
 	}
-	if srv.TS != nil && cfg.ProcessorPollNS > 0 {
-		period := elapsed - lastPoll
-		if period < cfg.ProcessorPollNS {
-			period = cfg.ProcessorPollNS
-		}
-		if cfg.FinalDrain {
-			srv.TS.Processor().Drain(tscout.DrainOptions{})
-		} else {
-			srv.TS.Processor().Drain(tscout.DrainOptions{Budget: tscout.BudgetForPeriod(period)})
-		}
-		if cfg.OnDrain != nil {
-			cfg.OnDrain(elapsed)
-		}
-	} else if srv.TS != nil {
-		srv.TS.Processor().Drain(tscout.DrainOptions{})
-		if cfg.OnDrain != nil {
-			cfg.OnDrain(elapsed)
-		}
-	}
-	if srv.TS != nil {
-		res.TrainingPoints = srv.TS.Processor().Stats().Processed - basePoints
-		res.Processor = srv.TS.Processor().Stats()
-	}
-
+	windDown(srv, cfg, &res, elapsed, lastPoll, basePoints)
 	res.Admission = gate.Stats()
-	res.ElapsedNS = elapsed
-	if elapsed > 0 {
-		res.ThroughputTPS = float64(res.Completed) / (float64(elapsed) / 1e9)
-		res.SamplesPerSec = float64(res.TrainingPoints) / (float64(elapsed) / 1e9)
-	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50NS = latencies[len(latencies)/2]
-		res.P99NS = latencies[len(latencies)*99/100]
-		var sum int64
-		for _, l := range latencies {
-			sum += l
-		}
-		res.MeanNS = sum / int64(len(latencies))
-	}
+	summarize(&res, latencies, elapsed)
 	return res, nil
 }

@@ -13,11 +13,18 @@ GO="${GO:-go}"
 
 build() { $GO build ./...; }
 
-# lint = go vet plus tsvet, the repo's typed static-analysis suite
+# lint = gofmt, go vet and tsvet, the repo's typed static-analysis suite
 # (internal/analysis): determinism rules, the guarded-by annotation checker
 # and the verify-before-run rules. Zero unsuppressed findings required;
-# suppressions are //tsvet:ignore <rule> <reason>.
+# suppressions are //tsvet:ignore <rule> <reason>. The formatting check
+# skips testdata/, whose analyzer fixtures are deliberately odd.
 lint() {
+	unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt -l reports unformatted files:" >&2
+		echo "$unformatted" >&2
+		return 1
+	fi
 	$GO vet ./...
 	$GO run ./internal/analysis/tsvet .
 }
