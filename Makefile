@@ -13,9 +13,9 @@ check build lint race bench-smoke fuzz-smoke:
 test:
 	$(GO) test ./...
 
-# Substrate micro-benchmarks (single-shot; drop -benchtime for real runs).
+# The perf ledger: four full-loop workloads, both clocks (see BENCHMARK.json).
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx .
+	$(GO) run ./benchmark
 
 # Coverage with a per-package summary (baseline recorded in README.md).
 cover:

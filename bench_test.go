@@ -476,7 +476,7 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 		var drained int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			drained += int64(p.Drain(tscout.DrainOptions{PerRingCap: 512}).Drained)
+			drained += int64(p.Drain(tscout.DrainOptions{}).Drained)
 		}
 		b.StopTimer()
 		close(stop)

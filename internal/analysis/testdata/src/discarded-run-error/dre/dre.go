@@ -7,6 +7,7 @@ package drefix
 import (
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
+	"tscout/internal/tscout"
 )
 
 func bare(lp *bpf.LoadedProgram, t *kernel.Task) {
@@ -53,8 +54,8 @@ func jobValue(j *job) func() {
 }
 
 // Drain accounting may not be blanked away...
-func blankDrain(r *bpf.PerCPURing) {
-	_ = r.Drain(8) // want:discarded-run-error
+func blankDrain(p *tscout.Processor) {
+	_ = p.Drain(tscout.DrainOptions{}) // want:discarded-run-error
 }
 
 func blankDrainBatch(r *bpf.PerCPURing, b *bpf.Batch) {
@@ -62,8 +63,8 @@ func blankDrainBatch(r *bpf.PerCPURing, b *bpf.Batch) {
 }
 
 // ...but a bare Drain is the quiesce idiom: not flagged.
-func quiesce(r *bpf.PerCPURing) {
-	r.Drain(8)
+func quiesce(p *tscout.Processor) {
+	p.Drain(tscout.DrainOptions{})
 }
 
 func counted(r *bpf.PerCPURing, b *bpf.Batch) int {

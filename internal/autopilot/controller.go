@@ -25,20 +25,18 @@ import (
 	"tscout/internal/tscout"
 )
 
-// Config tunes the controller. The zero value is usable: tick every
-// drain, floor 1%, ceiling 100%, drift at 2x baseline error, converge
-// below 1.25x, windowed-forest models.
+// Sampling-rate bounds (percent) of the rate policy.
+const (
+	// minRate is the floor a converged subsystem throttles toward — never
+	// fully blind, so drift remains detectable.
+	minRate = 1
+	// maxRate is the burst rate a drifting subsystem jumps to.
+	maxRate = 100
+)
+
+// Config tunes the controller. The zero value is usable: drift at 2x
+// baseline error, converge below 1.25x, windowed-forest models.
 type Config struct {
-	// EveryNDrains makes only every Nth OnDrain call a controller epoch
-	// (default 1). Larger values batch more sealed segments per refresh.
-	EveryNDrains int
-	// MinRate is the sampling-rate floor (percent) a converged subsystem
-	// throttles toward (default 1 — never fully blind, so drift remains
-	// detectable).
-	MinRate int
-	// MaxRate is the burst rate (percent) a drifting subsystem jumps to
-	// (default 100).
-	MaxRate int
 	// DriftRatio is the recent/baseline prequential-error ratio at or
 	// above which a subsystem is declared drifting (default 2).
 	DriftRatio float64
@@ -59,15 +57,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.EveryNDrains <= 0 {
-		c.EveryNDrains = 1
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 1
-	}
-	if c.MaxRate <= 0 {
-		c.MaxRate = 100
-	}
 	if c.DriftRatio <= 0 {
 		c.DriftRatio = 2
 	}
@@ -97,7 +86,6 @@ type Controller struct {
 	mu       sync.Mutex
 	tail     []byte                     // guarded by mu — sealed segments not yet consumed
 	tailSegs int64                      // guarded by mu — segment count in tail
-	drains   int64                      // guarded by mu — OnDrain calls seen
 	stats    tscout.AutopilotStats      // guarded by mu — last published self-report
 	drifting [tscout.NumSubsystems]bool // guarded by mu — current drift latch
 }
@@ -145,11 +133,6 @@ func (c *Controller) Hook() func(nowNS int64) {
 // directly. Returns the number of archive rows absorbed.
 func (c *Controller) Tick() int {
 	c.mu.Lock()
-	c.drains++
-	if c.drains%int64(c.cfg.EveryNDrains) != 0 {
-		c.mu.Unlock()
-		return 0
-	}
 	tail := c.tail
 	segs := c.tailSegs
 	c.tail = nil
@@ -207,23 +190,23 @@ func (c *Controller) retuneLocked(sub tscout.SubsystemID) {
 			c.surface.Reanchor(sub)
 		}
 		c.stats.Converged[sub] = false
-		if cur != c.cfg.MaxRate {
-			c.ts.Sampler().SetRate(sub, c.cfg.MaxRate)
+		if cur != maxRate {
+			c.ts.Sampler().SetRate(sub, maxRate)
 		}
-		c.stats.Rates[sub] = c.cfg.MaxRate
+		c.stats.Rates[sub] = maxRate
 	case ratio <= c.cfg.ConvergeRatio && samples >= c.cfg.MinSamples:
 		// Converged: halve toward the floor — geometric descent reaches
 		// near-zero overhead in a few epochs but never goes blind.
 		c.drifting[sub] = false
 		next := cur / 2
-		if next < c.cfg.MinRate {
-			next = c.cfg.MinRate
+		if next < minRate {
+			next = minRate
 		}
 		if next != cur {
 			c.ts.Sampler().SetRate(sub, next)
 		}
 		c.stats.Rates[sub] = next
-		c.stats.Converged[sub] = next == c.cfg.MinRate
+		c.stats.Converged[sub] = next == minRate
 	default:
 		// Hold: not enough evidence either way.
 		c.drifting[sub] = false
@@ -245,15 +228,12 @@ func (c *Controller) Stats() tscout.AutopilotStats {
 	return c.stats
 }
 
-// Surface exposes the prequential error tracker (read-only use).
-func (c *Controller) Surface() *model.ErrorSurface { return c.surface }
-
 // ModelSet exposes the online models, e.g. for held-out evaluation at
 // the end of a frontier run.
 func (c *Controller) ModelSet() *model.OnlineSet { return c.set }
 
 // NoteHardwareChange tells the controller the hardware context shifted
-// (clock change, migration): every subsystem bursts to MaxRate and the
+// (clock change, migration): every subsystem bursts to maxRate and the
 // error baselines re-anchor, because behavior models trained under the
 // old context are suspect until re-scored.
 func (c *Controller) NoteHardwareChange() {
@@ -266,10 +246,10 @@ func (c *Controller) NoteHardwareChange() {
 		}
 		c.surface.Reanchor(sub)
 		c.stats.Converged[sub] = false
-		if c.ts.Sampler().Rate(sub) != c.cfg.MaxRate {
-			c.ts.Sampler().SetRate(sub, c.cfg.MaxRate)
+		if c.ts.Sampler().Rate(sub) != maxRate {
+			c.ts.Sampler().SetRate(sub, maxRate)
 		}
-		c.stats.Rates[sub] = c.cfg.MaxRate
+		c.stats.Rates[sub] = maxRate
 	}
 	c.publishLocked()
 }

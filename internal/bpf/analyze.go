@@ -32,9 +32,6 @@ func (a *Analysis) CondEdges(pc int) (taken, fall bool) {
 	return a.condTaken[pc], a.condFall[pc]
 }
 
-// LoopHead reports whether pc is the target of a backward jump.
-func (a *Analysis) LoopHead(pc int) bool { return a.loopHead[pc] }
-
 // Verify statically checks a program. maxInsns of 0 uses DefaultMaxInsns.
 func Verify(p *Program, maxInsns int) error {
 	_, err := Analyze(p, maxInsns)

@@ -147,8 +147,8 @@ func FuzzVerifyThenRun(f *testing.F) {
 }
 
 // FuzzRingbuf differentially tests a one-CPU PerCPURing against a trivial
-// model queue through the CPU-agnostic surface (Submit, Drain incl. the
-// unbounded Drain(0), Len, Reset, aggregate Stats): FIFO order,
+// model queue (Submit, DrainBatch incl. the unbounded max 0, Len, Reset,
+// aggregate Stats): FIFO order,
 // overwrite-oldest-on-full, and the accounting identity
 // submitted == drained + dropped + pending at every step.
 func FuzzRingbuf(f *testing.F) {
@@ -183,16 +183,17 @@ func FuzzRingbuf(f *testing.F) {
 				m.queue = append(m.queue, payload)
 			case 3, 4: // drain up to max samples
 				max := int(op >> 3)
-				got := rb.Drain(max)
+				var got Batch
+				rb.DrainBatch(0, &got, max)
 				want := len(m.queue)
 				if max > 0 && max < want {
 					want = max
 				}
-				if len(got) != want {
-					t.Fatalf("Drain(%d): got %d samples, model has %d", max, len(got), want)
+				if got.Len() != want {
+					t.Fatalf("Drain(%d): got %d samples, model has %d", max, got.Len(), want)
 				}
-				for i, s := range got {
-					w := m.queue[i]
+				for i := 0; i < want; i++ {
+					s, w := got.Sample(i), m.queue[i]
 					if len(s) != len(w) || s[0] != w[0] || s[1] != w[1] {
 						t.Fatalf("Drain order: sample %d = %v, model %v", i, s, w)
 					}

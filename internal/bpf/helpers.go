@@ -1,7 +1,5 @@
 package bpf
 
-import "fmt"
-
 // Helper IDs callable via OpCall. The set mirrors what TScout's Collector
 // needs: map plumbing, the recursion stack (§5.2), perf output (§3.2), and
 // reads of the kernel state each probe consumes (§4).
@@ -145,12 +143,4 @@ var helperSpecs = map[int64]HelperSpec{
 func HelperByID(id int64) (HelperSpec, bool) {
 	s, ok := helperSpecs[id]
 	return s, ok
-}
-
-// HelperName returns the printable name of a helper ID.
-func HelperName(id int64) string {
-	if s, ok := helperSpecs[id]; ok {
-		return s.Name
-	}
-	return fmt.Sprintf("helper#%d", id)
 }

@@ -1,9 +1,8 @@
 package bpf
 
-// Backward liveness and forward reaching-definitions over a verified
-// program, computed from an Analysis. Both passes work on the *static*
-// CFG (no feasibility pruning): using a superset of the real edges can
-// only mark more things live / more definitions reaching, which is the
+// Backward liveness over a verified program, computed from an Analysis.
+// The pass works on the *static* CFG (no feasibility pruning): using a
+// superset of the real edges can only mark more things live, which is the
 // conservative direction for the dead-code eliminator built on top.
 //
 // Liveness is tracked at two granularities: a register bitmask and a
@@ -267,90 +266,4 @@ func (a *Analysis) Liveness() *Liveness {
 		}
 	}
 	return lv
-}
-
-// Reaching-definition lattice per register: no def on any path, exactly
-// one def site, or multiple def sites.
-const (
-	rdNone  = int32(-1)
-	rdEntry = int32(-2) // defined before the program starts (R10)
-	rdMulti = int32(-3)
-)
-
-// ReachingDefs maps, for every pc and register, the pc of the unique
-// definition reaching the instruction (or rdNone/rdEntry/rdMulti).
-type ReachingDefs struct {
-	in [][numRegs]int32
-}
-
-// At returns the reaching definition of register r before pc.
-func (rd *ReachingDefs) At(pc int, r Reg) int32 { return rd.in[pc][r] }
-
-func rdJoin(a, b int32) int32 {
-	switch {
-	case a == b:
-		return a
-	case a == rdNone:
-		return b
-	case b == rdNone:
-		return a
-	default:
-		return rdMulti
-	}
-}
-
-// ReachingDefs runs the forward reaching-definitions analysis, collapsed
-// to the none/unique/multi lattice which is all the optimizer and linter
-// consume.
-func (a *Analysis) ReachingDefs() *ReachingDefs {
-	n := len(a.prog.Insns)
-	rd := &ReachingDefs{in: make([][numRegs]int32, n)}
-	for pc := range rd.in {
-		for r := range rd.in[pc] {
-			rd.in[pc][r] = rdNone
-		}
-	}
-	var entry [numRegs]int32
-	for r := range entry {
-		entry[r] = rdNone
-	}
-	entry[R10] = rdEntry
-	rd.in[0] = entry
-
-	work := []int{0}
-	seen := make([]bool, n)
-	seen[0] = true
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-
-		out := rd.in[pc]
-		e := a.effects(pc)
-		for r := Reg(0); r < numRegs; r++ {
-			if e.defRegs&regBit(r) != 0 {
-				out[r] = int32(pc)
-			}
-		}
-		for _, s := range cfgSuccs(a.prog.Insns[pc], pc) {
-			merged := rd.in[s]
-			changed := !seen[s]
-			for r := range merged {
-				if !seen[s] {
-					merged[r] = out[r]
-					continue
-				}
-				j := rdJoin(merged[r], out[r])
-				if j != merged[r] {
-					merged[r] = j
-					changed = true
-				}
-			}
-			if changed {
-				rd.in[s] = merged
-				seen[s] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return rd
 }

@@ -92,36 +92,6 @@ func TestLivenessBranchesJoin(t *testing.T) {
 	}
 }
 
-func TestReachingDefs(t *testing.T) {
-	p := NewBuilder("rd").
-		Mov(R6, 1). // pc 0
-		Call(HelperKtime).
-		Jeq(R0, 0, "skip").
-		Mov(R6, 2). // pc 3
-		Label("skip").
-		MovReg(R0, R6). // pc 4: R6 def is pc 0 or pc 3 -> multi
-		Exit().
-		MustBuild()
-	a := analyzeOK(t, p)
-	rd := a.ReachingDefs()
-	if got := rd.At(1, R6); got != 0 {
-		t.Fatalf("R6 at pc 1 should reach from pc 0, got %d", got)
-	}
-	if got := rd.At(4, R6); got != rdMulti {
-		t.Fatalf("R6 at pc 4 should be multi, got %d", got)
-	}
-	if got := rd.At(0, R10); got != rdEntry {
-		t.Fatalf("R10 at entry should be rdEntry, got %d", got)
-	}
-	if got := rd.At(0, R5); got != rdNone {
-		t.Fatalf("R5 at entry should be rdNone, got %d", got)
-	}
-	// After the call, R0's unique def is the call instruction.
-	if got := rd.At(2, R0); got != 1 {
-		t.Fatalf("R0 at pc 2 should reach from the call at pc 1, got %d", got)
-	}
-}
-
 func TestAnalysisCondEdges(t *testing.T) {
 	p := NewBuilder("edges").
 		Mov(R0, 5).

@@ -212,13 +212,13 @@ func TestPerfRingBufferOrder(t *testing.T) {
 	for i := byte(0); i < 3; i++ {
 		r.Submit([]byte{i})
 	}
-	got := r.Drain(0)
-	if len(got) != 3 {
-		t.Fatalf("drain count: %d", len(got))
+	var got Batch
+	if n := r.DrainBatch(0, &got, 0); n != 3 {
+		t.Fatalf("drain count: %d", n)
 	}
-	for i, g := range got {
-		if g[0] != byte(i) {
-			t.Fatalf("FIFO order violated: %v", got)
+	for i := 0; i < got.Len(); i++ {
+		if got.Sample(i)[0] != byte(i) {
+			t.Fatalf("FIFO order violated: sample %d = %v", i, got.Sample(i))
 		}
 	}
 	if r.Len() != 0 {
@@ -231,15 +231,12 @@ func TestPerfRingBufferOverwrite(t *testing.T) {
 	for i := byte(0); i < 5; i++ {
 		r.Submit([]byte{i})
 	}
-	if r.Dropped() != 3 {
-		t.Fatalf("dropped: %d want 3", r.Dropped())
+	if st := r.Stats(); st.Dropped != 3 || st.Submitted != 5 {
+		t.Fatalf("dropped %d want 3, submitted %d want 5", st.Dropped, st.Submitted)
 	}
-	if r.Submitted() != 5 {
-		t.Fatalf("submitted: %d want 5", r.Submitted())
-	}
-	got := r.Drain(0)
-	if len(got) != 2 || got[0][0] != 3 || got[1][0] != 4 {
-		t.Fatalf("overwrite must keep newest: %v", got)
+	var got Batch
+	if n := r.DrainBatch(0, &got, 0); n != 2 || got.Sample(0)[0] != 3 || got.Sample(1)[0] != 4 {
+		t.Fatalf("overwrite must keep newest: drained %d", n)
 	}
 }
 
@@ -248,13 +245,12 @@ func TestPerfRingBufferDrainMax(t *testing.T) {
 	for i := byte(0); i < 6; i++ {
 		r.Submit([]byte{i})
 	}
-	first := r.Drain(2)
-	if len(first) != 2 || first[0][0] != 0 || first[1][0] != 1 {
-		t.Fatalf("bounded drain: %v", first)
+	var first, rest Batch
+	if n := r.DrainBatch(0, &first, 2); n != 2 || first.Sample(0)[0] != 0 || first.Sample(1)[0] != 1 {
+		t.Fatalf("bounded drain: %d samples", n)
 	}
-	rest := r.Drain(0)
-	if len(rest) != 4 || rest[0][0] != 2 {
-		t.Fatalf("remainder: %v", rest)
+	if n := r.DrainBatch(0, &rest, 0); n != 4 || rest.Sample(0)[0] != 2 {
+		t.Fatalf("remainder: %d samples", n)
 	}
 }
 
@@ -263,9 +259,10 @@ func TestPerfRingBufferSubmitCopies(t *testing.T) {
 	buf := []byte{1, 2, 3}
 	r.Submit(buf)
 	buf[0] = 9
-	got := r.Drain(0)
-	if !bytes.Equal(got[0], []byte{1, 2, 3}) {
-		t.Fatalf("Submit must copy: %v", got[0])
+	var got Batch
+	r.DrainBatch(0, &got, 0)
+	if !bytes.Equal(got.Sample(0), []byte{1, 2, 3}) {
+		t.Fatalf("Submit must copy: %v", got.Sample(0))
 	}
 }
 
@@ -275,7 +272,7 @@ func TestPerfRingBufferReset(t *testing.T) {
 	r.Submit([]byte{2})
 	r.Submit([]byte{3})
 	r.Reset()
-	if r.Len() != 0 || r.Submitted() != 0 || r.Dropped() != 0 {
+	if st := r.Stats(); r.Len() != 0 || st.Submitted != 0 || st.Dropped != 0 {
 		t.Fatalf("reset must clear everything")
 	}
 }
@@ -313,16 +310,17 @@ func TestPerfRingBufferProperty(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			r.Submit([]byte{byte(i)})
 		}
-		got := r.Drain(0)
+		var got Batch
+		r.DrainBatch(0, &got, 0)
 		want := int(n)
 		if want > capacity {
 			want = capacity
 		}
-		if len(got) != want {
+		if got.Len() != want {
 			return false
 		}
-		for i, g := range got {
-			if g[0] != byte(int(n)-want+i) {
+		for i := 0; i < want; i++ {
+			if got.Sample(i)[0] != byte(int(n)-want+i) {
 				return false
 			}
 		}

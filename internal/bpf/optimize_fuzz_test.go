@@ -60,7 +60,16 @@ func mapFingerprint(m Map) string {
 		// Per-CPU counters first (Drain moves them), then every ring's
 		// contents in CPU order: routing, overwrites and payloads all show.
 		st := mm.CPUStats()
-		return fmt.Sprintf("ring:%+v:%x", st, mm.Drain(0))
+		var all Batch
+		for cpu := range st {
+			mm.DrainBatch(cpu, &all, 0)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "ring:%+v:", st)
+		for i := 0; i < all.Len(); i++ {
+			fmt.Fprintf(&b, "%x ", all.Sample(i))
+		}
+		return b.String()
 	default:
 		return fmt.Sprintf("unknown:%s", m.Name())
 	}

@@ -234,28 +234,3 @@ func (r *PerCPURing) Reset() {
 		r.rings[i].reset()
 	}
 }
-
-// Drain removes and returns up to max samples per CPU ring (0 or less =
-// everything), concatenated in CPU order. It is a compatibility
-// convenience for tests and offline tools; the allocation-free hot path
-// is DrainBatch.
-func (r *PerCPURing) Drain(max int) [][]byte {
-	var out [][]byte
-	var b Batch
-	for cpu := range r.rings {
-		b.Reset()
-		n := r.rings[cpu].drainBatch(&b, max)
-		for i := 0; i < n; i++ {
-			cp := make([]byte, len(b.Sample(i)))
-			copy(cp, b.Sample(i))
-			out = append(out, cp)
-		}
-	}
-	return out
-}
-
-// Submitted returns total Submit calls across all CPU rings.
-func (r *PerCPURing) Submitted() int64 { return r.Stats().Submitted }
-
-// Dropped returns samples lost to overwrites across all CPU rings.
-func (r *PerCPURing) Dropped() int64 { return r.Stats().Dropped }

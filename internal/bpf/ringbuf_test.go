@@ -17,13 +17,13 @@ func TestRingBufferFIFOAndOverwrite(t *testing.T) {
 	if st.Submitted != 6 || st.Dropped != 2 || st.Pending != 4 || st.Capacity != 4 {
 		t.Fatalf("stats: %+v", st)
 	}
-	out := r.Drain(0)
-	if len(out) != 4 {
-		t.Fatalf("drained %d", len(out))
+	var out Batch
+	if n := r.DrainBatch(0, &out, 0); n != 4 {
+		t.Fatalf("drained %d", n)
 	}
 	// Oldest two were overwritten; 2..5 survive in order.
-	for i, buf := range out {
-		if got := binary.LittleEndian.Uint64(buf); got != uint64(i+2) {
+	for i := 0; i < out.Len(); i++ {
+		if got := binary.LittleEndian.Uint64(out.Sample(i)); got != uint64(i+2) {
 			t.Fatalf("entry %d: got %d want %d", i, got, i+2)
 		}
 	}
@@ -99,7 +99,8 @@ func TestRingBufferConcurrentSubmitDrainReset(t *testing.T) {
 		case <-done:
 			// Producers may have finished after this loop's drain; count
 			// the final sweep too.
-			drained += len(r.Drain(0))
+			batch.Reset()
+			drained += r.DrainBatch(0, &batch, 0)
 			if st := r.Stats(); st.Pending != 0 {
 				t.Fatalf("pending after final drain: %d", st.Pending)
 			}
@@ -120,7 +121,8 @@ func TestRingBufferStatsConsistency(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.Submit([]byte{byte(i)})
 	}
-	got := len(r.Drain(5))
+	var b Batch
+	got := r.DrainBatch(0, &b, 5)
 	st := r.Stats()
 	if st.Submitted-st.Dropped != int64(got+st.Pending) {
 		t.Fatalf("invariant broken: %+v drained=%d", st, got)

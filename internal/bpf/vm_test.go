@@ -230,12 +230,12 @@ func TestRunPerfOutput(t *testing.T) {
 		Mov(R0, 0).
 		Exit().MustBuild()
 	runProg(t, p)
-	got := rb.Drain(0)
-	if len(got) != 1 || len(got[0]) != 16 {
-		t.Fatalf("perf submit: %v", got)
+	var got Batch
+	if n := rb.DrainBatch(0, &got, 0); n != 1 || len(got.Sample(0)) != 16 {
+		t.Fatalf("perf submit: %d samples", n)
 	}
-	if U64(got[0][:8]) != 0xAA || U64(got[0][8:]) != 0xBB {
-		t.Fatalf("perf payload: %x", got[0])
+	if s := got.Sample(0); U64(s[:8]) != 0xAA || U64(s[8:]) != 0xBB {
+		t.Fatalf("perf payload: %x", s)
 	}
 }
 
@@ -388,9 +388,9 @@ func TestAttachToTracepoint(t *testing.T) {
 	if task.Now() <= before {
 		t.Fatalf("attached program must cost time")
 	}
-	got := rb.Drain(0)
-	if len(got) != 1 || U64(got[0]) != 4242 {
-		t.Fatalf("sample: %v", got)
+	var got Batch
+	if n := rb.DrainBatch(0, &got, 0); n != 1 || U64(got.Sample(0)) != 4242 {
+		t.Fatalf("sample: drained %d", n)
 	}
 	if lp.Runs() != 1 {
 		t.Fatalf("run count: %d", lp.Runs())

@@ -49,7 +49,7 @@ type Config struct {
 	// threads (0 = the paper's single-threaded Processor).
 	ProcessorParallelism int
 	// Sink receives drained training points (e.g. an archive.Writer or
-	// CSV sink); nil keeps points in memory only.
+	// CSV sink); with nil they are counted and discarded.
 	Sink tscout.Sink
 	// NumCPUs sets the simulated CPU count before TScout deploys, so the
 	// per-CPU rings, task placement, and noise streams all size themselves
@@ -58,8 +58,6 @@ type Config struct {
 	NumCPUs int
 	// WAL tunes group commit.
 	WAL wal.Config
-	// FuseSimpleSelects enables the §5.2 fused pipeline path.
-	FuseSimpleSelects bool
 }
 
 // Server is one DBMS instance plus its TScout deployment.
@@ -108,7 +106,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.FuseSimpleSelects = cfg.FuseSimpleSelects
 	srv.Engine = eng
 
 	var serM, wrM *tscout.Marker

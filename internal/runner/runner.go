@@ -21,16 +21,14 @@ type Config struct {
 	// Scale multiplies sweep sizes (default 1). Larger scales generate
 	// more offline data.
 	Scale int
-	// Repetitions per sweep point (default 3).
-	Repetitions int
 }
+
+// repetitions is how many times each sweep point runs at scale 1.
+const repetitions = 3
 
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.Repetitions <= 0 {
-		c.Repetitions = 3
 	}
 	return c
 }
@@ -133,7 +131,7 @@ func one(se *dbms.Session, q string, params ...storage.Value) error {
 func sweepScans(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	for _, size := range tableSizes {
 		t := runnerTable(size)
-		for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+		for r := 0; r < repetitions*cfg.Scale; r++ {
 			if err := one(se, "SELECT COUNT(*) FROM "+t); err != nil {
 				return err
 			}
@@ -155,7 +153,7 @@ func sweepScans(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 func sweepIndexLookups(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	for _, size := range tableSizes {
 		t := runnerTable(size)
-		for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+		for r := 0; r < repetitions*cfg.Scale; r++ {
 			for i := 0; i < 8; i++ {
 				key := int64(i * size / 8)
 				if err := one(se, "SELECT b FROM "+t+" WHERE id = $1",
@@ -171,7 +169,7 @@ func sweepIndexLookups(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 func sweepInserts(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	t := runnerTable(tableSizes[0])
 	next := int64(1 << 20) // above the loaded key range
-	for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+	for r := 0; r < repetitions*cfg.Scale; r++ {
 		for _, batch := range []int{1, 2, 4, 8} {
 			if err := se.BeginTxn(); err != nil {
 				return err
@@ -196,7 +194,7 @@ func sweepInserts(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 
 func sweepUpdatesDeletes(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	t := runnerTable(tableSizes[2])
-	for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+	for r := 0; r < repetitions*cfg.Scale; r++ {
 		for i := 0; i < 6; i++ {
 			if err := one(se, "UPDATE "+t+" SET b = b + 1.5 WHERE id = $1",
 				storage.NewInt(int64(i*13%tableSizes[2]))); err != nil {
@@ -213,7 +211,7 @@ func sweepUpdatesDeletes(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 
 func sweepJoinsSortsAggs(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	small, mid := runnerTable(tableSizes[0]), runnerTable(tableSizes[1])
-	for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+	for r := 0; r < repetitions*cfg.Scale; r++ {
 		if err := one(se, fmt.Sprintf(
 			"SELECT x.id, y.b FROM %s x JOIN %s y ON x.a = y.a WHERE x.id < 8", small, mid)); err != nil {
 			return err
@@ -233,7 +231,7 @@ func sweepJoinsSortsAggs(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 
 func sweepNetworking(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	// Packet-size and message-count sweeps through the wire path.
-	for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+	for r := 0; r < repetitions*cfg.Scale; r++ {
 		for _, pad := range []int{0, 64, 256, 1024} {
 			q := "SELECT COUNT(*) FROM " + runnerTable(tableSizes[0]) +
 				" -- " + string(make([]byte, 0))
@@ -270,7 +268,7 @@ func sweepWAL(srv *dbms.Server, se *dbms.Session, cfg Config) error {
 	// two subsystems the most.
 	t := runnerTable(tableSizes[1])
 	next := int64(1 << 21)
-	for r := 0; r < cfg.Repetitions*cfg.Scale; r++ {
+	for r := 0; r < repetitions*cfg.Scale; r++ {
 		for i := 0; i < 8; i++ {
 			if err := se.BeginTxn(); err != nil {
 				return err

@@ -136,9 +136,6 @@ func NewEpochs(tl *CPUTimelines, epochNS int64) *Epochs {
 	return &Epochs{tl: tl, epochNS: epochNS, nextSeq: make([]uint64, tl.NumCPUs())}
 }
 
-// Timelines returns the coordinated per-CPU clocks.
-func (e *Epochs) Timelines() *CPUTimelines { return e.tl }
-
 // EpochNS returns the epoch length.
 func (e *Epochs) EpochNS() int64 { return e.epochNS }
 

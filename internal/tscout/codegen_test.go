@@ -98,11 +98,11 @@ func TestCollectorSampleWireLayout(t *testing.T) {
 	runOU(ts, task, scan, sim.Work{Instructions: 50000, AllocBytes: 640}, 12, 34)
 
 	col := ts.CollectorFor(SubsystemExecutionEngine)
-	bufs := col.Ring.Drain(0)
-	if len(bufs) != 1 {
-		t.Fatalf("one marker cycle produced %d samples", len(bufs))
+	var bufs bpf.Batch
+	if n := col.Ring.DrainBatch(0, &bufs, 0); n != 1 {
+		t.Fatalf("one marker cycle produced %d samples", n)
 	}
-	buf := bufs[0]
+	buf := bufs.Sample(0)
 	if len(buf) != SampleMaxBytes {
 		t.Fatalf("sample is %d bytes; Collectors always submit SampleMaxBytes = %d", len(buf), SampleMaxBytes)
 	}
@@ -320,14 +320,14 @@ func TestCodegenOptimizePreservesSamples(t *testing.T) {
 		task.ChargeUserNS(1000)
 		task.HitTracepoint(end, []uint64{42})
 		task.HitTracepoint(feat, []uint64{42, 512, 2, 7, 9})
-		samples := col.Ring.Drain(0)
-		if len(samples) != 1 {
-			t.Fatalf("opt=%v: %d samples, want 1", opt, len(samples))
+		var samples bpf.Batch
+		if n := col.Ring.DrainBatch(0, &samples, 0); n != 1 {
+			t.Fatalf("opt=%v: %d samples, want 1", opt, n)
 		}
 		if n := col.ErrorCount(); n != 0 {
 			t.Fatalf("opt=%v: %d collector errors", opt, n)
 		}
-		return samples[0]
+		return samples.Sample(0)
 	}
 	plain, optimized := run(false), run(true)
 	if len(plain) != len(optimized) {

@@ -192,6 +192,27 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 	}
 }
 
+// TestUserDeltaDrainedClearsOnIdlePeriod pins that the user queue's
+// per-period drain delta is rewritten every period, like DeltaSubmitted and
+// DeltaDropped: a period that drains nothing reports zero, not the previous
+// period's count.
+func TestUserDeltaDrainedClearsOnIdlePeriod(t *testing.T) {
+	ts, k, scan, _ := deployInvariant(t, UserContinuous, 9, 0, 1)
+	p := ts.Processor()
+	task := k.NewTask("worker")
+	for i := 0; i < 20; i++ {
+		runOU(ts, task, scan, sim.Work{Instructions: 5000, AllocBytes: 32}, uint64(i), 7)
+	}
+	p.Drain(DrainOptions{})
+	if st := p.Stats(); st.User.DeltaDrained == 0 || st.User.DeltaDrained != st.User.Drained {
+		t.Fatalf("busy period: delta drained %d, drained %d", st.User.DeltaDrained, st.User.Drained)
+	}
+	p.Drain(DrainOptions{})
+	if st := p.Stats(); st.User.DeltaDrained != 0 {
+		t.Fatalf("idle period still reports delta drained %d", st.User.DeltaDrained)
+	}
+}
+
 // TestConcurrentDrainKeepsRingOrder drains concurrently with live
 // submitters (real goroutines, real races for the -race build) and then
 // checks the ordering contract of the sink stream: points leave in ring

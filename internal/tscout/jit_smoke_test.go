@@ -107,8 +107,12 @@ func jitSmokeObservation(t *testing.T, compile bool) string {
 			t.Fatalf("%s: %d runtime faults (compile=%v)", sub, faults, compile)
 		}
 		fmt.Fprintf(&b, "[%s]\n", sub)
-		for _, buf := range col.Ring.Drain(0) {
-			fmt.Fprintf(&b, "sample %x\n", buf)
+		var batch bpf.Batch
+		for cpu := 0; cpu < col.Ring.NumCPUs(); cpu++ {
+			col.Ring.DrainBatch(cpu, &batch, 0)
+		}
+		for i := 0; i < batch.Len(); i++ {
+			fmt.Fprintf(&b, "sample %x\n", batch.Sample(i))
 		}
 		for slot := uint64(0); slot < numErrorSlots; slot++ {
 			fmt.Fprintf(&b, "err[%d]=%d\n", slot, col.errorSlot(slot))

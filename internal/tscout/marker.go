@@ -37,13 +37,6 @@ type Marker struct {
 // OU returns the marker's OU definition.
 func (m *Marker) OU() *OUDef { return m.def }
 
-// Sampled reports whether the current event on this task is being
-// collected — the user-space flag that lets the DBMS skip feature
-// aggregation work entirely (paper §3.1).
-func (m *Marker) Sampled(t *kernel.Task) bool {
-	return m.ts.taskStateFor(t).eventSampled[m.def.Subsystem]
-}
-
 // Begin starts metrics collection for one OU invocation.
 func (m *Marker) Begin(t *kernel.Task) {
 	st := m.ts.taskStateFor(t)

@@ -170,7 +170,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 					})
 				}
 				iv.Add("drain", 15, func(int) {
-					p.Drain(DrainOptions{Budget: 3, PerRingCap: 2})
+					p.Drain(DrainOptions{Budget: 3})
 				})
 				iv.Run()
 				p.Drain(DrainOptions{}) // final sweep: empty every ring
@@ -247,7 +247,7 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 		case <-done:
 			draining = false
 		default:
-			p.Drain(DrainOptions{Budget: 16, PerRingCap: 8})
+			p.Drain(DrainOptions{Budget: 16})
 		}
 	}
 	p.Drain(DrainOptions{})
@@ -270,11 +270,11 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 	checkWorkerOrder(t, ts)
 }
 
-// TestDrainOptionsSemantics pins PerRingCap and MaxBatches behavior with
-// hand-placed ring contents: caps apply per individual CPU ring, MaxBatches
-// bounds how many rings one cycle touches (in global ring order), and the
-// batch-size histogram buckets what each cycle actually drained.
-func TestDrainOptionsSemantics(t *testing.T) {
+// TestDrainBatchHistogram pins, with hand-placed ring contents, that a
+// budgeted cycle waterfills its tokens over the individual CPU rings, that
+// the final unbudgeted sweep takes everything left, and that the batch-size
+// histogram buckets what each cycle actually drained from each ring.
+func TestDrainBatchHistogram(t *testing.T) {
 	const numCPUs = 4
 	ts, _, _, _ := deployPerCPU(t, 5, numCPUs, 16, 2)
 	p := ts.Processor()
@@ -285,33 +285,29 @@ func TestDrainOptionsSemantics(t *testing.T) {
 		}
 	}
 
-	// PerRingCap caps every ring individually: 4 rings × 3 samples.
-	res := p.Drain(DrainOptions{PerRingCap: 3})
-	if res.Drained != 12 || res.Batches != 4 || res.Points != 12 {
-		t.Fatalf("PerRingCap drain = %+v, want Drained 12, Batches 4, Points 12", res)
+	// Budget 6 × 2 threads against a demand of 40 degrades to 6 tokens: 3
+	// per thread, split 2+1 over the two rings each thread owns.
+	res := p.Drain(DrainOptions{Budget: 6})
+	if res.Drained != 6 || res.Batches != 4 || res.Points != 6 {
+		t.Fatalf("budgeted drain = %+v, want Drained 6, Batches 4, Points 6", res)
 	}
 	for cpu, rs := range ring.CPUStats() {
-		if rs.Drained != 3 || rs.Pending != 7 {
-			t.Fatalf("cpu%d after capped drain: drained %d pending %d, want 3/7", cpu, rs.Drained, rs.Pending)
+		if want := 2 - cpu/2; rs.Drained != int64(want) || rs.Pending != 10-want {
+			t.Fatalf("cpu%d after budgeted drain: drained %d pending %d, want %d/%d",
+				cpu, rs.Drained, rs.Pending, want, 10-want)
 		}
 	}
 
-	// MaxBatches bounds the cycle to the first N non-empty rings.
-	res = p.Drain(DrainOptions{MaxBatches: 2})
-	if res.Batches != 2 || res.Drained != 14 {
-		t.Fatalf("MaxBatches drain = %+v, want Batches 2, Drained 14", res)
-	}
-
-	// The final unbudgeted sweep takes the remaining two rings.
+	// The final unbudgeted sweep takes the rest of all four rings.
 	res = p.Drain(DrainOptions{})
-	if res.Batches != 2 || res.Drained != 14 {
-		t.Fatalf("final drain = %+v, want Batches 2, Drained 14", res)
+	if res.Batches != 4 || res.Drained != 34 {
+		t.Fatalf("final drain = %+v, want Batches 4, Drained 34", res)
 	}
 
-	// Histogram: four 3-sample batches ("2-4"), then four 7-sample batches
-	// ("5-16").
+	// Histogram: two 1-sample and two 2-sample batches, then four batches
+	// of 8 or 9 ("5-16").
 	st := p.Stats()
-	want := [BatchHistBuckets]int64{0, 4, 4, 0, 0, 0}
+	want := [BatchHistBuckets]int64{2, 2, 4, 0, 0, 0}
 	if st.BatchSizeHist != want {
 		t.Fatalf("batch histogram = %v, want %v", st.BatchSizeHist, want)
 	}

@@ -182,26 +182,13 @@ type StickySink interface {
 // normalized over the sample. The default splits equally.
 type SplitWeightFunc func(ou OUID, features []float64) float64
 
-// drainShard is one subsystem's telemetry counters. Sharding keeps stat
-// updates off the Processor-wide mutex.
-type drainShard struct {
-	mu    sync.Mutex
-	stats SubsystemStats // guarded by mu
-}
-
-func (s *drainShard) snapshotStats() SubsystemStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Processor is TScout's user-space component (paper §3.2), rebuilt as a
-// sharded, budgeted, self-observable pipeline: per-subsystem drain shards
-// share one global token budget per drain period (a single thread-period
-// times the configured parallelism), decode/transform runs batched per
-// shard on the modeled drain threads, and finished points leave for the
-// Sink — their only store — through a bounded flush queue outside every
-// lock.
+// Processor is TScout's user-space component (paper §3.2): a budgeted,
+// self-observable drain pipeline. The per-CPU rings are distributed over
+// the modeled drain threads by ringOwner and share one global token budget
+// per drain period (a single thread-period times the configured
+// parallelism), decode/transform runs batched per ring on the owning
+// thread, and finished points leave for the Sink — their only store —
+// through a bounded flush queue outside every lock.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -211,28 +198,27 @@ type Processor struct {
 	// is per-period.
 	pollMu sync.Mutex
 
-	shards [NumSubsystems]*drainShard
-
 	mu                  sync.Mutex
-	group               *kernel.TaskGroup            // guarded by mu
-	userQueue           [][]byte                     // guarded by mu
-	userStats           SubsystemStats               // guarded by mu
-	lastRing            [NumSubsystems]bpf.RingStats // guarded by mu
-	lastUserSubmitted   int64                        // guarded by mu
-	lastUserDropped     int64                        // guarded by mu
-	splitter            SplitWeightFunc              // guarded by mu
-	pendingFlush        []TrainingPoint              // guarded by mu
-	flushDrops          int64                        // guarded by mu
-	retryQueue          []retryBatch                 // guarded by mu
-	sinkRetries         int64                        // guarded by mu
-	sinkRetryDrops      int64                        // guarded by mu
-	processed           int64                        // guarded by mu
-	polls               int64                        // guarded by mu
-	lastGlobalBudget    int                          // guarded by mu
-	lastEffectiveBudget int                          // guarded by mu
-	feedbackActions     int64                        // guarded by mu
-	batchHist           [BatchHistBuckets]int64      // guarded by mu
-	autopilot           AutopilotStats               // guarded by mu
+	group               *kernel.TaskGroup             // guarded by mu
+	kernelStats         [NumSubsystems]SubsystemStats // guarded by mu
+	userQueue           [][]byte                      // guarded by mu
+	userStats           SubsystemStats                // guarded by mu
+	lastRing            [NumSubsystems]bpf.RingStats  // guarded by mu
+	lastUserSubmitted   int64                         // guarded by mu
+	lastUserDropped     int64                         // guarded by mu
+	splitter            SplitWeightFunc               // guarded by mu
+	pendingFlush        []TrainingPoint               // guarded by mu
+	flushDrops          int64                         // guarded by mu
+	retryQueue          []retryBatch                  // guarded by mu
+	sinkRetries         int64                         // guarded by mu
+	sinkRetryDrops      int64                         // guarded by mu
+	processed           int64                         // guarded by mu
+	polls               int64                         // guarded by mu
+	lastGlobalBudget    int                           // guarded by mu
+	lastEffectiveBudget int                           // guarded by mu
+	feedbackActions     int64                         // guarded by mu
+	batchHist           [BatchHistBuckets]int64       // guarded by mu
+	autopilot           AutopilotStats                // guarded by mu
 
 	// drainBatches holds one reusable contiguous drain buffer per drain
 	// thread (allocated with the task group); each worker goroutine only
@@ -243,11 +229,7 @@ type Processor struct {
 
 // NewProcessor creates the Processor for a deployment.
 func NewProcessor(ts *TScout, sink Sink) *Processor {
-	p := &Processor{ts: ts, sink: sink}
-	for i := range p.shards {
-		p.shards[i] = &drainShard{}
-	}
-	return p
+	return &Processor{ts: ts, sink: sink}
 }
 
 // SetSplitter installs the fused-sample metric splitter.
@@ -312,14 +294,6 @@ type DrainOptions struct {
 	// unlimited): the global token budget is Budget × parallelism, shared
 	// by every CPU ring and the user queue, and degraded under overload.
 	Budget int
-	// MaxBatches caps how many non-empty ring batches the cycle may
-	// process (0 = unlimited), bounding the cycle's length under backlog.
-	// The user-queue drain does not count against it.
-	MaxBatches int
-	// PerRingCap caps the samples drained from any single CPU ring in
-	// this cycle (0 = unlimited), bounding how long one hot ring can keep
-	// a drain thread away from its other rings.
-	PerRingCap int
 }
 
 // DrainResult reports what one drain cycle did.
@@ -333,21 +307,27 @@ type DrainResult struct {
 	Batches int
 }
 
-// drainTally accumulates one drain thread's work for the post-join merge:
-// workers never touch shard stats directly, so the only cross-thread
-// synchronization on the drain path is the flush-queue handoff.
+// drainTally accumulates one drain thread's work for the post-join merge;
+// workers never touch the stats directly. The per-subsystem arrays count
+// kernel-ring work, except points, which counts every point by the
+// subsystem it decodes into — user-probe points included; the user* fields
+// are the user pseudo-ring's own drain/decode accounting and are set only
+// on the thread that owns it.
 type drainTally struct {
-	drained       [NumSubsystems]int64
-	decodeErrs    [NumSubsystems]int64
-	corrupt       [NumSubsystems]int64
-	padded        [NumSubsystems]int64
-	truncated     [NumSubsystems]int64
-	points        [NumSubsystems]int64
-	kernelSamples int64
-	userSamples   int64
-	batches       int
-	produced      int
-	hist          [BatchHistBuckets]int64
+	drained        [NumSubsystems]int64
+	decodeErrs     [NumSubsystems]int64
+	corrupt        [NumSubsystems]int64
+	padded         [NumSubsystems]int64
+	truncated      [NumSubsystems]int64
+	points         [NumSubsystems]int64
+	kernelSamples  int64
+	userSamples    int64
+	userDecodeErrs int64
+	userCorrupt    int64
+	userAdj        featureAdjust
+	batches        int
+	produced       int
+	hist           [BatchHistBuckets]int64
 }
 
 // Drain runs one drain period over the per-CPU rings and returns what it
@@ -437,19 +417,15 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	p.lastGlobalBudget, p.lastEffectiveBudget = globalBudget, effective
 	p.mu.Unlock()
 
-	// Token demand per ring: one token per pending kernel sample (capped
-	// per ring if requested), userDrainPenalty tokens per pending user
-	// sample. Each thread waterfills its own slice of the effective budget
-	// over the rings it owns, so no ring can exceed one thread's period
-	// capacity and no two threads compete for the same tokens.
+	// Token demand per ring: one token per pending kernel sample,
+	// userDrainPenalty tokens per pending user sample. Each thread
+	// waterfills its own slice of the effective budget over the rings it
+	// owns, so no ring can exceed one thread's period capacity and no two
+	// threads compete for the same tokens.
 	demands := make([]int, numRings+1)
 	for _, sub := range AllSubsystems {
 		for cpu, rs := range cpuNow[sub] {
-			d := rs.Pending
-			if opts.PerRingCap > 0 && d > opts.PerRingCap {
-				d = opts.PerRingCap
-			}
-			demands[globalRingIndex(cpu, sub, numCPUs)] = d
+			demands[globalRingIndex(cpu, sub, numCPUs)] = rs.Pending
 		}
 	}
 	demands[userIdx] = userPending * userDrainPenalty
@@ -478,19 +454,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		}
 	} else {
 		copy(alloc, demands) // unlimited: drain everything
-	}
-
-	if opts.MaxBatches > 0 {
-		kept := 0
-		for g := 0; g < numRings; g++ {
-			if alloc[g] == 0 {
-				continue
-			}
-			kept++
-			if kept > opts.MaxBatches {
-				alloc[g] = 0
-			}
-		}
 	}
 
 	// Affinity-sharded drain: one goroutine per modeled drain thread, each
@@ -522,7 +485,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	// charge sequence the pre-affinity serial drain issued, so identical
 	// seeded runs consume the noise stream identically.
 	res := DrainResult{}
-	var hist [BatchHistBuckets]int64
 	for _, sub := range AllSubsystems {
 		for t := range tallies {
 			if n := tallies[t].drained[sub]; n > 0 {
@@ -538,13 +500,12 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		res.Points += ty.produced
 		res.Drained += int(ty.kernelSamples + ty.userSamples)
 		res.Batches += ty.batches
-		for b, c := range ty.hist {
-			hist[b] += c
-		}
 	}
 
-	// Merge the per-period tallies into the shard stats under each shard's
-	// own lock; this is the only place kernel-shard counters are written.
+	// Merge the per-period tallies into the stats; apart from SinkErrors
+	// (charged at delivery) this is the only place the per-subsystem and
+	// user-queue counters are written.
+	p.mu.Lock()
 	for _, sub := range AllSubsystems {
 		var drained, decErr, corrupt, padded, truncated, points int64
 		for t := range tallies {
@@ -555,27 +516,35 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 			truncated += tallies[t].truncated[sub]
 			points += tallies[t].points[sub]
 		}
-		if cols[sub] == nil && drained == 0 && deltaSub[sub] == 0 && deltaDrop[sub] == 0 {
+		ks := &p.kernelStats[sub]
+		// User-probe points land in the subsystem they decode into, whether
+		// or not that subsystem has a kernel Collector.
+		ks.Points += points
+		if cols[sub] == nil {
 			continue
 		}
-		sh := p.shards[sub]
-		sh.mu.Lock()
-		sh.stats.Submitted += deltaSub[sub]
-		sh.stats.Dropped += deltaDrop[sub]
-		sh.stats.Drained += drained
-		sh.stats.DecodeErrors += decErr
-		sh.stats.CorruptDiscards += corrupt
-		sh.stats.PaddedFeatures += padded
-		sh.stats.TruncatedFeatures += truncated
-		sh.stats.Points += points
-		sh.stats.DeltaSubmitted = deltaSub[sub]
-		sh.stats.DeltaDropped = deltaDrop[sub]
-		sh.stats.DeltaDrained = drained
-		sh.mu.Unlock()
+		ks.Submitted += deltaSub[sub]
+		ks.Dropped += deltaDrop[sub]
+		ks.Drained += drained
+		ks.DecodeErrors += decErr
+		ks.CorruptDiscards += corrupt
+		ks.PaddedFeatures += padded
+		ks.TruncatedFeatures += truncated
+		ks.DeltaSubmitted = deltaSub[sub]
+		ks.DeltaDropped = deltaDrop[sub]
+		ks.DeltaDrained = drained
 	}
-	p.mu.Lock()
-	for b, c := range hist {
-		p.batchHist[b] += c
+	ut := &tallies[ringOwner(userIdx, parallelism)]
+	p.userStats.Drained += ut.userSamples
+	p.userStats.DeltaDrained = ut.userSamples
+	p.userStats.DecodeErrors += ut.userDecodeErrs
+	p.userStats.CorruptDiscards += ut.userCorrupt
+	p.userStats.PaddedFeatures += ut.userAdj.padded
+	p.userStats.TruncatedFeatures += ut.userAdj.truncated
+	for t := range tallies {
+		for b, c := range tallies[t].hist {
+			p.batchHist[b] += c
+		}
 	}
 	p.mu.Unlock()
 
@@ -658,12 +627,27 @@ func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsyste
 		p.userQueue = nil
 	}
 	p.mu.Unlock()
-	if len(bufs) > 0 {
-		tally.userSamples = int64(len(bufs))
-		pts := p.processUserBatch(bufs)
-		ptsByRing[numRings] = pts
-		tally.produced += len(pts)
+	tally.userSamples = int64(len(bufs))
+	var pts []TrainingPoint
+	for _, buf := range bufs {
+		out, err := p.transform(buf, &tally.userAdj)
+		if err != nil {
+			if errors.Is(err, errCorruptMetrics) {
+				tally.userCorrupt++
+			} else {
+				tally.userDecodeErrs++
+			}
+			continue
+		}
+		pts = append(pts, out...)
 	}
+	// Points count toward the subsystem they decode into, while the
+	// drain/decode accounting above stays on the user-queue stats.
+	for _, tp := range pts {
+		tally.points[tp.Subsystem]++
+	}
+	ptsByRing[numRings] = pts
+	tally.produced += len(pts)
 }
 
 // waterfill distributes tokens across shards in proportion to demand,
@@ -716,53 +700,6 @@ func waterfill(demands []int, tokens int) []int {
 		}
 	}
 	return alloc
-}
-
-// processUserBatch transforms drained user-probe samples and returns the
-// points for the post-join emit pass; points count toward the shard of
-// the OU's subsystem, while drain/decode accounting stays on the
-// user-queue stats.
-func (p *Processor) processUserBatch(bufs [][]byte) []TrainingPoint {
-	var decodeErrs, corruptDiscards int64
-	var adj featureAdjust
-	var pts []TrainingPoint
-	for _, buf := range bufs {
-		out, err := p.transform(buf, &adj)
-		if err != nil {
-			if errors.Is(err, errCorruptMetrics) {
-				corruptDiscards++
-			} else {
-				decodeErrs++
-			}
-			continue
-		}
-		pts = append(pts, out...)
-	}
-
-	// Points count toward the subsystem shard they decode into.
-	perSub := [NumSubsystems]int64{}
-	for _, tp := range pts {
-		perSub[tp.Subsystem]++
-	}
-	for sub, n := range perSub {
-		if n == 0 {
-			continue
-		}
-		sh := p.shards[sub]
-		sh.mu.Lock()
-		sh.stats.Points += n
-		sh.mu.Unlock()
-	}
-
-	p.mu.Lock()
-	p.userStats.Drained += int64(len(bufs))
-	p.userStats.DeltaDrained = int64(len(bufs))
-	p.userStats.DecodeErrors += decodeErrs
-	p.userStats.CorruptDiscards += corruptDiscards
-	p.userStats.PaddedFeatures += adj.padded
-	p.userStats.TruncatedFeatures += adj.truncated
-	p.mu.Unlock()
-	return pts
 }
 
 // emitPoints counts finished points and enqueues them on the bounded
@@ -901,32 +838,28 @@ func (p *Processor) failStickySink() {
 	batch := p.pendingFlush
 	p.pendingFlush = nil
 	p.sinkRetryDrops += int64(len(batch))
-	p.mu.Unlock()
 	// First-delivery points count as sink rejections exactly once, the
 	// same as if the doomed WriteBatch had been issued.
 	for _, tp := range batch {
-		sh := p.shards[tp.Subsystem]
-		sh.mu.Lock()
-		sh.stats.SinkErrors++
-		sh.mu.Unlock()
+		p.kernelStats[tp.Subsystem].SinkErrors++
 	}
+	p.mu.Unlock()
 }
 
 // trySinkBatch delivers one batch, returning the points that failed. When
 // countErrors is set (first delivery attempt) each failed point is charged
-// to its shard's SinkErrors; retries pass false so a point is never
+// to its subsystem's SinkErrors; retries pass false so a point is never
 // counted twice.
 func (p *Processor) trySinkBatch(batch []TrainingPoint, countErrors bool) []TrainingPoint {
 	// One WriteBatch call per flush. A batch error counts against every
 	// point in the batch — the sink rejected the delivery as a unit.
 	if err := p.sink.WriteBatch(batch); err != nil {
 		if countErrors {
+			p.mu.Lock()
 			for _, tp := range batch {
-				sh := p.shards[tp.Subsystem]
-				sh.mu.Lock()
-				sh.stats.SinkErrors++
-				sh.mu.Unlock()
+				p.kernelStats[tp.Subsystem].SinkErrors++
 			}
+			p.mu.Unlock()
 		}
 		return batch
 	}
@@ -1095,21 +1028,9 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 // snapshot reflects samples submitted since the last poll too.
 func (p *Processor) Stats() ProcessorStats {
 	var st ProcessorStats
-	for _, sub := range AllSubsystems {
-		st.Kernel[sub] = p.shards[sub].snapshotStats()
-		if col := p.ts.CollectorFor(sub); col != nil {
-			rs := col.Ring.Stats()
-			st.Kernel[sub].Submitted = rs.Submitted
-			st.Kernel[sub].Dropped = rs.Dropped
-			st.Kernel[sub].Orphans = col.Orphans()
-			st.Rings[sub] = col.Ring.CPUStats()
-			st.Codegen[sub] = col.OptStats
-			st.JIT[sub] = col.JITStats()
-			st.Kernel[sub].RuntimeFaults = col.RuntimeFaults()
-		}
-	}
 	userClamps := p.ts.userWrapClamps()
 	p.mu.Lock()
+	st.Kernel = p.kernelStats
 	st.User = p.userStats
 	st.User.WrapClamps = userClamps
 	st.Polls = p.polls
@@ -1127,6 +1048,18 @@ func (p *Processor) Stats() ProcessorStats {
 	st.BatchSizeHist = p.batchHist
 	st.Autopilot = p.autopilot
 	p.mu.Unlock()
+	for _, sub := range AllSubsystems {
+		if col := p.ts.CollectorFor(sub); col != nil {
+			rs := col.Ring.Stats()
+			st.Kernel[sub].Submitted = rs.Submitted
+			st.Kernel[sub].Dropped = rs.Dropped
+			st.Kernel[sub].Orphans = col.Orphans()
+			st.Rings[sub] = col.Ring.CPUStats()
+			st.Codegen[sub] = col.OptStats
+			st.JIT[sub] = col.JITStats()
+			st.Kernel[sub].RuntimeFaults = col.RuntimeFaults()
+		}
+	}
 	st.Parallelism = p.Parallelism()
 	return st
 }
@@ -1154,13 +1087,9 @@ func (p *Processor) Reset() {
 			col.Ring.Reset()
 		}
 	}
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		sh.stats = SubsystemStats{}
-		sh.mu.Unlock()
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.kernelStats = [NumSubsystems]SubsystemStats{}
 	p.userQueue = nil
 	p.userStats = SubsystemStats{}
 	p.lastRing = [NumSubsystems]bpf.RingStats{}

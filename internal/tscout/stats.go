@@ -76,8 +76,7 @@ type ProcessorStats struct {
 	// FeedbackActions counts §3.2 sampling-rate reductions taken.
 	FeedbackActions int64
 	// FlushQueueDrops counts training points that could not be handed to
-	// the sink because the bounded flush queue was full (the archive
-	// still keeps them).
+	// the sink because the bounded flush queue was full; they are lost.
 	FlushQueueDrops int64
 	// PendingFlush is the current flush-queue depth.
 	PendingFlush int
@@ -87,7 +86,7 @@ type ProcessorStats struct {
 	SinkRetries int64
 	// SinkRetryDrops counts training points abandoned after exhausting the
 	// bounded retry budget or overflowing the retry queue — the sink-side
-	// graceful-degradation drop policy (the archive still keeps them).
+	// graceful-degradation drop policy; they are lost.
 	SinkRetryDrops int64
 	// PendingRetry is the number of training points currently queued for
 	// sink redelivery.

@@ -138,8 +138,8 @@ type Config struct {
 	DisableProcessorFeedback bool
 	// ProcessorParallelism is the number of modeled Processor drain
 	// threads (default 1, the paper's single-threaded Processor). The
-	// global per-period sample budget scales with it; subsystem shards
-	// are distributed round-robin over the threads.
+	// global per-period sample budget scales with it; the per-CPU rings
+	// are distributed over the threads by ringOwner.
 	ProcessorParallelism int
 	// OptimizeCollectors runs the liveness-driven optimizer on every
 	// generated Collector program at Deploy, shrinking the marker hot

@@ -457,7 +457,7 @@ func TestProcessorFeedbackLowersRate(t *testing.T) {
 	if got := ts.Sampler().Rate(SubsystemExecutionEngine); got >= 100 {
 		t.Fatalf("feedback must lower the sampling rate: still %d%%", got)
 	}
-	if ts.CollectorFor(SubsystemExecutionEngine).Ring.Dropped() == 0 {
+	if ts.CollectorFor(SubsystemExecutionEngine).Ring.Stats().Dropped == 0 {
 		t.Fatalf("test premise: ring must have dropped")
 	}
 }

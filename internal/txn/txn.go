@@ -74,13 +74,6 @@ func (m *Manager) Begin() *Txn {
 	return &Txn{mgr: m, ID: id, ReadTS: m.commitTS, state: StateActive}
 }
 
-// LastCommitTS returns the newest commit timestamp.
-func (m *Manager) LastCommitTS() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.commitTS
-}
-
 func (m *Manager) nextCommitTS() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

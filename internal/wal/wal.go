@@ -58,15 +58,6 @@ type Config struct {
 	// configuration the offline runners exercise, with no group commit
 	// amortization.
 	Synchronous bool
-	// BucketGrainNS enables hierarchical commit batching: a flush
-	// partitions its batch into arrival-time buckets of this grain and
-	// pipelines them through the serializer and disk-writer threads
-	// bucket-by-bucket. The first bucket pays the full per-flush constants
-	// (buffer setup, fsync); later buckets ride the open flush and pay only
-	// marginal cost, and their commits resolve at their own bucket's write
-	// completion instead of waiting for the whole batch. Zero (the default)
-	// keeps the flat single-bucket flush every recorded experiment used.
-	BucketGrainNS int64
 }
 
 func (c Config) withDefaults() Config {
@@ -104,7 +95,6 @@ type Serializer struct {
 	stageSeq  map[int]uint64 // guarded by mu
 
 	flushes    int64 // guarded by mu
-	buckets    int64 // guarded by mu
 	recsLogged int64 // guarded by mu
 	bytesDone  int64 // guarded by mu
 }
@@ -255,15 +245,6 @@ func (s *Serializer) NextDeadline() int64 {
 // Flush serializes and writes the pending batch at virtual time nowNS,
 // resolving every member commit. It is the log serializer OU followed by
 // the disk writer OU.
-//
-// With BucketGrainNS set the batch is split into arrival-time buckets and
-// pipelined: the serializer thread serializes bucket i+1 while the disk
-// writer flushes bucket i, the first bucket pays the per-flush constants
-// and later buckets only marginal cost, and each bucket's commits become
-// durable at that bucket's own write completion. Durability ordering is
-// preserved: buckets are flushed in arrival order and the writer clock is
-// monotone, so a commit never becomes durable before an earlier-arriving
-// one.
 func (s *Serializer) Flush(nowNS int64) {
 	s.mu.Lock()
 	batch := s.pending
@@ -278,59 +259,19 @@ func (s *Serializer) Flush(nowNS int64) {
 	// The serializer thread wakes when the trigger fires.
 	s.serTask.Clock.AdvanceTo(nowNS)
 
-	for i, bucket := range s.partition(batch) {
-		s.flushBucket(bucket, i == 0)
-	}
-	s.mu.Lock()
-	s.flushes++
-	s.mu.Unlock()
-}
-
-// partition splits a batch into arrival-time buckets of BucketGrainNS,
-// preserving arrival order. With the grain unset the whole batch is one
-// bucket (the flat pre-hierarchical flush).
-func (s *Serializer) partition(batch []*Commit) [][]*Commit {
-	if s.cfg.BucketGrainNS <= 0 {
-		return [][]*Commit{batch}
-	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].ArrivalNS < batch[j].ArrivalNS })
-	var out [][]*Commit
-	start := 0
-	for i := 1; i <= len(batch); i++ {
-		if i == len(batch) ||
-			batch[i].ArrivalNS/s.cfg.BucketGrainNS != batch[start].ArrivalNS/s.cfg.BucketGrainNS {
-			out = append(out, batch[start:i])
-			start = i
-		}
-	}
-	return out
-}
-
-// flushBucket runs one bucket through the serializer and disk-writer OUs.
-// The first bucket of a flush pays the full per-flush constants (flush
-// buffer setup, write header, the physical IO dispatch); later buckets of
-// the same flush append to the open buffer and ride the in-flight write.
-func (s *Serializer) flushBucket(bucket []*Commit, first bool) {
 	var recs int
 	var bytes int64
-	for _, c := range bucket {
+	for _, c := range batch {
 		recs += len(c.Records)
 		bytes += c.Bytes
 	}
 
-	serConst, wrConst := 9000.0, 4000.0
-	header, ops := int64(4096), int64(1)
-	if !first {
-		serConst, wrConst = 1500.0, 800.0
-		header, ops = 512, 0
-	}
-
 	// Log serializer OU: copy records into the flush buffer. Cost is
 	// per-record dominated with a per-byte term; group commit amortizes
-	// the per-batch constant, which is the behavior offline runners with
-	// singleton batches never observe.
+	// the per-batch constant (flush buffer setup), which is the behavior
+	// offline runners with singleton batches never observe.
 	serWork := sim.Work{
-		Instructions:    serConst + 650*float64(recs) + 0.45*float64(bytes),
+		Instructions:    9000 + 650*float64(recs) + 0.45*float64(bytes),
 		BytesTouched:    float64(bytes) + 64*float64(recs),
 		WorkingSetBytes: float64(bytes) + 4096,
 		AllocBytes:      bytes + 512,
@@ -341,20 +282,20 @@ func (s *Serializer) flushBucket(bucket []*Commit, first bool) {
 		s.serTask.Charge(serWork)
 		s.serMarker.End(s.serTask)
 		s.serMarker.Features(s.serTask, serWork.AllocBytes,
-			uint64(recs), uint64(bytes), uint64(len(bucket)))
+			uint64(recs), uint64(bytes), uint64(len(batch)))
 	} else {
 		s.serTask.Charge(serWork)
 	}
 
-	// The disk writer thread takes over when this bucket's serialization
-	// finishes — while, in the hierarchical pipeline, the serializer moves
-	// on to the next bucket.
+	// The disk writer thread takes over when serialization finishes: one
+	// write header and one physical IO dispatch per flush.
+	const header = 4096
 	s.wrTask.Clock.AdvanceTo(s.serTask.Now())
 	wrWork := sim.Work{
-		Instructions:   wrConst + 0.05*float64(bytes),
+		Instructions:   4000 + 0.05*float64(bytes),
 		BytesTouched:   512,
 		DiskWriteBytes: bytes + header,
-		DiskOps:        ops,
+		DiskOps:        1,
 	}
 	if s.ts != nil && s.wrMarker != nil {
 		s.ts.BeginEvent(s.wrTask, tscout.SubsystemDiskWriter)
@@ -369,11 +310,11 @@ func (s *Serializer) flushBucket(bucket []*Commit, first bool) {
 
 	done := s.wrTask.Now()
 	s.mu.Lock()
-	for _, c := range bucket {
+	for _, c := range batch {
 		c.DoneNS = done
 		c.Resolved = true
 	}
-	s.buckets++
+	s.flushes++
 	s.recsLogged += int64(recs)
 	s.bytesDone += bytes
 	s.mu.Unlock()
@@ -386,27 +327,9 @@ func (s *Serializer) Stats() (int64, int64, int64) {
 	return s.flushes, s.recsLogged, s.bytesDone
 }
 
-// BucketsFlushed returns how many arrival-time buckets have been flushed
-// (equal to Stats' flush count when hierarchical batching is off).
-func (s *Serializer) BucketsFlushed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buckets
-}
-
 // PendingCount returns the number of unflushed commits.
 func (s *Serializer) PendingCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.pending)
-}
-
-// RecordsFor converts a transaction's write set into log records.
-func RecordsFor(txnID uint64, tableNames []string, kinds []RecordKind, bytes []int64) []Record {
-	out := make([]Record, 0, len(kinds)+1)
-	for i := range kinds {
-		out = append(out, Record{Kind: kinds[i], TxnID: txnID, Table: tableNames[i], Bytes: bytes[i]})
-	}
-	out = append(out, Record{Kind: RecordCommit, TxnID: txnID, Bytes: 16})
-	return out
 }

@@ -190,71 +190,6 @@ func TestFlushEmptyIsNoop(t *testing.T) {
 	s.Tick(1 << 30) // nothing pending
 }
 
-func TestHierarchicalBucketsPreserveDurabilityOrder(t *testing.T) {
-	s, _ := newWAL(t, Config{GroupSize: 100, FlushIntervalNS: 1 << 40, BucketGrainNS: 1000})
-	// Commits spread over three arrival-time buckets (grain 1000ns).
-	var commits []*Commit
-	arrivals := []int64{100, 200, 1100, 1900, 2500, 2600}
-	for i, a := range arrivals {
-		commits = append(commits, s.Submit(testRecords(uint64(i), 2), a))
-	}
-	s.Flush(3000)
-	buckets := s.BucketsFlushed()
-	if buckets != 3 {
-		t.Fatalf("expected 3 arrival buckets, flushed %d", buckets)
-	}
-	flushes, recs, _ := s.Stats()
-	if flushes != 1 {
-		t.Fatalf("one hierarchical flush, got %d", flushes)
-	}
-	if recs != int64(len(arrivals))*3 {
-		t.Fatalf("records logged: %d", recs)
-	}
-	for i, c := range commits {
-		if !c.Resolved {
-			t.Fatalf("commit %d unresolved after flush", i)
-		}
-		if i > 0 && c.DoneNS < commits[i-1].DoneNS {
-			t.Fatalf("durability order violated: commit %d done %d before commit %d done %d",
-				i, c.DoneNS, i-1, commits[i-1].DoneNS)
-		}
-	}
-	// Distinct buckets resolve at distinct times: the early buckets do not
-	// wait for the whole batch.
-	if commits[0].DoneNS == commits[5].DoneNS {
-		t.Fatalf("bucketed commits must resolve per bucket, all resolved at %d", commits[0].DoneNS)
-	}
-	if commits[0].DoneNS != commits[1].DoneNS {
-		t.Fatalf("same-bucket commits share a durability time: %d vs %d",
-			commits[0].DoneNS, commits[1].DoneNS)
-	}
-}
-
-func TestHierarchicalBatchingAmortizesVsSeparateFlushes(t *testing.T) {
-	// The same commits pushed through one hierarchical flush must cost less
-	// writer time than through separate flat flushes: later buckets skip
-	// the per-flush constants and the IO dispatch.
-	run := func(grain int64, flushEach bool) int64 {
-		s, _ := newWAL(t, Config{GroupSize: 100, FlushIntervalNS: 1 << 40, BucketGrainNS: grain})
-		var last *Commit
-		for i := 0; i < 8; i++ {
-			last = s.Submit(testRecords(uint64(i), 2), int64(i)*1000)
-			if flushEach {
-				s.Flush(int64(i) * 1000)
-			}
-		}
-		if !flushEach {
-			s.Flush(8000)
-		}
-		return last.DoneNS
-	}
-	hier := run(1000, false)
-	flat := run(0, true)
-	if hier >= flat {
-		t.Fatalf("hierarchical batching must amortize: hierarchical done=%d >= separate flushes done=%d", hier, flat)
-	}
-}
-
 func TestDeferredSubmissionsReplayInMergedOrder(t *testing.T) {
 	// Staged submissions replay sorted by (ArrivalNS, cpu, seq) regardless
 	// of staging order, and group-size trips fire at the tripping commit's

@@ -27,6 +27,10 @@ type Generator interface {
 	Txn(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error)
 }
 
+// contextSwitchesPerTxn models scheduler activity per transaction: one
+// dispatch, one IO wait.
+const contextSwitchesPerTxn = 2
+
 // Config tunes one driver run.
 type Config struct {
 	// Terminals is the number of concurrent clients.
@@ -36,11 +40,9 @@ type Config struct {
 	// Seed drives the terminals' randomness.
 	Seed int64
 	// ProcessorPollNS is the Processor's drain period in virtual time
-	// (default 100µs); 0 disables polling for uninstrumented runs.
+	// (default 100µs), and the pooled driver's epoch length. Uninstrumented
+	// servers have no Processor and are never polled.
 	ProcessorPollNS int64
-	// ContextSwitchesPerTxn models scheduler activity per transaction
-	// (default 2: one dispatch, one IO wait).
-	ContextSwitchesPerTxn int
 	// ExternalCollect makes every terminal use EXPLAIN-based external
 	// feature collection (§2.2) instead of relying on TScout markers.
 	ExternalCollect bool
@@ -61,11 +63,6 @@ type Config struct {
 	// terminals arriving beyond it are refused and retry later. Zero means
 	// unbounded (pure backpressure, no rejections). Pooled driver only.
 	AdmissionQueueDepth int
-	// EpochNS is the epoch length of the multi-core engine: per-CPU
-	// execution proceeds independently within an epoch and cross-CPU
-	// events reconcile at the barrier. Default: ProcessorPollNS. Pooled
-	// driver only.
-	EpochNS int64
 	// OnDrain, when set, runs on the driver goroutine immediately after
 	// every Processor drain (periodic and final), with the virtual time
 	// of the drain. This is the autopilot controller's epoch tick: it
@@ -84,11 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.Transactions <= 0 {
 		c.Transactions = 1000
 	}
-	if c.ProcessorPollNS == 0 {
+	if c.ProcessorPollNS <= 0 {
 		c.ProcessorPollNS = 100_000
-	}
-	if c.ContextSwitchesPerTxn == 0 {
-		c.ContextSwitchesPerTxn = 2
 	}
 	return c
 }
@@ -218,7 +212,7 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// does not accumulate catch-up credit — it works one period, then
 		// sleeps again — so collection capacity is paced by the poll
 		// schedule, as in a real periodic drain loop.
-		if srv.TS != nil && cfg.ProcessorPollNS > 0 && now-lastPoll >= cfg.ProcessorPollNS {
+		if srv.TS != nil && now-lastPoll >= cfg.ProcessorPollNS {
 			srv.TS.Processor().Drain(tscout.DrainOptions{Budget: tscout.BudgetForPeriod(cfg.ProcessorPollNS)})
 			lastPoll = now
 			if cfg.OnDrain != nil {
@@ -228,7 +222,7 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 
 		next.startNS = now
 		started++
-		for i := 0; i < cfg.ContextSwitchesPerTxn; i++ {
+		for i := 0; i < contextSwitchesPerTxn; i++ {
 			next.se.Task.ContextSwitch()
 		}
 		commit, err := gen.Txn(next.se, next.rng)
@@ -268,8 +262,8 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 
 // windDown ends a run for both drivers: it flushes the WAL so no terminal's
 // time is left dangling, then runs one last drain at endNS, the latest
-// virtual time any session reached. With a poll schedule the drain is
-// budgeted for the time since the previous poll (at least one period) —
+// virtual time any session reached. The drain is budgeted for the time
+// since the previous poll (at least one period) —
 // samples still buffered when the run ends stay undelivered, as they would
 // in a real deployment snapshot — unless cfg.FinalDrain asks for everything.
 func windDown(srv *dbms.Server, cfg Config, res *Result, endNS, lastPoll, basePoints int64) {
@@ -280,7 +274,7 @@ func windDown(srv *dbms.Server, cfg Config, res *Result, endNS, lastPoll, basePo
 		return
 	}
 	var opts tscout.DrainOptions
-	if cfg.ProcessorPollNS > 0 && !cfg.FinalDrain {
+	if !cfg.FinalDrain {
 		period := endNS - lastPoll
 		if period < cfg.ProcessorPollNS {
 			period = cfg.ProcessorPollNS

@@ -52,13 +52,6 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	if poolSize > cfg.Terminals {
 		poolSize = cfg.Terminals
 	}
-	epochNS := cfg.EpochNS
-	if epochNS <= 0 {
-		epochNS = cfg.ProcessorPollNS
-	}
-	if epochNS <= 0 {
-		epochNS = 100_000
-	}
 
 	// Contention scales with the workers actually executing, not the
 	// terminal census: an idle queued terminal holds no latches.
@@ -69,7 +62,9 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	gate := dbms.NewAdmissionGate(poolSize, cfg.AdmissionQueueDepth)
 	pool := dbms.NewSessionPool(srv, poolSize)
 	tl := sim.NewCPUTimelines(numCPUs)
-	ep := sim.NewEpochs(tl, epochNS)
+	// One epoch is one Processor poll period: per-CPU execution proceeds
+	// independently within it and cross-CPU events reconcile at the barrier.
+	ep := sim.NewEpochs(tl, cfg.ProcessorPollNS)
 
 	terms := make([]*pooledTerminal, cfg.Terminals)
 	for i := range terms {
@@ -185,7 +180,7 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				}
 				task.Clock.AdvanceTo(begin)
 				t.startNS = task.Now()
-				for i := 0; i < cfg.ContextSwitchesPerTxn; i++ {
+				for i := 0; i < contextSwitchesPerTxn; i++ {
 					task.ContextSwitch()
 				}
 				commit, err := gen.Txn(t.se, t.rng)
@@ -234,7 +229,7 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// The Processor drains on the poll schedule, one period's budget
 		// per wakeup (no catch-up credit), exactly as in the legacy
 		// driver.
-		if srv.TS != nil && cfg.ProcessorPollNS > 0 && epochEnd-lastPoll >= cfg.ProcessorPollNS {
+		if srv.TS != nil && epochEnd-lastPoll >= cfg.ProcessorPollNS {
 			srv.TS.Processor().Drain(tscout.DrainOptions{Budget: tscout.BudgetForPeriod(cfg.ProcessorPollNS)})
 			lastPoll = epochEnd
 			if cfg.OnDrain != nil {

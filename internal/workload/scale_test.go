@@ -28,7 +28,7 @@ func scaleRun(t *testing.T, numCPUs, par, terminals, txns, pool int) (uint64, []
 	srv, err := dbms.NewServer(dbms.Config{
 		Seed: 42, NoiseSigma: 0.03, Instrument: true,
 		NumCPUs: numCPUs, ProcessorParallelism: par, Sink: arch.w,
-		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000, BucketGrainNS: 25_000},
+		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
 	})
 	if err != nil {
 		t.Fatalf("server: %v", err)
@@ -81,7 +81,7 @@ func TestEpochEngineSeedsDiffer(t *testing.T) {
 		srv, err := dbms.NewServer(dbms.Config{
 			Seed: seed, NoiseSigma: 0.03, Instrument: true,
 			NumCPUs: 8, ProcessorParallelism: 2, Sink: arch.w,
-			WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000, BucketGrainNS: 25_000},
+			WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
 		})
 		if err != nil {
 			t.Fatalf("server: %v", err)
@@ -145,7 +145,7 @@ func TestPooledBoundedQueueRejects(t *testing.T) {
 	srv, err := dbms.NewServer(dbms.Config{
 		Seed: 9, NoiseSigma: 0.03, Instrument: true,
 		NumCPUs: 4, ProcessorParallelism: 2,
-		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000, BucketGrainNS: 25_000},
+		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
 	})
 	if err != nil {
 		t.Fatalf("server: %v", err)
