@@ -5,9 +5,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build lint race bench-smoke fuzz-smoke test bench cover figures
+.PHONY: check build lint race fuzz-smoke test bench cover figures
 
-check build lint race bench-smoke fuzz-smoke:
+check build lint race fuzz-smoke:
 	GO="$(GO)" FUZZTIME="$(FUZZTIME)" ./scripts/check.sh $@
 
 test:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -351,5 +352,54 @@ func TestFeaturesCellMatchesCSV(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("features cells differ:\n got  %v\n want %v", got, want)
+	}
+}
+
+// countingWriter counts bytes and discards them.
+type countingWriter struct{ n int64 }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// BenchmarkSinkCSVvsColumnar is the archive acceptance benchmark: identical
+// 256-point batches of the makePoints corpus through the CSV sink vs the
+// columnar segment writer, reporting write throughput (points/s) and
+// archive density (bytes/point). The columnar writer must beat CSV by ≥3x
+// on throughput and ≥2x on size (TestColumnarDensityVsCSV pins the
+// latter); EXPERIMENTS.md records the table.
+func BenchmarkSinkCSVvsColumnar(b *testing.B) {
+	pts := makePoints(8192)
+	const batch = 256
+	for _, sink := range []struct {
+		name string
+		open func(io.Writer) (tscout.Sink, error)
+	}{
+		{"csv", func(w io.Writer) (tscout.Sink, error) { return tscout.NewCSVSink(w) }},
+		{"columnar", func(w io.Writer) (tscout.Sink, error) { return NewWriter(w), nil }},
+	} {
+		b.Run(sink.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var bytesOut int64
+			for i := 0; i < b.N; i++ {
+				var cnt countingWriter
+				s, err := sink.open(&cnt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for off := 0; off < len(pts); off += batch {
+					if err := s.WriteBatch(pts[off:min(off+batch, len(pts))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := s.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				bytesOut = cnt.n
+			}
+			b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+			b.ReportMetric(float64(bytesOut)/float64(len(pts)), "bytes/point")
+		})
 	}
 }

@@ -34,7 +34,8 @@ func AblationNoise(sc Scale) ([]NoiseAblationRow, error) {
 			if offline {
 				return runOffline(cfg, sc)
 			}
-			run, err := runOnline(cfg, tpccGen(2), 16, sc.OnlineTxns, 100, false)
+			run, err := runOnline(cfg, tpccGen(2), 100,
+				workload.Config{Terminals: 16, Transactions: sc.OnlineTxns, Seed: seed}, newArchiveCapture(0))
 			if err != nil {
 				return nil, err
 			}
@@ -91,24 +92,22 @@ func AblationGroupCommit(sc Scale) ([]GroupCommitAblationRow, error) {
 		{GroupSize: 16, FlushIntervalNS: 200_000},
 		{GroupSize: 64, FlushIntervalNS: 800_000},
 	} {
-		srv, err := dbms.NewServer(dbms.Config{
-			Profile: defaultProfile(), Seed: 301, NoiseSigma: noiseSigma, WAL: cfg,
-		})
-		if err != nil {
-			return nil, err
-		}
 		gen := tpccGen(2)
-		if err := gen.Setup(srv); err != nil {
-			return nil, err
-		}
-		res, err := workload.Run(srv, gen, workload.Config{
-			Terminals: 16, Transactions: sc.OnlineTxns, Seed: 302,
-		})
+		// Uninstrumented: the sweep measures the log, not the collector.
+		srv, err := startOnline(dbms.Config{
+			Profile: defaultProfile(), Seed: 301, NoiseSigma: noiseSigma, WAL: cfg,
+		}, gen, 0, nil)
 		if err != nil {
 			return nil, err
 		}
+		run, err := runWorkload(srv, gen, workload.Config{
+			Terminals: 16, Transactions: sc.OnlineTxns, Seed: 302,
+		}, nil)
+		if err != nil {
+			return nil, err
+		}
+		res := run.Result
 		flushes, recs, _ := srv.WAL.Stats()
-		_ = flushes
 		row := GroupCommitAblationRow{
 			GroupSize:       cfg.GroupSize,
 			FlushIntervalUS: cfg.FlushIntervalNS / 1000,
@@ -151,24 +150,15 @@ func AblationExternalCollection(sc Scale) ([]ExternalCollectionRow, error) {
 		{"internal (TScout 100%)", true, 100, false},
 		{"external (EXPLAIN/query)", false, 0, true},
 	} {
-		srv, err := newServer(defaultProfile(), tscout.KernelContinuous, cfg.instrument, 501, false)
+		run, err := runOnline(serverConfig(defaultProfile(), tscout.KernelContinuous, cfg.instrument, 501, false),
+			tpccGen(2), cfg.rate, workload.Config{
+				Terminals: 16, Transactions: sc.OnlineTxns, Seed: 502,
+				ExternalCollect: cfg.external,
+			}, nil)
 		if err != nil {
 			return nil, err
 		}
-		gen := tpccGen(2)
-		if err := gen.Setup(srv); err != nil {
-			return nil, err
-		}
-		if srv.TS != nil {
-			srv.TS.Sampler().SetAllRates(cfg.rate)
-		}
-		res, err := workload.Run(srv, gen, workload.Config{
-			Terminals: 16, Transactions: sc.OnlineTxns, Seed: 502,
-			ExternalCollect: cfg.external,
-		})
-		if err != nil {
-			return nil, err
-		}
+		res := run.Result
 		rows = append(rows, ExternalCollectionRow{
 			Strategy:      cfg.name,
 			ThroughputTPS: res.ThroughputTPS,
@@ -201,21 +191,12 @@ func AblationSamplingGranularity(sc Scale) ([]SamplingGranularityRow, error) {
 		{"per-query 10%", 10},
 		{"all-or-nothing 100%", 100},
 	} {
-		srv, err := newServer(defaultProfile(), tscout.KernelContinuous, true, 401, false)
+		run, err := runOnline(serverConfig(defaultProfile(), tscout.KernelContinuous, true, 401, false),
+			tpccGen(2), cfg.rate, workload.Config{Terminals: 16, Transactions: sc.OnlineTxns, Seed: 402}, nil)
 		if err != nil {
 			return nil, err
 		}
-		gen := tpccGen(2)
-		if err := gen.Setup(srv); err != nil {
-			return nil, err
-		}
-		srv.TS.Sampler().SetAllRates(cfg.rate)
-		res, err := workload.Run(srv, gen, workload.Config{
-			Terminals: 16, Transactions: sc.OnlineTxns, Seed: 402,
-		})
-		if err != nil {
-			return nil, err
-		}
+		res := run.Result
 		rows = append(rows, SamplingGranularityRow{
 			Granularity:   cfg.name,
 			Rate:          cfg.rate,

@@ -3,6 +3,7 @@ package experiment
 import "testing"
 
 func TestAblationNoise(t *testing.T) {
+	t.Parallel()
 	sc := quickAcc()
 	rows, err := AblationNoise(sc)
 	if err != nil {
@@ -27,6 +28,7 @@ func TestAblationNoise(t *testing.T) {
 }
 
 func TestAblationGroupCommit(t *testing.T) {
+	t.Parallel()
 	sc := quickAcc()
 	rows, err := AblationGroupCommit(sc)
 	if err != nil {
@@ -54,6 +56,7 @@ func TestAblationGroupCommit(t *testing.T) {
 }
 
 func TestAblationSamplingGranularity(t *testing.T) {
+	t.Parallel()
 	sc := quickAcc()
 	rows, err := AblationSamplingGranularity(sc)
 	if err != nil {
@@ -76,6 +79,7 @@ func TestAblationSamplingGranularity(t *testing.T) {
 }
 
 func TestAblationExternalCollection(t *testing.T) {
+	t.Parallel()
 	sc := quickAcc()
 	rows, err := AblationExternalCollection(sc)
 	if err != nil {

@@ -290,10 +290,3 @@ func Fig12(sc Scale) ([]SubsystemRow, error) {
 	}
 	return rows, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

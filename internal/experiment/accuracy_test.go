@@ -25,6 +25,7 @@ func rowsBySub(rows []SubsystemRow, scenario string) map[tscout.SubsystemID]Subs
 }
 
 func TestFig2Shape(t *testing.T) {
+	t.Parallel()
 	rows, err := Fig2(quickAcc())
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +55,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
+	t.Parallel()
 	rows, err := Fig7(quickAcc())
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +81,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
+	t.Parallel()
 	rows, err := Fig9(quickAcc())
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +122,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("HTAP collection is slow")
 	}
@@ -144,6 +148,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
+	t.Parallel()
 	rows, err := Fig11(quickAcc())
 	if err != nil {
 		t.Fatal(err)
@@ -179,6 +184,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("seven scenarios")
 	}

@@ -1,6 +1,6 @@
 // Package experiment regenerates every table and figure of the paper's
 // evaluation (§6). Each FigN function returns the rows the paper plots;
-// cmd/tsbench prints them and bench_test.go wraps them as benchmarks.
+// cmd/tsbench prints them and this package's Test*Shape tests pin them.
 // Absolute numbers come from the simulated substrate, so EXPERIMENTS.md
 // compares shapes (who wins, by what factor, where crossovers fall)
 // rather than raw values.
@@ -86,13 +86,6 @@ func serverConfig(profile sim.HardwareProfile, mode tscout.Mode, instrument bool
 	return cfg
 }
 
-// newServer builds a server for an experiment that measures the run, not
-// the training data: without a sink the Processor counts points and
-// discards them.
-func newServer(profile sim.HardwareProfile, mode tscout.Mode, instrument bool, seed int64, syncWAL bool) (*dbms.Server, error) {
-	return dbms.NewServer(serverConfig(profile, mode, instrument, seed, syncWAL))
-}
-
 // archiveCapture is an experiment's training store: the Processor's drain
 // path streams segments into buf through w (the server's Sink), and after
 // the run the points are read back column-wise. The sink receives batches
@@ -145,7 +138,8 @@ func runOffline(cfg dbms.Config, sc Scale) ([]model.Point, error) {
 	return ac.points(cfg.Profile)
 }
 
-// onlineRun is one instrumented workload execution.
+// onlineRun is one workload execution: its result and, when the run had an
+// archive capture, the training points it collected.
 type onlineRun struct {
 	Points []model.Point
 	Result workload.Result
@@ -158,8 +152,8 @@ type onlineRun struct {
 // would.
 func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
 	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
-	return runOnline(serverConfig(profile, tscout.KernelContinuous, true, seed, false),
-		gen, terminals, txns, rate, false)
+	return runOnline(serverConfig(profile, tscout.KernelContinuous, true, seed, false), gen, rate,
+		workload.Config{Terminals: terminals, Transactions: txns, Seed: seed}, newArchiveCapture(0))
 }
 
 // collectOnlineComplete is the data-hungry variant: a deep ring and an
@@ -172,15 +166,19 @@ func collectOnlineComplete(profile sim.HardwareProfile, gen workload.Generator,
 	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
 	cfg := serverConfig(profile, tscout.KernelContinuous, true, seed, false)
 	cfg.RingCapacity = 1 << 17
-	return runOnline(cfg, gen, terminals, txns, rate, true)
+	return runOnline(cfg, gen, rate, workload.Config{
+		Terminals: terminals, Transactions: txns, Seed: seed, FinalDrain: true,
+	}, newArchiveCapture(0))
 }
 
-// runOnline builds the server for cfg with an archive as its sink, runs
-// the workload at the given sampling rate and reads the archive back.
-func runOnline(cfg dbms.Config, gen workload.Generator,
-	terminals, txns int, rate int, finalDrain bool) (*onlineRun, error) {
-	ac := newArchiveCapture(0)
-	cfg.Sink = ac.w
+// startOnline builds the server for cfg — with ac's writer as its sink
+// when a capture is given; without one the Processor counts points and
+// discards them — loads gen's database and sets every subsystem's sampling
+// rate (an uninstrumented server has no sampler to set).
+func startOnline(cfg dbms.Config, gen workload.Generator, rate int, ac *archiveCapture) (*dbms.Server, error) {
+	if ac != nil {
+		cfg.Sink = ac.w
+	}
 	srv, err := dbms.NewServer(cfg)
 	if err != nil {
 		return nil, err
@@ -188,19 +186,37 @@ func runOnline(cfg dbms.Config, gen workload.Generator,
 	if err := gen.Setup(srv); err != nil {
 		return nil, err
 	}
-	srv.TS.Sampler().SetAllRates(rate)
-	res, err := workload.Run(srv, gen, workload.Config{
-		Terminals: terminals, Transactions: txns, Seed: cfg.Seed,
-		FinalDrain: finalDrain,
-	})
+	if srv.TS != nil {
+		srv.TS.Sampler().SetAllRates(rate)
+	}
+	return srv, nil
+}
+
+// runWorkload drives gen against a started server and, given the capture
+// the server was started with, reads the archive back.
+func runWorkload(srv *dbms.Server, gen workload.Generator, wcfg workload.Config, ac *archiveCapture) (*onlineRun, error) {
+	res, err := workload.Run(srv, gen, wcfg)
 	if err != nil {
 		return nil, err
 	}
-	pts, err := ac.points(cfg.Profile)
+	run := &onlineRun{Result: res}
+	if ac != nil {
+		if run.Points, err = ac.points(srv.Kernel.Profile); err != nil {
+			return nil, err
+		}
+	}
+	return run, nil
+}
+
+// runOnline is startOnline then runWorkload: the whole of an experiment
+// that needs nothing from the server between or after the two.
+func runOnline(cfg dbms.Config, gen workload.Generator, rate int,
+	wcfg workload.Config, ac *archiveCapture) (*onlineRun, error) {
+	srv, err := startOnline(cfg, gen, rate, ac)
 	if err != nil {
 		return nil, err
 	}
-	return &onlineRun{Points: pts, Result: res}, nil
+	return runWorkload(srv, gen, wcfg, ac)
 }
 
 // tpccGen returns the scaled-down TPC-C generator. warehouses follows the

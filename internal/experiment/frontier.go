@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tscout/internal/autopilot"
-	"tscout/internal/dbms"
 	"tscout/internal/model"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
@@ -146,16 +145,10 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 	// default 4096-row segments the controller would starve until the
 	// final flush and never converge inside the measured run.
 	ac := newArchiveCapture(frontierChunk)
-	cfg := serverConfig(profile, tscout.KernelContinuous, true, seed, false)
-	cfg.Sink = ac.w
-	srv, err := dbms.NewServer(cfg)
+	srv, err := startOnline(serverConfig(profile, tscout.KernelContinuous, true, seed, false), gen, rate, ac)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := gen.Setup(srv); err != nil {
-		return nil, nil, err
-	}
-	srv.TS.Sampler().SetAllRates(rate)
 
 	wcfg := workload.Config{
 		Terminals: 20, Transactions: sc.OnlineTxns, Seed: seed,
@@ -177,26 +170,21 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 		})
 		wcfg.OnDrain = ctrl.Hook()
 	}
-	res, err := workload.Run(srv, gen, wcfg)
+	run, err := runWorkload(srv, gen, wcfg, ac)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := ac.w.Flush(); err != nil {
 		return nil, nil, err
 	}
 
 	if auto {
-		// Absorb the final flushed tail, then hand back the models the
-		// controller trained during the run.
+		// runWorkload's read-back flushed the writer: absorb that final
+		// tail, then hand back the models the controller trained during
+		// the run.
 		ctrl.Tick()
-		return &onlineRun{Result: res}, ctrl.ModelSet(), nil
+		return run, ctrl.ModelSet(), nil
 	}
 
 	set := model.NewOnlineSet(frontierModel)
-	pts, err := ac.points(profile)
-	if err != nil {
-		return nil, nil, err
-	}
+	pts := run.Points
 	for lo := 0; lo < len(pts); lo += frontierChunk {
 		hi := lo + frontierChunk
 		if hi > len(pts) {
@@ -207,5 +195,5 @@ func frontierRun(profile sim.HardwareProfile, gen workload.Generator, sc Scale,
 			return nil, nil, err
 		}
 	}
-	return &onlineRun{Result: res}, set, nil
+	return run, set, nil
 }

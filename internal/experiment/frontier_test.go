@@ -9,6 +9,7 @@ import (
 // policy beats it on both axes, it tracks fixed-100%'s accuracy while
 // paying a fraction of the overhead, and it ends the run throttled.
 func TestFrontierShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"tscout/internal/tscout"
 	"tscout/internal/workload"
 )
@@ -30,22 +28,12 @@ func Fig1(sc Scale) ([]Fig1Row, error) {
 	}
 	var rows []Fig1Row
 	for _, c := range configs {
-		srv, err := newServer(defaultProfile(), c.mode, true, 42, false)
+		run, err := runOnline(serverConfig(defaultProfile(), c.mode, true, 42, false), tpccGen(1), c.rate,
+			workload.Config{Terminals: 1, Transactions: sc.OnlineTxns, Seed: 42}, nil)
 		if err != nil {
 			return nil, err
 		}
-		gen := tpccGen(1)
-		if err := gen.Setup(srv); err != nil {
-			return nil, err
-		}
-		srv.TS.Sampler().SetAllRates(c.rate)
-		res, err := workload.Run(srv, gen, workload.Config{
-			Terminals: 1, Transactions: sc.OnlineTxns, Seed: 42,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig1Row{Config: c.name, P99Ms: float64(res.P99NS) / 1e6})
+		rows = append(rows, Fig1Row{Config: c.name, P99Ms: float64(run.Result.P99NS) / 1e6})
 	}
 	return rows, nil
 }
@@ -86,20 +74,12 @@ func Fig5and6(sc Scale) ([]OverheadRow, error) {
 			tscout.KernelContinuous, tscout.UserToggle, tscout.UserContinuous,
 		} {
 			for _, rate := range sc.RatePoints {
-				srv, err := newServer(defaultProfile(), mode, true, 99, false)
+				run, err := runOnline(serverConfig(defaultProfile(), mode, true, 99, false), gen, rate,
+					workload.Config{Terminals: 20, Transactions: sc.OnlineTxns, Seed: 99}, nil)
 				if err != nil {
 					return nil, err
 				}
-				if err := gen.Setup(srv); err != nil {
-					return nil, err
-				}
-				srv.TS.Sampler().SetAllRates(rate)
-				res, err := workload.Run(srv, gen, workload.Config{
-					Terminals: 20, Transactions: sc.OnlineTxns, Seed: 99,
-				})
-				if err != nil {
-					return nil, err
-				}
+				res := run.Result
 				rows = append(rows, OverheadRow{
 					Workload:      gen.Name(),
 					Mode:          mode,
@@ -128,12 +108,9 @@ type Fig8Row struct {
 // the WAL subsystems. Throughput dips in the middle phase and recovers in
 // the third because YCSB is read-only and generates almost no WAL work.
 func Fig8(sc Scale) ([]Fig8Row, error) {
-	srv, err := newServer(defaultProfile(), tscout.KernelContinuous, true, 8, false)
-	if err != nil {
-		return nil, err
-	}
 	gen := &workload.YCSB{Records: 4000}
-	if err := gen.Setup(srv); err != nil {
+	srv, err := startOnline(serverConfig(defaultProfile(), tscout.KernelContinuous, true, 8, false), gen, 0, nil)
+	if err != nil {
 		return nil, err
 	}
 	phases := []struct {
@@ -141,11 +118,11 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 		rates map[tscout.SubsystemID]int
 	}{
 		{"collection off", map[tscout.SubsystemID]int{}},
-		{"10%% all subsystems", map[tscout.SubsystemID]int{
+		{"10% all subsystems", map[tscout.SubsystemID]int{
 			tscout.SubsystemExecutionEngine: 10, tscout.SubsystemNetworking: 10,
 			tscout.SubsystemLogSerializer: 10, tscout.SubsystemDiskWriter: 10,
 		}},
-		{"10%% WAL only", map[tscout.SubsystemID]int{
+		{"10% WAL only", map[tscout.SubsystemID]int{
 			tscout.SubsystemLogSerializer: 10, tscout.SubsystemDiskWriter: 10,
 		}},
 	}
@@ -155,15 +132,15 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 		for sub, rate := range ph.rates {
 			srv.TS.Sampler().SetRate(sub, rate)
 		}
-		res, err := workload.Run(srv, gen, workload.Config{
+		run, err := runWorkload(srv, gen, workload.Config{
 			Terminals: 20, Transactions: sc.OnlineTxns, Seed: int64(100 + i),
-		})
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Fig8Row{
-			Phase: fmt.Sprintf(ph.name), Rates: ph.rates,
-			ThroughputTPS: res.ThroughputTPS, Stats: res.Processor,
+			Phase: ph.name, Rates: ph.rates,
+			ThroughputTPS: run.Result.ThroughputTPS, Stats: run.Result.Processor,
 		})
 	}
 	return rows, nil
@@ -184,25 +161,13 @@ type SummaryRow struct {
 // overhead at the recommended setting and a ~3x collection-rate advantage
 // for Kernel-Continuous.
 func Summary() (*SummaryRow, error) {
-	sc := Quick
-	sc.RatePoints = []int{0, 10, 20, 30, 100}
 	run := func(mode tscout.Mode, rate int) (float64, float64, error) {
-		srv, err := newServer(defaultProfile(), mode, true, 7, false)
+		r, err := runOnline(serverConfig(defaultProfile(), mode, true, 7, false), &workload.YCSB{Records: 4000}, rate,
+			workload.Config{Terminals: 20, Transactions: Quick.OnlineTxns, Seed: 7}, nil)
 		if err != nil {
 			return 0, 0, err
 		}
-		gen := &workload.YCSB{Records: 4000}
-		if err := gen.Setup(srv); err != nil {
-			return 0, 0, err
-		}
-		srv.TS.Sampler().SetAllRates(rate)
-		res, err := workload.Run(srv, gen, workload.Config{
-			Terminals: 20, Transactions: sc.OnlineTxns, Seed: 7,
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.ThroughputTPS, res.SamplesPerSec, nil
+		return r.Result.ThroughputTPS, r.Result.SamplesPerSec, nil
 	}
 	base, _, err := run(tscout.KernelContinuous, 0)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 )
 
 func TestFig1Shape(t *testing.T) {
+	t.Parallel()
 	rows, err := Fig1(Quick)
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +30,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig5and6Shapes(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
@@ -88,6 +90,7 @@ func TestFig5and6Shapes(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
+	t.Parallel()
 	sc := Quick
 	sc.OnlineTxns = 1000
 	rows, err := Fig8(sc)
@@ -118,6 +121,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestSummaryClaims(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}

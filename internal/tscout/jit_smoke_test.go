@@ -16,6 +16,7 @@ import (
 // regression, not an expected fallback), and a deterministic marker
 // workload must produce byte-identical ring contents, error-slot counts,
 // and ring accounting on the compiled and interpreted engines.
+// jit_bench_test.go reports the speed side on the same loaded programs.
 
 // TestJITSmokeAllCollectorPrograms compiles all 4 subsystems × 16 resource
 // masks × 3 marker programs — 192 programs — through the production path
@@ -153,5 +154,63 @@ func TestJITSmokeDifferential(t *testing.T) {
 	// submitted, and the deliberate violation counted.
 	if !strings.Contains(interp, "sample ") {
 		t.Fatalf("smoke workload produced no samples:\n%s", interp)
+	}
+}
+
+// loadMarkerPrograms loads a fresh set of the ExecutionEngine marker
+// programs with every resource probe enabled — the largest programs
+// codegen emits — on their own maps, kernel and task, so two sets never
+// share state. With compile set, a declined program is fatal.
+func loadMarkerPrograms(tb testing.TB, compile bool) (begin, end, features *bpf.LoadedProgram, task *kernel.Task) {
+	tb.Helper()
+	progs := CollectorPrograms(SubsystemExecutionEngine,
+		ResourceSet{CPU: true, Memory: true, Disk: true, Network: true})
+	k := kernel.New(sim.LargeHW, 1, 0)
+	task = k.NewTask("bench")
+	loaded := map[string]*bpf.LoadedProgram{}
+	for _, np := range progs {
+		lp, err := bpf.Load(np.Prog, 0)
+		if err != nil {
+			tb.Fatalf("%s: %v", np.Name, err)
+		}
+		if compile {
+			if info := lp.Compile(); !info.Compiled {
+				tb.Fatalf("%s declined compilation: %s", np.Name, info.Reason)
+			}
+		}
+		loaded[np.Name] = lp
+	}
+	return loaded["begin"], loaded["end"], loaded["features"], task
+}
+
+var (
+	markerArgs = []uint64{1}
+	// A full-width feature vector (OU id + 10 features): the features
+	// program's serialization loop dominates, which is the path the ≥5×
+	// criterion of BenchmarkCollectorInterpVsCompiled measures.
+	fullFeatureArgs = []uint64{1, 4096, 10, 11, 22, 33, 44, 55, 66, 77, 88, 99, 110}
+)
+
+// TestJITSmokeMarkerCycle runs the cycle the interpreter-vs-JIT benchmark
+// times — BEGIN → END → FEATURES on directly loaded programs, outside any
+// deployment — once per engine: every program must return the same R0 and
+// charge the same virtual cost on both.
+func TestJITSmokeMarkerCycle(t *testing.T) {
+	cycle := func(compile bool) (out [3][2]int64) {
+		begin, end, features, task := loadMarkerPrograms(t, compile)
+		for i, r := range []struct {
+			lp   *bpf.LoadedProgram
+			args []uint64
+		}{{begin, markerArgs}, {end, markerArgs}, {features, fullFeatureArgs}} {
+			r0, cost, err := r.lp.Run(task, r.args)
+			if err != nil {
+				t.Fatalf("program %d (compile=%v): %v", i, compile, err)
+			}
+			out[i] = [2]int64{int64(r0), cost}
+		}
+		return out
+	}
+	if interp, compiled := cycle(false), cycle(true); interp != compiled {
+		t.Fatalf("(R0, cost) per program diverged: interpreted %v, compiled %v", interp, compiled)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,19 +16,26 @@ import (
 // affinity, the per-ring accounting identity, the DrainOptions surface, and
 // the batched sink delivery path.
 
-// deployPerCPU builds a kernel-mode deployment with an explicit simulated
-// CPU count, per-CPU ring capacity, and drain parallelism.
-func deployPerCPU(t *testing.T, seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel, *Marker, *Marker) {
-	t.Helper()
+// newPerCPU builds an undeployed kernel-mode TScout over a kernel with an
+// explicit simulated CPU count, with the given per-CPU ring capacity and
+// drain parallelism and a recording sink.
+func newPerCPU(seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel) {
 	k := kernel.New(sim.LargeHW, seed, 0)
 	k.SetNumCPUs(numCPUs)
-	ts := New(k, Config{
+	return New(k, Config{
 		RingCapacity:             ringCap,
 		Seed:                     seed,
 		ProcessorParallelism:     par,
 		DisableProcessorFeedback: true,
 		ProcessorSink:            &recordingBatchSink{},
-	})
+	}), k
+}
+
+// deployPerCPU deploys newPerCPU's rig with the two test OUs at full
+// sampling.
+func deployPerCPU(t *testing.T, seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel, *Marker, *Marker) {
+	t.Helper()
+	ts, k := newPerCPU(seed, numCPUs, ringCap, par)
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
@@ -401,3 +409,81 @@ type sinkFunc func([]TrainingPoint) error
 func (f sinkFunc) WriteBatch(pts []TrainingPoint) error { return f(pts) }
 func (f sinkFunc) Flush() error                         { return nil }
 func (f sinkFunc) Rows() int64                          { return 0 }
+
+// BenchmarkDrainPerCPUvsSingle is the headline comparison for the per-CPU
+// ring redesign: sustained concurrent submission into every subsystem's
+// rings, drained by 1/2/4 affinity-sharded threads, with one simulated CPU
+// ("single" — the old topology: one ring per subsystem) versus eight
+// ("percpu-8" — 32 rings total). The metric is drained samples per
+// wall-clock second; per-CPU must scale with drain threads because each
+// thread owns a disjoint set of ring locks, while the single-ring layout
+// serializes every thread behind four locks at best. EXPERIMENTS.md
+// records the table.
+func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
+	run := func(b *testing.B, numCPUs, threads int) {
+		ts, _ := newPerCPU(1, numCPUs, 1024, threads)
+		sinkOf(ts).discard = true
+		for i, sub := range AllSubsystems {
+			ts.MustRegisterOU(OUDef{
+				ID: OUID(50 + i), Name: sub.String() + "_ou", Subsystem: sub,
+				Features: []string{"a", "b"},
+			}, ResourceSet{CPU: true})
+		}
+		if err := ts.Deploy(); err != nil {
+			b.Fatal(err)
+		}
+		ts.Sampler().SetAllRates(100)
+		p := ts.Processor()
+
+		// One producer goroutine per subsystem, spraying samples round-robin
+		// over the simulated CPUs concurrently with the timed drain loop.
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, sub := range AllSubsystems {
+			payload := EncodeSample(OUID(50+i), 1, Metrics{ElapsedNS: 5}, []uint64{1, 2})
+			ring := ts.CollectorFor(sub).Ring
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cpu := 0
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ring.SubmitFrom(cpu, payload)
+					cpu++
+					if cpu == numCPUs {
+						cpu = 0
+					}
+				}
+			}()
+		}
+
+		// Wait until every producer is demonstrably running, so short timed
+		// loops measure drain throughput rather than goroutine startup.
+		for _, sub := range AllSubsystems {
+			ring := ts.CollectorFor(sub).Ring
+			for ring.Stats().Submitted == 0 {
+				runtime.Gosched()
+			}
+		}
+
+		var drained int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			drained += int64(p.Drain(DrainOptions{}).Drained)
+		}
+		b.StopTimer()
+		close(stop)
+		wg.Wait()
+		if sec := b.Elapsed().Seconds(); sec > 0 {
+			b.ReportMetric(float64(drained)/sec, "drained/s")
+		}
+	}
+	for _, threads := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("single/threads=%d", threads), func(b *testing.B) { run(b, 1, threads) })
+		b.Run(fmt.Sprintf("percpu-8/threads=%d", threads), func(b *testing.B) { run(b, 8, threads) })
+	}
+}

@@ -19,27 +19,35 @@ import (
 // package with the detector on, so any unsynchronized nondeterminism in the
 // drain workers or the barrier merge shows up as a race or a mismatch).
 
+// scaleServer builds the server for cfg, loads a SmallBank database of the
+// given size and samples every subsystem at 100%.
+func scaleServer(tb testing.TB, cfg dbms.Config, customers int) (*dbms.Server, *SmallBank) {
+	tb.Helper()
+	srv, err := dbms.NewServer(cfg)
+	if err != nil {
+		tb.Fatalf("server: %v", err)
+	}
+	gen := &SmallBank{Customers: customers}
+	if err := gen.Setup(srv); err != nil {
+		tb.Fatalf("setup: %v", err)
+	}
+	srv.TS.Sampler().SetAllRates(100)
+	return srv, gen
+}
+
 // scaleRun executes one pooled SmallBank run on a fresh server and returns
 // the archive fingerprint, the kernel's per-CPU noise-draw census, and the
 // full Result.
-func scaleRun(t *testing.T, numCPUs, par, terminals, txns, pool int) (uint64, []uint64, Result) {
+func scaleRun(t *testing.T, seed int64, numCPUs, par, terminals, txns, pool int) (uint64, []uint64, Result) {
 	t.Helper()
 	arch := newTestArchive(0)
-	srv, err := dbms.NewServer(dbms.Config{
-		Seed: 42, NoiseSigma: 0.03, Instrument: true,
+	srv, gen := scaleServer(t, dbms.Config{
+		Seed: seed, NoiseSigma: 0.03, Instrument: true,
 		NumCPUs: numCPUs, ProcessorParallelism: par, Sink: arch.w,
 		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
-	})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	gen := &SmallBank{Customers: 200}
-	if err := gen.Setup(srv); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	srv.TS.Sampler().SetAllRates(100)
+	}, 200)
 	res, err := Run(srv, gen, Config{
-		Terminals: terminals, Transactions: txns, Seed: 42, PoolSessions: pool,
+		Terminals: terminals, Transactions: txns, Seed: seed, PoolSessions: pool,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -54,8 +62,8 @@ func TestEpochEngineDeterminism(t *testing.T) {
 	for _, numCPUs := range []int{1, 8, 32} {
 		for _, par := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("cpus=%d/threads=%d", numCPUs, par), func(t *testing.T) {
-				fp1, nd1, res1 := scaleRun(t, numCPUs, par, 200, 600, 48)
-				fp2, nd2, res2 := scaleRun(t, numCPUs, par, 200, 600, 48)
+				fp1, nd1, res1 := scaleRun(t, 42, numCPUs, par, 200, 600, 48)
+				fp2, nd2, res2 := scaleRun(t, 42, numCPUs, par, 200, 600, 48)
 				if fp1 != fp2 {
 					t.Fatalf("archive fingerprint diverged: %#x vs %#x", fp1, fp2)
 				}
@@ -76,30 +84,11 @@ func TestEpochEngineDeterminism(t *testing.T) {
 // TestEpochEngineSeedsDiffer is the negative control: different seeds must
 // not collide on the fingerprint, or the suite above is vacuous.
 func TestEpochEngineSeedsDiffer(t *testing.T) {
-	srvFor := func(seed int64) uint64 {
-		arch := newTestArchive(0)
-		srv, err := dbms.NewServer(dbms.Config{
-			Seed: seed, NoiseSigma: 0.03, Instrument: true,
-			NumCPUs: 8, ProcessorParallelism: 2, Sink: arch.w,
-			WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
-		})
-		if err != nil {
-			t.Fatalf("server: %v", err)
-		}
-		gen := &SmallBank{Customers: 200}
-		if err := gen.Setup(srv); err != nil {
-			t.Fatalf("setup: %v", err)
-		}
-		srv.TS.Sampler().SetAllRates(100)
-		res, err := Run(srv, gen, Config{
-			Terminals: 100, Transactions: 300, Seed: seed, PoolSessions: 32,
-		})
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return goldenFingerprint(res, arch.points(t))
+	fingerprint := func(seed int64) uint64 {
+		fp, _, _ := scaleRun(t, seed, 8, 2, 100, 300, 32)
+		return fp
 	}
-	if srvFor(1) == srvFor(2) {
+	if fingerprint(1) == fingerprint(2) {
 		t.Fatalf("different seeds produced identical fingerprints")
 	}
 }
@@ -110,7 +99,7 @@ func TestEpochEngineSeedsDiffer(t *testing.T) {
 // single slot, queueing (not rejection) must absorb the terminal surplus,
 // and the epoch engine must actually have run multi-CPU barriers.
 func TestScaleSmoke(t *testing.T) {
-	_, _, res := scaleRun(t, 8, 2, 1000, 3000, 96)
+	_, _, res := scaleRun(t, 42, 8, 2, 1000, 3000, 96)
 	if res.Completed+res.Aborted != 3000 {
 		t.Fatalf("budget: completed %d + aborted %d != 3000", res.Completed, res.Aborted)
 	}
@@ -142,19 +131,11 @@ func TestScaleSmoke(t *testing.T) {
 // with a tiny bounded admission queue, surplus terminals are refused and
 // retry, yet the transaction budget still completes exactly.
 func TestPooledBoundedQueueRejects(t *testing.T) {
-	srv, err := dbms.NewServer(dbms.Config{
+	srv, gen := scaleServer(t, dbms.Config{
 		Seed: 9, NoiseSigma: 0.03, Instrument: true,
 		NumCPUs: 4, ProcessorParallelism: 2,
 		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
-	})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	gen := &SmallBank{Customers: 200}
-	if err := gen.Setup(srv); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	srv.TS.Sampler().SetAllRates(100)
+	}, 200)
 	res, err := Run(srv, gen, Config{
 		Terminals: 400, Transactions: 1200, Seed: 9,
 		PoolSessions: 16, AdmissionQueueDepth: 8,
@@ -170,5 +151,43 @@ func TestPooledBoundedQueueRejects(t *testing.T) {
 	}
 	if res.Admission.InUse != 0 || res.Admission.Waiting != 0 {
 		t.Fatalf("gate leaked after rejections: %+v", res.Admission)
+	}
+}
+
+// BenchmarkEndToEndNumCPUs is the multi-core scale-out headline: the same
+// instrumented SmallBank load — 2000 terminals multiplexed onto a fixed
+// 128-session pool behind the admission gate — run on 1, 8, 32, and 64
+// simulated CPUs under the pooled epoch/barrier driver. Drain parallelism
+// scales with the topology (one thread per four CPUs). The metrics are
+// virtual-time training-sample and transaction throughput; sample
+// throughput must scale ≥3x from 1 to 8 CPUs and keep improving at 32
+// (EXPERIMENTS.md records the reference numbers).
+//
+// The WAL runs large commit groups on a short flush interval: pooled runs
+// are commit-latency-bound, so keeping group formation fast is what lets
+// the CPU topology — not the log — be the binding constraint.
+func BenchmarkEndToEndNumCPUs(b *testing.B) {
+	for _, numCPUs := range []int{1, 8, 32, 64} {
+		par := numCPUs / 4
+		if par < 1 {
+			par = 1
+		}
+		b.Run(fmt.Sprintf("cpus=%d", numCPUs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				srv, gen := scaleServer(b, dbms.Config{
+					Seed: 21, NoiseSigma: 0.03, Instrument: true,
+					NumCPUs: numCPUs, ProcessorParallelism: par,
+					WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 25_000},
+				}, 1000)
+				res, err := Run(srv, gen, Config{
+					Terminals: 2000, Transactions: 6000, Seed: 21, PoolSessions: 128,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.SamplesPerSec, "samples/vsec")
+				b.ReportMetric(res.ThroughputTPS, "txn/vsec")
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 gate, written once. With no argument it runs every step in order
 # (`make check` is this script); with a step name it runs that step alone,
-# which is what the Makefile's build/lint/race/bench-smoke/fuzz-smoke
-# targets call. Needs only a POSIX shell and the go toolchain.
+# which is what the Makefile's build/lint/race/fuzz-smoke targets call.
+# Needs only a POSIX shell and the go toolchain.
 #
-#   scripts/check.sh                    build, lint, race, bench-smoke
+#   scripts/check.sh                    build, lint, race
 #   FUZZ=1 FUZZTIME=5s scripts/check.sh ... then fuzz-smoke
 #   scripts/check.sh fuzz-smoke         one step
 set -eu
@@ -33,15 +33,6 @@ lint() {
 # experiments ~10x past go test's default 10m deadline.
 race() { $GO test -race -timeout 45m ./...; }
 
-# Single-shot runs that keep the benchmark harnesses assembling (speed is
-# benchmark/'s job): the batched drain at 1/2/4 threads, the pooled epoch
-# driver at 1/8/32/64 CPUs, and the interpreter-vs-JIT Collector harness.
-bench_smoke() {
-	for b in DrainPerCPUvsSingle EndToEndNumCPUs CollectorInterpVsCompiled; do
-		$GO test -bench "^Benchmark$b\$" -benchtime 1x -run xxx .
-	done
-}
-
 # A short pass over every fuzz target (go test allows one -fuzz pattern per
 # package invocation). Raise FUZZTIME for real sessions; crashers land in
 # testdata/fuzz/ for replay.
@@ -66,16 +57,14 @@ check)
 	build
 	lint
 	race
-	bench_smoke
 	if [ "${FUZZ:-0}" = 1 ]; then fuzz_smoke; fi
 	;;
 build) build ;;
 lint) lint ;;
 race) race ;;
-bench-smoke) bench_smoke ;;
 fuzz-smoke) fuzz_smoke ;;
 *)
-	echo "usage: $0 [check|build|lint|race|bench-smoke|fuzz-smoke]" >&2
+	echo "usage: $0 [check|build|lint|race|fuzz-smoke]" >&2
 	exit 2
 	;;
 esac
