@@ -15,8 +15,6 @@ func TestFormatProcessorStatsLayout(t *testing.T) {
 	st.GlobalBudget = 256
 	st.EffectiveBudget = 200
 	st.FeedbackActions = 3
-	st.FlushQueueDrops = 1
-	st.PendingFlush = 4
 	st.Processed = 1234
 	st.Kernel[tscout.SubsystemExecutionEngine] = tscout.SubsystemStats{
 		Submitted: 1500, Drained: 1400, Dropped: 100,
@@ -68,7 +66,7 @@ func TestFormatProcessorStatsLayout(t *testing.T) {
 	footer := strings.Join(lines[len(lines)-3:], "\n")
 	for _, want := range []string{
 		"polls=7", "parallelism=2", "global-budget=256", "effective-budget=200",
-		"feedback-actions=3", "flush-queue-drops=1", "pending-flush=4", "processed=1234",
+		"feedback-actions=3 processed=1234",
 		"drop-fraction=0.0",
 	} {
 		if !strings.Contains(footer, want) {

@@ -10,8 +10,8 @@ import (
 
 // formatProcessorStats renders the Processor's self-observability snapshot
 // as the `tsctl stats` telemetry block: one row per drain shard (kernel
-// subsystems then the user queue), followed by the budget and
-// flush-queue footer. Split from main so the layout is unit-testable.
+// subsystems then the user queue), followed by the budget footer. Split
+// from main so the layout is unit-testable.
 func formatProcessorStats(st tscout.ProcessorStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %10s %10s %10s %8s %8s %8s %8s\n",
@@ -27,8 +27,7 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 	shardRow("user-queue", st.User)
 	fmt.Fprintf(&b, "\npolls=%d parallelism=%d global-budget=%d effective-budget=%d\n",
 		st.Polls, st.Parallelism, st.GlobalBudget, st.EffectiveBudget)
-	fmt.Fprintf(&b, "feedback-actions=%d flush-queue-drops=%d pending-flush=%d processed=%d\n",
-		st.FeedbackActions, st.FlushQueueDrops, st.PendingFlush, st.Processed)
+	fmt.Fprintf(&b, "feedback-actions=%d processed=%d\n", st.FeedbackActions, st.Processed)
 	fmt.Fprintf(&b, "drop-fraction=%.3f\n", st.DropFraction())
 
 	// Per-CPU ring telemetry only renders on multi-CPU deployments (with

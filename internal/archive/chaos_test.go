@@ -148,12 +148,11 @@ func TestChaosIdentitiesWithSegmentSink(t *testing.T) {
 					}
 				}
 
-				// The sink must have received every produced point: the flush
-				// queue never dropped and the sink never erred, so segment
-				// rows == Processed, subsystem by subsystem.
-				if st.FlushQueueDrops != 0 || st.SinkRetryDrops != 0 || st.PendingFlush != 0 || st.PendingRetry != 0 {
-					t.Fatalf("sink deliveries lost or parked: queueDrops=%d retryDrops=%d pendingFlush=%d pendingRetry=%d",
-						st.FlushQueueDrops, st.SinkRetryDrops, st.PendingFlush, st.PendingRetry)
+				// The sink must have received every produced point: it never
+				// erred, so segment rows == Processed, subsystem by subsystem.
+				if st.SinkRetryDrops != 0 || st.PendingRetry != 0 {
+					t.Fatalf("sink deliveries lost or parked: retryDrops=%d pendingRetry=%d",
+						st.SinkRetryDrops, st.PendingRetry)
 				}
 				if err := aw.Flush(); err != nil {
 					t.Fatal(err)

@@ -169,16 +169,19 @@ func TestFig11Shape(t *testing.T) {
 	// the runners miss, so the reduction is already high at 2 terminals
 	// and stays high across the sweep (EXPERIMENTS.md Fig. 11 records
 	// ~92-94% everywhere). Assert the mechanism, not the paper's ramp:
-	// offline error must grow with contention, and online data must
-	// remove most of it at every terminal count — including 20, where
-	// the offline model is at its worst.
-	if !(offline[20] > offline[2]) {
-		t.Fatalf("offline error must grow with contention: %v", offline)
-	}
-	for _, terminals := range []int{2, 5, 10, 20} {
-		if best[terminals] < 50 {
-			t.Fatalf("reduction at %d terminals too small: %.1f%% (want most of the offline error removed): %v",
-				terminals, best[terminals], best)
+	// offline error must grow with every step in contention, and online
+	// data must remove at least 85% of it at every terminal count —
+	// including 20, where the offline model is at its worst. Both hold
+	// only on complete pools: drawn from pools that had lost their tail,
+	// the offline column was not monotone and 10 terminals reached 83.1%.
+	terminals := []int{2, 5, 10, 20}
+	for i, n := range terminals {
+		if i > 0 && !(offline[n] > offline[terminals[i-1]]) {
+			t.Fatalf("offline error must grow with contention: %v", offline)
+		}
+		if best[n] < 85 {
+			t.Fatalf("reduction at %d terminals too small: %.1f%% (want at least 85%% of the offline error removed): %v",
+				n, best[n], best)
 		}
 	}
 }

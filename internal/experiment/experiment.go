@@ -193,7 +193,9 @@ func startOnline(cfg dbms.Config, gen workload.Generator, rate int, ac *archiveC
 }
 
 // runWorkload drives gen against a started server and, given the capture
-// the server was started with, reads the archive back.
+// the server was started with, reads the archive back. A capture that does
+// not hold every point the Processor produced is an error: no figure is
+// drawn from a pool that lost points on the way to the sink.
 func runWorkload(srv *dbms.Server, gen workload.Generator, wcfg workload.Config, ac *archiveCapture) (*onlineRun, error) {
 	res, err := workload.Run(srv, gen, wcfg)
 	if err != nil {
@@ -201,6 +203,9 @@ func runWorkload(srv *dbms.Server, gen workload.Generator, wcfg workload.Config,
 	}
 	run := &onlineRun{Result: res}
 	if ac != nil {
+		if processed, archived := res.Processor.Processed, ac.w.Rows(); processed != archived {
+			return nil, fmt.Errorf("training pool incomplete: processed %d, archived %d", processed, archived)
+		}
 		if run.Points, err = ac.points(srv.Kernel.Profile); err != nil {
 			return nil, err
 		}

@@ -22,8 +22,7 @@ import (
 // and a third for the Processor as a whole, since the sink is the only
 // place a point is kept:
 //
-//	processed == sink rows + SinkRetryDrops + FlushQueueDrops
-//	             + PendingFlush + PendingRetry
+//	processed == sink rows + SinkRetryDrops + PendingRetry
 //
 // Every BEGIN the kernel delivered ends in exactly one bucket; every
 // submitted sample and every produced point ends in exactly one bucket. No

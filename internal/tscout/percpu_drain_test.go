@@ -209,9 +209,9 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 			if !reflect.DeepEqual(st1, st2) {
 				t.Fatalf("stats differ across identical seeded runs:\n%+v\n%+v", st1, st2)
 			}
-			// Workers hand their points to the post-join emit pass, which
-			// runs in global ring order: the sink stream is deterministic at
-			// every drain parallelism, not just the point multiset.
+			// Drain concatenates the workers' points in global ring order:
+			// the sink stream is deterministic at every drain parallelism,
+			// not just the point multiset.
 			if !reflect.DeepEqual(pts1, pts2) {
 				t.Fatalf("sink streams differ across identical seeded runs")
 			}
@@ -318,6 +318,104 @@ func TestDrainBatchHistogram(t *testing.T) {
 	want := [BatchHistBuckets]int64{2, 2, 4, 0, 0, 0}
 	if st.BatchSizeHist != want {
 		t.Fatalf("batch histogram = %v, want %v", st.BatchSizeHist, want)
+	}
+}
+
+// fillRings hand-places perRing samples on every CPU ring of the two test
+// OUs' subsystems, numbering them in Features[0] from next upwards in global
+// ring order (subsystem-major, then CPU, then submission), and returns the
+// next unused number.
+func fillRings(ts *TScout, numCPUs, perRing int, next uint64) uint64 {
+	for _, ou := range []struct {
+		id  OUID
+		sub SubsystemID
+	}{{testOUSeqScan, SubsystemExecutionEngine}, {testOUWAL, SubsystemLogSerializer}} {
+		ring := ts.CollectorFor(ou.sub).Ring
+		for cpu := 0; cpu < numCPUs; cpu++ {
+			for i := 0; i < perRing; i++ {
+				ring.SubmitFrom(cpu, EncodeSample(ou.id, 1, Metrics{ElapsedNS: 5}, []uint64{next, 2}))
+				next++
+			}
+		}
+	}
+	return next
+}
+
+// TestUnbudgetedDrainDeliversTail is the regression test for the dropped
+// tail: one unbudgeted Drain over rings holding more than 8192 samples (the
+// capacity of the flush queue that used to sit between Drain and the sink,
+// which silently discarded the excess of any single drain) delivers every
+// point, in ring order, at any drain parallelism.
+func TestUnbudgetedDrainDeliversTail(t *testing.T) {
+	const numCPUs, perRing = 2, 3100 // 4 rings: 12 400 samples in one drain
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("threads=%d", par), func(t *testing.T) {
+			ts, _, _, _ := deployPerCPU(t, 9, numCPUs, 4096, par)
+			total := int64(fillRings(ts, numCPUs, perRing, 0))
+			p := ts.Processor()
+			if res := p.Drain(DrainOptions{}); int64(res.Points) != total {
+				t.Fatalf("drain produced %d points from %d samples", res.Points, total)
+			}
+
+			st, sink := p.Stats(), sinkOf(ts)
+			if st.Processed != total || sink.Rows() != total || st.TotalDropped() != 0 {
+				t.Fatalf("processed %d, sink rows %d, ring drops %d; want %d, %d, 0",
+					st.Processed, sink.Rows(), st.TotalDropped(), total, total)
+			}
+			assertDeliveryIdentity(t, st, sink.Rows())
+			for i, tp := range sink.points() {
+				if tp.Features[0] != float64(i) {
+					t.Fatalf("sink position %d holds sample %v: delivery is not in ring order", i, tp.Features[0])
+				}
+			}
+		})
+	}
+}
+
+// TestRetryBacklogBoundedInPoints: with a drain's output delivered whole, a
+// failing sink parks arbitrarily large batches, so the retry backlog is
+// bounded in points, not batches. Every drain here is 48 000 points against
+// a sink that is down; through poll 14 no batch has used up its attempts
+// (2+4+8 polls of backoff), so anything in SinkRetryDrops got there by
+// overflowing maxRetryQueuePoints. The backlog never exceeds the bound, the
+// delivery identity holds after every drain, and once the sink recovers
+// whatever is still parked is redelivered.
+func TestRetryBacklogBoundedInPoints(t *testing.T) {
+	const numCPUs, perRing = 2, 12000
+	ts, _, _, _ := deployPerCPU(t, 9, numCPUs, 16384, 2)
+	p, sink := ts.Processor(), sinkOf(ts)
+	sink.discard = true
+	sink.failBatches = true
+
+	check := func() ProcessorStats {
+		t.Helper()
+		st := p.Stats()
+		if st.PendingRetry > maxRetryQueuePoints {
+			t.Fatalf("poll %d: %d points parked, bound is %d", st.Polls, st.PendingRetry, maxRetryQueuePoints)
+		}
+		assertDeliveryIdentity(t, st, sink.Rows())
+		return st
+	}
+	var next uint64
+	for poll := 1; poll <= 14; poll++ {
+		next = fillRings(ts, numCPUs, perRing, next)
+		p.Drain(DrainOptions{})
+		check()
+	}
+	st := check()
+	if st.SinkRetryDrops == 0 || st.SinkRetryDrops%(4*perRing) != 0 {
+		t.Fatalf("SinkRetryDrops = %d after 14 failed %d-point drains, want whole batches dropped by the bound",
+			st.SinkRetryDrops, 4*perRing)
+	}
+
+	sink.mu.Lock()
+	sink.failBatches = false
+	sink.mu.Unlock()
+	for i := 0; i < 10; i++ { // past the longest backoff window
+		p.Drain(DrainOptions{})
+	}
+	if st = check(); st.PendingRetry != 0 || sink.Rows() == 0 {
+		t.Fatalf("recovered sink: %d points still parked, %d rows delivered", st.PendingRetry, sink.Rows())
 	}
 }
 

@@ -39,19 +39,14 @@ const userQueueCapacity = 4096
 // thread time are both charged at this multiple.
 const userDrainPenalty = 3
 
-// flushQueueCapacity bounds the sink handoff queue. Sink writes happen
-// outside every Processor lock; if the sink cannot keep up the queue drops
-// points (counted in stats) rather than stalling sample intake.
-const flushQueueCapacity = 8192
-
 // maxSinkRetries bounds redelivery attempts for a batch the sink rejected.
 // After the last attempt fails the points are dropped (SinkRetryDrops): a
 // flaky sink degrades delivery, not intake.
 const maxSinkRetries = 3
 
-// maxRetryQueueBatches bounds the sink retry queue; a persistently dead
-// sink must not accumulate unbounded redelivery state.
-const maxRetryQueueBatches = 64
+// maxRetryQueuePoints bounds the points parked in the sink retry queue; a
+// persistently dead sink must not accumulate unbounded redelivery state.
+const maxRetryQueuePoints = 64 * 8192
 
 // corruptCounterLimit is the smallest counter delta treated as unsigned
 // wraparound rather than real work. 2^62 events is centuries of CPU time:
@@ -136,9 +131,9 @@ func BudgetForPeriod(periodNS int64) int {
 
 // Sink receives finished training points (e.g. a CSV writer, columnar
 // segment writer, cloud uploader). The interface is batch-first: the
-// Processor's flush path delivers each drained batch with one WriteBatch
+// Processor delivers everything one Drain produced with one WriteBatch
 // call, so a sink amortizes its per-write overhead (lock acquisition, row
-// encoding, syscalls) across a whole flush. A WriteBatch error counts
+// encoding, syscalls) across a whole drain. A WriteBatch error counts
 // against every point in the batch — the sink rejected the delivery as a
 // unit. The sink is the only place a point lives after Drain: with a nil
 // sink points are counted (Stats().Processed) and discarded.
@@ -187,8 +182,8 @@ type SplitWeightFunc func(ou OUID, features []float64) float64
 // the modeled drain threads by ringOwner and share one global token budget
 // per drain period (a single thread-period times the configured
 // parallelism), decode/transform runs batched per ring on the owning
-// thread, and finished points leave for the Sink — their only store —
-// through a bounded flush queue outside every lock.
+// thread, and each drain's finished points leave for the Sink — their only
+// store — as one batch, outside every lock.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -207,8 +202,6 @@ type Processor struct {
 	lastUserSubmitted   int64                         // guarded by mu
 	lastUserDropped     int64                         // guarded by mu
 	splitter            SplitWeightFunc               // guarded by mu
-	pendingFlush        []TrainingPoint               // guarded by mu
-	flushDrops          int64                         // guarded by mu
 	retryQueue          []retryBatch                  // guarded by mu
 	sinkRetries         int64                         // guarded by mu
 	sinkRetryDrops      int64                         // guarded by mu
@@ -458,12 +451,11 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 
 	// Affinity-sharded drain: one goroutine per modeled drain thread, each
 	// draining only the rings it owns into its own reusable batch buffer.
-	// Workers buffer the points they produce per ring instead of emitting
-	// inline — ring ownership is disjoint, so the slots are race-free — and
-	// the post-join loop below emits them in global ring order. The order
-	// the sink sees is therefore a pure function of the drained data: the
-	// same seed yields a bit-identical sink stream at any drain parallelism,
-	// and parallelism 1 reproduces the historical inline order exactly.
+	// Workers buffer the points they produce per ring — ring ownership is
+	// disjoint, so the slots are race-free — and the drain's batch is their
+	// concatenation in global ring order. The order the sink sees is
+	// therefore a pure function of the drained data: the same seed yields a
+	// bit-identical sink stream at any drain parallelism.
 	tallies := make([]drainTally, parallelism)
 	ptsByRing := make([][]TrainingPoint, numRings+1)
 	var wg sync.WaitGroup
@@ -475,9 +467,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		}(t)
 	}
 	wg.Wait()
-	for g := 0; g <= numRings; g++ {
-		p.emitPoints(ptsByRing[g])
-	}
 
 	// Charge virtual time after the join: Task charging shares the kernel's
 	// (unsynchronized, deterministic) noise stream, so it must run serially
@@ -500,6 +489,13 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		res.Points += ty.produced
 		res.Drained += int(ty.kernelSamples + ty.userSamples)
 		res.Batches += ty.batches
+	}
+	var batch []TrainingPoint
+	if p.sink != nil {
+		batch = make([]TrainingPoint, 0, res.Points)
+		for _, pts := range ptsByRing {
+			batch = append(batch, pts...)
+		}
 	}
 
 	// Merge the per-period tallies into the stats; apart from SinkErrors
@@ -546,6 +542,7 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 			p.batchHist[b] += c
 		}
 	}
+	p.processed += int64(res.Points)
 	p.mu.Unlock()
 
 	if !p.ts.cfg.DisableProcessorFeedback {
@@ -554,7 +551,7 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	p.pollMu.Unlock()
 
 	// Sink delivery happens strictly outside every Processor lock.
-	p.flushSink()
+	p.deliver(batch)
 	return res
 }
 
@@ -563,8 +560,8 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 // slot of ptsByRing, and (for the owner of the user pseudo-ring) drain the
 // user-probe queue into the pseudo-ring slot. Everything it touches is
 // either thread-owned (batch, tally, ring set, its ptsByRing slots) or
-// internally synchronized (user queue); emission happens post-join in
-// ring order so the sink order is parallelism-independent.
+// internally synchronized (user queue); Drain concatenates the slots
+// post-join in ring order so the sink order is parallelism-independent.
 func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsystems]*Collector, alloc []int, tally *drainTally, ptsByRing [][]TrainingPoint) {
 	batch := &p.drainBatches[t]
 	numCPUs := numRings / int(NumSubsystems)
@@ -702,67 +699,39 @@ func waterfill(demands []int, tokens int) []int {
 	return alloc
 }
 
-// emitPoints counts finished points and enqueues them on the bounded
-// flush queue for sink delivery; with no sink they are only counted. No
-// sink call happens here: delivery is deferred to flushSink, outside every
-// Processor lock.
-func (p *Processor) emitPoints(pts []TrainingPoint) {
-	if len(pts) == 0 {
-		return
-	}
-	p.mu.Lock()
-	p.processed += int64(len(pts))
-	if p.sink != nil {
-		for _, tp := range pts {
-			if len(p.pendingFlush) >= flushQueueCapacity {
-				p.flushDrops++
-				continue
-			}
-			p.pendingFlush = append(p.pendingFlush, tp)
-		}
-	}
-	p.mu.Unlock()
-}
-
-// retryBatch is one failed sink delivery awaiting redelivery: the points,
-// how many attempts have failed, and the poll count before which the next
-// attempt must not run (exponential backoff in drain periods).
+// retryBatch is one sink delivery: the points, how many attempts have
+// failed (0 for a drain's fresh batch), and the poll count before which the
+// next attempt must not run (exponential backoff in drain periods).
 type retryBatch struct {
 	pts       []TrainingPoint
 	attempts  int
 	notBefore int64
 }
 
-// flushSink drains the bounded flush queue to the sink. It holds no
-// Processor lock across WriteBatch, so a slow sink only delays delivery (and
-// eventually drops from the bounded queue) and a re-entrant sink — one
-// that submits samples or reads stats — cannot deadlock intake.
+// deliver hands the sink every retry batch whose backoff has expired and
+// then the drain's fresh batch. It holds no Processor lock across
+// WriteBatch, so a slow sink only delays delivery and a re-entrant sink —
+// one that submits samples or reads stats — cannot deadlock intake.
 //
-// Failed deliveries are retried on later flushes with bounded exponential
-// backoff (see retryBatch); after maxSinkRetries failures the points are
-// dropped and counted, never blocking intake on a dead sink. A sink that
-// reports a permanent error (StickySink) skips the backoff machinery
-// entirely: queued batches fail fast into SinkRetryDrops, since every
+// A WriteBatch error counts against every point in the batch: SinkErrors is
+// charged on a batch's first failure only, and the batch is parked for
+// redelivery with bounded exponential backoff — notBefore lands strictly
+// beyond the current poll count, so one pass cannot loop on a failing sink.
+// Past maxSinkRetries attempts or maxRetryQueuePoints parked points it is
+// dropped and counted (SinkRetryDrops): a dead sink costs delivery, never
+// intake. A sink that reports a permanent error (StickySink) skips the
+// backoff ladder: the batch in hand, every later one and the retry queue
+// fail fast into SinkRetryDrops without another WriteBatch, since every
 // redelivery against it is guaranteed futile.
-func (p *Processor) flushSink() {
+func (p *Processor) deliver(fresh []TrainingPoint) {
 	if p.sink == nil {
 		return
 	}
-	if p.sinkStickyErr() != nil {
-		p.failStickySink()
-		return
-	}
-
-	// Redeliver batches whose backoff has expired. A batch that fails again
-	// is requeued with notBefore strictly beyond the current poll count, so
-	// this pass cannot loop on a persistently failing sink. SinkErrors was
-	// charged on the first failure; retries only move SinkRetries.
 	p.mu.Lock()
-	polls := p.polls
 	var due []retryBatch
 	keep := p.retryQueue[:0]
 	for _, rb := range p.retryQueue {
-		if rb.notBefore <= polls {
+		if rb.notBefore <= p.polls {
 			due = append(due, rb)
 		} else {
 			keep = append(keep, rb)
@@ -770,47 +739,56 @@ func (p *Processor) flushSink() {
 	}
 	p.retryQueue = keep
 	p.mu.Unlock()
-	for i, rb := range due {
-		p.mu.Lock()
-		p.sinkRetries++
-		p.mu.Unlock()
-		if failed := p.trySinkBatch(rb.pts, false); len(failed) > 0 {
-			if p.sinkStickyErr() != nil {
-				// The failure just surfaced as permanent: this batch and
-				// every remaining due batch are dropped now — their points
-				// were charged to SinkErrors when they first failed.
-				p.mu.Lock()
-				p.sinkRetryDrops += int64(len(failed))
-				for _, rem := range due[i+1:] {
-					p.sinkRetryDrops += int64(len(rem.pts))
-				}
-				p.mu.Unlock()
-				p.failStickySink()
-				return
-			}
-			p.requeueRetry(failed, rb.attempts+1)
-		}
+	if len(fresh) > 0 {
+		due = append(due, retryBatch{pts: fresh})
 	}
 
-	for {
-		p.mu.Lock()
-		batch := p.pendingFlush
-		p.pendingFlush = nil
-		p.mu.Unlock()
-		if len(batch) == 0 {
-			return
-		}
-		if failed := p.trySinkBatch(batch, true); len(failed) > 0 {
-			if p.sinkStickyErr() != nil {
+	dead := p.sinkStickyErr() != nil
+	for _, rb := range due {
+		if !dead {
+			if rb.attempts > 0 {
 				p.mu.Lock()
-				p.sinkRetryDrops += int64(len(failed))
+				p.sinkRetries++
 				p.mu.Unlock()
-				p.failStickySink()
-				return
 			}
-			p.requeueRetry(failed, 1)
+			if p.sink.WriteBatch(rb.pts) == nil {
+				continue
+			}
+			dead = p.sinkStickyErr() != nil
 		}
+		p.mu.Lock()
+		if rb.attempts == 0 {
+			for _, tp := range rb.pts {
+				p.kernelStats[tp.Subsystem].SinkErrors++
+			}
+		}
+		if attempts := rb.attempts + 1; dead || attempts > maxSinkRetries || p.pendingRetryLocked()+len(rb.pts) > maxRetryQueuePoints {
+			p.sinkRetryDrops += int64(len(rb.pts))
+		} else {
+			p.retryQueue = append(p.retryQueue, retryBatch{
+				pts:      rb.pts,
+				attempts: attempts,
+				// 1<<attempts polls of backoff: 2, 4, 8 periods for attempts 1-3.
+				notBefore: p.polls + int64(1)<<attempts,
+			})
+		}
+		p.mu.Unlock()
 	}
+	if dead {
+		p.mu.Lock()
+		p.sinkRetryDrops += int64(p.pendingRetryLocked())
+		p.retryQueue = nil
+		p.mu.Unlock()
+	}
+}
+
+// pendingRetryLocked counts the points parked in the retry queue.
+func (p *Processor) pendingRetryLocked() int {
+	n := 0
+	for _, rb := range p.retryQueue {
+		n += len(rb.pts)
+	}
+	return n
 }
 
 // sinkStickyErr returns the sink's self-reported permanent error, or nil
@@ -820,68 +798,6 @@ func (p *Processor) sinkStickyErr() error {
 		return ss.StickyErr()
 	}
 	return nil
-}
-
-// failStickySink is the sticky-sink fast-fail policy: the retry queue is
-// abandoned (its points were charged to SinkErrors on their first
-// failure) and the pending flush queue is charged and dropped in one
-// step. Without it, every queued batch burned maxSinkRetries backoff
-// cycles — 2+4+8 drain periods of guaranteed-futile redelivery each —
-// against a sink that can never accept another write. Every dropped point
-// is counted in SinkRetryDrops, so the loss identities are unchanged.
-func (p *Processor) failStickySink() {
-	p.mu.Lock()
-	for _, rb := range p.retryQueue {
-		p.sinkRetryDrops += int64(len(rb.pts))
-	}
-	p.retryQueue = nil
-	batch := p.pendingFlush
-	p.pendingFlush = nil
-	p.sinkRetryDrops += int64(len(batch))
-	// First-delivery points count as sink rejections exactly once, the
-	// same as if the doomed WriteBatch had been issued.
-	for _, tp := range batch {
-		p.kernelStats[tp.Subsystem].SinkErrors++
-	}
-	p.mu.Unlock()
-}
-
-// trySinkBatch delivers one batch, returning the points that failed. When
-// countErrors is set (first delivery attempt) each failed point is charged
-// to its subsystem's SinkErrors; retries pass false so a point is never
-// counted twice.
-func (p *Processor) trySinkBatch(batch []TrainingPoint, countErrors bool) []TrainingPoint {
-	// One WriteBatch call per flush. A batch error counts against every
-	// point in the batch — the sink rejected the delivery as a unit.
-	if err := p.sink.WriteBatch(batch); err != nil {
-		if countErrors {
-			p.mu.Lock()
-			for _, tp := range batch {
-				p.kernelStats[tp.Subsystem].SinkErrors++
-			}
-			p.mu.Unlock()
-		}
-		return batch
-	}
-	return nil
-}
-
-// requeueRetry schedules a failed delivery for another attempt, or drops
-// it (counted) once the retry budget or queue bound is exhausted — the
-// graceful-degradation policy: a dead sink costs delivery, not intake.
-func (p *Processor) requeueRetry(pts []TrainingPoint, attempts int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if attempts > maxSinkRetries || len(p.retryQueue) >= maxRetryQueueBatches {
-		p.sinkRetryDrops += int64(len(pts))
-		return
-	}
-	p.retryQueue = append(p.retryQueue, retryBatch{
-		pts:      pts,
-		attempts: attempts,
-		// 1<<attempts polls of backoff: 2, 4, 8 periods for attempts 1-3.
-		notBefore: p.polls + int64(1)<<attempts,
-	})
 }
 
 // featureAdjust counts feature-vector repairs made while transforming one
@@ -1024,7 +940,7 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 // Stats returns a self-observability snapshot of the drain pipeline:
 // per-shard counters (with per-period deltas), the last period's budget
 // before and after overload degradation, feedback actions taken, and
-// flush-queue health. Ring submitted/dropped totals are read live so the
+// sink-delivery health. Ring submitted/dropped totals are read live so the
 // snapshot reflects samples submitted since the last poll too.
 func (p *Processor) Stats() ProcessorStats {
 	var st ProcessorStats
@@ -1037,13 +953,9 @@ func (p *Processor) Stats() ProcessorStats {
 	st.GlobalBudget = p.lastGlobalBudget
 	st.EffectiveBudget = p.lastEffectiveBudget
 	st.FeedbackActions = p.feedbackActions
-	st.FlushQueueDrops = p.flushDrops
-	st.PendingFlush = len(p.pendingFlush)
 	st.SinkRetries = p.sinkRetries
 	st.SinkRetryDrops = p.sinkRetryDrops
-	for _, rb := range p.retryQueue {
-		st.PendingRetry += len(rb.pts)
-	}
+	st.PendingRetry = p.pendingRetryLocked()
 	st.Processed = p.processed
 	st.BatchSizeHist = p.batchHist
 	st.Autopilot = p.autopilot
@@ -1078,7 +990,7 @@ func (p *Processor) SetAutopilotStats(st AutopilotStats) {
 // must not start with the previous trial's pending
 // samples, and — just as important — the first post-reset poll must not
 // compute its demand or feedback deltas from a previous trial's cumulative
-// counters. Points already handed to the flush queue are discarded.
+// counters. Batches parked for sink redelivery are discarded.
 func (p *Processor) Reset() {
 	p.pollMu.Lock()
 	defer p.pollMu.Unlock()
@@ -1094,8 +1006,6 @@ func (p *Processor) Reset() {
 	p.userStats = SubsystemStats{}
 	p.lastRing = [NumSubsystems]bpf.RingStats{}
 	p.lastUserSubmitted, p.lastUserDropped = 0, 0
-	p.pendingFlush = nil
-	p.flushDrops = 0
 	p.retryQueue = nil
 	p.sinkRetries, p.sinkRetryDrops = 0, 0
 	p.processed = 0

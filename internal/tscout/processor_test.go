@@ -429,7 +429,7 @@ func TestDrainMemoryIsBounded(t *testing.T) {
 	}
 
 	// Warm-up: one lap of every 4096-slot ring (slots allocate on first
-	// use), the drain batches and the flush queue.
+	// use) and the drain batches.
 	const warm = 20
 	for i := 0; i < warm; i++ {
 		round()

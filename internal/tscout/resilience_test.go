@@ -402,8 +402,8 @@ func TestStickySinkFailsFast(t *testing.T) {
 	if st.SinkRetries != 0 {
 		t.Fatalf("sticky sink burned %d retry attempts; fast-fail must skip the backoff ladder", st.SinkRetries)
 	}
-	if st.PendingRetry != 0 || st.PendingFlush != 0 {
-		t.Fatalf("points parked against a dead sink: retry=%d flush=%d", st.PendingRetry, st.PendingFlush)
+	if st.PendingRetry != 0 {
+		t.Fatalf("%d points parked against a dead sink", st.PendingRetry)
 	}
 	if st.SinkRetryDrops == 0 {
 		t.Fatalf("fast-failed points not counted in SinkRetryDrops")

@@ -75,10 +75,9 @@ type ProcessorStats struct {
 	EffectiveBudget int
 	// FeedbackActions counts §3.2 sampling-rate reductions taken.
 	FeedbackActions int64
-	// FlushQueueDrops counts training points that could not be handed to
-	// the sink because the bounded flush queue was full; they are lost.
+	// FlushQueueDrops is always zero (no flush queue); the ledger's gate reads it.
 	FlushQueueDrops int64
-	// PendingFlush is the current flush-queue depth.
+	// PendingFlush is always zero (no flush queue); the ledger's gate reads it.
 	PendingFlush int
 	// SinkRetries counts redelivery attempts of batches the sink rejected
 	// (each retried batch counts once per attempt; the points inside were
