@@ -199,7 +199,7 @@ func (f *WindowedForest) Observe(x []float64, y float64) {
 		f.xs = make([][]float64, w)
 		f.ys = make([]float64, w)
 	}
-	f.xs[f.next] = append([]float64(nil), x...)
+	f.xs[f.next] = append(f.xs[f.next][:0], x...)
 	f.ys[f.next] = y
 	f.next++
 	if f.next == w {
@@ -235,21 +235,16 @@ func (f *WindowedForest) Refit() error {
 		y = append(y, f.ys[j])
 	}
 
-	nFeat := len(X[0])
-	mtry := nFeat
-	if nFeat > 2 {
-		mtry = (nFeat + 2) / 2
-	}
+	mtry := mtryFor(len(X[0]))
+	idx := make([]int, rows)
+	sc := newSplitScratch(rows)
 	f.refresh++
 	for k := 0; k < f.perRefresh(); k++ {
 		// Pure function of (Seed, slot, refresh): deterministic and
 		// independent of how other slots were refreshed.
 		rng := rand.New(rand.NewSource(f.Seed + int64(f.slot)*7919 + f.refresh*104729))
-		idx := make([]int, rows)
-		for i := range idx {
-			idx[i] = rng.Intn(rows)
-		}
-		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng)
+		bootstrap(idx, rng)
+		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, sc)
 		if len(f.trees) < f.ensemble() {
 			f.trees = append(f.trees, tree)
 		} else {

@@ -49,6 +49,7 @@ fuzz_smoke() {
 		tscout FuzzFaultSchedule
 		kernel FuzzPerCPUFaultOrder
 		archive FuzzSegmentCodec
+		model FuzzBuildTreeDifferential
 	END
 }
 
