@@ -6,9 +6,10 @@ package catalog
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"tscout/internal/index"
 	"tscout/internal/storage"
@@ -43,30 +44,74 @@ type Index struct {
 // KeyFor computes the packed key for a row.
 func (ix *Index) KeyFor(row storage.Row) int64 {
 	if ix.Kind == HashKind {
-		h := fnv.New64a()
+		h := uint64(fnvOffset64)
 		for _, c := range ix.KeyCols {
-			_, _ = h.Write([]byte(row[c].String()))
-			_, _ = h.Write([]byte{0})
+			h = hashValue(h, &row[c])
 		}
-		return int64(h.Sum64() & 0x7fffffffffffffff)
+		return int64(h & 0x7fffffffffffffff)
 	}
 	var key int64
 	for i, c := range ix.KeyCols {
 		b := ix.Bits[i]
-		v := row[c].AsInt()
-		mask := int64(1)<<b - 1
-		key = key<<b | (v & mask)
+		key = key<<b | (row[c].AsInt() & (int64(1)<<b - 1))
 	}
 	return key
 }
 
 // KeyForValues packs loose key-column values (major first) — the planner
-// uses it when predicates, not rows, supply the key.
+// uses it when predicates, not rows, supply the key. Fewer values than key
+// columns pack the leading prefix.
 func (ix *Index) KeyForValues(vals []storage.Value) int64 {
-	row := make(storage.Row, len(ix.KeyCols))
-	tmp := &Index{Kind: ix.Kind, KeyCols: identityCols(len(vals)), Bits: ix.Bits}
-	copy(row, vals)
-	return tmp.KeyFor(row)
+	if ix.Kind == HashKind {
+		h := uint64(fnvOffset64)
+		for i := range vals {
+			h = hashValue(h, &vals[i])
+		}
+		return int64(h & 0x7fffffffffffffff)
+	}
+	var key int64
+	for i := range vals {
+		b := ix.Bits[i]
+		key = key<<b | (vals[i].AsInt() & (int64(1)<<b - 1))
+	}
+	return key
+}
+
+// FNV-64a, written out so a key hashes without the hash.Hash64 object and
+// the per-column byte-slice conversions.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashValue folds v's rendered text (Value.String) and a 0 separator into
+// the running FNV-64a state h.
+func hashValue(h uint64, v *storage.Value) uint64 {
+	if v.Kind != storage.KindString {
+		return hashRendered(h, v)
+	}
+	for i := 0; i < len(v.Str); i++ {
+		h = (h ^ uint64(v.Str[i])) * fnvPrime64
+	}
+	return h * fnvPrime64 // the 0 separator: h ^ 0 is h
+}
+
+// hashRendered is hashValue for the kinds whose text must be formatted.
+func hashRendered(h uint64, v *storage.Value) uint64 {
+	var buf [32]byte
+	var text []byte
+	switch v.Kind {
+	case storage.KindInt:
+		text = strconv.AppendInt(buf[:0], v.Int, 10)
+	case storage.KindFloat:
+		text = strconv.AppendFloat(buf[:0], v.Float, 'g', -1, 64)
+	default:
+		text = append(buf[:0], v.String()...)
+	}
+	for _, b := range text {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	return h * fnvPrime64
 }
 
 // PrefixRange returns the packed-key range [lo, hi] covering every key
@@ -88,14 +133,6 @@ func (ix *Index) RangeSearch(lo, hi int64, fn func(key int64, tids []int64) bool
 	if ix.BTree != nil {
 		ix.BTree.Range(lo, hi, fn)
 	}
-}
-
-func identityCols(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // Search returns the TupleIDs under a packed key.
@@ -182,7 +219,15 @@ func (t *Table) IndexOn(cols []int) *Index {
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
+	// version counts the mutations (CreateTable, createIndex, MountVirtual)
+	// so that a plan analyzed against the catalog can tell it has gone stale.
+	version atomic.Uint64
 }
+
+// Version identifies the catalog's current contents: it changes whenever a
+// table, index or virtual table is added. A statement analyzed at one
+// version must be re-analyzed once Version returns another.
+func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // New creates an empty catalog.
 func New() *Catalog {
@@ -198,6 +243,7 @@ func (c *Catalog) CreateTable(name string, schema *storage.Schema) (*Table, erro
 	}
 	t := &Table{Name: name, Heap: storage.NewTable(name, schema)}
 	c.tables[name] = t
+	c.version.Add(1)
 	return t, nil
 }
 
@@ -266,5 +312,6 @@ func (c *Catalog) createIndex(name, table string, cols []string, kind IndexKind,
 		ix.BTree = index.NewBTree()
 	}
 	t.Indexes = append(t.Indexes, ix)
+	c.version.Add(1)
 	return ix, nil
 }

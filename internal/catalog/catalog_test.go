@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"tscout/internal/storage"
@@ -134,5 +135,147 @@ func TestHashIndexStringsAndValidation(t *testing.T) {
 	}
 	if _, err := c.CreateHashIndex("bad3", "nope", []string{"x"}, false); err == nil {
 		t.Fatalf("unknown table must fail")
+	}
+}
+
+// oldKeyFor is the key function as it was before keys were packed and
+// hashed directly from values: hash/fnv over each column's rendered text.
+func oldKeyFor(ix *Index, row storage.Row) int64 {
+	if ix.Kind == HashKind {
+		h := fnv.New64a()
+		for _, c := range ix.KeyCols {
+			_, _ = h.Write([]byte(row[c].String()))
+			_, _ = h.Write([]byte{0})
+		}
+		return int64(h.Sum64() & 0x7fffffffffffffff)
+	}
+	var key int64
+	for i, c := range ix.KeyCols {
+		b := ix.Bits[i]
+		v := row[c].AsInt()
+		mask := int64(1)<<b - 1
+		key = key<<b | (v & mask)
+	}
+	return key
+}
+
+// oldKeyForValues and oldPrefixRange built a scratch row, a temporary Index
+// and an identity column list per probe to reuse oldKeyFor.
+func oldKeyForValues(ix *Index, vals []storage.Value) int64 {
+	row := make(storage.Row, len(ix.KeyCols))
+	cols := make([]int, len(vals))
+	for i := range cols {
+		cols[i] = i
+	}
+	copy(row, vals)
+	return oldKeyFor(&Index{Kind: ix.Kind, KeyCols: cols, Bits: ix.Bits}, row)
+}
+
+func oldPrefixRange(ix *Index, vals []storage.Value) (lo, hi int64) {
+	prefix := oldKeyForValues(ix, vals)
+	var rest uint
+	for _, b := range ix.Bits[len(vals):] {
+		rest += b
+	}
+	lo = prefix << rest
+	return lo, lo | (int64(1)<<rest - 1)
+}
+
+func TestKeyFunctionsMatchOldImplementation(t *testing.T) {
+	iv, sv, fv := storage.NewInt, storage.NewString, storage.NewFloat
+	btree := func(bits ...uint) *Index {
+		ix := &Index{Kind: BTreeKind, Bits: bits}
+		for i := range bits {
+			ix.KeyCols = append(ix.KeyCols, i)
+		}
+		return ix
+	}
+	hash := func(n int) *Index {
+		ix := &Index{Kind: HashKind}
+		for i := 0; i < n; i++ {
+			ix.KeyCols = append(ix.KeyCols, i)
+		}
+		return ix
+	}
+	for _, c := range []struct {
+		name string
+		ix   *Index
+		vals []storage.Value
+	}{
+		{"btree 1 col", btree(24), []storage.Value{iv(7)}},
+		{"btree 2 cols", btree(24, 24), []storage.Value{iv(3), iv(1 << 20)}},
+		{"btree 3 cols", btree(16, 16, 16), []storage.Value{iv(1), iv(2), iv(3)}},
+		{"btree wider than its bits", btree(8, 8), []storage.Value{iv(0x1ff), iv(0x12345)}},
+		{"btree negative", btree(16, 16), []storage.Value{iv(-1), iv(-40000)}},
+		{"btree float and null", btree(12, 12), []storage.Value{fv(9.9), storage.Null()}},
+		{"hash int", hash(1), []storage.Value{iv(123456789)}},
+		{"hash negative int", hash(1), []storage.Value{iv(-42)}},
+		{"hash string", hash(1), []storage.Value{sv("BARBARBAR")}},
+		{"hash empty string", hash(1), []storage.Value{sv("")}},
+		{"hash float", hash(1), []storage.Value{fv(0.1)}},
+		{"hash null", hash(1), []storage.Value{storage.Null()}},
+		{"hash mixed", hash(3), []storage.Value{iv(4), sv(""), sv("x\x00y")}},
+	} {
+		if got, want := c.ix.KeyForValues(c.vals), oldKeyForValues(c.ix, c.vals); got != want {
+			t.Errorf("%s: KeyForValues %#x, old %#x", c.name, got, want)
+		}
+		if got, want := c.ix.KeyFor(storage.Row(c.vals)), oldKeyFor(c.ix, storage.Row(c.vals)); got != want {
+			t.Errorf("%s: KeyFor %#x, old %#x", c.name, got, want)
+		}
+		if c.ix.Kind != BTreeKind {
+			continue
+		}
+		for n := 1; n <= len(c.vals); n++ {
+			lo, hi := c.ix.PrefixRange(c.vals[:n])
+			wantLo, wantHi := oldPrefixRange(c.ix, c.vals[:n])
+			if lo != wantLo || hi != wantHi {
+				t.Errorf("%s: PrefixRange(%d) [%#x, %#x], old [%#x, %#x]", c.name, n, lo, hi, wantLo, wantHi)
+			}
+		}
+	}
+	ix := btree(16, 16)
+	vals := []storage.Value{iv(5), iv(6)}
+	if n := testing.AllocsPerRun(100, func() { ix.KeyForValues(vals); ix.PrefixRange(vals[:1]) }); n != 0 {
+		t.Errorf("B+Tree key packing allocates %v times per probe", n)
+	}
+	hix := hash(2)
+	hvals := []storage.Value{iv(123456), sv("name")}
+	if n := testing.AllocsPerRun(100, func() { hix.KeyForValues(hvals) }); n != 0 {
+		t.Errorf("hash key allocates %v times per probe", n)
+	}
+}
+
+func TestVersionCountsMutations(t *testing.T) {
+	c, _ := testCatalog(t)
+	v := c.Version()
+	step := func(what string) {
+		t.Helper()
+		if got := c.Version(); got == v {
+			t.Fatalf("%s did not change the version", what)
+		} else {
+			v = got
+		}
+	}
+	if _, err := c.CreateBTreeIndex("o1", "orders", []string{"w_id"}, []uint{24}, false); err != nil {
+		t.Fatal(err)
+	}
+	step("CreateBTreeIndex")
+	if _, err := c.CreateHashIndex("o2", "orders", []string{"note"}, false); err != nil {
+		t.Fatal(err)
+	}
+	step("CreateHashIndex")
+	if _, err := c.CreateTable("t2", storage.MustSchema(storage.Column{Name: "a", Kind: storage.KindInt})); err != nil {
+		t.Fatal(err)
+	}
+	step("CreateTable")
+	if _, err := c.MountVirtual("v", nil); err != nil {
+		t.Fatal(err)
+	}
+	step("MountVirtual")
+	if _, err := c.CreateTable("t2", nil); err == nil {
+		t.Fatal("duplicate table must fail")
+	}
+	if _, err := c.Table("t2"); err != nil || c.Version() != v {
+		t.Fatalf("a failed mutation or a lookup changed the version")
 	}
 }

@@ -71,5 +71,6 @@ func (c *Catalog) MountVirtual(name string, v VirtualTable) (*Table, error) {
 	}
 	t := &Table{Name: name, Virtual: v}
 	c.tables[name] = t
+	c.version.Add(1)
 	return t, nil
 }

@@ -7,6 +7,7 @@ package dbms
 
 import (
 	"fmt"
+	"strconv"
 
 	"tscout/internal/archive"
 	"tscout/internal/catalog"
@@ -14,7 +15,6 @@ import (
 	"tscout/internal/kernel"
 	"tscout/internal/network"
 	"tscout/internal/sim"
-	"tscout/internal/sql"
 	"tscout/internal/storage"
 	"tscout/internal/tscout"
 	"tscout/internal/txn"
@@ -71,6 +71,10 @@ type Server struct {
 
 	netRead  *tscout.Marker
 	netWrite *tscout.Marker
+
+	// stmts holds every statement text the sessions have sent, parsed once
+	// and analyzed once per catalog version.
+	stmts statementTable
 
 	nextSession int
 }
@@ -212,14 +216,14 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 
 	// --- Networking read OU -------------------------------------------
 	msgs, derr := network.Decode(packet)
-	var stmts []sql.Statement
+	var stmts []*statement
 	if derr == nil {
 		for _, m := range msgs {
 			if m.Type != network.MsgQuery {
 				derr = fmt.Errorf("dbms: unexpected message type %q", m.Type)
 				break
 			}
-			st, perr := sql.Parse(string(m.Payload))
+			st, perr := srv.stmts.lookup(string(m.Payload))
 			if perr != nil {
 				derr = perr
 				break
@@ -242,7 +246,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	}
 	var respMsgs []network.Message
 	for _, st := range stmts {
-		res, err := srv.Engine.Execute(&exec.Ctx{Task: task, Txn: tx}, st, nil)
+		res, err := srv.run(&exec.Ctx{Task: task, Txn: tx}, st, nil)
 		if err != nil {
 			_ = tx.Abort()
 			pr.Err = err
@@ -353,9 +357,16 @@ func recordKind(k txn.WriteKind) wal.RecordKind {
 func encodeResult(r *exec.Result) network.Message {
 	if len(r.Cols) == 0 {
 		return network.Message{Type: network.MsgComplete,
-			Payload: []byte(fmt.Sprintf("OK %d", r.Affected))}
+			Payload: strconv.AppendInt(append(make([]byte, 0, 8), "OK "...), int64(r.Affected), 10)}
 	}
-	var payload []byte
+	// Sized once: the header's names and tabs, then per row its newline and
+	// the result's own byte estimate (8 a value, strings their length).
+	size := 1
+	for _, c := range r.Cols {
+		size += len(c) + 1
+	}
+	size += int(r.Bytes()) + len(r.Rows)*len(r.Cols)
+	payload := make([]byte, 0, size)
 	for _, c := range r.Cols {
 		payload = append(payload, c...)
 		payload = append(payload, '\t')
@@ -372,10 +383,10 @@ func encodeResult(r *exec.Result) network.Message {
 }
 
 // Execute is the in-process convenience path used by examples and the
-// offline loader: it parses and runs one statement with $n parameters in
+// offline loader: it looks up and runs one statement with $n parameters in
 // its own transaction on the given session, bypassing the wire protocol.
 func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result, error) {
-	st, err := sql.Parse(query)
+	st, err := se.srv.stmts.lookup(query)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +394,7 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)
 	}
-	res, err := se.srv.Engine.Execute(&exec.Ctx{Task: se.Task, Txn: tx}, st, params)
+	res, err := se.srv.run(&exec.Ctx{Task: se.Task, Txn: tx}, st, params)
 	if err != nil {
 		_ = tx.Abort()
 		return nil, err

@@ -17,25 +17,43 @@ func newTestServer(t *testing.T, instrument bool) *Server {
 	return newTestServerSink(t, instrument, nil)
 }
 
-// newArchivingServer is an instrumented test server whose training points
-// go to an in-memory archive; the returned function drains the rings and
-// reads the archive back.
+// archiveServer is an instrumented test server whose training points go to
+// an in-memory archive; reader drains the rings and reopens the archive.
+type archiveServer struct {
+	*Server
+	buf bytes.Buffer
+	w   *archive.Writer
+}
+
+func newArchiveServer(t *testing.T) *archiveServer {
+	t.Helper()
+	as := &archiveServer{}
+	as.w = archive.NewWriter(&as.buf)
+	as.Server = newTestServerSink(t, true, as.w)
+	return as
+}
+
+func (as *archiveServer) reader(t *testing.T) *archive.Reader {
+	t.Helper()
+	as.TS.Processor().Drain(tscout.DrainOptions{})
+	if err := as.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.NewReader(append([]byte(nil), as.buf.Bytes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// newArchivingServer is an archiveServer and the function that reads back
+// every training point archived so far.
 func newArchivingServer(t *testing.T) (*Server, func() []tscout.TrainingPoint) {
 	t.Helper()
-	var buf bytes.Buffer
-	w := archive.NewWriter(&buf)
-	srv := newTestServerSink(t, true, w)
-	return srv, func() []tscout.TrainingPoint {
+	as := newArchiveServer(t)
+	return as.Server, func() []tscout.TrainingPoint {
 		t.Helper()
-		srv.TS.Processor().Drain(tscout.DrainOptions{})
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := archive.NewReader(buf.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts, err := r.Points()
+		pts, err := as.reader(t).Points()
 		if err != nil {
 			t.Fatal(err)
 		}

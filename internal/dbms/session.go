@@ -53,7 +53,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	for _, p := range params {
 		packetBytes += int(p.Size()) + 4
 	}
-	st, perr := sql.Parse(query)
+	st, perr := srv.stmts.lookup(query)
 	se.netRead(packetBytes, 1)
 	if perr != nil {
 		se.rollback()
@@ -63,15 +63,22 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	if srv.TS != nil {
 		srv.TS.BeginEvent(task, tscout.SubsystemExecutionEngine)
 	}
+	ctx := &exec.Ctx{Task: task, Txn: se.tx}
+	p, err := srv.prepared(st)
 	// External feature collection (§2.2): systems like QPPNet issue an
 	// EXPLAIN for every query to extract plan features, plus further SQL
 	// queries for configuration and environment — each a full protocol
 	// round trip from a separate client. When enabled, the session pays
 	// that extra planning round and the statistics round trips.
 	if se.ExternalCollect {
-		if _, ok := st.(*sql.ExplainStmt); !ok {
-			if _, err := srv.Engine.Execute(&exec.Ctx{Task: task, Txn: se.tx},
-				&sql.ExplainStmt{Stmt: st}, params); err != nil {
+		if _, ok := st.ast.(*sql.ExplainStmt); !ok {
+			// The EXPLAIN round is where an external collector's statement
+			// is first planned, so a statement that fails analysis fails
+			// here, as a failing EXPLAIN does.
+			if err == nil {
+				_, err = srv.Engine.Explain(ctx, p, params)
+			}
+			if err != nil {
 				se.rollback()
 				return nil, err
 			}
@@ -87,7 +94,10 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 			})
 		}
 	}
-	res, err := srv.Engine.Execute(&exec.Ctx{Task: task, Txn: se.tx}, st, params)
+	var res *exec.Result
+	if err == nil {
+		res, err = srv.Engine.Run(ctx, p, params)
+	}
 	if err != nil {
 		se.rollback()
 		se.respond(network.Message{Type: network.MsgError, Payload: []byte(err.Error())})

@@ -1,10 +1,7 @@
 package exec
 
 import (
-	"fmt"
-
 	"tscout/internal/sim"
-	"tscout/internal/sql"
 	"tscout/internal/storage"
 )
 
@@ -20,50 +17,23 @@ func coerce(v storage.Value, kind storage.Kind) storage.Value {
 	return v
 }
 
-func (e *Engine) executeInsert(ctx *Ctx, s *sql.InsertStmt, params []storage.Value) (*Result, error) {
-	tbl, err := e.cat.Table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	if tbl.Virtual != nil {
-		return nil, fmt.Errorf("exec: table %q is a read-only virtual table", s.Table)
-	}
-	schema := tbl.Heap.Schema()
-
-	// Map statement columns to schema positions.
-	positions := make([]int, 0, schema.NumColumns())
-	if len(s.Columns) == 0 {
-		for i := 0; i < schema.NumColumns(); i++ {
-			positions = append(positions, i)
-		}
-	} else {
-		for _, c := range s.Columns {
-			p := schema.ColumnIndex(c)
-			if p < 0 {
-				return nil, fmt.Errorf("exec: table %q has no column %q", s.Table, c)
-			}
-			positions = append(positions, p)
-		}
-	}
+func (ip *insertPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
+	tbl := ip.table
+	numCols := tbl.Heap.Schema().NumColumns()
 
 	m := e.ouBegin(ctx, OUInsert)
 	var bytes int64
 	indexWork := 0
-	for _, exprs := range s.Rows {
-		if len(exprs) != len(positions) {
-			ouEnd(ctx, m)
-			ouFeatures(ctx, m, 0, 0, 0, 0)
-			return nil, fmt.Errorf("exec: INSERT has %d values for %d columns", len(exprs), len(positions))
-		}
-		row := make(storage.Row, schema.NumColumns())
-		for i, ex := range exprs {
-			v, err := evalExpr(ex, nil, nil, params)
+	for _, exprs := range ip.rows {
+		row := make(storage.Row, numCols)
+		for i := range exprs {
+			v, err := exprs[i].eval(nil, params)
 			if err != nil {
 				ouEnd(ctx, m)
 				ouFeatures(ctx, m, 0, 0, 0, 0)
 				return nil, err
 			}
-			row[positions[i]] = coerce(v, schema.Column(positions[i]).Kind)
+			row[ip.positions[i]] = coerce(v, ip.kinds[i])
 		}
 		tid, err := ctx.Txn.Insert(tbl.Heap, row)
 		if err != nil {
@@ -77,7 +47,7 @@ func (e *Engine) executeInsert(ctx *Ctx, s *sql.InsertStmt, params []storage.Val
 		}
 		bytes += row.Size()
 	}
-	n := len(s.Rows)
+	n := len(ip.rows)
 	work := sim.Work{
 		Instructions:         160 + 110*float64(n) + 1.1*float64(bytes) + 70*float64(indexWork),
 		BytesTouched:         float64(bytes) + 64*float64(indexWork),
@@ -91,47 +61,27 @@ func (e *Engine) executeInsert(ctx *Ctx, s *sql.InsertStmt, params []storage.Val
 	return &Result{Affected: n}, nil
 }
 
-func (e *Engine) executeUpdate(ctx *Ctx, s *sql.UpdateStmt, params []storage.Value) (*Result, error) {
-	tbl, err := e.cat.Table(s.Table)
+func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
+	ap, err := up.access.bind(params)
 	if err != nil {
 		return nil, err
 	}
-	if tbl.Virtual != nil {
-		return nil, fmt.Errorf("exec: table %q is a read-only virtual table", s.Table)
-	}
-	schema := tbl.Heap.Schema()
-	rel := newRelation(s.Table, schema)
-	preds, deferred, err := compilePreds(s.Where, rel, params)
-	if err != nil {
-		return nil, err
-	}
-	if len(deferred) > 0 {
-		return nil, fmt.Errorf("exec: cannot resolve predicate on %s", deferred[0].Col)
-	}
-	setCols := make([]int, len(s.Sets))
-	for i, set := range s.Sets {
-		p := schema.ColumnIndex(set.Col)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: table %q has no column %q", s.Table, set.Col)
-		}
-		setCols[i] = p
-	}
-
-	matches := e.runScan(ctx, planAccess(tbl, preds))
+	tbl := ap.table
+	matches := e.runScan(ctx, ap)
 
 	m := e.ouBegin(ctx, OUUpdate)
 	var bytes int64
 	indexWork := 0
 	for _, mt := range matches {
 		newRow := mt.row.Clone()
-		for i, set := range s.Sets {
-			v, err := evalExpr(set.Val, mt.row, rel, params)
+		for i := range up.setVals {
+			v, err := up.setVals[i].eval(mt.row, params)
 			if err != nil {
 				ouEnd(ctx, m)
 				ouFeatures(ctx, m, 0, 0, 0, 0)
 				return nil, err
 			}
-			newRow[setCols[i]] = coerce(v, schema.Column(setCols[i]).Kind)
+			newRow[up.setCols[i]] = coerce(v, up.setKinds[i])
 		}
 		if err := ctx.Txn.Update(tbl.Heap, mt.tid, newRow); err != nil {
 			ouEnd(ctx, m)
@@ -164,23 +114,13 @@ func (e *Engine) executeUpdate(ctx *Ctx, s *sql.UpdateStmt, params []storage.Val
 	return &Result{Affected: n}, nil
 }
 
-func (e *Engine) executeDelete(ctx *Ctx, s *sql.DeleteStmt, params []storage.Value) (*Result, error) {
-	tbl, err := e.cat.Table(s.Table)
+func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
+	ap, err := dp.access.bind(params)
 	if err != nil {
 		return nil, err
 	}
-	if tbl.Virtual != nil {
-		return nil, fmt.Errorf("exec: table %q is a read-only virtual table", s.Table)
-	}
-	rel := newRelation(s.Table, tbl.Schema())
-	preds, deferred, err := compilePreds(s.Where, rel, params)
-	if err != nil {
-		return nil, err
-	}
-	if len(deferred) > 0 {
-		return nil, fmt.Errorf("exec: cannot resolve predicate on %s", deferred[0].Col)
-	}
-	matches := e.runScan(ctx, planAccess(tbl, preds))
+	tbl := ap.table
+	matches := e.runScan(ctx, ap)
 
 	m := e.ouBegin(ctx, OUDelete)
 	indexWork := 0

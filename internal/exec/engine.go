@@ -7,8 +7,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"tscout/internal/catalog"
 	"tscout/internal/kernel"
 	"tscout/internal/sql"
@@ -41,6 +39,9 @@ type Engine struct {
 	// single measurement with vectorized features (paper §5.2), as a
 	// JIT-compiling engine would.
 	FuseSimpleSelects bool
+	// observe, when set, is shown every Run after it returns. It is the
+	// differential tests' tap on statements that arrive through the dbms.
+	observe func(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error)
 }
 
 // New creates an engine. ts may be nil for an uninstrumented DBMS;
@@ -106,26 +107,16 @@ func (r *Result) Bytes() int64 {
 	return n
 }
 
-// Execute runs one parsed statement with the given parameter values
-// (1-based $n binding). The caller is responsible for the per-query
-// TScout sampling event (ts.BeginEvent) and for committing the
-// transaction.
+// Execute analyzes and runs one parsed statement in a single call — Prepare
+// then Run — for callers that execute a statement once. The caller is
+// responsible for the per-query TScout sampling event (ts.BeginEvent) and
+// for committing the transaction.
 func (e *Engine) Execute(ctx *Ctx, stmt sql.Statement, params []storage.Value) (*Result, error) {
-	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		return e.executeSelect(ctx, s, params)
-	case *sql.InsertStmt:
-		return e.executeInsert(ctx, s, params)
-	case *sql.UpdateStmt:
-		return e.executeUpdate(ctx, s, params)
-	case *sql.DeleteStmt:
-		return e.executeDelete(ctx, s, params)
-	case *sql.CreateTableStmt, *sql.CreateIndexStmt:
-		return e.executeDDL(stmt)
-	case *sql.ExplainStmt:
-		return e.executeExplain(ctx, s, params)
+	p, err := e.Prepare(stmt)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("exec: unsupported statement %T", stmt)
+	return e.Run(ctx, p, params)
 }
 
 // begin/end/features helpers tolerate nil markers (uninstrumented runs).

@@ -28,7 +28,9 @@ type testDB struct {
 	sink *archive.Writer
 }
 
-func newTestDB(t *testing.T, instrumented bool) *testDB {
+// newEmptyTestDB assembles kernel, catalog, engine and (instrumented) a
+// deployed TScout sampling at 100 % into an archive, with no tables yet.
+func newEmptyTestDB(t testing.TB, instrumented bool) *testDB {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 1, 0)
 	cat := catalog.New()
@@ -49,9 +51,16 @@ func newTestDB(t *testing.T, instrumented bool) *testDB {
 		ts.Sampler().SetAllRates(100)
 	}
 	db.engine, db.ts = eng, ts
+	return db
+}
+
+func newTestDB(t *testing.T, instrumented bool) *testDB {
+	t.Helper()
+	db := newEmptyTestDB(t, instrumented)
+	cat := db.cat
 
 	// accounts(id INT PK btree, branch INT, balance FLOAT, name VARCHAR hash)
-	_, err = cat.CreateTable("accounts", storage.MustSchema(
+	_, err := cat.CreateTable("accounts", storage.MustSchema(
 		storage.Column{Name: "id", Kind: storage.KindInt},
 		storage.Column{Name: "branch", Kind: storage.KindInt},
 		storage.Column{Name: "balance", Kind: storage.KindFloat},
@@ -81,7 +90,7 @@ func newTestDB(t *testing.T, instrumented bool) *testDB {
 
 // drainPoints drains the rings and returns the training points archived
 // since the previous call.
-func (db *testDB) drainPoints(t *testing.T) []tscout.TrainingPoint {
+func (db *testDB) drainPoints(t testing.TB) []tscout.TrainingPoint {
 	t.Helper()
 	db.ts.Processor().Drain(tscout.DrainOptions{})
 	if err := db.sink.Flush(); err != nil {
@@ -344,7 +353,7 @@ func TestSnapshotIsolationAcrossEngine(t *testing.T) {
 	oldTx.Abort()
 }
 
-func mustParse(t *testing.T, q string) sql.Statement {
+func mustParse(t testing.TB, q string) sql.Statement {
 	t.Helper()
 	s, err := sql.Parse(q)
 	if err != nil {

@@ -3,21 +3,39 @@ package exec
 import (
 	"fmt"
 
-	"tscout/internal/catalog"
 	"tscout/internal/sim"
-	"tscout/internal/sql"
 	"tscout/internal/storage"
 )
 
-// executeExplain implements EXPLAIN [ANALYZE] — the external
-// feature-collection path the paper's §2.2/§2.3 argue against for online
-// training data. Plain EXPLAIN re-plans the statement (paying the
-// re-planning work the paper calls out: "EXPLAIN is meant to be an
-// infrequent operation that regenerates the query plan"); EXPLAIN ANALYZE
-// additionally executes the statement, annotating the plan with actual row
-// counts and elapsed time while discarding the client results.
-func (e *Engine) executeExplain(ctx *Ctx, s *sql.ExplainStmt, params []storage.Value) (*Result, error) {
-	lines, err := e.explainPlan(ctx, s.Stmt, params)
+// explainPlan is an analyzed EXPLAIN [ANALYZE]: the inner statement's own
+// Prepared, so what EXPLAIN prints is the plan the executor runs.
+type explainPlan struct {
+	analyze bool
+	inner   *Prepared
+}
+
+func (x *explainPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
+	return e.explain(ctx, x.inner, x.analyze, params)
+}
+
+// Explain runs plain EXPLAIN over an already prepared statement, as
+// preparing and running "EXPLAIN <statement>" would.
+func (e *Engine) Explain(ctx *Ctx, p *Prepared, params []storage.Value) (*Result, error) {
+	return e.explain(ctx, p, false, params)
+}
+
+// explain implements EXPLAIN [ANALYZE] — the external feature-collection
+// path the paper's §2.2/§2.3 argue against for online training data. Plain
+// EXPLAIN pays the re-planning work the paper calls out ("EXPLAIN is meant
+// to be an infrequent operation that regenerates the query plan"); EXPLAIN
+// ANALYZE additionally executes the statement, annotating the plan with
+// actual row counts and elapsed time while discarding the client results.
+func (e *Engine) explain(ctx *Ctx, p *Prepared, analyze bool, params []storage.Value) (*Result, error) {
+	d, ok := p.plan.(explainable)
+	if !ok {
+		return nil, fmt.Errorf("exec: cannot explain %T", p.stmt)
+	}
+	lines, err := d.describe(params)
 	if err != nil {
 		return nil, err
 	}
@@ -28,9 +46,9 @@ func (e *Engine) executeExplain(ctx *Ctx, s *sql.ExplainStmt, params []storage.V
 		AllocBytes:   int64(64 * len(lines)),
 	})
 
-	if s.Analyze {
+	if analyze {
 		start := ctx.Task.Now()
-		res, err := e.Execute(ctx, s.Stmt, params)
+		res, err := p.plan.run(e, ctx, params)
 		if err != nil {
 			return nil, err
 		}
@@ -51,81 +69,68 @@ func (e *Engine) executeExplain(ctx *Ctx, s *sql.ExplainStmt, params []storage.V
 	return out, nil
 }
 
-// explainPlan renders the physical plan the planner would choose.
-func (e *Engine) explainPlan(ctx *Ctx, stmt sql.Statement, params []storage.Value) ([]string, error) {
-	switch s := stmt.(type) {
-	case *sql.SelectStmt:
-		tbl, err := e.cat.Table(s.From.Name)
-		if err != nil {
-			return nil, err
-		}
-		rel := newRelation(s.From.Binding(), tbl.Schema())
-		preds, deferred, err := compilePreds(s.Where, rel, params)
-		if err != nil {
-			return nil, err
-		}
-		var lines []string
-		lines = append(lines, accessLine(planAccess(tbl, preds), tbl))
-		for _, j := range s.Joins {
-			rtbl, err := e.cat.Table(j.Table.Name)
-			if err != nil {
-				return nil, err
-			}
-			rrel := newRelation(j.Table.Binding(), rtbl.Schema())
-			rpreds, still, err := compilePreds(deferred, rrel, params)
-			if err != nil {
-				return nil, err
-			}
-			deferred = still
-			lines = append(lines,
-				fmt.Sprintf("Hash Join on %s = %s", j.LeftCol, j.RightCol),
-				"  -> "+accessLine(planAccess(rtbl, rpreds), rtbl))
-		}
-		if len(s.GroupBy) > 0 || hasAggs(s) {
-			lines = append(lines, fmt.Sprintf("Aggregate (groups=%d keys)", len(s.GroupBy)))
-		}
-		if len(s.OrderBy) > 0 {
-			lines = append(lines, fmt.Sprintf("Sort (%d keys)", len(s.OrderBy)))
-		}
-		if s.Limit >= 0 {
-			lines = append(lines, fmt.Sprintf("Limit %d", s.Limit))
-		}
-		return lines, nil
-	case *sql.InsertStmt:
-		return []string{fmt.Sprintf("Insert into %s (%d rows)", s.Table, len(s.Rows))}, nil
-	case *sql.UpdateStmt:
-		tbl, err := e.cat.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		rel := newRelation(s.Table, tbl.Schema())
-		preds, _, err := compilePreds(s.Where, rel, params)
-		if err != nil {
-			return nil, err
-		}
-		return []string{
-			fmt.Sprintf("Update %s (%d assignments)", s.Table, len(s.Sets)),
-			"  -> " + accessLine(planAccess(tbl, preds), tbl),
-		}, nil
-	case *sql.DeleteStmt:
-		tbl, err := e.cat.Table(s.Table)
-		if err != nil {
-			return nil, err
-		}
-		rel := newRelation(s.Table, tbl.Schema())
-		preds, _, err := compilePreds(s.Where, rel, params)
-		if err != nil {
-			return nil, err
-		}
-		return []string{
-			"Delete from " + s.Table,
-			"  -> " + accessLine(planAccess(tbl, preds), tbl),
-		}, nil
+func (sp *selectPlan) describe(params []storage.Value) ([]string, error) {
+	from, err := sp.from.describe(params)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("exec: cannot explain %T", stmt)
+	lines := []string{from}
+	for i := range sp.joins {
+		j := &sp.joins[i]
+		right, err := j.access.describe(params)
+		if err != nil {
+			return nil, err
+		}
+		lines = append(lines,
+			fmt.Sprintf("Hash Join on %s = %s", j.clause.LeftCol, j.clause.RightCol),
+			"  -> "+right)
+	}
+	if sp.agg != nil {
+		lines = append(lines, fmt.Sprintf("Aggregate (groups=%d keys)", len(sp.agg.groupIdxs)))
+	}
+	if len(sp.sort) > 0 {
+		lines = append(lines, fmt.Sprintf("Sort (%d keys)", len(sp.sort)))
+	}
+	if sp.limit >= 0 {
+		lines = append(lines, fmt.Sprintf("Limit %d", sp.limit))
+	}
+	return lines, nil
 }
 
-func accessLine(ap accessPath, tbl *catalog.Table) string {
+func (ip *insertPlan) describe([]storage.Value) ([]string, error) {
+	return []string{fmt.Sprintf("Insert into %s (%d rows)", ip.table.Name, len(ip.rows))}, nil
+}
+
+func (up *updatePlan) describe(params []storage.Value) ([]string, error) {
+	scan, err := up.access.describe(params)
+	if err != nil {
+		return nil, err
+	}
+	return []string{
+		fmt.Sprintf("Update %s (%d assignments)", up.access.table.Name, len(up.setCols)),
+		"  -> " + scan,
+	}, nil
+}
+
+func (dp *deletePlan) describe(params []storage.Value) ([]string, error) {
+	scan, err := dp.access.describe(params)
+	if err != nil {
+		return nil, err
+	}
+	return []string{"Delete from " + dp.access.table.Name, "  -> " + scan}, nil
+}
+
+// describe renders the access path as bound to params.
+func (a *accessPlan) describe(params []storage.Value) (string, error) {
+	ap, err := a.bind(params)
+	if err != nil {
+		return "", err
+	}
+	return accessLine(ap), nil
+}
+
+func accessLine(ap accessPath) string {
+	tbl := ap.table
 	switch {
 	case tbl.Virtual != nil:
 		return fmt.Sprintf("Virtual Scan on %s (%d pushdown predicates)",

@@ -7,88 +7,83 @@ import (
 	"tscout/internal/storage"
 )
 
-// relation is a materialized intermediate result: rows plus column
-// binding metadata for name resolution across joins.
+// relation is the column binding metadata of an intermediate result —
+// one table, or the concatenation a join produces — for name resolution
+// during analysis. It holds no rows: rows belong to one execution.
 type relation struct {
-	cols  []string // qualified "binding.col"
-	bare  map[string]int
-	qual  map[string]int
-	rows  []storage.Row
-	width int64 // estimated bytes per row
+	tables []boundTable
+	// offs[i] is the row position of tables[i]'s first column.
+	offs []int
+	// numCols is the row's length.
+	numCols int
 }
 
-const ambiguous = -2
+// boundTable is one FROM/JOIN/DML table under the name that qualifies its
+// columns.
+type boundTable struct {
+	binding string
+	schema  *storage.Schema
+}
 
-func newRelation(binding string, schema *storage.Schema) *relation {
-	r := &relation{
-		bare:  make(map[string]int),
-		qual:  make(map[string]int),
-		width: schema.RowWidth(),
-	}
-	for i, c := range schema.Columns() {
-		r.addCol(binding, c.Name, i)
+// newRelation builds the metadata of the tables' concatenation, in order.
+func newRelation(tables ...boundTable) *relation {
+	r := &relation{tables: tables, offs: make([]int, len(tables))}
+	for i, t := range tables {
+		r.offs[i] = r.numCols
+		r.numCols += t.schema.NumColumns()
 	}
 	return r
 }
 
-func (r *relation) addCol(binding, name string, idx int) {
-	r.cols = append(r.cols, binding+"."+name)
-	r.qual[binding+"."+name] = idx
-	if _, dup := r.bare[name]; dup {
-		r.bare[name] = ambiguous
-	} else {
-		r.bare[name] = idx
-	}
-}
-
-// resolve maps a column reference to a row position.
+// resolve maps a column reference to a row position. A bare name two
+// tables share is ambiguous; a qualified name two tables share (a
+// self-join without aliases) resolves to the later one.
 func (r *relation) resolve(c sql.ColRef) (int, error) {
 	if c.Table != "" {
-		if i, ok := r.qual[c.Table+"."+c.Name]; ok {
-			return i, nil
+		for i := len(r.tables) - 1; i >= 0; i-- {
+			if r.tables[i].binding != c.Table {
+				continue
+			}
+			if idx := r.tables[i].schema.ColumnIndex(c.Name); idx >= 0 {
+				return r.offs[i] + idx, nil
+			}
 		}
 		return 0, fmt.Errorf("exec: unknown column %s", c)
 	}
-	i, ok := r.bare[c.Name]
-	if !ok {
+	pos := -1
+	for i, t := range r.tables {
+		if idx := t.schema.ColumnIndex(c.Name); idx >= 0 {
+			if pos >= 0 {
+				return 0, fmt.Errorf("exec: ambiguous column %s", c.Name)
+			}
+			pos = r.offs[i] + idx
+		}
+	}
+	if pos < 0 {
 		return 0, fmt.Errorf("exec: unknown column %s", c.Name)
 	}
-	if i == ambiguous {
-		return 0, fmt.Errorf("exec: ambiguous column %s", c.Name)
-	}
-	return i, nil
+	return pos, nil
 }
 
-// concat builds the joined relation metadata of a and b (rows appended by
-// the join operator itself).
-func concatRelations(a, b *relation) *relation {
-	out := &relation{
-		bare:  make(map[string]int),
-		qual:  make(map[string]int),
-		width: a.width + b.width,
-	}
-	for i, qc := range a.cols {
-		out.cols = append(out.cols, qc)
-		out.qual[qc] = i
-		bare := bareName(qc)
-		if _, dup := out.bare[bare]; dup {
-			out.bare[bare] = ambiguous
-		} else {
-			out.bare[bare] = i
+// qualifiedNames lists every column as "binding.col", in row order: what
+// SELECT * calls its output.
+func (r *relation) qualifiedNames() []string {
+	names := make([]string, 0, r.numCols)
+	for _, t := range r.tables {
+		for _, c := range t.schema.Columns() {
+			names = append(names, t.binding+"."+c.Name)
 		}
 	}
-	off := len(a.cols)
-	for i, qc := range b.cols {
-		out.cols = append(out.cols, qc)
-		out.qual[qc] = off + i
-		bare := bareName(qc)
-		if _, dup := out.bare[bare]; dup {
-			out.bare[bare] = ambiguous
-		} else {
-			out.bare[bare] = off + i
-		}
+	return names
+}
+
+// width estimates the bytes of one row.
+func (r *relation) width() int64 {
+	var w int64
+	for _, t := range r.tables {
+		w += t.schema.RowWidth()
 	}
-	return out
+	return w
 }
 
 func bareName(qualified string) string {
@@ -126,37 +121,93 @@ func (p compiledPred) eval(row storage.Row) bool {
 	return false
 }
 
-// evalExpr evaluates a scalar expression against an optional input row.
-func evalExpr(e sql.Expr, row storage.Row, rel *relation, params []storage.Value) (storage.Value, error) {
+// scalar is a value expression compiled once per statement: a folded
+// literal, a $n slot, a resolved column position, or arithmetic over those.
+type scalar struct {
+	kind scalarKind
+	lit  storage.Value // scalarLit
+	n    int           // scalarParam: 1-based $n
+	col  int           // scalarCol: row position (unused without a relation)
+	ref  sql.ColRef    // scalarCol: the reference, for the no-input-row error
+	op   byte          // scalarBinary
+	l, r *scalar       // scalarBinary
+}
+
+type scalarKind uint8
+
+const (
+	scalarLit scalarKind = iota
+	scalarParam
+	scalarCol
+	scalarBinary
+)
+
+// compileScalar resolves e's column references against rel. With a nil rel
+// (predicate operands, INSERT values) a column reference stays legal to
+// compile and fails when evaluated, as it has no input row to read.
+// Arithmetic over literals is folded unless it fails; then the failure is
+// left for evaluation to report.
+func compileScalar(e sql.Expr, rel *relation) (scalar, error) {
 	switch x := e.(type) {
 	case sql.Literal:
-		return x.Val, nil
+		return scalar{kind: scalarLit, lit: x.Val}, nil
 	case sql.Param:
-		if x.N < 1 || x.N > len(params) {
-			return storage.Value{}, fmt.Errorf("exec: parameter $%d not bound (%d given)", x.N, len(params))
-		}
-		return params[x.N-1], nil
+		return scalar{kind: scalarParam, n: x.N}, nil
 	case sql.ColExpr:
-		if rel == nil || row == nil {
-			return storage.Value{}, fmt.Errorf("exec: column %s in a context without input rows", x.Ref)
+		s := scalar{kind: scalarCol, ref: x.Ref}
+		if rel != nil {
+			i, err := rel.resolve(x.Ref)
+			if err != nil {
+				return scalar{}, err
+			}
+			s.col = i
 		}
-		i, err := rel.resolve(x.Ref)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		return row[i], nil
+		return s, nil
 	case sql.Binary:
-		l, err := evalExpr(x.Left, row, rel, params)
+		l, err := compileScalar(x.Left, rel)
 		if err != nil {
-			return storage.Value{}, err
+			return scalar{}, err
 		}
-		r, err := evalExpr(x.Right, row, rel, params)
+		r, err := compileScalar(x.Right, rel)
 		if err != nil {
-			return storage.Value{}, err
+			return scalar{}, err
 		}
-		return applyBinary(l, x.Op, r)
+		if l.kind == scalarLit && r.kind == scalarLit {
+			if v, err := applyBinary(l.lit, x.Op, r.lit); err == nil {
+				return scalar{kind: scalarLit, lit: v}, nil
+			}
+		}
+		return scalar{kind: scalarBinary, op: x.Op, l: &l, r: &r}, nil
 	}
-	return storage.Value{}, fmt.Errorf("exec: unsupported expression %T", e)
+	return scalar{}, fmt.Errorf("exec: unsupported expression %T", e)
+}
+
+// eval binds the expression to one execution's parameters and, for column
+// references, one input row (nil where there is none).
+func (s *scalar) eval(row storage.Row, params []storage.Value) (storage.Value, error) {
+	switch s.kind {
+	case scalarLit:
+		return s.lit, nil
+	case scalarParam:
+		if s.n < 1 || s.n > len(params) {
+			return storage.Value{}, fmt.Errorf("exec: parameter $%d not bound (%d given)", s.n, len(params))
+		}
+		return params[s.n-1], nil
+	case scalarCol:
+		if row == nil {
+			return storage.Value{}, fmt.Errorf("exec: column %s in a context without input rows", s.ref)
+		}
+		return row[s.col], nil
+	}
+	l, err := s.l.eval(row, params)
+	if err != nil {
+		return storage.Value{}, err
+	}
+	r, err := s.r.eval(row, params)
+	if err != nil {
+		return storage.Value{}, err
+	}
+	return applyBinary(l, s.op, r)
 }
 
 func applyBinary(l storage.Value, op byte, r storage.Value) (storage.Value, error) {

@@ -1,15 +1,14 @@
 package exec
 
 import (
-	"sort"
-
 	"tscout/internal/catalog"
 	"tscout/internal/sim"
 	"tscout/internal/sql"
 	"tscout/internal/storage"
 )
 
-// accessPath is the planner's choice for reading one table.
+// accessPath is one execution's bound way of reading one table: the
+// accessPlan's shape with this call's predicate values and index key.
 type accessPath struct {
 	table *catalog.Table
 	index *catalog.Index
@@ -25,70 +24,27 @@ type accessPath struct {
 	proj []int
 }
 
-// planAccess picks the cheapest access path for preds on tbl: a full-key
-// index probe, then a leading-prefix B+Tree range, then a sequential scan.
-func planAccess(tbl *catalog.Table, preds []compiledPred) accessPath {
-	eq := make(map[int]storage.Value)
-	for _, p := range preds {
-		if p.op == sql.OpEq {
-			if _, dup := eq[p.col]; !dup {
-				eq[p.col] = p.val
-			}
-		}
+// bind evaluates the plan's predicate operands against params and packs the
+// index key from the equality values analysis picked.
+func (a *accessPlan) bind(params []storage.Value) (accessPath, error) {
+	residual, err := a.predSet.bind(params)
+	if err != nil {
+		return accessPath{}, err
 	}
-	var best accessPath
-	best.table = tbl
-	bestScore := 0 // 0 = seqscan, 1 = prefix, 2 = full, 3 = full unique
-	for _, ix := range tbl.Indexes {
-		covered := 0
-		for _, kc := range ix.KeyCols {
-			if _, ok := eq[kc]; ok {
-				covered++
-			} else {
-				break
-			}
+	ap := accessPath{table: a.table, index: a.index, exact: a.exact, residual: residual, proj: a.proj}
+	if a.index != nil {
+		var buf [4]storage.Value
+		vals := buf[:0]
+		for _, i := range a.keyPreds {
+			vals = append(vals, residual[i].val)
 		}
-		if covered == 0 {
-			continue
-		}
-		full := covered == len(ix.KeyCols)
-		score := 1
-		if full {
-			score = 2
-			if ix.Unique {
-				score = 3
-			}
-		}
-		if !full && ix.Kind == catalog.HashKind {
-			continue // hash indexes cannot serve prefix ranges
-		}
-		if score <= bestScore {
-			continue
-		}
-		vals := make([]storage.Value, covered)
-		for i := 0; i < covered; i++ {
-			vals[i] = eq[ix.KeyCols[i]]
-		}
-		ap := accessPath{table: tbl, index: ix}
-		if full {
-			ap.exact = true
-			ap.key = ix.KeyForValues(vals)
+		if a.exact {
+			ap.key = a.index.KeyForValues(vals)
 		} else {
-			ap.keyLo, ap.keyHi = ix.PrefixRange(vals)
+			ap.keyLo, ap.keyHi = a.index.PrefixRange(vals)
 		}
-		// Every predicate stays as a residual re-check: index entries are
-		// maintained lazily under MVCC (a key-changing update inserts the
-		// new key but leaves the old entry for older snapshots; GC would
-		// reclaim it), so a probe can return tuples whose visible version
-		// no longer matches the key.
-		ap.residual = preds
-		best = ap
-		bestScore = score
 	}
-	if bestScore == 0 {
-		best.residual = preds
-	}
-	return best
+	return ap, nil
 }
 
 // match is one visible row produced by a scan, with its address for DML.
@@ -273,23 +229,4 @@ func virtualOp(op sql.CmpOp) (catalog.VirtualOp, bool) {
 		return catalog.VirtualGe, true
 	}
 	return 0, false
-}
-
-// compilePreds resolves WHERE conjuncts against rel, returning the
-// compiled ones and deferring those that reference other relations.
-func compilePreds(preds []sql.Predicate, rel *relation, params []storage.Value) (compiled []compiledPred, deferred []sql.Predicate, err error) {
-	for _, p := range preds {
-		idx, rerr := rel.resolve(p.Col)
-		if rerr != nil {
-			deferred = append(deferred, p)
-			continue
-		}
-		v, verr := evalExpr(p.Val, nil, nil, params)
-		if verr != nil {
-			return nil, nil, verr
-		}
-		compiled = append(compiled, compiledPred{col: idx, op: p.Op, val: v})
-	}
-	sort.SliceStable(compiled, func(i, j int) bool { return compiled[i].col < compiled[j].col })
-	return compiled, deferred, nil
 }

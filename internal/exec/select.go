@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"tscout/internal/sim"
@@ -10,258 +9,148 @@ import (
 	"tscout/internal/tscout"
 )
 
-func (e *Engine) executeSelect(ctx *Ctx, s *sql.SelectStmt, params []storage.Value) (*Result, error) {
-	tbl, err := e.cat.Table(s.From.Name)
-	if err != nil {
-		return nil, err
-	}
+func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
 	// Fused path (§5.2): a simple scan pipeline executed under one
-	// measurement, emitting vectorized features. Virtual tables take the
-	// regular path — their scan is already columnar.
-	if e.FuseSimpleSelects && tbl.Virtual == nil && len(s.Joins) == 0 &&
-		len(s.GroupBy) == 0 && len(s.OrderBy) == 0 && !hasAggs(s) {
-		return e.executeFusedSelect(ctx, s, params)
+	// measurement, emitting vectorized features.
+	if e.FuseSimpleSelects && sp.fusable {
+		return sp.runFused(e, ctx, params)
 	}
 
-	rel := newRelation(s.From.Binding(), tbl.Schema())
-	preds, deferred, err := compilePreds(s.Where, rel, params)
+	ap, err := sp.from.bind(params)
 	if err != nil {
 		return nil, err
 	}
-	ap := planAccess(tbl, preds)
-	if tbl.Virtual != nil && len(s.Joins) == 0 && len(deferred) == 0 {
-		ap.proj = virtualProjection(s, rel)
-	}
-	matches := e.runScan(ctx, ap)
-	rel.rows = make([]storage.Row, len(matches))
-	for i, m := range matches {
-		rel.rows[i] = m.row
-	}
+	rows := matchRows(e.runScan(ctx, ap))
 
-	// Joins: push deferred predicates to the joined table when possible.
-	for _, j := range s.Joins {
-		rtbl, err := e.cat.Table(j.Table.Name)
+	for i := range sp.joins {
+		j := &sp.joins[i]
+		rap, err := j.access.bind(params)
 		if err != nil {
 			return nil, err
 		}
-		rrel := newRelation(j.Table.Binding(), rtbl.Schema())
-		rpreds, stillDeferred, err := compilePreds(deferred, rrel, params)
-		if err != nil {
-			return nil, err
-		}
-		deferred = stillDeferred
-		rmatches := e.runScan(ctx, planAccess(rtbl, rpreds))
-		rrel.rows = make([]storage.Row, len(rmatches))
-		for i, m := range rmatches {
-			rrel.rows[i] = m.row
-		}
-		rel, err = e.hashJoin(ctx, rel, rrel, j)
-		if err != nil {
-			return nil, err
-		}
+		right := matchRows(e.runScan(ctx, rap))
+		rows = e.hashJoin(ctx, rows, right, j)
 	}
 
 	// Post-join filter for predicates that needed the combined relation.
-	if len(deferred) > 0 {
-		preds, still, err := compilePreds(deferred, rel, params)
+	if len(sp.post.preds) > 0 {
+		preds, err := sp.post.bind(params)
 		if err != nil {
 			return nil, err
 		}
-		if len(still) > 0 {
-			return nil, fmt.Errorf("exec: cannot resolve predicate on %s", still[0].Col)
-		}
-		m := e.ouBegin(ctx, OUFilter)
-		in := len(rel.rows)
-		kept := rel.rows[:0]
-		for _, row := range rel.rows {
-			ok := true
-			for _, p := range preds {
-				if !p.eval(row) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rel.rows = kept
-		ctx.Task.Charge(sim.Work{
-			Instructions: 40 + float64(in)*14*float64(len(preds)),
-			BytesTouched: float64(in) * 16 * float64(len(preds)),
-		})
-		ouEnd(ctx, m)
-		ouFeatures(ctx, m, 0, uint64(in), uint64(len(preds)), uint64(len(rel.rows)))
+		rows = e.filterRows(ctx, rows, preds)
 	}
 
 	// Aggregation / projection.
 	var res *Result
-	if hasAggs(s) || len(s.GroupBy) > 0 {
-		res, err = e.aggregate(ctx, rel, s)
+	if sp.agg != nil {
+		res = e.aggregate(ctx, rows, sp.agg, sp.cols)
 	} else {
-		res, err = project(rel, s)
+		res = sp.project(rows)
 	}
-	if err != nil {
-		return nil, err
+	if len(sp.sort) > 0 {
+		e.sortResult(ctx, res, sp.sort)
 	}
-
-	if len(s.OrderBy) > 0 {
-		if err := e.sortResult(ctx, res, s.OrderBy, rel, s); err != nil {
-			return nil, err
-		}
-	}
-	if s.Limit >= 0 && len(res.Rows) > s.Limit {
-		res.Rows = res.Rows[:s.Limit]
+	if sp.limit >= 0 && len(res.Rows) > sp.limit {
+		res.Rows = res.Rows[:sp.limit]
 	}
 
 	e.emitOutput(ctx, res)
 	return res, nil
 }
 
-// virtualProjection lists the schema columns a single-table select needs
-// from a virtual scan, or nil (read everything) when a star or an
-// unresolvable reference makes the set unknowable.
-func virtualProjection(s *sql.SelectStmt, rel *relation) []int {
-	var cols []int
-	seen := make(map[int]bool)
-	add := func(c sql.ColRef) bool {
-		idx, err := rel.resolve(c)
-		if err != nil {
-			return false
-		}
-		if !seen[idx] {
-			seen[idx] = true
-			cols = append(cols, idx)
-		}
-		return true
+func matchRows(matches []match) []storage.Row {
+	rows := make([]storage.Row, len(matches))
+	for i, m := range matches {
+		rows[i] = m.row
 	}
-	for _, x := range s.Exprs {
-		if x.Star {
-			return nil
-		}
-		if x.Agg == sql.AggCount && x.Col.Name == "" {
-			continue // COUNT(*) reads no column
-		}
-		if !add(x.Col) {
-			return nil
-		}
-	}
-	for _, g := range s.GroupBy {
-		if !add(g) {
-			return nil
-		}
-	}
-	for _, k := range s.OrderBy {
-		if !add(k.Col) {
-			return nil
-		}
-	}
-	return cols
+	return rows
 }
 
-func hasAggs(s *sql.SelectStmt) bool {
-	for _, x := range s.Exprs {
-		if x.Agg != sql.AggNone {
-			return true
+// filterRows runs the filter OU over joined rows, in place.
+func (e *Engine) filterRows(ctx *Ctx, rows []storage.Row, preds []compiledPred) []storage.Row {
+	m := e.ouBegin(ctx, OUFilter)
+	in := len(rows)
+	kept := rows[:0]
+	for _, row := range rows {
+		ok := true
+		for _, p := range preds {
+			if !p.eval(row) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			kept = append(kept, row)
 		}
 	}
-	return false
+	ctx.Task.Charge(sim.Work{
+		Instructions: 40 + float64(in)*14*float64(len(preds)),
+		BytesTouched: float64(in) * 16 * float64(len(preds)),
+	})
+	ouEnd(ctx, m)
+	ouFeatures(ctx, m, 0, uint64(in), uint64(len(preds)), uint64(len(kept)))
+	return kept
 }
 
-// hashJoin joins left and right on the join clause's equality columns.
-func (e *Engine) hashJoin(ctx *Ctx, left, right *relation, j sql.JoinClause) (*relation, error) {
-	out := concatRelations(left, right)
-	// Resolve which side each join column belongs to.
-	lcol, lerr := left.resolve(j.LeftCol)
-	rcol, rerr := right.resolve(j.RightCol)
-	if lerr != nil || rerr != nil {
-		// The ON clause may name them in the other order.
-		lcol, lerr = left.resolve(j.RightCol)
-		rcol, rerr = right.resolve(j.LeftCol)
-		if lerr != nil || rerr != nil {
-			return nil, fmt.Errorf("exec: join columns %s / %s not resolvable", j.LeftCol, j.RightCol)
-		}
-	}
-
+// hashJoin joins left and right rows on the join clause's equality columns.
+func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan) []storage.Row {
 	m := e.ouBegin(ctx, OUHashJoin)
 	// Build on the right side.
-	build := make(map[string][]storage.Row, len(right.rows))
+	build := make(map[string][]storage.Row, len(right))
 	var buildBytes int64
-	for _, row := range right.rows {
-		k := row[rcol].String()
+	for _, row := range right {
+		k := row[j.rcol].String()
 		build[k] = append(build[k], row)
 		buildBytes += row.Size() + 16
 	}
-	matches := 0
-	for _, lrow := range left.rows {
-		for _, rrow := range build[lrow[lcol].String()] {
+	var out []storage.Row
+	for _, lrow := range left {
+		for _, rrow := range build[lrow[j.lcol].String()] {
 			joined := make(storage.Row, 0, len(lrow)+len(rrow))
 			joined = append(joined, lrow...)
 			joined = append(joined, rrow...)
-			out.rows = append(out.rows, joined)
-			matches++
+			out = append(out, joined)
 		}
 	}
+	matches := len(out)
 	work := sim.Work{
-		Instructions:         300 + 48*float64(len(right.rows)) + 40*float64(len(left.rows)) + 60*float64(matches),
-		BytesTouched:         float64(buildBytes) + float64(len(left.rows))*24 + float64(matches)*float64(out.width),
+		Instructions:         300 + 48*float64(len(right)) + 40*float64(len(left)) + 60*float64(matches),
+		BytesTouched:         float64(buildBytes) + float64(len(left))*24 + float64(matches)*float64(j.width),
 		WorkingSetBytes:      float64(buildBytes),
 		RandomAccessFraction: 0.7,
-		AllocBytes:           buildBytes + int64(matches)*out.width,
+		AllocBytes:           buildBytes + int64(matches)*j.width,
 	}
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes,
-		uint64(len(right.rows)), uint64(len(left.rows)), uint64(matches), uint64(out.width))
-	return out, nil
+		uint64(len(right)), uint64(len(left)), uint64(matches), uint64(j.width))
+	return out
 }
 
-// project evaluates a non-aggregating select list.
-func project(rel *relation, s *sql.SelectStmt) (*Result, error) {
-	var cols []string
-	var idxs []int
-	for _, x := range s.Exprs {
-		if x.Star {
-			for i, qc := range rel.cols {
-				cols = append(cols, qc)
-				idxs = append(idxs, i)
-			}
-			continue
-		}
-		i, err := rel.resolve(x.Col)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, x.Col.String())
-		idxs = append(idxs, i)
+// project evaluates a non-aggregating select list. Result.Cols is a copy:
+// the plan's names are shared by every execution.
+func (sp *selectPlan) project(rows []storage.Row) *Result {
+	res := &Result{Cols: append([]string(nil), sp.cols...)}
+	if sp.identity {
+		res.Rows = rows
+		return res
 	}
-	res := &Result{Cols: cols}
-	full := len(idxs) == len(rel.cols)
-	if full {
-		ordered := true
-		for i, idx := range idxs {
-			if i != idx {
-				ordered = false
-				break
-			}
-		}
-		if ordered {
-			res.Rows = rel.rows
-			return res, nil
-		}
+	if len(rows) > 0 {
+		res.Rows = make([]storage.Row, len(rows))
 	}
-	for _, row := range rel.rows {
-		out := make(storage.Row, len(idxs))
-		for i, idx := range idxs {
+	for r, row := range rows {
+		out := make(storage.Row, len(sp.projIdxs))
+		for i, idx := range sp.projIdxs {
 			out[i] = row[idx]
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[r] = out
 	}
-	return res, nil
+	return res
 }
 
-// aggregate groups rel by the GROUP BY keys and evaluates aggregates.
-func (e *Engine) aggregate(ctx *Ctx, rel *relation, s *sql.SelectStmt) (*Result, error) {
+// aggregate groups rows by the GROUP BY keys and evaluates aggregates.
+func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, ap *aggPlan, cols []string) *Result {
 	type aggState struct {
 		key    []storage.Value
 		count  int64
@@ -270,55 +159,24 @@ func (e *Engine) aggregate(ctx *Ctx, rel *relation, s *sql.SelectStmt) (*Result,
 		maxs   []storage.Value
 		counts []int64
 	}
-	groupIdxs := make([]int, len(s.GroupBy))
-	for i, g := range s.GroupBy {
-		idx, err := rel.resolve(g)
-		if err != nil {
-			return nil, err
-		}
-		groupIdxs[i] = idx
-	}
-	// Column index per aggregate expression (-1 for COUNT(*)).
-	aggIdxs := make([]int, len(s.Exprs))
-	nAggs := 0
-	for i, x := range s.Exprs {
-		aggIdxs[i] = -1
-		if x.Agg == sql.AggNone {
-			// Non-aggregated outputs must be grouping keys.
-			idx, err := rel.resolve(x.Col)
-			if err != nil {
-				return nil, err
-			}
-			found := false
-			for _, g := range groupIdxs {
-				if g == idx {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("exec: column %s must appear in GROUP BY", x.Col)
-			}
-			aggIdxs[i] = idx
-			continue
-		}
-		nAggs++
-		if x.Agg != sql.AggCount || x.Col.Name != "" {
-			idx, err := rel.resolve(x.Col)
-			if err != nil {
-				return nil, err
-			}
-			aggIdxs[i] = idx
+	nExprs := len(ap.kinds)
+	newState := func(key []storage.Value) *aggState {
+		return &aggState{
+			key:    key,
+			sums:   make([]float64, nExprs),
+			mins:   make([]storage.Value, nExprs),
+			maxs:   make([]storage.Value, nExprs),
+			counts: make([]int64, nExprs),
 		}
 	}
 
 	m := e.ouBegin(ctx, OUAggregate)
 	groups := make(map[string]*aggState)
 	var order []string
-	for _, row := range rel.rows {
+	for _, row := range rows {
 		kb := make([]byte, 0, 32)
-		key := make([]storage.Value, len(groupIdxs))
-		for i, g := range groupIdxs {
+		key := make([]storage.Value, len(ap.groupIdxs))
+		for i, g := range ap.groupIdxs {
 			key[i] = row[g]
 			kb = append(kb, row[g].String()...)
 			kb = append(kb, 0)
@@ -326,25 +184,16 @@ func (e *Engine) aggregate(ctx *Ctx, rel *relation, s *sql.SelectStmt) (*Result,
 		ks := string(kb)
 		st, ok := groups[ks]
 		if !ok {
-			st = &aggState{
-				key:    key,
-				sums:   make([]float64, len(s.Exprs)),
-				mins:   make([]storage.Value, len(s.Exprs)),
-				maxs:   make([]storage.Value, len(s.Exprs)),
-				counts: make([]int64, len(s.Exprs)),
-			}
+			st = newState(key)
 			groups[ks] = st
 			order = append(order, ks)
 		}
 		st.count++
-		for i, x := range s.Exprs {
-			if x.Agg == sql.AggNone {
+		for i, kind := range ap.kinds {
+			if kind == sql.AggNone || ap.cols[i] < 0 { // grouping key or COUNT(*)
 				continue
 			}
-			if aggIdxs[i] < 0 { // COUNT(*)
-				continue
-			}
-			v := row[aggIdxs[i]]
+			v := row[ap.cols[i]]
 			if v.IsNull() {
 				continue
 			}
@@ -359,37 +208,21 @@ func (e *Engine) aggregate(ctx *Ctx, rel *relation, s *sql.SelectStmt) (*Result,
 		}
 	}
 	// With no GROUP BY, aggregates over the empty input still emit a row.
-	if len(s.GroupBy) == 0 && len(order) == 0 {
-		groups[""] = &aggState{
-			sums:   make([]float64, len(s.Exprs)),
-			mins:   make([]storage.Value, len(s.Exprs)),
-			maxs:   make([]storage.Value, len(s.Exprs)),
-			counts: make([]int64, len(s.Exprs)),
-		}
+	if len(ap.groupIdxs) == 0 && len(order) == 0 {
+		groups[""] = newState(nil)
 		order = append(order, "")
 	}
 
-	res := &Result{}
-	for _, x := range s.Exprs {
-		res.Cols = append(res.Cols, selectColName(x))
-	}
+	res := &Result{Cols: append([]string(nil), cols...)}
 	for _, ks := range order {
 		st := groups[ks]
-		row := make(storage.Row, len(s.Exprs))
-		keyPos := 0
-		_ = keyPos
-		for i, x := range s.Exprs {
-			switch x.Agg {
+		row := make(storage.Row, nExprs)
+		for i, kind := range ap.kinds {
+			switch kind {
 			case sql.AggNone:
-				// Value of the grouping key in this group.
-				for gi, g := range groupIdxs {
-					if g == aggIdxs[i] {
-						row[i] = st.key[gi]
-						break
-					}
-				}
+				row[i] = st.key[ap.keySlot[i]]
 			case sql.AggCount:
-				if aggIdxs[i] < 0 {
+				if ap.cols[i] < 0 {
 					row[i] = storage.NewInt(st.count)
 				} else {
 					row[i] = storage.NewInt(st.counts[i])
@@ -420,8 +253,8 @@ func (e *Engine) aggregate(ctx *Ctx, rel *relation, s *sql.SelectStmt) (*Result,
 	}
 
 	work := sim.Work{
-		Instructions:         200 + 34*float64(len(rel.rows))*float64(nAggs+1) + 52*float64(len(order)),
-		BytesTouched:         float64(len(rel.rows)) * 24 * float64(nAggs+1),
+		Instructions:         200 + 34*float64(len(rows))*float64(ap.nAggs+1) + 52*float64(len(order)),
+		BytesTouched:         float64(len(rows)) * 24 * float64(ap.nAggs+1),
 		WorkingSetBytes:      float64(len(order)) * 96,
 		RandomAccessFraction: 0.5,
 		AllocBytes:           int64(len(order)) * 96,
@@ -429,52 +262,12 @@ func (e *Engine) aggregate(ctx *Ctx, rel *relation, s *sql.SelectStmt) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes,
-		uint64(len(rel.rows)), uint64(len(order)), uint64(nAggs))
-	return res, nil
+		uint64(len(rows)), uint64(len(order)), uint64(ap.nAggs))
+	return res
 }
 
-func selectColName(x sql.SelectExpr) string {
-	switch x.Agg {
-	case sql.AggNone:
-		return x.Col.String()
-	case sql.AggCount:
-		if x.Col.Name == "" {
-			return "count(*)"
-		}
-		return "count(" + x.Col.String() + ")"
-	case sql.AggSum:
-		return "sum(" + x.Col.String() + ")"
-	case sql.AggAvg:
-		return "avg(" + x.Col.String() + ")"
-	case sql.AggMin:
-		return "min(" + x.Col.String() + ")"
-	case sql.AggMax:
-		return "max(" + x.Col.String() + ")"
-	}
-	return "?"
-}
-
-// sortResult orders the result rows by the ORDER BY keys (resolved
-// against the result columns first, then the source relation names).
-func (e *Engine) sortResult(ctx *Ctx, res *Result, keys []sql.OrderKey, rel *relation, s *sql.SelectStmt) error {
-	type sortKey struct {
-		col  int
-		desc bool
-	}
-	sks := make([]sortKey, len(keys))
-	for i, k := range keys {
-		pos := -1
-		for ci, cn := range res.Cols {
-			if cn == k.Col.String() || bareName(cn) == k.Col.Name {
-				pos = ci
-				break
-			}
-		}
-		if pos < 0 {
-			return fmt.Errorf("exec: ORDER BY column %s not in select list", k.Col)
-		}
-		sks[i] = sortKey{col: pos, desc: k.Desc}
-	}
+// sortResult orders the result rows by the resolved ORDER BY keys.
+func (e *Engine) sortResult(ctx *Ctx, res *Result, sks []sortKey) {
 	m := e.ouBegin(ctx, OUSort)
 	sort.SliceStable(res.Rows, func(a, b int) bool {
 		for _, k := range sks {
@@ -507,7 +300,6 @@ func (e *Engine) sortResult(ctx *Ctx, res *Result, keys []sql.OrderKey, rel *rel
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, 0, uint64(len(res.Rows)), uint64(width), uint64(len(sks)))
-	return nil
 }
 
 // emitOutput runs the output-buffer OU for a result.
@@ -523,22 +315,13 @@ func (e *Engine) emitOutput(ctx *Ctx, res *Result) {
 	ouFeatures(ctx, m, bytes, uint64(len(res.Rows)), uint64(bytes))
 }
 
-// executeFusedSelect runs scan(+filter)+output as one fused pipeline with
-// a single metrics measurement and a vectorized FEATURES record (§5.2).
-func (e *Engine) executeFusedSelect(ctx *Ctx, s *sql.SelectStmt, params []storage.Value) (*Result, error) {
-	tbl, err := e.cat.Table(s.From.Name)
+// runFused runs scan(+filter)+output as one fused pipeline with a single
+// metrics measurement and a vectorized FEATURES record (§5.2).
+func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
+	ap, err := sp.from.bind(params)
 	if err != nil {
 		return nil, err
 	}
-	rel := newRelation(s.From.Binding(), tbl.Heap.Schema())
-	preds, deferred, err := compilePreds(s.Where, rel, params)
-	if err != nil {
-		return nil, err
-	}
-	if len(deferred) > 0 {
-		return nil, fmt.Errorf("exec: cannot resolve predicate on %s", deferred[0].Col)
-	}
-	ap := planAccess(tbl, preds)
 
 	pm := e.markers[OUFusedPipeline]
 	if pm != nil {
@@ -546,31 +329,19 @@ func (e *Engine) executeFusedSelect(ctx *Ctx, s *sql.SelectStmt, params []storag
 	}
 	// Run the pipeline WITHOUT per-OU markers: one measurement covers it.
 	saved := e.markers
-	e.markers = map[tscout.OUID]*tscout.Marker{}
+	e.markers = nil
 	matches := e.runScan(ctx, ap)
-	rel.rows = make([]storage.Row, len(matches))
-	for i, mt := range matches {
-		rel.rows[i] = mt.row
+	res := sp.project(matchRows(matches))
+	if sp.limit >= 0 && len(res.Rows) > sp.limit {
+		res.Rows = res.Rows[:sp.limit]
 	}
-	res, perr := project(rel, s)
-	if perr == nil {
-		if s.Limit >= 0 && len(res.Rows) > s.Limit {
-			res.Rows = res.Rows[:s.Limit]
-		}
-		e.emitOutput(ctx, res)
-	}
+	e.emitOutput(ctx, res)
 	e.markers = saved
-	if perr != nil {
-		if pm != nil {
-			pm.End(ctx.Task)
-			pm.Features(ctx.Task, 0, 0)
-		}
-		return nil, perr
-	}
 	if pm != nil {
 		pm.End(ctx.Task)
+		heap := ap.table.Heap
 		scanOU := OUSeqScan
-		scanFeat := []uint64{uint64(tbl.Heap.NumSlots()), uint64(tbl.Heap.Schema().RowWidth())}
+		scanFeat := []uint64{uint64(heap.NumSlots()), uint64(heap.Schema().RowWidth())}
 		if ap.index != nil {
 			scanOU = OUIndexScan
 			scanFeat = []uint64{1, uint64(ap.index.Height()), uint64(len(matches))}

@@ -50,6 +50,7 @@ fuzz_smoke() {
 		kernel FuzzPerCPUFaultOrder
 		archive FuzzSegmentCodec
 		model FuzzBuildTreeDifferential
+		exec FuzzPreparedDifferential
 	END
 }
 
