@@ -7,7 +7,7 @@ package bpf
 // division/modulo by zero yield 0 (BPF semantics), shift amounts are
 // masked to the low 6 bits, and arithmetic right shift propagates the
 // sign bit. a is the dst operand, b the src/imm operand (ignored by Neg).
-// The JIT's blockRunner (compile.go) is the one other implementation of
+// The JIT's block.run (compile.go) is the one other implementation of
 // these operations; the interpreter-vs-compiled differential oracles hold
 // it to this one.
 func evalALU(op Op, a, b int64) int64 {

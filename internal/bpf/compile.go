@@ -21,18 +21,19 @@ import (
 //     the concrete Map at compile time, stack-pointer arguments to direct
 //     slices; the call devirtualizes to the helper's body.
 //
-// The compiled form is terminator closures plus micro-op blocks. One pass
-// over the instructions (compileInsn) validates each one and either
-// pre-decodes it to a microOp — every straight-line instruction: moves,
-// ALU, proven loads and stores, pure and proven helper calls — or, for
-// Exit, Ja, conditional jumps and helper calls the analysis could not
-// prove out, builds a terminator closure of type copFn. fuse then turns
-// every maximal run of micro-ops (any length ≥ 1) into one superblock
-// closure (blockRunner) after peephole has combined idiomatic sequences
-// into pattern super-ops. A copFn returns the next closure to run (or nil
-// to stop); the dispatch loop is runCompiled's `for f != nil { f = f(ec) }`.
-// The instruction set therefore has two implementations: the interpreter
-// (the reference) and blockRunner.
+// The compiled form is micro-op blocks joined by a few terminator closures.
+// One pass over the instructions (compileInsn) validates each one and either
+// pre-decodes it to a microOp — moves, ALU, proven loads and stores, pure and
+// proven helper calls, and conditional jumps, which become branch micro-ops
+// with a side exit — or, for Exit, Ja, helper calls the analysis could not
+// prove out and statically-dead pcs, builds a terminator closure of type
+// copFn. fuse then turns every maximal run of micro-ops (any length ≥ 1)
+// into one block after peephole has combined idiomatic sequences into
+// pattern super-ops, so a block runs from its head until a terminator or the
+// next jump target, leaving early only through a taken branch. A copFn
+// returns the next one to run (or nil to stop); the dispatch loop is
+// runCompiled's `for f != nil { f = f(ec) }`. The instruction set therefore
+// has two implementations: the interpreter (the reference) and block.run.
 //
 // Anything the compiler cannot prove makes it decline the whole program
 // with a reason; Run then falls back to the interpreter, which remains the
@@ -74,9 +75,9 @@ type CompileInfo struct {
 	Insns int
 }
 
-// copFn is one compiled terminator or superblock: execute against ec,
-// return the next closure, or nil when the program exits or faults (the
-// latter sets ec.err).
+// copFn is one compiled terminator or block: execute against ec, return
+// the next one, or nil when the program exits or faults (the latter sets
+// ec.err).
 type copFn func(ec *execState) copFn
 
 type compiledProg struct {
@@ -218,9 +219,9 @@ type compiler struct {
 	a  *Analysis
 	// After the compileInsn pass every pc holds exactly one of: a
 	// terminator closure in fns[pc], or — where fns[pc] is nil — a
-	// straight-line micro-op in ops[pc]. fuse then fills the head slot of
-	// each micro-op run with its block closure; run interiors stay nil
-	// (they are never jump targets, so only the head can be entered).
+	// micro-op in ops[pc]. fuse then fills the head slot of each micro-op
+	// run with its block; run interiors stay nil (they are never jump
+	// targets, so only the head can be entered).
 	fns      []copFn
 	ops      []microOp
 	isTarget []bool
@@ -244,8 +245,8 @@ func (cc *compiler) markTargets() bool {
 }
 
 // next returns the dispatch slot for the instruction after pc. Closures
-// capture the slot address, not its value, so the block closures fuse
-// installs later take effect everywhere.
+// capture the slot address, not its value, so the blocks fuse installs
+// later take effect everywhere.
 func (cc *compiler) next(pc int) (*copFn, bool) {
 	if pc+1 >= len(cc.fns) {
 		return nil, false
@@ -268,9 +269,9 @@ func (cc *compiler) trap(pc int) copFn {
 
 // compileInsn is the single per-instruction pass: it validates the
 // instruction at pc and records its compiled form — a terminator closure
-// in fns[pc] for Exit, Ja, conditional jumps, unproven helper calls and
-// statically-dead pcs, a pre-decoded micro-op in ops[pc] for everything
-// else — or returns the reason the program must be declined.
+// in fns[pc] for Exit, Ja, unproven helper calls and statically-dead pcs,
+// a pre-decoded micro-op in ops[pc] for everything else — or returns the
+// reason the program must be declined.
 func (cc *compiler) compileInsn(pc int, in Insn) string {
 	if !cc.a.Reached(pc) {
 		cc.fns[pc] = cc.trap(pc)
@@ -290,11 +291,9 @@ func (cc *compiler) compileInsn(pc int, in Insn) string {
 			return *tgt
 		}
 		return ""
-	case isCondJump(in.Op):
-		return cc.buildCondJump(pc, in)
 	}
 
-	// Straight-line code: falls through to pc+1. The decline order is
+	// Everything else can fall through to pc+1. The decline order is
 	// fixed: no template at all, then no successor, then an unproven
 	// access.
 	op, ok := cc.microFor(pc, in)
@@ -351,61 +350,6 @@ func (cc *compiler) resolveMem(pc int, r Reg, off int32) memRef {
 		return memRef{kind: memObjDyn}
 	}
 	return memRef{kind: memBad}
-}
-
-// condFunc returns the comparison semantics of a conditional jump, exactly
-// matching the interpreter's condTrue (all compares unsigned).
-func condFunc(op Op) func(a, b uint64) bool {
-	switch op {
-	case OpJeqImm, OpJeqReg:
-		return func(a, b uint64) bool { return a == b }
-	case OpJneImm, OpJneReg:
-		return func(a, b uint64) bool { return a != b }
-	case OpJgtImm, OpJgtReg:
-		return func(a, b uint64) bool { return a > b }
-	case OpJgeImm, OpJgeReg:
-		return func(a, b uint64) bool { return a >= b }
-	case OpJltImm, OpJltReg:
-		return func(a, b uint64) bool { return a < b }
-	case OpJleImm, OpJleReg:
-		return func(a, b uint64) bool { return a <= b }
-	case OpJsetImm:
-		return func(a, b uint64) bool { return a&b != 0 }
-	}
-	return nil
-}
-
-func (cc *compiler) buildCondJump(pc int, in Insn) string {
-	fall, ok := cc.next(pc)
-	if !ok {
-		return DeclineMalformed
-	}
-	taken := cc.slot(pc + 1 + int(in.Off))
-	pred := condFunc(in.Op)
-	if pred == nil {
-		return DeclineUnsupportedOpcode
-	}
-	dst := in.Dst
-	if isRegSrc(in.Op) {
-		src := in.Src
-		cc.fns[pc] = func(ec *execState) copFn {
-			ec.executed++
-			if pred(ec.regs[dst], ec.regs[src]) {
-				return *taken
-			}
-			return *fall
-		}
-		return ""
-	}
-	imm := uint64(in.Imm)
-	cc.fns[pc] = func(ec *execState) copFn {
-		ec.executed++
-		if pred(ec.regs[dst], imm) {
-			return *taken
-		}
-		return *fall
-	}
-	return ""
 }
 
 // constMap resolves the map a helper call's R1 is proven to hold, or nil.
@@ -675,14 +619,14 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 	return nil
 }
 
-// fuse turns every maximal run of micro-ops — consecutive straight-line
-// pcs, cut at jump targets — into one superblock closure in the run's head
-// slot, so every predecessor (fall-through or jump) enters the block there.
-// A run of one instruction is a block like any other: blockRunner is the
-// only native implementation of straight-line code. The run's micro-ops
-// are peephole-combined into pattern super-ops first, so one dispatched op
-// can retire several instructions; the block's instruction count is passed
-// separately for exact cost accounting.
+// fuse turns every maximal run of micro-ops — consecutive pcs, cut at
+// terminators and at jump targets — into one block in the run's head slot,
+// so every predecessor (fall-through or jump) enters the block there. A run
+// of one instruction is a block like any other: block.run is the only
+// native implementation of the instruction set. The run's micro-ops are
+// peephole-combined into pattern super-ops first, so one dispatched op can
+// retire several instructions; instruction accounting goes by pc, not by
+// op count.
 func (cc *compiler) fuse() {
 	for pc := 0; pc < len(cc.fns); {
 		run := cc.run(pc)
@@ -690,14 +634,15 @@ func (cc *compiler) fuse() {
 			pc++
 			continue
 		}
-		cc.fns[pc] = blockRunner(peephole(run), len(run), cc.slot(pc+len(run)))
-		pc += len(run)
+		b := &block{ops: peephole(run), fns: cc.fns, head: pc, next: pc + len(run)}
+		cc.fns[pc] = b.run
+		pc = b.next
 	}
 }
 
 // run returns the micro-ops of the maximal run starting at pc (empty when
-// pc holds a terminator). compileInsn declined any straight-line
-// instruction with no successor, so a run never reaches the last pc.
+// pc holds a terminator). compileInsn declined any micro-op instruction
+// with no successor, so a run never reaches the last pc.
 func (cc *compiler) run(pc int) []microOp {
 	end := pc
 	for end < len(cc.fns) && cc.fns[end] == nil && (end == pc || !cc.isTarget[end]) {
@@ -706,7 +651,7 @@ func (cc *compiler) run(pc int) []microOp {
 	return cc.ops[pc:end]
 }
 
-// microKind discriminates pre-decoded superblock micro-ops. Single-insn
+// microKind discriminates pre-decoded block micro-ops. Single-insn
 // kinds are exactly one program instruction with operands fully resolved;
 // the pattern super-ops below the marker retire a short idiomatic
 // instruction sequence (codegen emits the same shapes over and over) in
@@ -768,6 +713,12 @@ const (
 	muCallReadIOAC    // r0 = task ioac field r1
 	muCallReadSock    // r0 = tcp_sock field r1
 
+	// Conditional jumps: x is the opcode (compared through condTrue, the
+	// interpreter's own predicate), idx the taken pc, idx2 the pc after the
+	// jump — what a taken branch has retired, counted from the block head.
+	muJccImm // if dst <x> imm, leave the block for idx
+	muJccReg // if dst <x> src, leave the block for idx
+
 	// Pattern super-ops (see peephole).
 	muStoreZeroRun    // stack[idx : idx+8*idx2] = 0 (idx2 consecutive st 0)
 	muLoadObjStore    // x = obj(src)[addr(src)+idx2]; stack[idx] = x
@@ -800,7 +751,7 @@ type microOp struct {
 }
 
 // regMask makes a byte register index provably in-bounds for the padded
-// register file, eliminating the bounds check in every blockRunner arm.
+// register file, eliminating the bounds check in every block.run arm.
 // Fused indices are architectural registers (< numRegs), so masking never
 // changes the index.
 const regMask = regSlots - 1
@@ -883,12 +834,12 @@ func callMicro(id int64) (microKind, bool) {
 	return 0, false
 }
 
-// microFor pre-decodes one straight-line instruction into a micro-op with
-// its operands fully resolved, mirroring the interpreter's semantics for
-// that instruction exactly. It reports false for what has no micro form: a
+// microFor pre-decodes one instruction into a micro-op with its operands
+// fully resolved, mirroring the interpreter's semantics for that
+// instruction exactly. It reports false for what has no micro form: a
 // memory access whose base the analysis did not prove, a helper call it
-// could not devirtualize, and any opcode that is not straight-line code;
-// compileInsn maps each to its decline reason or fallback.
+// could not devirtualize, and any opcode with no template; compileInsn
+// maps each to its decline reason or fallback.
 func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 	switch {
 	case in.Op == OpMovImm:
@@ -903,6 +854,14 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 		return microOp{kind: muMovReg, dst: uint8(in.Dst), src: uint8(in.Src)}, true
 	case in.Op == OpLoadMapPtr:
 		return microOp{kind: muMovImm, dst: uint8(in.Dst), imm: mapTag | uint64(in.Imm)}, true
+
+	case isCondJump(in.Op):
+		op := microOp{kind: muJccImm, dst: uint8(in.Dst), x: uint8(in.Op), imm: uint64(in.Imm),
+			idx: int32(pc + 1 + int(in.Off)), idx2: int32(pc + 1)}
+		if isRegSrc(in.Op) {
+			op.kind, op.src = muJccReg, uint8(in.Src)
+		}
+		return op, true
 
 	case in.Op == OpCall:
 		if k, ok := callMicro(in.Imm); ok {
@@ -1309,256 +1268,284 @@ func matchAddImmObjStore(w []microOp) (microOp, int) {
 		idx: w[0].idx, imm: w[1].imm}, 3
 }
 
-// blockRunner executes a pre-decoded superblock. The switch compiles to a
-// jump table; operand resolution happened at compile time, so each case is
-// a handful of machine instructions with no tag decode, no bounds
-// reasoning, and no per-instruction accounting. insns is the number of
-// program instructions the block retires — with pattern super-ops this
-// exceeds len(ops).
-func blockRunner(ops []microOp, insns int, next *copFn) copFn {
-	return func(ec *execState) copFn {
-		for i := range ops {
-			op := &ops[i]
-			switch op.kind {
-			case muMovImm:
-				ec.regs[op.dst&regMask] = op.imm
-			case muMovReg:
-				ec.regs[op.dst&regMask] = ec.regs[op.src&regMask]
+// block is one compiled superblock: the micro-ops of the instructions at
+// pcs [head, next), entered only at head. Successors are read from the
+// program's dispatch table when the block leaves, not bound when it is
+// built, because fuse fills the table's block heads in pc order.
+type block struct {
+	ops        []microOp
+	fns        []copFn
+	head, next int
+}
 
-			case muAddImm:
-				ec.regs[op.dst&regMask] += op.imm
-			case muAddReg:
-				ec.regs[op.dst&regMask] += ec.regs[op.src&regMask]
-			case muSubImm:
-				ec.regs[op.dst&regMask] -= op.imm
-			case muSubReg:
-				ec.regs[op.dst&regMask] -= ec.regs[op.src&regMask]
-			case muMulImm:
-				ec.regs[op.dst&regMask] *= op.imm
-			case muMulReg:
-				ec.regs[op.dst&regMask] *= ec.regs[op.src&regMask]
-			case muDivImm:
-				if op.imm == 0 {
-					ec.regs[op.dst&regMask] = 0
-				} else {
-					ec.regs[op.dst&regMask] /= op.imm
-				}
-			case muDivReg:
-				if b := ec.regs[op.src&regMask]; b == 0 {
-					ec.regs[op.dst&regMask] = 0
-				} else {
-					ec.regs[op.dst&regMask] /= b
-				}
-			case muModImm:
-				if op.imm == 0 {
-					ec.regs[op.dst&regMask] = 0
-				} else {
-					ec.regs[op.dst&regMask] %= op.imm
-				}
-			case muModReg:
-				if b := ec.regs[op.src&regMask]; b == 0 {
-					ec.regs[op.dst&regMask] = 0
-				} else {
-					ec.regs[op.dst&regMask] %= b
-				}
-			case muAndImm:
-				ec.regs[op.dst&regMask] &= op.imm
-			case muAndReg:
-				ec.regs[op.dst&regMask] &= ec.regs[op.src&regMask]
-			case muOrImm:
-				ec.regs[op.dst&regMask] |= op.imm
-			case muOrReg:
-				ec.regs[op.dst&regMask] |= ec.regs[op.src&regMask]
-			case muXorImm:
-				ec.regs[op.dst&regMask] ^= op.imm
-			case muXorReg:
-				ec.regs[op.dst&regMask] ^= ec.regs[op.src&regMask]
-			case muLshImm:
-				ec.regs[op.dst&regMask] <<= op.imm & 63
-			case muLshReg:
-				ec.regs[op.dst&regMask] <<= ec.regs[op.src&regMask] & 63
-			case muRshImm:
-				ec.regs[op.dst&regMask] >>= op.imm & 63
-			case muRshReg:
-				ec.regs[op.dst&regMask] >>= ec.regs[op.src&regMask] & 63
-			case muArshImm:
-				ec.regs[op.dst&regMask] = uint64(int64(ec.regs[op.dst&regMask]) >> (op.imm & 63))
-			case muArshReg:
-				ec.regs[op.dst&regMask] = uint64(int64(ec.regs[op.dst&regMask]) >> (ec.regs[op.src&regMask] & 63))
-			case muNeg:
-				ec.regs[op.dst&regMask] = -ec.regs[op.dst&regMask]
+// run executes the block. The switch compiles to a jump table; operand
+// resolution happened at compile time, so each case is a handful of machine
+// instructions with no tag decode, no bounds reasoning, and no
+// per-instruction accounting: the block charges next-head instructions when
+// it runs off its end, and a taken branch charges the instructions up to
+// and including itself — with pattern super-ops either exceeds the ops
+// dispatched.
+//
+// run must stay a function the compiler builds on its own. As a closure
+// returned by a constructor small enough to be inlined into fuse, the copy
+// that actually ran was compiled without inlining anything: 57 real CALLs
+// to one-line helpers (PutU64, ptrAddr, U64, Task.Perf, ...) inside this
+// loop, each spilling every live register. scripts/check.sh lint
+// disassembles this symbol and fails on any call it does not expect.
+func (blk *block) run(ec *execState) copFn {
+	ops := blk.ops
+	for i := range ops {
+		op := &ops[i]
+		switch op.kind {
+		case muMovImm:
+			ec.regs[op.dst&regMask] = op.imm
+		case muMovReg:
+			ec.regs[op.dst&regMask] = ec.regs[op.src&regMask]
 
-			case muPtrAddImm:
-				d := ec.regs[op.dst&regMask]
-				ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+int64(op.imm)))
-			case muPtrAddReg:
-				d := ec.regs[op.dst&regMask]
-				ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+int64(ec.regs[op.src&regMask])))
-			case muPtrSubReg:
-				d := ec.regs[op.dst&regMask]
-				ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))-int64(ec.regs[op.src&regMask])))
-
-			case muLoadStackExact:
-				ec.regs[op.dst&regMask] = U64(ec.stack[op.idx : op.idx+8])
-			case muLoadStackDyn:
-				a := int32(ptrAddr(ec.regs[op.src&regMask])) + op.idx
-				ec.regs[op.dst&regMask] = U64(ec.stack[a : a+8])
-			case muLoadObjDyn:
-				v := ec.regs[op.src&regMask]
-				b := ec.objects[ptrObj(v)-1]
-				a := int32(ptrAddr(v)) + op.idx
-				ec.regs[op.dst&regMask] = U64(b[a : a+8])
-			case muStoreImmExact:
-				PutU64(ec.stack[op.idx:op.idx+8], op.imm)
-			case muStoreImmDyn:
-				a := int32(ptrAddr(ec.regs[op.dst&regMask])) + op.idx
-				PutU64(ec.stack[a:a+8], op.imm)
-			case muStoreImmObj:
-				v := ec.regs[op.dst&regMask]
-				b := ec.objects[ptrObj(v)-1]
-				a := int32(ptrAddr(v)) + op.idx
-				PutU64(b[a:a+8], op.imm)
-			case muStoreRegExact:
-				PutU64(ec.stack[op.idx:op.idx+8], ec.regs[op.src&regMask])
-			case muStoreRegDyn:
-				a := int32(ptrAddr(ec.regs[op.dst&regMask])) + op.idx
-				PutU64(ec.stack[a:a+8], ec.regs[op.src&regMask])
-			case muStoreRegObj:
-				v := ec.regs[op.dst&regMask]
-				b := ec.objects[ptrObj(v)-1]
-				a := int32(ptrAddr(v)) + op.idx
-				PutU64(b[a:a+8], ec.regs[op.src&regMask])
-
-			case muCallGetPID:
-				ec.regs[R0] = uint64(ec.task.PID)
-				ec.helperNS += int64(op.imm)
-			case muCallGetTaskGen:
-				ec.regs[R0] = ec.task.Gen()
-				ec.helperNS += int64(op.imm)
-			case muCallGetCPU:
-				ec.regs[R0] = uint64(ec.task.CPU())
-				ec.helperNS += int64(op.imm)
-			case muCallKtime:
-				ec.regs[R0] = uint64(ec.task.Now())
-				ec.helperNS += int64(op.imm)
-			case muCallGetArg:
-				if i := int(ec.regs[R1]); i >= 0 && i < len(ec.args) {
-					ec.regs[R0] = ec.args[i]
-				} else {
-					ec.regs[R0] = 0
-				}
-				ec.helperNS += int64(op.imm)
-			case muCallReadCounter:
-				ec.regs[R0] = readCounterHelper(ec.task, ec.regs[R1], ec.regs[R2])
-				ec.helperNS += int64(op.imm)
-			case muCallReadIOAC:
-				ec.regs[R0] = readIOACHelper(ec.task, ec.regs[R1])
-				ec.helperNS += int64(op.imm)
-			case muCallReadSock:
-				ec.regs[R0] = readSockHelper(ec.task, ec.regs[R1])
-				ec.helperNS += int64(op.imm)
-
-			case muStoreZeroRun:
-				clear(ec.stack[op.idx : op.idx+8*op.idx2])
-			case muLoadObjStore:
-				v := ec.regs[op.src&regMask]
-				b := ec.objects[ptrObj(v)-1]
-				a := int32(ptrAddr(v)) + op.idx2
-				x := U64(b[a : a+8])
-				ec.regs[op.x&regMask] = x
-				PutU64(ec.stack[op.idx:op.idx+8], x)
-			case muGetArgStore:
-				ec.regs[R1] = op.imm
-				var v uint64
-				if i := int(op.imm); i >= 0 && i < len(ec.args) {
-					v = ec.args[i]
-				}
-				ec.regs[R0] = v
-				PutU64(ec.stack[op.idx:op.idx+8], v)
-				ec.helperNS += int64(op.idx2)
-			case muReadCounterLoad:
-				ec.regs[R1] = op.imm
-				ec.regs[R2] = uint64(op.src)
-				ec.regs[R0] = readCounterHelper(ec.task, op.imm, uint64(op.src))
-				ec.helperNS += int64(op.idx2)
-			case muReadCounterStore:
-				ec.regs[R1] = op.imm
-				ec.regs[R2] = uint64(op.src)
-				v := readCounterHelper(ec.task, op.imm, uint64(op.src))
-				ec.regs[R0] = v
-				PutU64(ec.stack[op.idx:op.idx+8], v)
-				ec.helperNS += int64(op.idx2)
-			case muScaleStore:
-				a := int32(uint32(op.imm >> 32))
-				bidx := int32(uint32(op.imm>>16) & 0xffff)
-				s := op.imm & 63
-				vx := U64(ec.stack[a:a+8]) << s
-				vy := U64(ec.stack[bidx : bidx+8])
-				if vy == 0 {
-					vx = 0
-				} else {
-					vx /= vy
-				}
-				ec.regs[op.src&regMask] = vx
-				ec.regs[op.x&regMask] = vy
-				z := (ec.regs[op.dst&regMask] * vx) >> s
-				ec.regs[op.dst&regMask] = z
-				PutU64(ec.stack[op.idx:op.idx+8], z)
-
-			case muDeltaObjStore:
-				va := U64(ec.stack[op.idx2 : op.idx2+8])
-				v := ec.regs[op.src&regMask]
-				b := ec.objects[ptrObj(v)-1]
-				a := int32(ptrAddr(v)) + op.idx
-				vb := U64(b[a : a+8])
-				ec.regs[op.x&regMask] = vb
-				d := va - vb
-				ec.regs[op.dst&regMask] = d
-				PutU64(b[a:a+8], d)
-			case muAddImmObjStore:
-				v := ec.regs[op.src&regMask]
-				b := ec.objects[ptrObj(v)-1]
-				a := int32(ptrAddr(v)) + op.idx
-				nv := U64(b[a:a+8]) + op.imm
-				ec.regs[op.x&regMask] = nv
-				PutU64(b[a:a+8], nv)
-			case muProbeScaleStore:
-				c := kernel.Counter(op.imm >> 48)
-				a := int32(uint32(op.imm>>32) & 0xffff)
-				bidx := int32(uint32(op.imm>>16) & 0xffff)
-				s := op.imm & 63
-				var raw, en, run uint64
-				if c.Valid() {
-					r := ec.task.Perf().Read(c)
-					raw = uint64(int64(r.Raw))
-					en = uint64(r.TimeEnabled * perfScale)
-					run = uint64(r.TimeRunning * perfScale)
-				}
-				ec.regs[R1] = uint64(c)
-				ec.regs[R2] = CounterPartRaw
-				ec.regs[R0] = raw
-				PutU64(ec.stack[a:a+8], en)
-				PutU64(ec.stack[bidx:bidx+8], run)
-				vx := en << s
-				if run == 0 {
-					vx = 0
-				} else {
-					vx /= run
-				}
-				ec.regs[op.src&regMask] = vx
-				ec.regs[op.x&regMask] = run
-				z := (ec.regs[op.dst&regMask] * vx) >> s
-				ec.regs[op.dst&regMask] = z
-				PutU64(ec.stack[op.idx:op.idx+8], z)
-				ec.helperNS += int64(op.idx2)
-
-			case muHelperCall:
-				op.fn(ec)
+		case muAddImm:
+			ec.regs[op.dst&regMask] += op.imm
+		case muAddReg:
+			ec.regs[op.dst&regMask] += ec.regs[op.src&regMask]
+		case muSubImm:
+			ec.regs[op.dst&regMask] -= op.imm
+		case muSubReg:
+			ec.regs[op.dst&regMask] -= ec.regs[op.src&regMask]
+		case muMulImm:
+			ec.regs[op.dst&regMask] *= op.imm
+		case muMulReg:
+			ec.regs[op.dst&regMask] *= ec.regs[op.src&regMask]
+		case muDivImm:
+			if op.imm == 0 {
+				ec.regs[op.dst&regMask] = 0
+			} else {
+				ec.regs[op.dst&regMask] /= op.imm
 			}
+		case muDivReg:
+			if b := ec.regs[op.src&regMask]; b == 0 {
+				ec.regs[op.dst&regMask] = 0
+			} else {
+				ec.regs[op.dst&regMask] /= b
+			}
+		case muModImm:
+			if op.imm == 0 {
+				ec.regs[op.dst&regMask] = 0
+			} else {
+				ec.regs[op.dst&regMask] %= op.imm
+			}
+		case muModReg:
+			if b := ec.regs[op.src&regMask]; b == 0 {
+				ec.regs[op.dst&regMask] = 0
+			} else {
+				ec.regs[op.dst&regMask] %= b
+			}
+		case muAndImm:
+			ec.regs[op.dst&regMask] &= op.imm
+		case muAndReg:
+			ec.regs[op.dst&regMask] &= ec.regs[op.src&regMask]
+		case muOrImm:
+			ec.regs[op.dst&regMask] |= op.imm
+		case muOrReg:
+			ec.regs[op.dst&regMask] |= ec.regs[op.src&regMask]
+		case muXorImm:
+			ec.regs[op.dst&regMask] ^= op.imm
+		case muXorReg:
+			ec.regs[op.dst&regMask] ^= ec.regs[op.src&regMask]
+		case muLshImm:
+			ec.regs[op.dst&regMask] <<= op.imm & 63
+		case muLshReg:
+			ec.regs[op.dst&regMask] <<= ec.regs[op.src&regMask] & 63
+		case muRshImm:
+			ec.regs[op.dst&regMask] >>= op.imm & 63
+		case muRshReg:
+			ec.regs[op.dst&regMask] >>= ec.regs[op.src&regMask] & 63
+		case muArshImm:
+			ec.regs[op.dst&regMask] = uint64(int64(ec.regs[op.dst&regMask]) >> (op.imm & 63))
+		case muArshReg:
+			ec.regs[op.dst&regMask] = uint64(int64(ec.regs[op.dst&regMask]) >> (ec.regs[op.src&regMask] & 63))
+		case muNeg:
+			ec.regs[op.dst&regMask] = -ec.regs[op.dst&regMask]
+
+		case muPtrAddImm:
+			d := ec.regs[op.dst&regMask]
+			ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+int64(op.imm)))
+		case muPtrAddReg:
+			d := ec.regs[op.dst&regMask]
+			ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+int64(ec.regs[op.src&regMask])))
+		case muPtrSubReg:
+			d := ec.regs[op.dst&regMask]
+			ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))-int64(ec.regs[op.src&regMask])))
+
+		case muLoadStackExact:
+			ec.regs[op.dst&regMask] = U64(ec.stack[op.idx : op.idx+8])
+		case muLoadStackDyn:
+			a := int32(ptrAddr(ec.regs[op.src&regMask])) + op.idx
+			ec.regs[op.dst&regMask] = U64(ec.stack[a : a+8])
+		case muLoadObjDyn:
+			v := ec.regs[op.src&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx
+			ec.regs[op.dst&regMask] = U64(b[a : a+8])
+		case muStoreImmExact:
+			PutU64(ec.stack[op.idx:op.idx+8], op.imm)
+		case muStoreImmDyn:
+			a := int32(ptrAddr(ec.regs[op.dst&regMask])) + op.idx
+			PutU64(ec.stack[a:a+8], op.imm)
+		case muStoreImmObj:
+			v := ec.regs[op.dst&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx
+			PutU64(b[a:a+8], op.imm)
+		case muStoreRegExact:
+			PutU64(ec.stack[op.idx:op.idx+8], ec.regs[op.src&regMask])
+		case muStoreRegDyn:
+			a := int32(ptrAddr(ec.regs[op.dst&regMask])) + op.idx
+			PutU64(ec.stack[a:a+8], ec.regs[op.src&regMask])
+		case muStoreRegObj:
+			v := ec.regs[op.dst&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx
+			PutU64(b[a:a+8], ec.regs[op.src&regMask])
+
+		case muCallGetPID:
+			ec.regs[R0] = uint64(ec.task.PID)
+			ec.helperNS += int64(op.imm)
+		case muCallGetTaskGen:
+			ec.regs[R0] = ec.task.Gen()
+			ec.helperNS += int64(op.imm)
+		case muCallGetCPU:
+			ec.regs[R0] = uint64(ec.task.CPU())
+			ec.helperNS += int64(op.imm)
+		case muCallKtime:
+			ec.regs[R0] = uint64(ec.task.Now())
+			ec.helperNS += int64(op.imm)
+		case muCallGetArg:
+			if i := int(ec.regs[R1]); i >= 0 && i < len(ec.args) {
+				ec.regs[R0] = ec.args[i]
+			} else {
+				ec.regs[R0] = 0
+			}
+			ec.helperNS += int64(op.imm)
+		case muCallReadCounter:
+			ec.regs[R0] = readCounterHelper(ec.task, ec.regs[R1], ec.regs[R2])
+			ec.helperNS += int64(op.imm)
+		case muCallReadIOAC:
+			ec.regs[R0] = readIOACHelper(ec.task, ec.regs[R1])
+			ec.helperNS += int64(op.imm)
+		case muCallReadSock:
+			ec.regs[R0] = readSockHelper(ec.task, ec.regs[R1])
+			ec.helperNS += int64(op.imm)
+
+		case muJccImm:
+			if condTrue(Op(op.x), ec.regs[op.dst&regMask], op.imm) {
+				ec.executed += int(op.idx2) - blk.head
+				return blk.fns[op.idx]
+			}
+		case muJccReg:
+			if condTrue(Op(op.x), ec.regs[op.dst&regMask], ec.regs[op.src&regMask]) {
+				ec.executed += int(op.idx2) - blk.head
+				return blk.fns[op.idx]
+			}
+
+		case muStoreZeroRun:
+			clear(ec.stack[op.idx : op.idx+8*op.idx2])
+		case muLoadObjStore:
+			v := ec.regs[op.src&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx2
+			x := U64(b[a : a+8])
+			ec.regs[op.x&regMask] = x
+			PutU64(ec.stack[op.idx:op.idx+8], x)
+		case muGetArgStore:
+			ec.regs[R1] = op.imm
+			var v uint64
+			if i := int(op.imm); i >= 0 && i < len(ec.args) {
+				v = ec.args[i]
+			}
+			ec.regs[R0] = v
+			PutU64(ec.stack[op.idx:op.idx+8], v)
+			ec.helperNS += int64(op.idx2)
+		case muReadCounterLoad:
+			ec.regs[R1] = op.imm
+			ec.regs[R2] = uint64(op.src)
+			ec.regs[R0] = readCounterHelper(ec.task, op.imm, uint64(op.src))
+			ec.helperNS += int64(op.idx2)
+		case muReadCounterStore:
+			ec.regs[R1] = op.imm
+			ec.regs[R2] = uint64(op.src)
+			v := readCounterHelper(ec.task, op.imm, uint64(op.src))
+			ec.regs[R0] = v
+			PutU64(ec.stack[op.idx:op.idx+8], v)
+			ec.helperNS += int64(op.idx2)
+		case muScaleStore:
+			a := int32(uint32(op.imm >> 32))
+			bidx := int32(uint32(op.imm>>16) & 0xffff)
+			s := op.imm & 63
+			vx := U64(ec.stack[a:a+8]) << s
+			vy := U64(ec.stack[bidx : bidx+8])
+			if vy == 0 {
+				vx = 0
+			} else {
+				vx /= vy
+			}
+			ec.regs[op.src&regMask] = vx
+			ec.regs[op.x&regMask] = vy
+			z := (ec.regs[op.dst&regMask] * vx) >> s
+			ec.regs[op.dst&regMask] = z
+			PutU64(ec.stack[op.idx:op.idx+8], z)
+
+		case muDeltaObjStore:
+			va := U64(ec.stack[op.idx2 : op.idx2+8])
+			v := ec.regs[op.src&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx
+			vb := U64(b[a : a+8])
+			ec.regs[op.x&regMask] = vb
+			d := va - vb
+			ec.regs[op.dst&regMask] = d
+			PutU64(b[a:a+8], d)
+		case muAddImmObjStore:
+			v := ec.regs[op.src&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx
+			nv := U64(b[a:a+8]) + op.imm
+			ec.regs[op.x&regMask] = nv
+			PutU64(b[a:a+8], nv)
+		case muProbeScaleStore:
+			c := kernel.Counter(op.imm >> 48)
+			a := int32(uint32(op.imm>>32) & 0xffff)
+			bidx := int32(uint32(op.imm>>16) & 0xffff)
+			s := op.imm & 63
+			var raw, en, run uint64
+			if c.Valid() {
+				r := ec.task.Perf().Read(c)
+				raw = uint64(int64(r.Raw))
+				en = uint64(r.TimeEnabled * perfScale)
+				run = uint64(r.TimeRunning * perfScale)
+			}
+			ec.regs[R1] = uint64(c)
+			ec.regs[R2] = CounterPartRaw
+			ec.regs[R0] = raw
+			PutU64(ec.stack[a:a+8], en)
+			PutU64(ec.stack[bidx:bidx+8], run)
+			vx := en << s
+			if run == 0 {
+				vx = 0
+			} else {
+				vx /= run
+			}
+			ec.regs[op.src&regMask] = vx
+			ec.regs[op.x&regMask] = run
+			z := (ec.regs[op.dst&regMask] * vx) >> s
+			ec.regs[op.dst&regMask] = z
+			PutU64(ec.stack[op.idx:op.idx+8], z)
+			ec.helperNS += int64(op.idx2)
+
+		case muHelperCall:
+			op.fn(ec)
 		}
-		ec.executed += insns
-		return *next
 	}
+	ec.executed += blk.next - blk.head
+	return blk.fns[blk.next]
 }
 
 // readCounterHelper is the shared core of HelperReadCounter across the

@@ -481,12 +481,13 @@ func TestCostRoundsHalfUp(t *testing.T) {
 	}
 }
 
-// isolateInsns pads p with a `ja +0` in front of every straight-line
-// instruction and retargets p's own jumps onto the pads. Every straight-line
-// pc is then a jump target whose successor is a jump or Exit, so each one
-// compiles to a block of exactly one micro-op.
+// isolateInsns pads p with a `ja +0` in front of every instruction that
+// compiles to a micro-op — everything but Ja and Exit, conditional jumps
+// included — and retargets p's own jumps onto the pads. Every such pc is
+// then a jump target whose successor is a Ja or Exit, so each one compiles
+// to a block of exactly one micro-op.
 func isolateInsns(p *Program) *Program {
-	straight := func(in Insn) bool { return !isJump(in.Op) && in.Op != OpExit }
+	straight := func(in Insn) bool { return in.Op != OpJa && in.Op != OpExit }
 	newPC := make([]int, len(p.Insns))
 	n := 0
 	for pc, in := range p.Insns {
@@ -595,6 +596,8 @@ func singleInsnBlocksProgram() *Program {
 	b.AddReg(R4, R8).Load(R1, R4, 0).Sub(R4, 8).Add(R4, 8).StoreImm(R4, 0, 13)
 	acc(R1)
 	b.Label("miss")
+	// A register-form conditional jump, taken (r7 = 100 > r8 = 8).
+	b.emitJump(Insn{Op: OpJgtReg, Dst: R7, Src: R8}, "gt").Mov(R9, 0).Label("gt")
 	b.LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 16).Call(HelperMapDelete)
 	acc(R0)
 
@@ -617,9 +620,10 @@ func singleInsnBlocksProgram() *Program {
 }
 
 // TestSingleInstructionBlocksAgree runs a program in which every block has
-// length 1, so each micro kind family executes as a block of its own — the
-// shape the per-instruction closures used to cover — and must match the
-// interpreter on R0, cost, helper trace, printk and map end-states.
+// length 1, so each micro kind family — a conditional jump's branch
+// micro-op like any other — executes as a block of its own and must match
+// the interpreter on R0, cost, helper trace, printk and map end-states.
+// (Branches in the middle of longer blocks are TestBranchMicroOps' job.)
 func TestSingleInstructionBlocksAgree(t *testing.T) {
 	p := singleInsnBlocksProgram()
 	lp, err := Load(p, 0)
@@ -660,5 +664,115 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 	}
 	if info := assertCompiledAgreement(t, p, 5); !info.Compiled {
 		t.Fatalf("program declined: %+v", info)
+	}
+}
+
+// branchProgram builds a program whose block at "head" holds one
+// conditional jump `op r6, b` (r6 = 2, from args = {1, 2, 3, 4}; register
+// forms compare against r7 = b, 1 ≤ b ≤ 3) at position pos — "first",
+// "middle" or "last" micro-op of its block — and returns it with the jump's
+// pc. On the fall-through edge the same block goes on to a store, a printk
+// and a map update, and the taken edge does the same with a different r9,
+// so a skipped op, a wrong edge or a wrong instruction count each change
+// R0, the cost, the helper trace or the hash map's end-state.
+func branchProgram(op Op, b int64, pos string) (*Program, int) {
+	bl := genMapsBuilder(fmt.Sprintf("jit/branch/%v/%d/%s", op, b, pos))
+	emit := func() {
+		bl.Store(R10, -16, R9).MovReg(R1, R9).Call(HelperTracePrintk).
+			LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 16).MovReg(R3, R10).Sub(R3, 32).
+			Call(HelperMapUpdate).AddReg(R9, R0)
+	}
+	bl.Mov(R1, 1).Call(HelperGetArg).MovReg(R6, R0)
+	bl.Mov(R1, b-1).Call(HelperGetArg).MovReg(R7, R0)
+	bl.Mov(R9, 0).StoreImm(R10, -32, 21).StoreImm(R10, -24, 22)
+	if pos == "last" {
+		// Never taken, but it makes the jump's fall-through a jump target,
+		// which ends the block right after the jump.
+		bl.Jeq(R6, 99, "fall")
+	}
+	bl.Ja("head").Label("head")
+	if pos != "first" {
+		bl.Add(R9, 1).StoreImm(R10, -8, 7).Lsh(R9, 1)
+	}
+	jpc := bl.Len()
+	bl.emitJump(Insn{Op: op, Dst: R6, Src: R7, Imm: b}, "out")
+	if pos != "last" {
+		bl.Add(R9, 5).Load(R1, R10, -24).AddReg(R9, R1)
+	}
+	bl.Label("fall").Add(R9, 16)
+	emit()
+	bl.Ja("done")
+	bl.Label("out").Add(R9, 1000)
+	emit()
+	bl.Label("done").MovReg(R0, R9).Exit()
+	return bl.MustBuild(), jpc
+}
+
+// TestBranchMicroOps is the differential test for branches inside blocks:
+// every conditional opcode, taken and not taken, as the first, a middle and
+// the last micro-op of its block, compiled against the interpreter on R0,
+// cost, helper trace, printk and map end-states.
+func TestBranchMicroOps(t *testing.T) {
+	// At 1 ns per instruction the cost is the instruction count plus the
+	// helper costs, so one miscounted instruction shows (LargeHW's 0.25 ns
+	// rounds most single-instruction errors away).
+	unit := sim.LargeHW
+	unit.BPFInsnNS = 1
+	ops := 0
+	for op := OpInvalid; op <= OpArshReg; op++ {
+		if !isCondJump(op) {
+			continue
+		}
+		ops++
+		outcomes := map[bool]bool{}
+		for b := int64(1); b <= 3; b++ {
+			taken := condTrue(op, 2, uint64(b))
+			outcomes[taken] = true
+			for _, pos := range []string{"first", "middle", "last"} {
+				p, jpc := branchProgram(op, b, pos)
+				lp, err := Load(p, 0)
+				if err != nil {
+					t.Fatalf("load: %v\n%s", err, p.Disassemble())
+				}
+				cc, reason := lp.decode()
+				if reason != "" {
+					t.Fatalf("%s declined: %q", p.Name, reason)
+				}
+				head := jpc
+				for head > 0 && cc.fns[head-1] == nil && !cc.isTarget[head] {
+					head--
+				}
+				run := cc.run(head)
+				if k := run[jpc-head].kind; k != muJccImm && k != muJccReg {
+					t.Fatalf("%s: pc %d decoded to micro kind %d, not a branch", p.Name, jpc, k)
+				}
+				at := map[string]bool{
+					"first":  jpc == head && len(run) > 1,
+					"middle": jpc > head && jpc < head+len(run)-1,
+					"last":   jpc > head && jpc == head+len(run)-1,
+				}
+				if !at[pos] {
+					t.Fatalf("%s: branch is op %d of a %d-op block", p.Name, jpc-head, len(run))
+				}
+				ir := runExecVariantOn(unit, p.Name, p.Insns, 3, false)
+				cr := runExecVariantOn(unit, p.Name, p.Insns, 3, true)
+				if !cr.info.Compiled {
+					t.Fatalf("%s declined: %+v", p.Name, cr.info)
+				}
+				cr.info = ir.info
+				if ir.err != nil || !reflect.DeepEqual(ir, cr) {
+					t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
+				}
+				if (ir.r0 >= 1000) != taken {
+					t.Fatalf("%s: R0 = %d; taken edge expected: %v", p.Name, ir.r0, taken)
+				}
+			}
+		}
+		if !outcomes[true] || !outcomes[false] {
+			t.Fatalf("%v: operands never made it go both ways: %v", op, outcomes)
+		}
+	}
+	if ops != 13 {
+		t.Fatalf("covered %d conditional opcodes, want 13", ops)
 	}
 }

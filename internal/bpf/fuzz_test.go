@@ -93,6 +93,17 @@ func FuzzVerify(f *testing.F) {
 	f.Add(EncodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpJeqImm, Dst: R0}}))
 	f.Add(EncodeInsns([]Insn{{Op: OpStore, Dst: R1, Src: R2}, {Op: OpExit}}))
 	f.Add(EncodeInsns([]Insn{{Op: OpLoad, Dst: R0, Src: R10, Off: -8}, {Op: OpExit}}))
+	// Branches inside blocks, in forms the generator cannot express: a
+	// taken register-form jump in the middle of its block, and an untaken
+	// jset ending one.
+	for _, c := range []struct {
+		op  Op
+		b   int64
+		pos string
+	}{{OpJgtReg, 1, "middle"}, {OpJsetImm, 1, "last"}} {
+		p, _ := branchProgram(c.op, c.b, c.pos)
+		f.Add(EncodeInsns(p.Insns))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insns := DecodeInsns(data)
@@ -123,6 +134,10 @@ func FuzzVerifyThenRun(f *testing.F) {
 	f.Add(int64(8), uint8(9), []byte{0, 0, 0, 0})
 	f.Add(int64(42), uint8(30), []byte{2, 7, 255, 255, 7, 3, 0, 0})
 	f.Add(int64(99), uint8(36), []byte{6, 1, 0, 0, 5, 2, 128, 0})
+	// Generated programs with conditional jumps as the first, a middle and
+	// the last micro-op of a compiled block (see TestBranchMicroOps).
+	f.Add(int64(100), uint8(11), []byte{})
+	f.Add(int64(138), uint8(11), []byte{})
 
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, mut []byte) {
 		p := GenProgram(seed, int(steps%40)+1)

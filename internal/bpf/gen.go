@@ -27,7 +27,6 @@ const (
 )
 
 const (
-	genHashKeySize   = 8
 	genHashValueSize = 16
 	genArrayValue    = 16
 	genStackValue    = 8
@@ -37,7 +36,7 @@ const (
 // fuzz iteration gets its own maps so runs replay deterministically.
 func NewGenMaps() []Map {
 	return []Map{
-		genMapHash:    NewHashMap("fuzz/hash", genHashKeySize, genHashValueSize, 16),
+		genMapHash:    NewHashMap("fuzz/hash", genHashValueSize, 16),
 		genMapArray:   NewArrayMap("fuzz/array", genArrayValue, 4),
 		genMapStack:   NewStackMap("fuzz/stack", genStackValue, 4),
 		genMapRing:    NewPerCPURing("fuzz/ring", 1, 32),
@@ -467,7 +466,7 @@ func (g *progGen) helperClobber() {
 func (g *progGen) mapAndKey() (mapIdx, keyWord, keySize int) {
 	switch g.rng.Intn(3) {
 	case 0:
-		mapIdx, keySize = genMapHash, genHashKeySize
+		mapIdx, keySize = genMapHash, 8
 	case 1:
 		mapIdx, keySize = genMapArray, 8
 	default:

@@ -46,15 +46,27 @@ func U64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 // PutU64 writes v into the first 8 bytes of b.
 func PutU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
-// HashMap is the general-purpose BPF hash map.
+// HashMap is the general-purpose BPF hash map, keyed on 8-byte keys (every
+// map TScout's codegen and the fuzz generator build is). Like the kernel's
+// preallocated htab it never gives a value buffer back to the allocator: a
+// deleted entry's buffer goes on a free list and backs a later insert, so a
+// map that churns at a steady occupancy — an OU entry pushed at BEGIN and
+// deleted at FEATURES, every invocation — allocates nothing.
+//
+// That makes the aliasing rule the kernel's too: a value returned by Lookup
+// (or seen by Range) is valid until its key is deleted; after that the same
+// bytes may hold the value of a different, later key. A program that still
+// needs the value must copy it out before it deletes the key.
 type HashMap struct {
 	name       string
-	keySize    int
 	valueSize  int
 	maxEntries int
 
 	mu sync.Mutex
-	m  map[string][]byte
+	m  map[uint64][]byte
+	// free holds the buffers of deleted entries; it never exceeds the peak
+	// number of live entries.
+	free [][]byte
 	// count mirrors len(m), maintained under mu but readable lock-free:
 	// Collector programs issue unconditional cleanup deletes and probe
 	// lookups against maps that are empty in steady state, and a count of
@@ -63,19 +75,19 @@ type HashMap struct {
 	count atomic.Int64
 }
 
-// NewHashMap creates a hash map with fixed key/value sizes.
-func NewHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
+// NewHashMap creates a hash map with 8-byte keys and a fixed value size.
+func NewHashMap(name string, valueSize, maxEntries int) *HashMap {
 	return &HashMap{
-		name: name, keySize: keySize, valueSize: valueSize,
-		maxEntries: maxEntries, m: make(map[string][]byte),
+		name: name, valueSize: valueSize,
+		maxEntries: maxEntries, m: make(map[uint64][]byte),
 	}
 }
 
 // Name returns the map name.
 func (h *HashMap) Name() string { return h.name }
 
-// KeySize returns the fixed key size in bytes.
-func (h *HashMap) KeySize() int { return h.keySize }
+// KeySize returns 8.
+func (h *HashMap) KeySize() int { return 8 }
 
 // ValueSize returns the fixed value size in bytes.
 func (h *HashMap) ValueSize() int { return h.valueSize }
@@ -88,71 +100,76 @@ func (h *HashMap) Len() int {
 	return int(h.count.Load())
 }
 
-// Lookup returns the value stored for key (aliasing the internal buffer),
-// or nil if absent or the key is the wrong size.
+// Lookup returns the value stored for key (aliasing the internal buffer,
+// see the type comment), or nil if absent or the key is the wrong size.
 func (h *HashMap) Lookup(key []byte) []byte {
-	if len(key) != h.keySize || h.count.Load() == 0 {
+	if len(key) != 8 || h.count.Load() == 0 {
 		return nil
 	}
 	h.mu.Lock()
-	v := h.m[string(key)] // string(key) here does not allocate
+	v := h.m[U64(key)]
 	h.mu.Unlock()
 	return v
 }
 
 // Update inserts or replaces the value for key (the value is copied). An
 // existing slot is overwritten in place — consistent with the aliasing
-// Lookup contract, a map-value pointer observes the update — which keeps
-// the marker hot path free of per-update allocations.
+// Lookup contract, a map-value pointer observes the update — and a new key
+// takes a recycled buffer when one is free, overwriting all of it.
 func (h *HashMap) Update(key, value []byte) error {
-	if len(key) != h.keySize {
+	if len(key) != 8 {
 		return ErrBadKeySize
 	}
 	if len(value) != h.valueSize {
 		return ErrBadValSize
 	}
+	k := U64(key)
 	h.mu.Lock()
-	if dst, ok := h.m[string(key)]; ok {
-		copy(dst, value)
-		h.mu.Unlock()
-		return nil
+	defer h.mu.Unlock()
+	dst, ok := h.m[k]
+	if !ok {
+		if len(h.m) >= h.maxEntries {
+			return ErrMapFull
+		}
+		if n := len(h.free); n > 0 {
+			dst, h.free = h.free[n-1], h.free[:n-1]
+		} else {
+			dst = make([]byte, h.valueSize)
+		}
+		h.m[k] = dst
+		h.count.Store(int64(len(h.m)))
 	}
-	if len(h.m) >= h.maxEntries {
-		h.mu.Unlock()
-		return ErrMapFull
-	}
-	v := make([]byte, h.valueSize)
-	copy(v, value)
-	h.m[string(key)] = v
-	h.count.Store(int64(len(h.m)))
-	h.mu.Unlock()
+	copy(dst, value)
 	return nil
 }
 
 // Range calls fn for every entry under the map lock with a copy of the key
-// and the live value buffer; returning false stops the walk. It exists for
-// user-space sweeps over kernel-written state — the Collector reaper scans
-// in-flight OU entries for dead task generations. The iteration order is
-// unspecified; callers needing determinism must sort what they collect.
+// (its 8 little-endian bytes) and the live value buffer; returning false
+// stops the walk. It exists for user-space sweeps over kernel-written state
+// — the Collector reaper scans in-flight OU entries for dead task
+// generations. The iteration order is unspecified; callers needing
+// determinism must sort what they collect.
 func (h *HashMap) Range(fn func(key, value []byte) bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for k, v := range h.m {
-		if !fn([]byte(k), v) {
+		if !fn(U64Key(k), v) {
 			return
 		}
 	}
 }
 
-// Delete removes key.
+// Delete removes key; its value buffer becomes reusable by a later insert.
 func (h *HashMap) Delete(key []byte) bool {
-	if len(key) != h.keySize || h.count.Load() == 0 {
+	if len(key) != 8 || h.count.Load() == 0 {
 		return false
 	}
+	k := U64(key)
 	h.mu.Lock()
-	_, ok := h.m[string(key)]
+	v, ok := h.m[k]
 	if ok {
-		delete(h.m, string(key))
+		delete(h.m, k)
+		h.free = append(h.free, v)
 		h.count.Store(int64(len(h.m)))
 	}
 	h.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHashMapBasics(t *testing.T) {
-	m := NewHashMap("h", 8, 16, 4)
+	m := NewHashMap("h", 16, 4)
 	if m.Name() != "h" || m.KeySize() != 8 || m.ValueSize() != 16 || m.MaxEntries() != 4 {
 		t.Fatalf("metadata: %v %v %v %v", m.Name(), m.KeySize(), m.ValueSize(), m.MaxEntries())
 	}
@@ -38,7 +38,7 @@ func TestHashMapBasics(t *testing.T) {
 }
 
 func TestHashMapSizeChecks(t *testing.T) {
-	m := NewHashMap("h", 8, 8, 4)
+	m := NewHashMap("h", 8, 4)
 	if err := m.Update([]byte{1}, make([]byte, 8)); err != ErrBadKeySize {
 		t.Fatalf("short key: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestHashMapSizeChecks(t *testing.T) {
 }
 
 func TestHashMapCapacity(t *testing.T) {
-	m := NewHashMap("h", 8, 8, 2)
+	m := NewHashMap("h", 8, 2)
 	v := make([]byte, 8)
 	if err := m.Update(U64Key(1), v); err != nil {
 		t.Fatal(err)
@@ -75,13 +75,86 @@ func TestHashMapCapacity(t *testing.T) {
 }
 
 func TestHashMapUpdateCopies(t *testing.T) {
-	m := NewHashMap("h", 8, 8, 4)
+	m := NewHashMap("h", 8, 4)
 	v := make([]byte, 8)
 	PutU64(v, 5)
 	_ = m.Update(U64Key(1), v)
 	PutU64(v, 6) // mutate caller buffer after update
 	if U64(m.Lookup(U64Key(1))) != 5 {
 		t.Fatalf("Update must copy the value")
+	}
+}
+
+// A deleted entry's buffer backs the next insert (the preallocated-htab
+// rule in HashMap's type comment): the new value must be exactly the
+// inserted bytes, and churn at a fixed occupancy must not allocate.
+func TestHashMapRecyclesDeletedBuffers(t *testing.T) {
+	m := NewHashMap("h", 16, 3)
+	old := bytes.Repeat([]byte{0xff}, 16)
+	if err := m.Update(U64Key(1), old); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(U64Key(2), old); err != nil {
+		t.Fatal(err)
+	}
+	stale := m.Lookup(U64Key(1))
+	if !m.Delete(U64Key(1)) || m.Len() != 1 {
+		t.Fatalf("delete: len %d", m.Len())
+	}
+	fresh := []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0}
+	if err := m.Update(U64Key(7), fresh); err != nil {
+		t.Fatal(err)
+	}
+	got := m.Lookup(U64Key(7))
+	if &got[0] != &stale[0] {
+		t.Fatalf("insert after delete must reuse the deleted entry's buffer")
+	}
+	if !bytes.Equal(got, fresh) {
+		t.Fatalf("recycled value = %x, want %x", got, fresh)
+	}
+	if m.Lookup(U64Key(1)) != nil || !bytes.Equal(m.Lookup(U64Key(2)), old) {
+		t.Fatalf("neighbours disturbed: 1=%x 2=%x", m.Lookup(U64Key(1)), m.Lookup(U64Key(2)))
+	}
+
+	// Range hands out keys as their 8 little-endian bytes.
+	seen := map[uint64]bool{}
+	m.Range(func(key, value []byte) bool {
+		if len(key) != 8 || len(value) != 16 {
+			t.Fatalf("Range sizes: key %d value %d", len(key), len(value))
+		}
+		seen[U64(key)] = true
+		return true
+	})
+	if len(seen) != 2 || !seen[2] || !seen[7] {
+		t.Fatalf("Range keys: %v", seen)
+	}
+
+	// Capacity counts live entries only, whatever sits on the free list.
+	if err := m.Update(U64Key(8), fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Update(U64Key(9), fresh); err != ErrMapFull || m.Len() != 3 {
+		t.Fatalf("over capacity after churn: %v, len %d", err, m.Len())
+	}
+
+	key := U64Key(8)
+	if n := testing.AllocsPerRun(100, func() {
+		m.Delete(key)
+		if err := m.Update(key, fresh); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("delete/insert churn at fixed occupancy allocates %v per cycle", n)
+	}
+
+	// Emptied, the lock-free fast paths answer: nothing present.
+	for _, k := range []uint64{2, 7, 8} {
+		if !m.Delete(U64Key(k)) {
+			t.Fatalf("delete %d", k)
+		}
+	}
+	if m.Len() != 0 || m.Lookup(key) != nil || m.Delete(key) {
+		t.Fatalf("empty map: len %d", m.Len())
 	}
 }
 
@@ -339,7 +412,7 @@ func TestHashMapModelProperty(t *testing.T) {
 		Value uint64
 	}
 	f := func(ops []op) bool {
-		m := NewHashMap("h", 8, 8, 1<<20)
+		m := NewHashMap("h", 8, 1<<20)
 		model := map[uint64]uint64{}
 		for _, o := range ops {
 			k := U64Key(uint64(o.Key))

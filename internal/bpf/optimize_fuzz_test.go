@@ -27,11 +27,11 @@ func mapFingerprint(m Map) string {
 	switch mm := m.(type) {
 	case *HashMap:
 		mm.mu.Lock()
-		keys := make([]string, 0, len(mm.m))
+		keys := make([]uint64, 0, len(mm.m))
 		for k := range mm.m {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		var b strings.Builder
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%x=%x;", k, mm.m[k])
@@ -96,6 +96,11 @@ func runOptVariant(name string, insns []Insn, seed int64) optVariantResult {
 // selects the JIT (falling back to the interpreter only if the compiler
 // declines, recorded in the result's info).
 func runExecVariant(name string, insns []Insn, seed int64, compile bool) optVariantResult {
+	return runExecVariantOn(sim.LargeHW, name, insns, seed, compile)
+}
+
+// runExecVariantOn is runExecVariant on a chosen hardware profile.
+func runExecVariantOn(hw sim.HardwareProfile, name string, insns []Insn, seed int64, compile bool) optVariantResult {
 	p := &Program{Name: name, Insns: insns, Maps: NewGenMaps()}
 	lp, err := Load(p, fuzzMaxInsns)
 	if err != nil {
@@ -106,7 +111,7 @@ func runExecVariant(name string, insns []Insn, seed int64, compile bool) optVari
 		info = lp.Compile()
 	}
 	lp.SetCallTrace(true)
-	k := kernel.New(sim.LargeHW, seed, 0)
+	k := kernel.New(hw, seed, 0)
 	task := k.NewTask("fuzz-opt")
 	r0, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
 	res := optVariantResult{r0: r0, cost: cost, err: rerr,

@@ -229,7 +229,7 @@ func TestVerifyRegisterOffsetStackAccess(t *testing.T) {
 func TestVerifyRegisterOffsetMapValueAccess(t *testing.T) {
 	// A bounds-checked scalar indexes into a 32-byte map value. The
 	// conditional edge refinement must prove r6*8 stays inside the value.
-	m := NewHashMap("m", 8, 32, 4)
+	m := NewHashMap("m", 32, 4)
 	b := NewBuilder("mapoff")
 	idx := b.AddMap(m)
 	p := b.StoreImm(R10, -8, 1).
@@ -297,7 +297,7 @@ func TestVerifyUnknownHelper(t *testing.T) {
 }
 
 func TestVerifyHelperArgTypes(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 4)
+	m := NewHashMap("m", 8, 4)
 	b := NewBuilder("badargs")
 	idx := b.AddMap(m)
 	_ = idx
@@ -310,7 +310,7 @@ func TestVerifyHelperArgTypes(t *testing.T) {
 }
 
 func TestVerifyHelperKeyNotStackPtr(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 4)
+	m := NewHashMap("m", 8, 4)
 	b := NewBuilder("badkey")
 	idx := b.AddMap(m)
 	p := b.LoadMapPtr(R1, idx).
@@ -321,7 +321,7 @@ func TestVerifyHelperKeyNotStackPtr(t *testing.T) {
 }
 
 func TestVerifyHelperKeyUninitialized(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 4)
+	m := NewHashMap("m", 8, 4)
 	b := NewBuilder("uninitkey")
 	idx := b.AddMap(m)
 	p := b.LoadMapPtr(R1, idx).
@@ -332,7 +332,7 @@ func TestVerifyHelperKeyUninitialized(t *testing.T) {
 }
 
 func TestVerifyNullCheckRequired(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 4)
+	m := NewHashMap("m", 8, 4)
 	b := NewBuilder("nonull")
 	idx := b.AddMap(m)
 	p := b.StoreImm(R10, -8, 1).
@@ -345,7 +345,7 @@ func TestVerifyNullCheckRequired(t *testing.T) {
 }
 
 func TestVerifyNullCheckedLookupOK(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 4)
+	m := NewHashMap("m", 8, 4)
 	b := NewBuilder("nullok")
 	idx := b.AddMap(m)
 	p := b.StoreImm(R10, -8, 1).
@@ -362,7 +362,7 @@ func TestVerifyNullCheckedLookupOK(t *testing.T) {
 }
 
 func TestVerifyMapValueBounds(t *testing.T) {
-	m := NewHashMap("m", 8, 16, 4)
+	m := NewHashMap("m", 16, 4)
 	b := NewBuilder("valbounds")
 	idx := b.AddMap(m)
 	p := b.StoreImm(R10, -8, 1).
@@ -468,7 +468,7 @@ func TestBuilderErrors(t *testing.T) {
 }
 
 func TestDisassembleSmoke(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 4)
+	m := NewHashMap("m", 8, 4)
 	b := NewBuilder("dis")
 	idx := b.AddMap(m)
 	p := b.StoreImm(R10, -8, 1).

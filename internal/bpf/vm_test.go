@@ -105,7 +105,7 @@ func TestRunStackMemory(t *testing.T) {
 }
 
 func TestRunMapRoundTrip(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 8)
+	m := NewHashMap("m", 8, 8)
 	b := NewBuilder("map")
 	idx := b.AddMap(m)
 	p := b.
@@ -136,7 +136,7 @@ func TestRunMapRoundTrip(t *testing.T) {
 func TestRunMapValueInPlaceMutation(t *testing.T) {
 	// The Collector's accumulate pattern: lookup, add, store through the
 	// value pointer.
-	m := NewHashMap("m", 8, 8, 8)
+	m := NewHashMap("m", 8, 8)
 	seed := make([]byte, 8)
 	PutU64(seed, 100)
 	if err := m.Update(U64Key(1), seed); err != nil {
@@ -168,7 +168,7 @@ func TestRunMapValueInPlaceMutation(t *testing.T) {
 }
 
 func TestRunMapLookupMiss(t *testing.T) {
-	m := NewHashMap("m", 8, 8, 8)
+	m := NewHashMap("m", 8, 8)
 	b := NewBuilder("miss")
 	idx := b.AddMap(m)
 	p := b.

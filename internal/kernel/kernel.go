@@ -12,6 +12,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -48,8 +49,13 @@ type Kernel struct {
 	liveGens    map[uint64]bool
 	numCPUs     int
 	tracepoints map[string]*Tracepoint
-	loadFactor  float64
-	injector    *FaultInjector
+
+	// loadFactor (float64 bits) and injector are read on every charge and
+	// every tracepoint hit, so they are atomics rather than fields under
+	// mu: the hit path takes no lock (paper §3: "no locks, no back
+	// pressure").
+	loadFactor atomic.Uint64
+	injector   atomic.Pointer[FaultInjector]
 
 	// CtxSwitches counts context switches across all tasks (exposed for
 	// the overhead experiments).
@@ -157,19 +163,15 @@ func (k *Kernel) SetNumCPUs(n int) {
 // feature-invisible effect that makes single-client offline runner data
 // mis-predict heavily loaded deployments (paper §6.5, Fig. 11).
 func (k *Kernel) SetLoadFactor(workers float64) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if workers < 1 {
 		workers = 1
 	}
-	k.loadFactor = workers
+	k.loadFactor.Store(math.Float64bits(workers))
 }
 
 // contentionMult returns the cycle inflation for the current load.
 func (k *Kernel) contentionMult() float64 {
-	k.mu.Lock()
-	lf := k.loadFactor
-	k.mu.Unlock()
+	lf := math.Float64frombits(k.loadFactor.Load())
 	if lf <= 1 {
 		return 1
 	}
@@ -252,18 +254,7 @@ func (k *Kernel) GenAlive(gen uint64) bool {
 // SetFaultInjector installs (or, with nil, removes) a fault injector on the
 // marker delivery path. Install before starting the workload: the injector's
 // hit counter starts at the moment of installation.
-func (k *Kernel) SetFaultInjector(fi *FaultInjector) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.injector = fi
-}
-
-// faultInjector returns the installed injector, if any.
-func (k *Kernel) faultInjector() *FaultInjector {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.injector
-}
+func (k *Kernel) SetFaultInjector(fi *FaultInjector) { k.injector.Store(fi) }
 
 // Tracepoint returns the named tracepoint, creating it on first use.
 // Tracepoints are the kernel-side anchor of TScout's markers (paper §3.1):
@@ -295,6 +286,12 @@ func (k *Kernel) TracepointNames() []string {
 // kernel space: the task has already paid the mode switch when the handler
 // is invoked. The handler returns the number of virtual nanoseconds its
 // execution cost (the BPF interpreter reports instructions * BPFInsnNS).
+//
+// args belongs to the caller and is only valid for the duration of the call:
+// a handler may neither retain nor modify it. Markers pass prebuilt and
+// per-task scratch slices, the same slice may be in flight on several tasks
+// at once, and a duplicate-delivery fault hands one slice to the handler
+// twice.
 type TraceHandler func(t *Task, args []uint64) int64
 
 // Tracepoint is a statically-defined trace site. With no handler attached a
@@ -302,8 +299,9 @@ type TraceHandler func(t *Task, args []uint64) int64
 type Tracepoint struct {
 	name string
 
-	mu      sync.RWMutex
-	handler TraceHandler
+	// handler is nil while detached. It is an atomic pointer, not a field
+	// under a lock, because every hit loads it.
+	handler atomic.Pointer[TraceHandler]
 
 	// Hits counts handler invocations (not NOP executions).
 	Hits atomic.Int64
@@ -312,26 +310,22 @@ type Tracepoint struct {
 // Name returns the tracepoint's registered name.
 func (tp *Tracepoint) Name() string { return tp.name }
 
-// Attach installs a handler, replacing any existing one.
+// Attach installs a handler, replacing any existing one. Attach(nil) is
+// Detach: the pointer itself goes nil, never a pointer to a nil func that
+// the next hit would call.
 func (tp *Tracepoint) Attach(h TraceHandler) {
-	tp.mu.Lock()
-	tp.handler = h
-	tp.mu.Unlock()
+	if h == nil {
+		tp.Detach()
+		return
+	}
+	tp.handler.Store(&h)
 }
 
 // Detach removes the handler; subsequent hits are NOPs again.
-func (tp *Tracepoint) Detach() {
-	tp.mu.Lock()
-	tp.handler = nil
-	tp.mu.Unlock()
-}
+func (tp *Tracepoint) Detach() { tp.handler.Store(nil) }
 
 // Attached reports whether a handler is currently installed.
-func (tp *Tracepoint) Attached() bool {
-	tp.mu.RLock()
-	defer tp.mu.RUnlock()
-	return tp.handler != nil
-}
+func (tp *Tracepoint) Attached() bool { return tp.handler.Load() != nil }
 
 func (tp *Tracepoint) String() string {
 	return fmt.Sprintf("tracepoint(%s attached=%v hits=%d)", tp.name, tp.Attached(), tp.Hits.Load())

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -181,6 +182,71 @@ func TestTracepointAttachedCharges(t *testing.T) {
 	task.HitTracepoint(tp, nil)
 	if tp.Hits.Load() != 1 {
 		t.Fatalf("detached hits must not count")
+	}
+}
+
+// Attach(nil) must be Detach. A pointer to a nil func in the handler slot
+// would read as attached and make the next hit call nil.
+func TestTracepointAttachNilDetaches(t *testing.T) {
+	k := newTestKernel()
+	task := k.NewTask("w")
+	tp := k.Tracepoint("ou/begin")
+	tp.Attach(func(*Task, []uint64) int64 { return 500 })
+	tp.Attach(nil)
+	if tp.Attached() {
+		t.Fatalf("Attach(nil) must leave the tracepoint detached: %v", tp)
+	}
+	if got, want := tp.String(), "tracepoint(ou/begin attached=false hits=0)"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	task.HitTracepoint(tp, nil)
+	if task.Now() != 0 || tp.Hits.Load() != 0 {
+		t.Fatalf("hit after Attach(nil) must be a NOP: cost %d, hits %d", task.Now(), tp.Hits.Load())
+	}
+}
+
+// The hit and charge paths read the handler, the fault injector and the
+// load factor without a lock; under -race this is what checks that every
+// writer publishes them atomically.
+func TestHitPathConfigRaces(t *testing.T) {
+	k := newTestKernel()
+	k.SetNumCPUs(4)
+	tp := k.Tracepoint("ou/begin")
+	stop := make(chan struct{})
+	var writers, tasks sync.WaitGroup
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tp.Attach(func(*Task, []uint64) int64 { return 10 })
+			k.SetFaultInjector(NewFaultInjector(FaultPlan{}))
+			k.SetLoadFactor(float64(1 + i%8))
+			tp.Detach()
+			k.SetFaultInjector(nil)
+		}
+	}()
+	for cpu := 0; cpu < 4; cpu++ {
+		task := k.NewTaskOn("w", cpu)
+		tasks.Add(1)
+		go func() {
+			defer tasks.Done()
+			args := []uint64{1}
+			for i := 0; i < 2000; i++ {
+				task.HitTracepoint(tp, args)
+				task.Charge(sim.Work{Instructions: 100})
+			}
+		}()
+	}
+	tasks.Wait()
+	close(stop)
+	writers.Wait()
+	if k.ModeSwitches.Load() != tp.Hits.Load() {
+		t.Fatalf("mode switches %d != delivered hits %d", k.ModeSwitches.Load(), tp.Hits.Load())
 	}
 }
 

@@ -43,7 +43,20 @@ type Task struct {
 	// KernelInstrumentationNS accumulates time spent in traps, syscalls
 	// and Collector execution on behalf of metrics collection.
 	KernelInstrumentationNS int64
+
+	local any
 }
+
+// Local returns the task-local storage slot: one value the code driving the
+// task may park on it (TScout keeps its per-thread marker state here, as a
+// real instrumented thread keeps it in a thread-local) so finding it again
+// needs no shared table. The slot is owner-serialized like the Charge
+// methods, starts nil, and says nothing about who stored the value: a
+// reader sharing the task with other users must check the value is its own.
+func (t *Task) Local() any { return t.local }
+
+// SetLocal replaces the task-local storage slot.
+func (t *Task) SetLocal(v any) { t.local = v }
 
 // Kernel returns the kernel this task belongs to.
 func (t *Task) Kernel() *Kernel { return t.kernel }
@@ -190,17 +203,16 @@ func (t *Task) ContextSwitch() int64 {
 // self-reported execution cost is charged (paper §2.3: a single transition
 // covers every metric the Collector gathers).
 func (t *Task) HitTracepoint(tp *Tracepoint, args []uint64) {
-	tp.mu.RLock()
-	h := tp.handler
-	tp.mu.RUnlock()
-	if h == nil {
+	hp := tp.handler.Load()
+	if hp == nil {
 		return
 	}
+	h := *hp
 	// An installed fault injector may drop this delivery (the hit never
 	// happens, as with a lost perf event), duplicate it, or perturb the
 	// task (migration, counter wrap) before the handler runs.
 	times := 1
-	if fi := t.kernel.faultInjector(); fi != nil {
+	if fi := t.kernel.injector.Load(); fi != nil {
 		times = fi.beforeHit(t)
 	}
 	p := &t.kernel.Profile

@@ -213,7 +213,7 @@ func collectorSkeleton(sub SubsystemID, res ResourceSet, numCPUs, perCPUCap int)
 		Subsystem: sub,
 		Resources: res,
 		Ring:      bpf.NewPerCPURing("tscout/"+sub.String()+"/ring", numCPUs, perCPUCap),
-		entries:   bpf.NewHashMap("tscout/"+sub.String()+"/entries", 8, entBytes, 4096),
+		entries:   bpf.NewHashMap("tscout/"+sub.String()+"/entries", entBytes, 4096),
 		depth:     bpf.NewPerTaskMap("tscout/"+sub.String()+"/depth", 8),
 		errors:    bpf.NewArrayMap("tscout/"+sub.String()+"/errors", 8, numErrorSlots),
 	}

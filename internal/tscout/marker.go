@@ -32,6 +32,9 @@ type Marker struct {
 	ts  *TScout
 	def *OUDef
 	sub *subsystem
+	// idArg is the BEGIN/END tracepoint argument list, {OU id}, built once:
+	// handlers only read their args, so every task shares it.
+	idArg []uint64
 }
 
 // OU returns the marker's OU definition.
@@ -46,7 +49,7 @@ func (m *Marker) Begin(t *kernel.Task) {
 	}
 	switch m.ts.cfg.Mode {
 	case KernelContinuous:
-		t.HitTracepoint(m.sub.beginTP, []uint64{uint64(m.def.ID)})
+		t.HitTracepoint(m.sub.beginTP, m.idArg)
 	case UserToggle:
 		// One syscall to enable the counters for this OU.
 		t.Perf().Enable(kernel.AllCounters...)
@@ -68,7 +71,7 @@ func (m *Marker) End(t *kernel.Task) {
 	}
 	switch m.ts.cfg.Mode {
 	case KernelContinuous:
-		t.HitTracepoint(m.sub.endTP, []uint64{uint64(m.def.ID)})
+		t.HitTracepoint(m.sub.endTP, m.idArg)
 	case UserToggle:
 		// Read then disable: two more syscalls (three total per OU).
 		t.Syscall(toggleSyscallExtraNS, true)
@@ -112,10 +115,9 @@ func (m *Marker) features(t *kernel.Task, ouWord uint64, allocBytes int64, words
 	t.ChargeUserNS(int64(len(words)+1) * featureWordNS)
 	switch m.ts.cfg.Mode {
 	case KernelContinuous:
-		args := make([]uint64, 0, 3+len(words))
-		args = append(args, ouWord, uint64(allocBytes), uint64(len(words)))
-		args = append(args, words...)
-		t.HitTracepoint(m.sub.featTP, args)
+		st.featArgs = append(st.featArgs[:0], ouWord, uint64(allocBytes), uint64(len(words)))
+		st.featArgs = append(st.featArgs, words...)
+		t.HitTracepoint(m.sub.featTP, st.featArgs)
 	default:
 		m.userFeatures(st, t, ouWord, allocBytes, words)
 	}

@@ -470,3 +470,108 @@ var errSinkDown = errTest("sink down")
 type errTest string
 
 func (e errTest) Error() string { return string(e) }
+
+// deployCompiled is the deployment dbms.NewServer makes — Kernel-Continuous,
+// optimized and JIT-compiled Collectors — with one ten-feature OU sampled
+// at 100 %. The ring is four samples deep so a test can wrap it: a ring
+// slot's buffer is allocated the first time the slot is used.
+func deployCompiled(t *testing.T, k *kernel.Kernel) (*TScout, *Marker) {
+	t.Helper()
+	ts := New(k, Config{Seed: 13, RingCapacity: 4, DisableProcessorFeedback: true,
+		OptimizeCollectors: true, CompileCollectors: true, ProcessorSink: &recordingBatchSink{}})
+	scan := ts.MustRegisterOU(OUDef{
+		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
+		Features: []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"},
+	}, ResourceSet{CPU: true, Disk: true, Network: true})
+	if err := ts.Deploy(); err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	ts.Sampler().SetAllRates(100)
+	return ts, scan
+}
+
+// TestMarkerCycleAllocationFree pins the marker path's allocation budget at
+// zero: once a task's state, argument scratch, execution state and map
+// entry buffer exist, BEGIN → END → FEATURES reuses all of them. (Five per
+// cycle before: two {id} argument slices, the FEATURES argument slice, and
+// the entries map's key string and value buffer.)
+func TestMarkerCycleAllocationFree(t *testing.T) {
+	k := kernel.New(sim.LargeHW, 5, 0)
+	ts, scan := deployCompiled(t, k)
+	task := k.NewTask("worker")
+	feats := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cycle := func() {
+		ts.BeginEvent(task, SubsystemExecutionEngine)
+		scan.Begin(task)
+		scan.End(task)
+		scan.Features(task, 64, feats...)
+	}
+	// Warm-up: first contact, scratch growth and the first map entry take
+	// one cycle; the other three touch the rest of the ring's slots.
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	ring := ts.CollectorFor(SubsystemExecutionEngine).Ring
+	before := ring.Stats().Submitted
+	const runs = 50
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Fatalf("BEGIN → END → FEATURES allocates %v times per cycle, want 0", n)
+	}
+	// AllocsPerRun calls cycle once more than runs, to warm up.
+	if got := ring.Stats().Submitted - before; got != runs+1 {
+		t.Fatalf("%d samples reached the ring over %d cycles", got, runs+1)
+	}
+	if js := ts.CollectorFor(SubsystemExecutionEngine).JITStats(); js.CompiledPrograms() != 3 || js.RuntimeFaults() != 0 {
+		t.Fatalf("collector not fully compiled or faulting: %+v", js)
+	}
+}
+
+// TestTaskLocalStateOwnership covers what the task-local fast path must
+// not change: a task recycling a dead task's pid starts from fresh state
+// carrying only the dead task's error counters, and two deployments
+// driving one task each keep their own state.
+func TestTaskLocalStateOwnership(t *testing.T) {
+	k := kernel.New(sim.LargeHW, 5, 0)
+	ts, _ := deployCompiled(t, k)
+
+	a := k.NewTask("worker")
+	sa := ts.taskStateFor(a)
+	if ts.taskStateFor(a) != sa || a.Local() != any(sa) {
+		t.Fatalf("a live task must keep one state, parked in its local slot")
+	}
+	sa.eventSampled[SubsystemExecutionEngine] = true
+	sa.userErrors, sa.wrapClamps = 3, 4
+	k.ExitTask(a)
+
+	b := k.NewTask("respawn")
+	if b.PID != a.PID {
+		t.Fatalf("pid not recycled: a=%d b=%d", a.PID, b.PID)
+	}
+	sb := ts.taskStateFor(b)
+	if sb == sa || sb.task != b || sb.eventSampled[SubsystemExecutionEngine] {
+		t.Fatalf("respawned task inherited the dead task's state")
+	}
+	if sb.userErrors != 3 || sb.wrapClamps != 4 {
+		t.Fatalf("carried counters: errors %d clamps %d, want 3 and 4", sb.userErrors, sb.wrapClamps)
+	}
+	if got := ts.UserStateErrors(); got != 3 {
+		t.Fatalf("UserStateErrors = %d, want 3 (the table must hold the respawned task's state)", got)
+	}
+	if b.Perf().EnabledCount() == 0 {
+		t.Fatalf("first contact did not enable the respawned task's counters")
+	}
+
+	// A second deployment on the same kernel drives the same task.
+	other, _ := deployCompiled(t, k)
+	so := other.taskStateFor(b)
+	if so == sb || so.owner != other {
+		t.Fatalf("second deployment was handed the first one's state")
+	}
+	so.sampleOffsets[SubsystemExecutionEngine] = 9
+	if got := ts.taskStateFor(b); got != sb || got.sampleOffsets[SubsystemExecutionEngine] != 0 {
+		t.Fatalf("first deployment lost its state to the second")
+	}
+	if other.taskStateFor(b) != so {
+		t.Fatalf("second deployment lost its state to the first")
+	}
+}

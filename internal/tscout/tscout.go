@@ -192,14 +192,20 @@ type subsystem struct {
 
 // taskState is TScout's per-thread bookkeeping: the sampling-bit offset,
 // the current event decision per subsystem, and (in user modes) the
-// in-flight OU stack that mirrors the kernel stack map.
+// in-flight OU stack that mirrors the kernel stack map. It lives in
+// ts.tasks and, for the marker path, in the task's own local slot; owner
+// says whose it is, since two deployments may drive one task.
 type taskState struct {
+	owner         *TScout
 	task          *kernel.Task
 	sampleOffsets [NumSubsystems]int
 	eventSampled  [NumSubsystems]bool
 	userStack     []userFrame
 	userErrors    int64
 	wrapClamps    int64
+	// featArgs is the FEATURES tracepoint's argument scratch, refilled on
+	// every hit (a TraceHandler may not retain its args).
+	featArgs []uint64
 }
 
 type userFrame struct {
@@ -280,7 +286,7 @@ func (ts *TScout) RegisterOU(def OUDef, res ResourceSet) (*Marker, error) {
 	sub.resources.Disk = sub.resources.Disk || res.Disk
 	sub.resources.Network = sub.resources.Network || res.Network
 
-	m := &Marker{ts: ts, def: &d, sub: sub}
+	m := &Marker{ts: ts, def: &d, sub: sub, idArg: []uint64{uint64(d.ID)}}
 	ts.markers[def.ID] = m
 	return m, nil
 }
@@ -373,10 +379,26 @@ func tracepointName(s SubsystemID, kind string) string {
 	return "tscout/" + s.String() + "/" + kind
 }
 
-// taskStateFor returns (creating if needed) the per-task state. In
+// taskStateFor returns (creating if needed) the per-task state. Every
+// marker and every event asks, so the answer is parked in the task's local
+// slot: after first contact it is a type assertion and an owner check, with
+// no shared lock on the marker path. A task that is new to this deployment
+// — including one that recycled a dead task's pid, whose slot starts empty
+// — or whose slot currently holds another deployment's state goes through
+// the locked table.
+func (ts *TScout) taskStateFor(t *kernel.Task) *taskState {
+	if st, ok := t.Local().(*taskState); ok && st.owner == ts {
+		return st
+	}
+	st := ts.lookupTaskState(t)
+	t.SetLocal(st)
+	return st
+}
+
+// lookupTaskState finds or creates t's state in the pid-keyed table. In
 // continuous modes, first contact enables the task's perf counters so the
 // PMU is live for the task's whole lifetime.
-func (ts *TScout) taskStateFor(t *kernel.Task) *taskState {
+func (ts *TScout) lookupTaskState(t *kernel.Task) *taskState {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	st, ok := ts.tasks[t.PID]
@@ -393,7 +415,7 @@ func (ts *TScout) taskStateFor(t *kernel.Task) *taskState {
 		ok = false
 	}
 	if !ok {
-		st = &taskState{task: t, userErrors: carriedErrors, wrapClamps: carriedClamps}
+		st = &taskState{owner: ts, task: t, userErrors: carriedErrors, wrapClamps: carriedClamps}
 		ts.tasks[t.PID] = st
 		switch ts.cfg.Mode {
 		case KernelContinuous:

@@ -2,7 +2,8 @@
 # Tier-1 gate, written once. With no argument it runs every step in order
 # (`make check` is this script); with a step name it runs that step alone,
 # which is what the Makefile's build/lint/race/fuzz-smoke targets call.
-# Needs only a POSIX shell and the go toolchain.
+# Needs only a POSIX shell with its usual text tools (awk, grep, sort, uniq,
+# mktemp) and the go toolchain.
 #
 #   scripts/check.sh                    build, lint, race
 #   FUZZ=1 FUZZTIME=5s scripts/check.sh ... then fuzz-smoke
@@ -27,6 +28,35 @@ lint() {
 	fi
 	$GO vet ./...
 	$GO run ./internal/analysis/tsvet .
+	runner_inlined
+}
+
+# bpf's block.run is the loop every marker hit spends its time in, and it is
+# only fast while every one-line helper in it is inlined (at PR 19 it held 57
+# real CALLs, because the closure then in use was compiled without inlining).
+# Disassemble it from the benchmark binary and fail on any call other than
+# the runtime's panic, stack-growth and memclr routines, the three counter
+# helpers that are out of line on purpose, and muHelperCall's indirect call
+# (a register operand, no "(SB)").
+runner_inlined() {
+	dir=$(mktemp -d)
+	trap 'rm -rf "$dir"' EXIT
+	$GO build -o "$dir/benchmark" ./benchmark
+	asm=$($GO tool objdump -s 'bpf\.\(\*block\)\.run$' "$dir/benchmark")
+	rm -rf "$dir"
+	trap - EXIT
+	if [ -z "$asm" ]; then
+		echo "runner_inlined: no symbol bpf.(*block).run in ./benchmark; update scripts/check.sh" >&2
+		return 1
+	fi
+	stray=$(echo "$asm" | awk '/CALL/ && $NF ~ /\(SB\)$/ {print $NF}' |
+		grep -Ev '^runtime\.(panic|morestack|memclr)|^tscout/internal/bpf\.read(Counter|IOAC|Sock)Helper\(SB\)$' |
+		sort | uniq -c || true)
+	if [ -n "$stray" ]; then
+		echo "bpf.(*block).run calls functions that should have been inlined:" >&2
+		echo "$stray" >&2
+		return 1
+	fi
 }
 
 # The whole suite under the race detector, which slows the virtual-time
