@@ -102,9 +102,9 @@ func hashRendered(h uint64, v *storage.Value) uint64 {
 	var text []byte
 	switch v.Kind {
 	case storage.KindInt:
-		text = strconv.AppendInt(buf[:0], v.Int, 10)
+		text = strconv.AppendInt(buf[:0], v.AsInt(), 10)
 	case storage.KindFloat:
-		text = strconv.AppendFloat(buf[:0], v.Float, 'g', -1, 64)
+		text = strconv.AppendFloat(buf[:0], v.AsFloat(), 'g', -1, 64)
 	default:
 		text = append(buf[:0], v.String()...)
 	}

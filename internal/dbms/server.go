@@ -164,6 +164,10 @@ type Session struct {
 	srv  *Server
 	Task *kernel.Task
 	tx   *txn.Txn
+	// ctx is the execution context every statement of this session runs
+	// in, whichever entry point it arrives through: the engine keeps its
+	// per-statement scratch there, so a session's statements reuse it.
+	ctx exec.Ctx
 	// ExternalCollect emulates EXPLAIN-based external feature collection
 	// (§2.2): every statement pays an extra planning round.
 	ExternalCollect bool
@@ -186,6 +190,12 @@ func (s *Server) NewSessionOn(cpu int) *Session {
 		srv:  s,
 		Task: s.Kernel.NewTaskOn(fmt.Sprintf("worker-%d", s.nextSession), cpu),
 	}
+}
+
+// execCtx points the session's execution context at tx.
+func (se *Session) execCtx(tx *txn.Txn) *exec.Ctx {
+	se.ctx.Task, se.ctx.Txn = se.Task, tx
+	return &se.ctx
 }
 
 // PacketResult is the outcome of one client packet.
@@ -245,8 +255,9 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 		srv.TS.BeginEvent(task, tscout.SubsystemExecutionEngine)
 	}
 	var respMsgs []network.Message
+	ctx := se.execCtx(tx)
 	for _, st := range stmts {
-		res, err := srv.run(&exec.Ctx{Task: task, Txn: tx}, st, nil)
+		res, err := srv.run(ctx, st, nil)
 		if err != nil {
 			_ = tx.Abort()
 			pr.Err = err
@@ -394,7 +405,7 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)
 	}
-	res, err := se.srv.run(&exec.Ctx{Task: se.Task, Txn: tx}, st, params)
+	res, err := se.srv.run(se.execCtx(tx), st, params)
 	if err != nil {
 		_ = tx.Abort()
 		return nil, err

@@ -63,7 +63,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	if srv.TS != nil {
 		srv.TS.BeginEvent(task, tscout.SubsystemExecutionEngine)
 	}
-	ctx := &exec.Ctx{Task: task, Txn: se.tx}
+	ctx := se.execCtx(se.tx)
 	p, err := srv.prepared(st)
 	// External feature collection (§2.2): systems like QPPNet issue an
 	// EXPLAIN for every query to extract plan features, plus further SQL

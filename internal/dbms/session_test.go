@@ -2,8 +2,11 @@ package dbms
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"tscout/internal/exec"
 	"tscout/internal/storage"
 	"tscout/internal/txn"
 	"tscout/internal/wal"
@@ -185,4 +188,108 @@ func TestGroupCommitAcrossSessions(t *testing.T) {
 	if ca.DoneNS != cb.DoneNS {
 		t.Fatalf("group members share durability time")
 	}
+}
+
+// TestResultSurvivesLaterStatements: a *Result belongs to its caller for
+// good. TPC-C's delivery reads a result two statements after it was
+// returned; here a SELECT *, a projection, a join and an aggregate are held
+// across later scans on the same session — first ones that fit the
+// session's statement scratch and so overwrite it in place, then one that
+// outgrows it — and across an UPDATE and commit of the very tuples they
+// returned. It fails if a result ever aliases scratch or a stored row is
+// ever written to.
+func TestResultSurvivesLaterStatements(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	execute := func(q string, params ...storage.Value) {
+		t.Helper()
+		if _, err := se.Execute(q, params...); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	execute("CREATE TABLE big (id INT PRIMARY KEY, k INT, pad VARCHAR)")
+	for i := int64(0); i < 8; i++ {
+		execute("INSERT INTO kv VALUES ($1, $2)", storage.NewInt(i), storage.NewString(fmt.Sprint("v", i)))
+	}
+	for i := int64(0); i < 600; i++ {
+		execute("INSERT INTO big VALUES ($1, $2, 'pad')", storage.NewInt(i), storage.NewInt(i%8))
+	}
+	render := func(res *exec.Result) string {
+		var sb strings.Builder
+		fmt.Fprintln(&sb, res.Cols)
+		for _, row := range res.Rows {
+			for _, v := range row {
+				sb.WriteString(v.String() + "|")
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	statement := func(q string) *exec.Result {
+		t.Helper()
+		res, err := se.Statement(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	// Each later statement is larger than every held one and uses the same
+	// scratch slots: scan, joined table, join output.
+	later := []string{
+		"SELECT * FROM big WHERE id < 300",
+		"SELECT pad, id FROM big WHERE id < 300",
+		"SELECT * FROM big JOIN kv ON kv.k = big.k WHERE big.id < 300",
+		"SELECT k, COUNT(*) FROM big GROUP BY k",
+	}
+
+	if err := se.BeginTxn(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range later { // grow the scratch past what the held statements need
+		statement(q)
+	}
+	held := map[string]*exec.Result{}
+	want := map[string]string{}
+	for _, q := range []string{
+		"SELECT * FROM kv WHERE k = 3",
+		"SELECT * FROM kv",
+		"SELECT v, k FROM kv WHERE k >= 2",
+		"SELECT * FROM kv JOIN big ON big.k = kv.k WHERE big.id < 20",
+		"SELECT COUNT(*), MIN(v), MAX(k) FROM kv",
+	} {
+		held[q] = statement(q)
+		want[q] = render(held[q])
+		if len(held[q].Rows) == 0 {
+			t.Fatalf("%s returned nothing to hold", q)
+		}
+	}
+	check := func(after string) {
+		t.Helper()
+		for q, res := range held {
+			if got := render(res); got != want[q] {
+				t.Fatalf("after %s, the held result of %q changed:\n%s\nwas:\n%s", after, q, got, want[q])
+			}
+		}
+	}
+	for _, q := range later { // overwrite the scratch in place
+		statement(q)
+		check(q)
+	}
+	for _, q := range []string{"SELECT * FROM big", "SELECT * FROM big JOIN kv ON kv.k = big.k"} { // outgrow it
+		statement(q)
+		check(q)
+	}
+	// Rewrite the tuples the held results came from: twice in this
+	// transaction (the second write collapses into the first's version),
+	// then once more after the commit.
+	statement("UPDATE kv SET v = 'changed'")
+	statement("UPDATE kv SET v = 'again', k = k + 100")
+	check("two UPDATEs")
+	if _, err := se.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("commit")
+	execute("UPDATE kv SET v = 'later' WHERE k >= 100")
+	execute("UPDATE big SET pad = 'later' WHERE id < 20")
+	check("a later transaction's UPDATE")
 }

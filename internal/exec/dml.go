@@ -10,9 +10,9 @@ import (
 func coerce(v storage.Value, kind storage.Kind) storage.Value {
 	switch {
 	case v.Kind == storage.KindInt && kind == storage.KindFloat:
-		return storage.NewFloat(float64(v.Int))
+		return storage.NewFloat(v.AsFloat())
 	case v.Kind == storage.KindFloat && kind == storage.KindInt:
-		return storage.NewInt(int64(v.Float))
+		return storage.NewInt(v.AsInt())
 	}
 	return v
 }
@@ -62,12 +62,12 @@ func (ip *insertPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 }
 
 func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
-	ap, err := up.access.bind(params)
+	ap, err := up.access.bind(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	tbl := ap.table
-	matches := e.runScan(ctx, ap)
+	matches := e.runScan(ctx, &ap)
 
 	m := e.ouBegin(ctx, OUUpdate)
 	var bytes int64
@@ -115,12 +115,12 @@ func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 }
 
 func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
-	ap, err := dp.access.bind(params)
+	ap, err := dp.access.bind(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	tbl := ap.table
-	matches := e.runScan(ctx, ap)
+	matches := e.runScan(ctx, &ap)
 
 	m := e.ouBegin(ctx, OUDelete)
 	indexWork := 0

@@ -1,6 +1,7 @@
 // Package exec implements the DBMS's execution engine: a rule-based
 // planner (index point/prefix access when the predicates cover an index,
-// sequential scan otherwise) and row-materialized operators. Every
+// sequential scan otherwise) over tuple-at-a-time scans that filter at the
+// tuple, feeding materialized join, aggregate and sort inputs. Every
 // operator is a TScout operating unit with the feature set MB2-style
 // behavior models expect (tuple counts, widths, probe depths), and charges
 // the simulated CPU for the data volumes it actually processes.
@@ -30,7 +31,10 @@ const (
 	OUFusedPipeline
 )
 
-// Engine executes SQL statements against a catalog.
+// Engine executes SQL statements against a catalog. Its fields are set by
+// New (and FuseSimpleSelects by whoever assembles the server) before the
+// first statement runs and only read afterwards, so sessions on different
+// goroutines may share one Engine.
 type Engine struct {
 	cat     *catalog.Catalog
 	ts      *tscout.TScout
@@ -85,10 +89,47 @@ func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
 // Marker exposes an OU's marker (nil when uninstrumented).
 func (e *Engine) Marker(id tscout.OUID) *tscout.Marker { return e.markers[id] }
 
-// Ctx carries one statement's execution context.
+// Ctx carries one statement's execution context. A session keeps one Ctx
+// and runs every statement through it, so the unexported fields below are
+// reused from statement to statement; a fresh &Ctx{Task: ..., Txn: ...}
+// works too and allocates them as it goes. A Ctx belongs to one goroutine.
 type Ctx struct {
 	Task *kernel.Task
 	Txn  *txn.Txn
+
+	// fused is set while a fused pipeline's operators run: one measurement
+	// covers the pipeline, so ouBegin hands them no marker.
+	fused bool
+
+	// Statement scratch: memory an execution needs only until it returns.
+	// Run resets it at the statement boundary. Nothing in it is ever
+	// reachable from a *Result — results belong to the caller, who may hold
+	// them across any number of later statements.
+	//
+	// matches is the scan in progress (DML consumes it in place); rows are
+	// the row headers a SELECT's operators pass along — the joined rows so
+	// far, the table being joined, and the join's output, in rotation;
+	// preds is the arena bound predicates are cut from; join is hashJoin's
+	// build table.
+	matches []match
+	rows    [3][]storage.Row
+	preds   []compiledPred
+	join    joinTable
+}
+
+// resetScratch starts a statement: whatever the previous one bound is dead.
+// The match and row slots are truncated by their next user.
+func (c *Ctx) resetScratch() { c.preds = c.preds[:0] }
+
+// allocPreds cuts n predicates from the arena. A full arena is replaced,
+// not grown in place: slices cut earlier in the statement keep the old one.
+func (c *Ctx) allocPreds(n int) []compiledPred {
+	if len(c.preds)+n > cap(c.preds) {
+		c.preds = make([]compiledPred, 0, max(2*cap(c.preds), n, 16))
+	}
+	lo := len(c.preds)
+	c.preds = c.preds[:lo+n]
+	return c.preds[lo : lo+n : lo+n]
 }
 
 // Result is a statement's outcome. For DML, Affected counts rows.
@@ -121,6 +162,9 @@ func (e *Engine) Execute(ctx *Ctx, stmt sql.Statement, params []storage.Value) (
 
 // begin/end/features helpers tolerate nil markers (uninstrumented runs).
 func (e *Engine) ouBegin(ctx *Ctx, id tscout.OUID) *tscout.Marker {
+	if ctx.fused {
+		return nil
+	}
 	m := e.markers[id]
 	if m != nil {
 		m.Begin(ctx.Task)

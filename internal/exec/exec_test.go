@@ -32,9 +32,15 @@ type testDB struct {
 // deployed TScout sampling at 100 % into an archive, with no tables yet.
 func newEmptyTestDB(t testing.TB, instrumented bool) *testDB {
 	t.Helper()
-	k := kernel.New(sim.LargeHW, 1, 0)
-	cat := catalog.New()
-	db := &testDB{cat: cat, mgr: txn.NewManager(), k: k, task: k.NewTask("w")}
+	return newTestStack(t, catalog.New(), txn.NewManager(), 1, 0, instrumented)
+}
+
+// newTestStack is newEmptyTestDB over a given catalog and transaction
+// manager (several stacks may share them), with the kernel's seed and noise.
+func newTestStack(t testing.TB, cat *catalog.Catalog, mgr *txn.Manager, seed int64, sigma float64, instrumented bool) *testDB {
+	t.Helper()
+	k := kernel.New(sim.LargeHW, seed, sigma)
+	db := &testDB{cat: cat, mgr: mgr, k: k, task: k.NewTask("w")}
 	var ts *tscout.TScout
 	if instrumented {
 		db.sink = archive.NewWriter(&db.arch)

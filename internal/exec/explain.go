@@ -21,6 +21,7 @@ func (x *explainPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 // Explain runs plain EXPLAIN over an already prepared statement, as
 // preparing and running "EXPLAIN <statement>" would.
 func (e *Engine) Explain(ctx *Ctx, p *Prepared, params []storage.Value) (*Result, error) {
+	ctx.resetScratch()
 	return e.explain(ctx, p, false, params)
 }
 
@@ -35,7 +36,7 @@ func (e *Engine) explain(ctx *Ctx, p *Prepared, analyze bool, params []storage.V
 	if !ok {
 		return nil, fmt.Errorf("exec: cannot explain %T", p.stmt)
 	}
-	lines, err := d.describe(params)
+	lines, err := d.describe(ctx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -69,15 +70,15 @@ func (e *Engine) explain(ctx *Ctx, p *Prepared, analyze bool, params []storage.V
 	return out, nil
 }
 
-func (sp *selectPlan) describe(params []storage.Value) ([]string, error) {
-	from, err := sp.from.describe(params)
+func (sp *selectPlan) describe(ctx *Ctx, params []storage.Value) ([]string, error) {
+	from, err := sp.from.describe(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	lines := []string{from}
 	for i := range sp.joins {
 		j := &sp.joins[i]
-		right, err := j.access.describe(params)
+		right, err := j.access.describe(ctx, params)
 		if err != nil {
 			return nil, err
 		}
@@ -97,12 +98,12 @@ func (sp *selectPlan) describe(params []storage.Value) ([]string, error) {
 	return lines, nil
 }
 
-func (ip *insertPlan) describe([]storage.Value) ([]string, error) {
+func (ip *insertPlan) describe(*Ctx, []storage.Value) ([]string, error) {
 	return []string{fmt.Sprintf("Insert into %s (%d rows)", ip.table.Name, len(ip.rows))}, nil
 }
 
-func (up *updatePlan) describe(params []storage.Value) ([]string, error) {
-	scan, err := up.access.describe(params)
+func (up *updatePlan) describe(ctx *Ctx, params []storage.Value) ([]string, error) {
+	scan, err := up.access.describe(ctx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -112,8 +113,8 @@ func (up *updatePlan) describe(params []storage.Value) ([]string, error) {
 	}, nil
 }
 
-func (dp *deletePlan) describe(params []storage.Value) ([]string, error) {
-	scan, err := dp.access.describe(params)
+func (dp *deletePlan) describe(ctx *Ctx, params []storage.Value) ([]string, error) {
+	scan, err := dp.access.describe(ctx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +122,8 @@ func (dp *deletePlan) describe(params []storage.Value) ([]string, error) {
 }
 
 // describe renders the access path as bound to params.
-func (a *accessPlan) describe(params []storage.Value) (string, error) {
-	ap, err := a.bind(params)
+func (a *accessPlan) describe(ctx *Ctx, params []storage.Value) (string, error) {
+	ap, err := a.bind(ctx, params)
 	if err != nil {
 		return "", err
 	}

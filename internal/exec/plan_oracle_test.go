@@ -5,10 +5,10 @@ package exec
 // compilation, access-path choice and projection rebuilt from the AST and
 // the parameter values on every execution — kept here, verbatim, as the
 // reference the prepared path is compared against. oracleExecute drives
-// the engine's own operators (runScan, hashJoin, filterRows, aggregate,
-// sortResult, emitOutput) from that per-call analysis, surfacing every
-// error where the old executor did: name-resolution failures mid-execution,
-// after the scans they followed.
+// scan_oracle_test.go's scan, join and filter and the engine's own
+// remaining operators (aggregate, sortResult, emitOutput) from that
+// per-call analysis, surfacing every error where the old executor did:
+// name-resolution failures mid-execution, after the scans they followed.
 
 import (
 	"fmt"
@@ -412,7 +412,7 @@ func oracleSelect(e *Engine, ctx *Ctx, s *sql.SelectStmt, params []storage.Value
 		ap.proj = oracleVirtualProjection(s, rel)
 	}
 	rec.addAccess(ap)
-	rel.rows = matchRows(e.runScan(ctx, ap))
+	rel.rows = oracleMatchRows(oracleRunScan(e, ctx, ap))
 
 	for _, j := range s.Joins {
 		rtbl, err := e.cat.Table(j.Table.Name)
@@ -427,7 +427,7 @@ func oracleSelect(e *Engine, ctx *Ctx, s *sql.SelectStmt, params []storage.Value
 		deferred = stillDeferred
 		rap := oraclePlanAccess(rtbl, rpreds)
 		rec.addAccess(rap)
-		rrel.rows = matchRows(e.runScan(ctx, rap))
+		rrel.rows = oracleMatchRows(oracleRunScan(e, ctx, rap))
 
 		out := oracleConcatRelations(rel, rrel)
 		lcol, lerr := rel.resolve(j.LeftCol)
@@ -439,7 +439,7 @@ func oracleSelect(e *Engine, ctx *Ctx, s *sql.SelectStmt, params []storage.Value
 				return nil, fmt.Errorf("exec: join columns %s / %s not resolvable", j.LeftCol, j.RightCol)
 			}
 		}
-		out.rows = e.hashJoin(ctx, rel.rows, rrel.rows, &joinPlan{lcol: lcol, rcol: rcol, width: out.width})
+		out.rows = oracleHashJoin(e, ctx, rel.rows, rrel.rows, &joinPlan{lcol: lcol, rcol: rcol, width: out.width})
 		rel = out
 	}
 
@@ -452,7 +452,7 @@ func oracleSelect(e *Engine, ctx *Ctx, s *sql.SelectStmt, params []storage.Value
 			return nil, fmt.Errorf("exec: cannot resolve predicate on %s", still[0].Col)
 		}
 		rec.setPost(preds)
-		rel.rows = e.filterRows(ctx, rel.rows, preds)
+		rel.rows = oracleFilterRows(e, ctx, rel.rows, preds)
 	}
 
 	var res *Result
@@ -509,10 +509,9 @@ func oracleFusedSelect(e *Engine, ctx *Ctx, s *sql.SelectStmt, params []storage.
 	if pm != nil {
 		pm.Begin(ctx.Task)
 	}
-	saved := e.markers
-	e.markers = map[tscout.OUID]*tscout.Marker{}
-	matches := e.runScan(ctx, ap)
-	rel.rows = matchRows(matches)
+	ctx.fused = true
+	matches := oracleRunScan(e, ctx, ap)
+	rel.rows = oracleMatchRows(matches)
 	res, perr := oracleProject(rel, s)
 	if perr == nil {
 		rec.setProjection(oracleProjection(rel, s))
@@ -521,7 +520,7 @@ func oracleFusedSelect(e *Engine, ctx *Ctx, s *sql.SelectStmt, params []storage.
 		}
 		e.emitOutput(ctx, res)
 	}
-	e.markers = saved
+	ctx.fused = false
 	if perr != nil {
 		if pm != nil {
 			pm.End(ctx.Task)
@@ -651,7 +650,7 @@ func oracleUpdate(e *Engine, ctx *Ctx, s *sql.UpdateStmt, params []storage.Value
 
 	ap := oraclePlanAccess(tbl, preds)
 	rec.addAccess(ap)
-	matches := e.runScan(ctx, ap)
+	matches := oracleRunScan(e, ctx, ap)
 
 	m := e.ouBegin(ctx, OUUpdate)
 	var bytes int64
@@ -713,7 +712,7 @@ func oracleDelete(e *Engine, ctx *Ctx, s *sql.DeleteStmt, params []storage.Value
 	}
 	ap := oraclePlanAccess(tbl, preds)
 	rec.addAccess(ap)
-	matches := e.runScan(ctx, ap)
+	matches := oracleRunScan(e, ctx, ap)
 
 	m := e.ouBegin(ctx, OUDelete)
 	indexWork := 0

@@ -29,7 +29,7 @@ type plan interface {
 // access paths (an index probe's key is part of its line), so it reports
 // the binding errors run would.
 type explainable interface {
-	describe(params []storage.Value) ([]string, error)
+	describe(ctx *Ctx, params []storage.Value) ([]string, error)
 }
 
 // Prepare analyzes stmt against the catalog as it is now. It charges no
@@ -76,6 +76,7 @@ func (e *Engine) Stale(p *Prepared) bool { return p.version != e.cat.Version() }
 // the per-query TScout sampling event (ts.BeginEvent) and for committing
 // the transaction.
 func (e *Engine) Run(ctx *Ctx, p *Prepared, params []storage.Value) (*Result, error) {
+	ctx.resetScratch()
 	res, err := p.plan.run(e, ctx, params)
 	if e.observe != nil {
 		e.observe(ctx, p, params, res, err)
@@ -101,12 +102,13 @@ type predSet struct {
 }
 
 // bind evaluates the operands against params — in WHERE order, so the
-// first failing operand is the one the statement names first.
-func (ps *predSet) bind(params []storage.Value) ([]compiledPred, error) {
+// first failing operand is the one the statement names first — into
+// predicates cut from ctx's arena.
+func (ps *predSet) bind(ctx *Ctx, params []storage.Value) ([]compiledPred, error) {
 	if len(ps.preds) == 0 {
 		return nil, nil
 	}
-	out := make([]compiledPred, len(ps.preds))
+	out := ctx.allocPreds(len(ps.preds))
 	for _, i := range ps.evalOrder {
 		p := &ps.preds[i]
 		v, err := p.val.eval(nil, params)

@@ -69,8 +69,9 @@ func (v *planView) setProjection(cols []string, idxs []int, _ error) {
 // view binds p's plan to params without executing it.
 func (p *Prepared) view(params []storage.Value) (*planView, error) {
 	v := &planView{}
+	ctx := &Ctx{}
 	add := func(a *accessPlan) error {
-		ap, err := a.bind(params)
+		ap, err := a.bind(ctx, params)
 		if err == nil {
 			v.addAccess(ap)
 		}
@@ -86,7 +87,7 @@ func (p *Prepared) view(params []storage.Value) (*planView, error) {
 				return nil, err
 			}
 		}
-		post, err := pl.post.bind(params)
+		post, err := pl.post.bind(ctx, params)
 		if err != nil {
 			return nil, err
 		}

@@ -102,8 +102,24 @@ type compiledPred struct {
 	val storage.Value
 }
 
-func (p compiledPred) eval(row storage.Row) bool {
-	c := row[p.col].Compare(p.val)
+// eval reports whether row satisfies the predicate. Receiver and cell are
+// taken by pointer (a scan calls this once per predicate per tuple), and
+// the common INT against INT case is compared here the way Value.Compare
+// compares any two numbers: through float64.
+func (p *compiledPred) eval(row storage.Row) bool {
+	cell := &row[p.col]
+	var c int
+	if cell.Kind == storage.KindInt && p.val.Kind == storage.KindInt {
+		a, b := cell.AsFloat(), p.val.AsFloat()
+		switch {
+		case a < b:
+			c = -1
+		case a > b:
+			c = 1
+		}
+	} else {
+		c = cell.Compare(p.val)
+	}
 	switch p.op {
 	case sql.OpEq:
 		return c == 0

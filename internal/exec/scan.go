@@ -25,9 +25,10 @@ type accessPath struct {
 }
 
 // bind evaluates the plan's predicate operands against params and packs the
-// index key from the equality values analysis picked.
-func (a *accessPlan) bind(params []storage.Value) (accessPath, error) {
-	residual, err := a.predSet.bind(params)
+// index key from the equality values analysis picked. The bound predicates
+// are cut from ctx's arena and live until the statement ends.
+func (a *accessPlan) bind(ctx *Ctx, params []storage.Value) (accessPath, error) {
+	residual, err := a.predSet.bind(ctx, params)
 	if err != nil {
 		return accessPath{}, err
 	}
@@ -53,33 +54,55 @@ type match struct {
 	row storage.Row
 }
 
+// passes reports whether row satisfies every predicate.
+func passes(preds []compiledPred, row storage.Row) bool {
+	for i := range preds {
+		if !preds[i].eval(row) {
+			return false
+		}
+	}
+	return true
+}
+
 // runScan executes the access path as its OU (seq_scan or index_scan)
 // followed by a filter OU for residual predicates. It returns the visible
-// matches.
-func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
-	var out []match
-
+// matches that pass, in ctx's scratch: they are good until the statement's
+// next scan.
+//
+// A heap scan reads each tuple once and evaluates the residuals on the row
+// the read returned, keeping only what passes; the two OUs then fire one
+// after the other from the counts the loop kept. Their features and Work
+// are functions of those counts alone, so they are what a scan that
+// materialized every visible row and a filter that walked them would report.
+func (e *Engine) runScan(ctx *Ctx, ap *accessPath) []match {
 	if ap.table.Virtual != nil {
-		out = e.runVirtualScan(ctx, ap)
-		return e.applyResidual(ctx, ap, out)
+		return e.applyResidual(ctx, ap, e.runVirtualScan(ctx, ap))
 	}
 
 	heap := ap.table.Heap
 	width := heap.Schema().RowWidth()
+	out := ctx.matches[:0]
+	// walked counts versions traversed, visible the rows the access path
+	// produced (the filter's input), len(out) the rows the filter kept.
+	walked, visible := 0, 0
+	read := func(id storage.TupleID) {
+		row, w := ctx.Txn.Read(heap, id)
+		walked += w
+		if row == nil {
+			return
+		}
+		visible++
+		if passes(ap.residual, row) {
+			out = append(out, match{tid: id, row: row})
+		}
+	}
 
 	if ap.index == nil {
 		m := e.ouBegin(ctx, OUSeqScan)
-		slots := 0
-		walked := 0
-		heap.ScanSlots(func(id storage.TupleID, head *storage.Version) bool {
-			slots++
-			row, w := ctx.Txn.Read(heap, id)
-			walked += w
-			if row != nil {
-				out = append(out, match{tid: id, row: row})
-			}
-			return true
-		})
+		slots := heap.NumSlots()
+		for id := 0; id < slots; id++ {
+			read(storage.TupleID(id))
+		}
 		work := sim.Work{
 			Instructions:         140 + 36*float64(slots) + 22*float64(walked),
 			BytesTouched:         float64(slots)*float64(width) + 24*float64(walked),
@@ -91,78 +114,79 @@ func (e *Engine) runScan(ctx *Ctx, ap accessPath) []match {
 		ouFeatures(ctx, m, 0, uint64(slots), uint64(width), uint64(heap.NumBlocks()))
 	} else {
 		m := e.ouBegin(ctx, OUIndexScan)
-		var tids []int64
+		ntids := 0
 		lookups := 1
 		if ap.exact {
-			tids = append(tids, ap.index.Search(ap.key)...)
+			tids := ap.index.Search(ap.key)
+			ntids = len(tids)
+			for _, t := range tids {
+				read(storage.TupleID(t))
+			}
 		} else {
 			ap.index.RangeSearch(ap.keyLo, ap.keyHi, func(k int64, ts []int64) bool {
-				tids = append(tids, ts...)
+				ntids += len(ts)
+				for _, t := range ts {
+					read(storage.TupleID(t))
+				}
 				return true
 			})
-			lookups = 1 + len(tids)/8 // leaf-chain hops
-		}
-		walked := 0
-		for _, t := range tids {
-			row, w := ctx.Txn.Read(heap, storage.TupleID(t))
-			walked += w
-			if row != nil {
-				out = append(out, match{tid: storage.TupleID(t), row: row})
-			}
+			lookups = 1 + ntids/8 // leaf-chain hops
 		}
 		h := float64(ap.index.Height())
 		work := sim.Work{
-			Instructions:         180 + 60*h*float64(lookups) + 48*float64(len(tids)) + 22*float64(walked),
-			BytesTouched:         64*h*float64(lookups) + float64(len(out))*float64(width),
+			Instructions:         180 + 60*h*float64(lookups) + 48*float64(ntids) + 22*float64(walked),
+			BytesTouched:         64*h*float64(lookups) + float64(visible)*float64(width),
 			WorkingSetBytes:      float64(ap.index.Len())*24 + float64(heap.DataBytes())*0.1,
 			RandomAccessFraction: 0.85,
 		}
 		ctx.Task.Charge(work)
 		ouEnd(ctx, m)
 		ouFeatures(ctx, m, 0,
-			uint64(lookups), uint64(ap.index.Height()), uint64(len(out)), uint64(width))
+			uint64(lookups), uint64(ap.index.Height()), uint64(visible), uint64(width))
 	}
+	ctx.matches = out
 
-	return e.applyResidual(ctx, ap, out)
+	if len(ap.residual) > 0 {
+		e.filterOU(ctx, visible, len(ap.residual), len(out))
+	}
+	return out
 }
 
-// applyResidual runs the filter OU over the scan's matches. Virtual-table
+// filterOU fires the filter OU for a pass of preds predicates over in rows
+// that kept out of them.
+func (e *Engine) filterOU(ctx *Ctx, in, preds, out int) {
+	m := e.ouBegin(ctx, OUFilter)
+	ctx.Task.Charge(sim.Work{
+		Instructions: 40 + float64(in)*14*float64(preds),
+		BytesTouched: float64(in) * 16 * float64(preds),
+	})
+	ouEnd(ctx, m)
+	ouFeatures(ctx, m, 0, uint64(in), uint64(preds), uint64(out))
+}
+
+// applyResidual filters a virtual scan's matches, in place. Virtual-table
 // pushdown is block-granular (zone maps), so even pushed predicates are
 // re-checked here — correctness never depends on the source filtering.
-func (e *Engine) applyResidual(ctx *Ctx, ap accessPath, out []match) []match {
+func (e *Engine) applyResidual(ctx *Ctx, ap *accessPath, out []match) []match {
 	if len(ap.residual) == 0 {
 		return out
 	}
-	m := e.ouBegin(ctx, OUFilter)
 	in := len(out)
 	kept := out[:0]
 	for _, mt := range out {
-		ok := true
-		for _, p := range ap.residual {
-			if !p.eval(mt.row) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if passes(ap.residual, mt.row) {
 			kept = append(kept, mt)
 		}
 	}
-	out = kept
-	ctx.Task.Charge(sim.Work{
-		Instructions: 40 + float64(in)*14*float64(len(ap.residual)),
-		BytesTouched: float64(in) * 16 * float64(len(ap.residual)),
-	})
-	ouEnd(ctx, m)
-	ouFeatures(ctx, m, 0, uint64(in), uint64(len(ap.residual)), uint64(len(out)))
-	return out
+	e.filterOU(ctx, in, len(ap.residual), len(kept))
+	return kept
 }
 
 // runVirtualScan streams a virtual table (e.g. the mounted training
 // archive) under the seq_scan OU. The projection is the union of the
 // query's needs and the residual predicates' columns; pushdown predicates
 // let the source skip whole column blocks via its zone maps.
-func (e *Engine) runVirtualScan(ctx *Ctx, ap accessPath) []match {
+func (e *Engine) runVirtualScan(ctx *Ctx, ap *accessPath) []match {
 	vt := ap.table.Virtual
 	schema := vt.Schema()
 

@@ -16,25 +16,30 @@ func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 		return sp.runFused(e, ctx, params)
 	}
 
-	ap, err := sp.from.bind(params)
+	// Row headers move through ctx.rows: cur is the slot holding the rows
+	// so far, slot 1 each joined table in turn, and a join writes into the
+	// third, which cur then becomes.
+	cur := 0
+	ap, err := sp.from.bind(ctx, params)
 	if err != nil {
 		return nil, err
 	}
-	rows := matchRows(e.runScan(ctx, ap))
+	rows := e.scanRows(ctx, &ap, cur)
 
 	for i := range sp.joins {
 		j := &sp.joins[i]
-		rap, err := j.access.bind(params)
+		rap, err := j.access.bind(ctx, params)
 		if err != nil {
 			return nil, err
 		}
-		right := matchRows(e.runScan(ctx, rap))
-		rows = e.hashJoin(ctx, rows, right, j)
+		right := e.scanRows(ctx, &rap, 1)
+		cur = 2 - cur
+		rows = e.hashJoin(ctx, rows, right, j, cur)
 	}
 
 	// Post-join filter for predicates that needed the combined relation.
 	if len(sp.post.preds) > 0 {
-		preds, err := sp.post.bind(params)
+		preds, err := sp.post.bind(ctx, params)
 		if err != nil {
 			return nil, err
 		}
@@ -59,60 +64,132 @@ func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	return res, nil
 }
 
-func matchRows(matches []match) []storage.Row {
-	rows := make([]storage.Row, len(matches))
-	for i, m := range matches {
-		rows[i] = m.row
+// scanRows runs the scan and copies its matches' row headers into
+// ctx.rows[slot], where they outlive the statement's next scan.
+func (e *Engine) scanRows(ctx *Ctx, ap *accessPath, slot int) []storage.Row {
+	rows := ctx.rows[slot][:0]
+	for _, m := range e.runScan(ctx, ap) {
+		rows = append(rows, m.row)
 	}
+	ctx.rows[slot] = rows
 	return rows
 }
 
 // filterRows runs the filter OU over joined rows, in place.
 func (e *Engine) filterRows(ctx *Ctx, rows []storage.Row, preds []compiledPred) []storage.Row {
-	m := e.ouBegin(ctx, OUFilter)
-	in := len(rows)
 	kept := rows[:0]
 	for _, row := range rows {
-		ok := true
-		for _, p := range preds {
-			if !p.eval(row) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if passes(preds, row) {
 			kept = append(kept, row)
 		}
 	}
-	ctx.Task.Charge(sim.Work{
-		Instructions: 40 + float64(in)*14*float64(len(preds)),
-		BytesTouched: float64(in) * 16 * float64(len(preds)),
-	})
-	ouEnd(ctx, m)
-	ouFeatures(ctx, m, 0, uint64(in), uint64(len(preds)), uint64(len(kept)))
+	e.filterOU(ctx, len(rows), len(preds), len(kept))
 	return kept
 }
 
-// hashJoin joins left and right rows on the join clause's equality columns.
-func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan) []storage.Row {
-	m := e.ouBegin(ctx, OUHashJoin)
-	// Build on the right side.
-	build := make(map[string][]storage.Row, len(right))
-	var buildBytes int64
-	for _, row := range right {
-		k := row[j.rcol].String()
-		build[k] = append(build[k], row)
-		buildBytes += row.Size() + 16
+// joinTable is hashJoin's scratch when every join key is an INT: head maps
+// a key to the first build row that has it, next chains each build row to
+// the following one with the same key, and probe holds, per probe row, the
+// head of its key's chain; -1 ends a chain. head is only ever looked up,
+// never ranged over.
+type joinTable struct {
+	head  map[int64]int32
+	next  []int32
+	probe []int32
+}
+
+// build indexes rows by their col'th cell. The chains are threaded from the
+// last row to the first, so each key's rows come out in input order.
+func (jt *joinTable) build(rows []storage.Row, col int) {
+	if jt.head == nil {
+		jt.head = make(map[int64]int32, len(rows))
 	}
-	var out []storage.Row
-	for _, lrow := range left {
-		for _, rrow := range build[lrow[j.lcol].String()] {
-			joined := make(storage.Row, 0, len(lrow)+len(rrow))
-			joined = append(joined, lrow...)
-			joined = append(joined, rrow...)
-			out = append(out, joined)
+	clear(jt.head)
+	jt.next = jt.next[:0]
+	for range rows {
+		jt.next = append(jt.next, -1)
+	}
+	for i := len(rows) - 1; i >= 0; i-- {
+		k := rows[i][col].AsInt()
+		if h, ok := jt.head[k]; ok {
+			jt.next[i] = h
+		}
+		jt.head[k] = int32(i)
+	}
+}
+
+// lookup finds each row's chain by its col'th cell, into probe, and returns
+// the number of (row, build row) pairs.
+func (jt *joinTable) lookup(rows []storage.Row, col int) (matches int) {
+	jt.probe = jt.probe[:0]
+	for _, row := range rows {
+		h, ok := jt.head[row[col].AsInt()]
+		if !ok {
+			h = -1
+		}
+		jt.probe = append(jt.probe, h)
+		for r := h; r >= 0; r = jt.next[r] {
+			matches++
 		}
 	}
+	return matches
+}
+
+// allInts reports whether every row's col'th cell is an INT — checked on
+// the values: a schema's INT column may hold NULL.
+func allInts(rows []storage.Row, col int) bool {
+	for _, row := range rows {
+		if row[col].Kind != storage.KindInt {
+			return false
+		}
+	}
+	return true
+}
+
+// hashJoin joins left and right rows on the join clause's equality columns
+// into ctx.rows[slot]. Two cells join when they render to the same text;
+// when every key on both sides is an INT that is integer equality, and the
+// build table is keyed on the integers themselves instead.
+func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot int) []storage.Row {
+	m := e.ouBegin(ctx, OUHashJoin)
+	// Build on the right side.
+	var buildBytes int64
+	for _, row := range right {
+		buildBytes += row.Size() + 16
+	}
+	out := ctx.rows[slot][:0]
+	if allInts(right, j.rcol) && allInts(left, j.lcol) {
+		jt := &ctx.join
+		jt.build(right, j.rcol)
+		if n := jt.lookup(left, j.lcol); n > 0 {
+			// Every joined row is cut from one slab.
+			w := len(left[0]) + len(right[0])
+			slab := make([]storage.Value, n*w)
+			for i, lrow := range left {
+				for r := jt.probe[i]; r >= 0; r = jt.next[r] {
+					joined := slab[:w:w]
+					slab = slab[w:]
+					copy(joined[copy(joined, lrow):], right[r])
+					out = append(out, joined)
+				}
+			}
+		}
+	} else {
+		build := make(map[string][]storage.Row, len(right))
+		for _, row := range right {
+			k := row[j.rcol].String()
+			build[k] = append(build[k], row)
+		}
+		for _, lrow := range left {
+			for _, rrow := range build[lrow[j.lcol].String()] {
+				joined := make(storage.Row, 0, len(lrow)+len(rrow))
+				joined = append(joined, lrow...)
+				joined = append(joined, rrow...)
+				out = append(out, joined)
+			}
+		}
+	}
+	ctx.rows[slot] = out
 	matches := len(out)
 	work := sim.Work{
 		Instructions:         300 + 48*float64(len(right)) + 40*float64(len(left)) + 60*float64(matches),
@@ -128,19 +205,25 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan) []st
 	return out
 }
 
-// project evaluates a non-aggregating select list. Result.Cols is a copy:
+// project evaluates a non-aggregating select list into a Result the caller
+// owns: rows arrive in statement scratch, so the identity projection copies
+// their headers out (the stored rows they point at are immutable) and any
+// other fills one slab of values cut into rows. Result.Cols is a copy too:
 // the plan's names are shared by every execution.
 func (sp *selectPlan) project(rows []storage.Row) *Result {
 	res := &Result{Cols: append([]string(nil), sp.cols...)}
 	if sp.identity {
-		res.Rows = rows
+		res.Rows = append(make([]storage.Row, 0, len(rows)), rows...)
 		return res
 	}
-	if len(rows) > 0 {
-		res.Rows = make([]storage.Row, len(rows))
+	if len(rows) == 0 {
+		return res
 	}
+	w := len(sp.projIdxs)
+	slab := make([]storage.Value, len(rows)*w)
+	res.Rows = make([]storage.Row, len(rows))
 	for r, row := range rows {
-		out := make(storage.Row, len(sp.projIdxs))
+		out := slab[r*w : (r+1)*w : (r+1)*w]
 		for i, idx := range sp.projIdxs {
 			out[i] = row[idx]
 		}
@@ -318,7 +401,7 @@ func (e *Engine) emitOutput(ctx *Ctx, res *Result) {
 // runFused runs scan(+filter)+output as one fused pipeline with a single
 // metrics measurement and a vectorized FEATURES record (§5.2).
 func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
-	ap, err := sp.from.bind(params)
+	ap, err := sp.from.bind(ctx, params)
 	if err != nil {
 		return nil, err
 	}
@@ -328,15 +411,16 @@ func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Re
 		pm.Begin(ctx.Task)
 	}
 	// Run the pipeline WITHOUT per-OU markers: one measurement covers it.
-	saved := e.markers
-	e.markers = nil
-	matches := e.runScan(ctx, ap)
-	res := sp.project(matchRows(matches))
+	// The bit travels on this statement's Ctx; the engine's markers belong
+	// to every session.
+	ctx.fused = true
+	rows := e.scanRows(ctx, &ap, 0)
+	res := sp.project(rows)
 	if sp.limit >= 0 && len(res.Rows) > sp.limit {
 		res.Rows = res.Rows[:sp.limit]
 	}
 	e.emitOutput(ctx, res)
-	e.markers = saved
+	ctx.fused = false
 	if pm != nil {
 		pm.End(ctx.Task)
 		heap := ap.table.Heap
@@ -344,7 +428,7 @@ func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Re
 		scanFeat := []uint64{uint64(heap.NumSlots()), uint64(heap.Schema().RowWidth())}
 		if ap.index != nil {
 			scanOU = OUIndexScan
-			scanFeat = []uint64{1, uint64(ap.index.Height()), uint64(len(matches))}
+			scanFeat = []uint64{1, uint64(ap.index.Height()), uint64(len(rows))}
 		}
 		parts := []tscout.FusedPart{
 			{OU: scanOU, Features: scanFeat},
@@ -352,7 +436,7 @@ func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Re
 		}
 		if len(ap.residual) > 0 {
 			parts = append(parts, tscout.FusedPart{
-				OU: OUFilter, Features: []uint64{uint64(len(matches)), uint64(len(ap.residual))},
+				OU: OUFilter, Features: []uint64{uint64(len(rows)), uint64(len(ap.residual))},
 			})
 		}
 		if err := pm.FeaturesVector(ctx.Task, res.Bytes(), parts); err != nil {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Noise generates bounded multiplicative noise for simulated measurements.
 // Real hardware counters jitter run to run; the behavior-model experiments
@@ -38,7 +35,15 @@ func (n *Noise) Mult() float64 {
 	if lo < 0.05 {
 		lo = 0.05
 	}
-	return math.Max(lo, math.Min(hi, f))
+	// math.Max(lo, math.Min(hi, f)) without the calls: hi first, then lo,
+	// and a NaN fails both comparisons and is returned as it would be.
+	if f > hi {
+		f = hi
+	}
+	if f < lo {
+		f = lo
+	}
+	return f
 }
 
 // Apply perturbs v by one sample of multiplicative noise.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,46 @@ func TestNoiseMeanNearOne(t *testing.T) {
 	mean := sum / trials
 	if math.Abs(mean-1.0) > 0.01 {
 		t.Fatalf("noise mean %v too far from 1.0", mean)
+	}
+}
+
+// TestNoiseClampMatchesMathMaxMin holds Mult's two comparisons to the
+// expression they replaced, math.Max(lo, math.Min(hi, f)), evaluated here on
+// a twin of the stream: the same factor, bit for bit, from the same draws.
+func TestNoiseClampMatchesMathMaxMin(t *testing.T) {
+	for _, sigma := range []float64{0, 0.03, 0.4} {
+		const seed, draws = 21, 1_000_000
+		n := NewNoise(seed, sigma)
+		twin := rand.New(rand.NewSource(seed))
+		clamped := 0
+		for i := 0; i < draws; i++ {
+			want := 1.0
+			if sigma != 0 {
+				f := 1.0 + twin.NormFloat64()*sigma
+				lo, hi := math.Max(0.05, 1.0-3*sigma), 1.0+3*sigma
+				want = math.Max(lo, math.Min(hi, f))
+				if want != f {
+					clamped++
+				}
+			}
+			if got := n.Mult(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("sigma %v draw %d: Mult = %v, want %v", sigma, i, got, want)
+			}
+		}
+		wantDraws := uint64(draws)
+		if sigma == 0 {
+			wantDraws = 0
+		}
+		if n.Draws() != wantDraws {
+			t.Errorf("sigma %v: Draws = %d, want %d", sigma, n.Draws(), wantDraws)
+		}
+		if sigma != 0 && clamped == 0 {
+			t.Errorf("sigma %v: no draw reached a bound", sigma)
+		}
+		// The stream is where its twin is: the clamp consumed nothing extra.
+		if sigma != 0 && n.Float64() != twin.Float64() {
+			t.Errorf("sigma %v: stream diverged from its twin", sigma)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func TestValueSizeAndRow(t *testing.T) {
 	}
 	c := r.Clone()
 	c[0] = NewInt(9)
-	if r[0].Int != 1 {
+	if r[0].AsInt() != 1 {
 		t.Fatalf("clone must not alias")
 	}
 }

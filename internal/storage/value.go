@@ -7,6 +7,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -36,19 +37,21 @@ func (k Kind) String() string {
 	return "UNKNOWN"
 }
 
-// Value is one SQL value. The zero value is SQL NULL.
+// Value is one SQL value. The zero value is SQL NULL. A cell is 32 bytes:
+// an INT and a FLOAT are never both present, so they share one word, read
+// through AsInt and AsFloat.
 type Value struct {
-	Kind  Kind
-	Int   int64
-	Float float64
-	Str   string
+	Kind Kind
+	// num holds a KindInt as uint64(v) and a KindFloat as its IEEE 754 bits.
+	num uint64
+	Str string
 }
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{Kind: KindInt, Int: v} }
+func NewInt(v int64) Value { return Value{Kind: KindInt, num: uint64(v)} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{Kind: KindFloat, Float: v} }
+func NewFloat(v float64) Value { return Value{Kind: KindFloat, num: math.Float64bits(v)} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{Kind: KindString, Str: v} }
@@ -63,9 +66,9 @@ func (v Value) IsNull() bool { return v.Kind == KindNull }
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.Int)
+		return float64(int64(v.num))
 	case KindFloat:
-		return v.Float
+		return math.Float64frombits(v.num)
 	}
 	return 0
 }
@@ -74,9 +77,9 @@ func (v Value) AsFloat() float64 {
 func (v Value) AsInt() int64 {
 	switch v.Kind {
 	case KindInt:
-		return v.Int
+		return int64(v.num)
 	case KindFloat:
-		return int64(v.Float)
+		return int64(math.Float64frombits(v.num))
 	}
 	return 0
 }
@@ -142,9 +145,9 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return v.Str
 	}

@@ -115,7 +115,9 @@ func (t *Txn) visible(v *storage.Version) bool {
 
 // Read returns the visible row for a tuple slot (nil if none) along with
 // the number of versions walked, which the execution engine charges as
-// version-chain traversal work.
+// version-chain traversal work. The row is the stored version's own slice:
+// a stored row is never modified, so the caller may hold it and read it
+// for as long as it likes, and must not write to it.
 func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 	walked := 0
 	for v := tbl.Head(id); v != nil; v = v.Next {
@@ -130,7 +132,9 @@ func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 	return nil, walked
 }
 
-// Insert appends a new tuple owned by this transaction.
+// Insert appends a new tuple owned by this transaction. It takes ownership
+// of row, which becomes the stored version as it is: the caller may go on
+// reading it and must not modify it afterwards.
 func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, error) {
 	if t.state != StateActive {
 		return storage.InvalidTupleID, ErrNotActive
@@ -138,7 +142,7 @@ func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, erro
 	if err := tbl.Schema().Validate(row); err != nil {
 		return storage.InvalidTupleID, err
 	}
-	v := &storage.Version{TxnID: t.ID, End: storage.InfinityTS, Values: row.Clone()}
+	v := &storage.Version{TxnID: t.ID, End: storage.InfinityTS, Values: row}
 	id := tbl.Append(v)
 	t.writes = append(t.writes, Write{
 		Kind: WriteInsert, Table: tbl, TID: id, Version: v,
@@ -150,9 +154,10 @@ func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, erro
 // redoHeaderBytes is the fixed per-record WAL overhead.
 const redoHeaderBytes = 24
 
-// Update installs a new version of the tuple with the given row. It fails
-// with ErrWriteConflict if another transaction owns the newest version or
-// committed it after this transaction's snapshot.
+// Update installs a new version of the tuple with the given row, taking
+// ownership of it as Insert does. It fails with ErrWriteConflict if another
+// transaction owns the newest version or committed it after this
+// transaction's snapshot.
 func (t *Txn) Update(tbl *storage.Table, id storage.TupleID, row storage.Row) error {
 	return t.write(tbl, id, row, false)
 }
@@ -182,10 +187,12 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 		return ErrWriteConflict // committed after our snapshot: first updater wins
 	}
 	if head.TxnID == t.ID {
-		// Second write by the same transaction: collapse in place.
+		// Second write by the same transaction: collapse in place. The
+		// version takes the new slice; the one it held is left as it was
+		// for whoever read it.
 		head.Deleted = del
 		if !del {
-			head.Values = row.Clone()
+			head.Values = row
 		}
 		t.writes = append(t.writes, Write{
 			Kind: kindFor(del), Table: tbl, TID: id, Version: head,
@@ -194,10 +201,7 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 		return nil
 	}
 	v := &storage.Version{
-		TxnID: t.ID, End: storage.InfinityTS, Deleted: del, Next: head,
-	}
-	if !del {
-		v.Values = row.Clone()
+		TxnID: t.ID, End: storage.InfinityTS, Deleted: del, Values: row, Next: head,
 	}
 	if !tbl.CompareAndSetHead(id, head, v) {
 		return ErrWriteConflict // someone raced us to the slot

@@ -69,9 +69,9 @@ func TestSnapshotIsolationModelProperty(t *testing.T) {
 				if row == nil {
 					t.Fatalf("trial %d: key %d invisible to snapshot", trial, k)
 				}
-				if row[1].Int != want {
+				if row[1].AsInt() != want {
 					t.Fatalf("trial %d: key %d read %d want %d (owns=%v)",
-						trial, k, row[1].Int, want, owns)
+						trial, k, row[1].AsInt(), want, owns)
 				}
 			case 1: // write
 				val := int64(rng.Intn(1000) + 1)
@@ -103,7 +103,7 @@ func TestSnapshotIsolationModelProperty(t *testing.T) {
 		check := m.Begin()
 		for k := 0; k < keys; k++ {
 			row, _ := check.Read(tbl, tids[k])
-			if row == nil || row[1].Int != committed[k] {
+			if row == nil || row[1].AsInt() != committed[k] {
 				t.Fatalf("trial %d: final state key %d: %v want %d", trial, k, row, committed[k])
 			}
 		}

@@ -28,7 +28,7 @@ func TestInsertCommitVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Own uncommitted write is visible to self.
-	if r, _ := t1.Read(tbl, id); r == nil || r[1].Int != 100 {
+	if r, _ := t1.Read(tbl, id); r == nil || r[1].AsInt() != 100 {
 		t.Fatalf("own write must be visible: %v", r)
 	}
 	// Not visible to a concurrent snapshot.
@@ -45,7 +45,7 @@ func TestInsertCommitVisible(t *testing.T) {
 	}
 	// Visible to a new transaction.
 	t3 := m.Begin()
-	if r, _ := t3.Read(tbl, id); r == nil || r[1].Int != 100 {
+	if r, _ := t3.Read(tbl, id); r == nil || r[1].AsInt() != 100 {
 		t.Fatalf("committed write invisible: %v", r)
 	}
 }
@@ -66,13 +66,13 @@ func TestUpdateCreatesVersionChain(t *testing.T) {
 
 	// The old snapshot still reads the old version through the chain.
 	r, walked := reader.Read(tbl, id)
-	if r == nil || r[1].Int != 100 {
+	if r == nil || r[1].AsInt() != 100 {
 		t.Fatalf("old snapshot: %v", r)
 	}
 	if walked != 2 {
 		t.Fatalf("must walk past the new version: walked %d", walked)
 	}
-	if r, _ := m.Begin().Read(tbl, id); r[1].Int != 200 {
+	if r, _ := m.Begin().Read(tbl, id); r[1].AsInt() != 200 {
 		t.Fatalf("new snapshot: %v", r)
 	}
 }
@@ -140,7 +140,7 @@ func TestAbortRestoresState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2 := m.Begin()
-	if r, _ := t2.Read(tbl, id); r == nil || r[1].Int != 100 {
+	if r, _ := t2.Read(tbl, id); r == nil || r[1].AsInt() != 100 {
 		t.Fatalf("update must roll back: %v", r)
 	}
 	if r, _ := t2.Read(tbl, insID); r != nil {
@@ -152,7 +152,7 @@ func TestAbortRestoresState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2.Commit()
-	if r, _ := m.Begin().Read(tbl, id); r[1].Int != 500 {
+	if r, _ := m.Begin().Read(tbl, id); r[1].AsInt() != 500 {
 		t.Fatalf("post-abort update: %v", r)
 	}
 }
@@ -167,7 +167,7 @@ func TestInPlaceCollapse(t *testing.T) {
 	t1 := m.Begin()
 	t1.Update(tbl, id, row(1, 200))
 	t1.Update(tbl, id, row(1, 300)) // same txn: collapses in place
-	if r, _ := t1.Read(tbl, id); r[1].Int != 300 {
+	if r, _ := t1.Read(tbl, id); r[1].AsInt() != 300 {
 		t.Fatalf("collapse read: %v", r)
 	}
 	// The chain must have exactly two versions (new + committed).
@@ -179,7 +179,7 @@ func TestInPlaceCollapse(t *testing.T) {
 		t.Fatalf("chain depth after collapse: %d", depth)
 	}
 	t1.Abort()
-	if r, _ := m.Begin().Read(tbl, id); r[1].Int != 100 {
+	if r, _ := m.Begin().Read(tbl, id); r[1].AsInt() != 100 {
 		t.Fatalf("abort after collapse: %v", r)
 	}
 }
@@ -193,7 +193,7 @@ func TestCollapseAfterOwnInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	t1.Commit()
-	if r, _ := m.Begin().Read(tbl, id); r[1].Int != 200 {
+	if r, _ := m.Begin().Read(tbl, id); r[1].AsInt() != 200 {
 		t.Fatalf("update of own insert: %v", r)
 	}
 }
@@ -248,5 +248,78 @@ func TestUpdateValidation(t *testing.T) {
 	}
 	if _, err := t1.Insert(tbl, storage.Row{storage.NewInt(1)}); err == nil {
 		t.Fatalf("arity violation must fail")
+	}
+}
+
+// TestWritesTakeTheRow pins the ownership rule: Insert and Update store the
+// slice they are handed, a stored row is never written to again — a second
+// write by the same transaction swaps the version's slice rather than
+// writing through it — and so a reader may hold a row across any later
+// write, commit or abort.
+func TestWritesTakeTheRow(t *testing.T) {
+	m := NewManager()
+	tbl := newTestTable()
+	is := func(a, b storage.Row) bool { return &a[0] == &b[0] }
+
+	loader := m.Begin()
+	inserted := row(1, 100)
+	id, err := loader.Insert(tbl, inserted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := tbl.Head(id); !is(v.Values, inserted) {
+		t.Fatalf("Insert stored a copy of the row")
+	}
+	if _, err := loader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, commit := range []bool{true, false} {
+		reader := m.Begin()
+		held, _ := reader.Read(tbl, id)
+		before := held[1].AsInt()
+
+		w := m.Begin()
+		first := row(1, before+1)
+		if err := w.Update(tbl, id, first); err != nil {
+			t.Fatal(err)
+		}
+		v := tbl.Head(id)
+		if !is(v.Values, first) {
+			t.Fatalf("Update stored a copy of the row")
+		}
+		mine, _ := w.Read(tbl, id)
+		second := row(1, before+2)
+		if err := w.Update(tbl, id, second); err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Head(id) != v || !is(v.Values, second) {
+			t.Fatalf("the second write did not collapse into the version, taking the new slice")
+		}
+		if first[1].AsInt() != before+1 || mine[1].AsInt() != before+1 {
+			t.Fatalf("the second write wrote through the first write's row: %v", first)
+		}
+
+		if commit {
+			_, err = w.Commit()
+		} else {
+			err = w.Abort()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held[1].AsInt() != before {
+			t.Fatalf("commit=%v: a held row changed from %d to %d", commit, before, held[1].AsInt())
+		}
+		if again, _ := reader.Read(tbl, id); !is(again, held) {
+			t.Fatalf("commit=%v: the old snapshot no longer reads the row it read", commit)
+		}
+		want := before
+		if commit {
+			want = before + 2
+		}
+		if now, _ := m.Begin().Read(tbl, id); now[1].AsInt() != want {
+			t.Fatalf("commit=%v: a new snapshot reads %d, want %d", commit, now[1].AsInt(), want)
+		}
 	}
 }
