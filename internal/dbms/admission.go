@@ -48,6 +48,10 @@ func (o AdmissionOutcome) String() string {
 type Ticket struct {
 	g       *AdmissionGate
 	granted bool // guarded by g.mu
+	// Owner is the caller's: the gate never reads or writes it. A driver
+	// that learns of grants from Release's return value stores there
+	// whatever names the waiter (the pooled driver: its terminal index).
+	Owner int32
 	// grantNS is the virtual time the slot was granted (the enqueue time
 	// for immediately-granted tickets, the releasing terminal's time for
 	// queued ones). The driver resumes the terminal's clock from it.
@@ -126,10 +130,11 @@ func (g *AdmissionGate) Acquire(nowNS int64) (*Ticket, AdmissionOutcome) {
 }
 
 // Release returns the ticket's slot at virtual time nowNS, handing it to
-// the head of the wait queue (FIFO) if anyone is waiting. Releasing a
-// non-granted ticket is a bug and panics — it would mint a slot from thin
-// air and break the bounded-slot invariant.
-func (g *AdmissionGate) Release(t *Ticket, nowNS int64) {
+// the head of the wait queue (FIFO) if anyone is waiting, and returns the
+// ticket it granted (nil when nobody was waiting). Releasing a non-granted
+// ticket is a bug and panics — it would mint a slot from thin air and break
+// the bounded-slot invariant.
+func (g *AdmissionGate) Release(t *Ticket, nowNS int64) *Ticket {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !t.granted {
@@ -148,9 +153,10 @@ func (g *AdmissionGate) Release(t *Ticket, nowNS int64) {
 		}
 		g.totalWaitNS += head.grantNS - head.enqueueNS
 		g.admitted++
-		return
+		return head
 	}
 	g.inUse--
+	return nil
 }
 
 // GateStats is an AdmissionGate's counters.

@@ -3,6 +3,7 @@ package dbms
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func admissionServer(t *testing.T, numCPUs int) *Server {
@@ -107,6 +108,37 @@ func TestAdmissionReleaseIsFIFOFair(t *testing.T) {
 	}
 	if st.TotalWaitNS <= 0 {
 		t.Fatalf("queued admissions recorded no wait time")
+	}
+}
+
+// TestReleaseReturnsTheTicketItGranted: a driver learns of a grant from
+// Release's return value rather than by polling tickets — the queue's head,
+// already granted when it comes back, and nil once nobody is waiting. Owner
+// is the caller's label for the waiter and comes back as it was set; it fits
+// in the padding beside granted, so a Ticket stays 32 bytes.
+func TestReleaseReturnsTheTicketItGranted(t *testing.T) {
+	g := NewAdmissionGate(1, 0)
+	holder, _ := g.Acquire(0)
+	first, _ := g.Acquire(10)
+	first.Owner = 7
+	second, _ := g.Acquire(20)
+	second.Owner = 9
+
+	got := g.Release(holder, 100)
+	if got != first || got.Owner != 7 || !got.Granted() || got.GrantNS() != 100 {
+		t.Fatalf("first release returned %+v, want the head of the queue, granted at 100", got)
+	}
+	if got = g.Release(first, 200); got != second || got.Owner != 9 {
+		t.Fatalf("second release returned %+v, want the next waiter", got)
+	}
+	if got = g.Release(second, 300); got != nil {
+		t.Fatalf("release into an empty queue returned %+v, want nil", got)
+	}
+	if st := g.Stats(); st.InUse != 0 || st.Waiting != 0 {
+		t.Fatalf("gate not drained: %+v", st)
+	}
+	if size := unsafe.Sizeof(Ticket{}); size != 32 {
+		t.Fatalf("Ticket is %d bytes, want 32", size)
 	}
 }
 

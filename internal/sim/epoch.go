@@ -1,6 +1,9 @@
 package sim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file is the multi-core extension of the virtual-time engine: per-CPU
 // virtual clocks coordinated by an epoch/barrier scheme.
@@ -173,14 +176,14 @@ func (e *Epochs) Barrier() int {
 	for i := range e.nextSeq {
 		e.nextSeq[i] = 0
 	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].atNS != evs[j].atNS {
-			return evs[i].atNS < evs[j].atNS
+	slices.SortStableFunc(evs, func(a, b deferred) int {
+		if c := cmp.Compare(a.atNS, b.atNS); c != 0 {
+			return c
 		}
-		if evs[i].cpu != evs[j].cpu {
-			return evs[i].cpu < evs[j].cpu
+		if c := cmp.Compare(a.cpu, b.cpu); c != 0 {
+			return c
 		}
-		return evs[i].seq < evs[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, ev := range evs {
 		ev.fn(ev.atNS)

@@ -180,3 +180,27 @@ func TestNoiseDraws(t *testing.T) {
 		t.Fatalf("nil stream draws nonzero")
 	}
 }
+
+// TestEpochBarrierTieHeavy pins the merge on a set that is mostly ties —
+// three timestamps over four CPUs, sixty events deferred in a scrambled
+// order, long enough that the stable sort merges blocks rather than
+// insertion-sorting one — to the order (AtNS, CPU, per-CPU deferral order)
+// gives, recorded from the sort.SliceStable merge this one replaced.
+func TestEpochBarrierTieHeavy(t *testing.T) {
+	tl := NewCPUTimelines(4)
+	e := NewEpochs(tl, 1000)
+	var got []int
+	for i := 0; i < 60; i++ {
+		label := i
+		e.Defer((i*7)%4, int64((i*5)%3)*100, func(int64) { got = append(got, label) })
+	}
+	e.Barrier()
+	want := []int{
+		0, 12, 24, 36, 48, 3, 15, 27, 39, 51, 6, 18, 30, 42, 54, 9, 21, 33, 45, 57, // at 0: cpus 0..3
+		8, 20, 32, 44, 56, 11, 23, 35, 47, 59, 2, 14, 26, 38, 50, 5, 17, 29, 41, 53, // at 100
+		4, 16, 28, 40, 52, 7, 19, 31, 43, 55, 10, 22, 34, 46, 58, 1, 13, 25, 37, 49, // at 200
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tie-heavy barrier order:\n got %v\nwant %v", got, want)
+	}
+}

@@ -64,7 +64,9 @@ func TestDecodeFusedFeaturesHostileCounts(t *testing.T) {
 // expansion, and transform. The oracles: no input may panic; anything that
 // decodes must round-trip through Encode and decode back identically; and
 // every training point produced must have Features and FeatureNames of
-// equal length (the invariant model training depends on).
+// equal length (the invariant model training depends on). transform is the
+// per-sample decode the Processor used to run (transform_oracle_test.go);
+// decodeDifferential then holds decodeBatch, which it runs now, to it.
 func FuzzProcessorDecode(f *testing.F) {
 	p := fuzzProcessor()
 
@@ -82,8 +84,19 @@ func FuzzProcessorDecode(f *testing.F) {
 	// The two minimized crashers behind TestDecodeFusedFeaturesHostileCounts.
 	f.Add(EncodeSample(FusedOUID, 1, Metrics{}, []uint64{^uint64(0)}))
 	f.Add(EncodeSample(FusedOUID, 1, Metrics{}, []uint64{1, 5, ^uint64(0)}))
+	// The arms decodeBatch and transform must agree on beyond the above: a
+	// short vector (padded), a long one (truncated), a feature count one
+	// past MaxFeatures, a length that is not whole words, wrapped counters.
+	f.Add(EncodeSample(testOUSeqScan, 42, Metrics{ElapsedNS: 100}, []uint64{7}))
+	f.Add(EncodeSample(testOUWAL, 42, Metrics{ElapsedNS: 100}, []uint64{1, 2, 3}))
+	f.Add(EncodeSample(testOUSeqScan, 42, Metrics{}, make([]uint64, MaxFeatures+1)))
+	f.Add(append(EncodeSample(testOUSeqScan, 42, Metrics{}, []uint64{7, 9}), 0))
+	f.Add(EncodeSample(testOUSeqScan, 42, Metrics{Cycles: 1 << 63}, []uint64{7, 9}))
 
 	f.Fuzz(func(t *testing.T, buf []byte) {
+		// Runs once the assertions below are through, on every path out.
+		defer decodeDifferential(t, p, buf)
+
 		s, err := DecodeSample(buf)
 		if err == nil {
 			enc := EncodeSample(s.OU, s.PID, s.Metrics, s.Features)

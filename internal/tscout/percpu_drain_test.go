@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,6 +50,24 @@ func deployPerCPU(t *testing.T, seed int64, numCPUs, ringCap, par int) (*TScout,
 	}
 	ts.Sampler().SetAllRates(100)
 	return ts, k, scan, wal
+}
+
+// deployEverySubsystem registers one two-feature OU per subsystem on
+// newPerCPU's rig, deploys it, and returns a canned sample for each.
+func deployEverySubsystem(tb testing.TB, ts *TScout) [NumSubsystems][]byte {
+	tb.Helper()
+	var payloads [NumSubsystems][]byte
+	for i, sub := range AllSubsystems {
+		ts.MustRegisterOU(OUDef{
+			ID: OUID(50 + i), Name: sub.String() + "_ou", Subsystem: sub,
+			Features: []string{"a", "b"},
+		}, ResourceSet{CPU: true})
+		payloads[sub] = EncodeSample(OUID(50+i), 1, Metrics{ElapsedNS: 5}, []uint64{1, 2})
+	}
+	if err := ts.Deploy(); err != nil {
+		tb.Fatal(err)
+	}
+	return payloads
 }
 
 // TestRingAffinityDisjoint pins the affinity contract: for every (CPU
@@ -501,6 +520,77 @@ func TestWritePoint(t *testing.T) {
 	}
 }
 
+// TestDrainAllocationsPerPoint guards decode's allocation rate: a drain
+// allocates per poll (the budget and tally slices, the delivered batch) and
+// per ring batch (its point slice, its feature slab), not per point. 2 000
+// samples over the 32 rings of an 8-CPU deployment, two drain threads, a
+// Processor warmed until the ring slots and the threads' batch buffers have
+// reached their working size, a sink that keeps nothing: at three
+// allocations a point — DecodeSample's words, floats, the one-element
+// result — this read 3.05.
+func TestDrainAllocationsPerPoint(t *testing.T) {
+	const numCPUs, samples = 8, 2000
+	ts, _ := newPerCPU(7, numCPUs, 64, 2)
+	sinkOf(ts).discard = true
+	payloads := deployEverySubsystem(t, ts)
+	p := ts.Processor()
+	numRings := numCPUs * int(NumSubsystems)
+	cycle := func() {
+		for i := 0; i < samples; i++ {
+			g := i % numRings
+			sub := SubsystemID(g / numCPUs)
+			ts.CollectorFor(sub).Ring.SubmitFrom(g%numCPUs, payloads[sub])
+		}
+		if res := p.Drain(DrainOptions{}); res.Points != samples {
+			t.Fatalf("drain produced %d points, want %d", res.Points, samples)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // 63 samples a ring a cycle: every 64-slot ring has wrapped
+	}
+	perPoint := testing.AllocsPerRun(10, cycle) / samples
+	if perPoint > 0.25 {
+		t.Fatalf("drain allocates %.3f times per point, want <= 0.25", perPoint)
+	}
+	t.Logf("drain allocations per point: %.4f", perPoint)
+}
+
+// TestOneThreadDrainRunsOnCaller pins where the drain worker runs: with one
+// modeled drain thread there is nothing to run beside, so Drain calls the
+// worker on its caller's goroutine — no spawn, no join — and with two the
+// workers are goroutines, both of them. A splitter sees the stack it is
+// called on: a fused sample from the user queue takes it there.
+func TestOneThreadDrainRunsOnCaller(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		k := kernel.New(sim.LargeHW, 3, 0)
+		ts := New(k, Config{Mode: UserContinuous, Seed: 5, ProcessorParallelism: par})
+		ts.MustRegisterOU(OUDef{
+			ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
+			Features: []string{"num_rows", "row_bytes"},
+		}, ResourceSet{CPU: true})
+		p := ts.Processor()
+		var stack string
+		p.SetSplitter(func(OUID, []float64) float64 {
+			buf := make([]byte, 1<<14)
+			stack = string(buf[:runtime.Stack(buf, false)])
+			return 1
+		})
+		words, err := EncodeFusedFeatures([]FusedPart{{OU: testOUSeqScan, Features: []uint64{1, 2}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SubmitUserSample(EncodeSample(FusedOUID, 1, Metrics{ElapsedNS: 5}, words))
+		if res := p.Drain(DrainOptions{}); res.Points != 1 {
+			t.Fatalf("threads=%d: drain produced %d points, want 1", par, res.Points)
+		}
+		// The test's own frame, not the splitter closure's ".func1".
+		onCaller := strings.Contains(stack, "TestOneThreadDrainRunsOnCaller(")
+		if onCaller != (par == 1) {
+			t.Fatalf("threads=%d: worker on the caller's goroutine = %v\n%s", par, onCaller, stack)
+		}
+	}
+}
+
 // sinkFunc adapts a batch function to Sink.
 type sinkFunc func([]TrainingPoint) error
 
@@ -521,15 +611,7 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 	run := func(b *testing.B, numCPUs, threads int) {
 		ts, _ := newPerCPU(1, numCPUs, 1024, threads)
 		sinkOf(ts).discard = true
-		for i, sub := range AllSubsystems {
-			ts.MustRegisterOU(OUDef{
-				ID: OUID(50 + i), Name: sub.String() + "_ou", Subsystem: sub,
-				Features: []string{"a", "b"},
-			}, ResourceSet{CPU: true})
-		}
-		if err := ts.Deploy(); err != nil {
-			b.Fatal(err)
-		}
+		payloads := deployEverySubsystem(b, ts)
 		ts.Sampler().SetAllRates(100)
 		p := ts.Processor()
 
@@ -537,8 +619,8 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 		// over the simulated CPUs concurrently with the timed drain loop.
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		for i, sub := range AllSubsystems {
-			payload := EncodeSample(OUID(50+i), 1, Metrics{ElapsedNS: 5}, []uint64{1, 2})
+		for _, sub := range AllSubsystems {
+			payload := payloads[sub]
 			ring := ts.CollectorFor(sub).Ring
 			wg.Add(1)
 			go func() {

@@ -326,9 +326,9 @@ type drainTally struct {
 // Drain runs one drain period over the per-CPU rings and returns what it
 // produced. Each modeled drain thread owns a disjoint set of CPU rings
 // (ring affinity: global ring index mod parallelism), the effective budget
-// is waterfilled over each thread's rings, and the threads run as real
-// goroutines — batched decode/transform proceeds concurrently with
-// zero cross-thread ring-lock sharing. Sustained oversubmission overwrites
+// is waterfilled over each thread's rings, and two or more threads run as
+// real goroutines — batched decode proceeds concurrently with zero
+// cross-thread ring-lock sharing — while a single thread runs on the caller. Sustained oversubmission overwrites
 // ring entries (kernel path) or overflows the user queue, and the
 // pipeline's efficiency degrades under overload — the §6.2 dynamics behind
 // Fig. 6's peak-then-decline curve.
@@ -449,7 +449,7 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		copy(alloc, demands) // unlimited: drain everything
 	}
 
-	// Affinity-sharded drain: one goroutine per modeled drain thread, each
+	// Affinity-sharded drain: one worker per modeled drain thread, each
 	// draining only the rings it owns into its own reusable batch buffer.
 	// Workers buffer the points they produce per ring — ring ownership is
 	// disjoint, so the slots are race-free — and the drain's batch is their
@@ -458,15 +458,21 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	// bit-identical sink stream at any drain parallelism.
 	tallies := make([]drainTally, parallelism)
 	ptsByRing := make([][]TrainingPoint, numRings+1)
-	var wg sync.WaitGroup
-	for t := 0; t < parallelism; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			p.drainWorker(t, parallelism, numRings, &cols, alloc, &tallies[t], ptsByRing)
-		}(t)
+	if parallelism == 1 {
+		// The paper's single-threaded Processor: nothing to run beside, so
+		// no goroutine to start and join every poll.
+		p.drainWorker(0, 1, numRings, &cols, alloc, &tallies[0], ptsByRing)
+	} else {
+		var wg sync.WaitGroup
+		for t := 0; t < parallelism; t++ {
+			wg.Add(1)
+			go func(t int) {
+				defer wg.Done()
+				p.drainWorker(t, parallelism, numRings, &cols, alloc, &tallies[t], ptsByRing)
+			}(t)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	// Charge virtual time after the join: Task charging shares the kernel's
 	// (unsynchronized, deterministic) noise stream, so it must run serially
@@ -586,20 +592,10 @@ func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsyste
 		tally.hist[histBucket(n)]++
 
 		var adj featureAdjust
-		pts := make([]TrainingPoint, 0, n)
-		for i := 0; i < n; i++ {
-			out, err := p.transform(batch.Sample(i), &adj)
-			if err != nil {
-				if errors.Is(err, errCorruptMetrics) {
-					tally.corrupt[sub]++
-				} else {
-					tally.decodeErrs[sub]++
-				}
-				continue
-			}
-			pts = append(pts, out...)
-		}
+		pts, corrupt, decodeErrs := p.decodeBatch(batch, &adj)
 		ptsByRing[g] = pts
+		tally.corrupt[sub] += corrupt
+		tally.decodeErrs[sub] += decodeErrs
 		tally.points[sub] += int64(len(pts))
 		tally.padded[sub] += adj.padded
 		tally.truncated[sub] += adj.truncated
@@ -625,19 +621,8 @@ func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsyste
 	}
 	p.mu.Unlock()
 	tally.userSamples = int64(len(bufs))
-	var pts []TrainingPoint
-	for _, buf := range bufs {
-		out, err := p.transform(buf, &tally.userAdj)
-		if err != nil {
-			if errors.Is(err, errCorruptMetrics) {
-				tally.userCorrupt++
-			} else {
-				tally.userDecodeErrs++
-			}
-			continue
-		}
-		pts = append(pts, out...)
-	}
+	pts, corrupt, decodeErrs := p.decodeBatch(userBatch(bufs), &tally.userAdj)
+	tally.userCorrupt, tally.userDecodeErrs = corrupt, decodeErrs
 	// Points count toward the subsystem they decode into, while the
 	// drain/decode accounting above stays on the user-queue stats.
 	for _, tp := range pts {
@@ -807,29 +792,114 @@ type featureAdjust struct {
 	truncated int64
 }
 
-// transform decodes a wire sample into training points, expanding fused
-// samples into per-OU points with apportioned metrics.
-func (p *Processor) transform(buf []byte, adj *featureAdjust) ([]TrainingPoint, error) {
-	s, err := DecodeSample(buf)
-	if err != nil {
-		return nil, err
+// fit counts the repair a vector of n wire features needs to reach an OU's
+// declared width — truncated when longer, zero-padded when shorter — and
+// returns how many of its words to keep.
+func (adj *featureAdjust) fit(n, width int) int {
+	switch {
+	case n > width:
+		adj.truncated++
+		return width
+	case n < width:
+		adj.padded++
 	}
-	// Sanity-check the raw metrics before any fused-sample expansion:
-	// scaleMetrics would smear a wrapped counter across every part.
-	if !metricsSane(s.Metrics) {
-		return nil, errCorruptMetrics
-	}
-	if s.OU != FusedOUID {
-		def, ok := p.ts.OU(s.OU)
-		if !ok {
-			return nil, fmt.Errorf("tscout: sample for unregistered OU %d", s.OU)
+	return n
+}
+
+// sampleSource is what decodeBatch reads wire samples from: a drain
+// thread's bpf.Batch for a kernel ring, the dequeued buffers for the user
+// pseudo-ring.
+type sampleSource interface {
+	Len() int
+	Sample(i int) []byte
+}
+
+type userBatch [][]byte
+
+func (u userBatch) Len() int            { return len(u) }
+func (u userBatch) Sample(i int) []byte { return u[i] }
+
+// decodeBatch is the one sample-decode path: it turns one ring's drained
+// samples into that ring's training points, in sample order, and counts the
+// samples it had to discard (corrupt: structurally sound but physically
+// impossible metrics; decodeErrs: everything else). Each sample is read in
+// place, once: the header decode's structural checks, then metricsSane —
+// before the OU lookup and before any fused expansion, since scaleMetrics
+// would smear a wrapped counter across every part — then the OU.
+//
+// Feature vectors are normalized to the OU's declared width, so a point's
+// Features and FeatureNames always have equal length (a short vector would
+// misalign every feature after it in training); both repairs are counted in
+// adj. The non-fused points' vectors are carved from one slab, allocated
+// once the batch's declared widths are known and filled from the samples in
+// a second walk over the points. The points and the slab are the sink's once
+// delivered (an archive segment holds them until it seals, a rejected batch
+// is parked for redelivery), so neither is ever reused: they are collected
+// with the batch.
+func (p *Processor) decodeBatch(src sampleSource, adj *featureAdjust) (pts []TrainingPoint, corrupt, decodeErrs int64) {
+	n := src.Len()
+	pts = make([]TrainingPoint, 0, n)
+	// from[k] is the sample pts[k] takes its features from once the slab
+	// exists; -1 for a fused part, which brings its own.
+	from := make([]int32, 0, n)
+	slabLen := 0
+	for i := 0; i < n; i++ {
+		buf := src.Sample(i)
+		s, err := decodeHeader(buf)
+		switch {
+		case err != nil:
+		case !metricsSane(s.Metrics):
+			err = errCorruptMetrics
+		case s.OU == FusedOUID:
+			pts, err = p.expandFused(pts, buf, adj)
+			for len(from) < len(pts) {
+				from = append(from, -1)
+			}
+		default:
+			def, ok := p.ts.OU(s.OU)
+			if !ok {
+				err = fmt.Errorf("tscout: sample for unregistered OU %d", s.OU)
+				break
+			}
+			pts = append(pts, pointOf(def, s.PID, s.Metrics, nil))
+			from = append(from, int32(i))
+			slabLen += len(def.Features)
 		}
-		return []TrainingPoint{pointFor(def, s.PID, s.Features, s.Metrics, adj)}, nil
+		if errors.Is(err, errCorruptMetrics) {
+			corrupt++
+		} else if err != nil {
+			decodeErrs++
+		}
 	}
 
+	slab := make([]float64, slabLen)
+	for k := range pts {
+		if from[k] < 0 {
+			continue
+		}
+		buf := src.Sample(int(from[k]))
+		width := len(pts[k].FeatureNames)
+		f := slab[:width:width]
+		slab = slab[width:]
+		for j, keep := 0, adj.fit(featureCount(buf), width); j < keep; j++ {
+			f[j] = float64(featureWord(buf, j))
+		}
+		pts[k].Features = f
+	}
+	return pts, corrupt, decodeErrs
+}
+
+// expandFused appends one point per OU of a fused sample, the sample's
+// metrics apportioned across them by the splitter's weights. On error pts
+// comes back as it was handed in.
+func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, adj *featureAdjust) ([]TrainingPoint, error) {
+	s, err := DecodeSample(buf)
+	if err != nil {
+		return pts, err
+	}
 	parts, err := DecodeFusedFeatures(s.Features)
 	if err != nil {
-		return nil, err
+		return pts, err
 	}
 	p.mu.Lock()
 	split := p.splitter
@@ -840,7 +910,7 @@ func (p *Processor) transform(buf []byte, adj *featureAdjust) ([]TrainingPoint, 
 	for i, part := range parts {
 		w := 1.0
 		if split != nil {
-			w = split(part.OU, floats(part.Features))
+			w = split(part.OU, floatVector(part.Features, len(part.Features)))
 			if w <= 0 {
 				w = 1e-9
 			}
@@ -848,51 +918,41 @@ func (p *Processor) transform(buf []byte, adj *featureAdjust) ([]TrainingPoint, 
 		weights[i] = w
 		total += w
 	}
-	out := make([]TrainingPoint, 0, len(parts))
+	out := pts
 	for i, part := range parts {
 		def, ok := p.ts.OU(part.OU)
 		if !ok {
-			return nil, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
+			return pts, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
 		}
-		out = append(out, pointFor(def, s.PID, part.Features, scaleMetrics(s.Metrics, weights[i]/total), adj))
+		adj.fit(len(part.Features), len(def.Features))
+		out = append(out, pointOf(def, s.PID, scaleMetrics(s.Metrics, weights[i]/total),
+			floatVector(part.Features, len(def.Features))))
 	}
 	return out, nil
 }
 
-// pointFor builds one training point, normalizing the feature vector to
-// the OU's declared width: long vectors are truncated, short vectors are
-// zero-padded, and both repairs are counted. Features and FeatureNames
-// therefore always have equal length — silently emitting short vectors
-// would skew model training with misaligned features.
-func pointFor(def *OUDef, pid int, feats []uint64, m Metrics, adj *featureAdjust) TrainingPoint {
-	f := floats(feats)
-	switch {
-	case len(f) > len(def.Features):
-		f = f[:len(def.Features)]
-		adj.truncated++
-	case len(f) < len(def.Features):
-		padded := make([]float64, len(def.Features))
-		copy(padded, f)
-		f = padded
-		adj.padded++
-	}
+// pointOf builds def's training point around a feature vector of its
+// declared width.
+func pointOf(def *OUDef, pid int, m Metrics, features []float64) TrainingPoint {
 	return TrainingPoint{
 		OU:           def.ID,
 		OUName:       def.Name,
 		Subsystem:    def.Subsystem,
 		PID:          pid,
-		Features:     f,
+		Features:     features,
 		FeatureNames: def.Features,
 		Metrics:      m,
 	}
 }
 
-func floats(words []uint64) []float64 {
-	out := make([]float64, len(words))
-	for i, w := range words {
-		out[i] = float64(w)
+// floatVector converts feature words into a vector of the given width:
+// words beyond it are dropped, places beyond the words stay zero.
+func floatVector(words []uint64, width int) []float64 {
+	f := make([]float64, width)
+	for j := 0; j < len(words) && j < width; j++ {
+		f[j] = float64(words[j])
 	}
-	return out
+	return f
 }
 
 func scaleMetrics(m Metrics, f float64) Metrics {

@@ -102,18 +102,21 @@ type Sample struct {
 	Features []uint64
 }
 
-// DecodeSample parses a sample emitted by the Collector or a user-level
-// probe.
-func DecodeSample(buf []byte) (Sample, error) {
+// decodeHeader makes every structural check a sample gets — its length, that
+// it is whole words, the feature count against MaxFeatures and against the
+// buffer — and reads the header and the metrics in place. The feature words
+// it vouches for (featureCount of them, read with featureWord) stay in buf;
+// the returned Sample's Features is nil.
+func decodeHeader(buf []byte) (Sample, error) {
 	if len(buf) < sampleFixedWords*8 || len(buf)%8 != 0 {
 		return Sample{}, fmt.Errorf("tscout: malformed sample of %d bytes", len(buf))
 	}
 	get := func(word int) uint64 { return bpf.U64(buf[word*8:]) }
-	n := int(get(3))
+	n := featureCount(buf)
 	if n < 0 || n > MaxFeatures || sampleFixedWords+n > len(buf)/8 {
 		return Sample{}, fmt.Errorf("tscout: sample feature count %d inconsistent with %d bytes", n, len(buf))
 	}
-	s := Sample{
+	return Sample{
 		OU:  OUID(get(0)),
 		PID: int(get(1)),
 		Metrics: Metrics{
@@ -129,10 +132,26 @@ func DecodeSample(buf []byte) (Sample, error) {
 			NetSendBytes:   int64(get(sampleHeaderWords + mwNetSend)),
 			AllocBytes:     int64(get(sampleHeaderWords + mwAlloc)),
 		},
-		Features: make([]uint64, n),
+	}, nil
+}
+
+// featureCount reads header word 3 of a sample at least a header long: how
+// many feature words it says follow the metrics.
+func featureCount(buf []byte) int { return int(bpf.U64(buf[3*8:])) }
+
+// featureWord reads feature word i of a sample decodeHeader accepted.
+func featureWord(buf []byte, i int) uint64 { return bpf.U64(buf[(sampleFixedWords+i)*8:]) }
+
+// DecodeSample parses a sample emitted by the Collector or a user-level
+// probe: the header decode plus a copy of the feature words.
+func DecodeSample(buf []byte) (Sample, error) {
+	s, err := decodeHeader(buf)
+	if err != nil {
+		return Sample{}, err
 	}
-	for i := 0; i < n; i++ {
-		s.Features[i] = get(sampleFixedWords + i)
+	s.Features = make([]uint64, featureCount(buf))
+	for i := range s.Features {
+		s.Features[i] = featureWord(buf, i)
 	}
 	return s, nil
 }

@@ -16,12 +16,19 @@ import (
 //
 // Columns: ou, ou_name, subsystem, pid, the 11 metrics of MetricNames,
 // then feature values paired as name=value (feature sets differ per OU).
+//
+// A write error is permanent: csv.Writer sits on a bufio.Writer, which
+// returns its first write error from every later write. CSVSink says so
+// through StickySink, so the Processor fails deliveries fast instead of
+// retrying them.
 type CSVSink struct {
 	mu      sync.Mutex
 	w       *csv.Writer // guarded by mu
 	n       int64       // guarded by mu
 	scratch []byte      // guarded by mu — reused feature-cell buffer
 }
+
+var _ StickySink = (*CSVSink)(nil)
 
 // NewCSVSink creates a sink and writes the header row.
 func NewCSVSink(w io.Writer) (*CSVSink, error) {
@@ -105,6 +112,14 @@ func (s *CSVSink) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.w.Flush()
+	return s.w.Error()
+}
+
+// StickyErr implements StickySink: the first error the underlying writer
+// returned, which every later write would return again.
+func (s *CSVSink) StickyErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.w.Error()
 }
 

@@ -8,7 +8,8 @@
 package wal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"tscout/internal/kernel"
@@ -92,7 +93,7 @@ type Serializer struct {
 	// merged order at the epoch barrier.
 	deferMode bool           // guarded by mu
 	stage     []stagedCommit // guarded by mu
-	stageSeq  map[int]uint64 // guarded by mu
+	stageSeq  []uint64       // guarded by mu — per CPU, grown on demand
 
 	flushes    int64 // guarded by mu
 	recsLogged int64 // guarded by mu
@@ -118,7 +119,6 @@ func New(k *kernel.Kernel, ts *tscout.TScout, serMarker, wrMarker *tscout.Marker
 		ts:        ts,
 		serMarker: serMarker,
 		wrMarker:  wrMarker,
-		stageSeq:  make(map[int]uint64),
 	}
 }
 
@@ -141,9 +141,11 @@ func (s *Serializer) SubmitFrom(records []Record, nowNS int64, cpu int) *Commit 
 	c := &Commit{Records: records, Bytes: bytes, ArrivalNS: nowNS}
 	s.mu.Lock()
 	if s.deferMode {
-		seq := s.stageSeq[cpu]
-		s.stageSeq[cpu] = seq + 1
-		s.stage = append(s.stage, stagedCommit{c: c, cpu: cpu, seq: seq})
+		for cpu >= len(s.stageSeq) {
+			s.stageSeq = append(s.stageSeq, 0)
+		}
+		s.stage = append(s.stage, stagedCommit{c: c, cpu: cpu, seq: s.stageSeq[cpu]})
+		s.stageSeq[cpu]++
 		s.mu.Unlock()
 		return c
 	}
@@ -182,20 +184,19 @@ func (s *Serializer) CommitStaged() int {
 	s.mu.Lock()
 	staged := s.stage
 	s.stage = nil
-	s.stageSeq = make(map[int]uint64)
+	clear(s.stageSeq)
 	s.mu.Unlock()
 	if len(staged) == 0 {
 		return 0
 	}
-	sort.SliceStable(staged, func(i, j int) bool {
-		a, b := staged[i], staged[j]
-		if a.c.ArrivalNS != b.c.ArrivalNS {
-			return a.c.ArrivalNS < b.c.ArrivalNS
+	slices.SortStableFunc(staged, func(a, b stagedCommit) int {
+		if c := cmp.Compare(a.c.ArrivalNS, b.c.ArrivalNS); c != 0 {
+			return c
 		}
-		if a.cpu != b.cpu {
-			return a.cpu < b.cpu
+		if c := cmp.Compare(a.cpu, b.cpu); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for _, sc := range staged {
 		s.mu.Lock()

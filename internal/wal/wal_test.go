@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"testing"
 
 	"tscout/internal/archive"
@@ -256,5 +258,50 @@ func TestSetDeferModeOffKeepsStage(t *testing.T) {
 	s.Submit(testRecords(2, 1), 200)
 	if s.PendingCount() != 2 {
 		t.Fatalf("pending: %d", s.PendingCount())
+	}
+}
+
+// TestCommitStagedTieHeavy pins the barrier replay on a stage that is mostly
+// ties — three arrival times over four CPUs, forty-eight commits staged in a
+// scrambled order — to the (ArrivalNS, cpu, per-CPU staging order) merge,
+// recorded from the sort.SliceStable replay this one replaced. A synchronous
+// WAL flushes each commit as it is replayed, so durability times rise in
+// replay order and reading them back recovers it.
+func TestCommitStagedTieHeavy(t *testing.T) {
+	s, _ := newWAL(t, Config{Synchronous: true})
+	s.SetDeferMode(true)
+	commits := make([]*Commit, 48)
+	for i := range commits {
+		commits[i] = s.SubmitFrom(testRecords(uint64(i+1), 1), int64((i*5)%3)*100, (i*7)%4)
+	}
+	if n := s.CommitStaged(); n != len(commits) {
+		t.Fatalf("replayed %d, want %d", n, len(commits))
+	}
+	got := make([]int, len(commits))
+	for i := range got {
+		got[i] = i
+	}
+	sort.Slice(got, func(a, b int) bool { return commits[got[a]].DoneNS < commits[got[b]].DoneNS })
+	for i := 1; i < len(got); i++ {
+		if commits[got[i]].DoneNS == commits[got[i-1]].DoneNS {
+			t.Fatalf("commits %d and %d share a durability time; the replay order is not recoverable", got[i-1], got[i])
+		}
+	}
+	want := []int{
+		0, 12, 24, 36, 3, 15, 27, 39, 6, 18, 30, 42, 9, 21, 33, 45, // arrival 0: cpus 0..3
+		8, 20, 32, 44, 11, 23, 35, 47, 2, 14, 26, 38, 5, 17, 29, 41, // arrival 100
+		4, 16, 28, 40, 7, 19, 31, 43, 10, 22, 34, 46, 1, 13, 25, 37, // arrival 200
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tie-heavy replay order:\n got %v\nwant %v", got, want)
+	}
+
+	// The per-CPU counters restart with the next epoch: two commits staged
+	// on one CPU at one instant replay in staging order again.
+	a := s.SubmitFrom(testRecords(100, 1), 1000, 3)
+	b := s.SubmitFrom(testRecords(101, 1), 1000, 3)
+	s.CommitStaged()
+	if !(a.DoneNS < b.DoneNS) {
+		t.Fatalf("second epoch replayed out of staging order: %d, %d", a.DoneNS, b.DoneNS)
 	}
 }

@@ -2,101 +2,23 @@ package workload
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
+	"reflect"
+	"testing"
 
 	"tscout/internal/dbms"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
+	"tscout/internal/txn"
 	"tscout/internal/wal"
 )
 
-// The pooled epoch driver is the multi-core counterpart of the legacy
-// single-clock driver: thousands of terminals multiplex onto a bounded
-// pool of DBMS sessions (pinned across the simulated CPUs) behind an
-// admission gate, and virtual time advances per CPU within fixed epochs.
-//
-// Determinism argument. The driver is one goroutine; what makes the
-// schedule a pure function of the seed at any CPU count is that no
-// decision ever consults wall-clock state or map iteration order:
-//
-//   - Admission walks the idle terminals in index order; grants hand
-//     slots to waiters in FIFO order.
-//   - Each CPU executes its runqueue in admission order against its own
-//     timeline; no step reads another CPU's clock.
-//   - WAL submissions during the epoch are staged (deferred mode), then
-//     replayed at the barrier in (ArrivalNS, cpu, seq) order, so flush
-//     batching is independent of the order the CPUs were driven in.
-//   - Terminal completions (commit durability, read-only finishes,
-//     aborts) are deferred as epoch events and applied at the barrier in
-//     (AtNS, CPU, seq) order, so slot releases — and therefore which
-//     waiter is granted when — follow virtual time, not execution order.
-//
-// Every cross-CPU interaction thus funnels through one of two sorted
-// merges, both keyed only by virtual timestamps the per-CPU schedules
-// produced. NumCPUs=1 collapses to a single timeline with the same merge
-// rules, and any NumCPUs gives bit-identical archives for the same seed.
-//
-// The driver never asks a terminal what state it is in. It keeps three sets
-// of terminal indexes, each changed at the one or two places a terminal
-// enters or leaves that state, and every per-epoch walk is an ascending walk
-// of the set its predicate describes — the calls a scan of all terminals
-// would make, in the same order, at a cost of the epoch's state changes
-// rather than the terminal census:
-//
-//   - idle: no session and no ticket. Everyone starts here; finishRelease
-//     returns a terminal to it; the Granted and Queued arms of Acquire take
-//     it out. A rejected terminal stays, with readyNS pushed to the epoch's
-//     end, and asks again next epoch.
-//   - granted: handed a slot by some other terminal's Release (which
-//     returns the ticket it granted; Ticket.Owner names the terminal) and
-//     not yet bound to a session. claim takes it out at the next epoch start.
-//   - pending: waiting on a commit's durability. Entered when a transaction
-//     returns a commit handle, left when a barrier sees it resolved.
-//
-// A queued terminal is in none of them: nothing happens to it until a
-// Release grants it.
-
-// termSet is a set of terminal indexes, one bit each, walked in ascending
-// order with next.
-type termSet []uint64
-
-func newTermSet(n int) termSet { return make(termSet, (n+63)/64) }
-
-func (s termSet) add(i int)      { s[i>>6] |= 1 << (uint(i) & 63) }
-func (s termSet) remove(i int)   { s[i>>6] &^= 1 << (uint(i) & 63) }
-func (s termSet) has(i int) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// next returns the smallest member >= i, or -1 when there is none. The
-// walk `for i := s.next(0); i >= 0; i = s.next(i + 1)` visits members in
-// ascending order and lets the body remove the member it is visiting.
-func (s termSet) next(i int) int {
-	w := i >> 6
-	if w >= len(s) {
-		return -1
-	}
-	word := s[w] &^ (1<<(uint(i)&63) - 1)
-	for word == 0 {
-		if w++; w == len(s) {
-			return -1
-		}
-		word = s[w]
-	}
-	return w<<6 + bits.TrailingZeros64(word)
-}
-
-type pooledTerminal struct {
-	idx     int
-	rng     *rand.Rand
-	readyNS int64
-	ticket  *dbms.Ticket
-	se      *dbms.Session
-	pending *wal.Commit
-	startNS int64
-}
-
-// runPooled drives the generator with the pooled multi-core epoch engine.
-func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
+// runPooledScanning is runPooled as it stood before the terminal sets: every
+// admission, barrier and fast-forward decision is found by scanning all
+// terminals in index order and asking each ticket whether it has been
+// granted. It is kept verbatim as the oracle TestPooledMatchesScanningOracle
+// drives beside the set-walking loop.
+func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	poolSize := cfg.PoolSessions
 	if poolSize > cfg.Terminals {
 		poolSize = cfg.Terminals
@@ -116,15 +38,11 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	ep := sim.NewEpochs(tl, cfg.ProcessorPollNS)
 
 	terms := make([]*pooledTerminal, cfg.Terminals)
-	idle := newTermSet(cfg.Terminals)
-	granted := newTermSet(cfg.Terminals)
-	pending := newTermSet(cfg.Terminals)
 	for i := range terms {
 		terms[i] = &pooledTerminal{
 			idx: i,
 			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
 		}
-		idle.add(i)
 	}
 
 	var (
@@ -156,13 +74,10 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 			maxDoneNS = atNS
 		}
 		pool.Put(t.se)
-		if next := gate.Release(t.ticket, atNS); next != nil {
-			granted.add(int(next.Owner))
-		}
+		gate.Release(t.ticket, atNS)
 		t.se = nil
 		t.ticket = nil
 		t.readyNS = atNS
-		idle.add(t.idx)
 	}
 
 	claim := func(t *pooledTerminal) {
@@ -174,7 +89,6 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		}
 		se.ExternalCollect = cfg.ExternalCollect
 		t.se = se
-		granted.remove(t.idx)
 		if g := t.ticket.GrantNS(); g > t.readyNS {
 			t.readyNS = g
 		}
@@ -189,12 +103,13 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// First bind sessions to terminals granted at the previous
 		// barrier, then let idle terminals ask for slots — both in
 		// terminal index order.
-		for i := granted.next(0); i >= 0; i = granted.next(i + 1) {
-			claim(terms[i])
+		for _, t := range terms {
+			if t.se == nil && t.ticket != nil && t.ticket.Granted() {
+				claim(t)
+			}
 		}
-		for i := idle.next(0); i >= 0; i = idle.next(i + 1) {
-			t := terms[i]
-			if t.readyNS >= epochEnd {
+		for _, t := range terms {
+			if t.se != nil || t.ticket != nil || t.readyNS >= epochEnd {
 				continue
 			}
 			if started+outstanding >= cfg.Transactions {
@@ -207,16 +122,12 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 			tk, outcome := gate.Acquire(at)
 			switch outcome {
 			case dbms.Granted:
-				tk.Owner = int32(i)
 				t.ticket = tk
 				outstanding++
-				idle.remove(i)
 				claim(t)
 			case dbms.Queued:
-				tk.Owner = int32(i)
 				t.ticket = tk
 				outstanding++
-				idle.remove(i)
 			case dbms.Rejected:
 				// Refused connections back off a full epoch before
 				// retrying.
@@ -259,7 +170,6 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 					// terminal holds its slot until a barrier observes
 					// durability.
 					t.pending = commit
-					pending.add(t.idx)
 				}
 				tl.AdvanceTo(c, task.Now())
 			}
@@ -271,14 +181,13 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// every observed durability into a deferred completion event.
 		srv.WAL.CommitStaged()
 		srv.WAL.Tick(epochEnd)
-		for i := pending.next(0); i >= 0; i = pending.next(i + 1) {
-			tt := terms[i]
-			if !tt.pending.Resolved {
+		for _, t := range terms {
+			if t.pending == nil || !t.pending.Resolved {
 				continue
 			}
-			done := tt.pending.DoneNS
-			tt.pending = nil
-			pending.remove(i)
+			done := t.pending.DoneNS
+			t.pending = nil
+			tt := t
 			ep.Defer(tt.se.Task.CPU(), done, func(at int64) {
 				tt.se.Task.Clock.AdvanceTo(at)
 				finishRelease(tt, at, true)
@@ -323,34 +232,33 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				observe(tl.Now(c))
 			}
 		}
-		for i := granted.next(0); i >= 0; i = granted.next(i + 1) {
-			observe(terms[i].ticket.GrantNS())
-		}
-		if started+outstanding < cfg.Transactions {
-			for i := idle.next(0); i >= 0; i = idle.next(i + 1) {
-				observe(terms[i].readyNS)
+		for _, t := range terms {
+			switch {
+			case t.se == nil && t.ticket != nil && t.ticket.Granted():
+				observe(t.ticket.GrantNS())
+			case t.se == nil && t.ticket == nil && t.pending == nil &&
+				started+outstanding < cfg.Transactions:
+				observe(t.readyNS)
 			}
 		}
 		if next < 0 {
 			if !ranAny && applied == 0 {
-				// A ticket holds a slot once its terminal has a session or
-				// a Release has granted it.
-				var nPending, nGranted, nQueued, nIdle int
+				var pending, queued, granted, idle int
 				for _, t := range terms {
 					switch {
 					case t.pending != nil:
-						nPending++
-					case t.ticket != nil && (t.se != nil || granted.has(t.idx)):
-						nGranted++
+						pending++
+					case t.ticket != nil && t.ticket.Granted():
+						granted++
 					case t.ticket != nil:
-						nQueued++
+						queued++
 					default:
-						nIdle++
+						idle++
 					}
 				}
 				return res, fmt.Errorf(
 					"workload: deadlock — terminals pending=%d granted=%d queued=%d idle=%d, staged=%d, started=%d outstanding=%d, gate=%+v",
-					nPending, nGranted, nQueued, nIdle, srv.WAL.StagedCount(), started, outstanding, gate.Stats())
+					pending, granted, queued, idle, srv.WAL.StagedCount(), started, outstanding, gate.Stats())
 			}
 		} else if next >= epochEnd {
 			ep.SkipTo(next)
@@ -370,4 +278,105 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	res.Admission = gate.Stats()
 	summarize(&res, latencies, elapsed)
 	return res, nil
+}
+
+// abortingGen rolls back every seventh transaction after one statement and
+// reports a write conflict, so the abort arm of finishRelease runs. No real
+// workload aborts under these drivers: they never interleave two
+// transactions' statements.
+type abortingGen struct {
+	Generator
+	calls int
+}
+
+func (g *abortingGen) Txn(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error) {
+	g.calls++
+	if g.calls%7 != 0 {
+		return g.Generator.Txn(se, rng)
+	}
+	if err := se.BeginTxn(); err != nil {
+		return nil, err
+	}
+	if _, err := se.Statement("UPDATE checking SET bal = bal + $1 WHERE custid = $2",
+		fv(1), iv(int64(rng.Intn(200)))); err != nil {
+		return nil, err
+	}
+	if err := se.Rollback(); err != nil {
+		return nil, err
+	}
+	return nil, txn.ErrWriteConflict
+}
+
+// TestPooledMatchesScanningOracle drives two fresh servers from one seed,
+// one with the set-walking runPooled and one with the scanning loop it
+// replaced, and requires the same run from both: every Result field (latency
+// percentiles, the gate's census, epochs, barrier events, the Processor's
+// telemetry), the archive, and the kernel's per-CPU noise-draw census.
+func TestPooledMatchesScanningOracle(t *testing.T) {
+	type driver func(*dbms.Server, Generator, Config) (Result, error)
+	scenarios := []struct {
+		name                         string
+		terminals, pool, depth, txns int
+		aborts                       bool
+		check                        func(Result) bool
+	}{
+		{name: "terminals>>pool", terminals: 400, pool: 16, txns: 420,
+			check: func(r Result) bool { return r.Admission.Queued > 0 }},
+		{name: "terminals<pool", terminals: 12, pool: 48, txns: 80,
+			check: func(r Result) bool { return r.Admission.Queued == 0 }},
+		{name: "bounded-queue", terminals: 400, pool: 16, depth: 8, txns: 160,
+			check: func(r Result) bool { return r.Admission.Rejected > 0 }},
+		// The budget runs out before the first epoch's acquire walk has
+		// reached every terminal.
+		{name: "budget<terminals", terminals: 400, pool: 16, txns: 64,
+			check: func(r Result) bool { return r.Admission.Admitted == 64 }},
+		{name: "aborts", terminals: 100, pool: 16, txns: 120, aborts: true,
+			check: func(r Result) bool { return r.Aborted > 0 }},
+	}
+	for _, numCPUs := range []int{1, 8, 32} {
+		for _, par := range []int{1, 2} {
+			for _, sc := range scenarios {
+				t.Run(fmt.Sprintf("cpus=%d/threads=%d/%s", numCPUs, par, sc.name), func(t *testing.T) {
+					t.Parallel()
+					run := func(drive driver) (Result, uint64, []uint64) {
+						arch := newTestArchive(0)
+						srv, sb := scaleServer(t, dbms.Config{
+							Seed: 42, NoiseSigma: 0.03, Instrument: true,
+							NumCPUs: numCPUs, ProcessorParallelism: par, Sink: arch.w,
+							WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
+						}, 200)
+						var gen Generator = sb
+						if sc.aborts {
+							gen = &abortingGen{Generator: sb}
+						}
+						res, err := drive(srv, gen, Config{
+							Terminals: sc.terminals, Transactions: sc.txns, Seed: 42,
+							PoolSessions: sc.pool, AdmissionQueueDepth: sc.depth,
+						}.withDefaults())
+						if err != nil {
+							t.Fatalf("run: %v", err)
+						}
+						return res, goldenFingerprint(res, arch.points(t)), srv.Kernel.NoiseDraws()
+					}
+					got, gotFP, gotDraws := run(runPooled)
+					want, wantFP, wantDraws := run(runPooledScanning)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("results diverged from the scanning loop:\n%+v\n%+v", got, want)
+					}
+					if gotFP != wantFP {
+						t.Fatalf("archive fingerprint %#x, scanning loop %#x", gotFP, wantFP)
+					}
+					if !reflect.DeepEqual(gotDraws, wantDraws) {
+						t.Fatalf("noise-draw census diverged:\n%v\n%v", gotDraws, wantDraws)
+					}
+					if got.Completed+got.Aborted != sc.txns {
+						t.Fatalf("budget: completed %d + aborted %d != %d", got.Completed, got.Aborted, sc.txns)
+					}
+					if !sc.check(got) {
+						t.Fatalf("the scenario did not reach the path it is here for: %+v", got)
+					}
+				})
+			}
+		}
+	}
 }

@@ -191,3 +191,43 @@ func BenchmarkEndToEndNumCPUs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPooledTerminals is what a terminal costs the host: the same
+// 20 000 uninstrumented SmallBank transactions on 128 pooled sessions and 8
+// CPUs, from 200, 2 000 and 20 000 terminals. No TScout, so the figure is
+// the driver, the gate and the DBMS under them; an epoch that costs its
+// state changes rather than its terminal census keeps ns/txn close to flat
+// (what is left at 20 000 is seeding that many terminal RNGs).
+// EXPERIMENTS.md records the table.
+func BenchmarkPooledTerminals(b *testing.B) {
+	const txns = 20_000
+	for _, terminals := range []int{200, 2000, 20000} {
+		b.Run(fmt.Sprintf("terminals=%d", terminals), func(b *testing.B) {
+			var epochs int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				srv, err := dbms.NewServer(dbms.Config{
+					Seed: 21, NoiseSigma: 0.03, NumCPUs: 8,
+					WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 25_000},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				gen := &SmallBank{Customers: 1000}
+				if err := gen.Setup(srv); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := Run(srv, gen, Config{
+					Terminals: terminals, Transactions: txns, Seed: 21, PoolSessions: 128,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				epochs = res.Epochs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*txns), "ns/txn")
+			b.ReportMetric(float64(epochs), "epochs")
+		})
+	}
+}
