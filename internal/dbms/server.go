@@ -168,6 +168,10 @@ type Session struct {
 	// in, whichever entry point it arrives through: the engine keeps its
 	// per-statement scratch there, so a session's statements reuse it.
 	ctx exec.Ctx
+	// reply is the wire response under construction, rendered in place and
+	// reused by the next one: Statement only prices it, SubmitPacket hands
+	// the client a copy.
+	reply []byte
 	// ExternalCollect emulates EXPLAIN-based external feature collection
 	// (§2.2): every statement pays an extra planning round.
 	ExternalCollect bool
@@ -242,11 +246,16 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 		}
 	}
 	se.netRead(len(packet), len(msgs))
-	if derr != nil {
-		pr.Err = derr
+	// fail ends the packet with err after the sent results already in reply.
+	fail := func(reply []byte, sent int, err error) *PacketResult {
+		pr.Err = err
 		pr.Aborted = true
-		pr.Response = se.respond(network.Message{Type: network.MsgError, Payload: []byte(derr.Error())})
+		se.respondError(reply, sent, err)
+		pr.Response = append([]byte(nil), se.reply...)
 		return pr
+	}
+	if derr != nil {
+		return fail(se.reply[:0], 0, derr)
 	}
 
 	// --- Execute the statements in one transaction --------------------
@@ -254,33 +263,27 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	if srv.TS != nil {
 		srv.TS.BeginEvent(task, tscout.SubsystemExecutionEngine)
 	}
-	var respMsgs []network.Message
+	reply := se.reply[:0]
 	ctx := se.execCtx(tx)
-	for _, st := range stmts {
+	for i, st := range stmts {
 		res, err := srv.run(ctx, st, nil)
 		if err != nil {
 			_ = tx.Abort()
-			pr.Err = err
-			pr.Aborted = true
-			respMsgs = append(respMsgs, network.Message{Type: network.MsgError, Payload: []byte(err.Error())})
-			pr.Response = se.respond(respMsgs...)
-			return pr
+			return fail(reply, i, err)
 		}
 		pr.Results = append(pr.Results, res)
-		respMsgs = append(respMsgs, encodeResult(res))
+		reply = appendResult(reply, res)
 	}
 	writes := tx.Writes()
 	if _, err := tx.Commit(); err != nil {
-		pr.Err = err
-		pr.Aborted = true
-		pr.Response = se.respond(network.Message{Type: network.MsgError, Payload: []byte(err.Error())})
-		return pr
+		return fail(reply[:0], 0, err)
 	}
 
 	// --- WAL group commit ----------------------------------------------
 	pr.Commit = se.submitRedo(tx, writes)
 
-	pr.Response = se.respond(respMsgs...)
+	se.respond(reply, len(stmts))
+	pr.Response = append([]byte(nil), reply...)
 	return pr
 }
 
@@ -331,10 +334,20 @@ func (se *Session) submitRedo(tx *txn.Txn, writes []txn.Write) *wal.Commit {
 	return se.srv.WAL.SubmitFrom(records, se.Task.Now(), se.Task.CPU())
 }
 
-// respond runs the networking write OU for the response messages.
-func (se *Session) respond(msgs ...network.Message) []byte {
+// respondError responds with the sent messages already in reply and err
+// after them.
+func (se *Session) respondError(reply []byte, sent int, err error) {
+	start := len(reply)
+	reply = append(network.AppendHeader(reply, network.MsgError), err.Error()...)
+	network.SetLength(reply, start)
+	se.respond(reply, sent+1)
+}
+
+// respond runs the networking write OU for the response out, which holds
+// msgs messages, and keeps out for the session's next reply to reuse.
+func (se *Session) respond(out []byte, msgs int) {
 	task := se.Task
-	out := network.Encode(msgs...)
+	se.reply = out
 	if se.srv.netWrite != nil {
 		se.srv.netWrite.Begin(task)
 	}
@@ -342,15 +355,14 @@ func (se *Session) respond(msgs ...network.Message) []byte {
 		Instructions: 260 + 1.6*float64(len(out)),
 		BytesTouched: float64(len(out)),
 		NetSendBytes: int64(len(out)),
-		NetMessages:  int64(len(msgs)),
+		NetMessages:  int64(msgs),
 		AllocBytes:   int64(len(out)),
 	})
 	if se.srv.netWrite != nil {
 		se.srv.netWrite.End(task)
 		se.srv.netWrite.Features(task, int64(len(out)),
-			uint64(len(out)), uint64(len(msgs)))
+			uint64(len(out)), uint64(msgs))
 	}
-	return out
 }
 
 func recordKind(k txn.WriteKind) wal.RecordKind {
@@ -364,33 +376,30 @@ func recordKind(k txn.WriteKind) wal.RecordKind {
 	}
 }
 
-// encodeResult renders a result set as a wire message.
-func encodeResult(r *exec.Result) network.Message {
+// appendResult renders a result set as one wire message at the end of out.
+func appendResult(out []byte, r *exec.Result) []byte {
+	start := len(out)
 	if len(r.Cols) == 0 {
-		return network.Message{Type: network.MsgComplete,
-			Payload: strconv.AppendInt(append(make([]byte, 0, 8), "OK "...), int64(r.Affected), 10)}
+		out = append(network.AppendHeader(out, network.MsgComplete), "OK "...)
+		out = strconv.AppendInt(out, int64(r.Affected), 10)
+		network.SetLength(out, start)
+		return out
 	}
-	// Sized once: the header's names and tabs, then per row its newline and
-	// the result's own byte estimate (8 a value, strings their length).
-	size := 1
+	out = network.AppendHeader(out, network.MsgResult)
 	for _, c := range r.Cols {
-		size += len(c) + 1
+		out = append(out, c...)
+		out = append(out, '\t')
 	}
-	size += int(r.Bytes()) + len(r.Rows)*len(r.Cols)
-	payload := make([]byte, 0, size)
-	for _, c := range r.Cols {
-		payload = append(payload, c...)
-		payload = append(payload, '\t')
-	}
-	payload = append(payload, '\n')
+	out = append(out, '\n')
 	for _, row := range r.Rows {
 		for _, v := range row {
-			payload = append(payload, v.String()...)
-			payload = append(payload, '\t')
+			out = v.AppendText(out)
+			out = append(out, '\t')
 		}
-		payload = append(payload, '\n')
+		out = append(out, '\n')
 	}
-	return network.Message{Type: network.MsgResult, Payload: payload}
+	network.SetLength(out, start)
+	return out
 }
 
 // Execute is the in-process convenience path used by examples and the

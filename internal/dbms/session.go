@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tscout/internal/exec"
-	"tscout/internal/network"
 	"tscout/internal/sim"
 	"tscout/internal/sql"
 	"tscout/internal/storage"
@@ -100,10 +99,10 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	}
 	if err != nil {
 		se.rollback()
-		se.respond(network.Message{Type: network.MsgError, Payload: []byte(err.Error())})
+		se.respondError(se.reply[:0], 0, err)
 		return nil, err
 	}
-	se.respond(encodeResult(res))
+	se.respond(appendResult(se.reply[:0], res), 1)
 	return res, nil
 }
 

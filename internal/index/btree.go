@@ -16,13 +16,16 @@ type BTree struct {
 	root   *btreeNode
 	height int
 	size   int
+	// postings holds, in insertion order, every TupleID of each key that
+	// has more than one. Nearly every key has one, kept in its leaf.
+	postings map[int64][]int64
 }
 
 type btreeNode struct {
 	leaf     bool
 	keys     []int64
 	children []*btreeNode // internal nodes
-	values   [][]int64    // leaf nodes: TupleIDs per key
+	tids     []int64      // leaf nodes: each key's first TupleID
 	next     *btreeNode   // leaf chain for range scans
 }
 
@@ -57,15 +60,18 @@ func (t *BTree) insert(n *btreeNode, key int64, tid int64) (int64, *btreeNode) {
 	if n.leaf {
 		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
 		if i < len(n.keys) && n.keys[i] == key {
-			n.values[i] = append(n.values[i], tid)
+			if t.postings == nil {
+				t.postings = make(map[int64][]int64)
+			}
+			t.postings[key] = append(t.tidsAt(n, i), tid)
 			return 0, nil
 		}
 		n.keys = append(n.keys, 0)
 		copy(n.keys[i+1:], n.keys[i:])
 		n.keys[i] = key
-		n.values = append(n.values, nil)
-		copy(n.values[i+1:], n.values[i:])
-		n.values[i] = []int64{tid}
+		n.tids = append(n.tids, 0)
+		copy(n.tids[i+1:], n.tids[i:])
+		n.tids[i] = tid
 		t.size++
 		if len(n.keys) <= btreeOrder {
 			return 0, nil
@@ -92,13 +98,13 @@ func (t *BTree) insert(n *btreeNode, key int64, tid int64) (int64, *btreeNode) {
 func (t *BTree) splitLeaf(n *btreeNode) (int64, *btreeNode) {
 	mid := len(n.keys) / 2
 	right := &btreeNode{
-		leaf:   true,
-		keys:   append([]int64(nil), n.keys[mid:]...),
-		values: append([][]int64(nil), n.values[mid:]...),
-		next:   n.next,
+		leaf: true,
+		keys: append([]int64(nil), n.keys[mid:]...),
+		tids: append([]int64(nil), n.tids[mid:]...),
+		next: n.next,
 	}
 	n.keys = n.keys[:mid]
-	n.values = n.values[:mid]
+	n.tids = n.tids[:mid]
 	n.next = right
 	return right.keys[0], right
 }
@@ -124,13 +130,24 @@ func (t *BTree) findLeaf(key int64) *btreeNode {
 	return n
 }
 
+// tidsAt returns the TupleIDs under leaf n's i-th key: its posting list, or
+// a one-element view of the leaf that an append cannot grow in place.
+func (t *BTree) tidsAt(n *btreeNode, i int) []int64 {
+	if len(t.postings) != 0 {
+		if p, ok := t.postings[n.keys[i]]; ok {
+			return p
+		}
+	}
+	return n.tids[i : i+1 : i+1]
+}
+
 // Search returns the TupleIDs stored under key (nil if absent). The
 // returned slice must not be mutated.
 func (t *BTree) Search(key int64) []int64 {
 	n := t.findLeaf(key)
 	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
 	if i < len(n.keys) && n.keys[i] == key {
-		return n.values[i]
+		return t.tidsAt(n, i)
 	}
 	return nil
 }
@@ -145,17 +162,25 @@ func (t *BTree) Delete(key int64, tid int64) bool {
 	if i >= len(n.keys) || n.keys[i] != key {
 		return false
 	}
-	vals := n.values[i]
+	vals := t.tidsAt(n, i)
 	for j, v := range vals {
-		if v == tid {
-			n.values[i] = append(vals[:j], vals[j+1:]...)
-			if len(n.values[i]) == 0 {
-				n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				n.values = append(n.values[:i], n.values[i+1:]...)
-				t.size--
-			}
+		if v != tid {
+			continue
+		}
+		vals = append(vals[:j], vals[j+1:]...)
+		if len(vals) == 0 {
+			n.keys = append(n.keys[:i], n.keys[i+1:]...)
+			n.tids = append(n.tids[:i], n.tids[i+1:]...)
+			t.size--
 			return true
 		}
+		n.tids[i] = vals[0]
+		if len(vals) == 1 {
+			delete(t.postings, key)
+		} else {
+			t.postings[key] = vals
+		}
+		return true
 	}
 	return false
 }
@@ -172,7 +197,7 @@ func (t *BTree) Range(lo, hi int64, fn func(key int64, tids []int64) bool) {
 			if k > hi {
 				return
 			}
-			if !fn(k, n.values[i]) {
+			if !fn(k, t.tidsAt(n, i)) {
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -219,5 +220,78 @@ func TestHashIndex(t *testing.T) {
 	h.Delete(1, 11)
 	if h.Search(1) != nil || h.Len() != 1 {
 		t.Fatalf("empty postings must drop key")
+	}
+}
+
+// TestBTreeModelWithDuplicates drives random inserts, deletes, point
+// lookups and range scans against a map of posting lists plus its sorted
+// keys, over a key space small enough that most keys are hit repeatedly:
+// keys gain a second TupleID, lose their first, fall back to one, vanish
+// and return. Postings must come back in insertion order, which is what
+// makes an index scan's output order a function of the history alone.
+func TestBTreeModelWithDuplicates(t *testing.T) {
+	for _, keySpace := range []int{40, 700, 20000} {
+		rng := rand.New(rand.NewSource(int64(keySpace)))
+		bt := NewBTree()
+		model := map[int64][]int64{}
+		check := func(step int) {
+			t.Helper()
+			keys := make([]int64, 0, len(model))
+			for k := range model {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			if bt.Len() != len(keys) {
+				t.Fatalf("step %d: Len %d, model %d", step, bt.Len(), len(keys))
+			}
+			lo, hi := int64(rng.Intn(keySpace)), int64(rng.Intn(keySpace))
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			at := sort.Search(len(keys), func(i int) bool { return keys[i] >= lo })
+			bt.Range(lo, hi, func(k int64, tids []int64) bool {
+				if at >= len(keys) || keys[at] != k || !slices.Equal(tids, model[k]) {
+					t.Fatalf("step %d: Range(%d, %d) gave (%d, %v), model has %v", step, lo, hi, k, tids, model[k])
+				}
+				at++
+				return true
+			})
+			if at < len(keys) && keys[at] <= hi {
+				t.Fatalf("step %d: Range(%d, %d) stopped before key %d", step, lo, hi, keys[at])
+			}
+			if k, ok := bt.Min(); ok != (len(keys) > 0) || (ok && k != keys[0]) {
+				t.Fatalf("step %d: Min %d %v", step, k, ok)
+			}
+			if k, ok := bt.Max(); ok != (len(keys) > 0) || (ok && k != keys[len(keys)-1]) {
+				t.Fatalf("step %d: Max %d %v", step, k, ok)
+			}
+		}
+		for step := 0; step < 12000; step++ {
+			k := int64(rng.Intn(keySpace))
+			switch vals := model[k]; {
+			case rng.Intn(5) < 3:
+				bt.Insert(k, int64(step))
+				model[k] = append(vals, int64(step))
+			case len(vals) > 0:
+				j := rng.Intn(len(vals))
+				if !bt.Delete(k, vals[j]) {
+					t.Fatalf("step %d: Delete(%d, %d) found nothing", step, k, vals[j])
+				}
+				if model[k] = slices.Delete(vals, j, j+1); len(model[k]) == 0 {
+					delete(model, k)
+				}
+			default:
+				if bt.Delete(k, int64(step)) {
+					t.Fatalf("step %d: Delete of absent key %d succeeded", step, k)
+				}
+			}
+			if got := bt.Search(k); !slices.Equal(got, model[k]) {
+				t.Fatalf("step %d: Search(%d) %v, model %v", step, k, got, model[k])
+			}
+			if step%50 == 0 {
+				check(step)
+			}
+		}
+		check(-1)
 	}
 }

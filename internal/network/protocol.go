@@ -40,13 +40,24 @@ func Encode(msgs ...Message) []byte {
 	}
 	out := make([]byte, 0, total)
 	for _, m := range msgs {
-		var hdr [headerBytes]byte
-		hdr[0] = m.Type
-		binary.BigEndian.PutUint32(hdr[1:], uint32(len(m.Payload)))
-		out = append(out, hdr[:]...)
-		out = append(out, m.Payload...)
+		start := len(out)
+		out = append(AppendHeader(out, m.Type), m.Payload...)
+		SetLength(out, start)
 	}
 	return out
+}
+
+// AppendHeader starts a message of the given type at the end of out, for a
+// sender that renders the payload in place: it appends the payload and then
+// calls SetLength with the offset the header went in at.
+func AppendHeader(out []byte, typ byte) []byte {
+	return append(out, typ, 0, 0, 0, 0)
+}
+
+// SetLength closes the message whose header is at out[start:] and whose
+// payload runs to the end of out.
+func SetLength(out []byte, start int) {
+	binary.BigEndian.PutUint32(out[start+1:], uint32(len(out)-start-headerBytes))
 }
 
 // EncodeQuery builds a single-query packet.

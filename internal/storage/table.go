@@ -13,7 +13,9 @@ const InvalidTupleID TupleID = -1
 // Version is one MVCC version of a tuple (HyPer-style newest-to-oldest
 // chains). Begin and End are commit timestamps bounding visibility;
 // TxnID marks an uncommitted version's owner. Deleted versions are
-// tombstones.
+// tombstones. A chain ends at the newest version the oldest running
+// snapshot can see: a committing transaction sets that version's Next to nil
+// (package txn), so Next reaches only versions some snapshot may still read.
 type Version struct {
 	Begin   uint64
 	End     uint64

@@ -154,6 +154,17 @@ func (v Value) String() string {
 	return fmt.Sprintf("?%d", v.Kind)
 }
 
+// AppendText appends String's rendering of the value to b.
+func (v Value) AppendText(b []byte) []byte {
+	switch v.Kind {
+	case KindInt:
+		return strconv.AppendInt(b, v.AsInt(), 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.AsFloat(), 'g', -1, 64)
+	}
+	return append(b, v.String()...)
+}
+
 // Row is one tuple's values in schema order.
 type Row []Value
 

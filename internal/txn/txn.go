@@ -1,9 +1,19 @@
 // Package txn implements HyPer-style multi-version concurrency control for
 // the DBMS substrate: snapshot reads against commit-timestamped version
-// chains, first-updater-wins write-write conflict detection, and
-// commit/abort installation. Version garbage collection is out of scope
-// for the short-lived experiment runs (chains stay shallow because updates
-// by the same transaction collapse in place).
+// chains, first-updater-wins write-write conflict detection, commit/abort
+// installation, and version reclamation.
+//
+// Reclamation is a watermark cut made at commit. The Manager keeps the
+// running transactions in begin order, so the oldest snapshot is the head
+// of that list; a committing transaction takes its timestamp and the
+// watermark (the oldest other snapshot, or its own timestamp when it is
+// alone) in one critical section and, on each slot it wrote, drops
+// everything older than the newest version the watermark can see. No
+// running or future snapshot walks past that version, so Read returns the
+// same row after the same number of steps as on an uncut chain; a slot
+// keeps the versions committed after the oldest running snapshot plus one,
+// and the rest is left to the Go collector. Index entries and tombstones are
+// not reclaimed (DESIGN.md §4, Version reclamation).
 package txn
 
 import (
@@ -50,11 +60,18 @@ type Write struct {
 	RedoBytes int64
 }
 
-// Manager allocates transaction IDs and commit timestamps.
+// Manager allocates transaction IDs and commit timestamps, and knows the
+// oldest snapshot still running.
 type Manager struct {
 	mu        sync.Mutex
-	nextTxnID uint64
-	commitTS  uint64
+	nextTxnID uint64 // guarded by mu
+	commitTS  uint64 // guarded by mu
+	// oldest and newest end the list of running transactions, linked
+	// through Txn.prev/next in Begin order. commitTS never decreases, so
+	// ReadTS is non-decreasing along the list and oldest holds the
+	// watermark.
+	oldest, newest *Txn   // guarded by mu
+	unlinked       uint64 // guarded by mu — versions cut off their chains
 }
 
 // NewManager creates a transaction manager. Commit timestamps start at 1;
@@ -71,14 +88,43 @@ func (m *Manager) Begin() *Txn {
 	defer m.mu.Unlock()
 	id := m.nextTxnID
 	m.nextTxnID++
-	return &Txn{mgr: m, ID: id, ReadTS: m.commitTS, state: StateActive}
+	t := &Txn{mgr: m, ID: id, ReadTS: m.commitTS, state: StateActive, prev: m.newest}
+	if m.newest != nil {
+		m.newest.next = t
+	} else {
+		m.oldest = t
+	}
+	m.newest = t
+	return t
 }
 
-func (m *Manager) nextCommitTS() uint64 {
+// finishLocked takes t off the running list. The caller holds m.mu.
+func (m *Manager) finishLocked(t *Txn) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		m.oldest = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		m.newest = t.prev
+	}
+	t.prev, t.next = nil, nil
+}
+
+// stats reports the number of running transactions, the oldest running
+// snapshot (0 when none) and the versions reclaimed so far. Tests read it.
+func (m *Manager) stats() (running int, oldestReadTS, unlinked uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.commitTS++
-	return m.commitTS
+	if m.oldest != nil {
+		oldestReadTS = m.oldest.ReadTS
+	}
+	for t := m.oldest; t != nil; t = t.next {
+		running++
+	}
+	return running, oldestReadTS, m.unlinked
 }
 
 // Txn is one transaction.
@@ -88,6 +134,9 @@ type Txn struct {
 	ReadTS uint64
 	state  State
 	writes []Write
+	// prev and next link the transaction into its Manager's running list
+	// (older and newer snapshot); both are nil once it has finished.
+	prev, next *Txn
 }
 
 // State returns the transaction's lifecycle state.
@@ -230,18 +279,48 @@ func rowBytes(r storage.Row) int64 {
 // Commit makes the transaction's writes durable in the version store and
 // returns the commit timestamp. WAL persistence is the caller's concern
 // (the DBMS session hands the write set to the log serializer).
+//
+// The timestamp, the watermark, the stamps and the cut are one critical
+// section of the Manager: a snapshot begun after the timestamp exists must
+// find every version it stamps already committed, or it would skip a head
+// still owned by the committer and read the version below it — stale
+// before reclamation, and gone after it. Version fields are plain words, so
+// a transaction may share a table only with transactions on its own
+// goroutine; the drivers do, and a multi-goroutine driver needs atomic
+// fields here as it needs the table lock in storage.
 func (t *Txn) Commit() (uint64, error) {
 	if t.state != StateActive {
 		return 0, ErrNotActive
 	}
-	ts := t.mgr.nextCommitTS()
+	m := t.mgr
+	m.mu.Lock()
+	m.commitTS++
+	ts := m.commitTS
+	m.finishLocked(t)
+	watermark := ts
+	if m.oldest != nil {
+		watermark = m.oldest.ReadTS
+	}
 	for _, w := range t.writes {
-		w.Version.Begin = ts
-		w.Version.TxnID = 0
-		if w.Version.Next != nil {
-			w.Version.Next.End = ts
+		v := w.Version
+		v.Begin = ts
+		v.TxnID = 0
+		if v.Next != nil {
+			v.Next.End = ts
+		}
+		// Every snapshot at or after the watermark stops at or before the
+		// newest version that began at or before it.
+		for v != nil && v.Begin > watermark {
+			v = v.Next
+		}
+		if v != nil {
+			for old := v.Next; old != nil; old = old.Next {
+				m.unlinked++
+			}
+			v.Next = nil
 		}
 	}
+	m.mu.Unlock()
 	t.state = StateCommitted
 	return ts, nil
 }
@@ -252,6 +331,9 @@ func (t *Txn) Abort() error {
 	if t.state != StateActive {
 		return ErrNotActive
 	}
+	t.mgr.mu.Lock()
+	t.mgr.finishLocked(t)
+	t.mgr.mu.Unlock()
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		w := t.writes[i]
 		if w.Kind == WriteInsert {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tscout/internal/dbms"
+	"tscout/internal/storage"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
 )
@@ -170,5 +171,56 @@ func TestDriverDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	if cfg.Terminals != 1 || cfg.Transactions != 1000 || cfg.ProcessorPollNS != 100_000 {
 		t.Fatalf("defaults: %+v", cfg)
+	}
+}
+
+// reachableVersions counts every version a reader could still be handed:
+// each table's slots plus whatever hangs below their heads.
+func reachableVersions(t *testing.T, srv *dbms.Server) (slots, versions int) {
+	t.Helper()
+	for _, name := range srv.Catalog.TableNames() {
+		tbl, err := srv.Catalog.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.Heap.ScanSlots(func(_ storage.TupleID, head *storage.Version) bool {
+			slots++
+			for v := head; v != nil; v = v.Next {
+				versions++
+			}
+			return true
+		})
+	}
+	return slots, versions
+}
+
+// TestSmallBankSoakHoldsVersionsFlat is the bounded-memory statement at a
+// size tier-1 can afford: SmallBank only updates, so after any number of
+// transactions on one server the version store must hold what it held after
+// the first quarter — one version a slot once nothing is running — however
+// many versions have been written since. Without reclamation the count grows
+// by about 1.4 versions a transaction.
+func TestSmallBankSoakHoldsVersionsFlat(t *testing.T) {
+	srv := newServer(t, false)
+	gen := &SmallBank{Customers: 500}
+	if err := gen.Setup(srv); err != nil {
+		t.Fatal(err)
+	}
+	slots, loaded := reachableVersions(t, srv)
+	if slots != 3*500 || loaded != slots {
+		t.Fatalf("load: %d versions in %d slots", loaded, slots)
+	}
+	for quarter := 1; quarter <= 4; quarter++ {
+		res, err := Run(srv, gen, Config{Terminals: 8, Transactions: 10_000, Seed: int64(quarter)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed+res.Aborted != 10_000 {
+			t.Fatalf("quarter %d: %+v", quarter, res)
+		}
+		if gotSlots, got := reachableVersions(t, srv); gotSlots != slots || got != loaded {
+			t.Fatalf("after %d transactions: %d versions in %d slots, loaded %d in %d",
+				quarter*10_000, got, gotSlots, loaded, slots)
+		}
 	}
 }

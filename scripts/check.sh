@@ -81,6 +81,7 @@ fuzz_smoke() {
 		archive FuzzSegmentCodec
 		model FuzzBuildTreeDifferential
 		exec FuzzPreparedDifferential
+		txn FuzzVersionPruneDifferential
 	END
 }
 
