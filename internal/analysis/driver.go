@@ -13,6 +13,12 @@ import (
 // applies //tsvet:ignore suppressions, and returns the surviving
 // diagnostics sorted by file, line, and column. A nil suite means All().
 func RunRoot(root string, suite []*Analyzer) ([]Diagnostic, error) {
+	return runRoot(newLoader(), root, suite)
+}
+
+// runRoot is RunRoot through a loader the caller may have used before:
+// whatever it has already imported is not type-checked again.
+func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
 	if suite == nil {
 		suite = All()
 	}
@@ -21,7 +27,6 @@ func RunRoot(root string, suite []*Analyzer) ([]Diagnostic, error) {
 		return nil, err
 	}
 	module, prefix := moduleContext(root)
-	l := newLoader()
 	known := knownRules()
 	var all []Diagnostic
 	for _, rel := range dirs {
@@ -60,10 +65,13 @@ func RunRoot(root string, suite []*Analyzer) ([]Diagnostic, error) {
 // relPath doubles as the package path, so fixture trees can opt into
 // path-scoped analyzers by embedding the segment they target.
 func RunDir(dir, relPath string, suite []*Analyzer) ([]Diagnostic, error) {
+	return runDir(newLoader(), dir, relPath, suite)
+}
+
+func runDir(l *loader, dir, relPath string, suite []*Analyzer) ([]Diagnostic, error) {
 	if suite == nil {
 		suite = All()
 	}
-	l := newLoader()
 	pkg, err := l.load(dir, relPath, relPath)
 	if err != nil {
 		return nil, err

@@ -104,6 +104,12 @@ func diffDiags(t *testing.T, want, got map[lineKey][]string, diags []Diagnostic)
 	}
 }
 
+// testLoader is shared by every test that analyzes a tree: the source
+// importer caches by import path, so the standard library is type-checked
+// once for the binary, not once per fixture (fixture package paths are
+// distinct, and fixtures are checked, never imported).
+var testLoader = newLoader()
+
 // TestFixtures runs the full suite over each golden fixture package and
 // compares reported rules against the fixtures' want markers, line by
 // line. The fixture's path relative to testdata/src doubles as its
@@ -123,9 +129,9 @@ func TestFixtures(t *testing.T) {
 	for _, rel := range rels {
 		t.Run(rel, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", filepath.FromSlash(rel))
-			diags, err := RunDir(dir, rel, nil)
+			diags, err := runDir(testLoader, dir, rel, nil)
 			if err != nil {
-				t.Fatalf("RunDir: %v", err)
+				t.Fatalf("runDir: %v", err)
 			}
 			diffDiags(t, wantedDiags(t, dir), gotDiags(diags), diags)
 		})
@@ -141,9 +147,9 @@ func TestFixtures(t *testing.T) {
 // also carry want markers.
 func TestSuppressionFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "suppress", "sup")
-	diags, err := RunDir(dir, "suppress/sup", nil)
+	diags, err := runDir(testLoader, dir, "suppress/sup", nil)
 	if err != nil {
-		t.Fatalf("RunDir: %v", err)
+		t.Fatalf("runDir: %v", err)
 	}
 	want := map[lineKey][]string{
 		{"sup.go", 26}: {RuleSeededSource},                      // map-order excused, seeded-source survives
@@ -160,9 +166,9 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	diags, err := RunRoot("../..", nil)
+	diags, err := runRoot(testLoader, "../..", nil)
 	if err != nil {
-		t.Fatalf("RunRoot: %v", err)
+		t.Fatalf("runRoot: %v", err)
 	}
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)

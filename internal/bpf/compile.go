@@ -85,10 +85,15 @@ type compiledProg struct {
 }
 
 // Compile attempts to JIT the program. On success subsequent Run calls
-// dispatch through the compiled form; on decline they keep interpreting.
+// dispatch through the compiled form, the analysis it consumed is released
+// and a further Compile returns the recorded outcome; on decline they keep
+// interpreting and the analysis stays.
 // Compile is meant to be called at load time, before the program is
 // attached; it is not synchronized against concurrent Run.
 func (lp *LoadedProgram) Compile() CompileInfo {
+	if lp.compileInfo.Compiled {
+		return lp.compileInfo
+	}
 	info := CompileInfo{Attempted: true, Insns: len(lp.prog.Insns)}
 	if cc, reason := lp.decode(); reason != "" {
 		info.Reason = reason
@@ -96,6 +101,7 @@ func (lp *LoadedProgram) Compile() CompileInfo {
 		cc.fuse()
 		lp.compiled.Store(&compiledProg{entry: cc.fns[0]})
 		info.Compiled = true
+		lp.analysis = nil
 	}
 	lp.compileInfo = info
 	return info

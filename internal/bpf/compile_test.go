@@ -81,6 +81,14 @@ func TestCompileDispatchCounters(t *testing.T) {
 	if lp.CompileInfo() != info {
 		t.Fatalf("CompileInfo not retained: %+v vs %+v", lp.CompileInfo(), info)
 	}
+	// The compiled form has consumed the verifier's proof: it is released,
+	// and asking again reports the same outcome, not no-analysis.
+	if lp.analysis != nil {
+		t.Fatal("analysis still held after a successful Compile")
+	}
+	if again := lp.Compile(); again != info {
+		t.Fatalf("second Compile: %+v, want %+v", again, info)
+	}
 	k := kernel.New(sim.LargeHW, 1, 0)
 	task := k.NewTask("jit")
 	r0, _, rerr := lp.Run(task, nil)
@@ -143,6 +151,9 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 		info := lp.Compile()
 		if info.Compiled || info.Reason != DeclineBackEdge {
 			t.Fatalf("bounded loop not declined as back-edge: %+v", info)
+		}
+		if lp.analysis == nil {
+			t.Fatal("a declined Compile dropped the analysis")
 		}
 		assertCompiledAgreement(t, p, 3)
 		k := kernel.New(sim.LargeHW, 1, 0)

@@ -60,8 +60,11 @@ type LoadedProgram struct {
 
 	// analysis is the abstract-interpretation result Load verified the
 	// program with, retained so Compile can license its check elisions
-	// from the same proofs (DESIGN.md §9). Nil only for hand-constructed
-	// programs that bypassed Load, which Compile declines.
+	// from the same proofs (DESIGN.md §9). Compile's decode is its only
+	// reader: a successful Compile sets it to nil — the proof is megabytes
+	// per deployment and nothing reads it again — and a declined one keeps
+	// it. Otherwise nil only for hand-constructed programs that bypassed
+	// Load, which Compile declines.
 	analysis *Analysis
 
 	// compiled holds the native form (compile.go) once Compile has

@@ -49,11 +49,12 @@ func (f Forest) Train(X [][]float64, y []float64) (Model, error) {
 	rng := rand.New(rand.NewSource(f.Seed + 1))
 	mtry := mtryFor(len(X[0]))
 	idx := make([]int, len(X))
-	sc := newSplitScratch(len(X))
+	var sc splitScratch
+	sc.encode(X)
 	ens := &forestModel{}
 	for t := 0; t < f.trees(); t++ {
 		bootstrap(idx, rng)
-		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, sc)
+		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, &sc, 0)
 		ens.trees = append(ens.trees, tree)
 	}
 	return ens, nil
@@ -108,47 +109,135 @@ func (n *treeNode) predict(x []float64) float64 {
 // which it reorders in place: each split stably partitions its node's rows
 // into a left and a right sub-slice, so row order within a side — and with
 // it every floating-point sum taken in that order — is the sample's.
-func buildTree(X [][]float64, y []float64, idx []int, depth, minSamples, mtry int, rng *rand.Rand, sc *splitScratch) *treeNode {
+//
+// constant has bit f set when an ancestor saw one value in coded column f
+// over its rows. A column constant on a set is constant on its subsets, so
+// no descendant looks at it again; the permutation is drawn all the same.
+// Columns 64 and up have no bit — the shifts yield zero — and are looked at
+// every time.
+func buildTree(X [][]float64, y []float64, idx []int, depth, minSamples, mtry int, rng *rand.Rand, sc *splitScratch, constant uint64) *treeNode {
 	mean, sse := meanSSE(y, idx)
 	if depth <= 0 || len(idx) < minSamples || sse < 1e-12 {
 		return &treeNode{leaf: true, value: mean}
 	}
 	feats := rng.Perm(len(X[0]))[:mtry]
-	feat, thresh, ok := sc.bestSplit(X, y, idx, mean, sse, feats)
+	feat, thresh, constant, ok := sc.bestSplit(X, y, idx, mean, sse, feats, constant)
 	if !ok {
 		return &treeNode{leaf: true, value: mean}
 	}
-	left, right := sc.partition(X, idx, feat, thresh)
+	left, right := sc.partition(idx, sc.sides(X, idx, feat, thresh))
 	return &treeNode{
 		feature:   feat,
 		threshold: thresh,
-		left:      buildTree(X, y, left, depth-1, minSamples, mtry, rng, sc),
-		right:     buildTree(X, y, right, depth-1, minSamples, mtry, rng, sc),
+		left:      buildTree(X, y, left, depth-1, minSamples, mtry, rng, sc, constant),
+		right:     buildTree(X, y, right, depth-1, minSamples, mtry, rng, sc, constant),
 	}
 }
 
-// splitScratch holds the buffers of one split search. A node is finished
-// with them before it recurses, so one value serves every node of every
-// tree of a Forest.Train or WindowedForest.Refit.
+// maxCodes is how many values a coded column may hold: what a byte tells apart.
+const maxCodes = 256
+
+// splitScratch holds the coded columns of one training matrix and the
+// buffers of one split search. A node is finished with the buffers before
+// it recurses, so one value serves every node of every tree of a
+// Forest.Train, and a WindowedForest keeps one across its Refits.
 type splitScratch struct {
-	raw      []float64 // the tried feature's column, in idx order
-	sorted   []float64 // the same column sorted, for splitCandidates
-	dev      []float64 // y - node mean, in idx order
-	right    []int     // the right side during partition
-	distinct []float64 // splitCandidates' distinct values
-	out      []float64 // splitCandidates' result
-	ths      []float64 // one feature's thresholds, sorted
-	pre, suf []bucket  // rows at or left of / right of each sorted threshold
-	cands    []candidate
+	cols     []codedColumn // cols[f] is X's column f
+	codeSlab []uint8
+	valSlab  []float64
+	hist     [maxCodes]bucket // one node's rows of one coded column, by code
+
+	raw, sorted []float64 // an uncoded column in idx order, and sorted
+	dev         []float64 // y - node mean, in idx order
+	left        []bool    // sides' result
+	right       []int     // the right side during partition
+	vs          []float64 // the column's present values, ascending
+	ends        []int     // ends[r] rows hold vs[r] or less
+	out         []float64 // candidateThresholds' result
+	ths         []float64 // the same thresholds, sorted
+	pre, suf    []bucket  // rows at or left of / right of each sorted threshold
+	cands       []candidate
 }
 
-func newSplitScratch(n int) *splitScratch {
-	return &splitScratch{
-		raw:    make([]float64, n),
-		sorted: make([]float64, n),
-		dev:    make([]float64, n),
-		right:  make([]int, 0, n),
+// codedColumn is a feature column as the sorted table of its distinct values
+// and a byte per row: codes[i] is the rank of X[i][f] in vals. codes is nil
+// for a column encode left alone.
+type codedColumn struct {
+	codes []uint8
+	vals  []float64
+	seen  []uint8 // while encoding: how many values were met before vals[j]
+}
+
+// encode sizes the scratch for X and codes every column of at most maxCodes
+// distinct values, none NaN or -0: NaN equals nothing, its own table entry
+// included, and -0 equals +0 while a threshold taken from one differs from
+// the other's in bits. ±Inf order and compare like any value. Values are
+// found by search and insertion in the table, never by sorting the column:
+// rows are coded by first appearance as they are read and ranked once the
+// table is complete. Rows of unequal length leave every column uncoded.
+func (sc *splitScratch) encode(X [][]float64) {
+	n, nFeat := len(X), len(X[0])
+	sc.dev = slices.Grow(sc.dev[:0], n)
+	sc.left = slices.Grow(sc.left[:0], n)
+	sc.right = slices.Grow(sc.right[:0], n)
+	sc.cols = slices.Grow(sc.cols[:0], nFeat)[:nFeat]
+	sc.codeSlab = slices.Grow(sc.codeSlab[:0], (n+maxCodes)*nFeat)
+	sc.valSlab = slices.Grow(sc.valSlab[:0], maxCodes*nFeat)
+	for f := range sc.cols {
+		bytes := sc.codeSlab[f*(n+maxCodes) : (f+1)*(n+maxCodes)]
+		sc.cols[f] = codedColumn{codes: bytes[:n], seen: bytes[n:n], vals: sc.valSlab[f*maxCodes : f*maxCodes]}
 	}
+	for i, row := range X {
+		if len(row) != nFeat {
+			clear(sc.cols)
+			return
+		}
+		for f, v := range row {
+			c := &sc.cols[f]
+			if c.codes == nil {
+				continue
+			}
+			if i > 0 && math.Float64bits(v) == math.Float64bits(X[i-1][f]) {
+				c.codes[i] = c.codes[i-1] // the row above, bit for bit: no search
+				continue
+			}
+			j := firstAtOrAbove(c.vals, v)
+			if minusZero := math.Float64bits(v) == 1<<63; j == len(c.vals) || c.vals[j] != v || minusZero {
+				if len(c.vals) == maxCodes || math.IsNaN(v) || minusZero {
+					c.codes = nil
+					continue
+				}
+				c.seen = slices.Insert(c.seen, j, uint8(len(c.vals)))
+				c.vals = slices.Insert(c.vals, j, v)
+			}
+			c.codes[i] = c.seen[j]
+		}
+	}
+	for _, c := range sc.cols {
+		var rank [maxCodes]uint8
+		for j, s := range c.seen {
+			rank[s] = uint8(j)
+		}
+		for i, s := range c.codes {
+			c.codes[i] = rank[s]
+		}
+	}
+}
+
+// firstAtOrAbove is the first j with v <= sorted[j], len(sorted) when there
+// is none: NaN entries (sort.Float64s puts them first) are passed over, and
+// a NaN v lands past the end, as X[i][f] <= th sends it right.
+func firstAtOrAbove(sorted []float64, v float64) int {
+	j, end := 0, len(sorted)
+	for j < end {
+		mid := int(uint(j+end) >> 1)
+		if v <= sorted[mid] {
+			end = mid
+		} else {
+			j = mid + 1
+		}
+	}
+	return j
 }
 
 // bucket is the count, sum and sum of squares of dev over a set of rows.
@@ -181,14 +270,19 @@ type candidate struct {
 // doing that work per candidate.
 //
 // One pass per feature drops each row's (1, d, d²), d = y - mean, into the
-// bucket of the first sorted threshold at or above its value (NaN values
+// slot of the first sorted threshold at or above its value (NaN values
 // land right of every threshold, as X[i][f] <= th sends them), and prefix
-// and suffix sums over the <= 33 buckets give every candidate's side
-// counts exactly and its score approximately: SSE = Σd² - (Σd)²/n holds
-// for any centre, and centring on the node mean keeps Σd² <= sse, so the
-// subtraction cancels nothing large. Only candidates within tol of the
-// lowest approximate score are then scored with the exhaustive search's
-// own arithmetic, in its order and with its strict <.
+// and suffix sums over the <= 33 slots give every candidate's side counts
+// exactly and its score approximately: SSE = Σd² - (Σd)²/n holds for any
+// centre, and centring on the node mean keeps Σd² <= sse, so the
+// subtraction cancels nothing large. A coded column's rows go to their
+// code's bucket first and the buckets to the slots, in value order: the
+// counts are the same integers, and the sums are the same terms summed in
+// another order, which the bound below allows. Only candidates within tol
+// of the lowest approximate score are then scored with the exhaustive
+// search's own arithmetic, in its order and with its strict <; on a coded
+// column that arithmetic branches on code <= cth, the same side for every
+// row as X[i][f] <= th because codes are ranks in the sorted table.
 //
 // tol bounds twice the gap between a candidate's two scores, so the
 // exhaustive winner c* is always re-scored: with E exact, A approximate
@@ -202,7 +296,7 @@ type candidate struct {
 // (n+1)u·max|y|, which adds up to n·((n+1)u·max|y|)² <= n·(e·max|y|)²/4
 // to E; it matters only for targets whose spread is ~1e-6 of their size.
 // tol grows with n instead of capping it: at n = 80 000 it is 1.4e-10·sse.
-func (sc *splitScratch) bestSplit(X [][]float64, y []float64, idx []int, mean, sse float64, feats []int) (feat int, thresh float64, ok bool) {
+func (sc *splitScratch) bestSplit(X [][]float64, y []float64, idx []int, mean, sse float64, feats []int, constant uint64) (feat int, thresh float64, _ uint64, ok bool) {
 	n := len(idx)
 	dev := sc.dev[:n]
 	var maxAbs float64
@@ -213,106 +307,179 @@ func (sc *splitScratch) bestSplit(X [][]float64, y []float64, idx []int, mean, s
 		}
 	}
 
-	cands := sc.cands[:0]
+	sc.cands = sc.cands[:0]
 	minApprox := sse
-	raw, sorted := sc.raw[:n], sc.sorted[:n]
 	for _, fi := range feats {
-		lo := X[idx[0]][fi]
-		hi := lo
-		for k, i := range idx {
-			v := X[i][fi]
-			raw[k] = v
-			if v < lo {
-				lo = v
-			} else if v > hi {
-				hi = v
-			}
-		}
-		if lo == hi {
-			// A constant column (NaNs aside, which no threshold keeps
-			// left) has no candidate that leaves rows on both sides.
+		if constant>>uint(fi)&1 != 0 {
 			continue
 		}
-		copy(sorted, raw)
-		sort.Float64s(sorted)
-		order := sc.splitCandidates(sorted)
-		ths := append(sc.ths[:0], order...)
-		sort.Float64s(ths)
-		sc.ths = ths
-		m := len(ths)
-
-		pre := slices.Grow(sc.pre[:0], m+1)[:m+1]
-		clear(pre)
-		sc.pre = pre
-		for k, v := range raw {
-			j, end := 0, m
-			for j < end {
-				mid := int(uint(j+end) >> 1)
-				if v <= ths[mid] {
-					end = mid
-				} else {
-					j = mid + 1
-				}
+		var order []float64
+		if c := sc.cols[fi]; c.codes != nil {
+			if order = sc.countColumn(c, idx, dev); len(sc.vs) == 1 {
+				constant |= 1 << uint(fi)
 			}
-			d := dev[k]
-			pre[j].n++
-			pre[j].s += d
-			pre[j].q += d * d
+		} else {
+			order = sc.sortColumn(X, fi, idx, dev)
 		}
-		suf := append(sc.suf[:0], pre...)
-		sc.suf = suf
-		var run bucket
-		for j := m; j >= 0; j-- {
-			b := suf[j]
-			suf[j] = run
-			run.add(b)
-		}
-		for j := 1; j <= m; j++ {
-			pre[j].add(pre[j-1])
-		}
-
-		for _, th := range order {
-			p := sort.SearchFloat64s(ths, th)
-			if p == m {
-				continue // a NaN threshold: no row is <= it
-			}
-			l, r := pre[p], suf[p]
-			if l.n == 0 || r.n == 0 {
-				continue
-			}
-			a := l.sse() + r.sse()
-			if a < minApprox {
-				minApprox = a
-			}
-			cands = append(cands, candidate{feat: fi, thresh: th, approx: a})
-		}
+		minApprox = sc.score(fi, order, minApprox)
 	}
-	sc.cands = cands
 
 	e := float64(n+3) * 0x1p-52
 	limit := minApprox + 8*e*sse + float64(n)*(e*maxAbs)*(e*maxAbs)
 	bestScore := sse
-	for _, c := range cands {
+	for _, c := range sc.cands {
 		// Written so that a NaN score or limit (targets near overflow)
 		// skips nothing.
 		if c.approx > limit {
 			continue
 		}
-		if s := splitSSE(X, y, idx, c.feat, c.thresh); s < bestScore {
+		if s := splitSSE(y, idx, sc.sides(X, idx, c.feat, c.thresh)); s < bestScore {
 			bestScore, feat, thresh, ok = s, c.feat, c.thresh, true
 		}
 	}
-	return feat, thresh, ok
+	return feat, thresh, constant, ok
+}
+
+// countColumn readies a coded column for score without sorting anything:
+// one pass drops each row's (1, d, d²) into hist[code]; the codes present,
+// with their counts, are the sorted column; and a merge of the present
+// values against the sorted thresholds fills the slots. It returns
+// candidateThresholds' result and leaves the present values in sc.vs.
+func (sc *splitScratch) countColumn(c codedColumn, idx []int, dev []float64) []float64 {
+	hist, col, vals := &sc.hist, c.codes, c.vals
+	clear(hist[:len(vals)])
+	for k, i := range idx {
+		h, d := &hist[col[i]], dev[k]
+		h.n++
+		h.s += d
+		h.q += d * d
+	}
+	sc.vs, sc.ends = sc.vs[:0], sc.ends[:0]
+	rows := 0
+	for c, v := range vals {
+		if hist[c].n > 0 {
+			rows += hist[c].n
+			sc.vs, sc.ends = append(sc.vs, v), append(sc.ends, rows)
+		}
+	}
+	order := sc.candidateThresholds(sc.vs, sc.ends)
+	j := 0
+	for c, v := range vals {
+		if hist[c].n == 0 {
+			continue
+		}
+		// Not v > ths[j]: a NaN threshold (the midpoint of -Inf and +Inf)
+		// sorts first and must be stepped over.
+		for j < len(sc.ths) && !(v <= sc.ths[j]) {
+			j++
+		}
+		sc.pre[j].add(hist[c])
+	}
+	return order
+}
+
+// sortColumn readies an uncoded column for score: gather it in idx order,
+// sort a copy for splitCandidates, and drop each row's (1, d, d²) into the
+// slot of the first sorted threshold at or above its value.
+func (sc *splitScratch) sortColumn(X [][]float64, fi int, idx []int, dev []float64) []float64 {
+	n := len(idx)
+	sc.raw, sc.sorted = slices.Grow(sc.raw[:0], n), slices.Grow(sc.sorted[:0], n)
+	raw, sorted := sc.raw[:n], sc.sorted[:n]
+	lo := X[idx[0]][fi]
+	hi := lo
+	for k, i := range idx {
+		v := X[i][fi]
+		raw[k] = v
+		if v < lo {
+			lo = v
+		} else if v > hi {
+			hi = v
+		}
+	}
+	if lo == hi {
+		// A constant column (NaNs aside, which no threshold keeps left)
+		// has no candidate that leaves rows on both sides.
+		return nil
+	}
+	copy(sorted, raw)
+	sort.Float64s(sorted)
+	order := sc.splitCandidates(sorted)
+	for k, v := range raw {
+		b, d := &sc.pre[firstAtOrAbove(sc.ths, v)], dev[k]
+		b.n++
+		b.s += d
+		b.q += d * d
+	}
+	return order
+}
+
+// score sums the slots into the rows left and right of each sorted
+// threshold and appends feature fi's candidates — the thresholds of order
+// that leave rows on both sides, in order's order — to sc.cands. It returns
+// the lowest approximate score so far.
+func (sc *splitScratch) score(fi int, order []float64, minApprox float64) float64 {
+	if len(order) == 0 {
+		return minApprox
+	}
+	pre, ths := sc.pre, sc.ths
+	m := len(ths)
+	suf := append(sc.suf[:0], pre...)
+	sc.suf = suf
+	var run bucket
+	for j := m; j >= 0; j-- {
+		b := suf[j]
+		suf[j] = run
+		run.add(b)
+	}
+	for j := 1; j <= m; j++ {
+		pre[j].add(pre[j-1])
+	}
+	for _, th := range order {
+		p := sort.SearchFloat64s(ths, th)
+		if p == m {
+			continue // a NaN threshold: no row is <= it
+		}
+		l, r := pre[p], suf[p]
+		if l.n == 0 || r.n == 0 {
+			continue
+		}
+		a := l.sse() + r.sse()
+		if a < minApprox {
+			minApprox = a
+		}
+		sc.cands = append(sc.cands, candidate{feat: fi, thresh: th, approx: a})
+	}
+	return minApprox
+}
+
+// sides reports, for each row of idx in order, whether the split (f, th)
+// sends it left. On a coded column X[i][f] <= th is codes[f][i] <= cth for
+// cth the last code whose value is <= th — the table is sorted, so it is the
+// same branch on every row — and no row pointer is chased. th must keep a
+// row left (every candidate does), so that code exists.
+func (sc *splitScratch) sides(X [][]float64, idx []int, f int, th float64) []bool {
+	left := sc.left[:len(idx)]
+	if col, vals := sc.cols[f].codes, sc.cols[f].vals; col != nil {
+		cth := uint8(sort.Search(len(vals), func(c int) bool { return !(vals[c] <= th) }) - 1)
+		for k, i := range idx {
+			left[k] = col[i] <= cth
+		}
+		return left
+	}
+	for k, i := range idx {
+		left[k] = X[i][f] <= th
+	}
+	return left
 }
 
 // splitSSE is lsse+rsse of one split that leaves rows on both sides, with
 // meanSSE's arithmetic on each side: the mean from a sum in idx order,
 // then the squared deviations in idx order.
-func splitSSE(X [][]float64, y []float64, idx []int, f int, th float64) float64 {
+func splitSSE(y []float64, idx []int, left []bool) float64 {
 	var lmean, rmean float64
 	nLeft := 0
-	for _, i := range idx {
-		if X[i][f] <= th {
+	for k, i := range idx {
+		if left[k] {
 			lmean += y[i]
 			nLeft++
 		} else {
@@ -322,8 +489,8 @@ func splitSSE(X [][]float64, y []float64, idx []int, f int, th float64) float64 
 	lmean /= float64(nLeft)
 	rmean /= float64(len(idx) - nLeft)
 	var lsse, rsse float64
-	for _, i := range idx {
-		if X[i][f] <= th {
+	for k, i := range idx {
+		if left[k] {
 			d := y[i] - lmean
 			lsse += d * d
 		} else {
@@ -340,76 +507,83 @@ func splitSSE(X [][]float64, y []float64, idx []int, f int, th float64) float64 
 	return lsse + rsse
 }
 
-// partition stably reorders idx into the rows with X[i][f] <= th followed
-// by the rest, and returns the two halves.
-func (sc *splitScratch) partition(X [][]float64, idx []int, f int, th float64) (left, right []int) {
+// partition stably reorders idx into the rows sides sends left followed by
+// the rest, and returns the two halves.
+func (sc *splitScratch) partition(idx []int, left []bool) (l, r []int) {
 	rest := sc.right[:0]
-	l := 0
-	for _, i := range idx {
-		if X[i][f] <= th {
-			idx[l] = i
-			l++
+	n := 0
+	for k, i := range idx {
+		if left[k] {
+			idx[n] = i
+			n++
 		} else {
 			rest = append(rest, i)
 		}
 	}
-	copy(idx[l:], rest)
-	return idx[:l], idx[l:]
+	copy(idx[n:], rest)
+	return idx[:n], idx[n:]
 }
 
-// splitCandidates returns threshold candidates for one (sorted) feature
-// column: all distinct-value midpoints when few values exist, quantile
-// positions otherwise — with distinct values merged in so heavily skewed
-// discrete features (390 ones, 9 eights) remain splittable. The result is
-// valid until the next call.
+// splitCandidates is candidateThresholds of a sorted column, run-length
+// encoded with the oracle's own v != prev: each NaN is a run of its own, and
+// a run of zeros of both signs goes by its first — a quantile pick inside it
+// can carry the other sign than sorted[pos] does, which no <= can tell.
 func (sc *splitScratch) splitCandidates(sorted []float64) []float64 {
-	if len(sorted) < 2 || sorted[0] == sorted[len(sorted)-1] {
-		return nil
-	}
-	first, last := sorted[0], sorted[len(sorted)-1]
-	distinct := append(sc.distinct[:0], first)
-	prev := first
-	for _, v := range sorted[1:] {
-		if v != prev {
-			distinct = append(distinct, v)
-			prev = v
-			if len(distinct) > 32 {
-				break
-			}
+	sc.vs, sc.ends = sc.vs[:0], sc.ends[:0]
+	for k, v := range sorted {
+		if k > 0 && v == sc.vs[len(sc.vs)-1] {
+			sc.ends[len(sc.ends)-1]++
+		} else {
+			sc.vs, sc.ends = append(sc.vs, v), append(sc.ends, k+1)
 		}
 	}
-	sc.distinct = distinct
+	return sc.candidateThresholds(sc.vs, sc.ends)
+}
+
+// candidateThresholds returns the thresholds to try on a column whose sorted
+// form is vs[r] at positions ends[r-1] to ends[r]-1: all distinct-value
+// midpoints when few values exist, quantile positions otherwise — with the
+// two extreme midpoints merged in so heavily skewed discrete features (390
+// ones, 9 eights) remain splittable. It leaves them sorted in sc.ths and
+// sc.pre emptied: a slot per sorted threshold, for the rows at or below it
+// and above the one before, and a last slot for the rows right of them all.
+// All three are valid until the next call.
+func (sc *splitScratch) candidateThresholds(vs []float64, ends []int) []float64 {
 	out := sc.out[:0]
-	if len(distinct) <= 32 {
-		for i := 1; i < len(distinct); i++ {
-			out = append(out, (distinct[i-1]+distinct[i])/2)
+	if len(vs) <= 32 {
+		for r := 1; r < len(vs); r++ {
+			out = append(out, (vs[r-1]+vs[r])/2)
 		}
-		sc.out = out
-		return out
-	}
-	// The quantile picks come out non-decreasing, so one already taken is
-	// the last one taken.
-	for q := 1; q < 16; q++ {
-		th := sorted[len(sorted)*q/16]
-		if th == first || th == last || (len(out) > 0 && th == out[len(out)-1]) {
-			continue
+	} else {
+		first, last, n := vs[0], vs[len(vs)-1], ends[len(ends)-1]
+		// The quantile picks come out non-decreasing, so the run holding one
+		// is at or after the run holding the one before, and one already
+		// taken is the last one taken.
+		r := 0
+		for q := 1; q < 16; q++ {
+			for pos := n * q / 16; ends[r] <= pos; {
+				r++
+			}
+			th := vs[r]
+			if th == first || th == last || (len(out) > 0 && th == out[len(out)-1]) {
+				continue
+			}
+			out = append(out, th)
 		}
-		out = append(out, th)
-	}
-	// Guarantee the extremes remain separable even under heavy skew.
-	lo := (first + distinct[1]) / 2
-	hiIdx := len(sorted) - 1
-	for hiIdx > 0 && sorted[hiIdx] == last {
-		hiIdx--
-	}
-	hi := (sorted[hiIdx] + last) / 2
-	if !slices.Contains(out, lo) {
-		out = append(out, lo)
-	}
-	if !slices.Contains(out, hi) {
-		out = append(out, hi)
+		// Guarantee the extremes remain separable even under heavy skew.
+		lo, hi := (first+vs[1])/2, (vs[len(vs)-2]+last)/2
+		if !slices.Contains(out, lo) {
+			out = append(out, lo)
+		}
+		if !slices.Contains(out, hi) {
+			out = append(out, hi)
+		}
 	}
 	sc.out = out
+	sc.ths = append(sc.ths[:0], out...)
+	sort.Float64s(sc.ths)
+	sc.pre = slices.Grow(sc.pre[:0], len(out)+1)[:len(out)+1]
+	clear(sc.pre)
 	return out
 }
 

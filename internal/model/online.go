@@ -1,7 +1,10 @@
 package model
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tscout/internal/tscout"
@@ -151,6 +154,10 @@ type WindowedForest struct {
 	trees   []*treeNode
 	slot    int   // next ensemble slot to rebuild
 	refresh int64 // refresh generation
+
+	// Refit's working set, kept between calls.
+	idx []int
+	sc  splitScratch
 }
 
 func (f *WindowedForest) window() int {
@@ -221,30 +228,29 @@ func (f *WindowedForest) Refit() error {
 	if rows == 0 {
 		return ErrNoData
 	}
-	// Snapshot the window in ring order (oldest first) so bootstrapping
-	// sees a stable, deterministic row order.
-	X := make([][]float64, 0, rows)
-	y := make([]float64, 0, rows)
-	start := 0
+	// The sample is drawn over the window in ring order (oldest first), so
+	// it is stable and deterministic, then pointed at where Observe left the
+	// rows. It and the split scratch are kept: the window never grows, so a
+	// refit on a full one allocates only its trees and their rngs.
+	X, y := f.xs[:rows], f.ys[:rows]
+	oldest := 0
 	if f.full {
-		start = f.next
+		oldest = f.next
 	}
-	for i := 0; i < rows; i++ {
-		j := (start + i) % f.window()
-		X = append(X, f.xs[j])
-		y = append(y, f.ys[j])
-	}
-
 	mtry := mtryFor(len(X[0]))
-	idx := make([]int, rows)
-	sc := newSplitScratch(rows)
+	f.idx = slices.Grow(f.idx[:0], rows)
+	idx := f.idx[:rows]
+	f.sc.encode(X)
 	f.refresh++
 	for k := 0; k < f.perRefresh(); k++ {
 		// Pure function of (Seed, slot, refresh): deterministic and
 		// independent of how other slots were refreshed.
 		rng := rand.New(rand.NewSource(f.Seed + int64(f.slot)*7919 + f.refresh*104729))
 		bootstrap(idx, rng)
-		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, sc)
+		for j, r := range idx {
+			idx[j] = (oldest + r) % rows
+		}
+		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, &f.sc, 0)
 		if len(f.trees) < f.ensemble() {
 			f.trees = append(f.trees, tree)
 		} else {
@@ -326,18 +332,19 @@ func (s *OnlineSet) ObservePrequential(points []Point, surface *ErrorSurface) {
 	}
 }
 
-// Refit refreshes every model in sorted (OU, arity) order; the first
-// hard failure is returned, but ErrNoData and still-singular early
-// systems are skipped (those models keep their running-mean predictor).
+// Refit refreshes every model in sorted (OU, arity) order — all of them,
+// whatever any one of them returns: a model that cannot refit keeps its
+// previous predictor or its running mean. ErrNoData is not a failure. The
+// first error that is, a still-singular early system included (it heals as
+// rows accumulate), is returned once every model has had its turn.
 func (s *OnlineSet) Refit() error {
+	var first error
 	for _, key := range s.keys {
-		if err := s.models[key].Refit(); err != nil && err != ErrNoData {
-			// Singular systems self-heal as rows accumulate; surface
-			// nothing and keep the previous predictor.
-			continue
+		if err := s.models[key].Refit(); err != nil && !errors.Is(err, ErrNoData) && first == nil {
+			first = fmt.Errorf("model: OU %d (arity %d): %w", key.ou, key.arity, err)
 		}
 	}
-	return nil
+	return first
 }
 
 // Predict mirrors OUModelSet.Predict for the online set.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -248,5 +249,62 @@ func TestOnlineSetPrequential(t *testing.T) {
 	}
 	if e := set.AvgAbsErrorByTemplate(test); e > 1 {
 		t.Fatalf("held-out template error %v", e)
+	}
+}
+
+// TestOnlineSetRefitReportsFailure: a model that cannot refit neither stops
+// the models after it nor goes unreported.
+func TestOnlineSetRefitReportsFailure(t *testing.T) {
+	forest := &WindowedForest{Seed: 1}
+	models := []OnlineModel{NewOnlineRidge(1e-30), forest}
+	set := NewOnlineSet(func() OnlineModel {
+		m := models[0]
+		models = models[1:]
+		return m
+	})
+	var pts []Point
+	for i := 0; i < 40; i++ {
+		x := float64(i % 4)
+		pts = append(pts,
+			// A constant column beside the bias: singular at this lambda.
+			Point{OU: 1, Features: []float64{2}, TargetUS: 5},
+			Point{OU: 2, Features: []float64{x}, TargetUS: 10 * x})
+	}
+	set.ObservePrequential(pts, nil)
+	if err := set.Refit(); err == nil || errors.Is(err, ErrNoData) {
+		t.Fatalf("Refit over a singular ridge returned %v", err)
+	}
+	if got := forest.Predict([]float64{3}); math.Abs(got-30) > 1 {
+		t.Fatalf("the forest after the failing ridge predicts %v for 30: not refitted", got)
+	}
+}
+
+// TestWindowedForestRefitAllocations: on a full window a refit allocates
+// what it returns and nothing for the window, the sample or the split
+// scratch. With stumps that is twelve whatever the window and the arity: an
+// rng, its source, three nodes and the root's permutation, twice.
+func TestWindowedForestRefitAllocations(t *testing.T) {
+	for _, c := range []struct{ window, arity int }{{256, 2}, {2048, 7}} {
+		f := &WindowedForest{Window: c.window, Trees: 4, RefreshTrees: 2, MaxDepth: 1, Seed: 3}
+		rng := rand.New(rand.NewSource(int64(c.window)))
+		x := make([]float64, c.arity)
+		for i := 0; i < c.window+c.window/2; i++ {
+			for j := range x {
+				x[j] = float64(rng.Intn(20))
+			}
+			f.Observe(x, 3*x[0]+x[c.arity-1]+rng.NormFloat64())
+		}
+		if err := f.Refit(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() { _ = f.Refit() })
+		for _, tree := range f.trees {
+			if tree.leaf {
+				t.Fatalf("window %d, arity %d: a tree did not split", c.window, c.arity)
+			}
+		}
+		if allocs > 12 {
+			t.Errorf("window %d, arity %d: %v allocations a refit, want 12", c.window, c.arity, allocs)
+		}
 	}
 }

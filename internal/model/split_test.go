@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,9 +43,12 @@ func countNodes(n *treeNode) int {
 	return 1 + countNodes(n.left) + countNodes(n.right)
 }
 
-// diffTrees grows one tree each way from the same seed — bootstrap, then
-// the split search, on one rng stream as Forest.Train does — and returns
-// sameTree's verdict and the tree's size.
+// diffTrees grows a tree three ways from the same seed — bootstrap, then
+// the split search, on one rng stream as Forest.Train does: from the scratch
+// Forest.Train builds, from the same scratch with its codes taken away (at
+// these sizes every NaN-free column is coded, so nothing else would reach
+// the sorted path), and by the oracle. It returns sameTree's first complaint
+// and the tree's size.
 func diffTrees(X [][]float64, y []float64, depth, minSamples int, seed int64) (diff string, nodes int) {
 	mtry := mtryFor(len(X[0]))
 	sample := func() ([]int, *rand.Rand) {
@@ -54,10 +58,20 @@ func diffTrees(X [][]float64, y []float64, depth, minSamples int, seed int64) (d
 		return idx, rng
 	}
 	idx, rng := sample()
-	got := buildTree(X, y, idx, depth, minSamples, mtry, rng, newSplitScratch(len(X)))
-	idx, rng = sample()
 	want := buildTreeOracle(X, y, idx, depth, minSamples, mtry, rng)
-	return sameTree(got, want, "root"), countNodes(want)
+	var sc splitScratch
+	for _, path := range []string{"coded", "sorted"} {
+		sc.encode(X)
+		if path == "sorted" {
+			clear(sc.cols)
+		}
+		idx, rng = sample()
+		got := buildTree(X, y, idx, depth, minSamples, mtry, rng, &sc, 0)
+		if d := sameTree(got, want, path+" root"); d != "" {
+			return d, countNodes(want)
+		}
+	}
+	return "", countNodes(want)
 }
 
 // synthKinds are the matrix families of the differential test; each is
@@ -113,6 +127,65 @@ var synthKinds = []struct {
 			return float64(rng.Intn(50))
 		}, 1)
 	}},
+	// Codable, unlike NaN: -Inf and +Inf are table entries like any other,
+	// and where they are neighbours their midpoint is a NaN threshold.
+	{"Inf without NaN", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		return synth(rng, n, arity, func(int) float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			}
+			return float64(rng.Intn(40))
+		}, 1)
+	}},
+	{"only Inf", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		return synth(rng, n, arity, func(f int) float64 {
+			if f == 0 {
+				return float64(rng.Intn(7))
+			}
+			return math.Inf(rng.Intn(2)*2 - 1)
+		}, 1)
+	}},
+	// Column f holds up to 200 + 40·f distinct values: columns 0 and 1 are
+	// coded, 2 and up are not once the rows outnumber the cap.
+	{"straddles 256 values", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		return synth(rng, n, arity, func(f int) float64 { return float64(rng.Intn(200 + 40*f)) }, 1)
+	}},
+	// One more value than the all-midpoints rule takes: the quantile picks
+	// are read off the cumulative counts from the root down.
+	{"33 values", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		return synth(rng, n, arity, func(int) float64 { return float64(rng.Intn(33)) * 1.5 }, 1)
+	}},
+	// Column f counts 0, 1, … 254+f and starts again: exactly 255, 256, 257,
+	// … values, so the last coded column and the first uncoded one sit side
+	// by side whatever the draw.
+	{"at the cap", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		next := make([]int, arity)
+		return synth(rng, n, arity, func(f int) float64 {
+			next[f]++
+			return float64(next[f] % (255 + f))
+		}, 1)
+	}},
+	// -0 equals +0, so a table cannot tell them apart: the column is left to
+	// the sorted path.
+	{"signed zeros", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		return synth(rng, n, arity, func(int) float64 {
+			if v := float64(rng.Intn(5) - 2); v != 0 {
+				return v
+			}
+			return math.Copysign(0, float64(rng.Intn(2)*2-1))
+		}, 1)
+	}},
+	// Rows longer than the first: nothing is coded.
+	{"ragged rows", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
+		X, y := synth(rng, n, arity, func(int) float64 { return float64(rng.Intn(12)) }, 1)
+		for i := 1; i < len(X); i += 3 {
+			X[i] = append(X[i], 1, 2)
+		}
+		return X, y
+	}},
 	// Targets whose whole spread is a few 1e-7: nodes fall under the
 	// sse < 1e-12 leaf cut after a split or two.
 	{"tiny sse", func(rng *rand.Rand, n, arity int) ([][]float64, []float64) {
@@ -153,7 +226,8 @@ func synth(rng *rand.Rand, n, arity int, cell func(f int) float64, yScale float6
 }
 
 // TestBuildTreeMatchesOracle is the differential proof behind "bit-equal
-// trees": 9 draws of each family, n from 4 to 3000, arity 1 to 8.
+// trees": 9 draws of each family, n from 4 to 3000, arity 1 to 8, each down
+// the coded and the sorted path.
 func TestBuildTreeMatchesOracle(t *testing.T) {
 	sizes := []int{4, 5, 9, 33, 120, 400, 1000, 1700, 3000}
 	cases := 0
@@ -169,15 +243,22 @@ func TestBuildTreeMatchesOracle(t *testing.T) {
 			cases++
 		}
 	}
-	if cases < 60 {
+	if cases < 120 {
 		t.Fatalf("only %d cases", cases)
 	}
 }
 
-// TestBuildTreeMatchesOracleOnTPCC repeats the comparison on what the
-// trainers really see: every (OU, arity) group of a small instrumented
-// TPC-C run, read back through FromArchive, four trees each.
-func TestBuildTreeMatchesOracleOnTPCC(t *testing.T) {
+// trainingGroup is one (OU, arity) group of points as a trainer sees it.
+type trainingGroup struct {
+	key ouKey
+	X   [][]float64
+	y   []float64
+}
+
+// tpccGroups is what the trainers really see: every (OU, arity) group of a
+// small instrumented TPC-C run, read back through FromArchive, in (OU,
+// arity) order.
+func tpccGroups(tb testing.TB) []trainingGroup {
 	var buf bytes.Buffer
 	w := archive.NewWriter(&buf)
 	srv, err := dbms.NewServer(dbms.Config{
@@ -185,76 +266,213 @@ func TestBuildTreeMatchesOracleOnTPCC(t *testing.T) {
 		WAL: wal.Config{GroupSize: 8, FlushIntervalNS: 100_000},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	gen := &workload.TPCC{Warehouses: 1, CustomersPerDistrict: 10, Items: 100, InitialOrdersPerDistrict: 10}
 	if err := gen.Setup(srv); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv.TS.Sampler().SetAllRates(100)
 	if _, err := workload.Run(srv, gen, workload.Config{Terminals: 4, Transactions: 150, Seed: 77}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	r, err := archive.NewReader(buf.Bytes())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	points, err := FromArchive(r, []float64{2.1})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 
-	byOU := make(map[ouKey][]Point)
+	byOU := make(map[ouKey]*trainingGroup)
+	var groups []*trainingGroup
 	for _, p := range points {
-		byOU[keyOf(p)] = append(byOU[keyOf(p)], p)
-	}
-	keys := make([]ouKey, 0, len(byOU))
-	for k := range byOU {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return keys[i].ou < keys[j].ou || (keys[i].ou == keys[j].ou && keys[i].arity < keys[j].arity)
-	})
-	splits := 0
-	for _, k := range keys {
-		pts := byOU[k]
-		X := make([][]float64, len(pts))
-		y := make([]float64, len(pts))
-		for i, p := range pts {
-			X[i], y[i] = p.Features, p.TargetUS
+		g := byOU[keyOf(p)]
+		if g == nil {
+			g = &trainingGroup{key: keyOf(p)}
+			byOU[g.key] = g
+			groups = append(groups, g)
 		}
+		g.X, g.y = append(g.X, p.Features), append(g.y, p.TargetUS)
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		a, b := groups[i].key, groups[j].key
+		return a.ou < b.ou || (a.ou == b.ou && a.arity < b.arity)
+	})
+	out := make([]trainingGroup, len(groups))
+	for i, g := range groups {
+		out[i] = *g
+	}
+	return out
+}
+
+// TestBuildTreeMatchesOracleOnTPCC repeats the comparison on tpccGroups,
+// four trees each.
+func TestBuildTreeMatchesOracleOnTPCC(t *testing.T) {
+	points, splits := 0, 0
+	for _, g := range tpccGroups(t) {
+		points += len(g.X)
 		for seed := int64(0); seed < 4; seed++ {
-			diff, nodes := diffTrees(X, y, 10, 4, seed)
+			diff, nodes := diffTrees(g.X, g.y, 10, 4, seed)
 			if diff != "" {
-				t.Errorf("OU %d arity %d (%d rows) seed %d: %s", k.ou, k.arity, len(pts), seed, diff)
+				t.Errorf("OU %d arity %d (%d rows) seed %d: %s", g.key.ou, g.key.arity, len(g.X), seed, diff)
 			}
 			splits += nodes / 2
 		}
 	}
-	if len(points) < 2000 || splits < 200 {
-		t.Fatalf("%d points and %d splits compared: the run is too small to mean anything", len(points), splits)
+	if points < 2000 || splits < 200 {
+		t.Fatalf("%d points and %d splits compared: the run is too small to mean anything", points, splits)
+	}
+}
+
+// rowVisits is how many rows the split search looked at to grow tree over
+// idx, counting a row once per feature tried at each node that split.
+func rowVisits(tree *treeNode, X [][]float64, idx []int, mtry int) int {
+	if tree.leaf {
+		return 0
+	}
+	var left, right []int
+	for _, i := range idx {
+		if X[i][tree.feature] <= tree.threshold {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	return len(idx)*mtry + rowVisits(tree.left, X, left, mtry) + rowVisits(tree.right, X, right, mtry)
+}
+
+// BenchmarkBuildTree is what a row-visit costs down each path: the TPC-C
+// groups (every column coded) as they are and with their codes taken away,
+// and a continuous matrix no column of which can be coded. It backs the
+// split-search table in EXPERIMENTS.md.
+func BenchmarkBuildTree(b *testing.B) {
+	tpcc := tpccGroups(b)
+	var continuous trainingGroup
+	continuous.X, continuous.y = synthKinds[1].gen(rand.New(rand.NewSource(5)), 3000, 6)
+	for _, bc := range []struct {
+		name   string
+		groups []trainingGroup
+		coded  bool
+	}{
+		{"tpcc/coded", tpcc, true},
+		{"tpcc/sorted", tpcc, false},
+		{"continuous/sorted", []trainingGroup{continuous}, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sc splitScratch
+			rng := rand.New(rand.NewSource(1))
+			visits := 0
+			for n := 0; n < b.N; n++ {
+				for _, g := range bc.groups {
+					b.StopTimer()
+					idx := make([]int, len(g.X))
+					bootstrap(idx, rng)
+					sample := slices.Clone(idx)
+					b.StartTimer()
+					sc.encode(g.X)
+					if !bc.coded {
+						clear(sc.cols)
+					}
+					mtry := mtryFor(len(g.X[0]))
+					tree := buildTree(g.X, g.y, idx, 10, 4, mtry, rng, &sc, 0)
+					b.StopTimer()
+					visits += rowVisits(tree, g.X, sample, mtry)
+					b.StartTimer()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visits), "ns/row-visit")
+		})
 	}
 }
 
 // TestBuildTreeAllocations holds buildTree to a constant number of
 // allocations per returned node (the node, and rng.Perm at each split),
-// whatever the number of candidates it scored.
+// whatever the number of candidates it scored, on a matrix no column of
+// which is coded and on one where every column is.
 func TestBuildTreeAllocations(t *testing.T) {
-	X, y := synthKinds[1].gen(rand.New(rand.NewSource(5)), 2000, 6)
-	rng := rand.New(rand.NewSource(5))
-	idx := make([]int, len(X))
-	sc := newSplitScratch(len(X))
-	var tree *treeNode
-	allocs := testing.AllocsPerRun(3, func() {
-		rng.Seed(5)
-		bootstrap(idx, rng)
-		tree = buildTree(X, y, idx, 12, 4, mtryFor(6), rng, sc)
-	})
-	if nodes := countNodes(tree); nodes < 100 || allocs > 2*float64(nodes) {
-		t.Fatalf("%v allocations for a tree of %d nodes", allocs, nodes)
+	for _, kind := range []int{1, 0} {
+		X, y := synthKinds[kind].gen(rand.New(rand.NewSource(5)), 2000, 6)
+		rng := rand.New(rand.NewSource(5))
+		idx := make([]int, len(X))
+		var sc splitScratch
+		sc.encode(X)
+		if coded := sc.cols[0].codes != nil; coded != (kind == 0) {
+			t.Fatalf("%s: coded is %v", synthKinds[kind].name, coded)
+		}
+		var tree *treeNode
+		allocs := testing.AllocsPerRun(3, func() {
+			rng.Seed(5)
+			bootstrap(idx, rng)
+			tree = buildTree(X, y, idx, 12, 4, mtryFor(6), rng, &sc, 0)
+		})
+		if nodes := countNodes(tree); nodes < 100 || allocs > 2*float64(nodes) {
+			t.Fatalf("%s: %v allocations for a tree of %d nodes", synthKinds[kind].name, allocs, nodes)
+		}
+	}
+}
+
+// TestEncode pins which columns are coded: at most 256 distinct values,
+// ±Inf among them, and no NaN, no -0 and no ragged row.
+func TestEncode(t *testing.T) {
+	const n = 600
+	// card values, met in an order that is neither theirs nor its reverse.
+	ramp := func(card int) func(i int) float64 {
+		return func(i int) float64 { return float64(i * 97 % card) }
+	}
+	cols := []struct {
+		name  string
+		cell  func(i int) float64
+		coded bool
+	}{
+		{"256 values", ramp(256), true},
+		{"257 values", ramp(257), false},
+		{"infinities", func(i int) float64 { return math.Inf(i%2*2 - 1) }, true},
+		{"a NaN", func(i int) float64 {
+			if i == n-1 {
+				return math.NaN()
+			}
+			return 1
+		}, false},
+		{"-0 after +0", func(i int) float64 { return math.Copysign(0, float64(1-i%2*2)) }, false},
+		{"-0 alone", func(int) float64 { return math.Copysign(0, -1) }, false},
+	}
+	X := make([][]float64, n)
+	for i := range X {
+		X[i] = make([]float64, len(cols))
+		for f, c := range cols {
+			X[i][f] = c.cell(i)
+		}
+	}
+	var sc splitScratch
+	sc.encode(X)
+	for f, c := range cols {
+		col := sc.cols[f]
+		if coded := col.codes != nil; coded != c.coded {
+			t.Errorf("%s: coded is %v", c.name, coded)
+			continue
+		}
+		for i := 0; c.coded && i < n; i++ {
+			if got := col.vals[col.codes[i]]; got != X[i][f] {
+				t.Fatalf("%s: row %d decodes to %v, want %v", c.name, i, got, X[i][f])
+			}
+		}
+		if c.coded && !sort.Float64sAreSorted(col.vals) {
+			t.Errorf("%s: table %v is not sorted", c.name, col.vals)
+		}
+	}
+	for _, ragged := range [][]float64{{1}, {1, 2, 3, 4, 5, 6, 7}} {
+		X[n/2] = ragged
+		sc.encode(X)
+		for f, col := range sc.cols {
+			if col.codes != nil {
+				t.Errorf("a row of %d among rows of %d: column %d is coded", len(ragged), len(cols), f)
+			}
+		}
 	}
 }
 
