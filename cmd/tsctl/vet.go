@@ -76,8 +76,9 @@ func vet(w io.Writer) int {
 	return 0
 }
 
-// describeFailure renders a verification error with its failing instruction
-// when the error names a pc.
+// describeFailure renders a verification error of p with its failing
+// instruction when the error is a *VerifyError, whose pc indexes p; an
+// optimizer failure names the instruction of the program it built itself.
 func describeFailure(p *bpf.Program, err error) string {
 	var ve *bpf.VerifyError
 	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {

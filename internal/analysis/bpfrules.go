@@ -15,7 +15,7 @@ import (
 // verifyEntryPoints are the bpf package-level functions whose error result
 // is the verification verdict.
 var verifyEntryPoints = map[string]bool{
-	"Verify": true, "Analyze": true, "Load": true, "Optimize": true,
+	"Verify": true, "Analyze": true, "Load": true, "LoadOptimized": true, "Optimize": true,
 }
 
 // runMethodNames are LoadedProgram's execution entry points: their final
@@ -32,11 +32,11 @@ var drainReceivers = []struct{ pkgSuffix, typeName string }{
 
 // ConstructedLoadedProgramAnalyzer flags composite literals of
 // bpf.LoadedProgram outside the bpf package: a LoadedProgram that did not
-// come from bpf.Load never passed the verifier, and running it would
-// execute unproven code on the marker hot path.
+// come from bpf.Load or bpf.LoadOptimized never passed the verifier, and
+// running it would execute unproven code on the marker hot path.
 var ConstructedLoadedProgramAnalyzer = &Analyzer{
 	Name: RuleConstructedLoadedProgram,
-	Doc:  "only bpf.Load may produce a bpf.LoadedProgram; composite literals bypass the verifier",
+	Doc:  "only bpf.Load and bpf.LoadOptimized may produce a bpf.LoadedProgram; composite literals bypass the verifier",
 	Run:  runConstructedLoadedProgram,
 }
 
@@ -65,7 +65,7 @@ func runConstructedLoadedProgram(pass *Pass) {
 			obj := named.Obj()
 			if obj.Name() == "LoadedProgram" && obj.Pkg() != nil && hasPathSuffix(obj.Pkg().Path(), bpfPkgSuffix) {
 				pass.Reportf(lit.Pos(),
-					"bpf.LoadedProgram constructed directly; only bpf.Load returns verified programs")
+					"bpf.LoadedProgram constructed directly; only bpf.Load and bpf.LoadOptimized return verified programs")
 			}
 			return true
 		})
@@ -77,7 +77,7 @@ func runConstructedLoadedProgram(pass *Pass) {
 // verify-before-run contract.
 var DiscardedVerifyErrorAnalyzer = &Analyzer{
 	Name: RuleDiscardedVerifyError,
-	Doc:  "the error from bpf.Verify/Analyze/Load/Optimize must be checked, never discarded",
+	Doc:  "the error from bpf.Verify/Analyze/Load/LoadOptimized/Optimize must be checked, never discarded",
 	Run:  runDiscardedVerifyError,
 }
 

@@ -26,6 +26,11 @@ func blankedLoad(p *bpf.Program) *bpf.LoadedProgram {
 	return lp
 }
 
+func blankedLoadOptimized(p *bpf.Program) *bpf.LoadedProgram {
+	lp, _, _ := bpf.LoadOptimized(p, 512) // want:discarded-verify-error
+	return lp
+}
+
 func blankedOptimize(p *bpf.Program) *bpf.Program {
 	op, _, _ := bpf.Optimize(p, 512) // want:discarded-verify-error
 	return op

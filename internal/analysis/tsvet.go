@@ -64,10 +64,11 @@ const (
 	RuleSeededSource = "seeded-source"
 	// RuleConstructedLoadedProgram flags composite literals of
 	// bpf.LoadedProgram outside the bpf package: a LoadedProgram that did
-	// not come from bpf.Load never passed verification.
+	// not come from bpf.Load or bpf.LoadOptimized never passed
+	// verification.
 	RuleConstructedLoadedProgram = "constructed-loaded-program"
 	// RuleDiscardedVerifyError flags discarding the error result of
-	// bpf.Verify, bpf.Load, bpf.Analyze, or bpf.Optimize (blank
+	// bpf.Verify, bpf.Load, bpf.LoadOptimized, bpf.Analyze, or bpf.Optimize (blank
 	// identifier, bare call statement, or go/defer): ignoring the verdict
 	// defeats the verify-before-run contract.
 	RuleDiscardedVerifyError = "discarded-verify-error"

@@ -41,6 +41,13 @@ func Verify(p *Program, maxInsns int) error {
 // Analyze verifies p and returns the dataflow facts the verifier
 // computed along the way. maxInsns of 0 uses DefaultMaxInsns.
 func Analyze(p *Program, maxInsns int) (*Analysis, error) {
+	return analyze(p, maxInsns, nil)
+}
+
+// analyze is Analyze writing the in-states into states[:len(p.Insns)]
+// when states is long enough — the array of an analysis the caller has
+// finished with — and into a fresh array otherwise.
+func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 	if maxInsns <= 0 {
 		maxInsns = DefaultMaxInsns
 	}
@@ -52,10 +59,15 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 		return nil, fmt.Errorf("%w: program has %d instructions, limit %d", ErrVerification, n, maxInsns)
 	}
 
+	// One slab holds every per-pc flag: the loop heads and edge
+	// feasibility the Analysis keeps, and the reachability marks it does not.
+	flags := make([]bool, 4*n)
 	a := &Analysis{
-		prog:     p,
-		maxInsns: maxInsns,
-		loopHead: make([]bool, n),
+		prog:      p,
+		maxInsns:  maxInsns,
+		loopHead:  flags[:n:n],
+		condTaken: flags[n : 2*n : 2*n],
+		condFall:  flags[2*n : 3*n : 3*n],
 	}
 
 	// Structural pass: opcode validity, jump targets, loop bounds.
@@ -107,16 +119,18 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 
 	// Reachability from instruction 0 over the static CFG. Instructions
 	// no path can ever reach are rejected outright, as in real eBPF.
-	reach := make([]bool, n)
-	stack := []int{0}
-	for len(stack) > 0 {
-		pc := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	// The walk and the fixpoint below share one worklist.
+	reach := flags[3*n:]
+	work := make([]int, 1, 2*n)
+	for len(work) > 0 {
+		pc := work[len(work)-1]
+		work = work[:len(work)-1]
 		if reach[pc] {
 			continue
 		}
 		reach[pc] = true
-		stack = append(stack, cfgSuccs(p.Insns[pc], pc)...)
+		succs, k := cfgSuccs(p.Insns[pc], pc)
+		work = append(work, succs[:k]...)
 	}
 	for pc := range reach {
 		if !reach[pc] {
@@ -124,10 +138,18 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 		}
 	}
 
-	// Abstract interpretation to a fixpoint, widening at loop heads.
-	a.states = make([]absState, n)
+	// Abstract interpretation to a fixpoint, widening at loop heads. Each
+	// step writes its successors into out, which is merged straight into
+	// their in-states.
+	if cap(states) >= n {
+		a.states = states[:n]
+		clear(a.states)
+	} else {
+		a.states = make([]absState, n)
+	}
 	a.states[0] = entryState()
-	work := []int{0}
+	work = append(work[:0], 0)
+	var out [2]succ
 	steps := 0
 	for len(work) > 0 {
 		steps++
@@ -136,11 +158,12 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 		}
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		outs, err := step(p, pc, a.states[pc])
+		k, err := step(p, pc, &a.states[pc], &out)
 		if err != nil {
 			return nil, err
 		}
-		for _, o := range outs {
+		for i := range out[:k] {
+			o := &out[i]
 			if a.states[o.pc].merge(&o.state, a.loopHead[o.pc]) {
 				work = append(work, o.pc)
 			}
@@ -148,13 +171,11 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 	}
 
 	// Record conditional-edge feasibility from the final in-states.
-	a.condTaken = make([]bool, n)
-	a.condFall = make([]bool, n)
 	for pc, in := range p.Insns {
 		if !isCondJump(in.Op) || !a.states[pc].valid {
 			continue
 		}
-		_, _, feasT, feasF, err := condStates(a.states[pc], in)
+		feasT, feasF, err := condStates(&a.states[pc], in, &out[0].state, &out[1].state)
 		if err != nil {
 			// step already accepted this state; condStates cannot fail.
 			feasT, feasF = true, true
@@ -166,16 +187,16 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 }
 
 // cfgSuccs returns the static control-flow successors of the instruction
-// at pc (no feasibility pruning).
-func cfgSuccs(in Insn, pc int) []int {
+// at pc (no feasibility pruning): the first k entries of succs.
+func cfgSuccs(in Insn, pc int) (succs [2]int, k int) {
 	switch {
 	case in.Op == OpExit:
-		return nil
+		return succs, 0
 	case in.Op == OpJa:
-		return []int{pc + 1 + int(in.Off)}
+		return [2]int{pc + 1 + int(in.Off)}, 1
 	case isCondJump(in.Op):
-		return []int{pc + 1, pc + 1 + int(in.Off)}
+		return [2]int{pc + 1, pc + 1 + int(in.Off)}, 2
 	default:
-		return []int{pc + 1}
+		return [2]int{pc + 1}, 1
 	}
 }

@@ -97,6 +97,13 @@ func (lp *LoadedProgram) Compile() CompileInfo {
 	info := CompileInfo{Attempted: true, Insns: len(lp.prog.Insns)}
 	if cc, reason := lp.decode(); reason != "" {
 		info.Reason = reason
+		// The proof stays. LoadOptimized's may sit in the array of an
+		// earlier, longer round; the program must not pin that slack.
+		if a := lp.analysis; a != nil && cap(a.states) > len(a.states) {
+			states := make([]absState, len(a.states))
+			copy(states, a.states)
+			a.states = states
+		}
 	} else {
 		cc.fuse()
 		lp.compiled.Store(&compiledProg{entry: cc.fns[0]})

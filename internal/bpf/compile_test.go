@@ -137,6 +137,7 @@ func TestRuntimeFaultsCountedOnAttach(t *testing.T) {
 func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 	t.Run(DeclineBackEdge, func(t *testing.T) {
 		p := genMapsBuilder("jit/loop").
+			Mov(R2, 9). // dead: the optimizer drops it
 			Mov(R1, 4).
 			Label("top").
 			Sub(R1, 1).
@@ -154,6 +155,18 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 		}
 		if lp.analysis == nil {
 			t.Fatal("a declined Compile dropped the analysis")
+		}
+		// Through the optimizer the proof sits in the in-state array of the
+		// longer program round 0 analyzed; a decline must not keep the slack.
+		olp, stats, err := LoadOptimized(p, 0)
+		if err != nil || stats.Rounds == 0 {
+			t.Fatalf("LoadOptimized: %+v, %v", stats, err)
+		}
+		if info := olp.Compile(); info.Reason != DeclineBackEdge {
+			t.Fatalf("optimized loop not declined as back-edge: %+v", info)
+		}
+		if st := olp.analysis.states; len(st) != len(olp.prog.Insns) || cap(st) != len(st) {
+			t.Fatalf("declined proof holds %d in-states (cap %d) for %d insns", len(st), cap(st), len(olp.prog.Insns))
 		}
 		assertCompiledAgreement(t, p, 3)
 		k := kernel.New(sim.LargeHW, 1, 0)

@@ -1,5 +1,11 @@
 package bpf
 
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
+
 // PatternNames lists the pattern super-op kinds in declaration order, from
 // the first one up to (not including) muHelperCall.
 var PatternNames = [muHelperCall - muStoreZeroRun]string{
@@ -35,4 +41,87 @@ func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) string {
 		pc += len(run)
 	}
 	return ""
+}
+
+// PtrALU returns lp's per-pc pointer-ALU facts.
+func PtrALU(lp *LoadedProgram) []bool { return lp.ptrALU }
+
+// ProofDiff names the first part of the analysis got keeps that differs
+// from want's, or returns "": the program it proves, the in-states (their
+// number included), the loop heads and the conditional edges.
+func ProofDiff(got, want *LoadedProgram) string {
+	g, w := got.analysis, want.analysis
+	switch {
+	case g.prog != got.prog:
+		return "the proof is of another program"
+	case !slices.Equal(g.states, w.states):
+		return fmt.Sprintf("in-states differ (%d kept, want %d)", len(g.states), len(w.states))
+	case !slices.Equal(g.loopHead, w.loopHead):
+		return "loop heads differ"
+	case !slices.Equal(g.condTaken, w.condTaken) || !slices.Equal(g.condFall, w.condFall):
+		return "conditional edges differ"
+	}
+	return ""
+}
+
+// MicroOps renders what Compile would build from lp, pc by pc: every fused
+// block's micro-ops after both peephole passes with their resolved
+// operands (a closure shows only as present), and "term" for each
+// terminator. Two programs with the same rendering compile to the same
+// code. It returns lp's decline reason instead if lp does not compile.
+func MicroOps(lp *LoadedProgram) (ops, reason string) {
+	cc, reason := lp.decode()
+	if reason != "" {
+		return "", reason
+	}
+	var b strings.Builder
+	for pc := 0; pc < len(cc.fns); {
+		run := cc.run(pc)
+		if len(run) == 0 {
+			fmt.Fprintf(&b, "%d: term\n", pc)
+			pc++
+			continue
+		}
+		for _, op := range peephole(run) {
+			fmt.Fprintf(&b, "%d: %d %d %d %d %d %d %#x %v\n",
+				pc, op.kind, op.dst, op.src, op.x, op.idx, op.idx2, op.imm, op.fn != nil)
+		}
+		pc += len(run)
+	}
+	return b.String(), ""
+}
+
+// AnalysesAgree runs Analyze and its oracle (verifier_oracle_test.go) on p
+// and describes their first disagreement, or returns "".
+func AnalysesAgree(p *Program) string { return diffAnalyses(p, 0) }
+
+// SetRoundHook makes f rewrite the program every changing optimizer round
+// builds, until the returned function removes it.
+func SetRoundHook(f func(round int, p *Program) *Program) (restore func()) {
+	testRoundHook = f
+	return func() { testRoundHook = nil }
+}
+
+// DropFirstNullCheck returns p without the first null check of a map
+// lookup result whose error path has another way in — what a broken
+// optimizer pass might emit. The program still has no unreachable
+// instruction, so its rejection is the missing check.
+func DropFirstNullCheck(p *Program) *Program {
+	preds := make([]int, len(p.Insns))
+	for pc, in := range p.Insns {
+		succs, k := cfgSuccs(in, pc)
+		for _, s := range succs[:k] {
+			preds[s]++
+		}
+	}
+	drop := make([]bool, len(p.Insns))
+	for pc := 1; pc < len(p.Insns); pc++ {
+		call, in := p.Insns[pc-1], p.Insns[pc]
+		if call.Op == OpCall && call.Imm == HelperMapLookup &&
+			in.Op == OpJeqImm && in.Dst == R0 && in.Imm == 0 && preds[pc+1+int(in.Off)] > 1 {
+			drop[pc] = true
+			break
+		}
+	}
+	return rebuild(p, p.Insns, drop)
 }

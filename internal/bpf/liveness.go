@@ -145,9 +145,8 @@ func (a *Analysis) effects(pc int) insnEffects {
 
 	case in.Op == OpCall:
 		spec, _ := HelperByID(in.Imm)
-		argRegs := []Reg{R1, R2, R3, R4, R5}
 		for i := range spec.Args {
-			e.useRegs |= regBit(argRegs[i])
+			e.useRegs |= regBit(helperArgRegs[i])
 		}
 		// R0 is defined; R1-R5 are clobbered (defined-to-garbage), which
 		// for liveness is also a def.
@@ -161,8 +160,7 @@ func (a *Analysis) effects(pc int) insnEffects {
 		var sizedPtr regState
 		sizedPtrSeen := false
 		for i, kind := range spec.Args {
-			r := argRegs[i]
-			arg := st.regs[r]
+			arg := st.regs[helperArgRegs[i]]
 			switch kind {
 			case ArgConstMap:
 				if arg.kind == rkConstMap {
@@ -205,7 +203,8 @@ func (a *Analysis) effects(pc int) insnEffects {
 
 // Liveness runs the backward may-live analysis to a fixpoint.
 func (a *Analysis) Liveness() *Liveness {
-	n := len(a.prog.Insns)
+	insns := a.prog.Insns
+	n := len(insns)
 	lv := &Liveness{
 		regsOut:  make([]uint16, n),
 		stackOut: make([]stackSet, n),
@@ -213,23 +212,45 @@ func (a *Analysis) Liveness() *Liveness {
 	liveInRegs := make([]uint16, n)
 	liveInStack := make([]stackSet, n)
 
-	// Predecessors over the static CFG.
-	preds := make([][]int, n)
-	for pc, in := range a.prog.Insns {
-		for _, s := range cfgSuccs(in, pc) {
-			preds[s] = append(preds[s], pc)
+	// Predecessors over the static CFG, laid out CSR: the predecessors of
+	// pc are preds[start[pc]:start[pc+1]]. start first counts each pc's
+	// predecessors, becomes their offsets, serves as the fill cursor —
+	// which leaves start[pc] at pc's end — and is shifted back.
+	start := make([]int, n+1)
+	for pc, in := range insns {
+		succs, k := cfgSuccs(in, pc)
+		for _, s := range succs[:k] {
+			start[s]++
 		}
 	}
+	sum := 0
+	for pc := 0; pc < n; pc++ {
+		start[pc], sum = sum, sum+start[pc]
+	}
+	preds := make([]int, sum)
+	for pc, in := range insns {
+		succs, k := cfgSuccs(in, pc)
+		for _, s := range succs[:k] {
+			preds[start[s]] = pc
+			start[s]++
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+
 	eff := make([]insnEffects, n)
-	for pc := range a.prog.Insns {
+	for pc := range insns {
 		eff[pc] = a.effects(pc)
 	}
 
-	// Worklist, seeded with every pc (effects alone create liveness).
-	work := make([]int, 0, n)
+	// Worklist, seeded with every pc (effects alone create liveness) so
+	// that the last pc pops first: facts flow backward, and a pc popped
+	// after its successors mostly sees their final live-in sets. inWork
+	// keeps a pc on the list at most once, so it never outgrows n.
+	work := make([]int, n)
 	inWork := make([]bool, n)
-	for pc := n - 1; pc >= 0; pc-- {
-		work = append(work, pc)
+	for pc := range work {
+		work[pc] = pc
 		inWork[pc] = true
 	}
 	for len(work) > 0 {
@@ -240,7 +261,8 @@ func (a *Analysis) Liveness() *Liveness {
 		// out = union of successors' in.
 		var outRegs uint16
 		var outStack stackSet
-		for _, s := range cfgSuccs(a.prog.Insns[pc], pc) {
+		succs, k := cfgSuccs(insns[pc], pc)
+		for _, s := range succs[:k] {
 			outRegs |= liveInRegs[s]
 			outStack.or(&liveInStack[s])
 		}
@@ -257,7 +279,7 @@ func (a *Analysis) Liveness() *Liveness {
 		if inRegs != liveInRegs[pc] || inStack != liveInStack[pc] {
 			liveInRegs[pc] = inRegs
 			liveInStack[pc] = inStack
-			for _, p := range preds[pc] {
+			for _, p := range preds[start[pc]:start[pc+1]] {
 				if !inWork[p] {
 					work = append(work, p)
 					inWork[p] = true

@@ -1,6 +1,9 @@
 package bpf
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // The optimizer shrinks a verified program without changing any behavior
 // observable outside the invocation: R0 at exit, impure helper calls (in
@@ -15,9 +18,13 @@ import "fmt"
 //   4. unreachable removal   pcs the abstract interpreter proved
 //                            unreachable (via pruned edges)
 //
-// over a fresh Analysis each round until nothing changes, then re-verifies
-// the result. FuzzOptimize differentially checks the equivalence claim
-// against the VM on generator-produced programs.
+// over a fresh Analysis each round until nothing changes. The round that
+// changes nothing has just analyzed the final program, so that analysis is
+// its proof: it is not re-run, and LoadOptimized hands it to the
+// LoadedProgram instead of analyzing the same instructions a third time.
+// Only a program still changing at the round cap is analyzed once more.
+// FuzzOptimize differentially checks the equivalence claim against the VM
+// on generator-produced programs.
 
 // OptStats counts what Optimize did.
 type OptStats struct {
@@ -37,33 +44,72 @@ type OptStats struct {
 func (s OptStats) Saved() int { return s.BeforeInsns - s.AfterInsns }
 
 // Optimize returns a behavior-equivalent, no-larger program. The input
-// must verify (maxInsns of 0 uses DefaultMaxInsns); the output is
-// re-verified before it is returned, so a bug in a pass surfaces as an
-// error here rather than as an unverified program loading.
+// must verify (maxInsns of 0 uses DefaultMaxInsns), and so does the
+// output: it is the program the last analysis proved, so a bug in a pass
+// surfaces as an error here rather than as an unverified program loading.
 func Optimize(p *Program, maxInsns int) (*Program, OptStats, error) {
+	a, stats, err := optimize(p, maxInsns)
+	if err != nil {
+		return nil, stats, err
+	}
+	return a.prog, stats, nil
+}
+
+// testRoundHook, when a test sets it (export_test.go), rewrites the
+// program each changing round builds before the next round analyzes it:
+// the way to make a pass emit a program that does not verify.
+var testRoundHook func(round int, p *Program) *Program
+
+// optimize runs Optimize's rounds and returns the analysis of the program
+// they converged on: Analyze's proof of exactly the instructions returned.
+func optimize(p *Program, maxInsns int) (*Analysis, OptStats, error) {
 	stats := OptStats{BeforeInsns: len(p.Insns)}
 	cur := p
+	// A round's analysis is dead once the round has built the next
+	// program, and programs only shrink: each round reuses the previous
+	// round's in-state array.
+	var states []absState
 	const maxRounds = 8
 	for round := 0; round < maxRounds; round++ {
-		a, err := Analyze(cur, maxInsns)
+		a, err := analyze(cur, maxInsns, states)
 		if err != nil {
 			if round == 0 {
 				return nil, stats, fmt.Errorf("bpf: optimize: input program: %w", err)
 			}
-			return nil, stats, fmt.Errorf("bpf: optimize: round %d produced an unverifiable program: %w", round, err)
+			return nil, stats, builtProgramError(fmt.Sprintf("round %d produced an unverifiable program", round), cur, err)
 		}
 		next, changed := optimizeRound(a, &stats)
 		if !changed {
-			break
+			stats.AfterInsns = len(cur.Insns)
+			return a, stats, nil
 		}
 		stats.Rounds++
-		cur = next
+		cur, states = next, a.states
+		if testRoundHook != nil {
+			cur = testRoundHook(round, cur)
+		}
 	}
-	if err := Verify(cur, maxInsns); err != nil {
-		return nil, stats, fmt.Errorf("bpf: optimize: result failed re-verification: %w", err)
+	// The round cap cut the rounds short: nothing has analyzed cur yet.
+	a, err := analyze(cur, maxInsns, states)
+	if err != nil {
+		return nil, stats, builtProgramError("result failed re-verification", cur, err)
 	}
 	stats.AfterInsns = len(cur.Insns)
-	return cur, stats, nil
+	return a, stats, nil
+}
+
+// builtProgramError reports that p, a program the optimizer built, failed
+// verification. A VerifyError's PC indexes p, not the caller's input, so
+// the error names the failing instruction of p itself and does not unwrap
+// to the *VerifyError: a caller that indexed its own program with that PC
+// would print an unrelated instruction. It still matches ErrVerification.
+func builtProgramError(what string, p *Program, err error) error {
+	var ve *VerifyError
+	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {
+		return fmt.Errorf("bpf: optimize: %s: failing insn %d: %s: %w: insn %d: %s",
+			what, ve.PC, p.Insns[ve.PC].String(), ErrVerification, ve.PC, ve.Msg)
+	}
+	return fmt.Errorf("bpf: optimize: %s: %w", what, err)
 }
 
 // optimizeRound applies one round of all passes to the analyzed program,

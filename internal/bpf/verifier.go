@@ -89,7 +89,7 @@ func unknownScalarReg() regState { return scalarReg(vrTop()) }
 
 type absState struct {
 	regs      [numRegs]regState
-	stackInit [StackSize]bool
+	stackInit stackSet // bit i: stack byte i (offset i-StackSize) is initialized
 	valid     bool
 }
 
@@ -158,9 +158,10 @@ func (a *absState) merge(b *absState, widen bool) bool {
 			changed = true
 		}
 	}
-	for i := range a.stackInit {
-		if a.stackInit[i] && !b.stackInit[i] {
-			a.stackInit[i] = false
+	// A byte stays initialized only when it is on both paths.
+	for i, w := range a.stackInit {
+		if m := w & b.stackInit[i]; m != w {
+			a.stackInit[i] = m
 			changed = true
 		}
 	}
@@ -238,7 +239,7 @@ func checkStackRange(pc int, s *absState, base regState, off int32, size int, mo
 		if base.lo == base.hi {
 			idx := int(lo + StackSize)
 			for i := 0; i < size; i++ {
-				s.stackInit[idx+i] = true
+				s.stackInit.set(idx + i)
 			}
 		}
 		return nil
@@ -246,7 +247,7 @@ func checkStackRange(pc int, s *absState, base regState, off int32, size int, mo
 		return nil
 	}
 	for a := lo; a < hi+int64(size); a++ {
-		if !s.stackInit[a+StackSize] {
+		if !s.stackInit.get(int(a + StackSize)) {
 			return verr(pc, "read of uninitialized stack byte at offset %d", a)
 		}
 	}
@@ -269,14 +270,15 @@ func checkMapValueAccess(p *Program, pc int, base regState, off int32, size int)
 	return nil
 }
 
-// condStates computes the refined taken/fall-through states of a
-// conditional jump and whether each edge is feasible. Callers have
-// already checked register initialization.
-func condStates(s absState, insn Insn) (taken, fall absState, feasT, feasF bool, err error) {
+// condStates writes the refined states of a conditional jump's taken and
+// fall-through edges to taken and fall (neither may alias s) and reports
+// whether each edge is feasible. Callers have already checked register
+// initialization.
+func condStates(s *absState, insn Insn, taken, fall *absState) (feasT, feasF bool, err error) {
 	d := s.regs[insn.Dst]
 	// Null-check refinement for map-lookup results.
 	if d.kind == rkPtrMapValueOrNull && !isRegSrc(insn.Op) && insn.Imm == 0 {
-		taken, fall = s, s
+		*taken, *fall = *s, *s
 		switch insn.Op {
 		case OpJeqImm: // taken => ptr == 0 => NULL; fallthrough => non-null
 			taken.regs[insn.Dst] = constReg(0)
@@ -285,17 +287,17 @@ func condStates(s absState, insn Insn) (taken, fall absState, feasT, feasF bool,
 			taken.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, lo: d.lo, hi: d.hi}
 			fall.regs[insn.Dst] = constReg(0)
 		default:
-			return s, s, false, false, verr(-1, "map value pointer compared with non-equality op before null check")
+			return false, false, verr(-1, "map value pointer compared with non-equality op before null check")
 		}
-		return taken, fall, true, true, nil
+		return true, true, nil
 	}
 	if d.kind != rkScalar {
-		return s, s, false, false, verr(-1, "conditional jump on %s", d.kind)
+		return false, false, verr(-1, "conditional jump on %s", d.kind)
 	}
 	var b VReg
 	if isRegSrc(insn.Op) {
 		if s.regs[insn.Src].kind != rkScalar {
-			return s, s, false, false, verr(-1, "register compare on non-scalars")
+			return false, false, verr(-1, "register compare on non-scalars")
 		}
 		b = s.regs[insn.Src].vr
 	} else {
@@ -311,7 +313,7 @@ func condStates(s absState, insn Insn) (taken, fall absState, feasT, feasF bool,
 		okT, okF = true, true
 		ta, tb, fa, fb = d.vr, b, d.vr, b
 	}
-	taken, fall = s, s
+	*taken, *fall = *s, *s
 	if okT {
 		taken.regs[insn.Dst].vr = ta
 		if isRegSrc(insn.Op) {
@@ -324,49 +326,90 @@ func condStates(s absState, insn Insn) (taken, fall absState, feasT, feasF bool,
 			fall.regs[insn.Src].vr = fb
 		}
 	}
-	return taken, fall, okT, okF, nil
+	return okT, okF, nil
 }
 
-func step(p *Program, pc int, in absState) ([]succ, error) {
-	s := in
-	insn := p.Insns[pc]
-	next := func() []succ { return []succ{{pc + 1, s}} }
+// helperArgRegs are the registers that carry helper arguments, in order.
+var helperArgRegs = [...]Reg{R1, R2, R3, R4, R5}
 
+// step abstractly executes the instruction at pc on the in-state *in and
+// writes its feasible successors, in push order, to out, returning how
+// many it wrote. *in is only read. Analyze's worklist owns out and merges
+// each slot into its target's in-state, so a step allocates nothing unless
+// it rejects the program.
+func step(p *Program, pc int, in *absState, out *[2]succ) (int, error) {
+	insn := p.Insns[pc]
 	switch {
 	case insn.Op == OpExit:
-		if s.regs[R0].kind != rkScalar {
-			return nil, verr(pc, "exit with R0 %s (must be scalar)", s.regs[R0].kind)
+		if in.regs[R0].kind != rkScalar {
+			return 0, verr(pc, "exit with R0 %s (must be scalar)", in.regs[R0].kind)
 		}
-		return nil, nil
+		return 0, nil
 
+	case isCondJump(insn.Op):
+		if err := requireInit(pc, in, insn.Dst, "jump"); err != nil {
+			return 0, err
+		}
+		if isRegSrc(insn.Op) {
+			if err := requireInit(pc, in, insn.Src, "jump"); err != nil {
+				return 0, err
+			}
+		}
+		feasT, feasF, err := condStates(in, insn, &out[0].state, &out[1].state)
+		if err != nil {
+			if ve := new(VerifyError); errors.As(err, &ve) {
+				ve.PC = pc
+			}
+			return 0, err
+		}
+		switch {
+		case feasT && feasF:
+			out[0].pc, out[1].pc = pc+1+int(insn.Off), pc+1
+			return 2, nil
+		case feasT:
+			out[0].pc = pc + 1 + int(insn.Off)
+			return 1, nil
+		case feasF:
+			out[0].pc, out[0].state = pc+1, out[1].state
+			return 1, nil
+		}
+		return 0, nil
+	}
+
+	// Everything else has exactly one successor, whose state is the
+	// in-state with this instruction's effect applied.
+	out[0].pc = pc + 1
+	s := &out[0].state
+	*s = *in
+	switch {
 	case insn.Op == OpMovImm:
 		if insn.Dst == R10 {
-			return nil, verr(pc, "write to frame pointer r10")
+			return 0, verr(pc, "write to frame pointer r10")
 		}
 		s.regs[insn.Dst] = constReg(insn.Imm)
-		return next(), nil
+		return 1, nil
 
 	case insn.Op == OpMovReg:
 		if insn.Dst == R10 {
-			return nil, verr(pc, "write to frame pointer r10")
+			return 0, verr(pc, "write to frame pointer r10")
 		}
-		if err := requireInit(pc, &s, insn.Src, "mov"); err != nil {
-			return nil, err
+		if err := requireInit(pc, s, insn.Src, "mov"); err != nil {
+			return 0, err
 		}
 		s.regs[insn.Dst] = s.regs[insn.Src]
-		return next(), nil
+		return 1, nil
 
 	case isALU(insn.Op):
 		if insn.Dst == R10 {
-			return nil, verr(pc, "write to frame pointer r10")
+			return 0, verr(pc, "write to frame pointer r10")
 		}
-		if err := requireInit(pc, &s, insn.Dst, "alu"); err != nil {
-			return nil, err
+		if err := requireInit(pc, s, insn.Dst, "alu"); err != nil {
+			return 0, err
 		}
 		var src regState
 		if isRegSrc(insn.Op) {
-			if err := requireInit(pc, &s, insn.Src, "alu"); err != nil {
-				return nil, err
+			if err := requireInit(pc, s, insn.Src, "alu"); err != nil {
+				return 0, err
 			}
 			src = s.regs[insn.Src]
 		} else {
@@ -378,11 +421,11 @@ func step(p *Program, pc int, in absState) ([]succ, error) {
 			switch insn.Op {
 			case OpAddImm, OpAddReg, OpSubImm, OpSubReg:
 				if src.kind != rkScalar {
-					return nil, verr(pc, "pointer arithmetic with unknown scalar")
+					return 0, verr(pc, "pointer arithmetic with unknown scalar")
 				}
 				dlo, dhi, ok := signedBounds(src.vr)
 				if !ok {
-					return nil, verr(pc, "pointer arithmetic with unknown scalar")
+					return 0, verr(pc, "pointer arithmetic with unknown scalar")
 				}
 				if insn.Op == OpSubImm || insn.Op == OpSubReg {
 					if dlo == math.MinInt64 {
@@ -396,122 +439,97 @@ func step(p *Program, pc int, in absState) ([]succ, error) {
 				}
 				dst.lo, dst.hi = addOff(dst.lo, dst.hi, dlo, dhi)
 				s.regs[insn.Dst] = dst
-				return next(), nil
+				return 1, nil
 			default:
-				return nil, verr(pc, "forbidden ALU op on pointer")
+				return 0, verr(pc, "forbidden ALU op on pointer")
 			}
 		}
 		if dst.kind != rkScalar {
-			return nil, verr(pc, "alu on %s", dst.kind)
+			return 0, verr(pc, "alu on %s", dst.kind)
 		}
 		if src.kind != rkScalar {
-			return nil, verr(pc, "alu with %s source", src.kind)
+			return 0, verr(pc, "alu with %s source", src.kind)
 		}
 		if (insn.Op == OpDivReg || insn.Op == OpModReg) && src.vr.IsConst() && src.vr.Const() == 0 {
-			return nil, verr(pc, "division by known-zero register")
+			return 0, verr(pc, "division by known-zero register")
 		}
 		s.regs[insn.Dst] = scalarReg(vrTransfer(insn.Op, dst.vr, src.vr))
-		return next(), nil
+		return 1, nil
 
 	case insn.Op == OpLoadMapPtr:
 		if insn.Dst == R10 {
-			return nil, verr(pc, "write to frame pointer r10")
+			return 0, verr(pc, "write to frame pointer r10")
 		}
 		s.regs[insn.Dst] = regState{kind: rkConstMap, mapIdx: int32(insn.Imm)}
-		return next(), nil
+		return 1, nil
 
 	case insn.Op == OpLoad:
 		if insn.Dst == R10 {
-			return nil, verr(pc, "write to frame pointer r10")
+			return 0, verr(pc, "write to frame pointer r10")
 		}
 		base := s.regs[insn.Src]
 		switch base.kind {
 		case rkPtrStack:
-			if err := checkStackRange(pc, &s, base, insn.Off, 8, stackRead); err != nil {
-				return nil, err
+			if err := checkStackRange(pc, s, base, insn.Off, 8, stackRead); err != nil {
+				return 0, err
 			}
 		case rkPtrMapValue, rkPtrMapValueOrNull:
 			if err := checkMapValueAccess(p, pc, base, insn.Off, 8); err != nil {
-				return nil, err
+				return 0, err
 			}
 		default:
-			return nil, verr(pc, "load through %s", base.kind)
+			return 0, verr(pc, "load through %s", base.kind)
 		}
 		s.regs[insn.Dst] = unknownScalarReg()
-		return next(), nil
+		return 1, nil
 
 	case insn.Op == OpStore, insn.Op == OpStoreImm:
 		base := s.regs[insn.Dst]
 		if insn.Op == OpStore {
-			if err := requireInit(pc, &s, insn.Src, "store"); err != nil {
-				return nil, err
+			if err := requireInit(pc, s, insn.Src, "store"); err != nil {
+				return 0, err
 			}
 			if s.regs[insn.Src].kind != rkScalar {
-				return nil, verr(pc, "storing %s to memory (pointer leak)", s.regs[insn.Src].kind)
+				return 0, verr(pc, "storing %s to memory (pointer leak)", s.regs[insn.Src].kind)
 			}
 		}
 		switch base.kind {
 		case rkPtrStack:
-			if err := checkStackRange(pc, &s, base, insn.Off, 8, stackWrite); err != nil {
-				return nil, err
+			if err := checkStackRange(pc, s, base, insn.Off, 8, stackWrite); err != nil {
+				return 0, err
 			}
 		case rkPtrMapValue, rkPtrMapValueOrNull:
 			if err := checkMapValueAccess(p, pc, base, insn.Off, 8); err != nil {
-				return nil, err
+				return 0, err
 			}
 		default:
-			return nil, verr(pc, "store through %s", base.kind)
+			return 0, verr(pc, "store through %s", base.kind)
 		}
-		return next(), nil
+		return 1, nil
 
 	case insn.Op == OpJa:
-		return []succ{{pc + 1 + int(insn.Off), s}}, nil
-
-	case isCondJump(insn.Op):
-		if err := requireInit(pc, &s, insn.Dst, "jump"); err != nil {
-			return nil, err
-		}
-		if isRegSrc(insn.Op) {
-			if err := requireInit(pc, &s, insn.Src, "jump"); err != nil {
-				return nil, err
-			}
-		}
-		taken, fall, feasT, feasF, err := condStates(s, insn)
-		if err != nil {
-			if ve := new(VerifyError); errors.As(err, &ve) {
-				ve.PC = pc
-			}
-			return nil, err
-		}
-		var outs []succ
-		if feasT {
-			outs = append(outs, succ{pc + 1 + int(insn.Off), taken})
-		}
-		if feasF {
-			outs = append(outs, succ{pc + 1, fall})
-		}
-		return outs, nil
+		out[0].pc = pc + 1 + int(insn.Off)
+		return 1, nil
 
 	case insn.Op == OpCall:
 		spec, _ := HelperByID(insn.Imm)
-		argRegs := []Reg{R1, R2, R3, R4, R5}
 		var constMap int32 = -1
 		var sizedPtr regState
 		sizedPtrSeen := false
 		for i, kind := range spec.Args {
-			r := argRegs[i]
-			if err := requireInit(pc, &s, r, spec.Name); err != nil {
-				return nil, err
+			r := helperArgRegs[i]
+			if err := requireInit(pc, s, r, spec.Name); err != nil {
+				return 0, err
 			}
 			a := s.regs[r]
 			switch kind {
 			case ArgScalar:
 				if a.kind != rkScalar {
-					return nil, verr(pc, "%s arg %d must be scalar, got %s", spec.Name, i+1, a.kind)
+					return 0, verr(pc, "%s arg %d must be scalar, got %s", spec.Name, i+1, a.kind)
 				}
 			case ArgConstMap:
 				if a.kind != rkConstMap {
-					return nil, verr(pc, "%s arg %d must be a map handle, got %s", spec.Name, i+1, a.kind)
+					return 0, verr(pc, "%s arg %d must be a map handle, got %s", spec.Name, i+1, a.kind)
 				}
 				constMap = a.mapIdx
 				// Helper/map-type compatibility, checked statically like
@@ -521,16 +539,16 @@ func step(p *Program, pc int, in absState) ([]succ, error) {
 				switch insn.Imm {
 				case HelperStackPush, HelperStackPop:
 					if _, ok := p.Maps[constMap].(*StackMap); !ok {
-						return nil, verr(pc, "%s arg %d must be a stack map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
+						return 0, verr(pc, "%s arg %d must be a stack map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 					}
 				case HelperPerfOutput:
 					if _, ok := p.Maps[constMap].(*PerCPURing); !ok {
-						return nil, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
+						return 0, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 					}
 				}
 			case ArgPtrKey, ArgPtrValue:
 				if constMap < 0 {
-					return nil, verr(pc, "%s arg %d: no preceding map handle", spec.Name, i+1)
+					return 0, verr(pc, "%s arg %d: no preceding map handle", spec.Name, i+1)
 				}
 				size := p.Maps[constMap].KeySize()
 				if kind == ArgPtrValue {
@@ -540,7 +558,7 @@ func step(p *Program, pc int, in absState) ([]succ, error) {
 					break // keyless map; argument ignored
 				}
 				if a.kind != rkPtrStack {
-					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
+					return 0, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
 				}
 				// Map update/push read the buffer, so every byte must be
 				// initialized. Pop writes it, but only when the pop
@@ -552,41 +570,41 @@ func step(p *Program, pc int, in absState) ([]succ, error) {
 				if insn.Imm == HelperStackPop {
 					mode = stackCondWrite
 				}
-				if err := checkStackRange(pc, &s, a, 0, size, mode); err != nil {
-					return nil, err
+				if err := checkStackRange(pc, s, a, 0, size, mode); err != nil {
+					return 0, err
 				}
 			case ArgPtrSized:
 				if a.kind != rkPtrStack {
-					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
+					return 0, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
 				}
 				sizedPtr = a
 				sizedPtrSeen = true
 			case ArgSizeConst:
 				if a.kind != rkScalar || !a.vr.IsConst() || int64(a.vr.Const()) <= 0 {
-					return nil, verr(pc, "%s arg %d must be a known positive constant size", spec.Name, i+1)
+					return 0, verr(pc, "%s arg %d must be a known positive constant size", spec.Name, i+1)
 				}
 				if !sizedPtrSeen {
-					return nil, verr(pc, "%s arg %d: size without preceding pointer", spec.Name, i+1)
+					return 0, verr(pc, "%s arg %d: size without preceding pointer", spec.Name, i+1)
 				}
-				if err := checkStackRange(pc, &s, sizedPtr, 0, int(a.vr.Const()), stackRead); err != nil {
-					return nil, err
+				if err := checkStackRange(pc, s, sizedPtr, 0, int(a.vr.Const()), stackRead); err != nil {
+					return 0, err
 				}
 			}
 		}
 		// Helper calls clobber caller-saved registers.
-		for _, r := range argRegs {
+		for _, r := range helperArgRegs {
 			s.regs[r] = regState{kind: rkUninit}
 		}
 		switch spec.Ret {
 		case RetMapValueOrNull:
 			if constMap < 0 {
-				return nil, verr(pc, "%s returns map value but has no map arg", spec.Name)
+				return 0, verr(pc, "%s returns map value but has no map arg", spec.Name)
 			}
 			s.regs[R0] = regState{kind: rkPtrMapValueOrNull, mapIdx: constMap}
 		default:
 			s.regs[R0] = unknownScalarReg()
 		}
-		return next(), nil
+		return 1, nil
 	}
-	return nil, verr(pc, "unhandled opcode %v", insn.Op)
+	return 0, verr(pc, "unhandled opcode %v", insn.Op)
 }

@@ -154,6 +154,25 @@ func Load(p *Program, maxInsns int) (*LoadedProgram, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loaded(a), nil
+}
+
+// LoadOptimized is Load(Optimize(p, maxInsns)) with one analysis fewer:
+// the analysis that proved the optimizer's final program is the proof the
+// LoadedProgram keeps. It returns the same instructions, stats and errors.
+func LoadOptimized(p *Program, maxInsns int) (*LoadedProgram, OptStats, error) {
+	a, stats, err := optimize(p, maxInsns)
+	if err != nil {
+		return nil, stats, err
+	}
+	return loaded(a), stats, nil
+}
+
+// loaded wraps a.prog with the analysis Analyze proved it with — the only
+// way a LoadedProgram gets an analysis, so Compile's elisions always rest
+// on a proof of the instructions it compiles.
+func loaded(a *Analysis) *LoadedProgram {
+	p := a.prog
 	ptrALU := make([]bool, len(p.Insns))
 	for pc, in := range p.Insns {
 		if !isALU(in.Op) || in.Op == OpMovImm || in.Op == OpMovReg || !a.Reached(pc) {
@@ -162,7 +181,7 @@ func Load(p *Program, maxInsns int) (*LoadedProgram, error) {
 		k := a.states[pc].regs[in.Dst].kind
 		ptrALU[pc] = k == rkPtrStack || k == rkPtrMapValue
 	}
-	return &LoadedProgram{prog: p, ptrALU: ptrALU, analysis: a}, nil
+	return &LoadedProgram{prog: p, ptrALU: ptrALU, analysis: a}
 }
 
 // Program returns the underlying program.

@@ -55,8 +55,9 @@ type CollectorConfig struct {
 	PerCPUCapacity int
 	// Optimize runs the liveness-driven optimizer (bpf.Optimize) on each
 	// generated program before it is loaded, shrinking the marker hot
-	// path. The optimizer re-verifies its output, so an enabled pass can
-	// never load a program the verifier would reject.
+	// path. The optimized program loads with the analysis that proved it,
+	// so an enabled pass can never load a program the verifier would
+	// reject.
 	Optimize bool
 	// Compile JIT-compiles each loaded program to native micro-op blocks
 	// (bpf.Compile), eliding the checks the verifier's proof already
@@ -219,9 +220,11 @@ func collectorSkeleton(sub SubsystemID, res ResourceSet, numCPUs, perCPUCap int)
 	}
 }
 
-// describeVerifyError rewraps a verification failure with the failing
-// instruction so operators see the pc and opcode without disassembling by
-// hand; tsctl's error paths print this directly.
+// describeVerifyError rewraps a verification failure of p with the
+// failing instruction so operators see the pc and opcode without
+// disassembling by hand; tsctl's error paths print this directly. Only a
+// *VerifyError indexes p: a failure of a program the optimizer built names
+// its own instruction and is not one.
 func describeVerifyError(name string, p *bpf.Program, err error) error {
 	var ve *bpf.VerifyError
 	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {
@@ -241,16 +244,15 @@ func GenerateCollector(sub SubsystemID, res ResourceSet, cfg CollectorConfig) (*
 	c.OptStats.Enabled = cfg.Optimize
 	c.jitEnabled = cfg.Compile
 	load := func(name string, p *bpf.Program, st *bpf.OptStats) (*bpf.LoadedProgram, error) {
+		var lp *bpf.LoadedProgram
+		var err error
 		if cfg.Optimize {
-			op, stats, err := bpf.Optimize(p, 0)
-			if err != nil {
+			// The analysis that proved the optimized program is the one
+			// it loads with: no second pass over the same instructions.
+			if lp, *st, err = bpf.LoadOptimized(p, 0); err != nil {
 				return nil, describeVerifyError(name+" program (optimize)", p, err)
 			}
-			*st = stats
-			p = op
-		}
-		lp, err := bpf.Load(p, 0)
-		if err != nil {
+		} else if lp, err = bpf.Load(p, 0); err != nil {
 			return nil, describeVerifyError(name+" program", p, err)
 		}
 		if cfg.Compile {

@@ -1,0 +1,68 @@
+package tscout
+
+import (
+	"runtime"
+	"testing"
+)
+
+// deployConfig is the Collector configuration a dbms server deploys with:
+// optimized and JIT-compiled.
+var deployConfig = CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Optimize: true, Compile: true}
+
+var fullResources = ResourceSet{CPU: true, Memory: true, Disk: true, Network: true}
+
+// deployAll generates, verifies, optimizes, loads and compiles the
+// Collectors of every subsystem: one TScout deploy, 12 programs.
+func deployAll(tb testing.TB) {
+	for _, sub := range AllSubsystems {
+		if _, err := GenerateCollector(sub, fullResources, deployConfig); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeploy is what a TScout deploy costs the host — paid again on
+// every dynamic feature change (§5.4), not once a process. Reports ns/op,
+// B/op and allocs/op for one deploy of all four subsystems.
+//
+// Run: go test ./internal/tscout -run xxx -bench Deploy
+func BenchmarkDeploy(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		deployAll(b)
+	}
+}
+
+// Ceilings for one GenerateCollector of the full resource set: 1.5× the
+// 557 allocations and 1.82 MB it measured when they were set. Its parent
+// made 8 533 and 13.1 MB, most of them one successor state allocated per
+// abstract step.
+const (
+	collectorAllocCeiling = 836
+	collectorByteCeiling  = 2_730_000
+)
+
+func TestGenerateCollectorAllocations(t *testing.T) {
+	gen := func() {
+		if _, err := GenerateCollector(SubsystemExecutionEngine, fullResources, deployConfig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen() // warm any lazily built tables
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		gen()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("GenerateCollector: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > collectorAllocCeiling {
+		t.Errorf("GenerateCollector allocates %.0f times, ceiling %d", allocs, collectorAllocCeiling)
+	}
+	if bytes > collectorByteCeiling {
+		t.Errorf("GenerateCollector allocates %.0f bytes, ceiling %d", bytes, collectorByteCeiling)
+	}
+}

@@ -73,6 +73,7 @@ fuzz_smoke() {
 		bpf FuzzVerify
 		bpf FuzzVerifyThenRun
 		bpf FuzzOptimize
+		bpf FuzzAnalyzeDifferential
 		bpf FuzzRingbuf
 		bpf FuzzPerCPURing
 		tscout FuzzProcessorDecode
