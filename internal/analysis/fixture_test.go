@@ -125,6 +125,8 @@ func TestFixtures(t *testing.T) {
 		"constructed-loaded-program/clp",
 		"discarded-verify-error/dve",
 		"discarded-run-error/dre",
+		"unsafe-import/internal/storage",
+		"unsafe-import/other",
 	}
 	for _, rel := range rels {
 		t.Run(rel, func(t *testing.T) {

@@ -81,6 +81,9 @@ const (
 	// flagged: draining purely to quiesce a pipeline is an established
 	// idiom and its result is a summary, not an error.
 	RuleDiscardedRunError = "discarded-run-error"
+	// RuleUnsafeImport flags an import of unsafe in any non-test file but
+	// internal/storage/value.go, home of the 16-byte storage.Value cell.
+	RuleUnsafeImport = "unsafe-import"
 	// RuleStaleIgnore reports a //tsvet:ignore directive that suppressed
 	// nothing: the finding it excused is gone, so the directive must go
 	// too.
@@ -161,6 +164,7 @@ func All() []*Analyzer {
 		ConstructedLoadedProgramAnalyzer,
 		DiscardedVerifyErrorAnalyzer,
 		DiscardedRunErrorAnalyzer,
+		UnsafeImportAnalyzer,
 	}
 }
 

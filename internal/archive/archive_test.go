@@ -235,7 +235,7 @@ func TestZoneMapSkipping(t *testing.T) {
 		[]int{ColOUName, colMetric0},
 		[]catalog.VirtualPred{{Col: ColOUName, Op: catalog.VirtualEq, Val: storage.NewString("scan")}},
 		func(row storage.Row) bool {
-			if row[ColOUName].Str != "scan" {
+			if row[ColOUName].Str() != "scan" {
 				t.Fatalf("pushdown leaked row %v", row)
 			}
 			rows++
@@ -264,8 +264,8 @@ func TestScanProjectionNulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	NewTable(r).Scan([]int{ColPID}, nil, func(row storage.Row) bool {
-		if row[ColPID].Kind != storage.KindInt {
-			t.Fatalf("projected pid is %v", row[ColPID].Kind)
+		if row[ColPID].Kind() != storage.KindInt {
+			t.Fatalf("projected pid is %v", row[ColPID].Kind())
 		}
 		if !row[ColOUName].IsNull() || !row[ColFeatures].IsNull() {
 			t.Fatalf("unprojected columns not NULL: %v", row)
@@ -343,7 +343,7 @@ func TestFeaturesCellMatchesCSV(t *testing.T) {
 	}
 	got := map[string]int{}
 	NewTable(r).Scan([]int{ColFeatures}, nil, func(row storage.Row) bool {
-		got[row[ColFeatures].Str]++
+		got[row[ColFeatures].Str()]++
 		return true
 	})
 	want := map[string]int{}

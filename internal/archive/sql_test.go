@@ -103,7 +103,7 @@ func TestSQLOverArchive(t *testing.T) {
 		t.Fatalf("SQL returned %d groups, CSV has %d", len(res.Rows), len(want))
 	}
 	for _, row := range res.Rows {
-		name := row[0].Str
+		name := row[0].Str()
 		a, ok := want[name]
 		if !ok {
 			t.Fatalf("SQL group %q not in CSV aggregation", name)
@@ -162,7 +162,7 @@ func TestSQLPointQueries(t *testing.T) {
 		t.Fatalf("got %d groups", len(res.Rows))
 	}
 	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].Str >= res.Rows[i][0].Str {
+		if res.Rows[i-1][0].Str() >= res.Rows[i][0].Str() {
 			t.Fatalf("ORDER BY violated: %v", res.Rows)
 		}
 	}
@@ -221,7 +221,7 @@ func TestExplainVirtualScan(t *testing.T) {
 	res := queryArchive(t, cat, "EXPLAIN SELECT pid FROM tscout_archive WHERE ou = 1")
 	var plan []string
 	for _, row := range res.Rows {
-		plan = append(plan, row[0].Str)
+		plan = append(plan, row[0].Str())
 	}
 	joined := strings.Join(plan, "\n")
 	if !strings.Contains(joined, "Virtual Scan on tscout_archive") {

@@ -90,7 +90,7 @@ func blockSkipped(b *Block, pred catalog.VirtualPred) bool {
 // intRangeExcludes reports whether [lo,hi] provably excludes pred over an
 // integer column.
 func intRangeExcludes(lo, hi int64, pred catalog.VirtualPred) bool {
-	if pred.Val.Kind != storage.KindInt && pred.Val.Kind != storage.KindFloat {
+	if pred.Val.Kind() != storage.KindInt && pred.Val.Kind() != storage.KindFloat {
 		return false
 	}
 	v := pred.Val.AsInt()
@@ -114,14 +114,14 @@ func intRangeExcludes(lo, hi int64, pred catalog.VirtualPred) bool {
 // strExcludes evaluates equality predicates against a block-constant
 // string column (ou_name, subsystem are uniform within a block).
 func strExcludes(have string, pred catalog.VirtualPred) bool {
-	if pred.Val.Kind != storage.KindString {
+	if pred.Val.Kind() != storage.KindString {
 		return false
 	}
 	switch pred.Op {
 	case catalog.VirtualEq:
-		return have != pred.Val.Str
+		return have != pred.Val.Str()
 	case catalog.VirtualNe:
-		return have == pred.Val.Str
+		return have == pred.Val.Str()
 	}
 	return false
 }

@@ -7,7 +7,6 @@ package catalog
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -87,11 +86,12 @@ const (
 // hashValue folds v's rendered text (Value.String) and a 0 separator into
 // the running FNV-64a state h.
 func hashValue(h uint64, v *storage.Value) uint64 {
-	if v.Kind != storage.KindString {
+	if v.Kind() != storage.KindString {
 		return hashRendered(h, v)
 	}
-	for i := 0; i < len(v.Str); i++ {
-		h = (h ^ uint64(v.Str[i])) * fnvPrime64
+	s := v.Str()
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h * fnvPrime64 // the 0 separator: h ^ 0 is h
 }
@@ -99,16 +99,7 @@ func hashValue(h uint64, v *storage.Value) uint64 {
 // hashRendered is hashValue for the kinds whose text must be formatted.
 func hashRendered(h uint64, v *storage.Value) uint64 {
 	var buf [32]byte
-	var text []byte
-	switch v.Kind {
-	case storage.KindInt:
-		text = strconv.AppendInt(buf[:0], v.AsInt(), 10)
-	case storage.KindFloat:
-		text = strconv.AppendFloat(buf[:0], v.AsFloat(), 'g', -1, 64)
-	default:
-		text = append(buf[:0], v.String()...)
-	}
-	for _, b := range text {
+	for _, b := range v.AppendText(buf[:0]) {
 		h = (h ^ uint64(b)) * fnvPrime64
 	}
 	return h * fnvPrime64

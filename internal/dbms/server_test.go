@@ -184,7 +184,7 @@ func TestSessionExecuteWithParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].Str != "five" {
+	if res.Rows[0][0].Str() != "five" {
 		t.Fatalf("param query: %+v", res.Rows)
 	}
 	if _, err := se.Execute("SELEC nonsense"); err == nil {

@@ -45,7 +45,7 @@ func TestSessionTxnAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].Str != "one" {
+	if res.Rows[0][0].Str() != "one" {
 		t.Fatalf("read own write: %+v", res.Rows)
 	}
 	c, err := se.Commit()

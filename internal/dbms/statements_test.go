@@ -19,7 +19,7 @@ func planText(t *testing.T, se *Session, q string, params ...storage.Value) stri
 	}
 	var sb strings.Builder
 	for _, row := range res.Rows {
-		sb.WriteString(row[0].Str + "\n")
+		sb.WriteString(row[0].Str() + "\n")
 	}
 	return sb.String()
 }

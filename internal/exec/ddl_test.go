@@ -7,7 +7,7 @@ func TestCreateTableAndPrimaryKey(t *testing.T) {
 	db.run(t, "CREATE TABLE widgets (id INT PRIMARY KEY, name VARCHAR(32), price FLOAT)")
 	db.run(t, "INSERT INTO widgets VALUES (1, 'gear', 9.5), (2, 'cog', 3.25)")
 	res := db.run(t, "SELECT name FROM widgets WHERE id = 2")
-	if len(res.Rows) != 1 || res.Rows[0][0].Str != "cog" {
+	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "cog" {
 		t.Fatalf("pk lookup: %+v", res.Rows)
 	}
 	// The primary key must have produced an index the planner uses.

@@ -9,9 +9,9 @@ import (
 // numeric casts); non-numeric mismatches are left for schema validation.
 func coerce(v storage.Value, kind storage.Kind) storage.Value {
 	switch {
-	case v.Kind == storage.KindInt && kind == storage.KindFloat:
+	case v.Kind() == storage.KindInt && kind == storage.KindFloat:
 		return storage.NewFloat(v.AsFloat())
-	case v.Kind == storage.KindFloat && kind == storage.KindInt:
+	case v.Kind() == storage.KindFloat && kind == storage.KindInt:
 		return storage.NewInt(v.AsInt())
 	}
 	return v

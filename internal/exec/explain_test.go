@@ -13,7 +13,7 @@ func planText(t *testing.T, db *testDB, q string) string {
 	}
 	var sb strings.Builder
 	for _, row := range res.Rows {
-		sb.WriteString(row[0].Str)
+		sb.WriteString(row[0].Str())
 		sb.WriteString("\n")
 	}
 	return sb.String()

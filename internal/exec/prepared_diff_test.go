@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -243,6 +244,8 @@ func oracleNeverLooked(stmt sql.Statement, res *Result) bool {
 	return false
 }
 
+// sameResult compares two results exactly: Cols, Affected and every cell
+// by sameRow.
 func sameResult(a, b *Result) bool {
 	if a.Affected != b.Affected || len(a.Cols) != len(b.Cols) || len(a.Rows) != len(b.Rows) {
 		return false
@@ -253,8 +256,39 @@ func sameResult(a, b *Result) bool {
 		}
 	}
 	for i := range a.Rows {
-		if !reflect.DeepEqual(a.Rows[i], b.Rows[i]) {
+		if !sameRow(a.Rows[i], b.Rows[i]) {
 			return false
+		}
+	}
+	return true
+}
+
+// sameRow reports whether two rows hold the same cells: the same kind and
+// the same bits, strings by content. It is stricter than Value.Equal, which
+// holds INT 1 equal to FLOAT 1.0 and NaN equal to every number; a string
+// cell holds an address, so reflect.DeepEqual would tell equal text apart.
+func sameRow(a, b storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		k := a[i].Kind()
+		if k != b[i].Kind() {
+			return false
+		}
+		switch k {
+		case storage.KindInt:
+			if a[i].AsInt() != b[i].AsInt() {
+				return false
+			}
+		case storage.KindFloat:
+			if math.Float64bits(a[i].AsFloat()) != math.Float64bits(b[i].AsFloat()) {
+				return false
+			}
+		case storage.KindString:
+			if a[i].Str() != b[i].Str() {
+				return false
+			}
 		}
 	}
 	return true

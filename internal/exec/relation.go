@@ -109,7 +109,7 @@ type compiledPred struct {
 func (p *compiledPred) eval(row storage.Row) bool {
 	cell := &row[p.col]
 	var c int
-	if cell.Kind == storage.KindInt && p.val.Kind == storage.KindInt {
+	if cell.Kind() == storage.KindInt && p.val.Kind() == storage.KindInt {
 		a, b := cell.AsFloat(), p.val.AsFloat()
 		switch {
 		case a < b:
@@ -227,13 +227,13 @@ func (s *scalar) eval(row storage.Row, params []storage.Value) (storage.Value, e
 }
 
 func applyBinary(l storage.Value, op byte, r storage.Value) (storage.Value, error) {
-	if l.Kind == storage.KindString || r.Kind == storage.KindString {
+	if l.Kind() == storage.KindString || r.Kind() == storage.KindString {
 		if op == '+' {
 			return storage.NewString(l.String() + r.String()), nil
 		}
 		return storage.Value{}, fmt.Errorf("exec: operator %c on strings", op)
 	}
-	if l.Kind == storage.KindFloat || r.Kind == storage.KindFloat {
+	if l.Kind() == storage.KindFloat || r.Kind() == storage.KindFloat {
 		a, b := l.AsFloat(), r.AsFloat()
 		switch op {
 		case '+':

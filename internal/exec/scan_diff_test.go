@@ -333,7 +333,7 @@ func TestTypedJoinMatchesRendered(t *testing.T) {
 				t.Fatalf("%d joined rows, oracle %d, want %d", len(got), len(want), c.matches)
 			}
 			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
+				if !sameRow(got[i], want[i]) {
 					t.Fatalf("joined row %d is %v, oracle %v", i, got[i], want[i])
 				}
 			}

@@ -139,7 +139,7 @@ func (jt *joinTable) lookup(rows []storage.Row, col int) (matches int) {
 // the values: a schema's INT column may hold NULL.
 func allInts(rows []storage.Row, col int) bool {
 	for _, row := range rows {
-		if row[col].Kind != storage.KindInt {
+		if row[col].Kind() != storage.KindInt {
 			return false
 		}
 	}

@@ -116,7 +116,7 @@ func TestParseInsert(t *testing.T) {
 	if ins.Table != "t" || len(ins.Columns) != 2 || len(ins.Rows) != 2 {
 		t.Fatalf("%+v", ins)
 	}
-	if lit, ok := ins.Rows[0][1].(Literal); !ok || lit.Val.Str != "x" {
+	if lit, ok := ins.Rows[0][1].(Literal); !ok || lit.Val.Str() != "x" {
 		t.Fatalf("literal: %+v", ins.Rows[0][1])
 	}
 	if p, ok := ins.Rows[1][0].(Param); !ok || p.N != 1 {
@@ -131,7 +131,7 @@ func TestParseInsert(t *testing.T) {
 	if len(ins2.Columns) != 0 || len(ins2.Rows[0]) != 3 {
 		t.Fatalf("%+v", ins2)
 	}
-	if lit := ins2.Rows[0][1].(Literal); lit.Val.Kind != storage.KindFloat {
+	if lit := ins2.Rows[0][1].(Literal); lit.Val.Kind() != storage.KindFloat {
 		t.Fatalf("float literal: %+v", lit)
 	}
 	if lit := ins2.Rows[0][2].(Literal); !lit.Val.IsNull() {
@@ -207,8 +207,8 @@ func TestParseStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lit := st.(*InsertStmt).Rows[0][0].(Literal); lit.Val.Str != "it's" {
-		t.Fatalf("escape: %q", lit.Val.Str)
+	if lit := st.(*InsertStmt).Rows[0][0].(Literal); lit.Val.Str() != "it's" {
+		t.Fatalf("escape: %q", lit.Val.Str())
 	}
 }
 

@@ -96,8 +96,8 @@ func (s *Schema) Validate(r Row) error {
 		return fmt.Errorf("storage: row has %d values, schema has %d columns", len(r), len(s.cols))
 	}
 	for i, v := range r {
-		if v.Kind != KindNull && v.Kind != s.cols[i].Kind {
-			return fmt.Errorf("storage: column %q expects %v, got %v", s.cols[i].Name, s.cols[i].Kind, v.Kind)
+		if k := v.Kind(); k != KindNull && k != s.cols[i].Kind {
+			return fmt.Errorf("storage: column %q expects %v, got %v", s.cols[i].Name, s.cols[i].Kind, k)
 		}
 	}
 	return nil

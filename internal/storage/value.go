@@ -6,9 +6,9 @@
 package storage
 
 import (
-	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind is a SQL value type.
@@ -37,49 +37,89 @@ func (k Kind) String() string {
 	return "UNKNOWN"
 }
 
-// Value is one SQL value. The zero value is SQL NULL. A cell is 32 bytes:
-// an INT and a FLOAT are never both present, so they share one word, read
-// through AsInt and AsFloat.
+// Value is one SQL value. The zero value is SQL NULL. A cell is 16 bytes,
+// one pointer word and one payload word (DESIGN.md §4, *The cell*):
+//
+//	kind    p                    n
+//	NULL    nil                  0
+//	INT     &intTag              uint64(v)
+//	FLOAT   &floatTag            IEEE 754 bits
+//	""      &emptyTag            0
+//	string  the string's data    its length
+//
+// The leading [0]func() makes == on two Values a compile error: a string
+// cell holds an address, so equality is by content, through Equal.
 type Value struct {
-	Kind Kind
-	// num holds a KindInt as uint64(v) and a KindFloat as its IEEE 754 bits.
-	num uint64
-	Str string
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
 
+// The tags a non-string cell points at. Each is one byte, so each has an
+// address of its own; no string's data can share one.
+var intTag, floatTag, emptyTag byte
+
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{Kind: KindInt, num: uint64(v)} }
+func NewInt(v int64) Value { return Value{p: unsafe.Pointer(&intTag), n: uint64(v)} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{Kind: KindFloat, num: math.Float64bits(v)} }
+func NewFloat(v float64) Value {
+	return Value{p: unsafe.Pointer(&floatTag), n: math.Float64bits(v)}
+}
 
 // NewString returns a string value.
-func NewString(v string) Value { return Value{Kind: KindString, Str: v} }
+func NewString(v string) Value {
+	if len(v) == 0 {
+		return Value{p: unsafe.Pointer(&emptyTag)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Null returns SQL NULL.
 func Null() Value { return Value{} }
 
+// Kind returns the value's type.
+func (v Value) Kind() Kind {
+	switch v.p {
+	case nil:
+		return KindNull
+	case unsafe.Pointer(&intTag):
+		return KindInt
+	case unsafe.Pointer(&floatTag):
+		return KindFloat
+	}
+	return KindString
+}
+
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
+
+// Str returns a string value's text, and "" for every other kind.
+func (v Value) Str() string {
+	if v.Kind() != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
 
 // AsFloat converts numeric values to float64 (NULL and strings yield 0).
 func (v Value) AsFloat() float64 {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt:
-		return float64(int64(v.num))
+		return float64(int64(v.n))
 	case KindFloat:
-		return math.Float64frombits(v.num)
+		return math.Float64frombits(v.n)
 	}
 	return 0
 }
 
 // AsInt converts numeric values to int64.
 func (v Value) AsInt() int64 {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt:
-		return int64(v.num)
+		return int64(v.n)
 	case KindFloat:
-		return int64(math.Float64frombits(v.num))
+		return int64(math.Float64frombits(v.n))
 	}
 	return 0
 }
@@ -87,11 +127,11 @@ func (v Value) AsInt() int64 {
 // Size returns the value's storage footprint in bytes (used by the cost
 // model and the user-level memory probe).
 func (v Value) Size() int64 {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt, KindFloat:
 		return 8
 	case KindString:
-		return int64(len(v.Str)) + 8
+		return int64(v.n) + 8
 	}
 	return 1
 }
@@ -99,17 +139,18 @@ func (v Value) Size() int64 {
 // Compare orders two values: -1, 0, or +1. NULL sorts first. Mixed
 // numeric kinds compare numerically; other kind mismatches compare by kind.
 func (v Value) Compare(o Value) int {
-	if v.Kind == KindNull || o.Kind == KindNull {
+	vk, ok := v.Kind(), o.Kind()
+	if vk == KindNull || ok == KindNull {
 		switch {
-		case v.Kind == o.Kind:
+		case vk == ok:
 			return 0
-		case v.Kind == KindNull:
+		case vk == KindNull:
 			return -1
 		default:
 			return 1
 		}
 	}
-	if (v.Kind == KindInt || v.Kind == KindFloat) && (o.Kind == KindInt || o.Kind == KindFloat) {
+	if (vk == KindInt || vk == KindFloat) && (ok == KindInt || ok == KindFloat) {
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
 		case a < b:
@@ -120,16 +161,17 @@ func (v Value) Compare(o Value) int {
 			return 0
 		}
 	}
-	if v.Kind != o.Kind {
-		if v.Kind < o.Kind {
+	if vk != ok {
+		if vk < ok {
 			return -1
 		}
 		return 1
 	}
+	a, b := v.Str(), o.Str()
 	switch {
-	case v.Str < o.Str:
+	case a < b:
 		return -1
-	case v.Str > o.Str:
+	case a > b:
 		return 1
 	default:
 		return 0
@@ -141,22 +183,20 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // String renders the value for result sets.
 func (v Value) String() string {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
 		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
-	case KindString:
-		return v.Str
 	}
-	return fmt.Sprintf("?%d", v.Kind)
+	return v.Str()
 }
 
 // AppendText appends String's rendering of the value to b.
 func (v Value) AppendText(b []byte) []byte {
-	switch v.Kind {
+	switch v.Kind() {
 	case KindInt:
 		return strconv.AppendInt(b, v.AsInt(), 10)
 	case KindFloat:

@@ -2,16 +2,25 @@ package storage
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"unsafe"
 )
 
-// TestValueLayout holds the cell to 32 bytes — an INT and a FLOAT share one
-// word — and every accessor to what it returned when each had a field of
-// its own: the table below was printed by the 40-byte Value, on amd64.
+// TestValueLayout holds the cell to 16 bytes — a tag pointer and one
+// payload word — and every accessor to what it returned when each kind had a
+// field of its own: the table below was printed by the 40-byte Value, on
+// amd64.
 func TestValueLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got != 32 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Value{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 16", got)
+	}
+	if !(Value{}).IsNull() || (Value{}).Kind() != KindNull {
+		t.Fatalf("Value{} is %v, want NULL", (Value{}).Kind())
+	}
+	// A string cell holds an address, so == must not compile.
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Fatal("Value is comparable")
 	}
 
 	const minInt, maxInt = math.MinInt64, math.MaxInt64

@@ -219,7 +219,7 @@ func runPruneSchedule(t testing.TB, sched []byte) {
 				rrow, rwalked := p.real.Read(realTbl, id)
 				orow, owalked := p.orc.Read(orcTbl, id)
 				if rwalked != owalked || (rrow == nil) != (orow == nil) ||
-					(rrow != nil && (rrow[0] != orow[0] || rrow[1] != orow[1])) {
+					(rrow != nil && (!rrow[0].Equal(orow[0]) || !rrow[1].Equal(orow[1]))) {
 					t.Fatalf("step %d: txn %d (snapshot %d) slot %d: real (%v, walked %d), oracle (%v, walked %d)",
 						step, p.real.ID, p.real.ReadTS, id, rrow, rwalked, orow, owalked)
 				}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"tscout/internal/dbms"
 	"tscout/internal/storage"
@@ -45,9 +46,11 @@ func iv(v int64) storage.Value   { return storage.NewInt(v) }
 func fv(v float64) storage.Value { return storage.NewFloat(v) }
 func sv(v string) storage.Value  { return storage.NewString(v) }
 func itoa(v int64) string        { return fmt.Sprintf("%d", v) }
+
+// pad right-fills s with 'x' to n bytes.
 func pad(s string, n int) string {
-	for len(s) < n {
-		s += "x"
+	if len(s) >= n {
+		return s
 	}
-	return s
+	return s + strings.Repeat("x", n-len(s))
 }

@@ -83,6 +83,7 @@ fuzz_smoke() {
 		model FuzzBuildTreeDifferential
 		exec FuzzPreparedDifferential
 		txn FuzzVersionPruneDifferential
+		storage FuzzValueCell
 	END
 }
 
