@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"tscout/internal/sim"
 	"tscout/internal/storage"
 )
@@ -89,11 +91,13 @@ func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 			return nil, err
 		}
 		// Index maintenance only when a key column changed. The old-key
-		// entry stays for older snapshots (lazy cleanup under MVCC);
-		// scans re-check predicates so it cannot produce wrong matches.
+		// entry stays for older snapshots (lazy cleanup under MVCC); a prefix
+		// range yields a row only under its own key. The new key may have an
+		// entry already — the key went back to one it had, or an aborted
+		// write added it — and a second would be read twice.
 		for _, ix := range tbl.Indexes {
 			oldKey, newKey := ix.KeyFor(mt.row), ix.KeyFor(newRow)
-			if oldKey != newKey {
+			if oldKey != newKey && !slices.Contains(ix.Search(newKey), int64(mt.tid)) {
 				ix.Insert(newKey, mt.tid)
 				indexWork += ix.Height()
 			}

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"tscout/internal/archive"
@@ -32,15 +33,8 @@ type testDB struct {
 // deployed TScout sampling at 100 % into an archive, with no tables yet.
 func newEmptyTestDB(t testing.TB, instrumented bool) *testDB {
 	t.Helper()
-	return newTestStack(t, catalog.New(), txn.NewManager(), 1, 0, instrumented)
-}
-
-// newTestStack is newEmptyTestDB over a given catalog and transaction
-// manager (several stacks may share them), with the kernel's seed and noise.
-func newTestStack(t testing.TB, cat *catalog.Catalog, mgr *txn.Manager, seed int64, sigma float64, instrumented bool) *testDB {
-	t.Helper()
-	k := kernel.New(sim.LargeHW, seed, sigma)
-	db := &testDB{cat: cat, mgr: mgr, k: k, task: k.NewTask("w")}
+	cat, k := catalog.New(), kernel.New(sim.LargeHW, 1, 0)
+	db := &testDB{cat: cat, mgr: txn.NewManager(), k: k, task: k.NewTask("w")}
 	var ts *tscout.TScout
 	if instrumented {
 		db.sink = archive.NewWriter(&db.arch)
@@ -63,33 +57,12 @@ func newTestStack(t testing.TB, cat *catalog.Catalog, mgr *txn.Manager, seed int
 func newTestDB(t *testing.T, instrumented bool) *testDB {
 	t.Helper()
 	db := newEmptyTestDB(t, instrumented)
-	cat := db.cat
-
-	// accounts(id INT PK btree, branch INT, balance FLOAT, name VARCHAR hash)
-	_, err := cat.CreateTable("accounts", storage.MustSchema(
-		storage.Column{Name: "id", Kind: storage.KindInt},
-		storage.Column{Name: "branch", Kind: storage.KindInt},
-		storage.Column{Name: "balance", Kind: storage.KindFloat},
-		storage.Column{Name: "name", Kind: storage.KindString},
-	))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateBTreeIndex("accounts_pk", "accounts", []string{"id"}, []uint{32}, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateHashIndex("accounts_name", "accounts", []string{"name"}, false); err != nil {
-		t.Fatal(err)
-	}
-	// branches(id INT PK, total FLOAT)
-	if _, err := cat.CreateTable("branches", storage.MustSchema(
-		storage.Column{Name: "id", Kind: storage.KindInt},
-		storage.Column{Name: "total", Kind: storage.KindFloat},
-	)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.CreateBTreeIndex("branches_pk", "branches", []string{"id"}, []uint{32}, true); err != nil {
-		t.Fatal(err)
+	for _, q := range []string{
+		"CREATE TABLE accounts (id INT PRIMARY KEY, branch INT, balance FLOAT, name VARCHAR(24))",
+		"CREATE INDEX accounts_name ON accounts (name)", // a hash index: name is a string
+		"CREATE TABLE branches (id INT PRIMARY KEY, total FLOAT)",
+	} {
+		db.run(t, q)
 	}
 	return db
 }
@@ -309,6 +282,38 @@ func TestJoinWithGroupBy(t *testing.T) {
 	}
 }
 
+// TestGroupAndJoinKeysFollowEqual: GROUP BY and the join put two cells
+// together exactly when Value.Equal does, as filters do: NULL is not 'NULL',
+// a string holding a NUL byte is not two keys, 2^53 is 2^53+1.
+func TestGroupAndJoinKeysFollowEqual(t *testing.T) {
+	db := newTestDB(t, false)
+	iv, sv := storage.NewInt, storage.NewString
+	insert := "INSERT INTO accounts VALUES ($1, $2, 1.0, $3)"
+	db.run(t, insert, iv(1), iv(1), storage.Null())
+	db.run(t, insert, iv(2), iv(1), sv("NULL"))
+	if res := db.run(t, "SELECT name, COUNT(*) FROM accounts GROUP BY name"); len(res.Rows) != 2 {
+		t.Errorf("GROUP BY name: %v, want NULL and 'NULL' apart", res.Rows)
+	}
+	if res := db.run(t, "SELECT a.id, b.id FROM accounts a JOIN accounts b ON a.name = b.name"); len(res.Rows) != 2 {
+		t.Errorf("self-join on name: %v, want each row with itself", res.Rows)
+	}
+	// ("a\x00b", "c") and ("a", "b\x00c") are the same text joined with NUL.
+	for i, name := range []string{"a\x00b", "c", "a", "b\x00c"} {
+		db.run(t, insert, iv(int64(10+i)), iv(int64(10+i/2)), sv(name))
+	}
+	res := db.run(t, `SELECT a.name, b.name, COUNT(*) FROM accounts a JOIN accounts b ON a.branch = b.branch
+		WHERE a.id >= 10 AND b.id >= 10 GROUP BY a.name, b.name`)
+	if len(res.Rows) != 8 {
+		t.Errorf("grouping pairs of names: %d groups, want 8", len(res.Rows))
+	}
+	// Equal compares numbers as float64, so the INT join does too.
+	db.run(t, insert, iv(20), iv(1<<53), sv("x"))
+	db.run(t, insert, iv(21), iv(1<<53+1), sv("y"))
+	if res := db.run(t, "SELECT a.id FROM accounts a JOIN accounts b ON a.branch = b.branch WHERE a.id >= 20"); len(res.Rows) != 4 {
+		t.Errorf("joining 2^53 and 2^53+1: %v, want every pair", res.Rows)
+	}
+}
+
 func TestHashIndexLookup(t *testing.T) {
 	db := newTestDB(t, false)
 	db.seed(t, 30)
@@ -425,6 +430,70 @@ func TestFusedPipelineEmitsVectorizedFeatures(t *testing.T) {
 	res := db.run(t, "SELECT balance FROM accounts WHERE id = 3")
 	if res.Rows[0][0].AsFloat() != 103 {
 		t.Fatalf("fused result: %+v", res.Rows)
+	}
+}
+
+// TestFusedSelectLeavesOtherSessionsMarkers: a fused select turns its own
+// operators' markers off, nobody else's. One goroutine runs fused selects
+// while another, on the same Engine, runs UPDATEs whose index_scan, filter
+// and update OUs must each produce their training point. (Run under -race:
+// the bit used to be a write to the shared Engine.)
+func TestFusedSelectLeavesOtherSessionsMarkers(t *testing.T) {
+	db := newTestDB(t, true)
+	db.seed(t, 20)
+	db.engine.FuseSimpleSelects = true
+	db.drainPoints(t)
+
+	sel, err := db.engine.Prepare(mustParse(t, "SELECT id FROM accounts WHERE balance >= 110"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd, err := db.engine.Prepare(mustParse(t, "UPDATE branches SET total = total + 1 WHERE id = $1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const updates = 200
+	updater := db.k.NewTask("updater")
+	session := func(task *kernel.Task, p *Prepared, n int, params func(i int) []storage.Value) {
+		ctx := &Ctx{Task: task}
+		for i := 0; i < n; i++ {
+			ctx.Txn = db.mgr.Begin()
+			db.ts.BeginEvent(task, tscout.SubsystemExecutionEngine)
+			if _, err := db.engine.Run(ctx, p, params(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := ctx.Txn.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		session(db.task, sel, 4*updates, func(int) []storage.Value { return nil })
+	}()
+	go func() {
+		defer wg.Done()
+		session(updater, upd, updates, func(i int) []storage.Value {
+			return []storage.Value{storage.NewInt(int64(i % 5))}
+		})
+	}()
+	// 1 400 samples in all: the ring (4 096) holds them until the drain.
+	wg.Wait()
+
+	fired := map[string]int{}
+	for _, p := range db.drainPoints(t) {
+		if p.PID == updater.PID {
+			fired[p.OUName]++
+		}
+	}
+	for _, ou := range []string{"index_scan", "filter", "update"} {
+		if fired[ou] != updates {
+			t.Errorf("%d UPDATEs beside a fused select produced %d %s points", updates, fired[ou], ou)
+		}
 	}
 }
 

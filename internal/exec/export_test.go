@@ -1,74 +1,52 @@
 package exec
 
 import (
-	"reflect"
 	"testing"
 
-	"tscout/internal/kernel"
+	"tscout/internal/catalog"
 	"tscout/internal/storage"
 	"tscout/internal/txn"
 )
 
-// Lockstep replays every statement one engine runs (through the dbms, the
-// way the benchmark generators reach it) against the oracle on a second,
-// identically loaded database, and compares them. It is exported to
-// prepared_workload_test.go, which lives in package exec_test because the
-// generators import the dbms and so this package.
+// Lockstep holds every statement an engine runs — through the dbms, the way
+// the benchmark generators reach it — to the spec, over a model read from
+// the catalog's tables when the tap is set. A transaction's statements
+// change the model as they run; a transaction that does not commit rolls
+// it back. It is exported to prepared_workload_test.go, which lives in
+// package exec_test because the generators import the dbms and so this
+// package.
 type Lockstep struct {
-	t     testing.TB
-	b     *Engine
-	bMgr  *txn.Manager
-	bTask *kernel.Task
-	// aTxn is the observed engine's current transaction, bTxn its twin.
-	aTxn, bTxn *txn.Txn
-	Statements int
+	t            testing.TB
+	model, saved specDB
+	tx           *txn.Txn // the transaction the statements so far ran in
+	Statements   int
 }
 
-// NewLockstep taps a: from now on each of its Runs is repeated on b.
-func NewLockstep(t testing.TB, a, b *Engine, bMgr *txn.Manager, bTask *kernel.Task) *Lockstep {
-	l := &Lockstep{t: t, b: b, bMgr: bMgr, bTask: bTask}
-	a.observe = l.observe
+// NewLockstep taps e, whose tables are cat's and whose transactions mgr's.
+func NewLockstep(t testing.TB, e *Engine, cat *catalog.Catalog, mgr *txn.Manager) *Lockstep {
+	l := &Lockstep{t: t, model: specFrom(cat, mgr)}
+	e.observe = l.observe
 	return l
 }
 
-// settle ends the twin of a finished transaction the way the original
-// ended: committed, or rolled back.
-func (l *Lockstep) settle() {
-	if l.bTxn == nil {
-		return
+// Close ends the model's view of the last transaction: its writes stay if
+// it committed and are rolled back if not.
+func (l *Lockstep) Close() {
+	if l.tx != nil && l.tx.State() != txn.StateCommitted {
+		l.model = l.saved
 	}
-	if l.aTxn.State() == txn.StateCommitted {
-		if _, err := l.bTxn.Commit(); err != nil {
-			l.t.Fatalf("oracle commit: %v", err)
-		}
-	} else {
-		_ = l.bTxn.Abort()
-	}
-	l.aTxn, l.bTxn = nil, nil
+	l.tx = nil
 }
-
-// Close settles the last transaction.
-func (l *Lockstep) Close() { l.settle() }
 
 func (l *Lockstep) observe(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error) {
 	l.Statements++
-	if ctx.Txn != l.aTxn {
-		l.settle()
-		l.aTxn, l.bTxn = ctx.Txn, l.bMgr.Begin()
+	if ctx.Txn != l.tx {
+		l.Close()
+		l.tx, l.saved = ctx.Txn, l.model.clone()
 	}
-	rec := &planView{}
-	ores, oerr := oracleExecute(l.b, &Ctx{Task: l.bTask, Txn: l.bTxn}, p.stmt, params, rec)
-	if (err == nil) != (oerr == nil) || (err != nil && err.Error() != oerr.Error()) {
-		l.t.Fatalf("statement %d (%T): error %v, oracle error %v", l.Statements, p.stmt, err, oerr)
-	}
-	if err != nil {
-		return
-	}
-	if !sameResult(res, ores) {
-		l.t.Fatalf("statement %d (%T) %v:\nresult %+v\noracle %+v", l.Statements, p.stmt, params, res, ores)
-	}
-	view, verr := p.view(params)
-	if verr != nil || !reflect.DeepEqual(view, rec) {
-		l.t.Fatalf("statement %d (%T) %v:\nplan   %+v (%v)\noracle %+v", l.Statements, p.stmt, params, view, verr, rec)
+	want, serr := l.model.run(p.stmt, params)
+	se, _ := serr.(*specErr)
+	if msg := outcomeDiff(res, err, want, se); msg != "" {
+		l.t.Fatalf("statement %d (%T) %v: %s", l.Statements, p.stmt, params, msg)
 	}
 }

@@ -191,10 +191,8 @@ func chooseAccess(tbl *catalog.Table, ps predSet) accessPlan {
 		return -1
 	}
 	// Every predicate stays as a residual re-check, whatever the index
-	// covers: index entries are maintained lazily under MVCC (a
-	// key-changing update inserts the new key but leaves the old entry for
-	// older snapshots; GC would reclaim it), so a probe can return tuples
-	// whose visible version no longer matches the key.
+	// covers: a key is packed into masked bits or hashed, so different
+	// values can share one, and the filter OU's features count them all.
 	best := accessPlan{table: tbl, predSet: ps}
 	bestScore := 0 // 0 = seqscan, 1 = prefix, 2 = full, 3 = full unique
 	for _, ix := range tbl.Indexes {

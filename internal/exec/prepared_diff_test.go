@@ -1,17 +1,18 @@
 package exec
 
-// The differential harness over plan_oracle_test.go: two identical
-// databases, one driven through Prepare/Run and one through the oracle,
-// compared after every statement — the bound access paths, the projection,
-// the Result, the error text, the virtual clock and (instrumented) the
-// training points. genStatement is the small SQL grammar both the seeded
-// test and FuzzPreparedDifferential draw statements from.
+// The harness that holds Prepare/Run to spec_test.go: each statement runs
+// on a database and through the spec on a model of its tables, and any
+// difference fails — in whether analysis rejects it and with what text, in
+// the run-time error, in the result, or (instrumented) in the OU features
+// the spec states. A SELECT that ran is then partitioned (TLP) to check the
+// engine against itself on every access path. genStatement is the small
+// SQL grammar the seeded test and FuzzPreparedDifferential draw from.
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,92 +20,8 @@ import (
 	"tscout/internal/sql"
 	"tscout/internal/storage"
 	"tscout/internal/tscout"
+	"tscout/internal/txn"
 )
-
-// accessView is one bound access path in comparable form.
-type accessView struct {
-	table, index string
-	exact        bool
-	key, lo, hi  int64
-	residual     []compiledPred
-	proj         []int
-}
-
-// planView is what one execution's analysis decided: the access path of
-// the FROM (or DML) table and of each joined table, the post-join filter,
-// and the output columns with, for plain projections, their positions.
-type planView struct {
-	access []accessView
-	post   []compiledPred
-	cols   []string
-	idxs   []int
-}
-
-func (v *planView) addAccess(ap accessPath) {
-	if v == nil {
-		return
-	}
-	av := accessView{
-		table: ap.table.Name, exact: ap.exact, key: ap.key, lo: ap.keyLo, hi: ap.keyHi,
-		residual: append([]compiledPred(nil), ap.residual...),
-		proj:     append([]int(nil), ap.proj...),
-	}
-	if ap.index != nil {
-		av.index = ap.index.Name
-	}
-	v.access = append(v.access, av)
-}
-
-func (v *planView) setPost(preds []compiledPred) {
-	if v != nil {
-		v.post = append([]compiledPred(nil), preds...)
-	}
-}
-
-func (v *planView) setProjection(cols []string, idxs []int, _ error) {
-	if v != nil {
-		v.cols, v.idxs = append([]string(nil), cols...), append([]int(nil), idxs...)
-	}
-}
-
-// view binds p's plan to params without executing it.
-func (p *Prepared) view(params []storage.Value) (*planView, error) {
-	v := &planView{}
-	ctx := &Ctx{}
-	add := func(a *accessPlan) error {
-		ap, err := a.bind(ctx, params)
-		if err == nil {
-			v.addAccess(ap)
-		}
-		return err
-	}
-	switch pl := p.plan.(type) {
-	case *selectPlan:
-		if err := add(&pl.from); err != nil {
-			return nil, err
-		}
-		for i := range pl.joins {
-			if err := add(&pl.joins[i].access); err != nil {
-				return nil, err
-			}
-		}
-		post, err := pl.post.bind(ctx, params)
-		if err != nil {
-			return nil, err
-		}
-		v.setPost(post)
-		v.setProjection(pl.cols, pl.projIdxs, nil)
-	case *updatePlan:
-		if err := add(&pl.access); err != nil {
-			return nil, err
-		}
-	case *deletePlan:
-		if err := add(&pl.access); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
 
 // memVirtual is a virtual table over in-memory rows that honours the
 // projection (unprojected columns come back NULL) and ignores the
@@ -134,247 +51,351 @@ func (m *memVirtual) Scan(proj []int, _ []catalog.VirtualPred, fn func(storage.R
 	return st
 }
 
-// newDiffDB builds the differential tests' database: three heap tables
-// with a unique B+Tree, a non-unique two-column B+Tree (prefix ranges), a
-// hash index and a unique hash index between them, plus a virtual table.
-// Column names repeat across tables (id, grp, qty) so bare references in a
-// join can be ambiguous.
+// newDiffDB builds the harness's database: three heap tables with a unique
+// B+Tree, a non-unique two-column B+Tree (prefix ranges), a hash index and
+// a unique hash index between them, plus a virtual table. Column names
+// repeat across tables (id, grp, qty) so bare references in a join can be
+// ambiguous.
 func newDiffDB(t testing.TB, instrumented, fuse bool) *testDB {
 	t.Helper()
 	db := newEmptyTestDB(t, instrumented)
 	db.engine.FuseSimpleSelects = fuse
-	cat := db.cat
-
-	must := func(_ any, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	intCol := func(n string) storage.Column { return storage.Column{Name: n, Kind: storage.KindInt} }
-	strCol := func(n string) storage.Column { return storage.Column{Name: n, Kind: storage.KindString} }
-	must(cat.CreateTable("items", storage.MustSchema(intCol("id"), intCol("grp"), intCol("sub"), intCol("qty"),
-		storage.Column{Name: "price", Kind: storage.KindFloat}, strCol("name"))))
-	must(cat.CreateBTreeIndex("items_pk", "items", []string{"id"}, []uint{24}, true))
-	must(cat.CreateBTreeIndex("items_grp", "items", []string{"grp", "sub"}, []uint{12, 12}, false))
-	must(cat.CreateHashIndex("items_name", "items", []string{"name"}, false))
-	must(cat.CreateTable("orders", storage.MustSchema(intCol("id"), intCol("item_id"), intCol("qty"), strCol("note"))))
-	must(cat.CreateBTreeIndex("orders_pk", "orders", []string{"id"}, []uint{24}, true))
-	must(cat.CreateBTreeIndex("orders_item", "orders", []string{"item_id"}, []uint{24}, false))
-	must(cat.CreateTable("regions", storage.MustSchema(intCol("rid"), intCol("grp"), strCol("label"))))
-	must(cat.CreateBTreeIndex("regions_pk", "regions", []string{"rid"}, []uint{24}, true))
-	must(cat.CreateHashIndex("regions_label", "regions", []string{"label"}, true))
-
-	load := func(table string, n int, row func(i int64) storage.Row) {
-		tbl, _ := cat.Table(table)
-		tx := db.mgr.Begin()
+	rows := func(n int, row func(i int) string) string {
+		var out []string
 		for i := 0; i < n; i++ {
-			r := row(int64(i))
-			tid, err := tx.Insert(tbl.Heap, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ix := range tbl.Indexes {
-				ix.Insert(ix.KeyFor(r), tid)
-			}
+			out = append(out, row(i))
 		}
-		must(tx.Commit())
+		return strings.Join(out, ", ")
 	}
-	iv, sv := storage.NewInt, storage.NewString
-	load("items", 60, func(i int64) storage.Row {
-		return storage.Row{iv(i), iv(i % 6), iv(i % 4), iv(i % 10), storage.NewFloat(float64(i) * 1.5), sv(fmt.Sprintf("n%d", i%7))}
-	})
-	load("orders", 40, func(i int64) storage.Row {
-		return storage.Row{iv(i), iv(i % 30), iv(i % 5), sv(fmt.Sprintf("o%d", i%3))}
-	})
-	load("regions", 6, func(i int64) storage.Row {
-		return storage.Row{iv(i), iv(i), sv(fmt.Sprintf("r%d", i))}
-	})
-
-	vt := &memVirtual{schema: storage.MustSchema(intCol("a"), intCol("b"), strCol("c"))}
+	for _, q := range []string{
+		"CREATE TABLE items (id INT PRIMARY KEY, grp INT, sub INT, qty INT, price FLOAT, name VARCHAR(16))",
+		"CREATE INDEX items_grp ON items (grp, sub)",
+		"CREATE INDEX items_name ON items (name) USING HASH",
+		"CREATE TABLE orders (id INT PRIMARY KEY, item_id INT, qty INT, note VARCHAR(16))",
+		"CREATE INDEX orders_item ON orders (item_id)",
+		"CREATE TABLE regions (rid INT PRIMARY KEY, grp INT, label VARCHAR(16))",
+		"CREATE UNIQUE INDEX regions_label ON regions (label) USING HASH",
+		"INSERT INTO items VALUES " + rows(60, func(i int) string {
+			return fmt.Sprintf("(%d, %d, %d, %d, %g, 'n%d')", i, i%6, i%4, i%10, float64(i)*1.5, i%7)
+		}),
+		"INSERT INTO orders VALUES " + rows(40, func(i int) string { return fmt.Sprintf("(%d, %d, %d, 'o%d')", i, i%30, i%5, i%3) }),
+		"INSERT INTO regions VALUES " + rows(6, func(i int) string { return fmt.Sprintf("(%d, %d, 'r%d')", i, i, i) }),
+	} {
+		if _, err := db.tryRun(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	vt := &memVirtual{schema: storage.MustSchema(storage.Column{Name: "a", Kind: storage.KindInt},
+		storage.Column{Name: "b", Kind: storage.KindInt}, storage.Column{Name: "c", Kind: storage.KindString})}
 	for i := int64(0); i < 24; i++ {
-		vt.rows = append(vt.rows, storage.Row{iv(i), iv(i % 4), sv(fmt.Sprintf("v%d", i%3))})
+		vt.rows = append(vt.rows, storage.Row{storage.NewInt(i), storage.NewInt(i % 4), storage.NewString(fmt.Sprintf("v%d", i%3))})
 	}
-	must(cat.MountVirtual("vt", vt))
+	if _, err := db.cat.MountVirtual("vt", vt); err != nil {
+		t.Fatal(err)
+	}
+	if instrumented {
+		db.drainPoints(t)
+	}
 	return db
 }
 
-// diffPair is the two databases: a runs Prepare/Run, b the oracle.
-type diffPair struct {
-	a, b         *testDB
-	instrumented bool
-	// Outcomes seen: statements that ran, failed at run time, or were
-	// rejected by analysis.
-	ok, failed, rejected int
-}
-
-func newDiffPair(t testing.TB, instrumented, fuse bool) *diffPair {
-	return &diffPair{
-		a: newDiffDB(t, instrumented, fuse), b: newDiffDB(t, instrumented, fuse),
-		instrumented: instrumented,
-	}
-}
-
-// isRunTimeError recognizes failures of executing rather than of resolving
-// names: an operand that cannot be evaluated, a row the heap rejects. The
-// old executor resolved names as it went, so on a statement with both
-// kinds of fault it could meet the run-time one first, where analysis now
-// reports the name.
-func isRunTimeError(err error) bool {
-	msg := err.Error()
-	return strings.HasPrefix(msg, "exec: parameter $") ||
-		strings.Contains(msg, "in a context without input rows") ||
-		strings.HasPrefix(msg, "exec: operator ") || strings.HasPrefix(msg, "exec: unknown operator") ||
-		strings.HasPrefix(msg, "storage: ") || strings.HasPrefix(msg, "txn: ")
-}
-
-// oracleNeverLooked reports the two ways the old executor could run a
-// statement whose names do not all resolve: an UPDATE resolved its SET
-// expressions per matched row, so not at all when it matched none; and
-// plain EXPLAIN planned only the scans, never the select list, the join
-// columns, an INSERT's table or a DML's leftover predicates.
-func oracleNeverLooked(stmt sql.Statement, res *Result) bool {
-	switch s := stmt.(type) {
-	case *sql.UpdateStmt:
-		return res.Affected == 0
-	case *sql.ExplainStmt:
-		_, innerUpdate := s.Stmt.(*sql.UpdateStmt)
-		return !s.Analyze || innerUpdate
-	}
-	return false
-}
-
-// sameResult compares two results exactly: Cols, Affected and every cell
-// by sameRow.
-func sameResult(a, b *Result) bool {
-	if a.Affected != b.Affected || len(a.Cols) != len(b.Cols) || len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] {
-			return false
+// specFrom reads every table of cat, as a new snapshot of mgr sees it, into
+// a model.
+func specFrom(cat *catalog.Catalog, mgr *txn.Manager) specDB {
+	tx, db := mgr.Begin(), specDB{}
+	defer tx.Abort()
+	for _, name := range cat.TableNames() {
+		tbl, _ := cat.Table(name)
+		st := &specTable{name: name, virtual: tbl.Virtual != nil}
+		for _, c := range tbl.Schema().Columns() {
+			st.cols, st.kinds = append(st.cols, c.Name), append(st.kinds, c.Kind)
 		}
-	}
-	for i := range a.Rows {
-		if !sameRow(a.Rows[i], b.Rows[i]) {
-			return false
+		if tbl.Virtual != nil {
+			tbl.Virtual.Scan(nil, nil, func(r storage.Row) bool { st.rows = append(st.rows, r); return true })
 		}
-	}
-	return true
-}
-
-// sameRow reports whether two rows hold the same cells: the same kind and
-// the same bits, strings by content. It is stricter than Value.Equal, which
-// holds INT 1 equal to FLOAT 1.0 and NaN equal to every number; a string
-// cell holds an address, so reflect.DeepEqual would tell equal text apart.
-func sameRow(a, b storage.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		k := a[i].Kind()
-		if k != b[i].Kind() {
-			return false
-		}
-		switch k {
-		case storage.KindInt:
-			if a[i].AsInt() != b[i].AsInt() {
-				return false
-			}
-		case storage.KindFloat:
-			if math.Float64bits(a[i].AsFloat()) != math.Float64bits(b[i].AsFloat()) {
-				return false
-			}
-		case storage.KindString:
-			if a[i].Str() != b[i].Str() {
-				return false
+		for id := 0; tbl.Heap != nil && id < tbl.Heap.NumSlots(); id++ {
+			if row, _ := tx.Read(tbl.Heap, storage.TupleID(id)); row != nil {
+				st.rows = append(st.rows, row)
 			}
 		}
+		db[name] = st
 	}
-	return true
+	return db
 }
 
-// exec runs one statement on both sides and reports every difference. It
-// returns false when analysis rejected the statement: the oracle side may
-// then have done work the prepared side did not, and the caller must not
-// reuse the pair.
-func (d *diffPair) exec(t testing.TB, stmt sql.Statement, params []storage.Value) bool {
+// compare runs stmt through Prepare and Run in ctx and through the spec on
+// model, failing t on any difference. It returns the Prepared (nil when
+// rejected) and the engine's error.
+func compare(t testing.TB, db *testDB, ctx *Ctx, model specDB, stmt sql.Statement, params []storage.Value) (*Prepared, error) {
 	t.Helper()
-	begin := func(db *testDB) *Ctx {
-		tx := db.mgr.Begin()
-		if db.ts != nil {
-			db.ts.BeginEvent(db.task, tscout.SubsystemExecutionEngine)
+	start := db.task.Now()
+	p, err := db.engine.Prepare(stmt)
+	if now := db.task.Now(); now != start {
+		t.Errorf("Prepare moved virtual time by %d ns", now-start)
+	}
+	want, serr := model.run(stmt, params)
+	se, _ := serr.(*specErr)
+	if err != nil {
+		if se == nil || !se.rejected || se.texts[0] != err.Error() {
+			t.Errorf("analysis rejected it (%v); the spec: %v", err, serr)
 		}
-		return &Ctx{Task: db.task, Txn: tx}
-	}
-	end := func(ctx *Ctx, err error) {
-		if err != nil {
-			_ = ctx.Txn.Abort()
-		} else if _, cerr := ctx.Txn.Commit(); cerr != nil {
-			t.Fatalf("commit: %v", cerr)
+		if db.ts != nil && len(db.drainPoints(t)) > 0 {
+			t.Errorf("a rejected statement left training points")
 		}
+		return nil, err
 	}
-
-	ctxA := begin(d.a)
-	startA := d.a.task.Now()
-	p, prepErr := d.a.engine.Prepare(stmt)
-	if got := d.a.task.Now(); got != startA {
-		t.Errorf("Prepare moved virtual time by %d ns", got-startA)
+	res, err := db.engine.Run(ctx, p, params)
+	if msg := outcomeDiff(res, err, want, se); msg != "" {
+		t.Error(msg)
 	}
-	var resA *Result
-	var view *planView
-	errA := prepErr
-	if prepErr == nil {
-		view, _ = p.view(params)
-		resA, errA = d.a.engine.Run(ctxA, p, params)
-	}
-	end(ctxA, errA)
-
-	ctxB := begin(d.b)
-	rec := &planView{}
-	resB, errB := oracleExecute(d.b.engine, ctxB, stmt, params, rec)
-	end(ctxB, errB)
-
-	if prepErr != nil {
-		// Early rejection: the old executor failed too — with this text, or
-		// with a run-time error it met first — unless it never looked.
-		switch {
-		case errB == nil:
-			if !oracleNeverLooked(stmt, resB) {
-				t.Errorf("analysis rejected (%v) what the oracle executed: %+v", prepErr, resB)
+	if db.ts != nil {
+		pts := db.drainPoints(t)
+		if err == nil && se == nil {
+			if msg := featureDiff(pts, want, slotsOf(db, want), db.engine.FuseSimpleSelects); msg != "" {
+				t.Error(msg)
 			}
-		case errB.Error() != prepErr.Error() && !isRunTimeError(errB):
-			t.Errorf("analysis error %q, oracle error %q", prepErr, errB)
 		}
-		d.rejected++
-		return false
 	}
+	return p, err
+}
 
-	if (errA == nil) != (errB == nil) || (errA != nil && errA.Error() != errB.Error()) {
-		t.Errorf("run error %v, oracle error %v", errA, errB)
-		return true
+// outcomeDiff says how a Run's outcome differs from the spec's, or "".
+func outcomeDiff(res *Result, err error, want *specResult, se *specErr) string {
+	switch {
+	case se != nil && se.rejected:
+		return fmt.Sprintf("the spec rejects it (%v); analysis did not", se)
+	case err != nil && se == nil:
+		return fmt.Sprintf("error %v; the spec runs it", err)
+	case err != nil && !slices.Contains(se.texts, err.Error()):
+		return fmt.Sprintf("error %q; the spec fails with %v", err, se)
+	case err != nil:
+		return ""
+	case se != nil:
+		return fmt.Sprintf("the spec fails with %v; the engine returned %+v", se, res)
 	}
-	if errA != nil {
-		d.failed++
-	} else {
-		d.ok++
-		if !sameResult(resA, resB) {
-			t.Errorf("result mismatch:\nprepared %+v\noracle   %+v", resA, resB)
+	if msg := resultDiff(res, want); msg != "" {
+		return "result: " + msg
+	}
+	return ""
+}
+
+// resultDiff compares a Result with the spec's: columns and rows written;
+// the rows as a multiset, ORDER BY's keys in order, any of the spec's rows
+// under a LIMIT that cuts; EXPLAIN's line count and ANALYZE's row count.
+func resultDiff(res *Result, want *specResult) string {
+	if !slices.Equal(res.Cols, want.cols) || res.Affected != want.affected {
+		return fmt.Sprintf("columns %v, %d affected; spec %v, %d", res.Cols, res.Affected, want.cols, want.affected)
+	}
+	if want.lines > 0 {
+		n, actual := want.lines, ""
+		if want.inner != nil {
+			n, actual = n+2, fmt.Sprintf("Actual rows: %d", want.inner.outRows())
 		}
-		if !reflect.DeepEqual(view, rec) {
-			t.Errorf("plan mismatch:\nprepared %+v\noracle   %+v", view, rec)
+		if len(res.Rows) != n || (actual != "" && res.Rows[want.lines][0].Str() != actual) {
+			return fmt.Sprintf("plan %v, spec %d lines and %q", res.Rows, n, actual)
+		}
+		return ""
+	}
+	if n := want.outRows(); want.cols != nil && len(res.Rows) != n {
+		return fmt.Sprintf("%d rows, spec %d", len(res.Rows), n)
+	}
+	for i, row := range res.Rows {
+		for _, k := range want.keys {
+			if row[k.col].Compare(want.rows[i][k.col]) != 0 {
+				return fmt.Sprintf("row %d is out of order", i)
+			}
 		}
 	}
-	if a, b := d.a.task.Now(), d.b.task.Now(); a != b {
-		t.Errorf("virtual time diverged: prepared %d, oracle %d", a, b)
+	return subsetDiff(res.Rows, want.rows, want.sums)
+}
+
+// subsetDiff reports a row of got that is not one of want's, each of want's
+// standing for one of got's: with as many rows, they are the same multiset.
+func subsetDiff(got, want []storage.Row, sums []bool) string {
+	left := map[string]int{}
+	for _, w := range want {
+		left[rowText(w, sums)]++
 	}
-	if d.instrumented {
-		pa, pb := d.a.drainPoints(t), d.b.drainPoints(t)
-		if !reflect.DeepEqual(pa, pb) {
-			t.Errorf("training points differ:\nprepared %+v\noracle   %+v", pa, pb)
+	for _, g := range got {
+		k := rowText(g, sums)
+		if left[k]--; left[k] < 0 {
+			return fmt.Sprintf("row %v is not one of the spec's", g)
 		}
 	}
-	return true
+	return ""
+}
+
+// rowText renders a row's cells with their kinds, exactly (a FLOAT in the
+// shortest text that reads back to its bits), but a SUM or AVG to ten
+// digits: the spec does not fix the order rows are added in.
+func rowText(r storage.Row, sums []bool) string {
+	var b strings.Builder
+	for i, v := range r {
+		if i < len(sums) && sums[i] && v.Kind() == storage.KindFloat {
+			fmt.Fprintf(&b, "%v %.10g, ", v.Kind(), v.AsFloat())
+		} else {
+			fmt.Fprintf(&b, "%v %q, ", v.Kind(), v.String())
+		}
+	}
+	return b.String()
+}
+
+// featureDiff checks what the spec states of a statement's training points:
+// output.num_rows is the rows returned, a DML OU's num_rows the rows
+// written, seq_scan.num_rows the slots of a table read, and filter's
+// num_rows_out, in scan order, the rows passing each table's conjuncts
+// (not when pipelines fuse: a fused filter part has no num_rows_out).
+func featureDiff(pts []tscout.TrainingPoint, want *specResult, slots []int, fused bool) string {
+	if want.lines > 0 && want.inner == nil && len(pts) > 0 {
+		return "plain EXPLAIN left training points"
+	}
+	if want.inner != nil {
+		want = want.inner
+	}
+	var kept []int
+	for _, p := range pts {
+		f := int(p.Features[0])
+		switch {
+		case p.OUName == "output" && f != want.outRows(),
+			slices.Contains([]string{"insert", "update", "delete"}, p.OUName) && f != want.affected,
+			p.OUName == "seq_scan" && !slices.Contains(slots, f):
+			return fmt.Sprintf("%s.num_rows %d; spec %d rows out, %d written, slots %v",
+				p.OUName, f, want.outRows(), want.affected, slots)
+		case p.OUName == "filter":
+			kept = append(kept, int(p.Features[2]))
+		}
+	}
+	if !fused && !slices.Equal(kept, want.kept) {
+		return fmt.Sprintf("filter.num_rows_out %v, spec %v", kept, want.kept)
+	}
+	return ""
+}
+
+// slotsOf lists the slots of the tables a statement read: a heap's slots,
+// a virtual table's rows.
+func slotsOf(db *testDB, want *specResult) (slots []int) {
+	for _, t := range want.tables {
+		if tbl, _ := db.cat.Table(t.name); tbl.Heap != nil {
+			slots = append(slots, tbl.Heap.NumSlots())
+		} else {
+			slots = append(slots, len(t.rows))
+		}
+	}
+	return slots
+}
+
+// specHarness holds one database to the spec, a statement a transaction:
+// committed when it succeeds, rolled back on both sides when it fails. It
+// counts the statements that ran, failed at run time or were rejected, and
+// the access paths TLP partitioned.
+type specHarness struct {
+	db                   *testDB
+	model                specDB
+	ok, failed, rejected int
+	paths                map[string]int
+}
+
+func newSpecHarness(t testing.TB, instrumented, fuse bool) *specHarness {
+	db := newDiffDB(t, instrumented, fuse)
+	return &specHarness{db: db, model: specFrom(db.cat, db.mgr), paths: map[string]int{}}
+}
+
+func (h *specHarness) exec(t testing.TB, stmt sql.Statement, params []storage.Value) {
+	t.Helper()
+	db, saved := h.db, h.model.clone()
+	ctx := &Ctx{Task: db.task, Txn: db.mgr.Begin()}
+	if db.ts != nil {
+		db.ts.BeginEvent(db.task, tscout.SubsystemExecutionEngine)
+	}
+	p, err := compare(t, db, ctx, h.model, stmt, params)
+	switch {
+	case p == nil:
+		h.rejected++
+	case err != nil:
+		h.failed++
+	default:
+		h.ok++
+	}
+	if err != nil {
+		_ = ctx.Txn.Abort()
+		h.model = saved
+		return
+	}
+	if _, err := ctx.Txn.Commit(); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if s, ok := stmt.(*sql.SelectStmt); ok && !t.Failed() {
+		h.tlp(t, p, s, params)
+	}
+}
+
+// tlp partitions a SELECT that ran at a value k of a column c of its FROM
+// table — s ∧ c < k and s ∧ c >= k — whose parts must make up the whole:
+// rows as a multiset, COUNT(*) and SUM(c) as sums. Value.Compare orders
+// NULL first, so the parts cover NULLs. It counts the FROM table's access
+// path, which adding c < k never changes.
+func (h *specHarness) tlp(t testing.TB, p *Prepared, s *sql.SelectStmt, params []storage.Value) {
+	t.Helper()
+	if s.Limit >= 0 || p.plan.(*selectPlan).agg != nil {
+		return
+	}
+	from := h.model[s.From.Name]
+	c := sql.ColRef{Table: s.From.Binding(), Name: from.cols[h.ok%len(from.cols)]}
+	k := storage.Null()
+	if len(from.rows) > 0 && h.ok%7 != 0 {
+		k = from.rows[h.ok%len(from.rows)][from.col(c.Name)]
+	}
+	tx := h.db.mgr.Begin()
+	defer tx.Abort()
+	part := func(op sql.CmpOp) []sql.Predicate {
+		return append(slices.Clone(s.Where), sql.Predicate{Col: c, Op: op, Val: sql.Literal{Val: k}})
+	}
+	run := func(count bool, where []sql.Predicate) *Result {
+		q := *s
+		q.Where = where
+		if count {
+			q.Exprs, q.OrderBy = []sql.SelectExpr{{Agg: sql.AggCount}, {Agg: sql.AggSum, Col: c}}, nil
+		}
+		res, err := h.db.engine.Execute(&Ctx{Task: h.db.task, Txn: tx}, &q, params)
+		if err != nil {
+			t.Fatalf("TLP on %s at %v: %v", c, k, err)
+		}
+		return res
+	}
+	lt, ge := part(sql.OpLt), part(sql.OpGe)
+	whole, lo, hi := run(false, s.Where), run(false, lt), run(false, ge)
+	if msg := subsetDiff(whole.Rows, append(lo.Rows, hi.Rows...), nil); len(whole.Rows) != len(lo.Rows)+len(hi.Rows) || msg != "" {
+		t.Errorf("TLP on %s at %v: %d rows, parts %d + %d: %s", c, k, len(whole.Rows), len(lo.Rows), len(hi.Rows), msg)
+	}
+	n, a, b := run(true, s.Where).Rows[0], run(true, lt).Rows[0], run(true, ge).Rows[0]
+	sum := storage.Row{storage.NewInt(a[0].AsInt() + b[0].AsInt()), storage.NewFloat(a[1].AsFloat() + b[1].AsFloat())}
+	if sums := []bool{false, true}; rowText(n, sums) != rowText(sum, sums) {
+		t.Errorf("TLP on %s at %v: COUNT(*), SUM %v, parts %v and %v", c, k, n, a, b)
+	}
+	if h.db.ts != nil {
+		h.db.drainPoints(t)
+	}
+	h.paths[accessKind(p)]++
+}
+
+// accessKind names the access path a SELECT reads its FROM table by.
+func accessKind(p *Prepared) string {
+	a := p.plan.(*selectPlan).from
+	switch {
+	case a.table.Virtual != nil:
+		return "virtual"
+	case a.index == nil:
+		return "seq"
+	case a.index.Kind == catalog.HashKind:
+		return "hash"
+	case !a.exact:
+		return "prefix range"
+	case len(a.index.KeyCols) > 1:
+		return "two-column exact"
+	case a.index.Unique:
+		return "unique exact"
+	}
+	return "exact"
 }
 
 // byteSrc feeds the grammar: fuzz input or seeded random bytes. An
@@ -457,7 +478,7 @@ func (g *stmtGen) value(tbl scoped, col string) string {
 		return fmt.Sprintf("$%d", len(g.params))
 	}
 	switch g.src.n(16) {
-	case 0, 1, 2, 3, 4, 5:
+	case 0, 1, 2, 3, 4, 5, 14:
 		text, _ := lit()
 		return text
 	case 6, 7, 8, 9:
@@ -476,9 +497,6 @@ func (g *stmtGen) value(tbl scoped, col string) string {
 		return "2 * 3"
 	case 13:
 		return "null"
-	case 14:
-		text, _ := lit()
-		return text
 	}
 	switch g.src.n(8) {
 	case 5:
@@ -688,8 +706,8 @@ func genStatement(src *byteSrc) (string, []storage.Value) {
 	return g.sb.String(), g.params
 }
 
-// diffCases are the hand-written statements every run of the differential
-// test includes, one per behaviour the analysis had to preserve.
+// diffCases are the hand-written statements every run of
+// TestPreparedMatchesSpec includes, one per behaviour worth pinning.
 var diffCases = []struct {
 	text   string
 	params []storage.Value
@@ -712,8 +730,7 @@ var diffCases = []struct {
 	// Qualified and aliased references.
 	{"SELECT i.id, i.name FROM items i WHERE i.id = 7", nil},
 	{"SELECT items.id FROM items WHERE items.grp = 1 ORDER BY items.id DESC LIMIT 3", nil},
-	// Joins: deferred predicate pushed to the joined table's scan, one left
-	// for the post-join filter, ON written in either order.
+	// Joins: conjuncts on the joined tables, ON written in either order.
 	{"SELECT i.id, o.id FROM items i JOIN orders o ON o.item_id = i.id WHERE o.id = $1 AND i.grp = 1",
 		[]storage.Value{storage.NewInt(7)}},
 	{"SELECT i.id, o.note FROM items i JOIN orders o ON i.id = o.item_id WHERE note = 'o1' AND sub = 3", nil},
@@ -740,6 +757,16 @@ var diffCases = []struct {
 	{"INSERT INTO regions (label, rid) VALUES ('r9', 9)", nil},
 	{"EXPLAIN SELECT i.id FROM items i JOIN orders o ON o.item_id = i.id WHERE o.id = 3 ORDER BY i.id LIMIT 1", nil},
 	{"EXPLAIN ANALYZE UPDATE items SET qty = 0 WHERE grp = 2 AND sub = 2", nil},
+	// A key that changes inside a prefix range, and one that changes back:
+	// the stale entries must not yield the row a second time.
+	{"UPDATE items SET sub = 1 WHERE id = 2", nil},
+	{"SELECT id, sub FROM items WHERE grp = 2", nil},
+	{"UPDATE items SET id = 11 WHERE id = 500", nil},
+	{"SELECT * FROM items WHERE id = 11", nil},
+	// NULL and the string 'NULL' are different keys for GROUP BY and JOIN.
+	{"INSERT INTO items (id, name) VALUES (200, null), (201, 'NULL'), (202, null)", nil},
+	{"SELECT name, COUNT(*) FROM items WHERE id >= 200 GROUP BY name", nil},
+	{"SELECT a.id, b.id FROM items a JOIN items b ON a.name = b.name WHERE a.id >= 200", nil},
 	// Binding failures stay at run time.
 	{"SELECT * FROM items WHERE id = $2", []storage.Value{storage.NewInt(1)}},
 	{"SELECT * FROM items WHERE grp = qty", nil},
@@ -763,12 +790,11 @@ var diffCases = []struct {
 	{"DELETE FROM items WHERE nosuch = 1", nil},
 }
 
-// TestPreparedMatchesOracle holds Prepare/Run to the per-call analysis it
-// replaced: the hand-written cases, then a seeded stream from the grammar,
-// each on a plain, a fused and an instrumented pair of databases whose
-// state evolves across statements. (The five benchmark generators run the
-// same comparison in prepared_workload_test.go.)
-func TestPreparedMatchesOracle(t *testing.T) {
+// TestPreparedMatchesSpec holds Prepare/Run to the spec over the hand-written
+// cases and a seeded stream from the grammar, on a plain, a fused and an
+// instrumented database whose state evolves, partitioning every SELECT. The
+// benchmark generators run the same comparison in prepared_workload_test.go.
+func TestPreparedMatchesSpec(t *testing.T) {
 	for _, cfg := range []struct {
 		name               string
 		instrumented, fuse bool
@@ -778,21 +804,15 @@ func TestPreparedMatchesOracle(t *testing.T) {
 		{"fused", true, true, 600},
 		{"instrumented", true, false, 600},
 	} {
-		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			d := newDiffPair(t, cfg.instrumented, cfg.fuse)
+			h := newSpecHarness(t, cfg.instrumented, cfg.fuse)
 			run := func(text string, params []storage.Value) {
 				stmt, err := sql.Parse(text)
 				if err != nil {
 					return
 				}
-				before := t.Failed()
-				if !d.exec(t, stmt, params) {
-					fresh := newDiffPair(t, cfg.instrumented, cfg.fuse)
-					fresh.ok, fresh.failed, fresh.rejected = d.ok, d.failed, d.rejected
-					d = fresh
-				}
-				if t.Failed() && !before {
+				h.exec(t, stmt, params)
+				if t.Failed() {
 					t.Fatalf("first mismatch on %q %v", text, params)
 				}
 			}
@@ -809,75 +829,40 @@ func TestPreparedMatchesOracle(t *testing.T) {
 				kinds[strings.Fields(text)[0]]++
 				run(text, params)
 			}
-			for _, k := range []string{"SELECT", "INSERT", "UPDATE", "DELETE", "EXPLAIN"} {
-				if kinds[k] == 0 {
-					t.Errorf("the grammar produced no %s", k)
-				}
+			if len(kinds) != 5 {
+				t.Errorf("the grammar produced only %v", kinds)
 			}
-			t.Logf("%d statements ran, %d failed at run time, %d were rejected by analysis", d.ok, d.failed, d.rejected)
-			if d.ok < cfg.statements/2 || d.failed == 0 || d.rejected == 0 {
+			t.Logf("%d statements ran, %d failed at run time, %d were rejected by analysis; TLP paths %v",
+				h.ok, h.failed, h.rejected, h.paths)
+			if h.ok < cfg.statements/2 || h.failed == 0 || h.rejected == 0 {
 				t.Errorf("the stream is lopsided")
+			}
+			for _, path := range []string{"seq", "unique exact", "two-column exact", "prefix range", "hash", "virtual"} {
+				if h.paths[path] == 0 {
+					t.Errorf("TLP never partitioned a %s read", path)
+				}
 			}
 		})
 	}
 }
 
-// TestAnalysisRejectsBeforeWork pins the one behaviour change preparing
-// statements made: a statement whose names do not resolve is rejected by
-// analysis, before it has scanned anything or opened an OU, where it used
-// to fail mid-execution and leave training points for work it abandoned.
+// TestAnalysisRejectsBeforeWork: a statement whose names do not resolve
+// is rejected by analysis, with the spec's text, before it has charged
+// anything or opened an OU (compare checks both).
 func TestAnalysisRejectsBeforeWork(t *testing.T) {
-	for _, c := range []struct {
-		text, wantErr string
-		oraclePoints  bool // the old executor emitted samples before failing
-	}{
-		{"SELECT nosuch FROM items", "exec: unknown column nosuch", true},
-		{"INSERT INTO regions (rid) VALUES (1, 2)", "exec: INSERT has 2 values for 1 columns", true},
-		{"SELECT i.id FROM items i JOIN orders o ON o.item_id = i.id WHERE nosuch = 1", "exec: cannot resolve predicate on nosuch", true},
-		{"SELECT id FROM items ORDER BY price", "exec: ORDER BY column price not in select list", true},
-		{"EXPLAIN SELECT nosuch FROM items", "exec: unknown column nosuch", false},
-	} {
-		d := newDiffPair(t, true, false)
-		stmt := mustParse(t, c.text)
-		d.a.ts.Processor().Reset()
-		start := d.a.task.Now()
-		if _, err := d.a.tryRun(c.text); err == nil || err.Error() != c.wantErr {
-			t.Fatalf("%q: error %v, want %q", c.text, err, c.wantErr)
-		}
-		if pts := d.a.drainPoints(t); len(pts) != 0 {
-			t.Errorf("%q: a rejected statement left %d training points", c.text, len(pts))
-		}
-		// tryRun's BeginEvent is the only charge.
-		d.b.ts.BeginEvent(d.b.task, tscout.SubsystemExecutionEngine)
-		if got, want := d.a.task.Now()-start, d.b.task.Now()-start; got != want {
-			t.Errorf("%q: rejection cost %d ns of virtual time, want the sampling check's %d", c.text, got, want)
-		}
-
-		ctx := &Ctx{Task: d.b.task, Txn: d.b.mgr.Begin()}
-		_, oerr := oracleExecute(d.b.engine, ctx, stmt, nil, nil)
-		_ = ctx.Txn.Abort()
-		if c.oraclePoints {
-			if oerr == nil || oerr.Error() != c.wantErr {
-				t.Errorf("%q: the old executor's error was %v, want the same text", c.text, oerr)
-			}
-			if pts := d.b.drainPoints(t); len(pts) == 0 {
-				t.Errorf("%q: expected the old executor to have emitted samples before failing", c.text)
-			}
-		} else if oerr != nil {
-			t.Errorf("%q: the old executor accepted this; got %v", c.text, oerr)
-		}
-	}
-
-	// An UPDATE whose SET expression names no column used to succeed when
-	// it matched nothing; it is now rejected whatever it matches.
-	db := newDiffDB(t, false, false)
+	h := newSpecHarness(t, true, false)
 	for _, q := range []string{
+		"SELECT nosuch FROM items",
+		"INSERT INTO regions (rid) VALUES (1, 2)",
+		"SELECT i.id FROM items i JOIN orders o ON o.item_id = i.id WHERE nosuch = 1",
+		"SELECT id FROM items ORDER BY price",
+		"EXPLAIN SELECT nosuch FROM items",
 		"UPDATE items SET qty = nosuch + 1 WHERE id = 9999",
-		"UPDATE items SET qty = nosuch + 1 WHERE id = 1",
 	} {
-		if _, err := db.tryRun(q); err == nil || err.Error() != "exec: unknown column nosuch" {
-			t.Errorf("%q: error %v", q, err)
-		}
+		h.exec(t, mustParse(t, q), nil)
+	}
+	if h.rejected != 6 {
+		t.Errorf("%d of 6 statements rejected", h.rejected)
 	}
 }
 
@@ -920,10 +905,9 @@ func TestPreparedIsReusable(t *testing.T) {
 	}
 }
 
-// FuzzPreparedDifferential: bytes → one statement from the grammar (and its
-// parameters) → a fresh pair of instrumented databases. Any difference in
-// result, error text, training points or virtual time between Prepare/Run
-// and the oracle fails.
+// FuzzPreparedDifferential: bytes → one statement from the grammar and its
+// parameters → a fresh instrumented database, fused or not, and its model.
+// Any difference from the spec, or a SELECT its partitions miss, fails.
 func FuzzPreparedDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 24; i++ {
@@ -936,14 +920,12 @@ func FuzzPreparedDifferential(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		src := &byteSrc{b: data[1:]}
-		text, params := genStatement(src)
+		text, params := genStatement(&byteSrc{b: data[1:]})
 		stmt, err := sql.Parse(text)
 		if err != nil {
 			return
 		}
-		d := newDiffPair(t, true, data[0]&1 == 1)
-		d.exec(t, stmt, params)
+		newSpecHarness(t, true, data[0]&1 == 1).exec(t, stmt, params)
 		if t.Failed() {
 			t.Logf("statement: %s  params: %v", text, params)
 		}

@@ -126,7 +126,16 @@ func (e *Engine) runScan(ctx *Ctx, ap *accessPath) []match {
 			ap.index.RangeSearch(ap.keyLo, ap.keyHi, func(k int64, ts []int64) bool {
 				ntids += len(ts)
 				for _, t := range ts {
+					n := len(out)
 					read(storage.TupleID(t))
+					// A prefix range can meet a row under a key it no longer
+					// has — a key-changing update or an aborted write left the
+					// entry for other snapshots — as well as under its own,
+					// which alone yields it. (An exact probe's residuals reject
+					// such an entry themselves.)
+					if len(out) > n && ap.index.KeyFor(out[n].row) != k {
+						out = out[:n]
+					}
 				}
 				return true
 			})

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 
 	"tscout/internal/sim"
@@ -87,13 +89,42 @@ func (e *Engine) filterRows(ctx *Ctx, rows []storage.Row, preds []compiledPred) 
 	return kept
 }
 
+// appendKey appends v's equality key to b. Two cells get the same key
+// exactly when Value.Equal holds: NULL is a key of its own, INT and FLOAT key
+// by numeric value (as float64, the way Compare compares them), and a
+// string by its length and bytes. Each key is self-delimiting, so a list of
+// them never runs together. Equal holds NaN equal to every number, which no
+// key can follow, so NaN is a key of its own.
+func appendKey(b []byte, v storage.Value) []byte {
+	switch v.Kind() {
+	case storage.KindNull:
+		return append(b, 0)
+	case storage.KindString:
+		s := v.Str()
+		return append(binary.AppendUvarint(append(b, 1), uint64(len(s))), s...)
+	}
+	f := v.AsFloat()
+	if math.IsNaN(f) {
+		return append(b, 2)
+	}
+	return binary.LittleEndian.AppendUint64(append(b, 3), numKey(f))
+}
+
+// numKey is a number's key: its float64 bits, with −0 folded into +0.
+func numKey(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
 // joinTable is hashJoin's scratch when every join key is an INT: head maps
-// a key to the first build row that has it, next chains each build row to
-// the following one with the same key, and probe holds, per probe row, the
-// head of its key's chain; -1 ends a chain. head is only ever looked up,
-// never ranged over.
+// a key (numKey of the INT) to the first build row that has it, next chains
+// each build row to the following one with the same key, and probe holds,
+// per probe row, the head of its key's chain; -1 ends a chain. head is only
+// ever looked up, never ranged over.
 type joinTable struct {
-	head  map[int64]int32
+	head  map[uint64]int32
 	next  []int32
 	probe []int32
 }
@@ -102,7 +133,7 @@ type joinTable struct {
 // last row to the first, so each key's rows come out in input order.
 func (jt *joinTable) build(rows []storage.Row, col int) {
 	if jt.head == nil {
-		jt.head = make(map[int64]int32, len(rows))
+		jt.head = make(map[uint64]int32, len(rows))
 	}
 	clear(jt.head)
 	jt.next = jt.next[:0]
@@ -110,7 +141,7 @@ func (jt *joinTable) build(rows []storage.Row, col int) {
 		jt.next = append(jt.next, -1)
 	}
 	for i := len(rows) - 1; i >= 0; i-- {
-		k := rows[i][col].AsInt()
+		k := numKey(rows[i][col].AsFloat())
 		if h, ok := jt.head[k]; ok {
 			jt.next[i] = h
 		}
@@ -123,7 +154,7 @@ func (jt *joinTable) build(rows []storage.Row, col int) {
 func (jt *joinTable) lookup(rows []storage.Row, col int) (matches int) {
 	jt.probe = jt.probe[:0]
 	for _, row := range rows {
-		h, ok := jt.head[row[col].AsInt()]
+		h, ok := jt.head[numKey(row[col].AsFloat())]
 		if !ok {
 			h = -1
 		}
@@ -147,9 +178,9 @@ func allInts(rows []storage.Row, col int) bool {
 }
 
 // hashJoin joins left and right rows on the join clause's equality columns
-// into ctx.rows[slot]. Two cells join when they render to the same text;
-// when every key on both sides is an INT that is integer equality, and the
-// build table is keyed on the integers themselves instead.
+// into ctx.rows[slot]. Two cells join when Value.Equal holds (appendKey);
+// when every key on both sides is an INT, the build table is keyed on the
+// numbers themselves instead.
 func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot int) []storage.Row {
 	m := e.ouBegin(ctx, OUHashJoin)
 	// Build on the right side.
@@ -176,12 +207,14 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 		}
 	} else {
 		build := make(map[string][]storage.Row, len(right))
+		var kb []byte
 		for _, row := range right {
-			k := row[j.rcol].String()
-			build[k] = append(build[k], row)
+			kb = appendKey(kb[:0], row[j.rcol])
+			build[string(kb)] = append(build[string(kb)], row)
 		}
 		for _, lrow := range left {
-			for _, rrow := range build[lrow[j.lcol].String()] {
+			kb = appendKey(kb[:0], lrow[j.lcol])
+			for _, rrow := range build[string(kb)] {
 				joined := make(storage.Row, 0, len(lrow)+len(rrow))
 				joined = append(joined, lrow...)
 				joined = append(joined, rrow...)
@@ -232,7 +265,8 @@ func (sp *selectPlan) project(rows []storage.Row) *Result {
 	return res
 }
 
-// aggregate groups rows by the GROUP BY keys and evaluates aggregates.
+// aggregate groups rows by the GROUP BY keys — two rows share a group when
+// Value.Equal holds on every key (appendKey) — and evaluates aggregates.
 func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, ap *aggPlan, cols []string) *Result {
 	type aggState struct {
 		key    []storage.Value
@@ -261,8 +295,7 @@ func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, ap *aggPlan, cols []str
 		key := make([]storage.Value, len(ap.groupIdxs))
 		for i, g := range ap.groupIdxs {
 			key[i] = row[g]
-			kb = append(kb, row[g].String()...)
-			kb = append(kb, 0)
+			kb = appendKey(kb, row[g])
 		}
 		ks := string(kb)
 		st, ok := groups[ks]

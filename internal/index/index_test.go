@@ -111,52 +111,7 @@ func TestBTreeMinMax(t *testing.T) {
 }
 
 func TestBTreeRandomizedAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	bt := NewBTree()
-	model := map[int64][]int64{}
-	for i := 0; i < 20000; i++ {
-		k := int64(rng.Intn(3000))
-		switch rng.Intn(3) {
-		case 0, 1:
-			tid := int64(i)
-			bt.Insert(k, tid)
-			model[k] = append(model[k], tid)
-		case 2:
-			if vals := model[k]; len(vals) > 0 {
-				tid := vals[rng.Intn(len(vals))]
-				if !bt.Delete(k, tid) {
-					t.Fatalf("model has (%d,%d) but tree delete failed", k, tid)
-				}
-				for j, v := range vals {
-					if v == tid {
-						model[k] = append(vals[:j], vals[j+1:]...)
-						break
-					}
-				}
-				if len(model[k]) == 0 {
-					delete(model, k)
-				}
-			}
-		}
-	}
-	if bt.Len() != len(model) {
-		t.Fatalf("len: tree %d model %d", bt.Len(), len(model))
-	}
-	for k, want := range model {
-		got := bt.Search(k)
-		if len(got) != len(want) {
-			t.Fatalf("key %d: got %v want %v", k, got, want)
-		}
-		gs := append([]int64(nil), got...)
-		ws := append([]int64(nil), want...)
-		sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
-		sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-		for i := range gs {
-			if gs[i] != ws[i] {
-				t.Fatalf("key %d postings: got %v want %v", k, got, want)
-			}
-		}
-	}
+	checkModel(t, NewBTree(), rand.New(rand.NewSource(42)), 3000, 20000, nil)
 }
 
 // Property: a range scan returns exactly the inserted keys within bounds,
@@ -200,50 +155,79 @@ func TestBTreeRangeProperty(t *testing.T) {
 	}
 }
 
+// postings is what both index structures are: TupleIDs under int64 keys.
+type postings interface {
+	Insert(key, tid int64)
+	Delete(key, tid int64) bool
+	Search(key int64) []int64
+	Len() int
+}
+
+// checkModel drives random inserts, deletes and lookups on ix against a map
+// of posting lists, over a key space small enough that keys gain a second
+// TupleID, lose their first, fall back to one, vanish and return. Postings
+// come back in insertion order, which makes an index scan's output order a
+// function of the history alone; Len counts the keys that have any;
+// deleting what is absent finds nothing. check, every 50 steps and at the
+// end, looks at the rest.
+func checkModel(t *testing.T, ix postings, rng *rand.Rand, keySpace, steps int, check func(step int, model map[int64][]int64)) {
+	model := map[int64][]int64{}
+	verify := func(step int) {
+		if ix.Len() != len(model) {
+			t.Fatalf("step %d: Len %d, model %d", step, ix.Len(), len(model))
+		}
+		if check != nil {
+			check(step, model)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		k := int64(rng.Intn(keySpace))
+		switch vals := model[k]; {
+		case rng.Intn(5) < 3:
+			ix.Insert(k, int64(step))
+			model[k] = append(vals, int64(step))
+		case len(vals) > 0:
+			j := rng.Intn(len(vals))
+			if !ix.Delete(k, vals[j]) {
+				t.Fatalf("step %d: Delete(%d, %d) found nothing", step, k, vals[j])
+			}
+			if model[k] = slices.Delete(vals, j, j+1); len(model[k]) == 0 {
+				delete(model, k)
+			}
+		default:
+			if ix.Delete(k, int64(step)) {
+				t.Fatalf("step %d: Delete of absent key %d succeeded", step, k)
+			}
+		}
+		if got := ix.Search(k); !slices.Equal(got, model[k]) {
+			t.Fatalf("step %d: Search(%d) %v, model %v", step, k, got, model[k])
+		}
+		if step%50 == 0 {
+			verify(step)
+		}
+	}
+	verify(-1)
+}
+
+// TestHashIndex holds the hash index to the model.
 func TestHashIndex(t *testing.T) {
-	h := NewHash()
-	if h.Search(1) != nil || h.Len() != 0 {
-		t.Fatalf("empty")
-	}
-	h.Insert(1, 10)
-	h.Insert(1, 11)
-	h.Insert(2, 20)
-	if h.Len() != 2 || len(h.Search(1)) != 2 {
-		t.Fatalf("insert")
-	}
-	if !h.Delete(1, 10) || h.Delete(1, 10) || h.Delete(9, 9) {
-		t.Fatalf("delete semantics")
-	}
-	if got := h.Search(1); len(got) != 1 || got[0] != 11 {
-		t.Fatalf("after delete: %v", got)
-	}
-	h.Delete(1, 11)
-	if h.Search(1) != nil || h.Len() != 1 {
-		t.Fatalf("empty postings must drop key")
+	for _, keySpace := range []int{8, 300} {
+		checkModel(t, NewHash(), rand.New(rand.NewSource(int64(keySpace))), keySpace, 6000, nil)
 	}
 }
 
-// TestBTreeModelWithDuplicates drives random inserts, deletes, point
-// lookups and range scans against a map of posting lists plus its sorted
-// keys, over a key space small enough that most keys are hit repeatedly:
-// keys gain a second TupleID, lose their first, fall back to one, vanish
-// and return. Postings must come back in insertion order, which is what
-// makes an index scan's output order a function of the history alone.
+// TestBTreeModelWithDuplicates holds the B+Tree to the model, and its range
+// scans, Min and Max to the model's sorted keys.
 func TestBTreeModelWithDuplicates(t *testing.T) {
 	for _, keySpace := range []int{40, 700, 20000} {
 		rng := rand.New(rand.NewSource(int64(keySpace)))
 		bt := NewBTree()
-		model := map[int64][]int64{}
-		check := func(step int) {
-			t.Helper()
+		checkModel(t, bt, rng, keySpace, 12000, func(step int, model map[int64][]int64) {
 			keys := make([]int64, 0, len(model))
 			for k := range model {
 				keys = append(keys, k)
 			}
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			if bt.Len() != len(keys) {
-				t.Fatalf("step %d: Len %d, model %d", step, bt.Len(), len(keys))
-			}
 			lo, hi := int64(rng.Intn(keySpace)), int64(rng.Intn(keySpace))
 			if lo > hi {
 				lo, hi = hi, lo
@@ -265,33 +249,6 @@ func TestBTreeModelWithDuplicates(t *testing.T) {
 			if k, ok := bt.Max(); ok != (len(keys) > 0) || (ok && k != keys[len(keys)-1]) {
 				t.Fatalf("step %d: Max %d %v", step, k, ok)
 			}
-		}
-		for step := 0; step < 12000; step++ {
-			k := int64(rng.Intn(keySpace))
-			switch vals := model[k]; {
-			case rng.Intn(5) < 3:
-				bt.Insert(k, int64(step))
-				model[k] = append(vals, int64(step))
-			case len(vals) > 0:
-				j := rng.Intn(len(vals))
-				if !bt.Delete(k, vals[j]) {
-					t.Fatalf("step %d: Delete(%d, %d) found nothing", step, k, vals[j])
-				}
-				if model[k] = slices.Delete(vals, j, j+1); len(model[k]) == 0 {
-					delete(model, k)
-				}
-			default:
-				if bt.Delete(k, int64(step)) {
-					t.Fatalf("step %d: Delete of absent key %d succeeded", step, k)
-				}
-			}
-			if got := bt.Search(k); !slices.Equal(got, model[k]) {
-				t.Fatalf("step %d: Search(%d) %v, model %v", step, k, got, model[k])
-			}
-			if step%50 == 0 {
-				check(step)
-			}
-		}
-		check(-1)
+		})
 	}
 }

@@ -65,25 +65,27 @@ race() { $GO test -race -timeout 45m ./...; }
 
 # A short pass over every fuzz target (go test allows one -fuzz pattern per
 # package invocation). Raise FUZZTIME for real sessions; crashers land in
-# testdata/fuzz/ for replay.
+# testdata/fuzz/ for replay. The targets are what `go test -list` finds, and
+# a checked-in corpus directory whose target is gone fails the step.
 fuzz_smoke() {
+	list=$($GO test -list '^Fuzz' ./internal/...)
+	targets=$(echo "$list" | awk '
+		/^Fuzz/ { names[++n] = $1 }
+		/^ok/ { sub("^tscout/internal/", "", $2); for (i = 1; i <= n; i++) print $2, names[i]; n = 0 }')
+	for dir in internal/*/testdata/fuzz/*/; do
+		[ -d "$dir" ] || continue
+		pkg=${dir#internal/}
+		pkg=${pkg%%/testdata/*}
+		name=$(basename "$dir")
+		if ! echo "$targets" | grep -qx "$pkg $name"; then
+			echo "fuzz_smoke: $dir has no fuzz target $name in internal/$pkg" >&2
+			return 1
+		fi
+	done
 	while read -r pkg target; do
 		$GO test "./internal/$pkg" -run '^$' -fuzz "^$target\$" -fuzztime "${FUZZTIME:-10s}"
 	done <<-END
-		bpf FuzzVerify
-		bpf FuzzVerifyThenRun
-		bpf FuzzOptimize
-		bpf FuzzAnalyzeDifferential
-		bpf FuzzRingbuf
-		bpf FuzzPerCPURing
-		tscout FuzzProcessorDecode
-		tscout FuzzFaultSchedule
-		kernel FuzzPerCPUFaultOrder
-		archive FuzzSegmentCodec
-		model FuzzBuildTreeDifferential
-		exec FuzzPreparedDifferential
-		txn FuzzVersionPruneDifferential
-		storage FuzzValueCell
+		$targets
 	END
 }
 
