@@ -296,16 +296,6 @@ func (b *Block) NumFeatures() int { return len(b.meta.featIdx) }
 // FeatureName returns feature i's dictionary-decoded name.
 func (b *Block) FeatureName(i int) string { return b.seg.dict[b.meta.featIdx[i]] }
 
-// NamedFeatures returns how many features the original rows carried names
-// for (the rest were generated f<i> placeholders).
-func (b *Block) NamedFeatures() int { return b.meta.named }
-
-// RowLo and RowHi bound the block's global row indexes (archive order).
-func (b *Block) RowLo() uint64 { return b.meta.rowLo }
-
-// RowHi is the largest global row index in the block.
-func (b *Block) RowHi() uint64 { return b.meta.rowHi }
-
 // MetricRange returns the zone map for metric m (MetricNames order,
 // unsigned counters reinterpreted as int64).
 func (b *Block) MetricRange(m int) (lo, hi int64) { return b.meta.minVal[m], b.meta.maxVal[m] }

@@ -2,7 +2,6 @@ package autopilot
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -221,179 +220,5 @@ func TestControllerDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(p1, p2) {
 		t.Fatalf("archives diverged: %d vs %d bytes", len(p1), len(p2))
-	}
-}
-
-// TestChaosIdentitiesWithAutopilot re-runs the chaos harness (seeded
-// fault schedules: kills, ring bursts, migrations) with the controller
-// retuning sampling rates every epoch — aggressive config so rates
-// actually move every tick, plus a mid-run hardware-change burst. The
-// pipeline's loss identities must hold exactly:
-//
-//	begins    == submitted + BeginWithoutEnd + TornMigration + StaleReaped + runtime faults
-//	submitted == points + ring drops + decode errors + corrupt discards
-//
-// at drain parallelism 1, 2, and 4. Rate retuning changes how many
-// events enter the pipeline; it must never change where they are
-// accounted.
-func TestChaosIdentitiesWithAutopilot(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		for _, par := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("seed=%d/threads=%d", seed, par), func(t *testing.T) {
-				const (
-					numCPUs = 4
-					ringCap = 16
-					ous     = 400
-					faults  = 48
-				)
-				k := kernel.New(sim.LargeHW, seed, 0)
-				k.SetNumCPUs(numCPUs)
-				fi := kernel.NewFaultInjector(kernel.GenFaultPlan(seed, faults, int64(3*ous), numCPUs))
-				k.SetFaultInjector(fi)
-
-				var buf bytes.Buffer
-				aw := archive.NewWriterSize(&buf, 64)
-				ts := tscout.New(k, tscout.Config{
-					Seed:                     seed,
-					RingCapacity:             ringCap,
-					ProcessorParallelism:     par,
-					DisableProcessorFeedback: true,
-					ProcessorSink:            aw,
-				})
-				scan := ts.MustRegisterOU(tscout.OUDef{
-					ID: 1, Name: "seq_scan", Subsystem: tscout.SubsystemExecutionEngine,
-					Features: []string{"num_rows", "row_bytes"},
-				}, tscout.ResourceSet{CPU: true, Disk: true})
-				walOU := ts.MustRegisterOU(tscout.OUDef{
-					ID: 9, Name: "log_serialize", Subsystem: tscout.SubsystemLogSerializer,
-					Features: []string{"num_records", "bytes"},
-				}, tscout.ResourceSet{CPU: true, Disk: true})
-				if err := ts.Deploy(); err != nil {
-					t.Fatalf("deploy: %v", err)
-				}
-				ts.Sampler().SetAllRates(100)
-				p := ts.Processor()
-				// Converge instantly and never declare drift: every tick
-				// halves the rate toward the floor, so the run sweeps the
-				// whole rate range while faults fly.
-				ctrl := New(ts, aw, Config{
-					MinSamples:    1,
-					ConvergeRatio: 1e9,
-					DriftRatio:    1e12,
-					NewModel:      func() model.OnlineModel { return model.NewOnlineRidge(1e-3) },
-				})
-
-				cycle := func(task *kernel.Task, m *tscout.Marker, w sim.Work, feats ...uint64) {
-					ts.BeginEvent(task, m.OU().Subsystem)
-					m.Begin(task)
-					task.Charge(w)
-					m.End(task)
-					m.Features(task, w.AllocBytes, feats...)
-				}
-
-				rng := rand.New(rand.NewSource(seed * 31))
-				tasks := make([]*kernel.Task, 3)
-				for i := range tasks {
-					tasks[i] = k.NewTask(fmt.Sprintf("w%d", i))
-				}
-				markers := []*tscout.Marker{scan, walOU}
-				for i := 0; i < ous; i++ {
-					task := tasks[rng.Intn(len(tasks))]
-					m := markers[rng.Intn(len(markers))]
-					cycle(task, m, sim.Work{Instructions: float64(500 + rng.Intn(2000))},
-						uint64(rng.Intn(100)), uint64(rng.Intn(8)))
-
-					if fi.TakePendingKill() {
-						vi := rng.Intn(len(tasks))
-						v := tasks[vi]
-						ts.BeginEvent(v, tscout.SubsystemExecutionEngine)
-						scan.Begin(v)
-						k.ExitTask(v)
-						nt := k.NewTask("respawn")
-						nt.Charge(sim.Work{Instructions: 200})
-						tasks[vi] = nt
-					}
-					if n := fi.TakePendingBurst(); n > 0 {
-						bt := tasks[rng.Intn(len(tasks))]
-						for j := 0; j < n*ringCap; j++ {
-							cycle(bt, scan, sim.Work{Instructions: 100}, uint64(j), 1)
-						}
-					}
-					if i%25 == 24 {
-						p.Drain(tscout.DrainOptions{Budget: 8})
-						ctrl.Tick()
-					}
-					if i == ous/2 {
-						// Mid-run hardware change: everything bursts back to
-						// 100% while the fault schedule keeps running.
-						ctrl.NoteHardwareChange()
-					}
-				}
-				for _, task := range tasks {
-					k.ExitTask(task)
-				}
-				for i := 0; i < 3; i++ {
-					p.Drain(tscout.DrainOptions{})
-					ctrl.Tick()
-				}
-
-				cst := ctrl.Stats()
-				if cst.Epochs == 0 || cst.PointsConsumed == 0 {
-					t.Fatalf("controller never engaged: %+v", cst)
-				}
-				retuned := false
-				for _, sub := range tscout.AllSubsystems {
-					if r := ts.Sampler().Rate(sub); r != 100 {
-						retuned = true
-					}
-					if cst.DriftEvents[sub] == 0 {
-						t.Fatalf("%s: hardware-change burst not recorded", sub)
-					}
-				}
-				if !retuned {
-					t.Fatal("no subsystem was throttled — the retune path never ran")
-				}
-
-				st := p.Stats()
-				for _, sub := range tscout.AllSubsystems {
-					col := ts.CollectorFor(sub)
-					if col == nil {
-						continue
-					}
-					rs := col.Ring.Stats()
-					if rs.Pending != 0 {
-						t.Fatalf("%s: ring holds %d samples after quiescence", sub, rs.Pending)
-					}
-					ks := st.Kernel[sub]
-					begins := k.Tracepoint("tscout/" + sub.String() + "/begin").Hits.Load()
-					inFlight := ks.Orphans.BeginWithoutEnd + ks.Orphans.TornMigration + ks.Orphans.StaleReaped
-					if begins != rs.Submitted+inFlight+col.Begin.RuntimeFaults() {
-						t.Fatalf("%s begin identity: %d begins != %d submitted + %d orphaned + %d faulted",
-							sub, begins, rs.Submitted, inFlight, col.Begin.RuntimeFaults())
-					}
-					if rs.Submitted != ks.Points+rs.Dropped+ks.DecodeErrors+ks.CorruptDiscards {
-						t.Fatalf("%s submit identity: submitted %d != points %d + dropped %d + decode %d + corrupt %d",
-							sub, rs.Submitted, ks.Points, rs.Dropped, ks.DecodeErrors, ks.CorruptDiscards)
-					}
-				}
-
-				// The segment archive still captures exactly the surviving
-				// points: the controller reads seal notifications, it never
-				// taps the delivery path.
-				if st.SinkRetryDrops != 0 {
-					t.Fatalf("sink deliveries lost: retryDrops=%d", st.SinkRetryDrops)
-				}
-				if err := aw.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				r, err := archive.NewReader(buf.Bytes())
-				if err != nil {
-					t.Fatalf("segment archive unreadable after chaos: %v", err)
-				}
-				if r.NumRows() != st.Processed {
-					t.Fatalf("archive rows %d != %d points produced", r.NumRows(), st.Processed)
-				}
-			})
-		}
 	}
 }

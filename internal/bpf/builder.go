@@ -170,12 +170,6 @@ func (b *Builder) Ja(label string) *Builder {
 	return b.emitJump(Insn{Op: OpJa}, label)
 }
 
-// JaLoop jumps unconditionally backward to label with a declared loop
-// bound (required by the verifier for back-edges).
-func (b *Builder) JaLoop(label string, bound int32) *Builder {
-	return b.emitJump(Insn{Op: OpJa, LoopBound: bound}, label)
-}
-
 // Jeq jumps to label if dst == imm.
 func (b *Builder) Jeq(dst Reg, imm int64, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJeqImm, Dst: dst, Imm: imm}, label)
@@ -214,12 +208,6 @@ func (b *Builder) JeqReg(dst, src Reg, label string) *Builder {
 // JneReg jumps to label if dst != src.
 func (b *Builder) JneReg(dst, src Reg, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJneReg, Dst: dst, Src: src}, label)
-}
-
-// JltRegLoop jumps backward to label while dst < src, declaring bound
-// loop iterations (the compile-time bound BPF's verifier demands).
-func (b *Builder) JltRegLoop(dst, src Reg, label string, bound int32) *Builder {
-	return b.emitJump(Insn{Op: OpJltReg, Dst: dst, Src: src, LoopBound: bound}, label)
 }
 
 // JneLoop jumps backward to label while dst != imm, with a declared bound.

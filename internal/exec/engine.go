@@ -98,8 +98,10 @@ type Ctx struct {
 	Txn  *txn.Txn
 
 	// fused is set while a fused pipeline's operators run: one measurement
-	// covers the pipeline, so ouBegin hands them no marker.
+	// covers the pipeline, so their markers neither begin nor end, and
+	// ouFeatures records each operator's features in parts instead.
 	fused bool
+	parts []tscout.FusedPart
 
 	// Statement scratch: memory an execution needs only until it returns.
 	// Run resets it at the statement boundary. Nothing in it is ever
@@ -162,24 +164,27 @@ func (e *Engine) Execute(ctx *Ctx, stmt sql.Statement, params []storage.Value) (
 
 // begin/end/features helpers tolerate nil markers (uninstrumented runs).
 func (e *Engine) ouBegin(ctx *Ctx, id tscout.OUID) *tscout.Marker {
-	if ctx.fused {
-		return nil
-	}
 	m := e.markers[id]
-	if m != nil {
+	if m != nil && !ctx.fused {
 		m.Begin(ctx.Task)
 	}
 	return m
 }
 
 func ouEnd(ctx *Ctx, m *tscout.Marker) {
-	if m != nil {
+	if m != nil && !ctx.fused {
 		m.End(ctx.Task)
 	}
 }
 
+// ouFeatures emits an OU's features, or inside a fused pipeline records
+// them as the pipeline's part for that OU: the same words either way.
 func ouFeatures(ctx *Ctx, m *tscout.Marker, alloc int64, feats ...uint64) {
-	if m != nil {
+	switch {
+	case m == nil:
+	case ctx.fused:
+		ctx.parts = append(ctx.parts, tscout.FusedPart{OU: m.OU().ID, Features: append([]uint64(nil), feats...)})
+	default:
 		m.Features(ctx.Task, alloc, feats...)
 	}
 }

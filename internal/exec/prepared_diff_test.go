@@ -151,7 +151,7 @@ func compare(t testing.TB, db *testDB, ctx *Ctx, model specDB, stmt sql.Statemen
 	if db.ts != nil {
 		pts := db.drainPoints(t)
 		if err == nil && se == nil {
-			if msg := featureDiff(pts, want, slotsOf(db, want), db.engine.FuseSimpleSelects); msg != "" {
+			if msg := featureDiff(pts, want, slotsOf(db, want)); msg != "" {
 				t.Error(msg)
 			}
 		}
@@ -243,9 +243,8 @@ func rowText(r storage.Row, sums []bool) string {
 // featureDiff checks what the spec states of a statement's training points:
 // output.num_rows is the rows returned, a DML OU's num_rows the rows
 // written, seq_scan.num_rows the slots of a table read, and filter's
-// num_rows_out, in scan order, the rows passing each table's conjuncts
-// (not when pipelines fuse: a fused filter part has no num_rows_out).
-func featureDiff(pts []tscout.TrainingPoint, want *specResult, slots []int, fused bool) string {
+// num_rows_out, in scan order, the rows passing each table's conjuncts.
+func featureDiff(pts []tscout.TrainingPoint, want *specResult, slots []int) string {
 	if want.lines > 0 && want.inner == nil && len(pts) > 0 {
 		return "plain EXPLAIN left training points"
 	}
@@ -265,7 +264,7 @@ func featureDiff(pts []tscout.TrainingPoint, want *specResult, slots []int, fuse
 			kept = append(kept, int(p.Features[2]))
 		}
 	}
-	if !fused && !slices.Equal(kept, want.kept) {
+	if !slices.Equal(kept, want.kept) {
 		return fmt.Sprintf("filter.num_rows_out %v, spec %v", kept, want.kept)
 	}
 	return ""

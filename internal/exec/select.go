@@ -8,7 +8,6 @@ import (
 	"tscout/internal/sim"
 	"tscout/internal/sql"
 	"tscout/internal/storage"
-	"tscout/internal/tscout"
 )
 
 func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
@@ -443,10 +442,11 @@ func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Re
 	if pm != nil {
 		pm.Begin(ctx.Task)
 	}
-	// Run the pipeline WITHOUT per-OU markers: one measurement covers it.
-	// The bit travels on this statement's Ctx; the engine's markers belong
-	// to every session.
-	ctx.fused = true
+	// Run the pipeline WITHOUT per-OU markers: one measurement covers it,
+	// and each operator's features become one part of its vector. The bit
+	// travels on this statement's Ctx; the engine's markers belong to every
+	// session.
+	ctx.fused, ctx.parts = true, ctx.parts[:0]
 	rows := e.scanRows(ctx, &ap, 0)
 	res := sp.project(rows)
 	if sp.limit >= 0 && len(res.Rows) > sp.limit {
@@ -456,23 +456,7 @@ func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Re
 	ctx.fused = false
 	if pm != nil {
 		pm.End(ctx.Task)
-		heap := ap.table.Heap
-		scanOU := OUSeqScan
-		scanFeat := []uint64{uint64(heap.NumSlots()), uint64(heap.Schema().RowWidth())}
-		if ap.index != nil {
-			scanOU = OUIndexScan
-			scanFeat = []uint64{1, uint64(ap.index.Height()), uint64(len(rows))}
-		}
-		parts := []tscout.FusedPart{
-			{OU: scanOU, Features: scanFeat},
-			{OU: OUOutput, Features: []uint64{uint64(len(res.Rows)), uint64(res.Bytes())}},
-		}
-		if len(ap.residual) > 0 {
-			parts = append(parts, tscout.FusedPart{
-				OU: OUFilter, Features: []uint64{uint64(len(rows)), uint64(len(ap.residual))},
-			})
-		}
-		if err := pm.FeaturesVector(ctx.Task, res.Bytes(), parts); err != nil {
+		if err := pm.FeaturesVector(ctx.Task, res.Bytes(), ctx.parts); err != nil {
 			return nil, err
 		}
 	}

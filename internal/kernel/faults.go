@@ -70,19 +70,17 @@ func (k FaultKind) String() string {
 // underflows into the absurd range the Processor discards.
 const counterWrapDelta = float64(uint64(1) << 44)
 
-// Fault is one scheduled fault: Kind fires when the injector's tracepoint
+// Fault is one scheduled fault: Kind fires when simulated CPU OnCPU's own
 // hit counter reaches AtHit (0-based, counted over attached-tracepoint hits
-// only). CPU parameterizes FaultMigrate (the destination, clamped into the
-// kernel's range); Count parameterizes FaultRingBurst.
+// delivered on that CPU only). CPU parameterizes FaultMigrate (the
+// destination, clamped into the kernel's range); Count parameterizes
+// FaultRingBurst.
 //
-// OnCPU selects which hit counter AtHit indexes. Zero (the legacy default)
-// means the injector-global counter: exact under a single-goroutine
-// workload, but under genuinely concurrent multi-CPU delivery the global
-// hit order depends on goroutine interleaving, so a global-indexed fault
-// can land on a different delivery each run. OnCPU = c+1 indexes simulated
-// CPU c's own delivery counter instead: each CPU's hit sequence is fixed by
-// the schedule regardless of how the host interleaves the CPUs, so
-// per-CPU-indexed plans are deterministic under real parallelism.
+// A CPU's counter advances only when that CPU delivers a marker, so its
+// value at any delivery is a function of the schedule alone, never of how
+// the host interleaves the CPUs: plans are deterministic under real
+// parallelism. A hit counts against the CPU it was delivered on, even when
+// a migrate fault moves the task during it.
 type Fault struct {
 	Kind  FaultKind
 	AtHit int64
@@ -97,42 +95,13 @@ type Fault struct {
 type FaultPlan []Fault
 
 // GenFaultPlan derives a reproducible fault plan from a seed: n faults of
-// pseudo-random kinds spread over the first maxHit marker deliveries.
-// numCPUs parameterizes migration targets. The same (seed, n, maxHit,
-// numCPUs) always yields the same plan — the property the chaos fuzzer's
-// corpus replay depends on.
-func GenFaultPlan(seed int64, n int, maxHit int64, numCPUs int) FaultPlan {
-	if n <= 0 || maxHit <= 0 {
-		return nil
-	}
-	if numCPUs < 1 {
-		numCPUs = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	plan := make(FaultPlan, 0, n)
-	for i := 0; i < n; i++ {
-		f := Fault{
-			Kind:  FaultKind(rng.Intn(int(numFaultKinds))),
-			AtHit: rng.Int63n(maxHit),
-		}
-		switch f.Kind {
-		case FaultMigrate:
-			f.CPU = rng.Intn(numCPUs)
-		case FaultRingBurst:
-			f.Count = 1 + rng.Intn(8)
-		}
-		plan = append(plan, f)
-	}
-	sort.SliceStable(plan, func(i, j int) bool { return plan[i].AtHit < plan[j].AtHit })
-	return plan
-}
-
-// GenFaultPlanPerCPU derives a reproducible per-CPU-indexed fault plan:
-// n faults spread over the first maxHitPerCPU deliveries *of each CPU's own
-// hit sequence* (every fault gets OnCPU != 0). Unlike GenFaultPlan's
-// global indexing, the resulting schedule is deterministic even when the
-// workload delivers markers from concurrently-running CPUs.
-func GenFaultPlanPerCPU(seed int64, n int, maxHitPerCPU int64, numCPUs int) FaultPlan {
+// pseudo-random kinds, fault i indexed against CPU i mod numCPUs and spread
+// over the first maxHitPerCPU deliveries of that CPU's hit sequence.
+// numCPUs also parameterizes migration targets. The same arguments always
+// yield the same plan — the property the chaos fuzzer's corpus replay
+// depends on. OnCPU takes no draw from the seeded stream, which the kinds,
+// hit indexes and parameters alone consume.
+func GenFaultPlan(seed int64, n int, maxHitPerCPU int64, numCPUs int) FaultPlan {
 	if n <= 0 || maxHitPerCPU <= 0 {
 		return nil
 	}
@@ -145,7 +114,7 @@ func GenFaultPlanPerCPU(seed int64, n int, maxHitPerCPU int64, numCPUs int) Faul
 		f := Fault{
 			Kind:  FaultKind(rng.Intn(int(numFaultKinds))),
 			AtHit: rng.Int63n(maxHitPerCPU),
-			OnCPU: 1 + rng.Intn(numCPUs),
+			OnCPU: i % numCPUs,
 		}
 		switch f.Kind {
 		case FaultMigrate:
@@ -163,26 +132,19 @@ func GenFaultPlanPerCPU(seed int64, n int, maxHitPerCPU int64, numCPUs int) Faul
 // Delivery-level faults (drop, dup, migrate, counter-wrap) are applied
 // inline by HitTracepoint; lifecycle faults (kill, ring burst) are queued
 // for the workload driver to take after the marker call returns. The
-// injector is synchronized, but deterministic schedules require the
-// workload itself to hit tracepoints in a deterministic order (the
-// Interleaver's job).
+// injector is synchronized, and because every fault indexes its own CPU's
+// hit counter, a schedule needs only each CPU's deliveries in a
+// deterministic order, not the CPUs' interleaving.
 type FaultInjector struct {
-	plan FaultPlan
-
 	mu           sync.Mutex
-	next         int
-	hits         int64
-	cpuPlans     map[int]*cpuFaultQueue
+	cpus         map[int]*cpuFaultQueue
 	pendingKill  bool
 	pendingBurst int
 	applied      [numFaultKinds]int64
 }
 
-// cpuFaultQueue is one simulated CPU's slice of a per-CPU-indexed plan:
-// its own delivery counter and the faults indexed against it. The counter
-// advances only when that CPU delivers a marker, so its value at any
-// delivery is a function of the schedule alone — never of which goroutine
-// got there first.
+// cpuFaultQueue is one simulated CPU's slice of a plan: its own delivery
+// counter and the faults indexed against it, in AtHit order.
 type cpuFaultQueue struct {
 	hits int64
 	plan []Fault
@@ -190,71 +152,50 @@ type cpuFaultQueue struct {
 }
 
 // NewFaultInjector creates an injector for a plan. Install it with
-// Kernel.SetFaultInjector. Faults with OnCPU == 0 index the injector-global
-// hit counter (the legacy behavior); faults with OnCPU = c+1 index CPU c's
-// own delivery counter and are applied only to deliveries on that CPU.
+// Kernel.SetFaultInjector.
 func NewFaultInjector(plan FaultPlan) *FaultInjector {
-	fi := &FaultInjector{cpuPlans: make(map[int]*cpuFaultQueue)}
-	var global FaultPlan
+	fi := &FaultInjector{cpus: make(map[int]*cpuFaultQueue)}
 	for _, f := range plan {
-		if f.OnCPU > 0 {
-			cpu := f.OnCPU - 1
-			q := fi.cpuPlans[cpu]
-			if q == nil {
-				q = &cpuFaultQueue{}
-				fi.cpuPlans[cpu] = q
-			}
-			q.plan = append(q.plan, f)
-			continue
-		}
-		global = append(global, f)
+		q := fi.queue(f.OnCPU)
+		q.plan = append(q.plan, f)
 	}
-	sort.SliceStable(global, func(i, j int) bool { return global[i].AtHit < global[j].AtHit })
-	fi.plan = global
-	for _, q := range fi.cpuPlans {
+	for _, q := range fi.cpus {
 		p := q.plan
 		sort.SliceStable(p, func(i, j int) bool { return p[i].AtHit < p[j].AtHit })
 	}
 	return fi
 }
 
-// beforeHit consumes every fault scheduled at the current hit index —
-// global faults against the injector-global counter, per-CPU faults
-// against the delivering CPU's own counter — and returns how many times
-// the marker should be delivered (0 = dropped). Inline faults are applied
-// to the hitting task directly.
+// queue returns cpu's queue, creating an empty one on first use. The caller
+// holds fi.mu or has not published fi yet.
+func (fi *FaultInjector) queue(cpu int) *cpuFaultQueue {
+	q := fi.cpus[cpu]
+	if q == nil {
+		q = &cpuFaultQueue{}
+		fi.cpus[cpu] = q
+	}
+	return q
+}
+
+// beforeHit counts one delivery against the CPU the task is on when the
+// marker arrives, applies every fault that CPU's queue schedules at that
+// hit index, and returns how many times the marker should be delivered
+// (0 = dropped). Inline faults are applied to the hitting task directly.
 func (fi *FaultInjector) beforeHit(t *Task) int {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	hit := fi.hits
-	fi.hits++
+	q := fi.queue(t.CPU())
+	hit := q.hits
+	q.hits++
 	times := 1
-	for fi.next < len(fi.plan) && fi.plan[fi.next].AtHit <= hit {
-		f := fi.plan[fi.next]
-		fi.next++
-		if f.AtHit < hit {
-			// The workload ended before this delivery point last time the
-			// counter passed it; skip rather than fire late. (Cannot happen
-			// with a monotonic counter, but keeps the loop total.)
-			continue
-		}
-		times = fi.applyLocked(f, t, times)
-	}
-	if q := fi.cpuPlans[t.CPU()]; q != nil {
-		cpuHit := q.hits
-		q.hits++
-		for q.next < len(q.plan) && q.plan[q.next].AtHit <= cpuHit {
-			f := q.plan[q.next]
-			q.next++
-			if f.AtHit < cpuHit {
-				continue
-			}
+	for q.next < len(q.plan) && q.plan[q.next].AtHit <= hit {
+		f := q.plan[q.next]
+		q.next++
+		// A negative AtHit is behind the counter from the start: skipped,
+		// never fired late.
+		if f.AtHit == hit {
 			times = fi.applyLocked(f, t, times)
 		}
-	} else {
-		// Track the counter even with no faults queued for this CPU, so
-		// CPUHits reports the full per-CPU delivery census.
-		fi.cpuPlans[t.CPU()] = &cpuFaultQueue{hits: 1}
 	}
 	return times
 }
@@ -285,17 +226,10 @@ func (fi *FaultInjector) applyLocked(f Fault, t *Task, times int) int {
 func (fi *FaultInjector) CPUHits(cpu int) int64 {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if q := fi.cpuPlans[cpu]; q != nil {
+	if q := fi.cpus[cpu]; q != nil {
 		return q.hits
 	}
 	return 0
-}
-
-// Hits returns how many marker deliveries the injector has observed.
-func (fi *FaultInjector) Hits() int64 {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.hits
 }
 
 // Applied returns how many faults of a kind have fired.

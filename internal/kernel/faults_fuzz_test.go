@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzPerCPUFaultOrder locks the per-CPU hit-indexing contract: a
-// per-CPU-indexed fault plan applies identically — same per-CPU delivery
+// FuzzPerCPUFaultOrder locks the per-CPU hit-indexing contract: a fault
+// plan applies identically — same per-CPU delivery
 // census, same per-CPU handler run counts, same applied-fault totals — no
 // matter how the host interleaves the CPUs' delivery sequences. Each fuzz
 // input derives a plan and two independent pseudo-random global merge
@@ -26,7 +26,7 @@ func FuzzPerCPUFaultOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ncpu uint8, orderSel uint8) {
 		numCPUs := 1 + int(ncpu)%8
 		const perCPU = 12
-		full := GenFaultPlanPerCPU(seed, 10, perCPU, numCPUs)
+		full := GenFaultPlan(seed, 10, perCPU, numCPUs)
 		var plan FaultPlan
 		for _, fa := range full {
 			switch fa.Kind {

@@ -20,17 +20,26 @@ func TestGenFaultPlanDeterministic(t *testing.T) {
 	if len(a) != 16 {
 		t.Fatalf("plan length = %d, want 16", len(a))
 	}
-	for i := 1; i < len(a); i++ {
-		if a[i].AtHit < a[i-1].AtHit {
+	for i, f := range a {
+		if i > 0 && f.AtHit < a[i-1].AtHit {
 			t.Fatalf("plan not sorted by AtHit: %v", a)
+		}
+		if f.OnCPU < 0 || f.OnCPU >= 4 {
+			t.Fatalf("fault has OnCPU=%d outside 0..3: %+v", f.OnCPU, f)
 		}
 	}
 	if GenFaultPlan(42, 0, 1000, 4) != nil {
 		t.Fatalf("n=0 should yield a nil plan")
 	}
-	c := GenFaultPlan(43, 16, 1000, 4)
-	if reflect.DeepEqual(a, c) {
+	if reflect.DeepEqual(a, GenFaultPlan(43, 16, 1000, 4)) {
 		t.Fatalf("different seeds produced identical plans")
+	}
+	// OnCPU takes no draw from the seeded stream: the one-CPU plan of the
+	// same seed has the same kinds, hit indexes and burst sizes, in order.
+	for i, f := range GenFaultPlan(42, 16, 1000, 1) {
+		if f.OnCPU != 0 || f.Kind != a[i].Kind || f.AtHit != a[i].AtHit || f.Count != a[i].Count {
+			t.Fatalf("fault %d at one CPU is %+v, at four %+v", i, f, a[i])
+		}
 	}
 }
 
@@ -88,8 +97,8 @@ func TestInjectorDropAndDupDeliveries(t *testing.T) {
 	if got := tp.Hits.Load(); got != 4 {
 		t.Fatalf("tracepoint hits = %d, want 4", got)
 	}
-	if fi.Hits() != 4 {
-		t.Fatalf("injector observed %d deliveries, want 4", fi.Hits())
+	if fi.CPUHits(0) != 4 {
+		t.Fatalf("injector observed %d deliveries, want 4", fi.CPUHits(0))
 	}
 	if fi.Applied(FaultDropMarker) != 1 || fi.Applied(FaultDupMarker) != 1 {
 		t.Fatalf("applied counts wrong: drop=%d dup=%d",
@@ -127,15 +136,17 @@ func TestInjectorPendingKillAndBurst(t *testing.T) {
 func TestInjectorMigrateAndCounterWrap(t *testing.T) {
 	k := testKernel()
 	k.SetNumCPUs(4)
-	tk := k.NewTask("w")
+	tk := k.NewTaskOn("w", 0)
 	tk.Perf().Enable(AllCounters...)
 	tk.Charge(sim.Work{Instructions: 1e6, BytesTouched: 1 << 16, WorkingSetBytes: 1 << 16})
 	before := tk.Perf().Read(CounterCycles).Raw
 	tp := k.Tracepoint("tp")
 	tp.Attach(func(t *Task, args []uint64) int64 { return 0 })
+	// The migrating hit counts against CPU 0, where it was delivered; the
+	// next hit is CPU 2's first.
 	fi := NewFaultInjector(FaultPlan{
 		{Kind: FaultMigrate, AtHit: 0, CPU: 2},
-		{Kind: FaultCounterWrap, AtHit: 1},
+		{Kind: FaultCounterWrap, AtHit: 0, OnCPU: 2},
 	})
 	k.SetFaultInjector(fi)
 	tk.HitTracepoint(tp, nil)
@@ -143,6 +154,9 @@ func TestInjectorMigrateAndCounterWrap(t *testing.T) {
 		t.Fatalf("migrate fault left task on cpu %d, want 2", tk.CPU())
 	}
 	tk.HitTracepoint(tp, nil)
+	if fi.CPUHits(0) != 1 || fi.CPUHits(2) != 1 {
+		t.Fatalf("hits per CPU = %d on 0, %d on 2; want 1 each", fi.CPUHits(0), fi.CPUHits(2))
+	}
 	after := tk.Perf().Read(CounterCycles).Raw
 	// The wrap pulls the accumulated count down (to zero here, since the
 	// wrap delta far exceeds what one Charge accumulated); the CPU-2 base
@@ -189,28 +203,6 @@ func TestCPUCounterBaseCancelsInSameCPUDeltas(t *testing.T) {
 	}
 }
 
-func TestGenFaultPlanPerCPUDeterministic(t *testing.T) {
-	a := GenFaultPlanPerCPU(42, 16, 50, 4)
-	b := GenFaultPlanPerCPU(42, 16, 50, 4)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different per-CPU plans:\n%v\n%v", a, b)
-	}
-	if len(a) != 16 {
-		t.Fatalf("plan length = %d, want 16", len(a))
-	}
-	for _, f := range a {
-		if f.OnCPU < 1 || f.OnCPU > 4 {
-			t.Fatalf("per-CPU fault has OnCPU=%d outside 1..4: %+v", f.OnCPU, f)
-		}
-	}
-	if GenFaultPlanPerCPU(42, 0, 50, 4) != nil {
-		t.Fatalf("n=0 should yield a nil plan")
-	}
-	if reflect.DeepEqual(a, GenFaultPlanPerCPU(43, 16, 50, 4)) {
-		t.Fatalf("different seeds produced identical per-CPU plans")
-	}
-}
-
 // deliverInterleaved runs per-CPU marker deliveries under an arbitrary
 // global interleaving: order[i] names which CPU delivers next. It returns
 // the per-CPU handler run counts. Each CPU's deliveries happen in its own
@@ -240,12 +232,12 @@ func deliverInterleaved(t *testing.T, plan FaultPlan, numCPUs int, order []int) 
 func TestPerCPUFaultIndexingIsInterleavingIndependent(t *testing.T) {
 	const numCPUs = 4
 	const perCPU = 6
-	// Per-CPU-indexed faults: CPU 0 drops its 3rd delivery, CPU 1 duplicates
-	// its 1st, CPU 2 drops its 5th, CPU 3 is untouched.
+	// CPU 0 drops its 3rd delivery, CPU 1 duplicates its 1st, CPU 2 drops
+	// its 5th, CPU 3 is untouched.
 	plan := FaultPlan{
-		{Kind: FaultDropMarker, AtHit: 2, OnCPU: 1},
-		{Kind: FaultDupMarker, AtHit: 0, OnCPU: 2},
-		{Kind: FaultDropMarker, AtHit: 4, OnCPU: 3},
+		{Kind: FaultDropMarker, AtHit: 2, OnCPU: 0},
+		{Kind: FaultDupMarker, AtHit: 0, OnCPU: 1},
+		{Kind: FaultDropMarker, AtHit: 4, OnCPU: 2},
 	}
 	// Three very different global merge orders of the same per-CPU
 	// sequences: round-robin, CPU-major, and reversed round-robin.
@@ -272,24 +264,6 @@ func TestPerCPUFaultIndexingIsInterleavingIndependent(t *testing.T) {
 				t.Fatalf("%s: CPUHits(%d) = %d, want %d", name, c, got, perCPU)
 			}
 		}
-		if fi.Hits() != int64(len(order)) {
-			t.Fatalf("%s: global hits = %d, want %d", name, fi.Hits(), len(order))
-		}
-	}
-}
-
-func TestGlobalFaultIndexingDependsOnInterleaving(t *testing.T) {
-	// The contrast case motivating OnCPU: a global-indexed drop at hit 2
-	// lands on whichever CPU happens to deliver third, so different merge
-	// orders starve different CPUs. This documents why multi-CPU chaos plans
-	// must use per-CPU indexing.
-	plan := FaultPlan{{Kind: FaultDropMarker, AtHit: 2}}
-	order1 := []int{0, 1, 0, 1, 0, 1}
-	order2 := []int{1, 0, 1, 0, 1, 0}
-	runs1, _ := deliverInterleaved(t, plan, 2, order1)
-	runs2, _ := deliverInterleaved(t, plan, 2, order2)
-	if reflect.DeepEqual(runs1, runs2) {
-		t.Fatalf("expected global-indexed fault to land on different CPUs under different interleavings; got %v both times", runs1)
 	}
 }
 

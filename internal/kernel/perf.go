@@ -124,13 +124,6 @@ func (pc *PerfContext) SetPerTask(v bool) { pc.perTask = v }
 // PerTask reports the counter attachment mode.
 func (pc *PerfContext) PerTask() bool { return pc.perTask }
 
-// Disable turns off the given counters.
-func (pc *PerfContext) Disable(cs ...Counter) {
-	for _, c := range cs {
-		pc.enabled[c] = false
-	}
-}
-
 // DisableAll turns off every counter.
 func (pc *PerfContext) DisableAll() {
 	for i := range pc.enabled {

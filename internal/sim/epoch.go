@@ -139,9 +139,6 @@ func NewEpochs(tl *CPUTimelines, epochNS int64) *Epochs {
 	return &Epochs{tl: tl, epochNS: epochNS, nextSeq: make([]uint64, tl.NumCPUs())}
 }
 
-// EpochNS returns the epoch length.
-func (e *Epochs) EpochNS() int64 { return e.epochNS }
-
 // Index returns the current epoch number (starting at 0).
 func (e *Epochs) Index() int64 { return e.index }
 

@@ -2,90 +2,107 @@ package tscout
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
-	"tscout/internal/kernel"
 	"tscout/internal/sim"
 )
 
-// This file is the end-to-end invariant harness for the marker → codegen →
-// Collector → ring → Processor pipeline (ISSUE 2 tentpole, part 3). The
-// load-bearing invariant is the accounting identity
-//
-//	submitted == points + dropped_ring + dropped_queue + dropped_shape
-//
-// where points is the training points produced (and, with a healthy sink,
-// delivered — see assertDeliveryIdentity), dropped_ring is ring-buffer
-// overwrite, dropped_queue is user-queue overflow, and
-// dropped_shape is samples the Processor drained but could not decode.
-// Every sample a probe ever offered must be in exactly one of those
-// buckets once the rings are fully drained — a leak in either direction
-// means the self-observability stats (which drive §3.2 feedback) lie.
+// This file holds the pipeline's accounting identities — every sample a
+// probe offered, and every point the Processor produced, is in exactly one
+// bucket once the rings are drained; a leak in either direction means the
+// self-observability stats that drive §3.2 feedback lie — and the
+// fault-free workloads that exercise them on the kernel and user paths.
 
-// deployInvariant builds a deployment with an explicit pipeline shape.
-func deployInvariant(t *testing.T, mode Mode, seed int64, ringCap, par int) (*TScout, *kernel.Kernel, *Marker, *Marker) {
-	t.Helper()
-	k := kernel.New(sim.LargeHW, seed, 0)
-	ts := New(k, Config{
-		Mode:                     mode,
-		RingCapacity:             ringCap,
-		Seed:                     seed,
-		ProcessorParallelism:     par,
-		DisableProcessorFeedback: true,
-		ProcessorSink:            &recordingBatchSink{},
-	})
-	scan := ts.MustRegisterOU(OUDef{
-		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
-		Features: []string{"num_rows", "row_bytes"},
-	}, ResourceSet{CPU: true, Memory: true, Disk: true})
-	wal := ts.MustRegisterOU(OUDef{
-		ID: testOUWAL, Name: "log_serialize", Subsystem: SubsystemLogSerializer,
-		Features: []string{"num_records", "bytes"},
-	}, ResourceSet{CPU: true, Disk: true})
-	if err := ts.Deploy(); err != nil {
-		t.Fatalf("deploy: %v", err)
-	}
-	ts.Sampler().SetAllRates(100)
-	return ts, k, scan, wal
-}
-
-// checkKernelIdentity asserts the accounting identity for every kernel
-// subsystem shard after the rings have been fully drained, and returns the
-// total ring drops so callers can assert the workload exercised overflow.
-func checkKernelIdentity(t *testing.T, ts *TScout) int64 {
-	t.Helper()
+// CheckLossIdentities asserts, once every task has exited and the rings are
+// fully drained, that no loss is silent and none is counted twice
+// (DESIGN.md §8): every ring is empty and each CPU ring's submitted ==
+// drained + dropped, summing to its subsystem's ring and to Stats().Rings;
+// per subsystem
+//
+//	begins    == submitted + BeginWithoutEnd + TornMigration + StaleReaped + BEGIN runtime faults
+//	submitted == points + ring drops + decode errors + corrupt discards
+//	drained   == submitted - ring drops
+//
+// with no decode errors and no runtime faults from the verified Collectors;
+// and for the Processor, processed == sink rows + SinkRetryDrops +
+// PendingRetry. It returns the orphans of every subsystem. The chaos
+// harness (package tscout_test) calls it after every run.
+func CheckLossIdentities(tb testing.TB, ts *TScout) OrphanCounts {
+	tb.Helper()
 	st := ts.Processor().Stats()
-	var totalDropped int64
+	var orphans OrphanCounts
 	for _, sub := range AllSubsystems {
 		col := ts.CollectorFor(sub)
 		if col == nil {
 			continue
 		}
-		rs := col.Ring.Stats()
-		if rs.Pending != 0 {
-			t.Fatalf("%s: ring still holds %d samples after final drain", sub, rs.Pending)
+		agg, perCPU := col.Ring.Stats(), col.Ring.CPUStats()
+		var sumSub, sumDrained, sumDropped int64
+		for cpu, rs := range perCPU {
+			if rs.Pending != 0 {
+				tb.Fatalf("%s cpu%d: ring still holds %d samples after the final drain", sub, cpu, rs.Pending)
+			}
+			if rs.Submitted != rs.Drained+rs.Dropped {
+				tb.Fatalf("%s cpu%d ring identity: submitted %d != drained %d + dropped %d",
+					sub, cpu, rs.Submitted, rs.Drained, rs.Dropped)
+			}
+			sumSub += rs.Submitted
+			sumDrained += rs.Drained
+			sumDropped += rs.Dropped
 		}
+		if sumSub != agg.Submitted || sumDrained != agg.Drained || sumDropped != agg.Dropped {
+			tb.Fatalf("%s: per-ring sums (%d/%d/%d) disagree with aggregate (%d/%d/%d)",
+				sub, sumSub, sumDrained, sumDropped, agg.Submitted, agg.Drained, agg.Dropped)
+		}
+		if !reflect.DeepEqual(st.Rings[sub], perCPU) {
+			tb.Fatalf("%s: Stats().Rings disagrees with Ring.CPUStats()", sub)
+		}
+
 		ks := st.Kernel[sub]
-		// Non-fused samples produce exactly one point each, so the
-		// identity is 1:1 per subsystem.
-		if rs.Submitted != ks.Points+rs.Dropped+ks.DecodeErrors+ks.CorruptDiscards {
-			t.Fatalf("%s identity violated: submitted %d != points %d + dropped %d + decode errors %d + corrupt %d",
-				sub, rs.Submitted, ks.Points, rs.Dropped, ks.DecodeErrors, ks.CorruptDiscards)
+		// A BEGIN whose program faults pushes no entry, so the program's
+		// fault counter is the bucket that keeps this exact. EndWithoutBegin
+		// is not a term: those ENDs have no BEGIN to account.
+		begins := ts.subsystems[sub].beginTP.Hits.Load()
+		inFlight := ks.Orphans.BeginWithoutEnd + ks.Orphans.TornMigration + ks.Orphans.StaleReaped
+		if begins != agg.Submitted+inFlight+col.Begin.RuntimeFaults() {
+			tb.Fatalf("%s begin identity: %d begins != %d submitted + %d orphaned (%+v) + %d faulted",
+				sub, begins, agg.Submitted, inFlight, ks.Orphans, col.Begin.RuntimeFaults())
 		}
-		if ks.Drained != rs.Submitted-rs.Dropped {
-			t.Fatalf("%s: drained %d, submitted %d, dropped %d", sub, ks.Drained, rs.Submitted, rs.Dropped)
+		if agg.Submitted != ks.Points+agg.Dropped+ks.DecodeErrors+ks.CorruptDiscards {
+			tb.Fatalf("%s submit identity: submitted %d != points %d + dropped %d + decode %d + corrupt %d",
+				sub, agg.Submitted, ks.Points, agg.Dropped, ks.DecodeErrors, ks.CorruptDiscards)
+		}
+		if ks.Drained != agg.Submitted-agg.Dropped {
+			tb.Fatalf("%s: drained %d, submitted %d, dropped %d", sub, ks.Drained, agg.Submitted, agg.Dropped)
 		}
 		if ks.DecodeErrors != 0 {
-			t.Fatalf("%s: Collector emitted %d undecodable samples", sub, ks.DecodeErrors)
+			tb.Fatalf("%s: Collector emitted %d undecodable samples", sub, ks.DecodeErrors)
 		}
-		if ks.CorruptDiscards != 0 {
-			t.Fatalf("%s: fault-free workload produced %d corrupt-metric discards", sub, ks.CorruptDiscards)
+		// Nonzero here is a verifier or JIT bug, on either engine.
+		if ks.RuntimeFaults != 0 {
+			tb.Fatalf("%s: %d runtime faults from verified programs (jit=%+v)", sub, ks.RuntimeFaults, st.JIT[sub])
 		}
-		totalDropped += rs.Dropped
+		orphans.Add(ks.Orphans)
 	}
-	assertDeliveryIdentity(t, st, sinkOf(ts).Rows())
-	return totalDropped
+	assertDeliveryIdentity(tb, st, ts.Processor().sink.Rows())
+	return orphans
+}
+
+// checkFaultFree holds a run with no injected faults to the loss identities
+// and to losing samples only to ring overwrite: no orphan, no corrupt
+// discard. It returns the ring drops.
+func checkFaultFree(t *testing.T, ts *TScout) int64 {
+	t.Helper()
+	if o := CheckLossIdentities(t, ts); o.Total() != 0 {
+		t.Fatalf("fault-free workload orphaned OUs: %+v", o)
+	}
+	st := ts.Processor().Stats()
+	if n := st.TotalCorruptDiscards(); n != 0 {
+		t.Fatalf("fault-free workload produced %d corrupt-metric discards", n)
+	}
+	return st.TotalDropped()
 }
 
 // TestPipelineAccountingIdentity drives seeded randomized marker workloads
@@ -97,7 +114,7 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("threads=%d/seed=%d", par, seed), func(t *testing.T) {
-				ts, k, scan, wal := deployInvariant(t, KernelContinuous, seed, 8, par)
+				ts, k, scan, wal := deployPerCPU(t, KernelContinuous, seed, 1, 8, par)
 				p := ts.Processor()
 
 				iv := k.NewInterleaver(seed)
@@ -130,7 +147,7 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 				iv.Run()
 				p.Drain(DrainOptions{}) // unbudgeted sweep: empty the rings
 
-				dropped := checkKernelIdentity(t, ts)
+				dropped := checkFaultFree(t, ts)
 				if dropped == 0 {
 					t.Fatalf("workload never overflowed an 8-slot ring; the dropped_ring term went untested")
 				}
@@ -152,7 +169,7 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 func TestUserQueueAccountingIdentity(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("threads=%d", par), func(t *testing.T) {
-			ts, k, scan, wal := deployInvariant(t, UserContinuous, 9, 0, par)
+			ts, k, scan, wal := deployPerCPU(t, UserContinuous, 9, 1, 0, par)
 			p := ts.Processor()
 			task := k.NewTask("worker")
 			for i := 0; i < 300; i++ {
@@ -197,7 +214,7 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 // DeltaDropped: a period that drains nothing reports zero, not the previous
 // period's count.
 func TestUserDeltaDrainedClearsOnIdlePeriod(t *testing.T) {
-	ts, k, scan, _ := deployInvariant(t, UserContinuous, 9, 0, 1)
+	ts, k, scan, _ := deployPerCPU(t, UserContinuous, 9, 1, 0, 1)
 	p := ts.Processor()
 	task := k.NewTask("worker")
 	for i := 0; i < 20; i++ {
@@ -219,7 +236,7 @@ func TestUserDeltaDrainedClearsOnIdlePeriod(t *testing.T) {
 // order, so each worker's samples arrive in the order it produced them,
 // every point arrives exactly once, and the accounting identities hold.
 func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
-	ts, k, scan, wal := deployInvariant(t, KernelContinuous, 11, 64, 2)
+	ts, k, scan, wal := deployPerCPU(t, KernelContinuous, 11, 1, 64, 2)
 	p := ts.Processor()
 
 	const workers, iters = 4, 150
@@ -253,7 +270,7 @@ func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
 	p.Drain(DrainOptions{})
 
 	checkWorkerOrder(t, ts)
-	checkKernelIdentity(t, ts)
+	checkFaultFree(t, ts)
 }
 
 // checkWorkerOrder asserts the sink stream keeps ring order for workloads

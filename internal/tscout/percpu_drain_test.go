@@ -17,13 +17,14 @@ import (
 // affinity, the per-ring accounting identity, the DrainOptions surface, and
 // the batched sink delivery path.
 
-// newPerCPU builds an undeployed kernel-mode TScout over a kernel with an
-// explicit simulated CPU count, with the given per-CPU ring capacity and
+// newPerCPU builds an undeployed TScout in the given mode over a kernel with
+// an explicit simulated CPU count, with the given per-CPU ring capacity and
 // drain parallelism and a recording sink.
-func newPerCPU(seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel) {
+func newPerCPU(mode Mode, seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel) {
 	k := kernel.New(sim.LargeHW, seed, 0)
 	k.SetNumCPUs(numCPUs)
 	return New(k, Config{
+		Mode:                     mode,
 		RingCapacity:             ringCap,
 		Seed:                     seed,
 		ProcessorParallelism:     par,
@@ -34,9 +35,9 @@ func newPerCPU(seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel) 
 
 // deployPerCPU deploys newPerCPU's rig with the two test OUs at full
 // sampling.
-func deployPerCPU(t *testing.T, seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel, *Marker, *Marker) {
+func deployPerCPU(t *testing.T, mode Mode, seed int64, numCPUs, ringCap, par int) (*TScout, *kernel.Kernel, *Marker, *Marker) {
 	t.Helper()
-	ts, k := newPerCPU(seed, numCPUs, ringCap, par)
+	ts, k := newPerCPU(mode, seed, numCPUs, ringCap, par)
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
@@ -123,44 +124,6 @@ func TestRingAffinityDisjoint(t *testing.T) {
 	}
 }
 
-// checkPerCPUIdentity asserts, for every subsystem, the per-ring identity
-// submitted == drained + dropped on each individual CPU ring, that the
-// per-ring counters sum to the subsystem aggregate, and that the Stats()
-// snapshot carries the same per-ring numbers. Rings must be empty (call
-// after a final unbudgeted drain).
-func checkPerCPUIdentity(t *testing.T, ts *TScout) {
-	t.Helper()
-	st := ts.Processor().Stats()
-	for _, sub := range AllSubsystems {
-		col := ts.CollectorFor(sub)
-		if col == nil {
-			continue
-		}
-		agg := col.Ring.Stats()
-		perCPU := col.Ring.CPUStats()
-		var sumSub, sumDrained, sumDropped int64
-		for cpu, rs := range perCPU {
-			if rs.Pending != 0 {
-				t.Fatalf("%s cpu%d: ring still holds %d samples after final drain", sub, cpu, rs.Pending)
-			}
-			if rs.Submitted != rs.Drained+rs.Dropped {
-				t.Fatalf("%s cpu%d identity violated: submitted %d != drained %d + dropped %d",
-					sub, cpu, rs.Submitted, rs.Drained, rs.Dropped)
-			}
-			sumSub += rs.Submitted
-			sumDrained += rs.Drained
-			sumDropped += rs.Dropped
-		}
-		if sumSub != agg.Submitted || sumDrained != agg.Drained || sumDropped != agg.Dropped {
-			t.Fatalf("%s: per-ring sums (%d/%d/%d) disagree with aggregate (%d/%d/%d)",
-				sub, sumSub, sumDrained, sumDropped, agg.Submitted, agg.Drained, agg.Dropped)
-		}
-		if !reflect.DeepEqual(st.Rings[sub], perCPU) {
-			t.Fatalf("%s: Stats().Rings disagrees with Ring.CPUStats()", sub)
-		}
-	}
-}
-
 // TestPerCPUAccountingIdentity drives a seeded multi-task workload whose
 // tasks land on (and migrate across) different simulated CPUs, interleaved
 // with budgeted per-ring-capped drains under a deterministic schedule, at
@@ -173,7 +136,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("threads=%d", par), func(t *testing.T) {
 			seed := int64(100 + par)
 			run := func() (ProcessorStats, []TrainingPoint) {
-				ts, k, scan, wal := deployPerCPU(t, seed, numCPUs, 8, par)
+				ts, k, scan, wal := deployPerCPU(t, KernelContinuous, seed, numCPUs, 8, par)
 				p := ts.Processor()
 
 				iv := k.NewInterleaver(seed)
@@ -202,8 +165,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 				iv.Run()
 				p.Drain(DrainOptions{}) // final sweep: empty every ring
 
-				checkPerCPUIdentity(t, ts)
-				dropped := checkKernelIdentity(t, ts)
+				dropped := checkFaultFree(t, ts)
 				if dropped == 0 {
 					t.Fatalf("workload never overflowed an 8-slot per-CPU ring")
 				}
@@ -245,7 +207,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 // contract must all hold, and the batched path must have actually batched.
 func TestAffinityShardedDrainConcurrent(t *testing.T) {
 	const numCPUs, par = 8, 4
-	ts, k, scan, wal := deployPerCPU(t, 21, numCPUs, 64, par)
+	ts, k, scan, wal := deployPerCPU(t, KernelContinuous, 21, numCPUs, 64, par)
 	p := ts.Processor()
 
 	const workers, iters = 8, 120
@@ -279,8 +241,7 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 	}
 	p.Drain(DrainOptions{})
 
-	checkPerCPUIdentity(t, ts)
-	checkKernelIdentity(t, ts)
+	checkFaultFree(t, ts)
 
 	st := p.Stats()
 	var batches int64
@@ -303,7 +264,7 @@ func TestAffinityShardedDrainConcurrent(t *testing.T) {
 // histogram buckets what each cycle actually drained from each ring.
 func TestDrainBatchHistogram(t *testing.T) {
 	const numCPUs = 4
-	ts, _, _, _ := deployPerCPU(t, 5, numCPUs, 16, 2)
+	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 5, numCPUs, 16, 2)
 	p := ts.Processor()
 	ring := ts.CollectorFor(SubsystemExecutionEngine).Ring
 	for cpu := 0; cpu < numCPUs; cpu++ {
@@ -369,7 +330,7 @@ func TestUnbudgetedDrainDeliversTail(t *testing.T) {
 	const numCPUs, perRing = 2, 3100 // 4 rings: 12 400 samples in one drain
 	for _, par := range []int{1, 2} {
 		t.Run(fmt.Sprintf("threads=%d", par), func(t *testing.T) {
-			ts, _, _, _ := deployPerCPU(t, 9, numCPUs, 4096, par)
+			ts, _, _, _ := deployPerCPU(t, KernelContinuous, 9, numCPUs, 4096, par)
 			total := int64(fillRings(ts, numCPUs, perRing, 0))
 			p := ts.Processor()
 			if res := p.Drain(DrainOptions{}); int64(res.Points) != total {
@@ -401,7 +362,7 @@ func TestUnbudgetedDrainDeliversTail(t *testing.T) {
 // whatever is still parked is redelivered.
 func TestRetryBacklogBoundedInPoints(t *testing.T) {
 	const numCPUs, perRing = 2, 12000
-	ts, _, _, _ := deployPerCPU(t, 9, numCPUs, 16384, 2)
+	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 9, numCPUs, 16384, 2)
 	p, sink := ts.Processor(), sinkOf(ts)
 	sink.discard = true
 	sink.failBatches = true
@@ -530,7 +491,7 @@ func TestWritePoint(t *testing.T) {
 // result — this read 3.05.
 func TestDrainAllocationsPerPoint(t *testing.T) {
 	const numCPUs, samples = 8, 2000
-	ts, _ := newPerCPU(7, numCPUs, 64, 2)
+	ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, 64, 2)
 	sinkOf(ts).discard = true
 	payloads := deployEverySubsystem(t, ts)
 	p := ts.Processor()
@@ -609,7 +570,7 @@ func (f sinkFunc) Rows() int64                          { return 0 }
 // records the table.
 func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 	run := func(b *testing.B, numCPUs, threads int) {
-		ts, _ := newPerCPU(1, numCPUs, 1024, threads)
+		ts, _ := newPerCPU(KernelContinuous, 1, numCPUs, 1024, threads)
 		sinkOf(ts).discard = true
 		payloads := deployEverySubsystem(b, ts)
 		ts.Sampler().SetAllRates(100)

@@ -175,7 +175,7 @@ func decodeDifferential(t *testing.T, p *Processor, buf []byte) {
 // truncation, so a slab sized from the wire counts would be too small. The
 // non-fused points' vectors must also sit back to back in one array.
 func TestBatchDecodeMatchesTransform(t *testing.T) {
-	ts, _, _, _ := deployPerCPU(t, 5, 1, 128, 1) // seq_scan and log_serialize, two features each
+	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 5, 1, 128, 1) // seq_scan and log_serialize, two features each
 	p := ts.Processor()
 	p.SetSplitter(func(ou OUID, f []float64) float64 { return 1 + float64(len(f)) })
 

@@ -29,6 +29,20 @@ lint() {
 	$GO vet ./...
 	$GO run ./internal/analysis/tsvet .
 	runner_inlined
+	one_chaos_driver
+}
+
+# The loss identities are proven by one chaos harness. Only the kernel's own
+# tests and internal/tscout/chaos_test.go may install a fault injector, so
+# chaos drivers cannot multiply again.
+one_chaos_driver() {
+	stray=$(grep -rl --include='*_test.go' 'kernel\.NewFaultInjector' . |
+		grep -v -e '^\./internal/kernel/' -e '^\./internal/tscout/chaos_test\.go$' || true)
+	if [ -n "$stray" ]; then
+		echo "one_chaos_driver: only internal/tscout/chaos_test.go may drive faults; add a scenario there instead:" >&2
+		echo "$stray" >&2
+		return 1
+	fi
 }
 
 # bpf's block.run is the loop every marker hit spends its time in, and it is
