@@ -71,7 +71,7 @@ func (w *Writer) SetOnSeal(fn func(segment []byte)) {
 
 // WriteBatch implements tscout.Sink. The batch is copied into the pending
 // buffer under one lock acquisition; full segments seal inline on the
-// caller's (drain worker's) goroutine.
+// caller's goroutine (for the Processor, the one that called Drain).
 func (w *Writer) WriteBatch(pts []tscout.TrainingPoint) error {
 	w.mu.Lock()
 	if w.err != nil {

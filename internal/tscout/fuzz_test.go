@@ -10,7 +10,8 @@ import (
 
 // fuzzProcessor builds a minimal TScout whose OU table resolves a few ids,
 // so fuzzed samples exercise both the registered and unregistered paths of
-// Processor.transform. Shared across fuzz execs: transform only reads it.
+// Processor.transform. Shared across fuzz execs, which run one at a time:
+// transform only reads it, and decodeBatch writes only its scratch index.
 func fuzzProcessor() *Processor {
 	k := kernel.New(sim.LargeHW, 3, 0)
 	ts := New(k, Config{Mode: UserContinuous, Seed: 5})
@@ -30,7 +31,7 @@ func fuzzProcessor() *Processor {
 // make() as a negative cap, and a feature count of ^0 wraps negative
 // through int() so the old i+n bound check passed and the slice expression
 // panicked. Both inputs are reachable from SubmitUserSample, where a panic
-// kills the drain goroutine.
+// takes down Drain's caller.
 func TestDecodeFusedFeaturesHostileCounts(t *testing.T) {
 	hostile := [][]uint64{
 		{^uint64(0)},                     // k = -1 after int conversion
@@ -66,7 +67,8 @@ func TestDecodeFusedFeaturesHostileCounts(t *testing.T) {
 // every training point produced must have Features and FeatureNames of
 // equal length (the invariant model training depends on). transform is the
 // per-sample decode the Processor used to run (transform_oracle_test.go);
-// decodeDifferential then holds decodeBatch, which it runs now, to it.
+// decodeDifferential then holds decodeBatch, which it runs now, to it on a
+// one-sample ring batch.
 func FuzzProcessorDecode(f *testing.F) {
 	p := fuzzProcessor()
 
@@ -122,7 +124,7 @@ func FuzzProcessorDecode(f *testing.F) {
 			}
 		}
 
-		var adj featureAdjust
+		var adj decodeCounts
 		points, terr := p.transform(buf, &adj)
 		if terr != nil {
 			return

@@ -230,47 +230,61 @@ func TestUserDeltaDrainedClearsOnIdlePeriod(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrainKeepsRingOrder drains concurrently with live
-// submitters (real goroutines, real races for the -race build) and then
+// TestConcurrentDrainKeepsRingOrder races budgeted drains against live
+// submitters (real goroutines on tasks pinned round-robin to the simulated
+// CPUs, real races for the -race build), on one CPU and on eight, and then
 // checks the ordering contract of the sink stream: points leave in ring
 // order, so each worker's samples arrive in the order it produced them,
-// every point arrives exactly once, and the accounting identities hold.
+// every point arrives exactly once, the accounting identities hold, and
+// the batched path has actually batched.
 func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
-	ts, k, scan, wal := deployPerCPU(t, KernelContinuous, 11, 1, 64, 2)
-	p := ts.Processor()
+	for _, c := range []struct{ numCPUs, par int }{{1, 2}, {8, 4}} {
+		t.Run(fmt.Sprintf("cpus=%d/threads=%d", c.numCPUs, c.par), func(t *testing.T) {
+			ts, k, scan, wal := deployPerCPU(t, KernelContinuous, 21, c.numCPUs, 64, c.par)
+			p := ts.Processor()
 
-	const workers, iters = 4, 150
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("worker%d", w))
-			for i := 0; i < iters; i++ {
-				m := scan
-				if (w+i)%3 == 0 {
-					m = wal
-				}
-				runOU(ts, task, m,
-					sim.Work{Instructions: 5000, BytesTouched: 2048, AllocBytes: 64},
-					uint64(i), uint64(w))
+			const workers, iters = 8, 120
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					task := k.NewTask(fmt.Sprintf("worker%d", w))
+					task.Migrate(w % c.numCPUs)
+					for i := 0; i < iters; i++ {
+						m := scan
+						if (w+i)%3 == 0 {
+							m = wal
+						}
+						runOU(ts, task, m,
+							sim.Work{Instructions: 4000, BytesTouched: 1024, AllocBytes: 64},
+							uint64(i), uint64(w))
+					}
+				}(w)
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for draining := true; draining; {
-		select {
-		case <-done:
-			draining = false
-		default:
-			p.Drain(DrainOptions{Budget: 32})
-		}
-	}
-	p.Drain(DrainOptions{})
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			for draining := true; draining; {
+				select {
+				case <-done:
+					draining = false
+				default:
+					p.Drain(DrainOptions{Budget: 16})
+				}
+			}
+			p.Drain(DrainOptions{})
 
-	checkWorkerOrder(t, ts)
-	checkFaultFree(t, ts)
+			checkWorkerOrder(t, ts)
+			checkFaultFree(t, ts)
+			var batches int64
+			for _, n := range p.Stats().BatchSizeHist {
+				batches += n
+			}
+			if batches == 0 {
+				t.Fatalf("no drain batches recorded in the histogram")
+			}
+		})
+	}
 }
 
 // checkWorkerOrder asserts the sink stream keeps ring order for workloads

@@ -1,7 +1,6 @@
 package tscout
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -200,64 +199,6 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 	}
 }
 
-// TestAffinityShardedDrainConcurrent is the -race exercise of the
-// affinity-sharded drain: real submitter goroutines on tasks pinned to
-// every simulated CPU race concurrent multi-thread drains. Afterwards the
-// per-ring identity, the shard identity, and the sink's ring-order
-// contract must all hold, and the batched path must have actually batched.
-func TestAffinityShardedDrainConcurrent(t *testing.T) {
-	const numCPUs, par = 8, 4
-	ts, k, scan, wal := deployPerCPU(t, KernelContinuous, 21, numCPUs, 64, par)
-	p := ts.Processor()
-
-	const workers, iters = 8, 120
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("worker%d", w))
-			task.Migrate(w % numCPUs)
-			for i := 0; i < iters; i++ {
-				m := scan
-				if (w+i)%3 == 0 {
-					m = wal
-				}
-				runOU(ts, task, m,
-					sim.Work{Instructions: 4000, BytesTouched: 1024, AllocBytes: 64},
-					uint64(i), uint64(w))
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for draining := true; draining; {
-		select {
-		case <-done:
-			draining = false
-		default:
-			p.Drain(DrainOptions{Budget: 16})
-		}
-	}
-	p.Drain(DrainOptions{})
-
-	checkFaultFree(t, ts)
-
-	st := p.Stats()
-	var batches int64
-	for _, n := range st.BatchSizeHist {
-		batches += n
-	}
-	if batches == 0 {
-		t.Fatalf("no drain batches recorded in the histogram")
-	}
-
-	// Ring-order contract under concurrent multi-thread drains: every
-	// worker owns one ring per subsystem, and its samples reach the sink
-	// in submission order.
-	checkWorkerOrder(t, ts)
-}
-
 // TestDrainBatchHistogram pins, with hand-placed ring contents, that a
 // budgeted cycle waterfills its tokens over the individual CPU rings, that
 // the final unbudgeted sweep takes everything left, and that the batch-size
@@ -452,45 +393,16 @@ func TestBatchSinkFastPath(t *testing.T) {
 	}
 }
 
-// TestWritePoint covers the inverted adapter direction: the point-write
-// convenience wraps the batch-first interface, delivering a one-element
-// batch per call and surfacing the batch error unchanged.
-func TestWritePoint(t *testing.T) {
-	var wrote []int
-	fail := errors.New("bad point")
-	s := sinkFunc(func(pts []TrainingPoint) error {
-		for _, tp := range pts {
-			wrote = append(wrote, tp.PID)
-			if tp.PID == 2 {
-				return fail
-			}
-		}
-		return nil
-	})
-	var err error
-	for _, tp := range []TrainingPoint{{PID: 1}, {PID: 2}, {PID: 3}} {
-		if werr := WritePoint(s, tp); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != fail {
-		t.Fatalf("WritePoint error = %v, want the sink's batch error", err)
-	}
-	if !reflect.DeepEqual(wrote, []int{1, 2, 3}) {
-		t.Fatalf("adapter delivered %v, want every point in order", wrote)
-	}
-}
-
-// TestDrainAllocationsPerPoint guards decode's allocation rate: a drain
-// allocates per poll (the budget and tally slices, the delivered batch) and
-// per ring batch (its point slice, its feature slab), not per point. 2 000
-// samples over the 32 rings of an 8-CPU deployment, two drain threads, a
-// Processor warmed until the ring slots and the threads' batch buffers have
-// reached their working size, a sink that keeps nothing: at three
-// allocations a point — DecodeSample's words, floats, the one-element
-// result — this read 3.05.
-func TestDrainAllocationsPerPoint(t *testing.T) {
-	const numCPUs, samples = 8, 2000
+// TestDrainAllocationsPerDrain is the drain's allocation contract: a small
+// constant per drain (the budget and charge slices, the per-CPU ring
+// snapshots, the decode index, the delivered batch) plus one feature slab
+// per non-empty ring batch — nothing per point, and nothing else per ring.
+// 2 000 samples over the 32 rings of an 8-CPU deployment, two drain
+// threads, a Processor warmed until the ring slots and its batch buffer
+// have reached their working size, a sink that keeps nothing: 42
+// allocations.
+func TestDrainAllocationsPerDrain(t *testing.T) {
+	const numCPUs, samples, perDrain = 8, 2000, 12
 	ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, 64, 2)
 	sinkOf(ts).discard = true
 	payloads := deployEverySubsystem(t, ts)
@@ -502,27 +414,27 @@ func TestDrainAllocationsPerPoint(t *testing.T) {
 			sub := SubsystemID(g / numCPUs)
 			ts.CollectorFor(sub).Ring.SubmitFrom(g%numCPUs, payloads[sub])
 		}
-		if res := p.Drain(DrainOptions{}); res.Points != samples {
-			t.Fatalf("drain produced %d points, want %d", res.Points, samples)
+		if res := p.Drain(DrainOptions{}); res.Points != samples || res.Batches != numRings {
+			t.Fatalf("drain = %+v, want %d points in %d batches", res, samples, numRings)
 		}
 	}
 	for i := 0; i < 3; i++ {
 		cycle() // 63 samples a ring a cycle: every 64-slot ring has wrapped
 	}
-	perPoint := testing.AllocsPerRun(10, cycle) / samples
-	if perPoint > 0.25 {
-		t.Fatalf("drain allocates %.3f times per point, want <= 0.25", perPoint)
+	allocs := testing.AllocsPerRun(10, cycle)
+	if allocs > perDrain+float64(numRings) {
+		t.Fatalf("a drain of %d ring batches allocates %.1f times, want <= %d + one slab a batch",
+			numRings, allocs, perDrain)
 	}
-	t.Logf("drain allocations per point: %.4f", perPoint)
+	t.Logf("drain allocations: %.1f for %d ring batches", allocs, numRings)
 }
 
-// TestOneThreadDrainRunsOnCaller pins where the drain worker runs: with one
-// modeled drain thread there is nothing to run beside, so Drain calls the
-// worker on its caller's goroutine — no spawn, no join — and with two the
-// workers are goroutines, both of them. A splitter sees the stack it is
-// called on: a fused sample from the user queue takes it there.
-func TestOneThreadDrainRunsOnCaller(t *testing.T) {
-	for _, par := range []int{1, 2} {
+// TestDrainRunsOnCaller pins where a drain's work runs: on its caller's
+// goroutine at every drain parallelism — the modeled threads are a
+// virtual-time construct, and the host spawns nothing. A splitter sees the
+// stack it is called on: a fused sample from the user queue takes it there.
+func TestDrainRunsOnCaller(t *testing.T) {
+	for _, par := range []int{1, 2, 4} {
 		k := kernel.New(sim.LargeHW, 3, 0)
 		ts := New(k, Config{Mode: UserContinuous, Seed: 5, ProcessorParallelism: par})
 		ts.MustRegisterOU(OUDef{
@@ -545,29 +457,22 @@ func TestOneThreadDrainRunsOnCaller(t *testing.T) {
 			t.Fatalf("threads=%d: drain produced %d points, want 1", par, res.Points)
 		}
 		// The test's own frame, not the splitter closure's ".func1".
-		onCaller := strings.Contains(stack, "TestOneThreadDrainRunsOnCaller(")
-		if onCaller != (par == 1) {
-			t.Fatalf("threads=%d: worker on the caller's goroutine = %v\n%s", par, onCaller, stack)
+		if !strings.Contains(stack, "TestDrainRunsOnCaller(") {
+			t.Fatalf("threads=%d: the drain did not run on the caller's goroutine\n%s", par, stack)
 		}
 	}
 }
 
-// sinkFunc adapts a batch function to Sink.
-type sinkFunc func([]TrainingPoint) error
-
-func (f sinkFunc) WriteBatch(pts []TrainingPoint) error { return f(pts) }
-func (f sinkFunc) Flush() error                         { return nil }
-func (f sinkFunc) Rows() int64                          { return 0 }
-
-// BenchmarkDrainPerCPUvsSingle is the headline comparison for the per-CPU
-// ring redesign: sustained concurrent submission into every subsystem's
-// rings, drained by 1/2/4 affinity-sharded threads, with one simulated CPU
-// ("single" — the old topology: one ring per subsystem) versus eight
-// ("percpu-8" — 32 rings total). The metric is drained samples per
-// wall-clock second; per-CPU must scale with drain threads because each
-// thread owns a disjoint set of ring locks, while the single-ring layout
-// serializes every thread behind four locks at best. EXPERIMENTS.md
-// records the table.
+// BenchmarkDrainPerCPUvsSingle measures the host cost of the drain under
+// sustained concurrent submission into every subsystem's rings, with one
+// simulated CPU ("single": one ring per subsystem) versus eight
+// ("percpu-8": 32 rings in all), at 1/2/4 modeled drain threads. The
+// metric is drained samples per wall-clock second. Every configuration
+// drains on the benchmark's goroutine, so drain threads do not scale it:
+// what it compares is the per-ring cost of a pass (more, smaller batches
+// with eight CPUs), the producers' contention with the drain on each
+// ring's lock, and the small per-thread bookkeeping of the waterfill and
+// the charges. EXPERIMENTS.md records the table.
 func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 	run := func(b *testing.B, numCPUs, threads int) {
 		ts, _ := newPerCPU(KernelContinuous, 1, numCPUs, 1024, threads)

@@ -3,6 +3,7 @@ package tscout
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"tscout/internal/bpf"
@@ -115,8 +116,9 @@ func globalRingIndex(cpu int, sub SubsystemID, numCPUs int) int {
 }
 
 // ringOwner is the drain-thread affinity map: global ring index g (or the
-// user pseudo-ring index) is owned by exactly one of the parallelism drain
-// threads, so no two threads ever touch the same ring's lock.
+// user pseudo-ring index) is owned by exactly one of the parallelism modeled
+// drain threads, which waterfills its budget over the ring and is charged
+// the virtual time its samples cost.
 func ringOwner(g, parallelism int) int { return g % parallelism }
 
 // BudgetForPeriod returns how many samples one Processor drain thread can
@@ -150,13 +152,6 @@ type Sink interface {
 	Rows() int64
 }
 
-// WritePoint is the point-write convenience over the batch-first Sink: it
-// wraps the point in a one-element batch. Code that produces points one at
-// a time (tests, examples) uses it; the Processor never does.
-func WritePoint(s Sink, p TrainingPoint) error {
-	return s.WriteBatch([]TrainingPoint{p})
-}
-
 // StickySink is optionally implemented by sinks whose write errors are
 // permanent: once a write fails, every later write reports the same error
 // (archive.Writer behaves this way — a torn segment cannot be resumed).
@@ -178,12 +173,14 @@ type StickySink interface {
 type SplitWeightFunc func(ou OUID, features []float64) float64
 
 // Processor is TScout's user-space component (paper §3.2): a budgeted,
-// self-observable drain pipeline. The per-CPU rings are distributed over
-// the modeled drain threads by ringOwner and share one global token budget
-// per drain period (a single thread-period times the configured
-// parallelism), decode/transform runs batched per ring on the owning
-// thread, and each drain's finished points leave for the Sink — their only
-// store — as one batch, outside every lock.
+// self-observable drain pipeline. Its drain threads exist in virtual time:
+// ringOwner gives each modeled thread a disjoint set of the per-CPU rings,
+// the threads share one global token budget per drain period (a single
+// thread-period times the configured parallelism), and each ring's samples
+// are charged to the thread that owns it. On the host a drain is one pass
+// on the caller's goroutine, ring by ring in global ring order, and its
+// finished points leave for the Sink — their only store — as one batch,
+// outside every lock.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -213,11 +210,13 @@ type Processor struct {
 	batchHist           [BatchHistBuckets]int64       // guarded by mu
 	autopilot           AutopilotStats                // guarded by mu
 
-	// drainBatches holds one reusable contiguous drain buffer per drain
-	// thread (allocated with the task group); each worker goroutine only
-	// ever touches its own entry, so batches need no locking and their
-	// backing arrays are reused across drain cycles.
-	drainBatches []bpf.Batch
+	// batch and from are Drain's scratch, touched only while it holds
+	// pollMu and reused across its ring batches: the ring batch being
+	// decoded (a contiguous buffer that grows to the largest ring batch, not
+	// to a whole drain), and decodeBatch's index from each point to the
+	// sample it reads.
+	batch bpf.Batch
+	from  []int32
 }
 
 // NewProcessor creates the Processor for a deployment.
@@ -266,13 +265,11 @@ func (p *Processor) taskGroup() *kernel.TaskGroup {
 	defer p.mu.Unlock()
 	if p.group == nil {
 		p.group = p.ts.kernel.NewTaskGroup("tscout-processor", p.Parallelism())
-		p.drainBatches = make([]bpf.Batch, p.Parallelism())
 		// Spread the drain threads across the simulated CPUs explicitly:
 		// thread i runs on CPU i mod NumCPUs, a placement that is a
 		// function of the parallelism alone (pid-recycling history would
-		// otherwise pick the CPUs). On distinct CPUs the threads draw from
-		// disjoint noise streams, which is what lets them charge drain
-		// time concurrently (see Drain).
+		// otherwise pick the CPUs). On distinct CPUs the threads draw their
+		// drain-time charges from disjoint noise streams.
 		n := p.ts.kernel.NumCPUs()
 		for i := 0; i < p.Parallelism(); i++ {
 			p.group.Task(i).Migrate(i % n)
@@ -300,38 +297,16 @@ type DrainResult struct {
 	Batches int
 }
 
-// drainTally accumulates one drain thread's work for the post-join merge;
-// workers never touch the stats directly. The per-subsystem arrays count
-// kernel-ring work, except points, which counts every point by the
-// subsystem it decodes into — user-probe points included; the user* fields
-// are the user pseudo-ring's own drain/decode accounting and are set only
-// on the thread that owns it.
-type drainTally struct {
-	drained        [NumSubsystems]int64
-	decodeErrs     [NumSubsystems]int64
-	corrupt        [NumSubsystems]int64
-	padded         [NumSubsystems]int64
-	truncated      [NumSubsystems]int64
-	points         [NumSubsystems]int64
-	kernelSamples  int64
-	userSamples    int64
-	userDecodeErrs int64
-	userCorrupt    int64
-	userAdj        featureAdjust
-	batches        int
-	produced       int
-	hist           [BatchHistBuckets]int64
-}
-
 // Drain runs one drain period over the per-CPU rings and returns what it
 // produced. Each modeled drain thread owns a disjoint set of CPU rings
-// (ring affinity: global ring index mod parallelism), the effective budget
-// is waterfilled over each thread's rings, and two or more threads run as
-// real goroutines — batched decode proceeds concurrently with zero
-// cross-thread ring-lock sharing — while a single thread runs on the caller. Sustained oversubmission overwrites
-// ring entries (kernel path) or overflows the user queue, and the
-// pipeline's efficiency degrades under overload — the §6.2 dynamics behind
-// Fig. 6's peak-then-decline curve.
+// (ring affinity: global ring index mod parallelism) and waterfills its
+// slice of the effective budget over them. The host does every thread's
+// work in one pass on the caller's goroutine, in global ring order, and
+// charges each ring's samples to the thread that owns it: parallelism is a
+// virtual-time model, so a run replays the same at any host schedule.
+// Sustained oversubmission overwrites ring entries (kernel path) or
+// overflows the user queue, and the pipeline's efficiency degrades under
+// overload — the §6.2 dynamics behind Fig. 6's peak-then-decline curve.
 func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	p.pollMu.Lock()
 	group := p.taskGroup()
@@ -449,104 +424,127 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		copy(alloc, demands) // unlimited: drain everything
 	}
 
-	// Affinity-sharded drain: one worker per modeled drain thread, each
-	// draining only the rings it owns into its own reusable batch buffer.
-	// Workers buffer the points they produce per ring — ring ownership is
-	// disjoint, so the slots are race-free — and the drain's batch is their
-	// concatenation in global ring order. The order the sink sees is
-	// therefore a pure function of the drained data: the same seed yields a
-	// bit-identical sink stream at any drain parallelism.
-	tallies := make([]drainTally, parallelism)
-	ptsByRing := make([][]TrainingPoint, numRings+1)
-	if parallelism == 1 {
-		// The paper's single-threaded Processor: nothing to run beside, so
-		// no goroutine to start and join every poll.
-		p.drainWorker(0, 1, numRings, &cols, alloc, &tallies[0], ptsByRing)
-	} else {
-		var wg sync.WaitGroup
-		for t := 0; t < parallelism; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				p.drainWorker(t, parallelism, numRings, &cols, alloc, &tallies[t], ptsByRing)
-			}(t)
-		}
-		wg.Wait()
+	// One pass in global ring order, then the user pseudo-ring: each ring
+	// batch is drained into p.batch and decoded onto the end of pts, the
+	// drain's output, sized for a point a sample (a fused sample grows it).
+	// The order the sink sees is therefore a pure function of the drained
+	// data: the same seed yields a bit-identical sink stream at any drain
+	// parallelism. charged counts each (thread, subsystem)'s kernel samples
+	// for the virtual-time charge below.
+	userSamples := 0
+	if alloc[userIdx] > 0 {
+		// Tokens buy 1/userDrainPenalty samples each; partial-token
+		// rounding never starves the queue.
+		userSamples = max(alloc[userIdx]/userDrainPenalty, 1)
 	}
-
-	// Charge virtual time after the join: Task charging shares the kernel's
-	// (unsynchronized, deterministic) noise stream, so it must run serially
-	// — and in subsystem order on each batch's owning thread, the same
-	// charge sequence the pre-affinity serial drain issued, so identical
-	// seeded runs consume the noise stream identically.
+	size := userSamples
+	for _, a := range alloc[:numRings] {
+		size += a
+	}
+	pts := make([]TrainingPoint, 0, size)
+	// decodeBatch's index is sized for the largest ring batch and dropped
+	// with the drain: kept between drains, an unbudgeted sweep's would stay
+	// live for the life of the Processor.
+	p.from = make([]int32, 0, max(slices.Max(alloc[:numRings]), userSamples))
+	charged := make([][NumSubsystems]int64, parallelism)
+	var counts [NumSubsystems]decodeCounts
+	var points [NumSubsystems]int64
+	var hist [BatchHistBuckets]int64
 	res := DrainResult{}
+	for g := 0; g < numRings; g++ {
+		sub := SubsystemID(g / numCPUs)
+		if alloc[g] == 0 || cols[sub] == nil {
+			continue
+		}
+		p.batch.Reset()
+		n := cols[sub].Ring.DrainBatch(g%numCPUs, &p.batch, alloc[g])
+		if n == 0 {
+			continue
+		}
+		charged[ringOwner(g, parallelism)][sub] += int64(n)
+		res.Drained += n
+		res.Batches++
+		hist[histBucket(n)]++
+		first := len(pts)
+		pts = p.decodeBatch(pts, &p.batch, &counts[sub])
+		points[sub] += int64(len(pts) - first)
+	}
+	var user decodeCounts
+	var userDrained int64
+	if userSamples > 0 {
+		p.batch.Reset()
+		p.mu.Lock()
+		take := min(userSamples, len(p.userQueue))
+		for _, buf := range p.userQueue[:take] {
+			p.batch.Append(buf)
+		}
+		rest := copy(p.userQueue, p.userQueue[take:])
+		clear(p.userQueue[rest:])
+		p.userQueue = p.userQueue[:rest]
+		p.mu.Unlock()
+		userDrained = int64(take)
+		res.Drained += take
+		first := len(pts)
+		pts = p.decodeBatch(pts, &p.batch, &user)
+		// Points count toward the subsystem they decode into, while the
+		// drain/decode accounting stays on the user-queue stats.
+		for _, tp := range pts[first:] {
+			points[tp.Subsystem]++
+		}
+	}
+	res.Points = len(pts)
+	p.from = nil
+
+	// Charge virtual time in subsystem order on each ring's owning thread,
+	// then the user pseudo-ring's: the charge sequence the pre-affinity
+	// serial drain issued, so identical seeded runs consume the kernel's
+	// noise streams identically.
 	for _, sub := range AllSubsystems {
-		for t := range tallies {
-			if n := tallies[t].drained[sub]; n > 0 {
+		for t := range charged {
+			if n := charged[t][sub]; n > 0 {
 				group.Task(t).ChargeUserNS(n * processSampleNS)
 			}
 		}
 	}
-	for t := range tallies {
-		ty := &tallies[t]
-		if ty.userSamples > 0 {
-			group.Task(t).ChargeUserNS(ty.userSamples * processSampleNS * userDrainPenalty)
-		}
-		res.Points += ty.produced
-		res.Drained += int(ty.kernelSamples + ty.userSamples)
-		res.Batches += ty.batches
-	}
-	var batch []TrainingPoint
-	if p.sink != nil {
-		batch = make([]TrainingPoint, 0, res.Points)
-		for _, pts := range ptsByRing {
-			batch = append(batch, pts...)
-		}
+	if userDrained > 0 {
+		group.Task(ringOwner(userIdx, parallelism)).ChargeUserNS(userDrained * processSampleNS * userDrainPenalty)
 	}
 
-	// Merge the per-period tallies into the stats; apart from SinkErrors
-	// (charged at delivery) this is the only place the per-subsystem and
-	// user-queue counters are written.
+	// Apart from SinkErrors (charged at delivery) this is the only place the
+	// per-subsystem and user-queue counters are written.
 	p.mu.Lock()
 	for _, sub := range AllSubsystems {
-		var drained, decErr, corrupt, padded, truncated, points int64
-		for t := range tallies {
-			drained += tallies[t].drained[sub]
-			decErr += tallies[t].decodeErrs[sub]
-			corrupt += tallies[t].corrupt[sub]
-			padded += tallies[t].padded[sub]
-			truncated += tallies[t].truncated[sub]
-			points += tallies[t].points[sub]
-		}
 		ks := &p.kernelStats[sub]
 		// User-probe points land in the subsystem they decode into, whether
 		// or not that subsystem has a kernel Collector.
-		ks.Points += points
+		ks.Points += points[sub]
 		if cols[sub] == nil {
 			continue
 		}
+		var drained int64
+		for t := range charged {
+			drained += charged[t][sub]
+		}
+		c := &counts[sub]
 		ks.Submitted += deltaSub[sub]
 		ks.Dropped += deltaDrop[sub]
 		ks.Drained += drained
-		ks.DecodeErrors += decErr
-		ks.CorruptDiscards += corrupt
-		ks.PaddedFeatures += padded
-		ks.TruncatedFeatures += truncated
+		ks.DecodeErrors += c.decodeErrs
+		ks.CorruptDiscards += c.corrupt
+		ks.PaddedFeatures += c.padded
+		ks.TruncatedFeatures += c.truncated
 		ks.DeltaSubmitted = deltaSub[sub]
 		ks.DeltaDropped = deltaDrop[sub]
 		ks.DeltaDrained = drained
 	}
-	ut := &tallies[ringOwner(userIdx, parallelism)]
-	p.userStats.Drained += ut.userSamples
-	p.userStats.DeltaDrained = ut.userSamples
-	p.userStats.DecodeErrors += ut.userDecodeErrs
-	p.userStats.CorruptDiscards += ut.userCorrupt
-	p.userStats.PaddedFeatures += ut.userAdj.padded
-	p.userStats.TruncatedFeatures += ut.userAdj.truncated
-	for t := range tallies {
-		for b, c := range tallies[t].hist {
-			p.batchHist[b] += c
-		}
+	p.userStats.Drained += userDrained
+	p.userStats.DeltaDrained = userDrained
+	p.userStats.DecodeErrors += user.decodeErrs
+	p.userStats.CorruptDiscards += user.corrupt
+	p.userStats.PaddedFeatures += user.padded
+	p.userStats.TruncatedFeatures += user.truncated
+	for b, c := range hist {
+		p.batchHist[b] += c
 	}
 	p.processed += int64(res.Points)
 	p.mu.Unlock()
@@ -557,79 +555,8 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	p.pollMu.Unlock()
 
 	// Sink delivery happens strictly outside every Processor lock.
-	p.deliver(batch)
+	p.deliver(pts)
 	return res
-}
-
-// drainWorker is one drain thread's share of a cycle: drain each owned CPU
-// ring into the thread's reusable batch, decode the batch into the ring's
-// slot of ptsByRing, and (for the owner of the user pseudo-ring) drain the
-// user-probe queue into the pseudo-ring slot. Everything it touches is
-// either thread-owned (batch, tally, ring set, its ptsByRing slots) or
-// internally synchronized (user queue); Drain concatenates the slots
-// post-join in ring order so the sink order is parallelism-independent.
-func (p *Processor) drainWorker(t, parallelism, numRings int, cols *[NumSubsystems]*Collector, alloc []int, tally *drainTally, ptsByRing [][]TrainingPoint) {
-	batch := &p.drainBatches[t]
-	numCPUs := numRings / int(NumSubsystems)
-	for g := t; g < numRings; g += parallelism {
-		if alloc[g] == 0 {
-			continue
-		}
-		sub := SubsystemID(g / numCPUs)
-		cpu := g % numCPUs
-		col := cols[sub]
-		if col == nil {
-			continue
-		}
-		batch.Reset()
-		n := col.Ring.DrainBatch(cpu, batch, alloc[g])
-		if n == 0 {
-			continue
-		}
-		tally.kernelSamples += int64(n)
-		tally.drained[sub] += int64(n)
-		tally.batches++
-		tally.hist[histBucket(n)]++
-
-		var adj featureAdjust
-		pts, corrupt, decodeErrs := p.decodeBatch(batch, &adj)
-		ptsByRing[g] = pts
-		tally.corrupt[sub] += corrupt
-		tally.decodeErrs[sub] += decodeErrs
-		tally.points[sub] += int64(len(pts))
-		tally.padded[sub] += adj.padded
-		tally.truncated[sub] += adj.truncated
-		tally.produced += len(pts)
-	}
-
-	// User-probe pseudo-ring: tokens buy 1/userDrainPenalty samples each.
-	if ringOwner(numRings, parallelism) != t || alloc[numRings] == 0 {
-		return
-	}
-	userSamples := alloc[numRings] / userDrainPenalty
-	if userSamples == 0 {
-		userSamples = 1 // partial-token rounding; never starve the queue
-	}
-	var bufs [][]byte
-	p.mu.Lock()
-	if userSamples < len(p.userQueue) {
-		bufs = append(bufs, p.userQueue[:userSamples]...)
-		p.userQueue = append([][]byte(nil), p.userQueue[userSamples:]...)
-	} else {
-		bufs = p.userQueue
-		p.userQueue = nil
-	}
-	p.mu.Unlock()
-	tally.userSamples = int64(len(bufs))
-	pts, corrupt, decodeErrs := p.decodeBatch(userBatch(bufs), &tally.userAdj)
-	tally.userCorrupt, tally.userDecodeErrs = corrupt, decodeErrs
-	// Points count toward the subsystem they decode into, while the
-	// drain/decode accounting above stays on the user-queue stats.
-	for _, tp := range pts {
-		tally.points[tp.Subsystem]++
-	}
-	ptsByRing[numRings] = pts
-	tally.produced += len(pts)
 }
 
 // waterfill distributes tokens across shards in proportion to demand,
@@ -785,74 +712,61 @@ func (p *Processor) sinkStickyErr() error {
 	return nil
 }
 
-// featureAdjust counts feature-vector repairs made while transforming one
-// batch (short vectors zero-padded, long vectors truncated).
-type featureAdjust struct {
-	padded    int64
-	truncated int64
+// decodeCounts tallies what decoding a shard's ring batches discarded —
+// corrupt samples (structurally sound, physically impossible metrics) and
+// decode errors (everything else) — and the feature vectors it repaired
+// (short vectors zero-padded, long vectors truncated).
+type decodeCounts struct {
+	corrupt, decodeErrs int64
+	padded, truncated   int64
 }
 
 // fit counts the repair a vector of n wire features needs to reach an OU's
 // declared width — truncated when longer, zero-padded when shorter — and
 // returns how many of its words to keep.
-func (adj *featureAdjust) fit(n, width int) int {
+func (c *decodeCounts) fit(n, width int) int {
 	switch {
 	case n > width:
-		adj.truncated++
+		c.truncated++
 		return width
 	case n < width:
-		adj.padded++
+		c.padded++
 	}
 	return n
 }
 
-// sampleSource is what decodeBatch reads wire samples from: a drain
-// thread's bpf.Batch for a kernel ring, the dequeued buffers for the user
-// pseudo-ring.
-type sampleSource interface {
-	Len() int
-	Sample(i int) []byte
-}
-
-type userBatch [][]byte
-
-func (u userBatch) Len() int            { return len(u) }
-func (u userBatch) Sample(i int) []byte { return u[i] }
-
-// decodeBatch is the one sample-decode path: it turns one ring's drained
-// samples into that ring's training points, in sample order, and counts the
-// samples it had to discard (corrupt: structurally sound but physically
-// impossible metrics; decodeErrs: everything else). Each sample is read in
-// place, once: the header decode's structural checks, then metricsSane —
-// before the OU lookup and before any fused expansion, since scaleMetrics
-// would smear a wrapped counter across every part — then the OU.
+// decodeBatch is the one sample-decode path: it decodes one ring batch onto
+// the end of pts, in sample order, and counts in c what it discarded and
+// repaired. Each sample is read in place, once: the header decode's
+// structural checks, then metricsSane — before the OU lookup and before any
+// fused expansion, since scaleMetrics would smear a wrapped counter across
+// every part — then the OU.
 //
 // Feature vectors are normalized to the OU's declared width, so a point's
 // Features and FeatureNames always have equal length (a short vector would
-// misalign every feature after it in training); both repairs are counted in
-// adj. The non-fused points' vectors are carved from one slab, allocated
-// once the batch's declared widths are known and filled from the samples in
-// a second walk over the points. The points and the slab are the sink's once
-// delivered (an archive segment holds them until it seals, a rejected batch
-// is parked for redelivery), so neither is ever reused: they are collected
-// with the batch.
-func (p *Processor) decodeBatch(src sampleSource, adj *featureAdjust) (pts []TrainingPoint, corrupt, decodeErrs int64) {
-	n := src.Len()
-	pts = make([]TrainingPoint, 0, n)
-	// from[k] is the sample pts[k] takes its features from once the slab
-	// exists; -1 for a fused part, which brings its own.
-	from := make([]int32, 0, n)
+// misalign every feature after it in training). The batch's non-fused
+// points' vectors are carved from one slab, allocated once their declared
+// widths are known and filled from the samples in a second walk over the
+// points. The points and the slab are the sink's once delivered (an archive
+// segment holds them until it seals, a rejected batch is parked for
+// redelivery), so neither is ever reused: they are collected with the batch.
+// Nothing decoded aliases b, which the next ring batch overwrites.
+func (p *Processor) decodeBatch(pts []TrainingPoint, b *bpf.Batch, c *decodeCounts) []TrainingPoint {
+	first := len(pts)
+	// from[k] is the sample pts[first+k] takes its features from once the
+	// slab exists; -1 for a fused part, which brings its own.
+	from := p.from[:0]
 	slabLen := 0
-	for i := 0; i < n; i++ {
-		buf := src.Sample(i)
+	for i := 0; i < b.Len(); i++ {
+		buf := b.Sample(i)
 		s, err := decodeHeader(buf)
 		switch {
 		case err != nil:
 		case !metricsSane(s.Metrics):
 			err = errCorruptMetrics
 		case s.OU == FusedOUID:
-			pts, err = p.expandFused(pts, buf, adj)
-			for len(from) < len(pts) {
+			pts, err = p.expandFused(pts, buf, c)
+			for first+len(from) < len(pts) {
 				from = append(from, -1)
 			}
 		default:
@@ -866,33 +780,35 @@ func (p *Processor) decodeBatch(src sampleSource, adj *featureAdjust) (pts []Tra
 			slabLen += len(def.Features)
 		}
 		if errors.Is(err, errCorruptMetrics) {
-			corrupt++
+			c.corrupt++
 		} else if err != nil {
-			decodeErrs++
+			c.decodeErrs++
 		}
 	}
+	p.from = from
 
 	slab := make([]float64, slabLen)
-	for k := range pts {
-		if from[k] < 0 {
+	for k, i := range from {
+		if i < 0 {
 			continue
 		}
-		buf := src.Sample(int(from[k]))
-		width := len(pts[k].FeatureNames)
+		buf := b.Sample(int(i))
+		tp := &pts[first+k]
+		width := len(tp.FeatureNames)
 		f := slab[:width:width]
 		slab = slab[width:]
-		for j, keep := 0, adj.fit(featureCount(buf), width); j < keep; j++ {
+		for j, keep := 0, c.fit(featureCount(buf), width); j < keep; j++ {
 			f[j] = float64(featureWord(buf, j))
 		}
-		pts[k].Features = f
+		tp.Features = f
 	}
-	return pts, corrupt, decodeErrs
+	return pts
 }
 
 // expandFused appends one point per OU of a fused sample, the sample's
 // metrics apportioned across them by the splitter's weights. On error pts
 // comes back as it was handed in.
-func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, adj *featureAdjust) ([]TrainingPoint, error) {
+func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, c *decodeCounts) ([]TrainingPoint, error) {
 	s, err := DecodeSample(buf)
 	if err != nil {
 		return pts, err
@@ -924,7 +840,7 @@ func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, adj *featureAdj
 		if !ok {
 			return pts, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
 		}
-		adj.fit(len(part.Features), len(def.Features))
+		c.fit(len(part.Features), len(def.Features))
 		out = append(out, pointOf(def, s.PID, scaleMetrics(s.Metrics, weights[i]/total),
 			floatVector(part.Features, len(def.Features))))
 	}

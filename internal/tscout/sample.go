@@ -188,7 +188,7 @@ func DecodeFusedFeatures(words []uint64) ([]FusedPart, error) {
 	// feature count wraps negative through int() so the i+n bounds check
 	// passes and the slice expression panics — both reachable from
 	// SubmitUserSample with attacker-shaped bytes (found by
-	// FuzzProcessorDecode; a panic here kills the drain goroutine).
+	// FuzzProcessorDecode; a panic here takes down Drain's caller).
 	k := int(words[0])
 	if k < 0 || k > (len(words)-1)/2 {
 		return nil, fmt.Errorf("tscout: fused vector claims %d parts in %d words", words[0], len(words))

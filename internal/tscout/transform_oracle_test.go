@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"tscout/internal/bpf"
 )
 
 // The per-sample decode the Processor ran before decodeBatch, kept under its
@@ -15,7 +17,7 @@ import (
 
 // transform decodes a wire sample into training points, expanding fused
 // samples into per-OU points with apportioned metrics.
-func (p *Processor) transform(buf []byte, adj *featureAdjust) ([]TrainingPoint, error) {
+func (p *Processor) transform(buf []byte, adj *decodeCounts) ([]TrainingPoint, error) {
 	s, err := DecodeSample(buf)
 	if err != nil {
 		return nil, err
@@ -70,7 +72,7 @@ func (p *Processor) transform(buf []byte, adj *featureAdjust) ([]TrainingPoint, 
 // zero-padded, and both repairs are counted. Features and FeatureNames
 // therefore always have equal length — silently emitting short vectors
 // would skew model training with misaligned features.
-func pointFor(def *OUDef, pid int, feats []uint64, m Metrics, adj *featureAdjust) TrainingPoint {
+func pointFor(def *OUDef, pid int, feats []uint64, m Metrics, adj *decodeCounts) TrainingPoint {
 	f := floats(feats)
 	switch {
 	case len(f) > len(def.Features):
@@ -101,67 +103,68 @@ func floats(words []uint64) []float64 {
 	return out
 }
 
-// oracleRingDecode is the kernel-ring arm of drainWorker as it stood over
-// transform: what draining the samples as one batch of ring sub must leave
-// in the points and in every field of the thread's tally.
-func oracleRingDecode(p *Processor, samples [][]byte, sub SubsystemID) ([]TrainingPoint, drainTally) {
-	var tally drainTally
-	n := len(samples)
-	tally.kernelSamples += int64(n)
-	tally.drained[sub] += int64(n)
-	tally.batches++
-	tally.hist[histBucket(n)]++
-
-	var adj featureAdjust
-	pts := make([]TrainingPoint, 0, n)
-	for i := 0; i < n; i++ {
-		out, err := p.transform(samples[i], &adj)
-		if err != nil {
-			if errors.Is(err, errCorruptMetrics) {
-				tally.corrupt[sub]++
-			} else {
-				tally.decodeErrs[sub]++
-			}
-			continue
+// oracleRingDecode is what Drain must make of samples drained as one kernel
+// ring batch, by way of transform: the points, in order, and what the batch
+// adds to its subsystem's drain and decode counters.
+func oracleRingDecode(p *Processor, samples [][]byte) ([]TrainingPoint, SubsystemStats) {
+	want := SubsystemStats{Drained: int64(len(samples))}
+	var adj decodeCounts
+	var pts []TrainingPoint
+	for _, buf := range samples {
+		out, err := p.transform(buf, &adj)
+		if errors.Is(err, errCorruptMetrics) {
+			want.CorruptDiscards++
+		} else if err != nil {
+			want.DecodeErrors++
 		}
 		pts = append(pts, out...)
 	}
-	tally.points[sub] += int64(len(pts))
-	tally.padded[sub] += adj.padded
-	tally.truncated[sub] += adj.truncated
-	tally.produced += len(pts)
-	return pts, tally
+	want.Points = int64(len(pts))
+	want.PaddedFeatures, want.TruncatedFeatures = adj.padded, adj.truncated
+	return pts, want
+}
+
+// decodeDelta is what a drain added to the counters oracleRingDecode
+// predicts, from one Stats snapshot of a subsystem to the next.
+func decodeDelta(before, after SubsystemStats) SubsystemStats {
+	return SubsystemStats{
+		Drained:           after.Drained - before.Drained,
+		DecodeErrors:      after.DecodeErrors - before.DecodeErrors,
+		CorruptDiscards:   after.CorruptDiscards - before.CorruptDiscards,
+		PaddedFeatures:    after.PaddedFeatures - before.PaddedFeatures,
+		TruncatedFeatures: after.TruncatedFeatures - before.TruncatedFeatures,
+		Points:            after.Points - before.Points,
+	}
 }
 
 // samePoints is reflect.DeepEqual that does not tell an empty batch from a
-// nil one (transform returns nil on error, decodeBatch an empty slice).
+// nil one (transform returns an empty batch for a fused sample of no parts,
+// decodeBatch appends nothing).
 func samePoints(a, b []TrainingPoint) bool {
 	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }
 
-// decodeDifferential decodes one sample with transform and, as a batch of
-// one, with decodeBatch, and requires the same points, the same error class
-// and the same repair counts from both.
+// decodeDifferential decodes one sample with transform and, as a one-sample
+// ring batch, with decodeBatch, and requires the same points, the same error
+// class and the same repair counts from both.
 func decodeDifferential(t *testing.T, p *Processor, buf []byte) {
 	t.Helper()
-	var wantAdj, gotAdj featureAdjust
-	want, err := p.transform(buf, &wantAdj)
-	var wantCorrupt, wantDecodeErrs int64
+	var wantCounts decodeCounts
+	want, err := p.transform(buf, &wantCounts)
 	if errors.Is(err, errCorruptMetrics) {
-		wantCorrupt = 1
+		wantCounts.corrupt = 1
 	} else if err != nil {
-		wantDecodeErrs = 1
+		wantCounts.decodeErrs = 1
 	}
-	got, corrupt, decodeErrs := p.decodeBatch(userBatch{buf}, &gotAdj)
-	if corrupt != wantCorrupt || decodeErrs != wantDecodeErrs {
-		t.Fatalf("decodeBatch classed the sample corrupt=%d decodeErrs=%d, transform corrupt=%d decodeErrs=%d (%v)",
-			corrupt, decodeErrs, wantCorrupt, wantDecodeErrs, err)
+	var b bpf.Batch
+	b.Append(buf)
+	var counts decodeCounts
+	got := p.decodeBatch(nil, &b, &counts)
+	if counts != wantCounts {
+		t.Fatalf("decodeBatch counted %+v, transform %+v (%v)", counts, wantCounts, err)
 	}
 	if !samePoints(got, want) {
 		t.Fatalf("decodeBatch points differ from transform's:\n%+v\n%+v", got, want)
-	}
-	if gotAdj != wantAdj {
-		t.Fatalf("decodeBatch repairs %+v, transform %+v", gotAdj, wantAdj)
 	}
 }
 
@@ -170,12 +173,15 @@ func decodeDifferential(t *testing.T, p *Processor, buf []byte) {
 // with a part to pad, one that fails on an unregistered part after a
 // repair was already counted), corrupt metrics (on an unregistered OU too,
 // which must still class as corrupt: metricsSane runs first), malformed —
-// through drainWorker, and requires the points, their order and every field
-// of the tally to equal the per-sample oracle's. Padding outweighs
-// truncation, so a slab sized from the wire counts would be too small. The
-// non-fused points' vectors must also sit back to back in one array.
+// through Drain, and requires the sink's points, their order and what the
+// drain added to the ring subsystem's Stats to equal the per-sample
+// oracle's. Padding outweighs truncation, so a slab sized from the wire
+// counts would be too small. The non-fused points' vectors must also sit
+// back to back in one array, and the ring's samples must be charged to the
+// drain thread that owns the ring — thread 1 of two — and to no other.
 func TestBatchDecodeMatchesTransform(t *testing.T) {
-	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 5, 1, 128, 1) // seq_scan and log_serialize, two features each
+	const numCPUs, par = 2, 2
+	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 5, numCPUs, 128, par) // seq_scan and log_serialize, two features each
 	p := ts.Processor()
 	p.SetSplitter(func(ou OUID, f []float64) float64 { return 1 + float64(len(f)) })
 
@@ -209,34 +215,59 @@ func TestBatchDecodeMatchesTransform(t *testing.T) {
 		)
 	}
 
-	const sub = SubsystemExecutionEngine
+	const sub, cpu = SubsystemExecutionEngine, 1
 	ring := ts.CollectorFor(sub).Ring
 	for _, buf := range samples {
-		ring.SubmitFrom(0, buf)
+		ring.SubmitFrom(cpu, buf)
 	}
-	p.taskGroup()
-	var cols [NumSubsystems]*Collector
-	for _, s := range AllSubsystems {
-		cols[s] = ts.CollectorFor(s)
+	group := p.taskGroup()
+	var chargedBefore [par]int64
+	for i := range chargedBefore {
+		chargedBefore[i] = group.Task(i).UserInstrumentationNS
 	}
-	numRings := int(NumSubsystems)
-	g := globalRingIndex(0, sub, 1)
-	alloc := make([]int, numRings+1)
-	alloc[g] = len(samples)
-	var tally drainTally
-	ptsByRing := make([][]TrainingPoint, numRings+1)
-	p.drainWorker(0, 1, numRings, &cols, alloc, &tally, ptsByRing)
+	before := p.Stats()
+	res := p.Drain(DrainOptions{})
+	after := p.Stats()
 
-	want, wantTally := oracleRingDecode(p, samples, sub)
-	got := ptsByRing[g]
+	want, wantStats := oracleRingDecode(p, samples)
+	got := sinkOf(ts).points()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("points differ from the per-sample oracle's:\n%+v\n%+v", got, want)
 	}
-	if tally != wantTally {
-		t.Fatalf("tally differs from the per-sample oracle's:\n%+v\n%+v", tally, wantTally)
+	delta := decodeDelta(before.Kernel[sub], after.Kernel[sub])
+	if delta != wantStats {
+		t.Fatalf("stats moved differently from the per-sample oracle's:\n%+v\n%+v", delta, wantStats)
 	}
-	if tally.corrupt[sub] != 12 || tally.decodeErrs[sub] != 18 || tally.padded[sub] != 18 || tally.truncated[sub] != 12 {
-		t.Fatalf("the batch did not reach every arm: %+v", tally)
+	if delta.CorruptDiscards != 12 || delta.DecodeErrors != 18 || delta.PaddedFeatures != 18 || delta.TruncatedFeatures != 12 {
+		t.Fatalf("the batch did not reach every arm: %+v", delta)
+	}
+	if wantRes := (DrainResult{Points: len(want), Drained: len(samples), Batches: 1}); res != wantRes {
+		t.Fatalf("drain = %+v, want %+v", res, wantRes)
+	}
+	for b := range after.BatchSizeHist {
+		want := int64(0)
+		if b == histBucket(len(samples)) {
+			want = 1
+		}
+		if n := after.BatchSizeHist[b] - before.BatchSizeHist[b]; n != want {
+			t.Fatalf("batch histogram bucket %s moved by %d, want %d", BatchHistLabels[b], n, want)
+		}
+	}
+
+	// Every drain thread pays the poll; only the ring's owner pays its
+	// samples (the kernel runs without noise here, so charges are exact).
+	owner := ringOwner(globalRingIndex(cpu, sub, numCPUs), par)
+	if owner == 0 {
+		t.Fatalf("the ring is owned by thread 0; a charge to the wrong thread could go unseen")
+	}
+	for i := range chargedBefore {
+		want := int64(pollBaseNS)
+		if i == owner {
+			want += int64(len(samples)) * processSampleNS
+		}
+		if got := group.Task(i).UserInstrumentationNS - chargedBefore[i]; got != want {
+			t.Fatalf("drain thread %d charged %d ns, want %d", i, got, want)
+		}
 	}
 
 	// The slab is real: between two fused expansions the points' vectors

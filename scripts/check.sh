@@ -30,6 +30,20 @@ lint() {
 	$GO run ./internal/analysis/tsvet .
 	runner_inlined
 	one_chaos_driver
+	no_goroutines
+}
+
+# Host concurrency is not a model: drain threads, CPUs and terminals exist in
+# virtual time, and every run replays on one goroutine. No non-test file under
+# internal/ (analyzer fixtures in testdata/ aside) may start a goroutine.
+no_goroutines() {
+	stray=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' internal |
+		grep -v '/testdata/' || true)
+	if [ -n "$stray" ]; then
+		echo "no_goroutines: a go statement in non-test code; model the concurrency in virtual time instead:" >&2
+		echo "$stray" >&2
+		return 1
+	fi
 }
 
 # The loss identities are proven by one chaos harness. Only the kernel's own
