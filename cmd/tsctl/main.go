@@ -21,9 +21,9 @@
 //	                            resource masks; non-zero exit on any failure
 //	tsctl analyze [-json] [dir ...]
 //	                            run the tsvet static-analysis suite (wall
-//	                            clock, map order, guarded-by, seeded
-//	                            sources, discarded verify/run errors) over
-//	                            the source tree; non-zero exit on findings
+//	                            clock, map order, seeded sources, discarded
+//	                            verify/run errors) over the source tree;
+//	                            non-zero exit on findings
 //	tsctl archive inspect [-json] <file>
 //	                            summarize a columnar training archive:
 //	                            segments, blocks, rows, bytes, row counts

@@ -15,7 +15,7 @@ import (
 
 // wantRe extracts expected-diagnostic markers from fixture sources. The
 // marker rides inside an ordinary comment — `// want:rule-a,rule-b` — so it
-// can share a line with guarded-by annotations and real code.
+// can share a line with real code.
 var wantRe = regexp.MustCompile(`want:([a-z-]+(?:,[a-z-]+)*)`)
 
 // lineKey identifies a source line across the fixture's files.
@@ -120,7 +120,6 @@ func TestFixtures(t *testing.T) {
 		"wall-clock/sim",
 		"wall-clock/noncritical",
 		"map-order/src",
-		"guarded-by/gb",
 		"seeded-source/src",
 		"constructed-loaded-program/clp",
 		"discarded-verify-error/dve",

@@ -5,7 +5,7 @@
 // test strategy silently leans on — bit-determinism (no wall clock, no
 // global RNG, no map-iteration order leaking into archives, fingerprints,
 // or rendered output) and accounting discipline (no swallowed verification
-// or runtime faults, no lock-free access to lock-guarded state).
+// or runtime faults).
 //
 // The suite is a set of small analyzers sharing one typed loader (see
 // load.go) and one driver (driver.go). Each analyzer owns a stable rule ID
@@ -20,8 +20,8 @@
 // and a directive that suppresses nothing is reported too (stale-ignore) —
 // suppressions must never outlive the code they excuse.
 //
-// DESIGN.md §12 documents each analyzer's invariant and the guarded-by
-// annotation grammar; testdata/src/<rule>/ holds the golden fixtures.
+// DESIGN.md §12 documents each analyzer's invariant; testdata/src/<rule>/
+// holds the golden fixtures.
 package analysis
 
 import (
@@ -51,11 +51,6 @@ const (
 	// observes differs run to run. Collecting keys into a slice and
 	// sorting is the sanctioned idiom and is not flagged.
 	RuleMapOrder = "map-order"
-	// RuleGuardedBy checks `// guarded by <mutex>` struct-field
-	// annotations: every access to an annotated field must occur in a
-	// function that acquires the named mutex (or advertises the caller's
-	// acquisition with a ...Locked name suffix).
-	RuleGuardedBy = "guarded-by"
 	// RuleSeededSource flags rand.NewSource with a compile-time-constant
 	// seed in non-test code (seeds must arrive through config so runs are
 	// reproducible *and* steerable), and — outside the
@@ -159,7 +154,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		WallClockAnalyzer,
 		MapOrderAnalyzer,
-		GuardedByAnalyzer,
 		SeededSourceAnalyzer,
 		ConstructedLoadedProgramAnalyzer,
 		DiscardedVerifyErrorAnalyzer,

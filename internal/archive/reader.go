@@ -23,8 +23,7 @@ func corruptf(format string, args ...any) error {
 // concatenation of wire segments). Parsing validates structure and
 // checksums eagerly but decodes column bytes lazily, per block, so a
 // projected scan touches only the columns it needs. A Reader is
-// immutable after NewReader and safe for concurrent use as long as
-// callers do not share Block handles across goroutines.
+// immutable after NewReader.
 type Reader struct {
 	segs []segmentData
 	rows int64
@@ -266,7 +265,7 @@ func parseFooter(seg *segmentData, footer []byte) error {
 // Block access
 
 // Block is a handle on one column block: fixed OU identity plus lazily
-// decoded columns. Blocks are not safe for concurrent use.
+// decoded columns.
 type Block struct {
 	seg  *segmentData
 	meta *blockMeta

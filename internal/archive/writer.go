@@ -2,7 +2,6 @@ package archive
 
 import (
 	"io"
-	"sync"
 
 	"tscout/internal/tscout"
 )
@@ -23,17 +22,15 @@ const DefaultSegmentRows = 4096
 // call reports the same error so the Processor's retry/SinkErrors
 // accounting sees a consistently failed sink.
 type Writer struct {
-	mu      sync.Mutex
-	dst     io.Writer              // guarded by mu
-	pending []tscout.TrainingPoint // guarded by mu — rows not yet sealed
-	perSeg  int                    // guarded by mu — rows per segment
-	rows    int64                  // guarded by mu — total accepted rows
-	nextRow uint64                 // guarded by mu — next global row index
-	err     error                  // guarded by mu — sticky write error
-	enc     encoder                // guarded by mu — reusable seal scratch
-	wire    []byte                 // guarded by mu — reusable wire buffer
-	onSeal  func(segment []byte)   // guarded by mu — seal notification target
-	staged  [][]byte               // guarded by mu — sealed wire awaiting notify
+	dst     io.Writer
+	pending []tscout.TrainingPoint // rows not yet sealed
+	perSeg  int                    // rows per segment
+	rows    int64                  // total accepted rows
+	nextRow uint64                 // next global row index
+	err     error                  // sticky write error
+	enc     encoder                // reusable seal scratch
+	wire    []byte                 // reusable wire buffer
+	onSeal  func(segment []byte)   // seal notification target
 }
 
 // The Processor detects the sticky failure through StickySink and fails
@@ -56,26 +53,17 @@ func NewWriterSize(dst io.Writer, rowsPerSegment int) *Writer {
 }
 
 // SetOnSeal registers fn to receive a copy of every sealed segment's wire
-// bytes. fn runs on the sealing goroutine, after the segment has been
-// written to dst and outside the writer's lock (so it may call back into
-// the Writer). With a single sealing goroutine — the Processor's flush
-// loop is one — notifications arrive in seal order, and any concatenation
-// of consecutively sealed segments parses with NewReader: this is the
+// bytes. fn runs inline, right after the segment has been written to dst,
+// so notifications arrive in seal order, and any concatenation of
+// consecutively sealed segments parses with NewReader: this is the
 // autopilot's incremental tail read, no re-scan of the full archive.
 // Pass nil to stop notifications.
-func (w *Writer) SetOnSeal(fn func(segment []byte)) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.onSeal = fn
-}
+func (w *Writer) SetOnSeal(fn func(segment []byte)) { w.onSeal = fn }
 
 // WriteBatch implements tscout.Sink. The batch is copied into the pending
-// buffer under one lock acquisition; full segments seal inline on the
-// caller's goroutine (for the Processor, the one that called Drain).
+// buffer; full segments seal inline (for the Processor, inside Drain).
 func (w *Writer) WriteBatch(pts []tscout.TrainingPoint) error {
-	w.mu.Lock()
 	if w.err != nil {
-		w.mu.Unlock()
 		return w.err
 	}
 	// Grow straight to one segment's capacity instead of walking append's
@@ -90,77 +78,43 @@ func (w *Writer) WriteBatch(pts []tscout.TrainingPoint) error {
 		w.pending = np
 	}
 	w.pending = append(w.pending, pts...)
-	var err error
 	for len(w.pending) >= w.perSeg {
-		if err = w.sealLocked(w.perSeg); err != nil {
-			break
+		if err := w.seal(w.perSeg); err != nil {
+			return err
 		}
 	}
-	if err == nil {
-		w.rows += int64(len(pts))
-	}
-	return w.unlockAndNotifyLocked(err)
+	w.rows += int64(len(pts))
+	return nil
 }
 
 // Flush implements tscout.Sink: the pending remainder is sealed into a
 // final (short) segment.
 func (w *Writer) Flush() error {
-	w.mu.Lock()
 	if w.err != nil {
-		w.mu.Unlock()
 		return w.err
 	}
-	var err error
 	if len(w.pending) > 0 {
-		err = w.sealLocked(len(w.pending))
+		return w.seal(len(w.pending))
 	}
-	return w.unlockAndNotifyLocked(err)
-}
-
-// unlockAndNotifyLocked is entered holding mu: it takes the staged seal
-// notifications, releases the lock, delivers them in seal order, and
-// passes err through. Segments sealed before a write error are still
-// delivered — they reached dst.
-func (w *Writer) unlockAndNotifyLocked(err error) error {
-	staged := w.staged
-	w.staged = nil
-	fn := w.onSeal
-	w.mu.Unlock()
-	for _, seg := range staged {
-		fn(seg)
-	}
-	return err
+	return nil
 }
 
 // Rows implements tscout.Sink.
-func (w *Writer) Rows() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rows
-}
+func (w *Writer) Rows() int64 { return w.rows }
 
 // StickyErr implements tscout.StickySink: it reports the writer's
 // permanent error without consuming a write. The Processor uses it to
 // fail fast instead of retrying deliveries that a torn archive is
 // guaranteed to reject.
-func (w *Writer) StickyErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+func (w *Writer) StickyErr() error { return w.err }
 
-// sealLocked encodes the first n pending rows as one segment and writes
-// it to dst. Caller holds mu.
-func (w *Writer) sealLocked(n int) error {
+// seal encodes the first n pending rows as one segment, writes it to dst
+// and notifies the seal listener.
+func (w *Writer) seal(n int) error {
 	w.wire = w.enc.encodeSegment(w.wire[:0], w.pending[:n], w.nextRow)
 	if _, err := w.dst.Write(w.wire); err != nil {
 		w.err = err
 		return err
-	}
-	if w.onSeal != nil {
-		// Stage a copy for delivery after the lock drops (wire is reused
-		// by the next seal).
-		w.staged = append(w.staged, append([]byte(nil), w.wire...))
 	}
 	w.nextRow += uint64(n)
 	// Slide the tail down rather than re-slicing so sealed TrainingPoints
@@ -170,5 +124,9 @@ func (w *Writer) sealLocked(n int) error {
 		w.pending[i] = tscout.TrainingPoint{}
 	}
 	w.pending = w.pending[:rem]
+	if w.onSeal != nil {
+		// A copy: wire is reused by the next seal.
+		w.onSeal(append([]byte(nil), w.wire...))
+	}
 	return nil
 }

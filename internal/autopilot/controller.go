@@ -18,8 +18,6 @@
 package autopilot
 
 import (
-	"sync"
-
 	"tscout/internal/archive"
 	"tscout/internal/model"
 	"tscout/internal/tscout"
@@ -83,11 +81,10 @@ type Controller struct {
 	surface *model.ErrorSurface
 	set     *model.OnlineSet
 
-	mu       sync.Mutex
-	tail     []byte                     // guarded by mu — sealed segments not yet consumed
-	tailSegs int64                      // guarded by mu — segment count in tail
-	stats    tscout.AutopilotStats      // guarded by mu — last published self-report
-	drifting [tscout.NumSubsystems]bool // guarded by mu — current drift latch
+	tail     []byte                     // sealed segments not yet consumed
+	tailSegs int64                      // segment count in tail
+	stats    tscout.AutopilotStats      // last published self-report
+	drifting [tscout.NumSubsystems]bool // current drift latch
 }
 
 // New builds a controller reading sealed segments from w and driving the
@@ -108,18 +105,16 @@ func New(ts *tscout.TScout, w *archive.Writer, cfg Config) *Controller {
 	if w != nil {
 		w.SetOnSeal(c.onSeal)
 	}
-	c.publishLocked() // visible as attached before the first tick
+	c.publish() // visible as attached before the first tick
 	return c
 }
 
 // onSeal buffers one sealed segment's wire bytes for the next tick. The
-// Writer guarantees consecutive seal order from its single flushing
-// goroutine, so the buffered tail is always a NewReader-parsable run.
+// Writer notifies in seal order, so the buffered tail is always a
+// NewReader-parsable run.
 func (c *Controller) onSeal(seg []byte) {
-	c.mu.Lock()
 	c.tail = append(c.tail, seg...)
 	c.tailSegs++
-	c.mu.Unlock()
 }
 
 // Hook returns the function to install as workload.Config.OnDrain.
@@ -132,12 +127,10 @@ func (c *Controller) Hook() func(nowNS int64) {
 // their own drain schedule (chaos tests, tsctl) can drive epochs
 // directly. Returns the number of archive rows absorbed.
 func (c *Controller) Tick() int {
-	c.mu.Lock()
 	tail := c.tail
 	segs := c.tailSegs
 	c.tail = nil
 	c.tailSegs = 0
-	c.mu.Unlock()
 
 	absorbed := 0
 	if len(tail) > 0 {
@@ -156,8 +149,6 @@ func (c *Controller) Tick() int {
 		// fresh consecutive run.
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats.Epochs++
 	c.stats.Segments += segs
 	if absorbed > 0 {
@@ -165,14 +156,14 @@ func (c *Controller) Tick() int {
 		c.stats.PointsConsumed += int64(absorbed)
 	}
 	for _, sub := range tscout.AllSubsystems {
-		c.retuneLocked(sub)
+		c.retune(sub)
 	}
-	c.publishLocked()
+	c.publish()
 	return absorbed
 }
 
-// retuneLocked applies the rate policy to one subsystem. Caller holds mu.
-func (c *Controller) retuneLocked(sub tscout.SubsystemID) {
+// retune applies the rate policy to one subsystem.
+func (c *Controller) retune(sub tscout.SubsystemID) {
 	ratio := c.surface.DriftRatio(sub)
 	samples := c.surface.Samples(sub)
 	cur := c.ts.Sampler().Rate(sub)
@@ -215,18 +206,14 @@ func (c *Controller) retuneLocked(sub tscout.SubsystemID) {
 	}
 }
 
-// publishLocked pushes the self-report into the Processor. Caller holds mu.
-func (c *Controller) publishLocked() {
+// publish pushes the self-report into the Processor.
+func (c *Controller) publish() {
 	c.ts.Processor().SetAutopilotStats(c.stats)
 }
 
 // Stats returns the controller's current self-report (the same block
 // published into ProcessorStats.Autopilot).
-func (c *Controller) Stats() tscout.AutopilotStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Controller) Stats() tscout.AutopilotStats { return c.stats }
 
 // ModelSet exposes the online models, e.g. for held-out evaluation at
 // the end of a frontier run.
@@ -237,8 +224,6 @@ func (c *Controller) ModelSet() *model.OnlineSet { return c.set }
 // error baselines re-anchor, because behavior models trained under the
 // old context are suspect until re-scored.
 func (c *Controller) NoteHardwareChange() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, sub := range tscout.AllSubsystems {
 		if !c.drifting[sub] {
 			c.drifting[sub] = true
@@ -251,5 +236,5 @@ func (c *Controller) NoteHardwareChange() {
 		}
 		c.stats.Rates[sub] = maxRate
 	}
-	c.publishLocked()
+	c.publish()
 }

@@ -80,16 +80,10 @@ type CompileInfo struct {
 // ec.err).
 type copFn func(ec *execState) copFn
 
-type compiledProg struct {
-	entry copFn
-}
-
 // Compile attempts to JIT the program. On success subsequent Run calls
 // dispatch through the compiled form, the analysis it consumed is released
 // and a further Compile returns the recorded outcome; on decline they keep
 // interpreting and the analysis stays.
-// Compile is meant to be called at load time, before the program is
-// attached; it is not synchronized against concurrent Run.
 func (lp *LoadedProgram) Compile() CompileInfo {
 	if lp.compileInfo.Compiled {
 		return lp.compileInfo
@@ -106,7 +100,7 @@ func (lp *LoadedProgram) Compile() CompileInfo {
 		}
 	} else {
 		cc.fuse()
-		lp.compiled.Store(&compiledProg{entry: cc.fns[0]})
+		lp.compiled = cc.fns[0]
 		info.Compiled = true
 		lp.analysis = nil
 	}
@@ -135,9 +129,9 @@ func (lp *LoadedProgram) JITStats() ProgramJITStats {
 		Attempted:     lp.compileInfo.Attempted,
 		Compiled:      lp.compileInfo.Compiled,
 		DeclineReason: lp.compileInfo.Reason,
-		CompiledRuns:  lp.compiledRuns.Load(),
-		InterpRuns:    lp.interpRuns.Load(),
-		RuntimeFaults: lp.runtimeFaults.Load(),
+		CompiledRuns:  lp.compiledRuns,
+		InterpRuns:    lp.interpRuns,
+		RuntimeFaults: lp.runtimeFaults,
 	}
 }
 
@@ -171,8 +165,8 @@ func (lp *LoadedProgram) decode() (*compiler, string) {
 // per-access error plumbing; a verifier/compiler disagreement surfaces as
 // a Go panic, converted here to ErrRuntime so the caller-visible contract
 // matches the interpreter's.
-func (lp *LoadedProgram) runCompiled(c *compiledProg, task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
-	lp.compiledRuns.Add(1)
+func (lp *LoadedProgram) runCompiled(task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
+	lp.compiledRuns++
 	insnNS := task.Kernel().Profile.BPFInsnNS
 	ec := lp.getExecState()
 	ec.task, ec.args = task, args
@@ -186,7 +180,7 @@ func (lp *LoadedProgram) runCompiled(c *compiledProg, task *kernel.Task, args []
 		ec.task, ec.args = nil, nil
 		lp.putExecState(ec)
 	}()
-	for f := c.entry; f != nil; {
+	for f := lp.compiled; f != nil; {
 		f = f(ec)
 	}
 	costNS = cost(ec.executed, ec.helperNS, insnNS)
@@ -200,18 +194,14 @@ func (lp *LoadedProgram) runCompiled(c *compiledProg, task *kernel.Task, args []
 // (the interpreter starts from zero registers and trace capture may read
 // helper-argument registers); the 512-byte stack is deliberately left
 // dirty — the verifier rejects any read of a stack byte the program did
-// not write this invocation, so stale contents are unobservable. A
-// single-slot atomic cache fronts the sync.Pool: marker programs run
-// back-to-back on one task, so the common case is an uncontended swap.
+// not write this invocation, so stale contents are unobservable.
 func (lp *LoadedProgram) getExecState() *execState {
-	ec := lp.ecCache.Swap(nil)
-	if ec == nil {
-		v := lp.execPool.Get()
-		if v == nil {
-			return &execState{}
-		}
-		ec = v.(*execState)
+	n := len(lp.free)
+	if n == 0 {
+		return &execState{}
 	}
+	ec := lp.free[n-1]
+	lp.free = lp.free[:n-1]
 	ec.regs = [regSlots]uint64{}
 	ec.objects = ec.objects[:0]
 	ec.executed = 0
@@ -220,11 +210,7 @@ func (lp *LoadedProgram) getExecState() *execState {
 	return ec
 }
 
-func (lp *LoadedProgram) putExecState(ec *execState) {
-	if !lp.ecCache.CompareAndSwap(nil, ec) {
-		lp.execPool.Put(ec)
-	}
-}
+func (lp *LoadedProgram) putExecState(ec *execState) { lp.free = append(lp.free, ec) }
 
 type compiler struct {
 	lp *LoadedProgram
@@ -440,7 +426,7 @@ func (cc *compiler) genericCall(id int64, next *copFn) copFn {
 			ec.err = err
 			return nil
 		}
-		if lp.traceOn.Load() {
+		if lp.traceOn {
 			lp.recordCall(ec, id)
 		}
 		return *next
@@ -470,12 +456,10 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 	switch id {
 	case HelperTracePrintk:
 		return func(ec *execState) {
-			lp.printkMu.Lock()
 			lp.printk = append(lp.printk, ec.regs[R1])
-			lp.printkMu.Unlock()
 			ec.regs[R0] = 0
 			ec.helperNS += costNS
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}
@@ -497,7 +481,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 				ec.regs[R0] = ec.registerObject(v)
 			}
 			ec.helperNS += costNS
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}
@@ -518,7 +502,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 				ec.regs[R0] = 0
 			}
 			ec.helperNS += costNS
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}
@@ -545,7 +529,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 						ec.regs[R0] = 0
 					}
 					ec.helperNS += costNS
-					if lp.traceOn.Load() {
+					if lp.traceOn {
 						lp.recordCall(ec, id)
 					}
 				}
@@ -558,7 +542,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 				ec.regs[R0] = 0
 			}
 			ec.helperNS += costNS
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}
@@ -578,7 +562,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 				ec.regs[R0] = 0
 			}
 			ec.helperNS += costNS
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}
@@ -600,7 +584,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 				ec.regs[R0] = 0
 			}
 			ec.helperNS += costNS
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}
@@ -624,7 +608,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 			rb.SubmitFrom(ec.task.CPU(), df(ec))
 			ec.regs[R0] = 0
 			ec.helperNS += total
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
 		}

@@ -126,8 +126,8 @@ func TestRuntimeFaultsCountedOnAttach(t *testing.T) {
 	if got := lp.RuntimeFaults(); got != 2 {
 		t.Fatalf("RuntimeFaults = %d, want 2", got)
 	}
-	if tp.Hits.Load() != 2 {
-		t.Fatalf("hits = %d, want 2", tp.Hits.Load())
+	if tp.Hits != 2 {
+		t.Fatalf("hits = %d, want 2", tp.Hits)
 	}
 	if task.KernelInstrumentationNS == 0 {
 		t.Fatal("faulted hits charged no kernel time (mode switch at minimum)")
@@ -244,7 +244,7 @@ func wantDecline(t *testing.T, reason string, pc int, in Insn) {
 	}
 	p.Insns[pc] = in
 	info := lp.Compile()
-	if info.Compiled || info.Reason != reason || lp.compiled.Load() != nil {
+	if info.Compiled || info.Reason != reason || lp.compiled != nil {
 		t.Fatalf("%v at pc %d: got %+v, want decline %q", in, pc, info, reason)
 	}
 }

@@ -3,8 +3,6 @@ package bpf
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
-	"sync/atomic"
 )
 
 // Map errors.
@@ -62,17 +60,10 @@ type HashMap struct {
 	valueSize  int
 	maxEntries int
 
-	mu sync.Mutex
-	m  map[uint64][]byte
+	m map[uint64][]byte
 	// free holds the buffers of deleted entries; it never exceeds the peak
 	// number of live entries.
 	free [][]byte
-	// count mirrors len(m), maintained under mu but readable lock-free:
-	// Collector programs issue unconditional cleanup deletes and probe
-	// lookups against maps that are empty in steady state, and a count of
-	// zero at the atomic load is a valid linearization of "not present" —
-	// those calls skip the lock entirely.
-	count atomic.Int64
 }
 
 // NewHashMap creates a hash map with 8-byte keys and a fixed value size.
@@ -96,20 +87,15 @@ func (h *HashMap) ValueSize() int { return h.valueSize }
 func (h *HashMap) MaxEntries() int { return h.maxEntries }
 
 // Len returns the current entry count.
-func (h *HashMap) Len() int {
-	return int(h.count.Load())
-}
+func (h *HashMap) Len() int { return len(h.m) }
 
 // Lookup returns the value stored for key (aliasing the internal buffer,
 // see the type comment), or nil if absent or the key is the wrong size.
 func (h *HashMap) Lookup(key []byte) []byte {
-	if len(key) != 8 || h.count.Load() == 0 {
+	if len(key) != 8 {
 		return nil
 	}
-	h.mu.Lock()
-	v := h.m[U64(key)]
-	h.mu.Unlock()
-	return v
+	return h.m[U64(key)]
 }
 
 // Update inserts or replaces the value for key (the value is copied). An
@@ -124,8 +110,6 @@ func (h *HashMap) Update(key, value []byte) error {
 		return ErrBadValSize
 	}
 	k := U64(key)
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	dst, ok := h.m[k]
 	if !ok {
 		if len(h.m) >= h.maxEntries {
@@ -137,21 +121,18 @@ func (h *HashMap) Update(key, value []byte) error {
 			dst = make([]byte, h.valueSize)
 		}
 		h.m[k] = dst
-		h.count.Store(int64(len(h.m)))
 	}
 	copy(dst, value)
 	return nil
 }
 
-// Range calls fn for every entry under the map lock with a copy of the key
-// (its 8 little-endian bytes) and the live value buffer; returning false
+// Range calls fn for every entry with a copy of the key (its 8
+// little-endian bytes) and the live value buffer; returning false
 // stops the walk. It exists for user-space sweeps over kernel-written state
 // — the Collector reaper scans in-flight OU entries for dead task
 // generations. The iteration order is unspecified; callers needing
 // determinism must sort what they collect.
 func (h *HashMap) Range(fn func(key, value []byte) bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for k, v := range h.m {
 		if !fn(U64Key(k), v) {
 			return
@@ -161,18 +142,15 @@ func (h *HashMap) Range(fn func(key, value []byte) bool) {
 
 // Delete removes key; its value buffer becomes reusable by a later insert.
 func (h *HashMap) Delete(key []byte) bool {
-	if len(key) != 8 || h.count.Load() == 0 {
+	if len(key) != 8 {
 		return false
 	}
 	k := U64(key)
-	h.mu.Lock()
 	v, ok := h.m[k]
 	if ok {
 		delete(h.m, k)
 		h.free = append(h.free, v)
-		h.count.Store(int64(len(h.m)))
 	}
-	h.mu.Unlock()
 	return ok
 }
 
@@ -261,7 +239,6 @@ type StackMap struct {
 	valueSize  int
 	maxEntries int
 
-	mu    sync.Mutex
 	data  []byte
 	depth int
 }
@@ -284,18 +261,11 @@ func (s *StackMap) ValueSize() int { return s.valueSize }
 func (s *StackMap) MaxEntries() int { return s.maxEntries }
 
 // Len returns the current depth.
-func (s *StackMap) Len() int {
-	s.mu.Lock()
-	n := s.depth
-	s.mu.Unlock()
-	return n
-}
+func (s *StackMap) Len() int { return s.depth }
 
 // Lookup returns the top of the stack without popping (peek), or nil when
 // empty. The key is ignored.
 func (s *StackMap) Lookup(key []byte) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.depth == 0 {
 		return nil
 	}
@@ -318,62 +288,40 @@ func (s *StackMap) Push(value []byte) error {
 	if len(value) != s.valueSize {
 		return ErrBadValSize
 	}
-	s.mu.Lock()
 	if s.depth >= s.maxEntries {
-		s.mu.Unlock()
 		return ErrMapFull
 	}
 	s.data = append(s.data[:s.depth*s.valueSize], value...)
 	s.depth++
-	s.mu.Unlock()
 	return nil
 }
 
 // Pop removes and returns the top element. The returned view is valid
 // until the next Push reuses the slot; callers that retain it must copy.
 func (s *StackMap) Pop() ([]byte, error) {
-	s.mu.Lock()
 	if s.depth == 0 {
-		s.mu.Unlock()
 		return nil, ErrStackEmpty
 	}
 	s.depth--
-	v := s.data[s.depth*s.valueSize : (s.depth+1)*s.valueSize : (s.depth+1)*s.valueSize]
-	s.mu.Unlock()
-	return v, nil
+	return s.data[s.depth*s.valueSize : (s.depth+1)*s.valueSize : (s.depth+1)*s.valueSize], nil
 }
 
 // Clear empties the stack (the Collector's state-machine reset, §5.1).
-func (s *StackMap) Clear() {
-	s.mu.Lock()
-	s.depth = 0
-	s.mu.Unlock()
-}
+func (s *StackMap) Clear() { s.depth = 0 }
 
 // PerTaskMap stores one fixed-size value per task PID; it stands in for
 // BPF per-CPU / per-task storage used to snapshot probe results at BEGIN
 // markers without cross-thread synchronization (the "no back pressure"
 // property, paper §3).
-//
-// The PID→slot index is copy-on-write: the hot path (every marker hit
-// looks up its task's slot) reads an immutable snapshot with no lock, and
-// only the first access by a new PID — or a Delete — takes the mutex to
-// publish a rebuilt snapshot. Slot buffers are shared across snapshots,
-// so in-place mutation through a looked-up slot persists as before.
 type PerTaskMap struct {
 	name      string
 	valueSize int
-
-	mu   sync.Mutex // serializes snapshot rebuilds
-	snap atomic.Pointer[map[uint64][]byte]
+	m         map[uint64][]byte
 }
 
 // NewPerTaskMap creates an empty per-task map.
 func NewPerTaskMap(name string, valueSize int) *PerTaskMap {
-	p := &PerTaskMap{name: name, valueSize: valueSize}
-	m := make(map[uint64][]byte)
-	p.snap.Store(&m)
-	return p
+	return &PerTaskMap{name: name, valueSize: valueSize, m: make(map[uint64][]byte)}
 }
 
 // Name returns the map name.
@@ -389,9 +337,7 @@ func (p *PerTaskMap) ValueSize() int { return p.valueSize }
 func (p *PerTaskMap) MaxEntries() int { return 0 }
 
 // Len returns the number of tasks with a slot.
-func (p *PerTaskMap) Len() int {
-	return len(*p.snap.Load())
-}
+func (p *PerTaskMap) Len() int { return len(p.m) }
 
 // Lookup returns the slot for the PID in key, creating a zeroed slot on
 // first access (per-CPU semantics: the slot always exists).
@@ -400,22 +346,11 @@ func (p *PerTaskMap) Lookup(key []byte) []byte {
 		return nil
 	}
 	pid := U64(key)
-	if v, ok := (*p.snap.Load())[pid]; ok {
-		return v
+	v, ok := p.m[pid]
+	if !ok {
+		v = make([]byte, p.valueSize)
+		p.m[pid] = v
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := *p.snap.Load() // re-check: another writer may have added it
-	if v, ok := cur[pid]; ok {
-		return v
-	}
-	next := make(map[uint64][]byte, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	v := make([]byte, p.valueSize)
-	next[pid] = v
-	p.snap.Store(&next)
 	return v
 }
 
@@ -432,12 +367,11 @@ func (p *PerTaskMap) Update(key, value []byte) error {
 	return nil
 }
 
-// Range calls fn for every slot in the current snapshot (keys are the
-// slot ids, values the live buffers); returning false stops the walk.
-// Like HashMap.Range it serves user-space maintenance sweeps; fn sees
-// slots that existed when the walk started.
+// Range calls fn for every slot (keys are the slot ids, values the live
+// buffers); returning false stops the walk. Like HashMap.Range it serves
+// user-space maintenance sweeps.
 func (p *PerTaskMap) Range(fn func(key uint64, value []byte) bool) {
-	for k, v := range *p.snap.Load() {
+	for k, v := range p.m {
 		if !fn(k, v) {
 			return
 		}
@@ -450,18 +384,9 @@ func (p *PerTaskMap) Delete(key []byte) bool {
 		return false
 	}
 	pid := U64(key)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := *p.snap.Load()
-	if _, ok := cur[pid]; !ok {
+	if _, ok := p.m[pid]; !ok {
 		return false
 	}
-	next := make(map[uint64][]byte, len(cur))
-	for k, v := range cur {
-		if k != pid {
-			next[k] = v
-		}
-	}
-	p.snap.Store(&next)
+	delete(p.m, pid)
 	return true
 }

@@ -147,7 +147,7 @@ func TestHashMapRecyclesDeletedBuffers(t *testing.T) {
 		t.Fatalf("delete/insert churn at fixed occupancy allocates %v per cycle", n)
 	}
 
-	// Emptied, the lock-free fast paths answer: nothing present.
+	// Emptied: nothing present.
 	for _, k := range []uint64{2, 7, 8} {
 		if !m.Delete(U64Key(k)) {
 			t.Fatalf("delete %d", k)

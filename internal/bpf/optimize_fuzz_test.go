@@ -26,7 +26,6 @@ import (
 func mapFingerprint(m Map) string {
 	switch mm := m.(type) {
 	case *HashMap:
-		mm.mu.Lock()
 		keys := make([]uint64, 0, len(mm.m))
 		for k := range mm.m {
 			keys = append(keys, k)
@@ -36,24 +35,20 @@ func mapFingerprint(m Map) string {
 		for _, k := range keys {
 			fmt.Fprintf(&b, "%x=%x;", k, mm.m[k])
 		}
-		mm.mu.Unlock()
 		return "hash:" + b.String()
 	case *ArrayMap:
 		return fmt.Sprintf("array:%x", mm.values)
 	case *StackMap:
-		mm.mu.Lock()
-		defer mm.mu.Unlock()
 		return fmt.Sprintf("stack:%d:%x", mm.depth, mm.data[:mm.depth*mm.valueSize])
 	case *PerTaskMap:
-		snap := *mm.snap.Load()
-		pids := make([]uint64, 0, len(snap))
-		for pid := range snap {
+		pids := make([]uint64, 0, len(mm.m))
+		for pid := range mm.m {
 			pids = append(pids, pid)
 		}
 		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 		var b strings.Builder
 		for _, pid := range pids {
-			fmt.Fprintf(&b, "%d=%x;", pid, snap[pid])
+			fmt.Fprintf(&b, "%d=%x;", pid, mm.m[pid])
 		}
 		return "pertask:" + b.String()
 	case *PerCPURing:

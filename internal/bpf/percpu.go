@@ -1,10 +1,6 @@
 package bpf
 
-import "sync"
-
-// RingStats is a consistent snapshot of a ring buffer's counters, taken
-// under one lock so submitted/dropped/pending cannot tear against a
-// concurrent Submit (the accounting hazard behind stale feedback deltas).
+// RingStats is a snapshot of a ring buffer's counters.
 type RingStats struct {
 	Submitted int64 // cumulative Submit calls
 	Drained   int64 // cumulative samples pulled out by the consumer
@@ -15,25 +11,20 @@ type RingStats struct {
 }
 
 // cpuRing is one CPU's slice of a PerCPURing: a bounded FIFO with its own
-// lock and counters, like one CPU's mmap'd perf buffer. Slot backing
-// arrays are reused across submissions (copy-in truncates and refills the
-// slot), so a warmed ring submits and drains with zero allocations. The
-// trailing pad keeps neighboring rings' hot fields off one cache line —
-// per-CPU isolation is the whole point of the structure.
+// counters, like one CPU's mmap'd perf buffer. Slot backing arrays are
+// reused across submissions (copy-in truncates and refills the slot), so a
+// warmed ring submits and drains with zero allocations.
 type cpuRing struct {
-	mu        sync.Mutex
-	slots     [][]byte // guarded by mu
-	head      int      // index of oldest entry; guarded by mu
-	count     int      // guarded by mu
-	high      int      // guarded by mu
-	submitted int64    // guarded by mu
-	drained   int64    // guarded by mu
-	dropped   int64    // guarded by mu
-	_         [64]byte
+	slots     [][]byte
+	head      int // index of oldest entry
+	count     int
+	high      int
+	submitted int64
+	drained   int64
+	dropped   int64
 }
 
 func (r *cpuRing) submit(data []byte) {
-	r.mu.Lock()
 	slot := (r.head + r.count) % len(r.slots)
 	if r.count == len(r.slots) {
 		// Full: overwrite the oldest (TScout never blocks the submitter).
@@ -48,11 +39,9 @@ func (r *cpuRing) submit(data []byte) {
 	}
 	r.slots[slot] = append(r.slots[slot][:0], data...)
 	r.submitted++
-	r.mu.Unlock()
 }
 
 func (r *cpuRing) drainBatch(dst *Batch, max int) int {
-	r.mu.Lock()
 	n := r.count
 	if max > 0 && max < n {
 		n = max
@@ -63,13 +52,10 @@ func (r *cpuRing) drainBatch(dst *Batch, max int) int {
 	}
 	r.count -= n
 	r.drained += int64(n)
-	r.mu.Unlock()
 	return n
 }
 
 func (r *cpuRing) stats() RingStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return RingStats{
 		Submitted: r.submitted,
 		Drained:   r.drained,
@@ -81,13 +67,11 @@ func (r *cpuRing) stats() RingStats {
 }
 
 func (r *cpuRing) reset() {
-	r.mu.Lock()
 	for i := range r.slots {
 		r.slots[i] = nil
 	}
 	r.head, r.count, r.high = 0, 0, 0
 	r.submitted, r.drained, r.dropped = 0, 0, 0
-	r.mu.Unlock()
 }
 
 // PerCPURing is the bounded channel between the kernel-space Collector and
@@ -96,11 +80,9 @@ func (r *cpuRing) reset() {
 // full ring overwrites its oldest sample and counts a drop — the Collector
 // never blocks, which is TScout's "no back pressure" guarantee. There is
 // one bounded ring per simulated CPU, as the Linux perf subsystem allocates
-// its buffers (what lets Processor threads scale without contending on one
-// lock). Submissions route by the submitting task's CPU; each CPU's
-// ring has its own mutex, so submitters on different CPUs never contend
-// and a drain thread that owns a disjoint set of CPU rings never shares a
-// lock with another drain thread.
+// its buffers, and submissions route by the submitting task's CPU. Those
+// CPUs interleave only in virtual time (see the sim package doc), so a
+// ring needs no lock.
 type PerCPURing struct {
 	name      string
 	perCPUCap int
@@ -118,7 +100,7 @@ func NewPerCPURing(name string, numCPUs, perCPUCapacity int) *PerCPURing {
 	}
 	r := &PerCPURing{name: name, perCPUCap: perCPUCapacity, rings: make([]cpuRing, numCPUs)}
 	for i := range r.rings {
-		r.rings[i].slots = make([][]byte, perCPUCapacity) //tsvet:ignore guarded-by construction: the ring has not escaped, nothing can race yet
+		r.rings[i].slots = make([][]byte, perCPUCapacity)
 	}
 	return r
 }
@@ -145,9 +127,7 @@ func (r *PerCPURing) NumCPUs() int { return len(r.rings) }
 func (r *PerCPURing) Len() int {
 	n := 0
 	for i := range r.rings {
-		r.rings[i].mu.Lock()
 		n += r.rings[i].count
-		r.rings[i].mu.Unlock()
 	}
 	return n
 }
@@ -180,8 +160,7 @@ func (r *PerCPURing) Submit(data []byte) { r.SubmitFrom(0, data) }
 
 // DrainBatch removes up to max samples (0 or less = everything) from one
 // CPU's ring in submission order, appending them to dst's contiguous
-// buffer, and returns the number drained. One lock acquisition covers the
-// batch and no per-sample slice is allocated.
+// buffer, and returns the number drained. No per-sample slice is allocated.
 func (r *PerCPURing) DrainBatch(cpu int, dst *Batch, max int) int {
 	if cpu < 0 || cpu >= len(r.rings) {
 		return 0
@@ -189,7 +168,7 @@ func (r *PerCPURing) DrainBatch(cpu int, dst *Batch, max int) int {
 	return r.rings[cpu].drainBatch(dst, max)
 }
 
-// RingStats returns a consistent snapshot of one CPU ring's counters.
+// RingStats returns a snapshot of one CPU ring's counters.
 func (r *PerCPURing) RingStats(cpu int) RingStats {
 	if cpu < 0 || cpu >= len(r.rings) {
 		return RingStats{}
@@ -207,9 +186,7 @@ func (r *PerCPURing) CPUStats() []RingStats {
 }
 
 // Stats aggregates the per-CPU counters into one snapshot (Capacity is the
-// total across rings). Per-ring totals are each taken under that ring's
-// lock; the sum is not a single atomic cut across CPUs, matching what
-// reading per-CPU perf counters sequentially observes.
+// total across rings).
 func (r *PerCPURing) Stats() RingStats {
 	var agg RingStats
 	for i := range r.rings {

@@ -2,8 +2,10 @@ package bpf
 
 import (
 	"encoding/binary"
-	"sync"
 	"testing"
+
+	"tscout/internal/kernel"
+	"tscout/internal/sim"
 )
 
 func TestRingBufferFIFOAndOverwrite(t *testing.T) {
@@ -53,65 +55,61 @@ func TestRingBufferDrainAppendBatches(t *testing.T) {
 	}
 }
 
-// TestRingBufferConcurrentSubmitDrainReset exercises the ring under
-// concurrent producers, a draining consumer, and periodic resets; run with
-// -race it proves the buffer's locking discipline (the Processor's sharded
-// drain path calls DrainBatch from its own goroutine while Collectors
-// submit).
+// TestRingBufferConcurrentSubmitDrainReset interleaves producers on four
+// CPU lanes, a budgeted drain, stats reads and resets of one ring under
+// seeded kernel.Interleaver schedules, and holds the ring to a FIFO model
+// with overwrite: every drained sample, and after the final drain every
+// counter, must match it exactly.
 func TestRingBufferConcurrentSubmitDrainReset(t *testing.T) {
-	r := NewPerCPURing("t", 1, 64)
-	const producers = 4
-	const perProducer = 2000
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				buf := make([]byte, 8)
-				binary.LittleEndian.PutUint64(buf, uint64(p*perProducer+i))
-				r.Submit(buf)
-			}
-		}(p)
-	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	drained := 0
-	var batch Batch
-	for i := 0; ; i++ {
-		batch.Reset()
-		n := r.DrainBatch(0, &batch, 32)
-		drained += n
-		for j := 0; j < n; j++ {
-			if got := len(batch.Sample(j)); got != 8 {
-				t.Errorf("corrupt entry of %d bytes", got)
-				return
-			}
-		}
-		_ = r.Stats()
-		// Reset only once something has been drained: on a loaded box the
-		// producers can run start to finish between this iteration's drain
-		// and its reset, which would then discard every sample there was.
-		if i%97 == 96 && drained > 0 {
-			r.Reset()
-		}
-		select {
-		case <-done:
-			// Producers may have finished after this loop's drain; count
-			// the final sweep too.
+	const producers, perProducer, capacity = 4, 500, 64
+	for seed := int64(1); seed <= 3; seed++ {
+		r := NewPerCPURing("t", 1, capacity)
+		var model []uint64 // pending samples, oldest first
+		var submitted, drained, dropped int64
+		var batch Batch
+		drain := func(max int) {
 			batch.Reset()
-			drained += r.DrainBatch(0, &batch, 0)
-			if st := r.Stats(); st.Pending != 0 {
-				t.Fatalf("pending after final drain: %d", st.Pending)
+			n := r.DrainBatch(0, &batch, max)
+			for j := 0; j < n; j++ {
+				if got := U64(batch.Sample(j)); got != model[j] {
+					t.Fatalf("seed %d: drained %d, model has %d", seed, got, model[j])
+				}
 			}
-			if drained == 0 {
-				t.Fatalf("consumer never saw a sample")
+			model = model[n:]
+			drained += int64(n)
+		}
+		iv := kernel.New(sim.LargeHW, seed, 0).NewInterleaver(seed)
+		for p := 0; p < producers; p++ {
+			iv.AddOn("submit", p, perProducer, func(i int) {
+				v := uint64(p*perProducer + i)
+				r.Submit(U64Key(v))
+				submitted++
+				if len(model) == capacity {
+					model = model[1:]
+					dropped++
+				}
+				model = append(model, v)
+			})
+		}
+		iv.Add("drain", 500, func(int) { drain(32) })
+		iv.Add("stats", 100, func(int) {
+			st := r.Stats()
+			if st.Submitted != submitted || st.Drained != drained || st.Dropped != dropped || st.Pending != len(model) {
+				t.Fatalf("seed %d: stats %+v, model submitted=%d drained=%d dropped=%d pending=%d",
+					seed, st, submitted, drained, dropped, len(model))
 			}
-			return
-		default:
+		})
+		iv.Add("reset", 5, func(int) {
+			r.Reset()
+			model, submitted, drained, dropped = nil, 0, 0, 0
+		})
+		iv.Run()
+		drain(0)
+		st := r.Stats()
+		if st.Pending != 0 || st.Submitted != submitted || st.Drained != drained || st.Dropped != dropped ||
+			st.Submitted != st.Drained+st.Dropped {
+			t.Fatalf("seed %d: after final drain %+v, model submitted=%d drained=%d dropped=%d",
+				seed, st, submitted, drained, dropped)
 		}
 	}
 }

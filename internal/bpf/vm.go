@@ -3,8 +3,6 @@ package bpf
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tscout/internal/kernel"
 )
@@ -42,9 +40,9 @@ func isMapHandle(v uint64) bool {
 func ptrObj(v uint64) uint32  { return uint32(v>>32) & 0x3fffffff }
 func ptrAddr(v uint64) uint32 { return uint32(v) }
 
-// LoadedProgram is a verified program ready to attach and run. One loaded
-// program may be attached to tracepoints hit by many tasks concurrently,
-// so its bookkeeping is synchronized.
+// LoadedProgram is a verified program ready to attach and run. Its
+// bookkeeping is plain fields: one goroutine drives a simulation (see the
+// sim package doc), so tasks on many virtual CPUs hit it one at a time.
 type LoadedProgram struct {
 	prog *Program
 
@@ -67,37 +65,32 @@ type LoadedProgram struct {
 	// Load, which Compile declines.
 	analysis *Analysis
 
-	// compiled holds the native form (compile.go) once Compile has
-	// accepted the program; Run dispatches through it when non-nil and
+	// compiled is the entry of the native form (compile.go) once Compile
+	// has accepted the program; Run dispatches through it when non-nil and
 	// falls back to the interpreter otherwise.
-	compiled atomic.Pointer[compiledProg]
+	compiled copFn
 	// compileInfo records the outcome of the last Compile call (zero
 	// value until Compile runs). Written at load time, before the
 	// program can be attached, so a plain field is safe.
 	compileInfo CompileInfo
 
-	// execPool recycles compiled execution states, fronted by ecCache — a
-	// single-slot atomic cache that makes the common sequential case (one
-	// tracepoint hit at a time) a lock-free swap. Reuse without zeroing
-	// the stack is sound only because the verifier rejects any read of a
-	// stack byte the program did not itself write this invocation.
-	ecCache  atomic.Pointer[execState]
-	execPool sync.Pool
+	// free recycles compiled execution states. Reuse without zeroing the
+	// stack is sound only because the verifier rejects any read of a stack
+	// byte the program did not itself write this invocation.
+	free []*execState
 
-	interpRuns    atomic.Int64
-	compiledRuns  atomic.Int64
-	runtimeFaults atomic.Int64
+	interpRuns    int64
+	compiledRuns  int64
+	runtimeFaults int64
 
-	printkMu sync.Mutex
-	printk   []uint64
+	printk []uint64
 
 	// Optional side-effect trace, used by the differential fuzzers to
 	// compare original and optimized programs: every successful call to a
 	// non-Pure helper is recorded with its consumed arguments and return
 	// value. Pure helper calls are omitted deliberately — the optimizer is
 	// allowed to delete them when their result is dead.
-	traceOn atomic.Bool
-	traceMu sync.Mutex
+	traceOn bool
 	trace   []HelperCall
 }
 
@@ -109,12 +102,10 @@ type HelperCall struct {
 }
 
 // SetCallTrace enables or disables recording of impure helper calls.
-func (lp *LoadedProgram) SetCallTrace(on bool) { lp.traceOn.Store(on) }
+func (lp *LoadedProgram) SetCallTrace(on bool) { lp.traceOn = on }
 
 // CallTrace returns a copy of the recorded impure helper calls.
 func (lp *LoadedProgram) CallTrace() []HelperCall {
-	lp.traceMu.Lock()
-	defer lp.traceMu.Unlock()
 	out := make([]HelperCall, len(lp.trace))
 	for i, c := range lp.trace {
 		out[i] = HelperCall{ID: c.ID, Args: append([]uint64(nil), c.Args...), Ret: c.Ret}
@@ -128,20 +119,16 @@ func (lp *LoadedProgram) recordCall(ec *execState, id int64) {
 		return
 	}
 	args := append([]uint64(nil), ec.regs[R1:R1+Reg(len(spec.Args))]...)
-	lp.traceMu.Lock()
 	lp.trace = append(lp.trace, HelperCall{ID: id, Args: args, Ret: ec.regs[R0]})
-	lp.traceMu.Unlock()
 }
 
 // Runs returns the number of times the program has been invoked.
 func (lp *LoadedProgram) Runs() int64 {
-	return lp.interpRuns.Load() + lp.compiledRuns.Load()
+	return lp.interpRuns + lp.compiledRuns
 }
 
 // Printk returns a copy of the values logged via HelperTracePrintk.
 func (lp *LoadedProgram) Printk() []uint64 {
-	lp.printkMu.Lock()
-	defer lp.printkMu.Unlock()
 	return append([]uint64(nil), lp.printk...)
 }
 
@@ -197,7 +184,7 @@ func (lp *LoadedProgram) Attach(tp *kernel.Tracepoint) {
 	tp.Attach(func(t *kernel.Task, args []uint64) int64 {
 		_, cost, err := lp.Run(t, args)
 		if err != nil {
-			lp.runtimeFaults.Add(1)
+			lp.runtimeFaults++
 		}
 		return cost
 	})
@@ -205,7 +192,7 @@ func (lp *LoadedProgram) Attach(tp *kernel.Tracepoint) {
 
 // RuntimeFaults returns the number of attached-tracepoint hits whose run
 // ended in a runtime fault (and therefore produced no sample).
-func (lp *LoadedProgram) RuntimeFaults() int64 { return lp.runtimeFaults.Load() }
+func (lp *LoadedProgram) RuntimeFaults() int64 { return lp.runtimeFaults }
 
 type execState struct {
 	// regs is padded to a power of two (only R0–R10 are architectural) so
@@ -259,10 +246,10 @@ func (ec *execState) mem(ptr uint64, off int32, size int) ([]byte, error) {
 // results — R0, cost, helper trace, printk, and map end-states — which
 // the differential fuzz oracles enforce.
 func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (uint64, int64, error) {
-	if c := lp.compiled.Load(); c != nil {
-		return lp.runCompiled(c, task, args)
+	if lp.compiled != nil {
+		return lp.runCompiled(task, args)
 	}
-	lp.interpRuns.Add(1)
+	lp.interpRuns++
 	return lp.runInterp(task, args)
 }
 
@@ -270,7 +257,7 @@ func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (uint64, int64, e
 // compiled form exists — the reference semantics the differential oracles
 // compare the compiled path against.
 func (lp *LoadedProgram) RunInterpreted(task *kernel.Task, args []uint64) (uint64, int64, error) {
-	lp.interpRuns.Add(1)
+	lp.interpRuns++
 	return lp.runInterp(task, args)
 }
 
@@ -363,7 +350,7 @@ func (lp *LoadedProgram) runInterp(task *kernel.Task, args []uint64) (uint64, in
 			if err != nil {
 				return 0, cost(executed, helperNS, profile.BPFInsnNS), err
 			}
-			if lp.traceOn.Load() {
+			if lp.traceOn {
 				lp.recordCall(ec, in.Imm)
 			}
 			pc++
@@ -596,9 +583,7 @@ func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
 			ec.regs[R0] = 0
 		}
 	case HelperTracePrintk:
-		lp.printkMu.Lock()
 		lp.printk = append(lp.printk, ec.regs[R1])
-		lp.printkMu.Unlock()
 		ec.regs[R0] = 0
 	default:
 		return 0, fmt.Errorf("%w: unknown helper %d", ErrRuntime, id)

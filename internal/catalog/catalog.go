@@ -7,8 +7,6 @@ package catalog
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"tscout/internal/index"
 	"tscout/internal/storage"
@@ -208,17 +206,16 @@ func (t *Table) IndexOn(cols []int) *Index {
 
 // Catalog is the name registry.
 type Catalog struct {
-	mu     sync.RWMutex
 	tables map[string]*Table
 	// version counts the mutations (CreateTable, createIndex, MountVirtual)
 	// so that a plan analyzed against the catalog can tell it has gone stale.
-	version atomic.Uint64
+	version uint64
 }
 
 // Version identifies the catalog's current contents: it changes whenever a
 // table, index or virtual table is added. A statement analyzed at one
 // version must be re-analyzed once Version returns another.
-func (c *Catalog) Version() uint64 { return c.version.Load() }
+func (c *Catalog) Version() uint64 { return c.version }
 
 // New creates an empty catalog.
 func New() *Catalog {
@@ -227,21 +224,17 @@ func New() *Catalog {
 
 // CreateTable registers a new table.
 func (c *Catalog) CreateTable(name string, schema *storage.Schema) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.tables[name]; dup {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
 	t := &Table{Name: name, Heap: storage.NewTable(name, schema)}
 	c.tables[name] = t
-	c.version.Add(1)
+	c.version++
 	return t, nil
 }
 
 // Table resolves a table by name.
 func (c *Catalog) Table(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("catalog: unknown table %q", name)
@@ -251,8 +244,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 
 // TableNames lists tables in sorted order.
 func (c *Catalog) TableNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	names := make([]string, 0, len(c.tables))
 	for n := range c.tables {
 		names = append(names, n)
@@ -283,8 +274,6 @@ func (c *Catalog) createIndex(name, table string, cols []string, kind IndexKind,
 	if t.Virtual != nil {
 		return nil, fmt.Errorf("catalog: cannot index virtual table %q", table)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	keyCols := make([]int, len(cols))
 	for i, col := range cols {
 		pos := t.Heap.Schema().ColumnIndex(col)
@@ -303,6 +292,6 @@ func (c *Catalog) createIndex(name, table string, cols []string, kind IndexKind,
 		ix.BTree = index.NewBTree()
 	}
 	t.Indexes = append(t.Indexes, ix)
-	c.version.Add(1)
+	c.version++
 	return ix, nil
 }

@@ -64,13 +64,11 @@ func (t *Table) Schema() *storage.Schema {
 // MountVirtual registers a read-only virtual table under name. It shares
 // the namespace with heap tables; indexes cannot be created on it.
 func (c *Catalog) MountVirtual(name string, v VirtualTable) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.tables[name]; dup {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
 	t := &Table{Name: name, Virtual: v}
 	c.tables[name] = t
-	c.version.Add(1)
+	c.version++
 	return t, nil
 }

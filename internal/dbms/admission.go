@@ -2,7 +2,6 @@ package dbms
 
 import (
 	"fmt"
-	"sync"
 
 	"tscout/internal/kernel"
 )
@@ -46,8 +45,7 @@ func (o AdmissionOutcome) String() string {
 // session slot until Release; a queued ticket becomes granted when the
 // FIFO reaches it.
 type Ticket struct {
-	g       *AdmissionGate
-	granted bool // guarded by g.mu
+	granted bool
 	// Owner is the caller's: the gate never reads or writes it. A driver
 	// that learns of grants from Release's return value stores there
 	// whatever names the waiter (the pooled driver: its terminal index).
@@ -55,42 +53,32 @@ type Ticket struct {
 	// grantNS is the virtual time the slot was granted (the enqueue time
 	// for immediately-granted tickets, the releasing terminal's time for
 	// queued ones). The driver resumes the terminal's clock from it.
-	// guarded by g.mu
 	grantNS int64
 	// enqueueNS is when Acquire was called, for wait accounting.
 	enqueueNS int64
 }
 
 // Granted reports whether the ticket currently holds a slot.
-func (t *Ticket) Granted() bool {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.granted
-}
+func (t *Ticket) Granted() bool { return t.granted }
 
 // GrantNS returns the virtual time the slot was granted (undefined while
 // not granted).
-func (t *Ticket) GrantNS() int64 {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.grantNS
-}
+func (t *Ticket) GrantNS() int64 { return t.grantNS }
 
 // AdmissionGate is a bounded-slot admission controller with a FIFO wait
 // queue. Slots model session worker threads; QueueDepth models the
 // listen-backlog bound beyond which connections are refused.
 type AdmissionGate struct {
-	mu         sync.Mutex
 	slots      int
 	queueDepth int
-	inUse      int       // guarded by mu
-	queue      []*Ticket // guarded by mu
+	inUse      int
+	queue      []*Ticket
 
-	admitted    int64 // guarded by mu
-	queuedTotal int64 // guarded by mu
-	rejected    int64 // guarded by mu
-	maxQueued   int   // guarded by mu
-	totalWaitNS int64 // guarded by mu
+	admitted    int64
+	queuedTotal int64
+	rejected    int64
+	maxQueued   int
+	totalWaitNS int64
 }
 
 // NewAdmissionGate creates a gate with the given number of session slots
@@ -107,9 +95,7 @@ func NewAdmissionGate(slots, queueDepth int) *AdmissionGate {
 // ticket and whether it was granted immediately, queued, or rejected
 // (rejected tickets are nil).
 func (g *AdmissionGate) Acquire(nowNS int64) (*Ticket, AdmissionOutcome) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	t := &Ticket{g: g, enqueueNS: nowNS}
+	t := &Ticket{enqueueNS: nowNS}
 	if g.inUse < g.slots {
 		g.inUse++
 		t.granted = true
@@ -135,8 +121,6 @@ func (g *AdmissionGate) Acquire(nowNS int64) (*Ticket, AdmissionOutcome) {
 // ticket is a bug and panics — it would mint a slot from thin air and break
 // the bounded-slot invariant.
 func (g *AdmissionGate) Release(t *Ticket, nowNS int64) *Ticket {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if !t.granted {
 		panic("dbms: Release of a non-granted admission ticket")
 	}
@@ -178,8 +162,6 @@ type GateStats struct {
 
 // Stats returns the gate's counters.
 func (g *AdmissionGate) Stats() GateStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return GateStats{
 		Admitted:      g.admitted,
 		Queued:        g.queuedTotal,
@@ -197,7 +179,6 @@ func (g *AdmissionGate) Stats() GateStats {
 // thread-level parallelism of the server.
 type SessionPool struct {
 	srv  *Server
-	mu   sync.Mutex
 	free []*Session
 	size int
 }
@@ -222,8 +203,6 @@ func NewSessionPool(srv *Server, size int) *SessionPool {
 // pool is exhausted — which a correctly-sized AdmissionGate makes
 // unreachable: gate slots must not exceed the pool size.
 func (p *SessionPool) Get() *Session {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
 		se := p.free[n-1]
 		p.free = p.free[:n-1]
@@ -237,9 +216,7 @@ func (p *SessionPool) Get() *Session {
 // locks to the next terminal.
 func (p *SessionPool) Put(se *Session) {
 	se.rollback()
-	p.mu.Lock()
 	p.free = append(p.free, se)
-	p.mu.Unlock()
 }
 
 // Discard retires a session whose worker died (a kill-mid-OU fault) and
@@ -255,27 +232,19 @@ func (p *SessionPool) Discard(se *Session) {
 	// The replacement worker starts where the dead one stopped: a respawned
 	// thread cannot run in its predecessor's past.
 	fresh.Task.Clock.AdvanceTo(se.Task.Now())
-	p.mu.Lock()
 	p.free = append(p.free, fresh)
-	p.mu.Unlock()
 }
 
 // Size returns the pool's fixed session count.
 func (p *SessionPool) Size() int { return p.size }
 
 // FreeCount returns how many sessions are currently unclaimed.
-func (p *SessionPool) FreeCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
+func (p *SessionPool) FreeCount() int { return len(p.free) }
 
 // Tasks returns the pooled sessions' kernel tasks (free and claimed alike
 // are indistinguishable here; the snapshot is of the free list, so call it
 // before claiming). Used by drivers to build per-CPU runqueues.
 func (p *SessionPool) Tasks() []*kernel.Task {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]*kernel.Task, 0, len(p.free))
 	for _, se := range p.free {
 		out = append(out, se.Task)

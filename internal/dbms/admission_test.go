@@ -1,7 +1,7 @@
 package dbms
 
 import (
-	"sync"
+	"math/rand"
 	"testing"
 	"unsafe"
 )
@@ -115,7 +115,7 @@ func TestAdmissionReleaseIsFIFOFair(t *testing.T) {
 // Release's return value rather than by polling tickets — the queue's head,
 // already granted when it comes back, and nil once nobody is waiting. Owner
 // is the caller's label for the waiter and comes back as it was set; it fits
-// in the padding beside granted, so a Ticket stays 32 bytes.
+// in the padding beside granted, so a Ticket stays 24 bytes.
 func TestReleaseReturnsTheTicketItGranted(t *testing.T) {
 	g := NewAdmissionGate(1, 0)
 	holder, _ := g.Acquire(0)
@@ -137,8 +137,8 @@ func TestReleaseReturnsTheTicketItGranted(t *testing.T) {
 	if st := g.Stats(); st.InUse != 0 || st.Waiting != 0 {
 		t.Fatalf("gate not drained: %+v", st)
 	}
-	if size := unsafe.Sizeof(Ticket{}); size != 32 {
-		t.Fatalf("Ticket is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(Ticket{}); size != 24 {
+		t.Fatalf("Ticket is %d bytes, want 24", size)
 	}
 }
 
@@ -249,43 +249,64 @@ func TestSessionPoolDiscardNeverLeaksASlot(t *testing.T) {
 	}
 }
 
-// TestAdmissionGateStress hammers one gate from many goroutines under
-// -race: every grant is eventually released, and the census must return to
-// zero with the bounded-slot invariant never violated.
+// TestAdmissionGateStress drives one gate through seeded sequential
+// schedules of Acquire and Release against a FIFO model: every queued ticket
+// is granted by the Release that returns it, in arrival order, and the
+// census matches the model, with InUse never above the slot count, after
+// every operation.
 func TestAdmissionGateStress(t *testing.T) {
-	const slots = 8
-	const workers = 32
-	const rounds = 200
-	g := NewAdmissionGate(slots, 0)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				now := int64(w*rounds + i)
+	const slots, acquires = 8, 2000
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := NewAdmissionGate(slots, 0)
+		var held, queue []*Ticket
+		inUse, made := 0, 0
+		check := func(step int) {
+			st := g.Stats()
+			if st.InUse != inUse || st.InUse > slots || st.Waiting != len(queue) {
+				t.Fatalf("seed %d step %d: census %+v, model inUse=%d waiting=%d", seed, step, st, inUse, len(queue))
+			}
+		}
+		for step := 0; made < acquires || len(held) > 0; step++ {
+			now := int64(step)
+			if made < acquires && (len(held) == 0 || rng.Intn(2) == 0) {
 				tk, outcome := g.Acquire(now)
-				switch outcome {
-				case Granted:
-					g.Release(tk, now+10)
-				case Queued:
-					// Spin until a releasing goroutine grants us.
-					for !tk.Granted() {
+				made++
+				switch {
+				case inUse < slots && outcome == Granted && tk.Granted():
+					inUse++
+					held = append(held, tk)
+				case inUse == slots && outcome == Queued && !tk.Granted():
+					queue = append(queue, tk)
+				default:
+					t.Fatalf("seed %d step %d: Acquire gave %v with %d of %d slots in use", seed, step, outcome, inUse, slots)
+				}
+			} else {
+				i := rng.Intn(len(held))
+				tk := held[i]
+				held = append(held[:i], held[i+1:]...)
+				got := g.Release(tk, now)
+				if len(queue) == 0 {
+					if got != nil {
+						t.Fatalf("seed %d step %d: Release with nobody waiting granted %+v", seed, step, got)
 					}
-					g.Release(tk, tk.GrantNS()+10)
-				case Rejected:
-					t.Errorf("unbounded queue rejected")
-					return
+					inUse--
+				} else {
+					head := queue[0]
+					queue = queue[1:]
+					if got != head || !got.Granted() || got.GrantNS() != now {
+						t.Fatalf("seed %d step %d: Release returned %+v, want the FIFO head %p granted at %d", seed, step, got, head, now)
+					}
+					held = append(held, got)
+				}
+				if tk.Granted() {
+					t.Fatalf("seed %d step %d: released ticket still granted", seed, step)
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	st := g.Stats()
-	if st.InUse != 0 || st.Waiting != 0 {
-		t.Fatalf("census not drained: %+v", st)
-	}
-	if st.Admitted != workers*rounds {
-		t.Fatalf("admitted %d, want %d", st.Admitted, workers*rounds)
+			check(step)
+		}
+		if st := g.Stats(); st.Admitted != acquires || st.Queued == 0 {
+			t.Fatalf("seed %d: admitted %d (want %d), queued %d (want some)", seed, st.Admitted, acquires, st.Queued)
+		}
 	}
 }

@@ -33,8 +33,9 @@ const (
 
 // Engine executes SQL statements against a catalog. Its fields are set by
 // New (and FuseSimpleSelects by whoever assembles the server) before the
-// first statement runs and only read afterwards, so sessions on different
-// goroutines may share one Engine.
+// first statement runs and only read afterwards. All of a server's sessions
+// share one Engine on the one goroutine that drives the simulation (see the
+// sim package doc).
 type Engine struct {
 	cat     *catalog.Catalog
 	ts      *tscout.TScout
@@ -92,7 +93,7 @@ func (e *Engine) Marker(id tscout.OUID) *tscout.Marker { return e.markers[id] }
 // Ctx carries one statement's execution context. A session keeps one Ctx
 // and runs every statement through it, so the unexported fields below are
 // reused from statement to statement; a fresh &Ctx{Task: ..., Txn: ...}
-// works too and allocates them as it goes. A Ctx belongs to one goroutine.
+// works too and allocates them as it goes. A Ctx belongs to one session.
 type Ctx struct {
 	Task *kernel.Task
 	Txn  *txn.Txn

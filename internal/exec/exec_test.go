@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"tscout/internal/archive"
@@ -434,10 +433,12 @@ func TestFusedPipelineEmitsVectorizedFeatures(t *testing.T) {
 }
 
 // TestFusedSelectLeavesOtherSessionsMarkers: a fused select turns its own
-// operators' markers off, nobody else's. One goroutine runs fused selects
+// operators' markers off, nobody else's. One session runs fused selects
 // while another, on the same Engine, runs UPDATEs whose index_scan, filter
-// and update OUs must each produce their training point. (Run under -race:
-// the bit used to be a write to the shared Engine.)
+// and update OUs must each produce their training point. A seeded
+// kernel.Interleaver alternates the sessions a transaction per quantum, so
+// they interleave on every run. (The bit used to be a write to the shared
+// Engine.)
 func TestFusedSelectLeavesOtherSessionsMarkers(t *testing.T) {
 	db := newTestDB(t, true)
 	db.seed(t, 20)
@@ -454,35 +455,26 @@ func TestFusedSelectLeavesOtherSessionsMarkers(t *testing.T) {
 	}
 	const updates = 200
 	updater := db.k.NewTask("updater")
-	session := func(task *kernel.Task, p *Prepared, n int, params func(i int) []storage.Value) {
+	session := func(task *kernel.Task, p *Prepared, params func(i int) []storage.Value) func(i int) {
 		ctx := &Ctx{Task: task}
-		for i := 0; i < n; i++ {
+		return func(i int) {
 			ctx.Txn = db.mgr.Begin()
 			db.ts.BeginEvent(task, tscout.SubsystemExecutionEngine)
 			if _, err := db.engine.Run(ctx, p, params(i)); err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
 			if _, err := ctx.Txn.Commit(); err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		session(db.task, sel, 4*updates, func(int) []storage.Value { return nil })
-	}()
-	go func() {
-		defer wg.Done()
-		session(updater, upd, updates, func(i int) []storage.Value {
-			return []storage.Value{storage.NewInt(int64(i % 5))}
-		})
-	}()
+	iv := db.k.NewInterleaver(1)
+	iv.Add("select", 4*updates, session(db.task, sel, func(int) []storage.Value { return nil }))
+	iv.Add("update", updates, session(updater, upd, func(i int) []storage.Value {
+		return []storage.Value{storage.NewInt(int64(i % 5))}
+	}))
 	// 1 400 samples in all: the ring (4 096) holds them until the drain.
-	wg.Wait()
+	iv.Run()
 
 	fired := map[string]int{}
 	for _, p := range db.drainPoints(t) {

@@ -10,8 +10,7 @@ import "sort"
 const btreeOrder = 64
 
 // BTree is an in-memory B+Tree mapping int64 keys to one or more TupleIDs
-// (int64). It is not safe for concurrent mutation; the DBMS serializes
-// index writes per table.
+// (int64).
 type BTree struct {
 	root   *btreeNode
 	height int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // FaultKind enumerates the injectable failure modes of the marker delivery
@@ -79,7 +78,7 @@ const counterWrapDelta = float64(uint64(1) << 44)
 // A CPU's counter advances only when that CPU delivers a marker, so its
 // value at any delivery is a function of the schedule alone, never of how
 // the host interleaves the CPUs: plans are deterministic under real
-// parallelism. A hit counts against the CPU it was delivered on, even when
+// interleaving. A hit counts against the CPU it was delivered on, even when
 // a migrate fault moves the task during it.
 type Fault struct {
 	Kind  FaultKind
@@ -131,12 +130,10 @@ func GenFaultPlan(seed int64, n int, maxHitPerCPU int64, numCPUs int) FaultPlan 
 // FaultInjector applies a FaultPlan to a kernel's marker delivery path.
 // Delivery-level faults (drop, dup, migrate, counter-wrap) are applied
 // inline by HitTracepoint; lifecycle faults (kill, ring burst) are queued
-// for the workload driver to take after the marker call returns. The
-// injector is synchronized, and because every fault indexes its own CPU's
-// hit counter, a schedule needs only each CPU's deliveries in a
-// deterministic order, not the CPUs' interleaving.
+// for the workload driver to take after the marker call returns. Because
+// every fault indexes its own CPU's hit counter, a schedule needs only each
+// CPU's deliveries in a deterministic order, not the CPUs' interleaving.
 type FaultInjector struct {
-	mu           sync.Mutex
 	cpus         map[int]*cpuFaultQueue
 	pendingKill  bool
 	pendingBurst int
@@ -166,8 +163,7 @@ func NewFaultInjector(plan FaultPlan) *FaultInjector {
 	return fi
 }
 
-// queue returns cpu's queue, creating an empty one on first use. The caller
-// holds fi.mu or has not published fi yet.
+// queue returns cpu's queue, creating an empty one on first use.
 func (fi *FaultInjector) queue(cpu int) *cpuFaultQueue {
 	q := fi.cpus[cpu]
 	if q == nil {
@@ -182,8 +178,6 @@ func (fi *FaultInjector) queue(cpu int) *cpuFaultQueue {
 // hit index, and returns how many times the marker should be delivered
 // (0 = dropped). Inline faults are applied to the hitting task directly.
 func (fi *FaultInjector) beforeHit(t *Task) int {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	q := fi.queue(t.CPU())
 	hit := q.hits
 	q.hits++
@@ -194,15 +188,15 @@ func (fi *FaultInjector) beforeHit(t *Task) int {
 		// A negative AtHit is behind the counter from the start: skipped,
 		// never fired late.
 		if f.AtHit == hit {
-			times = fi.applyLocked(f, t, times)
+			times = fi.apply(f, t, times)
 		}
 	}
 	return times
 }
 
-// applyLocked fires one fault against the hitting task; the caller holds
-// fi.mu. It returns the updated delivery multiplicity.
-func (fi *FaultInjector) applyLocked(f Fault, t *Task, times int) int {
+// apply fires one fault against the hitting task and returns the updated
+// delivery multiplicity.
+func (fi *FaultInjector) apply(f Fault, t *Task, times int) int {
 	fi.applied[f.Kind]++
 	switch f.Kind {
 	case FaultDropMarker:
@@ -224,8 +218,6 @@ func (fi *FaultInjector) applyLocked(f Fault, t *Task, times int) int {
 // CPUHits returns how many marker deliveries the injector has observed on
 // the given simulated CPU.
 func (fi *FaultInjector) CPUHits(cpu int) int64 {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	if q := fi.cpus[cpu]; q != nil {
 		return q.hits
 	}
@@ -234,8 +226,6 @@ func (fi *FaultInjector) CPUHits(cpu int) int64 {
 
 // Applied returns how many faults of a kind have fired.
 func (fi *FaultInjector) Applied(k FaultKind) int64 {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	if k < 0 || k >= numFaultKinds {
 		return 0
 	}
@@ -246,8 +236,6 @@ func (fi *FaultInjector) Applied(k FaultKind) int64 {
 // workload driver polls it after each marker call and, when set, abandons
 // the task's in-flight OUs and calls Kernel.ExitTask.
 func (fi *FaultInjector) TakePendingKill() bool {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	k := fi.pendingKill
 	fi.pendingKill = false
 	return k
@@ -255,8 +243,6 @@ func (fi *FaultInjector) TakePendingKill() bool {
 
 // TakePendingBurst reports (and clears) the queued ring-burst OU count.
 func (fi *FaultInjector) TakePendingBurst() int {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
 	n := fi.pendingBurst
 	fi.pendingBurst = 0
 	return n

@@ -94,7 +94,7 @@ func TestInjectorDropAndDupDeliveries(t *testing.T) {
 	if runs != 4 {
 		t.Fatalf("handler ran %d times, want 4", runs)
 	}
-	if got := tp.Hits.Load(); got != 4 {
+	if got := tp.Hits; got != 4 {
 		t.Fatalf("tracepoint hits = %d, want 4", got)
 	}
 	if fi.CPUHits(0) != 4 {
@@ -275,7 +275,7 @@ func TestInterleaverCPULanes(t *testing.T) {
 	iv.AddOn("a", 0, 50, func(i int) {})
 	iv.AddOn("b", 1, 50, func(i int) {})
 	iv.Run()
-	if got := k.CtxSwitches.Load(); got != 0 {
+	if got := k.CtxSwitches; got != 0 {
 		t.Fatalf("cross-lane workloads charged %d context switches, want 0", got)
 	}
 	// The same two workloads on one lane do switch (the legacy accounting):
@@ -286,7 +286,7 @@ func TestInterleaverCPULanes(t *testing.T) {
 	iv2.Add("a", 50, func(i int) {})
 	iv2.Add("b", 50, func(i int) {})
 	trace := iv2.Run()
-	if got := k2.CtxSwitches.Load(); got == 0 {
+	if got := k2.CtxSwitches; got == 0 {
 		t.Fatalf("same-lane workloads charged no context switches; trace=%v", trace)
 	}
 }

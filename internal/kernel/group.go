@@ -8,11 +8,8 @@ import "fmt"
 // instrumentation accounting, so per-shard work is charged to the thread
 // that performed it and the group's elapsed time is the makespan (max over
 // members), not the sum: the virtual-time analogue of the paper's
-// single-thread vs multi-thread Processor comparison.
-//
-// TaskGroup methods are not safe for concurrent use; like a Task, the
-// component that owns the group serializes access (the Processor holds its
-// poll lock across a drain cycle).
+// single-thread vs multi-thread Processor comparison. Like a Task, a group
+// belongs to the component that owns it (the Processor's drain).
 type TaskGroup struct {
 	tasks []*Task
 }

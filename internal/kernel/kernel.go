@@ -12,37 +12,31 @@ package kernel
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"tscout/internal/sim"
 )
 
 // Kernel is one simulated OS instance. It owns the tracepoint registry, the
-// process table, and global accounting. A Kernel is safe for concurrent use
-// by multiple goroutines, though the discrete-event workload driver usually
-// runs tasks one at a time.
+// process table, and global accounting. Like everything in a simulation it
+// is driven by one goroutine (see the sim package doc): tasks on different
+// simulated CPUs interleave only in virtual time.
 type Kernel struct {
 	Profile sim.HardwareProfile
 	// Noise is simulated CPU 0's measurement-noise stream. It is the only
 	// stream on the default single-CPU topology, and it is seeded directly
 	// from the kernel seed so single-CPU schedules are bit-identical to the
 	// pre-multi-core engine. Charges on other CPUs draw from derived
-	// per-CPU streams (see noiseFor): disjoint streams are what let tasks
-	// on different CPUs charge concurrently without racing on one
-	// math/rand state or perturbing each other's deterministic sequences.
+	// per-CPU streams (see noiseFor), so tasks on different CPUs never
+	// perturb each other's deterministic sequences.
 	Noise *sim.Noise
 
 	seed  int64
 	sigma float64
 	// noiseStreams holds one *sim.Noise per simulated CPU (index 0 is the
-	// public Noise). It is stored atomically so charge paths read it
-	// lock-free; SetNumCPUs rebuilds it, which is why SetNumCPUs must run
-	// before any task activity.
-	noiseStreams atomic.Value // []*sim.Noise
+	// public Noise). SetNumCPUs rebuilds it, which is why SetNumCPUs must
+	// run before any task activity.
+	noiseStreams []*sim.Noise
 
-	mu          sync.Mutex
 	nextPID     int
 	nextGen     uint64
 	freePIDs    []int
@@ -50,18 +44,14 @@ type Kernel struct {
 	numCPUs     int
 	tracepoints map[string]*Tracepoint
 
-	// loadFactor (float64 bits) and injector are read on every charge and
-	// every tracepoint hit, so they are atomics rather than fields under
-	// mu: the hit path takes no lock (paper §3: "no locks, no back
-	// pressure").
-	loadFactor atomic.Uint64
-	injector   atomic.Pointer[FaultInjector]
+	loadFactor float64
+	injector   *FaultInjector
 
 	// CtxSwitches counts context switches across all tasks (exposed for
 	// the overhead experiments).
-	CtxSwitches atomic.Int64
+	CtxSwitches int64
 	// ModeSwitches counts user<->kernel transitions across all tasks.
-	ModeSwitches atomic.Int64
+	ModeSwitches int64
 }
 
 // New creates a simulated kernel on the given hardware with deterministic
@@ -85,7 +75,7 @@ func New(profile sim.HardwareProfile, seed int64, sigma float64) *Kernel {
 		numCPUs:     1,
 		tracepoints: make(map[string]*Tracepoint),
 	}
-	k.noiseStreams.Store([]*sim.Noise{k.Noise})
+	k.noiseStreams = []*sim.Noise{k.Noise}
 	return k
 }
 
@@ -103,14 +93,12 @@ func deriveStreamSeed(seed int64, cpu int) int64 {
 // noiseFor returns the measurement-noise stream of the given simulated
 // CPU (out-of-range CPUs fall back to stream 0). Streams are per-CPU, not
 // per-task: tasks on one CPU share a stream — they are time-multiplexed on
-// that CPU, so their charges are serialized anyway — while tasks on
-// different CPUs draw from disjoint streams and may charge concurrently.
+// that CPU — while tasks on different CPUs draw from disjoint streams.
 func (k *Kernel) noiseFor(cpu int) *sim.Noise {
-	streams := k.noiseStreams.Load().([]*sim.Noise)
-	if cpu >= 0 && cpu < len(streams) {
-		return streams[cpu]
+	if cpu >= 0 && cpu < len(k.noiseStreams) {
+		return k.noiseStreams[cpu]
 	}
-	return streams[0]
+	return k.noiseStreams[0]
 }
 
 // NoiseDraws returns the per-CPU noise-stream draw counters. Two runs of
@@ -118,9 +106,8 @@ func (k *Kernel) noiseFor(cpu int) *sim.Noise {
 // determinism suite uses this as a cheap fingerprint that no charge was
 // reordered across streams.
 func (k *Kernel) NoiseDraws() []uint64 {
-	streams := k.noiseStreams.Load().([]*sim.Noise)
-	out := make([]uint64, len(streams))
-	for i, n := range streams {
+	out := make([]uint64, len(k.noiseStreams))
+	for i, n := range k.noiseStreams {
 		out[i] = n.Draws()
 	}
 	return out
@@ -129,11 +116,7 @@ func (k *Kernel) NoiseDraws() []uint64 {
 // NumCPUs returns the number of simulated CPUs (1 by default). Per-CPU
 // structures — the perf ring buffers real perf allocates one-per-core —
 // size themselves from this.
-func (k *Kernel) NumCPUs() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.numCPUs
-}
+func (k *Kernel) NumCPUs() int { return k.numCPUs }
 
 // SetNumCPUs overrides the simulated CPU count (n < 1 is clamped to 1).
 // Call it before creating tasks or deploying per-CPU consumers: existing
@@ -150,9 +133,7 @@ func (k *Kernel) SetNumCPUs(n int) {
 	for i := 1; i < n; i++ {
 		streams[i] = sim.NewNoise(deriveStreamSeed(k.seed, i), k.sigma)
 	}
-	k.noiseStreams.Store(streams)
-	k.mu.Lock()
-	defer k.mu.Unlock()
+	k.noiseStreams = streams
 	k.numCPUs = n
 }
 
@@ -166,16 +147,15 @@ func (k *Kernel) SetLoadFactor(workers float64) {
 	if workers < 1 {
 		workers = 1
 	}
-	k.loadFactor.Store(math.Float64bits(workers))
+	k.loadFactor = workers
 }
 
 // contentionMult returns the cycle inflation for the current load.
 func (k *Kernel) contentionMult() float64 {
-	lf := math.Float64frombits(k.loadFactor.Load())
-	if lf <= 1 {
+	if k.loadFactor <= 1 {
 		return 1
 	}
-	return 1 + 0.08*(lf-1)
+	return 1 + 0.08*(k.loadFactor-1)
 }
 
 // NewTask registers a new task (a DBMS worker thread) with the kernel.
@@ -198,8 +178,6 @@ func (k *Kernel) NewTaskOn(name string, cpu int) *Task {
 }
 
 func (k *Kernel) newTask(name string, cpu int) *Task {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	var pid int
 	if n := len(k.freePIDs); n > 0 {
 		pid = k.freePIDs[n-1]
@@ -234,8 +212,6 @@ func (k *Kernel) newTask(name string, cpu int) *Task {
 // becomes immediately reusable by the next NewTask. Exiting an already-dead
 // task is a no-op.
 func (k *Kernel) ExitTask(t *Task) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if !k.liveGens[t.gen] {
 		return
 	}
@@ -245,24 +221,18 @@ func (k *Kernel) ExitTask(t *Task) {
 
 // GenAlive reports whether the task generation is still running. Gen 0 is
 // never alive (it is the zero value of an absent tag).
-func (k *Kernel) GenAlive(gen uint64) bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.liveGens[gen]
-}
+func (k *Kernel) GenAlive(gen uint64) bool { return k.liveGens[gen] }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector on the
 // marker delivery path. Install before starting the workload: the injector's
 // hit counter starts at the moment of installation.
-func (k *Kernel) SetFaultInjector(fi *FaultInjector) { k.injector.Store(fi) }
+func (k *Kernel) SetFaultInjector(fi *FaultInjector) { k.injector = fi }
 
 // Tracepoint returns the named tracepoint, creating it on first use.
 // Tracepoints are the kernel-side anchor of TScout's markers (paper §3.1):
 // at DBMS compile time the marker macros emit NOPs plus metadata, and the OS
 // patches them into real trap sites when a Collector attaches.
 func (k *Kernel) Tracepoint(name string) *Tracepoint {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	tp, ok := k.tracepoints[name]
 	if !ok {
 		tp = &Tracepoint{name: name}
@@ -273,8 +243,6 @@ func (k *Kernel) Tracepoint(name string) *Tracepoint {
 
 // TracepointNames returns all registered tracepoint names (for tooling).
 func (k *Kernel) TracepointNames() []string {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	names := make([]string, 0, len(k.tracepoints))
 	for n := range k.tracepoints {
 		names = append(names, n)
@@ -299,34 +267,26 @@ type TraceHandler func(t *Task, args []uint64) int64
 type Tracepoint struct {
 	name string
 
-	// handler is nil while detached. It is an atomic pointer, not a field
-	// under a lock, because every hit loads it.
-	handler atomic.Pointer[TraceHandler]
+	// handler is nil while detached.
+	handler TraceHandler
 
 	// Hits counts handler invocations (not NOP executions).
-	Hits atomic.Int64
+	Hits int64
 }
 
 // Name returns the tracepoint's registered name.
 func (tp *Tracepoint) Name() string { return tp.name }
 
 // Attach installs a handler, replacing any existing one. Attach(nil) is
-// Detach: the pointer itself goes nil, never a pointer to a nil func that
-// the next hit would call.
-func (tp *Tracepoint) Attach(h TraceHandler) {
-	if h == nil {
-		tp.Detach()
-		return
-	}
-	tp.handler.Store(&h)
-}
+// Detach.
+func (tp *Tracepoint) Attach(h TraceHandler) { tp.handler = h }
 
 // Detach removes the handler; subsequent hits are NOPs again.
-func (tp *Tracepoint) Detach() { tp.handler.Store(nil) }
+func (tp *Tracepoint) Detach() { tp.handler = nil }
 
 // Attached reports whether a handler is currently installed.
-func (tp *Tracepoint) Attached() bool { return tp.handler.Load() != nil }
+func (tp *Tracepoint) Attached() bool { return tp.handler != nil }
 
 func (tp *Tracepoint) String() string {
-	return fmt.Sprintf("tracepoint(%s attached=%v hits=%d)", tp.name, tp.Attached(), tp.Hits.Load())
+	return fmt.Sprintf("tracepoint(%s attached=%v hits=%d)", tp.name, tp.Attached(), tp.Hits)
 }

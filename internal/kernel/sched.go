@@ -62,7 +62,7 @@ func (iv *Interleaver) Run() []string {
 		i := iv.rng.Intn(len(live))
 		r := live[i]
 		if prev, ok := prevOnLane[r.cpu]; ok && prev != r.name {
-			iv.kernel.CtxSwitches.Add(1)
+			iv.kernel.CtxSwitches++
 		}
 		prevOnLane[r.cpu] = r.name
 		trace = append(trace, r.name)

@@ -63,7 +63,7 @@ func TestInterleaverChargesContextSwitches(t *testing.T) {
 			want++
 		}
 	}
-	if got := k.CtxSwitches.Load(); got != want {
+	if got := k.CtxSwitches; got != want {
 		t.Fatalf("charged %d context switches, trace implies %d", got, want)
 	}
 	if want == 0 {

@@ -22,9 +22,9 @@ type SocketStats struct {
 
 // Task is a simulated kernel task: one DBMS worker thread. It owns a
 // virtual clock, a perf_event context, IO accounting, and socket statistics.
-// All Charge* methods advance the clock and update counters; they are not
-// safe for concurrent use on the same Task (each worker owns its Task, the
-// same discipline a real thread has with its task_struct).
+// All Charge* methods advance the clock and update counters (each worker
+// owns its Task, the same discipline a real thread has with its
+// task_struct).
 type Task struct {
 	PID    int
 	Name   string
@@ -66,8 +66,7 @@ func (t *Task) Kernel() *Kernel { return t.kernel }
 func (t *Task) CPU() int { return t.cpu }
 
 // Migrate moves the task to another CPU (clamped into the kernel's range).
-// Like the Charge methods it is owner-serialized: only the goroutine
-// driving the task may call it.
+// Like the Charge methods it is the owner's to call.
 func (t *Task) Migrate(cpu int) {
 	n := t.kernel.NumCPUs()
 	if cpu < 0 {
@@ -174,7 +173,7 @@ func (t *Task) Syscall(extraNS int64, instrumentation bool) int64 {
 	p := &t.kernel.Profile
 	ns := t.kernel.noiseFor(t.cpu).ApplyNS(p.ModeSwitchNS + p.SyscallNS + extraNS)
 	t.Clock.Advance(ns)
-	t.kernel.ModeSwitches.Add(1)
+	t.kernel.ModeSwitches++
 	if instrumentation {
 		t.KernelInstrumentationNS += ns
 	}
@@ -193,7 +192,7 @@ func (t *Task) ContextSwitch() int64 {
 	}
 	ns = t.kernel.noiseFor(t.cpu).ApplyNS(ns)
 	t.Clock.Advance(ns)
-	t.kernel.CtxSwitches.Add(1)
+	t.kernel.CtxSwitches++
 	return ns
 }
 
@@ -203,27 +202,26 @@ func (t *Task) ContextSwitch() int64 {
 // self-reported execution cost is charged (paper §2.3: a single transition
 // covers every metric the Collector gathers).
 func (t *Task) HitTracepoint(tp *Tracepoint, args []uint64) {
-	hp := tp.handler.Load()
-	if hp == nil {
+	h := tp.handler
+	if h == nil {
 		return
 	}
-	h := *hp
 	// An installed fault injector may drop this delivery (the hit never
 	// happens, as with a lost perf event), duplicate it, or perturb the
 	// task (migration, counter wrap) before the handler runs.
 	times := 1
-	if fi := t.kernel.injector.Load(); fi != nil {
+	if fi := t.kernel.injector; fi != nil {
 		times = fi.beforeHit(t)
 	}
 	p := &t.kernel.Profile
 	for i := 0; i < times; i++ {
-		tp.Hits.Add(1)
+		tp.Hits++
 		// Fetched inside the loop: a migrate fault in beforeHit may have
 		// moved the task, and delivery noise is charged on the CPU the hit
 		// actually runs on.
 		enter := t.kernel.noiseFor(t.cpu).ApplyNS(p.ModeSwitchNS)
 		t.Clock.Advance(enter)
-		t.kernel.ModeSwitches.Add(1)
+		t.kernel.ModeSwitches++
 		cost := h(t, args)
 		if cost > 0 {
 			t.Clock.Advance(cost)

@@ -16,18 +16,17 @@ import (
 // serialize against each other in virtual time but never consult another
 // CPU's clock. Cross-CPU effects (WAL submissions, wakeups, migrations) are
 // not applied inline; they are *deferred* with their virtual timestamp and
-// origin CPU, and a barrier at the epoch boundary merges them in the total
-// order (AtNS, CPU, seq). Because per-CPU execution is a deterministic
-// function of (seed, that CPU's event sequence) and the barrier merge is a
-// deterministic function of the deferred set, the whole schedule is a
-// deterministic function of the seed at any CPU count — regardless of the
-// wall-clock interleaving the host happens to run the CPUs with.
+// origin CPU, and a barrier at the epoch boundary merges them ordered by
+// (AtNS, CPU), ties in deferral order. Because per-CPU execution is a
+// deterministic function of (seed, that CPU's event sequence) and the barrier
+// merge is a deterministic function of the deferred set, the whole schedule
+// is a deterministic function of the seed at any CPU count — regardless of
+// the order in which the driver runs the CPUs within an epoch.
 
 // CPUTimelines is one virtual clock per simulated CPU. The zero CPU count
-// is clamped to 1. Methods are not synchronized: each CPU's timeline must
-// only be advanced by the goroutine driving that CPU (the same ownership
-// discipline a Task has), while Makespan/Frontier are barrier-time
-// operations.
+// is clamped to 1. Each CPU's timeline is advanced only by the work the
+// driver runs on that CPU (the same ownership discipline a Task has), while
+// Makespan/Frontier are barrier-time operations.
 type CPUTimelines struct {
 	now []int64
 }
@@ -107,26 +106,21 @@ func (tl *CPUTimelines) clamp(cpu int) int {
 type deferred struct {
 	atNS int64
 	cpu  int
-	seq  uint64
 	fn   func(atNS int64)
 }
 
 // Epochs coordinates per-CPU timelines with an epoch/barrier scheme. The
 // virtual timeline is cut into fixed-length epochs; cross-CPU events raised
-// during an epoch are deferred (Defer) and applied at the barrier in the
-// deterministic total order (AtNS, CPU, seq). Epochs is not synchronized:
-// the driver that owns the schedule calls Defer and Barrier; per-CPU
-// execution between barriers may be distributed, but each Defer must be
-// issued by the goroutine owning that CPU's slice of the schedule, funneled
-// through the driver. (The current drivers run CPUs round-robin on one
-// goroutine — wall-clock layout is an implementation choice the barrier
-// order is explicitly independent of.)
+// during an epoch are deferred (Defer) and applied at the barrier ordered by
+// (AtNS, CPU), ties in deferral order. The driver that owns the schedule
+// calls Defer and Barrier on the one goroutine that drives the simulation
+// (see the package doc); the barrier order does not depend on the order in
+// which it ran the CPUs.
 type Epochs struct {
 	tl      *CPUTimelines
 	epochNS int64
 	index   int64
 	events  []deferred
-	nextSeq []uint64 // per-CPU: deferral order within the epoch
 	applied int64
 }
 
@@ -136,7 +130,7 @@ func NewEpochs(tl *CPUTimelines, epochNS int64) *Epochs {
 	if epochNS < 1 {
 		epochNS = 100_000
 	}
-	return &Epochs{tl: tl, epochNS: epochNS, nextSeq: make([]uint64, tl.NumCPUs())}
+	return &Epochs{tl: tl, epochNS: epochNS}
 }
 
 // Index returns the current epoch number (starting at 0).
@@ -152,35 +146,27 @@ func (e *Epochs) End() int64 { return (e.index + 1) * e.epochNS }
 func (e *Epochs) Applied() int64 { return e.applied }
 
 // Defer parks a cross-CPU event raised on cpu at virtual time atNS. The
-// event's callback runs at the next Barrier, in (AtNS, CPU, seq) order,
-// where seq is the per-CPU deferral order — so the barrier's merge is a
-// pure function of what each CPU did, not of when the host ran it.
+// event's callback runs at the next Barrier, in (AtNS, CPU) order with
+// ties in deferral order — so the barrier's merge is a pure function of
+// what each CPU did, not of when the driver ran it.
 func (e *Epochs) Defer(cpu int, atNS int64, fn func(atNS int64)) {
-	c := e.tl.clamp(cpu)
-	e.events = append(e.events, deferred{atNS: atNS, cpu: c, seq: e.nextSeq[c], fn: fn})
-	e.nextSeq[c]++
+	e.events = append(e.events, deferred{atNS: atNS, cpu: e.tl.clamp(cpu), fn: fn})
 }
 
 // Barrier ends the current epoch: every deferred event is applied in the
-// deterministic (AtNS, CPU, seq) order, the per-CPU deferral counters
-// reset, and the epoch index advances. It returns the number of events
+// deterministic (AtNS, CPU) order, ties in deferral order, and the epoch
+// index advances. It returns the number of events
 // applied. Laggard CPU clocks are left where they are — idle virtual time
 // is not charged; the next dispatch on a CPU advances its clock to the
 // work's ready time.
 func (e *Epochs) Barrier() int {
 	evs := e.events
 	e.events = nil
-	for i := range e.nextSeq {
-		e.nextSeq[i] = 0
-	}
 	slices.SortStableFunc(evs, func(a, b deferred) int {
 		if c := cmp.Compare(a.atNS, b.atNS); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.cpu, b.cpu); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
+		return cmp.Compare(a.cpu, b.cpu)
 	})
 	for _, ev := range evs {
 		ev.fn(ev.atNS)

@@ -4,6 +4,14 @@
 // HardwareProfile, which makes every experiment deterministic for a given
 // seed and lets the benchmark harness "migrate" the DBMS between machines by
 // swapping profiles (paper §6.4, §6.6).
+//
+// One goroutine drives a simulation, and virtual CPUs interleave only in
+// virtual time. Per-CPU timelines, epoch barriers (Epochs) and the kernel's
+// seeded Interleaver model all the concurrency the paper measures — markers
+// on many CPUs racing a Processor drain — so every order a simulation
+// observes is a function of its seed, and nothing in one takes a lock or an
+// atomic. Separate simulations may run on separate goroutines because they
+// share no mutable state: every package-level variable is read-only.
 package sim
 
 // HardwareProfile describes the simulated machine. The two canonical

@@ -123,13 +123,7 @@ func TestTableSlots(t *testing.T) {
 		t.Fatalf("out of range heads must be nil")
 	}
 	v2 := &Version{Begin: 2, End: InfinityTS, Values: Row{NewInt(11)}, Next: v1}
-	if !tbl.CompareAndSetHead(id, v1, v2) {
-		t.Fatalf("CAS with correct old must succeed")
-	}
-	if tbl.CompareAndSetHead(id, v1, v2) {
-		t.Fatalf("CAS with stale old must fail")
-	}
-	if !tbl.SetHead(id, v1) || tbl.SetHead(TupleID(50), v1) {
+	if !tbl.SetHead(id, v2) || tbl.Head(id) != v2 || tbl.SetHead(TupleID(50), v1) {
 		t.Fatalf("SetHead bounds")
 	}
 }

@@ -1,9 +1,5 @@
 package storage
 
-import (
-	"sync"
-)
-
 // TupleID addresses one tuple slot in a table.
 type TupleID int64
 
@@ -37,9 +33,7 @@ const BlockCapacity = 4096
 type Table struct {
 	name   string
 	schema *Schema
-
-	mu    sync.RWMutex
-	heads []*Version
+	heads  []*Version
 }
 
 // NewTable creates an empty table.
@@ -54,11 +48,7 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() *Schema { return t.schema }
 
 // NumSlots returns the number of allocated tuple slots (live or not).
-func (t *Table) NumSlots() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.heads)
-}
+func (t *Table) NumSlots() int { return len(t.heads) }
 
 // NumBlocks returns the number of storage blocks backing the table.
 func (t *Table) NumBlocks() int {
@@ -75,8 +65,6 @@ func (t *Table) DataBytes() int64 {
 // Append allocates a new slot with the given head version and returns its
 // TupleID.
 func (t *Table) Append(v *Version) TupleID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.heads = append(t.heads, v)
 	return TupleID(len(t.heads) - 1)
 }
@@ -84,8 +72,6 @@ func (t *Table) Append(v *Version) TupleID {
 // Head returns the newest version of the slot, or nil for out-of-range
 // IDs.
 func (t *Table) Head(id TupleID) *Version {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if id < 0 || int(id) >= len(t.heads) {
 		return nil
 	}
@@ -94,21 +80,7 @@ func (t *Table) Head(id TupleID) *Version {
 
 // SetHead replaces the slot's newest version (the caller links Next).
 func (t *Table) SetHead(id TupleID, v *Version) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if id < 0 || int(id) >= len(t.heads) {
-		return false
-	}
-	t.heads[id] = v
-	return true
-}
-
-// CompareAndSetHead installs v only if the current head is old, returning
-// whether the swap happened. Concurrent writers use it as the tuple latch.
-func (t *Table) CompareAndSetHead(id TupleID, old, v *Version) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id < 0 || int(id) >= len(t.heads) || t.heads[id] != old {
 		return false
 	}
 	t.heads[id] = v
@@ -119,11 +91,9 @@ func (t *Table) CompareAndSetHead(id TupleID, old, v *Version) bool {
 // callback receives the head version; visibility filtering is the
 // transaction layer's job.
 func (t *Table) ScanSlots(fn func(id TupleID, head *Version) bool) {
-	t.mu.RLock()
 	n := len(t.heads)
-	t.mu.RUnlock()
 	for i := 0; i < n; i++ {
-		if !fn(TupleID(i), t.Head(TupleID(i))) {
+		if !fn(TupleID(i), t.heads[i]) {
 			return
 		}
 	}

@@ -110,7 +110,7 @@ func (s CollectorJITStats) RuntimeFaults() int64 {
 }
 
 // JITStats snapshots the three programs' compile outcomes and dispatch
-// counters (live atomics — safe to call while markers are firing).
+// counters.
 func (c *Collector) JITStats() CollectorJITStats {
 	return CollectorJITStats{
 		Enabled:  c.jitEnabled,
@@ -173,9 +173,8 @@ const (
 // Error/orphan counter slots in the Collector's errors array map. Slots
 // written by the generated programs (everything except slotStaleReaped) are
 // only ever touched from marker context — the task hitting the tracepoint —
-// while slotStaleReaped belongs to the user-space reaper running under the
-// Processor's poll lock. The disjoint writers are what make a plain array
-// map safe here.
+// while slotStaleReaped belongs to the user-space reaper the Processor runs
+// at the start of each drain.
 const (
 	slotViolations      = 0 // marker state-machine violations (paper §5.1)
 	slotBeginWithoutEnd = 1 // begun entries discarded before completing
@@ -359,9 +358,8 @@ func (c *Collector) Orphans() OrphanCounts {
 // generations that are no longer alive and deletes them into the
 // StaleReaped orphan bucket, along with the dead generations' depth slots.
 // A reused pid never resurrects a dead task's entry: entries are keyed by
-// generation, and the reaper is what retires them. Callers serialize reaps
-// (the Processor runs it under its poll lock) and alive must be safe to
-// call from that context.
+// generation, and the reaper is what retires them. The Processor reaps at
+// the start of every drain.
 func (c *Collector) ReapStale(alive func(gen uint64) bool) int64 {
 	if alive == nil {
 		return 0

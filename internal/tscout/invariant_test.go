@@ -3,7 +3,6 @@ package tscout
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"tscout/internal/sim"
@@ -64,7 +63,7 @@ func CheckLossIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 		// A BEGIN whose program faults pushes no entry, so the program's
 		// fault counter is the bucket that keeps this exact. EndWithoutBegin
 		// is not a term: those ENDs have no BEGIN to account.
-		begins := ts.subsystems[sub].beginTP.Hits.Load()
+		begins := ts.subsystems[sub].beginTP.Hits
 		inFlight := ks.Orphans.BeginWithoutEnd + ks.Orphans.TornMigration + ks.Orphans.StaleReaped
 		if begins != agg.Submitted+inFlight+col.Begin.RuntimeFaults() {
 			tb.Fatalf("%s begin identity: %d begins != %d submitted + %d orphaned (%+v) + %d faulted",
@@ -230,13 +229,13 @@ func TestUserDeltaDrainedClearsOnIdlePeriod(t *testing.T) {
 	}
 }
 
-// TestConcurrentDrainKeepsRingOrder races budgeted drains against live
-// submitters (real goroutines on tasks pinned round-robin to the simulated
-// CPUs, real races for the -race build), on one CPU and on eight, and then
-// checks the ordering contract of the sink stream: points leave in ring
-// order, so each worker's samples arrive in the order it produced them,
-// every point arrives exactly once, the accounting identities hold, and
-// the batched path has actually batched.
+// TestConcurrentDrainKeepsRingOrder interleaves budgeted drains with
+// submitters on tasks pinned round-robin to the simulated CPUs, one
+// kernel.Interleaver workload per worker on its CPU's lane, on one CPU and
+// on eight, and then checks the ordering contract of the sink stream:
+// points leave in ring order, so each worker's samples arrive in the order
+// it produced them, every point arrives exactly once, the accounting
+// identities hold, and the batched path has actually batched.
 func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
 	for _, c := range []struct{ numCPUs, par int }{{1, 2}, {8, 4}} {
 		t.Run(fmt.Sprintf("cpus=%d/threads=%d", c.numCPUs, c.par), func(t *testing.T) {
@@ -244,34 +243,22 @@ func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
 			p := ts.Processor()
 
 			const workers, iters = 8, 120
-			var wg sync.WaitGroup
+			iv := k.NewInterleaver(21)
 			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					task := k.NewTask(fmt.Sprintf("worker%d", w))
-					task.Migrate(w % c.numCPUs)
-					for i := 0; i < iters; i++ {
-						m := scan
-						if (w+i)%3 == 0 {
-							m = wal
-						}
-						runOU(ts, task, m,
-							sim.Work{Instructions: 4000, BytesTouched: 1024, AllocBytes: 64},
-							uint64(i), uint64(w))
+				task := k.NewTask(fmt.Sprintf("worker%d", w))
+				task.Migrate(w % c.numCPUs)
+				iv.AddOn(task.Name, w%c.numCPUs, iters, func(i int) {
+					m := scan
+					if (w+i)%3 == 0 {
+						m = wal
 					}
-				}(w)
+					runOU(ts, task, m,
+						sim.Work{Instructions: 4000, BytesTouched: 1024, AllocBytes: 64},
+						uint64(i), uint64(w))
+				})
 			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			for draining := true; draining; {
-				select {
-				case <-done:
-					draining = false
-				default:
-					p.Drain(DrainOptions{Budget: 16})
-				}
-			}
+			iv.Add("drain", iters, func(int) { p.Drain(DrainOptions{Budget: 16}) })
+			iv.Run()
 			p.Drain(DrainOptions{})
 
 			checkWorkerOrder(t, ts)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
@@ -134,14 +133,14 @@ func BudgetForPeriod(periodNS int64) int {
 // Sink receives finished training points (e.g. a CSV writer, columnar
 // segment writer, cloud uploader). The interface is batch-first: the
 // Processor delivers everything one Drain produced with one WriteBatch
-// call, so a sink amortizes its per-write overhead (lock acquisition, row
-// encoding, syscalls) across a whole drain. A WriteBatch error counts
+// call, so a sink amortizes its per-write overhead (row encoding,
+// syscalls) across a whole drain. A WriteBatch error counts
 // against every point in the batch — the sink rejected the delivery as a
 // unit. The sink is the only place a point lives after Drain: with a nil
 // sink points are counted (Stats().Processed) and discarded.
 //
-// Sink calls are issued outside all Processor locks, so a Sink may call
-// back into the Processor (stats, submissions) without deadlocking.
+// A Sink may call back into the Processor (stats, submissions) from
+// WriteBatch.
 type Sink interface {
 	// WriteBatch delivers one drained batch.
 	WriteBatch(pts []TrainingPoint) error
@@ -177,41 +176,34 @@ type SplitWeightFunc func(ou OUID, features []float64) float64
 // ringOwner gives each modeled thread a disjoint set of the per-CPU rings,
 // the threads share one global token budget per drain period (a single
 // thread-period times the configured parallelism), and each ring's samples
-// are charged to the thread that owns it. On the host a drain is one pass
-// on the caller's goroutine, ring by ring in global ring order, and its
-// finished points leave for the Sink — their only store — as one batch,
-// outside every lock.
+// are charged to the thread that owns it. On the host a drain is one pass,
+// ring by ring in global ring order, and its finished points leave for the
+// Sink — their only store — as one batch.
 type Processor struct {
 	ts   *TScout
 	sink Sink
 
-	// pollMu serializes drain cycles: the modeled drain threads (kernel
-	// tasks) are not safe for concurrent charging, and budget accounting
-	// is per-period.
-	pollMu sync.Mutex
+	group               *kernel.TaskGroup
+	kernelStats         [NumSubsystems]SubsystemStats
+	userQueue           [][]byte
+	userStats           SubsystemStats
+	lastRing            [NumSubsystems]bpf.RingStats
+	lastUserSubmitted   int64
+	lastUserDropped     int64
+	splitter            SplitWeightFunc
+	retryQueue          []retryBatch
+	sinkRetries         int64
+	sinkRetryDrops      int64
+	processed           int64
+	polls               int64
+	lastGlobalBudget    int
+	lastEffectiveBudget int
+	feedbackActions     int64
+	batchHist           [BatchHistBuckets]int64
+	autopilot           AutopilotStats
 
-	mu                  sync.Mutex
-	group               *kernel.TaskGroup             // guarded by mu
-	kernelStats         [NumSubsystems]SubsystemStats // guarded by mu
-	userQueue           [][]byte                      // guarded by mu
-	userStats           SubsystemStats                // guarded by mu
-	lastRing            [NumSubsystems]bpf.RingStats  // guarded by mu
-	lastUserSubmitted   int64                         // guarded by mu
-	lastUserDropped     int64                         // guarded by mu
-	splitter            SplitWeightFunc               // guarded by mu
-	retryQueue          []retryBatch                  // guarded by mu
-	sinkRetries         int64                         // guarded by mu
-	sinkRetryDrops      int64                         // guarded by mu
-	processed           int64                         // guarded by mu
-	polls               int64                         // guarded by mu
-	lastGlobalBudget    int                           // guarded by mu
-	lastEffectiveBudget int                           // guarded by mu
-	feedbackActions     int64                         // guarded by mu
-	batchHist           [BatchHistBuckets]int64       // guarded by mu
-	autopilot           AutopilotStats                // guarded by mu
-
-	// batch and from are Drain's scratch, touched only while it holds
-	// pollMu and reused across its ring batches: the ring batch being
+	// batch and from are Drain's scratch, reused across its ring batches:
+	// the ring batch being
 	// decoded (a contiguous buffer that grows to the largest ring batch, not
 	// to a whole drain), and decodeBatch's index from each point to the
 	// sample it reads.
@@ -225,11 +217,7 @@ func NewProcessor(ts *TScout, sink Sink) *Processor {
 }
 
 // SetSplitter installs the fused-sample metric splitter.
-func (p *Processor) SetSplitter(f SplitWeightFunc) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.splitter = f
-}
+func (p *Processor) SetSplitter(f SplitWeightFunc) { p.splitter = f }
 
 // Parallelism returns the number of modeled drain threads.
 func (p *Processor) Parallelism() int {
@@ -243,8 +231,6 @@ func (p *Processor) Parallelism() int {
 // SubmitUserSample enqueues a sample produced by a user-level probe,
 // dropping it if the bounded queue is full.
 func (p *Processor) SubmitUserSample(buf []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.userStats.Submitted++
 	if len(p.userQueue) >= userQueueCapacity {
 		p.userStats.Dropped++
@@ -261,8 +247,6 @@ func (p *Processor) Task() *kernel.Task {
 }
 
 func (p *Processor) taskGroup() *kernel.TaskGroup {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.group == nil {
 		p.group = p.ts.kernel.NewTaskGroup("tscout-processor", p.Parallelism())
 		// Spread the drain threads across the simulated CPUs explicitly:
@@ -301,14 +285,13 @@ type DrainResult struct {
 // produced. Each modeled drain thread owns a disjoint set of CPU rings
 // (ring affinity: global ring index mod parallelism) and waterfills its
 // slice of the effective budget over them. The host does every thread's
-// work in one pass on the caller's goroutine, in global ring order, and
-// charges each ring's samples to the thread that owns it: parallelism is a
-// virtual-time model, so a run replays the same at any host schedule.
+// work in one pass, in global ring order, and charges each ring's samples to
+// the thread that owns it: parallelism is a virtual-time model (see the sim
+// package doc).
 // Sustained oversubmission overwrites ring entries (kernel path) or
 // overflows the user queue, and the pipeline's efficiency degrades under
 // overload — the §6.2 dynamics behind Fig. 6's peak-then-decline curve.
 func (p *Processor) Drain(opts DrainOptions) DrainResult {
-	p.pollMu.Lock()
 	group := p.taskGroup()
 	parallelism := group.Size()
 	// The drain threads wake together at the period tick.
@@ -317,9 +300,8 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		group.Task(i).ChargeUserNS(pollBaseNS)
 	}
 
-	// Consistent snapshots: per-subsystem aggregates for the period deltas
-	// and per-CPU ring stats for demand, so deltas cannot tear against
-	// concurrent submits.
+	// Snapshots: per-subsystem aggregates for the period deltas and per-CPU
+	// ring stats for demand.
 	var ringNow [NumSubsystems]bpf.RingStats
 	var cpuNow [NumSubsystems][]bpf.RingStats
 	cols := [NumSubsystems]*Collector{}
@@ -345,7 +327,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 
 	// Per-period deltas, demand, and the degraded effective budget.
 	var deltaSub, deltaDrop [NumSubsystems]int64
-	p.mu.Lock()
 	var demand int64
 	for _, sub := range AllSubsystems {
 		ds := ringNow[sub].Submitted - p.lastRing[sub].Submitted
@@ -383,7 +364,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	}
 	p.polls++
 	p.lastGlobalBudget, p.lastEffectiveBudget = globalBudget, effective
-	p.mu.Unlock()
 
 	// Token demand per ring: one token per pending kernel sample,
 	// userDrainPenalty tokens per pending user sample. Each thread
@@ -473,7 +453,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	var userDrained int64
 	if userSamples > 0 {
 		p.batch.Reset()
-		p.mu.Lock()
 		take := min(userSamples, len(p.userQueue))
 		for _, buf := range p.userQueue[:take] {
 			p.batch.Append(buf)
@@ -481,7 +460,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		rest := copy(p.userQueue, p.userQueue[take:])
 		clear(p.userQueue[rest:])
 		p.userQueue = p.userQueue[:rest]
-		p.mu.Unlock()
 		userDrained = int64(take)
 		res.Drained += take
 		first := len(pts)
@@ -512,7 +490,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 
 	// Apart from SinkErrors (charged at delivery) this is the only place the
 	// per-subsystem and user-queue counters are written.
-	p.mu.Lock()
 	for _, sub := range AllSubsystems {
 		ks := &p.kernelStats[sub]
 		// User-probe points land in the subsystem they decode into, whether
@@ -547,14 +524,10 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		p.batchHist[b] += c
 	}
 	p.processed += int64(res.Points)
-	p.mu.Unlock()
 
 	if !p.ts.cfg.DisableProcessorFeedback {
 		p.applyFeedback(deltaSub, deltaDrop)
 	}
-	p.pollMu.Unlock()
-
-	// Sink delivery happens strictly outside every Processor lock.
 	p.deliver(pts)
 	return res
 }
@@ -621,9 +594,8 @@ type retryBatch struct {
 }
 
 // deliver hands the sink every retry batch whose backoff has expired and
-// then the drain's fresh batch. It holds no Processor lock across
-// WriteBatch, so a slow sink only delays delivery and a re-entrant sink —
-// one that submits samples or reads stats — cannot deadlock intake.
+// then the drain's fresh batch. A sink may call back into the Processor —
+// submit samples or read stats — from WriteBatch.
 //
 // A WriteBatch error counts against every point in the batch: SinkErrors is
 // charged on a batch's first failure only, and the batch is parked for
@@ -639,7 +611,6 @@ func (p *Processor) deliver(fresh []TrainingPoint) {
 	if p.sink == nil {
 		return
 	}
-	p.mu.Lock()
 	var due []retryBatch
 	keep := p.retryQueue[:0]
 	for _, rb := range p.retryQueue {
@@ -650,7 +621,6 @@ func (p *Processor) deliver(fresh []TrainingPoint) {
 		}
 	}
 	p.retryQueue = keep
-	p.mu.Unlock()
 	if len(fresh) > 0 {
 		due = append(due, retryBatch{pts: fresh})
 	}
@@ -659,22 +629,19 @@ func (p *Processor) deliver(fresh []TrainingPoint) {
 	for _, rb := range due {
 		if !dead {
 			if rb.attempts > 0 {
-				p.mu.Lock()
 				p.sinkRetries++
-				p.mu.Unlock()
 			}
 			if p.sink.WriteBatch(rb.pts) == nil {
 				continue
 			}
 			dead = p.sinkStickyErr() != nil
 		}
-		p.mu.Lock()
 		if rb.attempts == 0 {
 			for _, tp := range rb.pts {
 				p.kernelStats[tp.Subsystem].SinkErrors++
 			}
 		}
-		if attempts := rb.attempts + 1; dead || attempts > maxSinkRetries || p.pendingRetryLocked()+len(rb.pts) > maxRetryQueuePoints {
+		if attempts := rb.attempts + 1; dead || attempts > maxSinkRetries || p.pendingRetry()+len(rb.pts) > maxRetryQueuePoints {
 			p.sinkRetryDrops += int64(len(rb.pts))
 		} else {
 			p.retryQueue = append(p.retryQueue, retryBatch{
@@ -684,18 +651,15 @@ func (p *Processor) deliver(fresh []TrainingPoint) {
 				notBefore: p.polls + int64(1)<<attempts,
 			})
 		}
-		p.mu.Unlock()
 	}
 	if dead {
-		p.mu.Lock()
-		p.sinkRetryDrops += int64(p.pendingRetryLocked())
+		p.sinkRetryDrops += int64(p.pendingRetry())
 		p.retryQueue = nil
-		p.mu.Unlock()
 	}
 }
 
-// pendingRetryLocked counts the points parked in the retry queue.
-func (p *Processor) pendingRetryLocked() int {
+// pendingRetry counts the points parked in the retry queue.
+func (p *Processor) pendingRetry() int {
 	n := 0
 	for _, rb := range p.retryQueue {
 		n += len(rb.pts)
@@ -817,10 +781,7 @@ func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, c *decodeCounts
 	if err != nil {
 		return pts, err
 	}
-	p.mu.Lock()
 	split := p.splitter
-	p.mu.Unlock()
-
 	weights := make([]float64, len(parts))
 	var total float64
 	for i, part := range parts {
@@ -901,13 +862,11 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 			rate := p.ts.sampler.Rate(sub)
 			if rate > 1 {
 				// The feedback path stays on the sampler's shared stream:
-				// it is serial under the poll lock in AllSubsystems order
-				// at deterministic virtual times, and the golden
+				// it runs once per drain in AllSubsystems order at
+				// deterministic virtual times, and the golden
 				// fingerprints pin its historical draw schedule.
 				p.ts.sampler.setRateShared(sub, rate*8/10)
-				p.mu.Lock()
 				p.feedbackActions++
-				p.mu.Unlock()
 			}
 		}
 	}
@@ -920,22 +879,19 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 // snapshot reflects samples submitted since the last poll too.
 func (p *Processor) Stats() ProcessorStats {
 	var st ProcessorStats
-	userClamps := p.ts.userWrapClamps()
-	p.mu.Lock()
 	st.Kernel = p.kernelStats
 	st.User = p.userStats
-	st.User.WrapClamps = userClamps
+	st.User.WrapClamps = p.ts.userWrapClamps()
 	st.Polls = p.polls
 	st.GlobalBudget = p.lastGlobalBudget
 	st.EffectiveBudget = p.lastEffectiveBudget
 	st.FeedbackActions = p.feedbackActions
 	st.SinkRetries = p.sinkRetries
 	st.SinkRetryDrops = p.sinkRetryDrops
-	st.PendingRetry = p.pendingRetryLocked()
+	st.PendingRetry = p.pendingRetry()
 	st.Processed = p.processed
 	st.BatchSizeHist = p.batchHist
 	st.Autopilot = p.autopilot
-	p.mu.Unlock()
 	for _, sub := range AllSubsystems {
 		if col := p.ts.CollectorFor(sub); col != nil {
 			rs := col.Ring.Stats()
@@ -955,11 +911,7 @@ func (p *Processor) Stats() ProcessorStats {
 // SetAutopilotStats publishes the attached controller's self-report so
 // Stats snapshots carry it alongside the pipeline counters. Called by the
 // autopilot after every epoch tick.
-func (p *Processor) SetAutopilotStats(st AutopilotStats) {
-	p.mu.Lock()
-	p.autopilot = st
-	p.mu.Unlock()
-}
+func (p *Processor) SetAutopilotStats(st AutopilotStats) { p.autopilot = st }
 
 // Reset clears all pipeline statistics and the demand baselines (between
 // experiment trials). The Collector ring buffers are reset too: a trial
@@ -968,15 +920,11 @@ func (p *Processor) SetAutopilotStats(st AutopilotStats) {
 // compute its demand or feedback deltas from a previous trial's cumulative
 // counters. Batches parked for sink redelivery are discarded.
 func (p *Processor) Reset() {
-	p.pollMu.Lock()
-	defer p.pollMu.Unlock()
 	for _, sub := range AllSubsystems {
 		if col := p.ts.CollectorFor(sub); col != nil {
 			col.Ring.Reset()
 		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.kernelStats = [NumSubsystems]SubsystemStats{}
 	p.userQueue = nil
 	p.userStats = SubsystemStats{}

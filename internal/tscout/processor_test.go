@@ -3,7 +3,6 @@ package tscout
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -235,9 +234,7 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 }
 
 // reentrantSink calls back into the Processor from inside WriteBatch: it
-// reads stats, submits a sample, and re-polls. If any Processor lock were
-// held across Sink.WriteBatch, this would deadlock (single-goroutine
-// self-lock).
+// reads stats, submits a sample, and re-polls.
 type reentrantSink struct {
 	p        *Processor
 	repolled bool
@@ -261,9 +258,9 @@ func (s *reentrantSink) WriteBatch(pts []TrainingPoint) error {
 func (s *reentrantSink) Flush() error { return nil }
 func (s *reentrantSink) Rows() int64  { return int64(s.writes) }
 
-// TestReentrantSinkDoesNotDeadlock is the acceptance check that no sink
-// delivery happens while a Processor lock is held: the sink re-enters
-// the Processor (stats, submissions, even a nested Poll) from WriteBatch.
+// TestReentrantSinkDoesNotDeadlock: the sink re-enters the Processor
+// (stats, submissions, even a nested Poll) from WriteBatch, and the
+// samples it submits are drained later.
 func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 10, 0)
 	sink := &reentrantSink{}
@@ -332,77 +329,83 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 	}
 }
 
-// TestProcessorConcurrentSubmitPollReset hammers the sharded pipeline from
-// multiple goroutines — kernel ring submits, user-queue submits, budgeted
-// polls, stats reads, and resets — and relies on -race to prove the
-// locking discipline.
+// TestProcessorConcurrentSubmitPollReset interleaves kernel ring submits on
+// every subsystem, user-queue submits, budgeted drains, stats reads and
+// resets under seeded kernel.Interleaver schedules. Every stats read matches
+// a model of what was submitted since the last reset, and after the final
+// drain every ring and the user queue are empty and every sample submitted
+// since the last reset is a point in the sink or a counted drop.
 func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
-	sink := &recordingBatchSink{}
-	ts, ous := newShardedDeployment(t, Config{Seed: 12, RingCapacity: 128, ProcessorParallelism: 2, ProcessorSink: sink})
-	p := ts.Processor()
+	for seed := int64(1); seed <= 3; seed++ {
+		sink := &recordingBatchSink{}
+		ts, ous := newShardedDeployment(t, Config{Seed: 12, RingCapacity: 128, ProcessorParallelism: 2, ProcessorSink: sink})
+		p := ts.Processor()
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for _, sub := range AllSubsystems {
-		wg.Add(1)
-		go func(sub SubsystemID) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
+		// Submissions and sink rows since the last Reset.
+		var kernelSubmitted [NumSubsystems]int64
+		var userSubmitted, sinkBase int64
+		check := func(what string) {
+			st := p.Stats()
+			for _, sub := range AllSubsystems {
+				if got := st.Kernel[sub].Submitted; got != kernelSubmitted[sub] {
+					t.Fatalf("seed %d %s: %s submitted %d, model %d", seed, what, sub, got, kernelSubmitted[sub])
+				}
+				for cpu, rs := range st.Rings[sub] {
+					if rs.Submitted != rs.Drained+rs.Dropped+int64(rs.Pending) {
+						t.Fatalf("seed %d %s: %s cpu%d ring %+v", seed, what, sub, cpu, rs)
+					}
+				}
+			}
+			if st.User.Submitted != userSubmitted {
+				t.Fatalf("seed %d %s: user submitted %d, model %d", seed, what, st.User.Submitted, userSubmitted)
+			}
+			assertDeliveryIdentity(t, st, sink.Rows()-sinkBase)
+		}
+
+		iv := ts.kernel.NewInterleaver(seed)
+		for _, sub := range AllSubsystems {
+			iv.Add(sub.String(), 2000, func(int) {
 				submitKernel(ts, sub, ous[sub], 1)
-			}
-		}(sub)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
+				kernelSubmitted[sub]++
+			})
+		}
+		iv.Add("user", 2000, func(int) {
 			p.SubmitUserSample(EncodeSample(ous[SubsystemNetworking], 4, Metrics{}, []uint64{1, 2}))
-		}
-	}()
-	// The observer goroutine is deliberately NOT in the producer wait
-	// group: it runs until the main goroutine closes stop.
-	observerDone := make(chan struct{})
-	go func() {
-		defer close(observerDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = p.Stats()
-			_ = sink.Rows()
-			if i%13 == 12 {
-				p.Reset()
-			}
-		}
-	}()
+			userSubmitted++
+		})
+		iv.Add("drain", 500, func(int) { p.Drain(DrainOptions{Budget: 64}) })
+		iv.Add("stats", 200, func(int) { check("stats") })
+		iv.Add("reset", 10, func(int) {
+			p.Reset()
+			kernelSubmitted, userSubmitted, sinkBase = [NumSubsystems]int64{}, 0, sink.Rows()
+		})
+		iv.Run()
+		// Final unlimited sweep: everything still buffered comes out.
+		p.Drain(DrainOptions{})
+		check("final")
 
-	producersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(producersDone)
-	}()
-	polls := 0
-	for done := false; !done; {
-		p.Drain(DrainOptions{Budget: 64})
-		polls++
-		select {
-		case <-producersDone:
-			done = true
-		default:
+		st := p.Stats()
+		var kernelDrained, points int64
+		for _, sub := range AllSubsystems {
+			agg := ts.CollectorFor(sub).Ring.Stats()
+			ks := st.Kernel[sub]
+			if agg.Pending != 0 || ks.Drained != agg.Submitted-agg.Dropped {
+				t.Fatalf("seed %d: %s ring %+v after the final drain, Processor drained %d", seed, sub, agg, ks.Drained)
+			}
+			kernelDrained += ks.Drained
+			points += ks.Points
 		}
-	}
-	close(stop)
-	<-observerDone
-	// Final unlimited sweep: everything still buffered comes out.
-	p.Drain(DrainOptions{})
-	if polls == 0 {
-		t.Fatalf("no polls ran")
-	}
-	st := p.Stats()
-	if st.TotalDrained() < 0 || st.TotalSubmitted() < st.TotalDrained() {
-		t.Fatalf("impossible accounting after concurrent run: %+v", st)
+		if st.User.Submitted != st.User.Drained+st.User.Dropped {
+			t.Fatalf("seed %d: user queue submitted %d != drained %d + dropped %d",
+				seed, st.User.Submitted, st.User.Drained, st.User.Dropped)
+		}
+		if points != st.Processed || st.Processed != kernelDrained+st.User.Drained {
+			t.Fatalf("seed %d: points %d, processed %d, drained %d kernel + %d user",
+				seed, points, st.Processed, kernelDrained, st.User.Drained)
+		}
+		if st.TotalDropped() == 0 {
+			t.Fatalf("seed %d: no ring overflowed; the drop term went untested", seed)
+		}
 	}
 }
 

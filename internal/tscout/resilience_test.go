@@ -74,7 +74,7 @@ func TestTornMigrationDiscard(t *testing.T) {
 		t.Fatalf("control sample read disabled counters")
 	}
 	// Accounting: both BEGINs are accounted — one submitted, one torn.
-	begins := ts.subsystems[SubsystemExecutionEngine].beginTP.Hits.Load()
+	begins := ts.subsystems[SubsystemExecutionEngine].beginTP.Hits
 	if begins != ks.Submitted+ks.Orphans.Total() {
 		t.Fatalf("begin identity: %d begins != %d submitted + %d orphaned",
 			begins, ks.Submitted, ks.Orphans.Total())
@@ -156,7 +156,7 @@ func TestPIDReuseKillMidOUReap(t *testing.T) {
 	if pts[0].Metrics.Instructions == 0 {
 		t.Fatalf("respawned task's sample read disabled counters")
 	}
-	begins := ts.subsystems[SubsystemExecutionEngine].beginTP.Hits.Load()
+	begins := ts.subsystems[SubsystemExecutionEngine].beginTP.Hits
 	if begins != ks.Submitted+ks.Orphans.Total() {
 		t.Fatalf("begin identity: %d begins != %d submitted + %d orphaned",
 			begins, ks.Submitted, ks.Orphans.Total())

@@ -1,10 +1,6 @@
 package tscout
 
-import (
-	"sync"
-
-	"tscout/internal/sim"
-)
+import "tscout/internal/sim"
 
 // SamplingBits is the width of each subsystem's sampling bit field
 // (paper §5.3: "TS maintains a 100-bit field for each subsystem").
@@ -29,28 +25,27 @@ const samplerStreamStride = 0x9E3779B9
 //   - SetRate (the controller path) draws from a per-subsystem stream, so
 //     the field a subsystem carries after its g-th retune is a pure
 //     function of (seed, subsystem, g). A controller retuning subsystem A
-//     can never perturb subsystem B's future fields, no matter how calls
-//     interleave across drain parallelism or epochs — with one shared
+//     can never perturb subsystem B's future fields, no matter how its
+//     retunes interleave with B's across epochs — with one shared
 //     stream, every call shifted every later subsystem's permutation,
 //     so archives diverged bit-for-bit the moment two runs disagreed on
 //     unrelated retune counts.
 //   - SetAllRates (deployment-time bulk init) and the Processor's §3.2
 //     overload feedback keep the original shared stream and its historical
-//     draw schedule. Both are serial by construction (init runs before the
-//     workload; feedback runs under the drain poll lock in AllSubsystems
-//     order at deterministic virtual times), and the recorded golden
-//     fingerprints pin the exact fields that schedule produced.
+//     draw schedule. Both draw at fixed points (init runs before the
+//     workload; feedback runs once per drain in AllSubsystems order at
+//     deterministic virtual times), and the recorded golden fingerprints
+//     pin the exact fields that schedule produced.
 type Sampler struct {
-	mu sync.Mutex
-	// shared is the deployment-time/feedback stream. guarded by mu
+	// shared is the deployment-time/feedback stream.
 	shared *sim.Noise
-	// perSub holds one controller stream per subsystem. guarded by mu
+	// perSub holds one controller stream per subsystem.
 	perSub [NumSubsystems]*sim.Noise
-	// gens counts field regenerations per subsystem (any path). guarded by mu
+	// gens counts field regenerations per subsystem (any path).
 	gens [NumSubsystems]int64
-	// bits holds the live sampling fields. guarded by mu
+	// bits holds the live sampling fields.
 	bits [NumSubsystems][SamplingBits]bool
-	// rates holds the configured percentages. guarded by mu
+	// rates holds the configured percentages.
 	rates [NumSubsystems]int
 }
 
@@ -77,28 +72,24 @@ func newPerSubStreams(seed int64) [NumSubsystems]*sim.Noise {
 // [0,100]) by regenerating its bit field with rate bits set at shuffled
 // positions. Rates are adjustable at runtime without redeploying (the
 // Fig. 8 experiment and the autopilot controller toggle them live); the
-// permutation comes from the subsystem's own noise stream, so concurrent
-// controllers retuning different subsystems cannot perturb each other's
-// fields (see the type comment for the determinism argument).
+// permutation comes from the subsystem's own noise stream, so retuning one
+// subsystem cannot perturb another's fields (see the type comment for the
+// determinism argument).
 func (s *Sampler) SetRate(sub SubsystemID, rate int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setRateLocked(sub, rate, s.perSub[sub])
+	s.setRate(sub, rate, s.perSub[sub])
 }
 
 // setRateShared regenerates a field from the shared deployment-time
-// stream. It exists only for the two serial legacy paths — SetAllRates and
-// the Processor's overload feedback — whose draw schedule the golden
+// stream. It exists only for the two legacy paths — SetAllRates and the
+// Processor's overload feedback — whose draw schedule the golden
 // fingerprints pin; new callers must use SetRate.
 func (s *Sampler) setRateShared(sub SubsystemID, rate int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.setRateLocked(sub, rate, s.shared)
+	s.setRate(sub, rate, s.shared)
 }
 
-// setRateLocked clamps, records, and regenerates one subsystem's field
-// from the given stream. Caller holds mu.
-func (s *Sampler) setRateLocked(sub SubsystemID, rate int, src *sim.Noise) {
+// setRate clamps, records, and regenerates one subsystem's field from the
+// given stream.
+func (s *Sampler) setRate(sub SubsystemID, rate int, src *sim.Noise) {
 	if rate < 0 {
 		rate = 0
 	}
@@ -126,36 +117,22 @@ func (s *Sampler) SetAllRates(rate int) {
 }
 
 // Rate returns a subsystem's configured rate in percent.
-func (s *Sampler) Rate(sub SubsystemID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rates[sub]
-}
+func (s *Sampler) Rate(sub SubsystemID) int { return s.rates[sub] }
 
 // Rates returns a snapshot of every subsystem's configured rate.
-func (s *Sampler) Rates() [NumSubsystems]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rates
-}
+func (s *Sampler) Rates() [NumSubsystems]int { return s.rates }
 
 // Generation returns how many times a subsystem's bit field has been
 // regenerated (any path). Controllers and tests use it to assert that a
 // retune schedule was applied exactly once per epoch.
-func (s *Sampler) Generation(sub SubsystemID) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gens[sub]
-}
+func (s *Sampler) Generation(sub SubsystemID) int64 { return s.gens[sub] }
 
 // ShouldSample consults the bit at *offset for the subsystem and advances
 // the offset (wrapping at the field width). The caller owns the offset —
 // one per thread, per the paper: "each thread maintains offsets to index
 // into the bit fields".
 func (s *Sampler) ShouldSample(sub SubsystemID, offset *int) bool {
-	s.mu.Lock()
 	bit := s.bits[sub][*offset%SamplingBits]
-	s.mu.Unlock()
 	*offset = (*offset + 1) % SamplingBits
 	return bit
 }

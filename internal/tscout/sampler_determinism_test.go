@@ -52,10 +52,7 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 			ts.Sampler().SetRate(SubsystemLogSerializer, 50+j)
 		}
 		ts.Sampler().SetRate(SubsystemExecutionEngine, rate)
-		s := ts.Sampler()
-		s.mu.Lock()
-		fields = append(fields, s.bits[SubsystemExecutionEngine])
-		s.mu.Unlock()
+		fields = append(fields, ts.Sampler().bits[SubsystemExecutionEngine])
 
 		for e := 0; e < 40; e++ {
 			ts.BeginEvent(task, SubsystemExecutionEngine)
@@ -117,8 +114,6 @@ func TestRetuneIsolationAcrossSubsystems(t *testing.T) {
 			s.SetRate(SubsystemNetworking, 10+i)
 		}
 		s.SetRate(SubsystemDiskWriter, 42)
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		return s.bits[SubsystemDiskWriter]
 	}
 	want := fieldAfter(0)

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"io"
 	"strconv"
-	"sync"
 )
 
 // CSVSink streams training points to an io.Writer as CSV, one row per
@@ -22,10 +21,9 @@ import (
 // through StickySink, so the Processor fails deliveries fast instead of
 // retrying them.
 type CSVSink struct {
-	mu      sync.Mutex
-	w       *csv.Writer // guarded by mu
-	n       int64       // guarded by mu
-	scratch []byte      // guarded by mu — reused feature-cell buffer
+	w       *csv.Writer
+	n       int64
+	scratch []byte // reused feature-cell buffer
 }
 
 var _ StickySink = (*CSVSink)(nil)
@@ -41,21 +39,17 @@ func NewCSVSink(w io.Writer) (*CSVSink, error) {
 	return &CSVSink{w: cw}, nil
 }
 
-// WriteBatch implements Sink: the whole batch is written under one lock
-// acquisition, so the Processor pays the synchronization cost once per
-// flush rather than once per point.
+// WriteBatch implements Sink.
 func (s *CSVSink) WriteBatch(pts []TrainingPoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, p := range pts {
-		if err := s.writeLocked(p); err != nil {
+		if err := s.write(p); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *CSVSink) writeLocked(p TrainingPoint) error {
+func (s *CSVSink) write(p TrainingPoint) error {
 	m := p.Metrics
 	row := []string{
 		strconv.Itoa(int(p.OU)), p.OUName, p.Subsystem.String(), strconv.Itoa(p.PID),
@@ -109,23 +103,13 @@ func AppendFeatureCell(dst []byte, names []string, feats []float64) []byte {
 
 // Flush forces buffered rows out and reports the first write error.
 func (s *CSVSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.w.Flush()
 	return s.w.Error()
 }
 
 // StickyErr implements StickySink: the first error the underlying writer
 // returned, which every later write would return again.
-func (s *CSVSink) StickyErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Error()
-}
+func (s *CSVSink) StickyErr() error { return s.w.Error() }
 
 // Rows returns the number of points written.
-func (s *CSVSink) Rows() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
+func (s *CSVSink) Rows() int64 { return s.n }

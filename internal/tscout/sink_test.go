@@ -2,7 +2,6 @@ package tscout
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"tscout/internal/sim"
@@ -14,7 +13,6 @@ import (
 // calls, and can be told to reject deliveries, or to count rows without
 // keeping them.
 type recordingBatchSink struct {
-	mu           sync.Mutex
 	pts          []TrainingPoint
 	rows         int64
 	batchCalls   int
@@ -24,8 +22,6 @@ type recordingBatchSink struct {
 }
 
 func (s *recordingBatchSink) WriteBatch(pts []TrainingPoint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.batchCalls++
 	if s.failBatches {
 		s.pointsInFail += len(pts)
@@ -40,16 +36,10 @@ func (s *recordingBatchSink) WriteBatch(pts []TrainingPoint) error {
 
 func (s *recordingBatchSink) Flush() error { return nil }
 
-func (s *recordingBatchSink) Rows() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
-}
+func (s *recordingBatchSink) Rows() int64 { return s.rows }
 
 // points returns a snapshot of everything delivered so far, in sink order.
 func (s *recordingBatchSink) points() []TrainingPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]TrainingPoint(nil), s.pts...)
 }
 

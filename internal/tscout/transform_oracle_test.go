@@ -39,9 +39,7 @@ func (p *Processor) transform(buf []byte, adj *decodeCounts) ([]TrainingPoint, e
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
 	split := p.splitter
-	p.mu.Unlock()
 
 	weights := make([]float64, len(parts))
 	var total float64

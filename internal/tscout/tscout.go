@@ -16,7 +16,6 @@ package tscout
 
 import (
 	"fmt"
-	"sync"
 
 	"tscout/internal/kernel"
 )
@@ -170,7 +169,6 @@ type TScout struct {
 	cfg    Config
 	kernel *kernel.Kernel
 
-	mu         sync.Mutex
 	ous        map[OUID]*OUDef
 	markers    map[OUID]*Marker
 	subsystems [NumSubsystems]*subsystem
@@ -253,8 +251,6 @@ func (ts *TScout) Sampler() *Sampler { return ts.sampler }
 // resources drives code generation (paper §3.1: "TS extracts these markers
 // and codegens a custom program").
 func (ts *TScout) RegisterOU(def OUDef, res ResourceSet) (*Marker, error) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	if ts.deployed {
 		return nil, fmt.Errorf("tscout: RegisterOU after Deploy (redeploy required, §5.4)")
 	}
@@ -302,8 +298,6 @@ func (ts *TScout) MustRegisterOU(def OUDef, res ResourceSet) *Marker {
 
 // OU returns a registered OU definition.
 func (ts *TScout) OU(id OUID) (*OUDef, bool) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	d, ok := ts.ous[id]
 	return d, ok
 }
@@ -313,8 +307,6 @@ func (ts *TScout) OU(id OUID) (*OUDef, bool) {
 // them to the marker tracepoints (the Setup Phase → Runtime Phase handoff
 // of Fig. 3). In user modes no kernel programs are generated.
 func (ts *TScout) Deploy() error {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	if ts.deployed {
 		return fmt.Errorf("tscout: already deployed")
 	}
@@ -343,8 +335,6 @@ func (ts *TScout) Deploy() error {
 // Undeploy detaches all Collector programs, so they can be modified and
 // reloaded without restarting the DBMS (dynamic feature selection, §5.4).
 func (ts *TScout) Undeploy() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	for _, sub := range ts.subsystems {
 		if sub == nil || sub.collector == nil {
 			continue
@@ -359,16 +349,12 @@ func (ts *TScout) Undeploy() {
 
 // Deployed reports whether Deploy has run.
 func (ts *TScout) Deployed() bool {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	return ts.deployed
 }
 
 // CollectorFor exposes the generated kernel program for a subsystem
 // (nil in user modes or before Deploy); used by tests and tooling.
 func (ts *TScout) CollectorFor(s SubsystemID) *Collector {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	if ts.subsystems[s] == nil {
 		return nil
 	}
@@ -382,10 +368,10 @@ func tracepointName(s SubsystemID, kind string) string {
 // taskStateFor returns (creating if needed) the per-task state. Every
 // marker and every event asks, so the answer is parked in the task's local
 // slot: after first contact it is a type assertion and an owner check, with
-// no shared lock on the marker path. A task that is new to this deployment
+// no map lookup on the marker path. A task that is new to this deployment
 // — including one that recycled a dead task's pid, whose slot starts empty
 // — or whose slot currently holds another deployment's state goes through
-// the locked table.
+// the pid-keyed table.
 func (ts *TScout) taskStateFor(t *kernel.Task) *taskState {
 	if st, ok := t.Local().(*taskState); ok && st.owner == ts {
 		return st
@@ -399,8 +385,6 @@ func (ts *TScout) taskStateFor(t *kernel.Task) *taskState {
 // continuous modes, first contact enables the task's perf counters so the
 // PMU is live for the task's whole lifetime.
 func (ts *TScout) lookupTaskState(t *kernel.Task) *taskState {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	st, ok := ts.tasks[t.PID]
 	var carriedErrors, carriedClamps int64
 	if ok && st.task != t {
@@ -461,8 +445,6 @@ func (ts *TScout) CollectionEnabled(s SubsystemID) bool {
 // UserStateErrors returns marker state-machine violations recorded in user
 // modes (kernel mode tracks them inside the Collector).
 func (ts *TScout) UserStateErrors() int64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	var n int64
 	for _, st := range ts.tasks {
 		n += st.userErrors
@@ -473,8 +455,6 @@ func (ts *TScout) UserStateErrors() int64 {
 // userWrapClamps sums the counter-delta clamps recorded by the user-mode
 // probes (surfaced as Stats().User.WrapClamps).
 func (ts *TScout) userWrapClamps() int64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
 	var n int64
 	for _, st := range ts.tasks {
 		n += st.wrapClamps

@@ -7,7 +7,7 @@
 // running transactions in begin order, so the oldest snapshot is the head
 // of that list; a committing transaction takes its timestamp and the
 // watermark (the oldest other snapshot, or its own timestamp when it is
-// alone) in one critical section and, on each slot it wrote, drops
+// alone) and, on each slot it wrote, drops
 // everything older than the newest version the watermark can see. No
 // running or future snapshot walks past that version, so Read returns the
 // same row after the same number of steps as on an uncut chain; a slot
@@ -19,7 +19,6 @@ package txn
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"tscout/internal/storage"
 )
@@ -63,15 +62,14 @@ type Write struct {
 // Manager allocates transaction IDs and commit timestamps, and knows the
 // oldest snapshot still running.
 type Manager struct {
-	mu        sync.Mutex
-	nextTxnID uint64 // guarded by mu
-	commitTS  uint64 // guarded by mu
+	nextTxnID uint64
+	commitTS  uint64
 	// oldest and newest end the list of running transactions, linked
 	// through Txn.prev/next in Begin order. commitTS never decreases, so
 	// ReadTS is non-decreasing along the list and oldest holds the
 	// watermark.
-	oldest, newest *Txn   // guarded by mu
-	unlinked       uint64 // guarded by mu — versions cut off their chains
+	oldest, newest *Txn
+	unlinked       uint64 // versions cut off their chains
 }
 
 // NewManager creates a transaction manager. Commit timestamps start at 1;
@@ -84,8 +82,6 @@ func NewManager() *Manager {
 // Begin starts a transaction with a snapshot at the current commit
 // timestamp.
 func (m *Manager) Begin() *Txn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	id := m.nextTxnID
 	m.nextTxnID++
 	t := &Txn{mgr: m, ID: id, ReadTS: m.commitTS, state: StateActive, prev: m.newest}
@@ -98,8 +94,8 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
-// finishLocked takes t off the running list. The caller holds m.mu.
-func (m *Manager) finishLocked(t *Txn) {
+// finish takes t off the running list.
+func (m *Manager) finish(t *Txn) {
 	if t.prev != nil {
 		t.prev.next = t.next
 	} else {
@@ -116,8 +112,6 @@ func (m *Manager) finishLocked(t *Txn) {
 // stats reports the number of running transactions, the oldest running
 // snapshot (0 when none) and the versions reclaimed so far. Tests read it.
 func (m *Manager) stats() (running int, oldestReadTS, unlinked uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.oldest != nil {
 		oldestReadTS = m.oldest.ReadTS
 	}
@@ -252,9 +246,7 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 	v := &storage.Version{
 		TxnID: t.ID, End: storage.InfinityTS, Deleted: del, Values: row, Next: head,
 	}
-	if !tbl.CompareAndSetHead(id, head, v) {
-		return ErrWriteConflict // someone raced us to the slot
-	}
+	tbl.SetHead(id, v)
 	t.writes = append(t.writes, Write{
 		Kind: kindFor(del), Table: tbl, TID: id, Version: v,
 		RedoBytes: rowBytes(row) + redoHeaderBytes,
@@ -280,23 +272,20 @@ func rowBytes(r storage.Row) int64 {
 // returns the commit timestamp. WAL persistence is the caller's concern
 // (the DBMS session hands the write set to the log serializer).
 //
-// The timestamp, the watermark, the stamps and the cut are one critical
-// section of the Manager: a snapshot begun after the timestamp exists must
-// find every version it stamps already committed, or it would skip a head
-// still owned by the committer and read the version below it — stale
-// before reclamation, and gone after it. Version fields are plain words, so
-// a transaction may share a table only with transactions on its own
-// goroutine; the drivers do, and a multi-goroutine driver needs atomic
-// fields here as it needs the table lock in storage.
+// The timestamp, the watermark, the stamps and the cut are one step: a
+// snapshot begun after the timestamp exists must find every version it
+// stamps already committed, or it would skip a head still owned by the
+// committer and read the version below it — stale before reclamation, and
+// gone after it. Nothing interleaves with the step because one goroutine
+// drives a simulation (see the sim package doc).
 func (t *Txn) Commit() (uint64, error) {
 	if t.state != StateActive {
 		return 0, ErrNotActive
 	}
 	m := t.mgr
-	m.mu.Lock()
 	m.commitTS++
 	ts := m.commitTS
-	m.finishLocked(t)
+	m.finish(t)
 	watermark := ts
 	if m.oldest != nil {
 		watermark = m.oldest.ReadTS
@@ -320,7 +309,6 @@ func (t *Txn) Commit() (uint64, error) {
 			v.Next = nil
 		}
 	}
-	m.mu.Unlock()
 	t.state = StateCommitted
 	return ts, nil
 }
@@ -331,9 +319,7 @@ func (t *Txn) Abort() error {
 	if t.state != StateActive {
 		return ErrNotActive
 	}
-	t.mgr.mu.Lock()
-	t.mgr.finishLocked(t)
-	t.mgr.mu.Unlock()
+	t.mgr.finish(t)
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		w := t.writes[i]
 		if w.Kind == WriteInsert {

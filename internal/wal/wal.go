@@ -10,7 +10,6 @@ package wal
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
@@ -76,37 +75,32 @@ func (c Config) withDefaults() Config {
 type Serializer struct {
 	cfg Config
 
-	mu        sync.Mutex
 	serTask   *kernel.Task
 	wrTask    *kernel.Task
 	ts        *tscout.TScout
 	serMarker *tscout.Marker
 	wrMarker  *tscout.Marker
 
-	pending     []*Commit // guarded by mu
-	pendingRecs int       // guarded by mu
-	pendingB    int64     // guarded by mu
+	pending []*Commit
 
 	// Deferred-submission state for the epoch driver: while deferMode is
 	// set, SubmitFrom stages commits instead of entering them into the
 	// pending batch, and CommitStaged replays the stage in a deterministic
 	// merged order at the epoch barrier.
-	deferMode bool           // guarded by mu
-	stage     []stagedCommit // guarded by mu
-	stageSeq  []uint64       // guarded by mu — per CPU, grown on demand
+	deferMode bool
+	stage     []stagedCommit
 
-	flushes    int64 // guarded by mu
-	recsLogged int64 // guarded by mu
-	bytesDone  int64 // guarded by mu
+	flushes    int64
+	recsLogged int64
+	bytesDone  int64
 }
 
-// stagedCommit is one deferred submission: the commit plus the merge key
-// (ArrivalNS, cpu, seq) that fixes its position in the barrier replay
-// independent of which goroutine staged first.
+// stagedCommit is one deferred submission: the commit plus the CPU that,
+// with its ArrivalNS, fixes its position in the barrier replay independent
+// of the order in which the epoch ran the CPUs.
 type stagedCommit struct {
 	c   *Commit
 	cpu int
-	seq uint64
 }
 
 // New creates the WAL subsystem. The markers may be nil (uninstrumented
@@ -139,94 +133,61 @@ func (s *Serializer) SubmitFrom(records []Record, nowNS int64, cpu int) *Commit 
 		bytes += r.Bytes
 	}
 	c := &Commit{Records: records, Bytes: bytes, ArrivalNS: nowNS}
-	s.mu.Lock()
 	if s.deferMode {
-		for cpu >= len(s.stageSeq) {
-			s.stageSeq = append(s.stageSeq, 0)
-		}
-		s.stage = append(s.stage, stagedCommit{c: c, cpu: cpu, seq: s.stageSeq[cpu]})
-		s.stageSeq[cpu]++
-		s.mu.Unlock()
+		s.stage = append(s.stage, stagedCommit{c: c, cpu: cpu})
 		return c
 	}
-	s.pending = append(s.pending, c)
-	s.pendingRecs += len(records)
-	s.pendingB += bytes
-	trip := s.cfg.Synchronous || len(s.pending) >= s.cfg.GroupSize
-	s.mu.Unlock()
-	if trip {
-		s.Flush(nowNS)
-	}
+	s.enqueue(c)
 	return c
+}
+
+// enqueue adds c to the pending batch and flushes at c's arrival time when
+// the batch-size policy trips.
+func (s *Serializer) enqueue(c *Commit) {
+	s.pending = append(s.pending, c)
+	if s.cfg.Synchronous || len(s.pending) >= s.cfg.GroupSize {
+		s.Flush(c.ArrivalNS)
+	}
 }
 
 // SetDeferMode switches deferred submission on or off. In deferred mode
 // SubmitFrom stages commits without flushing — the epoch driver turns it
 // on so per-CPU execution within an epoch never triggers a flush at a
-// goroutine-interleaving-dependent moment — and CommitStaged replays the
-// stage at the barrier. Turning defer mode off does not replay a non-empty
-// stage; call CommitStaged first.
-func (s *Serializer) SetDeferMode(v bool) {
-	s.mu.Lock()
-	s.deferMode = v
-	s.mu.Unlock()
-}
+// moment that depends on the order in which the epoch ran the CPUs — and
+// CommitStaged replays the stage at the barrier. Turning defer mode off
+// does not replay a non-empty stage; call CommitStaged first.
+func (s *Serializer) SetDeferMode(v bool) { s.deferMode = v }
 
 // CommitStaged replays every staged submission in merged order — sorted by
-// (ArrivalNS, cpu, seq) — through the normal group-commit policy, firing
-// any batch-size-triggered flushes at the tripping commit's own arrival
-// time. The result is bit-identical to the commits having been submitted
-// serially in that order, which makes the epoch schedule a deterministic
-// function of per-CPU virtual time alone. It returns the number of commits
-// replayed. Per-CPU sequence counters reset afterwards so the next epoch
-// merges from zero.
+// (ArrivalNS, cpu), ties in submission order — through the normal
+// group-commit policy, firing any batch-size-triggered flushes at the
+// tripping commit's own arrival time. The result is bit-identical to the
+// commits having been submitted serially in that order, which makes the
+// epoch schedule a deterministic function of per-CPU virtual time alone. It
+// returns the number of commits replayed.
 func (s *Serializer) CommitStaged() int {
-	s.mu.Lock()
 	staged := s.stage
 	s.stage = nil
-	clear(s.stageSeq)
-	s.mu.Unlock()
-	if len(staged) == 0 {
-		return 0
-	}
 	slices.SortStableFunc(staged, func(a, b stagedCommit) int {
 		if c := cmp.Compare(a.c.ArrivalNS, b.c.ArrivalNS); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.cpu, b.cpu); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
+		return cmp.Compare(a.cpu, b.cpu)
 	})
 	for _, sc := range staged {
-		s.mu.Lock()
-		s.pending = append(s.pending, sc.c)
-		s.pendingRecs += len(sc.c.Records)
-		s.pendingB += sc.c.Bytes
-		trip := s.cfg.Synchronous || len(s.pending) >= s.cfg.GroupSize
-		s.mu.Unlock()
-		if trip {
-			s.Flush(sc.c.ArrivalNS)
-		}
+		s.enqueue(sc.c)
 	}
 	return len(staged)
 }
 
 // StagedCount returns the number of deferred submissions awaiting replay.
-func (s *Serializer) StagedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.stage)
-}
+func (s *Serializer) StagedCount() int { return len(s.stage) }
 
 // Tick flushes the pending batch if the oldest commit has exceeded the
 // group-commit window at virtual time nowNS. The workload driver calls it
 // as simulated time advances.
 func (s *Serializer) Tick(nowNS int64) {
-	s.mu.Lock()
-	due := len(s.pending) > 0 && nowNS >= s.pending[0].ArrivalNS+s.cfg.FlushIntervalNS
-	s.mu.Unlock()
-	if due {
+	if len(s.pending) > 0 && nowNS >= s.pending[0].ArrivalNS+s.cfg.FlushIntervalNS {
 		s.Flush(nowNS)
 	}
 }
@@ -235,8 +196,6 @@ func (s *Serializer) Tick(nowNS int64) {
 // flush, or -1 when nothing is pending. The driver uses it to wake the
 // WAL when every terminal is blocked on a commit.
 func (s *Serializer) NextDeadline() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.pending) == 0 {
 		return -1
 	}
@@ -247,12 +206,8 @@ func (s *Serializer) NextDeadline() int64 {
 // resolving every member commit. It is the log serializer OU followed by
 // the disk writer OU.
 func (s *Serializer) Flush(nowNS int64) {
-	s.mu.Lock()
 	batch := s.pending
 	s.pending = nil
-	s.pendingRecs = 0
-	s.pendingB = 0
-	s.mu.Unlock()
 	if len(batch) == 0 {
 		return
 	}
@@ -310,7 +265,6 @@ func (s *Serializer) Flush(nowNS int64) {
 	}
 
 	done := s.wrTask.Now()
-	s.mu.Lock()
 	for _, c := range batch {
 		c.DoneNS = done
 		c.Resolved = true
@@ -318,19 +272,12 @@ func (s *Serializer) Flush(nowNS int64) {
 	s.flushes++
 	s.recsLogged += int64(recs)
 	s.bytesDone += bytes
-	s.mu.Unlock()
 }
 
 // Stats returns (flushes, records logged, bytes flushed).
 func (s *Serializer) Stats() (int64, int64, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.flushes, s.recsLogged, s.bytesDone
 }
 
 // PendingCount returns the number of unflushed commits.
-func (s *Serializer) PendingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
+func (s *Serializer) PendingCount() int { return len(s.pending) }

@@ -16,8 +16,9 @@ import (
 // golden_test.go locks NumCPUs=1 on the legacy driver to the pre-refactor
 // single-clock schedule bit for bit; here we lock run-to-run determinism of
 // the epoch engine itself, including under -race (make race runs this
-// package with the detector on, so any unsynchronized nondeterminism in the
-// drain workers or the barrier merge shows up as a race or a mismatch).
+// package with the detector on, so package state that parallel simulations
+// share shows up as a race, and nondeterminism in the barrier merge as a
+// mismatch).
 
 // scaleServer builds the server for cfg, loads a SmallBank database of the
 // given size and samples every subsystem at 100%.

@@ -15,10 +15,10 @@ GO="${GO:-go}"
 build() { $GO build ./...; }
 
 # lint = gofmt, go vet and tsvet, the repo's typed static-analysis suite
-# (internal/analysis): determinism rules, the guarded-by annotation checker
-# and the verify-before-run rules. Zero unsuppressed findings required;
-# suppressions are //tsvet:ignore <rule> <reason>. The formatting check
-# skips testdata/, whose analyzer fixtures are deliberately odd.
+# (internal/analysis): determinism rules and the verify-before-run rules.
+# Zero unsuppressed findings required; suppressions are
+# //tsvet:ignore <rule> <reason>. The formatting check skips testdata/,
+# whose analyzer fixtures are deliberately odd.
 lint() {
 	unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
 	if [ -n "$unformatted" ]; then
@@ -34,13 +34,22 @@ lint() {
 }
 
 # Host concurrency is not a model: drain threads, CPUs and terminals exist in
-# virtual time, and every run replays on one goroutine. No non-test file under
-# internal/ (analyzer fixtures in testdata/ aside) may start a goroutine.
+# virtual time, and one goroutine drives a simulation (the sim package doc).
+# No non-test file under internal/, cmd/ or examples/ (analyzer fixtures in
+# testdata/ aside) may start a goroutine or import sync or sync/atomic: with
+# one goroutine there is nothing for a lock or an atomic to order.
 no_goroutines() {
-	stray=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' internal |
+	stray=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' internal cmd examples |
 		grep -v '/testdata/' || true)
 	if [ -n "$stray" ]; then
 		echo "no_goroutines: a go statement in non-test code; model the concurrency in virtual time instead:" >&2
+		echo "$stray" >&2
+		return 1
+	fi
+	stray=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"sync(/atomic)?"' internal cmd examples |
+		grep -v '/testdata/' || true)
+	if [ -n "$stray" ]; then
+		echo "no_goroutines: a sync or sync/atomic import in non-test code; one goroutine drives a simulation:" >&2
 		echo "$stray" >&2
 		return 1
 	fi
@@ -88,7 +97,11 @@ runner_inlined() {
 }
 
 # The whole suite under the race detector, which slows the virtual-time
-# experiments ~10x past go test's default 10m deadline.
+# experiments ~10x past go test's default 10m deadline. No test starts a
+# goroutine of its own, but the t.Parallel() tests in internal/experiment,
+# internal/dbms and internal/workload run separate simulations on separate
+# goroutines: -race is what proves those simulations share no mutable
+# package state (every package-level variable under internal/ is read-only).
 race() { $GO test -race -timeout 45m ./...; }
 
 # A short pass over every fuzz target (go test allows one -fuzz pattern per
