@@ -95,9 +95,9 @@ func TestFormatProcessorStatsPerCPUSection(t *testing.T) {
 
 	// Multi-CPU: only rings with traffic render, quiet ones are counted.
 	st.Rings[tscout.SubsystemExecutionEngine] = []bpf.RingStats{
-		{Submitted: 10, Drained: 8, Dropped: 2},
+		{Submitted: 10, Drained: 8, Dropped: 2, HighWater: 6},
 		{},
-		{Submitted: 3, Drained: 3},
+		{Submitted: 3, Drained: 3, HighWater: 1},
 		{},
 	}
 	st.Rings[tscout.SubsystemDiskWriter] = []bpf.RingStats{{}, {}, {}, {}}
@@ -120,6 +120,22 @@ func TestFormatProcessorStatsPerCPUSection(t *testing.T) {
 	}
 	if !strings.Contains(section, "quiet-rings=6") {
 		t.Fatalf("quiet-ring count missing or wrong:\n%s", section)
+	}
+	// Each ring row ends with the ring's high water, which sets its host
+	// memory.
+	var header, row []string
+	for _, line := range strings.Split(section, "\n") {
+		f := strings.Fields(line)
+		if len(f) > 1 && f[0] == "subsystem" && header == nil {
+			header = f
+		}
+		if len(f) > 1 && f[0] == "execution-engine" && f[1] == "0" {
+			row = f
+		}
+	}
+	if strings.Join(header, " ") != "subsystem cpu submitted drained dropped high" ||
+		strings.Join(row, " ") != "execution-engine 0 10 8 2 6" {
+		t.Fatalf("per-cpu ring rows must end with the ring's high water:\n%s", section)
 	}
 
 	// Batch histogram renders once any bucket is nonzero, with the

@@ -34,13 +34,15 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 	// one CPU the single ring duplicates the shard aggregate above), and
 	// only rings that saw traffic get a row — a 40-core kernel has 160
 	// rings and the quiet ones are noise. A footer counts what was elided.
+	// Each row's high is the ring's high water, which is what sets the
+	// ring's host memory (bpf.RingStats.HighWater).
 	multiCPU := false
 	for i := range st.Rings {
 		multiCPU = multiCPU || len(st.Rings[i]) > 1
 	}
 	if multiCPU {
 		fmt.Fprintf(&b, "\nper-cpu rings (active only):\n")
-		fmt.Fprintf(&b, "%-18s %5s %10s %10s %10s\n", "subsystem", "cpu", "submitted", "drained", "dropped")
+		fmt.Fprintf(&b, "%-18s %5s %10s %10s %10s %6s\n", "subsystem", "cpu", "submitted", "drained", "dropped", "high")
 		quiet := 0
 		for _, sub := range tscout.AllSubsystems {
 			for cpu, rs := range st.Rings[sub] {
@@ -48,8 +50,8 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 					quiet++
 					continue
 				}
-				fmt.Fprintf(&b, "%-18s %5d %10d %10d %10d\n",
-					sub.String(), cpu, rs.Submitted, rs.Drained, rs.Dropped)
+				fmt.Fprintf(&b, "%-18s %5d %10d %10d %10d %6d\n",
+					sub.String(), cpu, rs.Submitted, rs.Drained, rs.Dropped, rs.HighWater)
 			}
 		}
 		fmt.Fprintf(&b, "quiet-rings=%d\n", quiet)

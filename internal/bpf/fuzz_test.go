@@ -244,15 +244,18 @@ func FuzzRingbuf(f *testing.F) {
 // per CPU: submissions route by CPU (with wrap-around for out-of-range
 // values), each ring is an independent FIFO with overwrite-oldest-on-full,
 // and both the per-ring and the aggregate accounting identities
-// submitted == drained + dropped + pending hold at every step.
+// submitted == drained + dropped + pending hold at every step. Capacities
+// run to 200, so rings grow, and no ring may own more than
+// max(ringMinSlots, 2×its high water) slots after any operation.
 func FuzzPerCPURing(f *testing.F) {
 	f.Add(uint8(3), uint8(4), []byte{0x09, 0x51, 0x0B, 0xFF, 0x00})
 	f.Add(uint8(1), uint8(1), []byte{0x09, 0x09, 0x0B, 0x15})
 	f.Add(uint8(8), uint8(2), []byte{0x29, 0x71, 0x1B, 0x02, 0x05})
+	f.Add(uint8(2), uint8(40), make([]byte, 60)) // 60 submits on CPU 0: 16 → 32 → 41 slots, then drops
 
 	f.Fuzz(func(t *testing.T, numCPUs, capacity uint8, ops []byte) {
 		cpus := int(numCPUs%8) + 1
-		capV := int(capacity%16) + 1
+		capV := int(capacity%200) + 1
 		r := NewPerCPURing("fuzz/percpu", cpus, capV)
 
 		type model struct {
@@ -260,6 +263,7 @@ func FuzzPerCPURing(f *testing.F) {
 			submitted int64
 			dropped   int64
 			drained   int64
+			high      int
 		}
 		ms := make([]model, cpus)
 		next := byte(0)
@@ -279,6 +283,7 @@ func FuzzPerCPURing(f *testing.F) {
 					m.dropped++
 				}
 				m.queue = append(m.queue, payload)
+				m.high = max(m.high, len(m.queue))
 			case 2: // legacy Submit routes to cpu 0
 				payload := []byte{next, 0xEE}
 				next++
@@ -290,6 +295,7 @@ func FuzzPerCPURing(f *testing.F) {
 					m.dropped++
 				}
 				m.queue = append(m.queue, payload)
+				m.high = max(m.high, len(m.queue))
 			case 3, 4: // drain one ring into a reused batch
 				max := cpu + 1 // reuse the routed cpu as a small max
 				batch.Reset()
@@ -317,7 +323,7 @@ func FuzzPerCPURing(f *testing.F) {
 					st := r.RingStats(c)
 					m := &ms[c]
 					if st.Submitted != m.submitted || st.Dropped != m.dropped ||
-						st.Drained != m.drained || st.Pending != len(m.queue) {
+						st.Drained != m.drained || st.Pending != len(m.queue) || st.HighWater != m.high {
 						t.Fatalf("cpu %d stats %+v, model %+v pending %d", c, st, m, len(m.queue))
 					}
 					if st.Submitted != st.Drained+st.Dropped+int64(st.Pending) {
@@ -346,6 +352,12 @@ func FuzzPerCPURing(f *testing.F) {
 				r.Reset()
 				for c := range ms {
 					ms[c] = model{}
+				}
+			}
+			// A ring owns slots for its high water, never for its capacity.
+			for c := range ms {
+				if n, bound := len(r.rings[c].slots), min(capV, max(ringMinSlots, 2*ms[c].high)); n > bound {
+					t.Fatalf("cpu %d owns %d slots at high water %d, want <= %d", c, n, ms[c].high, bound)
 				}
 			}
 		}

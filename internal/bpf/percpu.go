@@ -6,14 +6,24 @@ type RingStats struct {
 	Drained   int64 // cumulative samples pulled out by the consumer
 	Dropped   int64 // cumulative overwrites
 	Pending   int   // samples currently buffered
-	HighWater int   // peak Pending since creation/Reset (overflow forensics)
+	// HighWater is the peak Pending since creation/Reset (overflow
+	// forensics). A ring's host memory follows it, not Capacity: a ring
+	// owns at most max(16, 2×HighWater) slots and slot buffers.
+	HighWater int
 	Capacity  int
 }
 
+// ringMinSlots is the slot count of a ring's first growth, from empty.
+const ringMinSlots = 16
+
 // cpuRing is one CPU's slice of a PerCPURing: a bounded FIFO with its own
-// counters, like one CPU's mmap'd perf buffer. Slot backing arrays are
-// reused across submissions (copy-in truncates and refills the slot), so a
-// warmed ring submits and drains with zero allocations.
+// counters, like one CPU's mmap'd perf buffer. Its slot array starts empty
+// and doubles, up to the ring set's per-CPU capacity, only when a
+// submission finds every slot full, so a ring owns at most
+// max(ringMinSlots, 2×high water) slots whatever its capacity. Slot backing
+// arrays are reused across submissions (copy-in truncates and refills the
+// slot), so a ring that has reached its high water, and whose head has
+// gone round the slot array once, submits and drains with zero allocations.
 type cpuRing struct {
 	slots     [][]byte
 	head      int // index of oldest entry
@@ -24,6 +34,22 @@ type cpuRing struct {
 	dropped   int64
 }
 
+// grow doubles the full slot array (to ringMinSlots from empty, never past
+// capacity) and rotates the live entries, oldest first, to index 0. A full
+// array has no dead slot, so every slot buffer moves along for reuse.
+func (r *cpuRing) grow(capacity int) {
+	slots := make([][]byte, min(max(2*len(r.slots), ringMinSlots), capacity))
+	n := copy(slots, r.slots[r.head:])
+	copy(slots[n:], r.slots[:r.head])
+	r.slots, r.head = slots, 0
+}
+
+// submit copies data into the next slot, overwriting the oldest entry when
+// every slot is full. SubmitFrom grows a full ring that is below capacity
+// first, so a full slot array here is a full ring. Growth stays out of
+// submit: a call from it would push submit past the inliner's budget, and
+// submit runs on every sample a Collector outputs (scripts/check.sh lint,
+// submit_inlined).
 func (r *cpuRing) submit(data []byte) {
 	slot := (r.head + r.count) % len(r.slots)
 	if r.count == len(r.slots) {
@@ -55,23 +81,15 @@ func (r *cpuRing) drainBatch(dst *Batch, max int) int {
 	return n
 }
 
-func (r *cpuRing) stats() RingStats {
+func (r *cpuRing) stats(capacity int) RingStats {
 	return RingStats{
 		Submitted: r.submitted,
 		Drained:   r.drained,
 		Dropped:   r.dropped,
 		Pending:   r.count,
 		HighWater: r.high,
-		Capacity:  len(r.slots),
+		Capacity:  capacity,
 	}
-}
-
-func (r *cpuRing) reset() {
-	for i := range r.slots {
-		r.slots[i] = nil
-	}
-	r.head, r.count, r.high = 0, 0, 0
-	r.submitted, r.drained, r.dropped = 0, 0, 0
 }
 
 // PerCPURing is the bounded channel between the kernel-space Collector and
@@ -82,7 +100,10 @@ func (r *cpuRing) reset() {
 // one bounded ring per simulated CPU, as the Linux perf subsystem allocates
 // its buffers, and submissions route by the submitting task's CPU. Those
 // CPUs interleave only in virtual time (see the sim package doc), so a
-// ring needs no lock.
+// ring needs no lock. Each ring drops only at perCPUCap, but owns host
+// memory only for what it has buffered (cpuRing): a ring set costs its
+// high water, not its capacity, and ring memory is never charged in
+// virtual time.
 type PerCPURing struct {
 	name      string
 	perCPUCap int
@@ -90,7 +111,8 @@ type PerCPURing struct {
 }
 
 // NewPerCPURing creates a ring set of numCPUs rings holding at most
-// perCPUCapacity samples each.
+// perCPUCapacity samples each. No ring owns a slot before its first
+// submission.
 func NewPerCPURing(name string, numCPUs, perCPUCapacity int) *PerCPURing {
 	if numCPUs < 1 {
 		numCPUs = 1
@@ -98,11 +120,7 @@ func NewPerCPURing(name string, numCPUs, perCPUCapacity int) *PerCPURing {
 	if perCPUCapacity < 1 {
 		perCPUCapacity = 1
 	}
-	r := &PerCPURing{name: name, perCPUCap: perCPUCapacity, rings: make([]cpuRing, numCPUs)}
-	for i := range r.rings {
-		r.rings[i].slots = make([][]byte, perCPUCapacity)
-	}
-	return r
+	return &PerCPURing{name: name, perCPUCap: perCPUCapacity, rings: make([]cpuRing, numCPUs)}
 }
 
 // Name returns the ring set's name.
@@ -151,7 +169,11 @@ func (r *PerCPURing) SubmitFrom(cpu int, data []byte) {
 	if cpu < 0 {
 		cpu = 0
 	}
-	r.rings[cpu%len(r.rings)].submit(data)
+	ring := &r.rings[cpu%len(r.rings)]
+	if ring.count == len(ring.slots) && ring.count < r.perCPUCap {
+		ring.grow(r.perCPUCap)
+	}
+	ring.submit(data)
 }
 
 // Submit routes to CPU 0: compatibility with callers (tests, benchmarks)
@@ -173,14 +195,14 @@ func (r *PerCPURing) RingStats(cpu int) RingStats {
 	if cpu < 0 || cpu >= len(r.rings) {
 		return RingStats{}
 	}
-	return r.rings[cpu].stats()
+	return r.rings[cpu].stats(r.perCPUCap)
 }
 
 // CPUStats snapshots every CPU ring, indexed by CPU.
 func (r *PerCPURing) CPUStats() []RingStats {
 	out := make([]RingStats, len(r.rings))
 	for i := range r.rings {
-		out[i] = r.rings[i].stats()
+		out[i] = r.rings[i].stats(r.perCPUCap)
 	}
 	return out
 }
@@ -190,7 +212,7 @@ func (r *PerCPURing) CPUStats() []RingStats {
 func (r *PerCPURing) Stats() RingStats {
 	var agg RingStats
 	for i := range r.rings {
-		s := r.rings[i].stats()
+		s := r.rings[i].stats(r.perCPUCap)
 		agg.Submitted += s.Submitted
 		agg.Drained += s.Drained
 		agg.Dropped += s.Dropped
@@ -205,9 +227,6 @@ func (r *PerCPURing) Stats() RingStats {
 	return agg
 }
 
-// Reset clears every CPU ring and its statistics.
-func (r *PerCPURing) Reset() {
-	for i := range r.rings {
-		r.rings[i].reset()
-	}
-}
+// Reset clears every CPU ring and its statistics, and releases the rings'
+// slots: a reset ring grows again from its next submission.
+func (r *PerCPURing) Reset() { clear(r.rings) }

@@ -2,6 +2,7 @@ package bpf
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -179,5 +180,105 @@ func TestVMPerfOutputRoutesByTaskCPU(t *testing.T) {
 	}
 	if got := ring.RingStats(1).Pending; got != 0 {
 		t.Fatalf("cpu 1 pending = %d, want 0 after Migrate", got)
+	}
+}
+
+// TestRingSlotsTrackHighWater holds a ring's host memory to what it has
+// buffered: a 4096-slot ring driven to high water H by interleaved submits
+// and drains (so it grows with its head mid-ring) never owns more than
+// min(capacity, max(ringMinSlots, 2×high water)) slots, keeps the FIFO order
+// and counters of a queue model (drops only at capacity), and, once at H,
+// submits and drains without allocating.
+func TestRingSlotsTrackHighWater(t *testing.T) {
+	const capacity = 4096
+	for _, high := range []int{1, 17, 100, capacity} {
+		t.Run(fmt.Sprintf("high=%d", high), func(t *testing.T) {
+			r := NewPerCPURing("t/grow", 1, capacity)
+			ring := &r.rings[0]
+			var queue [][]byte // the model's pending samples, oldest first
+			want := RingStats{Capacity: capacity}
+			var b Batch
+			next := 0
+			check := func(op string) {
+				t.Helper()
+				want.Pending = len(queue)
+				if got := r.RingStats(0); got != want {
+					t.Fatalf("%s: stats %+v, model %+v", op, got, want)
+				}
+				if n, bound := len(ring.slots), min(capacity, max(ringMinSlots, 2*want.HighWater)); n > bound {
+					t.Fatalf("%s: %d slots at high water %d, want <= %d", op, n, want.HighWater, bound)
+				}
+			}
+			submit := func() {
+				t.Helper()
+				p := []byte{byte(next), byte(next >> 8), byte(next >> 16)}
+				next++
+				r.SubmitFrom(0, p)
+				want.Submitted++
+				if len(queue) == capacity {
+					queue = queue[1:]
+					want.Dropped++
+				}
+				queue = append(queue, p)
+				want.HighWater = max(want.HighWater, len(queue))
+				check("submit")
+			}
+			drain := func(limit int) {
+				t.Helper()
+				b.Reset()
+				n := r.DrainBatch(0, &b, limit)
+				wantN := len(queue)
+				if limit > 0 && limit < wantN {
+					wantN = limit
+				}
+				if n != wantN {
+					t.Fatalf("drain(%d) = %d, model %d", limit, n, wantN)
+				}
+				for i := 0; i < n; i++ {
+					if !bytes.Equal(b.Sample(i), queue[i]) {
+						t.Fatalf("drain: sample %d = %v, model %v", i, b.Sample(i), queue[i])
+					}
+				}
+				queue = queue[n:]
+				want.Drained += int64(n)
+				check("drain")
+			}
+
+			// Ramp: two submits and one drain a round, so the head moves and
+			// every growth after the first finds it mid-ring.
+			for want.HighWater < high {
+				submit()
+				if want.HighWater < high {
+					submit()
+				}
+				drain(1)
+			}
+			for high == capacity && want.Dropped < 3 {
+				submit() // a full ring overwrites, and only a full one
+			}
+			// Steady state at H: empty the ring and refill it to H until the
+			// head has gone round every slot the ring owns.
+			for i := 0; i < 2*len(ring.slots)/high+2; i++ {
+				drain(0)
+				for len(queue) < high {
+					submit()
+				}
+			}
+			if want.HighWater != high {
+				t.Fatalf("high water %d, want %d", want.HighWater, high)
+			}
+
+			p := []byte{1, 2, 3}
+			cycle := func() {
+				b.Reset()
+				r.DrainBatch(0, &b, 0)
+				for i := 0; i < high; i++ {
+					r.SubmitFrom(0, p)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+				t.Fatalf("submit+drain at high water %d allocates %.1f times a cycle, want 0", high, allocs)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package tscout
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -42,27 +43,37 @@ const (
 	collectorByteCeiling  = 2_730_000
 )
 
+// TestGenerateCollectorAllocations holds one GenerateCollector under the
+// ceilings at the deploy configuration and at 64 CPUs of 4 096-sample
+// rings: a ring owns no slot before its first sample, so the ring set's
+// size costs a deploy next to nothing.
 func TestGenerateCollectorAllocations(t *testing.T) {
-	gen := func() {
-		if _, err := GenerateCollector(SubsystemExecutionEngine, fullResources, deployConfig); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gen() // warm any lazily built tables
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 5
-	for i := 0; i < runs; i++ {
-		gen()
-	}
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / runs
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("GenerateCollector: %.0f allocations, %.0f bytes", allocs, bytes)
-	if allocs > collectorAllocCeiling {
-		t.Errorf("GenerateCollector allocates %.0f times, ceiling %d", allocs, collectorAllocCeiling)
-	}
-	if bytes > collectorByteCeiling {
-		t.Errorf("GenerateCollector allocates %.0f bytes, ceiling %d", bytes, collectorByteCeiling)
+	scaled := deployConfig
+	scaled.NumCPUs, scaled.PerCPUCapacity = 64, 4096
+	for _, cfg := range []CollectorConfig{deployConfig, scaled} {
+		t.Run(fmt.Sprintf("cpus=%d/capacity=%d", cfg.NumCPUs, cfg.PerCPUCapacity), func(t *testing.T) {
+			gen := func() {
+				if _, err := GenerateCollector(SubsystemExecutionEngine, fullResources, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gen() // warm any lazily built tables
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 5
+			for i := 0; i < runs; i++ {
+				gen()
+			}
+			runtime.ReadMemStats(&after)
+			allocs := float64(after.Mallocs-before.Mallocs) / runs
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("GenerateCollector: %.0f allocations, %.0f bytes", allocs, bytes)
+			if allocs > collectorAllocCeiling {
+				t.Errorf("GenerateCollector allocates %.0f times, ceiling %d", allocs, collectorAllocCeiling)
+			}
+			if bytes > collectorByteCeiling {
+				t.Errorf("GenerateCollector allocates %.0f bytes, ceiling %d", bytes, collectorByteCeiling)
+			}
+		})
 	}
 }

@@ -29,6 +29,7 @@ lint() {
 	$GO vet ./...
 	$GO run ./internal/analysis/tsvet .
 	runner_inlined
+	submit_inlined
 	one_chaos_driver
 	no_goroutines
 }
@@ -92,6 +93,17 @@ runner_inlined() {
 	if [ -n "$stray" ]; then
 		echo "bpf.(*block).run calls functions that should have been inlined:" >&2
 		echo "$stray" >&2
+		return 1
+	fi
+}
+
+# bpf's cpuRing.submit runs on every sample a Collector outputs and is
+# inlined into PerCPURing.SubmitFrom. A call out of it (ring growth, say)
+# costs more than the inliner's budget leaves, so growth is cpuRing.grow,
+# called from SubmitFrom. Fail if submit stops being inlinable.
+submit_inlined() {
+	if ! $GO build -gcflags=-m ./internal/bpf 2>&1 | grep -q 'can inline (\*cpuRing)\.submit'; then
+		echo "submit_inlined: bpf.(*cpuRing).submit is no longer inlinable; keep ring growth out of it (cpuRing.grow)" >&2
 		return 1
 	fi
 }
