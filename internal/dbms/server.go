@@ -168,6 +168,8 @@ type Session struct {
 	// in, whichever entry point it arrives through: the engine keeps its
 	// per-statement scratch there, so a session's statements reuse it.
 	ctx exec.Ctx
+	// params holds the statement in progress's parameter values (bindParams).
+	params []storage.Value
 	// reply is the wire response under construction, rendered in place and
 	// reused by the next one: Statement only prices it, SubmitPacket hands
 	// the client a copy.
@@ -200,6 +202,16 @@ func (s *Server) NewSessionOn(cpu int) *Session {
 func (se *Session) execCtx(tx *txn.Txn) *exec.Ctx {
 	se.ctx.Task, se.ctx.Txn = se.Task, tx
 	return &se.ctx
+}
+
+// bindParams copies a statement's parameter values into the session's
+// scratch, which the engine reads until Run returns and keeps nothing of.
+// Statement and Execute pass the engine the copy, never their variadic
+// slice: that slice would escape through the plan interface, and every
+// caller's argument array would be allocated on the heap.
+func (se *Session) bindParams(params []storage.Value) []storage.Value {
+	se.params = append(se.params[:0], params...)
+	return se.params
 }
 
 // PacketResult is the outcome of one client packet.
@@ -414,7 +426,7 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)
 	}
-	res, err := se.srv.run(se.execCtx(tx), st, params)
+	res, err := se.srv.run(se.execCtx(tx), st, se.bindParams(params))
 	if err != nil {
 		_ = tx.Abort()
 		return nil, err

@@ -52,6 +52,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	for _, p := range params {
 		packetBytes += int(p.Size()) + 4
 	}
+	bound := se.bindParams(params)
 	st, perr := srv.stmts.lookup(query)
 	se.netRead(packetBytes, 1)
 	if perr != nil {
@@ -75,7 +76,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 			// is first planned, so a statement that fails analysis fails
 			// here, as a failing EXPLAIN does.
 			if err == nil {
-				_, err = srv.Engine.Explain(ctx, p, params)
+				_, err = srv.Engine.Explain(ctx, p, bound)
 			}
 			if err != nil {
 				se.rollback()
@@ -95,7 +96,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	}
 	var res *exec.Result
 	if err == nil {
-		res, err = srv.Engine.Run(ctx, p, params)
+		res, err = srv.Engine.Run(ctx, p, bound)
 	}
 	if err != nil {
 		se.rollback()

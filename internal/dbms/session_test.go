@@ -192,12 +192,15 @@ func TestGroupCommitAcrossSessions(t *testing.T) {
 
 // TestResultSurvivesLaterStatements: a *Result belongs to its caller for
 // good. TPC-C's delivery reads a result two statements after it was
-// returned; here a SELECT *, a projection, a join and an aggregate are held
-// across later scans on the same session — first ones that fit the
-// session's statement scratch and so overwrite it in place, then one that
-// outgrows it — and across an UPDATE and commit of the very tuples they
-// returned. It fails if a result ever aliases scratch or a stored row is
-// ever written to.
+// returned; here a SELECT *, a projection, a join, an aggregate, a
+// COUNT(*) join and an UPDATE's count are held across later scans on the
+// same session — first ones that fit the session's statement scratch and
+// so overwrite it in place, then one that outgrows it — across hundreds of
+// small statements on it and on a second session, which use up the
+// engine's result chunks, and across an UPDATE and commit of the very
+// tuples they returned. It fails if a result ever aliases scratch, if
+// result memory is ever handed out twice, or if a stored row is ever
+// written to.
 func TestResultSurvivesLaterStatements(t *testing.T) {
 	srv := newTestServer(t, false)
 	se := srv.NewSession()
@@ -216,7 +219,7 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 	}
 	render := func(res *exec.Result) string {
 		var sb strings.Builder
-		fmt.Fprintln(&sb, res.Cols)
+		fmt.Fprintln(&sb, res.Cols, res.Affected)
 		for _, row := range res.Rows {
 			for _, v := range row {
 				sb.WriteString(v.String() + "|")
@@ -256,10 +259,12 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 		"SELECT v, k FROM kv WHERE k >= 2",
 		"SELECT * FROM kv JOIN big ON big.k = kv.k WHERE big.id < 20",
 		"SELECT COUNT(*), MIN(v), MAX(k) FROM kv",
+		"SELECT COUNT(*) FROM kv JOIN big ON big.k = kv.k WHERE big.id < 20",
+		"UPDATE big SET pad = 'held' WHERE id >= 590",
 	} {
 		held[q] = statement(q)
 		want[q] = render(held[q])
-		if len(held[q].Rows) == 0 {
+		if len(held[q].Rows) == 0 && held[q].Affected == 0 {
 			t.Fatalf("%s returned nothing to hold", q)
 		}
 	}
@@ -279,6 +284,15 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 		statement(q)
 		check(q)
 	}
+	other := srv.NewSession()  // every session's results are cut from the same chunks
+	for i := 0; i < 300; i++ { // use up several of each kind of result chunk
+		statement("SELECT v, k FROM kv WHERE k >= 2")
+		statement("UPDATE big SET pad = 'again' WHERE id >= 590")
+		if _, err := other.Execute("SELECT * FROM kv WHERE k < 6"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("900 small statements on two sessions")
 	// Rewrite the tuples the held results came from: twice in this
 	// transaction (the second write collapses into the first's version),
 	// then once more after the commit.

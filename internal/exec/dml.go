@@ -60,7 +60,7 @@ func (ip *insertPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes, uint64(n), uint64(bytes), uint64(len(tbl.Indexes)))
-	return &Result{Affected: n}, nil
+	return e.results.affected(n), nil
 }
 
 func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
@@ -115,7 +115,7 @@ func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes, uint64(n), uint64(bytes), uint64(len(tbl.Indexes)))
-	return &Result{Affected: n}, nil
+	return e.results.affected(n), nil
 }
 
 func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
@@ -147,5 +147,5 @@ func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, 0, uint64(n), uint64(len(tbl.Indexes)))
-	return &Result{Affected: n}, nil
+	return e.results.affected(n), nil
 }

@@ -33,9 +33,10 @@ const (
 
 // Engine executes SQL statements against a catalog. Its fields are set by
 // New (and FuseSimpleSelects by whoever assembles the server) before the
-// first statement runs and only read afterwards. All of a server's sessions
-// share one Engine on the one goroutine that drives the simulation (see the
-// sim package doc).
+// first statement runs and only read afterwards, but for the result chunks
+// every statement cuts its Result from. All of a server's sessions share one
+// Engine on the one goroutine that drives the simulation (see the sim
+// package doc).
 type Engine struct {
 	cat     *catalog.Catalog
 	ts      *tscout.TScout
@@ -47,6 +48,7 @@ type Engine struct {
 	// observe, when set, is shown every Run after it returns. It is the
 	// differential tests' tap on statements that arrive through the dbms.
 	observe func(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error)
+	results resultChunks
 }
 
 // New creates an engine. ts may be nil for an uninstrumented DBMS;
@@ -107,18 +109,84 @@ type Ctx struct {
 	// Statement scratch: memory an execution needs only until it returns.
 	// Run resets it at the statement boundary. Nothing in it is ever
 	// reachable from a *Result — results belong to the caller, who may hold
-	// them across any number of later statements.
+	// them across any number of later statements, and are cut from the
+	// engine's resultChunks, which are never reused.
 	//
 	// matches is the scan in progress (DML consumes it in place); rows are
 	// the row headers a SELECT's operators pass along — the joined rows so
 	// far, the table being joined, and the join's output, in rotation;
 	// preds is the arena bound predicates are cut from; join is hashJoin's
-	// build table.
+	// build table; agg is aggregate's groups.
 	matches []match
 	rows    [3][]storage.Row
 	preds   []compiledPred
 	join    joinTable
+	agg     aggTable
 }
+
+// resultChunks is the memory every Result an engine returns is cut from:
+// chunks of Result structs, of their row headers and of their projected and
+// aggregated cells. Unlike a Ctx's scratch, a chunk is never handed out
+// twice: what is cut from it is the caller's for good, a full chunk is
+// dropped for a fresh one, not rewound, and a held result pins at most one
+// chunk of each kind. A Result's Cols is not cut from them: it is its
+// plan's, shared and read-only.
+//
+// The engine keeps one set for all its sessions, so consecutive statements,
+// whichever session runs them, cut neighbouring memory. A set per session
+// spreads them over as many partly used chunks as there are sessions, each
+// cold by the time its session runs again.
+type resultChunks struct {
+	structs []Result
+	headers []storage.Row
+	cells   []storage.Value
+}
+
+// Result chunk lengths, a few KB each. A request for more than a quarter
+// of a chunk gets its own allocation, so a held result pins at most one
+// chunk of each kind and a large result leaves no chunk mostly unused.
+const (
+	resultChunk = 64
+	headerChunk = 128
+	cellChunk   = 256
+)
+
+// cut returns n zeroed elements from the front of *chunk, with capacity
+// clipped so that an append never reaches the next cut. A chunk too short
+// for n is replaced with a fresh one of chunkLen; the old one stays with
+// whatever was cut from it.
+func cut[T any](chunk *[]T, n, chunkLen int) []T {
+	if n > chunkLen/4 {
+		return make([]T, n)
+	}
+	if len(*chunk) < n {
+		*chunk = make([]T, chunkLen)
+	}
+	s := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return s
+}
+
+// newResult cuts a Result whose column names are cols, a plan's shared
+// slice.
+func (rc *resultChunks) newResult(cols []string) *Result {
+	r := &cut(&rc.structs, 1, resultChunk)[0]
+	r.Cols = cols
+	return r
+}
+
+// affected cuts a DML statement's Result, which counts n rows written.
+func (rc *resultChunks) affected(n int) *Result {
+	r := rc.newResult(nil)
+	r.Affected = n
+	return r
+}
+
+// newRows cuts n row headers for a result.
+func (rc *resultChunks) newRows(n int) []storage.Row { return cut(&rc.headers, n, headerChunk) }
+
+// newCells cuts n cells for a result's rows.
+func (rc *resultChunks) newCells(n int) []storage.Value { return cut(&rc.cells, n, cellChunk) }
 
 // resetScratch starts a statement: whatever the previous one bound is dead.
 // The match and row slots are truncated by their next user.
@@ -136,6 +204,14 @@ func (c *Ctx) allocPreds(n int) []compiledPred {
 }
 
 // Result is a statement's outcome. For DML, Affected counts rows.
+//
+// A Result, its Rows and the cells a projection or aggregate produced are
+// the caller's forever. They are cut from the engine's result chunks, which
+// are never reused, so no later statement writes them, and a held result
+// pins at most one chunk of each kind. The caller may write its rows and
+// those cells, but not an identity projection's rows, which are stored
+// rows. Cols is the plan's own slice, shared by every execution of the
+// statement, and is read-only.
 type Result struct {
 	Cols     []string
 	Rows     []storage.Row

@@ -240,7 +240,10 @@ type selectPlan struct {
 	agg      *aggPlan
 	projIdxs []int
 	identity bool
-	// cols names the output columns. Shared: run hands out copies.
+	// countJoin says the last join only counts its rows: the aggregate only
+	// counts (aggPlan.countOnly) and no post-join predicate reads the rows.
+	countJoin bool
+	// cols names the output columns. Every Result of the plan shares it.
 	cols  []string
 	sort  []sortKey
 	limit int // -1 when absent
@@ -337,6 +340,7 @@ func (e *Engine) analyzeSelect(s *sql.SelectStmt) (*selectPlan, error) {
 		for _, x := range s.Exprs {
 			sp.cols = append(sp.cols, selectColName(x))
 		}
+		sp.countJoin = sp.agg.countOnly && len(sp.joins) > 0 && len(sp.post.preds) == 0
 	} else if err := sp.analyzeProjection(s, rel); err != nil {
 		return nil, err
 	}
@@ -446,6 +450,9 @@ type aggPlan struct {
 	cols    []int
 	keySlot []int
 	nAggs   int
+	// countOnly says every output is COUNT(*) and there is no GROUP BY: the
+	// aggregate reads only the number of its input rows.
+	countOnly bool
 }
 
 func analyzeAggregate(s *sql.SelectStmt, rel *relation) (*aggPlan, error) {
@@ -491,6 +498,12 @@ func analyzeAggregate(s *sql.SelectStmt, rel *relation) (*aggPlan, error) {
 				return nil, err
 			}
 			ap.cols[i] = idx
+		}
+	}
+	ap.countOnly = len(ap.groupIdxs) == 0
+	for i, kind := range ap.kinds {
+		if kind != sql.AggCount || ap.cols[i] >= 0 {
+			ap.countOnly = false
 		}
 	}
 	return ap, nil

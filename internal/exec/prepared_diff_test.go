@@ -285,13 +285,14 @@ func slotsOf(db *testDB, want *specResult) (slots []int) {
 
 // specHarness holds one database to the spec, a statement a transaction:
 // committed when it succeeds, rolled back on both sides when it fails. It
-// counts the statements that ran, failed at run time or were rejected, and
-// the access paths TLP partitioned.
+// counts the statements that ran, failed at run time or were rejected, the
+// access paths TLP partitioned, and the partitioned joins that only counted.
 type specHarness struct {
 	db                   *testDB
 	model                specDB
 	ok, failed, rejected int
 	paths                map[string]int
+	countJoins           int
 }
 
 func newSpecHarness(t testing.TB, instrumented, fuse bool) *specHarness {
@@ -330,12 +331,15 @@ func (h *specHarness) exec(t testing.TB, stmt sql.Statement, params []storage.Va
 
 // tlp partitions a SELECT that ran at a value k of a column c of its FROM
 // table — s ∧ c < k and s ∧ c >= k — whose parts must make up the whole:
-// rows as a multiset, COUNT(*) and SUM(c) as sums. Value.Compare orders
-// NULL first, so the parts cover NULLs. It counts the FROM table's access
-// path, which adding c < k never changes.
+// rows as a multiset, COUNT(*) and SUM(c) as sums; a select list of only
+// COUNT(*) is partitioned as it stands, each count the sum of its parts'.
+// Value.Compare orders NULL first, so the parts cover NULLs. It counts the
+// FROM table's access path, which adding c < k never changes.
 func (h *specHarness) tlp(t testing.TB, p *Prepared, s *sql.SelectStmt, params []storage.Value) {
 	t.Helper()
-	if s.Limit >= 0 || p.plan.(*selectPlan).agg != nil {
+	agg := p.plan.(*selectPlan).agg
+	countOnly := agg != nil && agg.countOnly
+	if s.Limit >= 0 || agg != nil && !countOnly {
 		return
 	}
 	from := h.model[s.From.Name]
@@ -363,7 +367,13 @@ func (h *specHarness) tlp(t testing.TB, p *Prepared, s *sql.SelectStmt, params [
 	}
 	lt, ge := part(sql.OpLt), part(sql.OpGe)
 	whole, lo, hi := run(false, s.Where), run(false, lt), run(false, ge)
-	if msg := subsetDiff(whole.Rows, append(lo.Rows, hi.Rows...), nil); len(whole.Rows) != len(lo.Rows)+len(hi.Rows) || msg != "" {
+	if countOnly {
+		for i, n := range whole.Rows[0] {
+			if a, b := lo.Rows[0][i].AsInt(), hi.Rows[0][i].AsInt(); n.AsInt() != a+b {
+				t.Errorf("TLP on %s at %v: %s %v, parts %d and %d", c, k, whole.Cols[i], n, a, b)
+			}
+		}
+	} else if msg := subsetDiff(whole.Rows, append(lo.Rows, hi.Rows...), nil); len(whole.Rows) != len(lo.Rows)+len(hi.Rows) || msg != "" {
 		t.Errorf("TLP on %s at %v: %d rows, parts %d + %d: %s", c, k, len(whole.Rows), len(lo.Rows), len(hi.Rows), msg)
 	}
 	n, a, b := run(true, s.Where).Rows[0], run(true, lt).Rows[0], run(true, ge).Rows[0]
@@ -375,6 +385,9 @@ func (h *specHarness) tlp(t testing.TB, p *Prepared, s *sql.SelectStmt, params [
 		h.db.drainPoints(t)
 	}
 	h.paths[accessKind(p)]++
+	if p.plan.(*selectPlan).countJoin {
+		h.countJoins++
+	}
 }
 
 // accessKind names the access path a SELECT reads its FROM table by.
@@ -572,7 +585,7 @@ func (g *stmtGen) selectStmt() {
 	tail.where(scope)
 
 	var listed []string
-	switch mode := g.src.n(6); mode {
+	switch mode := g.src.n(7); mode {
 	case 0:
 		g.sb.WriteString("*")
 	case 1, 2, 3:
@@ -597,6 +610,12 @@ func (g *stmtGen) selectStmt() {
 			group = agg // the listed column is then not a grouping key
 		}
 		tail.sb.WriteString(" GROUP BY " + group)
+	case 6:
+		// Only COUNT(*): over a join, the last join only counts.
+		g.sb.WriteString("COUNT(*)")
+		if g.src.rare(4) {
+			g.sb.WriteString(", COUNT(*)")
+		}
 	}
 	if g.src.n(4) == 0 {
 		key := "nosuch"
@@ -743,6 +762,12 @@ var diffCases = []struct {
 	{"SELECT grp, COUNT(*), SUM(price) FROM items GROUP BY grp ORDER BY grp", nil},
 	{"SELECT COUNT(*), MIN(qty), MAX(qty), AVG(price) FROM items WHERE grp = 9", nil},
 	{"SELECT o.qty, COUNT(*) FROM items i JOIN orders o ON o.item_id = i.id GROUP BY o.qty ORDER BY qty DESC", nil},
+	// COUNT(*) alone over joins: the last join counts its matches, on INT
+	// keys and on string keys, and LIMIT still applies to the count's row.
+	{"SELECT COUNT(*) FROM items i JOIN orders o ON o.item_id = i.id WHERE i.grp = $1", []storage.Value{storage.NewInt(1)}},
+	{"SELECT COUNT(*), COUNT(*) FROM items a JOIN orders o ON o.item_id = a.id JOIN items b ON a.name = b.name", nil},
+	{"SELECT COUNT(*) FROM items i JOIN orders o ON o.item_id = i.id WHERE o.id = 9999", nil},
+	{"SELECT COUNT(*) FROM items i JOIN orders o ON o.item_id = i.id LIMIT 0", nil},
 	// Virtual-table projection pushdown.
 	{"SELECT a, c FROM vt WHERE b = 2", nil},
 	{"SELECT b, COUNT(*) FROM vt GROUP BY b ORDER BY b", nil},
@@ -831,10 +856,13 @@ func TestPreparedMatchesSpec(t *testing.T) {
 			if len(kinds) != 5 {
 				t.Errorf("the grammar produced only %v", kinds)
 			}
-			t.Logf("%d statements ran, %d failed at run time, %d were rejected by analysis; TLP paths %v",
-				h.ok, h.failed, h.rejected, h.paths)
+			t.Logf("%d statements ran, %d failed at run time, %d were rejected by analysis; TLP paths %v, %d counting joins",
+				h.ok, h.failed, h.rejected, h.paths, h.countJoins)
 			if h.ok < cfg.statements/2 || h.failed == 0 || h.rejected == 0 {
 				t.Errorf("the stream is lopsided")
+			}
+			if h.countJoins == 0 {
+				t.Errorf("TLP never partitioned a join that only counts")
 			}
 			for _, path := range []string{"seq", "unique exact", "two-column exact", "prefix range", "hash", "virtual"} {
 				if h.paths[path] == 0 {
@@ -867,11 +895,14 @@ func TestAnalysisRejectsBeforeWork(t *testing.T) {
 
 // TestPreparedIsReusable runs one Prepared many times with different
 // parameters, interleaved with a second statement's, and checks nothing of
-// one execution leaks into the next — including a caller scribbling on
-// the Result it was handed.
+// one execution leaks into the next. Every Result is held and scribbled on
+// — a cell overwritten, a row appended — the way its caller may, and at
+// the end each still reads its own scribbles: no result memory was handed
+// out twice, and no append reached a later result's rows. Cols is shared
+// and read-only, so it is only read.
 func TestPreparedIsReusable(t *testing.T) {
 	db := newDiffDB(t, false, false)
-	star, err := db.engine.Prepare(mustParse(t, "SELECT * FROM items WHERE id = $1"))
+	sel, err := db.engine.Prepare(mustParse(t, "SELECT name, id, qty FROM items WHERE id = $1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -879,26 +910,39 @@ func TestPreparedIsReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCols := []string{"items.id", "items.grp", "items.sub", "items.qty", "items.price", "items.name"}
-	for i := int64(0); i < 20; i++ {
+	wantCols := []string{"name", "id", "qty"}
+	ctx := &Ctx{Task: db.task}
+	var held, written []*Result
+	for i := int64(0); i < 200; i++ {
 		tx := db.mgr.Begin()
-		ctx := &Ctx{Task: db.task, Txn: tx}
-		res, err := db.engine.Run(ctx, star, []storage.Value{storage.NewInt(i)})
-		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsInt() != i {
+		ctx.Txn = tx
+		res, err := db.engine.Run(ctx, sel, []storage.Value{storage.NewInt(i % 60)})
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][1].AsInt() != i%60 {
 			t.Fatalf("probe %d: %v %+v", i, err, res)
 		}
 		if !reflect.DeepEqual(res.Cols, wantCols) {
 			t.Fatalf("probe %d: cols %v", i, res.Cols)
 		}
-		res.Cols[0], res.Rows = "scribbled", nil
-		if _, err := db.engine.Run(ctx, upd, []storage.Value{storage.NewInt(1), storage.NewInt(i % 6), storage.NewInt(i % 4)}); err != nil {
+		res.Rows[0][0] = storage.NewInt(i)
+		res.Rows = append(res.Rows, storage.Row{storage.NewInt(-i)})
+		held = append(held, res)
+		w, err := db.engine.Run(ctx, upd, []storage.Value{storage.NewInt(1), storage.NewInt(i % 6), storage.NewInt(i % 4)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		w.Affected = int(-i)
+		written = append(written, w)
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.engine.Run(&Ctx{Task: db.task, Txn: db.mgr.Begin()}, star, nil); err == nil ||
+	for i, res := range held {
+		if len(res.Rows) != 2 || res.Rows[0][0].AsInt() != int64(i) || res.Rows[0][1].AsInt() != int64(i%60) ||
+			res.Rows[1][0].AsInt() != int64(-i) || written[i].Affected != -i {
+			t.Fatalf("result %d was overwritten: %v, update %+v", i, res.Rows, written[i])
+		}
+	}
+	if _, err := db.engine.Run(&Ctx{Task: db.task, Txn: db.mgr.Begin()}, sel, nil); err == nil ||
 		err.Error() != "exec: parameter $1 not bound (0 given)" {
 		t.Fatalf("unbound run: %v", err)
 	}

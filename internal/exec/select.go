@@ -3,7 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"tscout/internal/sim"
 	"tscout/internal/sql"
@@ -19,13 +19,15 @@ func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 
 	// Row headers move through ctx.rows: cur is the slot holding the rows
 	// so far, slot 1 each joined table in turn, and a join writes into the
-	// third, which cur then becomes.
+	// third, which cur then becomes. n counts the rows so far, which a
+	// counting join does not build.
 	cur := 0
 	ap, err := sp.from.bind(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	rows := e.scanRows(ctx, &ap, cur)
+	n := len(rows)
 
 	for i := range sp.joins {
 		j := &sp.joins[i]
@@ -35,7 +37,7 @@ func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 		}
 		right := e.scanRows(ctx, &rap, 1)
 		cur = 2 - cur
-		rows = e.hashJoin(ctx, rows, right, j, cur)
+		rows, n = e.hashJoin(ctx, rows, right, j, cur, sp.countJoin && i == len(sp.joins)-1)
 	}
 
 	// Post-join filter for predicates that needed the combined relation.
@@ -45,14 +47,15 @@ func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 			return nil, err
 		}
 		rows = e.filterRows(ctx, rows, preds)
+		n = len(rows)
 	}
 
 	// Aggregation / projection.
 	var res *Result
 	if sp.agg != nil {
-		res = e.aggregate(ctx, rows, sp.agg, sp.cols)
+		res = e.aggregate(ctx, rows, n, sp.agg, sp.cols)
 	} else {
-		res = sp.project(rows)
+		res = sp.project(e, rows)
 	}
 	if len(sp.sort) > 0 {
 		e.sortResult(ctx, res, sp.sort)
@@ -177,10 +180,12 @@ func allInts(rows []storage.Row, col int) bool {
 }
 
 // hashJoin joins left and right rows on the join clause's equality columns
-// into ctx.rows[slot]. Two cells join when Value.Equal holds (appendKey);
-// when every key on both sides is an INT, the build table is keyed on the
-// numbers themselves instead.
-func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot int) []storage.Row {
+// into ctx.rows[slot], and returns them with their number. Two cells join
+// when Value.Equal holds (appendKey); when every key on both sides is an
+// INT, the build table is keyed on the numbers themselves instead. With
+// count set it only counts the joined rows: it builds and probes the same
+// table and fires the same OU, but fills no joined row and returns none.
+func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot int, count bool) ([]storage.Row, int) {
 	m := e.ouBegin(ctx, OUHashJoin)
 	// Build on the right side.
 	var buildBytes int64
@@ -188,13 +193,14 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 		buildBytes += row.Size() + 16
 	}
 	out := ctx.rows[slot][:0]
+	matches := 0
 	if allInts(right, j.rcol) && allInts(left, j.lcol) {
 		jt := &ctx.join
 		jt.build(right, j.rcol)
-		if n := jt.lookup(left, j.lcol); n > 0 {
+		if matches = jt.lookup(left, j.lcol); matches > 0 && !count {
 			// Every joined row is cut from one slab.
 			w := len(left[0]) + len(right[0])
-			slab := make([]storage.Value, n*w)
+			slab := make([]storage.Value, matches*w)
 			for i, lrow := range left {
 				for r := jt.probe[i]; r >= 0; r = jt.next[r] {
 					joined := slab[:w:w]
@@ -213,7 +219,11 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 		}
 		for _, lrow := range left {
 			kb = appendKey(kb[:0], lrow[j.lcol])
-			for _, rrow := range build[string(kb)] {
+			rrows := build[string(kb)]
+			if matches += len(rrows); count {
+				continue
+			}
+			for _, rrow := range rrows {
 				joined := make(storage.Row, 0, len(lrow)+len(rrow))
 				joined = append(joined, lrow...)
 				joined = append(joined, rrow...)
@@ -222,7 +232,6 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 		}
 	}
 	ctx.rows[slot] = out
-	matches := len(out)
 	work := sim.Work{
 		Instructions:         300 + 48*float64(len(right)) + 40*float64(len(left)) + 60*float64(matches),
 		BytesTouched:         float64(buildBytes) + float64(len(left))*24 + float64(matches)*float64(j.width),
@@ -234,28 +243,28 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes,
 		uint64(len(right)), uint64(len(left)), uint64(matches), uint64(j.width))
-	return out
+	return out, matches
 }
 
-// project evaluates a non-aggregating select list into a Result the caller
-// owns: rows arrive in statement scratch, so the identity projection copies
-// their headers out (the stored rows they point at are immutable) and any
-// other fills one slab of values cut into rows. Result.Cols is a copy too:
-// the plan's names are shared by every execution.
-func (sp *selectPlan) project(rows []storage.Row) *Result {
-	res := &Result{Cols: append([]string(nil), sp.cols...)}
-	if sp.identity {
-		res.Rows = append(make([]storage.Row, 0, len(rows)), rows...)
-		return res
-	}
+// project evaluates a non-aggregating select list into a Result cut from
+// e's result chunks: rows arrive in statement scratch, so the identity
+// projection copies their headers out (the stored rows they point at are
+// immutable) and any other fills one run of cells cut into rows. Cols is
+// the plan's own slice.
+func (sp *selectPlan) project(e *Engine, rows []storage.Row) *Result {
+	res := e.results.newResult(sp.cols)
 	if len(rows) == 0 {
 		return res
 	}
+	res.Rows = e.results.newRows(len(rows))
+	if sp.identity {
+		copy(res.Rows, rows)
+		return res
+	}
 	w := len(sp.projIdxs)
-	slab := make([]storage.Value, len(rows)*w)
-	res.Rows = make([]storage.Row, len(rows))
+	cells := e.results.newCells(len(rows) * w)
 	for r, row := range rows {
-		out := slab[r*w : (r+1)*w : (r+1)*w]
+		out := cells[r*w : (r+1)*w : (r+1)*w]
 		for i, idx := range sp.projIdxs {
 			out[i] = row[idx]
 		}
@@ -264,138 +273,182 @@ func (sp *selectPlan) project(rows []storage.Row) *Result {
 	return res
 }
 
-// aggregate groups rows by the GROUP BY keys — two rows share a group when
-// Value.Equal holds on every key (appendKey) — and evaluates aggregates.
-func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, ap *aggPlan, cols []string) *Result {
-	type aggState struct {
-		key    []storage.Value
-		count  int64
-		sums   []float64
-		mins   []storage.Value
-		maxs   []storage.Value
-		counts []int64
-	}
-	nExprs := len(ap.kinds)
-	newState := func(key []storage.Value) *aggState {
-		return &aggState{
-			key:    key,
-			sums:   make([]float64, nExprs),
-			mins:   make([]storage.Value, nExprs),
-			maxs:   make([]storage.Value, nExprs),
-			counts: make([]int64, nExprs),
-		}
-	}
+// aggAcc is one aggregate expression's accumulator in one group: the
+// non-NULL inputs seen, their sum, least and greatest.
+type aggAcc struct {
+	count    int64
+	sum      float64
+	min, max storage.Value
+}
 
+// aggTable is aggregate's scratch. Groups are numbered in first-seen order:
+// group g counted rows[g] input rows, its key is keys[g*k:(g+1)*k] for k
+// GROUP BY columns, and its accumulators are accs[g*e:(g+1)*e] for e output
+// expressions. index maps a key's bytes (appendKey, built in kb) to its
+// group; it is only used under GROUP BY.
+type aggTable struct {
+	index map[string]int32
+	kb    []byte
+	rows  []int64
+	keys  []storage.Value
+	accs  []aggAcc
+}
+
+// reset empties the table for an aggregate with k GROUP BY columns.
+func (t *aggTable) reset(k int) {
+	t.rows, t.keys, t.accs = t.rows[:0], t.keys[:0], t.accs[:0]
+	if k > 0 {
+		if t.index == nil {
+			t.index = make(map[string]int32)
+		}
+		clear(t.index)
+	}
+}
+
+// addGroup appends a group whose key is row's cells at groupIdxs, with e
+// fresh accumulators.
+func (t *aggTable) addGroup(row storage.Row, groupIdxs []int, e int) {
+	t.rows = append(t.rows, 0)
+	for _, g := range groupIdxs {
+		t.keys = append(t.keys, row[g])
+	}
+	for range e {
+		t.accs = append(t.accs, aggAcc{})
+	}
+}
+
+// group returns the group of row's key, adding the group if it is new. Only
+// a new group allocates: its key string, the map's copy of kb.
+func (t *aggTable) group(row storage.Row, ap *aggPlan) int {
+	t.kb = t.kb[:0]
+	for _, g := range ap.groupIdxs {
+		t.kb = appendKey(t.kb, row[g])
+	}
+	if g, ok := t.index[string(t.kb)]; ok {
+		return int(g)
+	}
+	g := len(t.rows)
+	t.index[string(t.kb)] = int32(g)
+	t.addGroup(row, ap.groupIdxs, len(ap.kinds))
+	return g
+}
+
+// aggregate groups its n input rows by the GROUP BY keys — two rows share a
+// group when Value.Equal holds on every key (appendKey) — and evaluates the
+// aggregates into a Result cut from e's result chunks. rows holds the
+// input unless the aggregate only counts (ap.countOnly): then n is all it
+// reads, and a counting join hands it no rows.
+func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, n int, ap *aggPlan, cols []string) *Result {
 	m := e.ouBegin(ctx, OUAggregate)
-	groups := make(map[string]*aggState)
-	var order []string
-	for _, row := range rows {
-		kb := make([]byte, 0, 32)
-		key := make([]storage.Value, len(ap.groupIdxs))
-		for i, g := range ap.groupIdxs {
-			key[i] = row[g]
-			kb = appendKey(kb, row[g])
-		}
-		ks := string(kb)
-		st, ok := groups[ks]
-		if !ok {
-			st = newState(key)
-			groups[ks] = st
-			order = append(order, ks)
-		}
-		st.count++
-		for i, kind := range ap.kinds {
-			if kind == sql.AggNone || ap.cols[i] < 0 { // grouping key or COUNT(*)
-				continue
-			}
-			v := row[ap.cols[i]]
-			if v.IsNull() {
-				continue
-			}
-			st.counts[i]++
-			st.sums[i] += v.AsFloat()
-			if st.counts[i] == 1 || v.Compare(st.mins[i]) < 0 {
-				st.mins[i] = v
-			}
-			if st.counts[i] == 1 || v.Compare(st.maxs[i]) > 0 {
-				st.maxs[i] = v
-			}
-		}
+	t := &ctx.agg
+	nKeys, nExprs := len(ap.groupIdxs), len(ap.kinds)
+	t.reset(nKeys)
+	// With no GROUP BY there is one group, which emits a row even over an
+	// empty input.
+	if nKeys == 0 {
+		t.addGroup(nil, nil, nExprs)
 	}
-	// With no GROUP BY, aggregates over the empty input still emit a row.
-	if len(ap.groupIdxs) == 0 && len(order) == 0 {
-		groups[""] = newState(nil)
-		order = append(order, "")
+	if ap.countOnly {
+		t.rows[0] = int64(n)
+	} else {
+		for _, row := range rows {
+			g := 0
+			if nKeys > 0 {
+				g = t.group(row, ap)
+			}
+			t.rows[g]++
+			accs := t.accs[g*nExprs : (g+1)*nExprs]
+			for i, kind := range ap.kinds {
+				if kind == sql.AggNone || ap.cols[i] < 0 { // grouping key or COUNT(*)
+					continue
+				}
+				v := row[ap.cols[i]]
+				if v.IsNull() {
+					continue
+				}
+				a := &accs[i]
+				a.count++
+				a.sum += v.AsFloat()
+				if a.count == 1 || v.Compare(a.min) < 0 {
+					a.min = v
+				}
+				if a.count == 1 || v.Compare(a.max) > 0 {
+					a.max = v
+				}
+			}
+		}
 	}
 
-	res := &Result{Cols: append([]string(nil), cols...)}
-	for _, ks := range order {
-		st := groups[ks]
-		row := make(storage.Row, nExprs)
+	groups := len(t.rows)
+	res := e.results.newResult(cols)
+	res.Rows = e.results.newRows(groups)
+	cells := e.results.newCells(groups * nExprs)
+	for g := range groups {
+		row := cells[g*nExprs : (g+1)*nExprs : (g+1)*nExprs]
+		accs := t.accs[g*nExprs : (g+1)*nExprs]
 		for i, kind := range ap.kinds {
+			a := &accs[i]
 			switch kind {
 			case sql.AggNone:
-				row[i] = st.key[ap.keySlot[i]]
+				row[i] = t.keys[g*nKeys+ap.keySlot[i]]
 			case sql.AggCount:
 				if ap.cols[i] < 0 {
-					row[i] = storage.NewInt(st.count)
+					row[i] = storage.NewInt(t.rows[g])
 				} else {
-					row[i] = storage.NewInt(st.counts[i])
+					row[i] = storage.NewInt(a.count)
 				}
 			case sql.AggSum:
-				row[i] = storage.NewFloat(st.sums[i])
+				row[i] = storage.NewFloat(a.sum)
 			case sql.AggAvg:
-				if st.counts[i] == 0 {
+				if a.count == 0 {
 					row[i] = storage.Null()
 				} else {
-					row[i] = storage.NewFloat(st.sums[i] / float64(st.counts[i]))
+					row[i] = storage.NewFloat(a.sum / float64(a.count))
 				}
 			case sql.AggMin:
-				if st.counts[i] == 0 {
+				if a.count == 0 {
 					row[i] = storage.Null()
 				} else {
-					row[i] = st.mins[i]
+					row[i] = a.min
 				}
 			case sql.AggMax:
-				if st.counts[i] == 0 {
+				if a.count == 0 {
 					row[i] = storage.Null()
 				} else {
-					row[i] = st.maxs[i]
+					row[i] = a.max
 				}
 			}
 		}
-		res.Rows = append(res.Rows, row)
+		res.Rows[g] = row
 	}
 
 	work := sim.Work{
-		Instructions:         200 + 34*float64(len(rows))*float64(ap.nAggs+1) + 52*float64(len(order)),
-		BytesTouched:         float64(len(rows)) * 24 * float64(ap.nAggs+1),
-		WorkingSetBytes:      float64(len(order)) * 96,
+		Instructions:         200 + 34*float64(n)*float64(ap.nAggs+1) + 52*float64(groups),
+		BytesTouched:         float64(n) * 24 * float64(ap.nAggs+1),
+		WorkingSetBytes:      float64(groups) * 96,
 		RandomAccessFraction: 0.5,
-		AllocBytes:           int64(len(order)) * 96,
+		AllocBytes:           int64(groups) * 96,
 	}
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes,
-		uint64(len(rows)), uint64(len(order)), uint64(ap.nAggs))
+		uint64(n), uint64(groups), uint64(ap.nAggs))
 	return res
 }
 
 // sortResult orders the result rows by the resolved ORDER BY keys.
 func (e *Engine) sortResult(ctx *Ctx, res *Result, sks []sortKey) {
 	m := e.ouBegin(ctx, OUSort)
-	sort.SliceStable(res.Rows, func(a, b int) bool {
+	slices.SortStableFunc(res.Rows, func(a, b storage.Row) int {
 		for _, k := range sks {
-			c := res.Rows[a][k.col].Compare(res.Rows[b][k.col])
-			if c == 0 {
-				continue
+			if c := a[k.col].Compare(b[k.col]); c != 0 {
+				if k.desc {
+					return -c
+				}
+				return c
 			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return 0
 	})
 	n := float64(len(res.Rows))
 	logn := 1.0
@@ -448,7 +501,7 @@ func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Re
 	// session.
 	ctx.fused, ctx.parts = true, ctx.parts[:0]
 	rows := e.scanRows(ctx, &ap, 0)
-	res := sp.project(rows)
+	res := sp.project(e, rows)
 	if sp.limit >= 0 && len(res.Rows) > sp.limit {
 		res.Rows = res.Rows[:sp.limit]
 	}

@@ -30,6 +30,7 @@ lint() {
 	$GO run ./internal/analysis/tsvet .
 	runner_inlined
 	submit_inlined
+	stmt_params_stack
 	one_chaos_driver
 	no_goroutines
 }
@@ -106,6 +107,27 @@ submit_inlined() {
 		echo "submit_inlined: bpf.(*cpuRing).submit is no longer inlinable; keep ring growth out of it (cpuRing.grow)" >&2
 		return 1
 	fi
+}
+
+# dbms's Session.Statement and Session.Execute take their parameters as a
+# variadic slice. If that slice escapes (passed on through the engine's plan
+# interface, say), every caller's argument array is allocated on the heap,
+# once per statement. They copy it into the session's scratch
+# (Session.bindParams) instead, so escape analysis may report "leaking param
+# content: params" on them, never "leaking param: params".
+stmt_params_stack() {
+	escapes=$($GO build -gcflags=-m ./internal/dbms 2>&1)
+	for fn in Statement Execute; do
+		at=$(grep -n "^func (se \*Session) $fn(" internal/dbms/*.go | cut -d: -f1,2)
+		if [ -z "$at" ]; then
+			echo "stmt_params_stack: no Session.$fn in internal/dbms; update scripts/check.sh" >&2
+			return 1
+		fi
+		if echo "$escapes" | grep -q "^$at:[0-9]*: leaking param: params\$"; then
+			echo "stmt_params_stack: Session.$fn's params escapes to the heap; pass the engine a copy (Session.bindParams)" >&2
+			return 1
+		fi
+	done
 }
 
 # The whole suite under the race detector, which slows the virtual-time
