@@ -72,6 +72,10 @@ func archiveCmd(out, errOut io.Writer, args []string) int {
 		}
 		return inspectArchive(out, errOut, r, jsonOut)
 	case "export":
+		if jsonOut {
+			fmt.Fprintln(errOut, "tsctl archive: -json applies to inspect and verify")
+			return 2
+		}
 		if !csvOut {
 			fmt.Fprintln(errOut, "usage: tsctl archive export -csv <file> (CSV is the only export format)")
 			return 2

@@ -76,8 +76,11 @@ func TestArchiveCmdExportCSV(t *testing.T) {
 	if len(lines) != 51 { // header + 50 rows
 		t.Fatalf("CSV export has %d lines, want 51", len(lines))
 	}
-	if !strings.HasPrefix(lines[0], "ou,ou_name,subsystem,pid,elapsed_ns") {
-		t.Fatalf("CSV header: %q", lines[0])
+	const header = "ou,ou_name,subsystem,pid,elapsed_ns,cpu_cycles,instructions,cache_refs," +
+		"cache_misses,ref_cycles,disk_read_bytes,disk_write_bytes,net_recv_bytes,net_send_bytes," +
+		"alloc_bytes,features"
+	if lines[0] != header {
+		t.Fatalf("CSV header: %q, want %q", lines[0], header)
 	}
 
 	// export without -csv is a usage error.
@@ -145,5 +148,20 @@ func TestArchiveCmdUsageErrors(t *testing.T) {
 	// Missing file is a runtime failure, not a usage error.
 	if code := archiveCmd(&out, &errOut, []string{"inspect", "/no/such/file"}); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
+	}
+	// A flag the verb does not take is a usage error, not ignored.
+	path := writeTestArchive(t)
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"export", "-json", "-csv", path}, "-json applies to inspect and verify"},
+		{[]string{"inspect", "-csv", path}, "-csv applies to export"},
+		{[]string{"verify", "-csv", path}, "-csv applies to export"},
+	} {
+		errOut.Reset()
+		if code := archiveCmd(&out, &errOut, c.args); code != 2 || !strings.Contains(errOut.String(), c.msg) {
+			t.Errorf("args %v: exit %d, stderr %q; want 2 and %q", c.args, code, errOut.String(), c.msg)
+		}
 	}
 }

@@ -29,8 +29,8 @@
 //	                            segments, blocks, rows, bytes, row counts
 //	                            per OU and subsystem
 //	tsctl archive export -csv <file>
-//	                            write the archive's rows as CSV to stdout
-//	                            (byte-identical to a live CSVSink)
+//	                            write the archive's rows as CSV to stdout,
+//	                            one row per training point
 //	tsctl archive verify [-json] <file>
 //	                            deep-check checksums, column encodings, and
 //	                            zone maps; exit 1 on corruption

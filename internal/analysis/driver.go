@@ -61,29 +61,6 @@ func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
 	return all, nil
 }
 
-// RunDir analyzes a single package directory (used by the fixture tests):
-// relPath doubles as the package path, so fixture trees can opt into
-// path-scoped analyzers by embedding the segment they target.
-func RunDir(dir, relPath string, suite []*Analyzer) ([]Diagnostic, error) {
-	return runDir(newLoader(), dir, relPath, suite)
-}
-
-func runDir(l *loader, dir, relPath string, suite []*Analyzer) ([]Diagnostic, error) {
-	if suite == nil {
-		suite = All()
-	}
-	pkg, err := l.load(dir, relPath, relPath)
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("tsvet: no non-test Go files in %s", dir)
-	}
-	diags := runPackage(l, pkg, suite, knownRules())
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
 // runPackage runs the suite over one loaded package and applies the
 // package's suppression directives.
 func runPackage(l *loader, pkg *pkgInfo, suite []*Analyzer, known map[string]bool) []Diagnostic {

@@ -104,6 +104,25 @@ func diffDiags(t *testing.T, want, got map[lineKey][]string, diags []Diagnostic)
 	}
 }
 
+// runDir analyzes a single package directory:
+// relPath doubles as the package path, so fixture trees can opt into
+// path-scoped analyzers by embedding the segment they target.
+func runDir(l *loader, dir, relPath string, suite []*Analyzer) ([]Diagnostic, error) {
+	if suite == nil {
+		suite = All()
+	}
+	pkg, err := l.load(dir, relPath, relPath)
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("tsvet: no non-test Go files in %s", dir)
+	}
+	diags := runPackage(l, pkg, suite, knownRules())
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
 // testLoader is shared by every test that analyzes a tree: the source
 // importer caches by import path, so the standard library is type-checked
 // once for the binary, not once per fixture (fixture package paths are
@@ -126,6 +145,7 @@ func TestFixtures(t *testing.T) {
 		"discarded-run-error/dre",
 		"unsafe-import/internal/storage",
 		"unsafe-import/other",
+		"unused-func/uf",
 	}
 	for _, rel := range rels {
 		t.Run(rel, func(t *testing.T) {

@@ -4,20 +4,20 @@ package clpfix
 
 import "tscout/internal/bpf"
 
-func forged() *bpf.LoadedProgram {
+func Forged() *bpf.LoadedProgram {
 	return &bpf.LoadedProgram{} // want:constructed-loaded-program
 }
 
-func forgedValue() bpf.LoadedProgram {
+func ForgedValue() bpf.LoadedProgram {
 	return bpf.LoadedProgram{} // want:constructed-loaded-program
 }
 
 // The sanctioned path: not flagged.
-func legit(p *bpf.Program) (*bpf.LoadedProgram, error) {
+func Legit(p *bpf.Program) (*bpf.LoadedProgram, error) {
 	return bpf.Load(p, 512)
 }
 
 // Other bpf types are plain data and remain constructible: not flagged.
-func program() *bpf.Program {
+func Program() *bpf.Program {
 	return &bpf.Program{}
 }

@@ -4,49 +4,49 @@ package dvefix
 
 import "tscout/internal/bpf"
 
-func bare(p *bpf.Program) {
+func Bare(p *bpf.Program) {
 	bpf.Verify(p, 512) // want:discarded-verify-error
 }
 
-func inGoroutine(p *bpf.Program) {
+func InGoroutine(p *bpf.Program) {
 	go bpf.Verify(p, 512) // want:discarded-verify-error
 }
 
-func deferred(p *bpf.Program) {
+func Deferred(p *bpf.Program) {
 	defer bpf.Verify(p, 512) // want:discarded-verify-error
 }
 
-func blankedAnalyze(p *bpf.Program) *bpf.Analysis {
+func BlankedAnalyze(p *bpf.Program) *bpf.Analysis {
 	a, _ := bpf.Analyze(p, 512) // want:discarded-verify-error
 	return a
 }
 
-func blankedLoad(p *bpf.Program) *bpf.LoadedProgram {
+func BlankedLoad(p *bpf.Program) *bpf.LoadedProgram {
 	lp, _ := bpf.Load(p, 512) // want:discarded-verify-error
 	return lp
 }
 
-func blankedLoadOptimized(p *bpf.Program) *bpf.LoadedProgram {
+func BlankedLoadOptimized(p *bpf.Program) *bpf.LoadedProgram {
 	lp, _, _ := bpf.LoadOptimized(p, 512) // want:discarded-verify-error
 	return lp
 }
 
-func blankedOptimize(p *bpf.Program) *bpf.Program {
+func BlankedOptimize(p *bpf.Program) *bpf.Program {
 	op, _, _ := bpf.Optimize(p, 512) // want:discarded-verify-error
 	return op
 }
 
 // Checking or propagating the verdict is the contract: not flagged.
-func checked(p *bpf.Program) error {
+func Checked(p *bpf.Program) error {
 	return bpf.Verify(p, 512)
 }
 
-func handled(p *bpf.Program) (*bpf.Analysis, error) {
+func Handled(p *bpf.Program) (*bpf.Analysis, error) {
 	return bpf.Analyze(p, 512)
 }
 
 // Blanking the stats while keeping the error is fine: not flagged.
-func statsDropped(p *bpf.Program) (*bpf.Program, error) {
+func StatsDropped(p *bpf.Program) (*bpf.Program, error) {
 	op, _, err := bpf.Optimize(p, 512)
 	return op, err
 }
@@ -55,6 +55,6 @@ func statsDropped(p *bpf.Program) (*bpf.Program, error) {
 // the old name-matching pass could not tell them apart. Not flagged.
 func Verify(n int) error { return nil }
 
-func callsLocal() {
+func CallsLocal() {
 	Verify(3)
 }

@@ -9,19 +9,19 @@ import (
 	"sort"
 )
 
-func printAll(m map[string]int) {
+func PrintAll(m map[string]int) {
 	for k, v := range m { // want:map-order
 		fmt.Println(k, v)
 	}
 }
 
-func archive(m map[string]int, buf *bytes.Buffer) {
+func Archive(m map[string]int, buf *bytes.Buffer) {
 	for k := range m { // want:map-order
 		buf.WriteString(k)
 	}
 }
 
-func sum(m map[string]float64) float64 {
+func Sum(m map[string]float64) float64 {
 	var total float64
 	for _, v := range m { // want:map-order
 		total += v
@@ -30,7 +30,7 @@ func sum(m map[string]float64) float64 {
 }
 
 // Integer accumulation is exact and commutative: not flagged.
-func count(m map[string]int) int {
+func Count(m map[string]int) int {
 	n := 0
 	for _, v := range m {
 		n += v
@@ -41,7 +41,7 @@ func count(m map[string]int) int {
 // The sanctioned idiom: collect keys, sort, range the slice. The map range
 // only appends to the key slice — no sink — and the emitting loop ranges a
 // slice, which is ordered. Not flagged.
-func sortedIdiom(m map[string]int, buf *bytes.Buffer) {
+func SortedIdiom(m map[string]int, buf *bytes.Buffer) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -53,7 +53,7 @@ func sortedIdiom(m map[string]int, buf *bytes.Buffer) {
 }
 
 // A sort call inside the body vouches for the loop: not flagged.
-func sortsInside(m map[string][]int, buf *bytes.Buffer) {
+func SortsInside(m map[string][]int, buf *bytes.Buffer) {
 	for _, vs := range m {
 		sort.Ints(vs)
 		buf.WriteString(fmt.Sprint(len(vs)))
@@ -62,7 +62,7 @@ func sortsInside(m map[string][]int, buf *bytes.Buffer) {
 
 // A loop-local accumulator resets each iteration and cannot leak order:
 // not flagged.
-func localAccum(m map[string]float64) float64 {
+func LocalAccum(m map[string]float64) float64 {
 	max := 0.0
 	for _, v := range m {
 		x := 0.0

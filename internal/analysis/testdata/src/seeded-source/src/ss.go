@@ -5,33 +5,33 @@ package ssfix
 
 import "math/rand"
 
-func fixedSeed() *rand.Rand {
+func FixedSeed() *rand.Rand {
 	return rand.New(rand.NewSource(42)) // want:seeded-source
 }
 
 const defaultSeed = 7
 
 // Named constants are still compile-time constants.
-func namedConstSeed() rand.Source {
+func NamedConstSeed() rand.Source {
 	return rand.NewSource(defaultSeed) // want:seeded-source
 }
 
-func arithmeticSeed() rand.Source {
+func ArithmeticSeed() rand.Source {
 	return rand.NewSource(40 + 2) // want:seeded-source
 }
 
 // Seeds that arrive through configuration are the point: not flagged.
-func configSeed(seed int64) *rand.Rand {
+func ConfigSeed(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-func globalDraw() float64 {
+func GlobalDraw() float64 {
 	return rand.Float64() // want:seeded-source
 }
 
-func globalPerm(n int) []int {
+func GlobalPerm(n int) []int {
 	return rand.Perm(n) // want:seeded-source
 }
 
 // Methods on an owned *rand.Rand are not the global source: not flagged.
-func ownedDraw(r *rand.Rand) float64 { return r.Float64() }
+func OwnedDraw(r *rand.Rand) float64 { return r.Float64() }

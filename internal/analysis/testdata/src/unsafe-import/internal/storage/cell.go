@@ -6,6 +6,6 @@ import (
 )
 
 // A second file of the same package is not the cell's home.
-func describe(p *int) string {
+func Describe(p *int) string {
 	return fmt.Sprint(uintptr(unsafe.Pointer(p)) != 0)
 }

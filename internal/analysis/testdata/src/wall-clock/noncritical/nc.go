@@ -10,8 +10,8 @@ import (
 )
 
 // Outside the critical trees the wall clock is legal.
-func observe() time.Time { return time.Now() }
+func Observe() time.Time { return time.Now() }
 
-func draw() int {
+func Draw() int {
 	return rand.Intn(10) // want:seeded-source
 }

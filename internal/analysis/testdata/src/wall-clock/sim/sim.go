@@ -8,36 +8,36 @@ import (
 	"time"
 )
 
-func observe() time.Time {
+func Observe() time.Time {
 	return time.Now() // want:wall-clock
 }
 
-func wait() {
+func Wait() {
 	time.Sleep(time.Millisecond) // want:wall-clock
 }
 
-func ticker() *time.Ticker {
+func Ticker() *time.Ticker {
 	return time.NewTicker(time.Second) // want:wall-clock
 }
 
-func draw() int {
+func Draw() int {
 	return rand.Intn(10) // want:wall-clock
 }
 
-func shuffle(xs []int) {
+func Shuffle(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want:wall-clock
 }
 
 // Conversions compute, they do not observe: not flagged.
-func convert(sec int64) time.Time { return time.Unix(sec, 0) }
+func Convert(sec int64) time.Time { return time.Unix(sec, 0) }
 
 // A seeded stream is the sanctioned source: not flagged (and the
 // non-constant seed keeps seeded-source quiet too).
-func seeded(seed int64) float64 { return rand.New(rand.NewSource(seed)).Float64() }
+func Seeded(seed int64) float64 { return rand.New(rand.NewSource(seed)).Float64() }
 
 type clock struct{ now int64 }
 
 // A method named Now on a local type is not time.Now: not flagged.
 func (c clock) Now() int64 { return c.now }
 
-func useLocal(c clock) int64 { return c.Now() }
+func UseLocal(c clock) int64 { return c.Now() }

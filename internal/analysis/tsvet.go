@@ -79,6 +79,10 @@ const (
 	// RuleUnsafeImport flags an import of unsafe in any non-test file but
 	// internal/storage/value.go, home of the 16-byte storage.Value cell.
 	RuleUnsafeImport = "unsafe-import"
+	// RuleUnusedFunc flags a package-level unexported function that no
+	// non-test file of its package references: dead in the build, it
+	// belongs in the test file that uses it, or nowhere.
+	RuleUnusedFunc = "unused-func"
 	// RuleStaleIgnore reports a //tsvet:ignore directive that suppressed
 	// nothing: the finding it excused is gone, so the directive must go
 	// too.
@@ -159,6 +163,7 @@ func All() []*Analyzer {
 		DiscardedVerifyErrorAnalyzer,
 		DiscardedRunErrorAnalyzer,
 		UnsafeImportAnalyzer,
+		UnusedFuncAnalyzer,
 	}
 }
 
@@ -254,15 +259,6 @@ func isMethodOn(fn *types.Func, pkgSuffix, typeName string) bool {
 		return false
 	}
 	return hasPathSuffix(obj.Pkg().Path(), pkgSuffix)
-}
-
-// isPkgFunc reports whether fn is the package-level function name in a
-// package whose import path ends in pkgSuffix.
-func isPkgFunc(fn *types.Func, pkgSuffix, name string) bool {
-	if fn == nil || fn.Name() != name || recvNamed(fn) != nil {
-		return false
-	}
-	return hasPathSuffix(funcPkgPath(fn), pkgSuffix)
 }
 
 // isBlank reports whether expr is the blank identifier.

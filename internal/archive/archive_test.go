@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -274,25 +275,17 @@ func TestScanProjectionNulls(t *testing.T) {
 	})
 }
 
-func TestExportCSVMatchesDirectSink(t *testing.T) {
+// TestExportCSVMatchesGolden pins ExportCSV's bytes for the makePoints(120)
+// archive: the header, every metric's decimal form (the five unsigned
+// counters as unsigned), CSV quoting and the features cell. The golden file
+// is the output of the retired streaming CSV sink for the same points, so
+// export stays byte-identical to what that sink wrote.
+func TestExportCSVMatchesGolden(t *testing.T) {
 	pts := makePoints(120)
 	r, err := NewReader(writeArchive(t, pts, 33))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var direct bytes.Buffer
-	sink, err := tscout.NewCSVSink(&direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.WriteBatch(pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
 	var exported bytes.Buffer
 	n, err := ExportCSV(r, &exported)
 	if err != nil {
@@ -301,27 +294,27 @@ func TestExportCSVMatchesDirectSink(t *testing.T) {
 	if n != int64(len(pts)) {
 		t.Fatalf("export wrote %d rows, want %d", n, len(pts))
 	}
-	if !bytes.Equal(direct.Bytes(), exported.Bytes()) {
-		t.Fatalf("export differs from direct CSV sink:\n direct %d bytes\n export %d bytes",
-			direct.Len(), exported.Len())
+	want, err := os.ReadFile(filepath.Join("testdata", "export120.golden.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(exported.Bytes(), want) {
+		t.Fatalf("export differs from testdata/export120.golden.csv: %d bytes, want %d",
+			exported.Len(), len(want))
 	}
 }
 
 // TestColumnarDensityVsCSV pins the acceptance claim that the segment
-// format is at least 2x denser than the CSV encoding of the same points.
+// format is at least 2x denser than the CSV export of the same points.
 func TestColumnarDensityVsCSV(t *testing.T) {
 	pts := makePoints(4000)
 	columnar := writeArchive(t, pts, DefaultSegmentRows)
-
-	var csvBuf bytes.Buffer
-	sink, err := tscout.NewCSVSink(&csvBuf)
+	r, err := NewReader(columnar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.WriteBatch(pts); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
+	var csvBuf bytes.Buffer
+	if _, err := ExportCSV(r, &csvBuf); err != nil {
 		t.Fatal(err)
 	}
 	if 2*len(columnar) > csvBuf.Len() {
@@ -348,58 +341,9 @@ func TestFeaturesCellMatchesCSV(t *testing.T) {
 	})
 	want := map[string]int{}
 	for i := range pts {
-		want[string(tscout.AppendFeatureCell(nil, pts[i].FeatureNames, pts[i].Features))]++
+		want[string(appendFeatureCell(nil, pts[i].FeatureNames, pts[i].Features))]++
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("features cells differ:\n got  %v\n want %v", got, want)
-	}
-}
-
-// countingWriter counts bytes and discards them.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// BenchmarkSinkCSVvsColumnar is the archive acceptance benchmark: identical
-// 256-point batches of the makePoints corpus through the CSV sink vs the
-// columnar segment writer, reporting write throughput (points/s) and
-// archive density (bytes/point). The columnar writer must beat CSV by ≥3x
-// on throughput and ≥2x on size (TestColumnarDensityVsCSV pins the
-// latter); EXPERIMENTS.md records the table.
-func BenchmarkSinkCSVvsColumnar(b *testing.B) {
-	pts := makePoints(8192)
-	const batch = 256
-	for _, sink := range []struct {
-		name string
-		open func(io.Writer) (tscout.Sink, error)
-	}{
-		{"csv", func(w io.Writer) (tscout.Sink, error) { return tscout.NewCSVSink(w) }},
-		{"columnar", func(w io.Writer) (tscout.Sink, error) { return NewWriter(w), nil }},
-	} {
-		b.Run(sink.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var bytesOut int64
-			for i := 0; i < b.N; i++ {
-				var cnt countingWriter
-				s, err := sink.open(&cnt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for off := 0; off < len(pts); off += batch {
-					if err := s.WriteBatch(pts[off:min(off+batch, len(pts))]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := s.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				bytesOut = cnt.n
-			}
-			b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-			b.ReportMetric(float64(bytesOut)/float64(len(pts)), "bytes/point")
-		})
 	}
 }

@@ -162,37 +162,8 @@ func appendDeltaI(dst []byte, vals []int64) []byte {
 	return dst
 }
 
-// metricValue extracts metric m (MetricNames order) as its int64 wire
-// form; unsigned counters are reinterpreted bit-wise, which is lossless.
-func metricValue(tp *tscout.TrainingPoint, m int) int64 {
-	mt := &tp.Metrics
-	switch m {
-	case 0:
-		return mt.ElapsedNS
-	case 1:
-		return int64(mt.Cycles)
-	case 2:
-		return int64(mt.Instructions)
-	case 3:
-		return int64(mt.CacheRefs)
-	case 4:
-		return int64(mt.CacheMisses)
-	case 5:
-		return int64(mt.RefCycles)
-	case 6:
-		return mt.DiskReadBytes
-	case 7:
-		return mt.DiskWriteBytes
-	case 8:
-		return mt.NetRecvBytes
-	case 9:
-		return mt.NetSendBytes
-	default:
-		return mt.AllocBytes
-	}
-}
-
-// setMetric is metricValue's inverse.
+// setMetric stores metric m (MetricNames order) from its int64 wire form;
+// unsigned counters are reinterpreted bit-wise, which is lossless.
 func setMetric(mt *tscout.Metrics, m int, v int64) {
 	switch m {
 	case 0:

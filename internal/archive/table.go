@@ -19,7 +19,7 @@ const (
 	ColSubsystem = 2
 	ColPID       = 3
 	colMetric0   = 4
-	// ColFeatures holds the name=value;... cell (tscout.AppendFeatureCell).
+	// ColFeatures holds the name=value;... cell (appendFeatureCell).
 	ColFeatures = colMetric0 + NumMetrics
 	numCols     = ColFeatures + 1
 )
@@ -220,7 +220,7 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 				for f := range feats {
 					featVec[f] = feats[f][rowI]
 				}
-				scratch = tscout.AppendFeatureCell(scratch[:0], names, featVec)
+				scratch = appendFeatureCell(scratch[:0], names, featVec)
 				row[ColFeatures] = storage.NewString(string(scratch))
 			}
 			stats.Rows++

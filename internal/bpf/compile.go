@@ -546,48 +546,6 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 				lp.recordCall(ec, id)
 			}
 		}
-	case HelperStackPush:
-		sm, _ := cc.constMap(st, R1).(*StackMap)
-		if sm == nil {
-			return nil
-		}
-		vf := cc.stackArg(st, R2, sm.ValueSize())
-		if vf == nil {
-			return nil
-		}
-		return func(ec *execState) {
-			if perr := sm.Push(vf(ec)); perr != nil {
-				ec.regs[R0] = ^uint64(0)
-			} else {
-				ec.regs[R0] = 0
-			}
-			ec.helperNS += costNS
-			if lp.traceOn {
-				lp.recordCall(ec, id)
-			}
-		}
-	case HelperStackPop:
-		sm, _ := cc.constMap(st, R1).(*StackMap)
-		if sm == nil {
-			return nil
-		}
-		df := cc.stackArg(st, R2, sm.ValueSize())
-		if df == nil {
-			return nil
-		}
-		return func(ec *execState) {
-			v, perr := sm.Pop()
-			if perr != nil {
-				ec.regs[R0] = 1
-			} else {
-				copy(df(ec), v)
-				ec.regs[R0] = 0
-			}
-			ec.helperNS += costNS
-			if lp.traceOn {
-				lp.recordCall(ec, id)
-			}
-		}
 	case HelperPerfOutput:
 		m := cc.constMap(st, R1)
 		rb, ok := m.(*PerCPURing)

@@ -62,7 +62,7 @@ func assertCompiledAgreement(t *testing.T, p *Program, seed int64) CompileInfo {
 
 func genMapsBuilder(name string) *Builder {
 	b := NewBuilder(name)
-	for _, m := range NewGenMaps() {
+	for _, m := range newGenMaps() {
 		b.AddMap(m)
 	}
 	return b
@@ -256,7 +256,7 @@ func wantDecline(t *testing.T, reason string, pc int, in Insn) {
 func TestCompileGeneratedProgramsAgree(t *testing.T) {
 	compiled := 0
 	for seed := int64(1); seed <= 150; seed++ {
-		p := GenProgram(seed, int(seed%40)+1)
+		p := genProgram(seed, int(seed%40)+1)
 		if err := Verify(p, fuzzMaxInsns); err != nil {
 			t.Fatalf("seed %d: generated program rejected: %v", seed, err)
 		}
@@ -324,7 +324,7 @@ func jitDivZeroProgram() *Program {
 		{Op: OpAddReg, Dst: R1, Src: R4},
 		{Op: OpMovReg, Dst: R0, Src: R1},
 		{Op: OpExit},
-	}, Maps: NewGenMaps()}
+	}, Maps: newGenMaps()}
 }
 
 // Divergence found during development: shift amounts mask to the low 6
@@ -362,7 +362,7 @@ func jitShiftMaskProgram() *Program {
 		{Op: OpAddReg, Dst: R1, Src: R3},
 		{Op: OpMovReg, Dst: R0, Src: R1},
 		{Op: OpExit},
-	}, Maps: NewGenMaps()}
+	}, Maps: newGenMaps()}
 }
 
 // Divergence found during development: conditional jumps compare unsigned,
@@ -384,18 +384,6 @@ func TestCompileRegression_UnsignedCompareNegImm(t *testing.T) {
 	info := assertCompiledAgreement(t, jitUnsignedCompareProgram(), 1)
 	if !info.Compiled {
 		t.Fatalf("forward-branch program declined: %+v", info)
-	}
-}
-
-// Divergence found during development: stack_pop writes its output buffer
-// only on success; on failure R0=1 and the buffer keeps its prior bytes.
-// A devirtualized pop that unconditionally copies diverges on the empty
-// stack. Same program the optimizer pins (popFailureRegression).
-func TestCompileRegression_StackPopFailure(t *testing.T) {
-	p := popFailureRegression()
-	info := assertCompiledAgreement(t, p, 1)
-	if !info.Compiled {
-		t.Fatalf("pop program declined: %+v", info)
 	}
 }
 
@@ -467,7 +455,7 @@ func TestCompileRegressionCorpusPinned(t *testing.T) {
 	for name, p := range jitRegressionCorpus() {
 		path := filepath.Join("testdata", "fuzz", "FuzzOptimize", name)
 		entry := fmt.Sprintf("go test fuzz v1\nint64(-1)\nbyte('\\x00')\n[]byte(%q)\n",
-			EncodeInsns(p.Insns))
+			encodeInsns(p.Insns))
 		if *updateJITCorpus {
 			if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
 				t.Fatalf("write %s: %v", path, err)
@@ -625,16 +613,6 @@ func singleInsnBlocksProgram() *Program {
 	b.LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 16).Call(HelperMapDelete)
 	acc(R0)
 
-	// Stack map push and pop (the second pop fails and must not write).
-	b.LoadMapPtr(R1, genMapStack).MovReg(R2, R10).Sub(R2, 8).Call(HelperStackPush)
-	acc(R0)
-	for i := 0; i < 2; i++ {
-		b.LoadMapPtr(R1, genMapStack).MovReg(R2, R10).Sub(R2, 16).Call(HelperStackPop)
-		acc(R0)
-	}
-	b.Load(R1, R10, -16)
-	acc(R1)
-
 	// Perf output and printk.
 	b.LoadMapPtr(R1, genMapPerCPU).MovReg(R2, R10).Sub(R2, 32).Mov(R3, 24).Call(HelperPerfOutput)
 	acc(R0)
@@ -677,14 +655,14 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 		}
 	}
 	// Every single-instruction kind (the ones before the pattern super-ops)
-	// and all eight impure helper call sites.
+	// and all five impure helper call sites.
 	for k := muMovImm; k < muStoreZeroRun; k++ {
 		if !seen[k] {
 			t.Errorf("micro kind %d never decoded: the program no longer covers it", k)
 		}
 	}
-	if helperCalls != 8 {
-		t.Fatalf("%d proven impure helper calls, want 8", helperCalls)
+	if helperCalls != 5 {
+		t.Fatalf("%d proven impure helper calls, want 5", helperCalls)
 	}
 	if info := assertCompiledAgreement(t, p, 5); !info.Compiled {
 		t.Fatalf("program declined: %+v", info)

@@ -117,7 +117,7 @@ func tnNeg(a Tnum) Tnum { return tnSub(tnConst(0), a) }
 
 // VReg is the product abstract value of one scalar register: an unsigned
 // interval and a tnum, kept mutually reduced. The zero value is NOT valid;
-// use vrConst/vrRange/vrTop.
+// use vrConst or vrTop.
 type VReg struct {
 	Lo, Hi uint64 // unsigned inclusive bounds, Lo <= Hi
 	TN     Tnum
@@ -125,12 +125,6 @@ type VReg struct {
 
 func vrTop() VReg           { return VReg{Lo: 0, Hi: ^uint64(0), TN: tnUnknown()} }
 func vrConst(v uint64) VReg { return VReg{Lo: v, Hi: v, TN: tnConst(v)} }
-func vrRange(lo, hi uint64) VReg {
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return VReg{Lo: lo, Hi: hi, TN: tnFromRange(lo, hi)}.reduce()
-}
 
 // tnFromRange derives known high bits from an interval: every bit above
 // the highest bit where lo and hi differ is common to all values between.

@@ -13,6 +13,15 @@ import (
 
 const enumMax = 15 // exhaustive abstract values live in [0, enumMax]
 
+// vrRange builds the reduced abstract value of the interval [lo, hi]
+// (either order).
+func vrRange(lo, hi uint64) VReg {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return VReg{Lo: lo, Hi: hi, TN: tnFromRange(lo, hi)}.reduce()
+}
+
 // enumTnums yields every tnum with Val|Mask <= enumMax (plus unknown).
 func enumTnums() []Tnum {
 	var out []Tnum

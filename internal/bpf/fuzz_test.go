@@ -83,16 +83,16 @@ func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 // must reject with a meaningful pc; streams it accepts must run cleanly.
 func FuzzVerify(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpExit}}))
+	f.Add(encodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpExit}}))
 	for seed := int64(1); seed <= 4; seed++ {
-		f.Add(EncodeInsns(GenProgram(seed, 20).Insns))
+		f.Add(encodeInsns(genProgram(seed, 20).Insns))
 	}
 	// Historical near-misses: backward jump without bound, cond jump last,
 	// store through scalar, read of uninitialized stack.
-	f.Add(EncodeInsns([]Insn{{Op: OpJa, Off: -1}}))
-	f.Add(EncodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpJeqImm, Dst: R0}}))
-	f.Add(EncodeInsns([]Insn{{Op: OpStore, Dst: R1, Src: R2}, {Op: OpExit}}))
-	f.Add(EncodeInsns([]Insn{{Op: OpLoad, Dst: R0, Src: R10, Off: -8}, {Op: OpExit}}))
+	f.Add(encodeInsns([]Insn{{Op: OpJa, Off: -1}}))
+	f.Add(encodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpJeqImm, Dst: R0}}))
+	f.Add(encodeInsns([]Insn{{Op: OpStore, Dst: R1, Src: R2}, {Op: OpExit}}))
+	f.Add(encodeInsns([]Insn{{Op: OpLoad, Dst: R0, Src: R10, Off: -8}, {Op: OpExit}}))
 	// Branches inside blocks, in forms the generator cannot express: a
 	// taken register-form jump in the middle of its block, and an untaken
 	// jset ending one.
@@ -102,15 +102,15 @@ func FuzzVerify(f *testing.F) {
 		pos string
 	}{{OpJgtReg, 1, "middle"}, {OpJsetImm, 1, "last"}} {
 		p, _ := branchProgram(c.op, c.b, c.pos)
-		f.Add(EncodeInsns(p.Insns))
+		f.Add(encodeInsns(p.Insns))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		insns := DecodeInsns(data)
+		insns := decodeInsns(data)
 		if len(insns) == 0 {
 			return
 		}
-		p := &Program{Name: "fuzz/raw", Insns: insns, Maps: NewGenMaps()}
+		p := &Program{Name: "fuzz/raw", Insns: insns, Maps: newGenMaps()}
 		err1 := Verify(p, fuzzMaxInsns)
 		err2 := Verify(p, fuzzMaxInsns)
 		if (err1 == nil) != (err2 == nil) ||
@@ -140,7 +140,7 @@ func FuzzVerifyThenRun(f *testing.F) {
 	f.Add(int64(138), uint8(11), []byte{})
 
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, mut []byte) {
-		p := GenProgram(seed, int(steps%40)+1)
+		p := genProgram(seed, int(steps%40)+1)
 		if err := Verify(p, fuzzMaxInsns); err != nil {
 			t.Fatalf("generated program rejected (generator or verifier bug): %v\n%s", err, p.Disassemble())
 		}
@@ -149,7 +149,7 @@ func FuzzVerifyThenRun(f *testing.F) {
 		if len(mut) == 0 {
 			return
 		}
-		mp := &Program{Name: "fuzz/mut", Insns: MutateInsns(p.Insns, mut), Maps: p.Maps}
+		mp := &Program{Name: "fuzz/mut", Insns: mutateInsns(p.Insns, mut), Maps: p.Maps}
 		if len(mp.Insns) == 0 {
 			return
 		}

@@ -37,8 +37,8 @@ func runGenerated(t *testing.T, p *Program, seed int64) error {
 // programs, or corpus replay is meaningless.
 func TestGenProgramDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		a := GenProgram(seed, 30)
-		b := GenProgram(seed, 30)
+		a := genProgram(seed, 30)
+		b := genProgram(seed, 30)
 		if len(a.Insns) != len(b.Insns) {
 			t.Fatalf("seed %d: lengths differ: %d vs %d", seed, len(a.Insns), len(b.Insns))
 		}
@@ -56,7 +56,7 @@ func TestGenProgramDeterministic(t *testing.T) {
 func TestGenProgramsVerifyAndRun(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		steps := int(seed%37) + 1
-		p := GenProgram(seed, steps)
+		p := genProgram(seed, steps)
 		if err := runGenerated(t, p, seed); err != nil {
 			t.Fatalf("seed %d steps %d: runtime fault: %v\n%s", seed, steps, err, p.Disassemble())
 		}
@@ -67,8 +67,8 @@ func TestGenProgramsVerifyAndRun(t *testing.T) {
 // program so corpus entries reproduce the exact instruction stream.
 func TestInsnCodecRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		p := GenProgram(seed, 25)
-		got := DecodeInsns(EncodeInsns(p.Insns))
+		p := genProgram(seed, 25)
+		got := decodeInsns(encodeInsns(p.Insns))
 		if len(got) != len(p.Insns) {
 			t.Fatalf("seed %d: round trip length %d != %d", seed, len(got), len(p.Insns))
 		}
@@ -83,24 +83,24 @@ func TestInsnCodecRoundTrip(t *testing.T) {
 // TestDecodeInsnsTruncation: partial trailing records are dropped, and
 // oversized inputs are capped, never rejected.
 func TestDecodeInsnsTruncation(t *testing.T) {
-	p := GenProgram(1, 10)
-	enc := EncodeInsns(p.Insns)
-	got := DecodeInsns(enc[:len(enc)-3])
+	p := genProgram(1, 10)
+	enc := encodeInsns(p.Insns)
+	got := decodeInsns(enc[:len(enc)-3])
 	if len(got) != len(p.Insns)-1 {
 		t.Fatalf("truncated decode: %d insns, want %d", len(got), len(p.Insns)-1)
 	}
-	huge := make([]byte, (maxDecodedInsns+10)*InsnWireBytes)
-	if n := len(DecodeInsns(huge)); n != maxDecodedInsns {
+	huge := make([]byte, (maxDecodedInsns+10)*insnWireBytes)
+	if n := len(decodeInsns(huge)); n != maxDecodedInsns {
 		t.Fatalf("cap: decoded %d insns, want %d", n, maxDecodedInsns)
 	}
 }
 
 // TestMutateInsnsDeterministic: mutation is a pure function of its inputs.
 func TestMutateInsnsDeterministic(t *testing.T) {
-	p := GenProgram(7, 20)
+	p := genProgram(7, 20)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	a := MutateInsns(p.Insns, data)
-	b := MutateInsns(p.Insns, data)
+	a := mutateInsns(p.Insns, data)
+	b := mutateInsns(p.Insns, data)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -110,10 +110,10 @@ func TestMutateInsnsDeterministic(t *testing.T) {
 		}
 	}
 	// The original must be left untouched (mutation copies).
-	q := GenProgram(7, 20)
+	q := genProgram(7, 20)
 	for i := range p.Insns {
 		if p.Insns[i] != q.Insns[i] {
-			t.Fatalf("MutateInsns modified its input at insn %d", i)
+			t.Fatalf("mutateInsns modified its input at insn %d", i)
 		}
 	}
 }

@@ -15,11 +15,10 @@ import (
 
 // Standard map-table indices used by generated and decoded fuzz programs.
 // The set mirrors what TScout codegen wires into a Collector: hash state,
-// an array, a recursion stack, a perf ring, and per-task storage.
+// an array, perf rings, and per-task storage.
 const (
 	genMapHash = iota
 	genMapArray
-	genMapStack
 	genMapRing
 	genMapPerTask
 	genMapPerCPU
@@ -29,16 +28,14 @@ const (
 const (
 	genHashValueSize = 16
 	genArrayValue    = 16
-	genStackValue    = 8
 )
 
-// NewGenMaps builds a fresh instance of the standard fuzz map table. Each
+// newGenMaps builds a fresh instance of the standard fuzz map table. Each
 // fuzz iteration gets its own maps so runs replay deterministically.
-func NewGenMaps() []Map {
+func newGenMaps() []Map {
 	return []Map{
 		genMapHash:    NewHashMap("fuzz/hash", genHashValueSize, 16),
 		genMapArray:   NewArrayMap("fuzz/array", genArrayValue, 4),
-		genMapStack:   NewStackMap("fuzz/stack", genStackValue, 4),
 		genMapRing:    NewPerCPURing("fuzz/ring", 1, 32),
 		genMapPerTask: NewPerTaskMap("fuzz/pertask", genHashValueSize),
 		genMapPerCPU:  NewPerCPURing("fuzz/percpu", 4, 8),
@@ -100,13 +97,13 @@ type progGen struct {
 	reserved [numRegs]bool // loop counters the body must not clobber
 }
 
-// GenProgram deterministically generates a valid-by-construction program
+// genProgram deterministically generates a valid-by-construction program
 // from seed: the same (seed, steps) always yields the same program. The
-// program uses the standard fuzz map table (NewGenMaps) and is built so
+// program uses the standard fuzz map table (newGenMaps) and is built so
 // that the verifier MUST accept it and the VM MUST run it to completion —
 // the generator tracks a conservative mirror of the verifier's abstract
 // state and only emits instructions legal in that state.
-func GenProgram(seed int64, steps int) *Program {
+func genProgram(seed int64, steps int) *Program {
 	if steps < 1 {
 		steps = 1
 	}
@@ -115,7 +112,7 @@ func GenProgram(seed int64, steps int) *Program {
 		b:   NewBuilder("fuzz/gen"),
 		st:  genEntryState(),
 	}
-	for _, m := range NewGenMaps() {
+	for _, m := range newGenMaps() {
 		g.b.AddMap(m)
 	}
 	for i := 0; i < steps; i++ {
@@ -243,12 +240,10 @@ func (g *progGen) step() {
 		g.genSimpleHelper()
 	case choice < 86:
 		g.genMapLookup()
-	case choice < 92:
+	case choice < 94:
 		g.genMapUpdate()
-	case choice < 96:
-		g.genPerfOutput()
 	default:
-		g.genStackMapOp()
+		g.genPerfOutput()
 	}
 }
 
@@ -539,43 +534,22 @@ func (g *progGen) genPerfOutput() {
 	g.st.regs[R0] = genReg{kind: rkScalar}
 }
 
-func (g *progGen) genStackMapOp() {
-	w := g.rng.Intn(StackSize / 8)
-	if g.rng.Intn(2) == 0 {
-		g.initRange(w, 1)
-		g.b.LoadMapPtr(R1, genMapStack)
-		g.emitStackPtr(R2, w)
-		g.b.Call(HelperStackPush)
-	} else {
-		// Pop fills its buffer only on success, so it does not count as
-		// initializing the word (the verifier agrees). Pre-initialize it
-		// instead: later reads stay legal, and the store→pop→load shape
-		// this produces is exactly the optimizer's hardest aliasing case.
-		g.initRange(w, 1)
-		g.b.LoadMapPtr(R1, genMapStack)
-		g.emitStackPtr(R2, w)
-		g.b.Call(HelperStackPop)
-	}
-	g.helperClobber()
-	g.st.regs[R0] = genReg{kind: rkScalar}
-}
-
 // --- raw instruction stream wire codec -------------------------------------
 //
 // Fuzz corpora store programs as flat byte streams so go-fuzz mutation
 // operates on something meaningful. One instruction is 20 little-endian
 // bytes: op, dst, src, pad, off int32, loopBound int32, imm int64.
 
-// InsnWireBytes is the encoded size of one instruction.
-const InsnWireBytes = 20
+// insnWireBytes is the encoded size of one instruction.
+const insnWireBytes = 20
 
-// maxDecodedInsns caps DecodeInsns output so fuzz inputs stay fast.
+// maxDecodedInsns caps decodeInsns output so fuzz inputs stay fast.
 const maxDecodedInsns = 512
 
-// EncodeInsns flattens an instruction slice to the fuzz wire form.
-func EncodeInsns(insns []Insn) []byte {
-	out := make([]byte, 0, len(insns)*InsnWireBytes)
-	var rec [InsnWireBytes]byte
+// encodeInsns flattens an instruction slice to the fuzz wire form.
+func encodeInsns(insns []Insn) []byte {
+	out := make([]byte, 0, len(insns)*insnWireBytes)
+	var rec [insnWireBytes]byte
 	for _, in := range insns {
 		rec[0] = byte(in.Op)
 		rec[1] = byte(in.Dst)
@@ -589,17 +563,17 @@ func EncodeInsns(insns []Insn) []byte {
 	return out
 }
 
-// DecodeInsns parses the fuzz wire form, ignoring any trailing partial
+// decodeInsns parses the fuzz wire form, ignoring any trailing partial
 // record. It never rejects: malformed fields become instructions the
 // verifier must reject (that is the point).
-func DecodeInsns(data []byte) []Insn {
-	n := len(data) / InsnWireBytes
+func decodeInsns(data []byte) []Insn {
+	n := len(data) / insnWireBytes
 	if n > maxDecodedInsns {
 		n = maxDecodedInsns
 	}
 	insns := make([]Insn, n)
 	for i := 0; i < n; i++ {
-		rec := data[i*InsnWireBytes:]
+		rec := data[i*insnWireBytes:]
 		insns[i] = Insn{
 			Op:        Op(rec[0]),
 			Dst:       Reg(rec[1]),
@@ -612,12 +586,12 @@ func DecodeInsns(data []byte) []Insn {
 	return insns
 }
 
-// MutateInsns applies a deterministic sequence of small mutations driven
+// mutateInsns applies a deterministic sequence of small mutations driven
 // by data: every 4 bytes select a position and a tweak (opcode, register,
 // offset, immediate, loop bound, duplicate, delete). The result usually no
 // longer satisfies the generator's validity argument — which is what makes
 // it a useful verifier input.
-func MutateInsns(insns []Insn, data []byte) []Insn {
+func mutateInsns(insns []Insn, data []byte) []Insn {
 	out := append([]Insn(nil), insns...)
 	// Cap the number of applied mutations: unbounded fuzz inputs would
 	// otherwise make the duplicate action quadratic in len(data).

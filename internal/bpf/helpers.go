@@ -1,8 +1,10 @@
 package bpf
 
 // Helper IDs callable via OpCall. The set mirrors what TScout's Collector
-// needs: map plumbing, the recursion stack (§5.2), perf output (§3.2), and
-// reads of the kernel state each probe consumes (§4).
+// needs: map plumbing (nested-OU state lives in a hash map, §5.2), perf
+// output (§3.2), and reads of the kernel state each probe consumes (§4).
+// The IDs are the wire ABI of the checked-in fuzz corpora: never renumber
+// one. IDs 4 and 5 are unassigned; the verifier rejects a call to either.
 const (
 	// HelperMapLookup: r1=map, r2=key ptr -> r0 = value ptr or NULL.
 	HelperMapLookup = 1
@@ -10,10 +12,6 @@ const (
 	HelperMapUpdate = 2
 	// HelperMapDelete: r1=map, r2=key ptr -> r0 = 1 if deleted.
 	HelperMapDelete = 3
-	// HelperStackPush: r1=stack map, r2=value ptr -> r0 = 0/err.
-	HelperStackPush = 4
-	// HelperStackPop: r1=stack map, r2=dst value ptr -> r0 = 0 ok, 1 empty.
-	HelperStackPop = 5
 	// HelperPerfOutput: r1=perf buffer, r2=data ptr, r3=const size.
 	HelperPerfOutput = 6
 	// HelperReadCounter: r1=counter id, r2=part (see CounterPart*) -> r0.
@@ -119,10 +117,6 @@ var helperSpecs = map[int64]HelperSpec{
 		[]ArgKind{ArgConstMap, ArgPtrKey, ArgPtrValue}, RetScalar, 18, false},
 	HelperMapDelete: {HelperMapDelete, "map_delete_elem",
 		[]ArgKind{ArgConstMap, ArgPtrKey}, RetScalar, 13, false},
-	HelperStackPush: {HelperStackPush, "stack_push",
-		[]ArgKind{ArgConstMap, ArgPtrValue}, RetScalar, 14, false},
-	HelperStackPop: {HelperStackPop, "stack_pop",
-		[]ArgKind{ArgConstMap, ArgPtrValue}, RetScalar, 14, false},
 	HelperPerfOutput: {HelperPerfOutput, "perf_event_output",
 		[]ArgKind{ArgConstMap, ArgPtrSized, ArgSizeConst}, RetScalar, 40, false},
 	HelperReadCounter: {HelperReadCounter, "read_perf_counter",

@@ -112,8 +112,8 @@ const (
 
 	// Arithmetic (sign-propagating) right shift: dst = int64(dst) >> (src|imm).
 	// Appended after OpExit so the opcode numbering of the existing
-	// instructions — and with it the on-disk fuzz corpora encoded by
-	// EncodeInsns — stays stable.
+	// instructions — and with it the wire form of the checked-in fuzz
+	// corpora (testdata/fuzz) — stays stable.
 	OpArshImm
 	OpArshReg
 )

@@ -177,15 +177,8 @@ func (a *Analysis) effects(pc int) insnEffects {
 				if size == 0 {
 					continue
 				}
-				// stack_pop writes its destination only when the pop
-				// succeeds (vm.go leaves it untouched on failure), so a
-				// prior store stays observable on the failure path: a
-				// conditional write is a weak update that kills nothing,
-				// mirroring the imprecise-store case. It does not read
-				// the buffer either. Every other ptr arg is a read.
-				if in.Imm != HelperStackPop || kind != ArgPtrValue {
-					markStackSpan(&e.useStack, arg.lo, arg.hi, size)
-				}
+				// Every map helper reads its key and value buffers.
+				markStackSpan(&e.useStack, arg.lo, arg.hi, size)
 			case ArgPtrSized:
 				if arg.kind == rkPtrStack {
 					sizedPtr = arg

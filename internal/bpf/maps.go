@@ -8,7 +8,6 @@ import (
 // Map errors.
 var (
 	ErrMapFull    = errors.New("bpf: map full")
-	ErrStackEmpty = errors.New("bpf: stack map empty")
 	ErrBadKeySize = errors.New("bpf: bad key size")
 	ErrBadValSize = errors.New("bpf: bad value size")
 )
@@ -223,91 +222,6 @@ func (a *ArrayMap) Delete(key []byte) bool {
 	}
 	return true
 }
-
-// StackMap is a LIFO stack of fixed-size values (BPF_MAP_TYPE_STACK). The
-// Collector uses one per task to handle recursive operators: BEGIN pushes an
-// OU invocation entry, FEATURES pops and type-checks it (paper §5.2).
-//
-// Elements live in one flat backing array (slot i at [i*valueSize,
-// (i+1)*valueSize)): pushes past the high-water mark grow it once and then
-// reuse the capacity forever, so the marker hot path allocates nothing.
-// Pop and Lookup return views into the backing — a popped view is only
-// valid until the next Push, which is why both in-kernel helpers copy the
-// element out immediately.
-type StackMap struct {
-	name       string
-	valueSize  int
-	maxEntries int
-
-	data  []byte
-	depth int
-}
-
-// NewStackMap creates a stack map holding at most maxEntries values.
-func NewStackMap(name string, valueSize, maxEntries int) *StackMap {
-	return &StackMap{name: name, valueSize: valueSize, maxEntries: maxEntries}
-}
-
-// Name returns the map name.
-func (s *StackMap) Name() string { return s.name }
-
-// KeySize returns 0: stacks are keyless.
-func (s *StackMap) KeySize() int { return 0 }
-
-// ValueSize returns the element size in bytes.
-func (s *StackMap) ValueSize() int { return s.valueSize }
-
-// MaxEntries returns the capacity.
-func (s *StackMap) MaxEntries() int { return s.maxEntries }
-
-// Len returns the current depth.
-func (s *StackMap) Len() int { return s.depth }
-
-// Lookup returns the top of the stack without popping (peek), or nil when
-// empty. The key is ignored.
-func (s *StackMap) Lookup(key []byte) []byte {
-	if s.depth == 0 {
-		return nil
-	}
-	return s.data[(s.depth-1)*s.valueSize : s.depth*s.valueSize]
-}
-
-// Update pushes a value (the key is ignored).
-func (s *StackMap) Update(key, value []byte) error {
-	return s.Push(value)
-}
-
-// Delete pops and discards the top element.
-func (s *StackMap) Delete(key []byte) bool {
-	_, err := s.Pop()
-	return err == nil
-}
-
-// Push copies value onto the stack.
-func (s *StackMap) Push(value []byte) error {
-	if len(value) != s.valueSize {
-		return ErrBadValSize
-	}
-	if s.depth >= s.maxEntries {
-		return ErrMapFull
-	}
-	s.data = append(s.data[:s.depth*s.valueSize], value...)
-	s.depth++
-	return nil
-}
-
-// Pop removes and returns the top element. The returned view is valid
-// until the next Push reuses the slot; callers that retain it must copy.
-func (s *StackMap) Pop() ([]byte, error) {
-	if s.depth == 0 {
-		return nil, ErrStackEmpty
-	}
-	s.depth--
-	return s.data[s.depth*s.valueSize : (s.depth+1)*s.valueSize : (s.depth+1)*s.valueSize], nil
-}
-
-// Clear empties the stack (the Collector's state-machine reset, §5.1).
-func (s *StackMap) Clear() { s.depth = 0 }
 
 // PerTaskMap stores one fixed-size value per task PID; it stands in for
 // BPF per-CPU / per-task storage used to snapshot probe results at BEGIN

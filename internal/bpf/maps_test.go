@@ -192,54 +192,6 @@ func TestArrayMap(t *testing.T) {
 	}
 }
 
-func TestStackMapLIFO(t *testing.T) {
-	s := NewStackMap("s", 8, 3)
-	if s.KeySize() != 0 || s.ValueSize() != 8 {
-		t.Fatalf("metadata")
-	}
-	if _, err := s.Pop(); err != ErrStackEmpty {
-		t.Fatalf("pop empty: %v", err)
-	}
-	for i := uint64(1); i <= 3; i++ {
-		if err := s.Push(U64Key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Push(U64Key(4)); err != ErrMapFull {
-		t.Fatalf("push full: %v", err)
-	}
-	if top := s.Lookup(nil); U64(top) != 3 {
-		t.Fatalf("peek: %v", U64(top))
-	}
-	for want := uint64(3); want >= 1; want-- {
-		v, err := s.Pop()
-		if err != nil || U64(v) != want {
-			t.Fatalf("pop: %v %v want %d", v, err, want)
-		}
-	}
-	_ = s.Push(U64Key(9))
-	s.Clear()
-	if s.Len() != 0 {
-		t.Fatalf("clear")
-	}
-	if err := s.Push([]byte{1}); err != ErrBadValSize {
-		t.Fatalf("bad size push: %v", err)
-	}
-}
-
-func TestStackMapMapInterface(t *testing.T) {
-	s := NewStackMap("s", 8, 2)
-	if err := s.Update(nil, U64Key(5)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Delete(nil) {
-		t.Fatalf("delete pops")
-	}
-	if s.Delete(nil) {
-		t.Fatalf("delete on empty")
-	}
-}
-
 func TestPerTaskMap(t *testing.T) {
 	p := NewPerTaskMap("p", 16)
 	slot := p.Lookup(U64Key(7))

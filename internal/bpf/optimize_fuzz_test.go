@@ -38,8 +38,6 @@ func mapFingerprint(m Map) string {
 		return "hash:" + b.String()
 	case *ArrayMap:
 		return fmt.Sprintf("array:%x", mm.values)
-	case *StackMap:
-		return fmt.Sprintf("stack:%d:%x", mm.depth, mm.data[:mm.depth*mm.valueSize])
 	case *PerTaskMap:
 		pids := make([]uint64, 0, len(mm.m))
 		for pid := range mm.m {
@@ -96,7 +94,7 @@ func runExecVariant(name string, insns []Insn, seed int64, compile bool) optVari
 
 // runExecVariantOn is runExecVariant on a chosen hardware profile.
 func runExecVariantOn(hw sim.HardwareProfile, name string, insns []Insn, seed int64, compile bool) optVariantResult {
-	p := &Program{Name: name, Insns: insns, Maps: NewGenMaps()}
+	p := &Program{Name: name, Insns: insns, Maps: newGenMaps()}
 	lp, err := Load(p, fuzzMaxInsns)
 	if err != nil {
 		return optVariantResult{err: err}
@@ -125,30 +123,29 @@ func FuzzOptimize(f *testing.F) {
 	f.Add(int64(42), uint8(30), []byte{})
 	f.Add(int64(99), uint8(36), []byte{2, 7, 255, 255})
 	f.Add(int64(141), uint8(39), []byte{})
-	// Regression: store→failing-pop→load. stack_pop writes its buffer only
-	// on success, so dead-store elimination must not treat the pop as a
-	// strong kill of an aliasing earlier store (its value is R0 on the
-	// failure path). Pinned via raw mode, which the generator+mutator path
-	// cannot express exactly.
-	f.Add(int64(-1), uint8(0), EncodeInsns(popFailureRegression().Insns))
+	// store→helper→shadowing store: map_update_elem reads its buffers, so
+	// dead-store elimination must keep a store only the helper reads.
+	// Pinned via raw mode, which the generator+mutator path cannot express
+	// exactly.
+	f.Add(int64(-1), uint8(0), encodeInsns(helperReadsStoreProgram().Insns))
 
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, mut []byte) {
 		var p *Program
 		if seed < 0 {
-			// Raw mode: mut is a wire-encoded program (EncodeInsns),
+			// Raw mode: mut is a wire-encoded program (encodeInsns),
 			// letting corpus entries pin exact regression programs.
-			insns := DecodeInsns(mut)
+			insns := decodeInsns(mut)
 			if len(insns) == 0 {
 				return
 			}
-			p = &Program{Name: "fuzz/opt-raw", Insns: insns, Maps: NewGenMaps()}
+			p = &Program{Name: "fuzz/opt-raw", Insns: insns, Maps: newGenMaps()}
 			if Verify(p, fuzzMaxInsns) != nil {
 				return // reject side is FuzzVerify's job
 			}
 		} else {
-			p = GenProgram(seed, int(steps%40)+1)
+			p = genProgram(seed, int(steps%40)+1)
 			if len(mut) > 0 {
-				mp := &Program{Name: "fuzz/opt-mut", Insns: MutateInsns(p.Insns, mut), Maps: NewGenMaps()}
+				mp := &Program{Name: "fuzz/opt-mut", Insns: mutateInsns(p.Insns, mut), Maps: newGenMaps()}
 				if len(mp.Insns) == 0 || Verify(mp, fuzzMaxInsns) != nil {
 					return // reject side is FuzzVerifyThenRun's job
 				}

@@ -216,15 +216,11 @@ const (
 	// stackWrite marks bytes initialized, but only when the address is
 	// exact (a weak update would be unsound to treat as initializing).
 	stackWrite
-	// stackCondWrite is a write that may not happen at runtime (e.g.
-	// stack_pop fills its buffer only on success): bounds-check only,
-	// neither requiring nor providing initialization.
-	stackCondWrite
 )
 
 // checkStackRange validates an access of size bytes through base (a stack
 // pointer with offset range [lo,hi]) plus the static offset off, with
-// read/write/conditional-write semantics per mode.
+// read or write semantics per mode.
 func checkStackRange(pc int, s *absState, base regState, off int32, size int, mode stackAccess) error {
 	if base.lo < -offWindow || base.hi > offWindow {
 		return verr(pc, "stack access at offset %d size %d out of bounds", base.lo, size)
@@ -234,16 +230,13 @@ func checkStackRange(pc int, s *absState, base regState, off int32, size int, mo
 	if lo < -StackSize || hi+int64(size) > 0 {
 		return verr(pc, "stack access at offset %d size %d out of bounds", lo, size)
 	}
-	switch mode {
-	case stackWrite:
+	if mode == stackWrite {
 		if base.lo == base.hi {
 			idx := int(lo + StackSize)
 			for i := 0; i < size; i++ {
 				s.stackInit.set(idx + i)
 			}
 		}
-		return nil
-	case stackCondWrite:
 		return nil
 	}
 	for a := lo; a < hi+int64(size); a++ {
@@ -533,15 +526,9 @@ func step(p *Program, pc int, in *absState, out *[2]succ) (int, error) {
 				}
 				constMap = a.mapIdx
 				// Helper/map-type compatibility, checked statically like
-				// real eBPF: the runtime type assertions in vm.go must be
-				// unreachable for verified programs. (Found by FuzzVerify:
-				// stack_pop on a hash map verified, then faulted.)
-				switch insn.Imm {
-				case HelperStackPush, HelperStackPop:
-					if _, ok := p.Maps[constMap].(*StackMap); !ok {
-						return 0, verr(pc, "%s arg %d must be a stack map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
-					}
-				case HelperPerfOutput:
+				// real eBPF: the runtime type assertion in vm.go must be
+				// unreachable for verified programs.
+				if insn.Imm == HelperPerfOutput {
 					if _, ok := p.Maps[constMap].(*PerCPURing); !ok {
 						return 0, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 					}
@@ -560,17 +547,9 @@ func step(p *Program, pc int, in *absState, out *[2]succ) (int, error) {
 				if a.kind != rkPtrStack {
 					return 0, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
 				}
-				// Map update/push read the buffer, so every byte must be
-				// initialized. Pop writes it, but only when the pop
-				// succeeds (vm.go leaves the buffer untouched on the
-				// failure path), so the destination is bounds-checked
-				// without marking bytes initialized: a conditional write
-				// must not let later code read bytes the VM never wrote.
-				mode := stackRead
-				if insn.Imm == HelperStackPop {
-					mode = stackCondWrite
-				}
-				if err := checkStackRange(pc, s, a, 0, size, mode); err != nil {
+				// Every map helper reads its key and value buffers, so
+				// every byte must be initialized.
+				if err := checkStackRange(pc, s, a, 0, size, stackRead); err != nil {
 					return 0, err
 				}
 			case ArgPtrSized:

@@ -82,7 +82,7 @@ func oracleRequireInit(pc int, s *oracleState, r Reg, what string) error {
 
 // oracleCheckStackRange validates an access of size bytes through base (a stack
 // pointer with offset range [lo,hi]) plus the static offset off, with
-// read/write/conditional-write semantics per mode.
+// read or write semantics per mode.
 func oracleCheckStackRange(pc int, s *oracleState, base regState, off int32, size int, mode stackAccess) error {
 	if base.lo < -offWindow || base.hi > offWindow {
 		return verr(pc, "stack access at offset %d size %d out of bounds", base.lo, size)
@@ -92,16 +92,13 @@ func oracleCheckStackRange(pc int, s *oracleState, base regState, off int32, siz
 	if lo < -StackSize || hi+int64(size) > 0 {
 		return verr(pc, "stack access at offset %d size %d out of bounds", lo, size)
 	}
-	switch mode {
-	case stackWrite:
+	if mode == stackWrite {
 		if base.lo == base.hi {
 			idx := int(lo + StackSize)
 			for i := 0; i < size; i++ {
 				s.stackInit[idx+i] = true
 			}
 		}
-		return nil
-	case stackCondWrite:
 		return nil
 	}
 	for a := lo; a < hi+int64(size); a++ {
@@ -358,15 +355,9 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 				}
 				constMap = a.mapIdx
 				// Helper/map-type compatibility, checked statically like
-				// real eBPF: the runtime type assertions in vm.go must be
-				// unreachable for verified programs. (Found by FuzzVerify:
-				// stack_pop on a hash map verified, then faulted.)
-				switch insn.Imm {
-				case HelperStackPush, HelperStackPop:
-					if _, ok := p.Maps[constMap].(*StackMap); !ok {
-						return nil, verr(pc, "%s arg %d must be a stack map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
-					}
-				case HelperPerfOutput:
+				// real eBPF: the runtime type assertion in vm.go must be
+				// unreachable for verified programs.
+				if insn.Imm == HelperPerfOutput {
 					if _, ok := p.Maps[constMap].(*PerCPURing); !ok {
 						return nil, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 					}
@@ -385,17 +376,9 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 				if a.kind != rkPtrStack {
 					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
 				}
-				// Map update/push read the buffer, so every byte must be
-				// initialized. Pop writes it, but only when the pop
-				// succeeds (vm.go leaves the buffer untouched on the
-				// failure path), so the destination is bounds-checked
-				// without marking bytes initialized: a conditional write
-				// must not let later code read bytes the VM never wrote.
-				mode := stackRead
-				if insn.Imm == HelperStackPop {
-					mode = stackCondWrite
-				}
-				if err := oracleCheckStackRange(pc, &s, a, 0, size, mode); err != nil {
+				// Every map helper reads its key and value buffers, so
+				// every byte must be initialized.
+				if err := oracleCheckStackRange(pc, &s, a, 0, size, stackRead); err != nil {
 					return nil, err
 				}
 			case ArgPtrSized:
@@ -653,22 +636,22 @@ func FuzzAnalyzeDifferential(f *testing.F) {
 	f.Add(int64(42), uint8(30), []byte{2, 7, 255, 255, 7, 3, 0, 0})
 	f.Add(int64(99), uint8(36), []byte{6, 1, 0, 0, 5, 2, 128, 0})
 	f.Add(int64(141), uint8(39), []byte{})
-	f.Add(int64(-1), uint8(0), EncodeInsns(popFailureRegression().Insns))
-	f.Add(int64(-1), uint8(0), EncodeInsns(stackJoinRegression().Insns))
+	f.Add(int64(-1), uint8(0), encodeInsns(helperReadsStoreProgram().Insns))
+	f.Add(int64(-1), uint8(0), encodeInsns(stackJoinRegression().Insns))
 
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, mut []byte) {
 		var p *Program
 		if seed < 0 {
-			insns := DecodeInsns(mut)
+			insns := decodeInsns(mut)
 			if len(insns) == 0 {
 				return
 			}
-			p = &Program{Name: "fuzz/analyze-raw", Insns: insns, Maps: NewGenMaps()}
+			p = &Program{Name: "fuzz/analyze-raw", Insns: insns, Maps: newGenMaps()}
 		} else {
-			p = GenProgram(seed, int(steps%40)+1)
+			p = genProgram(seed, int(steps%40)+1)
 			if len(mut) > 0 {
 				checkAnalysesAgree(t, p)
-				p = &Program{Name: "fuzz/analyze-mut", Insns: MutateInsns(p.Insns, mut), Maps: p.Maps}
+				p = &Program{Name: "fuzz/analyze-mut", Insns: mutateInsns(p.Insns, mut), Maps: p.Maps}
 				if len(p.Insns) == 0 {
 					return
 				}

@@ -461,44 +461,6 @@ func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
 		} else {
 			ec.regs[R0] = 0
 		}
-	case HelperStackPush:
-		m, err := getMap(R1)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		sm, ok := m.(*StackMap)
-		if !ok {
-			return spec.CostNS, fmt.Errorf("%w: stack_push on non-stack map", ErrRuntime)
-		}
-		val, err := stackBytes(R2, sm.ValueSize())
-		if err != nil {
-			return spec.CostNS, err
-		}
-		if perr := sm.Push(val); perr != nil {
-			ec.regs[R0] = ^uint64(0)
-		} else {
-			ec.regs[R0] = 0
-		}
-	case HelperStackPop:
-		m, err := getMap(R1)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		sm, ok := m.(*StackMap)
-		if !ok {
-			return spec.CostNS, fmt.Errorf("%w: stack_pop on non-stack map", ErrRuntime)
-		}
-		dst, err := stackBytes(R2, sm.ValueSize())
-		if err != nil {
-			return spec.CostNS, err
-		}
-		v, perr := sm.Pop()
-		if perr != nil {
-			ec.regs[R0] = 1
-		} else {
-			copy(dst, v)
-			ec.regs[R0] = 0
-		}
 	case HelperPerfOutput:
 		m, err := getMap(R1)
 		if err != nil {

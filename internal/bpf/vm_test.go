@@ -188,34 +188,6 @@ func TestRunMapLookupMiss(t *testing.T) {
 	}
 }
 
-func TestRunStackMapPushPop(t *testing.T) {
-	s := NewStackMap("s", 8, 4)
-	b := NewBuilder("stackmap")
-	idx := b.AddMap(s)
-	p := b.
-		StoreImm(R10, -8, 31).
-		LoadMapPtr(R1, idx).
-		MovReg(R2, R10).Sub(R2, 8).
-		Call(HelperStackPush).
-		StoreImm(R10, -8, 0). // clear buffer
-		LoadMapPtr(R1, idx).
-		MovReg(R2, R10).Sub(R2, 8).
-		Call(HelperStackPop).
-		Jne(R0, 0, "empty").
-		Load(R0, R10, -8).
-		Exit().
-		Label("empty").
-		Mov(R0, 0).
-		Exit().MustBuild()
-	ret, _ := runProg(t, p)
-	if ret != 31 {
-		t.Fatalf("stack map round trip: got %d want 31", ret)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("stack must be empty after pop")
-	}
-}
-
 func TestRunPerfOutput(t *testing.T) {
 	rb := NewPerCPURing("rb", 1, 4)
 	b := NewBuilder("perf")

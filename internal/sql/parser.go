@@ -29,26 +29,6 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseScript parses a semicolon-separated batch of statements (the
-// multi-query packets PostgreSQL's protocol allows, paper §3.1).
-func ParseScript(input string) ([]Statement, error) {
-	var out []Statement
-	for _, part := range strings.Split(input, ";") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		s, err := Parse(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("sql: empty statement")
-	}
-	return out, nil
-}
-
 type parser struct {
 	toks []token
 	i    int

@@ -182,19 +182,6 @@ func TestParseNegativeAndParens(t *testing.T) {
 	}
 }
 
-func TestParseScript(t *testing.T) {
-	stmts, err := ParseScript("SELECT * FROM a WHERE x = 1; UPDATE a SET x = 2 WHERE x = 1;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) != 2 {
-		t.Fatalf("script: %d", len(stmts))
-	}
-	if _, err := ParseScript("  ;  "); err == nil {
-		t.Fatalf("empty script must fail")
-	}
-}
-
 func TestParseComments(t *testing.T) {
 	s := parseSelect(t, "SELECT * FROM t -- trailing comment\n WHERE a = 1")
 	if len(s.Where) != 1 {

@@ -1,8 +1,6 @@
 package tscout
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -108,48 +106,5 @@ func TestMarkerStateMachineProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCSVSink(t *testing.T) {
-	var buf bytes.Buffer
-	sink, err := NewCSVSink(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := kernel.New(sim.LargeHW, 4, 0)
-	ts := New(k, Config{Seed: 4, ProcessorSink: sink})
-	m := ts.MustRegisterOU(OUDef{
-		ID: 7, Name: "scan", Subsystem: SubsystemExecutionEngine,
-		Features: []string{"num_rows"},
-	}, ResourceSet{CPU: true})
-	if err := ts.Deploy(); err != nil {
-		t.Fatal(err)
-	}
-	ts.Sampler().SetAllRates(100)
-	task := k.NewTask("w")
-	ts.BeginEvent(task, SubsystemExecutionEngine)
-	m.Begin(task)
-	task.Charge(sim.Work{Instructions: 9000, BytesTouched: 640})
-	m.End(task)
-	m.Features(task, 128, 77)
-	ts.Processor().Drain(DrainOptions{})
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Rows() != 1 {
-		t.Fatalf("rows: %d", sink.Rows())
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv lines: %d\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "ou,ou_name,subsystem,pid,elapsed_ns") {
-		t.Fatalf("header: %s", lines[0])
-	}
-	if !strings.Contains(lines[1], "scan,execution-engine") ||
-		!strings.Contains(lines[1], "num_rows=77") {
-		t.Fatalf("row: %s", lines[1])
 	}
 }

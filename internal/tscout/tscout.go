@@ -115,7 +115,8 @@ func (m Mode) String() string {
 // Collector (bounded so the BPF stack frame and copy loops verify).
 const MaxFeatures = 16
 
-// MaxOUDepth bounds the Collector's recursion stack (paper §5.2).
+// MaxOUDepth bounds how deeply the Collector nests OUs (its per-task depth
+// counter, paper §5.2).
 const MaxOUDepth = 16
 
 // Config tunes a TScout deployment.
@@ -190,7 +191,7 @@ type subsystem struct {
 
 // taskState is TScout's per-thread bookkeeping: the sampling-bit offset,
 // the current event decision per subsystem, and (in user modes) the
-// in-flight OU stack that mirrors the kernel stack map. It lives in
+// in-flight OU stack that mirrors the Collector's entries map. It lives in
 // ts.tasks and, for the marker path, in the task's own local slot; owner
 // says whose it is, since two deployments may drive one task.
 type taskState struct {
