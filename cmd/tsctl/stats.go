@@ -183,6 +183,23 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 				js.RuntimeFaults())
 		}
 		fmt.Fprintf(&b, "compiled-programs=%d\n", st.TotalCompiledPrograms())
+		// What one hit of each program dispatches at most: its
+		// instructions, and the micro-ops they fuse into.
+		fmt.Fprintf(&b, "jit ops (instructions->micro-ops per program):\n")
+		opsCell := func(p bpf.ProgramJITStats) string {
+			if !p.Compiled {
+				return "-"
+			}
+			return fmt.Sprintf("%d->%d", p.Insns, p.Ops)
+		}
+		for _, sub := range tscout.AllSubsystems {
+			js := st.JIT[sub]
+			if !js.Enabled {
+				continue
+			}
+			fmt.Fprintf(&b, "%-18s %12s %12s %12s\n",
+				sub.String(), opsCell(js.Begin), opsCell(js.End), opsCell(js.Features))
+		}
 	}
 	return b.String()
 }

@@ -73,6 +73,9 @@ type CompileInfo struct {
 	Reason string
 	// Insns is the static instruction count.
 	Insns int
+	// Ops is the number of micro-ops the compiled blocks hold after
+	// peephole fusion (0 when the program was declined).
+	Ops int
 }
 
 // copFn is one compiled terminator or block: execute against ec, return
@@ -99,7 +102,7 @@ func (lp *LoadedProgram) Compile() CompileInfo {
 			a.states = states
 		}
 	} else {
-		cc.fuse()
+		info.Ops = cc.fuse()
 		lp.compiled = cc.fns[0]
 		info.Compiled = true
 		lp.analysis = nil
@@ -118,6 +121,9 @@ type ProgramJITStats struct {
 	Attempted     bool
 	Compiled      bool
 	DeclineReason string
+	// Insns and Ops are CompileInfo's static instruction and micro-op
+	// counts.
+	Insns, Ops    int
 	CompiledRuns  int64
 	InterpRuns    int64
 	RuntimeFaults int64
@@ -129,6 +135,8 @@ func (lp *LoadedProgram) JITStats() ProgramJITStats {
 		Attempted:     lp.compileInfo.Attempted,
 		Compiled:      lp.compileInfo.Compiled,
 		DeclineReason: lp.compileInfo.Reason,
+		Insns:         lp.compileInfo.Insns,
+		Ops:           lp.compileInfo.Ops,
 		CompiledRuns:  lp.compiledRuns,
 		InterpRuns:    lp.interpRuns,
 		RuntimeFaults: lp.runtimeFaults,
@@ -168,7 +176,7 @@ func (lp *LoadedProgram) decode() (*compiler, string) {
 func (lp *LoadedProgram) runCompiled(task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
 	lp.compiledRuns++
 	insnNS := task.Kernel().Profile.BPFInsnNS
-	ec := lp.getExecState()
+	ec := lp.resetState()
 	ec.task, ec.args = task, args
 	ec.regs[R10] = mkPtr(0, StackSize)
 	defer func() {
@@ -177,8 +185,6 @@ func (lp *LoadedProgram) runCompiled(task *kernel.Task, args []uint64) (r0 uint6
 			costNS = cost(ec.executed, ec.helperNS, insnNS)
 			err = fmt.Errorf("%w: compiled execution panic: %v", ErrRuntime, rec)
 		}
-		ec.task, ec.args = nil, nil
-		lp.putExecState(ec)
 	}()
 	for f := lp.compiled; f != nil; {
 		f = f(ec)
@@ -190,18 +196,15 @@ func (lp *LoadedProgram) runCompiled(task *kernel.Task, args []uint64) (r0 uint6
 	return ec.regs[R0], costNS, nil
 }
 
-// getExecState returns a recycled execution state. Registers are zeroed
-// (the interpreter starts from zero registers and trace capture may read
-// helper-argument registers); the 512-byte stack is deliberately left
-// dirty — the verifier rejects any read of a stack byte the program did
-// not write this invocation, so stale contents are unobservable.
-func (lp *LoadedProgram) getExecState() *execState {
-	n := len(lp.free)
-	if n == 0 {
-		return &execState{}
-	}
-	ec := lp.free[n-1]
-	lp.free = lp.free[:n-1]
+// resetState readies the program's execution state for a run; the task
+// and arguments of the last run stay in it until the next one sets them.
+// Registers are zeroed (the interpreter starts from zero registers and
+// trace capture may read helper-argument registers); the 512-byte stack is
+// deliberately left dirty — the verifier rejects any read of a stack byte
+// the program did not write this invocation, so stale contents are
+// unobservable.
+func (lp *LoadedProgram) resetState() *execState {
+	ec := &lp.ec
 	ec.regs = [regSlots]uint64{}
 	ec.objects = ec.objects[:0]
 	ec.executed = 0
@@ -209,8 +212,6 @@ func (lp *LoadedProgram) getExecState() *execState {
 	ec.err = nil
 	return ec
 }
-
-func (lp *LoadedProgram) putExecState(ec *execState) { lp.free = append(lp.free, ec) }
 
 type compiler struct {
 	lp *LoadedProgram
@@ -224,6 +225,9 @@ type compiler struct {
 	fns      []copFn
 	ops      []microOp
 	isTarget []bool
+	// frames[pc] is the callFrame callBody bound the call at pc to (nil
+	// elsewhere, and nil until the first one); matchFrame widens it.
+	frames []*callFrame
 }
 
 // markTargets records which pcs are explicit jump targets (fusion must not
@@ -442,8 +446,17 @@ func (cc *compiler) genericCall(id int64, next *copFn) copFn {
 // the body run inside a block as a muHelperCall micro-op. Each body
 // preserves the interpreter's observable order — R0 set before the trace
 // record — and its exact helperNS charging. Pure helpers never get here:
-// callMicro gives them micro kinds of their own.
-func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
+// callMicro gives them micro kinds of their own. A map or perf-output call
+// whose arguments sit at proven stack slots becomes a callFrame, which the
+// peephole can later widen with the code around the call.
+func (cc *compiler) callBody(pc int, in Insn) func(*execState) bool {
+	if f := cc.frame(pc); f != nil {
+		if cc.frames == nil {
+			cc.frames = make([]*callFrame, len(cc.p.Insns))
+		}
+		cc.frames[pc] = f
+		return f.run
+	}
 	lp := cc.lp
 	id := in.Imm
 	spec, known := HelperByID(id)
@@ -455,13 +468,14 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 
 	switch id {
 	case HelperTracePrintk:
-		return func(ec *execState) {
+		return func(ec *execState) bool {
 			lp.printk = append(lp.printk, ec.regs[R1])
 			ec.regs[R0] = 0
 			ec.helperNS += costNS
 			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
+			return false
 		}
 
 	case HelperMapLookup:
@@ -473,7 +487,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 		if kf == nil {
 			return nil
 		}
-		return func(ec *execState) {
+		return func(ec *execState) bool {
 			v := m.Lookup(kf(ec))
 			if v == nil {
 				ec.regs[R0] = 0
@@ -484,6 +498,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
+			return false
 		}
 	case HelperMapUpdate:
 		m := cc.constMap(st, R1)
@@ -495,7 +510,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 		if kf == nil || vf == nil {
 			return nil
 		}
-		return func(ec *execState) {
+		return func(ec *execState) bool {
 			if uerr := m.Update(kf(ec), vf(ec)); uerr != nil {
 				ec.regs[R0] = ^uint64(0)
 			} else {
@@ -505,37 +520,18 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
+			return false
 		}
 	case HelperMapDelete:
 		m := cc.constMap(st, R1)
 		if m == nil {
 			return nil
 		}
-		ks := m.KeySize()
-		kf := cc.stackArg(st, R2, ks)
+		kf := cc.stackArg(st, R2, m.KeySize())
 		if kf == nil {
 			return nil
 		}
-		// Constant-slot key into a hash map — the dominant delete shape
-		// (the stale-entry reaper issues 16 of these per run). Bind the
-		// concrete map type and the proven stack slot so the body is one
-		// flat call with no fetcher closure or interface dispatch.
-		if hm, ok := m.(*HashMap); ok {
-			if idx, exact := cc.stackArgConst(st, R2, ks); exact {
-				return func(ec *execState) {
-					if hm.Delete(ec.stack[idx : idx+ks]) {
-						ec.regs[R0] = 1
-					} else {
-						ec.regs[R0] = 0
-					}
-					ec.helperNS += costNS
-					if lp.traceOn {
-						lp.recordCall(ec, id)
-					}
-				}
-			}
-		}
-		return func(ec *execState) {
+		return func(ec *execState) bool {
 			if m.Delete(kf(ec)) {
 				ec.regs[R0] = 1
 			} else {
@@ -545,6 +541,7 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
+			return false
 		}
 	case HelperPerfOutput:
 		m := cc.constMap(st, R1)
@@ -562,16 +559,238 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 			return nil
 		}
 		total := costNS + int64(size/16)
-		return func(ec *execState) {
+		return func(ec *execState) bool {
 			rb.SubmitFrom(ec.task.CPU(), df(ec))
 			ec.regs[R0] = 0
 			ec.helperNS += total
 			if lp.traceOn {
 				lp.recordCall(ec, id)
 			}
+			return false
 		}
 	}
 	return nil
+}
+
+// Registers of the padded register file that no instruction names (they
+// lie past R10, so the verifier rejects any program that uses them). A
+// callFrame writes the parts of its fixed shape a call site does not have
+// to them: regZero only ever receives zero, so it also serves as a zero
+// addend, and regSink absorbs the rest. Every run starts them at zero.
+const (
+	regZero = regSlots - 1
+	regSink = regSlots - 2
+)
+
+// Call-frame helpers: the concrete map type and helper a frame is bound to.
+const (
+	frameTaskLookup uint8 = iota // PerTaskMap lookup (creates the slot)
+	frameHashLookup
+	frameArrayLookup
+	frameHashUpdate
+	frameHashDelete
+	frameOutput // perf_event_output to a PerCPURing
+)
+
+// Frame prologues: straight-line code before the call that the peephole
+// folded in (see matchFrame).
+const (
+	preNone     uint8 = iota
+	preGen            // r0 = task gen; rA = r0; stack[i] = stack[j] = rA
+	preKeyReg         // rA = rB<<S + rD + I; stack[i] = rA
+	preKeyStack       // rA = stack[b]<<S + rD + I; stack[i] = rA
+)
+
+// callFrame is one devirtualized map or perf-output call bound to its
+// concrete map, with proven stack slots for its key and value, and with
+// the straight-line code codegen emits around it folded in by the peephole
+// (matchFrame): a prologue that computes or spills the key, the constant
+// register setup that feeds the call (map handle, key and value pointers,
+// size), a conditional branch on R0 that may leave the block, and an
+// epilogue that moves R0 into a register, loads a word through the value
+// pointer, or adds R0 to an accumulator. run replays every architectural
+// effect of those instructions in program order, fixed slots a call site
+// lacks writing regZero or regSink instead.
+type callFrame struct {
+	lp     *LoadedProgram
+	id     int64
+	costNS int64
+
+	helper uint8
+	task   *PerTaskMap
+	hash   *HashMap
+	array  *ArrayMap
+	ring   *PerCPURing
+	key    int32 // stack index of the 8-byte key
+	val    int32 // stack index of the update value or the output sample
+	size   int32 // their size in bytes
+
+	frameFold
+}
+
+// frameFold is the code matchFrame folds around a frame's call; its zero
+// shape (see noFold) folds nothing.
+type frameFold struct {
+	pre      uint8
+	preDst   uint8  // rA
+	preBase  uint8  // rB (preKeyReg)
+	preAdd   uint8  // rD, regZero when absent
+	preShift uint64 // S
+	preImm   uint64 // I
+	preLoad  int32  // b (preKeyStack)
+	preIdx   int32  // i
+	preIdx2  int32  // j (preGen)
+	preNS    int64  // the task-gen helper's cost (preGen)
+	setReg   [3]uint8
+	setVal   [3]uint64
+	branch   bool
+	bop      Op
+	bimm     uint64
+	movDst   uint8 // movr rX, r0 after the call
+	addDst   uint8 // addr rX, r0 after the call
+	load     bool  // ldx rY, [rX+off] after the move
+	loadDst  uint8
+	loadOff  int32
+}
+
+// noFold is the fold of a frame straight from callBody: setup writes
+// zeros to regZero and the epilogue writes regSink.
+var noFold = frameFold{preAdd: regZero, setReg: [3]uint8{regZero, regZero, regZero},
+	movDst: regSink, addDst: regSink}
+
+// frame binds the call at pc to a callFrame when the analysis proves its
+// map, the helper's concrete map type and exact stack slots for its
+// pointer arguments; otherwise it returns nil and callBody builds a
+// generic body.
+func (cc *compiler) frame(pc int) *callFrame {
+	st := &cc.a.states[pc]
+	id := cc.p.Insns[pc].Imm
+	spec, known := HelperByID(id)
+	m := cc.constMap(st, R1)
+	if !known || m == nil {
+		return nil
+	}
+	f := &callFrame{lp: cc.lp, id: id, costNS: spec.CostNS, frameFold: noFold}
+	var ok bool
+	switch id {
+	case HelperMapLookup, HelperMapUpdate, HelperMapDelete:
+		var key int
+		if key, ok = cc.stackArgConst(st, R2, m.KeySize()); !ok {
+			return nil
+		}
+		f.key = int32(key)
+	case HelperPerfOutput:
+		size, isConst := scalarConst(st, R3)
+		if f.ring, ok = m.(*PerCPURing); !ok || !isConst || size <= 0 {
+			return nil
+		}
+		val, exact := cc.stackArgConst(st, R2, int(size))
+		if !exact {
+			return nil
+		}
+		f.helper, f.val, f.size = frameOutput, int32(val), int32(size)
+		f.costNS += size / 16
+		return f
+	default:
+		return nil
+	}
+	switch mm := m.(type) {
+	case *PerTaskMap:
+		f.task, f.helper = mm, frameTaskLookup
+		ok = id == HelperMapLookup
+	case *ArrayMap:
+		f.array, f.helper = mm, frameArrayLookup
+		ok = id == HelperMapLookup
+	case *HashMap:
+		f.hash = mm
+		switch id {
+		case HelperMapLookup:
+			f.helper = frameHashLookup
+		case HelperMapDelete:
+			f.helper = frameHashDelete
+		case HelperMapUpdate:
+			f.helper, f.size = frameHashUpdate, int32(mm.valueSize)
+			val, exact := cc.stackArgConst(st, R3, mm.valueSize)
+			f.val, ok = int32(val), exact
+		}
+	default:
+		ok = false
+	}
+	if !ok {
+		return nil
+	}
+	return f
+}
+
+// run executes the frame: prologue, setup, the helper on its concrete map,
+// then the branch — reporting true when it is taken, so the block leaves —
+// and the epilogue. The table lookups inline here (scripts/check.sh lint's
+// maptable_inlined step).
+func (f *callFrame) run(ec *execState) bool {
+	switch f.pre {
+	case preGen:
+		g := ec.task.Gen()
+		ec.regs[R0] = g
+		ec.regs[f.preDst&regMask] = g
+		PutU64(ec.stack[f.preIdx:f.preIdx+8], g)
+		PutU64(ec.stack[f.preIdx2:f.preIdx2+8], g)
+		ec.helperNS += f.preNS
+	case preKeyReg:
+		k := ec.regs[f.preBase&regMask]<<f.preShift + ec.regs[f.preAdd&regMask] + f.preImm
+		ec.regs[f.preDst&regMask] = k
+		PutU64(ec.stack[f.preIdx:f.preIdx+8], k)
+	case preKeyStack:
+		k := U64(ec.stack[f.preLoad:f.preLoad+8])<<f.preShift + ec.regs[f.preAdd&regMask] + f.preImm
+		ec.regs[f.preDst&regMask] = k
+		PutU64(ec.stack[f.preIdx:f.preIdx+8], k)
+	}
+	ec.regs[f.setReg[0]&regMask] = f.setVal[0]
+	ec.regs[f.setReg[1]&regMask] = f.setVal[1]
+	ec.regs[f.setReg[2]&regMask] = f.setVal[2]
+
+	var r0 uint64
+	var v []byte
+	switch f.helper {
+	case frameTaskLookup:
+		k := U64(ec.stack[f.key : f.key+8])
+		if v = f.task.t.lookup(k); v == nil {
+			v = f.task.create(k)
+		}
+		r0 = ec.registerObject(v)
+	case frameHashLookup:
+		if v = f.hash.t.lookup(U64(ec.stack[f.key : f.key+8])); v != nil {
+			r0 = ec.registerObject(v)
+		}
+	case frameArrayLookup:
+		if i := U64(ec.stack[f.key : f.key+8]); i < uint64(len(f.array.values)) {
+			v = f.array.values[i]
+			r0 = ec.registerObject(v)
+		}
+	case frameHashUpdate:
+		if f.hash.update(U64(ec.stack[f.key:f.key+8]), ec.stack[f.val:f.val+f.size]) != nil {
+			r0 = ^uint64(0)
+		}
+	case frameHashDelete:
+		if f.hash.delete(U64(ec.stack[f.key : f.key+8])) {
+			r0 = 1
+		}
+	case frameOutput:
+		f.ring.SubmitFrom(ec.task.CPU(), ec.stack[f.val:f.val+f.size])
+	}
+	ec.regs[R0] = r0
+	ec.helperNS += f.costNS
+	if f.lp.traceOn {
+		f.lp.recordCall(ec, f.id)
+	}
+	if f.branch && condTrue(f.bop, r0, f.bimm) {
+		return true
+	}
+	ec.regs[f.movDst&regMask] = r0
+	ec.regs[f.addDst&regMask] += r0
+	if f.load {
+		ec.regs[f.loadDst&regMask] = U64(v[f.loadOff : f.loadOff+8])
+	}
+	return false
 }
 
 // fuse turns every maximal run of micro-ops — consecutive pcs, cut at
@@ -581,18 +800,20 @@ func (cc *compiler) callBody(pc int, in Insn) func(*execState) {
 // native implementation of the instruction set. The run's micro-ops are
 // peephole-combined into pattern super-ops first, so one dispatched op can
 // retire several instructions; instruction accounting goes by pc, not by
-// op count.
-func (cc *compiler) fuse() {
+// op count. It returns the number of micro-ops in all the blocks.
+func (cc *compiler) fuse() (ops int) {
 	for pc := 0; pc < len(cc.fns); {
 		run := cc.run(pc)
 		if len(run) == 0 {
 			pc++
 			continue
 		}
-		b := &block{ops: peephole(run), fns: cc.fns, head: pc, next: pc + len(run)}
+		b := &block{ops: cc.peephole(run), fns: cc.fns, head: pc, next: pc + len(run)}
+		ops += len(b.ops)
 		cc.fns[pc] = b.run
 		pc = b.next
 	}
+	return ops
 }
 
 // run returns the micro-ops of the maximal run starting at pc (empty when
@@ -686,6 +907,16 @@ const (
 	muDeltaObjStore   // the END-marker delta quad, see matchDeltaObjStore
 	muAddImmObjStore  // read-modify-write increment, see matchAddImmObjStore
 	muProbeScaleStore // a whole normalized counter probe, see matchProbe
+	muCallFrame       // a map call with the code around it, see matchFrame
+
+	// First-pass super-ops for the I/O probe reads, see matchArgCallStore.
+	muIOACStore // r1 = imm; r0 = task ioac field imm; stack[idx] = r0; +idx2 ns
+	muSockStore // r1 = imm; r0 = tcp_sock field imm; stack[idx] = r0; +idx2 ns
+
+	// Third-pass super-ops: runs of earlier super-ops (see matchRuns).
+	muLoadObjStoreRun // imm muLoadObjStore ops over adjacent words
+	muDeltaObjRun     // imm muDeltaObjStore ops over adjacent words
+	muArgLadder       // a guarded tracepoint-argument copy, see matchLadder
 
 	// muHelperCall runs a devirtualized impure-helper body (fn). The
 	// verifier's argument proofs make these bodies fault-free, so the
@@ -695,14 +926,16 @@ const (
 
 // microOp is one pre-decoded instruction — or, for pattern super-ops, a
 // short fused sequence. Scalar ops fit the first 24 bytes; fn is only
-// set for muHelperCall.
+// set for muHelperCall and muCallFrame, and reports whether a conditional
+// branch folded into it was taken (idx and idx2 then say where to and
+// what it retired, as for muJccImm).
 type microOp struct {
 	kind        microKind
 	dst, src, x uint8
 	idx         int32  // resolved stack index, or load/store offset
 	idx2        int32  // second resolved index / count / helper cost
 	imm         uint64 // immediate / pre-computed constant
-	fn          func(*execState)
+	fn          func(*execState) bool
 }
 
 // regMask makes a byte register index provably in-bounds for the padded
@@ -826,7 +1059,7 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 			}
 		}
 		if body := cc.callBody(pc, in); body != nil {
-			return microOp{kind: muHelperCall, fn: body}, true
+			return microOp{kind: muHelperCall, fn: body, imm: uint64(pc)}, true
 		}
 		return microOp{}, false
 
@@ -900,20 +1133,31 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 // so it is observationally identical by construction, and the differential
 // fuzz oracles check exactly that. Instruction accounting is untouched:
 // the block charges its instruction count, not its op count.
-func peephole(ops []microOp) []microOp {
-	out := rewrite(ops, matchPattern)
-	// A second pass matches super-ops produced by the first: a whole
-	// counter probe is three counter-read ops plus the normalization
-	// super-op, and the END-marker delta quad starts with a load the
-	// first pass could not see past.
-	return rewrite(out, matchPattern2)
+func (cc *compiler) peephole(ops []microOp) []microOp {
+	for _, match := range passes {
+		ops = cc.rewrite(ops, match)
+	}
+	return ops
+}
+
+// passes is the peephole pass list, applied in order. A later pass matches
+// super-ops an earlier one produced: a whole counter probe is three
+// counter-read ops plus the normalization super-op, and the END-marker
+// delta quad starts with a load the first pass could not see past.
+// The third folds runs of identical super-ops and the feature-argument
+// guard ladder into one op each. Only the second needs the compiler: it
+// rebuilds map calls as callFrames.
+var passes = [...]func(*compiler, []microOp) (microOp, int){
+	func(_ *compiler, w []microOp) (microOp, int) { return matchPattern(w) },
+	(*compiler).matchPattern2,
+	func(_ *compiler, w []microOp) (microOp, int) { return matchRuns(w) },
 }
 
 // rewrite applies match greedily left to right, copying unmatched ops.
-func rewrite(ops []microOp, match func([]microOp) (microOp, int)) []microOp {
+func (cc *compiler) rewrite(ops []microOp, match func(*compiler, []microOp) (microOp, int)) []microOp {
 	out := make([]microOp, 0, len(ops))
 	for i := 0; i < len(ops); {
-		if op, n := match(ops[i:]); n > 0 {
+		if op, n := match(cc, ops[i:]); n > 0 {
 			out = append(out, op)
 			i += n
 			continue
@@ -934,7 +1178,7 @@ func matchPattern(w []microOp) (microOp, int) {
 	if op, n := matchReadCounter(w); n > 0 {
 		return op, n
 	}
-	if op, n := matchGetArgStore(w); n > 0 {
+	if op, n := matchArgCallStore(w); n > 0 {
 		return op, n
 	}
 	if len(w) >= 2 && w[0].kind == muMovImm &&
@@ -957,8 +1201,8 @@ func matchPattern(w []microOp) (microOp, int) {
 	return microOp{}, 0
 }
 
-func matchPattern2(w []microOp) (microOp, int) {
-	if op, n := matchKeyedCall(w); n > 0 {
+func (cc *compiler) matchPattern2(w []microOp) (microOp, int) {
+	if op, n := cc.matchFrame(w); n > 0 {
 		return op, n
 	}
 	if op, n := matchProbe(w); n > 0 {
@@ -970,100 +1214,105 @@ func matchPattern2(w []microOp) (microOp, int) {
 	if op, n := matchAddImmObjStore(w); n > 0 {
 		return op, n
 	}
-	if op, n := matchCallSetup(w); n > 0 {
-		return op, n
-	}
 	return microOp{}, 0
 }
 
-// matchKeyedCall recognizes the slot-keyed map-call idiom — the stale
-// entry reaper builds (gen<<S)+slot keys for all 16 recursion depths and
-// deletes each one:
+// matchFrame folds the code codegen emits around a map or perf-output call
+// into the call's callFrame, so the whole sequence is one dispatch and the
+// body binds to the concrete map with its setup in place (rather than a
+// setup closure wrapping a body closure). In order, all but the call
+// optional, at least one besides it:
 //
-//	ldx rA, [fp-X]; lsh rA, S; add rA, SLOT; stx [fp-K], rA
-//	ldmap r1, map[M]; (movr r2, r10; sub r2, off → folded mov)
-//	call <devirtualized>
+//	prologue, one of
+//	  call get_task_gen; movr rA, r0; stx [fp-I], rA [; stx [fp-J], rA]
+//	  (movr rA, rB | ldx rA, [fp-B]); lsh rA, S [; addr rA, rD] [; add rA, I]; stx [fp-K], rA
+//	up to three mov rX, imm (map handle, folded frame pointers, size)
+//	the call
+//	jcc r0, imm              — leaves the block when taken
+//	movr rX, r0 [; ldx rY, [rX+off]] | addr rX, r0
 //
-// The whole 8-instruction sequence (7 first-pass ops) bakes into one
-// specialized closure that replays every register and stack write in
-// program order before invoking the fault-free helper body.
-func matchKeyedCall(w []microOp) (microOp, int) {
-	if len(w) < 7 ||
-		w[0].kind != muLoadStackExact ||
-		w[1].kind != muLshImm || w[1].dst != w[0].dst ||
-		w[2].kind != muAddImm || w[2].dst != w[0].dst ||
-		w[3].kind != muStoreRegExact || w[3].src != w[0].dst ||
-		w[4].kind != muMovImm ||
-		w[5].kind != muMovImm ||
-		w[6].kind != muHelperCall {
-		return microOp{}, 0
-	}
-	a := w[0].dst & regMask
-	x, k := w[0].idx, w[3].idx
-	s, add := w[1].imm&63, w[2].imm
-	d1, i1 := w[4].dst&regMask, w[4].imm
-	d2, i2 := w[5].dst&regMask, w[5].imm
-	f := w[6].fn
-	// The reaper idiom accumulates each delete's result (`add r6, r0`)
-	// right after the call; fold that add into the same closure so the
-	// whole 9-instruction slot sweep is a single dispatch.
-	if len(w) >= 8 && w[7].kind == muAddReg {
-		ad, as := w[7].dst&regMask, w[7].src&regMask
-		return microOp{kind: muHelperCall, fn: func(ec *execState) {
-			v := U64(ec.stack[x:x+8])<<s + add
-			ec.regs[a] = v
-			PutU64(ec.stack[k:k+8], v)
-			ec.regs[d1] = i1
-			ec.regs[d2] = i2
-			f(ec)
-			ec.regs[ad] += ec.regs[as]
-		}}, 8
-	}
-	return microOp{kind: muHelperCall, fn: func(ec *execState) {
-		v := U64(ec.stack[x:x+8])<<s + add
-		ec.regs[a] = v
-		PutU64(ec.stack[k:k+8], v)
-		ec.regs[d1] = i1
-		ec.regs[d2] = i2
-		f(ec)
-	}}, 7
-}
-
-// matchCallSetup bakes a short run of constant setup ops — immediate
-// register loads (map handles, folded frame pointers, sizes) and
-// constant stack stores — into the devirtualized call they feed, so a
-// whole `ldmap; mov; mov; call` sequence is one dispatch.
-func matchCallSetup(w []microOp) (microOp, int) {
-	n := 0
-	for n < len(w)-1 && n < 3 &&
-		(w[n].kind == muMovImm || w[n].kind == muStoreImmExact) {
-		n++
-	}
-	if n == 0 || w[n].kind != muHelperCall {
-		return microOp{}, 0
-	}
-	f := w[n].fn
-	if n == 2 && w[0].kind == muMovImm && w[1].kind == muMovImm {
-		d1, i1 := w[0].dst&regMask, w[0].imm
-		d2, i2 := w[1].dst&regMask, w[1].imm
-		return microOp{kind: muHelperCall, fn: func(ec *execState) {
-			ec.regs[d1] = i1
-			ec.regs[d2] = i2
-			f(ec)
-		}}, 3
-	}
-	setup := append([]microOp(nil), w[:n]...)
-	return microOp{kind: muHelperCall, fn: func(ec *execState) {
-		for i := range setup {
-			op := &setup[i]
-			if op.kind == muMovImm {
-				ec.regs[op.dst&regMask] = op.imm
-			} else {
-				PutU64(ec.stack[op.idx:op.idx+8], op.imm)
-			}
+// That is the Collector's shared prologue (the depth-slot lookup keyed by
+// task generation), its entry-key sequences (gen<<8 | depth, adjusted) with
+// the entries-map lookup, update or delete they feed, and the null checks
+// and pointer moves after them. The load after the move is folded only
+// behind `jeq r0, 0`, which proves the value pointer non-null, and rD must
+// differ from rA so the key reads rD before the write.
+func (cc *compiler) matchFrame(w []microOp) (microOp, int) {
+	p := noFold
+	i := 0
+	switch {
+	case len(w) >= 3 && w[0].kind == muCallGetTaskGen &&
+		w[1].kind == muMovReg && w[1].src == uint8(R0) &&
+		w[2].kind == muStoreRegExact && w[2].src == w[1].dst:
+		p.pre, p.preNS, p.preDst = preGen, int64(w[0].imm), w[1].dst
+		p.preIdx, p.preIdx2, i = w[2].idx, w[2].idx, 3
+		if len(w) > 3 && w[3].kind == muStoreRegExact && w[3].src == w[1].dst {
+			p.preIdx2, i = w[3].idx, 4
 		}
-		f(ec)
-	}}, n + 1
+	case len(w) >= 3 && (w[0].kind == muMovReg || w[0].kind == muLoadStackExact) &&
+		w[1].kind == muLshImm && w[1].dst == w[0].dst:
+		a := w[0].dst
+		p.pre, p.preDst, p.preShift = preKeyReg, a, w[1].imm&63
+		if w[0].kind == muMovReg {
+			p.preBase = w[0].src
+		} else {
+			p.pre, p.preLoad = preKeyStack, w[0].idx
+		}
+		i = 2
+		if i < len(w) && w[i].kind == muAddReg && w[i].dst == a && w[i].src != a {
+			p.preAdd = w[i].src
+			i++
+		}
+		if i < len(w) && w[i].kind == muAddImm && w[i].dst == a {
+			p.preImm = w[i].imm
+			i++
+		}
+		if i >= len(w) || w[i].kind != muStoreRegExact || w[i].src != a {
+			p, i = noFold, 0
+			break
+		}
+		p.preIdx = w[i].idx
+		i++
+	}
+	set := 0
+	for ; set < 3 && i < len(w) && w[i].kind == muMovImm; set++ {
+		i++
+	}
+	if i >= len(w) || w[i].kind != muHelperCall || cc.frames == nil || cc.frames[w[i].imm] == nil {
+		return microOp{}, 0
+	}
+	f := cc.frames[w[i].imm]
+	for s := 0; s < set; s++ {
+		p.setReg[s], p.setVal[s] = w[i-set+s].dst, w[i-set+s].imm
+	}
+	op := microOp{kind: muCallFrame, imm: w[i].imm, fn: w[i].fn}
+	i++
+	if i < len(w) && w[i].kind == muJccImm && w[i].dst == uint8(R0) {
+		p.branch, p.bop, p.bimm = true, Op(w[i].x), w[i].imm
+		op.idx, op.idx2 = w[i].idx, w[i].idx2
+		i++
+	}
+	switch {
+	case i < len(w) && w[i].kind == muMovReg && w[i].src == uint8(R0):
+		p.movDst = w[i].dst
+		i++
+		lookup := f.helper == frameTaskLookup || f.helper == frameHashLookup || f.helper == frameArrayLookup
+		if lookup && p.branch && p.bop == OpJeqImm && p.bimm == 0 &&
+			i < len(w) && w[i].kind == muLoadObjDyn && w[i].src == p.movDst {
+			p.load, p.loadDst, p.loadOff = true, w[i].dst, w[i].idx
+			i++
+		}
+	case i < len(w) && w[i].kind == muAddReg && w[i].src == uint8(R0) && w[i].dst != uint8(R0):
+		p.addDst = w[i].dst
+		i++
+	}
+	if i == 1 {
+		return microOp{}, 0
+	}
+	// Widen the call's own frame in place: the op that ran it unwidened
+	// is dropped, and its run method value is reused.
+	f.frameFold = p
+	return op, i
 }
 
 // matchZeroRun recognizes the frame-zeroing prologue: ≥3 consecutive
@@ -1105,16 +1354,29 @@ func matchReadCounter(w []microOp) (microOp, int) {
 	return op, 3
 }
 
-// matchGetArgStore recognizes mov r1, I; call get_tracepoint_arg;
-// stx [fp-D], r0 — how every tracepoint argument lands in the frame.
-func matchGetArgStore(w []microOp) (microOp, int) {
+// matchArgCallStore recognizes mov r1, I; call H; stx [fp-D], r0 for the
+// helpers that read one field selected by r1: get_tracepoint_arg — how
+// every tracepoint argument lands in the frame — and the task I/O and
+// socket probes. The selector goes in imm, the helper cost in idx2 and the
+// spill slot in idx.
+func matchArgCallStore(w []microOp) (microOp, int) {
 	if len(w) < 3 ||
 		w[0].kind != muMovImm || w[0].dst != uint8(R1) ||
-		w[1].kind != muCallGetArg ||
 		w[2].kind != muStoreRegExact || w[2].src != uint8(R0) {
 		return microOp{}, 0
 	}
-	return microOp{kind: muGetArgStore, imm: w[0].imm,
+	var k microKind
+	switch w[1].kind {
+	case muCallGetArg:
+		k = muGetArgStore
+	case muCallReadIOAC:
+		k = muIOACStore
+	case muCallReadSock:
+		k = muSockStore
+	default:
+		return microOp{}, 0
+	}
+	return microOp{kind: k, imm: w[0].imm,
 		idx2: int32(w[1].imm), idx: w[2].idx}, 3
 }
 
@@ -1221,6 +1483,92 @@ func matchAddImmObjStore(w []microOp) (microOp, int) {
 	}
 	return microOp{kind: muAddImmObjStore, src: base, x: b,
 		idx: w[0].idx, imm: w[1].imm}, 3
+}
+
+// matchRuns is the third pass: it folds runs of identical super-ops over
+// adjacent words and the feature-argument guard ladder.
+func matchRuns(w []microOp) (microOp, int) {
+	if op, n := matchCopyRun(w); n > 0 {
+		return op, n
+	}
+	if op, n := matchDeltaRun(w); n > 0 {
+		return op, n
+	}
+	return matchLadder(w)
+}
+
+// matchCopyRun recognizes ≥2 muLoadObjStore ops — FEATURES' metric copies
+// from the entry into the sample — that read adjacent words through one
+// base register and spill them to adjacent stack slots through one scratch
+// register (not the base, which the first copy would otherwise move). imm
+// is the count; the scratch register ends holding the last word.
+func matchCopyRun(w []microOp) (microOp, int) {
+	n := 0
+	for n < len(w) && w[n].kind == muLoadObjStore &&
+		w[n].src == w[0].src && w[n].x == w[0].x &&
+		w[n].idx == w[0].idx+int32(8*n) && w[n].idx2 == w[0].idx2+int32(8*n) {
+		n++
+	}
+	if n < 2 || w[0].x == w[0].src {
+		return microOp{}, 0
+	}
+	return microOp{kind: muLoadObjStoreRun, src: w[0].src, x: w[0].x,
+		idx: w[0].idx, idx2: w[0].idx2, imm: uint64(n)}, n
+}
+
+// matchDeltaRun recognizes ≥2 muDeltaObjStore ops — END's metric deltas —
+// on one register triple over adjacent entry words and adjacent stack
+// slots. imm is the count; the registers end as the last delta left them.
+func matchDeltaRun(w []microOp) (microOp, int) {
+	n := 0
+	for n < len(w) && w[n].kind == muDeltaObjStore &&
+		w[n].dst == w[0].dst && w[n].src == w[0].src && w[n].x == w[0].x &&
+		w[n].idx == w[0].idx+int32(8*n) && w[n].idx2 == w[0].idx2+int32(8*n) {
+		n++
+	}
+	if n < 2 {
+		return microOp{}, 0
+	}
+	return microOp{kind: muDeltaObjRun, dst: w[0].dst, src: w[0].src, x: w[0].x,
+		idx: w[0].idx, idx2: w[0].idx2, imm: uint64(n)}, n
+}
+
+// matchLadder recognizes FEATURES' unrolled feature copy: ≥2 rungs of
+//
+//	jcc rN, I+j, out; (mov r1, A+j; call get_tracepoint_arg; stx [fp-(S+8j)], r0)
+//
+// — a branch muJccImm and a muGetArgStore per rung, rung j's branch 4
+// instructions after rung j-1's — leaving for the same target at whichever
+// rung the guard first holds. rN must not be r0 or r1, which the rungs
+// write. Operands pack into the op: dst rN, x the opcode, idx the target,
+// idx2 the pc after the first branch, src the helper cost, and imm the
+// rung count, I, A and S in 16 bits each.
+func matchLadder(w []microOp) (microOp, int) {
+	if len(w) < 2 || w[0].kind != muJccImm || w[1].kind != muGetArgStore {
+		return microOp{}, 0
+	}
+	g, a := w[0], w[1]
+	if g.dst == uint8(R0) || g.dst == uint8(R1) || g.imm > 0xffff ||
+		a.imm > 0xffff || a.idx < 0 || a.idx > 0xffff || a.idx2 < 0 || a.idx2 > 0xff {
+		return microOp{}, 0
+	}
+	n := 0
+	for 2*n+1 < len(w) && n < 0xffff {
+		j, a2 := w[2*n], w[2*n+1]
+		if j.kind != muJccImm || j.dst != g.dst || j.x != g.x || j.idx != g.idx ||
+			j.imm != g.imm+uint64(n) || j.idx2 != g.idx2+int32(4*n) ||
+			a2.kind != muGetArgStore || a2.imm != a.imm+uint64(n) ||
+			a2.idx != a.idx+int32(8*n) || a2.idx2 != a.idx2 {
+			break
+		}
+		n++
+	}
+	if n < 2 {
+		return microOp{}, 0
+	}
+	return microOp{kind: muArgLadder, dst: g.dst, x: g.x, src: uint8(a.idx2),
+		idx: g.idx, idx2: g.idx2,
+		imm: uint64(n)<<48 | g.imm<<32 | a.imm<<16 | uint64(a.idx)}, 2 * n
 }
 
 // block is one compiled superblock: the micro-ops of the instructions at
@@ -1495,8 +1843,67 @@ func (blk *block) run(ec *execState) copFn {
 			PutU64(ec.stack[op.idx:op.idx+8], z)
 			ec.helperNS += int64(op.idx2)
 
-		case muHelperCall:
-			op.fn(ec)
+		case muLoadObjStoreRun:
+			v := ec.regs[op.src&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx2
+			var x uint64
+			for k := int32(0); k < int32(op.imm)*8; k += 8 {
+				x = U64(b[a+k : a+k+8])
+				PutU64(ec.stack[op.idx+k:op.idx+k+8], x)
+			}
+			ec.regs[op.x&regMask] = x
+		case muDeltaObjRun:
+			v := ec.regs[op.src&regMask]
+			b := ec.objects[ptrObj(v)-1]
+			a := int32(ptrAddr(v)) + op.idx
+			var va, vb uint64
+			for k := int32(0); k < int32(op.imm)*8; k += 8 {
+				va = U64(ec.stack[op.idx2+k : op.idx2+k+8])
+				vb = U64(b[a+k : a+k+8])
+				PutU64(b[a+k:a+k+8], va-vb)
+			}
+			ec.regs[op.x&regMask] = vb
+			ec.regs[op.dst&regMask] = va - vb
+		case muArgLadder:
+			g := ec.regs[op.dst&regMask]
+			n := int(op.imm >> 48)
+			bound := op.imm >> 32 & 0xffff
+			arg := op.imm >> 16 & 0xffff
+			at := int32(op.imm & 0xffff)
+			for j := 0; j < n; j++ {
+				if condTrue(Op(op.x), g, bound+uint64(j)) {
+					ec.executed += int(op.idx2) + 4*j - blk.head
+					return blk.fns[op.idx]
+				}
+				i := arg + uint64(j)
+				var v uint64
+				if i < uint64(len(ec.args)) {
+					v = ec.args[i]
+				}
+				ec.regs[R1] = i
+				ec.regs[R0] = v
+				PutU64(ec.stack[at+int32(8*j):at+int32(8*j)+8], v)
+				ec.helperNS += int64(op.src)
+			}
+		case muIOACStore:
+			ec.regs[R1] = op.imm
+			v := readIOACHelper(ec.task, op.imm)
+			ec.regs[R0] = v
+			PutU64(ec.stack[op.idx:op.idx+8], v)
+			ec.helperNS += int64(op.idx2)
+		case muSockStore:
+			ec.regs[R1] = op.imm
+			v := readSockHelper(ec.task, op.imm)
+			ec.regs[R0] = v
+			PutU64(ec.stack[op.idx:op.idx+8], v)
+			ec.helperNS += int64(op.idx2)
+
+		case muHelperCall, muCallFrame:
+			if op.fn(ec) {
+				ec.executed += int(op.idx2) - blk.head
+				return blk.fns[op.idx]
+			}
 		}
 	}
 	ec.executed += blk.next - blk.head

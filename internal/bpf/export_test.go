@@ -1,9 +1,12 @@
 package bpf
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
+
+	"tscout/internal/kernel"
 )
 
 // PatternNames lists the pattern super-op kinds in declaration order, from
@@ -11,14 +14,16 @@ import (
 var PatternNames = [muHelperCall - muStoreZeroRun]string{
 	"muStoreZeroRun", "muLoadObjStore", "muGetArgStore", "muReadCounterLoad",
 	"muReadCounterStore", "muScaleStore", "muDeltaObjStore",
-	"muAddImmObjStore", "muProbeScaleStore",
+	"muAddImmObjStore", "muProbeScaleStore", "muCallFrame",
+	"muIOACStore", "muSockStore",
+	"muLoadObjStoreRun", "muDeltaObjRun", "muArgLadder",
 }
 
 // PatternCounts decodes lp the way Compile does and adds to counts, per
-// pattern super-op kind, how many either peephole pass produced in lp's
-// blocks — a first-pass super-op counts where it is made, because the
-// second pass may go on to absorb it into a larger one. It returns the
-// decline reason if lp does not compile.
+// pattern super-op kind, how many each peephole pass produced in lp's
+// blocks — a super-op counts in the pass that makes it, because a later
+// pass may go on to absorb it into a larger one. It returns the decline
+// reason if lp does not compile.
 func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) string {
 	cc, reason := lp.decode()
 	if reason != "" {
@@ -30,9 +35,10 @@ func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) string {
 			pc++
 			continue
 		}
-		first := rewrite(run, matchPattern)
-		for _, pass := range [][]microOp{first, rewrite(first, matchPattern2)} {
-			for _, op := range pass {
+		ops := run
+		for _, match := range passes {
+			ops = cc.rewrite(ops, match)
+			for _, op := range ops {
 				if op.kind >= muStoreZeroRun && op.kind < muHelperCall {
 					counts[op.kind-muStoreZeroRun]++
 				}
@@ -41,6 +47,71 @@ func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) string {
 		pc += len(run)
 	}
 	return ""
+}
+
+// peepholeStarts is peephole for the run that starts at head, also
+// returning the pc of each output op's first instruction.
+func (cc *compiler) peepholeStarts(run []microOp, head int) ([]microOp, []int) {
+	ops, starts := run, make([]int, len(run))
+	for i := range starts {
+		starts[i] = head + i
+	}
+	for _, match := range passes {
+		var out []microOp
+		var outStarts []int
+		for i := 0; i < len(ops); {
+			op, n := match(cc, ops[i:])
+			if n == 0 {
+				op, n = ops[i], 1
+			}
+			out, outStarts = append(out, op), append(outStarts, starts[i])
+			i += n
+		}
+		ops, starts = out, outStarts
+	}
+	return ops, starts
+}
+
+// DispatchedOps runs lp once the way Compile would build it, except that
+// every micro-op after peephole is a block of its own, and returns how
+// many micro-ops the run dispatched beside its R0 and virtual cost (which
+// a block charges by pc, so splitting changes neither). lp must not have
+// been compiled: Compile releases the analysis decode needs.
+func DispatchedOps(lp *LoadedProgram, task *kernel.Task, args []uint64) (ops int, r0 uint64, costNS int64, err error) {
+	cc, reason := lp.decode()
+	if reason != "" {
+		return 0, 0, 0, errors.New(reason)
+	}
+	for pc := 0; pc < len(cc.fns); {
+		run := cc.run(pc)
+		if len(run) == 0 {
+			pc++
+			continue
+		}
+		fused, starts := cc.peepholeStarts(run, pc)
+		for j, op := range fused {
+			next := pc + len(run)
+			if j+1 < len(fused) {
+				next = starts[j+1]
+			}
+			b := &block{ops: []microOp{op}, fns: cc.fns, head: starts[j], next: next}
+			cc.fns[starts[j]] = func(ec *execState) copFn {
+				ops++
+				return b.run(ec)
+			}
+		}
+		pc += len(run)
+	}
+	ec := &execState{task: task, args: args}
+	ec.regs[R10] = mkPtr(0, StackSize)
+	for f := cc.fns[0]; f != nil; {
+		f = f(ec)
+	}
+	costNS = cost(ec.executed, ec.helperNS, task.Kernel().Profile.BPFInsnNS)
+	if ec.err != nil {
+		return ops, 0, costNS, ec.err
+	}
+	return ops, ec.regs[R0], costNS, nil
 }
 
 // PtrALU returns lp's per-pc pointer-ALU facts.
@@ -82,7 +153,7 @@ func MicroOps(lp *LoadedProgram) (ops, reason string) {
 			pc++
 			continue
 		}
-		for _, op := range peephole(run) {
+		for _, op := range cc.peephole(run) {
 			fmt.Fprintf(&b, "%d: %d %d %d %d %d %d %#x %v\n",
 				pc, op.kind, op.dst, op.src, op.x, op.idx, op.idx2, op.imm, op.fn != nil)
 		}

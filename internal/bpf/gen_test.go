@@ -141,3 +141,42 @@ func TestReadCounterOutOfRange(t *testing.T) {
 		t.Fatalf("invalid counter read %d, want 0", ret)
 	}
 }
+
+// TestGeneratorEmitsFusedShapes: the generator's Collector shapes must
+// reach the peephole as the super-ops they exist for — I/O probe triples,
+// copy and delta runs, the guard ladder, map calls with the code around
+// them — so FuzzVerifyThenRun and
+// FuzzOptimize compare each with the interpreter.
+func TestGeneratorEmitsFusedShapes(t *testing.T) {
+	want := []microKind{muIOACStore, muSockStore, muLoadObjStoreRun, muDeltaObjRun, muArgLadder, muCallFrame}
+	seen := map[microKind]int{}
+	for seed := int64(0); seed < 3000; seed++ {
+		// Short programs: a longer one almost always holds a loop, which
+		// the JIT declines.
+		lp, err := Load(genProgram(seed, int(seed%15)+1), fuzzMaxInsns)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		cc, reason := lp.decode()
+		if reason != "" {
+			continue
+		}
+		for pc := 0; pc < len(cc.fns); {
+			run := cc.run(pc)
+			if len(run) == 0 {
+				pc++
+				continue
+			}
+			for _, op := range cc.peephole(run) {
+				seen[op.kind]++
+			}
+			pc += len(run)
+		}
+	}
+	for _, k := range want {
+		if seen[k] == 0 {
+			t.Errorf("micro kind %d never came out of a generated program", k)
+		}
+	}
+	t.Logf("fused ops: %v", seen)
+}

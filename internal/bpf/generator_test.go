@@ -22,12 +22,16 @@ const (
 	genMapRing
 	genMapPerTask
 	genMapPerCPU
+	genMapWide
 	numGenMaps
 )
 
 const (
 	genHashValueSize = 16
 	genArrayValue    = 16
+	// genWideWords is the value size, in words, of the wide per-task map
+	// the copy and delta runs walk.
+	genWideWords = 12
 )
 
 // newGenMaps builds a fresh instance of the standard fuzz map table. Each
@@ -39,6 +43,7 @@ func newGenMaps() []Map {
 		genMapRing:    NewPerCPURing("fuzz/ring", 1, 32),
 		genMapPerTask: NewPerTaskMap("fuzz/pertask", genHashValueSize),
 		genMapPerCPU:  NewPerCPURing("fuzz/percpu", 4, 8),
+		genMapWide:    NewPerTaskMap("fuzz/wide", 8*genWideWords),
 	}
 }
 
@@ -242,9 +247,161 @@ func (g *progGen) step() {
 		g.genMapLookup()
 	case choice < 94:
 		g.genMapUpdate()
-	default:
+	case choice < 97:
 		g.genPerfOutput()
+	default:
+		g.genFusedShape()
 	}
+}
+
+// genFusedShape emits one of the Collector shapes the JIT's peephole folds
+// into a single super-op (compile.go: matchArgCallStore, matchCopyRun,
+// matchDeltaRun, matchLadder, matchFrame), with its operands drawn at
+// random so the
+// differential targets compare each fused op with the interpreter.
+func (g *progGen) genFusedShape() {
+	switch g.rng.Intn(5) {
+	case 4:
+		g.genKeyedCall()
+	case 0:
+		// mov r1, F; call read_ioac | read_sock; stx [fp-D], r0
+		id := int64(HelperReadIOAC)
+		if g.rng.Intn(2) == 1 {
+			id = HelperReadSock
+		}
+		g.b.Mov(R1, int64(g.rng.Intn(6))).Call(id)
+		g.helperClobber()
+		w := g.randSlot()
+		g.b.Store(R10, slotOff(w), R0)
+		g.st.regs[R0] = genReg{kind: rkScalar}
+		g.st.stackInit[w] = true
+	case 1, 2:
+		g.genWideRun(g.rng.Intn(2) == 0)
+	default:
+		g.genLadder()
+	}
+}
+
+// genWideRun looks up the wide per-task map and, behind the null check,
+// emits a run of 2–12 word copies from the value into the stack (copy) or
+// of END-style deltas from the stack into the value (delta): adjacent
+// words through one base register and fixed scratch registers.
+func (g *progGen) genWideRun(copyRun bool) {
+	n := g.rng.Intn(genWideWords-1) + 2
+	word := g.rng.Intn(genWideWords - n + 1)
+	slot := g.rng.Intn(StackSize/8 - n)
+	if !copyRun {
+		g.initRange(slot, n)
+	}
+	key := g.rng.Intn(StackSize / 8)
+	g.b.StoreImm(R10, slotOff(key), int64(g.rng.Intn(4)))
+	g.st.stackInit[key] = true
+	g.b.LoadMapPtr(R1, genMapWide)
+	g.emitStackPtr(R2, key)
+	g.b.Call(HelperMapLookup)
+	g.helperClobber()
+	skip := g.label("wide")
+	g.b.Jeq(R0, 0, skip)
+	base, a, b := g.distinctRegs()
+	g.b.MovReg(base, R0)
+	for i := 0; i < n; i++ {
+		off := int32(8 * (word + i))
+		if copyRun {
+			g.b.Load(a, base, off).Store(R10, slotOff(slot+i), a)
+		} else {
+			g.b.Load(a, R10, slotOff(slot+i)).Load(b, base, off).
+				SubReg(a, b).Store(base, off, a)
+		}
+	}
+	g.b.Label(skip)
+	// The skip path writes none of it: registers and (for a copy) slots
+	// join as the pre-lookup state left them, minus what the call clobbered.
+	g.st.regs[R0] = genReg{}
+	g.st.regs[base], g.st.regs[a], g.st.regs[b] = genReg{}, genReg{}, genReg{}
+}
+
+// genKeyedCall emits the Collector's prologue and entry-key shapes around
+// map calls (matchFrame): the task generation spilled twice and used as
+// the per-task key, a lookup, its null check and a load through the moved
+// pointer; then a key gen<<S + depth [+ adj] spilled and fed to a hash-map
+// lookup, update or delete, with a branch on r0 or an accumulation of it.
+func (g *progGen) genKeyedCall() {
+	call := g.rng.Intn(3)
+	val := g.rng.Intn(StackSize/8 - 2)
+	if call == 1 {
+		g.initRange(val, 2) // before the shape: it may take any scratch register
+	}
+	gen, ptr, depth := g.distinctRegs()
+	spill := g.randSlot()
+	key := g.randSlot()
+	g.b.Call(HelperGetTaskGen).MovReg(gen, R0).
+		Store(R10, slotOff(spill), gen).Store(R10, slotOff(key), gen).
+		LoadMapPtr(R1, genMapPerTask)
+	g.emitStackPtr(R2, key)
+	skip := g.label("keyed")
+	g.b.Call(HelperMapLookup).Jeq(R0, 0, skip).
+		MovReg(ptr, R0).Load(depth, ptr, int32(8*g.rng.Intn(2)))
+	g.b.MovReg(ptr, gen).Lsh(ptr, int64(g.rng.Intn(12))).AddReg(ptr, depth)
+	if g.rng.Intn(2) == 0 {
+		g.b.Add(ptr, int64(g.rng.Intn(3))-1)
+	}
+	g.b.Store(R10, slotOff(key), ptr).LoadMapPtr(R1, genMapHash)
+	g.emitStackPtr(R2, key)
+	switch call {
+	case 0:
+		g.b.Call(HelperMapLookup).Jeq(R0, 0, skip).MovReg(depth, R0).Load(ptr, depth, 8)
+	case 1:
+		g.emitStackPtr(R3, val)
+		g.b.Call(HelperMapUpdate).Jne(R0, 0, skip)
+	default:
+		g.b.Call(HelperMapDelete).AddReg(depth, R0)
+	}
+	g.b.Label(skip)
+	g.helperClobber()
+	g.st.regs[R0] = genReg{}
+	g.st.regs[gen], g.st.regs[ptr], g.st.regs[depth] = genReg{}, genReg{}, genReg{}
+	g.st.stackInit[spill], g.st.stackInit[key] = true, true
+}
+
+// distinctRegs returns three distinct unreserved registers from R6–R9,
+// which helper calls leave alone.
+func (g *progGen) distinctRegs() (Reg, Reg, Reg) {
+	var free []Reg
+	for r := R6; r <= R9; r++ {
+		if !g.reserved[r] {
+			free = append(free, r)
+		}
+	}
+	for len(free) < 3 {
+		free = append(free, R3+Reg(len(free))) // R3–R5: no call inside a run
+	}
+	g.rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	return free[0], free[1], free[2]
+}
+
+// genLadder emits FEATURES' guarded argument copy: a count rN the verifier
+// can only bound (a tracepoint argument scaled and masked to 0–15), then
+// 2–16 rungs of `jle rN, i, done; mov r1, A+i; call get_tracepoint_arg;
+// stx [fp-(S+8i)], r0`. Across seeds the run leaves at every rung.
+func (g *progGen) genLadder() {
+	n := g.rng.Intn(15) + 2
+	slot := g.rng.Intn(StackSize/8 - n)
+	cnt, _, _ := g.distinctRegs()
+	g.b.Mov(R1, int64(g.rng.Intn(4))).Call(HelperGetArg)
+	g.helperClobber()
+	g.b.MovReg(cnt, R0).Mul(cnt, int64(g.rng.Intn(7)+1)).
+		Add(cnt, int64(g.rng.Intn(16))).And(cnt, 15)
+	done := g.label("ladder")
+	arg := int64(g.rng.Intn(6))
+	for i := 0; i < n; i++ {
+		g.b.Jle(cnt, int64(i), done).
+			Mov(R1, arg+int64(i)).Call(HelperGetArg).
+			Store(R10, slotOff(slot+i), R0)
+	}
+	g.b.Label(done)
+	g.helperClobber()
+	g.st.regs[R0] = genReg{}
+	g.st.regs[cnt] = genReg{kind: rkScalar}
 }
 
 func (g *progGen) genMovImm() {

@@ -44,11 +44,12 @@ func U64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 func PutU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 
 // HashMap is the general-purpose BPF hash map, keyed on 8-byte keys (every
-// map TScout's codegen and the fuzz generator build is). Like the kernel's
-// preallocated htab it never gives a value buffer back to the allocator: a
-// deleted entry's buffer goes on a free list and backs a later insert, so a
-// map that churns at a steady occupancy — an OU entry pushed at BEGIN and
-// deleted at FEATURES, every invocation — allocates nothing.
+// map TScout's codegen and the fuzz generator build is), on a u64Table.
+// Like the kernel's preallocated htab it never gives a value buffer back to
+// the allocator: a deleted entry's buffer goes on a free list and backs a
+// later insert, so a map that churns at a steady occupancy — an OU entry
+// pushed at BEGIN and deleted at FEATURES, every invocation — allocates
+// nothing.
 //
 // That makes the aliasing rule the kernel's too: a value returned by Lookup
 // (or seen by Range) is valid until its key is deleted; after that the same
@@ -59,18 +60,16 @@ type HashMap struct {
 	valueSize  int
 	maxEntries int
 
-	m map[uint64][]byte
+	t u64Table
 	// free holds the buffers of deleted entries; it never exceeds the peak
 	// number of live entries.
 	free [][]byte
 }
 
 // NewHashMap creates a hash map with 8-byte keys and a fixed value size.
+// It holds no table until its first insert.
 func NewHashMap(name string, valueSize, maxEntries int) *HashMap {
-	return &HashMap{
-		name: name, valueSize: valueSize,
-		maxEntries: maxEntries, m: make(map[uint64][]byte),
-	}
+	return &HashMap{name: name, valueSize: valueSize, maxEntries: maxEntries}
 }
 
 // Name returns the map name.
@@ -86,7 +85,7 @@ func (h *HashMap) ValueSize() int { return h.valueSize }
 func (h *HashMap) MaxEntries() int { return h.maxEntries }
 
 // Len returns the current entry count.
-func (h *HashMap) Len() int { return len(h.m) }
+func (h *HashMap) Len() int { return h.t.n }
 
 // Lookup returns the value stored for key (aliasing the internal buffer,
 // see the type comment), or nil if absent or the key is the wrong size.
@@ -94,7 +93,7 @@ func (h *HashMap) Lookup(key []byte) []byte {
 	if len(key) != 8 {
 		return nil
 	}
-	return h.m[U64(key)]
+	return h.t.lookup(U64(key))
 }
 
 // Update inserts or replaces the value for key (the value is copied). An
@@ -108,10 +107,14 @@ func (h *HashMap) Update(key, value []byte) error {
 	if len(value) != h.valueSize {
 		return ErrBadValSize
 	}
-	k := U64(key)
-	dst, ok := h.m[k]
-	if !ok {
-		if len(h.m) >= h.maxEntries {
+	return h.update(U64(key), value)
+}
+
+// update is Update on a decoded key and a value of the right size.
+func (h *HashMap) update(k uint64, value []byte) error {
+	dst := h.t.lookup(k)
+	if dst == nil {
+		if h.t.n >= h.maxEntries {
 			return ErrMapFull
 		}
 		if n := len(h.free); n > 0 {
@@ -119,24 +122,21 @@ func (h *HashMap) Update(key, value []byte) error {
 		} else {
 			dst = make([]byte, h.valueSize)
 		}
-		h.m[k] = dst
+		h.t.insert(k, dst)
 	}
 	copy(dst, value)
 	return nil
 }
 
 // Range calls fn for every entry with a copy of the key (its 8
-// little-endian bytes) and the live value buffer; returning false
-// stops the walk. It exists for user-space sweeps over kernel-written state
-// — the Collector reaper scans in-flight OU entries for dead task
-// generations. The iteration order is unspecified; callers needing
-// determinism must sort what they collect.
+// little-endian bytes) and the live value buffer; returning false stops
+// the walk, and fn must not update or delete entries. It exists for
+// user-space sweeps over kernel-written state — the Collector reaper scans
+// in-flight OU entries for dead task generations. The order is the table's
+// slot order: a deterministic function of the map's operation sequence,
+// and not the key order.
 func (h *HashMap) Range(fn func(key, value []byte) bool) {
-	for k, v := range h.m {
-		if !fn(U64Key(k), v) {
-			return
-		}
-	}
+	h.t.each(func(k uint64, v []byte) bool { return fn(U64Key(k), v) })
 }
 
 // Delete removes key; its value buffer becomes reusable by a later insert.
@@ -144,13 +144,17 @@ func (h *HashMap) Delete(key []byte) bool {
 	if len(key) != 8 {
 		return false
 	}
-	k := U64(key)
-	v, ok := h.m[k]
-	if ok {
-		delete(h.m, k)
-		h.free = append(h.free, v)
+	return h.delete(U64(key))
+}
+
+// delete is Delete on a decoded key.
+func (h *HashMap) delete(k uint64) bool {
+	v := h.t.remove(k)
+	if v == nil {
+		return false
 	}
-	return ok
+	h.free = append(h.free, v)
+	return true
 }
 
 // ArrayMap is a fixed-size array of values indexed by a uint64 key. All
@@ -223,25 +227,26 @@ func (a *ArrayMap) Delete(key []byte) bool {
 	return true
 }
 
-// PerTaskMap stores one fixed-size value per task PID; it stands in for
-// BPF per-CPU / per-task storage used to snapshot probe results at BEGIN
-// markers without cross-thread synchronization (the "no back pressure"
-// property, paper §3).
+// PerTaskMap stores one fixed-size value per task, keyed by an 8-byte id
+// on a u64Table; it stands in for BPF per-task storage used to snapshot
+// probe results at BEGIN markers without cross-thread synchronization (the
+// "no back pressure" property, paper §3). TScout's Collector keys it by
+// task generation, not pid, so a recycled pid starts from a fresh slot.
 type PerTaskMap struct {
 	name      string
 	valueSize int
-	m         map[uint64][]byte
+	t         u64Table
 }
 
 // NewPerTaskMap creates an empty per-task map.
 func NewPerTaskMap(name string, valueSize int) *PerTaskMap {
-	return &PerTaskMap{name: name, valueSize: valueSize, m: make(map[uint64][]byte)}
+	return &PerTaskMap{name: name, valueSize: valueSize}
 }
 
 // Name returns the map name.
 func (p *PerTaskMap) Name() string { return p.name }
 
-// KeySize returns 8 (the PID).
+// KeySize returns 8 (the task id the caller keys by).
 func (p *PerTaskMap) KeySize() int { return 8 }
 
 // ValueSize returns the per-task slot size.
@@ -251,24 +256,34 @@ func (p *PerTaskMap) ValueSize() int { return p.valueSize }
 func (p *PerTaskMap) MaxEntries() int { return 0 }
 
 // Len returns the number of tasks with a slot.
-func (p *PerTaskMap) Len() int { return len(p.m) }
+func (p *PerTaskMap) Len() int { return p.t.n }
 
-// Lookup returns the slot for the PID in key, creating a zeroed slot on
-// first access (per-CPU semantics: the slot always exists).
+// Lookup returns the slot for the task id in key, creating a zeroed slot
+// on first access (per-CPU semantics: the slot always exists).
 func (p *PerTaskMap) Lookup(key []byte) []byte {
 	if len(key) != 8 {
 		return nil
 	}
-	pid := U64(key)
-	v, ok := p.m[pid]
-	if !ok {
-		v = make([]byte, p.valueSize)
-		p.m[pid] = v
+	return p.slot(U64(key))
+}
+
+// slot is Lookup on a decoded key.
+func (p *PerTaskMap) slot(k uint64) []byte {
+	if v := p.t.lookup(k); v != nil {
+		return v
 	}
+	return p.create(k)
+}
+
+// create inserts a zeroed slot for k, out of line so slot stays small
+// enough to inline.
+func (p *PerTaskMap) create(k uint64) []byte {
+	v := make([]byte, p.valueSize)
+	p.t.insert(k, v)
 	return v
 }
 
-// Update copies value into the PID's slot.
+// Update copies value into the task's slot.
 func (p *PerTaskMap) Update(key, value []byte) error {
 	if len(value) != p.valueSize {
 		return ErrBadValSize
@@ -281,26 +296,18 @@ func (p *PerTaskMap) Update(key, value []byte) error {
 	return nil
 }
 
-// Range calls fn for every slot (keys are the slot ids, values the live
-// buffers); returning false stops the walk. Like HashMap.Range it serves
-// user-space maintenance sweeps.
+// Range calls fn for every slot (keys are the task ids, values the live
+// buffers); returning false stops the walk, and fn must not create or
+// delete slots. Like HashMap.Range it serves user-space maintenance sweeps
+// and visits slots in the table's deterministic slot order.
 func (p *PerTaskMap) Range(fn func(key uint64, value []byte) bool) {
-	for k, v := range p.m {
-		if !fn(k, v) {
-			return
-		}
-	}
+	p.t.each(fn)
 }
 
-// Delete removes the PID's slot.
+// Delete removes the task's slot.
 func (p *PerTaskMap) Delete(key []byte) bool {
 	if len(key) != 8 {
 		return false
 	}
-	pid := U64(key)
-	if _, ok := p.m[pid]; !ok {
-		return false
-	}
-	delete(p.m, pid)
-	return true
+	return p.t.remove(U64(key)) != nil
 }

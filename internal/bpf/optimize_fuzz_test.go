@@ -20,35 +20,35 @@ import (
 // contents, and same end-state in every map — when both run against
 // identical fresh kernels, tasks, and maps.
 
+// tableFingerprint renders a table's entries in key order, each through
+// format.
+func tableFingerprint(t *u64Table, format string) string {
+	var keys []uint64
+	vals := map[uint64][]byte{}
+	t.each(func(k uint64, v []byte) bool {
+		keys = append(keys, k)
+		vals[k] = v
+		return true
+	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, format, k, vals[k])
+	}
+	return b.String()
+}
+
 // mapFingerprint renders a map's end-state canonically so two variants can
 // be compared byte-for-byte. Ring buffers fold in their drain contents and
 // submit/drop accounting; hash and per-task maps sort their keys.
 func mapFingerprint(m Map) string {
 	switch mm := m.(type) {
 	case *HashMap:
-		keys := make([]uint64, 0, len(mm.m))
-		for k := range mm.m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		var b strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%x=%x;", k, mm.m[k])
-		}
-		return "hash:" + b.String()
+		return "hash:" + tableFingerprint(&mm.t, "%x=%x;")
 	case *ArrayMap:
 		return fmt.Sprintf("array:%x", mm.values)
 	case *PerTaskMap:
-		pids := make([]uint64, 0, len(mm.m))
-		for pid := range mm.m {
-			pids = append(pids, pid)
-		}
-		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-		var b strings.Builder
-		for _, pid := range pids {
-			fmt.Fprintf(&b, "%d=%x;", pid, mm.m[pid])
-		}
-		return "pertask:" + b.String()
+		return "pertask:" + tableFingerprint(&mm.t, "%d=%x;")
 	case *PerCPURing:
 		// Per-CPU counters first (Drain moves them), then every ring's
 		// contents in CPU order: routing, overwrites and payloads all show.

@@ -74,10 +74,12 @@ type LoadedProgram struct {
 	// program can be attached, so a plain field is safe.
 	compileInfo CompileInfo
 
-	// free recycles compiled execution states. Reuse without zeroing the
-	// stack is sound only because the verifier rejects any read of a stack
-	// byte the program did not itself write this invocation.
-	free []*execState
+	// ec is the compiled form's one execution state. Nothing re-enters a
+	// running program — one goroutine drives a simulation and no helper
+	// fires a tracepoint — so every run reuses it. Reuse without zeroing
+	// the stack is sound only because the verifier rejects any read of a
+	// stack byte the program did not itself write this invocation.
+	ec execState
 
 	interpRuns    int64
 	compiledRuns  int64

@@ -16,8 +16,9 @@ import (
 // sample, and submits it to the perf ring buffer for the Processor.
 //
 // Recursion (an OU re-entering before its END, §5.2) is handled by keying
-// entries on (pid, depth); marker-order violations reset the per-task
-// depth and bump an error counter (the strict state machine of §5.1).
+// entries on (task generation, depth); marker-order violations reset the
+// per-task depth and bump an error counter (the strict state machine of
+// §5.1).
 type Collector struct {
 	Subsystem SubsystemID
 	Resources ResourceSet
@@ -364,6 +365,8 @@ func (c *Collector) ReapStale(alive func(gen uint64) bool) int64 {
 	if alive == nil {
 		return 0
 	}
+	// Range visits the tables in their slot order and must not delete, so
+	// both sweeps collect first and delete after.
 	var stale [][]byte
 	c.entries.Range(func(key, _ []byte) bool {
 		if !alive(bpf.U64(key) >> 8) {
@@ -400,7 +403,9 @@ func (c *Collector) ReapStale(alive func(gen uint64) bool) int64 {
 // task reusing a dead task's pid must never pair its markers with the dead
 // task's in-flight entries. errLabel receives control when the depth slot
 // lookup fails (cannot happen at runtime for a per-task map, but the
-// verifier rightly demands the check).
+// verifier rightly demands the check). The JIT runs the whole preamble —
+// generation, spills, depth-slot lookup, null check, move and load — as one
+// micro-op (bpf's matchFrame).
 func (c *Collector) prologue(b *bpf.Builder, depthIdx int, errLabel string) {
 	b.Call(bpf.HelperGetTaskGen).
 		MovReg(bpf.R6, bpf.R0).
@@ -415,7 +420,8 @@ func (c *Collector) prologue(b *bpf.Builder, depthIdx int, errLabel string) {
 }
 
 // emitEntryKey computes the entries-map key (gen<<8 | depth+adjust) into
-// R9 and spills it to the key slot.
+// R9 and spills it to the key slot; the JIT folds it into the map call
+// that follows.
 func emitEntryKey(b *bpf.Builder, adjust int64) {
 	b.MovReg(bpf.R9, bpf.R6).
 		Lsh(bpf.R9, 8).
@@ -604,7 +610,9 @@ func (c *Collector) genBegin() *bpf.Program {
 }
 
 // emitEntryLookup loads the top-of-stack entry pointer into R6 (consuming
-// the pid there) for END/FEATURES: key = pid<<8 | depth-1.
+// the generation there) for END/FEATURES: key = gen<<8 | depth-1. The JIT
+// runs the key computation, the lookup, its null check and the move as one
+// micro-op (bpf's matchFrame).
 func emitEntryLookup(b *bpf.Builder, entriesIdx int, errLabel string) {
 	emitEntryKey(b, -1)
 	b.LoadMapPtr(bpf.R1, entriesIdx).

@@ -30,6 +30,7 @@ lint() {
 	$GO run ./internal/analysis/tsvet .
 	runner_inlined
 	submit_inlined
+	maptable_inlined
 	stmt_params_stack
 	one_chaos_driver
 	no_goroutines
@@ -105,6 +106,24 @@ runner_inlined() {
 submit_inlined() {
 	if ! $GO build -gcflags=-m ./internal/bpf 2>&1 | grep -q 'can inline (\*cpuRing)\.submit'; then
 		echo "submit_inlined: bpf.(*cpuRing).submit is no longer inlinable; keep ring growth out of it (cpuRing.grow)" >&2
+		return 1
+	fi
+}
+
+# bpf's HashMap and PerTaskMap sit on one open-addressed table (u64Table),
+# and every map call a marker program makes probes it. The probe loop is
+# inlined into callFrame.run, the helper body the JIT binds to a concrete
+# map; a call added to it (hashing through a function, say) costs more than
+# the inliner's budget leaves. Fail if u64Table.lookup stops being
+# inlinable, or stops being inlined into compile.go's helper bodies.
+maptable_inlined() {
+	m=$($GO build -gcflags=-m ./internal/bpf 2>&1)
+	if ! echo "$m" | grep -q 'can inline (\*u64Table)\.lookup'; then
+		echo "maptable_inlined: bpf.(*u64Table).lookup is no longer inlinable; keep calls out of the probe loop" >&2
+		return 1
+	fi
+	if ! echo "$m" | grep -q '^internal/bpf/compile\.go:[0-9]*:[0-9]*: inlining call to (\*u64Table)\.lookup$'; then
+		echo "maptable_inlined: no helper body in internal/bpf/compile.go inlines (*u64Table).lookup; update scripts/check.sh" >&2
 		return 1
 	fi
 }
