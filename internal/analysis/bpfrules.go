@@ -20,7 +20,7 @@ var verifyEntryPoints = map[string]bool{
 
 // runMethodNames are LoadedProgram's execution entry points: their final
 // result is the runtime fault.
-var runMethodNames = map[string]bool{"Run": true, "RunInterpreted": true}
+var runMethodNames = map[string]bool{"Run": true}
 
 // drainReceivers lists the (package suffix, type) pairs whose
 // Drain/DrainBatch results carry drain accounting a caller may not blank
@@ -154,11 +154,11 @@ func errorResultIndex(sig *types.Signature) int {
 // internal/bpf too (the bug lived there).
 var DiscardedRunErrorAnalyzer = &Analyzer{
 	Name: RuleDiscardedRunError,
-	Doc:  "runtime faults from .Run/.RunInterpreted and drain accounting from .Drain/.DrainBatch must be counted, not swallowed",
+	Doc:  "runtime faults from .Run and drain accounting from .Drain/.DrainBatch must be counted, not swallowed",
 	Run:  runDiscardedRunError,
 }
 
-// isRunMethod reports whether fn is LoadedProgram.Run/RunInterpreted.
+// isRunMethod reports whether fn is LoadedProgram.Run.
 func isRunMethod(fn *types.Func) bool {
 	return fn != nil && runMethodNames[fn.Name()] && isMethodOn(fn, bpfPkgSuffix, "LoadedProgram")
 }

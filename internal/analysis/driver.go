@@ -17,18 +17,16 @@ func RunRoot(root string, suite []*Analyzer) ([]Diagnostic, error) {
 }
 
 // runRoot is RunRoot through a loader the caller may have used before:
-// whatever it has already imported is not type-checked again.
+// whatever it has already imported is not type-checked again. Every
+// package is loaded before any analyzer runs, so one reference walk
+// (refIndex) serves the whole root.
 func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
-	if suite == nil {
-		suite = All()
-	}
 	dirs, err := packageDirs(root)
 	if err != nil {
 		return nil, err
 	}
 	module, prefix := moduleContext(root)
-	known := knownRules()
-	var all []Diagnostic
+	var pkgs []*pkgInfo
 	for _, rel := range dirs {
 		// relPath is module-root-relative so path-scoped rules classify a
 		// subtree invocation exactly like a repo-root one.
@@ -52,18 +50,47 @@ func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pkg == nil {
-			continue
+		if pkg != nil {
+			pkgs = append(pkgs, pkg)
 		}
-		all = append(all, runPackage(l, pkg, suite, known)...)
+	}
+	// Below a module root, packages outside the root may call its exports.
+	return runPackages(l, pkgs, suite, prefix == ""), nil
+}
+
+// runPackages runs the suite over loaded packages that share one
+// reference index. closed says no file outside pkgs can reference their
+// exports; unless it holds, unused-export does not run.
+func runPackages(l *loader, pkgs []*pkgInfo, suite []*Analyzer, closed bool) []Diagnostic {
+	if suite == nil {
+		suite = All()
+	}
+	if !closed {
+		var open []*Analyzer
+		for _, a := range suite {
+			if a.Name != RuleUnusedExport {
+				open = append(open, a)
+			}
+		}
+		suite = open
+	}
+	refs := newRefIndex(pkgs)
+	known := knownRules()
+	ran := make(map[string]bool)
+	for _, a := range suite {
+		ran[a.Name] = true
+	}
+	var all []Diagnostic
+	for _, pkg := range pkgs {
+		all = append(all, runPackage(l, pkg, suite, refs, known, ran)...)
 	}
 	sortDiagnostics(all)
-	return all, nil
+	return all
 }
 
 // runPackage runs the suite over one loaded package and applies the
 // package's suppression directives.
-func runPackage(l *loader, pkg *pkgInfo, suite []*Analyzer, known map[string]bool) []Diagnostic {
+func runPackage(l *loader, pkg *pkgInfo, suite []*Analyzer, refs *refIndex, known, ran map[string]bool) []Diagnostic {
 	var raw []Diagnostic
 	report := func(d Diagnostic) { raw = append(raw, d) }
 	for _, a := range suite {
@@ -75,6 +102,7 @@ func runPackage(l *loader, pkg *pkgInfo, suite []*Analyzer, known map[string]boo
 			Info:     pkg.Info,
 			PkgPath:  pkg.PkgPath,
 			RelPath:  pkg.RelPath,
+			refs:     refs,
 			report:   report,
 		}
 		a.Run(pass)
@@ -83,7 +111,7 @@ func runPackage(l *loader, pkg *pkgInfo, suite []*Analyzer, known map[string]boo
 	directives := collectIgnores(l.fset, pkg.Files, known, func(d Diagnostic) {
 		framework = append(framework, d)
 	})
-	return append(applyIgnores(raw, directives), framework...)
+	return append(applyIgnores(raw, directives, ran), framework...)
 }
 
 func sortDiagnostics(diags []Diagnostic) {

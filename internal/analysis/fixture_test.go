@@ -106,11 +106,9 @@ func diffDiags(t *testing.T, want, got map[lineKey][]string, diags []Diagnostic)
 
 // runDir analyzes a single package directory:
 // relPath doubles as the package path, so fixture trees can opt into
-// path-scoped analyzers by embedding the segment they target.
+// path-scoped analyzers by embedding the segment they target. One package
+// is not a closed world, so unused-export does not run.
 func runDir(l *loader, dir, relPath string, suite []*Analyzer) ([]Diagnostic, error) {
-	if suite == nil {
-		suite = All()
-	}
 	pkg, err := l.load(dir, relPath, relPath)
 	if err != nil {
 		return nil, err
@@ -118,9 +116,7 @@ func runDir(l *loader, dir, relPath string, suite []*Analyzer) ([]Diagnostic, er
 	if pkg == nil {
 		return nil, fmt.Errorf("tsvet: no non-test Go files in %s", dir)
 	}
-	diags := runPackage(l, pkg, suite, knownRules())
-	sortDiagnostics(diags)
-	return diags, nil
+	return runPackages(l, []*pkgInfo{pkg}, suite, false), nil
 }
 
 // testLoader is shared by every test that analyzes a tree: the source
@@ -157,6 +153,33 @@ func TestFixtures(t *testing.T) {
 			diffDiags(t, wantedDiags(t, dir), gotDiags(diags), diags)
 		})
 	}
+	// unused-export decides over a whole module, so its fixture is one: a
+	// go.mod and two packages, run from its root through runRoot. The go
+	// tool resolves the fixture's own imports from the working directory.
+	t.Run("unused-export", func(t *testing.T) {
+		root := filepath.Join("testdata", "src", "unused-export")
+		want := make(map[lineKey][]string)
+		for _, pkg := range []string{"lib", filepath.Join("cmd", "app")} {
+			for k, rules := range wantedDiags(t, filepath.Join(root, pkg)) {
+				want[k] = rules
+			}
+		}
+		wd, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(root); err != nil {
+			t.Fatal(err)
+		}
+		diags, err := runRoot(testLoader, ".", nil)
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+		if err != nil {
+			t.Fatalf("runRoot: %v", err)
+		}
+		diffDiags(t, want, gotDiags(diags), diags)
+	})
 }
 
 // TestSuppressionFixture pins the suppression layer's behavior on the
@@ -188,6 +211,23 @@ func TestRepoIsClean(t *testing.T) {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	diags, err := runRoot(testLoader, "../..", nil)
+	if err != nil {
+		t.Fatalf("runRoot: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("unexpected finding: %s", d)
+	}
+}
+
+// TestSubtreeRunSkipsUnusedExport: below a module root, packages outside
+// the root may call its exports (kernel.New has callers only outside
+// internal/kernel), so unused-export does not run there, and the kernel's
+// unused-export directives are not reported stale for it.
+func TestSubtreeRunSkipsUnusedExport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks internal/kernel; skipped in -short")
+	}
+	diags, err := runRoot(testLoader, "../../internal/kernel", nil)
 	if err != nil {
 		t.Fatalf("runRoot: %v", err)
 	}

@@ -57,10 +57,12 @@ func collectIgnores(fset *token.FileSet, files []*ast.File, known map[string]boo
 // applyIgnores filters diags through the directives: a directive silences
 // findings of its rule on its own line (end-of-line form) or, when its own
 // line has none, on the line directly below (own-line form). Each
-// directive must silence something; stale directives are reported. The
+// directive whose rule ran (is in ran) must silence something; stale
+// directives are reported. A directive for a rule that did not run is
+// left alone: it may excuse a finding only a wider run makes. The
 // returned slice holds the surviving diagnostics plus any stale-ignore
 // findings.
-func applyIgnores(diags []Diagnostic, directives []*ignoreDirective) []Diagnostic {
+func applyIgnores(diags []Diagnostic, directives []*ignoreDirective, ran map[string]bool) []Diagnostic {
 	suppressed := make([]bool, len(diags))
 	match := func(d *ignoreDirective, line int) bool {
 		hit := false
@@ -91,7 +93,7 @@ func applyIgnores(diags []Diagnostic, directives []*ignoreDirective) []Diagnosti
 		}
 	}
 	for _, d := range directives {
-		if !d.used {
+		if !d.used && ran[d.rule] {
 			out = append(out, Diagnostic{File: d.file, Line: d.line, Col: 1,
 				Rule:    RuleStaleIgnore,
 				Message: "tsvet:ignore " + d.rule + " suppresses nothing; delete the stale directive"})

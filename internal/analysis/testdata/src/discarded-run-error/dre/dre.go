@@ -1,7 +1,7 @@
 // Package drefix exercises discarded-run-error: the fault result of the
 // execution hot path is matched by receiver type, so unrelated Run methods
-// stay legal (the old checker's false positive) and method values of
-// .Run/.RunInterpreted are caught (its false negative).
+// stay legal (the old checker's false positive) and method values of .Run
+// are caught (its false negative).
 package drefix
 
 import (
@@ -12,10 +12,6 @@ import (
 
 func Bare(lp *bpf.LoadedProgram, t *kernel.Task) {
 	lp.Run(t, nil) // want:discarded-run-error
-}
-
-func Interp(lp *bpf.LoadedProgram, t *kernel.Task) {
-	lp.RunInterpreted(t, nil) // want:discarded-run-error
 }
 
 func InGoroutine(lp *bpf.LoadedProgram, t *kernel.Task) {

@@ -5,12 +5,13 @@
 // test strategy silently leans on — bit-determinism (no wall clock, no
 // global RNG, no map-iteration order leaking into archives, fingerprints,
 // or rendered output) and accounting discipline (no swallowed verification
-// or runtime faults).
+// or runtime faults) — and to keep dead code out of the build: a function
+// that only tests call, exported or not, lives in the tests.
 //
 // The suite is a set of small analyzers sharing one typed loader (see
-// load.go) and one driver (driver.go). Each analyzer owns a stable rule ID
-// (its Name), reports positioned diagnostics, and can be silenced on a
-// single line with a written reason:
+// load.go), one driver (driver.go) and one reference walk (refs.go). Each
+// analyzer owns a stable rule ID (its Name), reports positioned
+// diagnostics, and can be silenced on a single line with a written reason:
 //
 //	//tsvet:ignore <rule> <reason...>
 //
@@ -69,12 +70,12 @@ const (
 	RuleDiscardedVerifyError = "discarded-verify-error"
 	// RuleDiscardedRunError flags swallowing the fault result of the
 	// execution hot path, matched by receiver type (bpf.LoadedProgram for
-	// .Run/.RunInterpreted; the Processor and ring types for
-	// .Drain/.DrainBatch): bare/go/defer calls, blanked trailing results,
-	// and method values of .Run/.RunInterpreted (which smuggle the call
-	// past any statement-level check). A bare .Drain statement is NOT
-	// flagged: draining purely to quiesce a pipeline is an established
-	// idiom and its result is a summary, not an error.
+	// .Run; the Processor and ring types for .Drain/.DrainBatch):
+	// bare/go/defer calls, blanked trailing results, and method values of
+	// .Run (which smuggle the call past any statement-level check). A bare
+	// .Drain statement is NOT flagged: draining purely to quiesce a
+	// pipeline is an established idiom and its result is a summary, not an
+	// error.
 	RuleDiscardedRunError = "discarded-run-error"
 	// RuleUnsafeImport flags an import of unsafe in any non-test file but
 	// internal/storage/value.go, home of the 16-byte storage.Value cell.
@@ -83,6 +84,11 @@ const (
 	// non-test file of its package references: dead in the build, it
 	// belongs in the test file that uses it, or nowhere.
 	RuleUnusedFunc = "unused-func"
+	// RuleUnusedExport flags an exported function or method that no
+	// non-test file under a module root references and that satisfies no
+	// interface: dead in the build, it belongs in the test files that use
+	// it, or nowhere.
+	RuleUnusedExport = "unused-export"
 	// RuleStaleIgnore reports a //tsvet:ignore directive that suppressed
 	// nothing: the finding it excused is gone, so the directive must go
 	// too.
@@ -124,6 +130,7 @@ type Pass struct {
 	// themselves to parts of the tree match against this.
 	RelPath string
 
+	refs   *refIndex
 	report func(Diagnostic)
 }
 
@@ -164,6 +171,7 @@ func All() []*Analyzer {
 		DiscardedRunErrorAnalyzer,
 		UnsafeImportAnalyzer,
 		UnusedFuncAnalyzer,
+		UnusedExportAnalyzer,
 	}
 }
 

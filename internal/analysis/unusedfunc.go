@@ -17,34 +17,54 @@ var UnusedFuncAnalyzer = &Analyzer{
 }
 
 func runUnusedFunc(pass *Pass) {
-	used := make(map[types.Object]bool)
+	for _, fd := range funcDecls(pass) {
+		if fd.Recv != nil || fd.Name.IsExported() || fd.Name.Name == "init" ||
+			fd.Name.Name == "_" || (fd.Name.Name == "main" && pass.Pkg.Name() == "main") {
+			continue
+		}
+		if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok && !pass.refs.used[funcKey(fn)] {
+			pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test file of its package: "+
+				"delete it, or move it into the test file that uses it", fd.Name.Name)
+		}
+	}
+}
+
+// UnusedExportAnalyzer flags an exported package-level function or method
+// that no non-test file under the analysis root references. Like an
+// unused-func finding, it is dead in the build; being exported only means
+// the tests that keep it are in other packages. A method that satisfies
+// an interface is exempt, since calls through the interface never name it.
+// The driver runs the rule only when the root is a module root: below
+// that, the packages outside the root may be the callers.
+var UnusedExportAnalyzer = &Analyzer{
+	Name: RuleUnusedExport,
+	Doc:  "every exported function or method is referenced by a non-test file under the root, or satisfies an interface",
+	Run:  runUnusedExport,
+}
+
+func runUnusedExport(pass *Pass) {
+	for _, fd := range funcDecls(pass) {
+		if !fd.Name.IsExported() {
+			continue
+		}
+		fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+		if !ok || pass.refs.used[funcKey(fn)] || (fd.Recv != nil && pass.refs.satisfiesInterface(fn)) {
+			continue
+		}
+		pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test file: delete it, or move it "+
+			"into the test files that use it", fn.Name())
+	}
+}
+
+// funcDecls lists the pass's function and method declarations.
+func funcDecls(pass *Pass) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
-			var self types.Object
 			if fd, ok := d.(*ast.FuncDecl); ok {
-				self = pass.Info.Defs[fd.Name]
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if fn, ok := pass.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-						used[fn.Origin()] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || fd.Name.IsExported() || fd.Name.Name == "init" ||
-				fd.Name.Name == "_" || (fd.Name.Name == "main" && pass.Pkg.Name() == "main") {
-				continue
-			}
-			if obj := pass.Info.Defs[fd.Name]; obj != nil && !used[obj] {
-				pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test file of its package: "+
-					"delete it, or move it into the test file that uses it", fd.Name.Name)
+				out = append(out, fd)
 			}
 		}
 	}
+	return out
 }

@@ -189,8 +189,8 @@ func TestEmptyArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumRows() != 0 || r.NumSegments() != 0 {
-		t.Fatalf("empty archive: rows=%d segments=%d", r.NumRows(), r.NumSegments())
+	if r.NumRows() != 0 || len(r.segs) != 0 {
+		t.Fatalf("empty archive: rows=%d segments=%d", r.NumRows(), len(r.segs))
 	}
 	if pts, err := r.Points(); err != nil || len(pts) != 0 {
 		t.Fatalf("Points on empty archive: %v, %d points", err, len(pts))

@@ -495,12 +495,6 @@ func (b *Block) Feature(i int) ([]float64, error) {
 // NumRows returns the archive's total row count (from footers).
 func (r *Reader) NumRows() int64 { return r.rows }
 
-// NumSegments returns how many segments the archive holds.
-func (r *Reader) NumSegments() int { return len(r.segs) }
-
-// Size returns the archive's on-wire byte size.
-func (r *Reader) Size() int64 { return r.size }
-
 // Blocks calls fn for each column block in storage order; fn returning
 // false stops the iteration. The Block handle is only valid during the
 // call.

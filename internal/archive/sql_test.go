@@ -29,7 +29,11 @@ func queryArchive(t *testing.T, cat *catalog.Catalog, q string) *exec.Result {
 	}
 	k := kernel.New(sim.LargeHW, 1, 0)
 	tx := txn.NewManager().Begin()
-	res, err := eng.Execute(&exec.Ctx{Task: k.NewTask("q"), Txn: tx}, stmt, nil)
+	p, err := eng.Prepare(stmt)
+	if err != nil {
+		t.Fatalf("prepare %q: %v", q, err)
+	}
+	res, err := eng.Run(&exec.Ctx{Task: k.NewTask("q"), Txn: tx}, p, nil)
 	if err != nil {
 		t.Fatalf("execute %q: %v", q, err)
 	}
@@ -195,7 +199,11 @@ func TestArchiveIsReadOnly(t *testing.T) {
 			t.Fatalf("parse %q: %v", q, err)
 		}
 		tx := txn.NewManager().Begin()
-		if _, err := eng.Execute(&exec.Ctx{Task: k.NewTask("q"), Txn: tx}, stmt, nil); err == nil {
+		p, err := eng.Prepare(stmt)
+		if err == nil {
+			_, err = eng.Run(&exec.Ctx{Task: k.NewTask("q"), Txn: tx}, p, nil)
+		}
+		if err == nil {
 			t.Fatalf("%q succeeded against read-only archive", q)
 		}
 	}

@@ -47,7 +47,7 @@ type Config struct {
 	// reacting late to convergence only costs overhead.
 	MinSamples int64
 	// HWContext is appended to every point's features, as in the batch
-	// pipeline (model.FromTrainingPoints).
+	// pipeline (model.FromArchive).
 	HWContext []float64
 	// NewModel constructs the per-(OU, arity) online model (default
 	// WindowedForest{Trees: 8, RefreshTrees: 2, Seed: 7}).
@@ -223,6 +223,8 @@ func (c *Controller) ModelSet() *model.OnlineSet { return c.set }
 // (clock change, migration): every subsystem bursts to maxRate and the
 // error baselines re-anchor, because behavior models trained under the
 // old context are suspect until re-scored.
+//
+//tsvet:ignore unused-export test hook until the controller detects a hardware change itself; the autopilot and chaos tests drive it
 func (c *Controller) NoteHardwareChange() {
 	for _, sub := range tscout.AllSubsystems {
 		if !c.drifting[sub] {

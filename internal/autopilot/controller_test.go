@@ -8,7 +8,6 @@ import (
 
 	"tscout/internal/archive"
 	"tscout/internal/kernel"
-	"tscout/internal/model"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
 )
@@ -57,7 +56,7 @@ func newDeployment(tb testing.TB, seed int64, par int, cfg Config) *deployment {
 }
 
 // cycle emits one sampled OU invocation whose cost is insnPerRow * rows —
-// a linear law the online ridge learns in a handful of epochs.
+// a law the default forest learns in a handful of epochs.
 func (d *deployment) cycle(m *tscout.Marker, rows int, insnPerRow float64) {
 	d.ts.BeginEvent(d.task, m.OU().Subsystem)
 	m.Begin(d.task)
@@ -77,11 +76,8 @@ func (d *deployment) epoch(rng *rand.Rand, n int, insnPerRow float64) {
 	d.ctrl.Tick()
 }
 
-func ridgeConfig() Config {
-	return Config{
-		MinSamples: 60,
-		NewModel:   func() model.OnlineModel { return model.NewOnlineRidge(1e-3) },
-	}
+func testConfig() Config {
+	return Config{MinSamples: 60}
 }
 
 // TestControllerConvergesAndThrottles: on a stationary workload the
@@ -90,7 +86,7 @@ func ridgeConfig() Config {
 // overhead end state. The stats block must be visible through
 // ProcessorStats.Autopilot.
 func TestControllerConvergesAndThrottles(t *testing.T) {
-	d := newDeployment(t, 11, 1, ridgeConfig())
+	d := newDeployment(t, 11, 1, testConfig())
 	rng := rand.New(rand.NewSource(5))
 	for e := 0; e < 14; e++ {
 		d.epoch(rng, 120, 50)
@@ -130,7 +126,7 @@ func TestControllerConvergesAndThrottles(t *testing.T) {
 // floor-rate samples and answered with a burst back to full sampling —
 // and the models must then re-learn the new law and re-converge.
 func TestControllerBurstsOnDrift(t *testing.T) {
-	d := newDeployment(t, 23, 1, ridgeConfig())
+	d := newDeployment(t, 23, 1, testConfig())
 	rng := rand.New(rand.NewSource(9))
 	for e := 0; e < 14; e++ {
 		d.epoch(rng, 120, 50)
@@ -170,7 +166,7 @@ func TestControllerBurstsOnDrift(t *testing.T) {
 // TestNoteHardwareChange: a hardware-context change bursts every
 // subsystem immediately, without waiting for the error signal.
 func TestNoteHardwareChange(t *testing.T) {
-	d := newDeployment(t, 31, 1, ridgeConfig())
+	d := newDeployment(t, 31, 1, testConfig())
 	rng := rand.New(rand.NewSource(2))
 	for e := 0; e < 14; e++ {
 		d.epoch(rng, 120, 50)
@@ -196,7 +192,7 @@ func TestNoteHardwareChange(t *testing.T) {
 // seeded, so the closed loop adds no nondeterminism.
 func TestControllerDeterminism(t *testing.T) {
 	run := func() (tscout.AutopilotStats, [tscout.NumSubsystems]int, []byte) {
-		d := newDeployment(t, 47, 1, ridgeConfig())
+		d := newDeployment(t, 47, 1, testConfig())
 		rng := rand.New(rand.NewSource(3))
 		for e := 0; e < 10; e++ {
 			d.epoch(rng, 100, 50)
@@ -208,7 +204,11 @@ func TestControllerDeterminism(t *testing.T) {
 		if err := d.aw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		return d.ctrl.Stats(), d.ts.Sampler().Rates(), d.buf.Bytes()
+		var rates [tscout.NumSubsystems]int
+		for _, sub := range tscout.AllSubsystems {
+			rates[sub] = d.ts.Sampler().Rate(sub)
+		}
+		return d.ctrl.Stats(), rates, d.buf.Bytes()
 	}
 	st1, r1, p1 := run()
 	st2, r2, p2 := run()

@@ -18,9 +18,6 @@ type Analysis struct {
 	condFall  []bool
 }
 
-// Prog returns the analyzed program.
-func (a *Analysis) Prog() *Program { return a.prog }
-
 // Reached reports whether pc is reachable under the abstract semantics
 // (CFG-reachable pcs may still be unreached when every path to them is
 // pruned as infeasible).

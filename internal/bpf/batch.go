@@ -19,9 +19,6 @@ func (b *Batch) Reset() {
 // Len returns the number of samples in the batch.
 func (b *Batch) Len() int { return len(b.end) }
 
-// Bytes returns the total payload bytes currently held.
-func (b *Batch) Bytes() int { return len(b.buf) }
-
 // Sample returns the i'th sample. The slice aliases the batch's buffer:
 // it is valid until the next Reset and must not be retained across cycles.
 func (b *Batch) Sample(i int) []byte {

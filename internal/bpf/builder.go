@@ -85,44 +85,14 @@ func (b *Builder) SubReg(dst, src Reg) *Builder {
 	return b.emit(Insn{Op: OpSubReg, Dst: dst, Src: src})
 }
 
-// Mul multiplies dst by an immediate.
-func (b *Builder) Mul(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpMulImm, Dst: dst, Imm: imm})
-}
-
 // MulReg multiplies dst by src.
 func (b *Builder) MulReg(dst, src Reg) *Builder {
 	return b.emit(Insn{Op: OpMulReg, Dst: dst, Src: src})
 }
 
-// Div divides dst (unsigned) by an immediate.
-func (b *Builder) Div(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpDivImm, Dst: dst, Imm: imm})
-}
-
 // DivReg divides dst (unsigned) by src; division by zero yields zero.
 func (b *Builder) DivReg(dst, src Reg) *Builder {
 	return b.emit(Insn{Op: OpDivReg, Dst: dst, Src: src})
-}
-
-// Mod takes dst modulo an immediate.
-func (b *Builder) Mod(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpModImm, Dst: dst, Imm: imm})
-}
-
-// And masks dst with an immediate.
-func (b *Builder) And(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpAndImm, Dst: dst, Imm: imm})
-}
-
-// Or sets bits of an immediate in dst.
-func (b *Builder) Or(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpOrImm, Dst: dst, Imm: imm})
-}
-
-// Xor xors dst with an immediate.
-func (b *Builder) Xor(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpXorImm, Dst: dst, Imm: imm})
 }
 
 // Lsh shifts dst left by an immediate.
@@ -133,16 +103,6 @@ func (b *Builder) Lsh(dst Reg, imm int64) *Builder {
 // Rsh shifts dst right (logical) by an immediate.
 func (b *Builder) Rsh(dst Reg, imm int64) *Builder {
 	return b.emit(Insn{Op: OpRshImm, Dst: dst, Imm: imm})
-}
-
-// Arsh shifts dst right (arithmetic, sign-propagating) by an immediate.
-func (b *Builder) Arsh(dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: OpArshImm, Dst: dst, Imm: imm})
-}
-
-// ArshReg shifts dst right (arithmetic) by src.
-func (b *Builder) ArshReg(dst, src Reg) *Builder {
-	return b.emit(Insn{Op: OpArshReg, Dst: dst, Src: src})
 }
 
 // Load loads *(u64*)(src+off) into dst.
@@ -190,11 +150,6 @@ func (b *Builder) Jge(dst Reg, imm int64, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJgeImm, Dst: dst, Imm: imm}, label)
 }
 
-// Jlt jumps to label if dst < imm (unsigned).
-func (b *Builder) Jlt(dst Reg, imm int64, label string) *Builder {
-	return b.emitJump(Insn{Op: OpJltImm, Dst: dst, Imm: imm}, label)
-}
-
 // Jle jumps to label if dst <= imm (unsigned).
 func (b *Builder) Jle(dst Reg, imm int64, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJleImm, Dst: dst, Imm: imm}, label)
@@ -210,11 +165,6 @@ func (b *Builder) JneReg(dst, src Reg, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJneReg, Dst: dst, Src: src}, label)
 }
 
-// JneLoop jumps backward to label while dst != imm, with a declared bound.
-func (b *Builder) JneLoop(dst Reg, imm int64, label string, bound int32) *Builder {
-	return b.emitJump(Insn{Op: OpJneImm, Dst: dst, Imm: imm, LoopBound: bound}, label)
-}
-
 // Call invokes a helper by ID.
 func (b *Builder) Call(helper int64) *Builder {
 	return b.emit(Insn{Op: OpCall, Imm: helper})
@@ -224,9 +174,6 @@ func (b *Builder) Call(helper int64) *Builder {
 func (b *Builder) Exit() *Builder {
 	return b.emit(Insn{Op: OpExit})
 }
-
-// Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.insns) }
 
 // Build resolves labels and returns the assembled (unverified) program.
 func (b *Builder) Build() (*Program, error) {

@@ -111,10 +111,6 @@ func (lp *LoadedProgram) Compile() CompileInfo {
 	return info
 }
 
-// CompileInfo returns the outcome of the last Compile call (zero value if
-// Compile was never called).
-func (lp *LoadedProgram) CompileInfo() CompileInfo { return lp.compileInfo }
-
 // ProgramJITStats is a point-in-time snapshot of one program's compile
 // outcome and dispatch counters, for stats surfaces.
 type ProgramJITStats struct {

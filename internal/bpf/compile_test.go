@@ -78,8 +78,8 @@ func TestCompileDispatchCounters(t *testing.T) {
 	if !info.Compiled || info.Reason != "" {
 		t.Fatalf("straight-line program declined: %+v", info)
 	}
-	if lp.CompileInfo() != info {
-		t.Fatalf("CompileInfo not retained: %+v vs %+v", lp.CompileInfo(), info)
+	if lp.compileInfo != info {
+		t.Fatalf("CompileInfo not retained: %+v vs %+v", lp.compileInfo, info)
 	}
 	// The compiled form has consumed the verifier's proof: it is released,
 	// and asking again reports the same outcome, not no-analysis.
@@ -696,7 +696,7 @@ func branchProgram(op Op, b int64, pos string) (*Program, int) {
 	if pos != "first" {
 		bl.Add(R9, 1).StoreImm(R10, -8, 7).Lsh(R9, 1)
 	}
-	jpc := bl.Len()
+	jpc := len(bl.insns)
 	bl.emitJump(Insn{Op: op, Dst: R6, Src: R7, Imm: b}, "out")
 	if pos != "last" {
 		bl.Add(R9, 5).Load(R1, R10, -24).AddReg(R9, R1)

@@ -29,9 +29,6 @@ func tnUnknown() Tnum       { return Tnum{Mask: ^uint64(0)} }
 // IsConst reports whether every bit is known.
 func (t Tnum) IsConst() bool { return t.Mask == 0 }
 
-// Contains reports whether concrete value v is represented by t.
-func (t Tnum) Contains(v uint64) bool { return v&^t.Mask == t.Val }
-
 // tnJoin is the lattice union: bits that differ or are unknown in either
 // operand become unknown.
 func tnJoin(a, b Tnum) Tnum {
@@ -142,11 +139,6 @@ func (v VReg) IsConst() bool { return v.Lo == v.Hi }
 
 // Const returns the constant (meaningful only when IsConst).
 func (v VReg) Const() uint64 { return v.Lo }
-
-// Contains reports whether concrete value x is represented.
-func (v VReg) Contains(x uint64) bool {
-	return x >= v.Lo && x <= v.Hi && v.TN.Contains(x)
-}
 
 // reduce exchanges facts between the interval and the tnum. Transfers on
 // non-empty inputs cannot produce an empty meet, but reduce degrades

@@ -13,6 +13,12 @@ import (
 
 const enumMax = 15 // exhaustive abstract values live in [0, enumMax]
 
+// Contains reports whether concrete value v is represented by t.
+func (t Tnum) Contains(v uint64) bool { return v&^t.Mask == t.Val }
+
+// Contains reports whether concrete value x is represented by v.
+func (v VReg) Contains(x uint64) bool { return x >= v.Lo && x <= v.Hi && v.TN.Contains(x) }
+
 // vrRange builds the reduced abstract value of the interval [lo, hi]
 // (either order).
 func vrRange(lo, hi uint64) VReg {

@@ -196,3 +196,52 @@ func DropFirstNullCheck(p *Program) *Program {
 	}
 	return rebuild(p, p.Insns, drop)
 }
+
+// RunInterpreted executes the program through the interpreter even when a
+// compiled form exists — the reference semantics the differential oracles
+// compare the compiled path against.
+func (lp *LoadedProgram) RunInterpreted(task *kernel.Task, args []uint64) (uint64, int64, error) {
+	lp.interpRuns++
+	return lp.runInterp(task, args)
+}
+
+// SetCallTrace enables or disables recording of impure helper calls.
+func (lp *LoadedProgram) SetCallTrace(on bool) { lp.traceOn = on }
+
+// CallTrace returns a copy of the recorded impure helper calls.
+func (lp *LoadedProgram) CallTrace() []HelperCall {
+	out := make([]HelperCall, len(lp.trace))
+	for i, c := range lp.trace {
+		out[i] = HelperCall{ID: c.ID, Args: append([]uint64(nil), c.Args...), Ret: c.Ret}
+	}
+	return out
+}
+
+// Runs returns the number of times the program has been invoked.
+func (lp *LoadedProgram) Runs() int64 { return lp.interpRuns + lp.compiledRuns }
+
+// Printk returns a copy of the values logged via HelperTracePrintk.
+func (lp *LoadedProgram) Printk() []uint64 { return append([]uint64(nil), lp.printk...) }
+
+// The Builder instructions only tests and the fuzz generator emit.
+func (b *Builder) aluImm(op Op, dst Reg, imm int64) *Builder {
+	return b.emit(Insn{Op: op, Dst: dst, Imm: imm})
+}
+func (b *Builder) Mul(dst Reg, imm int64) *Builder  { return b.aluImm(OpMulImm, dst, imm) }
+func (b *Builder) Div(dst Reg, imm int64) *Builder  { return b.aluImm(OpDivImm, dst, imm) }
+func (b *Builder) Mod(dst Reg, imm int64) *Builder  { return b.aluImm(OpModImm, dst, imm) }
+func (b *Builder) And(dst Reg, imm int64) *Builder  { return b.aluImm(OpAndImm, dst, imm) }
+func (b *Builder) Or(dst Reg, imm int64) *Builder   { return b.aluImm(OpOrImm, dst, imm) }
+func (b *Builder) Xor(dst Reg, imm int64) *Builder  { return b.aluImm(OpXorImm, dst, imm) }
+func (b *Builder) Arsh(dst Reg, imm int64) *Builder { return b.aluImm(OpArshImm, dst, imm) }
+func (b *Builder) ArshReg(dst, src Reg) *Builder {
+	return b.emit(Insn{Op: OpArshReg, Dst: dst, Src: src})
+}
+func (b *Builder) Jlt(dst Reg, imm int64, label string) *Builder {
+	return b.emitJump(Insn{Op: OpJltImm, Dst: dst, Imm: imm}, label)
+}
+
+// JneLoop jumps backward to label while dst != imm, with a declared bound.
+func (b *Builder) JneLoop(dst Reg, imm int64, label string, bound int32) *Builder {
+	return b.emitJump(Insn{Op: OpJneImm, Dst: dst, Imm: imm, LoopBound: bound}, label)
+}

@@ -320,7 +320,7 @@ func FuzzPerCPURing(f *testing.F) {
 				var aggSub, aggDrop, aggDrained int64
 				var aggPending int
 				for c := 0; c < cpus; c++ {
-					st := r.RingStats(c)
+					st := r.CPUStats()[c]
 					m := &ms[c]
 					if st.Submitted != m.submitted || st.Dropped != m.dropped ||
 						st.Drained != m.drained || st.Pending != len(m.queue) || st.HighWater != m.high {

@@ -135,9 +135,6 @@ func (r *PerCPURing) ValueSize() int { return 0 }
 // MaxEntries returns the total capacity across all CPU rings.
 func (r *PerCPURing) MaxEntries() int { return r.perCPUCap * len(r.rings) }
 
-// PerCPUCapacity returns one CPU ring's capacity.
-func (r *PerCPURing) PerCPUCapacity() int { return r.perCPUCap }
-
 // NumCPUs returns the number of CPU rings.
 func (r *PerCPURing) NumCPUs() int { return len(r.rings) }
 
@@ -188,14 +185,6 @@ func (r *PerCPURing) DrainBatch(cpu int, dst *Batch, max int) int {
 		return 0
 	}
 	return r.rings[cpu].drainBatch(dst, max)
-}
-
-// RingStats returns a snapshot of one CPU ring's counters.
-func (r *PerCPURing) RingStats(cpu int) RingStats {
-	if cpu < 0 || cpu >= len(r.rings) {
-		return RingStats{}
-	}
-	return r.rings[cpu].stats(r.perCPUCap)
 }
 
 // CPUStats snapshots every CPU ring, indexed by CPU.

@@ -91,15 +91,15 @@ func TestRingBufferConcurrentSubmitDrainReset(t *testing.T) {
 				model = append(model, v)
 			})
 		}
-		iv.Add("drain", 500, func(int) { drain(32) })
-		iv.Add("stats", 100, func(int) {
+		iv.AddOn("drain", 0, 500, func(int) { drain(32) })
+		iv.AddOn("stats", 0, 100, func(int) {
 			st := r.Stats()
 			if st.Submitted != submitted || st.Drained != drained || st.Dropped != dropped || st.Pending != len(model) {
 				t.Fatalf("seed %d: stats %+v, model submitted=%d drained=%d dropped=%d pending=%d",
 					seed, st, submitted, drained, dropped, len(model))
 			}
 		})
-		iv.Add("reset", 5, func(int) {
+		iv.AddOn("reset", 0, 5, func(int) {
 			r.Reset()
 			model, submitted, drained, dropped = nil, 0, 0, 0
 		})

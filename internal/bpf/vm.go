@@ -103,18 +103,6 @@ type HelperCall struct {
 	Ret  uint64
 }
 
-// SetCallTrace enables or disables recording of impure helper calls.
-func (lp *LoadedProgram) SetCallTrace(on bool) { lp.traceOn = on }
-
-// CallTrace returns a copy of the recorded impure helper calls.
-func (lp *LoadedProgram) CallTrace() []HelperCall {
-	out := make([]HelperCall, len(lp.trace))
-	for i, c := range lp.trace {
-		out[i] = HelperCall{ID: c.ID, Args: append([]uint64(nil), c.Args...), Ret: c.Ret}
-	}
-	return out
-}
-
 func (lp *LoadedProgram) recordCall(ec *execState, id int64) {
 	spec, ok := HelperByID(id)
 	if !ok || spec.Pure {
@@ -122,16 +110,6 @@ func (lp *LoadedProgram) recordCall(ec *execState, id int64) {
 	}
 	args := append([]uint64(nil), ec.regs[R1:R1+Reg(len(spec.Args))]...)
 	lp.trace = append(lp.trace, HelperCall{ID: id, Args: args, Ret: ec.regs[R0]})
-}
-
-// Runs returns the number of times the program has been invoked.
-func (lp *LoadedProgram) Runs() int64 {
-	return lp.interpRuns + lp.compiledRuns
-}
-
-// Printk returns a copy of the values logged via HelperTracePrintk.
-func (lp *LoadedProgram) Printk() []uint64 {
-	return append([]uint64(nil), lp.printk...)
 }
 
 // Load verifies p and returns an executable handle. maxInsns of 0 uses
@@ -251,14 +229,6 @@ func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (uint64, int64, e
 	if lp.compiled != nil {
 		return lp.runCompiled(task, args)
 	}
-	lp.interpRuns++
-	return lp.runInterp(task, args)
-}
-
-// RunInterpreted executes the program through the interpreter even when a
-// compiled form exists — the reference semantics the differential oracles
-// compare the compiled path against.
-func (lp *LoadedProgram) RunInterpreted(task *kernel.Task, args []uint64) (uint64, int64, error) {
 	lp.interpRuns++
 	return lp.runInterp(task, args)
 }

@@ -141,14 +141,6 @@ func (ix *Index) Insert(key int64, tid storage.TupleID) {
 	ix.BTree.Insert(key, int64(tid))
 }
 
-// Delete removes (key, tid).
-func (ix *Index) Delete(key int64, tid storage.TupleID) bool {
-	if ix.Kind == HashKind {
-		return ix.Hash.Delete(key, int64(tid))
-	}
-	return ix.BTree.Delete(key, int64(tid))
-}
-
 // Height returns the probe depth estimate (1 for hash indexes).
 func (ix *Index) Height() int {
 	if ix.Kind == HashKind {
@@ -172,36 +164,6 @@ type Table struct {
 	Heap    *storage.Table
 	Indexes []*Index
 	Virtual VirtualTable
-}
-
-// IndexOn returns the first index whose leading key columns exactly match
-// cols (schema positions, major first), preferring unique ones.
-func (t *Table) IndexOn(cols []int) *Index {
-	var best *Index
-	for _, ix := range t.Indexes {
-		if len(ix.KeyCols) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if ix.KeyCols[i] != c {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		// Exact-width matches beat prefix matches; unique beats not.
-		if best == nil {
-			best = ix
-			continue
-		}
-		if len(ix.KeyCols) == len(cols) && len(best.KeyCols) != len(cols) {
-			best = ix
-		}
-	}
-	return best
 }
 
 // Catalog is the name registry.

@@ -1,10 +1,6 @@
 package dbms
 
-import (
-	"fmt"
-
-	"tscout/internal/kernel"
-)
+import "fmt"
 
 // Admission control and connection pooling let the workload scale to
 // thousands of terminals without giving each one a DBMS worker thread: a
@@ -57,9 +53,6 @@ type Ticket struct {
 	// enqueueNS is when Acquire was called, for wait accounting.
 	enqueueNS int64
 }
-
-// Granted reports whether the ticket currently holds a slot.
-func (t *Ticket) Granted() bool { return t.granted }
 
 // GrantNS returns the virtual time the slot was granted (undefined while
 // not granted).
@@ -180,7 +173,6 @@ func (g *AdmissionGate) Stats() GateStats {
 type SessionPool struct {
 	srv  *Server
 	free []*Session
-	size int
 }
 
 // NewSessionPool creates size sessions (clamped to >= 1) pinned
@@ -191,7 +183,7 @@ func NewSessionPool(srv *Server, size int) *SessionPool {
 	if size < 1 {
 		size = 1
 	}
-	p := &SessionPool{srv: srv, size: size}
+	p := &SessionPool{srv: srv}
 	n := srv.Kernel.NumCPUs()
 	for i := 0; i < size; i++ {
 		p.free = append(p.free, srv.NewSessionOn(i%n))
@@ -217,37 +209,4 @@ func (p *SessionPool) Get() *Session {
 func (p *SessionPool) Put(se *Session) {
 	se.rollback()
 	p.free = append(p.free, se)
-}
-
-// Discard retires a session whose worker died (a kill-mid-OU fault) and
-// replaces it with a fresh one pinned to the same CPU, so the pool never
-// leaks a slot: its size is invariant across any number of discards. The
-// dead worker's task exits through the kernel (its generation goes dead,
-// its pid recycles).
-func (p *SessionPool) Discard(se *Session) {
-	se.rollback()
-	cpu := se.Task.CPU()
-	p.srv.Kernel.ExitTask(se.Task)
-	fresh := p.srv.NewSessionOn(cpu)
-	// The replacement worker starts where the dead one stopped: a respawned
-	// thread cannot run in its predecessor's past.
-	fresh.Task.Clock.AdvanceTo(se.Task.Now())
-	p.free = append(p.free, fresh)
-}
-
-// Size returns the pool's fixed session count.
-func (p *SessionPool) Size() int { return p.size }
-
-// FreeCount returns how many sessions are currently unclaimed.
-func (p *SessionPool) FreeCount() int { return len(p.free) }
-
-// Tasks returns the pooled sessions' kernel tasks (free and claimed alike
-// are indistinguishable here; the snapshot is of the free list, so call it
-// before claiming). Used by drivers to build per-CPU runqueues.
-func (p *SessionPool) Tasks() []*kernel.Task {
-	out := make([]*kernel.Task, 0, len(p.free))
-	for _, se := range p.free {
-		out = append(out, se.Task)
-	}
-	return out
 }

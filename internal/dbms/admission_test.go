@@ -40,12 +40,12 @@ func TestAdmissionGateOutcomes(t *testing.T) {
 				switch outcome {
 				case Granted:
 					granted++
-					if tk == nil || !tk.Granted() {
+					if tk == nil || !tk.granted {
 						t.Fatalf("granted outcome with non-granted ticket")
 					}
 				case Queued:
 					queued++
-					if tk == nil || tk.Granted() {
+					if tk == nil || tk.granted {
 						t.Fatalf("queued ticket must not hold a slot yet")
 					}
 				case Rejected:
@@ -85,11 +85,11 @@ func TestAdmissionReleaseIsFIFOFair(t *testing.T) {
 	prev := holder
 	for i, w := range waiters {
 		g.Release(prev, int64(1000*(i+1)))
-		if !w.Granted() {
+		if !w.granted {
 			t.Fatalf("release %d skipped FIFO head", i)
 		}
 		for _, later := range waiters[i+1:] {
-			if later.Granted() {
+			if later.granted {
 				t.Fatalf("release %d granted a later waiter out of order", i)
 			}
 		}
@@ -125,7 +125,7 @@ func TestReleaseReturnsTheTicketItGranted(t *testing.T) {
 	second.Owner = 9
 
 	got := g.Release(holder, 100)
-	if got != first || got.Owner != 7 || !got.Granted() || got.GrantNS() != 100 {
+	if got != first || got.Owner != 7 || !got.granted || got.GrantNS() != 100 {
 		t.Fatalf("first release returned %+v, want the head of the queue, granted at 100", got)
 	}
 	if got = g.Release(first, 200); got != second || got.Owner != 9 {
@@ -172,12 +172,12 @@ func TestReleaseNonGrantedTicketPanics(t *testing.T) {
 func TestSessionPoolPinsRoundRobin(t *testing.T) {
 	srv := admissionServer(t, 4)
 	p := NewSessionPool(srv, 10)
-	if p.Size() != 10 || p.FreeCount() != 10 {
-		t.Fatalf("pool census: size=%d free=%d", p.Size(), p.FreeCount())
+	if len(p.free) != 10 {
+		t.Fatalf("pool census: free=%d", len(p.free))
 	}
 	perCPU := make(map[int]int)
-	for _, task := range p.Tasks() {
-		perCPU[task.CPU()]++
+	for _, se := range p.free {
+		perCPU[se.Task.CPU()]++
 	}
 	// 10 sessions round-robin over 4 CPUs: 3,3,2,2.
 	want := map[int]int{0: 3, 1: 3, 2: 2, 3: 2}
@@ -207,45 +207,13 @@ func TestSessionPoolGetPut(t *testing.T) {
 	if got := p.Get(); got != a {
 		t.Fatalf("LIFO reuse expected")
 	}
-	if a.InTxn() {
+	if a.tx != nil {
 		t.Fatalf("pooled session still holds a transaction")
 	}
 	p.Put(a)
 	p.Put(b)
-	if p.FreeCount() != 2 {
-		t.Fatalf("free count: %d", p.FreeCount())
-	}
-}
-
-func TestSessionPoolDiscardNeverLeaksASlot(t *testing.T) {
-	srv := admissionServer(t, 2)
-	p := NewSessionPool(srv, 3)
-	for round := 0; round < 5; round++ {
-		se := p.Get()
-		if se == nil {
-			t.Fatalf("round %d: pool leaked a slot and ran dry", round)
-		}
-		cpu := se.Task.CPU()
-		gen := se.Task.Gen()
-		now := se.Task.Now()
-		_ = se.BeginTxn() // die mid-transaction
-		p.Discard(se)
-		if p.FreeCount() != 3 {
-			t.Fatalf("round %d: free count %d after discard, want 3", round, p.FreeCount())
-		}
-		if srv.Kernel.GenAlive(gen) {
-			t.Fatalf("round %d: discarded worker's generation still alive", round)
-		}
-		// The replacement stays on the dead worker's CPU and does not run
-		// in its past.
-		fresh := p.Get()
-		if fresh.Task.CPU() != cpu {
-			t.Fatalf("round %d: replacement on cpu %d, want %d", round, fresh.Task.CPU(), cpu)
-		}
-		if fresh.Task.Now() < now {
-			t.Fatalf("round %d: replacement clock %d behind dead worker %d", round, fresh.Task.Now(), now)
-		}
-		p.Put(fresh)
+	if len(p.free) != 2 {
+		t.Fatalf("free count: %d", len(p.free))
 	}
 }
 
@@ -273,10 +241,10 @@ func TestAdmissionGateStress(t *testing.T) {
 				tk, outcome := g.Acquire(now)
 				made++
 				switch {
-				case inUse < slots && outcome == Granted && tk.Granted():
+				case inUse < slots && outcome == Granted && tk.granted:
 					inUse++
 					held = append(held, tk)
-				case inUse == slots && outcome == Queued && !tk.Granted():
+				case inUse == slots && outcome == Queued && !tk.granted:
 					queue = append(queue, tk)
 				default:
 					t.Fatalf("seed %d step %d: Acquire gave %v with %d of %d slots in use", seed, step, outcome, inUse, slots)
@@ -294,12 +262,12 @@ func TestAdmissionGateStress(t *testing.T) {
 				} else {
 					head := queue[0]
 					queue = queue[1:]
-					if got != head || !got.Granted() || got.GrantNS() != now {
+					if got != head || !got.granted || got.GrantNS() != now {
 						t.Fatalf("seed %d step %d: Release returned %+v, want the FIFO head %p granted at %d", seed, step, got, head, now)
 					}
 					held = append(held, got)
 				}
-				if tk.Granted() {
+				if tk.granted {
 					t.Fatalf("seed %d step %d: released ticket still granted", seed, step)
 				}
 			}

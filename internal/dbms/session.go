@@ -34,9 +34,6 @@ func (se *Session) BeginTxn() error {
 	return nil
 }
 
-// InTxn reports whether a transaction is open.
-func (se *Session) InTxn() bool { return se.tx != nil }
-
 // Statement executes one SQL statement inside the open transaction. It
 // charges the networking read/write OUs for the statement's wire traffic
 // (the extended-protocol Bind message carries the parameters) and one

@@ -32,7 +32,7 @@ func TestSessionTxnAPI(t *testing.T) {
 	if err := se.BeginTxn(); !errors.Is(err, ErrTxnOpen) {
 		t.Fatalf("double begin: %v", err)
 	}
-	if !se.InTxn() {
+	if se.tx == nil {
 		t.Fatalf("InTxn")
 	}
 
@@ -88,7 +88,7 @@ func TestSessionStatementErrorAborts(t *testing.T) {
 	if _, err := se.Statement("SELECT * FROM nosuch"); err == nil {
 		t.Fatalf("unknown table must fail")
 	}
-	if se.InTxn() {
+	if se.tx != nil {
 		t.Fatalf("statement error must abort the transaction")
 	}
 	// The insert rolled back with it.
@@ -103,7 +103,7 @@ func TestSessionStatementErrorAborts(t *testing.T) {
 	if _, err := se.Statement("SELEC nonsense"); err == nil {
 		t.Fatalf("parse error must fail")
 	}
-	if se.InTxn() {
+	if se.tx != nil {
 		t.Fatalf("parse error must abort")
 	}
 }

@@ -129,7 +129,7 @@ func TestMountArchiveAfterFirstUse(t *testing.T) {
 		if err == nil || err.Error() != `catalog: unknown table "tscout_archive"` {
 			t.Fatalf("before the mount: %v", err)
 		}
-		if se.InTxn() {
+		if se.tx != nil {
 			t.Fatalf("a failed statement must abort the transaction")
 		}
 	}

@@ -10,7 +10,6 @@ package exec
 import (
 	"tscout/internal/catalog"
 	"tscout/internal/kernel"
-	"tscout/internal/sql"
 	"tscout/internal/storage"
 	"tscout/internal/tscout"
 	"tscout/internal/txn"
@@ -88,9 +87,6 @@ func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
 	}
 	return e, nil
 }
-
-// Marker exposes an OU's marker (nil when uninstrumented).
-func (e *Engine) Marker(id tscout.OUID) *tscout.Marker { return e.markers[id] }
 
 // Ctx carries one statement's execution context. A session keeps one Ctx
 // and runs every statement through it, so the unexported fields below are
@@ -225,18 +221,6 @@ func (r *Result) Bytes() int64 {
 		n += row.Size() + 8
 	}
 	return n
-}
-
-// Execute analyzes and runs one parsed statement in a single call — Prepare
-// then Run — for callers that execute a statement once. The caller is
-// responsible for the per-query TScout sampling event (ts.BeginEvent) and
-// for committing the transaction.
-func (e *Engine) Execute(ctx *Ctx, stmt sql.Statement, params []storage.Value) (*Result, error) {
-	p, err := e.Prepare(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(ctx, p, params)
 }
 
 // begin/end/features helpers tolerate nil markers (uninstrumented runs).

@@ -87,6 +87,15 @@ func (db *testDB) drainPoints(t testing.TB) []tscout.TrainingPoint {
 }
 
 // run executes SQL in a fresh committed transaction.
+// Execute is Prepare then Run, for a statement a test runs once.
+func (e *Engine) Execute(ctx *Ctx, stmt sql.Statement, params []storage.Value) (*Result, error) {
+	p, err := e.Prepare(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(ctx, p, params)
+}
+
 func (db *testDB) run(t *testing.T, q string, params ...storage.Value) *Result {
 	t.Helper()
 	res, err := db.tryRun(q, params...)
@@ -469,8 +478,8 @@ func TestFusedSelectLeavesOtherSessionsMarkers(t *testing.T) {
 		}
 	}
 	iv := db.k.NewInterleaver(1)
-	iv.Add("select", 4*updates, session(db.task, sel, func(int) []storage.Value { return nil }))
-	iv.Add("update", updates, session(updater, upd, func(i int) []storage.Value {
+	iv.AddOn("select", 0, 4*updates, session(db.task, sel, func(int) []storage.Value { return nil }))
+	iv.AddOn("update", 0, updates, session(updater, upd, func(i int) []storage.Value {
 		return []storage.Value{storage.NewInt(int64(i % 5))}
 	}))
 	// 1 400 samples in all: the ring (4 096) holds them until the drain.

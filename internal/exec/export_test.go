@@ -30,10 +30,14 @@ func NewLockstep(t testing.TB, e *Engine, cat *catalog.Catalog, mgr *txn.Manager
 }
 
 // Close ends the model's view of the last transaction: its writes stay if
-// it committed and are rolled back if not.
+// it committed and are rolled back if not. A committed write's version has
+// a commit timestamp and no owning transaction; a transaction without
+// writes left the model as it was.
 func (l *Lockstep) Close() {
-	if l.tx != nil && l.tx.State() != txn.StateCommitted {
-		l.model = l.saved
+	if l.tx != nil {
+		if w := l.tx.Writes(); len(w) > 0 && (w[0].Version.TxnID != 0 || w[0].Version.Begin == 0) {
+			l.model = l.saved
+		}
 	}
 	l.tx = nil
 }

@@ -459,7 +459,7 @@ func (p *specPlan) selectRows(res *specResult, s *sql.SelectStmt, pass [][]int) 
 		for _, l := range joined {
 			for _, i := range pass[k] {
 				r := sc.t.rows[i]
-				if k == 0 || l[p.on[k-1][0]].Equal(r[p.on[k-1][1]-sc.off]) {
+				if k == 0 || l[p.on[k-1][0]].Compare(r[p.on[k-1][1]-sc.off]) == 0 {
 					next = append(next, append(slices.Clone(l), r...))
 				}
 			}
@@ -500,7 +500,7 @@ func (p *specPlan) aggregate(rows []storage.Row) []storage.Row {
 	var groups [][]storage.Row
 	for _, r := range rows {
 		g := slices.IndexFunc(groups, func(g []storage.Row) bool {
-			return !slices.ContainsFunc(p.group, func(c int) bool { return !g[0][c].Equal(r[c]) })
+			return !slices.ContainsFunc(p.group, func(c int) bool { return g[0][c].Compare(r[c]) != 0 })
 		})
 		if g < 0 {
 			g, groups = len(groups), append(groups, nil)

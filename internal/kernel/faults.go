@@ -100,6 +100,8 @@ type FaultPlan []Fault
 // yield the same plan — the property the chaos fuzzer's corpus replay
 // depends on. OnCPU takes no draw from the seeded stream, which the kinds,
 // hit indexes and parameters alone consume.
+//
+//tsvet:ignore unused-export fault-injection test hook: the kernel and chaos tests derive their seeded fault plans from it
 func GenFaultPlan(seed int64, n int, maxHitPerCPU int64, numCPUs int) FaultPlan {
 	if n <= 0 || maxHitPerCPU <= 0 {
 		return nil
@@ -148,9 +150,13 @@ type cpuFaultQueue struct {
 	next int
 }
 
-// NewFaultInjector creates an injector for a plan. Install it with
-// Kernel.SetFaultInjector.
-func NewFaultInjector(plan FaultPlan) *FaultInjector {
+// NewFaultInjector creates an injector for a plan and installs it on k's
+// marker delivery path, replacing any injector before it. Install before
+// starting the workload: the injector's hit counter starts at the moment of
+// installation.
+//
+//tsvet:ignore unused-export fault-injection test hook: only the kernel and chaos tests install injectors (scripts/check.sh one_chaos_driver)
+func NewFaultInjector(k *Kernel, plan FaultPlan) *FaultInjector {
 	fi := &FaultInjector{cpus: make(map[int]*cpuFaultQueue)}
 	for _, f := range plan {
 		q := fi.queue(f.OnCPU)
@@ -160,6 +166,7 @@ func NewFaultInjector(plan FaultPlan) *FaultInjector {
 		p := q.plan
 		sort.SliceStable(p, func(i, j int) bool { return p[i].AtHit < p[j].AtHit })
 	}
+	k.injector = fi
 	return fi
 }
 
@@ -217,6 +224,8 @@ func (fi *FaultInjector) apply(f Fault, t *Task, times int) int {
 
 // CPUHits returns how many marker deliveries the injector has observed on
 // the given simulated CPU.
+//
+//tsvet:ignore unused-export fault-injection test hook: chaos tests check the per-CPU hit census with it
 func (fi *FaultInjector) CPUHits(cpu int) int64 {
 	if q := fi.cpus[cpu]; q != nil {
 		return q.hits
@@ -225,6 +234,8 @@ func (fi *FaultInjector) CPUHits(cpu int) int64 {
 }
 
 // Applied returns how many faults of a kind have fired.
+//
+//tsvet:ignore unused-export fault-injection test hook: chaos tests count the faults that fired with it
 func (fi *FaultInjector) Applied(k FaultKind) int64 {
 	if k < 0 || k >= numFaultKinds {
 		return 0
@@ -232,9 +243,11 @@ func (fi *FaultInjector) Applied(k FaultKind) int64 {
 	return fi.applied[k]
 }
 
-// TakePendingKill reports (and clears) a queued kill-task fault. The
-// workload driver polls it after each marker call and, when set, abandons
-// the task's in-flight OUs and calls Kernel.ExitTask.
+// TakePendingKill reports (and clears) a queued kill-task fault. A driver
+// that injects faults polls it after each marker call and, when set,
+// abandons the task's in-flight OUs and calls Kernel.ExitTask.
+//
+//tsvet:ignore unused-export fault-injection test hook: the chaos harness plays the driver that abandons a killed task
 func (fi *FaultInjector) TakePendingKill() bool {
 	k := fi.pendingKill
 	fi.pendingKill = false
@@ -242,6 +255,8 @@ func (fi *FaultInjector) TakePendingKill() bool {
 }
 
 // TakePendingBurst reports (and clears) the queued ring-burst OU count.
+//
+//tsvet:ignore unused-export fault-injection test hook: the chaos harness plays the driver that bursts the ring
 func (fi *FaultInjector) TakePendingBurst() int {
 	n := fi.pendingBurst
 	fi.pendingBurst = 0

@@ -53,8 +53,7 @@ func FuzzPerCPUFaultOrder(f *testing.F) {
 				runs[tk.CPU()]++
 				return 0
 			})
-			fi := NewFaultInjector(plan)
-			k.SetFaultInjector(fi)
+			fi := NewFaultInjector(k, plan)
 			rng := rand.New(rand.NewSource(orderSeed))
 			for len(live) > 0 {
 				i := rng.Intn(len(live))

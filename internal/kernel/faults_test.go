@@ -82,11 +82,10 @@ func TestInjectorDropAndDupDeliveries(t *testing.T) {
 	tp := k.Tracepoint("tp")
 	var runs int
 	tp.Attach(func(t *Task, args []uint64) int64 { runs++; return 0 })
-	fi := NewFaultInjector(FaultPlan{
+	fi := NewFaultInjector(k, FaultPlan{
 		{Kind: FaultDropMarker, AtHit: 1},
 		{Kind: FaultDupMarker, AtHit: 2},
 	})
-	k.SetFaultInjector(fi)
 	for i := 0; i < 4; i++ {
 		tk.HitTracepoint(tp, nil)
 	}
@@ -111,12 +110,11 @@ func TestInjectorPendingKillAndBurst(t *testing.T) {
 	tk := k.NewTask("w")
 	tp := k.Tracepoint("tp")
 	tp.Attach(func(t *Task, args []uint64) int64 { return 0 })
-	fi := NewFaultInjector(FaultPlan{
+	fi := NewFaultInjector(k, FaultPlan{
 		{Kind: FaultKillTask, AtHit: 0},
 		{Kind: FaultRingBurst, AtHit: 1, Count: 3},
 		{Kind: FaultRingBurst, AtHit: 1, Count: 2},
 	})
-	k.SetFaultInjector(fi)
 	tk.HitTracepoint(tp, nil)
 	if !fi.TakePendingKill() {
 		t.Fatalf("kill fault not queued")
@@ -144,11 +142,10 @@ func TestInjectorMigrateAndCounterWrap(t *testing.T) {
 	tp.Attach(func(t *Task, args []uint64) int64 { return 0 })
 	// The migrating hit counts against CPU 0, where it was delivered; the
 	// next hit is CPU 2's first.
-	fi := NewFaultInjector(FaultPlan{
+	fi := NewFaultInjector(k, FaultPlan{
 		{Kind: FaultMigrate, AtHit: 0, CPU: 2},
 		{Kind: FaultCounterWrap, AtHit: 0, OnCPU: 2},
 	})
-	k.SetFaultInjector(fi)
 	tk.HitTracepoint(tp, nil)
 	if tk.CPU() != 2 {
 		t.Fatalf("migrate fault left task on cpu %d, want 2", tk.CPU())
@@ -221,8 +218,7 @@ func deliverInterleaved(t *testing.T, plan FaultPlan, numCPUs int, order []int) 
 		runs[tk.CPU()]++
 		return 0
 	})
-	fi := NewFaultInjector(plan)
-	k.SetFaultInjector(fi)
+	fi := NewFaultInjector(k, plan)
 	for _, c := range order {
 		tasks[c].HitTracepoint(tp, nil)
 	}
@@ -283,8 +279,8 @@ func TestInterleaverCPULanes(t *testing.T) {
 	// least once.
 	k2 := testKernel()
 	iv2 := k2.NewInterleaver(7)
-	iv2.Add("a", 50, func(i int) {})
-	iv2.Add("b", 50, func(i int) {})
+	iv2.AddOn("a", 0, 50, func(i int) {})
+	iv2.AddOn("b", 0, 50, func(i int) {})
 	trace := iv2.Run()
 	if got := k2.CtxSwitches; got == 0 {
 		t.Fatalf("same-lane workloads charged no context switches; trace=%v", trace)

@@ -53,23 +53,3 @@ func (g *TaskGroup) Barrier() int64 {
 	}
 	return now
 }
-
-// UserInstrumentationNS sums the user-space instrumentation time charged
-// across all member threads (total CPU work, not makespan).
-func (g *TaskGroup) UserInstrumentationNS() int64 {
-	var sum int64
-	for _, t := range g.tasks {
-		sum += t.UserInstrumentationNS
-	}
-	return sum
-}
-
-// KernelInstrumentationNS sums the kernel-space instrumentation time
-// charged across all member threads.
-func (g *TaskGroup) KernelInstrumentationNS() int64 {
-	var sum int64
-	for _, t := range g.tasks {
-		sum += t.KernelInstrumentationNS
-	}
-	return sum
-}

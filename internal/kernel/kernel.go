@@ -211,6 +211,8 @@ func (k *Kernel) newTask(name string, cpu int) *Task {
 // GenAlive, which the Collector's stale-entry reaper consults) and its pid
 // becomes immediately reusable by the next NewTask. Exiting an already-dead
 // task is a no-op.
+//
+//tsvet:ignore unused-export fault-injection test hook: the chaos and resilience tests kill tasks with it
 func (k *Kernel) ExitTask(t *Task) {
 	if !k.liveGens[t.gen] {
 		return
@@ -222,11 +224,6 @@ func (k *Kernel) ExitTask(t *Task) {
 // GenAlive reports whether the task generation is still running. Gen 0 is
 // never alive (it is the zero value of an absent tag).
 func (k *Kernel) GenAlive(gen uint64) bool { return k.liveGens[gen] }
-
-// SetFaultInjector installs (or, with nil, removes) a fault injector on the
-// marker delivery path. Install before starting the workload: the injector's
-// hit counter starts at the moment of installation.
-func (k *Kernel) SetFaultInjector(fi *FaultInjector) { k.injector = fi }
 
 // Tracepoint returns the named tracepoint, creating it on first use.
 // Tracepoints are the kernel-side anchor of TScout's markers (paper §3.1):
@@ -274,15 +271,9 @@ type Tracepoint struct {
 	Hits int64
 }
 
-// Name returns the tracepoint's registered name.
-func (tp *Tracepoint) Name() string { return tp.name }
-
-// Attach installs a handler, replacing any existing one. Attach(nil) is
-// Detach.
+// Attach installs a handler, replacing any existing one. Attach(nil)
+// detaches: subsequent hits are NOPs again.
 func (tp *Tracepoint) Attach(h TraceHandler) { tp.handler = h }
-
-// Detach removes the handler; subsequent hits are NOPs again.
-func (tp *Tracepoint) Detach() { tp.handler = nil }
 
 // Attached reports whether a handler is currently installed.
 func (tp *Tracepoint) Attached() bool { return tp.handler != nil }

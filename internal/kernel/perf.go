@@ -121,9 +121,6 @@ func (pc *PerfContext) Enable(cs ...Counter) {
 // context switch) versus CPU-wide mode.
 func (pc *PerfContext) SetPerTask(v bool) { pc.perTask = v }
 
-// PerTask reports the counter attachment mode.
-func (pc *PerfContext) PerTask() bool { return pc.perTask }
-
 // DisableAll turns off every counter.
 func (pc *PerfContext) DisableAll() {
 	for i := range pc.enabled {
@@ -228,15 +225,6 @@ func (pc *PerfContext) Read(c Counter) Reading {
 	}
 }
 
-// ReadAll returns readings for every counter in cs.
-func (pc *PerfContext) ReadAll(cs []Counter) []Reading {
-	out := make([]Reading, len(cs))
-	for i, c := range cs {
-		out[i] = pc.Read(c)
-	}
-	return out
-}
-
 // InjectWrap rolls every enabled counter's accumulated count backwards by
 // delta, modeling a hardware counter overflow between two reads: the next
 // read observes a smaller raw value than an earlier snapshot, so unsigned
@@ -252,11 +240,4 @@ func (pc *PerfContext) InjectWrap(delta float64) {
 			pc.raw[c] = 0
 		}
 	}
-}
-
-// Reset clears accumulated counts (used between experiment trials).
-func (pc *PerfContext) Reset() {
-	pc.raw = [numCounters]float64{}
-	pc.timeEnabled = [numCounters]float64{}
-	pc.timeRunning = [numCounters]float64{}
 }

@@ -26,23 +26,22 @@ type ivRunner struct {
 // NewInterleaver creates a deterministic scheduler on this kernel. Each
 // switch between different workloads during Run is charged as one context
 // switch on the kernel's global counter.
+//
+//tsvet:ignore unused-export interleaver test hook: tests write their interleavings as seeded schedules
 func (k *Kernel) NewInterleaver(seed int64) *Interleaver {
 	return &Interleaver{kernel: k, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Add registers a workload of n quanta on CPU lane 0. step is called with
-// the quantum index 0..n-1, in order, but interleaved with the quanta of
-// every other registered workload.
-func (iv *Interleaver) Add(name string, n int, step func(i int)) {
-	iv.AddOn(name, 0, n, step)
-}
-
-// AddOn registers a workload of n quanta on the given CPU lane. The lane
-// scopes context-switch accounting: a switch is charged when a lane's
+// AddOn registers a workload of n quanta on the given CPU lane. step is
+// called with the quantum index 0..n-1, in order, but interleaved with the
+// quanta of every other registered workload. The lane scopes
+// context-switch accounting: a switch is charged when a lane's
 // newly-picked workload differs from the previous workload *on that lane*,
 // matching a per-CPU run queue — two workloads ping-ponging on different
 // CPUs do not context-switch each other. With every workload on lane 0
-// (the Add default) this degenerates to the original global accounting.
+// this degenerates to global accounting.
+//
+//tsvet:ignore unused-export interleaver test hook: tests register their workloads with it
 func (iv *Interleaver) AddOn(name string, cpu int, n int, step func(i int)) {
 	if cpu < 0 {
 		cpu = 0
@@ -53,6 +52,8 @@ func (iv *Interleaver) AddOn(name string, cpu int, n int, step func(i int)) {
 // Run executes every registered quantum under the seeded schedule and
 // returns the trace: the workload name chosen at each tick. Workloads are
 // consumed fully; Run leaves the Interleaver empty for reuse.
+//
+//tsvet:ignore unused-export interleaver test hook: tests replay their seeded schedules with it
 func (iv *Interleaver) Run() []string {
 	var trace []string
 	live := append([]*ivRunner(nil), iv.runners...)

@@ -14,7 +14,7 @@ func traceFor(seed int64, counts map[string]int) ([]string, map[string][]int) {
 	for _, name := range []string{"a", "b", "c"} {
 		n := counts[name]
 		name := name
-		iv.Add(name, n, func(i int) { order[name] = append(order[name], i) })
+		iv.AddOn(name, 0, n, func(i int) { order[name] = append(order[name], i) })
 	}
 	return iv.Run(), order
 }
@@ -54,8 +54,8 @@ func TestInterleaverRunsEveryQuantumInOrder(t *testing.T) {
 func TestInterleaverChargesContextSwitches(t *testing.T) {
 	k := New(sim.LargeHW, 1, 0)
 	iv := k.NewInterleaver(5)
-	iv.Add("x", 10, func(int) {})
-	iv.Add("y", 10, func(int) {})
+	iv.AddOn("x", 0, 10, func(int) {})
+	iv.AddOn("y", 0, 10, func(int) {})
 	trace := iv.Run()
 	want := int64(0)
 	for i := 1; i < len(trace); i++ {

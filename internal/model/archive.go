@@ -11,7 +11,8 @@ import (
 // Fig-11-style training runs never materialize TrainingPoint structs or
 // re-parse rows. Output is ordered by global row index (archive order),
 // making it element-for-element identical to
-// FromTrainingPoints(reader.Points(), hwContext).
+// FromTrainingPoints(reader.Points(), hwContext), the row-at-a-time oracle
+// in archive_test.go.
 func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
 	type slot struct {
 		idx uint64

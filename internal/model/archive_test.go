@@ -9,6 +9,23 @@ import (
 	"tscout/internal/tscout"
 )
 
+// FromTrainingPoints converts TScout output into model points, targeting
+// elapsed time, with hwContext appended to every point's features: the
+// row-at-a-time oracle FromArchive must agree with.
+func FromTrainingPoints(pts []tscout.TrainingPoint, hwContext []float64) []Point {
+	out := make([]Point, 0, len(pts))
+	for _, tp := range pts {
+		out = append(out, Point{
+			OU:       tp.OU,
+			Sub:      tp.Subsystem,
+			Features: append(append([]float64(nil), tp.Features...), hwContext...),
+			TargetUS: float64(tp.Metrics.ElapsedNS) / 1000.0,
+			Template: templateKeyOf(tp.OU, tp.Features),
+		})
+	}
+	return out
+}
+
 // TestFromArchiveMatchesFromTrainingPoints is the column-path equivalence
 // check: reading model points straight from archive columns must produce
 // exactly what materializing TrainingPoints and converting them does.

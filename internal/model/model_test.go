@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -160,6 +161,43 @@ func TestSplitByTemplateDisjoint(t *testing.T) {
 	if len(train)+len(test) != len(pts) {
 		t.Fatalf("partition: %d+%d != %d", len(train), len(test), len(pts))
 	}
+}
+
+// CrossValidate runs k-fold cross-validation (the paper uses 5-fold) and
+// returns the mean per-template absolute error across folds. extraTrain
+// points (e.g. offline runner data) join every fold's training set.
+func CrossValidate(points []Point, extraTrain []Point, trainer Trainer, k int, seed int64) (float64, error) {
+	if len(points) < k {
+		return 0, fmt.Errorf("model: %d points for %d folds", len(points), k)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	idx := rng.Perm(len(points))
+	var total float64
+	folds := 0
+	for f := 0; f < k; f++ {
+		var train, test []Point
+		train = append(train, extraTrain...)
+		for i, pi := range idx {
+			if i%k == f {
+				test = append(test, points[pi])
+			} else {
+				train = append(train, points[pi])
+			}
+		}
+		if len(train) == 0 || len(test) == 0 {
+			continue
+		}
+		set, err := Train(train, trainer)
+		if err != nil {
+			return 0, err
+		}
+		total += set.AvgAbsErrorByTemplate(test)
+		folds++
+	}
+	if folds == 0 {
+		return 0, ErrNoData
+	}
+	return total / float64(folds), nil
 }
 
 func TestCrossValidate(t *testing.T) {

@@ -12,9 +12,8 @@ import (
 
 // This file is the incremental-learning surface the autopilot controller
 // drives: models that absorb archive mini-batches as they are sealed —
-// additively (OnlineRidge) or over a sliding window with partial ensemble
-// refresh (WindowedForest) — plus the prequential per-subsystem error
-// tracker that turns prediction error into the controller's drift signal.
+// over a sliding window with partial ensemble refresh (WindowedForest) —
+// plus the prequential per-subsystem error tracker that turns prediction error into the controller's drift signal.
 // Nothing here ever retrains from scratch: refresh cost is bounded by the
 // window and the per-refresh tree budget, not by archive size.
 
@@ -32,96 +31,6 @@ type OnlineModel interface {
 	// N reports rows observed since creation.
 	N() int64
 }
-
-// OnlineRidge is ridge regression with additive sufficient statistics:
-// Observe accumulates X'X and X'y in O(d²) per row, Refit solves the
-// normal equations over everything seen. No rows are retained and no pass
-// over old data ever happens — the additive fit of the tentpole.
-type OnlineRidge struct {
-	// Lambda is the regularization strength (default 1e-3).
-	Lambda float64
-
-	d    int // feature arity + bias; fixed by the first observed row
-	a    [][]float64
-	b    []float64
-	n    int64
-	sumY float64
-	w    []float64 // last successful refit; nil until one succeeds
-}
-
-// NewOnlineRidge returns an empty additive ridge accumulator.
-func NewOnlineRidge(lambda float64) *OnlineRidge {
-	return &OnlineRidge{Lambda: lambda}
-}
-
-// Observe implements OnlineModel. The first row fixes the arity; rows of
-// any other width are ignored (the OnlineSet partitions by arity, so this
-// only guards direct misuse).
-func (r *OnlineRidge) Observe(x []float64, y float64) {
-	if r.d == 0 {
-		r.d = len(x) + 1
-		r.a = make([][]float64, r.d)
-		for i := range r.a {
-			r.a[i] = make([]float64, r.d)
-		}
-		r.b = make([]float64, r.d)
-	}
-	if len(x)+1 != r.d {
-		return
-	}
-	row := make([]float64, r.d)
-	row[0] = 1
-	copy(row[1:], x)
-	for i := 0; i < r.d; i++ {
-		for j := 0; j < r.d; j++ {
-			r.a[i][j] += row[i] * row[j]
-		}
-		r.b[i] += row[i] * y
-	}
-	r.n++
-	r.sumY += y
-}
-
-// Refit implements OnlineModel: one O(d³) solve, independent of how many
-// rows were absorbed.
-func (r *OnlineRidge) Refit() error {
-	if r.n == 0 {
-		return ErrNoData
-	}
-	lambda := r.Lambda
-	if lambda <= 0 {
-		lambda = 1e-3
-	}
-	A := make([][]float64, r.d)
-	for i := range A {
-		A[i] = append([]float64(nil), r.a[i]...)
-		if i > 0 { // don't regularize the bias
-			A[i][i] += lambda
-		}
-	}
-	w, err := solve(A, append([]float64(nil), r.b...))
-	if err != nil {
-		return err // previous fit (or the running mean) stays in force
-	}
-	r.w = w
-	return nil
-}
-
-// Predict implements Model: the last refit, or the running mean before
-// any refit succeeded.
-func (r *OnlineRidge) Predict(x []float64) float64 {
-	if r.w == nil {
-		if r.n == 0 {
-			return 0
-		}
-		return r.sumY / float64(r.n)
-	}
-	m := linearModel{w: r.w}
-	return m.Predict(x)
-}
-
-// N implements OnlineModel.
-func (r *OnlineRidge) N() int64 { return r.n }
 
 // WindowedForest is a random forest over a sliding window: Observe keeps
 // the last Window rows, Refresh rebuilds only RefreshTrees of the Trees
@@ -292,7 +201,7 @@ type OnlineSet struct {
 }
 
 // NewOnlineSet builds an empty set; newModel constructs the per-(OU,
-// arity) incremental model (e.g. a WindowedForest or OnlineRidge).
+// arity) incremental model (e.g. a WindowedForest).
 func NewOnlineSet(newModel func() OnlineModel) *OnlineSet {
 	return &OnlineSet{newModel: newModel, models: make(map[ouKey]OnlineModel)}
 }
@@ -368,9 +277,6 @@ func (s *OnlineSet) Predict(p Point) float64 {
 func (s *OnlineSet) AvgAbsErrorByTemplate(test []Point) float64 {
 	return avgAbsErrorByTemplate(s.Predict, test)
 }
-
-// Models reports how many (OU, arity) models exist.
-func (s *OnlineSet) Models() int { return len(s.models) }
 
 // ErrorSurface is the per-subsystem prequential error tracker behind the
 // autopilot's drift signal: two exponentially-weighted means per

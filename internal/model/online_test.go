@@ -9,81 +9,40 @@ import (
 	"tscout/internal/tscout"
 )
 
-// TestOnlineRidgeMatchesBatch: feeding rows one at a time through the
-// additive Gram accumulator and solving once must reproduce the batch
-// Ridge fit — same normal equations, same solver, same row order.
-func TestOnlineRidgeMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 200; i++ {
-		x := []float64{rng.Float64() * 10, rng.Float64() * 3}
-		X = append(X, x)
-		y = append(y, 4+2.5*x[0]-1.5*x[1]+rng.NormFloat64()*0.01)
-	}
-
-	batch, err := Ridge{Lambda: 1e-3}.Train(X, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on := NewOnlineRidge(1e-3)
-	for i := range X {
-		on.Observe(X[i], y[i])
-	}
-	if err := on.Refit(); err != nil {
-		t.Fatal(err)
-	}
-	for _, probe := range [][]float64{{0, 0}, {5, 1}, {10, 3}, {2.2, 0.7}} {
-		b, o := batch.Predict(probe), on.Predict(probe)
-		if math.Abs(b-o) > 1e-6 {
-			t.Fatalf("Predict(%v): batch %v, online %v", probe, b, o)
-		}
-	}
-	if on.N() != 200 {
-		t.Fatalf("N() = %d, want 200", on.N())
-	}
+// batchRidge is these tests' linear OnlineModel: it keeps every row and
+// refits a batch Ridge over all of them, the running mean standing in
+// until a refit succeeds.
+type batchRidge struct {
+	lambda float64
+	X      [][]float64
+	y      []float64
+	sum    float64
+	fit    Model
 }
 
-// TestOnlineRidgeIncrementalRefit: more observations between refits keep
-// improving the fit without any pass over earlier rows.
-func TestOnlineRidgeIncrementalRefit(t *testing.T) {
-	on := NewOnlineRidge(1e-3)
-	rng := rand.New(rand.NewSource(7))
-	errAt := func() float64 {
-		var sum float64
-		for i := 0; i < 50; i++ {
-			x := []float64{float64(i)}
-			sum += math.Abs(on.Predict(x) - (10 + 3*float64(i)))
-		}
-		return sum / 50
-	}
-	// Before any data: predict 0.
-	if got := on.Predict([]float64{5}); got != 0 {
-		t.Fatalf("empty model predicted %v", got)
-	}
-	for i := 0; i < 5; i++ {
-		x := rng.Float64() * 100
-		on.Observe([]float64{x}, 10+3*x)
-	}
-	if err := on.Refit(); err != nil {
-		t.Fatal(err)
-	}
-	few := errAt()
-	for i := 0; i < 500; i++ {
-		x := rng.Float64() * 100
-		on.Observe([]float64{x}, 10+3*x+rng.NormFloat64())
-	}
-	if err := on.Refit(); err != nil {
-		t.Fatal(err)
-	}
-	many := errAt()
-	if many > few+1e-9 && many > 1 {
-		t.Fatalf("error grew with data: %v -> %v", few, many)
-	}
-	if many > 1 {
-		t.Fatalf("converged error too high: %v", many)
-	}
+func (r *batchRidge) Observe(x []float64, y float64) {
+	r.X, r.y, r.sum = append(r.X, append([]float64(nil), x...)), append(r.y, y), r.sum+y
 }
+
+func (r *batchRidge) Refit() error {
+	m, err := Ridge{Lambda: r.lambda}.Train(r.X, r.y)
+	if err == nil {
+		r.fit = m
+	}
+	return err
+}
+
+func (r *batchRidge) Predict(x []float64) float64 {
+	if r.fit != nil {
+		return r.fit.Predict(x)
+	}
+	if len(r.y) == 0 {
+		return 0
+	}
+	return r.sum / float64(len(r.y))
+}
+
+func (r *batchRidge) N() int64 { return int64(len(r.y)) }
 
 // TestWindowedForestAdaptsToDrift: after a regime change fills the
 // window, successive partial refreshes move predictions to the new
@@ -192,7 +151,7 @@ func TestErrorSurfaceDrift(t *testing.T) {
 // falls as models converge, mixed arities get separate models, and the
 // metric agrees with the shared template-grouped evaluator.
 func TestOnlineSetPrequential(t *testing.T) {
-	set := NewOnlineSet(func() OnlineModel { return NewOnlineRidge(1e-3) })
+	set := NewOnlineSet(func() OnlineModel { return &batchRidge{lambda: 1e-3} })
 	var surface ErrorSurface
 
 	mk := func(i int) Point {
@@ -238,8 +197,8 @@ func TestOnlineSetPrequential(t *testing.T) {
 	if late > 1 {
 		t.Fatalf("stationary stream converged to error %v", late)
 	}
-	if set.Models() != 2 {
-		t.Fatalf("expected 2 (OU, arity) models, got %d", set.Models())
+	if len(set.models) != 2 {
+		t.Fatalf("expected 2 (OU, arity) models, got %d", len(set.models))
 	}
 
 	// Evaluation path agrees with the batch evaluator's grouping.
@@ -256,7 +215,7 @@ func TestOnlineSetPrequential(t *testing.T) {
 // the models after it nor goes unreported.
 func TestOnlineSetRefitReportsFailure(t *testing.T) {
 	forest := &WindowedForest{Seed: 1}
-	models := []OnlineModel{NewOnlineRidge(1e-30), forest}
+	models := []OnlineModel{&batchRidge{lambda: 1e-30}, forest}
 	set := NewOnlineSet(func() OnlineModel {
 		m := models[0]
 		models = models[1:]

@@ -23,33 +23,9 @@ type Point struct {
 	Template uint64
 }
 
-// FromTrainingPoints converts TScout output into model points, targeting
-// elapsed time. hwContext optionally appends hardware features to every
-// point (the paper's only CPU context feature is the clock speed, §6.4).
-func FromTrainingPoints(pts []tscout.TrainingPoint, hwContext []float64) []Point {
-	out := make([]Point, 0, len(pts))
-	for _, tp := range pts {
-		feats := append(append([]float64(nil), tp.Features...), hwContext...)
-		out = append(out, Point{
-			OU:       tp.OU,
-			Sub:      tp.Subsystem,
-			Features: feats,
-			TargetUS: float64(tp.Metrics.ElapsedNS) / 1000.0,
-			Template: templateKey(tp),
-		})
-	}
-	return out
-}
-
-// templateKey buckets a point into an invocation class: the OU plus its
+// templateKeyOf buckets a point into an invocation class: the OU plus its
 // feature vector quantized to order of magnitude. Points from the same
 // query template land in the same class.
-func templateKey(tp tscout.TrainingPoint) uint64 {
-	return templateKeyOf(tp.OU, tp.Features)
-}
-
-// templateKeyOf is templateKey over loose (OU, features) columns, shared
-// with the archive fast path that never materializes TrainingPoints.
 //
 // Arity is part of the key by construction: the digest absorbs one 8-byte
 // word per feature, so the same OU observed at two feature widths (a
@@ -269,43 +245,6 @@ func SplitRows(points []Point, holdFrac float64, seed int64) (train, test []Poin
 		}
 	}
 	return train, test
-}
-
-// CrossValidate runs k-fold cross-validation (the paper uses 5-fold) and
-// returns the mean per-template absolute error across folds. extraTrain
-// points (e.g. offline runner data) join every fold's training set.
-func CrossValidate(points []Point, extraTrain []Point, trainer Trainer, k int, seed int64) (float64, error) {
-	if len(points) < k {
-		return 0, fmt.Errorf("model: %d points for %d folds", len(points), k)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(len(points))
-	var total float64
-	folds := 0
-	for f := 0; f < k; f++ {
-		var train, test []Point
-		train = append(train, extraTrain...)
-		for i, pi := range idx {
-			if i%k == f {
-				test = append(test, points[pi])
-			} else {
-				train = append(train, points[pi])
-			}
-		}
-		if len(train) == 0 || len(test) == 0 {
-			continue
-		}
-		set, err := Train(train, trainer)
-		if err != nil {
-			return 0, err
-		}
-		total += set.AvgAbsErrorByTemplate(test)
-		folds++
-	}
-	if folds == 0 {
-		return 0, ErrNoData
-	}
-	return total / float64(folds), nil
 }
 
 // Sample returns up to n randomly chosen points (for the convergence

@@ -30,6 +30,3 @@ func (c *Clock) AdvanceTo(t int64) int64 {
 	c.now = t
 	return w
 }
-
-// Reset rewinds the clock to zero (used between experiment trials).
-func (c *Clock) Reset() { c.now = 0 }

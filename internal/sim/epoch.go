@@ -26,7 +26,7 @@ import (
 // CPUTimelines is one virtual clock per simulated CPU. The zero CPU count
 // is clamped to 1. Each CPU's timeline is advanced only by the work the
 // driver runs on that CPU (the same ownership discipline a Task has), while
-// Makespan/Frontier are barrier-time operations.
+// Makespan is a barrier-time operation.
 type CPUTimelines struct {
 	now []int64
 }
@@ -39,18 +39,8 @@ func NewCPUTimelines(n int) *CPUTimelines {
 	return &CPUTimelines{now: make([]int64, n)}
 }
 
-// NumCPUs returns the number of timelines.
-func (tl *CPUTimelines) NumCPUs() int { return len(tl.now) }
-
 // Now returns CPU cpu's current virtual time.
 func (tl *CPUTimelines) Now(cpu int) int64 { return tl.now[tl.clamp(cpu)] }
-
-// Advance moves CPU cpu's clock forward by ns (negative values ignored).
-func (tl *CPUTimelines) Advance(cpu int, ns int64) {
-	if ns > 0 {
-		tl.now[tl.clamp(cpu)] += ns
-	}
-}
 
 // AdvanceTo moves CPU cpu's clock forward to t if t is in the future and
 // returns the time waited.
@@ -74,25 +64,6 @@ func (tl *CPUTimelines) Makespan() int64 {
 		}
 	}
 	return max
-}
-
-// Frontier returns the furthest-behind CPU clock — the laggard that bounds
-// how far an epoch barrier may declare global time to have advanced.
-func (tl *CPUTimelines) Frontier() int64 {
-	min := tl.now[0]
-	for _, n := range tl.now[1:] {
-		if n < min {
-			min = n
-		}
-	}
-	return min
-}
-
-// Reset rewinds every timeline to zero (between experiment trials).
-func (tl *CPUTimelines) Reset() {
-	for i := range tl.now {
-		tl.now[i] = 0
-	}
 }
 
 func (tl *CPUTimelines) clamp(cpu int) int {

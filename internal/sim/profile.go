@@ -126,8 +126,3 @@ func (p *HardwareProfile) CyclesToNS(cycles float64) int64 {
 	}
 	return int64(cycles / p.ClockGHz)
 }
-
-// NSToCycles converts nanoseconds to core cycles on this profile.
-func (p *HardwareProfile) NSToCycles(ns int64) float64 {
-	return float64(ns) * p.ClockGHz
-}

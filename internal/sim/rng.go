@@ -58,20 +58,6 @@ func (n *Noise) ApplyNS(ns int64) int64 {
 	return v
 }
 
-// Float64 exposes a uniform [0,1) draw from the underlying stream, so
-// components that need auxiliary randomness (e.g. sampling-bit shuffles)
-// share one seeded source.
-func (n *Noise) Float64() float64 {
-	n.draws++
-	return n.rng.Float64()
-}
-
-// Intn exposes a uniform [0,n) integer draw.
-func (n *Noise) Intn(m int) int {
-	n.draws++
-	return n.rng.Intn(m)
-}
-
 // Perm returns a random permutation of [0,m).
 func (n *Noise) Perm(m int) []int {
 	n.draws++

@@ -34,30 +34,3 @@ type Work struct {
 	// NetMessages is the number of protocol messages processed.
 	NetMessages int64
 }
-
-// Add accumulates other into w (used by fused pipelines that execute
-// several OUs under one measurement, paper §5.2).
-func (w *Work) Add(other Work) {
-	w.Instructions += other.Instructions
-	w.BytesTouched += other.BytesTouched
-	if other.WorkingSetBytes > w.WorkingSetBytes {
-		w.WorkingSetBytes = other.WorkingSetBytes
-	}
-	if other.RandomAccessFraction > w.RandomAccessFraction {
-		w.RandomAccessFraction = other.RandomAccessFraction
-	}
-	w.AllocBytes += other.AllocBytes
-	w.DiskReadBytes += other.DiskReadBytes
-	w.DiskWriteBytes += other.DiskWriteBytes
-	w.DiskOps += other.DiskOps
-	w.NetRecvBytes += other.NetRecvBytes
-	w.NetSendBytes += other.NetSendBytes
-	w.NetMessages += other.NetMessages
-}
-
-// IsZero reports whether the descriptor carries no work at all.
-func (w Work) IsZero() bool {
-	return w.Instructions == 0 && w.BytesTouched == 0 && w.AllocBytes == 0 &&
-		w.DiskReadBytes == 0 && w.DiskWriteBytes == 0 &&
-		w.NetRecvBytes == 0 && w.NetSendBytes == 0
-}

@@ -43,7 +43,7 @@ func TestValueCompare(t *testing.T) {
 			t.Fatalf("Compare(%v,%v)=%d want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if !NewInt(7).Equal(NewFloat(7)) {
+	if NewInt(7).Compare(NewFloat(7)) != 0 {
 		t.Fatalf("numeric equality across kinds")
 	}
 }

@@ -48,7 +48,7 @@ func (k Kind) String() string {
 //	string  the string's data    its length
 //
 // The leading [0]func() makes == on two Values a compile error: a string
-// cell holds an address, so equality is by content, through Equal.
+// cell holds an address, so equality is by content, through Compare.
 type Value struct {
 	_ [0]func()
 	p unsafe.Pointer
@@ -177,9 +177,6 @@ func (v Value) Compare(o Value) int {
 		return 0
 	}
 }
-
-// Equal reports value equality under Compare semantics.
-func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // String renders the value for result sets.
 func (v Value) String() string {

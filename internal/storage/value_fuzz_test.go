@@ -195,9 +195,6 @@ func FuzzValueCell(f *testing.F) {
 				if got := a.v.Compare(b.v); got != want {
 					t.Errorf("%+v Compare %+v = %d, want %d", a.r, b.r, got, want)
 				}
-				if got := a.v.Equal(b.v); got != (want == 0) {
-					t.Errorf("%+v Equal %+v = %v", a.r, b.r, got)
-				}
 			}
 		}
 	})

@@ -10,7 +10,6 @@ import (
 	"tscout/internal/archive"
 	"tscout/internal/autopilot"
 	"tscout/internal/kernel"
-	"tscout/internal/model"
 	"tscout/internal/sim"
 	"tscout/internal/tscout"
 )
@@ -118,8 +117,7 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 	if plan == nil {
 		plan = kernel.GenFaultPlan(cfg.seed, cfg.faults, int64(3*cfg.ous/cfg.numCPUs), cfg.numCPUs)
 	}
-	fi := kernel.NewFaultInjector(plan)
-	k.SetFaultInjector(fi)
+	fi := kernel.NewFaultInjector(k, plan)
 
 	var buf bytes.Buffer
 	aw := archive.NewWriterSize(&buf, 64) // small segments: many seal boundaries
@@ -156,7 +154,6 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 			MinSamples:    1,
 			ConvergeRatio: 1e9,
 			DriftRatio:    1e12,
-			NewModel:      func() model.OnlineModel { return model.NewOnlineRidge(1e-3) },
 		})
 	}
 	// Every drain leaves each point it produced delivered, parked for

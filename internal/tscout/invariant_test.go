@@ -120,7 +120,7 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 				for ti := 0; ti < 3; ti++ {
 					ti := ti
 					task := k.NewTask(fmt.Sprintf("worker%d", ti))
-					iv.Add(fmt.Sprintf("worker%d", ti), 40, func(i int) {
+					iv.AddOn(fmt.Sprintf("worker%d", ti), 0, 40, func(i int) {
 						h := uint64(seed)*2654435761 + uint64(ti)*1099511628211 + uint64(i)*2246822519
 						h ^= h >> 13
 						m := scan
@@ -142,7 +142,7 @@ func TestPipelineAccountingIdentity(t *testing.T) {
 				}
 				// Budgeted drains race the submitters under the same
 				// deterministic schedule.
-				iv.Add("drain", 15, func(int) { p.Drain(DrainOptions{Budget: 3}) })
+				iv.AddOn("drain", 0, 15, func(int) { p.Drain(DrainOptions{Budget: 3}) })
 				iv.Run()
 				p.Drain(DrainOptions{}) // unbudgeted sweep: empty the rings
 
@@ -257,7 +257,7 @@ func TestConcurrentDrainKeepsRingOrder(t *testing.T) {
 						uint64(i), uint64(w))
 				})
 			}
-			iv.Add("drain", iters, func(int) { p.Drain(DrainOptions{Budget: 16}) })
+			iv.AddOn("drain", 0, iters, func(int) { p.Drain(DrainOptions{Budget: 16}) })
 			iv.Run()
 			p.Drain(DrainOptions{})
 

@@ -141,7 +141,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 				for ti := 0; ti < 6; ti++ {
 					ti := ti
 					task := k.NewTask(fmt.Sprintf("worker%d", ti))
-					iv.Add(fmt.Sprintf("worker%d", ti), 40, func(i int) {
+					iv.AddOn(fmt.Sprintf("worker%d", ti), 0, 40, func(i int) {
 						h := uint64(seed)*2654435761 + uint64(ti)*1099511628211 + uint64(i)*2246822519
 						h ^= h >> 13
 						if h%7 == 0 {
@@ -157,7 +157,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 						}, h, h>>7)
 					})
 				}
-				iv.Add("drain", 15, func(int) {
+				iv.AddOn("drain", 0, 15, func(int) {
 					p.Drain(DrainOptions{Budget: 3})
 				})
 				iv.Run()

@@ -239,13 +239,6 @@ func (p *Processor) SubmitUserSample(buf []byte) {
 	p.userQueue = append(p.userQueue, buf)
 }
 
-// Task returns the first of the Processor's drain-thread tasks (created on
-// first use), on which its processing time is charged. With the default
-// parallelism of 1 this is the paper's single-threaded Processor.
-func (p *Processor) Task() *kernel.Task {
-	return p.taskGroup().Task(0)
-}
-
 func (p *Processor) taskGroup() *kernel.TaskGroup {
 	if p.group == nil {
 		p.group = p.ts.kernel.NewTaskGroup("tscout-processor", p.Parallelism())

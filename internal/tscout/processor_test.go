@@ -364,18 +364,18 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 
 		iv := ts.kernel.NewInterleaver(seed)
 		for _, sub := range AllSubsystems {
-			iv.Add(sub.String(), 2000, func(int) {
+			iv.AddOn(sub.String(), 0, 2000, func(int) {
 				submitKernel(ts, sub, ous[sub], 1)
 				kernelSubmitted[sub]++
 			})
 		}
-		iv.Add("user", 2000, func(int) {
+		iv.AddOn("user", 0, 2000, func(int) {
 			p.SubmitUserSample(EncodeSample(ous[SubsystemNetworking], 4, Metrics{}, []uint64{1, 2}))
 			userSubmitted++
 		})
-		iv.Add("drain", 500, func(int) { p.Drain(DrainOptions{Budget: 64}) })
-		iv.Add("stats", 200, func(int) { check("stats") })
-		iv.Add("reset", 10, func(int) {
+		iv.AddOn("drain", 0, 500, func(int) { p.Drain(DrainOptions{Budget: 64}) })
+		iv.AddOn("stats", 0, 200, func(int) { check("stats") })
+		iv.AddOn("reset", 0, 10, func(int) {
 			p.Reset()
 			kernelSubmitted, userSubmitted, sinkBase = [NumSubsystems]int64{}, 0, sink.Rows()
 		})

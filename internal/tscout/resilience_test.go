@@ -554,8 +554,12 @@ func TestTaskLocalStateOwnership(t *testing.T) {
 	if sb.userErrors != 3 || sb.wrapClamps != 4 {
 		t.Fatalf("carried counters: errors %d clamps %d, want 3 and 4", sb.userErrors, sb.wrapClamps)
 	}
-	if got := ts.UserStateErrors(); got != 3 {
-		t.Fatalf("UserStateErrors = %d, want 3 (the table must hold the respawned task's state)", got)
+	var userErrors int64
+	for _, st := range ts.tasks {
+		userErrors += st.userErrors
+	}
+	if userErrors != 3 {
+		t.Fatalf("user state errors = %d, want 3 (the table must hold the respawned task's state)", userErrors)
 	}
 	if b.Perf().EnabledCount() == 0 {
 		t.Fatalf("first contact did not enable the respawned task's counters")

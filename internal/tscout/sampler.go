@@ -119,14 +119,6 @@ func (s *Sampler) SetAllRates(rate int) {
 // Rate returns a subsystem's configured rate in percent.
 func (s *Sampler) Rate(sub SubsystemID) int { return s.rates[sub] }
 
-// Rates returns a snapshot of every subsystem's configured rate.
-func (s *Sampler) Rates() [NumSubsystems]int { return s.rates }
-
-// Generation returns how many times a subsystem's bit field has been
-// regenerated (any path). Controllers and tests use it to assert that a
-// retune schedule was applied exactly once per epoch.
-func (s *Sampler) Generation(sub SubsystemID) int64 { return s.gens[sub] }
-
 // ShouldSample consults the bit at *offset for the subsystem and advances
 // the offset (wrapping at the field width). The caller owns the offset —
 // one per thread, per the paper: "each thread maintains offsets to index

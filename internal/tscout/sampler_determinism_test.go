@@ -16,6 +16,11 @@ import (
 // cadence tracks drain width, or of parallelism-dependent overload
 // feedback. It returns the execution engine's bit field after each retune
 // and the points it delivered to the sink.
+// Generation returns how many times a subsystem's bit field has been
+// regenerated (any path). Tests use it to assert that a retune schedule
+// was applied exactly once per epoch.
+func (s *Sampler) Generation(sub SubsystemID) int64 { return s.gens[sub] }
+
 func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []TrainingPoint) {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, seed, 0)

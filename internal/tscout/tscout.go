@@ -235,12 +235,6 @@ func New(k *kernel.Kernel, cfg Config) *TScout {
 	return ts
 }
 
-// Kernel returns the kernel this deployment is attached to.
-func (ts *TScout) Kernel() *kernel.Kernel { return ts.kernel }
-
-// Mode returns the active collection mode.
-func (ts *TScout) Mode() Mode { return ts.cfg.Mode }
-
 // Processor returns the user-space Processor component.
 func (ts *TScout) Processor() *Processor { return ts.processor }
 
@@ -333,26 +327,6 @@ func (ts *TScout) Deploy() error {
 	return nil
 }
 
-// Undeploy detaches all Collector programs, so they can be modified and
-// reloaded without restarting the DBMS (dynamic feature selection, §5.4).
-func (ts *TScout) Undeploy() {
-	for _, sub := range ts.subsystems {
-		if sub == nil || sub.collector == nil {
-			continue
-		}
-		sub.beginTP.Detach()
-		sub.endTP.Detach()
-		sub.featTP.Detach()
-		sub.collector = nil
-	}
-	ts.deployed = false
-}
-
-// Deployed reports whether Deploy has run.
-func (ts *TScout) Deployed() bool {
-	return ts.deployed
-}
-
 // CollectorFor exposes the generated kernel program for a subsystem
 // (nil in user modes or before Deploy); used by tests and tooling.
 func (ts *TScout) CollectorFor(s SubsystemID) *Collector {
@@ -434,23 +408,6 @@ func (ts *TScout) BeginEvent(t *kernel.Task, s SubsystemID) bool {
 	sampled := ts.sampler.ShouldSample(s, &st.sampleOffsets[s])
 	st.eventSampled[s] = sampled
 	return sampled
-}
-
-// CollectionEnabled reports whether the subsystem currently has a nonzero
-// sampling rate: the user-space flag that lets the DBMS bypass feature
-// aggregation entirely when collection is off (paper §3.1).
-func (ts *TScout) CollectionEnabled(s SubsystemID) bool {
-	return ts.sampler.Rate(s) > 0
-}
-
-// UserStateErrors returns marker state-machine violations recorded in user
-// modes (kernel mode tracks them inside the Collector).
-func (ts *TScout) UserStateErrors() int64 {
-	var n int64
-	for _, st := range ts.tasks {
-		n += st.userErrors
-	}
-	return n
 }
 
 // userWrapClamps sums the counter-delta clamps recorded by the user-mode

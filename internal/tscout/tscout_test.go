@@ -434,8 +434,8 @@ func TestAdjustableRatesPerSubsystem(t *testing.T) {
 	if len(pts) != 1 || pts[0].Subsystem != SubsystemLogSerializer {
 		t.Fatalf("per-subsystem sampling: %+v", pts)
 	}
-	if !ts.CollectionEnabled(SubsystemLogSerializer) || ts.CollectionEnabled(SubsystemExecutionEngine) {
-		t.Fatalf("CollectionEnabled flags wrong")
+	if ts.Sampler().Rate(SubsystemLogSerializer) == 0 || ts.Sampler().Rate(SubsystemExecutionEngine) != 0 {
+		t.Fatalf("collection flags wrong")
 	}
 }
 
@@ -472,7 +472,7 @@ func TestUndeployRedeploy(t *testing.T) {
 	// maps, so unfetched samples are gone (as with real BPF unload).
 	ts.Processor().Drain(DrainOptions{})
 	ts.Undeploy()
-	if ts.Deployed() {
+	if ts.deployed {
 		t.Fatalf("undeploy must clear deployment")
 	}
 	// Markers are NOPs while undeployed.

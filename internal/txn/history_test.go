@@ -190,7 +190,7 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 				rrow, rwalked := p.real.Read(tbl, storage.TupleID(s))
 				hrow, hwalked := h.read(p.model, s)
 				if rwalked != hwalked || (rrow == nil) != (hrow == nil) ||
-					(rrow != nil && (!rrow[0].Equal(hrow[0]) || !rrow[1].Equal(hrow[1]))) {
+					(rrow != nil && (rrow[0].Compare(hrow[0]) != 0 || rrow[1].Compare(hrow[1]) != 0)) {
 					t.Fatalf("step %d: txn %d (snapshot %d) slot %d: real (%v, walked %d), history (%v, walked %d)",
 						step, p.real.ID, p.real.ReadTS, s, rrow, rwalked, hrow, hwalked)
 				}

@@ -133,20 +133,8 @@ type Txn struct {
 	prev, next *Txn
 }
 
-// State returns the transaction's lifecycle state.
-func (t *Txn) State() State { return t.state }
-
 // Writes returns the transaction's write set (for WAL record generation).
 func (t *Txn) Writes() []Write { return t.writes }
-
-// RedoBytes returns the total log payload the transaction will emit.
-func (t *Txn) RedoBytes() int64 {
-	var n int64
-	for _, w := range t.writes {
-		n += w.RedoBytes
-	}
-	return n
-}
 
 // visible reports whether version v is visible to this transaction.
 func (t *Txn) visible(v *storage.Version) bool {

@@ -216,8 +216,8 @@ func TestFinishedTxnRejectsOps(t *testing.T) {
 	if err := t1.Abort(); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("abort after commit: %v", err)
 	}
-	if t1.State() != StateCommitted {
-		t.Fatalf("state: %v", t1.State())
+	if t1.state != StateCommitted {
+		t.Fatalf("state: %v", t1.state)
 	}
 }
 
@@ -227,7 +227,11 @@ func TestRedoBytes(t *testing.T) {
 	t1 := m.Begin()
 	t1.Insert(tbl, row(1, 1))
 	t1.Insert(tbl, row(2, 2))
-	if got := t1.RedoBytes(); got != 2*(16+24) {
+	var got int64
+	for _, w := range t1.Writes() {
+		got += w.RedoBytes
+	}
+	if got != 2*(16+24) {
 		t.Fatalf("redo bytes: %d", got)
 	}
 	if len(t1.Writes()) != 2 {

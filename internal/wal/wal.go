@@ -278,6 +278,3 @@ func (s *Serializer) Flush(nowNS int64) {
 func (s *Serializer) Stats() (int64, int64, int64) {
 	return s.flushes, s.recsLogged, s.bytesDone
 }
-
-// PendingCount returns the number of unflushed commits.
-func (s *Serializer) PendingCount() int { return len(s.pending) }

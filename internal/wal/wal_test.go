@@ -66,8 +66,8 @@ func TestGroupCommitBatchesBySize(t *testing.T) {
 	if c1.Resolved || c2.Resolved {
 		t.Fatalf("must wait for the group")
 	}
-	if s.PendingCount() != 2 {
-		t.Fatalf("pending: %d", s.PendingCount())
+	if len(s.pending) != 2 {
+		t.Fatalf("pending: %d", len(s.pending))
 	}
 	c3 := s.Submit(testRecords(3, 2), 300) // trips GroupSize
 	if !c1.Resolved || !c2.Resolved || !c3.Resolved {
@@ -256,8 +256,8 @@ func TestSetDeferModeOffKeepsStage(t *testing.T) {
 	}
 	// Off again: submissions go straight to pending.
 	s.Submit(testRecords(2, 1), 200)
-	if s.PendingCount() != 2 {
-		t.Fatalf("pending: %d", s.PendingCount())
+	if len(s.pending) != 2 {
+		t.Fatalf("pending: %d", len(s.pending))
 	}
 }
 

@@ -54,6 +54,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 		started     int
 		outstanding int // tickets issued for txns not yet started
 		runq        = make([][]*pooledTerminal, numCPUs)
+		holding     = map[*dbms.Ticket]bool{} // tickets granted a slot
 	)
 	if srv.TS != nil {
 		basePoints = srv.TS.Processor().Stats().Processed
@@ -74,7 +75,10 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 			maxDoneNS = atNS
 		}
 		pool.Put(t.se)
-		gate.Release(t.ticket, atNS)
+		if next := gate.Release(t.ticket, atNS); next != nil {
+			holding[next] = true
+		}
+		delete(holding, t.ticket)
 		t.se = nil
 		t.ticket = nil
 		t.readyNS = atNS
@@ -104,7 +108,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 		// barrier, then let idle terminals ask for slots — both in
 		// terminal index order.
 		for _, t := range terms {
-			if t.se == nil && t.ticket != nil && t.ticket.Granted() {
+			if t.se == nil && t.ticket != nil && holding[t.ticket] {
 				claim(t)
 			}
 		}
@@ -123,6 +127,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 			switch outcome {
 			case dbms.Granted:
 				t.ticket = tk
+				holding[tk] = true
 				outstanding++
 				claim(t)
 			case dbms.Queued:
@@ -234,7 +239,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 		}
 		for _, t := range terms {
 			switch {
-			case t.se == nil && t.ticket != nil && t.ticket.Granted():
+			case t.se == nil && t.ticket != nil && holding[t.ticket]:
 				observe(t.ticket.GrantNS())
 			case t.se == nil && t.ticket == nil && t.pending == nil &&
 				started+outstanding < cfg.Transactions:
@@ -248,7 +253,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 					switch {
 					case t.pending != nil:
 						pending++
-					case t.ticket != nil && t.ticket.Granted():
+					case t.ticket != nil && holding[t.ticket]:
 						granted++
 					case t.ticket != nil:
 						queued++

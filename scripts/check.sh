@@ -15,8 +15,9 @@ GO="${GO:-go}"
 build() { $GO build ./...; }
 
 # lint = gofmt, go vet and tsvet, the repo's typed static-analysis suite
-# (internal/analysis): determinism rules and the verify-before-run rules.
-# Zero unsuppressed findings required; suppressions are
+# (internal/analysis): determinism rules, the verify-before-run rules, and
+# the dead-code rules (unused-func, unused-export: a function only tests
+# call lives in the tests). Zero unsuppressed findings required; suppressions are
 # //tsvet:ignore <rule> <reason>. The formatting check skips testdata/,
 # whose analyzer fixtures are deliberately odd.
 lint() {
