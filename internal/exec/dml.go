@@ -26,8 +26,10 @@ func (ip *insertPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	m := e.ouBegin(ctx, OUInsert)
 	var bytes int64
 	indexWork := 0
+	// Every row sets the same positions, so the rest stay NULL throughout.
+	row := ctx.dmlRow(numCols)
+	defer clear(row)
 	for _, exprs := range ip.rows {
-		row := make(storage.Row, numCols)
 		for i := range exprs {
 			v, err := exprs[i].eval(nil, params)
 			if err != nil {
@@ -74,8 +76,10 @@ func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	m := e.ouBegin(ctx, OUUpdate)
 	var bytes int64
 	indexWork := 0
+	newRow := ctx.dmlRow(tbl.Heap.Schema().NumColumns())
+	defer clear(newRow)
 	for _, mt := range matches {
-		newRow := mt.row.Clone()
+		copy(newRow, mt.row)
 		for i := range up.setVals {
 			v, err := up.setVals[i].eval(mt.row, params)
 			if err != nil {

@@ -112,12 +112,16 @@ type Ctx struct {
 	// the row headers a SELECT's operators pass along — the joined rows so
 	// far, the table being joined, and the join's output, in rotation;
 	// preds is the arena bound predicates are cut from; join is hashJoin's
-	// build table; agg is aggregate's groups.
+	// build table; agg is aggregate's groups; row is the one row an INSERT
+	// or UPDATE builds each written row in, which Txn.Insert/Update copy
+	// into the stored version, and which is cleared when the statement
+	// returns so that it pins no strings.
 	matches []match
 	rows    [3][]storage.Row
 	preds   []compiledPred
 	join    joinTable
 	agg     aggTable
+	row     storage.Row
 }
 
 // resultChunks is the memory every Result an engine returns is cut from:
@@ -187,6 +191,16 @@ func (rc *resultChunks) newCells(n int) []storage.Value { return cut(&rc.cells, 
 // resetScratch starts a statement: whatever the previous one bound is dead.
 // The match and row slots are truncated by their next user.
 func (c *Ctx) resetScratch() { c.preds = c.preds[:0] }
+
+// dmlRow returns the row scratch as n NULL cells.
+func (c *Ctx) dmlRow(n int) storage.Row {
+	if cap(c.row) < n {
+		c.row = make(storage.Row, n)
+	}
+	r := c.row[:n]
+	clear(r)
+	return r
+}
 
 // allocPreds cuts n predicates from the arena. A full arena is replaced,
 // not grown in place: slices cut earlier in the statement keep the old one.

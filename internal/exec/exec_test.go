@@ -549,3 +549,53 @@ func TestWorkingSetCacheEffectAcrossHardware(t *testing.T) {
 		t.Fatalf("out-of-L3 scan must be slower on SmallHW: %d vs %d", small, large)
 	}
 }
+
+// TestDMLAllocatesOnlyTheVersion: a warm prepared single-row INSERT or
+// UPDATE builds its row in the Ctx's row scratch, so the one allocation
+// left per statement is the stored version (header and cells together);
+// index growth, the write set and result chunks are amortized below one.
+// Before the scratch, each also allocated its row: two a statement.
+func TestDMLAllocatesOnlyTheVersion(t *testing.T) {
+	const runs = 200
+	db := newTestDB(t, false)
+	db.seed(t, runs+1)
+	ctx := &Ctx{Task: db.task, Txn: db.mgr.Begin()}
+	prepare := func(q string) *Prepared {
+		p, err := db.engine.Prepare(mustParse(t, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name   string
+		p      *Prepared
+		params []storage.Value
+		next   func(params []storage.Value, i int64)
+	}{
+		{"insert", prepare("INSERT INTO accounts VALUES ($1, $2, $3, $4)"),
+			[]storage.Value{storage.NewInt(0), storage.NewInt(1), storage.NewFloat(2.5), storage.NewString("acct")},
+			func(params []storage.Value, i int64) { params[0] = storage.NewInt(1000 + i) }},
+		{"update", prepare("UPDATE accounts SET balance = balance + $1 WHERE id = $2"),
+			[]storage.Value{storage.NewFloat(2.5), storage.NewInt(0)},
+			func(params []storage.Value, i int64) { params[1] = storage.NewInt(i) }},
+	} {
+		var i int64
+		n := testing.AllocsPerRun(runs, func() {
+			c.next(c.params, i)
+			i++
+			res, err := db.engine.Run(ctx, c.p, c.params)
+			if err != nil || res.Affected != 1 {
+				t.Fatalf("%s: %v, %v", c.name, res, err)
+			}
+		})
+		if n != 1 {
+			t.Errorf("%s: %v allocations a statement, want 1", c.name, n)
+		}
+	}
+	for _, c := range ctx.row[:cap(ctx.row)] {
+		if !c.IsNull() {
+			t.Fatalf("the row scratch still holds the last row: %v", ctx.row)
+		}
+	}
+}

@@ -25,10 +25,11 @@ func (c Column) Width() int64 {
 	return 1
 }
 
-// Schema is an ordered list of columns.
+// Schema is an ordered list of columns. It is immutable once built.
 type Schema struct {
-	cols  []Column
-	index map[string]int
+	cols     []Column
+	index    map[string]int
+	rowWidth int64 // the sum of the columns' widths
 }
 
 // NewSchema builds a schema, rejecting duplicate column names.
@@ -39,6 +40,7 @@ func NewSchema(cols ...Column) (*Schema, error) {
 			return nil, fmt.Errorf("storage: duplicate column %q", c.Name)
 		}
 		s.index[c.Name] = i
+		s.rowWidth += c.Width()
 	}
 	return s, nil
 }
@@ -70,13 +72,7 @@ func (s *Schema) ColumnIndex(name string) int {
 }
 
 // RowWidth returns the estimated bytes of one full row.
-func (s *Schema) RowWidth() int64 {
-	var n int64
-	for _, c := range s.cols {
-		n += c.Width()
-	}
-	return n
-}
+func (s *Schema) RowWidth() int64 { return s.rowWidth }
 
 // ProjectionWidth returns the estimated bytes of the selected columns,
 // which is what a columnar scan actually touches.

@@ -12,6 +12,12 @@ const InvalidTupleID TupleID = -1
 // tombstones. A chain ends at the newest version the oldest running
 // snapshot can see: a committing transaction sets that version's Next to nil
 // (package txn), so Next reaches only versions some snapshot may still read.
+//
+// Values is the stored row and is never written once the version is
+// installed. NewVersion copies a row into cells allocated with the header,
+// so Values usually points just past it, into the same object; a row held
+// by a reader therefore keeps its version header, and through Next the
+// versions below it, alive.
 type Version struct {
 	Begin   uint64
 	End     uint64

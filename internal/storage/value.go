@@ -205,11 +205,48 @@ func (v Value) AppendText(b []byte) []byte {
 // Row is one tuple's values in schema order.
 type Row []Value
 
-// Clone deep-copies a row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
+// NewVersion returns a version whose Values is a copy of row in cells of
+// its own, and a bare header for a nil row (a tombstone). A version of up to
+// maxPackedWidth cells is one allocation, its cells right after the header,
+// so reading a row costs one cache miss, not two (DESIGN.md §4, *The
+// version*); a wider one takes two.
+func NewVersion(row Row) *Version {
+	var v *Version
+	switch {
+	case row == nil:
+		return new(Version)
+	case len(row) > 0 && len(row) <= maxPackedWidth:
+		v = packedVersions[len(row)-1]()
+	default:
+		v = &Version{Values: make(Row, len(row))}
+	}
+	copy(v.Values, row)
+	return v
+}
+
+// maxPackedWidth is the widest row NewVersion packs with its header: YCSB's
+// usertable, the widest table a workload creates, has 11 columns.
+const maxPackedWidth = 11
+
+// packedVersions[w-1] allocates a version and w cells as one object.
+var packedVersions = [maxPackedWidth]func() *Version{
+	packedVersion[[1]Value], packedVersion[[2]Value], packedVersion[[3]Value],
+	packedVersion[[4]Value], packedVersion[[5]Value], packedVersion[[6]Value],
+	packedVersion[[7]Value], packedVersion[[8]Value], packedVersion[[9]Value],
+	packedVersion[[10]Value], packedVersion[[11]Value],
+}
+
+// packedVersion allocates a Version followed by the cells of Cells, an
+// array of Value, and points Values at those cells. The object's type is
+// the struct, so the collector scans the cells' string pointers, and a
+// slice into the cells keeps the whole object alive.
+func packedVersion[Cells any]() *Version {
+	p := new(struct {
+		v     Version
+		cells Cells
+	})
+	p.v.Values = unsafe.Slice((*Value)(unsafe.Pointer(&p.cells)), unsafe.Sizeof(p.cells)/unsafe.Sizeof(Value{}))
+	return &p.v
 }
 
 // Size returns the row's total byte footprint.

@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"unsafe"
 )
@@ -74,6 +75,45 @@ func TestValueLayout(t *testing.T) {
 		for j, o := range cases {
 			if got := "<=>"[c.v.Compare(o.v)+1]; got != c.cmp[j] {
 				t.Errorf("%s Compare %s = %c, want %c", c.name, o.name, got, c.cmp[j])
+			}
+		}
+	}
+}
+
+// TestNewVersionPacksTheCells: up to maxPackedWidth cells, NewVersion's
+// copy of the row starts right after the version header, in the same single
+// allocation; a wider row falls back to two allocations, header and cells.
+// Either way Values is a copy with no spare capacity, and a nil row (a
+// tombstone) gets a bare header.
+func TestNewVersionPacksTheCells(t *testing.T) {
+	if v := NewVersion(nil); v.Values != nil {
+		t.Fatalf("NewVersion(nil).Values = %v, want nil", v.Values)
+	}
+	if v := NewVersion(Row{}); v.Values == nil || len(v.Values) != 0 {
+		t.Fatalf("NewVersion(Row{}).Values = %#v, want empty and non-nil", v.Values)
+	}
+	for width := 1; width <= maxPackedWidth+1; width++ {
+		row := make(Row, width)
+		for i := range row {
+			row[i] = NewString(strconv.Itoa(i))
+		}
+		var v *Version
+		allocs := testing.AllocsPerRun(10, func() { v = NewVersion(row) })
+		packed := unsafe.Pointer(&v.Values[0]) == unsafe.Add(unsafe.Pointer(v), unsafe.Sizeof(Version{}))
+		want, wantAllocs := true, 1.0
+		if width > maxPackedWidth {
+			want, wantAllocs = false, 2
+		}
+		if packed != want || allocs != wantAllocs {
+			t.Errorf("width %d: packed %v in %v allocations, want packed %v in %v", width, packed, allocs, want, wantAllocs)
+		}
+		if len(v.Values) != width || cap(v.Values) != width {
+			t.Fatalf("width %d: len %d cap %d", width, len(v.Values), cap(v.Values))
+		}
+		row[0] = NewInt(-1)
+		for i, c := range v.Values {
+			if c.Str() != strconv.Itoa(i) {
+				t.Fatalf("width %d: cell %d is %v, want %d", width, i, c, i)
 			}
 		}
 	}

@@ -19,6 +19,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tscout/internal/storage"
 )
@@ -148,7 +149,9 @@ func (t *Txn) visible(v *storage.Version) bool {
 // the number of versions walked, which the execution engine charges as
 // version-chain traversal work. The row is the stored version's own slice:
 // a stored row is never modified, so the caller may hold it and read it
-// for as long as it likes, and must not write to it.
+// for as long as it likes, and must not write to it. Its cells share an
+// allocation with the version header, so holding the row keeps that
+// version, and the chain below it, alive.
 func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 	walked := 0
 	for v := tbl.Head(id); v != nil; v = v.Next {
@@ -163,9 +166,9 @@ func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 	return nil, walked
 }
 
-// Insert appends a new tuple owned by this transaction. It takes ownership
-// of row, which becomes the stored version as it is: the caller may go on
-// reading it and must not modify it afterwards.
+// Insert appends a new tuple owned by this transaction. The stored version
+// holds a copy of row in cells of its own (storage.NewVersion), so the
+// caller may reuse row as soon as Insert returns.
 func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, error) {
 	if t.state != StateActive {
 		return storage.InvalidTupleID, ErrNotActive
@@ -173,7 +176,8 @@ func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, erro
 	if err := tbl.Schema().Validate(row); err != nil {
 		return storage.InvalidTupleID, err
 	}
-	v := &storage.Version{TxnID: t.ID, End: storage.InfinityTS, Values: row}
+	v := storage.NewVersion(row)
+	v.TxnID, v.End = t.ID, storage.InfinityTS
 	id := tbl.Append(v)
 	t.writes = append(t.writes, Write{
 		Kind: WriteInsert, Table: tbl, TID: id, Version: v,
@@ -185,10 +189,10 @@ func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, erro
 // redoHeaderBytes is the fixed per-record WAL overhead.
 const redoHeaderBytes = 24
 
-// Update installs a new version of the tuple with the given row, taking
-// ownership of it as Insert does. It fails with ErrWriteConflict if another
-// transaction owns the newest version or committed it after this
-// transaction's snapshot.
+// Update installs a new version of the tuple holding a copy of row, which
+// the caller may reuse as soon as Update returns. It fails with
+// ErrWriteConflict if another transaction owns the newest version or
+// committed it after this transaction's snapshot.
 func (t *Txn) Update(tbl *storage.Table, id storage.TupleID, row storage.Row) error {
 	return t.write(tbl, id, row, false)
 }
@@ -219,11 +223,11 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 	}
 	if head.TxnID == t.ID {
 		// Second write by the same transaction: collapse in place. The
-		// version takes the new slice; the one it held is left as it was
-		// for whoever read it.
+		// version gets fresh cells; the ones it held are left as they were
+		// for whoever read them.
 		head.Deleted = del
 		if !del {
-			head.Values = row
+			head.Values = slices.Clone(row)
 		}
 		t.writes = append(t.writes, Write{
 			Kind: kindFor(del), Table: tbl, TID: id, Version: head,
@@ -231,9 +235,8 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 		})
 		return nil
 	}
-	v := &storage.Version{
-		TxnID: t.ID, End: storage.InfinityTS, Deleted: del, Values: row, Next: head,
-	}
+	v := storage.NewVersion(row)
+	v.TxnID, v.End, v.Deleted, v.Next = t.ID, storage.InfinityTS, del, head
 	tbl.SetHead(id, v)
 	t.writes = append(t.writes, Write{
 		Kind: kindFor(del), Table: tbl, TID: id, Version: v,

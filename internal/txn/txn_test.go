@@ -2,7 +2,9 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"tscout/internal/storage"
 )
@@ -255,15 +257,18 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestWritesTakeTheRow pins the ownership rule: Insert and Update store the
-// slice they are handed, a stored row is never written to again — a second
-// write by the same transaction swaps the version's slice rather than
-// writing through it — and so a reader may hold a row across any later
-// write, commit or abort.
-func TestWritesTakeTheRow(t *testing.T) {
+// TestWritesCopyTheRow pins the copy contract: Insert and Update store a
+// copy of the row they are handed, in cells allocated with the version
+// header, so the caller may reuse its row at once; a stored row is never
+// written to again — a second write by the same transaction gives the
+// version fresh cells rather than writing through the ones it had — and so
+// a reader may hold a row across any later write, commit or abort.
+func TestWritesCopyTheRow(t *testing.T) {
 	m := NewManager()
 	tbl := newTestTable()
-	is := func(a, b storage.Row) bool { return &a[0] == &b[0] }
+	packed := func(v *storage.Version) bool {
+		return unsafe.Pointer(&v.Values[0]) == unsafe.Add(unsafe.Pointer(v), unsafe.Sizeof(storage.Version{}))
+	}
 
 	loader := m.Begin()
 	inserted := row(1, 100)
@@ -271,8 +276,12 @@ func TestWritesTakeTheRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := tbl.Head(id); !is(v.Values, inserted) {
-		t.Fatalf("Insert stored a copy of the row")
+	if !packed(tbl.Head(id)) {
+		t.Fatalf("Insert's cells do not follow the version header")
+	}
+	inserted[1] = storage.NewInt(-1)
+	if got, _ := loader.Read(tbl, id); got[1].AsInt() != 100 {
+		t.Fatalf("overwriting the inserted row changed the stored one to %v", got[1])
 	}
 	if _, err := loader.Commit(); err != nil {
 		t.Fatal(err)
@@ -289,19 +298,22 @@ func TestWritesTakeTheRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := tbl.Head(id)
-		if !is(v.Values, first) {
-			t.Fatalf("Update stored a copy of the row")
+		if !packed(v) {
+			t.Fatalf("Update's cells do not follow the version header")
 		}
+		first[1] = storage.NewInt(-1)
 		mine, _ := w.Read(tbl, id)
-		second := row(1, before+2)
-		if err := w.Update(tbl, id, second); err != nil {
+		if mine[1].AsInt() != before+1 {
+			t.Fatalf("overwriting the updated row changed the stored one to %v", mine[1])
+		}
+		if err := w.Update(tbl, id, row(1, before+2)); err != nil {
 			t.Fatal(err)
 		}
-		if tbl.Head(id) != v || !is(v.Values, second) {
-			t.Fatalf("the second write did not collapse into the version, taking the new slice")
+		if tbl.Head(id) != v || &v.Values[0] == &mine[0] || v.Values[1].AsInt() != before+2 {
+			t.Fatalf("the second write did not collapse into the version with fresh cells")
 		}
-		if first[1].AsInt() != before+1 || mine[1].AsInt() != before+1 {
-			t.Fatalf("the second write wrote through the first write's row: %v", first)
+		if mine[1].AsInt() != before+1 {
+			t.Fatalf("the second write wrote through the first write's cells: %v", mine)
 		}
 
 		if commit {
@@ -315,7 +327,7 @@ func TestWritesTakeTheRow(t *testing.T) {
 		if held[1].AsInt() != before {
 			t.Fatalf("commit=%v: a held row changed from %d to %d", commit, before, held[1].AsInt())
 		}
-		if again, _ := reader.Read(tbl, id); !is(again, held) {
+		if again, _ := reader.Read(tbl, id); &again[0] != &held[0] {
 			t.Fatalf("commit=%v: the old snapshot no longer reads the row it read", commit)
 		}
 		want := before
@@ -324,6 +336,69 @@ func TestWritesTakeTheRow(t *testing.T) {
 		}
 		if now, _ := m.Begin().Read(tbl, id); now[1].AsInt() != want {
 			t.Fatalf("commit=%v: a new snapshot reads %d, want %d", commit, now[1].AsInt(), want)
+		}
+	}
+}
+
+// TestOneAllocationPerVersion: with the write set already grown, Insert and
+// Update each allocate exactly one object — the version and its cells — at
+// every width up to YCSB's usertable, the widest table a workload creates.
+// A tombstone is a header alone, one allocation too.
+func TestOneAllocationPerVersion(t *testing.T) {
+	const widest, runs = 11, 100
+	for width := 1; width <= widest; width++ {
+		cols := make([]storage.Column, width)
+		r := make(storage.Row, width)
+		for i := range cols {
+			cols[i] = storage.Column{Name: fmt.Sprintf("c%d", i), Kind: storage.KindInt}
+			r[i] = storage.NewInt(int64(i))
+		}
+		tbl := storage.NewTable("t", storage.MustSchema(cols...))
+		m := NewManager()
+
+		// AllocsPerRun calls f runs+1 times. Slot growth is amortized
+		// below one allocation a call.
+		tx := m.Begin()
+		tx.writes = make([]Write, 0, 3*(runs+1))
+		if n := testing.AllocsPerRun(runs, func() {
+			if _, err := tx.Insert(tbl, r); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("width %d: Insert allocates %v objects, want 1", width, n)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx = m.Begin()
+		tx.writes = make([]Write, 0, 3*(runs+1))
+		id := storage.TupleID(0)
+		if n := testing.AllocsPerRun(runs, func() {
+			if err := tx.Update(tbl, id, r); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}); n != 1 {
+			t.Errorf("width %d: Update allocates %v objects, want 1", width, n)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx = m.Begin()
+		tx.writes = make([]Write, 0, 3*(runs+1))
+		id = 0
+		if n := testing.AllocsPerRun(runs, func() {
+			if err := tx.Delete(tbl, id); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}); n != 1 {
+			t.Errorf("width %d: Delete allocates %v objects, want 1", width, n)
+		}
+		if v := tbl.Head(0); !v.Deleted || v.Values != nil {
+			t.Errorf("width %d: a tombstone holds cells: %v", width, v.Values)
 		}
 	}
 }

@@ -8,23 +8,27 @@ import (
 	"tscout/internal/storage"
 )
 
-// bulkLoad inserts rows into a table through the transaction layer,
-// maintaining all indexes, in batches. Loading happens before measurement
-// and charges no virtual time (the paper loads its databases before every
-// experiment too).
-func bulkLoad(srv *dbms.Server, table string, rows []storage.Row) error {
+// bulkLoad inserts a table's rows through the transaction layer,
+// maintaining all indexes, in batches. cells holds the rows back to back,
+// one schema width each: Insert copies each row into its version, so a
+// generator builds a table in one slice, not one allocation a row.
+// Loading happens before measurement and charges no virtual time (the
+// paper loads its databases before every experiment too).
+func bulkLoad(srv *dbms.Server, table string, cells []storage.Value) error {
 	tbl, err := srv.Catalog.Table(table)
 	if err != nil {
 		return err
 	}
+	w := tbl.Heap.Schema().NumColumns()
+	if len(cells)%w != 0 {
+		return fmt.Errorf("workload: loading %s: %d cells are not rows of %d", table, len(cells), w)
+	}
 	const batch = 4096
-	for start := 0; start < len(rows); start += batch {
-		end := start + batch
-		if end > len(rows) {
-			end = len(rows)
-		}
+	for start := 0; start < len(cells); start += batch * w {
+		end := min(start+batch*w, len(cells))
 		tx := srv.TxnMgr.Begin()
-		for _, row := range rows[start:end] {
+		for i := start; i < end; i += w {
+			row := storage.Row(cells[i : i+w : i+w])
 			tid, err := tx.Insert(tbl.Heap, row)
 			if err != nil {
 				_ = tx.Abort()

@@ -53,13 +53,13 @@ func (s *SmallBank) Setup(srv *dbms.Server) error {
 		}
 	}
 	n := s.customers()
-	acct := make([]storage.Row, 0, n)
-	sav := make([]storage.Row, 0, n)
-	chk := make([]storage.Row, 0, n)
+	acct := make([]storage.Value, 0, 2*n)
+	sav := make([]storage.Value, 0, 2*n)
+	chk := make([]storage.Value, 0, 2*n)
 	for i := 0; i < n; i++ {
-		acct = append(acct, storage.Row{iv(int64(i)), sv(pad("cust"+itoa(int64(i)), 20))})
-		sav = append(sav, storage.Row{iv(int64(i)), fv(10000)})
-		chk = append(chk, storage.Row{iv(int64(i)), fv(5000)})
+		acct = append(acct, iv(int64(i)), sv(pad("cust"+itoa(int64(i)), 20)))
+		sav = append(sav, iv(int64(i)), fv(10000))
+		chk = append(chk, iv(int64(i)), fv(5000))
 	}
 	if err := bulkLoad(srv, "accounts", acct); err != nil {
 		return err

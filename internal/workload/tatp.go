@@ -94,37 +94,42 @@ func (t *TATP) Setup(srv *dbms.Server) error {
 
 	rng := rand.New(rand.NewSource(2)) //tsvet:ignore seeded-source population seed is part of the dataset definition; the golden archive fingerprint depends on it
 	n := t.subscribers()
-	var subs, ai, sf, cf []storage.Row
+	// Each table's rows back to back, as bulkLoad takes them, sized up
+	// front for the most rows a subscriber can have (see TPCC.Setup).
+	subs := make([]storage.Value, 0, n*5)
+	ai := make([]storage.Value, 0, n*4*4)
+	sf := make([]storage.Value, 0, n*4*4)
+	cf := make([]storage.Value, 0, n*4*5)
 	for i := 0; i < n; i++ {
 		sid := int64(i)
-		subs = append(subs, storage.Row{
+		subs = append(subs,
 			iv(sid), sv(subNbr(sid)), iv(int64(rng.Intn(2))),
-			iv(int64(rng.Intn(1 << 16))), iv(int64(rng.Intn(1 << 16))),
-		})
+			iv(int64(rng.Intn(1<<16))), iv(int64(rng.Intn(1<<16))),
+		)
 		for a := 0; a < 1+rng.Intn(4); a++ {
-			ai = append(ai, storage.Row{iv(sid), iv(int64(a + 1)),
-				iv(int64(rng.Intn(256))), iv(int64(rng.Intn(256)))})
+			ai = append(ai, iv(sid), iv(int64(a+1)),
+				iv(int64(rng.Intn(256))), iv(int64(rng.Intn(256))))
 		}
 		for f := 0; f < 1+rng.Intn(4); f++ {
-			sf = append(sf, storage.Row{iv(sid), iv(int64(f + 1)),
-				iv(int64(rng.Intn(2))), iv(int64(rng.Intn(256)))})
+			sf = append(sf, iv(sid), iv(int64(f+1)),
+				iv(int64(rng.Intn(2))), iv(int64(rng.Intn(256))))
 			if rng.Intn(2) == 0 {
 				start := int64(8 * rng.Intn(3))
-				cf = append(cf, storage.Row{iv(sid), iv(int64(f + 1)),
-					iv(start), iv(start + 8), sv(subNbr(int64(rng.Intn(n))))})
+				cf = append(cf, iv(sid), iv(int64(f+1)),
+					iv(start), iv(start+8), sv(subNbr(int64(rng.Intn(n)))))
 			}
 		}
 	}
 	// Load in a fixed table order so WAL/archive contents are identical
 	// across runs (map iteration order would shuffle them).
 	for _, t := range []struct {
-		tbl  string
-		rows []storage.Row
+		tbl   string
+		cells []storage.Value
 	}{
 		{"subscriber", subs}, {"access_info", ai},
 		{"special_facility", sf}, {"call_forwarding", cf},
 	} {
-		if err := bulkLoad(srv, t.tbl, t.rows); err != nil {
+		if err := bulkLoad(srv, t.tbl, t.cells); err != nil {
 			return err
 		}
 	}

@@ -169,34 +169,45 @@ func (t *TPCC) Setup(srv *dbms.Server) error {
 	W, C, I, O := t.warehouses(), t.custs(), t.items(), t.initOrders()
 	t.nextOID = make([]int64, W*tpccDistricts)
 
-	var wh, dist, cust, items, stock, orders, newOrders, lines []storage.Row
+	// Each table's rows back to back, as bulkLoad takes them, sized up
+	// front: a large slice grows by a quarter at a time, so appending
+	// order_line's rows to an empty one would allocate five times their size.
+	WD := W * tpccDistricts
+	items := make([]storage.Value, 0, I*3)
+	wh := make([]storage.Value, 0, W*4)
+	stock := make([]storage.Value, 0, W*I*5)
+	dist := make([]storage.Value, 0, WD*6)
+	cust := make([]storage.Value, 0, WD*C*8)
+	orders := make([]storage.Value, 0, WD*O*6)
+	newOrders := make([]storage.Value, 0, WD*(O-O*2/3)*3)
+	lines := make([]storage.Value, 0, WD*O*15*7) // at most 15 lines an order
 	for i := 1; i <= I; i++ {
-		items = append(items, storage.Row{
-			iv(int64(i)), sv(pad("item"+itoa(int64(i)), 12)), fv(1 + float64(rng.Intn(9999))/100),
-		})
+		items = append(items,
+			iv(int64(i)), sv(pad("item"+itoa(int64(i)), 12)), fv(1+float64(rng.Intn(9999))/100),
+		)
 	}
 	for w := 1; w <= W; w++ {
-		wh = append(wh, storage.Row{
+		wh = append(wh,
 			iv(int64(w)), sv(pad("wh"+itoa(int64(w)), 6)),
-			fv(float64(rng.Intn(20)) / 100), fv(300000),
-		})
+			fv(float64(rng.Intn(20))/100), fv(300000),
+		)
 		for i := 1; i <= I; i++ {
-			stock = append(stock, storage.Row{
-				iv(int64(w)), iv(int64(i)), iv(int64(10 + rng.Intn(91))), fv(0), iv(0),
-			})
+			stock = append(stock,
+				iv(int64(w)), iv(int64(i)), iv(int64(10+rng.Intn(91))), fv(0), iv(0),
+			)
 		}
 		for d := 1; d <= tpccDistricts; d++ {
 			nextO := int64(O + 1)
 			t.nextOID[(w-1)*tpccDistricts+d-1] = nextO
-			dist = append(dist, storage.Row{
+			dist = append(dist,
 				iv(int64(w)), iv(int64(d)), sv(pad("dist"+itoa(int64(d)), 6)),
-				fv(float64(rng.Intn(20)) / 100), fv(30000), iv(nextO),
-			})
+				fv(float64(rng.Intn(20))/100), fv(30000), iv(nextO),
+			)
 			for c := 1; c <= C; c++ {
-				cust = append(cust, storage.Row{
+				cust = append(cust,
 					iv(int64(w)), iv(int64(d)), iv(int64(c)), sv(lastName(c)),
 					fv(-10), fv(10), iv(1), sv(pad("data", 100)),
-				})
+				)
 			}
 			for o := 1; o <= O; o++ {
 				cid := int64(1 + rng.Intn(C))
@@ -204,30 +215,30 @@ func (t *TPCC) Setup(srv *dbms.Server) error {
 				carrier := int64(1 + rng.Intn(10))
 				if o > O*2/3 {
 					carrier = 0 // undelivered
-					newOrders = append(newOrders, storage.Row{iv(int64(w)), iv(int64(d)), iv(int64(o))})
+					newOrders = append(newOrders, iv(int64(w)), iv(int64(d)), iv(int64(o)))
 				}
-				orders = append(orders, storage.Row{
+				orders = append(orders,
 					iv(int64(w)), iv(int64(d)), iv(int64(o)), iv(cid), iv(carrier), iv(int64(olCnt)),
-				})
+				)
 				for l := 1; l <= olCnt; l++ {
-					lines = append(lines, storage.Row{
+					lines = append(lines,
 						iv(int64(w)), iv(int64(d)), iv(int64(o)), iv(int64(l)),
-						iv(int64(1 + rng.Intn(I))), iv(int64(1 + rng.Intn(10))),
-						fv(float64(rng.Intn(999999)) / 100),
-					})
+						iv(int64(1+rng.Intn(I))), iv(int64(1+rng.Intn(10))),
+						fv(float64(rng.Intn(999999))/100),
+					)
 				}
 			}
 		}
 	}
 	loads := []struct {
 		table string
-		rows  []storage.Row
+		cells []storage.Value
 	}{
 		{"item", items}, {"warehouse", wh}, {"stock", stock}, {"district", dist},
 		{"customer", cust}, {"orders", orders}, {"new_order", newOrders}, {"order_line", lines},
 	}
 	for _, l := range loads {
-		if err := bulkLoad(srv, l.table, l.rows); err != nil {
+		if err := bulkLoad(srv, l.table, l.cells); err != nil {
 			return err
 		}
 	}

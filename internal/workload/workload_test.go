@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"unsafe"
 
 	"tscout/internal/dbms"
 	"tscout/internal/storage"
@@ -218,6 +219,38 @@ func TestSmallBankSoakHoldsVersionsFlat(t *testing.T) {
 		if gotSlots, got := reachableVersions(t, srv); gotSlots != slots || got != loaded {
 			t.Fatalf("after %d transactions: %d versions in %d slots, loaded %d in %d",
 				quarter*10_000, got, gotSlots, loaded, slots)
+		}
+	}
+}
+
+// TestEveryTableStoresItsRowsPacked: a stored version of every table a
+// generator creates holds its cells in the same allocation as its header,
+// right after it (storage.NewVersion packs rows up to the widest of these
+// tables, YCSB's 11-column usertable), and so does a loaded row.
+func TestEveryTableStoresItsRowsPacked(t *testing.T) {
+	packed := func(v *storage.Version) bool {
+		return unsafe.Pointer(&v.Values[0]) == unsafe.Add(unsafe.Pointer(v), unsafe.Sizeof(storage.Version{}))
+	}
+	for _, gen := range []Generator{&TPCC{}, &SmallBank{}, &YCSB{}, &CHBench{}, &TATP{}} {
+		srv := newServer(t, false)
+		if err := gen.Setup(srv); err != nil {
+			t.Fatalf("%s setup: %v", gen.Name(), err)
+		}
+		for _, name := range srv.Catalog.TableNames() {
+			tbl, err := srv.Catalog.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tbl.Heap == nil {
+				continue // a virtual table stores nothing
+			}
+			width := tbl.Heap.Schema().NumColumns()
+			if !packed(storage.NewVersion(make(storage.Row, width))) {
+				t.Errorf("%s.%s: a %d-column version takes two allocations", gen.Name(), name, width)
+			}
+			if v := tbl.Heap.Head(0); v != nil && !packed(v) {
+				t.Errorf("%s.%s: a loaded row is not packed with its version", gen.Name(), name)
+			}
 		}
 	}
 }

@@ -44,16 +44,15 @@ func (y *YCSB) Setup(srv *dbms.Server) error {
 	}
 	rng := rand.New(rand.NewSource(1)) //tsvet:ignore seeded-source population seed is part of the dataset definition; the golden archive fingerprint depends on it
 	field := pad("", 100)
-	rows := make([]storage.Row, 0, y.records())
+	cells := make([]storage.Value, 0, 11*y.records())
 	for i := 0; i < y.records(); i++ {
-		row := storage.Row{iv(int64(i))}
+		cells = append(cells, iv(int64(i)))
 		for f := 0; f < 10; f++ {
-			row = append(row, sv(field))
+			cells = append(cells, sv(field))
 		}
-		rows = append(rows, row)
 	}
 	_ = rng
-	return bulkLoad(srv, "usertable", rows)
+	return bulkLoad(srv, "usertable", cells)
 }
 
 // Txn implements Generator: one uniform-random primary-key read.

@@ -32,6 +32,7 @@ lint() {
 	runner_inlined
 	submit_inlined
 	maptable_inlined
+	row_read_inlined
 	stmt_params_stack
 	one_chaos_driver
 	no_goroutines
@@ -127,6 +128,21 @@ maptable_inlined() {
 		echo "maptable_inlined: no helper body in internal/bpf/compile.go inlines (*u64Table).lookup; update scripts/check.sh" >&2
 		return 1
 	fi
+}
+
+# Every row a scan reads goes through txn's Read, which walks the version
+# chain with visible and hands back cells whose kind the predicates test
+# with storage's Value.Kind. The scan loop costs what it does only while all
+# three stay call-free; a call added to any of them (a helper in the chain
+# walk, say) lands on every row. Fail if any stops being inlinable.
+row_read_inlined() {
+	m=$($GO build -gcflags=-m ./internal/storage ./internal/txn 2>&1)
+	for fn in '(\*Txn)\.Read' '(\*Txn)\.visible' 'Value\.Kind'; do
+		if ! echo "$m" | grep -q "can inline $fn\$"; then
+			echo "row_read_inlined: $(echo "$fn" | tr -d '\\') is no longer inlinable; keep calls out of the row read path" >&2
+			return 1
+		fi
+	done
 }
 
 # dbms's Session.Statement and Session.Execute take their parameters as a
