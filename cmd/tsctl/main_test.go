@@ -232,12 +232,12 @@ func TestFormatProcessorStatsJITSection(t *testing.T) {
 		Enabled:  true,
 		Begin:    bpf.ProgramJITStats{Attempted: true, Compiled: true, Insns: 145, Ops: 23, CompiledRuns: 42},
 		End:      bpf.ProgramJITStats{Attempted: true, Compiled: true, Insns: 190, Ops: 30, CompiledRuns: 40},
-		Features: bpf.ProgramJITStats{Attempted: true, DeclineReason: bpf.DeclineBackEdge, InterpRuns: 40},
+		Features: bpf.ProgramJITStats{Attempted: true, DeclineReason: bpf.DeclineUnprovenAccess, InterpRuns: 40},
 	}
 	out := formatProcessorStats(st)
 	for _, want := range []string{
 		"jit (native runs per program", "42", "40",
-		"interp:" + bpf.DeclineBackEdge, "compiled-programs=2",
+		"interp:" + bpf.DeclineUnprovenAccess, "compiled-programs=2",
 		"jit ops (instructions->micro-ops", "145->23", "190->30",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,19 +1,21 @@
 package bpf
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// Analysis is the result of abstract-interpreting a program to a
-// fixpoint: the per-instruction abstract in-states, the loop-head set,
-// and per-edge feasibility of every conditional branch. It is the shared
-// substrate for Verify, the liveness/reaching-definitions passes, the
-// optimizer, and Lint.
+// Analysis is the result of abstract-interpreting a program: the
+// per-instruction abstract in-states and per-edge feasibility of every
+// conditional branch. It is the shared substrate for Verify, the liveness
+// pass, the optimizer, and Lint.
 type Analysis struct {
 	prog     *Program
 	maxInsns int
 	states   []absState // abstract state *before* each instruction
-	loopHead []bool     // targets of backward jumps (widening points)
-	// Per-pc conditional edge feasibility, computed from the fixpoint
-	// in-state. Meaningful only where isCondJump(insn.Op) and Reached.
+	// Per-pc conditional edge feasibility, recorded when the jump's
+	// in-state is stepped. Meaningful only where isCondJump(insn.Op) and
+	// Reached.
 	condTaken []bool
 	condFall  []bool
 }
@@ -44,6 +46,13 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 // analyze is Analyze writing the in-states into states[:len(p.Insns)]
 // when states is long enough — the array of an analysis the caller has
 // finished with — and into a fresh array otherwise.
+//
+// Every jump goes forward, so the CFG is a DAG in pc order: all of a pc's
+// predecessors come before it. Each analysis is therefore one pass in pc
+// order — reachability inside the structural pass, then abstract
+// interpretation, which steps each reached pc once, after every
+// predecessor has merged into its in-state. The first error in pc order is
+// the one reported.
 func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 	if maxInsns <= 0 {
 		maxInsns = DefaultMaxInsns
@@ -56,18 +65,21 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 		return nil, fmt.Errorf("%w: program has %d instructions, limit %d", ErrVerification, n, maxInsns)
 	}
 
-	// One slab holds every per-pc flag: the loop heads and edge
-	// feasibility the Analysis keeps, and the reachability marks it does not.
-	flags := make([]bool, 4*n)
+	// One slab holds every per-pc flag: the edge feasibility the Analysis
+	// keeps, and the reachability marks it does not.
+	flags := make([]bool, 3*n)
 	a := &Analysis{
 		prog:      p,
 		maxInsns:  maxInsns,
-		loopHead:  flags[:n:n],
-		condTaken: flags[n : 2*n : 2*n],
-		condFall:  flags[2*n : 3*n : 3*n],
+		condTaken: flags[:n:n],
+		condFall:  flags[n : 2*n : 2*n],
 	}
 
-	// Structural pass: opcode validity, jump targets, loop bounds.
+	// Structural pass: opcode validity, jump targets, and reachability
+	// from instruction 0 over the static CFG — a pc's mark is final when
+	// the pass reaches it.
+	reach := flags[2*n:]
+	reach[0] = true
 	for pc, in := range p.Insns {
 		if in.Op == OpInvalid || opNames[in.Op] == "" {
 			return nil, verr(pc, "invalid opcode %d", in.Op)
@@ -81,10 +93,7 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 				return nil, verr(pc, "jump target %d out of range", tgt)
 			}
 			if tgt <= pc {
-				if in.LoopBound <= 0 {
-					return nil, verr(pc, "backward jump without a compile-time loop bound")
-				}
-				a.loopHead[tgt] = true
+				return nil, verr(pc, "backward jump")
 			}
 		}
 		switch in.Op {
@@ -112,32 +121,21 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 		if isCondJump(in.Op) && pc == n-1 {
 			return nil, verr(pc, "conditional jump cannot be the last instruction")
 		}
-	}
-
-	// Reachability from instruction 0 over the static CFG. Instructions
-	// no path can ever reach are rejected outright, as in real eBPF.
-	// The walk and the fixpoint below share one worklist.
-	reach := flags[3*n:]
-	work := make([]int, 1, 2*n)
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
 		if reach[pc] {
-			continue
+			succs, k := cfgSuccs(in, pc)
+			for _, s := range succs[:k] {
+				reach[s] = true
+			}
 		}
-		reach[pc] = true
-		succs, k := cfgSuccs(p.Insns[pc], pc)
-		work = append(work, succs[:k]...)
 	}
-	for pc := range reach {
-		if !reach[pc] {
-			return nil, verr(pc, "unreachable instruction")
-		}
+	// Instructions no path can ever reach are rejected outright, as in
+	// real eBPF.
+	if pc := slices.Index(reach, false); pc >= 0 {
+		return nil, verr(pc, "unreachable instruction")
 	}
 
-	// Abstract interpretation to a fixpoint, widening at loop heads. Each
-	// step writes its successors into out, which is merged straight into
-	// their in-states.
+	// Abstract interpretation. Each step writes its successors into out,
+	// which is merged straight into their in-states.
 	if cap(states) >= n {
 		a.states = states[:n]
 		clear(a.states)
@@ -145,40 +143,18 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 		a.states = make([]absState, n)
 	}
 	a.states[0] = entryState()
-	work = append(work[:0], 0)
 	var out [2]succ
-	steps := 0
-	for len(work) > 0 {
-		steps++
-		if steps > n*256 {
-			return nil, fmt.Errorf("%w: abstract interpretation did not converge", ErrVerification)
+	for pc := range a.states {
+		if !a.states[pc].valid {
+			continue
 		}
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		k, err := step(p, pc, &a.states[pc], &out)
+		k, err := a.step(pc, &out)
 		if err != nil {
 			return nil, err
 		}
 		for i := range out[:k] {
-			o := &out[i]
-			if a.states[o.pc].merge(&o.state, a.loopHead[o.pc]) {
-				work = append(work, o.pc)
-			}
+			a.states[out[i].pc].merge(&out[i].state)
 		}
-	}
-
-	// Record conditional-edge feasibility from the final in-states.
-	for pc, in := range p.Insns {
-		if !isCondJump(in.Op) || !a.states[pc].valid {
-			continue
-		}
-		feasT, feasF, err := condStates(&a.states[pc], in, &out[0].state, &out[1].state)
-		if err != nil {
-			// step already accepted this state; condStates cannot fail.
-			feasT, feasF = true, true
-		}
-		a.condTaken[pc] = feasT
-		a.condFall[pc] = feasF
 	}
 	return a, nil
 }

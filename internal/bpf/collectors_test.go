@@ -1,23 +1,24 @@
 package bpf_test
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"tscout/internal/bpf"
 	"tscout/internal/tscout"
 )
 
-// TestEveryPatternFiresOnCollectors sweeps every Collector program codegen
-// can emit (4 subsystems × 16 resource masks × 3 markers, optimizer on and
-// off) and requires each pattern super-op kind to come out of a peephole
-// pass at least once: the patterns exist only because codegen emits their
-// shapes, so one that stops matching is dead code and must fail here
-// rather than linger.
-// It lives beside the JIT, in an external test package, because the micro
-// kinds are unexported and tscout imports bpf.
-func TestEveryPatternFiresOnCollectors(t *testing.T) {
-	var counts [len(bpf.PatternNames)]int
-	for _, optimize := range []bool{true, false} {
+// These tests live beside the JIT, in an external test package, because
+// the micro kinds are unexported and tscout imports bpf.
+
+// forEachCollector calls f on every Collector program codegen can emit:
+// 4 subsystems × 16 resource masks × 3 markers, unoptimized and then
+// optimized. name identifies the program.
+func forEachCollector(t *testing.T, f func(name string, lp *bpf.LoadedProgram)) {
+	t.Helper()
+	for _, optimize := range []bool{false, true} {
 		for _, sub := range tscout.AllSubsystems {
 			for mask := 0; mask < 16; mask++ {
 				col, err := tscout.GenerateCollector(sub, tscout.ResourceSet{
@@ -28,18 +29,50 @@ func TestEveryPatternFiresOnCollectors(t *testing.T) {
 					t.Fatalf("%s mask=%d optimize=%v: %v", sub, mask, optimize, err)
 				}
 				for _, lp := range []*bpf.LoadedProgram{col.Begin, col.End, col.Features} {
-					if reason := bpf.PatternCounts(lp, &counts); reason != "" {
-						t.Fatalf("%s mask=%d optimize=%v: %s declined: %q",
-							sub, mask, optimize, lp.Program().Name, reason)
-					}
+					f(fmt.Sprintf("%s mask=%d optimize=%v %s", sub, mask, optimize, lp.Program().Name), lp)
 				}
 			}
 		}
 	}
+}
+
+// TestEveryPatternFiresOnCollectors sweeps every Collector program and
+// requires each pattern super-op kind to come out of a peephole pass at
+// least once: the patterns exist only because codegen emits their shapes,
+// so one that stops matching is dead code and must fail here rather than
+// linger.
+func TestEveryPatternFiresOnCollectors(t *testing.T) {
+	var counts [len(bpf.PatternNames)]int
+	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
+		if reason := bpf.PatternCounts(lp, &counts); reason != "" {
+			t.Fatalf("%s: declined: %q", name, reason)
+		}
+	})
 	for i, n := range counts {
 		if n == 0 {
 			t.Errorf("pattern %d (%s) matched nothing in any Collector program", i, bpf.PatternNames[i])
 		}
 	}
 	t.Logf("pattern counts %v", counts)
+}
+
+// TestCollectorDump renders every Collector program as its disassembly
+// followed by its micro-ops (MicroOps). With COLLECTOR_DUMP set it writes
+// the rendering to that file, so a change to the verifier, optimizer or JIT
+// can be shown not to move one instruction: run it on both trees and cmp
+// the two files.
+func TestCollectorDump(t *testing.T) {
+	var b strings.Builder
+	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
+		ops, reason := bpf.MicroOps(lp)
+		if reason != "" {
+			t.Fatalf("%s: declined: %q", name, reason)
+		}
+		fmt.Fprintf(&b, "== %s\n%s-- micro-ops\n%s", name, lp.Program().Disassemble(), ops)
+	})
+	if path := os.Getenv("COLLECTOR_DUMP"); path != "" {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

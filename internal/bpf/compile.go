@@ -11,8 +11,8 @@ import (
 // already computed (DESIGN.md §9) to elide exactly the checks the
 // interpreter performs dynamically:
 //
-//   - No runtime instruction budget: the compiler declines any program with
-//     a backward jump, so executed instructions ≤ static length < budget.
+//   - Nothing counts toward a runtime limit: the verifier rejects every
+//     backward jump, so a run retires each instruction at most once.
 //   - No pointer-tag decode or bounds check on memory access: the verifier
 //     proved the base register's kind (stack or map value) and offset range
 //     at every dereference; exact stack offsets become compile-time
@@ -47,10 +47,6 @@ const (
 	// DeclineNoAnalysis: the program has no retained verifier analysis
 	// (constructed without Load), so no proofs license any elision.
 	DeclineNoAnalysis = "no-analysis"
-	// DeclineBackEdge: the program contains a backward jump. Bounded loops
-	// stay on the interpreter, whose runtime instruction budget is the
-	// backstop behind the verifier's trip-count reasoning.
-	DeclineBackEdge = "back-edge"
 	// DeclineUnsupportedOpcode: an instruction the compiler has no
 	// template for.
 	DeclineUnsupportedOpcode = "unsupported-opcode"
@@ -83,30 +79,23 @@ type CompileInfo struct {
 // ec.err).
 type copFn func(ec *execState) copFn
 
-// Compile attempts to JIT the program. On success subsequent Run calls
-// dispatch through the compiled form, the analysis it consumed is released
-// and a further Compile returns the recorded outcome; on decline they keep
-// interpreting and the analysis stays.
+// Compile attempts to JIT the program, once: whatever the outcome, the
+// analysis it consumed is released and a further Compile returns the
+// recorded outcome. On success subsequent Run calls dispatch through the
+// compiled form; on decline they keep interpreting.
 func (lp *LoadedProgram) Compile() CompileInfo {
-	if lp.compileInfo.Compiled {
+	if lp.compileInfo.Attempted {
 		return lp.compileInfo
 	}
 	info := CompileInfo{Attempted: true, Insns: len(lp.prog.Insns)}
 	if cc, reason := lp.decode(); reason != "" {
 		info.Reason = reason
-		// The proof stays. LoadOptimized's may sit in the array of an
-		// earlier, longer round; the program must not pin that slack.
-		if a := lp.analysis; a != nil && cap(a.states) > len(a.states) {
-			states := make([]absState, len(a.states))
-			copy(states, a.states)
-			a.states = states
-		}
 	} else {
 		info.Ops = cc.fuse()
 		lp.compiled = cc.fns[0]
 		info.Compiled = true
-		lp.analysis = nil
 	}
+	lp.analysis = nil
 	lp.compileInfo = info
 	return info
 }
@@ -145,11 +134,6 @@ func (lp *LoadedProgram) decode() (*compiler, string) {
 	if lp.analysis == nil {
 		return nil, DeclineNoAnalysis
 	}
-	for _, in := range lp.prog.Insns {
-		if isJump(in.Op) && in.Off < 0 {
-			return nil, DeclineBackEdge
-		}
-	}
 	n := len(lp.prog.Insns)
 	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis,
 		fns: make([]copFn, n), ops: make([]microOp, n)}
@@ -164,11 +148,10 @@ func (lp *LoadedProgram) decode() (*compiler, string) {
 	return cc, ""
 }
 
-// runCompiled drives the compiled form. There is no instruction
-// budget check (no back-edges, so executed ≤ static length) and no
-// per-access error plumbing; a verifier/compiler disagreement surfaces as
-// a Go panic, converted here to ErrRuntime so the caller-visible contract
-// matches the interpreter's.
+// runCompiled drives the compiled form. There is no per-access error
+// plumbing; a verifier/compiler disagreement surfaces as a Go panic,
+// converted here to ErrRuntime so the caller-visible contract matches the
+// interpreter's.
 func (lp *LoadedProgram) runCompiled(task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
 	lp.compiledRuns++
 	insnNS := task.Kernel().Profile.BPFInsnNS

@@ -93,32 +93,38 @@ func TestCollectorAnalysesMatchOracle(t *testing.T) {
 	})
 }
 
+// TestCollectorLivenessMatchesFixpoint holds the one-pass Liveness to the
+// round-robin fixpoint on the programs a deploy verifies, and their
+// optimized forms.
+func TestCollectorLivenessMatchesFixpoint(t *testing.T) {
+	forEachVetProgram(func(name string, p *bpf.Program) {
+		if d := bpf.LivenessAgrees(p); d != "" {
+			t.Fatalf("%s: %s", name, d)
+		}
+		opt, _, err := bpf.Optimize(p, 0)
+		if err != nil {
+			t.Fatalf("%s: Optimize: %v", name, err)
+		}
+		if d := bpf.LivenessAgrees(opt); d != "" {
+			t.Fatalf("%s optimized: %s", name, d)
+		}
+	})
+}
+
 // analyzeAllocs is the allocation count of one Analyze: the Analysis, its
-// per-pc flag slab, the worklist and the in-states. A step allocates
-// nothing.
-const analyzeAllocs = 4
+// per-pc flag slab and the in-states. A step allocates nothing.
+const analyzeAllocs = 3
 
 func TestAnalyzeAllocatesPerProgramNotPerStep(t *testing.T) {
-	loop := bpf.NewBuilder("loop").
-		Mov(bpf.R1, 0).Mov(bpf.R0, 0).
-		Label("top").
-		Add(bpf.R0, 3).Add(bpf.R1, 1).
-		JneLoop(bpf.R1, 64, "top", 64).
-		Exit().
-		MustBuild()
-	cases := map[string]*bpf.Program{"loop": loop}
 	full := tscout.ResourceSet{CPU: true, Memory: true, Disk: true, Network: true}
 	for _, np := range tscout.CollectorPrograms(tscout.SubsystemExecutionEngine, full) {
-		cases[np.Name] = np.Prog
-	}
-	for name, p := range cases {
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := bpf.Analyze(p, 0); err != nil {
+			if _, err := bpf.Analyze(np.Prog, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != analyzeAllocs {
-			t.Errorf("%s (%d insns): Analyze allocates %v times, want %d", name, len(p.Insns), allocs, analyzeAllocs)
+			t.Errorf("%s (%d insns): Analyze allocates %v times, want %d", np.Name, len(np.Prog.Insns), allocs, analyzeAllocs)
 		}
 	}
 }

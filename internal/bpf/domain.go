@@ -140,29 +140,31 @@ func (v VReg) IsConst() bool { return v.Lo == v.Hi }
 // Const returns the constant (meaningful only when IsConst).
 func (v VReg) Const() uint64 { return v.Lo }
 
-// reduce exchanges facts between the interval and the tnum. Transfers on
+// reduce exchanges facts between the interval and the tnum until neither
+// sharpens the other, so reduce(reduce(v)) == reduce(v). Transfers on
 // non-empty inputs cannot produce an empty meet, but reduce degrades
 // gracefully (keeps the wider component) if it ever would.
 func (v VReg) reduce() VReg {
-	// Tnum bounds the interval: value <= x <= value|mask.
-	if v.TN.Val > v.Lo {
-		v.Lo = v.TN.Val
-	}
-	if hi := v.TN.Val | v.TN.Mask; hi < v.Hi {
-		v.Hi = hi
-	}
-	if v.Lo > v.Hi {
-		// Contradiction; callers detect emptiness via refine, never here.
-		return vrTop()
-	}
-	// The interval bounds the tnum's high bits.
-	if tn, ok := tnIntersect(v.TN, tnFromRange(v.Lo, v.Hi)); ok {
+	for {
+		// Tnum bounds the interval: value <= x <= value|mask.
+		if v.TN.Val > v.Lo {
+			v.Lo = v.TN.Val
+		}
+		if hi := v.TN.Val | v.TN.Mask; hi < v.Hi {
+			v.Hi = hi
+		}
+		if v.Lo > v.Hi {
+			// Contradiction; callers detect emptiness via refine, never here.
+			return vrTop()
+		}
+		// The interval bounds the tnum's high bits. Each change clears at
+		// least one mask bit, so the loop runs at most 65 times.
+		tn, ok := tnIntersect(v.TN, tnFromRange(v.Lo, v.Hi))
+		if !ok || tn == v.TN {
+			return v
+		}
 		v.TN = tn
 	}
-	if v.TN.Val > v.Lo {
-		v.Lo = v.TN.Val
-	}
-	return v
 }
 
 // vrJoin is the lattice union (interval hull, tnum union).
@@ -175,20 +177,6 @@ func vrJoin(a, b VReg) VReg {
 		hi = b.Hi
 	}
 	return VReg{Lo: lo, Hi: hi, TN: tnJoin(a.TN, b.TN)}.reduce()
-}
-
-// vrWiden accelerates convergence at loop heads: any bound that moved
-// since the previous visit jumps straight to its extreme. The tnum join
-// ascends at most 64 steps on its own, so it is not widened.
-func vrWiden(old, inc VReg) VReg {
-	j := vrJoin(old, inc)
-	if j.Lo < old.Lo {
-		j.Lo = 0
-	}
-	if j.Hi > old.Hi {
-		j.Hi = ^uint64(0)
-	}
-	return j.reduce()
 }
 
 // maxOrBound returns the tightest power-of-two-minus-one bound covering

@@ -119,7 +119,7 @@ func PtrALU(lp *LoadedProgram) []bool { return lp.ptrALU }
 
 // ProofDiff names the first part of the analysis got keeps that differs
 // from want's, or returns "": the program it proves, the in-states (their
-// number included), the loop heads and the conditional edges.
+// number included) and the conditional edges.
 func ProofDiff(got, want *LoadedProgram) string {
 	g, w := got.analysis, want.analysis
 	switch {
@@ -127,8 +127,6 @@ func ProofDiff(got, want *LoadedProgram) string {
 		return "the proof is of another program"
 	case !slices.Equal(g.states, w.states):
 		return fmt.Sprintf("in-states differ (%d kept, want %d)", len(g.states), len(w.states))
-	case !slices.Equal(g.loopHead, w.loopHead):
-		return "loop heads differ"
 	case !slices.Equal(g.condTaken, w.condTaken) || !slices.Equal(g.condFall, w.condFall):
 		return "conditional edges differ"
 	}
@@ -161,6 +159,10 @@ func MicroOps(lp *LoadedProgram) (ops, reason string) {
 	}
 	return b.String(), ""
 }
+
+// LivenessAgrees analyzes p and describes the first pc where Liveness
+// disagrees with a round-robin fixpoint (liveness_test.go), or returns "".
+func LivenessAgrees(p *Program) string { return livenessDiff(p) }
 
 // AnalysesAgree runs Analyze and its oracle (verifier_oracle_test.go) on p
 // and describes their first disagreement, or returns "".
@@ -239,9 +241,4 @@ func (b *Builder) ArshReg(dst, src Reg) *Builder {
 }
 func (b *Builder) Jlt(dst Reg, imm int64, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJltImm, Dst: dst, Imm: imm}, label)
-}
-
-// JneLoop jumps backward to label while dst != imm, with a declared bound.
-func (b *Builder) JneLoop(dst Reg, imm int64, label string, bound int32) *Builder {
-	return b.emitJump(Insn{Op: OpJneImm, Dst: dst, Imm: imm, LoopBound: bound}, label)
 }

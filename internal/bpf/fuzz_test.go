@@ -13,13 +13,11 @@ import (
 // This file holds the differential fuzz targets for the verifier/VM
 // contract (paper §5.1). The oracle, in both directions:
 //
-//   verifier accepts  ⇒ the VM executes without a runtime fault, within
-//                       the instruction budget (budget exhaustion is only
-//                       legitimate for programs containing a back-edge,
-//                       since the declared LoopBound is not enforced —
-//                       see DESIGN.md "accepted divergences"), and with
-//                       every stack/map access in bounds (a violation
-//                       would surface as ErrRuntime or a panic);
+//   verifier accepts  ⇒ the VM executes without a runtime error — a
+//                       verified program has no back edge, so it always
+//                       terminates — and with every stack/map access in
+//                       bounds (a violation would surface as ErrRuntime or
+//                       a panic);
 //   verifier rejects  ⇒ the error names a real location: either a
 //                       whole-program defect or "insn N: ..." with N a
 //                       valid pc — and verification is deterministic.
@@ -37,8 +35,8 @@ func checkRejection(t *testing.T, p *Program, err error) {
 	}
 	m := insnPCRe.FindStringSubmatch(err.Error())
 	if m == nil {
-		// Whole-program rejections (empty, too long, non-convergence)
-		// carry no pc; everything else must.
+		// Whole-program rejections (empty, too long) carry no pc;
+		// everything else must.
 		return
 	}
 	pc, perr := strconv.Atoi(m[1])
@@ -48,12 +46,10 @@ func checkRejection(t *testing.T, p *Program, err error) {
 }
 
 // checkAcceptedRuns asserts the accept side of the oracle: the program
-// must load and run without a runtime fault. ErrInsnBudget is tolerated
-// only for programs with a back-edge (lying LoopBound declarations are an
-// accepted divergence); ErrRuntime is always a verifier bug. It then runs
-// the interpreter-vs-JIT differential: compiled execution (or the decline
-// fallback) must agree bit-exactly on R0, cost, helper trace, printk, and
-// map end-states.
+// must load and run without a runtime error, any of which is a verifier
+// bug. It then runs the interpreter-vs-JIT differential: compiled
+// execution (or the decline fallback) must agree bit-exactly on R0, cost,
+// helper trace, printk, and map end-states.
 func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 	t.Helper()
 	lp, err := Load(p, fuzzMaxInsns)
@@ -63,17 +59,11 @@ func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 	k := kernel.New(sim.LargeHW, seed, 0)
 	task := k.NewTask("fuzz")
 	_, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
-	switch {
-	case rerr == nil:
-		if cost < 0 {
-			t.Fatalf("negative execution cost %d", cost)
-		}
-	case errors.Is(rerr, ErrInsnBudget):
-		if !hasBackEdge(p) {
-			t.Fatalf("budget exhausted without a back-edge (%d insns):\n%s", len(p.Insns), p.Disassemble())
-		}
-	default:
+	if rerr != nil {
 		t.Fatalf("verified program faulted: %v\n%s", rerr, p.Disassemble())
+	}
+	if cost < 0 {
+		t.Fatalf("negative execution cost %d", cost)
 	}
 	assertCompiledAgreement(t, p, seed)
 }
@@ -87,7 +77,7 @@ func FuzzVerify(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(encodeInsns(genProgram(seed, 20).Insns))
 	}
-	// Historical near-misses: backward jump without bound, cond jump last,
+	// Historical near-misses: backward jump, cond jump last,
 	// store through scalar, read of uninitialized stack.
 	f.Add(encodeInsns([]Insn{{Op: OpJa, Off: -1}}))
 	f.Add(encodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpJeqImm, Dst: R0}}))

@@ -7,18 +7,6 @@ import (
 	"tscout/internal/sim"
 )
 
-// hasBackEdge reports whether any jump in p targets an earlier or equal pc.
-// Programs without back-edges execute at most len(Insns) instructions, so
-// they can never legitimately exhaust the runtime budget.
-func hasBackEdge(p *Program) bool {
-	for pc, in := range p.Insns {
-		if isJump(in.Op) && pc+1+int(in.Off) <= pc {
-			return true
-		}
-	}
-	return false
-}
-
 // runGenerated loads and executes p against a fresh single-task kernel,
 // returning the run error (nil for clean completion).
 func runGenerated(t *testing.T, p *Program, seed int64) error {
@@ -151,15 +139,13 @@ func TestGeneratorEmitsFusedShapes(t *testing.T) {
 	want := []microKind{muIOACStore, muSockStore, muLoadObjStoreRun, muDeltaObjRun, muArgLadder, muCallFrame}
 	seen := map[microKind]int{}
 	for seed := int64(0); seed < 3000; seed++ {
-		// Short programs: a longer one almost always holds a loop, which
-		// the JIT declines.
 		lp, err := Load(genProgram(seed, int(seed%15)+1), fuzzMaxInsns)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		cc, reason := lp.decode()
 		if reason != "" {
-			continue
+			t.Fatalf("seed %d: declined %q", seed, reason)
 		}
 		for pc := 0; pc < len(cc.fns); {
 			run := cc.run(pc)

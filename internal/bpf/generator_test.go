@@ -98,8 +98,8 @@ type progGen struct {
 	b        *Builder
 	st       genState
 	labelN   int
-	depth    int           // nesting depth of branch/loop constructs
-	reserved [numRegs]bool // loop counters the body must not clobber
+	depth    int           // nesting depth of branch constructs
+	reserved [numRegs]bool // registers scalarReg must not clobber
 }
 
 // genProgram deterministically generates a valid-by-construction program
@@ -150,7 +150,7 @@ func itoa(n int) string {
 func (g *progGen) smallImm() int64 { return int64(g.rng.Intn(1024)) - 256 }
 
 // scratchReg picks a general-purpose register (never R10, never a reserved
-// loop counter).
+// one).
 func (g *progGen) scratchReg() Reg {
 	for {
 		r := Reg(g.rng.Intn(9) + 1) // R1..R9
@@ -225,7 +225,7 @@ func (g *progGen) step() {
 		g.genMovImm()
 	case choice < 32:
 		g.genALU()
-	case choice < 44:
+	case choice < 44, 62 <= choice && choice < 70:
 		g.genStackStoreLoad()
 	case choice < 52:
 		g.genPointerWalk()
@@ -234,12 +234,6 @@ func (g *progGen) step() {
 			g.genBranch()
 		} else {
 			g.genALU()
-		}
-	case choice < 70:
-		if g.depth == 0 {
-			g.genLoop()
-		} else {
-			g.genStackStoreLoad()
 		}
 	case choice < 78:
 		g.genSimpleHelper()
@@ -516,8 +510,8 @@ func (g *progGen) genBranch() {
 	g.depth--
 }
 
-// genLinearStep emits a construct safe inside branch arms and loop bodies:
-// no nested control flow.
+// genLinearStep emits a construct safe inside branch arms: no nested
+// control flow.
 func (g *progGen) genLinearStep() {
 	switch g.rng.Intn(4) {
 	case 0:
@@ -529,60 +523,6 @@ func (g *progGen) genLinearStep() {
 	default:
 		g.genSimpleHelper()
 	}
-}
-
-// genLoop emits a counted loop with a declared compile-time bound (the
-// §5.1 bounded-loop rule). The body is generated against a demoted state:
-// only R10 and the counter survive the back-edge join, so the body must
-// re-establish anything it uses — exactly what the verifier's fixpoint
-// demands.
-func (g *progGen) genLoop() {
-	// The counter lives in a callee-saved register (helper calls in the
-	// body abstractly clobber R1-R5) and is reserved so the body cannot
-	// redefine it — otherwise the declared bound would be a lie and the
-	// loop could spin until the runtime budget kills it.
-	cnt := Reg(g.rng.Intn(4)) + R6
-	for g.reserved[cnt] {
-		cnt = Reg(g.rng.Intn(4)) + R6
-	}
-	g.reserved[cnt] = true
-	defer func() { g.reserved[cnt] = false }()
-	n := int64(g.rng.Intn(6) + 1)
-	g.b.Mov(cnt, n)
-	top := g.label("loop")
-	g.b.Label(top)
-
-	pre := g.st
-	// Demote: at the loop head the verifier joins the entry state with the
-	// back-edge state; registers the body redefines survive, everything
-	// else must be assumed dead inside the body.
-	var demoted genState
-	demoted.regs[R10] = pre.regs[R10]
-	demoted.regs[cnt] = genReg{kind: rkScalar}
-	demoted.stackInit = pre.stackInit
-	g.st = demoted
-
-	g.depth++
-	for i := g.rng.Intn(3) + 1; i > 0; i-- {
-		g.genLinearStep()
-	}
-	g.depth--
-	bodyEnd := g.st
-
-	g.b.Sub(cnt, 1)
-	g.b.JneLoop(cnt, 0, top, int32(n))
-
-	// After the loop the verifier's state is the body applied to the
-	// fixpoint loop-head state. The body-end mirror was computed from the
-	// demoted entry, which under-approximates that fixpoint, so it is a
-	// safe (conservative) post-state: anything it believes initialized
-	// really is on every path reaching the exit edge. Registers the body
-	// clobbered-then-abandoned stay uninit here even if they were live
-	// before the loop — restoring pre-loop kinds for them would be
-	// optimistic and generate invalid programs.
-	post := bodyEnd
-	post.regs[cnt] = genReg{kind: rkScalar}
-	g.st = post
 }
 
 // genSimpleHelper calls one of the scalar-argument helpers.
@@ -695,7 +635,9 @@ func (g *progGen) genPerfOutput() {
 //
 // Fuzz corpora store programs as flat byte streams so go-fuzz mutation
 // operates on something meaningful. One instruction is 20 little-endian
-// bytes: op, dst, src, pad, off int32, loopBound int32, imm int64.
+// bytes: op, dst, src, pad, off int32, 4 reserved bytes, imm int64. The
+// reserved bytes once held a loop bound; they stay so that checked-in
+// corpora replay.
 
 // insnWireBytes is the encoded size of one instruction.
 const insnWireBytes = 20
@@ -713,7 +655,6 @@ func encodeInsns(insns []Insn) []byte {
 		rec[2] = byte(in.Src)
 		rec[3] = 0
 		binary.LittleEndian.PutUint32(rec[4:], uint32(in.Off))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(in.LoopBound))
 		binary.LittleEndian.PutUint64(rec[12:], uint64(in.Imm))
 		out = append(out, rec[:]...)
 	}
@@ -732,12 +673,11 @@ func decodeInsns(data []byte) []Insn {
 	for i := 0; i < n; i++ {
 		rec := data[i*insnWireBytes:]
 		insns[i] = Insn{
-			Op:        Op(rec[0]),
-			Dst:       Reg(rec[1]),
-			Src:       Reg(rec[2]),
-			Off:       int32(binary.LittleEndian.Uint32(rec[4:])),
-			LoopBound: int32(binary.LittleEndian.Uint32(rec[8:])),
-			Imm:       int64(binary.LittleEndian.Uint64(rec[12:])),
+			Op:  Op(rec[0]),
+			Dst: Reg(rec[1]),
+			Src: Reg(rec[2]),
+			Off: int32(binary.LittleEndian.Uint32(rec[4:])),
+			Imm: int64(binary.LittleEndian.Uint64(rec[12:])),
 		}
 	}
 	return insns
@@ -745,7 +685,8 @@ func decodeInsns(data []byte) []Insn {
 
 // mutateInsns applies a deterministic sequence of small mutations driven
 // by data: every 4 bytes select a position and a tweak (opcode, register,
-// offset, immediate, loop bound, duplicate, delete). The result usually no
+// offset, immediate, duplicate, delete; one tweak is reserved and does
+// nothing). The result usually no
 // longer satisfies the generator's validity argument — which is what makes
 // it a useful verifier input.
 func mutateInsns(insns []Insn, data []byte) []Insn {
@@ -772,8 +713,7 @@ func mutateInsns(insns []Insn, data []byte) []Insn {
 			out[pos].Off = int32(val)
 		case 4:
 			out[pos].Imm = val
-		case 5:
-			out[pos].LoopBound = int32(val)
+		case 5: // reserved, so older corpora keep their mutations
 		case 6: // duplicate an instruction in place
 			if len(out) < maxDecodedInsns {
 				out = append(out[:pos+1], out[pos:]...)

@@ -140,11 +140,6 @@ type Insn struct {
 	Src Reg
 	Off int32 // memory offset or jump displacement
 	Imm int64
-	// LoopBound, when set on a backward jump, declares the compile-time
-	// trip-count bound the verifier requires for loops (paper §5.1:
-	// "loops must be bounded at compile-time"). Zero means "not a
-	// declared loop"; backward jumps without a bound are rejected.
-	LoopBound int32
 }
 
 func (i Insn) String() string {

@@ -2,7 +2,7 @@ package bpf
 
 import "fmt"
 
-// Lint runs the same fixpoint facts the verifier and optimizer use and
+// Lint runs the same dataflow facts the verifier and optimizer use and
 // reports *suspicious but legal* constructs as structured diagnostics,
 // the queryable analysis surface TAAF argues for: a bare accept/reject
 // bit hides exactly the information a Codegen author needs to see.

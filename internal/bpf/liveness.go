@@ -1,9 +1,10 @@
 package bpf
 
-// Backward liveness over a verified program, computed from an Analysis.
-// The pass works on the *static* CFG (no feasibility pruning): using a
-// superset of the real edges can only mark more things live, which is the
-// conservative direction for the dead-code eliminator built on top.
+// Backward liveness over a verified program, computed from an Analysis in
+// one reverse pass. The pass works on the *static* CFG (no feasibility
+// pruning): using a superset of the real edges can only mark more things
+// live, which is the conservative direction for the dead-code eliminator
+// built on top.
 //
 // Liveness is tracked at two granularities: a register bitmask and a
 // per-byte bitset over the 512-byte stack. Stack accesses are resolved
@@ -194,7 +195,9 @@ func (a *Analysis) effects(pc int) insnEffects {
 	return e
 }
 
-// Liveness runs the backward may-live analysis to a fixpoint.
+// Liveness runs the backward may-live analysis. Every jump goes forward,
+// so a pc's successors all come after it: one pass from the last pc to the
+// first sees each successor's final live-in set.
 func (a *Analysis) Liveness() *Liveness {
 	insns := a.prog.Insns
 	n := len(insns)
@@ -204,80 +207,21 @@ func (a *Analysis) Liveness() *Liveness {
 	}
 	liveInRegs := make([]uint16, n)
 	liveInStack := make([]stackSet, n)
-
-	// Predecessors over the static CFG, laid out CSR: the predecessors of
-	// pc are preds[start[pc]:start[pc+1]]. start first counts each pc's
-	// predecessors, becomes their offsets, serves as the fill cursor —
-	// which leaves start[pc] at pc's end — and is shifted back.
-	start := make([]int, n+1)
-	for pc, in := range insns {
-		succs, k := cfgSuccs(in, pc)
-		for _, s := range succs[:k] {
-			start[s]++
-		}
-	}
-	sum := 0
-	for pc := 0; pc < n; pc++ {
-		start[pc], sum = sum, sum+start[pc]
-	}
-	preds := make([]int, sum)
-	for pc, in := range insns {
-		succs, k := cfgSuccs(in, pc)
-		for _, s := range succs[:k] {
-			preds[start[s]] = pc
-			start[s]++
-		}
-	}
-	copy(start[1:], start[:n])
-	start[0] = 0
-
-	eff := make([]insnEffects, n)
-	for pc := range insns {
-		eff[pc] = a.effects(pc)
-	}
-
-	// Worklist, seeded with every pc (effects alone create liveness) so
-	// that the last pc pops first: facts flow backward, and a pc popped
-	// after its successors mostly sees their final live-in sets. inWork
-	// keeps a pc on the list at most once, so it never outgrows n.
-	work := make([]int, n)
-	inWork := make([]bool, n)
-	for pc := range work {
-		work[pc] = pc
-		inWork[pc] = true
-	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[pc] = false
-
+	for pc := n - 1; pc >= 0; pc-- {
 		// out = union of successors' in.
-		var outRegs uint16
-		var outStack stackSet
+		outRegs := &lv.regsOut[pc]
+		outStack := &lv.stackOut[pc]
 		succs, k := cfgSuccs(insns[pc], pc)
 		for _, s := range succs[:k] {
-			outRegs |= liveInRegs[s]
+			*outRegs |= liveInRegs[s]
 			outStack.or(&liveInStack[s])
 		}
-		lv.regsOut[pc] = outRegs
-		lv.stackOut[pc] = outStack
 
 		// in = use ∪ (out − def/kill).
-		e := &eff[pc]
-		inRegs := e.useRegs | (outRegs &^ e.defRegs)
-		inStack := outStack
-		for i := range inStack {
-			inStack[i] = e.useStack[i] | (inStack[i] &^ e.killStack[i])
-		}
-		if inRegs != liveInRegs[pc] || inStack != liveInStack[pc] {
-			liveInRegs[pc] = inRegs
-			liveInStack[pc] = inStack
-			for _, p := range preds[start[pc]:start[pc+1]] {
-				if !inWork[p] {
-					work = append(work, p)
-					inWork[p] = true
-				}
-			}
+		e := a.effects(pc)
+		liveInRegs[pc] = e.useRegs | (*outRegs &^ e.defRegs)
+		for i := range liveInStack[pc] {
+			liveInStack[pc][i] = e.useStack[i] | (outStack[i] &^ e.killStack[i])
 		}
 	}
 	return lv

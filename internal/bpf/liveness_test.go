@@ -1,6 +1,9 @@
 package bpf
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func analyzeOK(t *testing.T, p *Program) *Analysis {
 	t.Helper()
@@ -107,5 +110,78 @@ func TestAnalysisCondEdges(t *testing.T) {
 	}
 	if a.Reached(2) {
 		t.Fatal("pc 2 must be unreachable")
+	}
+}
+
+// roundRobinLiveness is the textbook backward may-live fixpoint: sweep
+// every pc, recomputing its live-out and live-in sets from its static
+// successors' live-in sets, until a sweep changes nothing. It assumes
+// nothing about the order of the CFG, so it is the reference for
+// Liveness's single reverse pass.
+func roundRobinLiveness(a *Analysis) *Liveness {
+	insns := a.prog.Insns
+	n := len(insns)
+	lv := &Liveness{regsOut: make([]uint16, n), stackOut: make([]stackSet, n)}
+	inRegs := make([]uint16, n)
+	inStack := make([]stackSet, n)
+	for changed := true; changed; {
+		changed = false
+		for pc, in := range insns {
+			var outRegs uint16
+			var outStack stackSet
+			succs, k := cfgSuccs(in, pc)
+			for _, s := range succs[:k] {
+				outRegs |= inRegs[s]
+				outStack.or(&inStack[s])
+			}
+			e := a.effects(pc)
+			r := e.useRegs | (outRegs &^ e.defRegs)
+			var st stackSet
+			for i := range st {
+				st[i] = e.useStack[i] | (outStack[i] &^ e.killStack[i])
+			}
+			if r != inRegs[pc] || st != inStack[pc] || outRegs != lv.regsOut[pc] || outStack != lv.stackOut[pc] {
+				inRegs[pc], inStack[pc] = r, st
+				lv.regsOut[pc], lv.stackOut[pc] = outRegs, outStack
+				changed = true
+			}
+		}
+	}
+	return lv
+}
+
+// livenessDiff analyzes p and describes the first pc where Liveness
+// disagrees with roundRobinLiveness, or returns "".
+func livenessDiff(p *Program) string {
+	a, err := Analyze(p, fuzzMaxInsns)
+	if err != nil {
+		return fmt.Sprintf("analyze: %v", err)
+	}
+	got, want := a.Liveness(), roundRobinLiveness(a)
+	for pc := range p.Insns {
+		if got.regsOut[pc] != want.regsOut[pc] || got.stackOut[pc] != want.stackOut[pc] {
+			return fmt.Sprintf("live-out at pc %d (%s): regs %#x, fixpoint %#x; stack %x, fixpoint %x",
+				pc, p.Insns[pc], got.regsOut[pc], want.regsOut[pc], got.stackOut[pc], want.stackOut[pc])
+		}
+	}
+	return ""
+}
+
+// TestLivenessMatchesFixpoint holds the one-pass Liveness to the
+// round-robin fixpoint on generated programs and their optimized forms;
+// deploy_test.go does the same for every Collector program.
+func TestLivenessMatchesFixpoint(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		p := genProgram(seed, int(seed%40)+1)
+		if d := livenessDiff(p); d != "" {
+			t.Fatalf("seed %d: %s\n%s", seed, d, p.Disassemble())
+		}
+		opt, _, err := Optimize(p, fuzzMaxInsns)
+		if err != nil {
+			t.Fatalf("seed %d: optimize: %v", seed, err)
+		}
+		if d := livenessDiff(opt); d != "" {
+			t.Fatalf("seed %d optimized: %s\n%s", seed, d, opt.Disassemble())
+		}
 	}
 }

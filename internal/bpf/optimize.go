@@ -122,7 +122,7 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 	changed := false
 
 	// Pass 1+2: constant folding and branch simplification need only the
-	// fixpoint states.
+	// analysis in-states.
 	for pc := 0; pc < n; pc++ {
 		in := insns[pc]
 		if !a.states[pc].valid {
@@ -155,7 +155,7 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 				stats.SimplifiedBranch++
 				changed = true
 			case taken && !fall:
-				insns[pc] = Insn{Op: OpJa, Off: in.Off, LoopBound: in.LoopBound}
+				insns[pc] = Insn{Op: OpJa, Off: in.Off}
 				stats.SimplifiedBranch++
 				changed = true
 			}
@@ -228,7 +228,7 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 }
 
 // foldableConst reports whether the scalar ALU instruction at pc always
-// produces the same value, using the fixpoint in-state.
+// produces the same value, using the analysis in-state.
 func (a *Analysis) foldableConst(pc int, in Insn) (int64, bool) {
 	st := &a.states[pc]
 	dst := st.regs[in.Dst]

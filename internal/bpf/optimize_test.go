@@ -250,24 +250,3 @@ func TestOptimizeRejectsUnverifiableInput(t *testing.T) {
 		t.Fatal("expected error for unverifiable input")
 	}
 }
-
-func TestOptimizePreservesLoop(t *testing.T) {
-	b := NewBuilder("loop")
-	b.Mov(R1, 0).
-		Mov(R0, 0).
-		Label("top").
-		Add(R0, 3).
-		Add(R1, 1).
-		JneLoop(R1, 4, "top", 8).
-		Exit()
-	p := b.MustBuild()
-	opt, _ := optimizeAndRun(t, p)
-	lp, err := Load(opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0, _, _ := lp.Run(testTask(), nil)
-	if r0 != 12 {
-		t.Fatalf("loop result changed: got %d, want 12\n%s", r0, opt.Disassemble())
-	}
-}

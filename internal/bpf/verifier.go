@@ -28,7 +28,8 @@ func verr(pc int, format string, args ...any) error {
 
 // The verifier performs abstract interpretation over the program's CFG,
 // mirroring the guarantees the paper leans on (§2.3, §5.1): bounded length,
-// no unreachable instructions, loops only with compile-time bounds, no
+// no unreachable instructions, no loops (every jump goes forward, as in
+// Linux before 5.3, so a run retires at most one instruction per pc), no
 // dynamic allocation outside maps, pointer access restricted to a safe API
 // (in-bounds stack and map-value memory, null-checked map lookups), and
 // helper calls checked against typed signatures.
@@ -118,54 +119,19 @@ func joinReg(a, b regState) regState {
 	return a
 }
 
-// widenReg is joinReg with acceleration: any bound that still moves at a
-// loop head jumps straight to its extreme so fixpoints terminate.
-func widenReg(a, b regState) regState {
-	if a.kind != b.kind || a.mapIdx != b.mapIdx {
-		return regState{kind: rkUninit}
-	}
-	switch a.kind {
-	case rkScalar:
-		a.vr = vrWiden(a.vr, b.vr)
-	case rkPtrStack, rkPtrMapValue, rkPtrMapValueOrNull:
-		if b.lo < a.lo {
-			a.lo = math.MinInt64
-		}
-		if b.hi > a.hi {
-			a.hi = math.MaxInt64
-		}
-	}
-	return a
-}
-
-// merge joins b into a (with widening when widen is set), reporting
-// whether a changed.
-func (a *absState) merge(b *absState, widen bool) bool {
+// merge joins b into a.
+func (a *absState) merge(b *absState) {
 	if !a.valid {
 		*a = *b
-		return true
+		return
 	}
-	changed := false
 	for i := range a.regs {
-		var merged regState
-		if widen {
-			merged = widenReg(a.regs[i], b.regs[i])
-		} else {
-			merged = joinReg(a.regs[i], b.regs[i])
-		}
-		if merged != a.regs[i] {
-			a.regs[i] = merged
-			changed = true
-		}
+		a.regs[i] = joinReg(a.regs[i], b.regs[i])
 	}
 	// A byte stays initialized only when it is on both paths.
-	for i, w := range a.stackInit {
-		if m := w & b.stackInit[i]; m != w {
-			a.stackInit[i] = m
-			changed = true
-		}
+	for i := range a.stackInit {
+		a.stackInit[i] &= b.stackInit[i]
 	}
-	return changed
 }
 
 type succ struct {
@@ -325,12 +291,14 @@ func condStates(s *absState, insn Insn, taken, fall *absState) (feasT, feasF boo
 // helperArgRegs are the registers that carry helper arguments, in order.
 var helperArgRegs = [...]Reg{R1, R2, R3, R4, R5}
 
-// step abstractly executes the instruction at pc on the in-state *in and
-// writes its feasible successors, in push order, to out, returning how
-// many it wrote. *in is only read. Analyze's worklist owns out and merges
-// each slot into its target's in-state, so a step allocates nothing unless
-// it rejects the program.
-func step(p *Program, pc int, in *absState, out *[2]succ) (int, error) {
+// step abstractly executes the instruction at pc on its in-state and
+// writes its feasible successors to out, returning how many it wrote; a
+// conditional jump also records which of its edges are feasible. The
+// in-state is only read. analyze owns out and merges each slot into its
+// target's in-state, so a step allocates nothing unless it rejects the
+// program.
+func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
+	p, in := a.prog, &a.states[pc]
 	insn := p.Insns[pc]
 	switch {
 	case insn.Op == OpExit:
@@ -355,6 +323,7 @@ func step(p *Program, pc int, in *absState, out *[2]succ) (int, error) {
 			}
 			return 0, err
 		}
+		a.condTaken[pc], a.condFall[pc] = feasT, feasF
 		switch {
 		case feasT && feasF:
 			out[0].pc, out[1].pc = pc+1+int(insn.Off), pc+1

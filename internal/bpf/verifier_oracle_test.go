@@ -12,16 +12,21 @@ import (
 // value and returns a freshly allocated successor slice, a slice-returning
 // CFG walk — as the oracle for the one in verifier.go/analyze.go, which
 // tracks stack initialization in a bitset and writes successors into
-// caller-owned slots. Both share the register lattice (joinReg, widenReg,
-// the VReg domain) and the error constructor. FuzzAnalyzeDifferential
-// requires them to agree on every program: the same verdict (error text
-// and VerifyError.PC), the same in-state at every pc and the same
+// caller-owned slots. Both share the register lattice (joinReg, the VReg
+// domain) and the error constructor. FuzzAnalyzeDifferential requires
+// them to agree on every program: the same verdict (error text and
+// VerifyError.PC), the same in-state at every pc and the same
 // conditional-edge feasibility. Do not edit this file to make a change
 // pass; it is the reference.
+//
+// One deliberate change to the reference since: the verifier rejects
+// every backward jump, so the CFG is a DAG in pc order, and the oracle,
+// like Analyze, steps each reached pc once, in pc order, after all its
+// predecessors have merged into it — in place of a LIFO worklist with
+// widening at loop heads. The first error in pc order is the one reported.
 
 type oracleAnalysis struct {
 	states    []oracleState
-	loopHead  []bool
 	condTaken []bool
 	condFall  []bool
 }
@@ -39,33 +44,18 @@ func oracleEntryState() oracleState {
 	return s
 }
 
-// merge joins b into a (with widening when widen is set), reporting
-// whether a changed.
-func (a *oracleState) merge(b *oracleState, widen bool) bool {
+// merge joins b into a.
+func (a *oracleState) merge(b *oracleState) {
 	if !a.valid {
 		*a = *b
-		return true
+		return
 	}
-	changed := false
 	for i := range a.regs {
-		var merged regState
-		if widen {
-			merged = widenReg(a.regs[i], b.regs[i])
-		} else {
-			merged = joinReg(a.regs[i], b.regs[i])
-		}
-		if merged != a.regs[i] {
-			a.regs[i] = merged
-			changed = true
-		}
+		a.regs[i] = joinReg(a.regs[i], b.regs[i])
 	}
 	for i := range a.stackInit {
-		if a.stackInit[i] && !b.stackInit[i] {
-			a.stackInit[i] = false
-			changed = true
-		}
+		a.stackInit[i] = a.stackInit[i] && b.stackInit[i]
 	}
-	return changed
 }
 
 type oracleSucc struct {
@@ -431,9 +421,9 @@ func oracleAnalyze(p *Program, maxInsns int) (*oracleAnalysis, error) {
 		return nil, fmt.Errorf("%w: program has %d instructions, limit %d", ErrVerification, n, maxInsns)
 	}
 
-	a := &oracleAnalysis{loopHead: make([]bool, n)}
+	a := &oracleAnalysis{}
 
-	// Structural pass: opcode validity, jump targets, loop bounds.
+	// Structural pass: opcode validity, jump targets, jump direction.
 	for pc, in := range p.Insns {
 		if in.Op == OpInvalid || opNames[in.Op] == "" {
 			return nil, verr(pc, "invalid opcode %d", in.Op)
@@ -447,10 +437,7 @@ func oracleAnalyze(p *Program, maxInsns int) (*oracleAnalysis, error) {
 				return nil, verr(pc, "jump target %d out of range", tgt)
 			}
 			if tgt <= pc {
-				if in.LoopBound <= 0 {
-					return nil, verr(pc, "backward jump without a compile-time loop bound")
-				}
-				a.loopHead[tgt] = true
+				return nil, verr(pc, "backward jump")
 			}
 		}
 		switch in.Op {
@@ -499,26 +486,20 @@ func oracleAnalyze(p *Program, maxInsns int) (*oracleAnalysis, error) {
 		}
 	}
 
-	// Abstract interpretation to a fixpoint, widening at loop heads.
+	// Abstract interpretation in pc order: every predecessor of a pc comes
+	// before it, so its in-state is final when the pass reaches it.
 	a.states = make([]oracleState, n)
 	a.states[0] = oracleEntryState()
-	work := []int{0}
-	steps := 0
-	for len(work) > 0 {
-		steps++
-		if steps > n*256 {
-			return nil, fmt.Errorf("%w: abstract interpretation did not converge", ErrVerification)
+	for pc := range a.states {
+		if !a.states[pc].valid {
+			continue
 		}
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
 		outs, err := oracleStep(p, pc, a.states[pc])
 		if err != nil {
 			return nil, err
 		}
 		for _, o := range outs {
-			if a.states[o.pc].merge(&o.state, a.loopHead[o.pc]) {
-				work = append(work, o.pc)
-			}
+			a.states[o.pc].merge(&o.state)
 		}
 	}
 

@@ -91,26 +91,29 @@ func TestVerifyFallOffEnd(t *testing.T) {
 	mustReject(t, p, "falls off")
 }
 
-func TestVerifyBackwardJumpWithoutBound(t *testing.T) {
-	p := &Program{Name: "loop", Insns: []Insn{
-		{Op: OpMovImm, Dst: R0, Imm: 0},
-		{Op: OpJa, Off: -2}, // back to insn 0, no bound
-		{Op: OpExit},
-	}}
-	mustReject(t, p, "loop bound")
-}
-
-func TestVerifyBoundedLoopAccepted(t *testing.T) {
-	// for r6 = 0; r6 != 10; r6++ {}
-	p := NewBuilder("boundedloop").
-		Mov(R6, 0).
-		Label("top").
-		Add(R6, 1).
-		JneLoop(R6, 10, "top", 10).
-		Mov(R0, 0).
-		Exit().
-		MustBuild()
-	mustVerify(t, p)
+// TestVerifyRejectsBackEdges: every jump goes forward. A jump to itself or
+// to any earlier pc is rejected, and the error names the jump.
+func TestVerifyRejectsBackEdges(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pc   int
+		jump Insn
+	}{
+		{"self", 1, Insn{Op: OpJa, Off: -1}},
+		{"ja", 1, Insn{Op: OpJa, Off: -2}},
+		{"conditional", 1, Insn{Op: OpJneImm, Dst: R0, Imm: 10, Off: -2}},
+	} {
+		p := &Program{Name: "loop/" + c.name, Insns: []Insn{
+			{Op: OpMovImm, Dst: R0, Imm: 0},
+			c.jump,
+			{Op: OpExit},
+		}}
+		err := Verify(p, 0)
+		var ve *VerifyError
+		if !errors.As(err, &ve) || ve.PC != c.pc || ve.Msg != "backward jump" {
+			t.Errorf("%s: got %v, want insn %d: backward jump", c.name, err, c.pc)
+		}
+	}
 }
 
 func TestVerifyDivisionByZeroImm(t *testing.T) {

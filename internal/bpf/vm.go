@@ -11,13 +11,8 @@ import (
 // bug, not a program bug; the kernel kills the program either way.
 var (
 	ErrRuntime      = errors.New("bpf: runtime fault")
-	ErrInsnBudget   = errors.New("bpf: instruction budget exhausted")
 	ErrNotPerfArray = errors.New("bpf: perf_event_output on non-perf map")
 )
-
-// RuntimeInsnBudget caps executed (not static) instructions per invocation,
-// the runtime backstop behind the verifier's bounded-loop rule.
-const RuntimeInsnBudget = 1 << 20
 
 // Pointer encoding inside 64-bit registers: bit 63 tags memory pointers
 // (object id in bits 62..32, byte address in bits 31..0); bit 62 together
@@ -59,10 +54,10 @@ type LoadedProgram struct {
 	// analysis is the abstract-interpretation result Load verified the
 	// program with, retained so Compile can license its check elisions
 	// from the same proofs (DESIGN.md §9). Compile's decode is its only
-	// reader: a successful Compile sets it to nil — the proof is megabytes
-	// per deployment and nothing reads it again — and a declined one keeps
-	// it. Otherwise nil only for hand-constructed programs that bypassed
-	// Load, which Compile declines.
+	// reader, and Compile sets it to nil whatever the outcome — the proof
+	// is megabytes per deployment and nothing reads it again. Otherwise
+	// nil only for hand-constructed programs that bypassed Load, which
+	// Compile declines.
 	analysis *Analysis
 
 	// compiled is the entry of the native form (compile.go) once Compile
@@ -243,9 +238,6 @@ func (lp *LoadedProgram) runInterp(task *kernel.Task, args []uint64) (uint64, in
 	var helperNS int64
 	pc := 0
 	for {
-		if executed >= RuntimeInsnBudget {
-			return 0, cost(executed, helperNS, profile.BPFInsnNS), ErrInsnBudget
-		}
 		executed++
 		in := p.Insns[pc]
 		switch {

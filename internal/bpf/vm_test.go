@@ -71,27 +71,6 @@ func TestRunNegAndMod(t *testing.T) {
 	}
 }
 
-func TestRunBoundedLoop(t *testing.T) {
-	// Sum 1..100 with a verifier-approved bounded loop.
-	p := NewBuilder("sum").
-		Mov(R6, 0). // i
-		Mov(R7, 0). // sum
-		Label("top").
-		Add(R6, 1).
-		AddReg(R7, R6).
-		JneLoop(R6, 100, "top", 100).
-		MovReg(R0, R7).
-		Exit().MustBuild()
-	ret, cost := runProg(t, p)
-	if ret != 5050 {
-		t.Fatalf("loop sum: got %d want 5050", ret)
-	}
-	// 100 iterations x 3 insns each should dominate the cost.
-	if cost < int64(250*sim.LargeHW.BPFInsnNS) {
-		t.Fatalf("loop cost too low: %d", cost)
-	}
-}
-
 func TestRunStackMemory(t *testing.T) {
 	p := NewBuilder("stack").
 		StoreImm(R10, -8, 41).
@@ -366,25 +345,6 @@ func TestAttachToTracepoint(t *testing.T) {
 	}
 	if lp.Runs() != 1 {
 		t.Fatalf("run count: %d", lp.Runs())
-	}
-}
-
-func TestRuntimeInsnBudget(t *testing.T) {
-	// A verified loop whose declared bound lies: runtime budget stops it.
-	p := &Program{Name: "liar", Insns: []Insn{
-		{Op: OpMovImm, Dst: R0, Imm: 0},
-		// Always-taken backward branch with a lying declared bound; the
-		// exit stays statically reachable via the never-taken fallthrough.
-		{Op: OpJeqImm, Dst: R0, Imm: 0, Off: -2, LoopBound: 1},
-		{Op: OpExit},
-	}}
-	lp, err := Load(p, 0)
-	if err != nil {
-		t.Fatalf("structurally valid: %v", err)
-	}
-	_, _, rerr := lp.Run(testTask(), nil)
-	if !errors.Is(rerr, ErrInsnBudget) {
-		t.Fatalf("runtime budget must trip: %v", rerr)
 	}
 }
 
