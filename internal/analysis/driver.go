@@ -54,13 +54,13 @@ func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
-	// Below a module root, packages outside the root may call its exports.
+	// Below a module root, packages outside the root may use its exports.
 	return runPackages(l, pkgs, suite, prefix == ""), nil
 }
 
 // runPackages runs the suite over loaded packages that share one
-// reference index. closed says no file outside pkgs can reference their
-// exports; unless it holds, unused-export does not run.
+// reference index. closed says no file outside pkgs can use their exports;
+// unless it holds, unused-export and unset-field do not run.
 func runPackages(l *loader, pkgs []*pkgInfo, suite []*Analyzer, closed bool) []Diagnostic {
 	if suite == nil {
 		suite = All()
@@ -68,13 +68,13 @@ func runPackages(l *loader, pkgs []*pkgInfo, suite []*Analyzer, closed bool) []D
 	if !closed {
 		var open []*Analyzer
 		for _, a := range suite {
-			if a.Name != RuleUnusedExport {
+			if a.Name != RuleUnusedExport && a.Name != RuleUnsetField {
 				open = append(open, a)
 			}
 		}
 		suite = open
 	}
-	refs := newRefIndex(pkgs)
+	refs := newRefIndex(l.fset, pkgs)
 	known := knownRules()
 	ran := make(map[string]bool)
 	for _, a := range suite {

@@ -153,33 +153,36 @@ func TestFixtures(t *testing.T) {
 			diffDiags(t, wantedDiags(t, dir), gotDiags(diags), diags)
 		})
 	}
-	// unused-export decides over a whole module, so its fixture is one: a
-	// go.mod and two packages, run from its root through runRoot. The go
-	// tool resolves the fixture's own imports from the working directory.
-	t.Run("unused-export", func(t *testing.T) {
-		root := filepath.Join("testdata", "src", "unused-export")
-		want := make(map[lineKey][]string)
-		for _, pkg := range []string{"lib", filepath.Join("cmd", "app")} {
-			for k, rules := range wantedDiags(t, filepath.Join(root, pkg)) {
-				want[k] = rules
+	// unused-export and unset-field decide over a whole module, so each
+	// fixture is one: a go.mod and two packages, run from its root through
+	// runRoot. The go tool resolves the fixture's own imports from the
+	// working directory.
+	for _, rule := range []string{RuleUnusedExport, RuleUnsetField} {
+		t.Run(rule, func(t *testing.T) {
+			root := filepath.Join("testdata", "src", rule)
+			want := make(map[lineKey][]string)
+			for _, pkg := range []string{"lib", filepath.Join("cmd", "app")} {
+				for k, rules := range wantedDiags(t, filepath.Join(root, pkg)) {
+					want[k] = rules
+				}
 			}
-		}
-		wd, err := os.Getwd()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chdir(root); err != nil {
-			t.Fatal(err)
-		}
-		diags, err := runRoot(testLoader, ".", nil)
-		if err := os.Chdir(wd); err != nil {
-			t.Fatal(err)
-		}
-		if err != nil {
-			t.Fatalf("runRoot: %v", err)
-		}
-		diffDiags(t, want, gotDiags(diags), diags)
-	})
+			wd, err := os.Getwd()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chdir(root); err != nil {
+				t.Fatal(err)
+			}
+			diags, err := runRoot(testLoader, ".", nil)
+			if err := os.Chdir(wd); err != nil {
+				t.Fatal(err)
+			}
+			if err != nil {
+				t.Fatalf("runRoot: %v", err)
+			}
+			diffDiags(t, want, gotDiags(diags), diags)
+		})
+	}
 }
 
 // TestSuppressionFixture pins the suppression layer's behavior on the
@@ -219,11 +222,12 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestSubtreeRunSkipsUnusedExport: below a module root, packages outside
+// TestSubtreeRunSkipsModuleRules: below a module root, packages outside
 // the root may call its exports (kernel.New has callers only outside
-// internal/kernel), so unused-export does not run there, and the kernel's
-// unused-export directives are not reported stale for it.
-func TestSubtreeRunSkipsUnusedExport(t *testing.T) {
+// internal/kernel) and set its fields, so neither unused-export nor
+// unset-field runs there, and the kernel's directives for them are not
+// reported stale.
+func TestSubtreeRunSkipsModuleRules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/kernel; skipped in -short")
 	}

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// refIndex is the one reference walk of a run, shared by unused-func and
-// unused-export: which functions and methods the non-test files of the
-// run's packages name, and which interfaces those packages can see.
+// refIndex is the one reference walk of a run: which functions and methods
+// the non-test files of the run's packages name, which struct fields they
+// set, and which interfaces those packages can see.
 //
 // A package the run type-checks and the copy of it that the source
 // importer hands its importers are different types.Objects, so functions
@@ -24,6 +24,8 @@ type refIndex struct {
 	// package they import (an unexported one there sees only that
 	// package's own values), error, and errorsProtocol.
 	ifaces map[string][]*types.Interface
+	set    map[string]bool // fieldKey of every field some non-test file sets
+	fset   *token.FileSet
 }
 
 // funcKey names fn the same way in every copy of its package: its
@@ -34,8 +36,8 @@ func funcKey(fn *types.Func) string {
 }
 
 // newRefIndex walks every declaration of pkgs once.
-func newRefIndex(pkgs []*pkgInfo) *refIndex {
-	ix := &refIndex{used: make(map[string]bool), ifaces: make(map[string][]*types.Interface)}
+func newRefIndex(fset *token.FileSet, pkgs []*pkgInfo) *refIndex {
+	ix := &refIndex{used: map[string]bool{}, set: map[string]bool{}, ifaces: map[string][]*types.Interface{}, fset: fset}
 	addIface := func(t types.Type) {
 		iface, ok := t.Underlying().(*types.Interface)
 		if !ok {
@@ -71,6 +73,7 @@ func newRefIndex(pkgs []*pkgInfo) *refIndex {
 					self = pkg.Info.Defs[fd.Name]
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
+					ix.noteSets(pkg.Info, self, n)
 					switch n := n.(type) {
 					case *ast.Ident:
 						if fn, ok := pkg.Info.Uses[n].(*types.Func); ok && fn.Origin() != self {

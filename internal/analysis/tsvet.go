@@ -6,7 +6,7 @@
 // global RNG, no map-iteration order leaking into archives, fingerprints,
 // or rendered output) and accounting discipline (no swallowed verification
 // or runtime faults) — and to keep dead code out of the build: a function
-// that only tests call, exported or not, lives in the tests.
+// that only tests call lives in the tests, and a field no caller sets goes.
 //
 // The suite is a set of small analyzers sharing one typed loader (see
 // load.go), one driver (driver.go) and one reference walk (refs.go). Each
@@ -89,6 +89,8 @@ const (
 	// interface: dead in the build, it belongs in the test files that use
 	// it, or nowhere.
 	RuleUnusedExport = "unused-export"
+	// RuleUnsetField flags an exported struct field no non-test file sets.
+	RuleUnsetField = "unset-field"
 	// RuleStaleIgnore reports a //tsvet:ignore directive that suppressed
 	// nothing: the finding it excused is gone, so the directive must go
 	// too.
@@ -172,6 +174,7 @@ func All() []*Analyzer {
 		UnsafeImportAnalyzer,
 		UnusedFuncAnalyzer,
 		UnusedExportAnalyzer,
+		UnsetFieldAnalyzer,
 	}
 }
 

@@ -32,15 +32,19 @@ const (
 	maxRate = 100
 )
 
-// Config tunes the controller. The zero value is usable: drift at 2x
-// baseline error, converge below 1.25x, windowed-forest models.
+// Thresholds on a subsystem's recent/baseline prequential-error ratio.
+const (
+	// driftRatio is the ratio at or above which a subsystem is declared
+	// drifting.
+	driftRatio = 2
+	// convergeRatio is the ratio at or below which a subsystem may
+	// throttle.
+	convergeRatio = 1.25
+)
+
+// Config tunes the controller. The zero value is usable: windowed-forest
+// models, throttling after 200 scored predictions.
 type Config struct {
-	// DriftRatio is the recent/baseline prequential-error ratio at or
-	// above which a subsystem is declared drifting (default 2).
-	DriftRatio float64
-	// ConvergeRatio is the ratio at or below which a subsystem may
-	// throttle (default 1.25).
-	ConvergeRatio float64
 	// MinSamples is the number of scored predictions a subsystem needs
 	// before the controller will throttle it (default 200). Bursting on
 	// drift is never gated — reacting late to drift costs accuracy,
@@ -55,12 +59,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DriftRatio <= 0 {
-		c.DriftRatio = 2
-	}
-	if c.ConvergeRatio <= 0 {
-		c.ConvergeRatio = 1.25
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 200
 	}
@@ -171,7 +169,7 @@ func (c *Controller) retune(sub tscout.SubsystemID) {
 	c.stats.BaselineErrUS[sub] = c.surface.Baseline(sub)
 
 	switch {
-	case ratio >= c.cfg.DriftRatio && samples > 0:
+	case ratio >= driftRatio && samples > 0:
 		// Burst: the models stopped describing this subsystem. Count the
 		// event on the rising edge only, and re-anchor the baseline to
 		// the new error level so the ratio tracks recovery from here.
@@ -185,7 +183,7 @@ func (c *Controller) retune(sub tscout.SubsystemID) {
 			c.ts.Sampler().SetRate(sub, maxRate)
 		}
 		c.stats.Rates[sub] = maxRate
-	case ratio <= c.cfg.ConvergeRatio && samples >= c.cfg.MinSamples:
+	case ratio <= convergeRatio && samples >= c.cfg.MinSamples:
 		// Converged: halve toward the floor — geometric descent reaches
 		// near-zero overhead in a few epochs but never goes blind.
 		c.drifting[sub] = false

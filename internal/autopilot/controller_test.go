@@ -55,10 +55,10 @@ func newDeployment(tb testing.TB, seed int64, par int, cfg Config) *deployment {
 	return d
 }
 
-// cycle emits one sampled OU invocation whose cost is insnPerRow * rows —
-// a law the default forest learns in a handful of epochs.
-func (d *deployment) cycle(m *tscout.Marker, rows int, insnPerRow float64) {
-	d.ts.BeginEvent(d.task, m.OU().Subsystem)
+// cycle emits one sampled invocation of m, registered in sub, whose cost is
+// insnPerRow * rows — a law the default forest learns in a handful of epochs.
+func (d *deployment) cycle(m *tscout.Marker, sub tscout.SubsystemID, rows int, insnPerRow float64) {
+	d.ts.BeginEvent(d.task, sub)
 	m.Begin(d.task)
 	d.task.Charge(sim.Work{Instructions: insnPerRow * float64(rows)})
 	m.End(d.task)
@@ -69,8 +69,8 @@ func (d *deployment) cycle(m *tscout.Marker, rows int, insnPerRow float64) {
 // virtual-time controller epoch.
 func (d *deployment) epoch(rng *rand.Rand, n int, insnPerRow float64) {
 	for i := 0; i < n; i++ {
-		d.cycle(d.scan, 1+rng.Intn(40), insnPerRow)
-		d.cycle(d.wal, 1+rng.Intn(20), insnPerRow)
+		d.cycle(d.scan, tscout.SubsystemExecutionEngine, 1+rng.Intn(40), insnPerRow)
+		d.cycle(d.wal, tscout.SubsystemLogSerializer, 1+rng.Intn(20), insnPerRow)
 	}
 	d.ts.Processor().Drain(tscout.DrainOptions{})
 	d.ctrl.Tick()

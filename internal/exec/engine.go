@@ -27,23 +27,17 @@ const (
 	OUUpdate
 	OUDelete
 	OUOutput
-	OUFusedPipeline
 )
 
 // Engine executes SQL statements against a catalog. Its fields are set by
-// New (and FuseSimpleSelects by whoever assembles the server) before the
-// first statement runs and only read afterwards, but for the result chunks
-// every statement cuts its Result from. All of a server's sessions share one
-// Engine on the one goroutine that drives the simulation (see the sim
-// package doc).
+// New before the first statement runs and only read afterwards, but for the
+// result chunks every statement cuts its Result from. All of a server's
+// sessions share one Engine on the one goroutine that drives the simulation
+// (see the sim package doc).
 type Engine struct {
 	cat     *catalog.Catalog
 	ts      *tscout.TScout
 	markers map[tscout.OUID]*tscout.Marker
-	// FuseSimpleSelects executes scan->filter->output pipelines under a
-	// single measurement with vectorized features (paper §5.2), as a
-	// JIT-compiling engine would.
-	FuseSimpleSelects bool
 	// observe, when set, is shown every Run after it returns. It is the
 	// differential tests' tap on statements that arrive through the dbms.
 	observe func(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error)
@@ -72,7 +66,6 @@ func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
 		{OUUpdate, "update", []string{"num_rows", "row_bytes", "num_indexes"}},
 		{OUDelete, "delete", []string{"num_rows", "num_indexes"}},
 		{OUOutput, "output", []string{"num_rows", "num_bytes"}},
-		{OUFusedPipeline, "fused_pipeline", []string{"num_ous"}},
 	}
 	for _, d := range defs {
 		m, err := ts.RegisterOU(tscout.OUDef{
@@ -95,12 +88,6 @@ func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
 type Ctx struct {
 	Task *kernel.Task
 	Txn  *txn.Txn
-
-	// fused is set while a fused pipeline's operators run: one measurement
-	// covers the pipeline, so their markers neither begin nor end, and
-	// ouFeatures records each operator's features in parts instead.
-	fused bool
-	parts []tscout.FusedPart
 
 	// Statement scratch: memory an execution needs only until it returns.
 	// Run resets it at the statement boundary. Nothing in it is ever
@@ -240,26 +227,20 @@ func (r *Result) Bytes() int64 {
 // begin/end/features helpers tolerate nil markers (uninstrumented runs).
 func (e *Engine) ouBegin(ctx *Ctx, id tscout.OUID) *tscout.Marker {
 	m := e.markers[id]
-	if m != nil && !ctx.fused {
+	if m != nil {
 		m.Begin(ctx.Task)
 	}
 	return m
 }
 
 func ouEnd(ctx *Ctx, m *tscout.Marker) {
-	if m != nil && !ctx.fused {
+	if m != nil {
 		m.End(ctx.Task)
 	}
 }
 
-// ouFeatures emits an OU's features, or inside a fused pipeline records
-// them as the pipeline's part for that OU: the same words either way.
 func ouFeatures(ctx *Ctx, m *tscout.Marker, alloc int64, feats ...uint64) {
-	switch {
-	case m == nil:
-	case ctx.fused:
-		ctx.parts = append(ctx.parts, tscout.FusedPart{OU: m.OU().ID, Features: append([]uint64(nil), feats...)})
-	default:
+	if m != nil {
 		m.Features(ctx.Task, alloc, feats...)
 	}
 }

@@ -416,88 +416,6 @@ func TestInstrumentedQueryEmitsOUTrainingData(t *testing.T) {
 	}
 }
 
-func TestFusedPipelineEmitsVectorizedFeatures(t *testing.T) {
-	db := newTestDB(t, true)
-	db.seed(t, 20)
-	db.engine.FuseSimpleSelects = true
-	db.ts.Processor().Reset()
-	db.run(t, "SELECT id FROM accounts WHERE id = 3")
-	pts := db.drainPoints(t)
-	// The fused sample expands into per-OU points (index_scan + output).
-	names := map[string]int{}
-	for _, p := range pts {
-		names[p.OUName]++
-	}
-	if names["index_scan"] != 1 || names["output"] != 1 {
-		t.Fatalf("fused expansion: %v", names)
-	}
-	if names["fused_pipeline"] != 0 {
-		t.Fatalf("the pipeline itself is not a training point: %v", names)
-	}
-	// Correctness unchanged.
-	res := db.run(t, "SELECT balance FROM accounts WHERE id = 3")
-	if res.Rows[0][0].AsFloat() != 103 {
-		t.Fatalf("fused result: %+v", res.Rows)
-	}
-}
-
-// TestFusedSelectLeavesOtherSessionsMarkers: a fused select turns its own
-// operators' markers off, nobody else's. One session runs fused selects
-// while another, on the same Engine, runs UPDATEs whose index_scan, filter
-// and update OUs must each produce their training point. A seeded
-// kernel.Interleaver alternates the sessions a transaction per quantum, so
-// they interleave on every run. (The bit used to be a write to the shared
-// Engine.)
-func TestFusedSelectLeavesOtherSessionsMarkers(t *testing.T) {
-	db := newTestDB(t, true)
-	db.seed(t, 20)
-	db.engine.FuseSimpleSelects = true
-	db.drainPoints(t)
-
-	sel, err := db.engine.Prepare(mustParse(t, "SELECT id FROM accounts WHERE balance >= 110"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	upd, err := db.engine.Prepare(mustParse(t, "UPDATE branches SET total = total + 1 WHERE id = $1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const updates = 200
-	updater := db.k.NewTask("updater")
-	session := func(task *kernel.Task, p *Prepared, params func(i int) []storage.Value) func(i int) {
-		ctx := &Ctx{Task: task}
-		return func(i int) {
-			ctx.Txn = db.mgr.Begin()
-			db.ts.BeginEvent(task, tscout.SubsystemExecutionEngine)
-			if _, err := db.engine.Run(ctx, p, params(i)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := ctx.Txn.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	iv := db.k.NewInterleaver(1)
-	iv.AddOn("select", 0, 4*updates, session(db.task, sel, func(int) []storage.Value { return nil }))
-	iv.AddOn("update", 0, updates, session(updater, upd, func(i int) []storage.Value {
-		return []storage.Value{storage.NewInt(int64(i % 5))}
-	}))
-	// 1 400 samples in all: the ring (4 096) holds them until the drain.
-	iv.Run()
-
-	fired := map[string]int{}
-	for _, p := range db.drainPoints(t) {
-		if p.PID == updater.PID {
-			fired[p.OUName]++
-		}
-	}
-	for _, ou := range []string{"index_scan", "filter", "update"} {
-		if fired[ou] != updates {
-			t.Errorf("%d UPDATEs beside a fused select produced %d %s points", updates, fired[ou], ou)
-		}
-	}
-}
-
 func TestQueryChargesVirtualTime(t *testing.T) {
 	db := newTestDB(t, false)
 	db.seed(t, 100)

@@ -247,9 +247,6 @@ type selectPlan struct {
 	cols  []string
 	sort  []sortKey
 	limit int // -1 when absent
-	// fusable says the statement is a scan(+filter)+output pipeline the
-	// engine may run under one measurement (Engine.FuseSimpleSelects).
-	fusable bool
 }
 
 // joinPlan is one analyzed JOIN clause.
@@ -273,11 +270,7 @@ func (e *Engine) analyzeSelect(s *sql.SelectStmt) (*selectPlan, error) {
 		return nil, err
 	}
 	aggregates := hasAggs(s) || len(s.GroupBy) > 0
-	sp := &selectPlan{
-		limit: s.Limit,
-		// Virtual tables never fuse — their scan is already columnar.
-		fusable: tbl.Virtual == nil && len(s.Joins) == 0 && !aggregates && len(s.OrderBy) == 0,
-	}
+	sp := &selectPlan{limit: s.Limit}
 	tables := []boundTable{{s.From.Binding(), tbl.Schema()}}
 	rel := newRelation(tables...)
 	preds, deferred, err := resolvePreds(s.Where, rel)

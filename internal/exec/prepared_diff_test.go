@@ -56,10 +56,9 @@ func (m *memVirtual) Scan(proj []int, _ []catalog.VirtualPred, fn func(storage.R
 // a unique hash index between them, plus a virtual table. Column names
 // repeat across tables (id, grp, qty) so bare references in a join can be
 // ambiguous.
-func newDiffDB(t testing.TB, instrumented, fuse bool) *testDB {
+func newDiffDB(t testing.TB, instrumented bool) *testDB {
 	t.Helper()
 	db := newEmptyTestDB(t, instrumented)
-	db.engine.FuseSimpleSelects = fuse
 	rows := func(n int, row func(i int) string) string {
 		var out []string
 		for i := 0; i < n; i++ {
@@ -295,8 +294,8 @@ type specHarness struct {
 	countJoins           int
 }
 
-func newSpecHarness(t testing.TB, instrumented, fuse bool) *specHarness {
-	db := newDiffDB(t, instrumented, fuse)
+func newSpecHarness(t testing.TB, instrumented bool) *specHarness {
+	db := newDiffDB(t, instrumented)
 	return &specHarness{db: db, model: specFrom(db.cat, db.mgr), paths: map[string]int{}}
 }
 
@@ -815,21 +814,20 @@ var diffCases = []struct {
 }
 
 // TestPreparedMatchesSpec holds Prepare/Run to the spec over the hand-written
-// cases and a seeded stream from the grammar, on a plain, a fused and an
+// cases and a seeded stream from the grammar, on a plain and an
 // instrumented database whose state evolves, partitioning every SELECT. The
 // benchmark generators run the same comparison in prepared_workload_test.go.
 func TestPreparedMatchesSpec(t *testing.T) {
 	for _, cfg := range []struct {
-		name               string
-		instrumented, fuse bool
-		statements         int
+		name         string
+		instrumented bool
+		statements   int
 	}{
-		{"plain", false, false, 3000},
-		{"fused", true, true, 600},
-		{"instrumented", true, false, 600},
+		{"plain", false, 3000},
+		{"instrumented", true, 600},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			h := newSpecHarness(t, cfg.instrumented, cfg.fuse)
+			h := newSpecHarness(t, cfg.instrumented)
 			run := func(text string, params []storage.Value) {
 				stmt, err := sql.Parse(text)
 				if err != nil {
@@ -877,7 +875,7 @@ func TestPreparedMatchesSpec(t *testing.T) {
 // is rejected by analysis, with the spec's text, before it has charged
 // anything or opened an OU (compare checks both).
 func TestAnalysisRejectsBeforeWork(t *testing.T) {
-	h := newSpecHarness(t, true, false)
+	h := newSpecHarness(t, true)
 	for _, q := range []string{
 		"SELECT nosuch FROM items",
 		"INSERT INTO regions (rid) VALUES (1, 2)",
@@ -901,7 +899,7 @@ func TestAnalysisRejectsBeforeWork(t *testing.T) {
 // out twice, and no append reached a later result's rows. Cols is shared
 // and read-only, so it is only read.
 func TestPreparedIsReusable(t *testing.T) {
-	db := newDiffDB(t, false, false)
+	db := newDiffDB(t, false)
 	sel, err := db.engine.Prepare(mustParse(t, "SELECT name, id, qty FROM items WHERE id = $1"))
 	if err != nil {
 		t.Fatal(err)
@@ -949,8 +947,10 @@ func TestPreparedIsReusable(t *testing.T) {
 }
 
 // FuzzPreparedDifferential: bytes → one statement from the grammar and its
-// parameters → a fresh instrumented database, fused or not, and its model.
-// Any difference from the spec, or a SELECT its partitions miss, fails.
+// parameters → a fresh instrumented database and its model. Any difference
+// from the spec, or a SELECT its partitions miss, fails. Byte 0 once chose a
+// fused engine and is still skipped, so the checked-in corpus replays the
+// statements it was minimized for.
 func FuzzPreparedDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 24; i++ {
@@ -968,7 +968,7 @@ func FuzzPreparedDifferential(f *testing.F) {
 		if err != nil {
 			return
 		}
-		newSpecHarness(t, true, data[0]&1 == 1).exec(t, stmt, params)
+		newSpecHarness(t, true).exec(t, stmt, params)
 		if t.Failed() {
 			t.Logf("statement: %s  params: %v", text, params)
 		}

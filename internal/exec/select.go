@@ -11,12 +11,6 @@ import (
 )
 
 func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
-	// Fused path (§5.2): a simple scan pipeline executed under one
-	// measurement, emitting vectorized features.
-	if e.FuseSimpleSelects && sp.fusable {
-		return sp.runFused(e, ctx, params)
-	}
-
 	// Row headers move through ctx.rows: cur is the slot holding the rows
 	// so far, slot 1 each joined table in turn, and a join writes into the
 	// third, which cur then becomes. n counts the rows so far, which a
@@ -481,37 +475,4 @@ func (e *Engine) emitOutput(ctx *Ctx, res *Result) {
 	})
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, bytes, uint64(len(res.Rows)), uint64(bytes))
-}
-
-// runFused runs scan(+filter)+output as one fused pipeline with a single
-// metrics measurement and a vectorized FEATURES record (§5.2).
-func (sp *selectPlan) runFused(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
-	ap, err := sp.from.bind(ctx, params)
-	if err != nil {
-		return nil, err
-	}
-
-	pm := e.markers[OUFusedPipeline]
-	if pm != nil {
-		pm.Begin(ctx.Task)
-	}
-	// Run the pipeline WITHOUT per-OU markers: one measurement covers it,
-	// and each operator's features become one part of its vector. The bit
-	// travels on this statement's Ctx; the engine's markers belong to every
-	// session.
-	ctx.fused, ctx.parts = true, ctx.parts[:0]
-	rows := e.scanRows(ctx, &ap, 0)
-	res := sp.project(e, rows)
-	if sp.limit >= 0 && len(res.Rows) > sp.limit {
-		res.Rows = res.Rows[:sp.limit]
-	}
-	e.emitOutput(ctx, res)
-	ctx.fused = false
-	if pm != nil {
-		pm.End(ctx.Task)
-		if err := pm.FeaturesVector(ctx.Task, res.Bytes(), ctx.parts); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }

@@ -4,10 +4,11 @@ import "tscout/internal/sim"
 
 // IOAccounting mirrors the Linux task_struct ioac fields that TScout's disk
 // probe reads (paper §4.4): cumulative bytes read and written via block IO.
+// The in-memory DBMS never reads its disk, so nothing sets the read fields.
 type IOAccounting struct {
-	ReadBytes  int64
+	ReadBytes  int64 //tsvet:ignore unset-field the disk probe reads it (§4.4)
 	WriteBytes int64
-	ReadOps    int64
+	ReadOps    int64 //tsvet:ignore unset-field the disk probe reads it (§4.4)
 	WriteOps   int64
 }
 
@@ -105,20 +106,13 @@ func (t *Task) Charge(w sim.Work) int64 {
 	cpuNS := p.CyclesToNS(n.Apply(cycles))
 
 	var ioNS int64
-	if w.DiskOps > 0 || w.DiskReadBytes > 0 || w.DiskWriteBytes > 0 {
+	if w.DiskOps > 0 || w.DiskWriteBytes > 0 {
 		ioNS += w.DiskOps * p.DiskLatencyNS
-		if w.DiskReadBytes > 0 {
-			ioNS += int64(float64(w.DiskReadBytes) / p.DiskReadBytesPerNS)
-		}
 		if w.DiskWriteBytes > 0 {
 			ioNS += int64(float64(w.DiskWriteBytes) / p.DiskWriteBytesPerNS)
 		}
 		ioNS = n.ApplyNS(ioNS)
-		t.IOAC.ReadBytes += w.DiskReadBytes
 		t.IOAC.WriteBytes += w.DiskWriteBytes
-		if w.DiskReadBytes > 0 {
-			t.IOAC.ReadOps += maxI64(1, w.DiskOps)
-		}
 		if w.DiskWriteBytes > 0 {
 			t.IOAC.WriteOps += maxI64(1, w.DiskOps)
 		}

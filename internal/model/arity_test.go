@@ -107,32 +107,26 @@ func TestFromArchiveMixedArity(t *testing.T) {
 
 // TestTrainMixedArity is the model-partition regression: training on
 // mixed-arity data must fit one model per (OU, arity) — under the old
-// OU-only grouping Ridge rejected the inconsistent design matrix and the
-// forest read short rows out of range.
+// OU-only grouping the forest read short rows out of range.
 func TestTrainMixedArity(t *testing.T) {
 	points := FromTrainingPoints(mixedArityPoints(), []float64{3.5})
-	for _, trainer := range []Trainer{
-		Ridge{Lambda: 1e-3},
-		Forest{Trees: 4, MaxDepth: 6, Seed: 7},
-	} {
-		set, err := Train(points, trainer)
-		if err != nil {
-			t.Fatalf("%T on mixed-arity data: %v", trainer, err)
+	set, err := Train(points, Forest{Trees: 4, MaxDepth: 6, Seed: 7})
+	if err != nil {
+		t.Fatalf("mixed-arity data: %v", err)
+	}
+	// Every regime predicts through its own model, and predictions are sane
+	// (finite, non-negative) for every arity.
+	for _, p := range points {
+		v := set.Predict(p)
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Fatalf("Predict(arity %d) = %v", len(p.Features), v)
 		}
-		// Every regime predicts through its own model, and predictions
-		// are sane (finite, non-negative) for every arity.
-		for _, p := range points {
-			v := set.Predict(p)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Fatalf("%T: Predict(arity %d) = %v", trainer, len(p.Features), v)
-			}
-		}
-		// An arity never seen in training falls back instead of feeding a
-		// differently-shaped vector to some other regime's model.
-		unseen := Point{OU: 7, Sub: tscout.SubsystemExecutionEngine,
-			Features: []float64{1, 2, 3, 4, 5, 6}}
-		if got := set.Predict(unseen); got != set.fallback {
-			t.Fatalf("unseen arity predicted %v, want fallback %v", got, set.fallback)
-		}
+	}
+	// An arity never seen in training falls back instead of feeding a
+	// differently-shaped vector to some other regime's model.
+	unseen := Point{OU: 7, Sub: tscout.SubsystemExecutionEngine,
+		Features: []float64{1, 2, 3, 4, 5, 6}}
+	if got := set.Predict(unseen); got != set.fallback {
+		t.Fatalf("unseen arity predicted %v, want fallback %v", got, set.fallback)
 	}
 }

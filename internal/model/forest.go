@@ -14,8 +14,6 @@ type Forest struct {
 	Trees int
 	// MaxDepth bounds tree depth (default 12).
 	MaxDepth int
-	// MinSamples is the minimum node size to split (default 4).
-	MinSamples int
 	// Seed drives bootstrapping.
 	Seed int64
 }
@@ -34,12 +32,8 @@ func (f Forest) maxDepth() int {
 	return f.MaxDepth
 }
 
-func (f Forest) minSamples() int {
-	if f.MinSamples <= 0 {
-		return 4
-	}
-	return f.MinSamples
-}
+// minSplitSize is the smallest node either forest splits.
+const minSplitSize = 4
 
 // Train implements Trainer.
 func (f Forest) Train(X [][]float64, y []float64) (Model, error) {
@@ -54,7 +48,7 @@ func (f Forest) Train(X [][]float64, y []float64) (Model, error) {
 	ens := &forestModel{}
 	for t := 0; t < f.trees(); t++ {
 		bootstrap(idx, rng)
-		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, &sc, 0)
+		tree := buildTree(X, y, idx, f.maxDepth(), minSplitSize, mtry, rng, &sc, 0)
 		ens.trees = append(ens.trees, tree)
 	}
 	return ens, nil

@@ -33,22 +33,19 @@ type OnlineModel interface {
 }
 
 // WindowedForest is a random forest over a sliding window: Observe keeps
-// the last Window rows, Refresh rebuilds only RefreshTrees of the Trees
+// the last windowRows rows, Refresh rebuilds only RefreshTrees of the Trees
 // ensemble slots (round-robin) on the current window — the windowed fit
 // of the tentpole. Old regimes age out of the window and then out of the
 // ensemble one refresh at a time, so a drifted workload is relearned in
 // Trees/RefreshTrees refreshes without ever retraining the whole forest.
 type WindowedForest struct {
-	// Window is the number of rows retained (default 2048).
-	Window int
 	// Trees is the ensemble size (default 8).
 	Trees int
 	// RefreshTrees is how many slots one Refresh rebuilds (default
 	// max(1, Trees/4)).
 	RefreshTrees int
-	// MaxDepth and MinSamples bound the trees (defaults 10 and 4).
-	MaxDepth   int
-	MinSamples int
+	// MaxDepth bounds the trees (default 10).
+	MaxDepth int
 	// Seed drives bootstrapping; the tree built for slot s at refresh g is
 	// a pure function of (Seed, s, g), keeping refreshes deterministic
 	// regardless of wall time or map order.
@@ -69,12 +66,8 @@ type WindowedForest struct {
 	sc  splitScratch
 }
 
-func (f *WindowedForest) window() int {
-	if f.Window <= 0 {
-		return 2048
-	}
-	return f.Window
-}
+// windowRows is the number of rows a WindowedForest retains.
+const windowRows = 2048
 
 func (f *WindowedForest) ensemble() int {
 	if f.Trees <= 0 {
@@ -101,24 +94,16 @@ func (f *WindowedForest) maxDepth() int {
 	return f.MaxDepth
 }
 
-func (f *WindowedForest) minSamples() int {
-	if f.MinSamples <= 0 {
-		return 4
-	}
-	return f.MinSamples
-}
-
 // Observe implements OnlineModel.
 func (f *WindowedForest) Observe(x []float64, y float64) {
-	w := f.window()
 	if f.xs == nil {
-		f.xs = make([][]float64, w)
-		f.ys = make([]float64, w)
+		f.xs = make([][]float64, windowRows)
+		f.ys = make([]float64, windowRows)
 	}
 	f.xs[f.next] = append(f.xs[f.next][:0], x...)
 	f.ys[f.next] = y
 	f.next++
-	if f.next == w {
+	if f.next == windowRows {
 		f.next = 0
 		f.full = true
 	}
@@ -127,12 +112,12 @@ func (f *WindowedForest) Observe(x []float64, y float64) {
 }
 
 // Refit implements OnlineModel: rebuild RefreshTrees ensemble slots on
-// the current window. Cost is bounded by Window and RefreshTrees — never
+// the current window. Cost is bounded by windowRows and RefreshTrees — never
 // by the archive.
 func (f *WindowedForest) Refit() error {
 	rows := f.next
 	if f.full {
-		rows = f.window()
+		rows = windowRows
 	}
 	if rows == 0 {
 		return ErrNoData
@@ -159,7 +144,7 @@ func (f *WindowedForest) Refit() error {
 		for j, r := range idx {
 			idx[j] = (oldest + r) % rows
 		}
-		tree := buildTree(X, y, idx, f.maxDepth(), f.minSamples(), mtry, rng, &f.sc, 0)
+		tree := buildTree(X, y, idx, f.maxDepth(), minSplitSize, mtry, rng, &f.sc, 0)
 		if len(f.trees) < f.ensemble() {
 			f.trees = append(f.trees, tree)
 		} else {

@@ -9,46 +9,22 @@ import (
 	"tscout/internal/tscout"
 )
 
-// batchRidge is these tests' linear OnlineModel: it keeps every row and
-// refits a batch Ridge over all of them, the running mean standing in
-// until a refit succeeds.
-type batchRidge struct {
-	lambda float64
-	X      [][]float64
-	y      []float64
-	sum    float64
-	fit    Model
-}
+// errRefit is what failingModel's every Refit returns.
+var errRefit = errors.New("model: refit failed")
 
-func (r *batchRidge) Observe(x []float64, y float64) {
-	r.X, r.y, r.sum = append(r.X, append([]float64(nil), x...)), append(r.y, y), r.sum+y
-}
+// failingModel is an OnlineModel that cannot refit.
+type failingModel struct{ n int64 }
 
-func (r *batchRidge) Refit() error {
-	m, err := Ridge{Lambda: r.lambda}.Train(r.X, r.y)
-	if err == nil {
-		r.fit = m
-	}
-	return err
-}
-
-func (r *batchRidge) Predict(x []float64) float64 {
-	if r.fit != nil {
-		return r.fit.Predict(x)
-	}
-	if len(r.y) == 0 {
-		return 0
-	}
-	return r.sum / float64(len(r.y))
-}
-
-func (r *batchRidge) N() int64 { return int64(len(r.y)) }
+func (m *failingModel) Observe([]float64, float64) { m.n++ }
+func (m *failingModel) Refit() error               { return errRefit }
+func (m *failingModel) Predict([]float64) float64  { return 0 }
+func (m *failingModel) N() int64                   { return m.n }
 
 // TestWindowedForestAdaptsToDrift: after a regime change fills the
 // window, successive partial refreshes move predictions to the new
 // regime — without a full retrain and with the old regime aged out.
 func TestWindowedForestAdaptsToDrift(t *testing.T) {
-	f := &WindowedForest{Window: 256, Trees: 8, RefreshTrees: 2, MaxDepth: 6, Seed: 11}
+	f := &WindowedForest{Trees: 8, RefreshTrees: 2, MaxDepth: 6, Seed: 11}
 	rng := rand.New(rand.NewSource(3))
 
 	feed := func(slope float64, n int) {
@@ -67,7 +43,7 @@ func TestWindowedForestAdaptsToDrift(t *testing.T) {
 	}
 
 	// Regime A: y = 3x. Refresh enough times to populate all 8 slots.
-	feed(3, 256)
+	feed(3, windowRows)
 	for i := 0; i < 4; i++ {
 		if err := f.Refit(); err != nil {
 			t.Fatal(err)
@@ -78,7 +54,7 @@ func TestWindowedForestAdaptsToDrift(t *testing.T) {
 	}
 
 	// Regime B: y = 10x floods the window.
-	feed(10, 256)
+	feed(10, windowRows)
 	before := regimeErr(10)
 	for i := 0; i < 4; i++ { // 4 refreshes × 2 trees = full ensemble turnover
 		if err := f.Refit(); err != nil {
@@ -99,10 +75,10 @@ func TestWindowedForestAdaptsToDrift(t *testing.T) {
 // a pure function of (Seed, slot, refresh generation).
 func TestWindowedForestDeterministic(t *testing.T) {
 	build := func() *WindowedForest {
-		f := &WindowedForest{Window: 128, Trees: 6, RefreshTrees: 2, MaxDepth: 5, Seed: 99}
+		f := &WindowedForest{Trees: 6, RefreshTrees: 2, MaxDepth: 5, Seed: 99}
 		rng := rand.New(rand.NewSource(17))
 		for r := 0; r < 5; r++ {
-			for i := 0; i < 64; i++ {
+			for i := 0; i < windowRows/4; i++ {
 				x := rng.Float64() * 50
 				f.Observe([]float64{x, x * x}, 2*x+0.1*x*x)
 			}
@@ -151,7 +127,7 @@ func TestErrorSurfaceDrift(t *testing.T) {
 // falls as models converge, mixed arities get separate models, and the
 // metric agrees with the shared template-grouped evaluator.
 func TestOnlineSetPrequential(t *testing.T) {
-	set := NewOnlineSet(func() OnlineModel { return &batchRidge{lambda: 1e-3} })
+	set := NewOnlineSet(func() OnlineModel { return &WindowedForest{Seed: 1} })
 	var surface ErrorSurface
 
 	mk := func(i int) Point {
@@ -215,7 +191,7 @@ func TestOnlineSetPrequential(t *testing.T) {
 // the models after it nor goes unreported.
 func TestOnlineSetRefitReportsFailure(t *testing.T) {
 	forest := &WindowedForest{Seed: 1}
-	models := []OnlineModel{&batchRidge{lambda: 1e-30}, forest}
+	models := []OnlineModel{&failingModel{}, forest}
 	set := NewOnlineSet(func() OnlineModel {
 		m := models[0]
 		models = models[1:]
@@ -225,33 +201,32 @@ func TestOnlineSetRefitReportsFailure(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		x := float64(i % 4)
 		pts = append(pts,
-			// A constant column beside the bias: singular at this lambda.
 			Point{OU: 1, Features: []float64{2}, TargetUS: 5},
 			Point{OU: 2, Features: []float64{x}, TargetUS: 10 * x})
 	}
 	set.ObservePrequential(pts, nil)
-	if err := set.Refit(); err == nil || errors.Is(err, ErrNoData) {
-		t.Fatalf("Refit over a singular ridge returned %v", err)
+	if err := set.Refit(); !errors.Is(err, errRefit) {
+		t.Fatalf("Refit over a failing model returned %v", err)
 	}
 	if got := forest.Predict([]float64{3}); math.Abs(got-30) > 1 {
-		t.Fatalf("the forest after the failing ridge predicts %v for 30: not refitted", got)
+		t.Fatalf("the forest after the failing model predicts %v for 30: not refitted", got)
 	}
 }
 
 // TestWindowedForestRefitAllocations: on a full window a refit allocates
 // what it returns and nothing for the window, the sample or the split
-// scratch. With stumps that is twelve whatever the window and the arity: an
-// rng, its source, three nodes and the root's permutation, twice.
+// scratch. With stumps that is twelve whatever the arity: an rng, its
+// source, three nodes and the root's permutation, twice.
 func TestWindowedForestRefitAllocations(t *testing.T) {
-	for _, c := range []struct{ window, arity int }{{256, 2}, {2048, 7}} {
-		f := &WindowedForest{Window: c.window, Trees: 4, RefreshTrees: 2, MaxDepth: 1, Seed: 3}
-		rng := rand.New(rand.NewSource(int64(c.window)))
-		x := make([]float64, c.arity)
-		for i := 0; i < c.window+c.window/2; i++ {
+	for _, arity := range []int{2, 7} {
+		f := &WindowedForest{Trees: 4, RefreshTrees: 2, MaxDepth: 1, Seed: 3}
+		rng := rand.New(rand.NewSource(windowRows))
+		x := make([]float64, arity)
+		for i := 0; i < windowRows+windowRows/2; i++ {
 			for j := range x {
 				x[j] = float64(rng.Intn(20))
 			}
-			f.Observe(x, 3*x[0]+x[c.arity-1]+rng.NormFloat64())
+			f.Observe(x, 3*x[0]+x[arity-1]+rng.NormFloat64())
 		}
 		if err := f.Refit(); err != nil {
 			t.Fatal(err)
@@ -259,11 +234,11 @@ func TestWindowedForestRefitAllocations(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, func() { _ = f.Refit() })
 		for _, tree := range f.trees {
 			if tree.leaf {
-				t.Fatalf("window %d, arity %d: a tree did not split", c.window, c.arity)
+				t.Fatalf("arity %d: a tree did not split", arity)
 			}
 		}
 		if allocs > 12 {
-			t.Errorf("window %d, arity %d: %v allocations a refit, want 12", c.window, c.arity, allocs)
+			t.Errorf("arity %d: %v allocations a refit, want 12", arity, allocs)
 		}
 	}
 }

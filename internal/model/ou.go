@@ -65,9 +65,9 @@ func quantize(v float64) int {
 // that changes a subsystem's resource mask mid-run re-registers its OUs
 // with a different feature width, so one archive can hold the same OU at
 // several arities. Grouping by OU alone silently mixed those regimes into
-// one design matrix: Ridge rejected the inconsistent widths outright, and
-// the forest indexed short rows out of range or ignored the extra
-// features — feature i means different things under different masks.
+// one design matrix: the forest indexed short rows out of range or ignored
+// the extra features — feature i means different things under different
+// masks.
 type ouKey struct {
 	ou    tscout.OUID
 	arity int

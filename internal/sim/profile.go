@@ -38,10 +38,9 @@ type HardwareProfile struct {
 	// MissPenaltyCycles is the cost of an LLC miss in core cycles.
 	MissPenaltyCycles float64
 
-	// DiskWriteBytesPerNS and DiskReadBytesPerNS are the sequential
-	// throughput of the storage device.
+	// DiskWriteBytesPerNS is the sequential write throughput of the
+	// storage device.
 	DiskWriteBytesPerNS float64
-	DiskReadBytesPerNS  float64
 	// DiskLatencyNS is the fixed setup latency of one IO request.
 	DiskLatencyNS int64
 
@@ -81,7 +80,6 @@ var LargeHW = HardwareProfile{
 	CacheLineBytes:      64,
 	MissPenaltyCycles:   160,
 	DiskWriteBytesPerNS: 1.4, // ~1.4 GB/s sequential write
-	DiskReadBytesPerNS:  3.0,
 	DiskLatencyNS:       22_000,
 	NetBytesPerNS:       2.5,
 	NetLatencyNS:        4_500,
@@ -107,7 +105,6 @@ var SmallHW = HardwareProfile{
 	CacheLineBytes:      64,
 	MissPenaltyCycles:   190,
 	DiskWriteBytesPerNS: 0.9,
-	DiskReadBytesPerNS:  1.8,
 	DiskLatencyNS:       35_000,
 	NetBytesPerNS:       1.8,
 	NetLatencyNS:        6_000,

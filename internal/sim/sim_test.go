@@ -157,8 +157,7 @@ func TestProfilesDistinct(t *testing.T) {
 	}
 }
 
-// Add accumulates other into w (used by fused pipelines that execute
-// several OUs under one measurement, paper §5.2).
+// Add accumulates other into w.
 func (w *Work) Add(other Work) {
 	w.Instructions += other.Instructions
 	w.BytesTouched += other.BytesTouched
@@ -169,7 +168,6 @@ func (w *Work) Add(other Work) {
 		w.RandomAccessFraction = other.RandomAccessFraction
 	}
 	w.AllocBytes += other.AllocBytes
-	w.DiskReadBytes += other.DiskReadBytes
 	w.DiskWriteBytes += other.DiskWriteBytes
 	w.DiskOps += other.DiskOps
 	w.NetRecvBytes += other.NetRecvBytes
@@ -180,8 +178,7 @@ func (w *Work) Add(other Work) {
 // IsZero reports whether the descriptor carries no work at all.
 func (w Work) IsZero() bool {
 	return w.Instructions == 0 && w.BytesTouched == 0 && w.AllocBytes == 0 &&
-		w.DiskReadBytes == 0 && w.DiskWriteBytes == 0 &&
-		w.NetRecvBytes == 0 && w.NetSendBytes == 0
+		w.DiskWriteBytes == 0 && w.NetRecvBytes == 0 && w.NetSendBytes == 0
 }
 
 func TestWorkAdd(t *testing.T) {

@@ -22,9 +22,8 @@ type Work struct {
 	// AllocBytes is memory allocated during the unit (tracked by the
 	// user-level memory probe, paper §4.2).
 	AllocBytes int64
-	// DiskReadBytes and DiskWriteBytes are block-IO volumes issued
-	// during the unit.
-	DiskReadBytes  int64
+	// DiskWriteBytes is the block-IO volume written during the unit; the
+	// in-memory DBMS never reads its disk.
 	DiskWriteBytes int64
 	// DiskOps is the number of distinct IO requests.
 	DiskOps int64

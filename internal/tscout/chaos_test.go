@@ -148,13 +148,10 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 	p := ts.Processor()
 	var ctrl *autopilot.Controller
 	if cfg.autopilot {
-		// Converge at once and never declare drift: every tick halves the
-		// rate toward the floor, so the run sweeps the whole rate range.
-		ctrl = autopilot.New(ts, aw, autopilot.Config{
-			MinSamples:    1,
-			ConvergeRatio: 1e9,
-			DriftRatio:    1e12,
-		})
+		// Throttle from the first scored prediction, at the default
+		// thresholds: runScenario needs the controller to engage, throttle
+		// some subsystem and record the mid-run hardware-change burst.
+		ctrl = autopilot.New(ts, aw, autopilot.Config{MinSamples: 1})
 	}
 	// Every drain leaves each point it produced delivered, parked for
 	// retry or counted lost.

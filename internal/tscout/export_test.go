@@ -1,5 +1,8 @@
 package tscout
 
+// OU returns the marker's OU definition.
+func (m *Marker) OU() *OUDef { return m.def }
+
 // Undeploy detaches all Collector programs, so they can be modified and
 // reloaded without restarting the DBMS (dynamic feature selection, §5.4).
 func (ts *TScout) Undeploy() {

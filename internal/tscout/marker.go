@@ -37,9 +37,6 @@ type Marker struct {
 	idArg []uint64
 }
 
-// OU returns the marker's OU definition.
-func (m *Marker) OU() *OUDef { return m.def }
-
 // Begin starts metrics collection for one OU invocation.
 func (m *Marker) Begin(t *kernel.Task) {
 	st := m.ts.taskStateFor(t)

@@ -76,9 +76,9 @@ type ProcessorStats struct {
 	// FeedbackActions counts §3.2 sampling-rate reductions taken.
 	FeedbackActions int64
 	// FlushQueueDrops is always zero (no flush queue); the ledger's gate reads it.
-	FlushQueueDrops int64
+	FlushQueueDrops int64 //tsvet:ignore unset-field read by benchmark/ until ROADMAP item 1(a)
 	// PendingFlush is always zero (no flush queue); the ledger's gate reads it.
-	PendingFlush int
+	PendingFlush int //tsvet:ignore unset-field read by benchmark/ until ROADMAP item 1(a)
 	// SinkRetries counts redelivery attempts of batches the sink rejected
 	// (each retried batch counts once per attempt; the points inside were
 	// already charged to SinkErrors on the first failure).

@@ -37,7 +37,7 @@ func newDeployment(t *testing.T, mode Mode) (*TScout, *kernel.Kernel, *Marker, *
 
 // runOU performs one full marker cycle around a charge of work.
 func runOU(ts *TScout, task *kernel.Task, m *Marker, w sim.Work, feats ...uint64) {
-	ts.BeginEvent(task, m.OU().Subsystem)
+	ts.BeginEvent(task, m.def.Subsystem)
 	m.Begin(task)
 	task.Charge(w)
 	m.End(task)

@@ -15,24 +15,18 @@ import (
 // order-id recency stands in for shipdate windows) — see DESIGN.md.
 type CHBench struct {
 	TPCC
-	// AnalyticalPct is the share of analytical transactions (default 20,
-	// matching 4 of 20 BenchBase terminals).
-	AnalyticalPct int
 }
+
+// analyticalPct is the share of analytical transactions, matching 4 of 20
+// BenchBase terminals.
+const analyticalPct = 20
 
 // Name implements Generator.
 func (c *CHBench) Name() string { return "chbenchmark" }
 
-func (c *CHBench) analyticalPct() int {
-	if c.AnalyticalPct <= 0 {
-		return 20
-	}
-	return c.AnalyticalPct
-}
-
 // Txn implements Generator.
 func (c *CHBench) Txn(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error) {
-	if rng.Intn(100) >= c.analyticalPct() {
+	if rng.Intn(100) >= analyticalPct {
 		return c.TPCC.Txn(se, rng)
 	}
 	return c.analytical(se, rng)

@@ -59,10 +59,6 @@ type Config struct {
 	// one-session-per-terminal single-clock driver that every recorded
 	// experiment used.
 	PoolSessions int
-	// AdmissionQueueDepth bounds the admission gate's FIFO wait queue;
-	// terminals arriving beyond it are refused and retry later. Zero means
-	// unbounded (pure backpressure, no rejections). Pooled driver only.
-	AdmissionQueueDepth int
 	// OnDrain, when set, runs on the driver goroutine immediately after
 	// every Processor drain (periodic and final), with the virtual time
 	// of the drain. This is the autopilot controller's epoch tick: it

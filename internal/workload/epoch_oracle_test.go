@@ -30,7 +30,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 	defer srv.Kernel.SetLoadFactor(1)
 
 	numCPUs := srv.Kernel.NumCPUs()
-	gate := dbms.NewAdmissionGate(poolSize, cfg.AdmissionQueueDepth)
+	gate := dbms.NewAdmissionGate(poolSize, 0)
 	pool := dbms.NewSessionPool(srv, poolSize)
 	tl := sim.NewCPUTimelines(numCPUs)
 	// One epoch is one Processor poll period: per-CPU execution proceeds
@@ -133,10 +133,6 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 			case dbms.Queued:
 				t.ticket = tk
 				outstanding++
-			case dbms.Rejected:
-				// Refused connections back off a full epoch before
-				// retrying.
-				t.readyNS = epochEnd
 			}
 		}
 
@@ -320,17 +316,15 @@ func (g *abortingGen) Txn(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error)
 func TestPooledMatchesScanningOracle(t *testing.T) {
 	type driver func(*dbms.Server, Generator, Config) (Result, error)
 	scenarios := []struct {
-		name                         string
-		terminals, pool, depth, txns int
-		aborts                       bool
-		check                        func(Result) bool
+		name                  string
+		terminals, pool, txns int
+		aborts                bool
+		check                 func(Result) bool
 	}{
 		{name: "terminals>>pool", terminals: 400, pool: 16, txns: 420,
 			check: func(r Result) bool { return r.Admission.Queued > 0 }},
 		{name: "terminals<pool", terminals: 12, pool: 48, txns: 80,
 			check: func(r Result) bool { return r.Admission.Queued == 0 }},
-		{name: "bounded-queue", terminals: 400, pool: 16, depth: 8, txns: 160,
-			check: func(r Result) bool { return r.Admission.Rejected > 0 }},
 		// The budget runs out before the first epoch's acquire walk has
 		// reached every terminal.
 		{name: "budget<terminals", terminals: 400, pool: 16, txns: 64,
@@ -356,7 +350,7 @@ func TestPooledMatchesScanningOracle(t *testing.T) {
 						}
 						res, err := drive(srv, gen, Config{
 							Terminals: sc.terminals, Transactions: sc.txns, Seed: 42,
-							PoolSessions: sc.pool, AdmissionQueueDepth: sc.depth,
+							PoolSessions: sc.pool,
 						}.withDefaults())
 						if err != nil {
 							t.Fatalf("run: %v", err)

@@ -128,33 +128,6 @@ func TestScaleSmoke(t *testing.T) {
 	}
 }
 
-// TestPooledBoundedQueueRejects exercises the backpressure path end to end:
-// with a tiny bounded admission queue, surplus terminals are refused and
-// retry, yet the transaction budget still completes exactly.
-func TestPooledBoundedQueueRejects(t *testing.T) {
-	srv, gen := scaleServer(t, dbms.Config{
-		Seed: 9, NoiseSigma: 0.03, Instrument: true,
-		NumCPUs: 4, ProcessorParallelism: 2,
-		WAL: wal.Config{GroupSize: 16, FlushIntervalNS: 200_000},
-	}, 200)
-	res, err := Run(srv, gen, Config{
-		Terminals: 400, Transactions: 1200, Seed: 9,
-		PoolSessions: 16, AdmissionQueueDepth: 8,
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Completed+res.Aborted != 1200 {
-		t.Fatalf("budget: %+v", res)
-	}
-	if res.Admission.Rejected == 0 {
-		t.Fatalf("400 terminals on 16 slots + depth-8 queue never rejected: %+v", res.Admission)
-	}
-	if res.Admission.InUse != 0 || res.Admission.Waiting != 0 {
-		t.Fatalf("gate leaked after rejections: %+v", res.Admission)
-	}
-}
-
 // BenchmarkEndToEndNumCPUs is the multi-core scale-out headline: the same
 // instrumented SmallBank load — 2000 terminals multiplexed onto a fixed
 // 128-session pool behind the admission gate — run on 1, 8, 32, and 64
