@@ -97,11 +97,7 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 			}
 		}
 		switch in.Op {
-		case OpDivImm, OpModImm:
-			if in.Imm == 0 {
-				return nil, verr(pc, "division by constant zero")
-			}
-		case OpLshImm, OpRshImm, OpArshImm:
+		case OpLshImm, OpRshImm:
 			if in.Imm < 0 || in.Imm >= 64 {
 				return nil, verr(pc, "shift amount %d out of range", in.Imm)
 			}

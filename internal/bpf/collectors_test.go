@@ -1,6 +1,7 @@
 package bpf_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -54,6 +55,37 @@ func TestEveryPatternFiresOnCollectors(t *testing.T) {
 		}
 	}
 	t.Logf("pattern counts %v", counts)
+}
+
+// TestISAIsWhatCodegenEmits is the instruction set's census: every opcode
+// the verifier knows and every helper it lets a program call must be
+// emitted by some Collector program. The VM exists to run what codegen
+// emits, so an instruction or helper with no caller fails here instead of
+// growing the verifier, interpreter and JIT for nothing.
+func TestISAIsWhatCodegenEmits(t *testing.T) {
+	ops, helpers := map[bpf.Op]bool{}, map[int64]bool{}
+	forEachCollector(t, func(_ string, lp *bpf.LoadedProgram) {
+		for _, in := range lp.Program().Insns {
+			ops[in.Op] = true
+			if in.Op == bpf.OpCall {
+				helpers[in.Imm] = true
+			}
+		}
+	})
+	for op := 0; op < 256; op++ {
+		p := &bpf.Program{Name: "census", Insns: []bpf.Insn{
+			{Op: bpf.OpMovImm, Dst: bpf.R0}, {Op: bpf.Op(op)}, {Op: bpf.OpExit}}}
+		var ve *bpf.VerifyError
+		known := !errors.As(bpf.Verify(p, 0), &ve) || ve.PC != 1 || !strings.HasPrefix(ve.Msg, "invalid opcode")
+		if known && !ops[bpf.Op(op)] {
+			t.Errorf("opcode %d (%s) is in the ISA, but no Collector emits it", op, bpf.Insn{Op: bpf.Op(op)})
+		}
+	}
+	for id := int64(0); id < 256; id++ {
+		if spec, ok := bpf.HelperByID(id); ok && !helpers[id] {
+			t.Errorf("helper %d (%s) is callable, but no Collector calls it", id, spec.Name)
+		}
+	}
 }
 
 // TestCollectorDump renders every Collector program as its disassembly

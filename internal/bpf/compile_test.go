@@ -3,7 +3,6 @@ package bpf
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,7 +14,7 @@ import (
 
 // This file tests the post-verify JIT (compile.go): the compiled path must
 // be observationally identical to the interpreter — same R0, same cost
-// accounting, same helper trace, printk, and map end-states — and every
+// accounting, same helper trace and map end-states — and every
 // decline reason must fall back to the interpreter cleanly. The named
 // TestCompileRegression_* cases pin interpreter-vs-compiled divergences
 // that the differential harness is prone to (scalar/pointer dispatch,
@@ -46,10 +45,6 @@ func assertCompiledAgreement(t *testing.T, p *Program, seed int64) CompileInfo {
 	if !reflect.DeepEqual(ir.trace, cr.trace) {
 		t.Fatalf("helper traces diverged:\ninterp   %v\ncompiled %v\n%s",
 			ir.trace, cr.trace, p.Disassemble())
-	}
-	if !reflect.DeepEqual(ir.printk, cr.printk) {
-		t.Fatalf("printk diverged:\ninterp   %v\ncompiled %v\n%s",
-			ir.printk, cr.printk, p.Disassemble())
 	}
 	for i := range ir.maps {
 		if ir.maps[i] != cr.maps[i] {
@@ -246,12 +241,12 @@ func TestCompileRegression_ScalarHighBitALU(t *testing.T) {
 	}
 }
 
-// Divergence found during development: div/mod are unsigned on the raw bit
-// pattern and yield 0 on a zero divisor; a signed specialization (or one
-// that panics on division by zero) diverges or crashes. The verifier
-// statically rejects constant zero divisors, so the zero arrives through
-// an out-of-range get_tracepoint_arg the verifier cannot bound.
-func TestCompileRegression_DivModByZero(t *testing.T) {
+// Divergence found during development: division is unsigned on the raw
+// bit pattern and yields 0 on a zero divisor; a signed specialization (or
+// one that panics on division by zero) diverges or crashes. The verifier
+// rejects a divisor known to be zero, so the zero arrives through an
+// out-of-range get_tracepoint_arg the verifier cannot bound.
+func TestCompileRegression_DivByZero(t *testing.T) {
 	p := jitDivZeroProgram()
 	if err := Verify(p, 0); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -269,50 +264,10 @@ func jitDivZeroProgram() *Program {
 		{Op: OpMovReg, Dst: R2, Src: R0},
 		{Op: OpMovImm, Dst: R1, Imm: 10},
 		{Op: OpDivReg, Dst: R1, Src: R2}, // 10/0 → 0
-		{Op: OpMovImm, Dst: R3, Imm: -7},
-		{Op: OpModReg, Dst: R3, Src: R2}, // -7%0 → 0
 		{Op: OpMovImm, Dst: R4, Imm: -7},
-		{Op: OpDivImm, Dst: R4, Imm: 2}, // unsigned: huge, not -3
-		{Op: OpAddReg, Dst: R1, Src: R3},
+		{Op: OpMovImm, Dst: R5, Imm: 2},
+		{Op: OpDivReg, Dst: R4, Src: R5}, // unsigned: huge, not -3
 		{Op: OpAddReg, Dst: R1, Src: R4},
-		{Op: OpMovReg, Dst: R0, Src: R1},
-		{Op: OpExit},
-	}, Maps: newGenMaps()}
-}
-
-// Divergence found during development: shift amounts mask to the low 6
-// bits (68 shifts by 4), arithmetic right shift propagates the sign bit,
-// and Neg wraps MinInt64 to itself — all must match evalALU bit-for-bit.
-// Immediate shifts ≥64 are statically rejected, so the oversized amounts
-// are computed at runtime from a tracepoint argument (args[3] = 4).
-func TestCompileRegression_ShiftMaskingArshNeg(t *testing.T) {
-	p := jitShiftMaskProgram()
-	if err := Verify(p, 0); err != nil {
-		t.Fatalf("verify: %v", err)
-	}
-	info := assertCompiledAgreement(t, p, 1)
-	if !info.Compiled {
-		t.Fatalf("straight-line program declined: %+v", info)
-	}
-}
-
-func jitShiftMaskProgram() *Program {
-	return &Program{Name: "jit/shift-mask", Insns: []Insn{
-		{Op: OpMovImm, Dst: R1, Imm: 3},
-		{Op: OpCall, Imm: HelperGetArg}, // R0 = args[3] = 4
-		{Op: OpMovReg, Dst: R6, Src: R0},
-		{Op: OpMulImm, Dst: R6, Imm: 17}, // 68
-		{Op: OpMovReg, Dst: R7, Src: R0},
-		{Op: OpMulImm, Dst: R7, Imm: 16},
-		{Op: OpAddImm, Dst: R7, Imm: 1}, // 65
-		{Op: OpMovImm, Dst: R1, Imm: 255},
-		{Op: OpLshReg, Dst: R1, Src: R6}, // 68&63 = 4 → 0xFF0
-		{Op: OpMovImm, Dst: R2, Imm: -8},
-		{Op: OpArshReg, Dst: R2, Src: R7}, // 65&63 = 1 → -4
-		{Op: OpAddReg, Dst: R1, Src: R2},
-		{Op: OpMovImm, Dst: R3, Imm: math.MinInt64},
-		{Op: OpNeg, Dst: R3}, // wraps to MinInt64
-		{Op: OpAddReg, Dst: R1, Src: R3},
 		{Op: OpMovReg, Dst: R0, Src: R1},
 		{Op: OpExit},
 	}, Maps: newGenMaps()}
@@ -393,7 +348,6 @@ func jitRegressionCorpus() map[string]*Program {
 	return map[string]*Program{
 		"seed-jit-high-bit":        jitHighBitProgram(),
 		"seed-jit-div-zero":        jitDivZeroProgram(),
-		"seed-jit-shift-mask":      jitShiftMaskProgram(),
 		"seed-jit-ucmp":            jitUnsignedCompareProgram(),
 		"seed-jit-lookup-identity": jitLookupIdentityProgram(),
 	}
@@ -479,42 +433,24 @@ func isolateInsns(p *Program) *Program {
 // accumulates each result so a wrong one changes R0. args = {1, 2, 3, 4}.
 func singleInsnBlocksProgram() *Program {
 	b := genMapsBuilder("jit/single-insn-blocks")
-	raw := func(op Op, dst, src Reg) { b.emit(Insn{Op: op, Dst: dst, Src: src}) }
 	acc := func(r Reg) { b.AddReg(R9, r) }
 	b.Mov(R9, 0)
 
-	// Scalars the verifier cannot bound: r6 = 0 (out-of-range argument),
-	// r7 = 100 and r8 = 8 (from args[3] = 4).
+	// Scalars the verifier cannot pin down: r6 = 0 (out-of-range
+	// argument), r7 = 100, and r8 = 4 (from args[3] = 4), which the shifts
+	// bound to [0, 7].
 	b.Mov(R1, 99).Call(HelperGetArg).MovReg(R6, R0)
-	b.Mov(R1, 3).Call(HelperGetArg).MovReg(R7, R0).Mul(R7, 25)
-	b.MovReg(R8, R0).Lsh(R8, 1).And(R8, 8)
+	b.Mov(R1, 3).Call(HelperGetArg).MovReg(R7, R0).Mov(R2, 25).MulReg(R7, R2)
+	b.MovReg(R8, R0).Lsh(R8, 61).Rsh(R8, 61)
 
 	// ALU, immediate forms.
-	b.Mov(R1, -1000).Add(R1, 7).Sub(R1, 3).Mul(R1, 5).Div(R1, 3).Mod(R1, 100000).
-		And(R1, 0xffff0).Or(R1, 3).Xor(R1, 0x55).Lsh(R1, 9).Rsh(R1, 2)
-	acc(R1)
-	b.Mov(R1, -64).Arsh(R1, 3)
-	raw(OpNeg, R1, 0)
+	b.Mov(R1, -1000).Add(R1, 7).Sub(R1, 3).Lsh(R1, 9).Rsh(R1, 2)
 	acc(R1)
 
-	// ALU, register forms: division and modulo by zero, shifts by 100
-	// (masked to 36).
-	b.Mov(R1, 77).MovReg(R2, R1).AddReg(R1, R7).SubReg(R1, R8).MulReg(R1, R7)
-	raw(OpAndReg, R1, R2)
-	raw(OpOrReg, R1, R7)
-	raw(OpXorReg, R1, R8)
-	raw(OpLshReg, R1, R7)
-	raw(OpRshReg, R1, R7)
-	acc(R1)
-	b.Mov(R1, -8).ArshReg(R1, R7)
+	// ALU, register forms, and division by zero.
+	b.Mov(R1, 77).MovReg(R2, R1).AddReg(R1, R7).SubReg(R1, R8).MulReg(R1, R7).DivReg(R1, R2)
 	acc(R1)
 	b.Mov(R1, 10).DivReg(R1, R6)
-	acc(R1)
-	b.Mov(R1, -7)
-	raw(OpModReg, R1, R6)
-	acc(R1)
-	b.Mov(R1, 100).DivReg(R1, R8)
-	raw(OpModReg, R1, R7)
 	acc(R1)
 
 	// Exact stack stores and loads.
@@ -523,8 +459,8 @@ func singleInsnBlocksProgram() *Program {
 	acc(R2)
 
 	// Pointer ALU (immediate and register, add and sub) and dynamic stack
-	// access: interval arithmetic bounds r3 to [fp-40, fp-16], all of it
-	// initialized; at run time it is fp-24.
+	// access: interval arithmetic bounds r3 to [fp-39, fp-18], all of it
+	// initialized; at run time it is fp-28.
 	b.StoreImm(R10, -40, 4).StoreImm(R10, -32, 5).StoreImm(R10, -24, 6)
 	b.MovReg(R3, R10).Sub(R3, 40).Add(R3, 8).AddReg(R3, R8).SubReg(R3, R8).AddReg(R3, R8)
 	b.Load(R1, R3, 0)
@@ -561,15 +497,14 @@ func singleInsnBlocksProgram() *Program {
 	b.AddReg(R4, R8).Load(R1, R4, 0).Sub(R4, 8).Add(R4, 8).StoreImm(R4, 0, 13)
 	acc(R1)
 	b.Label("miss")
-	// A register-form conditional jump, taken (r7 = 100 > r8 = 8).
-	b.emitJump(Insn{Op: OpJgtReg, Dst: R7, Src: R8}, "gt").Mov(R9, 0).Label("gt")
+	// A register-form conditional jump, taken (r7 = 100, r8 = 4).
+	b.JneReg(R7, R8, "ne").Mov(R9, 0).Label("ne")
 	b.LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 16).Call(HelperMapDelete)
 	acc(R0)
 
-	// Perf output and printk.
+	// Perf output.
 	b.LoadMapPtr(R1, genMapPerCPU).MovReg(R2, R10).Sub(R2, 32).Mov(R3, 24).Call(HelperPerfOutput)
 	acc(R0)
-	b.MovReg(R1, R9).Call(HelperTracePrintk)
 	b.MovReg(R0, R9).Exit()
 	return isolateInsns(b.MustBuild())
 }
@@ -577,7 +512,7 @@ func singleInsnBlocksProgram() *Program {
 // TestSingleInstructionBlocksAgree runs a program in which every block has
 // length 1, so each micro kind family — a conditional jump's branch
 // micro-op like any other — executes as a block of its own and must match
-// the interpreter on R0, cost, helper trace, printk and map end-states.
+// the interpreter on R0, cost, helper trace and map end-states.
 // (Branches in the middle of longer blocks are TestBranchMicroOps' job.)
 func TestSingleInstructionBlocksAgree(t *testing.T) {
 	p := singleInsnBlocksProgram()
@@ -607,15 +542,18 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 			t.Fatalf("pc %d starts a block of %d instructions, want 1", pc, n)
 		}
 	}
-	// Every single-instruction kind (the ones before the pattern super-ops)
-	// and all five impure helper call sites.
+	// Every single-instruction kind (the ones before the pattern super-ops,
+	// less the blank gaps retired kinds left) and all four impure helper
+	// call sites.
 	for k := muMovImm; k < muStoreZeroRun; k++ {
-		if !seen[k] {
+		gap := k > muSubReg && k < muPtrAddImm &&
+			k != muMulReg && k != muDivReg && k != muLshImm && k != muRshImm
+		if !seen[k] && !gap {
 			t.Errorf("micro kind %d never decoded: the program no longer covers it", k)
 		}
 	}
-	if helperCalls != 5 {
-		t.Fatalf("%d proven impure helper calls, want 5", helperCalls)
+	if helperCalls != 4 {
+		t.Fatalf("%d proven impure helper calls, want 4", helperCalls)
 	}
 	if info := assertCompiledAgreement(t, p, 5); !info.Compiled {
 		t.Fatalf("program declined: %+v", info)
@@ -626,14 +564,14 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 // conditional jump `op r6, b` (r6 = 2, from args = {1, 2, 3, 4}; register
 // forms compare against r7 = b, 1 ≤ b ≤ 3) at position pos — "first",
 // "middle" or "last" micro-op of its block — and returns it with the jump's
-// pc. On the fall-through edge the same block goes on to a store, a printk
-// and a map update, and the taken edge does the same with a different r9,
+// pc. On the fall-through edge the same block goes on to a store and a map
+// update, and the taken edge does the same with a different r9,
 // so a skipped op, a wrong edge or a wrong instruction count each change
 // R0, the cost, the helper trace or the hash map's end-state.
 func branchProgram(op Op, b int64, pos string) (*Program, int) {
 	bl := genMapsBuilder(fmt.Sprintf("jit/branch/%v/%d/%s", op, b, pos))
 	emit := func() {
-		bl.Store(R10, -16, R9).MovReg(R1, R9).Call(HelperTracePrintk).
+		bl.Store(R10, -16, R9).
 			LoadMapPtr(R1, genMapHash).MovReg(R2, R10).Sub(R2, 16).MovReg(R3, R10).Sub(R3, 32).
 			Call(HelperMapUpdate).AddReg(R9, R0)
 	}
@@ -666,7 +604,7 @@ func branchProgram(op Op, b int64, pos string) (*Program, int) {
 // TestBranchMicroOps is the differential test for branches inside blocks:
 // every conditional opcode, taken and not taken, as the first, a middle and
 // the last micro-op of its block, compiled against the interpreter on R0,
-// cost, helper trace, printk and map end-states.
+// cost, helper trace and map end-states.
 func TestBranchMicroOps(t *testing.T) {
 	// At 1 ns per instruction the cost is the instruction count plus the
 	// helper costs, so one miscounted instruction shows (LargeHW's 0.25 ns
@@ -674,7 +612,7 @@ func TestBranchMicroOps(t *testing.T) {
 	unit := sim.LargeHW
 	unit.BPFInsnNS = 1
 	ops := 0
-	for op := OpInvalid; op <= OpArshReg; op++ {
+	for op := OpInvalid; op <= OpExit; op++ {
 		if !isCondJump(op) {
 			continue
 		}
@@ -727,7 +665,7 @@ func TestBranchMicroOps(t *testing.T) {
 			t.Fatalf("%v: operands never made it go both ways: %v", op, outcomes)
 		}
 	}
-	if ops != 13 {
-		t.Fatalf("covered %d conditional opcodes, want 13", ops)
+	if ops != 7 {
+		t.Fatalf("covered %d conditional opcodes, want 7", ops)
 	}
 }

@@ -6,58 +6,31 @@ import (
 )
 
 // Brute-force soundness checks for the abstract domain: every transfer
-// function, join, reduce, and refine is validated by enumerating the
-// concretization of small abstract values (all intervals and tnums over a
-// few low bits, plus 64-bit edge cases) and checking gamma-containment
-// against the concrete evalALU semantics.
+// function, join and refine is validated by enumerating the concretization
+// of small abstract values (all intervals over a few low bits, plus 64-bit
+// edge cases) and checking gamma-containment against the concrete evalALU
+// semantics.
 
 const enumMax = 15 // exhaustive abstract values live in [0, enumMax]
 
-// Contains reports whether concrete value v is represented by t.
-func (t Tnum) Contains(v uint64) bool { return v&^t.Mask == t.Val }
-
 // Contains reports whether concrete value x is represented by v.
-func (v VReg) Contains(x uint64) bool { return x >= v.Lo && x <= v.Hi && v.TN.Contains(x) }
+func (v VReg) Contains(x uint64) bool { return x >= v.Lo && x <= v.Hi }
 
-// vrRange builds the reduced abstract value of the interval [lo, hi]
-// (either order).
+// vrRange builds the interval [lo, hi] (either order).
 func vrRange(lo, hi uint64) VReg {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	return VReg{Lo: lo, Hi: hi, TN: tnFromRange(lo, hi)}.reduce()
+	return VReg{Lo: lo, Hi: hi}
 }
 
-// enumTnums yields every tnum with Val|Mask <= enumMax (plus unknown).
-func enumTnums() []Tnum {
-	var out []Tnum
-	for mask := uint64(0); mask <= enumMax; mask++ {
-		for val := uint64(0); val <= enumMax; val++ {
-			if val&mask == 0 {
-				out = append(out, Tnum{Val: val, Mask: mask})
-			}
-		}
-	}
-	return append(out, tnUnknown())
-}
-
-// enumVRegs yields a diverse set of abstract registers: every interval
-// over [0, enumMax], every small tnum paired with its natural interval,
-// and a handful of 64-bit edge cases around the signed boundary.
+// enumVRegs yields every interval over [0, enumMax] and a handful of
+// 64-bit edge cases around the signed boundary.
 func enumVRegs() []VReg {
 	var out []VReg
 	for lo := uint64(0); lo <= enumMax; lo++ {
 		for hi := lo; hi <= enumMax; hi++ {
 			out = append(out, vrRange(lo, hi))
-		}
-	}
-	for mask := uint64(0); mask <= enumMax; mask++ {
-		for val := uint64(0); val <= enumMax; val++ {
-			if val&mask != 0 {
-				continue
-			}
-			tn := Tnum{Val: val, Mask: mask}
-			out = append(out, VReg{Lo: tn.Val, Hi: tn.Val | tn.Mask, TN: tn}.reduce())
 		}
 	}
 	out = append(out,
@@ -79,111 +52,12 @@ func gamma(v VReg) ([]uint64, bool) {
 	}
 	var out []uint64
 	for x := v.Lo; ; x++ {
-		if v.Contains(x) {
-			out = append(out, x)
-		}
+		out = append(out, x)
 		if x == v.Hi {
 			break
 		}
 	}
 	return out, true
-}
-
-func TestTnumContainsBasics(t *testing.T) {
-	if !tnConst(5).Contains(5) || tnConst(5).Contains(4) {
-		t.Fatal("tnConst containment wrong")
-	}
-	for v := uint64(0); v < 100; v++ {
-		if !tnUnknown().Contains(v) {
-			t.Fatalf("tnUnknown must contain %d", v)
-		}
-	}
-	for _, tn := range enumTnums() {
-		if tn.Val&tn.Mask != 0 {
-			t.Fatalf("tnum invariant violated: %+v", tn)
-		}
-	}
-}
-
-func TestTnumJoinSound(t *testing.T) {
-	tns := enumTnums()
-	for _, a := range tns {
-		for _, b := range tns {
-			j := tnJoin(a, b)
-			for v := uint64(0); v <= 2*enumMax+1; v++ {
-				if (a.Contains(v) || b.Contains(v)) && !j.Contains(v) {
-					t.Fatalf("tnJoin(%+v, %+v) lost %d", a, b, v)
-				}
-			}
-		}
-	}
-}
-
-func TestTnumIntersectExact(t *testing.T) {
-	tns := enumTnums()
-	for _, a := range tns {
-		for _, b := range tns {
-			m, ok := tnIntersect(a, b)
-			for v := uint64(0); v <= 2*enumMax+1; v++ {
-				both := a.Contains(v) && b.Contains(v)
-				if both && !ok {
-					t.Fatalf("tnIntersect(%+v, %+v) reported empty but contains %d", a, b, v)
-				}
-				if ok && both != m.Contains(v) {
-					t.Fatalf("tnIntersect(%+v, %+v) = %+v: containment of %d is %v, want %v",
-						a, b, m, v, m.Contains(v), both)
-				}
-			}
-		}
-	}
-}
-
-func TestTnumFromRangeSound(t *testing.T) {
-	for lo := uint64(0); lo <= 2*enumMax; lo++ {
-		for hi := lo; hi <= 2*enumMax; hi++ {
-			tn := tnFromRange(lo, hi)
-			for v := lo; v <= hi; v++ {
-				if !tn.Contains(v) {
-					t.Fatalf("tnFromRange(%d, %d) = %+v lost %d", lo, hi, tn, v)
-				}
-			}
-		}
-	}
-}
-
-func TestVRegReducePreservesMembers(t *testing.T) {
-	for _, v := range enumVRegs() {
-		g, ok := gamma(v)
-		if !ok {
-			continue
-		}
-		r := v.reduce()
-		for _, x := range g {
-			if !r.Contains(x) {
-				t.Fatalf("reduce(%+v) = %+v lost member %d", v, r, x)
-			}
-		}
-	}
-}
-
-// TestVRegReduceIsIdempotent: reduce reaches its fixpoint in one call on
-// every interval × tnum product with a non-empty concretization. A reduce
-// that stopped early would leave a bound its tnum rules out, and an
-// in-state would depend on how many times its predecessors were merged.
-func TestVRegReduceIsIdempotent(t *testing.T) {
-	for lo := uint64(0); lo <= enumMax; lo++ {
-		for hi := lo; hi <= enumMax; hi++ {
-			for _, tn := range enumTnums() {
-				v := VReg{Lo: lo, Hi: hi, TN: tn}
-				if g, _ := gamma(v); len(g) == 0 {
-					continue
-				}
-				if r := v.reduce(); r.reduce() != r {
-					t.Fatalf("reduce(%+v) = %+v, reduced again %+v", v, r, r.reduce())
-				}
-			}
-		}
-	}
 }
 
 func TestVRegJoinSound(t *testing.T) {
@@ -208,12 +82,9 @@ func TestVRegJoinSound(t *testing.T) {
 	}
 }
 
-// transferOps lists one representative opcode per vrTransfer case (the
-// imm/reg pairs share their case bodies).
-var transferOps = []Op{
-	OpMovReg, OpNeg, OpAddImm, OpSubImm, OpMulImm, OpDivImm, OpModImm,
-	OpAndImm, OpOrImm, OpXorImm, OpLshImm, OpRshImm, OpArshImm,
-}
+// transferOps lists one opcode per vrTransfer case (the imm/reg pairs
+// share their case bodies).
+var transferOps = []Op{OpMovReg, OpAddImm, OpSubImm, OpMulReg, OpDivReg, OpLshImm, OpRshImm}
 
 func TestVRegTransferSound(t *testing.T) {
 	vrs := enumVRegs()
@@ -233,9 +104,6 @@ func TestVRegTransferSound(t *testing.T) {
 				out := vrTransfer(op, pa.v, pb.v)
 				if out.Lo > out.Hi {
 					t.Fatalf("%v: transfer produced empty interval %+v", op, out)
-				}
-				if out.TN.Val&out.TN.Mask != 0 {
-					t.Fatalf("%v: transfer broke tnum invariant %+v", op, out.TN)
 				}
 				for _, a := range pa.g {
 					for _, b := range pb.g {
@@ -289,15 +157,11 @@ func relHolds(rel vrRel, a, b uint64) bool {
 		return a > b
 	case relGE:
 		return a >= b
-	case relSET:
-		return a&b != 0
-	case relNSET:
-		return a&b == 0
 	}
 	return false
 }
 
-var allRels = []vrRel{relEQ, relNE, relLT, relLE, relGT, relGE, relSET, relNSET}
+var allRels = []vrRel{relEQ, relNE, relLT, relLE, relGT, relGE}
 
 func TestVRegRefineSound(t *testing.T) {
 	vrs := enumVRegs()

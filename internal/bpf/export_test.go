@@ -221,24 +221,3 @@ func (lp *LoadedProgram) CallTrace() []HelperCall {
 
 // Runs returns the number of times the program has been invoked.
 func (lp *LoadedProgram) Runs() int64 { return lp.interpRuns + lp.compiledRuns }
-
-// Printk returns a copy of the values logged via HelperTracePrintk.
-func (lp *LoadedProgram) Printk() []uint64 { return append([]uint64(nil), lp.printk...) }
-
-// The Builder instructions only tests and the fuzz generator emit.
-func (b *Builder) aluImm(op Op, dst Reg, imm int64) *Builder {
-	return b.emit(Insn{Op: op, Dst: dst, Imm: imm})
-}
-func (b *Builder) Mul(dst Reg, imm int64) *Builder  { return b.aluImm(OpMulImm, dst, imm) }
-func (b *Builder) Div(dst Reg, imm int64) *Builder  { return b.aluImm(OpDivImm, dst, imm) }
-func (b *Builder) Mod(dst Reg, imm int64) *Builder  { return b.aluImm(OpModImm, dst, imm) }
-func (b *Builder) And(dst Reg, imm int64) *Builder  { return b.aluImm(OpAndImm, dst, imm) }
-func (b *Builder) Or(dst Reg, imm int64) *Builder   { return b.aluImm(OpOrImm, dst, imm) }
-func (b *Builder) Xor(dst Reg, imm int64) *Builder  { return b.aluImm(OpXorImm, dst, imm) }
-func (b *Builder) Arsh(dst Reg, imm int64) *Builder { return b.aluImm(OpArshImm, dst, imm) }
-func (b *Builder) ArshReg(dst, src Reg) *Builder {
-	return b.emit(Insn{Op: OpArshReg, Dst: dst, Src: src})
-}
-func (b *Builder) Jlt(dst Reg, imm int64, label string) *Builder {
-	return b.emitJump(Insn{Op: OpJltImm, Dst: dst, Imm: imm}, label)
-}

@@ -67,15 +67,15 @@ func ladderProgram(n, count int) *Program {
 	}
 	b.Mov(R0, 7).Mov(R1, 9)
 	// args[0] is 1, which the verifier does not know: r6 = count.
-	b.Mov(R1, 0).Call(HelperGetArg).MovReg(R6, R0).Sub(R6, 1).Mul(R6, 1000).Add(R6, int64(count))
+	b.Mov(R1, 0).Call(HelperGetArg).MovReg(R6, R0).Sub(R6, 1).Lsh(R6, 10).Add(R6, int64(count))
 	for i := 0; i < n; i++ {
 		b.Jle(R6, int64(i), "done").
 			Mov(R1, int64(i)).Call(HelperGetArg).
 			Store(R10, int32(-8*(n-i)), R0)
 	}
-	b.Label("done").MovReg(R7, R0)
+	b.Label("done").MovReg(R7, R0).Mov(R8, 31)
 	for i := 0; i < n; i++ {
-		b.Load(R2, R10, int32(-8*(n-i))).Mul(R7, 31).AddReg(R7, R2)
+		b.Load(R2, R10, int32(-8*(n-i))).MulReg(R7, R8).AddReg(R7, R2)
 	}
 	return b.MovReg(R0, R7).Exit().MustBuild()
 }
@@ -121,10 +121,10 @@ func wideLookup(name string) *Builder {
 // wideEnd hashes r1 and r2 — the scratch registers the runs leave their
 // last words in — the stack words and the value's words into r0.
 func wideEnd(b *Builder) *Program {
-	b.MovReg(R7, R1).Mul(R7, 31).AddReg(R7, R2)
+	b.MovReg(R7, R1).Mov(R8, 31).MulReg(R7, R8).AddReg(R7, R2)
 	for i := 0; i < genWideWords; i++ {
-		b.Load(R2, R10, wideSlot(i)).Mul(R7, 31).AddReg(R7, R2).
-			Load(R2, R6, int32(8*i)).Mul(R7, 31).AddReg(R7, R2)
+		b.Load(R2, R10, wideSlot(i)).MulReg(R7, R8).AddReg(R7, R2).
+			Load(R2, R6, int32(8*i)).MulReg(R7, R8).AddReg(R7, R2)
 	}
 	b.MovReg(R0, R7).Exit()
 	b.Label("out").Mov(R0, 0).Exit()
@@ -210,7 +210,7 @@ func TestRunFusionNearMisses(t *testing.T) {
 
 	// A jump target at a rung cuts the ladder: the rungs before it fuse.
 	b = genMapsBuilder("jit/near/ladder-target")
-	b.Mov(R1, 0).Call(HelperGetArg).MovReg(R6, R0).Mul(R6, 3)
+	b.Mov(R1, 0).Call(HelperGetArg).MovReg(R6, R0).Add(R6, 2)
 	b.Jeq(R6, 99, "rung2")
 	for i := 0; i < 4; i++ {
 		if i == 2 {

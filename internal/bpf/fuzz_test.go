@@ -49,7 +49,7 @@ func checkRejection(t *testing.T, p *Program, err error) {
 // must load and run without a runtime error, any of which is a verifier
 // bug. It then runs the interpreter-vs-JIT differential: compiled
 // execution (or the decline fallback) must agree bit-exactly on R0, cost,
-// helper trace, printk, and map end-states.
+// helper trace and map end-states.
 func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 	t.Helper()
 	lp, err := Load(p, fuzzMaxInsns)
@@ -85,12 +85,12 @@ func FuzzVerify(f *testing.F) {
 	f.Add(encodeInsns([]Insn{{Op: OpLoad, Dst: R0, Src: R10, Off: -8}, {Op: OpExit}}))
 	// Branches inside blocks, in forms the generator cannot express: a
 	// taken register-form jump in the middle of its block, and an untaken
-	// jset ending one.
+	// jle ending one.
 	for _, c := range []struct {
 		op  Op
 		b   int64
 		pos string
-	}{{OpJgtReg, 1, "middle"}, {OpJsetImm, 1, "last"}} {
+	}{{OpJneReg, 1, "middle"}, {OpJleImm, 1, "last"}} {
 		p, _ := branchProgram(c.op, c.b, c.pos)
 		f.Add(encodeInsns(p.Insns))
 	}

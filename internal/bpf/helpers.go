@@ -4,7 +4,8 @@ package bpf
 // needs: map plumbing (nested-OU state lives in a hash map, §5.2), perf
 // output (§3.2), and reads of the kernel state each probe consumes (§4).
 // The IDs are the wire ABI of the checked-in fuzz corpora: never renumber
-// one. IDs 4 and 5 are unassigned; the verifier rejects a call to either.
+// one. IDs 4, 5 and 13 are unassigned; the verifier rejects a call to any
+// of them.
 const (
 	// HelperMapLookup: r1=map, r2=key ptr -> r0 = value ptr or NULL.
 	HelperMapLookup = 1
@@ -26,8 +27,6 @@ const (
 	HelperKtime = 11
 	// HelperGetArg: r1=index -> r0 = tracepoint argument (0 if OOB).
 	HelperGetArg = 12
-	// HelperTracePrintk: r1=value -> appends to the program's debug log.
-	HelperTracePrintk = 13
 	// HelperGetTaskGen: -> r0 = current task generation tag. Unlike the
 	// pid it is never reused, so gen-keyed Collector state cannot pair
 	// events across a pid recycle.
@@ -73,9 +72,8 @@ const (
 	// ArgPtrKey must point to initialized stack memory of the map's key
 	// size (the map comes from the closest preceding ArgConstMap).
 	ArgPtrKey
-	// ArgPtrValue must point to stack memory of the map's value size.
-	// For output-parameter helpers (stack pop) the memory need not be
-	// initialized but must be in bounds.
+	// ArgPtrValue must point to initialized stack memory of the map's
+	// value size.
 	ArgPtrValue
 	// ArgPtrSized must point to initialized stack memory whose length is
 	// given by the following ArgSizeConst argument.
@@ -125,12 +123,11 @@ var helperSpecs = map[int64]HelperSpec{
 		[]ArgKind{ArgScalar}, RetScalar, 8, true},
 	HelperReadSock: {HelperReadSock, "read_tcp_sock",
 		[]ArgKind{ArgScalar}, RetScalar, 8, true},
-	HelperGetPID:      {HelperGetPID, "get_current_pid", nil, RetScalar, 3, true},
-	HelperKtime:       {HelperKtime, "ktime_get_ns", nil, RetScalar, 4, true},
-	HelperGetArg:      {HelperGetArg, "get_tracepoint_arg", []ArgKind{ArgScalar}, RetScalar, 2, true},
-	HelperTracePrintk: {HelperTracePrintk, "trace_printk", []ArgKind{ArgScalar}, RetScalar, 40, false},
-	HelperGetTaskGen:  {HelperGetTaskGen, "get_task_gen", nil, RetScalar, 3, true},
-	HelperGetCPU:      {HelperGetCPU, "get_smp_processor_id", nil, RetScalar, 2, true},
+	HelperGetPID:     {HelperGetPID, "get_current_pid", nil, RetScalar, 3, true},
+	HelperKtime:      {HelperKtime, "ktime_get_ns", nil, RetScalar, 4, true},
+	HelperGetArg:     {HelperGetArg, "get_tracepoint_arg", []ArgKind{ArgScalar}, RetScalar, 2, true},
+	HelperGetTaskGen: {HelperGetTaskGen, "get_task_gen", nil, RetScalar, 3, true},
+	HelperGetCPU:     {HelperGetCPU, "get_smp_processor_id", nil, RetScalar, 2, true},
 }
 
 // HelperByID returns the spec for a helper ID.

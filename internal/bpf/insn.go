@@ -3,7 +3,7 @@
 // paper depends on (§2.3, §5.1): a register machine with a restricted
 // instruction set, a static verifier that builds a control-flow graph and
 // rejects unsafe programs before they load, kernel maps (hash, array,
-// per-task, stack), helper functions for reading kernel state, and a
+// per-task, perf ring), helper functions for reading kernel state, and a
 // bounded perf ring buffer for shipping samples to user space.
 //
 // Programs are built with Builder, verified and loaded with Load, and
@@ -50,8 +50,10 @@ const DefaultMaxInsns = 65536
 // Op is an instruction opcode.
 type Op uint8
 
-// Opcodes. ALU operations come in register-source (suffix X) and
-// immediate-source forms; jumps likewise.
+// Opcodes: exactly the instructions TScout's codegen emits
+// (TestISAIsWhatCodegenEmits). An opcode number is the wire ABI of the
+// checked-in fuzz corpora, so a retired opcode leaves its number behind as
+// a blank gap the verifier rejects as invalid; never renumber one.
 const (
 	OpInvalid Op = iota
 
@@ -62,23 +64,23 @@ const (
 	OpAddReg
 	OpSubImm
 	OpSubReg
-	OpMulImm
+	_ // 7
 	OpMulReg
-	OpDivImm // unsigned; divide-by-zero yields 0 like BPF
-	OpDivReg
-	OpModImm
-	OpModReg
-	OpAndImm
-	OpAndReg
-	OpOrImm
-	OpOrReg
-	OpXorImm
-	OpXorReg
+	_        // 9
+	OpDivReg // unsigned; divide-by-zero yields 0 like BPF
+	_        // 11
+	_        // 12
+	_        // 13
+	_        // 14
+	_        // 15
+	_        // 16
+	_        // 17
+	_        // 18
 	OpLshImm
-	OpLshReg
+	_ // 20
 	OpRshImm
-	OpRshReg
-	OpNeg
+	_ // 22
+	_ // 23
 
 	// Memory: 8-byte loads and stores.
 	OpLoad     // dst = *(u64 *)(src + off)
@@ -89,48 +91,38 @@ const (
 	// imm in dst (the LD_IMM64 map-fd pseudo-instruction in real BPF).
 	OpLoadMapPtr
 
-	// Jumps: relative to the next instruction, in instructions.
+	// Jumps: relative to the next instruction, in instructions. Every
+	// comparison is unsigned.
 	OpJa
 	OpJeqImm
 	OpJeqReg
 	OpJneImm
 	OpJneReg
 	OpJgtImm
-	OpJgtReg
+	_ // 34
 	OpJgeImm
-	OpJgeReg
-	OpJltImm
-	OpJltReg
+	_ // 36
+	_ // 37
+	_ // 38
 	OpJleImm
-	OpJleReg
-	OpJsetImm // jump if dst & imm
+	_ // 40
+	_ // 41
 
 	// Call invokes helper imm.
 	OpCall
 	// Exit returns R0 to the kernel.
 	OpExit
-
-	// Arithmetic (sign-propagating) right shift: dst = int64(dst) >> (src|imm).
-	// Appended after OpExit so the opcode numbering of the existing
-	// instructions — and with it the wire form of the checked-in fuzz
-	// corpora (testdata/fuzz) — stays stable.
-	OpArshImm
-	OpArshReg
+	// 44 and 45 are gaps too.
 )
 
 var opNames = map[Op]string{
 	OpMovImm: "mov", OpMovReg: "movr", OpAddImm: "add", OpAddReg: "addr",
-	OpSubImm: "sub", OpSubReg: "subr", OpMulImm: "mul", OpMulReg: "mulr",
-	OpDivImm: "div", OpDivReg: "divr", OpModImm: "mod", OpModReg: "modr",
-	OpAndImm: "and", OpAndReg: "andr", OpOrImm: "or", OpOrReg: "orr",
-	OpXorImm: "xor", OpXorReg: "xorr", OpLshImm: "lsh", OpLshReg: "lshr",
-	OpRshImm: "rsh", OpRshReg: "rshr", OpArshImm: "arsh", OpArshReg: "arshr",
-	OpNeg:  "neg",
+	OpSubImm: "sub", OpSubReg: "subr", OpMulReg: "mulr", OpDivReg: "divr",
+	OpLshImm: "lsh", OpRshImm: "rsh",
 	OpLoad: "ldx", OpStore: "stx", OpStoreImm: "st", OpLoadMapPtr: "ldmap",
 	OpJa: "ja", OpJeqImm: "jeq", OpJeqReg: "jeqr", OpJneImm: "jne",
-	OpJneReg: "jner", OpJgtImm: "jgt", OpJgtReg: "jgtr", OpJgeImm: "jge",
-	OpJgeReg: "jger", OpJltImm: "jlt", OpJltReg: "jltr", OpJleImm: "jle",
-	OpJleReg: "jler", OpJsetImm: "jset", OpCall: "call", OpExit: "exit",
+	OpJneReg: "jner", OpJgtImm: "jgt", OpJgeImm: "jge", OpJleImm: "jle",
+	OpCall: "call", OpExit: "exit",
 }
 
 // Insn is one VM instruction.
@@ -178,8 +170,7 @@ func (i Insn) String() string {
 
 func isJump(op Op) bool {
 	switch op {
-	case OpJa, OpJeqImm, OpJeqReg, OpJneImm, OpJneReg, OpJgtImm, OpJgtReg,
-		OpJgeImm, OpJgeReg, OpJltImm, OpJltReg, OpJleImm, OpJleReg, OpJsetImm:
+	case OpJa, OpJeqImm, OpJeqReg, OpJneImm, OpJneReg, OpJgtImm, OpJgeImm, OpJleImm:
 		return true
 	}
 	return false
@@ -189,9 +180,7 @@ func isCondJump(op Op) bool { return isJump(op) && op != OpJa }
 
 func isRegSrc(op Op) bool {
 	switch op {
-	case OpMovReg, OpAddReg, OpSubReg, OpMulReg, OpDivReg, OpModReg,
-		OpAndReg, OpOrReg, OpXorReg, OpLshReg, OpRshReg, OpArshReg,
-		OpJeqReg, OpJneReg, OpJgtReg, OpJgeReg, OpJltReg, OpJleReg,
+	case OpMovReg, OpAddReg, OpSubReg, OpMulReg, OpDivReg, OpJeqReg, OpJneReg,
 		OpStore, OpLoad:
 		return true
 	}
@@ -201,9 +190,7 @@ func isRegSrc(op Op) bool {
 func isALU(op Op) bool {
 	switch op {
 	case OpMovImm, OpMovReg, OpAddImm, OpAddReg, OpSubImm, OpSubReg,
-		OpMulImm, OpMulReg, OpDivImm, OpDivReg, OpModImm, OpModReg,
-		OpAndImm, OpAndReg, OpOrImm, OpOrReg, OpXorImm, OpXorReg,
-		OpLshImm, OpLshReg, OpRshImm, OpRshReg, OpArshImm, OpArshReg, OpNeg:
+		OpMulReg, OpDivReg, OpLshImm, OpRshImm:
 		return true
 	}
 	return false

@@ -86,7 +86,7 @@ func TestLintBranchNeverTaken(t *testing.T) {
 func TestLintConstFoldable(t *testing.T) {
 	p := NewBuilder("fold").
 		Mov(R0, 6).
-		Mul(R0, 7). // const-foldable, result live
+		Add(R0, 36). // const-foldable, result live
 		Exit().
 		MustBuild()
 	fs, err := Lint(p, 0)

@@ -99,9 +99,6 @@ func (a *Analysis) effects(pc int) insnEffects {
 	case in.Op == OpMovReg:
 		e.useRegs = regBit(in.Src)
 		e.defRegs = regBit(in.Dst)
-	case in.Op == OpNeg:
-		e.useRegs = regBit(in.Dst)
-		e.defRegs = regBit(in.Dst)
 	case isALU(in.Op):
 		e.useRegs = regBit(in.Dst)
 		if isRegSrc(in.Op) {

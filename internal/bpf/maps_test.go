@@ -2,6 +2,7 @@ package bpf
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -307,11 +308,8 @@ func TestPerfRingBufferMapAdapter(t *testing.T) {
 	if r.Lookup(nil) != nil || r.Delete(nil) {
 		t.Fatalf("lookup/delete unsupported")
 	}
-	if err := r.Update(nil, []byte{5}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("update must submit")
+	if err := r.Update(nil, []byte{5}); !errors.Is(err, ErrBadKeySize) || r.Len() != 0 {
+		t.Fatalf("update on a keyless ring: err %v, %d samples; want ErrBadKeySize and none", err, r.Len())
 	}
 	if r.KeySize() != 0 || r.ValueSize() != 0 || r.MaxEntries() != 2 || r.Name() != "rb" {
 		t.Fatalf("metadata")

@@ -69,13 +69,12 @@ func mapFingerprint(m Map) string {
 
 // optVariantResult is one program execution observed in full.
 type optVariantResult struct {
-	r0     uint64
-	cost   int64
-	err    error
-	trace  []HelperCall
-	printk []uint64
-	maps   []string
-	info   CompileInfo
+	r0    uint64
+	cost  int64
+	err   error
+	trace []HelperCall
+	maps  []string
+	info  CompileInfo
 }
 
 // runOptVariant runs insns against a fresh kernel, task, and map table so
@@ -107,7 +106,7 @@ func runExecVariantOn(hw sim.HardwareProfile, name string, insns []Insn, seed in
 	task := k.NewTask("fuzz-opt")
 	r0, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
 	res := optVariantResult{r0: r0, cost: cost, err: rerr,
-		trace: lp.CallTrace(), printk: lp.Printk(), info: info}
+		trace: lp.CallTrace(), info: info}
 	for _, m := range p.Maps {
 		res.maps = append(res.maps, mapFingerprint(m))
 	}

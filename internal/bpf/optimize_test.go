@@ -168,9 +168,11 @@ func TestOptimizeDeadPureCall(t *testing.T) {
 }
 
 func TestOptimizeKeepsImpureCall(t *testing.T) {
-	p := NewBuilder("impure").
-		Mov(R1, 123).
-		Call(HelperTracePrintk). // side effect: must survive even with R0 dead
+	p := genMapsBuilder("impure").
+		StoreImm(R10, -8, 5).
+		LoadMapPtr(R1, genMapHash).
+		MovReg(R2, R10).Sub(R2, 8).
+		Call(HelperMapDelete). // side effect: must survive even with R0 dead
 		Mov(R0, 0).
 		Exit().
 		MustBuild()
@@ -180,12 +182,12 @@ func TestOptimizeKeepsImpureCall(t *testing.T) {
 	}
 	found := false
 	for _, in := range opt.Insns {
-		if in.Op == OpCall && in.Imm == HelperTracePrintk {
+		if in.Op == OpCall && in.Imm == HelperMapDelete {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("printk call missing from:\n%s", opt.Disassemble())
+		t.Fatalf("map_delete_elem call missing from:\n%s", opt.Disassemble())
 	}
 }
 
@@ -234,7 +236,7 @@ func TestOptimizeMinimalProgramUnchanged(t *testing.T) {
 func TestOptimizeTaggedScalarFold(t *testing.T) {
 	p := NewBuilder("tagged").
 		Mov(R1, math.MinInt64).
-		Mul(R1, 2). // wraps to 0 under evalALU
+		Lsh(R1, 1). // wraps to 0 under evalALU
 		MovReg(R0, R1).
 		Exit().
 		MustBuild()

@@ -150,11 +150,9 @@ func (r *PerCPURing) Len() int {
 // Lookup is unsupported on ring buffers and returns nil.
 func (r *PerCPURing) Lookup(key []byte) []byte { return nil }
 
-// Update submits value as a sample on CPU 0 (Map interface adapter).
-func (r *PerCPURing) Update(key, value []byte) error {
-	r.SubmitFrom(0, value)
-	return nil
-}
+// Update is unsupported on ring buffers: they are keyless, and samples
+// arrive through SubmitFrom. It returns ErrBadKeySize.
+func (r *PerCPURing) Update(key, value []byte) error { return ErrBadKeySize }
 
 // Delete is unsupported on ring buffers.
 func (r *PerCPURing) Delete(key []byte) bool { return false }

@@ -35,11 +35,10 @@ func verr(pc int, format string, args ...any) error {
 // helper calls checked against typed signatures.
 //
 // Each register carries a kind (the pointer lattice below) and, for
-// scalars, a VReg product value (interval × tnum, domain.go); pointers
-// carry an offset *range* [lo, hi] instead of a single offset, so
-// register-offset accesses verify whenever every offset in the range is in
-// bounds. Conditional edges are refined with vrRefine and pruned when
-// provably infeasible.
+// scalars, a VReg interval (domain.go); pointers carry an offset *range*
+// [lo, hi] instead of a single offset, so register-offset accesses verify
+// whenever every offset in the range is in bounds. Conditional edges are
+// refined with vrRefine and pruned when provably infeasible.
 
 type regKind uint8
 
@@ -412,7 +411,7 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 		if src.kind != rkScalar {
 			return 0, verr(pc, "alu with %s source", src.kind)
 		}
-		if (insn.Op == OpDivReg || insn.Op == OpModReg) && src.vr.IsConst() && src.vr.Const() == 0 {
+		if insn.Op == OpDivReg && src.vr.IsConst() && src.vr.Const() == 0 {
 			return 0, verr(pc, "division by known-zero register")
 		}
 		s.regs[insn.Dst] = scalarReg(vrTransfer(insn.Op, dst.vr, src.vr))
@@ -495,12 +494,17 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 				}
 				constMap = a.mapIdx
 				// Helper/map-type compatibility, checked statically like
-				// real eBPF: the runtime type assertion in vm.go must be
-				// unreachable for verified programs.
-				if insn.Imm == HelperPerfOutput {
-					if _, ok := p.Maps[constMap].(*PerCPURing); !ok {
-						return 0, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
+				// real eBPF: perf output takes a ring and the map helpers
+				// take anything else, so the runtime type assertion in
+				// vm.go is unreachable for verified programs and no map
+				// helper reaches a ring's keyless Map methods.
+				_, ring := p.Maps[constMap].(*PerCPURing)
+				if output := insn.Imm == HelperPerfOutput; ring != output {
+					want := "a keyed map"
+					if output {
+						want = "a perf ring buffer"
 					}
+					return 0, verr(pc, "%s arg %d must be %s, got %q", spec.Name, i+1, want, p.Maps[constMap].Name())
 				}
 			case ArgPtrKey, ArgPtrValue:
 				if constMap < 0 {
@@ -509,9 +513,6 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 				size := p.Maps[constMap].KeySize()
 				if kind == ArgPtrValue {
 					size = p.Maps[constMap].ValueSize()
-				}
-				if size == 0 {
-					break // keyless map; argument ignored
 				}
 				if a.kind != rkPtrStack {
 					return 0, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)

@@ -237,7 +237,7 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 		if src.kind != rkScalar {
 			return nil, verr(pc, "alu with %s source", src.kind)
 		}
-		if (insn.Op == OpDivReg || insn.Op == OpModReg) && src.vr.IsConst() && src.vr.Const() == 0 {
+		if insn.Op == OpDivReg && src.vr.IsConst() && src.vr.Const() == 0 {
 			return nil, verr(pc, "division by known-zero register")
 		}
 		s.regs[insn.Dst] = scalarReg(vrTransfer(insn.Op, dst.vr, src.vr))
@@ -344,13 +344,14 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 					return nil, verr(pc, "%s arg %d must be a map handle, got %s", spec.Name, i+1, a.kind)
 				}
 				constMap = a.mapIdx
-				// Helper/map-type compatibility, checked statically like
-				// real eBPF: the runtime type assertion in vm.go must be
-				// unreachable for verified programs.
-				if insn.Imm == HelperPerfOutput {
-					if _, ok := p.Maps[constMap].(*PerCPURing); !ok {
-						return nil, verr(pc, "%s arg %d must be a perf ring buffer, got %q", spec.Name, i+1, p.Maps[constMap].Name())
+				// Perf output takes a ring, the map helpers anything else.
+				_, ring := p.Maps[constMap].(*PerCPURing)
+				if output := insn.Imm == HelperPerfOutput; ring != output {
+					want := "a keyed map"
+					if output {
+						want = "a perf ring buffer"
 					}
+					return nil, verr(pc, "%s arg %d must be %s, got %q", spec.Name, i+1, want, p.Maps[constMap].Name())
 				}
 			case ArgPtrKey, ArgPtrValue:
 				if constMap < 0 {
@@ -359,9 +360,6 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 				size := p.Maps[constMap].KeySize()
 				if kind == ArgPtrValue {
 					size = p.Maps[constMap].ValueSize()
-				}
-				if size == 0 {
-					break // keyless map; argument ignored
 				}
 				if a.kind != rkPtrStack {
 					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
@@ -441,11 +439,7 @@ func oracleAnalyze(p *Program, maxInsns int) (*oracleAnalysis, error) {
 			}
 		}
 		switch in.Op {
-		case OpDivImm, OpModImm:
-			if in.Imm == 0 {
-				return nil, verr(pc, "division by constant zero")
-			}
-		case OpLshImm, OpRshImm, OpArshImm:
+		case OpLshImm, OpRshImm:
 			if in.Imm < 0 || in.Imm >= 64 {
 				return nil, verr(pc, "shift amount %d out of range", in.Imm)
 			}

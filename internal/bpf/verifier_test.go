@@ -2,6 +2,7 @@ package bpf
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -116,9 +117,15 @@ func TestVerifyRejectsBackEdges(t *testing.T) {
 	}
 }
 
+// A division by a constant zero cannot be written: the immediate form of
+// div is retired, so its wire form fails as an invalid opcode.
 func TestVerifyDivisionByZeroImm(t *testing.T) {
-	p := NewBuilder("div0").Mov(R0, 1).Div(R0, 0).Exit().MustBuild()
-	mustReject(t, p, "division")
+	p := &Program{Name: "div0", Insns: []Insn{
+		{Op: OpMovImm, Dst: R0, Imm: 1},
+		{Op: Op(9), Dst: R0, Imm: 0}, // div r0, 0
+		{Op: OpExit},
+	}}
+	mustReject(t, p, "insn 1: invalid opcode 9")
 }
 
 func TestVerifyDivisionByKnownZeroReg(t *testing.T) {
@@ -201,16 +208,16 @@ func TestVerifyInfeasibleBranchPruned(t *testing.T) {
 }
 
 func TestVerifyRegisterOffsetStackAccess(t *testing.T) {
-	// An unknown scalar masked to [0, 56] and aligned to 8 indexes an
-	// 8-slot stack array: every offset in [-64, -8] is in bounds and
-	// initialized, so the range-tracking verifier must accept it.
+	// An unknown scalar cut to [0, 56] indexes an 8-slot stack array:
+	// every 8-byte access from [-64, -8] is in bounds and initialized, so
+	// the range-tracking verifier must accept it.
 	b := NewBuilder("regoff")
 	for off := int32(-64); off < 0; off += 8 {
 		b.StoreImm(R10, off, 7)
 	}
 	p := b.
 		Call(HelperKtime).
-		And(R0, 56). // r0 in {0, 8, ..., 56}
+		Rsh(R0, 61).Lsh(R0, 3). // r0 in {0, 8, ..., 56}
 		MovReg(R1, R10).
 		Sub(R1, 64).
 		AddReg(R1, R0).
@@ -218,7 +225,7 @@ func TestVerifyRegisterOffsetStackAccess(t *testing.T) {
 		Exit().MustBuild()
 	mustVerify(t, p)
 
-	// Without the mask the offset is unbounded and must still be rejected.
+	// Without the shifts the offset is unbounded and must still be rejected.
 	p2 := NewBuilder("regoff-bad").
 		StoreImm(R10, -8, 7).
 		Call(HelperKtime).
@@ -270,9 +277,9 @@ func TestVerifyPointerLeakToMemory(t *testing.T) {
 }
 
 func TestVerifyPointerALURestricted(t *testing.T) {
-	p := NewBuilder("ptrmul").
+	p := NewBuilder("ptrshift").
 		MovReg(R1, R10).
-		Mul(R1, 2).
+		Lsh(R1, 1).
 		Mov(R0, 0).Exit().MustBuild()
 	mustReject(t, p, "forbidden ALU op on pointer")
 }
@@ -450,9 +457,31 @@ func TestVerifyCondJumpOnPointer(t *testing.T) {
 	mustReject(t, p, "")
 }
 
+// TestVerifyInvalidOpcode rejects every opcode number outside the ISA —
+// the gaps retired opcodes left included — and a call to the retired
+// trace_printk helper, at the instruction's own pc. Old corpora still
+// decode to these wire values, so they must fail cleanly.
+// TestVerifyInvalidOpcode rejects every opcode number outside the ISA —
+// the gaps retired opcodes left included — and a call to the retired
+// trace_printk helper, at the instruction's own pc. Old corpora still
+// decode to these wire values, so they must fail cleanly.
 func TestVerifyInvalidOpcode(t *testing.T) {
-	p := &Program{Name: "bad", Insns: []Insn{{Op: Op(200)}}}
-	mustReject(t, p, "invalid opcode")
+	want := map[Insn]string{
+		{Op: Op(200)}:         "invalid opcode 200",
+		{Op: OpCall, Imm: 13}: "unknown helper 13",
+	}
+	// mul, div, mod, modr, and, andr, or, orr, xor, xorr, lshr, rshr, neg,
+	// jgtr, jger, jlt, jltr, jler, jset, arsh, arshr.
+	for _, op := range []Op{7, 9, 11, 12, 13, 14, 15, 16, 17, 18, 20, 22, 23, 34, 36, 37, 38, 40, 41, 44, 45} {
+		want[Insn{Op: op, Dst: R0, Src: R0, Imm: 1}] = fmt.Sprintf("invalid opcode %d", op)
+	}
+	for in, msg := range want {
+		p := &Program{Name: "bad", Insns: []Insn{{Op: OpMovImm, Dst: R0}, in, {Op: OpExit}}}
+		var ve *VerifyError
+		if err := Verify(p, 0); !errors.As(err, &ve) || ve.PC != 1 || ve.Msg != msg {
+			t.Errorf("%v: got %v, want insn 1: %s", in, err, msg)
+		}
+	}
 }
 
 func TestVerifyRegisterRange(t *testing.T) {
@@ -498,6 +527,8 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 	// verified against any map type, then faulted in the VM's type
 	// assertion at runtime. The verifier must reject the
 	// mismatch statically, like real eBPF's map/helper compatibility check.
+	// The map helpers take any map but a ring: a ring is keyless, and
+	// its Map methods do nothing a program could use.
 	cases := []struct {
 		name   string
 		helper int64
@@ -507,6 +538,10 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 		{"perf output on array map", HelperPerfOutput, genMapArray, false},
 		{"perf output on ring", HelperPerfOutput, genMapRing, true},
 		{"perf output on per-cpu ring", HelperPerfOutput, genMapPerCPU, true},
+		{"map lookup on ring", HelperMapLookup, genMapRing, false},
+		{"map update on per-cpu ring", HelperMapUpdate, genMapPerCPU, false},
+		{"map delete on ring", HelperMapDelete, genMapRing, false},
+		{"map delete on hash map", HelperMapDelete, genMapHash, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -525,8 +560,9 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 			if tc.ok && err != nil {
 				t.Fatalf("compatible map rejected: %v", err)
 			}
-			if !tc.ok && err == nil {
-				t.Fatalf("incompatible map accepted")
+			var ve *VerifyError
+			if call := len(p.Insns) - 2; !tc.ok && (!errors.As(err, &ve) || ve.PC != call) {
+				t.Fatalf("incompatible map: got %v, want a rejection of the call at insn %d", err, call)
 			}
 		})
 	}

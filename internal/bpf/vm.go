@@ -80,8 +80,6 @@ type LoadedProgram struct {
 	compiledRuns  int64
 	runtimeFaults int64
 
-	printk []uint64
-
 	// Optional side-effect trace, used by the differential fuzzers to
 	// compare original and optimized programs: every successful call to a
 	// non-Pure helper is recorded with its consumed arguments and return
@@ -218,7 +216,7 @@ func (ec *execState) mem(ptr uint64, off int32, size int) ([]byte, error) {
 // runtime fault. When Compile has accepted the program, execution runs
 // the compiled blocks; otherwise (never compiled, or declined)
 // it falls back to the interpreter. Both paths produce bit-identical
-// results — R0, cost, helper trace, printk, and map end-states — which
+// results — R0, cost, helper trace and map end-states — which
 // the differential fuzz oracles enforce.
 func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (uint64, int64, error) {
 	if lp.compiled != nil {
@@ -338,16 +336,12 @@ func condTrue(op Op, a, b uint64) bool {
 		return a == b
 	case OpJneImm, OpJneReg:
 		return a != b
-	case OpJgtImm, OpJgtReg:
+	case OpJgtImm:
 		return a > b
-	case OpJgeImm, OpJgeReg:
+	case OpJgeImm:
 		return a >= b
-	case OpJltImm, OpJltReg:
-		return a < b
-	case OpJleImm, OpJleReg:
+	case OpJleImm:
 		return a <= b
-	case OpJsetImm:
-		return a&b != 0
 	}
 	return false
 }
@@ -508,9 +502,6 @@ func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
 		} else {
 			ec.regs[R0] = 0
 		}
-	case HelperTracePrintk:
-		lp.printk = append(lp.printk, ec.regs[R1])
-		ec.regs[R0] = 0
 	default:
 		return 0, fmt.Errorf("%w: unknown helper %d", ErrRuntime, id)
 	}
