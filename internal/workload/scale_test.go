@@ -12,9 +12,9 @@ import (
 // This file is the multi-core determinism regression suite for the pooled
 // epoch/barrier driver: the schedule — and therefore the sink stream and
 // every per-CPU noise stream — must be a pure function of the seed at every
-// (NumCPUs, drain parallelism) point in the support grid. The companion
-// golden_test.go locks NumCPUs=1 on the legacy driver to the pre-refactor
-// single-clock schedule bit for bit; here we lock run-to-run determinism of
+// (NumCPUs, drain parallelism) point in the support grid. golden_test.go
+// pins one TPC-C run on each driver, the pooled one at NumCPUs=1, to a
+// rendered file in testdata; here we lock run-to-run determinism of
 // the epoch engine itself, including under -race (make race runs this
 // package with the detector on, so package state that parallel simulations
 // share shows up as a race, and nondeterminism in the barrier merge as a

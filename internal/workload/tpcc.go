@@ -165,7 +165,7 @@ func (t *TPCC) Setup(srv *dbms.Server) error {
 		return err
 	}
 
-	rng := rand.New(rand.NewSource(3)) //tsvet:ignore seeded-source population seed is part of the dataset definition; the golden archive fingerprint depends on it
+	rng := rand.New(rand.NewSource(3)) //tsvet:ignore seeded-source population seed is part of the dataset definition; testdata/golden.txt and golden_pooled.txt depend on it
 	W, C, I, O := t.warehouses(), t.custs(), t.items(), t.initOrders()
 	t.nextOID = make([]int64, W*tpccDistricts)
 
