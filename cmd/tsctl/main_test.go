@@ -230,15 +230,14 @@ func TestFormatProcessorStatsJITSection(t *testing.T) {
 	}
 	st.JIT[tscout.SubsystemExecutionEngine] = tscout.CollectorJITStats{
 		Enabled:  true,
-		Begin:    bpf.ProgramJITStats{Attempted: true, Compiled: true, Insns: 145, Ops: 23, CompiledRuns: 42},
-		End:      bpf.ProgramJITStats{Attempted: true, Compiled: true, Insns: 190, Ops: 30, CompiledRuns: 40},
-		Features: bpf.ProgramJITStats{Attempted: true, DeclineReason: bpf.DeclineUnprovenAccess, InterpRuns: 40},
+		Begin:    bpf.ProgramJITStats{Compiled: true, Insns: 145, Ops: 23, CompiledRuns: 42},
+		End:      bpf.ProgramJITStats{Compiled: true, Insns: 190, Ops: 30, CompiledRuns: 40},
+		Features: bpf.ProgramJITStats{Compiled: true, Insns: 260, Ops: 31, CompiledRuns: 39},
 	}
 	out := formatProcessorStats(st)
 	for _, want := range []string{
-		"jit (native runs per program", "42", "40",
-		"interp:" + bpf.DeclineUnprovenAccess, "compiled-programs=2",
-		"jit ops (instructions->micro-ops", "145->23", "190->30",
+		"jit (native runs per program", "42", "40", "39", "compiled-programs=3",
+		"jit ops (instructions->micro-ops", "145->23", "190->30", "260->31",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("jit section missing %q:\n%s", want, out)

@@ -157,29 +157,22 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		}
 	}
 
-	// JIT dispatch only renders when compilation was attempted, mirroring
-	// the codegen block. Each program cell shows its native run count, or
-	// the decline reason for programs still on the interpreter.
+	// JIT dispatch only renders when compilation was on, mirroring the
+	// codegen block. Each program cell shows its native run count.
 	jit := false
 	for i := range st.JIT {
 		jit = jit || st.JIT[i].Enabled
 	}
 	if jit {
-		fmt.Fprintf(&b, "\njit (native runs per program; interp:<reason> = declined):\n")
-		progCell := func(p bpf.ProgramJITStats) string {
-			if !p.Compiled {
-				return "interp:" + p.DeclineReason
-			}
-			return fmt.Sprintf("%d", p.CompiledRuns)
-		}
+		fmt.Fprintf(&b, "\njit (native runs per program):\n")
 		fmt.Fprintf(&b, "%-18s %12s %12s %12s %8s\n", "subsystem", "begin", "end", "features", "faults")
 		for _, sub := range tscout.AllSubsystems {
 			js := st.JIT[sub]
 			if !js.Enabled {
 				continue
 			}
-			fmt.Fprintf(&b, "%-18s %12s %12s %12s %8d\n",
-				sub.String(), progCell(js.Begin), progCell(js.End), progCell(js.Features),
+			fmt.Fprintf(&b, "%-18s %12d %12d %12d %8d\n",
+				sub.String(), js.Begin.CompiledRuns, js.End.CompiledRuns, js.Features.CompiledRuns,
 				js.RuntimeFaults())
 		}
 		fmt.Fprintf(&b, "compiled-programs=%d\n", st.TotalCompiledPrograms())
@@ -187,9 +180,6 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		// instructions, and the micro-ops they fuse into.
 		fmt.Fprintf(&b, "jit ops (instructions->micro-ops per program):\n")
 		opsCell := func(p bpf.ProgramJITStats) string {
-			if !p.Compiled {
-				return "-"
-			}
 			return fmt.Sprintf("%d->%d", p.Insns, p.Ops)
 		}
 		for _, sub := range tscout.AllSubsystems {

@@ -10,8 +10,7 @@ import (
 
 // fullyPopulatedStats builds a ProcessorStats snapshot that exercises every
 // optional section of the renderer: per-CPU rings, batch histogram,
-// resilience counters, codegen savings, and the JIT table with both native
-// run counts and interpreter decline-reason cells.
+// resilience counters, codegen savings, and the JIT tables.
 func fullyPopulatedStats() tscout.ProcessorStats {
 	var st tscout.ProcessorStats
 	st.Polls = 12
@@ -39,13 +38,10 @@ func fullyPopulatedStats() tscout.ProcessorStats {
 			Features: bpf.OptStats{BeforeInsns: 80 + i, AfterInsns: 70 + i},
 		}
 		st.JIT[i] = tscout.CollectorJITStats{
-			Enabled: true,
-			Begin:   bpf.ProgramJITStats{Attempted: true, Compiled: true, CompiledRuns: int64(500 * (i + 1))},
-			End:     bpf.ProgramJITStats{Attempted: true, Compiled: true, CompiledRuns: int64(400 * (i + 1))},
-			Features: bpf.ProgramJITStats{
-				Attempted: true, Compiled: false,
-				DeclineReason: "helper-out-of-range", InterpRuns: int64(300 * (i + 1)),
-			},
+			Enabled:  true,
+			Begin:    bpf.ProgramJITStats{Compiled: true, CompiledRuns: int64(500 * (i + 1))},
+			End:      bpf.ProgramJITStats{Compiled: true, CompiledRuns: int64(400 * (i + 1))},
+			Features: bpf.ProgramJITStats{Compiled: true, CompiledRuns: int64(300 * (i + 1))},
 		}
 	}
 	st.User = tscout.SubsystemStats{Submitted: 77, Drained: 77, Points: 77}
@@ -79,7 +75,7 @@ func TestFormatProcessorStatsDeterministic(t *testing.T) {
 	for _, section := range []string{
 		"per-cpu rings", "quiet-rings=", "batch-size hist:", "resilience:",
 		"codegen insns", "total-insns-saved=", "jit (native runs",
-		"interp:helper-out-of-range", "compiled-programs=",
+		"compiled-programs=", "jit ops (instructions",
 		"autopilot: epochs=42", "converged", "drifting",
 	} {
 		if !strings.Contains(first, section) {

@@ -18,6 +18,10 @@ var verifyEntryPoints = map[string]bool{
 	"Verify": true, "Analyze": true, "Load": true, "LoadOptimized": true, "Optimize": true,
 }
 
+// verifyMethods are bpf.LoadedProgram's methods whose error result is a
+// verification verdict: Compile refuses only a program no proof covers.
+var verifyMethods = map[string]bool{"Compile": true}
+
 // runMethodNames are LoadedProgram's execution entry points: their final
 // result is the runtime fault.
 var runMethodNames = map[string]bool{"Run": true}
@@ -73,11 +77,11 @@ func runConstructedLoadedProgram(pass *Pass) {
 }
 
 // DiscardedVerifyErrorAnalyzer flags discarding the error result of the
-// bpf verification entry points: ignoring the verdict defeats the
-// verify-before-run contract.
+// bpf verification entry points and of LoadedProgram.Compile: ignoring the
+// verdict defeats the verify-before-run contract.
 var DiscardedVerifyErrorAnalyzer = &Analyzer{
 	Name: RuleDiscardedVerifyError,
-	Doc:  "the error from bpf.Verify/Analyze/Load/LoadOptimized/Optimize must be checked, never discarded",
+	Doc:  "the error from bpf.Verify/Analyze/Load/LoadOptimized/Optimize and LoadedProgram.Compile must be checked, never discarded",
 	Run:  runDiscardedVerifyError,
 }
 
@@ -85,43 +89,49 @@ func runDiscardedVerifyError(pass *Pass) {
 	if hasPathSuffix(pass.RelPath, bpfPkgSuffix) {
 		return
 	}
-	verifyCallee := func(expr ast.Expr) *types.Func {
+	// verifyCallee returns the verdict-bearing function expr calls and its
+	// name as the findings print it.
+	verifyCallee := func(expr ast.Expr) (*types.Func, string) {
 		call, ok := expr.(*ast.CallExpr)
 		if !ok {
-			return nil
+			return nil, ""
 		}
 		fn := calleeFunc(pass.Info, call)
-		if fn == nil || !verifyEntryPoints[fn.Name()] || recvNamed(fn) != nil {
-			return nil
+		switch {
+		case fn == nil:
+			return nil, ""
+		case recvNamed(fn) != nil:
+			if verifyMethods[fn.Name()] && isMethodOn(fn, bpfPkgSuffix, "LoadedProgram") {
+				return fn, "LoadedProgram." + fn.Name()
+			}
+		case verifyEntryPoints[fn.Name()] && hasPathSuffix(funcPkgPath(fn), bpfPkgSuffix):
+			return fn, fn.Name()
 		}
-		if !hasPathSuffix(funcPkgPath(fn), bpfPkgSuffix) {
-			return nil
-		}
-		return fn
+		return nil, ""
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.ExprStmt:
-				if fn := verifyCallee(node.X); fn != nil {
+				if fn, name := verifyCallee(node.X); fn != nil {
 					pass.Reportf(node.Pos(),
-						"result of bpf.%s discarded; the verification verdict must be checked", fn.Name())
+						"result of bpf.%s discarded; the verification verdict must be checked", name)
 				}
 			case *ast.GoStmt:
-				if fn := verifyCallee(node.Call); fn != nil {
+				if fn, name := verifyCallee(node.Call); fn != nil {
 					pass.Reportf(node.Pos(),
-						"result of bpf.%s discarded by go statement; the verification verdict must be checked", fn.Name())
+						"result of bpf.%s discarded by go statement; the verification verdict must be checked", name)
 				}
 			case *ast.DeferStmt:
-				if fn := verifyCallee(node.Call); fn != nil {
+				if fn, name := verifyCallee(node.Call); fn != nil {
 					pass.Reportf(node.Pos(),
-						"result of bpf.%s discarded by defer statement; the verification verdict must be checked", fn.Name())
+						"result of bpf.%s discarded by defer statement; the verification verdict must be checked", name)
 				}
 			case *ast.AssignStmt:
 				if len(node.Rhs) != 1 {
 					return true
 				}
-				fn := verifyCallee(node.Rhs[0])
+				fn, name := verifyCallee(node.Rhs[0])
 				if fn == nil {
 					return true
 				}
@@ -129,7 +139,7 @@ func runDiscardedVerifyError(pass *Pass) {
 				errIdx := errorResultIndex(sig)
 				if errIdx >= 0 && errIdx < len(node.Lhs) && isBlank(node.Lhs[errIdx]) {
 					pass.Reportf(node.Pos(),
-						"error from bpf.%s assigned to _; the verification verdict must be checked", fn.Name())
+						"error from bpf.%s assigned to _; the verification verdict must be checked", name)
 				}
 			}
 			return true

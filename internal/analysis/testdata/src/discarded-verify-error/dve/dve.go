@@ -36,7 +36,23 @@ func BlankedOptimize(p *bpf.Program) *bpf.Program {
 	return op
 }
 
+func BareCompile(lp *bpf.LoadedProgram) {
+	lp.Compile() // want:discarded-verify-error
+}
+
+func BlankedCompile(lp *bpf.LoadedProgram) bpf.CompileInfo {
+	info, _ := lp.Compile() // want:discarded-verify-error
+	return info
+}
+
 // Checking or propagating the verdict is the contract: not flagged.
+func CheckedCompile(lp *bpf.LoadedProgram) error {
+	if _, err := lp.Compile(); err != nil {
+		return err
+	}
+	return nil
+}
+
 func Checked(p *bpf.Program) error {
 	return bpf.Verify(p, 512)
 }

@@ -64,9 +64,9 @@ const (
 	// verification.
 	RuleConstructedLoadedProgram = "constructed-loaded-program"
 	// RuleDiscardedVerifyError flags discarding the error result of
-	// bpf.Verify, bpf.Load, bpf.LoadOptimized, bpf.Analyze, or bpf.Optimize (blank
-	// identifier, bare call statement, or go/defer): ignoring the verdict
-	// defeats the verify-before-run contract.
+	// bpf.Verify, bpf.Load, bpf.LoadOptimized, bpf.Analyze, bpf.Optimize or
+	// bpf.LoadedProgram.Compile (blank identifier, bare call statement, or
+	// go/defer): ignoring the verdict defeats the verify-before-run contract.
 	RuleDiscardedVerifyError = "discarded-verify-error"
 	// RuleDiscardedRunError flags swallowing the fault result of the
 	// execution hot path, matched by receiver type (bpf.LoadedProgram for

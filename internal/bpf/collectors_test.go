@@ -45,8 +45,8 @@ func forEachCollector(t *testing.T, f func(name string, lp *bpf.LoadedProgram)) 
 func TestEveryPatternFiresOnCollectors(t *testing.T) {
 	var counts [len(bpf.PatternNames)]int
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
-		if reason := bpf.PatternCounts(lp, &counts); reason != "" {
-			t.Fatalf("%s: declined: %q", name, reason)
+		if err := bpf.PatternCounts(lp, &counts); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	})
 	for i, n := range counts {
@@ -55,6 +55,29 @@ func TestEveryPatternFiresOnCollectors(t *testing.T) {
 		}
 	}
 	t.Logf("pattern counts %v", counts)
+}
+
+// TestEveryCollectorCallIsAFrame is the call census: every impure helper
+// call of every Collector binds a callFrame that matchFrame folds, so no
+// bare muHelperCall survives peephole and no call ends its block through
+// genericCall. Without it, a codegen change that moved a key off an exact
+// stack slot would quietly send that call to the interpreter's dispatcher.
+func TestEveryCollectorCallIsAFrame(t *testing.T) {
+	calls, framed := 0, 0
+	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
+		c, f, err := bpf.FramedCalls(lp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f != c {
+			t.Errorf("%s: %d of %d impure calls fold into a call frame", name, f, c)
+		}
+		calls, framed = calls+c, framed+f
+	})
+	if calls == 0 {
+		t.Fatal("no Collector makes an impure helper call")
+	}
+	t.Logf("%d of %d impure calls fold into a call frame", framed, calls)
 }
 
 // TestISAIsWhatCodegenEmits is the instruction set's census: every opcode
@@ -96,9 +119,9 @@ func TestISAIsWhatCodegenEmits(t *testing.T) {
 func TestCollectorDump(t *testing.T) {
 	var b strings.Builder
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
-		ops, reason := bpf.MicroOps(lp)
-		if reason != "" {
-			t.Fatalf("%s: declined: %q", name, reason)
+		ops, err := bpf.MicroOps(lp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		fmt.Fprintf(&b, "== %s\n%s-- micro-ops\n%s", name, lp.Program().Disassemble(), ops)
 	})

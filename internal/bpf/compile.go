@@ -18,59 +18,36 @@ import (
 //     at every dereference; exact stack offsets become compile-time
 //     constant indices.
 //   - No helper-argument validation: map handles proven rkConstMap bind to
-//     the concrete Map at compile time, stack-pointer arguments to direct
-//     slices; the call devirtualizes to the helper's body.
+//     the concrete map at compile time and stack-pointer arguments proven
+//     to exact slots to constant indices; the call becomes a callFrame.
 //
 // The compiled form is micro-op blocks joined by a few terminator closures.
-// One pass over the instructions (compileInsn) validates each one and either
-// pre-decodes it to a microOp — moves, ALU, proven loads and stores, pure and
-// proven helper calls, and conditional jumps, which become branch micro-ops
-// with a side exit — or, for Exit, Ja, helper calls the analysis could not
-// prove out and statically-dead pcs, builds a terminator closure of type
-// copFn. fuse then turns every maximal run of micro-ops (any length ≥ 1)
-// into one block after peephole has combined idiomatic sequences into
-// pattern super-ops, so a block runs from its head until a terminator or the
-// next jump target, leaving early only through a taken branch. A copFn
-// returns the next one to run (or nil to stop); the dispatch loop is
-// runCompiled's `for f != nil { f = f(ec) }`. The instruction set therefore
-// has two implementations: the interpreter (the reference) and block.run.
+// One pass over the instructions (compileInsn) pre-decodes each reached one
+// to a microOp — moves, ALU, proven loads and stores, pure helper calls,
+// map and perf-output calls bound to a callFrame, and conditional jumps,
+// which become branch micro-ops with a side exit — or, for Exit, Ja and a
+// call that binds no frame, builds a terminator closure of type copFn.
+// fuse then turns every maximal run of micro-ops (any length ≥ 1) into one
+// block after peephole has combined idiomatic sequences into pattern
+// super-ops, so a block runs from its head until a terminator or the next
+// jump target, leaving early only through a taken branch. A copFn returns
+// the next one to run (or nil to stop); the dispatch loop is runCompiled's
+// `for f != nil { f = f(ec) }`. The instruction set therefore has two
+// implementations: the interpreter (the reference) and block.run.
 //
-// Anything the compiler cannot prove makes it decline the whole program
-// with a reason; Run then falls back to the interpreter, which remains the
-// reference semantics. Compiled and interpreted execution are bit-identical
-// — same R0, same cost() accounting, same helper trace and map end-states
-// — and the differential fuzz oracles enforce that.
+// The compiler is total on verified programs, as a kernel built with
+// CONFIG_BPF_JIT_ALWAYS_ON requires: every instruction the verifier admits
+// has a template, and every proof a template needs is one the verifier
+// made. Compiled and interpreted execution are bit-identical — same R0,
+// same cost() accounting, same helper trace and map end-states — and the
+// differential fuzz oracles enforce that.
 
-// Decline reasons reported in CompileInfo.Reason and surfaced through
-// ProcessorStats / `tsctl stats`.
-const (
-	// DeclineNoAnalysis: the program has no retained verifier analysis
-	// (constructed without Load), so no proofs license any elision.
-	DeclineNoAnalysis = "no-analysis"
-	// DeclineUnsupportedOpcode: an instruction the compiler has no
-	// template for.
-	DeclineUnsupportedOpcode = "unsupported-opcode"
-	// DeclineUnprovenAccess: a reached memory access whose base register
-	// the analysis could not prove to be a dereferenceable pointer.
-	DeclineUnprovenAccess = "unproven-access"
-	// DeclineMalformed: control flow runs off the end of the program or a
-	// jump targets an out-of-range pc. Unreachable for Load-verified
-	// programs; kept as a defensive decline.
-	DeclineMalformed = "malformed-control-flow"
-)
-
-// CompileInfo reports the outcome of a Compile attempt.
+// CompileInfo reports a compiled program's static size.
 type CompileInfo struct {
-	// Attempted is true once Compile has run.
-	Attempted bool
-	// Compiled is true when the program now dispatches through the JIT.
-	Compiled bool
-	// Reason is the decline reason when Compiled is false ("" otherwise).
-	Reason string
 	// Insns is the static instruction count.
 	Insns int
 	// Ops is the number of micro-ops the compiled blocks hold after
-	// peephole fusion (0 when the program was declined).
+	// peephole fusion.
 	Ops int
 }
 
@@ -79,33 +56,30 @@ type CompileInfo struct {
 // ec.err).
 type copFn func(ec *execState) copFn
 
-// Compile attempts to JIT the program, once: whatever the outcome, the
-// analysis it consumed is released and a further Compile returns the
-// recorded outcome. On success subsequent Run calls dispatch through the
-// compiled form; on decline they keep interpreting.
-func (lp *LoadedProgram) Compile() CompileInfo {
-	if lp.compileInfo.Attempted {
-		return lp.compileInfo
+// Compile JITs the program; Run then dispatches through the compiled form.
+// On a program Load verified it cannot fail. Its one error wraps
+// ErrVerification as a *VerifyError naming the pc no proof covers: a
+// program that bypassed Load or was changed after it. Whatever the outcome,
+// the analysis it consumed is released, and a second Compile of a compiled
+// program returns the recorded CompileInfo.
+func (lp *LoadedProgram) Compile() (CompileInfo, error) {
+	if lp.compiled != nil {
+		return lp.compileInfo, nil
 	}
-	info := CompileInfo{Attempted: true, Insns: len(lp.prog.Insns)}
-	if cc, reason := lp.decode(); reason != "" {
-		info.Reason = reason
-	} else {
-		info.Ops = cc.fuse()
-		lp.compiled = cc.fns[0]
-		info.Compiled = true
-	}
+	cc, err := lp.decode()
 	lp.analysis = nil
-	lp.compileInfo = info
-	return info
+	if err != nil {
+		return CompileInfo{}, err
+	}
+	lp.compileInfo = CompileInfo{Insns: len(lp.prog.Insns), Ops: cc.fuse()}
+	lp.compiled = cc.fns[0]
+	return lp.compileInfo, nil
 }
 
-// ProgramJITStats is a point-in-time snapshot of one program's compile
-// outcome and dispatch counters, for stats surfaces.
+// ProgramJITStats is a point-in-time snapshot of one program's compiled
+// size and dispatch counters, for stats surfaces.
 type ProgramJITStats struct {
-	Attempted     bool
-	Compiled      bool
-	DeclineReason string
+	Compiled bool
 	// Insns and Ops are CompileInfo's static instruction and micro-op
 	// counts.
 	Insns, Ops    int
@@ -114,12 +88,10 @@ type ProgramJITStats struct {
 	RuntimeFaults int64
 }
 
-// JITStats snapshots the program's compile outcome and dispatch counters.
+// JITStats snapshots the program's compiled size and dispatch counters.
 func (lp *LoadedProgram) JITStats() ProgramJITStats {
 	return ProgramJITStats{
-		Attempted:     lp.compileInfo.Attempted,
-		Compiled:      lp.compileInfo.Compiled,
-		DeclineReason: lp.compileInfo.Reason,
+		Compiled:      lp.compiled != nil,
 		Insns:         lp.compileInfo.Insns,
 		Ops:           lp.compileInfo.Ops,
 		CompiledRuns:  lp.compiledRuns,
@@ -129,23 +101,24 @@ func (lp *LoadedProgram) JITStats() ProgramJITStats {
 }
 
 // decode runs the whole-program checks and then the per-instruction pass,
-// returning the compiler state fuse works from or the first decline reason.
-func (lp *LoadedProgram) decode() (*compiler, string) {
+// returning the compiler state fuse works from or the first pc no proof
+// covers.
+func (lp *LoadedProgram) decode() (*compiler, error) {
 	if lp.analysis == nil {
-		return nil, DeclineNoAnalysis
+		return nil, verr(0, "compile: no proof covers the program")
 	}
 	n := len(lp.prog.Insns)
 	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis,
 		fns: make([]copFn, n), ops: make([]microOp, n)}
-	if !cc.markTargets() {
-		return nil, DeclineMalformed
+	if err := cc.markTargets(); err != nil {
+		return nil, err
 	}
 	for pc, in := range cc.p.Insns {
-		if reason := cc.compileInsn(pc, in); reason != "" {
-			return nil, reason
+		if err := cc.compileInsn(pc, in); err != nil {
+			return nil, err
 		}
 	}
-	return cc, ""
+	return cc, nil
 }
 
 // runCompiled drives the compiled form. There is no per-access error
@@ -204,14 +177,14 @@ type compiler struct {
 	fns      []copFn
 	ops      []microOp
 	isTarget []bool
-	// frames[pc] is the callFrame callBody bound the call at pc to (nil
-	// elsewhere, and nil until the first one); matchFrame widens it.
+	// frames[pc] is the callFrame the call at pc binds to (nil elsewhere,
+	// and nil until the first one); matchFrame widens it.
 	frames []*callFrame
 }
 
 // markTargets records which pcs are explicit jump targets (fusion must not
-// swallow them as run interiors) and validates jump ranges.
-func (cc *compiler) markTargets() bool {
+// swallow them as run interiors) and checks jump ranges.
+func (cc *compiler) markTargets() error {
 	cc.isTarget = make([]bool, len(cc.p.Insns))
 	for pc, in := range cc.p.Insns {
 		if !isJump(in.Op) {
@@ -219,11 +192,11 @@ func (cc *compiler) markTargets() bool {
 		}
 		tgt := pc + 1 + int(in.Off)
 		if tgt < 0 || tgt >= len(cc.p.Insns) {
-			return false
+			return verr(pc, "compile: jump target %d out of range", tgt)
 		}
 		cc.isTarget[tgt] = true
 	}
-	return true
+	return nil
 }
 
 // next returns the dispatch slot for the instruction after pc. Closures
@@ -238,62 +211,44 @@ func (cc *compiler) next(pc int) (*copFn, bool) {
 
 func (cc *compiler) slot(pc int) *copFn { return &cc.fns[pc] }
 
-// trap guards statically-dead pcs: verified control flow can never reach
-// them, so hitting one means the analysis and the runtime disagree — fault
-// loudly rather than execute unverified code.
-func (cc *compiler) trap(pc int) copFn {
-	return func(ec *execState) copFn {
-		ec.executed++
-		ec.err = fmt.Errorf("%w: compiled execution reached statically-dead pc %d", ErrRuntime, pc)
+// compileInsn is the single per-instruction pass: it records the compiled
+// form of the instruction at pc — a terminator closure in fns[pc] for Exit,
+// Ja and a call that binds no frame, a pre-decoded micro-op in ops[pc] for
+// everything else. A pc the analysis never reached (every edge into it was
+// proven infeasible) gets no code at all; run ends a block before it.
+func (cc *compiler) compileInsn(pc int, in Insn) error {
+	if !cc.a.Reached(pc) {
 		return nil
 	}
-}
-
-// compileInsn is the single per-instruction pass: it validates the
-// instruction at pc and records its compiled form — a terminator closure
-// in fns[pc] for Exit, Ja, unproven helper calls and statically-dead pcs,
-// a pre-decoded micro-op in ops[pc] for everything else — or returns the
-// reason the program must be declined.
-func (cc *compiler) compileInsn(pc int, in Insn) string {
-	if !cc.a.Reached(pc) {
-		cc.fns[pc] = cc.trap(pc)
-		return ""
-	}
-	switch {
-	case in.Op == OpExit:
+	switch in.Op {
+	case OpExit:
 		cc.fns[pc] = func(ec *execState) copFn {
 			ec.executed++
 			return nil
 		}
-		return ""
-	case in.Op == OpJa:
+		return nil
+	case OpJa:
 		tgt := cc.slot(pc + 1 + int(in.Off))
 		cc.fns[pc] = func(ec *execState) copFn {
 			ec.executed++
 			return *tgt
 		}
-		return ""
+		return nil
 	}
 
-	// Everything else can fall through to pc+1. The decline order is
-	// fixed: no template at all, then no successor, then an unproven
-	// access.
-	op, ok := cc.microFor(pc, in)
-	isMem := in.Op == OpLoad || in.Op == OpStore || in.Op == OpStoreImm
+	// Everything else falls through to pc+1.
 	next, hasNext := cc.next(pc)
-	switch {
-	case !ok && !isMem && in.Op != OpCall:
-		return DeclineUnsupportedOpcode
-	case !hasNext:
-		return DeclineMalformed
-	case ok:
-		cc.ops[pc] = op
-	case isMem:
-		return DeclineUnprovenAccess
-	default:
-		cc.fns[pc] = cc.genericCall(in.Imm, next)
+	if !hasNext {
+		return verr(pc, "compile: runs off the end of the program")
 	}
-	return ""
+	if op, ok := cc.microFor(pc, in); ok {
+		cc.ops[pc] = op
+	} else if in.Op == OpCall {
+		cc.fns[pc] = cc.genericCall(in.Imm, next)
+	} else {
+		return verr(pc, "compile: no proof covers the instruction")
+	}
+	return nil
 }
 
 // memKind classifies a proven memory operand.
@@ -347,34 +302,9 @@ func (cc *compiler) constMap(st *absState, r Reg) Map {
 	return cc.p.Maps[idx]
 }
 
-// stackArg builds a fetcher for a size-byte stack argument in register r,
-// or nil when the analysis cannot prove one (caller falls back to the
-// generic helper dispatcher). Mirrors the interpreter's stackBytes:
-// size 0 yields nil bytes.
-func (cc *compiler) stackArg(st *absState, r Reg, size int) func(*execState) []byte {
-	if size <= 0 {
-		return func(*execState) []byte { return nil }
-	}
-	rs := &st.regs[r]
-	if rs.kind != rkPtrStack {
-		return nil
-	}
-	if rs.lo == rs.hi {
-		idx := StackSize + int(rs.lo)
-		if idx >= 0 && idx+size <= StackSize {
-			return func(ec *execState) []byte { return ec.stack[idx : idx+size] }
-		}
-	}
-	reg := r
-	return func(ec *execState) []byte {
-		a := int(ptrAddr(ec.regs[reg]))
-		return ec.stack[a : a+size]
-	}
-}
-
 // stackArgConst reports the exact stack index of a size-byte argument in
-// register r when the analysis pins the pointer to a single slot —
-// letting helper bodies slice the stack directly with no fetcher closure.
+// register r when the analysis pins the pointer to a single slot — what
+// lets a callFrame slice the stack at constant indices.
 func (cc *compiler) stackArgConst(st *absState, r Reg, size int) (int, bool) {
 	rs := &st.regs[r]
 	if size <= 0 || rs.kind != rkPtrStack || rs.lo != rs.hi {
@@ -396,8 +326,8 @@ func scalarConst(st *absState, r Reg) (int64, bool) {
 	return int64(rs.vr.Const()), true
 }
 
-// genericCall is the terminator for a helper call the analysis could not
-// prove out: it goes through the interpreter's dispatcher, which is always
+// genericCall is the terminator for an impure helper call that binds no
+// callFrame: it goes through the interpreter's dispatcher, which is always
 // correct and reproduces the interpreter's runtime faults.
 func (cc *compiler) genericCall(id int64, next *copFn) copFn {
 	lp := cc.lp
@@ -414,130 +344,6 @@ func (cc *compiler) genericCall(id int64, next *copFn) copFn {
 		}
 		return *next
 	}
-}
-
-// callBody devirtualizes an impure helper call: it builds the helper's
-// fault-free body, or returns nil when the analysis cannot prove one
-// (unknown helper, unproven map handle or argument pointer — the caller
-// falls back to genericCall). Impure helpers need their map handle proven
-// rkConstMap so the concrete Map binds at compile time; the verifier's
-// argument-type proofs then rule out every error path, which is what lets
-// the body run inside a block as a muHelperCall micro-op. Each body
-// preserves the interpreter's observable order — R0 set before the trace
-// record — and its exact helperNS charging. Pure helpers never get here:
-// callMicro gives them micro kinds of their own. A map or perf-output call
-// whose arguments sit at proven stack slots becomes a callFrame, which the
-// peephole can later widen with the code around the call.
-func (cc *compiler) callBody(pc int, in Insn) func(*execState) bool {
-	if f := cc.frame(pc); f != nil {
-		if cc.frames == nil {
-			cc.frames = make([]*callFrame, len(cc.p.Insns))
-		}
-		cc.frames[pc] = f
-		return f.run
-	}
-	lp := cc.lp
-	id := in.Imm
-	spec, known := HelperByID(id)
-	if !known {
-		return nil
-	}
-	costNS := spec.CostNS
-	st := &cc.a.states[pc]
-
-	switch id {
-	case HelperMapLookup:
-		m := cc.constMap(st, R1)
-		if m == nil {
-			return nil
-		}
-		kf := cc.stackArg(st, R2, m.KeySize())
-		if kf == nil {
-			return nil
-		}
-		return func(ec *execState) bool {
-			v := m.Lookup(kf(ec))
-			if v == nil {
-				ec.regs[R0] = 0
-			} else {
-				ec.regs[R0] = ec.registerObject(v)
-			}
-			ec.helperNS += costNS
-			if lp.traceOn {
-				lp.recordCall(ec, id)
-			}
-			return false
-		}
-	case HelperMapUpdate:
-		m := cc.constMap(st, R1)
-		if m == nil {
-			return nil
-		}
-		kf := cc.stackArg(st, R2, m.KeySize())
-		vf := cc.stackArg(st, R3, m.ValueSize())
-		if kf == nil || vf == nil {
-			return nil
-		}
-		return func(ec *execState) bool {
-			if uerr := m.Update(kf(ec), vf(ec)); uerr != nil {
-				ec.regs[R0] = ^uint64(0)
-			} else {
-				ec.regs[R0] = 0
-			}
-			ec.helperNS += costNS
-			if lp.traceOn {
-				lp.recordCall(ec, id)
-			}
-			return false
-		}
-	case HelperMapDelete:
-		m := cc.constMap(st, R1)
-		if m == nil {
-			return nil
-		}
-		kf := cc.stackArg(st, R2, m.KeySize())
-		if kf == nil {
-			return nil
-		}
-		return func(ec *execState) bool {
-			if m.Delete(kf(ec)) {
-				ec.regs[R0] = 1
-			} else {
-				ec.regs[R0] = 0
-			}
-			ec.helperNS += costNS
-			if lp.traceOn {
-				lp.recordCall(ec, id)
-			}
-			return false
-		}
-	case HelperPerfOutput:
-		m := cc.constMap(st, R1)
-		rb, ok := m.(*PerCPURing)
-		if m == nil || !ok {
-			return nil
-		}
-		size64, isConst := scalarConst(st, R3)
-		if !isConst || size64 < 0 {
-			return nil
-		}
-		size := int(size64)
-		df := cc.stackArg(st, R2, size)
-		if df == nil {
-			return nil
-		}
-		total := costNS + int64(size/16)
-		return func(ec *execState) bool {
-			rb.SubmitFrom(ec.task.CPU(), df(ec))
-			ec.regs[R0] = 0
-			ec.helperNS += total
-			if lp.traceOn {
-				lp.recordCall(ec, id)
-			}
-			return false
-		}
-	}
-	return nil
 }
 
 // Registers of the padded register file that no instruction names (they
@@ -570,7 +376,9 @@ const (
 )
 
 // callFrame is one devirtualized map or perf-output call bound to its
-// concrete map, with proven stack slots for its key and value, and with
+// concrete map, with proven stack slots for its key and value — so the
+// verifier's argument proofs rule out every error path and the call runs
+// inside a block as a micro-op — and with
 // the straight-line code codegen emits around it folded in by the peephole
 // (matchFrame): a prologue that computes or spills the key, the constant
 // register setup that feeds the call (map handle, key and value pointers,
@@ -621,15 +429,15 @@ type frameFold struct {
 	loadOff  int32
 }
 
-// noFold is the fold of a frame straight from callBody: setup writes
+// noFold is the fold of a frame straight from frame: setup writes
 // zeros to regZero and the epilogue writes regSink.
 var noFold = frameFold{preAdd: regZero, setReg: [3]uint8{regZero, regZero, regZero},
 	movDst: regSink, addDst: regSink}
 
 // frame binds the call at pc to a callFrame when the analysis proves its
 // map, the helper's concrete map type and exact stack slots for its
-// pointer arguments; otherwise it returns nil and callBody builds a
-// generic body.
+// pointer arguments; otherwise it returns nil and the call runs through
+// genericCall.
 func (cc *compiler) frame(pc int) *callFrame {
 	st := &cc.a.states[pc]
 	id := cc.p.Insns[pc].Imm
@@ -785,11 +593,13 @@ func (cc *compiler) fuse() (ops int) {
 }
 
 // run returns the micro-ops of the maximal run starting at pc (empty when
-// pc holds a terminator). compileInsn declined any micro-op instruction
-// with no successor, so a run never reaches the last pc.
+// pc holds a terminator or no code). compileInsn refused any micro-op
+// instruction with no successor, so a run never reaches the last pc, and a
+// pc the analysis never reached ends a run: no run enters it, so the block
+// before it always leaves through its branch.
 func (cc *compiler) run(pc int) []microOp {
 	end := pc
-	for end < len(cc.fns) && cc.fns[end] == nil && (end == pc || !cc.isTarget[end]) {
+	for end < len(cc.fns) && cc.fns[end] == nil && cc.a.Reached(end) && (end == pc || !cc.isTarget[end]) {
 		end++
 	}
 	return cc.ops[pc:end]
@@ -888,9 +698,9 @@ const (
 	muDeltaObjRun     // imm muDeltaObjStore ops over adjacent words
 	muArgLadder       // a guarded tracepoint-argument copy, see matchLadder
 
-	// muHelperCall runs a devirtualized impure-helper body (fn). The
-	// verifier's argument proofs make these bodies fault-free, so the
-	// call no longer ends the block.
+	// muHelperCall runs a callFrame (fn) that matchFrame did not widen.
+	// The verifier's argument proofs make a frame fault-free, so the call
+	// does not end the block.
 	muHelperCall
 )
 
@@ -939,7 +749,7 @@ func aluMicro(op Op) (microKind, bool) {
 
 // callMicro maps a pure helper call to its micro kind. Impure helpers
 // (maps and perf output) need trace recording and object registration;
-// they run as muHelperCall bodies built by callBody.
+// they bind to a callFrame or run through genericCall.
 func callMicro(id int64) (microKind, bool) {
 	switch id {
 	case HelperGetPID:
@@ -965,9 +775,9 @@ func callMicro(id int64) (microKind, bool) {
 // microFor pre-decodes one instruction into a micro-op with its operands
 // fully resolved, mirroring the interpreter's semantics for that
 // instruction exactly. It reports false for what has no micro form: a
-// memory access whose base the analysis did not prove, a helper call it
-// could not devirtualize, and any opcode with no template; compileInsn
-// maps each to its decline reason or fallback.
+// helper call that binds no callFrame, which compileInsn sends through
+// genericCall, and — never in a verified program — a memory access whose
+// base the analysis did not prove or an opcode with no template.
 func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 	switch {
 	case in.Op == OpMovImm:
@@ -998,10 +808,15 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 				return microOp{kind: k, imm: uint64(spec.CostNS)}, true
 			}
 		}
-		if body := cc.callBody(pc, in); body != nil {
-			return microOp{kind: muHelperCall, fn: body, imm: uint64(pc)}, true
+		f := cc.frame(pc)
+		if f == nil {
+			return microOp{}, false
 		}
-		return microOp{}, false
+		if cc.frames == nil {
+			cc.frames = make([]*callFrame, len(cc.p.Insns))
+		}
+		cc.frames[pc] = f
+		return microOp{kind: muHelperCall, fn: f.run, imm: uint64(pc)}, true
 
 	case isALU(in.Op):
 		if cc.lp.ptrALU[pc] {

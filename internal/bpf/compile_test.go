@@ -1,6 +1,7 @@
 package bpf
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -12,32 +13,29 @@ import (
 	"tscout/internal/sim"
 )
 
-// This file tests the post-verify JIT (compile.go): the compiled path must
-// be observationally identical to the interpreter — same R0, same cost
-// accounting, same helper trace and map end-states — and every
-// decline reason must fall back to the interpreter cleanly. The named
-// TestCompileRegression_* cases pin interpreter-vs-compiled divergences
-// that the differential harness is prone to (scalar/pointer dispatch,
-// unsigned ALU edge cases, helper object identity); each also has a raw
-// corpus entry under testdata/fuzz/FuzzOptimize so the fuzzers keep
-// revisiting the exact programs.
+// This file tests the post-verify JIT (compile.go): every verified program
+// compiles, and the compiled path must be observationally identical to the
+// interpreter — same R0, same cost accounting, same helper trace and map
+// end-states. The named TestCompileRegression_* cases pin
+// interpreter-vs-compiled divergences that the differential harness is
+// prone to (scalar/pointer dispatch, unsigned ALU edge cases, helper
+// object identity); each also has a raw corpus entry under
+// testdata/fuzz/FuzzOptimize so the fuzzers keep revisiting the exact
+// programs.
 
 // assertCompiledAgreement runs p's instructions twice against fresh
-// kernels, tasks, and map tables — once interpreted, once through the JIT
-// (which may decline and fall back) — and fails on any observable
-// divergence. Returns the compile outcome so callers can assert on it.
-func assertCompiledAgreement(t *testing.T, p *Program, seed int64) CompileInfo {
+// kernels, tasks, and map tables — once interpreted, once through the JIT,
+// which must compile it — and fails on any observable divergence.
+func assertCompiledAgreement(t *testing.T, p *Program, seed int64) {
 	t.Helper()
-	ir := runExecVariant(p.Name+"/interp", p.Insns, seed, false)
-	cr := runExecVariant(p.Name+"/jit", p.Insns, seed, true)
+	ir := runExecVariant(t, p.Name+"/interp", p.Insns, seed, false)
+	cr := runExecVariant(t, p.Name+"/jit", p.Insns, seed, true)
 	if (ir.err == nil) != (cr.err == nil) ||
 		(ir.err != nil && ir.err.Error() != cr.err.Error()) {
-		t.Fatalf("error diverged (compiled=%v reason=%q):\ninterp   %v\ncompiled %v\n%s",
-			cr.info.Compiled, cr.info.Reason, ir.err, cr.err, p.Disassemble())
+		t.Fatalf("error diverged:\ninterp   %v\ncompiled %v\n%s", ir.err, cr.err, p.Disassemble())
 	}
 	if ir.r0 != cr.r0 {
-		t.Fatalf("R0 diverged: interp %#x, compiled %#x (reason=%q)\n%s",
-			ir.r0, cr.r0, cr.info.Reason, p.Disassemble())
+		t.Fatalf("R0 diverged: interp %#x, compiled %#x\n%s", ir.r0, cr.r0, p.Disassemble())
 	}
 	if ir.cost != cr.cost {
 		t.Fatalf("cost diverged: interp %d, compiled %d\n%s", ir.cost, cr.cost, p.Disassemble())
@@ -52,7 +50,6 @@ func assertCompiledAgreement(t *testing.T, p *Program, seed int64) CompileInfo {
 				i, ir.maps[i], cr.maps[i], p.Disassemble())
 		}
 	}
-	return cr.info
 }
 
 func genMapsBuilder(name string) *Builder {
@@ -69,20 +66,17 @@ func TestCompileDispatchCounters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	info := lp.Compile()
-	if !info.Compiled || info.Reason != "" {
-		t.Fatalf("straight-line program declined: %+v", info)
-	}
-	if lp.compileInfo != info {
-		t.Fatalf("CompileInfo not retained: %+v vs %+v", lp.compileInfo, info)
+	info, err := lp.Compile()
+	if err != nil || info != (CompileInfo{Insns: 2, Ops: 1}) {
+		t.Fatalf("straight-line program: %+v, %v", info, err)
 	}
 	// The compiled form has consumed the verifier's proof: it is released,
-	// and asking again reports the same outcome, not no-analysis.
+	// and asking again reports the same size, not an error.
 	if lp.analysis != nil {
 		t.Fatal("analysis still held after a successful Compile")
 	}
-	if again := lp.Compile(); again != info {
-		t.Fatalf("second Compile: %+v, want %+v", again, info)
+	if again, err := lp.Compile(); again != info || err != nil {
+		t.Fatalf("second Compile: %+v, %v; want %+v", again, err, info)
 	}
 	k := kernel.New(sim.LargeHW, 1, 0)
 	task := k.NewTask("jit")
@@ -129,60 +123,71 @@ func TestRuntimeFaultsCountedOnAttach(t *testing.T) {
 	}
 }
 
+// TestCompileFallbackMatchesInterpreter covers the only programs Compile
+// refuses: ones that bypassed Load, or whose instructions changed after
+// it. Each gets a *VerifyError naming the pc no proof covers, gives up its
+// analysis, and stays on the interpreter.
 func TestCompileFallbackMatchesInterpreter(t *testing.T) {
-	t.Run(DeclineNoAnalysis, func(t *testing.T) {
+	t.Run("no-analysis", func(t *testing.T) {
 		p := &Program{Name: "jit/no-analysis", Insns: []Insn{
 			{Op: OpMovImm, Dst: R0, Imm: 9},
 			{Op: OpExit},
 		}}
 		lp := &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns))}
-		info := lp.Compile()
-		if info.Compiled || info.Reason != DeclineNoAnalysis {
-			t.Fatalf("analysis-less program not declined: %+v", info)
-		}
-		k := kernel.New(sim.LargeHW, 1, 0)
-		r0, _, rerr := lp.Run(k.NewTask("t"), nil)
-		if rerr != nil || r0 != 9 {
-			t.Fatalf("fallback run: r0=%d err=%v", r0, rerr)
+		wantCompileError(t, lp, 0)
+		if r0, err := runsInterpreted(t, lp); r0 != 9 || err != nil {
+			t.Fatalf("interpreted run: r0=%d err=%v", r0, err)
 		}
 	})
 
-	t.Run(DeclineUnsupportedOpcode, func(t *testing.T) {
-		wantDecline(t, DeclineUnsupportedOpcode, 0, Insn{Op: Op(250)})
-		// No template outranks no successor: same answer at the last pc.
-		wantDecline(t, DeclineUnsupportedOpcode, 1, Insn{Op: Op(250)})
+	t.Run("unsupported-opcode", func(t *testing.T) {
+		lp := patchedProgram(t, 0, Insn{Op: Op(250)})
+		wantCompileError(t, lp, 0)
+		if _, err := runsInterpreted(t, lp); !errors.Is(err, ErrRuntime) {
+			t.Fatalf("interpreted run: %v, want a runtime fault", err)
+		}
 	})
 
-	t.Run(DeclineUnprovenAccess, func(t *testing.T) {
+	t.Run("unproven-access", func(t *testing.T) {
 		// R5 is uninitialized at pc 0: no proof it points anywhere.
-		wantDecline(t, DeclineUnprovenAccess, 0, Insn{Op: OpLoad, Dst: R0, Src: R5})
-		wantDecline(t, DeclineUnprovenAccess, 0, Insn{Op: OpStore, Dst: R5, Src: R0})
-		wantDecline(t, DeclineUnprovenAccess, 0, Insn{Op: OpStoreImm, Dst: R5, Imm: 1})
+		for _, in := range []Insn{
+			{Op: OpLoad, Dst: R0, Src: R5},
+			{Op: OpStore, Dst: R5, Src: R0},
+			{Op: OpStoreImm, Dst: R5, Imm: 1},
+		} {
+			lp := patchedProgram(t, 0, in)
+			wantCompileError(t, lp, 0)
+			if _, err := runsInterpreted(t, lp); !errors.Is(err, ErrRuntime) {
+				t.Fatalf("%v: interpreted run: %v, want a runtime fault", in, err)
+			}
+		}
 	})
 
-	t.Run(DeclineMalformed, func(t *testing.T) {
+	// The interpreter trusts the verifier's control-flow checks, so these
+	// programs are only refused, not run.
+	t.Run("malformed-control-flow", func(t *testing.T) {
 		p := &Program{Name: "jit/wild-jump", Insns: []Insn{
 			{Op: OpJa, Off: 5},
 			{Op: OpExit},
 		}}
-		lp := &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns)), analysis: &Analysis{}}
-		if info := lp.Compile(); info.Compiled || info.Reason != DeclineMalformed {
-			t.Fatalf("out-of-range jump not declined: %+v", info)
+		wantCompileError(t, &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns)), analysis: &Analysis{}}, 0)
+		// Straight-line code, an unknown opcode, an unproven access and a
+		// helper call with no successor all run off the end.
+		for _, in := range []Insn{
+			{Op: OpMovImm, Dst: R0, Imm: 2},
+			{Op: Op(250)},
+			{Op: OpLoad, Dst: R0, Src: R5},
+			{Op: OpCall, Imm: HelperGetPID},
+		} {
+			wantCompileError(t, patchedProgram(t, 1, in), 1)
 		}
-		// Straight-line code, an unproven access and a helper call with no
-		// successor all run off the end.
-		wantDecline(t, DeclineMalformed, 1, Insn{Op: OpMovImm, Dst: R0, Imm: 2})
-		wantDecline(t, DeclineMalformed, 1, Insn{Op: OpLoad, Dst: R0, Src: R5})
-		wantDecline(t, DeclineMalformed, 1, Insn{Op: OpCall, Imm: HelperGetPID})
 	})
 }
 
-// wantDecline loads the trivial program `mov r0, 1; exit`, overwrites the
-// instruction at pc (the retained analysis still marks both pcs reached),
-// and requires Compile — the whole merged pass, not one step of it — to
-// decline with reason and leave the program on the interpreter. A decline,
-// too, releases the analysis, and asking again reports the same outcome.
-func wantDecline(t *testing.T, reason string, pc int, in Insn) {
+// patchedProgram loads the trivial program `mov r0, 1; exit` and then
+// overwrites the instruction at pc, so the retained analysis (which still
+// marks both pcs reached) proves a program that is no longer there.
+func patchedProgram(t *testing.T, pc int, in Insn) *LoadedProgram {
 	t.Helper()
 	p := &Program{Name: "jit/probe", Insns: []Insn{
 		{Op: OpMovImm, Dst: R0, Imm: 1},
@@ -193,32 +198,48 @@ func wantDecline(t *testing.T, reason string, pc int, in Insn) {
 		t.Fatalf("load: %v", err)
 	}
 	p.Insns[pc] = in
-	info := lp.Compile()
-	if info.Compiled || info.Reason != reason || lp.compiled != nil {
-		t.Fatalf("%v at pc %d: got %+v, want decline %q", in, pc, info, reason)
+	return lp
+}
+
+// wantCompileError requires Compile — the whole merged pass, not one step
+// of it — to fail with a *VerifyError at pc that wraps ErrVerification,
+// release the analysis and leave the program uncompiled.
+func wantCompileError(t *testing.T, lp *LoadedProgram, pc int) {
+	t.Helper()
+	in := lp.prog.Insns[pc]
+	_, err := lp.Compile()
+	var ve *VerifyError
+	if !errors.Is(err, ErrVerification) || !errors.As(err, &ve) || ve.PC != pc {
+		t.Fatalf("%v at pc %d: Compile error %v, want a verification error at pc %d", in, pc, err, pc)
 	}
-	if lp.analysis != nil {
-		t.Fatalf("%v at pc %d: analysis still held after a declined Compile", in, pc)
+	if lp.analysis != nil || lp.compiled != nil {
+		t.Fatalf("%v at pc %d: analysis or compiled form held after a failed Compile", in, pc)
 	}
-	if again := lp.Compile(); again != info {
-		t.Fatalf("%v at pc %d: second Compile: %+v, want %+v", in, pc, again, info)
+}
+
+// runsInterpreted runs lp once and requires the interpreter to have run
+// it, returning R0 and the run's error.
+func runsInterpreted(t *testing.T, lp *LoadedProgram) (uint64, error) {
+	t.Helper()
+	k := kernel.New(sim.LargeHW, 1, 0)
+	r0, _, err := lp.Run(k.NewTask("t"), nil)
+	if st := lp.JITStats(); st.Compiled || st.InterpRuns != 1 || st.CompiledRuns != 0 {
+		t.Fatalf("run after a failed Compile: %+v", st)
 	}
+	return r0, err
 }
 
 // TestCompileGeneratedProgramsAgree sweeps the constructive generator as an
 // inline differential oracle (the always-on complement of FuzzOptimize's
-// compiled mode) and requires every generated program to compile rather
-// than fall back.
+// compiled mode); the oracle fails on any generated program that does not
+// compile.
 func TestCompileGeneratedProgramsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
 		p := genProgram(seed, int(seed%40)+1)
 		if err := Verify(p, fuzzMaxInsns); err != nil {
 			t.Fatalf("seed %d: generated program rejected: %v", seed, err)
 		}
-		if info := assertCompiledAgreement(t, p, seed); !info.Compiled {
-			t.Fatalf("seed %d: verified program declined (%q):\n%s",
-				seed, info.Reason, p.Disassemble())
-		}
+		assertCompiledAgreement(t, p, seed)
 	}
 }
 
@@ -235,10 +256,7 @@ func jitHighBitProgram() *Program {
 // dispatched on the value's runtime tag bits instead — a scalar whose bit
 // 63 is set would then take the pointer path and corrupt its low 32 bits.
 func TestCompileRegression_ScalarHighBitALU(t *testing.T) {
-	info := assertCompiledAgreement(t, jitHighBitProgram(), 1)
-	if !info.Compiled {
-		t.Fatalf("straight-line program declined: %+v", info)
-	}
+	assertCompiledAgreement(t, jitHighBitProgram(), 1)
 }
 
 // Divergence found during development: division is unsigned on the raw
@@ -251,10 +269,7 @@ func TestCompileRegression_DivByZero(t *testing.T) {
 	if err := Verify(p, 0); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	info := assertCompiledAgreement(t, p, 1)
-	if !info.Compiled {
-		t.Fatalf("straight-line program declined: %+v", info)
-	}
+	assertCompiledAgreement(t, p, 1)
 }
 
 func jitDivZeroProgram() *Program {
@@ -289,10 +304,7 @@ func jitUnsignedCompareProgram() *Program {
 }
 
 func TestCompileRegression_UnsignedCompareNegImm(t *testing.T) {
-	info := assertCompiledAgreement(t, jitUnsignedCompareProgram(), 1)
-	if !info.Compiled {
-		t.Fatalf("forward-branch program declined: %+v", info)
-	}
+	assertCompiledAgreement(t, jitUnsignedCompareProgram(), 1)
 }
 
 // Divergence found during development: every map lookup registers a fresh
@@ -301,10 +313,7 @@ func TestCompileRegression_UnsignedCompareNegImm(t *testing.T) {
 // register objects in the same order as the interpreter, and two handles
 // to one map value must alias.
 func TestCompileRegression_MapLookupObjectIdentity(t *testing.T) {
-	info := assertCompiledAgreement(t, jitLookupIdentityProgram(), 1)
-	if !info.Compiled {
-		t.Fatalf("lookup program declined: %+v", info)
-	}
+	assertCompiledAgreement(t, jitLookupIdentityProgram(), 1)
 }
 
 func jitLookupIdentityProgram() *Program {
@@ -520,9 +529,9 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v\n%s", err, p.Disassemble())
 	}
-	cc, reason := lp.decode()
-	if reason != "" {
-		t.Fatalf("declined: %q", reason)
+	cc, err := lp.decode()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var seen [muHelperCall + 1]bool
 	helperCalls := 0
@@ -555,9 +564,7 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 	if helperCalls != 4 {
 		t.Fatalf("%d proven impure helper calls, want 4", helperCalls)
 	}
-	if info := assertCompiledAgreement(t, p, 5); !info.Compiled {
-		t.Fatalf("program declined: %+v", info)
-	}
+	assertCompiledAgreement(t, p, 5)
 }
 
 // branchProgram builds a program whose block at "head" holds one
@@ -627,9 +634,9 @@ func TestBranchMicroOps(t *testing.T) {
 				if err != nil {
 					t.Fatalf("load: %v\n%s", err, p.Disassemble())
 				}
-				cc, reason := lp.decode()
-				if reason != "" {
-					t.Fatalf("%s declined: %q", p.Name, reason)
+				cc, err := lp.decode()
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
 				}
 				head := jpc
 				for head > 0 && cc.fns[head-1] == nil && !cc.isTarget[head] {
@@ -647,12 +654,8 @@ func TestBranchMicroOps(t *testing.T) {
 				if !at[pos] {
 					t.Fatalf("%s: branch is op %d of a %d-op block", p.Name, jpc-head, len(run))
 				}
-				ir := runExecVariantOn(unit, p.Name, p.Insns, 3, false)
-				cr := runExecVariantOn(unit, p.Name, p.Insns, 3, true)
-				if !cr.info.Compiled {
-					t.Fatalf("%s declined: %+v", p.Name, cr.info)
-				}
-				cr.info = ir.info
+				ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, false)
+				cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, true)
 				if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 					t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
 				}

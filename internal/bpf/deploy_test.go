@@ -63,11 +63,11 @@ func TestLoadOptimizedMatchesLoadOfOptimize(t *testing.T) {
 		if d := bpf.ProofDiff(got, want); d != "" {
 			t.Fatalf("%s: the kept analysis is not Load's: %s", name, d)
 		}
-		gotOps, gotReason := bpf.MicroOps(got)
-		wantOps, wantReason := bpf.MicroOps(want)
-		if gotOps != wantOps || gotReason != wantReason {
-			t.Fatalf("%s: compiled forms differ (decline %q vs %q):\n%s\nwant:\n%s",
-				name, gotReason, wantReason, gotOps, wantOps)
+		gotOps, gotErr := bpf.MicroOps(got)
+		wantOps, wantErr := bpf.MicroOps(want)
+		if gotErr != nil || wantErr != nil || gotOps != wantOps {
+			t.Fatalf("%s: compiled forms differ (%v vs %v):\n%s\nwant:\n%s",
+				name, gotErr, wantErr, gotOps, wantOps)
 		}
 	})
 	if programs != 192 {

@@ -1,7 +1,6 @@
 package bpf
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -22,12 +21,12 @@ var PatternNames = [muHelperCall - muStoreZeroRun]string{
 // PatternCounts decodes lp the way Compile does and adds to counts, per
 // pattern super-op kind, how many each peephole pass produced in lp's
 // blocks — a super-op counts in the pass that makes it, because a later
-// pass may go on to absorb it into a larger one. It returns the decline
-// reason if lp does not compile.
-func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) string {
-	cc, reason := lp.decode()
-	if reason != "" {
-		return reason
+// pass may go on to absorb it into a larger one. It returns Compile's
+// error if lp does not compile.
+func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) error {
+	cc, err := lp.decode()
+	if err != nil {
+		return err
 	}
 	for pc := 0; pc < len(cc.fns); {
 		run := cc.run(pc)
@@ -46,7 +45,41 @@ func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) string {
 		}
 		pc += len(run)
 	}
-	return ""
+	return nil
+}
+
+// FramedCalls decodes lp the way Compile does and returns its number of
+// impure helper call sites and how many of them peephole folded into a
+// muCallFrame. A call that binds no callFrame runs through genericCall, and
+// one matchFrame does not fold stays a muHelperCall: either counts only in
+// calls.
+func FramedCalls(lp *LoadedProgram) (calls, framed int, err error) {
+	cc, err := lp.decode()
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, in := range cc.p.Insns {
+		if in.Op != OpCall {
+			continue
+		}
+		if spec, _ := HelperByID(in.Imm); !spec.Pure {
+			calls++
+		}
+	}
+	for pc := 0; pc < len(cc.fns); {
+		run := cc.run(pc)
+		if len(run) == 0 {
+			pc++
+			continue
+		}
+		for _, op := range cc.peephole(run) {
+			if op.kind == muCallFrame {
+				framed++
+			}
+		}
+		pc += len(run)
+	}
+	return calls, framed, nil
 }
 
 // peepholeStarts is peephole for the run that starts at head, also
@@ -78,9 +111,9 @@ func (cc *compiler) peepholeStarts(run []microOp, head int) ([]microOp, []int) {
 // a block charges by pc, so splitting changes neither). lp must not have
 // been compiled: Compile releases the analysis decode needs.
 func DispatchedOps(lp *LoadedProgram, task *kernel.Task, args []uint64) (ops int, r0 uint64, costNS int64, err error) {
-	cc, reason := lp.decode()
-	if reason != "" {
-		return 0, 0, 0, errors.New(reason)
+	cc, err := lp.decode()
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	for pc := 0; pc < len(cc.fns); {
 		run := cc.run(pc)
@@ -137,11 +170,11 @@ func ProofDiff(got, want *LoadedProgram) string {
 // block's micro-ops after both peephole passes with their resolved
 // operands (a closure shows only as present), and "term" for each
 // terminator. Two programs with the same rendering compile to the same
-// code. It returns lp's decline reason instead if lp does not compile.
-func MicroOps(lp *LoadedProgram) (ops, reason string) {
-	cc, reason := lp.decode()
-	if reason != "" {
-		return "", reason
+// code. It returns Compile's error instead if lp does not compile.
+func MicroOps(lp *LoadedProgram) (string, error) {
+	cc, err := lp.decode()
+	if err != nil {
+		return "", err
 	}
 	var b strings.Builder
 	for pc := 0; pc < len(cc.fns); {
@@ -157,7 +190,7 @@ func MicroOps(lp *LoadedProgram) (ops, reason string) {
 		}
 		pc += len(run)
 	}
-	return b.String(), ""
+	return b.String(), nil
 }
 
 // LivenessAgrees analyzes p and describes the first pc where Liveness

@@ -16,9 +16,9 @@ func fusedKinds(t *testing.T, p *Program) (kinds map[microKind]int, runLens []ui
 	if err != nil {
 		t.Fatalf("%s: load: %v\n%s", p.Name, err, p.Disassemble())
 	}
-	cc, reason := lp.decode()
-	if reason != "" {
-		t.Fatalf("%s declined: %q", p.Name, reason)
+	cc, err := lp.decode()
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
 	}
 	kinds = map[microKind]int{}
 	for pc := 0; pc < len(cc.fns); {
@@ -45,12 +45,8 @@ func agreeAtUnitCost(t *testing.T, p *Program) optVariantResult {
 	t.Helper()
 	unit := sim.LargeHW
 	unit.BPFInsnNS = 1
-	ir := runExecVariantOn(unit, p.Name, p.Insns, 3, false)
-	cr := runExecVariantOn(unit, p.Name, p.Insns, 3, true)
-	if !cr.info.Compiled {
-		t.Fatalf("%s declined: %+v", p.Name, cr.info)
-	}
-	cr.info = ir.info
+	ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, false)
+	cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, true)
 	if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 		t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
 	}

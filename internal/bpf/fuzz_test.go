@@ -47,8 +47,8 @@ func checkRejection(t *testing.T, p *Program, err error) {
 
 // checkAcceptedRuns asserts the accept side of the oracle: the program
 // must load and run without a runtime error, any of which is a verifier
-// bug. It then runs the interpreter-vs-JIT differential: compiled
-// execution (or the decline fallback) must agree bit-exactly on R0, cost,
+// bug. It then runs the interpreter-vs-JIT differential: the program must
+// compile, and compiled execution must agree bit-exactly on R0, cost,
 // helper trace and map end-states.
 func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 	t.Helper()

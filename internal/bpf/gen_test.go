@@ -143,9 +143,9 @@ func TestGeneratorEmitsFusedShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		cc, reason := lp.decode()
-		if reason != "" {
-			t.Fatalf("seed %d: declined %q", seed, reason)
+		cc, err := lp.decode()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for pc := 0; pc < len(cc.fns); {
 			run := cc.run(pc)

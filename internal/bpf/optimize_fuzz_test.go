@@ -74,39 +74,39 @@ type optVariantResult struct {
 	err   error
 	trace []HelperCall
 	maps  []string
-	info  CompileInfo
 }
 
 // runOptVariant runs insns against a fresh kernel, task, and map table so
 // both sides of the differential comparison start from identical state.
-func runOptVariant(name string, insns []Insn, seed int64) optVariantResult {
-	return runExecVariant(name, insns, seed, false)
+func runOptVariant(tb testing.TB, name string, insns []Insn, seed int64) optVariantResult {
+	return runExecVariant(tb, name, insns, seed, false)
 }
 
 // runExecVariant is runOptVariant with an execution-engine choice: compile
-// selects the JIT (falling back to the interpreter only if the compiler
-// declines, recorded in the result's info).
-func runExecVariant(name string, insns []Insn, seed int64, compile bool) optVariantResult {
-	return runExecVariantOn(sim.LargeHW, name, insns, seed, compile)
+// selects the JIT.
+func runExecVariant(tb testing.TB, name string, insns []Insn, seed int64, compile bool) optVariantResult {
+	return runExecVariantOn(tb, sim.LargeHW, name, insns, seed, compile)
 }
 
-// runExecVariantOn is runExecVariant on a chosen hardware profile.
-func runExecVariantOn(hw sim.HardwareProfile, name string, insns []Insn, seed int64, compile bool) optVariantResult {
+// runExecVariantOn is runExecVariant on a chosen hardware profile. A
+// verified program always compiles, so a Compile error fails tb.
+func runExecVariantOn(tb testing.TB, hw sim.HardwareProfile, name string, insns []Insn, seed int64, compile bool) optVariantResult {
+	tb.Helper()
 	p := &Program{Name: name, Insns: insns, Maps: newGenMaps()}
 	lp, err := Load(p, fuzzMaxInsns)
 	if err != nil {
 		return optVariantResult{err: err}
 	}
-	var info CompileInfo
 	if compile {
-		info = lp.Compile()
+		if _, err := lp.Compile(); err != nil {
+			tb.Fatalf("verified program does not compile: %v\n%s", err, p.Disassemble())
+		}
 	}
 	lp.SetCallTrace(true)
 	k := kernel.New(hw, seed, 0)
 	task := k.NewTask("fuzz-opt")
 	r0, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
-	res := optVariantResult{r0: r0, cost: cost, err: rerr,
-		trace: lp.CallTrace(), info: info}
+	res := optVariantResult{r0: r0, cost: cost, err: rerr, trace: lp.CallTrace()}
 	for _, m := range p.Maps {
 		res.maps = append(res.maps, mapFingerprint(m))
 	}
@@ -167,11 +167,11 @@ func FuzzOptimize(f *testing.F) {
 				err, p.Disassemble(), opt.Disassemble())
 		}
 
-		orig := runOptVariant("fuzz/opt-orig", p.Insns, seed)
+		orig := runOptVariant(t, "fuzz/opt-orig", p.Insns, seed)
 		if orig.err != nil {
 			t.Fatalf("verified original faulted: %v\n%s", orig.err, p.Disassemble())
 		}
-		after := runOptVariant("fuzz/opt-new", opt.Insns, seed)
+		after := runOptVariant(t, "fuzz/opt-new", opt.Insns, seed)
 		if after.err != nil {
 			t.Fatalf("optimized program faulted: %v\noriginal:\n%s\noptimized:\n%s",
 				after.err, p.Disassemble(), opt.Disassemble())

@@ -57,16 +57,16 @@ type LoadedProgram struct {
 	// reader, and Compile sets it to nil whatever the outcome — the proof
 	// is megabytes per deployment and nothing reads it again. Otherwise
 	// nil only for hand-constructed programs that bypassed Load, which
-	// Compile declines.
+	// Compile refuses.
 	analysis *Analysis
 
 	// compiled is the entry of the native form (compile.go) once Compile
-	// has accepted the program; Run dispatches through it when non-nil and
-	// falls back to the interpreter otherwise.
+	// has run; Run dispatches through it when non-nil and interprets
+	// otherwise.
 	compiled copFn
-	// compileInfo records the outcome of the last Compile call (zero
-	// value until Compile runs). Written at load time, before the
-	// program can be attached, so a plain field is safe.
+	// compileInfo records the compiled form's size (zero value until
+	// Compile succeeds). Written at load time, before the program can be
+	// attached, so a plain field is safe.
 	compileInfo CompileInfo
 
 	// ec is the compiled form's one execution state. Nothing re-enters a
@@ -213,9 +213,8 @@ func (ec *execState) mem(ptr uint64, off int32, size int) ([]byte, error) {
 // Run executes the program for task with the given tracepoint arguments.
 // It returns R0, the virtual-time cost of the execution (instruction count
 // times the profile's per-instruction cost, plus helper costs), and any
-// runtime fault. When Compile has accepted the program, execution runs
-// the compiled blocks; otherwise (never compiled, or declined)
-// it falls back to the interpreter. Both paths produce bit-identical
+// runtime fault. Once Compile has run, execution runs the compiled
+// blocks; until then it runs on the interpreter. Both paths produce bit-identical
 // results — R0, cost, helper trace and map end-states — which
 // the differential fuzz oracles enforce.
 func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (uint64, int64, error) {

@@ -31,9 +31,9 @@ type Collector struct {
 	// each program before loading (zero when optimization is disabled).
 	OptStats CollectorOptStats
 
-	// jitEnabled records whether GenerateCollector attempted JIT
-	// compilation; per-program outcomes live on the LoadedPrograms
-	// themselves (see JITStats).
+	// jitEnabled records whether GenerateCollector JIT-compiled the
+	// programs; per-program sizes and dispatch counts live on the
+	// LoadedPrograms themselves (see JITStats).
 	jitEnabled bool
 
 	// Ring is the subsystem's per-CPU perf ring set: one bounded ring per
@@ -61,10 +61,10 @@ type CollectorConfig struct {
 	// reject.
 	Optimize bool
 	// Compile JIT-compiles each loaded program to native micro-op blocks
-	// (bpf.Compile), eliding the checks the verifier's proof already
-	// covers. Declines are not errors: a declined program simply keeps
-	// running on the interpreter, and the per-program outcome is surfaced
-	// through JITStats.
+	// (bpf.LoadedProgram.Compile), eliding the checks the verifier's proof
+	// already covers. A verified program always compiles; a Compile error
+	// is a verification error and fails GenerateCollector, so no Collector
+	// is left interpreted.
 	Compile bool
 }
 
@@ -82,8 +82,8 @@ func (s CollectorOptStats) Saved() int {
 	return s.Begin.Saved() + s.End.Saved() + s.Features.Saved()
 }
 
-// CollectorJITStats aggregates per-program JIT outcome and execution-engine
-// dispatch counts for one Collector; surfaced through ProcessorStats and
+// CollectorJITStats aggregates per-program compiled sizes and
+// execution-engine dispatch counts for one Collector; surfaced through ProcessorStats and
 // `tsctl stats`.
 type CollectorJITStats struct {
 	Enabled  bool
@@ -110,7 +110,7 @@ func (s CollectorJITStats) RuntimeFaults() int64 {
 	return s.Begin.RuntimeFaults + s.End.RuntimeFaults + s.Features.RuntimeFaults
 }
 
-// JITStats snapshots the three programs' compile outcomes and dispatch
+// JITStats snapshots the three programs' compiled sizes and dispatch
 // counters.
 func (c *Collector) JITStats() CollectorJITStats {
 	return CollectorJITStats{
@@ -256,9 +256,9 @@ func GenerateCollector(sub SubsystemID, res ResourceSet, cfg CollectorConfig) (*
 			return nil, describeVerifyError(name+" program", p, err)
 		}
 		if cfg.Compile {
-			// A decline (recorded on the program, visible via JITStats)
-			// falls back to the interpreter; it never fails deployment.
-			lp.Compile()
+			if _, err = lp.Compile(); err != nil {
+				return nil, describeVerifyError(name+" program (compile)", lp.Program(), err)
+			}
 		}
 		return lp, nil
 	}

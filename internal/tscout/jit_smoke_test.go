@@ -11,16 +11,16 @@ import (
 )
 
 // This file is the JIT smoke suite: every Collector
-// program the codegen can emit must compile (generated programs are
-// loop-free straight-line/forward-branch code, so a decline is a JIT
-// regression, not an expected fallback), and a deterministic marker
+// program the codegen can emit must compile (a Compile error fails
+// GenerateCollector, and a verified program always compiles), and a deterministic marker
 // workload must produce byte-identical ring contents, error-slot counts,
 // and ring accounting on the compiled and interpreted engines.
 // jit_bench_test.go reports the speed side on the same loaded programs.
 
 // TestJITSmokeAllCollectorPrograms compiles all 4 subsystems × 16 resource
 // masks × 3 marker programs — 192 programs — through the production path
-// (optimizer on) and again with the optimizer off, requiring zero declines.
+// (optimizer on) and again with the optimizer off, requiring every one to
+// compile.
 func TestJITSmokeAllCollectorPrograms(t *testing.T) {
 	for _, optimize := range []bool{true, false} {
 		compiled := 0
@@ -42,8 +42,8 @@ func TestJITSmokeAllCollectorPrograms(t *testing.T) {
 					"begin": js.Begin, "end": js.End, "features": js.Features,
 				} {
 					if !ps.Compiled {
-						t.Fatalf("%s mask=%d optimize=%v: %s program declined: %q",
-							sub, mask, optimize, name, ps.DeclineReason)
+						t.Fatalf("%s mask=%d optimize=%v: %s program not compiled",
+							sub, mask, optimize, name)
 					}
 					compiled++
 				}
@@ -160,7 +160,7 @@ func TestJITSmokeDifferential(t *testing.T) {
 // loadMarkerPrograms loads a fresh set of the ExecutionEngine marker
 // programs with every resource probe enabled — the largest programs
 // codegen emits — on their own maps, kernel and task, so two sets never
-// share state. With compile set, a declined program is fatal.
+// share state. With compile set, a Compile error is fatal.
 func loadMarkerPrograms(tb testing.TB, compile bool) (begin, end, features *bpf.LoadedProgram, task *kernel.Task) {
 	tb.Helper()
 	progs := CollectorPrograms(SubsystemExecutionEngine,
@@ -174,8 +174,8 @@ func loadMarkerPrograms(tb testing.TB, compile bool) (begin, end, features *bpf.
 			tb.Fatalf("%s: %v", np.Name, err)
 		}
 		if compile {
-			if info := lp.Compile(); !info.Compiled {
-				tb.Fatalf("%s declined compilation: %s", np.Name, info.Reason)
+			if _, err := lp.Compile(); err != nil {
+				tb.Fatalf("%s: %v", np.Name, err)
 			}
 		}
 		loaded[np.Name] = lp

@@ -115,9 +115,10 @@ type ProcessorStats struct {
 	// in user modes).
 	Codegen [NumSubsystems]CollectorOptStats
 
-	// JIT holds the per-subsystem Collector compile outcomes and
+	// JIT holds the per-subsystem Collector compiled sizes and
 	// interpreter/compiled dispatch counters (Enabled=false everywhere
-	// when Config.CompileCollectors is off or in user modes).
+	// when Config.CompileCollectors is off or in user modes; when it is
+	// on, every program is compiled).
 	JIT [NumSubsystems]CollectorJITStats
 
 	// Autopilot is the online-retraining controller's self-report

@@ -148,8 +148,8 @@ type Config struct {
 	// CompileCollectors JIT-compiles every generated Collector program at
 	// Deploy (after the optional optimizer pass), replacing interpretation
 	// on the marker hot path with verifier-proof-guided native blocks.
-	// Declined programs silently keep the interpreter; per-program
-	// outcomes and dispatch counts appear in ProcessorStats.
+	// A program the JIT cannot compile fails Deploy; per-program sizes
+	// and dispatch counts appear in ProcessorStats.
 	CompileCollectors bool
 }
 
