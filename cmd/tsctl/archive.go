@@ -12,7 +12,7 @@ import (
 
 // archiveCmd implements `tsctl archive <inspect|export|verify> [flags] <file>`:
 // the operator surface over a columnar training archive. It needs no server
-// — the archive file is self-describing. Exit codes follow the analyze
+// — the archive file is self-describing. Exit codes follow tsvet's
 // convention: 0 ok, 1 failure/corruption, 2 usage.
 func archiveCmd(out, errOut io.Writer, args []string) int {
 	if len(args) < 1 {

@@ -19,11 +19,6 @@
 //	tsctl vet                   verify, optimize, and lint every generated
 //	                            Collector program across all subsystems and
 //	                            resource masks; non-zero exit on any failure
-//	tsctl analyze [-json] [dir ...]
-//	                            run the tsvet static-analysis suite (wall
-//	                            clock, map order, seeded sources, discarded
-//	                            verify/run errors) over the source tree;
-//	                            non-zero exit on findings
 //	tsctl archive inspect [-json] <file>
 //	                            summarize a columnar training archive:
 //	                            segments, blocks, rows, bytes, row counts
@@ -57,7 +52,7 @@ import (
 func main() {
 	flag.Parse()
 	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: tsctl ous|tracepoints|disasm <subsystem>|stats|vet|analyze|archive|autopilot")
+		fmt.Fprintln(os.Stderr, "usage: tsctl ous|tracepoints|disasm <subsystem>|stats|vet|archive|autopilot")
 		os.Exit(2)
 	}
 	if flag.Arg(0) == "archive" {
@@ -67,10 +62,6 @@ func main() {
 	if flag.Arg(0) == "vet" {
 		// vet audits the Codegen output directly; it needs no server.
 		os.Exit(vet(os.Stdout))
-	}
-	if flag.Arg(0) == "analyze" {
-		// analyze audits the source tree; it needs no server either.
-		os.Exit(analyze(os.Stdout, flag.Args()[1:]))
 	}
 	if flag.Arg(0) == "autopilot" {
 		// autopilot builds its own archive-sinked server with the
@@ -83,9 +74,8 @@ func main() {
 		WAL:        wal.Config{Synchronous: true},
 	})
 	if err != nil {
-		// Collector verification failures arrive here wrapped with the
-		// failing pc and instruction (describeVerifyError in codegen);
-		// print them and exit non-zero rather than limping on.
+		// A Collector verification failure names its pc and instruction;
+		// print it and exit non-zero rather than limping on.
 		fmt.Fprintf(os.Stderr, "tsctl: %v\n", err)
 		os.Exit(1)
 	}

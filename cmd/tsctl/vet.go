@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -36,13 +35,13 @@ func vet(w io.Writer) int {
 					sub, np.Name, res.CPU, res.Memory, res.Disk, res.Network)
 				if err := bpf.Verify(np.Prog, 0); err != nil {
 					verifyErrors++
-					fmt.Fprintf(w, "VERIFY FAIL %s: %s\n", prov, describeFailure(np.Prog, err))
+					fmt.Fprintf(w, "VERIFY FAIL %s: %v\n", prov, err)
 					continue
 				}
 				opt, stats, err := bpf.Optimize(np.Prog, 0)
 				if err != nil {
 					verifyErrors++
-					fmt.Fprintf(w, "OPTIMIZE FAIL %s: %s\n", prov, describeFailure(np.Prog, err))
+					fmt.Fprintf(w, "OPTIMIZE FAIL %s: %v\n", prov, err)
 					continue
 				}
 				before += stats.BeforeInsns
@@ -74,15 +73,4 @@ func vet(w io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// describeFailure renders a verification error of p with its failing
-// instruction when the error is a *VerifyError, whose pc indexes p; an
-// optimizer failure names the instruction of the program it built itself.
-func describeFailure(p *bpf.Program, err error) string {
-	var ve *bpf.VerifyError
-	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {
-		return fmt.Sprintf("failing insn %d: %s: %v", ve.PC, p.Insns[ve.PC].String(), err)
-	}
-	return err.Error()
 }

@@ -33,7 +33,10 @@ func main() {
 	// written to memory here.
 	var buf bytes.Buffer
 	sink := archive.NewWriter(&buf)
-	ts := tscout.New(k, tscout.Config{Seed: 5, ProcessorSink: sink})
+	ts := tscout.New(k, tscout.Config{
+		Seed: 5, ProcessorSink: sink,
+		OptimizeCollectors: true, CompileCollectors: true,
+	})
 
 	// The GC subsystem piggybacks on the log-serializer subsystem slot's
 	// sibling: for a real integration you would extend SubsystemID; here

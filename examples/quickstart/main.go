@@ -30,7 +30,10 @@ func main() {
 	//    columnar archive, written to memory.
 	var buf bytes.Buffer
 	sink := archive.NewWriter(&buf)
-	ts := tscout.New(k, tscout.Config{Mode: tscout.KernelContinuous, Seed: 1, ProcessorSink: sink})
+	ts := tscout.New(k, tscout.Config{
+		Mode: tscout.KernelContinuous, Seed: 1, ProcessorSink: sink,
+		OptimizeCollectors: true, CompileCollectors: true,
+	})
 	scan := ts.MustRegisterOU(tscout.OUDef{
 		ID:        1,
 		Name:      "seq_scan",

@@ -26,21 +26,12 @@ var verifyMethods = map[string]bool{"Compile": true}
 // result is the runtime fault.
 var runMethodNames = map[string]bool{"Run": true}
 
-// drainReceivers lists the (package suffix, type) pairs whose
-// Drain/DrainBatch results carry drain accounting a caller may not blank
-// out (a bare statement is the sanctioned quiesce idiom and stays legal).
-var drainReceivers = []struct{ pkgSuffix, typeName string }{
-	{"internal/tscout", "Processor"},
-	{bpfPkgSuffix, "PerCPURing"},
-}
-
 // ConstructedLoadedProgramAnalyzer flags composite literals of
 // bpf.LoadedProgram outside the bpf package: a LoadedProgram that did not
 // come from bpf.Load or bpf.LoadOptimized never passed the verifier, and
 // running it would execute unproven code on the marker hot path.
 var ConstructedLoadedProgramAnalyzer = &Analyzer{
 	Name: RuleConstructedLoadedProgram,
-	Doc:  "only bpf.Load and bpf.LoadOptimized may produce a bpf.LoadedProgram; composite literals bypass the verifier",
 	Run:  runConstructedLoadedProgram,
 }
 
@@ -81,7 +72,6 @@ func runConstructedLoadedProgram(pass *Pass) {
 // verdict defeats the verify-before-run contract.
 var DiscardedVerifyErrorAnalyzer = &Analyzer{
 	Name: RuleDiscardedVerifyError,
-	Doc:  "the error from bpf.Verify/Analyze/Load/LoadOptimized/Optimize and LoadedProgram.Compile must be checked, never discarded",
 	Run:  runDiscardedVerifyError,
 }
 
@@ -164,7 +154,6 @@ func errorResultIndex(sig *types.Signature) int {
 // internal/bpf too (the bug lived there).
 var DiscardedRunErrorAnalyzer = &Analyzer{
 	Name: RuleDiscardedRunError,
-	Doc:  "runtime faults from .Run and drain accounting from .Drain/.DrainBatch must be counted, not swallowed",
 	Run:  runDiscardedRunError,
 }
 
@@ -173,18 +162,10 @@ func isRunMethod(fn *types.Func) bool {
 	return fn != nil && runMethodNames[fn.Name()] && isMethodOn(fn, bpfPkgSuffix, "LoadedProgram")
 }
 
-// isDrainMethod reports whether fn is Drain/DrainBatch on one of the
-// drain-accounting receivers.
+// isDrainMethod reports whether fn is PerCPURing.DrainBatch, whose result
+// is the drained count.
 func isDrainMethod(fn *types.Func) bool {
-	if fn == nil || (fn.Name() != "Drain" && fn.Name() != "DrainBatch") {
-		return false
-	}
-	for _, r := range drainReceivers {
-		if isMethodOn(fn, r.pkgSuffix, r.typeName) {
-			return true
-		}
-	}
-	return false
+	return fn != nil && fn.Name() == "DrainBatch" && isMethodOn(fn, bpfPkgSuffix, "PerCPURing")
 }
 
 func runDiscardedRunError(pass *Pass) {

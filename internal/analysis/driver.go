@@ -60,7 +60,7 @@ func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
 
 // runPackages runs the suite over loaded packages that share one
 // reference index. closed says no file outside pkgs can use their exports;
-// unless it holds, unused-export and unset-field do not run.
+// unless it holds, unused-export, unset-field and unread-field do not run.
 func runPackages(l *loader, pkgs []*pkgInfo, suite []*Analyzer, closed bool) []Diagnostic {
 	if suite == nil {
 		suite = All()
@@ -68,7 +68,7 @@ func runPackages(l *loader, pkgs []*pkgInfo, suite []*Analyzer, closed bool) []D
 	if !closed {
 		var open []*Analyzer
 		for _, a := range suite {
-			if a.Name != RuleUnusedExport && a.Name != RuleUnsetField {
+			if a.Name != RuleUnusedExport && a.Name != RuleUnsetField && a.Name != RuleUnreadField {
 				open = append(open, a)
 			}
 		}
@@ -100,7 +100,6 @@ func runPackage(l *loader, pkg *pkgInfo, suite []*Analyzer, refs *refIndex, know
 			Files:    pkg.Files,
 			Pkg:      pkg.Pkg,
 			Info:     pkg.Info,
-			PkgPath:  pkg.PkgPath,
 			RelPath:  pkg.RelPath,
 			refs:     refs,
 			report:   report,

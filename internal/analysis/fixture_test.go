@@ -153,11 +153,11 @@ func TestFixtures(t *testing.T) {
 			diffDiags(t, wantedDiags(t, dir), gotDiags(diags), diags)
 		})
 	}
-	// unused-export and unset-field decide over a whole module, so each
-	// fixture is one: a go.mod and two packages, run from its root through
-	// runRoot. The go tool resolves the fixture's own imports from the
-	// working directory.
-	for _, rule := range []string{RuleUnusedExport, RuleUnsetField} {
+	// unused-export, unset-field and unread-field decide over a whole
+	// module, so each fixture is one: a go.mod and two packages, run from
+	// its root through runRoot. The go tool resolves the fixture's own
+	// imports from the working directory.
+	for _, rule := range []string{RuleUnusedExport, RuleUnsetField, RuleUnreadField} {
 		t.Run(rule, func(t *testing.T) {
 			root := filepath.Join("testdata", "src", rule)
 			want := make(map[lineKey][]string)
@@ -224,9 +224,9 @@ func TestRepoIsClean(t *testing.T) {
 
 // TestSubtreeRunSkipsModuleRules: below a module root, packages outside
 // the root may call its exports (kernel.New has callers only outside
-// internal/kernel) and set its fields, so neither unused-export nor
-// unset-field runs there, and the kernel's directives for them are not
-// reported stale.
+// internal/kernel) and set and read its fields, so none of unused-export,
+// unset-field and unread-field runs there, and the kernel's directives for
+// them are not reported stale.
 func TestSubtreeRunSkipsModuleRules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks internal/kernel; skipped in -short")

@@ -32,9 +32,7 @@ func newLoader() *loader {
 
 // pkgInfo is one fully type-checked package ready for analysis.
 type pkgInfo struct {
-	Dir     string
 	RelPath string
-	PkgPath string
 	Files   []*ast.File
 	Pkg     *types.Package
 	Info    *types.Info
@@ -76,10 +74,7 @@ func (l *loader) load(dir, relPath, pkgPath string) (*pkgInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tsvet: typecheck %s: %w", pkgPath, err)
 	}
-	return &pkgInfo{
-		Dir: dir, RelPath: relPath, PkgPath: pkgPath,
-		Files: files, Pkg: pkg, Info: info,
-	}, nil
+	return &pkgInfo{RelPath: relPath, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // modulePath reads the module declaration from root/go.mod, or "" when the

@@ -35,9 +35,7 @@ var fmtPrintFuncs = map[string]bool{
 // call inside the body is likewise accepted as the ordering step.
 var MapOrderAnalyzer = &Analyzer{
 	Name: RuleMapOrder,
-	Doc: "map iteration order must not reach archives, rendered output, or " +
-		"order-sensitive accumulation; sort keys first",
-	Run: runMapOrder,
+	Run:  runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {

@@ -10,7 +10,7 @@ import (
 
 // refIndex is the one reference walk of a run: which functions and methods
 // the non-test files of the run's packages name, which struct fields they
-// set, and which interfaces those packages can see.
+// set and read, and which interfaces those packages can see.
 //
 // A package the run type-checks and the copy of it that the source
 // importer hands its importers are different types.Objects, so functions
@@ -25,6 +25,7 @@ type refIndex struct {
 	// package's own values), error, and errorsProtocol.
 	ifaces map[string][]*types.Interface
 	set    map[string]bool // fieldKey of every field some non-test file sets
+	read   map[string]bool // fieldKey of every field some non-test file reads
 	fset   *token.FileSet
 }
 
@@ -37,7 +38,7 @@ func funcKey(fn *types.Func) string {
 
 // newRefIndex walks every declaration of pkgs once.
 func newRefIndex(fset *token.FileSet, pkgs []*pkgInfo) *refIndex {
-	ix := &refIndex{used: map[string]bool{}, set: map[string]bool{}, ifaces: map[string][]*types.Interface{}, fset: fset}
+	ix := &refIndex{used: map[string]bool{}, set: map[string]bool{}, read: map[string]bool{}, ifaces: map[string][]*types.Interface{}, fset: fset}
 	addIface := func(t types.Type) {
 		iface, ok := t.Underlying().(*types.Interface)
 		if !ok {
@@ -72,8 +73,10 @@ func newRefIndex(fset *token.FileSet, pkgs []*pkgInfo) *refIndex {
 				if fd, ok := d.(*ast.FuncDecl); ok {
 					self = pkg.Info.Defs[fd.Name]
 				}
+				written := make(map[*ast.SelectorExpr]bool)
 				ast.Inspect(d, func(n ast.Node) bool {
 					ix.noteSets(pkg.Info, self, n)
+					ix.noteReads(pkg.Info, written, n)
 					switch n := n.(type) {
 					case *ast.Ident:
 						if fn, ok := pkg.Info.Uses[n].(*types.Func); ok && fn.Origin() != self {

@@ -17,9 +17,7 @@ import (
 //     to any reproducibility story.
 var SeededSourceAnalyzer = &Analyzer{
 	Name: RuleSeededSource,
-	Doc: "rand sources must be seeded from config: no compile-time-constant " +
-		"seeds, no process-global source",
-	Run: runSeededSource,
+	Run:  runSeededSource,
 }
 
 func runSeededSource(pass *Pass) {

@@ -10,11 +10,10 @@ import (
 
 // ignoreDirective is one parsed //tsvet:ignore comment.
 type ignoreDirective struct {
-	file   string
-	line   int // line the comment sits on
-	rule   string
-	reason string
-	used   bool
+	file string
+	line int // line the comment sits on
+	rule string
+	used bool
 }
 
 const ignorePrefix = "//tsvet:ignore"
@@ -46,7 +45,7 @@ func collectIgnores(fset *token.FileSet, files []*ast.File, known map[string]boo
 					report(Diagnostic{File: pos.Filename, Line: pos.Line, Col: pos.Column,
 						Rule: RuleMalformedIgnore, Message: "tsvet:ignore " + rule + " has no written reason; every suppression must say why"})
 				default:
-					out = append(out, &ignoreDirective{file: pos.Filename, line: pos.Line, rule: rule, reason: reason})
+					out = append(out, &ignoreDirective{file: pos.Filename, line: pos.Line, rule: rule})
 				}
 			}
 		}

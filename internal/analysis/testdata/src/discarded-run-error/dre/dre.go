@@ -7,7 +7,6 @@ package drefix
 import (
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
-	"tscout/internal/tscout"
 )
 
 func Bare(lp *bpf.LoadedProgram, t *kernel.Task) {
@@ -49,20 +48,12 @@ func JobValue(j *job) func() {
 	return j.Run
 }
 
-// Drain accounting may not be blanked away...
-func BlankDrain(p *tscout.Processor) {
-	_ = p.Drain(tscout.DrainOptions{}) // want:discarded-run-error
-}
-
+// A ring batch's drain count may not be blanked away...
 func BlankDrainBatch(r *bpf.PerCPURing, b *bpf.Batch) {
 	_ = r.DrainBatch(0, b, 8) // want:discarded-run-error
 }
 
-// ...but a bare Drain is the quiesce idiom: not flagged.
-func Quiesce(p *tscout.Processor) {
-	p.Drain(tscout.DrainOptions{})
-}
-
+// ...but a kept one is not flagged.
 func Counted(r *bpf.PerCPURing, b *bpf.Batch) int {
 	return r.DrainBatch(0, b, 8)
 }

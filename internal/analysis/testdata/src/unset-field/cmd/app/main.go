@@ -20,5 +20,6 @@ func main() {
 	*o.Ptr = 6
 	(o.Paren) = 7
 	var d lib.Defaults
-	fmt.Println(lib.Use(o), *p, d.Resolve())
+	// Printing o reads all of its fields, so unread-field finds none.
+	fmt.Println(lib.Use(o), *p, d.Resolve(), o)
 }

@@ -6,7 +6,8 @@
 // global RNG, no map-iteration order leaking into archives, fingerprints,
 // or rendered output) and accounting discipline (no swallowed verification
 // or runtime faults) — and to keep dead code out of the build: a function
-// that only tests call lives in the tests, and a field no caller sets goes.
+// that only tests call lives in the tests, and a field no caller sets, or
+// no code reads, goes.
 //
 // The suite is a set of small analyzers sharing one typed loader (see
 // load.go), one driver (driver.go) and one reference walk (refs.go). Each
@@ -69,13 +70,10 @@ const (
 	// go/defer): ignoring the verdict defeats the verify-before-run contract.
 	RuleDiscardedVerifyError = "discarded-verify-error"
 	// RuleDiscardedRunError flags swallowing the fault result of the
-	// execution hot path, matched by receiver type (bpf.LoadedProgram for
-	// .Run; the Processor and ring types for .Drain/.DrainBatch):
-	// bare/go/defer calls, blanked trailing results, and method values of
-	// .Run (which smuggle the call past any statement-level check). A bare
-	// .Drain statement is NOT flagged: draining purely to quiesce a
-	// pipeline is an established idiom and its result is a summary, not an
-	// error.
+	// execution hot path, matched by receiver type: bare/go/defer calls,
+	// blanked trailing results, and method values of bpf.LoadedProgram.Run
+	// (which smuggle the call past any statement-level check), and a
+	// bpf.PerCPURing.DrainBatch count assigned to _.
 	RuleDiscardedRunError = "discarded-run-error"
 	// RuleUnsafeImport flags an import of unsafe in any non-test file but
 	// internal/storage/value.go, home of the 16-byte storage.Value cell.
@@ -91,6 +89,8 @@ const (
 	RuleUnusedExport = "unused-export"
 	// RuleUnsetField flags an exported struct field no non-test file sets.
 	RuleUnsetField = "unset-field"
+	// RuleUnreadField flags a struct field no non-test file reads.
+	RuleUnreadField = "unread-field"
 	// RuleStaleIgnore reports a //tsvet:ignore directive that suppressed
 	// nothing: the finding it excused is gone, so the directive must go
 	// too.
@@ -100,13 +100,11 @@ const (
 	RuleMalformedIgnore = "malformed-ignore"
 )
 
-// Analyzer is one tsvet check: a stable rule ID, a one-line contract, and
-// a Run function that inspects a fully type-checked package.
+// Analyzer is one tsvet check: a stable rule ID and a Run function that
+// inspects a fully type-checked package.
 type Analyzer struct {
 	// Name is the rule ID (kebab-case, stable across releases).
 	Name string
-	// Doc is the invariant the analyzer enforces, one sentence.
-	Doc string
 	// Run inspects the pass's package and reports findings via
 	// pass.Reportf.
 	Run func(*Pass)
@@ -125,8 +123,6 @@ type Pass struct {
 	Pkg *types.Package
 	// Info holds the type-checker's resolutions for Files.
 	Info *types.Info
-	// PkgPath is the import path used for type checking.
-	PkgPath string
 	// RelPath is the package directory relative to the analysis root
 	// (module-prefix-free, slash-separated); analyzers that scope
 	// themselves to parts of the tree match against this.
@@ -175,11 +171,12 @@ func All() []*Analyzer {
 		UnusedFuncAnalyzer,
 		UnusedExportAnalyzer,
 		UnsetFieldAnalyzer,
+		UnreadFieldAnalyzer,
 	}
 }
 
-// knownRules maps every suppressible rule ID to its analyzer docstring;
-// the suppression layer validates //tsvet:ignore directives against it.
+// knownRules is the set of suppressible rule IDs; the suppression layer
+// validates //tsvet:ignore directives against it.
 func knownRules() map[string]bool {
 	m := make(map[string]bool)
 	for _, a := range All() {

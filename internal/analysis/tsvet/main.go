@@ -1,6 +1,6 @@
 // Command tsvet runs the repo's typed static-analysis suite (see
-// internal/analysis) over one or more source trees. Wired into `make lint`
-// and scripts/check.sh; also reachable as `tsctl analyze`.
+// internal/analysis) over one or more source trees; scripts/check.sh lint
+// (and so `make lint`) runs it over the repo root.
 //
 // Usage: tsvet [-json] [dir ...]   (defaults to ".")
 //

@@ -15,7 +15,6 @@ const unsafeHome = "internal/storage/value.go"
 // file reaching for unsafe is a design decision, not a drive-by.
 var UnsafeImportAnalyzer = &Analyzer{
 	Name: RuleUnsafeImport,
-	Doc:  "only " + unsafeHome + " may import unsafe outside tests",
 	Run:  runUnsafeImport,
 }
 

@@ -12,7 +12,6 @@ import (
 // that no non-test file under a module root sets (see noteSets).
 var UnsetFieldAnalyzer = &Analyzer{
 	Name: RuleUnsetField,
-	Doc:  "every exported field of an exported struct type is set by a non-test file under the root",
 	Run:  runUnsetField,
 }
 

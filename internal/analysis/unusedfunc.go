@@ -12,7 +12,6 @@ import (
 // to itself do not count.
 var UnusedFuncAnalyzer = &Analyzer{
 	Name: RuleUnusedFunc,
-	Doc:  "every package-level unexported function is referenced by a non-test file of its package",
 	Run:  runUnusedFunc,
 }
 
@@ -38,7 +37,6 @@ func runUnusedFunc(pass *Pass) {
 // that, the packages outside the root may be the callers.
 var UnusedExportAnalyzer = &Analyzer{
 	Name: RuleUnusedExport,
-	Doc:  "every exported function or method is referenced by a non-test file under the root, or satisfies an interface",
 	Run:  runUnusedExport,
 }
 

@@ -34,9 +34,7 @@ var globalRandFuncs = map[string]bool{
 // rand.Intn and the determinism grid only passes by luck.
 var WallClockAnalyzer = &Analyzer{
 	Name: RuleWallClock,
-	Doc: "simulation-critical packages must use virtual time and seeded " +
-		"*rand.Rand streams, never the wall clock or the global math/rand source",
-	Run: runWallClock,
+	Run:  runWallClock,
 }
 
 func runWallClock(pass *Pass) {

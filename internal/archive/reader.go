@@ -90,7 +90,6 @@ func parseSegment(data []byte) (segmentData, int, error) {
 		return seg, 0, corruptf("checksum mismatch: got 0x%016x want 0x%016x", got, want)
 	}
 	seg.payload = data[segHeaderBytes : segHeaderBytes+payloadLen]
-	seg.wire = int64(total)
 	if err := parseFooter(&seg, data[segHeaderBytes+payloadLen:total-segTrailerBytes]); err != nil {
 		return seg, 0, err
 	}

@@ -72,7 +72,6 @@ type segmentData struct {
 	dict    []string
 	blocks  []blockMeta
 	rows    int64
-	wire    int64 // total on-wire bytes including header and checksum
 }
 
 // ---------------------------------------------------------------------------

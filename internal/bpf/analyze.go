@@ -10,9 +10,8 @@ import (
 // conditional branch. It is the shared substrate for Verify, the liveness
 // pass, the optimizer, and Lint.
 type Analysis struct {
-	prog     *Program
-	maxInsns int
-	states   []absState // abstract state *before* each instruction
+	prog   *Program
+	states []absState // abstract state *before* each instruction
 	// Per-pc conditional edge feasibility, recorded when the jump's
 	// in-state is stepped. Meaningful only where isCondJump(insn.Op) and
 	// Reached.
@@ -40,7 +39,8 @@ func Verify(p *Program, maxInsns int) error {
 // Analyze verifies p and returns the dataflow facts the verifier
 // computed along the way. maxInsns of 0 uses DefaultMaxInsns.
 func Analyze(p *Program, maxInsns int) (*Analysis, error) {
-	return analyze(p, maxInsns, nil)
+	a, err := analyze(p, maxInsns, nil)
+	return a, withInsn(p, err)
 }
 
 // analyze is Analyze writing the in-states into states[:len(p.Insns)]
@@ -70,7 +70,6 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 	flags := make([]bool, 3*n)
 	a := &Analysis{
 		prog:      p,
-		maxInsns:  maxInsns,
 		condTaken: flags[:n:n],
 		condFall:  flags[n : 2*n : 2*n],
 	}

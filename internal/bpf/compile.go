@@ -58,7 +58,7 @@ type copFn func(ec *execState) copFn
 
 // Compile JITs the program; Run then dispatches through the compiled form.
 // On a program Load verified it cannot fail. Its one error wraps
-// ErrVerification as a *VerifyError naming the pc no proof covers: a
+// ErrVerification as a *VerifyError naming the instruction no proof covers: a
 // program that bypassed Load or was changed after it. Whatever the outcome,
 // the analysis it consumed is released, and a second Compile of a compiled
 // program returns the recorded CompileInfo.
@@ -69,7 +69,7 @@ func (lp *LoadedProgram) Compile() (CompileInfo, error) {
 	cc, err := lp.decode()
 	lp.analysis = nil
 	if err != nil {
-		return CompileInfo{}, err
+		return CompileInfo{}, withInsn(lp.prog, err)
 	}
 	lp.compileInfo = CompileInfo{Insns: len(lp.prog.Insns), Ops: cc.fuse()}
 	lp.compiled = cc.fns[0]

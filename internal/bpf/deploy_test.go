@@ -129,7 +129,7 @@ func TestAnalyzeAllocatesPerProgramNotPerStep(t *testing.T) {
 	}
 }
 
-var failingInsnRe = regexp.MustCompile(`failing insn (\d+): `)
+var failingInsnRe = regexp.MustCompile(`insn (\d+) \(`)
 
 // TestOptimizerFailureNamesItsOwnInstruction makes the optimizer's first
 // round drop a null check, so the second round's analysis rejects a
@@ -168,7 +168,7 @@ func TestOptimizerFailureNamesItsOwnInstruction(t *testing.T) {
 	if pc >= len(built.Insns) {
 		t.Fatalf("failing pc %d outside the %d-insn program round 1 analyzed: %v", pc, len(built.Insns), err)
 	}
-	if want := fmt.Sprintf("failing insn %d: %s: ", pc, built.Insns[pc]); !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("insn %d (%s): ", pc, built.Insns[pc]); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error does not name round 1's instruction %q: %v", want, err)
 	}
 	input := tscout.CollectorPrograms(tscout.SubsystemExecutionEngine, res)[0].Prog

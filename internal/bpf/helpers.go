@@ -100,7 +100,6 @@ const (
 // whose result is dead. Map helpers are all impure: even lookup can
 // materialize state (PerTaskMap auto-creates the slot on first lookup).
 type HelperSpec struct {
-	ID     int64
 	Name   string
 	Args   []ArgKind
 	Ret    RetKind
@@ -109,25 +108,25 @@ type HelperSpec struct {
 }
 
 var helperSpecs = map[int64]HelperSpec{
-	HelperMapLookup: {HelperMapLookup, "map_lookup_elem",
+	HelperMapLookup: {"map_lookup_elem",
 		[]ArgKind{ArgConstMap, ArgPtrKey}, RetMapValueOrNull, 12, false},
-	HelperMapUpdate: {HelperMapUpdate, "map_update_elem",
+	HelperMapUpdate: {"map_update_elem",
 		[]ArgKind{ArgConstMap, ArgPtrKey, ArgPtrValue}, RetScalar, 18, false},
-	HelperMapDelete: {HelperMapDelete, "map_delete_elem",
+	HelperMapDelete: {"map_delete_elem",
 		[]ArgKind{ArgConstMap, ArgPtrKey}, RetScalar, 13, false},
-	HelperPerfOutput: {HelperPerfOutput, "perf_event_output",
+	HelperPerfOutput: {"perf_event_output",
 		[]ArgKind{ArgConstMap, ArgPtrSized, ArgSizeConst}, RetScalar, 40, false},
-	HelperReadCounter: {HelperReadCounter, "read_perf_counter",
+	HelperReadCounter: {"read_perf_counter",
 		[]ArgKind{ArgScalar, ArgScalar}, RetScalar, 11, true},
-	HelperReadIOAC: {HelperReadIOAC, "read_task_ioac",
+	HelperReadIOAC: {"read_task_ioac",
 		[]ArgKind{ArgScalar}, RetScalar, 8, true},
-	HelperReadSock: {HelperReadSock, "read_tcp_sock",
+	HelperReadSock: {"read_tcp_sock",
 		[]ArgKind{ArgScalar}, RetScalar, 8, true},
-	HelperGetPID:     {HelperGetPID, "get_current_pid", nil, RetScalar, 3, true},
-	HelperKtime:      {HelperKtime, "ktime_get_ns", nil, RetScalar, 4, true},
-	HelperGetArg:     {HelperGetArg, "get_tracepoint_arg", []ArgKind{ArgScalar}, RetScalar, 2, true},
-	HelperGetTaskGen: {HelperGetTaskGen, "get_task_gen", nil, RetScalar, 3, true},
-	HelperGetCPU:     {HelperGetCPU, "get_smp_processor_id", nil, RetScalar, 2, true},
+	HelperGetPID:     {"get_current_pid", nil, RetScalar, 3, true},
+	HelperKtime:      {"ktime_get_ns", nil, RetScalar, 4, true},
+	HelperGetArg:     {"get_tracepoint_arg", []ArgKind{ArgScalar}, RetScalar, 2, true},
+	HelperGetTaskGen: {"get_task_gen", nil, RetScalar, 3, true},
+	HelperGetCPU:     {"get_smp_processor_id", nil, RetScalar, 2, true},
 }
 
 // HelperByID returns the spec for a helper ID.

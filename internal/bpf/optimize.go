@@ -26,18 +26,10 @@ import (
 // FuzzOptimize differentially checks the equivalence claim against the VM
 // on generator-produced programs.
 
-// OptStats counts what Optimize did.
+// OptStats is the instruction count Optimize started from and ended at.
 type OptStats struct {
-	BeforeInsns       int
-	AfterInsns        int
-	Rounds            int
-	FoldedConst       int
-	SimplifiedBranch  int
-	RemovedJumpToNext int
-	RemovedDead       int
-	RemovedStores     int
-	RemovedCalls      int
-	RemovedUnreached  int
+	BeforeInsns int
+	AfterInsns  int
 }
 
 // Saved returns the net instruction-count reduction.
@@ -74,16 +66,15 @@ func optimize(p *Program, maxInsns int) (*Analysis, OptStats, error) {
 		a, err := analyze(cur, maxInsns, states)
 		if err != nil {
 			if round == 0 {
-				return nil, stats, fmt.Errorf("bpf: optimize: input program: %w", err)
+				return nil, stats, fmt.Errorf("bpf: optimize: input program: %w", withInsn(cur, err))
 			}
 			return nil, stats, builtProgramError(fmt.Sprintf("round %d produced an unverifiable program", round), cur, err)
 		}
-		next, changed := optimizeRound(a, &stats)
+		next, changed := optimizeRound(a)
 		if !changed {
 			stats.AfterInsns = len(cur.Insns)
 			return a, stats, nil
 		}
-		stats.Rounds++
 		cur, states = next, a.states
 		if testRoundHook != nil {
 			cur = testRoundHook(round, cur)
@@ -99,22 +90,21 @@ func optimize(p *Program, maxInsns int) (*Analysis, OptStats, error) {
 }
 
 // builtProgramError reports that p, a program the optimizer built, failed
-// verification. A VerifyError's PC indexes p, not the caller's input, so
-// the error names the failing instruction of p itself and does not unwrap
-// to the *VerifyError: a caller that indexed its own program with that PC
-// would print an unrelated instruction. It still matches ErrVerification.
+// verification. Its VerifyError's PC indexes p, not the caller's input, so
+// the error names p's instruction and does not unwrap to the
+// *VerifyError: a caller that indexed its own program with that PC would
+// find an unrelated instruction. It still matches ErrVerification.
 func builtProgramError(what string, p *Program, err error) error {
 	var ve *VerifyError
-	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {
-		return fmt.Errorf("bpf: optimize: %s: failing insn %d: %s: %w: insn %d: %s",
-			what, ve.PC, p.Insns[ve.PC].String(), ErrVerification, ve.PC, ve.Msg)
+	if errors.As(withInsn(p, err), &ve) {
+		return fmt.Errorf("bpf: optimize: %s: %w: %s", what, ErrVerification, ve.at())
 	}
 	return fmt.Errorf("bpf: optimize: %s: %w", what, err)
 }
 
 // optimizeRound applies one round of all passes to the analyzed program,
 // returning the rebuilt program and whether anything changed.
-func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
+func optimizeRound(a *Analysis) (*Program, bool) {
 	p := a.prog
 	n := len(p.Insns)
 	insns := append([]Insn(nil), p.Insns...)
@@ -127,7 +117,6 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 		in := insns[pc]
 		if !a.states[pc].valid {
 			drop[pc] = true
-			stats.RemovedUnreached++
 			changed = true
 			continue
 		}
@@ -135,28 +124,21 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 		case isALU(in.Op) && in.Op != OpMovImm:
 			if c, ok := a.foldableConst(pc, in); ok {
 				insns[pc] = Insn{Op: OpMovImm, Dst: in.Dst, Imm: c}
-				stats.FoldedConst++
 				changed = true
 			}
 		case in.Op == OpJa && in.Off == 0:
 			drop[pc] = true
-			stats.RemovedJumpToNext++
 			changed = true
 		case isCondJump(in.Op):
 			taken, fall := a.CondEdges(pc)
 			switch {
-			case in.Off == 0:
-				// Both edges land on the next instruction.
+			case in.Off == 0, !taken && fall:
+				// Both edges land on the next instruction, or only the
+				// fall-through is reachable.
 				drop[pc] = true
-				stats.RemovedJumpToNext++
-				changed = true
-			case !taken && fall:
-				drop[pc] = true
-				stats.SimplifiedBranch++
 				changed = true
 			case taken && !fall:
 				insns[pc] = Insn{Op: OpJa, Off: in.Off}
-				stats.SimplifiedBranch++
 				changed = true
 			}
 		}
@@ -178,7 +160,6 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 				// it only removes uses, which is safe.
 				if lv.LiveOutRegs(pc)&regBit(in.Dst) == 0 {
 					drop[pc] = true
-					stats.RemovedDead++
 					changed = true
 				}
 			case in.Op == OpStore, in.Op == OpStoreImm:
@@ -200,7 +181,6 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 				}
 				if dead {
 					drop[pc] = true
-					stats.RemovedStores++
 					changed = true
 				}
 			case in.Op == OpCall:
@@ -214,7 +194,6 @@ func optimizeRound(a *Analysis, stats *OptStats) (*Program, bool) {
 				// defined. Dead R0 makes the call removable.
 				if lv.LiveOutRegs(pc)&regBit(R0) == 0 {
 					drop[pc] = true
-					stats.RemovedCalls++
 					changed = true
 				}
 			}

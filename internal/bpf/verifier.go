@@ -9,21 +9,36 @@ import (
 // ErrVerification wraps all verifier rejections.
 var ErrVerification = errors.New("bpf: verification failed")
 
-// VerifyError is a rejection tied to a specific instruction; tools (tsctl
-// vet, codegen error reporting) extract the failing pc via errors.As.
+// VerifyError is a rejection tied to a specific instruction: its pc, its
+// text and the reason.
 type VerifyError struct {
-	PC  int
-	Msg string
+	PC   int
+	Insn string
+	Msg  string
 }
 
-func (e *VerifyError) Error() string {
-	return fmt.Sprintf("bpf: verification failed: insn %d: %s", e.PC, e.Msg)
-}
+func (e *VerifyError) Error() string { return fmt.Sprintf("%v: %s", ErrVerification, e.at()) }
+
+// at names the pc, the instruction and the reason.
+func (e *VerifyError) at() string { return fmt.Sprintf("insn %d (%s): %s", e.PC, e.Insn, e.Msg) }
 
 func (e *VerifyError) Unwrap() error { return ErrVerification }
 
 func verr(pc int, format string, args ...any) error {
 	return &VerifyError{PC: pc, Msg: fmt.Sprintf(format, args...)}
+}
+
+// withInsn fills in the text of the instruction of p that err's
+// VerifyError names, and returns err.
+func withInsn(p *Program, err error) error {
+	if err == nil {
+		return nil // before ve, which escapes: a verdict of success allocates nothing
+	}
+	var ve *VerifyError
+	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {
+		ve.Insn = p.Insns[ve.PC].String()
+	}
+	return err
 }
 
 // The verifier performs abstract interpretation over the program's CFG,

@@ -547,6 +547,7 @@ func (o *oracleState) lattice() absState {
 func diffAnalyses(p *Program, maxInsns int) string {
 	a, err := Analyze(p, maxInsns)
 	o, oerr := oracleAnalyze(p, maxInsns)
+	oerr = withInsn(p, oerr) // Analyze names the failing instruction too
 	if (err == nil) != (oerr == nil) {
 		return fmt.Sprintf("verdicts differ: Analyze %v, oracle %v", err, oerr)
 	}

@@ -125,7 +125,7 @@ func TestVerifyDivisionByZeroImm(t *testing.T) {
 		{Op: Op(9), Dst: R0, Imm: 0}, // div r0, 0
 		{Op: OpExit},
 	}}
-	mustReject(t, p, "insn 1: invalid opcode 9")
+	mustReject(t, p, "insn 1 (op9 r0, 0): invalid opcode 9")
 }
 
 func TestVerifyDivisionByKnownZeroReg(t *testing.T) {

@@ -91,9 +91,9 @@ type LoadedProgram struct {
 
 // HelperCall is one recorded side-effecting helper invocation.
 type HelperCall struct {
-	ID   int64
-	Args []uint64
-	Ret  uint64
+	ID   int64    //tsvet:ignore unread-field the differential fuzzers compare the reference trace
+	Args []uint64 //tsvet:ignore unread-field the differential fuzzers compare the reference trace
+	Ret  uint64   //tsvet:ignore unread-field the differential fuzzers compare the reference trace
 }
 
 func (lp *LoadedProgram) recordCall(ec *execState, id int64) {

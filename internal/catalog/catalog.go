@@ -25,10 +25,9 @@ const (
 
 // Index is one index's metadata plus its structure.
 type Index struct {
-	Name      string
-	TableName string
-	Kind      IndexKind
-	Unique    bool
+	Name   string
+	Kind   IndexKind
+	Unique bool
 	// KeyCols are schema column positions forming the key, major first.
 	KeyCols []int
 	// Bits are per-column bit widths for ordered key packing (BTreeKind).
@@ -245,7 +244,7 @@ func (c *Catalog) createIndex(name, table string, cols []string, kind IndexKind,
 		keyCols[i] = pos
 	}
 	ix := &Index{
-		Name: name, TableName: table, Kind: kind, Unique: unique,
+		Name: name, Kind: kind, Unique: unique,
 		KeyCols: keyCols, Bits: bits,
 	}
 	if kind == HashKind {

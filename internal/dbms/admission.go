@@ -171,7 +171,6 @@ func (g *AdmissionGate) Stats() GateStats {
 // terminals multiplex onto these few workers; the pool's size is the real
 // thread-level parallelism of the server.
 type SessionPool struct {
-	srv  *Server
 	free []*Session
 }
 
@@ -183,7 +182,7 @@ func NewSessionPool(srv *Server, size int) *SessionPool {
 	if size < 1 {
 		size = 1
 	}
-	p := &SessionPool{srv: srv}
+	p := &SessionPool{}
 	n := srv.Kernel.NumCPUs()
 	for i := 0; i < size; i++ {
 		p.free = append(p.free, srv.NewSessionOn(i%n))

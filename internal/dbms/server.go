@@ -171,8 +171,7 @@ type Session struct {
 	// params holds the statement in progress's parameter values (bindParams).
 	params []storage.Value
 	// reply is the wire response under construction, rendered in place and
-	// reused by the next one: Statement only prices it, SubmitPacket hands
-	// the client a copy.
+	// reused by the next one.
 	reply []byte
 	// ExternalCollect emulates EXPLAIN-based external feature collection
 	// (§2.2): every statement pays an extra planning round.
@@ -219,15 +218,12 @@ type PacketResult struct {
 	// Results holds per-statement results (nil entries for statements
 	// that did not run because an earlier one failed).
 	Results []*exec.Result
-	// Response is the encoded wire response.
-	Response []byte
 	// Commit is the WAL group-commit handle for a writing transaction
 	// (nil for read-only or aborted ones). The caller must wait for
 	// Commit.Resolved before treating the transaction as durable.
-	Commit *wal.Commit
-	// Aborted reports a transaction rollback (e.g. write conflict).
-	Aborted bool
-	// Err is the statement error that caused the abort, if any.
+	Commit *wal.Commit //tsvet:ignore unread-field the wire path's durability test waits on it
+	// Err is the error that aborted the packet's transaction (e.g. a
+	// write conflict), if any.
 	Err error
 }
 
@@ -261,9 +257,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	// fail ends the packet with err after the sent results already in reply.
 	fail := func(reply []byte, sent int, err error) *PacketResult {
 		pr.Err = err
-		pr.Aborted = true
 		se.respondError(reply, sent, err)
-		pr.Response = append([]byte(nil), se.reply...)
 		return pr
 	}
 	if derr != nil {
@@ -295,7 +289,6 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	pr.Commit = se.submitRedo(tx, writes)
 
 	se.respond(reply, len(stmts))
-	pr.Response = append([]byte(nil), reply...)
 	return pr
 }
 

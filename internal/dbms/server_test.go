@@ -92,7 +92,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	se := srv.NewSession()
 
 	pr := se.SubmitPacket(network.EncodeQuery("INSERT INTO kv VALUES (1, 'hello')"))
-	if pr.Err != nil || pr.Aborted {
+	if pr.Err != nil {
 		t.Fatalf("insert: %+v", pr)
 	}
 	if pr.Commit == nil || !pr.Commit.Resolved {
@@ -106,7 +106,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	if pr.Commit != nil {
 		t.Fatalf("read-only txn must not hit the WAL")
 	}
-	msgs, err := network.Decode(pr.Response)
+	msgs, err := network.Decode(se.reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMultiQueryPacket(t *testing.T) {
 	if pr.Results[2].Rows[0][0].AsInt() != 2 {
 		t.Fatalf("count: %+v", pr.Results[2].Rows)
 	}
-	msgs, _ := network.Decode(pr.Response)
+	msgs, _ := network.Decode(se.reply)
 	if len(msgs) != 3 {
 		t.Fatalf("response messages: %d", len(msgs))
 	}
@@ -145,18 +145,18 @@ func TestStatementErrorAbortsTransaction(t *testing.T) {
 		"INSERT INTO kv VALUES (9, 'x')",
 		"SELECT * FROM nosuch",
 	))
-	if !pr.Aborted || pr.Err == nil {
+	if pr.Err == nil {
 		t.Fatalf("must abort: %+v", pr)
+	}
+	msgs, _ := network.Decode(se.reply)
+	last := msgs[len(msgs)-1]
+	if last.Type != network.MsgError {
+		t.Fatalf("error response expected: %+v", msgs)
 	}
 	// The first statement's insert must have rolled back.
 	pr2 := se.SubmitPacket(network.EncodeQuery("SELECT COUNT(*) FROM kv"))
 	if pr2.Results[0].Rows[0][0].AsInt() != 0 {
 		t.Fatalf("abort must roll back the whole packet: %+v", pr2.Results[0].Rows)
-	}
-	msgs, _ := network.Decode(pr.Response)
-	last := msgs[len(msgs)-1]
-	if last.Type != network.MsgError {
-		t.Fatalf("error response expected: %+v", msgs)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestMalformedPacket(t *testing.T) {
 	srv := newTestServer(t, false)
 	se := srv.NewSession()
 	pr := se.SubmitPacket([]byte{1, 2, 3})
-	if !pr.Aborted || pr.Err == nil {
+	if pr.Err == nil {
 		t.Fatalf("malformed packet must error")
 	}
 	pr2 := se.SubmitPacket(network.Encode(network.Message{Type: 'Z', Payload: nil}))

@@ -36,7 +36,6 @@ const (
 // (see the sim package doc).
 type Engine struct {
 	cat     *catalog.Catalog
-	ts      *tscout.TScout
 	markers map[tscout.OUID]*tscout.Marker
 	// observe, when set, is shown every Run after it returns. It is the
 	// differential tests' tap on statements that arrive through the dbms.
@@ -47,7 +46,7 @@ type Engine struct {
 // New creates an engine. ts may be nil for an uninstrumented DBMS;
 // otherwise the engine registers its OUs (call before ts.Deploy).
 func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
-	e := &Engine{cat: cat, ts: ts, markers: make(map[tscout.OUID]*tscout.Marker)}
+	e := &Engine{cat: cat, markers: make(map[tscout.OUID]*tscout.Marker)}
 	if ts == nil {
 		return e, nil
 	}

@@ -172,7 +172,6 @@ func AblationExternalCollection(sc Scale) ([]ExternalCollectionRow, error) {
 // against naive per-OU sampling at the same nominal rate.
 type SamplingGranularityRow struct {
 	Granularity   string
-	Rate          int
 	ThroughputTPS float64
 	P99US         int64
 }
@@ -199,7 +198,6 @@ func AblationSamplingGranularity(sc Scale) ([]SamplingGranularityRow, error) {
 		res := run.Result
 		rows = append(rows, SamplingGranularityRow{
 			Granularity:   cfg.name,
-			Rate:          cfg.rate,
 			ThroughputTPS: res.ThroughputTPS,
 			P99US:         res.P99NS / 1000,
 		})

@@ -97,7 +97,6 @@ func Fig5and6(sc Scale) ([]OverheadRow, error) {
 // Fig8Row is one phase of Figure 8's adjustable-sampling timeline.
 type Fig8Row struct {
 	Phase         string
-	Rates         map[tscout.SubsystemID]int
 	ThroughputTPS float64
 	// Stats snapshots the Processor pipeline at the end of the phase.
 	Stats tscout.ProcessorStats
@@ -139,8 +138,7 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 			return nil, err
 		}
 		rows = append(rows, Fig8Row{
-			Phase: ph.name, Rates: ph.rates,
-			ThroughputTPS: run.Result.ThroughputTPS, Stats: run.Result.Processor,
+			Phase: ph.name, ThroughputTPS: run.Result.ThroughputTPS, Stats: run.Result.Processor,
 		})
 	}
 	return rows, nil

@@ -189,7 +189,6 @@ func (pc *PerfContext) accumulate(d counterDeltas) {
 // Reading is one counter sample in perf_event read format: the raw value
 // plus the enabled/running times needed to normalize multiplexed counts.
 type Reading struct {
-	Counter     Counter
 	Raw         float64
 	TimeEnabled float64
 	TimeRunning float64
@@ -218,7 +217,6 @@ func (pc *PerfContext) Read(c Counter) Reading {
 		raw += cpuCounterBase(pc.task.CPU(), c)
 	}
 	return Reading{
-		Counter:     c,
 		Raw:         raw,
 		TimeEnabled: pc.timeEnabled[c],
 		TimeRunning: pc.timeRunning[c],

@@ -28,7 +28,7 @@ type SocketStats struct {
 // task_struct).
 type Task struct {
 	PID    int
-	Name   string
+	Name   string //tsvet:ignore unread-field benchmark/ names its task through NewTask
 	kernel *Kernel
 	cpu    int
 	gen    uint64

@@ -1,7 +1,6 @@
 package tscout
 
 import (
-	"errors"
 	"fmt"
 
 	"tscout/internal/bpf"
@@ -220,19 +219,6 @@ func collectorSkeleton(sub SubsystemID, res ResourceSet, numCPUs, perCPUCap int)
 	}
 }
 
-// describeVerifyError rewraps a verification failure of p with the
-// failing instruction so operators see the pc and opcode without
-// disassembling by hand; tsctl's error paths print this directly. Only a
-// *VerifyError indexes p: a failure of a program the optimizer built names
-// its own instruction and is not one.
-func describeVerifyError(name string, p *bpf.Program, err error) error {
-	var ve *bpf.VerifyError
-	if errors.As(err, &ve) && ve.PC >= 0 && ve.PC < len(p.Insns) {
-		return fmt.Errorf("%s: failing insn %d: %s: %w", name, ve.PC, p.Insns[ve.PC].String(), err)
-	}
-	return fmt.Errorf("%s: %w", name, err)
-}
-
 // GenerateCollector runs TScout's Codegen for one subsystem: it emits the
 // three marker programs tailored to the subsystem's resource set (probes
 // for unchecked resources are simply not compiled in, Fig. 3), sizes the
@@ -250,14 +236,14 @@ func GenerateCollector(sub SubsystemID, res ResourceSet, cfg CollectorConfig) (*
 			// The analysis that proved the optimized program is the one
 			// it loads with: no second pass over the same instructions.
 			if lp, *st, err = bpf.LoadOptimized(p, 0); err != nil {
-				return nil, describeVerifyError(name+" program (optimize)", p, err)
+				return nil, fmt.Errorf("%s program (optimize): %w", name, err)
 			}
 		} else if lp, err = bpf.Load(p, 0); err != nil {
-			return nil, describeVerifyError(name+" program", p, err)
+			return nil, fmt.Errorf("%s program: %w", name, err)
 		}
 		if cfg.Compile {
 			if _, err = lp.Compile(); err != nil {
-				return nil, describeVerifyError(name+" program (compile)", lp.Program(), err)
+				return nil, fmt.Errorf("%s program (compile): %w", name, err)
 			}
 		}
 		return lp, nil

@@ -223,7 +223,7 @@ func TestMarkerFusedVector(t *testing.T) {
 		t.Fatalf("FeaturesVector: %v", err)
 	}
 
-	if n := ts.Processor().Drain(DrainOptions{}).Points; n != 2 {
+	if _, _, n := drainDelta(ts.Processor(), DrainOptions{}); n != 2 {
 		t.Fatalf("fused sample expanded to %d points, want 2", n)
 	}
 	pts := sinkOf(ts).points()

@@ -69,6 +69,19 @@ func deployEverySubsystem(tb testing.TB, ts *TScout) [NumSubsystems][]byte {
 	return payloads
 }
 
+// drainDelta runs one Drain and returns what it did, as the difference of
+// the Stats snapshots either side of it: samples drained, non-empty kernel
+// ring batches and training points produced.
+func drainDelta(p *Processor, opts DrainOptions) (drained, batches, points int64) {
+	before := p.Stats()
+	p.Drain(opts)
+	after := p.Stats()
+	for b := range after.BatchSizeHist {
+		batches += after.BatchSizeHist[b] - before.BatchSizeHist[b]
+	}
+	return after.TotalDrained() - before.TotalDrained(), batches, after.Processed - before.Processed
+}
+
 // TestRingAffinityDisjoint pins the affinity contract: for every (CPU
 // count, parallelism) combination, each ring — including the user
 // pseudo-ring — is owned by exactly one drain thread, every thread's set is
@@ -215,9 +228,8 @@ func TestDrainBatchHistogram(t *testing.T) {
 
 	// Budget 6 × 2 threads against a demand of 40 degrades to 6 tokens: 3
 	// per thread, split 2+1 over the two rings each thread owns.
-	res := p.Drain(DrainOptions{Budget: 6})
-	if res.Drained != 6 || res.Batches != 4 || res.Points != 6 {
-		t.Fatalf("budgeted drain = %+v, want Drained 6, Batches 4, Points 6", res)
+	if drained, batches, points := drainDelta(p, DrainOptions{Budget: 6}); drained != 6 || batches != 4 || points != 6 {
+		t.Fatalf("budgeted drain: drained %d in %d batches, %d points; want 6, 4, 6", drained, batches, points)
 	}
 	for cpu, rs := range ring.CPUStats() {
 		if want := 2 - cpu/2; rs.Drained != int64(want) || rs.Pending != 10-want {
@@ -227,9 +239,8 @@ func TestDrainBatchHistogram(t *testing.T) {
 	}
 
 	// The final unbudgeted sweep takes the rest of all four rings.
-	res = p.Drain(DrainOptions{})
-	if res.Batches != 4 || res.Drained != 34 {
-		t.Fatalf("final drain = %+v, want Batches 4, Drained 34", res)
+	if drained, batches, _ := drainDelta(p, DrainOptions{}); batches != 4 || drained != 34 {
+		t.Fatalf("final drain: drained %d in %d batches; want 34 in 4", drained, batches)
 	}
 
 	// Histogram: two 1-sample and two 2-sample batches, then four batches
@@ -273,8 +284,8 @@ func TestUnbudgetedDrainDeliversTail(t *testing.T) {
 			ts, _, _, _ := deployPerCPU(t, KernelContinuous, 9, numCPUs, 4096, par)
 			total := int64(fillRings(ts, numCPUs, perRing, 0))
 			p := ts.Processor()
-			if res := p.Drain(DrainOptions{}); int64(res.Points) != total {
-				t.Fatalf("drain produced %d points from %d samples", res.Points, total)
+			if _, _, points := drainDelta(p, DrainOptions{}); points != total {
+				t.Fatalf("drain produced %d points from %d samples", points, total)
 			}
 
 			st, sink := p.Stats(), sinkOf(ts)
@@ -399,18 +410,22 @@ func TestDrainAllocationsPerDrain(t *testing.T) {
 	payloads := deployEverySubsystem(t, ts)
 	p := ts.Processor()
 	numRings := numCPUs * int(NumSubsystems)
-	cycle := func() {
+	fill := func() {
 		for i := 0; i < samples; i++ {
 			g := i % numRings
 			sub := SubsystemID(g / numCPUs)
 			ts.CollectorFor(sub).Ring.SubmitFrom(g%numCPUs, payloads[sub])
 		}
-		if res := p.Drain(DrainOptions{}); res.Points != samples || res.Batches != numRings {
-			t.Fatalf("drain = %+v, want %d points in %d batches", res, samples, numRings)
-		}
 	}
 	for i := 0; i < 3; i++ {
-		cycle() // 63 samples a ring a cycle: every 64-slot ring has wrapped
+		fill() // 63 samples a ring a cycle: every 64-slot ring has wrapped
+		if _, batches, points := drainDelta(p, DrainOptions{}); points != samples || batches != int64(numRings) {
+			t.Fatalf("drain: %d points in %d batches, want %d in %d", points, batches, samples, numRings)
+		}
+	}
+	cycle := func() {
+		fill()
+		p.Drain(DrainOptions{})
 	}
 	allocs := testing.AllocsPerRun(10, cycle)
 	if allocs > perDrain+float64(numRings) {
@@ -444,8 +459,8 @@ func TestDrainRunsOnCaller(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.SubmitUserSample(EncodeSample(FusedOUID, 1, Metrics{ElapsedNS: 5}, words))
-		if res := p.Drain(DrainOptions{}); res.Points != 1 {
-			t.Fatalf("threads=%d: drain produced %d points, want 1", par, res.Points)
+		if _, _, points := drainDelta(p, DrainOptions{}); points != 1 {
+			t.Fatalf("threads=%d: drain produced %d points, want 1", par, points)
 		}
 		// The test's own frame, not the splitter closure's ".func1".
 		if !strings.Contains(stack, "TestDrainRunsOnCaller(") {
@@ -475,7 +490,7 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 		// One 1024-slot ring's worth per subsystem: nothing is overwritten
 		// even on one CPU.
 		const perSub = 1024
-		var drained int64
+		start := p.Stats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -486,10 +501,11 @@ func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 				}
 			}
 			b.StartTimer()
-			drained += int64(p.Drain(DrainOptions{}).Drained)
+			p.Drain(DrainOptions{})
 		}
+		end := p.Stats()
 		if sec := b.Elapsed().Seconds(); sec > 0 {
-			b.ReportMetric(float64(drained)/sec, "drained/s")
+			b.ReportMetric(float64(end.TotalDrained()-start.TotalDrained())/sec, "drained/s")
 		}
 	}
 	for _, threads := range []int{1, 2, 4} {

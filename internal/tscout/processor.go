@@ -189,7 +189,6 @@ type Processor struct {
 	userStats           SubsystemStats
 	lastRing            [NumSubsystems]bpf.RingStats
 	lastUserSubmitted   int64
-	lastUserDropped     int64
 	splitter            SplitWeightFunc
 	retryQueue          []retryBatch
 	sinkRetries         int64
@@ -263,28 +262,17 @@ type DrainOptions struct {
 	Budget int
 }
 
-// DrainResult reports what one drain cycle did.
-type DrainResult struct {
-	// Points is the number of training points produced.
-	Points int
-	// Drained is the number of samples pulled from the kernel rings and
-	// the user queue.
-	Drained int
-	// Batches is the number of non-empty ring batches processed.
-	Batches int
-}
-
-// Drain runs one drain period over the per-CPU rings and returns what it
-// produced. Each modeled drain thread owns a disjoint set of CPU rings
-// (ring affinity: global ring index mod parallelism) and waterfills its
-// slice of the effective budget over them. The host does every thread's
+// Drain runs one drain period over the per-CPU rings and hands what it
+// produced to the sink. Each modeled drain thread owns a disjoint set of
+// CPU rings (ring affinity: global ring index mod parallelism) and
+// waterfills its slice of the effective budget over them. The host does every thread's
 // work in one pass, in global ring order, and charges each ring's samples to
 // the thread that owns it: parallelism is a virtual-time model (see the sim
 // package doc).
 // Sustained oversubmission overwrites ring entries (kernel path) or
 // overflows the user queue, and the pipeline's efficiency degrades under
 // overload — the §6.2 dynamics behind Fig. 6's peak-then-decline curve.
-func (p *Processor) Drain(opts DrainOptions) DrainResult {
+func (p *Processor) Drain(opts DrainOptions) {
 	group := p.taskGroup()
 	parallelism := group.Size()
 	// The drain threads wake together at the period tick.
@@ -335,9 +323,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	}
 	deltaUser := p.userStats.Submitted - p.lastUserSubmitted
 	p.lastUserSubmitted = p.userStats.Submitted
-	p.userStats.DeltaSubmitted = deltaUser
-	p.userStats.DeltaDropped = p.userStats.Dropped - p.lastUserDropped
-	p.lastUserDropped = p.userStats.Dropped
 	demand += deltaUser * userDrainPenalty
 	userPending := len(p.userQueue)
 
@@ -423,7 +408,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	var counts [NumSubsystems]decodeCounts
 	var points [NumSubsystems]int64
 	var hist [BatchHistBuckets]int64
-	res := DrainResult{}
 	for g := 0; g < numRings; g++ {
 		sub := SubsystemID(g / numCPUs)
 		if alloc[g] == 0 || cols[sub] == nil {
@@ -435,8 +419,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 			continue
 		}
 		charged[ringOwner(g, parallelism)][sub] += int64(n)
-		res.Drained += n
-		res.Batches++
 		hist[histBucket(n)]++
 		first := len(pts)
 		pts = p.decodeBatch(pts, &p.batch, &counts[sub])
@@ -454,7 +436,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		clear(p.userQueue[rest:])
 		p.userQueue = p.userQueue[:rest]
 		userDrained = int64(take)
-		res.Drained += take
 		first := len(pts)
 		pts = p.decodeBatch(pts, &p.batch, &user)
 		// Points count toward the subsystem they decode into, while the
@@ -463,7 +444,6 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 			points[tp.Subsystem]++
 		}
 	}
-	res.Points = len(pts)
 	p.from = nil
 
 	// Charge virtual time in subsystem order on each ring's owning thread,
@@ -503,12 +483,8 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 		ks.CorruptDiscards += c.corrupt
 		ks.PaddedFeatures += c.padded
 		ks.TruncatedFeatures += c.truncated
-		ks.DeltaSubmitted = deltaSub[sub]
-		ks.DeltaDropped = deltaDrop[sub]
-		ks.DeltaDrained = drained
 	}
 	p.userStats.Drained += userDrained
-	p.userStats.DeltaDrained = userDrained
 	p.userStats.DecodeErrors += user.decodeErrs
 	p.userStats.CorruptDiscards += user.corrupt
 	p.userStats.PaddedFeatures += user.padded
@@ -516,13 +492,12 @@ func (p *Processor) Drain(opts DrainOptions) DrainResult {
 	for b, c := range hist {
 		p.batchHist[b] += c
 	}
-	p.processed += int64(res.Points)
+	p.processed += int64(len(pts))
 
 	if !p.ts.cfg.DisableProcessorFeedback {
 		p.applyFeedback(deltaSub, deltaDrop)
 	}
 	p.deliver(pts)
-	return res
 }
 
 // waterfill distributes tokens across shards in proportion to demand,
@@ -922,7 +897,7 @@ func (p *Processor) Reset() {
 	p.userQueue = nil
 	p.userStats = SubsystemStats{}
 	p.lastRing = [NumSubsystems]bpf.RingStats{}
-	p.lastUserSubmitted, p.lastUserDropped = 0, 0
+	p.lastUserSubmitted = 0
 	p.retryQueue = nil
 	p.sinkRetries, p.sinkRetryDrops = 0, 0
 	p.processed = 0

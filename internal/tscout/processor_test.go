@@ -106,15 +106,15 @@ func TestResetClearsPipelineState(t *testing.T) {
 		t.Fatalf("stats not cleared by Reset: %+v", st)
 	}
 
-	// The first post-reset period must compute deltas from zero, not from
-	// the pre-reset cumulative counters (which would yield negative
-	// deltas and suppress the demand calculation).
+	// The first post-reset period must compute its ring deltas from zero,
+	// not from the pre-reset cumulative counters (which would yield
+	// negative deltas and suppress the demand calculation).
 	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], 20)
 	p.Drain(DrainOptions{Budget: 100})
 	st = p.Stats()
 	ee := st.Kernel[SubsystemExecutionEngine]
-	if ee.DeltaSubmitted != 20 || ee.DeltaDrained != 20 {
-		t.Fatalf("post-reset deltas wrong: %+v", ee)
+	if ee.Submitted != 20 || ee.Drained != 20 {
+		t.Fatalf("post-reset period wrong: %+v", ee)
 	}
 }
 
@@ -136,7 +136,7 @@ func TestGlobalBudgetSharedAcrossSubsystems(t *testing.T) {
 	}
 	var drained int64
 	for _, sub := range AllSubsystems {
-		d := st.Kernel[sub].DeltaDrained
+		d := st.Kernel[sub].Drained
 		if d == 0 {
 			t.Fatalf("shard %s starved by waterfill: %+v", sub, st.Kernel[sub])
 		}
@@ -172,7 +172,7 @@ func TestShardedParallelismScalesBudget(t *testing.T) {
 		st := p.Stats()
 		var drained int64
 		for _, sub := range AllSubsystems {
-			drained += st.Kernel[sub].DeltaDrained
+			drained += st.Kernel[sub].Drained
 		}
 		return drained, st
 	}
@@ -210,7 +210,7 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 	// Demand (20 samples × 3 tokens = 60) fits the budget: everything
 	// drains, but the 90 tokens bought only 30 samples' worth of work.
 	const budget = 90
-	if n := p.Drain(DrainOptions{Budget: budget}).Points; n != 20 {
+	if _, _, n := drainDelta(p, DrainOptions{Budget: budget}); n != 20 {
 		t.Fatalf("underloaded poll drained %d user samples, want all 20", n)
 	}
 
@@ -222,12 +222,12 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.SubmitUserSample(EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
 	}
-	n := p.Drain(DrainOptions{Budget: budget}).Points
+	_, _, n := drainDelta(p, DrainOptions{Budget: budget})
 	st := p.Stats()
 	if st.EffectiveBudget >= budget {
 		t.Fatalf("no degradation under overload: %+v", st)
 	}
-	if want := st.EffectiveBudget / userDrainPenalty; n != want {
+	if want := int64(st.EffectiveBudget / userDrainPenalty); n != want {
 		t.Fatalf("drained %d user samples, want effective %d / penalty %d = %d",
 			n, st.EffectiveBudget, userDrainPenalty, want)
 	}

@@ -41,8 +41,6 @@ type Sampler struct {
 	shared *sim.Noise
 	// perSub holds one controller stream per subsystem.
 	perSub [NumSubsystems]*sim.Noise
-	// gens counts field regenerations per subsystem (any path).
-	gens [NumSubsystems]int64
 	// bits holds the live sampling fields.
 	bits [NumSubsystems][SamplingBits]bool
 	// rates holds the configured percentages.
@@ -103,7 +101,6 @@ func (s *Sampler) setRate(sub SubsystemID, rate int, src *sim.Noise) {
 		field[perm[i]] = true
 	}
 	s.bits[sub] = field
-	s.gens[sub]++
 }
 
 // SetAllRates sets every subsystem to the same rate. It draws from the

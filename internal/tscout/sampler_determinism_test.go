@@ -16,11 +16,6 @@ import (
 // cadence tracks drain width, or of parallelism-dependent overload
 // feedback. It returns the execution engine's bit field after each retune
 // and the points it delivered to the sink.
-// Generation returns how many times a subsystem's bit field has been
-// regenerated (any path). Tests use it to assert that a retune schedule
-// was applied exactly once per epoch.
-func (s *Sampler) Generation(sub SubsystemID) int64 { return s.gens[sub] }
-
 func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []TrainingPoint) {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, seed, 0)
@@ -127,14 +122,22 @@ func TestRetuneIsolationAcrossSubsystems(t *testing.T) {
 			t.Fatalf("disk-writer field depends on %d unrelated networking retunes", n)
 		}
 	}
-	// The generation counter tracks regenerations on every path.
+	// Both paths regenerate a field: it sets as many bits as its rate.
 	s := NewSampler(7)
 	s.SetAllRates(100)
 	s.SetRate(SubsystemExecutionEngine, 30)
-	if got := s.Generation(SubsystemExecutionEngine); got != 2 {
-		t.Fatalf("generation = %d, want 2 (init + retune)", got)
-	}
-	if got := s.Generation(SubsystemNetworking); got != 1 {
-		t.Fatalf("generation = %d, want 1 (init only)", got)
+	for _, c := range []struct {
+		sub  SubsystemID
+		rate int
+	}{{SubsystemExecutionEngine, 30}, {SubsystemNetworking, 100}} {
+		set := 0
+		for _, b := range s.bits[c.sub] {
+			if b {
+				set++
+			}
+		}
+		if set != c.rate {
+			t.Fatalf("%s field sets %d bits, want its rate %d", c.sub, set, c.rate)
+		}
 	}
 }

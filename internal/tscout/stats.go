@@ -3,11 +3,8 @@ package tscout
 import "tscout/internal/bpf"
 
 // SubsystemStats is one subsystem's slice of the Processor's self-observed
-// pipeline counters. Cumulative fields count since deployment (or the last
-// Reset); Delta fields cover the most recent drain period, which is what
-// the §3.2 feedback mechanism and the experiment harnesses consume — a
-// collector that cannot observe its own drop rate per period cannot react
-// to overload in time.
+// pipeline counters, counted since deployment (or the last Reset). A
+// period's count is the difference of two snapshots.
 type SubsystemStats struct {
 	// Submitted counts samples offered to this shard's channel (ring
 	// buffer submissions for kernel shards, queue submissions for the
@@ -49,12 +46,6 @@ type SubsystemStats struct {
 	// Orphans classifies OU invocations that entered the Collector but
 	// never completed as a sample (kernel shards only; see OrphanCounts).
 	Orphans OrphanCounts
-
-	// DeltaSubmitted/DeltaDrained/DeltaDropped are the same counters
-	// restricted to the most recent drain period.
-	DeltaSubmitted int64
-	DeltaDrained   int64
-	DeltaDropped   int64
 }
 
 // ProcessorStats is a snapshot of the drain pipeline's own health: the

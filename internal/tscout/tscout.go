@@ -171,7 +171,6 @@ type TScout struct {
 	kernel *kernel.Kernel
 
 	ous        map[OUID]*OUDef
-	markers    map[OUID]*Marker
 	subsystems [NumSubsystems]*subsystem
 	tasks      map[int]*taskState
 	sampler    *Sampler
@@ -224,11 +223,10 @@ type userFrame struct {
 func New(k *kernel.Kernel, cfg Config) *TScout {
 	c := cfg.withDefaults()
 	ts := &TScout{
-		cfg:     c,
-		kernel:  k,
-		ous:     make(map[OUID]*OUDef),
-		markers: make(map[OUID]*Marker),
-		tasks:   make(map[int]*taskState),
+		cfg:    c,
+		kernel: k,
+		ous:    make(map[OUID]*OUDef),
+		tasks:  make(map[int]*taskState),
 	}
 	ts.sampler = NewSampler(c.Seed)
 	ts.processor = NewProcessor(ts, c.ProcessorSink)
@@ -277,9 +275,7 @@ func (ts *TScout) RegisterOU(def OUDef, res ResourceSet) (*Marker, error) {
 	sub.resources.Disk = sub.resources.Disk || res.Disk
 	sub.resources.Network = sub.resources.Network || res.Network
 
-	m := &Marker{ts: ts, def: &d, sub: sub, idArg: []uint64{uint64(d.ID)}}
-	ts.markers[def.ID] = m
-	return m, nil
+	return &Marker{ts: ts, def: &d, sub: sub, idArg: []uint64{uint64(d.ID)}}, nil
 }
 
 // MustRegisterOU is RegisterOU for static OU tables; it panics on error.

@@ -86,8 +86,7 @@ func TestKernelModeEndToEnd(t *testing.T) {
 	w := sim.Work{Instructions: 200000, BytesTouched: 1 << 16, WorkingSetBytes: 1 << 20, AllocBytes: 4096}
 	runOU(ts, task, scan, w, 1000, 64)
 
-	n := ts.Processor().Drain(DrainOptions{}).Points
-	if n != 1 {
+	if _, _, n := drainDelta(ts.Processor(), DrainOptions{}); n != 1 {
 		t.Fatalf("expected 1 training point, got %d", n)
 	}
 	pts := sinkOf(ts).points()

@@ -125,8 +125,8 @@ func TestFailedStatementsLeaveNoSnapshotOpen(t *testing.T) {
 	if _, err := b.Statement("UPDATE kv SET v = 12 WHERE k = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if pr := a.SubmitPacket(network.EncodeScript("SELECT v FROM kv", "UPDATE kv SET v = 13 WHERE k = 1")); !pr.Aborted || !dbms.IsConflict(pr.Err) {
-		t.Fatalf("packet under a conflict: aborted %v, err %v", pr.Aborted, pr.Err)
+	if pr := a.SubmitPacket(network.EncodeScript("SELECT v FROM kv", "UPDATE kv SET v = 13 WHERE k = 1")); !dbms.IsConflict(pr.Err) {
+		t.Fatalf("packet under a conflict: err %v", pr.Err)
 	}
 	running(1, "an aborted packet")
 	if _, err := a.Execute("UPDATE kv SET v = 14 WHERE k = 1"); !dbms.IsConflict(err) {

@@ -29,9 +29,9 @@ const (
 
 // Record is one redo log record.
 type Record struct {
-	Kind  RecordKind
-	TxnID uint64
-	Table string
+	Kind  RecordKind //tsvet:ignore unread-field benchmark/ builds records; ROADMAP item 2(a)'s replay will read them
+	TxnID uint64     //tsvet:ignore unread-field benchmark/ builds records; ROADMAP item 2(a)'s replay will read them
+	Table string     //tsvet:ignore unread-field benchmark/ builds records; ROADMAP item 2(a)'s replay will read them
 	Bytes int64
 }
 

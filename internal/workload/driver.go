@@ -88,13 +88,13 @@ type Result struct {
 	Completed int
 	Aborted   int
 	// ElapsedNS is the virtual makespan of the run.
-	ElapsedNS int64
+	ElapsedNS int64 //tsvet:ignore unread-field the golden renders read it
 	// ThroughputTPS is completed transactions per virtual second.
 	ThroughputTPS float64
 	// P50NS and P99NS are transaction latency percentiles.
-	P50NS, P99NS int64
+	P50NS, P99NS int64 //tsvet:ignore unread-field the golden renders read P50NS
 	// MeanNS is the mean transaction latency.
-	MeanNS int64
+	MeanNS int64 //tsvet:ignore unread-field the golden renders read it
 	// TrainingPoints is the number of points the Processor produced
 	// during the run (instrumented runs only).
 	TrainingPoints int64
