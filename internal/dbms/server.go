@@ -203,13 +203,14 @@ func (se *Session) execCtx(tx *txn.Txn) *exec.Ctx {
 	return &se.ctx
 }
 
-// bindParams copies a statement's parameter values into the session's
-// scratch, which the engine reads until Run returns and keeps nothing of.
-// Statement and Execute pass the engine the copy, never their variadic
-// slice: that slice would escape through the plan interface, and every
-// caller's argument array would be allocated on the heap.
-func (se *Session) bindParams(params []storage.Value) []storage.Value {
-	se.params = append(se.params[:0], params...)
+// bindParams copies a statement's parameter values, then its text's string
+// literals, into the session's scratch, which the engine reads until Run
+// returns and keeps nothing of. Statement and Execute pass the engine the
+// copy, never their variadic slice: that slice would escape through the
+// plan interface, and every caller's argument array would be allocated on
+// the heap.
+func (se *Session) bindParams(params, lits []storage.Value) []storage.Value {
+	se.params = append(append(se.params[:0], params...), lits...)
 	return se.params
 }
 
@@ -238,19 +239,19 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 
 	// --- Networking read OU -------------------------------------------
 	msgs, derr := network.Decode(packet)
-	var stmts []*statement
+	var stmts []textEntry
 	if derr == nil {
 		for _, m := range msgs {
 			if m.Type != network.MsgQuery {
 				derr = fmt.Errorf("dbms: unexpected message type %q", m.Type)
 				break
 			}
-			st, perr := srv.stmts.lookup(string(m.Payload))
+			st, lits, perr := srv.stmts.lookup(string(m.Payload), 0)
 			if perr != nil {
 				derr = perr
 				break
 			}
-			stmts = append(stmts, st)
+			stmts = append(stmts, textEntry{st: st, lits: lits})
 		}
 	}
 	se.netRead(len(packet), len(msgs))
@@ -271,8 +272,8 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	}
 	reply := se.reply[:0]
 	ctx := se.execCtx(tx)
-	for i, st := range stmts {
-		res, err := srv.run(ctx, st, nil)
+	for i, e := range stmts {
+		res, err := srv.run(ctx, e.st, se.bindParams(nil, e.lits))
 		if err != nil {
 			_ = tx.Abort()
 			return fail(reply, i, err)
@@ -411,7 +412,7 @@ func appendResult(out []byte, r *exec.Result) []byte {
 // offline loader: it looks up and runs one statement with $n parameters in
 // its own transaction on the given session, bypassing the wire protocol.
 func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result, error) {
-	st, err := se.srv.stmts.lookup(query)
+	st, lits, err := se.srv.stmts.lookup(query, len(params))
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +420,7 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)
 	}
-	res, err := se.srv.run(se.execCtx(tx), st, se.bindParams(params))
+	res, err := se.srv.run(se.execCtx(tx), st, se.bindParams(params, lits))
 	if err != nil {
 		_ = tx.Abort()
 		return nil, err

@@ -49,8 +49,8 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	for _, p := range params {
 		packetBytes += int(p.Size()) + 4
 	}
-	bound := se.bindParams(params)
-	st, perr := srv.stmts.lookup(query)
+	st, lits, perr := srv.stmts.lookup(query, len(params))
+	bound := se.bindParams(params, lits)
 	se.netRead(packetBytes, 1)
 	if perr != nil {
 		se.rollback()

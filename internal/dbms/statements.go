@@ -6,13 +6,17 @@ import (
 	"tscout/internal/storage"
 )
 
-// maxCachedStatements bounds a server's statement table. The benchmarks'
-// statements are a few dozen $n templates, which all fit; TATP also inlines
-// literals into some texts (thousands of distinct ones), which is what the
-// bound is for.
+// maxCachedStatements bounds a server's statement table. A text's string
+// literals bind as parameters of its template (each '...' becomes the next
+// $n after the text's highest); numbers stay literals, since a number may
+// stand where no $n may (LIMIT 1). So the benchmarks' statements are a few
+// dozen templates, which all fit. What the bound is for is the texts kept
+// for an exact hit beside them: each literal variant of a template, and
+// every text with number literals or typed by hand (npdb's shell), which is
+// its own template. A client can send any number of those.
 const maxCachedStatements = 1024
 
-// statement is one SQL text's parsed form and, once it has executed, its
+// statement is one template's parsed form and, once it has executed, its
 // analysis. The AST is shared and never mutated by exec.
 type statement struct {
 	ast sql.Statement
@@ -21,41 +25,77 @@ type statement struct {
 	plan *exec.Prepared
 }
 
+// textEntry is what the table keeps for one text: its template's statement
+// and the string literals the template lifted out, which bind after the
+// call's parameters, nparams of them (the highest $n the text names).
+type textEntry struct {
+	st      *statement
+	lits    []storage.Value
+	nparams int
+}
+
 // statementTable maps statement text to its parsed and analyzed form: the
 // server side of a prepared statement, keyed by text because the workloads'
-// clients send text. Like the rest of a Server's session path it belongs
-// to the one goroutine that drives the server's sessions.
+// clients send text. A text with string literals is an alias of its
+// template (sql.Template), so texts that differ only in their literals
+// share one parse and one analysis. Like the rest of a Server's session
+// path it belongs to the one goroutine that drives the server's sessions.
 type statementTable struct {
-	byText map[string]*statement
-	// Traffic counters: texts found, texts parsed, and times a full table
-	// was dropped.
+	byText map[string]textEntry
+	// Traffic counters: lookups served without parsing, lookups that
+	// parsed, and times a full table was dropped.
 	hits, misses, resets uint64
 }
 
-// lookup returns text's statement, parsing it on first sight. Parse errors
-// are returned and never cached. A full table is dropped whole rather than
-// evicted from: the hot templates re-enter within a transaction each, and
-// the hit path carries no bookkeeping.
-func (t *statementTable) lookup(text string) (*statement, error) {
-	if st, ok := t.byText[text]; ok {
+// lookup returns text's statement for a call binding nparams parameters,
+// and the literal values to bind after them. A text missing from the table
+// is lexed once into its template, which is parsed only if it is new; the
+// text then enters as the template's alias. A call whose parameter count is
+// not the text's highest $n, and a text whose template does not parse, get
+// the raw text parsed and uncached, so their result or error is the one the
+// text has on its own. Parse errors are never cached.
+func (t *statementTable) lookup(text string, nparams int) (*statement, []storage.Value, error) {
+	if e, ok := t.byText[text]; ok && (len(e.lits) == 0 || e.nparams == nparams) {
 		t.hits++
-		return st, nil
+		return e.st, e.lits, nil
+	}
+	tmpl, lits, maxParam, err := sql.Template(text)
+	if err == nil && (len(lits) == 0 || maxParam == nparams) {
+		if e, ok := t.byText[tmpl]; ok {
+			t.hits++
+			t.add(text, textEntry{e.st, lits, maxParam})
+			return e.st, lits, nil
+		}
+		if ast, err := sql.Parse(tmpl); err == nil {
+			t.misses++
+			st := &statement{ast: ast}
+			t.add(tmpl, textEntry{st: st})
+			if len(lits) > 0 {
+				t.add(text, textEntry{st, lits, maxParam})
+			}
+			return st, lits, nil
+		}
 	}
 	t.misses++
 	ast, err := sql.Parse(text)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	return &statement{ast: ast}, nil, nil
+}
+
+// add enters text. A full table is dropped whole rather than evicted from:
+// the hot templates re-enter within a transaction each, and the hit path
+// carries no bookkeeping.
+func (t *statementTable) add(text string, e textEntry) {
 	if len(t.byText) >= maxCachedStatements {
 		t.byText = nil
 		t.resets++
 	}
 	if t.byText == nil {
-		t.byText = make(map[string]*statement)
+		t.byText = make(map[string]textEntry)
 	}
-	st := &statement{ast: ast}
-	t.byText[text] = st
-	return st, nil
+	t.byText[text] = e
 }
 
 // prepared returns st's analysis against the catalog as it is now,

@@ -91,7 +91,7 @@ func TestCreateIndexReplansCachedStatement(t *testing.T) {
 	if p := explain(); !strings.Contains(p, "Seq Scan on acct") {
 		t.Fatalf("before CREATE INDEX:\n%s", p)
 	}
-	before := srv.stmts.byText[q].plan
+	before := srv.stmts.byText[q].st.plan
 
 	if _, err := loader.Execute("CREATE INDEX acct_owner ON acct (owner)"); err != nil {
 		t.Fatal(err)
@@ -104,12 +104,12 @@ func TestCreateIndexReplansCachedStatement(t *testing.T) {
 	if p := explain(); !strings.Contains(p, "Index Scan using acct_owner on acct") {
 		t.Fatalf("after CREATE INDEX:\n%s", p)
 	}
-	after := srv.stmts.byText[q].plan
+	after := srv.stmts.byText[q].st.plan
 	if after == before {
 		t.Fatalf("the statement was not re-analyzed")
 	}
 	run()
-	if srv.stmts.byText[q].plan != after {
+	if srv.stmts.byText[q].st.plan != after {
 		t.Fatalf("an unchanged catalog must not cause re-analysis")
 	}
 }
@@ -133,7 +133,7 @@ func TestMountArchiveAfterFirstUse(t *testing.T) {
 			t.Fatalf("a failed statement must abort the transaction")
 		}
 	}
-	st := srv.stmts.byText[q]
+	st := srv.stmts.byText[q].st
 	if st == nil || st.plan != nil {
 		t.Fatalf("the text is parsed once (%v) but a failed analysis is not cached", st)
 	}
@@ -275,6 +275,73 @@ func TestStatementTableBound(t *testing.T) {
 	}
 	if got := srv.stmts.hits + srv.stmts.misses; got != 20000 {
 		t.Fatalf("%d lookups counted, want 20000", got)
+	}
+}
+
+// TestLiteralTextsShareATemplate: texts that differ only in a string
+// literal are parsed once, as one template, yet each binds its own literal
+// — two of them in one packet return each one's own rows.
+func TestLiteralTextsShareATemplate(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	for i, v := range []string{"one", "it's"} {
+		if _, err := se.Execute("INSERT INTO kv VALUES ($1, $2)", storage.NewInt(int64(i+1)), storage.NewString(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := srv.stmts.misses
+	one, its := "SELECT k FROM kv WHERE v = 'one'", "SELECT k FROM kv WHERE v = "+network.QuoteString("it's")
+	pr := se.SubmitPacket(network.EncodeScript(one, its))
+	if pr.Err != nil {
+		t.Fatal(pr.Err)
+	}
+	for i, want := range []int64{1, 2} {
+		if rows := pr.Results[i].Rows; len(rows) != 1 || rows[0][0].AsInt() != want {
+			t.Fatalf("statement %d: rows %v, want k = %d", i, rows, want)
+		}
+	}
+	if got := srv.stmts.misses - misses; got != 1 {
+		t.Fatalf("%d parses for two texts of one template", got)
+	}
+	tmpl := srv.stmts.byText["SELECT k FROM kv WHERE v = $1"]
+	if tmpl.st == nil || srv.stmts.byText[one].st != tmpl.st || srv.stmts.byText[its].st != tmpl.st {
+		t.Fatalf("the texts do not share their template's statement")
+	}
+}
+
+// TestParamCountMismatch: a call binding other than the text's highest $n
+// gets the raw text, so its literal never stands in for a missing
+// parameter, and it fails or succeeds exactly as that text does alone.
+func TestParamCountMismatch(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	if _, err := se.Execute("INSERT INTO kv VALUES (1, 'one')"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT v FROM kv WHERE k = $1 AND v = 'one'"
+	const notBound = "exec: parameter $1 not bound (0 given)"
+	for _, c := range []struct {
+		params []storage.Value
+		err    string
+	}{
+		{[]storage.Value{storage.NewInt(1)}, ""},
+		{nil, notBound},
+		{[]storage.Value{storage.NewInt(1), storage.NewInt(9)}, ""},
+		{[]storage.Value{storage.NewInt(1)}, ""},
+	} {
+		res, err := se.Execute(q, c.params...)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Fatalf("%d params: %v, want %s", len(c.params), err, c.err)
+			}
+			continue
+		}
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Str() != "one" {
+			t.Fatalf("%d params: %v %v", len(c.params), err, res)
+		}
+	}
+	if pr := se.SubmitPacket(network.EncodeQuery(q)); pr.Err == nil || pr.Err.Error() != notBound {
+		t.Fatalf("SubmitPacket: %v, want %s", pr.Err, notBound)
 	}
 }
 

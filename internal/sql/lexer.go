@@ -2,8 +2,12 @@ package sql
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"unicode"
+
+	"tscout/internal/storage"
 )
 
 type tokenKind int
@@ -20,7 +24,7 @@ const (
 type token struct {
 	kind tokenKind
 	text string // identifiers are lower-cased; strings are unquoted
-	pos  int
+	pos  int    // offset of the token's first byte
 }
 
 func (t token) String() string {
@@ -72,6 +76,7 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{tokNumber, input[start:i], start})
 		case c == '\'':
+			start := i
 			i++
 			var sb strings.Builder
 			for {
@@ -90,7 +95,7 @@ func lex(input string) ([]token, error) {
 				sb.WriteByte(input[i])
 				i++
 			}
-			toks = append(toks, token{tokString, sb.String(), i})
+			toks = append(toks, token{tokString, sb.String(), start})
 		case c == '$':
 			start := i
 			i++
@@ -140,4 +145,59 @@ func lex(input string) ([]token, error) {
 
 func isIdentChar(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+}
+
+// Template lexes input once and returns its template: input with each
+// string literal replaced by the next $n after maxParam, the highest $n
+// input names. lits are the literals' values in order, so the template
+// bound to its caller's maxParam values followed by lits is the statement
+// input is. The rewrite is sound because the parser consumes a string
+// token only where it consumes a $n (term), and it covers strings alone
+// because numbers also stand where no $n may (LIMIT 1). Each literal is the
+// lexer's own unescaped copy, never a substring of input, so a row that
+// stores one does not keep the text alive. A text without string literals,
+// or one naming a $n too large to number its literals after, is its own
+// template with no lits. A lex error is the one Parse(input) reports.
+func Template(input string) (template string, lits []storage.Value, maxParam int, err error) {
+	toks, err := lex(input)
+	if err != nil {
+		return "", nil, 0, err
+	}
+	strs := 0
+	for _, t := range toks {
+		switch t.kind {
+		case tokString:
+			strs++
+		case tokParam:
+			n, err := strconv.Atoi(t.text)
+			if err != nil {
+				return input, nil, 0, nil
+			}
+			maxParam = max(maxParam, n)
+		}
+	}
+	if strs == 0 || maxParam > math.MaxInt-strs {
+		return input, nil, maxParam, nil
+	}
+	var sb strings.Builder
+	sb.Grow(len(input) + 4*strs)
+	lits = make([]storage.Value, 0, strs)
+	last := 0
+	for _, t := range toks {
+		if t.kind != tokString {
+			continue
+		}
+		sb.WriteString(input[last:t.pos])
+		sb.WriteByte('$')
+		sb.WriteString(strconv.Itoa(maxParam + len(lits) + 1))
+		// The literal's source is its value quoted, each quote doubled.
+		last = t.pos + len(t.text) + strings.Count(t.text, "'") + 2
+		// A digit right after the literal would lex as part of the $n.
+		if last < len(input) && unicode.IsDigit(rune(input[last])) {
+			sb.WriteByte(' ')
+		}
+		lits = append(lits, storage.NewString(t.text))
+	}
+	sb.WriteString(input[last:])
+	return sb.String(), lits, maxParam, nil
 }

@@ -1,9 +1,11 @@
 package sql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"tscout/internal/network"
 	"tscout/internal/storage"
 )
 
@@ -225,6 +227,150 @@ func TestParseErrors(t *testing.T) {
 			t.Fatalf("error prefix: %v", err)
 		}
 	}
+}
+
+// TestParseErrorPositions: a string token is placed at its opening quote,
+// as every other token is at its first byte.
+func TestParseErrorPositions(t *testing.T) {
+	for q, want := range map[string]string{
+		"SELECT 'abc' FROM t": `sql: expected identifier, got 'abc' (near position 7 in "SELECT 'abc' FROM t")`,
+		"SELECT a FROM t WHERE a = 'xy' 'z'": `sql: unexpected 'z' after statement ` +
+			`(near position 31 in "SELECT a FROM t WHERE a = 'xy' 'z'")`,
+	} {
+		if _, err := Parse(q); err == nil || err.Error() != want {
+			t.Errorf("%q: %v, want %s", q, err, want)
+		}
+	}
+}
+
+func TestTemplate(t *testing.T) {
+	for _, c := range []struct {
+		text, template string
+		lits           []string
+		maxParam       int
+	}{
+		{"UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = '000000000000017'",
+			"UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = $2", []string{"000000000000017"}, 1},
+		{"INSERT INTO history VALUES ($1, $2, $3, $4, 'payment')",
+			"INSERT INTO history VALUES ($1, $2, $3, $4, $5)", []string{"payment"}, 4},
+		// Literals number on from the highest $n, gaps and all.
+		{"SELECT a FROM t WHERE b = $3 AND c = 'x' AND d = 'it''s'",
+			"SELECT a FROM t WHERE b = $3 AND c = $4 AND d = $5", []string{"x", "it's"}, 3},
+		// A quote in a comment is not a literal.
+		{"SELECT a FROM t -- it's\nWHERE b = 'y'", "SELECT a FROM t -- it's\nWHERE b = $1", []string{"y"}, 0},
+		// A digit after a literal stays a token of its own.
+		{"SELECT 'x'1", "SELECT $1 1", []string{"x"}, 0},
+		// Numbers stay literals; a text without strings is its own template.
+		{"SELECT a FROM t WHERE b = $2 LIMIT 1", "SELECT a FROM t WHERE b = $2 LIMIT 1", nil, 2},
+	} {
+		tmpl, lits, maxParam, err := Template(c.text)
+		if err != nil {
+			t.Fatalf("%q: %v", c.text, err)
+		}
+		var got []string
+		for _, v := range lits {
+			got = append(got, v.Str())
+		}
+		if tmpl != c.template || !reflect.DeepEqual(got, c.lits) || maxParam != c.maxParam {
+			t.Errorf("%q: template %q lits %q $%d, want %q %q $%d",
+				c.text, tmpl, got, maxParam, c.template, c.lits, c.maxParam)
+		}
+	}
+	if _, _, _, err := Template("SELECT a FROM t WHERE b = 'open"); err == nil || err.Error() != "sql: unterminated string literal" {
+		t.Errorf("unterminated literal: %v", err)
+	}
+}
+
+// FuzzStatementTemplate: a text's template parses to the text's own AST
+// with each string literal a $n past the text's highest, bound to that
+// literal's value — or the template and the text both fail.
+func FuzzStatementTemplate(f *testing.F) {
+	for _, s := range []string{
+		"UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = '000000000000017'",
+		"SELECT s_id FROM subscriber WHERE sub_nbr = '000000000000017'",
+		"SELECT c_id FROM customer WHERE c_w_id = $1 AND c_d_id = $2 AND c_last = 'BARBARBAR'",
+		"INSERT INTO history VALUES ($1, $2, $3, $4, 'payment')",
+		"INSERT INTO t VALUES ('it''s', '', '''')",
+		"SELECT * FROM t -- it's\n WHERE a = 'x'",
+		"SELECT * FROM t WHERE a = 'open",
+		"SELECT * FROM t WHERE a = $0 AND b = 'x'",
+		"SELECT * FROM t WHERE a = $3 AND b = 'x'",
+		"SELECT * FROM t WHERE a = 'x'1",
+		"UPDATE t SET a = 'x' + 'y' WHERE b = $9223372036854775807 AND c = 'z'",
+		"SELECT * FROM t WHERE a = $99999999999999999999 AND b = 'x'",
+		"EXPLAIN SELECT * FROM t WHERE a = " + network.QuoteString("o'brien"),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		raw, rawErr := Parse(text)
+		tmpl, lits, maxParam, err := Template(text)
+		if err != nil {
+			if rawErr == nil || rawErr.Error() != err.Error() {
+				t.Fatalf("%q: template error %v, parse error %v", text, err, rawErr)
+			}
+			return
+		}
+		if len(lits) == 0 && tmpl != text {
+			t.Fatalf("%q: no literals but template %q", text, tmpl)
+		}
+		st, err := Parse(tmpl)
+		if (err == nil) != (rawErr == nil) {
+			t.Fatalf("%q: parse error %v, template %q parse error %v", text, rawErr, tmpl, err)
+		}
+		if err == nil && !sameAST(reflect.ValueOf(raw), reflect.ValueOf(st), maxParam, lits) {
+			t.Fatalf("%q: template %q bound to %v parses to\n%#v\nthe text to\n%#v", text, tmpl, lits, st, raw)
+		}
+	})
+}
+
+var (
+	literalType = reflect.TypeOf(Literal{})
+	paramType   = reflect.TypeOf(Param{})
+)
+
+// sameAST reports whether tmpl, parsed from a text's template, is raw,
+// parsed from the text, with Param{maxParam+i} standing for the string
+// Literal lits[i-1]. With lits, tmpl may hold no string literal.
+func sameAST(raw, tmpl reflect.Value, maxParam int, lits []storage.Value) bool {
+	if raw.Kind() == reflect.Interface || raw.Kind() == reflect.Pointer {
+		if raw.IsNil() || tmpl.IsNil() {
+			return raw.IsNil() && tmpl.IsNil()
+		}
+		return sameAST(raw.Elem(), tmpl.Elem(), maxParam, lits)
+	}
+	switch {
+	case raw.Type() == literalType && tmpl.Type() == paramType:
+		v, n := raw.Interface().(Literal).Val, tmpl.Interface().(Param).N-maxParam
+		return v.Kind() == storage.KindString && n >= 1 && n <= len(lits) && lits[n-1].Str() == v.Str()
+	case raw.Type() != tmpl.Type():
+		return false
+	case raw.Type() == literalType:
+		a, b := raw.Interface().(Literal).Val, tmpl.Interface().(Literal).Val
+		return a.Kind() == b.Kind() && a.String() == b.String() && (lits == nil || b.Kind() != storage.KindString)
+	case raw.Type() == paramType:
+		return raw.Interface() == tmpl.Interface() && raw.Interface().(Param).N <= maxParam
+	}
+	switch raw.Kind() {
+	case reflect.Struct:
+		for i := 0; i < raw.NumField(); i++ {
+			if !sameAST(raw.Field(i), tmpl.Field(i), maxParam, lits) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if raw.Len() != tmpl.Len() {
+			return false
+		}
+		for i := 0; i < raw.Len(); i++ {
+			if !sameAST(raw.Index(i), tmpl.Index(i), maxParam, lits) {
+				return false
+			}
+		}
+		return true
+	}
+	return raw.Interface() == tmpl.Interface()
 }
 
 func TestCmpOpString(t *testing.T) {
