@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"tscout/internal/tscout"
 )
@@ -25,40 +25,70 @@ func corruptf(format string, args ...any) error {
 // projected scan touches only the columns it needs. A Reader is
 // immutable after NewReader.
 type Reader struct {
-	segs []segmentData
-	rows int64
-	size int64
+	segs  []segmentData
+	first uint64 // global row index of the archive's first row
+	rows  int64
+	size  int64
 }
 
 // NewReader parses data as a sequence of segments. It never panics on
 // hostile bytes: every length is bounds-checked against the bytes that
 // actually back it before any allocation sized from it.
+//
+// Row indexes are dense, and NewReader checks that from the footers alone:
+// a segment of n rows whose first row is f has every block inside
+// [f, f+n), the next segment starts at f+n, and the first segment starts
+// at its lowest block row. So the archive's rows are
+// [FirstRow(), FirstRow()+NumRows()), and a reader places each row at
+// index-FirstRow() instead of sorting. A run of consecutively sealed
+// segments (the autopilot's tail) is an archive; a rewind or a gap is not.
 func NewReader(data []byte) (*Reader, error) {
 	r := &Reader{size: int64(len(data))}
-	var nextRow uint64
 	for off := 0; off < len(data); {
 		seg, n, err := parseSegment(data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("segment %d at offset %d: %w", len(r.segs), off, err)
 		}
-		// Cross-segment row-index continuity: segments are sealed in
-		// archive order, so indexes must keep ascending.
-		for bi := range seg.blocks {
-			if seg.blocks[bi].rowLo < nextRow {
-				return nil, corruptf("segment %d block %d: row index %d rewinds below %d",
-					len(r.segs), bi, seg.blocks[bi].rowLo, nextRow)
-			}
-		}
-		for bi := range seg.blocks {
-			if hi := seg.blocks[bi].rowHi; hi >= nextRow {
-				nextRow = hi + 1
-			}
+		if err := r.checkDense(&seg); err != nil {
+			return nil, fmt.Errorf("segment %d at offset %d: %w", len(r.segs), off, err)
 		}
 		r.segs = append(r.segs, seg)
 		r.rows += seg.rows
 		off += n
 	}
 	return r, nil
+}
+
+// checkDense holds seg, the segment after the r.rows rows parsed so far,
+// to the dense row-index invariant: its blocks lie in [next, next+rows)
+// and one of them starts at next. The first segment with rows sets
+// r.first to its lowest row.
+func (r *Reader) checkDense(seg *segmentData) error {
+	if len(seg.blocks) == 0 {
+		return nil
+	}
+	lo := seg.blocks[0].rowLo
+	for bi := range seg.blocks {
+		lo = min(lo, seg.blocks[bi].rowLo)
+	}
+	if r.rows == 0 {
+		r.first = lo
+	}
+	next := r.first + uint64(r.rows)
+	if lo > next {
+		return corruptf("rows start at %d, leaving a gap after %d", lo, next)
+	}
+	for bi := range seg.blocks {
+		m := &seg.blocks[bi]
+		if m.rowLo < next {
+			return corruptf("block %d: row index %d rewinds below %d", bi, m.rowLo, next)
+		}
+		if m.rowHi-next >= uint64(seg.rows) {
+			return corruptf("block %d: row index %d overruns the segment's %d rows from %d",
+				bi, m.rowHi, seg.rows, next)
+		}
+	}
+	return nil
 }
 
 // parseSegment parses and checksum-verifies one segment at the front of
@@ -264,16 +294,36 @@ func parseFooter(seg *segmentData, footer []byte) error {
 // Block access
 
 // Block is a handle on one column block: fixed OU identity plus lazily
-// decoded columns.
+// decoded columns. Reader.Blocks reuses one Block, and its column buffers,
+// for every block of a call, so the handle and every slice its accessors
+// return are valid only until the callback returns.
 type Block struct {
 	seg  *segmentData
 	meta *blockMeta
-	cols [][]byte // sliced column extents, parsed on first access
 
+	// Column buffers, kept across blocks; an empty slice is a column not
+	// yet decoded for this block (every block has at least one row).
+	cols    [][]byte // sliced column extents
+	lens    []int    // parseCols scratch
 	rowIdx  []uint64
 	pids    []int64
 	metrics [NumMetrics][]int64
 	feats   [][]float64
+	ints    []int64 // integral feature scratch
+}
+
+// reset points b at a new block, emptying its buffers for reuse.
+func (b *Block) reset(seg *segmentData, meta *blockMeta) {
+	b.seg, b.meta = seg, meta
+	b.cols = b.cols[:0]
+	b.rowIdx = b.rowIdx[:0]
+	b.pids = b.pids[:0]
+	for m := range b.metrics {
+		b.metrics[m] = b.metrics[m][:0]
+	}
+	for f := range b.feats {
+		b.feats[f] = b.feats[f][:0]
+	}
 }
 
 // OU returns the block's operating-unit id.
@@ -307,7 +357,7 @@ func (b *Block) FeatureRange(i int) (lo, hi float64) { return b.meta.featMin[i],
 
 // parseCols splits the block payload into per-column byte extents.
 func (b *Block) parseCols() error {
-	if b.cols != nil {
+	if len(b.cols) > 0 {
 		return nil
 	}
 	data := b.seg.payload[b.meta.off : b.meta.off+b.meta.ln]
@@ -320,9 +370,9 @@ func (b *Block) parseCols() error {
 	if nCols != want {
 		return corruptf("block: %d columns, layout requires %d", nCols, want)
 	}
-	lens := make([]int, nCols)
+	lens := b.lens[:0]
 	var sum uint64
-	for i := range lens {
+	for i := 0; i < int(nCols); i++ {
 		l, n := binary.Uvarint(data)
 		if n <= 0 {
 			return corruptf("block: bad column length %d", i)
@@ -331,24 +381,26 @@ func (b *Block) parseCols() error {
 		if l > uint64(len(data)) {
 			return corruptf("block: column %d length %d exceeds remaining %d bytes", i, l, len(data))
 		}
-		lens[i] = int(l)
+		lens = append(lens, int(l))
 		sum += l
 	}
+	b.lens = lens
 	if sum != uint64(len(data)) {
 		return corruptf("block: column lengths sum to %d, %d bytes present", sum, len(data))
 	}
-	cols := make([][]byte, nCols)
-	for i, l := range lens {
-		cols[i] = data[:l]
+	cols := b.cols[:0]
+	for _, l := range lens {
+		cols = append(cols, data[:l])
 		data = data[l:]
 	}
 	b.cols = cols
 	return nil
 }
 
-// decodeDeltaU decodes a uvarint-delta column of exactly rows values.
-func decodeDeltaU(data []byte, rows int) ([]uint64, error) {
-	out := make([]uint64, rows)
+// decodeDeltaU decodes a uvarint-delta column of exactly rows values into
+// dst's storage, growing it if needed.
+func decodeDeltaU(dst []uint64, data []byte, rows int) ([]uint64, error) {
+	out := slices.Grow(dst[:0], rows)[:rows]
 	var prev uint64
 	for i := 0; i < rows; i++ {
 		v, n := binary.Uvarint(data)
@@ -370,9 +422,10 @@ func decodeDeltaU(data []byte, rows int) ([]uint64, error) {
 }
 
 // decodeDeltaI decodes a zigzag-varint-delta column of exactly rows
-// values, with wraparound addition mirroring the encoder.
-func decodeDeltaI(data []byte, rows int) ([]int64, error) {
-	out := make([]int64, rows)
+// values into dst's storage, with wraparound addition mirroring the
+// encoder.
+func decodeDeltaI(dst []int64, data []byte, rows int) ([]int64, error) {
+	out := slices.Grow(dst[:0], rows)[:rows]
 	var prev int64
 	for i := 0; i < rows; i++ {
 		v, n := binary.Varint(data)
@@ -395,13 +448,13 @@ func decodeDeltaI(data []byte, rows int) ([]int64, error) {
 
 // RowIndexes decodes the global row-index column (archive order).
 func (b *Block) RowIndexes() ([]uint64, error) {
-	if b.rowIdx != nil {
+	if len(b.rowIdx) > 0 {
 		return b.rowIdx, nil
 	}
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	v, err := decodeDeltaU(b.cols[0], b.meta.rows)
+	v, err := decodeDeltaU(b.rowIdx, b.cols[0], b.meta.rows)
 	if err != nil {
 		return nil, err
 	}
@@ -411,13 +464,13 @@ func (b *Block) RowIndexes() ([]uint64, error) {
 
 // PIDs decodes the PID column.
 func (b *Block) PIDs() ([]int64, error) {
-	if b.pids != nil {
+	if len(b.pids) > 0 {
 		return b.pids, nil
 	}
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	v, err := decodeDeltaI(b.cols[1], b.meta.rows)
+	v, err := decodeDeltaI(b.pids, b.cols[1], b.meta.rows)
 	if err != nil {
 		return nil, err
 	}
@@ -431,13 +484,13 @@ func (b *Block) Metric(m int) ([]int64, error) {
 	if m < 0 || m >= NumMetrics {
 		return nil, fmt.Errorf("archive: metric index %d out of range", m)
 	}
-	if b.metrics[m] != nil {
+	if len(b.metrics[m]) > 0 {
 		return b.metrics[m], nil
 	}
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	v, err := decodeDeltaI(b.cols[2+m], b.meta.rows)
+	v, err := decodeDeltaI(b.metrics[m], b.cols[2+m], b.meta.rows)
 	if err != nil {
 		return nil, err
 	}
@@ -450,10 +503,10 @@ func (b *Block) Feature(i int) ([]float64, error) {
 	if i < 0 || i >= len(b.meta.featIdx) {
 		return nil, fmt.Errorf("archive: feature index %d out of range", i)
 	}
-	if b.feats == nil {
-		b.feats = make([][]float64, len(b.meta.featIdx))
+	if len(b.feats) <= i {
+		b.feats = slices.Grow(b.feats, len(b.meta.featIdx))[:len(b.meta.featIdx)]
 	}
-	if b.feats[i] != nil {
+	if len(b.feats[i]) > 0 {
 		return b.feats[i], nil
 	}
 	if err := b.parseCols(); err != nil {
@@ -464,19 +517,21 @@ func (b *Block) Feature(i int) ([]float64, error) {
 		return nil, corruptf("feature column %d: empty", i)
 	}
 	tag, col := col[0], col[1:]
-	out := make([]float64, b.meta.rows)
+	rows := b.meta.rows
+	out := slices.Grow(b.feats[i][:0], rows)[:rows]
 	switch tag {
 	case featEncIntegral:
-		iv, err := decodeDeltaI(col, b.meta.rows)
+		iv, err := decodeDeltaI(b.ints, col, rows)
 		if err != nil {
 			return nil, err
 		}
+		b.ints = iv
 		for r, v := range iv {
 			out[r] = float64(v)
 		}
 	case featEncRaw:
-		if len(col) != 8*b.meta.rows {
-			return nil, corruptf("feature column %d: %d raw bytes for %d rows", i, len(col), b.meta.rows)
+		if len(col) != 8*rows {
+			return nil, corruptf("feature column %d: %d raw bytes for %d rows", i, len(col), rows)
 		}
 		for r := range out {
 			out[r] = math.Float64frombits(binary.LittleEndian.Uint64(col[8*r:]))
@@ -494,19 +549,53 @@ func (b *Block) Feature(i int) ([]float64, error) {
 // NumRows returns the archive's total row count (from footers).
 func (r *Reader) NumRows() int64 { return r.rows }
 
+// FirstRow returns the global row index of the archive's first row: 0 for
+// a whole archive, the first sealed row for a tail. Row i of the archive,
+// in archive order, has row index FirstRow()+i.
+func (r *Reader) FirstRow() uint64 { return r.first }
+
 // Blocks calls fn for each column block in storage order; fn returning
-// false stops the iteration. The Block handle is only valid during the
-// call.
+// false stops the iteration. Every block of one call arrives in the same
+// Block, whose column buffers the next block reuses: the handle and the
+// slices its accessors return are valid only during the call. Each call
+// owns its own Block, so nested scans are safe.
 func (r *Reader) Blocks(fn func(*Block) bool) {
+	var b Block
 	for si := range r.segs {
 		seg := &r.segs[si]
 		for bi := range seg.blocks {
-			b := Block{seg: seg, meta: &seg.blocks[bi]}
+			b.reset(seg, &seg.blocks[bi])
 			if !fn(&b) {
 				return
 			}
 		}
 	}
+}
+
+// rowSet records which of an archive's rows a pass has placed.
+type rowSet struct {
+	first uint64
+	n     uint64
+	bits  []uint64
+}
+
+func newRowSet(r *Reader) rowSet {
+	return rowSet{first: r.first, n: uint64(r.rows), bits: make([]uint64, (r.rows+63)/64)}
+}
+
+// place marks row index ri placed and returns its position in archive
+// order; a row outside the archive or placed before is corrupt.
+func (s *rowSet) place(ri uint64) (int, error) {
+	pos := ri - s.first
+	if pos >= s.n {
+		return 0, corruptf("row index %d outside the archive's rows [%d,+%d)", ri, s.first, s.n)
+	}
+	w, bit := pos/64, uint64(1)<<(pos%64)
+	if s.bits[w]&bit != 0 {
+		return 0, corruptf("duplicate row index %d", ri)
+	}
+	s.bits[w] |= bit
+	return int(pos), nil
 }
 
 // Stats summarizes an archive for tsctl archive inspect.
@@ -541,7 +630,8 @@ func (r *Reader) Stats() Stats {
 // decodes every column and confirms row counts, zone-map bounds, and
 // row-index ordering all hold.
 func (r *Reader) Verify() error {
-	seen := make(map[uint64]bool, r.rows)
+	seen := newRowSet(r)
+	var distinct int64
 	var err error
 	r.Blocks(func(b *Block) bool {
 		idx, e := b.RowIndexes()
@@ -559,11 +649,10 @@ func (r *Reader) Verify() error {
 				err = corruptf("row indexes not strictly increasing at %d", ri)
 				return false
 			}
-			if seen[ri] {
-				err = corruptf("duplicate row index %d", ri)
+			if _, err = seen.place(ri); err != nil {
 				return false
 			}
-			seen[ri] = true
+			distinct++
 			prev = ri
 		}
 		pids, e := b.PIDs()
@@ -612,22 +701,19 @@ func (r *Reader) Verify() error {
 	if err != nil {
 		return err
 	}
-	if int64(len(seen)) != r.rows {
-		return corruptf("%d distinct row indexes, footers claim %d rows", len(seen), r.rows)
+	if distinct != r.rows {
+		return corruptf("%d distinct row indexes, footers claim %d rows", distinct, r.rows)
 	}
 	return nil
 }
 
 // Points materializes the full archive back into TrainingPoint structs in
-// archive order (sorted by global row index) — the lossless inverse of
-// the Writer, used by CSV export and round-trip tests. Hot paths
-// (model training, SQL scans) read columns directly instead.
+// archive order, each row placed at its row index's position — the
+// lossless inverse of the Writer, used by CSV export and round-trip tests.
+// Hot paths (model training, SQL scans) read columns directly instead.
 func (r *Reader) Points() ([]tscout.TrainingPoint, error) {
-	type slot struct {
-		idx uint64
-		tp  tscout.TrainingPoint
-	}
-	out := make([]slot, 0, r.rows)
+	out := make([]tscout.TrainingPoint, r.rows)
+	placed := newRowSet(r)
 	var err error
 	r.Blocks(func(b *Block) bool {
 		idx, e := b.RowIndexes()
@@ -662,37 +748,34 @@ func (r *Reader) Points() ([]tscout.TrainingPoint, error) {
 				names[i] = b.FeatureName(i)
 			}
 		}
-		for row := range idx {
-			tp := tscout.TrainingPoint{
-				OU:        b.OU(),
-				OUName:    b.OUName(),
-				Subsystem: b.Subsystem(),
-				PID:       int(pids[row]),
+		// One feature arena per block; each row's cut is capacity-limited,
+		// so an append to one point's features never reaches the next.
+		arena := make([]float64, nf*len(idx))
+		for row, ri := range idx {
+			pos, e := placed.place(ri)
+			if e != nil {
+				err = e
+				return false
 			}
+			tp := &out[pos]
+			tp.OU, tp.OUName, tp.Subsystem = b.OU(), b.OUName(), b.Subsystem()
+			tp.PID = int(pids[row])
 			for m := 0; m < NumMetrics; m++ {
 				setMetric(&tp.Metrics, m, cols[m][row])
 			}
 			if nf > 0 {
-				fv := make([]float64, nf)
-				for f := 0; f < nf; f++ {
-					fv[f] = feats[f][row]
+				fv := arena[row*nf : (row+1)*nf : (row+1)*nf]
+				for f, col := range feats {
+					fv[f] = col[row]
 				}
 				tp.Features = fv
 			}
-			if names != nil {
-				tp.FeatureNames = names
-			}
-			out = append(out, slot{idx: idx[row], tp: tp})
+			tp.FeatureNames = names
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
-	pts := make([]tscout.TrainingPoint, len(out))
-	for i := range out {
-		pts[i] = out[i].tp
-	}
-	return pts, nil
+	return out, nil
 }

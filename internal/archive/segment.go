@@ -249,6 +249,7 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 			sub:     uint64(proto.Subsystem),
 			rows:    len(g.idxs),
 			off:     len(e.payload),
+			named:   len(proto.FeatureNames),
 			featIdx: make([]int, 0, nf),
 			featMin: make([]float64, nf),
 			featMax: make([]float64, nf),
@@ -372,18 +373,22 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		metas = append(metas, meta)
 	}
 
-	// Footer.
-	f := e.footer[:0]
-	f = binary.AppendUvarint(f, uint64(len(e.dict)))
-	for _, s := range e.dict {
+	e.footer = appendFooter(e.footer[:0], e.dict, len(pts), metas)
+	return appendSegment(dst, e.payload, e.footer)
+}
+
+// appendFooter appends a segment footer: the dictionary, the row count,
+// then each block's entry.
+func appendFooter(f []byte, dict []string, rows int, metas []blockMeta) []byte {
+	f = binary.AppendUvarint(f, uint64(len(dict)))
+	for _, s := range dict {
 		f = binary.AppendUvarint(f, uint64(len(s)))
 		f = append(f, s...)
 	}
-	f = binary.AppendUvarint(f, uint64(len(pts)))
+	f = binary.AppendUvarint(f, uint64(rows))
 	f = binary.AppendUvarint(f, uint64(len(metas)))
 	for bi := range metas {
 		m := &metas[bi]
-		proto := &pts[order[bi].first]
 		f = binary.AppendUvarint(f, m.ou)
 		f = binary.AppendUvarint(f, uint64(m.nameIdx))
 		f = binary.AppendUvarint(f, m.sub)
@@ -396,7 +401,7 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		f = binary.AppendVarint(f, m.pidMax)
 		// Named count first (how many names rows carried), then the full
 		// padded dictionary-index list.
-		f = binary.AppendUvarint(f, uint64(len(proto.FeatureNames)))
+		f = binary.AppendUvarint(f, uint64(m.named))
 		f = binary.AppendUvarint(f, uint64(len(m.featIdx)))
 		for _, di := range m.featIdx {
 			f = binary.AppendUvarint(f, uint64(di))
@@ -410,20 +415,22 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 			f = binary.LittleEndian.AppendUint64(f, math.Float64bits(m.featMax[fi]))
 		}
 	}
-	e.footer = f
+	return f
+}
 
-	// Wire form: header, payload, footer, checksum.
+// appendSegment appends the wire form of one segment: header, payload,
+// footer, checksum.
+func appendSegment(dst, payload, footer []byte) []byte {
 	start := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, segMagic)
 	dst = binary.LittleEndian.AppendUint32(dst, segVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.footer)))
-	dst = append(dst, e.payload...)
-	dst = append(dst, e.footer...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(footer)))
+	dst = append(dst, payload...)
+	dst = append(dst, footer...)
 	h := fnv.New64a()
 	_, _ = h.Write(dst[start:])
-	dst = binary.LittleEndian.AppendUint64(dst, h.Sum64())
-	return dst
+	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
 }
 
 func minMax(vals []int64) (lo, hi int64) {

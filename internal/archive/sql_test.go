@@ -3,6 +3,7 @@ package archive
 import (
 	"bytes"
 	"encoding/csv"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,5 +235,48 @@ func TestExplainVirtualScan(t *testing.T) {
 	joined := strings.Join(plan, "\n")
 	if !strings.Contains(joined, "Virtual Scan on tscout_archive") {
 		t.Fatalf("EXPLAIN missing virtual scan line:\n%s", joined)
+	}
+}
+
+// TestNestedScansKeepTheirColumns: each Blocks call owns its Block, so a
+// scan nested inside another's callback (a self-join of the mount) leaves
+// the outer block's decoded columns as they were.
+func TestNestedScansKeepTheirColumns(t *testing.T) {
+	pts := makePoints(300)
+	r, err := NewReader(writeArchive(t, pts, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Blocks(func(outer *Block) bool {
+		idx, err := outer.RowIndexes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed, err := outer.Metric(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIdx, wantElapsed := slices.Clone(idx), slices.Clone(elapsed)
+		r.Blocks(func(inner *Block) bool {
+			if _, err := inner.RowIndexes(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := inner.Metric(0)
+			return err == nil
+		})
+		if !slices.Equal(idx, wantIdx) || !slices.Equal(elapsed, wantElapsed) {
+			t.Fatal("an inner scan overwrote the outer block's columns")
+		}
+		return true
+	})
+
+	cat := catalog.New()
+	if _, err := Mount(cat, r); err != nil {
+		t.Fatal(err)
+	}
+	res := queryArchive(t, cat,
+		"SELECT count(*) FROM tscout_archive a JOIN tscout_archive b ON a.elapsed_ns = b.elapsed_ns")
+	if got := res.Rows[0][0].AsInt(); got != int64(len(pts)) {
+		t.Fatalf("self-join on elapsed_ns counted %d rows, want %d (each row with itself)", got, len(pts))
 	}
 }

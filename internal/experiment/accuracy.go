@@ -30,7 +30,7 @@ func Fig2(sc Scale) ([]SubsystemRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	online, err := collectOnline(defaultProfile(), tpccGen(2), 16, sc.OnlineTxns, 100, 22)
+	online, err := collectOnline(defaultProfile(), tpccGen(2), 16, sc.OnlineTxns, 22)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func Fig7(sc Scale) ([]SubsystemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		online, err := collectOnline(sce.deployHW, tpccGen(2), 1, sc.OnlineTxns, 100, int64(41+i))
+		online, err := collectOnline(sce.deployHW, tpccGen(2), 1, sc.OnlineTxns, int64(41+i))
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func convergence(gen workload.Generator, terminals int, sc Scale, seed int64) ([
 		return nil, err
 	}
 	// Collect a large online pool, then train on increasing samples.
-	online, err := collectOnline(defaultProfile(), gen, terminals, sc.OnlineTxns*2, 100, seed+1)
+	online, err := collectOnline(defaultProfile(), gen, terminals, sc.OnlineTxns*2, seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func Fig11(sc Scale) ([]Fig11Row, error) {
 	var rows []Fig11Row
 	for _, terminals := range []int{2, 5, 10, 20} {
 		online, err := collectOnlineComplete(defaultProfile(), tpccGen(2), terminals,
-			sc.OnlineTxns, 100, int64(82+terminals))
+			sc.OnlineTxns, int64(82+terminals))
 		if err != nil {
 			return nil, err
 		}
@@ -257,19 +257,19 @@ func Fig12(sc Scale) ([]SubsystemRow, error) {
 		var trainOn, testOn []model.Point
 		if sce.templateHoldout {
 			online, err := collectOnline(sce.trainHW, tpccGen(sce.trainWH),
-				sce.trainCli, sc.OnlineTxns, 100, seed+1)
+				sce.trainCli, sc.OnlineTxns, seed+1)
 			if err != nil {
 				return nil, err
 			}
 			trainOn, testOn = splitPerSubsystem(online.Points, 0.2, seed+2)
 		} else {
 			trainRun, err := collectOnline(sce.trainHW, tpccGen(sce.trainWH),
-				sce.trainCli, sc.OnlineTxns, 100, seed+1)
+				sce.trainCli, sc.OnlineTxns, seed+1)
 			if err != nil {
 				return nil, err
 			}
 			evalRun, err := collectOnline(sce.evalHW, tpccGen(sce.evalWH),
-				sce.evalCli, sc.OnlineTxns, 100, seed+2)
+				sce.evalCli, sc.OnlineTxns, seed+2)
 			if err != nil {
 				return nil, err
 			}

@@ -145,14 +145,14 @@ type onlineRun struct {
 	Result workload.Result
 }
 
-// collectOnline runs a workload with TScout at the given sampling rate and
+// collectOnline runs a workload with TScout sampling every invocation and
 // returns the collected training data. It uses the paper's deployment
 // configuration — single-threaded Processor, default ring depth, budgeted
 // polls — so overload drops samples exactly as a production collector
 // would.
 func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
-	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
-	return runOnline(serverConfig(profile, tscout.KernelContinuous, true, seed, false), gen, rate,
+	terminals, txns int, seed int64) (*onlineRun, error) {
+	return runOnline(serverConfig(profile, tscout.KernelContinuous, true, seed, false), gen, 100,
 		workload.Config{Terminals: terminals, Transactions: txns, Seed: seed}, newArchiveCapture(0))
 }
 
@@ -163,10 +163,10 @@ func collectOnline(profile sim.HardwareProfile, gen workload.Generator,
 // oversubscribe the budgeted polls several times over) collect with
 // this; the rest keep the production-shaped lossy pipeline.
 func collectOnlineComplete(profile sim.HardwareProfile, gen workload.Generator,
-	terminals, txns int, rate int, seed int64) (*onlineRun, error) {
+	terminals, txns int, seed int64) (*onlineRun, error) {
 	cfg := serverConfig(profile, tscout.KernelContinuous, true, seed, false)
 	cfg.RingCapacity = 1 << 17
-	return runOnline(cfg, gen, rate, workload.Config{
+	return runOnline(cfg, gen, 100, workload.Config{
 		Terminals: terminals, Transactions: txns, Seed: seed, FinalDrain: true,
 	}, newArchiveCapture(0))
 }

@@ -64,7 +64,7 @@ func Frontier(sc Scale) ([]FrontierRow, error) {
 	gen := func() workload.Generator { return workload.Generator(tpccGen(4)) }
 
 	// Common reference test set: a full-rate run on a held-out seed.
-	ref, err := collectOnline(profile, gen(), 20, sc.OnlineTxns, 100, seed+999)
+	ref, err := collectOnline(profile, gen(), 20, sc.OnlineTxns, seed+999)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"sort"
+	"fmt"
 
 	"tscout/internal/archive"
 )
@@ -9,16 +9,17 @@ import (
 // FromArchive builds model points straight from the columnar archive:
 // each block's elapsed_ns and feature columns are read directly, so
 // Fig-11-style training runs never materialize TrainingPoint structs or
-// re-parse rows. Output is ordered by global row index (archive order),
-// making it element-for-element identical to
+// re-parse rows. Each row is placed at its global row index's position
+// (archive order), making the output element-for-element identical to
 // FromTrainingPoints(reader.Points(), hwContext), the row-at-a-time oracle
-// in archive_test.go.
+// in archive_test.go. A row index outside the archive or seen twice is
+// archive.ErrCorrupt.
 func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
-	type slot struct {
-		idx uint64
-		p   Point
-	}
-	out := make([]slot, 0, r.NumRows())
+	n := uint64(r.NumRows())
+	first := r.FirstRow()
+	out := make([]Point, n)
+	placed := make([]uint64, (n+63)/64)
+	var cols [][]float64
 	var err error
 	r.Blocks(func(b *archive.Block) bool {
 		idx, e := b.RowIndexes()
@@ -32,41 +33,52 @@ func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
 			return false
 		}
 		nf := b.NumFeatures()
-		cols := make([][]float64, nf)
-		for f := range cols {
-			if cols[f], e = b.Feature(f); e != nil {
+		cols = cols[:0]
+		for f := 0; f < nf; f++ {
+			col, e := b.Feature(f)
+			if e != nil {
 				err = e
 				return false
 			}
+			cols = append(cols, col)
 		}
 		ou, sub := b.OU(), b.Subsystem()
-		for row := range idx {
-			feats := make([]float64, nf, nf+len(hwContext))
-			for f := 0; f < nf; f++ {
-				feats[f] = cols[f][row]
+		// One feature arena per block; each point's cut is
+		// capacity-limited, so appending to one point's features never
+		// reaches the next.
+		width := nf + len(hwContext)
+		arena := make([]float64, width*len(idx))
+		for row, ri := range idx {
+			pos := ri - first
+			if pos >= n {
+				err = fmt.Errorf("%w: row index %d outside the archive's rows [%d,+%d)", archive.ErrCorrupt, ri, first, n)
+				return false
+			}
+			if placed[pos/64]&(1<<(pos%64)) != 0 {
+				err = fmt.Errorf("%w: duplicate row index %d", archive.ErrCorrupt, ri)
+				return false
+			}
+			placed[pos/64] |= 1 << (pos % 64)
+			feats := arena[row*width : (row+1)*width : (row+1)*width]
+			for f, col := range cols {
+				feats[f] = col[row]
 			}
 			// The template hashes the point's own features only; hardware
 			// context joins the model inputs afterwards (same order as
 			// FromTrainingPoints).
-			tmpl := templateKeyOf(ou, feats)
-			feats = append(feats, hwContext...)
-			out = append(out, slot{idx: idx[row], p: Point{
+			copy(feats[nf:], hwContext)
+			out[pos] = Point{
 				OU:       ou,
 				Sub:      sub,
 				Features: feats,
 				TargetUS: float64(elapsed[row]) / 1000.0,
-				Template: tmpl,
-			}})
+				Template: templateKeyOf(ou, feats[:nf]),
+			}
 		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].idx < out[j].idx })
-	pts := make([]Point, len(out))
-	for i := range out {
-		pts[i] = out[i].p
-	}
-	return pts, nil
+	return out, nil
 }

@@ -65,21 +65,7 @@ func TestFromArchiveMixedArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("FromArchive returned %d points, want %d", len(got), len(want))
-	}
-	for i := range want {
-		a, b := want[i], got[i]
-		if a.OU != b.OU || a.Sub != b.Sub || a.Template != b.Template ||
-			a.TargetUS != b.TargetUS || len(a.Features) != len(b.Features) {
-			t.Fatalf("point %d differs:\n want %+v\n got  %+v", i, a, b)
-		}
-		for f := range a.Features {
-			if math.Float64bits(a.Features[f]) != math.Float64bits(b.Features[f]) {
-				t.Fatalf("point %d feature %d: %v != %v", i, f, a.Features[f], b.Features[f])
-			}
-		}
-	}
+	requireSamePoints(t, got, want)
 
 	// Templates must separate the arity regimes: identical raw feature
 	// values at different widths may not share an invocation class.

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -33,25 +32,37 @@ type Point struct {
 // in different templates — [x] and [x, 0] do not collide. Model
 // partitioning handles the rest (see ouKey).
 func templateKeyOf(ou tscout.OUID, features []float64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	put(uint64(ou))
+	h := fnvWord(fnvOffset64, uint64(ou))
 	for _, f := range features {
-		put(uint64(quantize(f)))
+		h = fnvWord(h, uint64(quantize(f)))
 	}
-	return h.Sum64()
+	return h
 }
 
-// quantize maps a feature to a coarse magnitude bucket.
+// FNV-64a parameters (hash/fnv's, which TestTemplateKeyOfIsFNV64a pins).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v's eight little-endian bytes into the FNV-64a state h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= (v >> (8 * i)) & 0xff
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// quantize maps a feature to a coarse magnitude bucket. +Inf, which no
+// division brings below 4, has a bucket of its own past every finite
+// value's (MaxFloat64's is 513).
 func quantize(v float64) int {
 	if v <= 0 {
 		return 0
+	}
+	if math.IsInf(v, 1) {
+		return 514
 	}
 	b := 1
 	for v >= 4 {
@@ -88,24 +99,43 @@ func Train(points []Point, trainer Trainer) (*OUModelSet, error) {
 	if len(points) == 0 {
 		return nil, ErrNoData
 	}
-	byOU := make(map[ouKey][]Point)
+	// One pass files each point under its key's group; a second fills
+	// each group's design matrix, sized by count, in point order.
+	groupOf := make(map[ouKey]int)
+	var keys []ouKey
+	var counts []int
+	group := make([]int, len(points))
 	var sum float64
-	for _, p := range points {
-		byOU[keyOf(p)] = append(byOU[keyOf(p)], p)
-		sum += p.TargetUS
+	for i := range points {
+		k := keyOf(points[i])
+		g, ok := groupOf[k]
+		if !ok {
+			g = len(keys)
+			groupOf[k] = g
+			keys = append(keys, k)
+			counts = append(counts, 0)
+		}
+		group[i] = g
+		counts[g]++
+		sum += points[i].TargetUS
+	}
+	Xs := make([][][]float64, len(keys))
+	ys := make([][]float64, len(keys))
+	for g, c := range counts {
+		Xs[g] = make([][]float64, 0, c)
+		ys[g] = make([]float64, 0, c)
+	}
+	for i := range points {
+		g := group[i]
+		Xs[g] = append(Xs[g], points[i].Features)
+		ys[g] = append(ys[g], points[i].TargetUS)
 	}
 	set := &OUModelSet{
-		models:   make(map[ouKey]Model, len(byOU)),
+		models:   make(map[ouKey]Model, len(keys)),
 		fallback: sum / float64(len(points)),
 	}
-	for key, pts := range byOU {
-		X := make([][]float64, len(pts))
-		y := make([]float64, len(pts))
-		for i, p := range pts {
-			X[i] = p.Features
-			y[i] = p.TargetUS
-		}
-		m, err := trainer.Train(X, y)
+	for g, key := range keys {
+		m, err := trainer.Train(Xs[g], ys[g])
 		if err != nil {
 			return nil, fmt.Errorf("model: OU %d (arity %d): %w", key.ou, key.arity, err)
 		}
