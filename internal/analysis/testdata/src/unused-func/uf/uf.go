@@ -1,7 +1,8 @@
 // Package uffix exercises the unused-func rule: an unexported package-level
 // function that no non-test file of the package references is flagged,
-// whatever tests call it; exported functions, methods and init are not the
-// rule's business.
+// whatever tests call it, and so is an unexported method that satisfies no
+// interface; exported functions and methods and init are not the rule's
+// business.
 package uffix
 
 func dead() int { return 1 } // want:unused-func
@@ -33,7 +34,24 @@ func generic[T int | int64](v T) T { return v }
 
 type recv struct{}
 
-// Methods are not package-level functions.
-func (recv) unusedMethod() {}
+// An unexported method nothing calls is as dead as a function.
+func (recv) unusedMethod() {} // want:unused-func
+
+// Only the package's test file calls this method.
+func (*recv) testOnlyMethod() int { return 7 } // want:unused-func
+
+// A non-test call keeps a method alive.
+func (recv) calledMethod() int { return 8 }
+
+// A method that satisfies an interface is called through it, never by name.
+func (recv) size() int { return 9 }
+
+type sizer interface{ size() int }
+
+// Exported methods are unused-export's business.
+func (recv) Unused() {}
+
+// Sizes calls calledMethod and reaches size only through sizer.
+func Sizes(s sizer) int { return s.size() + recv{}.calledMethod() }
 
 func init() {}

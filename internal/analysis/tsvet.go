@@ -78,9 +78,10 @@ const (
 	// RuleUnsafeImport flags an import of unsafe in any non-test file but
 	// internal/storage/value.go, home of the 16-byte storage.Value cell.
 	RuleUnsafeImport = "unsafe-import"
-	// RuleUnusedFunc flags a package-level unexported function that no
-	// non-test file of its package references: dead in the build, it
-	// belongs in the test file that uses it, or nowhere.
+	// RuleUnusedFunc flags an unexported package-level function or method
+	// that no non-test file of its package references and, for a method,
+	// that satisfies no interface: dead in the build, it belongs in the
+	// test file that uses it, or nowhere.
 	RuleUnusedFunc = "unused-func"
 	// RuleUnusedExport flags an exported function or method that no
 	// non-test file under a module root references and that satisfies no

@@ -5,11 +5,12 @@ import (
 	"go/types"
 )
 
-// UnusedFuncAnalyzer flags a package-level unexported function that no
-// non-test file of its package references. Such a function is dead in the
-// build: it either serves only tests (and belongs in their _test.go file)
-// or nothing at all. go vet does not check this. A function's references
-// to itself do not count.
+// UnusedFuncAnalyzer flags an unexported package-level function or method
+// that no non-test file of its package references. Such a function is dead
+// in the build: it either serves only tests (and belongs in their _test.go
+// file) or nothing at all. go vet does not check this. A function's
+// references to itself do not count, and a method that satisfies an
+// interface is exempt, as in unused-export.
 var UnusedFuncAnalyzer = &Analyzer{
 	Name: RuleUnusedFunc,
 	Run:  runUnusedFunc,
@@ -17,11 +18,12 @@ var UnusedFuncAnalyzer = &Analyzer{
 
 func runUnusedFunc(pass *Pass) {
 	for _, fd := range funcDecls(pass) {
-		if fd.Recv != nil || fd.Name.IsExported() || fd.Name.Name == "init" ||
+		if fd.Name.IsExported() || fd.Name.Name == "init" ||
 			fd.Name.Name == "_" || (fd.Name.Name == "main" && pass.Pkg.Name() == "main") {
 			continue
 		}
-		if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok && !pass.refs.used[funcKey(fn)] {
+		fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+		if ok && !pass.refs.used[funcKey(fn)] && (fd.Recv == nil || !pass.refs.satisfiesInterface(fn)) {
 			pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test file of its package: "+
 				"delete it, or move it into the test file that uses it", fd.Name.Name)
 		}

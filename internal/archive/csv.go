@@ -19,28 +19,24 @@ func ExportCSV(r *Reader, w io.Writer) (int64, error) {
 		return 0, err
 	}
 	cw := csv.NewWriter(w)
-	row := append([]string{"ou", "ou_name", "subsystem", "pid"}, tscout.MetricNames...)
+	row := append([]string{"ou", "ou_name", "subsystem", "pid"}, tscout.MetricNames[:]...)
 	if err := cw.Write(append(row, "features")); err != nil {
 		return 0, err
 	}
 	var cell []byte
 	for i := range pts {
-		p, m := &pts[i], &pts[i].Metrics
+		p := &pts[i]
 		cell = appendFeatureCell(cell[:0], p.FeatureNames, p.Features)
 		row = append(row[:0],
-			strconv.Itoa(int(p.OU)), p.OUName, p.Subsystem.String(), strconv.Itoa(p.PID),
-			strconv.FormatInt(m.ElapsedNS, 10),
-			strconv.FormatUint(m.Cycles, 10),
-			strconv.FormatUint(m.Instructions, 10),
-			strconv.FormatUint(m.CacheRefs, 10),
-			strconv.FormatUint(m.CacheMisses, 10),
-			strconv.FormatUint(m.RefCycles, 10),
-			strconv.FormatInt(m.DiskReadBytes, 10),
-			strconv.FormatInt(m.DiskWriteBytes, 10),
-			strconv.FormatInt(m.NetRecvBytes, 10),
-			strconv.FormatInt(m.NetSendBytes, 10),
-			strconv.FormatInt(m.AllocBytes, 10),
-			string(cell))
+			strconv.Itoa(int(p.OU)), p.OUName, p.Subsystem.String(), strconv.Itoa(p.PID))
+		for m, v := range p.Metrics.Values() {
+			if tscout.MetricIsCounter(m) {
+				row = append(row, strconv.FormatUint(uint64(v), 10))
+			} else {
+				row = append(row, strconv.FormatInt(v, 10))
+			}
+		}
+		row = append(row, string(cell))
 		if err := cw.Write(row); err != nil {
 			return 0, err
 		}

@@ -262,7 +262,7 @@ func parseFooter(seg *segmentData, footer []byte) error {
 			}
 			m.featIdx[fi] = int(di)
 		}
-		for mi := 0; mi < NumMetrics; mi++ {
+		for mi := range m.minVal {
 			m.minVal[mi] = fr.varint()
 			m.maxVal[mi] = fr.varint()
 		}
@@ -307,7 +307,7 @@ type Block struct {
 	lens    []int    // parseCols scratch
 	rowIdx  []uint64
 	pids    []int64
-	metrics [NumMetrics][]int64
+	metrics [tscout.NumMetrics][]int64
 	feats   [][]float64
 	ints    []int64 // integral feature scratch
 }
@@ -366,7 +366,7 @@ func (b *Block) parseCols() error {
 		return corruptf("block: bad column count")
 	}
 	data = data[n:]
-	want := uint64(2 + NumMetrics + len(b.meta.featIdx))
+	want := uint64(2 + tscout.NumMetrics + len(b.meta.featIdx))
 	if nCols != want {
 		return corruptf("block: %d columns, layout requires %d", nCols, want)
 	}
@@ -478,10 +478,10 @@ func (b *Block) PIDs() ([]int64, error) {
 	return v, nil
 }
 
-// Metric decodes metric column m (MetricNames order; unsigned counters
-// come back bit-reinterpreted as int64).
+// Metric decodes metric column m (MetricNames order): element m of each
+// row's tscout.Metrics.Values, which tscout.MetricsOf inverts.
 func (b *Block) Metric(m int) ([]int64, error) {
-	if m < 0 || m >= NumMetrics {
+	if m < 0 || m >= tscout.NumMetrics {
 		return nil, fmt.Errorf("archive: metric index %d out of range", m)
 	}
 	if len(b.metrics[m]) > 0 {
@@ -512,7 +512,7 @@ func (b *Block) Feature(i int) ([]float64, error) {
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	col := b.cols[2+NumMetrics+i]
+	col := b.cols[2+tscout.NumMetrics+i]
 	if len(col) == 0 {
 		return nil, corruptf("feature column %d: empty", i)
 	}
@@ -666,7 +666,7 @@ func (r *Reader) Verify() error {
 				return false
 			}
 		}
-		for m := 0; m < NumMetrics; m++ {
+		for m := range tscout.NumMetrics {
 			vals, e := b.Metric(m)
 			if e != nil {
 				err = e
@@ -726,7 +726,7 @@ func (r *Reader) Points() ([]tscout.TrainingPoint, error) {
 			err = e
 			return false
 		}
-		var cols [NumMetrics][]int64
+		var cols [tscout.NumMetrics][]int64
 		for m := range cols {
 			if cols[m], e = b.Metric(m); e != nil {
 				err = e
@@ -760,9 +760,11 @@ func (r *Reader) Points() ([]tscout.TrainingPoint, error) {
 			tp := &out[pos]
 			tp.OU, tp.OUName, tp.Subsystem = b.OU(), b.OUName(), b.Subsystem()
 			tp.PID = int(pids[row])
-			for m := 0; m < NumMetrics; m++ {
-				setMetric(&tp.Metrics, m, cols[m][row])
+			var v [tscout.NumMetrics]int64
+			for m, col := range cols {
+				v[m] = col[row]
 			}
+			tp.Metrics = tscout.MetricsOf(&v)
 			if nf > 0 {
 				fv := arena[row*nf : (row+1)*nf : (row+1)*nf]
 				for f, col := range feats {

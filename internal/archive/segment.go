@@ -36,9 +36,6 @@ const (
 	segTrailerBytes = 8
 )
 
-// NumMetrics is the width of the metrics column group (tscout.MetricNames).
-const NumMetrics = 11
-
 // Feature-column encoding tags. Each feature column begins with one tag
 // byte choosing its representation.
 const (
@@ -62,7 +59,7 @@ type blockMeta struct {
 	rowLo, rowHi     uint64 // global row-index range (archive order)
 	pidMin, pidMax   int64
 	featIdx          []int // dictionary indexes of the feature names
-	minVal, maxVal   [NumMetrics]int64
+	minVal, maxVal   [tscout.NumMetrics]int64
 	featMin, featMax []float64 // per-feature zone maps
 }
 
@@ -87,8 +84,8 @@ type encoder struct {
 	dictIdx map[string]int
 	vals    []int64
 	uvals   []uint64
-	key     []byte              // block-key scratch (avoids a per-row alloc)
-	mvals   [NumMetrics][]int64 // per-metric scratch, filled in one row pass
+	key     []byte                     // block-key scratch (avoids a per-row alloc)
+	mvals   [tscout.NumMetrics][]int64 // per-metric scratch, filled in one row pass
 }
 
 func (e *encoder) reset() {
@@ -159,35 +156,6 @@ func appendDeltaI(dst []byte, vals []int64) []byte {
 		prev = v
 	}
 	return dst
-}
-
-// setMetric stores metric m (MetricNames order) from its int64 wire form;
-// unsigned counters are reinterpreted bit-wise, which is lossless.
-func setMetric(mt *tscout.Metrics, m int, v int64) {
-	switch m {
-	case 0:
-		mt.ElapsedNS = v
-	case 1:
-		mt.Cycles = uint64(v)
-	case 2:
-		mt.Instructions = uint64(v)
-	case 3:
-		mt.CacheRefs = uint64(v)
-	case 4:
-		mt.CacheMisses = uint64(v)
-	case 5:
-		mt.RefCycles = uint64(v)
-	case 6:
-		mt.DiskReadBytes = v
-	case 7:
-		mt.DiskWriteBytes = v
-	case 8:
-		mt.NetRecvBytes = v
-	case 9:
-		mt.NetSendBytes = v
-	default:
-		mt.AllocBytes = v
-	}
 }
 
 // integralExact reports whether f survives a round trip through int64 with
@@ -286,36 +254,27 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		e.colBuf = appendDeltaU(e.colBuf, rowIdx)
 		endCol()
 
-		// Column 1: PID, then columns 2..12: the 11 metrics, all
-		// zigzag-delta varint. One pass over the rows fills every scratch
-		// column — each TrainingPoint struct is touched once, not twelve
-		// times.
+		// Column 1: PID, then columns 2..12: the metrics in MetricNames
+		// order (Metrics.Values), all zigzag-delta varint. One pass over the
+		// rows fills every scratch column — each TrainingPoint struct is
+		// touched once, not twelve times.
 		e.vals = e.vals[:0]
 		for m := range e.mvals {
 			e.mvals[m] = e.mvals[m][:0]
 		}
 		for _, ri := range g.idxs {
 			p := &pts[ri]
-			mt := &p.Metrics
 			e.vals = append(e.vals, int64(p.PID))
-			e.mvals[0] = append(e.mvals[0], mt.ElapsedNS)
-			e.mvals[1] = append(e.mvals[1], int64(mt.Cycles))
-			e.mvals[2] = append(e.mvals[2], int64(mt.Instructions))
-			e.mvals[3] = append(e.mvals[3], int64(mt.CacheRefs))
-			e.mvals[4] = append(e.mvals[4], int64(mt.CacheMisses))
-			e.mvals[5] = append(e.mvals[5], int64(mt.RefCycles))
-			e.mvals[6] = append(e.mvals[6], mt.DiskReadBytes)
-			e.mvals[7] = append(e.mvals[7], mt.DiskWriteBytes)
-			e.mvals[8] = append(e.mvals[8], mt.NetRecvBytes)
-			e.mvals[9] = append(e.mvals[9], mt.NetSendBytes)
-			e.mvals[10] = append(e.mvals[10], mt.AllocBytes)
+			for m, v := range p.Metrics.Values() {
+				e.mvals[m] = append(e.mvals[m], v)
+			}
 		}
 		meta.pidMin, meta.pidMax = minMax(e.vals)
 		e.colBuf = appendDeltaI(e.colBuf, e.vals)
 		endCol()
-		for m := 0; m < NumMetrics; m++ {
-			meta.minVal[m], meta.maxVal[m] = minMax(e.mvals[m])
-			e.colBuf = appendDeltaI(e.colBuf, e.mvals[m])
+		for m, vals := range e.mvals {
+			meta.minVal[m], meta.maxVal[m] = minMax(vals)
+			e.colBuf = appendDeltaI(e.colBuf, vals)
 			endCol()
 		}
 
@@ -406,7 +365,7 @@ func appendFooter(f []byte, dict []string, rows int, metas []blockMeta) []byte {
 		for _, di := range m.featIdx {
 			f = binary.AppendUvarint(f, uint64(di))
 		}
-		for mi := 0; mi < NumMetrics; mi++ {
+		for mi := range m.minVal {
 			f = binary.AppendVarint(f, m.minVal[mi])
 			f = binary.AppendVarint(f, m.maxVal[mi])
 		}

@@ -20,7 +20,7 @@ const (
 	ColPID       = 3
 	colMetric0   = 4
 	// ColFeatures holds the name=value;... cell (appendFeatureCell).
-	ColFeatures = colMetric0 + NumMetrics
+	ColFeatures = colMetric0 + tscout.NumMetrics
 	numCols     = ColFeatures + 1
 )
 
@@ -79,7 +79,7 @@ func blockSkipped(b *Block, pred catalog.VirtualPred) bool {
 		return false
 	default:
 		m := pred.Col - colMetric0
-		if m < 0 || m >= NumMetrics {
+		if m < 0 || m >= tscout.NumMetrics {
 			return false
 		}
 		lo, hi := b.MetricRange(m)
@@ -159,7 +159,7 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 		// Decode only what the projection needs.
 		var (
 			pids    []int64
-			metrics [NumMetrics][]int64
+			metrics [tscout.NumMetrics][]int64
 			feats   [][]float64
 			err     error
 		)
@@ -168,7 +168,7 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 				return false
 			}
 		}
-		for m := 0; m < NumMetrics; m++ {
+		for m := range metrics {
 			if want[colMetric0+m] {
 				if metrics[m], err = b.Metric(m); err != nil {
 					return false
@@ -211,9 +211,9 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 			if want[ColPID] {
 				row[ColPID] = storage.NewInt(pids[rowI])
 			}
-			for m := 0; m < NumMetrics; m++ {
+			for m, col := range metrics {
 				if want[colMetric0+m] {
-					row[colMetric0+m] = storage.NewInt(metrics[m][rowI])
+					row[colMetric0+m] = storage.NewInt(col[rowI])
 				}
 			}
 			if want[ColFeatures] {

@@ -17,7 +17,6 @@ const stackWords = StackSize / 64
 type stackSet [stackWords]uint64
 
 func (s *stackSet) set(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s *stackSet) clear(i int)    { s[i/64] &^= 1 << (i % 64) }
 func (s *stackSet) get(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 func (s *stackSet) or(o *stackSet) {
 	for i := range s {

@@ -25,22 +25,17 @@ const (
 // helper in particular) must check this first.
 func (c Counter) Valid() bool { return c >= 0 && c < numCounters }
 
+// counterNames holds each counter's perf-style event name.
+var counterNames = [numCounters]string{
+	"cpu-cycles", "instructions", "cache-references", "cache-misses", "ref-cycles",
+}
+
 // String returns the perf-style event name.
 func (c Counter) String() string {
-	switch c {
-	case CounterCycles:
-		return "cpu-cycles"
-	case CounterInstructions:
-		return "instructions"
-	case CounterCacheRefs:
-		return "cache-references"
-	case CounterCacheMisses:
-		return "cache-misses"
-	case CounterRefCycles:
-		return "ref-cycles"
-	default:
+	if !c.Valid() {
 		return "unknown-counter"
 	}
+	return counterNames[c]
 }
 
 // AllCounters lists every counter the CPU probe enables by default. Note
@@ -49,10 +44,6 @@ func (c Counter) String() string {
 var AllCounters = []Counter{
 	CounterCycles, CounterInstructions, CounterCacheRefs,
 	CounterCacheMisses, CounterRefCycles,
-}
-
-type counterDeltas struct {
-	cycles, instructions, cacheRefs, cacheMisses, refCycles float64
 }
 
 // PerfContext is the per-task perf_event state. Raw counts accumulate only
@@ -152,11 +143,11 @@ func (pc *PerfContext) dutyCycle() float64 {
 	return float64(regs) / float64(n)
 }
 
-// accumulate adds counter deltas for one unit of executed work, honoring
-// enablement and multiplexing. Multiplexed counters see only a duty-cycle
-// fraction of the true count, with sampling noise: exactly the distortion
-// the normalization step must undo.
-func (pc *PerfContext) accumulate(d counterDeltas) {
+// accumulate adds counter deltas for one unit of executed work, indexed by
+// Counter, honoring enablement and multiplexing. Multiplexed counters see
+// only a duty-cycle fraction of the true count, with sampling noise:
+// exactly the distortion the normalization step must undo.
+func (pc *PerfContext) accumulate(deltas [numCounters]float64) {
 	if !pc.anyEnabled() {
 		return
 	}
@@ -165,18 +156,11 @@ func (pc *PerfContext) accumulate(d counterDeltas) {
 	if pc.task != nil {
 		n = pc.kernel.noiseFor(pc.task.cpu)
 	}
-	vals := [numCounters]float64{
-		CounterCycles:       d.cycles,
-		CounterInstructions: d.instructions,
-		CounterCacheRefs:    d.cacheRefs,
-		CounterCacheMisses:  d.cacheMisses,
-		CounterRefCycles:    d.refCycles,
-	}
-	for c := 0; c < int(numCounters); c++ {
+	for c, d := range deltas {
 		if !pc.enabled[c] {
 			continue
 		}
-		observed := vals[c] * duty
+		observed := d * duty
 		if duty < 1.0 {
 			observed = n.Apply(observed)
 		}

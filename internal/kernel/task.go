@@ -129,12 +129,12 @@ func (t *Task) Charge(w sim.Work) int64 {
 		t.Sock.SegsOut += w.NetMessages
 	}
 
-	t.perf.accumulate(counterDeltas{
-		cycles:       cycles,
-		instructions: instructions,
-		cacheRefs:    refs,
-		cacheMisses:  misses,
-		refCycles:    cycles * 0.97,
+	t.perf.accumulate([numCounters]float64{
+		CounterCycles:       cycles,
+		CounterInstructions: instructions,
+		CounterCacheRefs:    refs,
+		CounterCacheMisses:  misses,
+		CounterRefCycles:    cycles * 0.97,
 	})
 
 	total := cpuNS + ioNS + netNS

@@ -145,7 +145,8 @@ func CollectorPrograms(sub SubsystemID, res ResourceSet) []NamedProgram {
 }
 
 // Collector entry layout (13 u64 words): the OU invocation record pushed
-// at BEGIN and completed at END.
+// at BEGIN and completed at END. Words entElapsed..entSockS are metrics
+// mwElapsed..mwNetSend in order; FEATURES copies them as one run.
 const (
 	entWords   = 13
 	entBytes   = entWords * 8
@@ -199,12 +200,6 @@ const (
 	// BEGIN/END-only entry scratch area; FEATURES never touches offEntry.
 	offSample = -256 - 48
 )
-
-// counterOrder fixes the mapping from entry counter words to counters.
-var counterOrder = []kernel.Counter{
-	kernel.CounterCycles, kernel.CounterInstructions, kernel.CounterCacheRefs,
-	kernel.CounterCacheMisses, kernel.CounterRefCycles,
-}
 
 // collectorSkeleton builds a Collector's map set without generating or
 // loading any programs.
@@ -450,7 +445,7 @@ func (c *Collector) emitProbeSnapshot(b *bpf.Builder, base int32) {
 		b.StoreImm(bpf.R10, base+int32(w)*8, 0)
 	}
 	if c.Resources.CPU {
-		for i, ctr := range counterOrder {
+		for i, ctr := range kernel.AllCounters {
 			emitNormCounter(b, ctr, base+int32(entCounter+i)*8)
 		}
 	}
@@ -723,22 +718,11 @@ func (c *Collector) genFeatures() *bpf.Program {
 		Jgt(bpf.R9, MaxFeatures, "err_reset").
 		Store(bpf.R10, offSample+24, bpf.R9)
 
-	// Metrics from the entry.
-	metricSrc := [][2]int32{
-		{entElapsed, mwElapsed},
-		{entCounter + 0, mwCycles},
-		{entCounter + 1, mwInstructions},
-		{entCounter + 2, mwCacheRefs},
-		{entCounter + 3, mwCacheMisses},
-		{entCounter + 4, mwRefCycles},
-		{entIOACR, mwDiskRead},
-		{entIOACW, mwDiskWrite},
-		{entSockR, mwNetRecv},
-		{entSockS, mwNetSend},
-	}
-	for _, sm := range metricSrc {
-		b.Load(bpf.R1, bpf.R6, sm[0]*8).
-			Store(bpf.R10, offSample+int32(sampleHeaderWords+int(sm[1]))*8, bpf.R1)
+	// Metrics from the entry: words entElapsed..entSockS hold metrics
+	// mwElapsed..mwNetSend in order.
+	for w := entElapsed; w <= entSockS; w++ {
+		b.Load(bpf.R1, bpf.R6, int32(w)*8).
+			Store(bpf.R10, offSample+int32(sampleHeaderWords+mwElapsed+w-entElapsed)*8, bpf.R1)
 	}
 	// Memory metric from the user-level probe (arg1).
 	b.Mov(bpf.R1, 1).Call(bpf.HelperGetArg).

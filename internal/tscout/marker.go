@@ -126,7 +126,7 @@ func (m *Marker) userPush(st *taskState, t *kernel.Task) {
 	t.ChargeUserNS(userSnapshotNS)
 	f := userFrame{ou: m.def.ID, beginNS: t.Now()}
 	pc := t.Perf()
-	for i, c := range counterOrder {
+	for i, c := range kernel.AllCounters {
 		f.counters[i] = pc.Read(c).Normalized()
 	}
 	f.ioacR, f.ioacW = t.IOAC.ReadBytes, t.IOAC.WriteBytes
@@ -151,7 +151,7 @@ func (m *Marker) userEnd(st *taskState, t *kernel.Task) {
 	}
 	pc := t.Perf()
 	var cur [5]float64
-	for i, c := range counterOrder {
+	for i, c := range kernel.AllCounters {
 		cur[i] = pc.Read(c).Normalized()
 	}
 	f.metrics = Metrics{

@@ -64,16 +64,20 @@ var errCorruptMetrics = errors.New("tscout: corrupt sample metrics")
 // and counter deltas in the wraparound range. Mid-OU corruption that
 // slips past the Collector's in-kernel checks — perf-counter wraparound
 // faults, torn reads — is discarded here instead of poisoning a model.
+// AllocBytes, the user-level memory probe's figure, is not checked.
 func metricsSane(m Metrics) bool {
-	if m.ElapsedNS < 0 || m.DiskReadBytes < 0 || m.DiskWriteBytes < 0 ||
-		m.NetRecvBytes < 0 || m.NetSendBytes < 0 {
-		return false
+	for i, v := range m.Values() {
+		switch {
+		case i == mwAlloc: // not checked
+		case MetricIsCounter(i):
+			if uint64(v) >= corruptCounterLimit {
+				return false
+			}
+		case v < 0:
+			return false
+		}
 	}
-	return m.Cycles < corruptCounterLimit &&
-		m.Instructions < corruptCounterLimit &&
-		m.CacheRefs < corruptCounterLimit &&
-		m.CacheMisses < corruptCounterLimit &&
-		m.RefCycles < corruptCounterLimit
+	return true
 }
 
 // BatchHistBuckets is the number of drain-batch size buckets in
@@ -800,20 +804,18 @@ func floatVector(words []uint64, width int) []float64 {
 	return f
 }
 
+// scaleMetrics multiplies every metric by f through float64, keeping each
+// one's signedness: a fused sample's share for one of its parts.
 func scaleMetrics(m Metrics, f float64) Metrics {
-	return Metrics{
-		ElapsedNS:      int64(float64(m.ElapsedNS) * f),
-		Cycles:         uint64(float64(m.Cycles) * f),
-		Instructions:   uint64(float64(m.Instructions) * f),
-		CacheRefs:      uint64(float64(m.CacheRefs) * f),
-		CacheMisses:    uint64(float64(m.CacheMisses) * f),
-		RefCycles:      uint64(float64(m.RefCycles) * f),
-		DiskReadBytes:  int64(float64(m.DiskReadBytes) * f),
-		DiskWriteBytes: int64(float64(m.DiskWriteBytes) * f),
-		NetRecvBytes:   int64(float64(m.NetRecvBytes) * f),
-		NetSendBytes:   int64(float64(m.NetSendBytes) * f),
-		AllocBytes:     int64(float64(m.AllocBytes) * f),
+	v := m.Values()
+	for i, x := range v {
+		if MetricIsCounter(i) {
+			v[i] = int64(uint64(float64(uint64(x)) * f))
+		} else {
+			v[i] = int64(float64(x) * f)
+		}
 	}
+	return MetricsOf(&v)
 }
 
 // applyFeedback lowers sampling rates for subsystems whose ring buffers

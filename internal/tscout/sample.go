@@ -14,7 +14,8 @@ const FusedOUID OUID = 0xFFFF
 // Metrics is the output side of one training-data point: what the DBMS
 // consumed while the OU ran (paper §2.3). Counter values are
 // multiplexing-normalized. AllocBytes comes from the user-level memory
-// probe (§4.2); the rest from kernel-level probes (§4.1, §4.3, §4.4).
+// probe (§4.2); the rest from kernel-level probes (§4.1, §4.3, §4.4). The
+// fields are declared in MetricNames order.
 type Metrics struct {
 	ElapsedNS      int64
 	Cycles         uint64
@@ -29,8 +30,12 @@ type Metrics struct {
 	AllocBytes     int64
 }
 
-// MetricNames lists the metrics in sample order.
-var MetricNames = []string{
+// NumMetrics is how many metrics every sample and training point carries.
+const NumMetrics = 11
+
+// MetricNames lists the metrics in sample order: metric i is sample word
+// 4+i, element i of Values and an archive's metric column i.
+var MetricNames = [NumMetrics]string{
 	"elapsed_ns", "cpu_cycles", "instructions", "cache_refs", "cache_misses",
 	"ref_cycles", "disk_read_bytes", "disk_write_bytes",
 	"net_recv_bytes", "net_send_bytes", "alloc_bytes",
@@ -46,14 +51,14 @@ var MetricNames = []string{
 //	words 15..15+n-1  feature words
 const (
 	sampleHeaderWords = 4
-	sampleMetricWords = 11
-	sampleFixedWords  = sampleHeaderWords + sampleMetricWords
+	sampleFixedWords  = sampleHeaderWords + NumMetrics
 	// SampleMaxBytes is the largest sample the Collector emits; it must
 	// fit the BPF stack alongside scratch space.
 	SampleMaxBytes = (sampleFixedWords + MaxFeatures) * 8
 )
 
-// Word offsets of each metric inside the sample (after the header).
+// Word offsets of each metric inside the sample (after the header), in
+// MetricNames order.
 const (
 	mwElapsed = iota
 	mwCycles
@@ -68,6 +73,28 @@ const (
 	mwAlloc
 )
 
+// MetricIsCounter reports whether metric i (MetricNames order) is an
+// unsigned PMU counter delta; every other metric is signed.
+func MetricIsCounter(i int) bool { return i >= mwCycles && i <= mwRefCycles }
+
+// Values returns m's metrics in MetricNames order, the unsigned counter
+// deltas reinterpreted bit-wise as int64 — lossless, and undone by
+// MetricsOf. Code that treats the metrics alike loops over these instead
+// of naming each field.
+func (m *Metrics) Values() [NumMetrics]int64 {
+	return [NumMetrics]int64{m.ElapsedNS, int64(m.Cycles), int64(m.Instructions),
+		int64(m.CacheRefs), int64(m.CacheMisses), int64(m.RefCycles), m.DiskReadBytes,
+		m.DiskWriteBytes, m.NetRecvBytes, m.NetSendBytes, m.AllocBytes}
+}
+
+// MetricsOf is the inverse of Values: it builds Metrics from values in
+// MetricNames order, reading the counter deltas' int64 bits as unsigned.
+func MetricsOf(v *[NumMetrics]int64) Metrics {
+	return Metrics{v[mwElapsed], uint64(v[mwCycles]), uint64(v[mwInstructions]),
+		uint64(v[mwCacheRefs]), uint64(v[mwCacheMisses]), uint64(v[mwRefCycles]),
+		v[mwDiskRead], v[mwDiskWrite], v[mwNetRecv], v[mwNetSend], v[mwAlloc]}
+}
+
 // EncodeSample builds the wire form of a sample; user-mode probes use it
 // so the Processor sees one format regardless of collection mode.
 func EncodeSample(ou OUID, pid int, m Metrics, features []uint64) []byte {
@@ -77,17 +104,9 @@ func EncodeSample(ou OUID, pid int, m Metrics, features []uint64) []byte {
 	put(1, uint64(pid))
 	put(2, 0)
 	put(3, uint64(len(features)))
-	put(sampleHeaderWords+mwElapsed, uint64(m.ElapsedNS))
-	put(sampleHeaderWords+mwCycles, m.Cycles)
-	put(sampleHeaderWords+mwInstructions, m.Instructions)
-	put(sampleHeaderWords+mwCacheRefs, m.CacheRefs)
-	put(sampleHeaderWords+mwCacheMisses, m.CacheMisses)
-	put(sampleHeaderWords+mwRefCycles, m.RefCycles)
-	put(sampleHeaderWords+mwDiskRead, uint64(m.DiskReadBytes))
-	put(sampleHeaderWords+mwDiskWrite, uint64(m.DiskWriteBytes))
-	put(sampleHeaderWords+mwNetRecv, uint64(m.NetRecvBytes))
-	put(sampleHeaderWords+mwNetSend, uint64(m.NetSendBytes))
-	put(sampleHeaderWords+mwAlloc, uint64(m.AllocBytes))
+	for i, v := range m.Values() {
+		put(sampleHeaderWords+i, uint64(v))
+	}
 	for i, f := range features {
 		put(sampleFixedWords+i, f)
 	}
@@ -116,23 +135,11 @@ func decodeHeader(buf []byte) (Sample, error) {
 	if n < 0 || n > MaxFeatures || sampleFixedWords+n > len(buf)/8 {
 		return Sample{}, fmt.Errorf("tscout: sample feature count %d inconsistent with %d bytes", n, len(buf))
 	}
-	return Sample{
-		OU:  OUID(get(0)),
-		PID: int(get(1)),
-		Metrics: Metrics{
-			ElapsedNS:      int64(get(sampleHeaderWords + mwElapsed)),
-			Cycles:         get(sampleHeaderWords + mwCycles),
-			Instructions:   get(sampleHeaderWords + mwInstructions),
-			CacheRefs:      get(sampleHeaderWords + mwCacheRefs),
-			CacheMisses:    get(sampleHeaderWords + mwCacheMisses),
-			RefCycles:      get(sampleHeaderWords + mwRefCycles),
-			DiskReadBytes:  int64(get(sampleHeaderWords + mwDiskRead)),
-			DiskWriteBytes: int64(get(sampleHeaderWords + mwDiskWrite)),
-			NetRecvBytes:   int64(get(sampleHeaderWords + mwNetRecv)),
-			NetSendBytes:   int64(get(sampleHeaderWords + mwNetSend)),
-			AllocBytes:     int64(get(sampleHeaderWords + mwAlloc)),
-		},
-	}, nil
+	var v [NumMetrics]int64
+	for i := range v {
+		v[i] = int64(get(sampleHeaderWords + i))
+	}
+	return Sample{OU: OUID(get(0)), PID: int(get(1)), Metrics: MetricsOf(&v)}, nil
 }
 
 // featureCount reads header word 3 of a sample at least a header long: how

@@ -1,5 +1,17 @@
 package txn
 
+// stats reports the number of running transactions and the oldest running
+// snapshot (0 when none).
+func (m *Manager) stats() (running int, oldestReadTS uint64) {
+	if m.oldest != nil {
+		oldestReadTS = m.oldest.ReadTS
+	}
+	for t := m.oldest; t != nil; t = t.next {
+		running++
+	}
+	return running, oldestReadTS
+}
+
 // Stats exposes Manager.stats to the external tests, which may import the
 // DBMS and the workload generators.
-func (m *Manager) Stats() (running int, oldestReadTS, unlinked uint64) { return m.stats() }
+func (m *Manager) Stats() (running int, oldestReadTS uint64) { return m.stats() }

@@ -139,8 +139,7 @@ const (
 //     down to the newest version that began at or before the watermark
 //     (the oldest other open snapshot, else the commit itself), which is at
 //     most the commits since that snapshot plus one;
-//   - Manager.stats agrees with the open snapshots, the oldest of them, and
-//     the versions the uncut chains hold that the real ones do not.
+//   - Manager.stats agrees with the open snapshots and the oldest of them.
 func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	m, h := NewManager(), &history{commitTS: 1}
 	tbl := storage.NewTable("t", storage.MustSchema(
@@ -199,17 +198,14 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	}
 	checkStats := func(step int) {
 		t.Helper()
-		var oldest, cut uint64
+		var oldest uint64
 		if len(open) > 0 {
 			oldest = open[0].model.readTS // open is in begin order
 		}
-		for s := range h.slots {
-			cut += uint64(len(h.chain(s)) - len(chain(s)))
-		}
-		running, gotOldest, unlinked := m.stats()
-		if running != len(open) || gotOldest != oldest || unlinked != cut {
-			t.Fatalf("step %d: stats (running %d, oldest %d, unlinked %d), schedule has (%d, %d, %d)",
-				step, running, gotOldest, unlinked, len(open), oldest, cut)
+		running, gotOldest := m.stats()
+		if running != len(open) || gotOldest != oldest {
+			t.Fatalf("step %d: stats (running %d, oldest %d), schedule has (%d, %d)",
+				step, running, gotOldest, len(open), oldest)
 		}
 	}
 

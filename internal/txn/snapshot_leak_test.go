@@ -43,7 +43,7 @@ func TestWorkloadsLeaveNoSnapshotOpen(t *testing.T) {
 				if err := gen.Setup(srv); err != nil {
 					t.Fatal(err)
 				}
-				if running, oldest, _ := srv.TxnMgr.Stats(); running != 0 {
+				if running, oldest := srv.TxnMgr.Stats(); running != 0 {
 					t.Fatalf("setup left %d transactions running, oldest snapshot %d", running, oldest)
 				}
 				res, err := workload.Run(srv, gen, workload.Config{
@@ -55,12 +55,12 @@ func TestWorkloadsLeaveNoSnapshotOpen(t *testing.T) {
 				if res.Completed+res.Aborted != 300 {
 					t.Fatalf("budget: %+v", res)
 				}
-				running, oldest, unlinked := srv.TxnMgr.Stats()
+				running, oldest := srv.TxnMgr.Stats()
 				if running != 0 {
 					t.Fatalf("%d transactions still running after the run (%d aborted), oldest snapshot %d",
 						running, res.Aborted, oldest)
 				}
-				t.Logf("completed %d aborted %d, versions unlinked %d", res.Completed, res.Aborted, unlinked)
+				t.Logf("completed %d aborted %d", res.Completed, res.Aborted)
 			})
 		}
 	}
@@ -83,7 +83,7 @@ func TestFailedStatementsLeaveNoSnapshotOpen(t *testing.T) {
 	}
 	running := func(want int, after string) {
 		t.Helper()
-		if got, oldest, _ := srv.TxnMgr.Stats(); got != want {
+		if got, oldest := srv.TxnMgr.Stats(); got != want {
 			t.Fatalf("after %s: %d transactions running (oldest snapshot %d), want %d", after, got, oldest, want)
 		}
 	}

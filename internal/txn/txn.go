@@ -70,7 +70,6 @@ type Manager struct {
 	// ReadTS is non-decreasing along the list and oldest holds the
 	// watermark.
 	oldest, newest *Txn
-	unlinked       uint64 // versions cut off their chains
 }
 
 // NewManager creates a transaction manager. Commit timestamps start at 1;
@@ -108,18 +107,6 @@ func (m *Manager) finish(t *Txn) {
 		m.newest = t.prev
 	}
 	t.prev, t.next = nil, nil
-}
-
-// stats reports the number of running transactions, the oldest running
-// snapshot (0 when none) and the versions reclaimed so far. Tests read it.
-func (m *Manager) stats() (running int, oldestReadTS, unlinked uint64) {
-	if m.oldest != nil {
-		oldestReadTS = m.oldest.ReadTS
-	}
-	for t := m.oldest; t != nil; t = t.next {
-		running++
-	}
-	return running, oldestReadTS, m.unlinked
 }
 
 // Txn is one transaction.
@@ -294,9 +281,6 @@ func (t *Txn) Commit() (uint64, error) {
 			v = v.Next
 		}
 		if v != nil {
-			for old := v.Next; old != nil; old = old.Next {
-				m.unlinked++
-			}
 			v.Next = nil
 		}
 	}

@@ -127,6 +127,8 @@ func (s *Serializer) Submit(records []Record, nowNS int64) *Commit {
 // SubmitFrom is Submit with the submitting task's simulated CPU. The CPU
 // matters only in deferred mode, where it is part of the deterministic
 // merge key; outside deferred mode SubmitFrom behaves exactly like Submit.
+// Its production caller, dbms.Session.submitRedo, passes its task's CPU,
+// which the pooled driver's staged replay uses to order equal arrivals.
 func (s *Serializer) SubmitFrom(records []Record, nowNS int64, cpu int) *Commit {
 	var bytes int64
 	for _, r := range records {
