@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"tscout/internal/tscout"
 )
@@ -74,7 +75,9 @@ type segmentData struct {
 // ---------------------------------------------------------------------------
 // Encoding
 
-// encoder holds reusable scratch state for sealing segments.
+// encoder holds reusable scratch state for sealing segments. Each seal
+// refills it and none of it leaves with the wire bytes, so once the first
+// seals have grown it, a seal allocates nothing per block.
 type encoder struct {
 	payload []byte
 	footer  []byte
@@ -85,8 +88,33 @@ type encoder struct {
 	vals    []int64
 	uvals   []uint64
 	key     []byte                     // block-key scratch (avoids a per-row alloc)
+	lastKey []byte                     // the previous row's block key
 	mvals   [tscout.NumMetrics][]int64 // per-metric scratch, filled in one row pass
+
+	// blocks maps every block key the encoder has seen to its slot, so a
+	// key's string is made once, not once a seal; it is dropped whole when
+	// it outgrows maxBlockKeys. seals numbers the seals, so that a slot
+	// tells which seal its block number belongs to.
+	blocks map[string]*blockSlot
+	seals  int
+	// blockOf is each row's block number in the seal; rows is the row
+	// indexes laid out block by block, and ends[b] is where block b ends
+	// in it. Both hold a segment's rows, which a uint32 payload length
+	// already keeps far below 2^31, so they are int32: the encoder keeps
+	// them between seals. metas is the footer entries, their slices reused.
+	blockOf []int32
+	rows    []int32
+	ends    []int
+	metas   []blockMeta
 }
+
+// blockSlot is one block key's entry in encoder.blocks: the number of its
+// block in seal seal.
+type blockSlot struct{ seal, num int }
+
+// maxBlockKeys bounds encoder.blocks. A deployment's rows fall into one
+// block key per OU (and per repaired feature width), far fewer than this.
+const maxBlockKeys = 1024
 
 func (e *encoder) reset() {
 	e.payload = e.payload[:0]
@@ -176,51 +204,25 @@ func integralExact(f float64) (int64, bool) {
 // into one wire segment appended to dst.
 func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow uint64) []byte {
 	e.reset()
-
-	// Group rows into blocks in first-appearance order (deterministic for
-	// a given input order). The map is looked up with the scratch key
-	// bytes (no per-row string allocation); a string is materialized only
-	// when a new block opens. Consecutive rows usually share a block, so a
-	// last-group fast path skips the map entirely for runs.
-	type blockRows struct {
-		first int
-		idxs  []int
-	}
-	var order []*blockRows
-	groups := make(map[string]*blockRows)
-	var lastKey []byte
-	var lastGroup *blockRows
-	for i := range pts {
-		e.key = blockKey(e.key[:0], &pts[i])
-		g := lastGroup
-		if g == nil || !bytes.Equal(e.key, lastKey) {
-			var ok bool
-			g, ok = groups[string(e.key)]
-			if !ok {
-				g = &blockRows{first: i}
-				groups[string(e.key)] = g
-				order = append(order, g)
-			}
-			lastKey = append(lastKey[:0], e.key...)
-			lastGroup = g
-		}
-		g.idxs = append(g.idxs, i)
-	}
-
-	var metas []blockMeta
-	for _, g := range order {
-		proto := &pts[g.first]
+	nb := e.groupBlocks(pts)
+	e.metas = slices.Grow(e.metas[:0], nb)[:nb]
+	lo := 0
+	for b := range e.metas {
+		idxs := e.rows[lo:e.ends[b]]
+		lo = e.ends[b]
+		proto := &pts[idxs[0]]
 		nf := len(proto.Features)
-		meta := blockMeta{
+		meta := &e.metas[b]
+		*meta = blockMeta{
 			ou:      uint64(proto.OU),
 			nameIdx: e.intern(proto.OUName),
 			sub:     uint64(proto.Subsystem),
-			rows:    len(g.idxs),
+			rows:    len(idxs),
 			off:     len(e.payload),
 			named:   len(proto.FeatureNames),
-			featIdx: make([]int, 0, nf),
-			featMin: make([]float64, nf),
-			featMax: make([]float64, nf),
+			featIdx: meta.featIdx[:0],
+			featMin: slices.Grow(meta.featMin[:0], nf)[:nf],
+			featMax: slices.Grow(meta.featMax[:0], nf)[:nf],
 		}
 		for _, n := range proto.FeatureNames {
 			meta.featIdx = append(meta.featIdx, e.intern(n))
@@ -246,7 +248,7 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 
 		// Column 0: global row indexes (archive order).
 		rowIdx := e.uvals[:0]
-		for _, ri := range g.idxs {
+		for _, ri := range idxs {
 			rowIdx = append(rowIdx, firstRow+uint64(ri))
 		}
 		e.uvals = rowIdx
@@ -262,7 +264,7 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		for m := range e.mvals {
 			e.mvals[m] = e.mvals[m][:0]
 		}
-		for _, ri := range g.idxs {
+		for _, ri := range idxs {
 			p := &pts[ri]
 			e.vals = append(e.vals, int64(p.PID))
 			for m, v := range p.Metrics.Values() {
@@ -286,7 +288,7 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 			sawNaN := false
 			lo, hi := math.Inf(1), math.Inf(-1)
 			e.vals = e.vals[:0]
-			for _, ri := range g.idxs {
+			for _, ri := range idxs {
 				v := pts[ri].Features[f]
 				if v != v {
 					sawNaN = true
@@ -315,7 +317,7 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 				e.colBuf = appendDeltaI(e.colBuf, e.vals)
 			} else {
 				e.colBuf = append(e.colBuf, featEncRaw)
-				for _, ri := range g.idxs {
+				for _, ri := range idxs {
 					e.colBuf = binary.LittleEndian.AppendUint64(e.colBuf, math.Float64bits(pts[ri].Features[f]))
 				}
 			}
@@ -329,11 +331,62 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		}
 		e.payload = append(e.payload, e.colBuf...)
 		meta.ln = len(e.payload) - meta.off
-		metas = append(metas, meta)
 	}
 
-	e.footer = appendFooter(e.footer[:0], e.dict, len(pts), metas)
+	e.footer = appendFooter(e.footer[:0], e.dict, len(pts), e.metas)
 	return appendSegment(dst, e.payload, e.footer)
+}
+
+// groupBlocks groups pts into blocks in first-appearance order
+// (deterministic for a given input order) and returns how many there are:
+// e.rows holds the row indexes block by block, each block's ascending, and
+// block b ends at e.ends[b]. Keys are looked up with the scratch key bytes,
+// and consecutive rows usually share a block, so a run skips the map.
+func (e *encoder) groupBlocks(pts []tscout.TrainingPoint) int {
+	if e.blocks == nil || len(e.blocks) > maxBlockKeys {
+		e.blocks = make(map[string]*blockSlot)
+	}
+	e.seals++
+	nb := 0
+	e.blockOf = e.blockOf[:0]
+	var last *blockSlot
+	for i := range pts {
+		e.key = blockKey(e.key[:0], &pts[i])
+		if last == nil || !bytes.Equal(e.key, e.lastKey) {
+			slot, ok := e.blocks[string(e.key)]
+			if !ok {
+				slot = &blockSlot{}
+				e.blocks[string(e.key)] = slot
+			}
+			if slot.seal != e.seals {
+				slot.seal, slot.num = e.seals, nb
+				nb++
+			}
+			e.lastKey = append(e.lastKey[:0], e.key...)
+			last = slot
+		}
+		e.blockOf = append(e.blockOf, int32(last.num))
+	}
+
+	// A counting sort lays the rows out block by block: count each block's
+	// rows, turn the counts into start offsets, then place every row at its
+	// block's cursor, which leaves ends[b] at the end of block b.
+	e.ends = slices.Grow(e.ends[:0], nb)[:nb]
+	clear(e.ends)
+	for _, b := range e.blockOf {
+		e.ends[b]++
+	}
+	off := 0
+	for b, n := range e.ends {
+		e.ends[b] = off
+		off += n
+	}
+	e.rows = slices.Grow(e.rows[:0], len(pts))[:len(pts)]
+	for i, b := range e.blockOf {
+		e.rows[e.ends[b]] = int32(i)
+		e.ends[b]++
+	}
+	return nb
 }
 
 // appendFooter appends a segment footer: the dictionary, the row count,

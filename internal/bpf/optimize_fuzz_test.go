@@ -51,7 +51,7 @@ func mapFingerprint(m Map) string {
 	case *PerCPURing:
 		// Per-CPU counters first (Drain moves them), then every ring's
 		// contents in CPU order: routing, overwrites and payloads all show.
-		st := mm.CPUStats()
+		st := mm.AppendCPUStats(nil)
 		var all Batch
 		for cpu := range st {
 			mm.DrainBatch(cpu, &all, 0)

@@ -1,5 +1,7 @@
 package bpf
 
+import "slices"
+
 // RingStats is a snapshot of a ring buffer's counters.
 type RingStats struct {
 	Submitted int64 // cumulative Submit calls
@@ -185,13 +187,16 @@ func (r *PerCPURing) DrainBatch(cpu int, dst *Batch, max int) int {
 	return r.rings[cpu].drainBatch(dst, max)
 }
 
-// CPUStats snapshots every CPU ring, indexed by CPU.
-func (r *PerCPURing) CPUStats() []RingStats {
-	out := make([]RingStats, len(r.rings))
+// AppendCPUStats appends a snapshot of every CPU ring to dst, in CPU
+// order, and returns the extended slice: a caller that polls every period
+// passes the previous snapshot truncated, and takes no allocation once it
+// has held one.
+func (r *PerCPURing) AppendCPUStats(dst []RingStats) []RingStats {
+	dst = slices.Grow(dst, len(r.rings))
 	for i := range r.rings {
-		out[i] = r.rings[i].stats(r.perCPUCap)
+		dst = append(dst, r.rings[i].stats(r.perCPUCap))
 	}
-	return out
+	return dst
 }
 
 // Stats aggregates the per-CPU counters into one snapshot (Capacity is the

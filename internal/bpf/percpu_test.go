@@ -20,7 +20,7 @@ func TestPerCPURingRoutesByCPU(t *testing.T) {
 
 	wantPending := []int{3, 0, 3, 0}
 	for cpu, want := range wantPending {
-		if got := r.CPUStats()[cpu].Pending; got != want {
+		if got := r.AppendCPUStats(nil)[cpu].Pending; got != want {
 			t.Fatalf("cpu %d pending = %d, want %d", cpu, got, want)
 		}
 	}
@@ -56,7 +56,7 @@ func TestPerCPURingOverwriteAndIdentity(t *testing.T) {
 			t.Fatalf("sample %d = %d, want %d", i, got, 6+i)
 		}
 	}
-	st := r.CPUStats()[1]
+	st := r.AppendCPUStats(nil)[1]
 	if st.Submitted != 10 || st.Dropped != 6 || st.Drained != 3 || st.Pending != 1 {
 		t.Fatalf("cpu 1 stats %+v", st)
 	}
@@ -172,13 +172,13 @@ func TestVMPerfOutputRoutesByTaskCPU(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if got := ring.CPUStats()[0].Pending; got != 1 {
+	if got := ring.AppendCPUStats(nil)[0].Pending; got != 1 {
 		t.Fatalf("cpu 0 pending = %d, want 1", got)
 	}
-	if got := ring.CPUStats()[3].Pending; got != 2 {
+	if got := ring.AppendCPUStats(nil)[3].Pending; got != 2 {
 		t.Fatalf("cpu 3 pending = %d, want 2", got)
 	}
-	if got := ring.CPUStats()[1].Pending; got != 0 {
+	if got := ring.AppendCPUStats(nil)[1].Pending; got != 0 {
 		t.Fatalf("cpu 1 pending = %d, want 0 after Migrate", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestRingSlotsTrackHighWater(t *testing.T) {
 			check := func(op string) {
 				t.Helper()
 				want.Pending = len(queue)
-				if got := r.CPUStats()[0]; got != want {
+				if got := r.AppendCPUStats(nil)[0]; got != want {
 					t.Fatalf("%s: stats %+v, model %+v", op, got, want)
 				}
 				if n, bound := len(ring.slots), min(capacity, max(ringMinSlots, 2*want.HighWater)); n > bound {

@@ -37,7 +37,7 @@ func CheckLossIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 		if col == nil {
 			continue
 		}
-		agg, perCPU := col.Ring.Stats(), col.Ring.CPUStats()
+		agg, perCPU := col.Ring.Stats(), col.Ring.AppendCPUStats(nil)
 		var sumSub, sumDrained, sumDropped int64
 		for cpu, rs := range perCPU {
 			if rs.Pending != 0 {
@@ -56,7 +56,7 @@ func CheckLossIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 				sub, sumSub, sumDrained, sumDropped, agg.Submitted, agg.Drained, agg.Dropped)
 		}
 		if !reflect.DeepEqual(st.Rings[sub], perCPU) {
-			tb.Fatalf("%s: Stats().Rings disagrees with Ring.CPUStats()", sub)
+			tb.Fatalf("%s: Stats().Rings disagrees with Ring.AppendCPUStats(nil)", sub)
 		}
 
 		ks := st.Kernel[sub]

@@ -185,7 +185,7 @@ func TestPerCPUAccountingIdentity(t *testing.T) {
 				// by every task, so more than one of its CPU rings saw
 				// submissions.
 				active := 0
-				for _, rs := range ts.CollectorFor(SubsystemExecutionEngine).Ring.CPUStats() {
+				for _, rs := range ts.CollectorFor(SubsystemExecutionEngine).Ring.AppendCPUStats(nil) {
 					if rs.Submitted > 0 {
 						active++
 					}
@@ -231,7 +231,7 @@ func TestDrainBatchHistogram(t *testing.T) {
 	if drained, batches, points := drainDelta(p, DrainOptions{Budget: 6}); drained != 6 || batches != 4 || points != 6 {
 		t.Fatalf("budgeted drain: drained %d in %d batches, %d points; want 6, 4, 6", drained, batches, points)
 	}
-	for cpu, rs := range ring.CPUStats() {
+	for cpu, rs := range ring.AppendCPUStats(nil) {
 		if want := 2 - cpu/2; rs.Drained != int64(want) || rs.Pending != 10-want {
 			t.Fatalf("cpu%d after budgeted drain: drained %d pending %d, want %d/%d",
 				cpu, rs.Drained, rs.Pending, want, 10-want)
@@ -395,44 +395,54 @@ func TestBatchSinkFastPath(t *testing.T) {
 	}
 }
 
-// TestDrainAllocationsPerDrain is the drain's allocation contract: a small
-// constant per drain (the budget and charge slices, the per-CPU ring
-// snapshots, the decode index, the delivered batch) plus one feature slab
-// per non-empty ring batch — nothing per point, and nothing else per ring.
-// 2 000 samples over the 32 rings of an 8-CPU deployment, two drain
-// threads, a Processor warmed until the ring slots and its batch buffer
-// have reached their working size, a sink that keeps nothing: 42
-// allocations.
+// TestDrainAllocationsPerDrain is the drain's allocation contract: a drain
+// allocates only what it hands on — the delivered point slice and at most
+// one feature chunk. Everything it needs only while it runs (the ring
+// snapshots, the demand, allocation and charge tables, the waterfill, the
+// ring batch, deliver's due list) is Processor scratch. 2 000 samples over
+// the 32 rings of an 8-CPU deployment, two drain threads, a Processor warmed
+// until the ring slots and its scratch have reached their working size, a
+// sink that keeps nothing; the budgeted arm's tokens cover every sample, so
+// both arms drain the same points and the budgeted one runs the waterfill.
 func TestDrainAllocationsPerDrain(t *testing.T) {
-	const numCPUs, samples, perDrain = 8, 2000, 12
-	ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, 64, 2)
-	sinkOf(ts).discard = true
-	payloads := deployEverySubsystem(t, ts)
-	p := ts.Processor()
-	numRings := numCPUs * int(NumSubsystems)
-	fill := func() {
-		for i := 0; i < samples; i++ {
-			g := i % numRings
-			sub := SubsystemID(g / numCPUs)
-			ts.CollectorFor(sub).Ring.SubmitFrom(g%numCPUs, payloads[sub])
-		}
+	const numCPUs, samples, perDrain = 8, 2000, 2
+	for _, arm := range []struct {
+		name string
+		opts DrainOptions
+	}{
+		{"unbudgeted", DrainOptions{}},
+		{"budgeted", DrainOptions{Budget: samples}},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, 64, 2)
+			sinkOf(ts).discard = true
+			payloads := deployEverySubsystem(t, ts)
+			p := ts.Processor()
+			numRings := numCPUs * int(NumSubsystems)
+			fill := func() {
+				for i := 0; i < samples; i++ {
+					g := i % numRings
+					sub := SubsystemID(g / numCPUs)
+					ts.CollectorFor(sub).Ring.SubmitFrom(g%numCPUs, payloads[sub])
+				}
+			}
+			for i := 0; i < 3; i++ {
+				fill() // 63 samples a ring a cycle: every 64-slot ring has wrapped
+				if _, batches, points := drainDelta(p, arm.opts); points != samples || batches != int64(numRings) {
+					t.Fatalf("drain: %d points in %d batches, want %d in %d", points, batches, samples, numRings)
+				}
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				fill()
+				p.Drain(arm.opts)
+			})
+			if allocs > perDrain {
+				t.Fatalf("a drain of %d ring batches allocates %.1f times, want <= %d (the point slice and one feature chunk)",
+					numRings, allocs, perDrain)
+			}
+			t.Logf("drain allocations: %.1f for %d ring batches", allocs, numRings)
+		})
 	}
-	for i := 0; i < 3; i++ {
-		fill() // 63 samples a ring a cycle: every 64-slot ring has wrapped
-		if _, batches, points := drainDelta(p, DrainOptions{}); points != samples || batches != int64(numRings) {
-			t.Fatalf("drain: %d points in %d batches, want %d in %d", points, batches, samples, numRings)
-		}
-	}
-	cycle := func() {
-		fill()
-		p.Drain(DrainOptions{})
-	}
-	allocs := testing.AllocsPerRun(10, cycle)
-	if allocs > perDrain+float64(numRings) {
-		t.Fatalf("a drain of %d ring batches allocates %.1f times, want <= %d + one slab a batch",
-			numRings, allocs, perDrain)
-	}
-	t.Logf("drain allocations: %.1f for %d ring batches", allocs, numRings)
 }
 
 // TestDrainRunsOnCaller pins where a drain's work runs: on its caller's

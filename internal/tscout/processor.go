@@ -3,7 +3,6 @@ package tscout
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
@@ -182,7 +181,10 @@ type SplitWeightFunc func(ou OUID, features []float64) float64
 // thread-period times the configured parallelism), and each ring's samples
 // are charged to the thread that owns it. On the host a drain is one pass,
 // ring by ring in global ring order, and its finished points leave for the
-// Sink — their only store — as one batch.
+// Sink — their only store — as one batch. A drain allocates only what it
+// hands on, the point slice and the feature chunks its vectors are cut
+// from; everything else it uses is scratch kept here between drains,
+// bounded by the ring count or by one ring's capacity.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -205,13 +207,60 @@ type Processor struct {
 	batchHist           [BatchHistBuckets]int64
 	autopilot           AutopilotStats
 
-	// batch and from are Drain's scratch, reused across its ring batches:
-	// the ring batch being
-	// decoded (a contiguous buffer that grows to the largest ring batch, not
-	// to a whole drain), and decodeBatch's index from each point to the
-	// sample it reads.
-	batch bpf.Batch
-	from  []int32
+	// Drain's scratch: what a drain needs only while it runs, truncated and
+	// refilled by the next one and never handed on. Each is bounded by the
+	// ring count or by one ring batch, never by a drain's size, so an
+	// unbudgeted sweep leaves nothing larger behind than a budgeted poll:
+	// the per-CPU ring snapshots, the demand and allocation tables, one drain
+	// thread's demands and their waterfill (ring count), the charge table
+	// (drain threads), the ring batch being decoded (a contiguous buffer that
+	// grows to the largest ring batch) and deliver's due list (the retry
+	// queue and the fresh batch, cleared after delivery).
+	cpuNow         [NumSubsystems][]bpf.RingStats
+	demands, alloc []int
+	dem, share     []int
+	charged        [][NumSubsystems]int64
+	batch          bpf.Batch
+	due            []retryBatch
+	// features is the rest of the chunk feature vectors are cut from
+	// (cutFeatures). What is cut from it is handed on with its point, so
+	// unlike the scratch it is never rewound: a full chunk is dropped for a
+	// fresh one and stays with the vectors cut from it.
+	features []float64
+}
+
+// featureChunk is the length of the chunks feature vectors are cut from,
+// 32 KB: a drain of a few thousand points cuts one. A vector longer than a
+// quarter of a chunk gets its own allocation, so a chunk is never left
+// mostly unused.
+const featureChunk = 4096
+
+// cutFeatures returns a zeroed feature vector of n places from the front of
+// the current chunk, with its capacity clipped so that an append never
+// reaches the next vector. A chunk too short for n is replaced with a fresh
+// one; the old one stays with whatever was cut from it. The first call makes
+// a chunk even for n = 0, so that a vector is never nil.
+func (p *Processor) cutFeatures(n int) []float64 {
+	if n > featureChunk/4 {
+		return make([]float64, n)
+	}
+	if p.features == nil || len(p.features) < n {
+		p.features = make([]float64, featureChunk)
+	}
+	f := p.features[:n:n]
+	p.features = p.features[n:]
+	return f
+}
+
+// zeroed returns s resized to n zeroed elements, reusing its array when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // NewProcessor creates the Processor for a deployment.
@@ -288,10 +337,10 @@ func (p *Processor) Drain(opts DrainOptions) {
 	// Snapshots: per-subsystem aggregates for the period deltas and per-CPU
 	// ring stats for demand.
 	var ringNow [NumSubsystems]bpf.RingStats
-	var cpuNow [NumSubsystems][]bpf.RingStats
 	cols := [NumSubsystems]*Collector{}
 	numCPUs := 1
 	for _, sub := range AllSubsystems {
+		p.cpuNow[sub] = p.cpuNow[sub][:0]
 		if col := p.ts.CollectorFor(sub); col != nil {
 			cols[sub] = col
 			// Reap in-flight OU entries whose task generation died mid-OU
@@ -301,7 +350,7 @@ func (p *Processor) Drain(opts DrainOptions) {
 			// could never legally complete.
 			col.ReapStale(p.ts.kernel.GenAlive)
 			ringNow[sub] = col.Ring.Stats()
-			cpuNow[sub] = col.Ring.CPUStats()
+			p.cpuNow[sub] = col.Ring.AppendCPUStats(p.cpuNow[sub])
 			if n := col.Ring.NumCPUs(); n > numCPUs {
 				numCPUs = n
 			}
@@ -352,34 +401,36 @@ func (p *Processor) Drain(opts DrainOptions) {
 	// waterfills its own slice of the effective budget over the rings it
 	// owns, so no ring can exceed one thread's period capacity and no two
 	// threads compete for the same tokens.
-	demands := make([]int, numRings+1)
+	demands := zeroed(p.demands, numRings+1)
+	p.demands = demands
 	for _, sub := range AllSubsystems {
-		for cpu, rs := range cpuNow[sub] {
+		for cpu, rs := range p.cpuNow[sub] {
 			demands[globalRingIndex(cpu, sub, numCPUs)] = rs.Pending
 		}
 	}
 	demands[userIdx] = userPending * userDrainPenalty
 
-	alloc := make([]int, numRings+1)
+	alloc := zeroed(p.alloc, numRings+1)
+	p.alloc = alloc
 	if opts.Budget > 0 {
-		perThread := make([]int, parallelism)
-		for i := range perThread {
-			perThread[i] = effective / parallelism
-		}
-		for i := 0; i < effective%parallelism; i++ {
-			perThread[i]++
-		}
 		for t := 0; t < parallelism; t++ {
-			var idx []int
-			var dem []int
-			for g := 0; g <= userIdx; g++ {
+			dem := p.dem[:0]
+			for g, d := range demands {
 				if ringOwner(g, parallelism) == t {
-					idx = append(idx, g)
-					dem = append(dem, demands[g])
+					dem = append(dem, d)
 				}
 			}
-			for j, a := range waterfill(dem, perThread[t]) {
-				alloc[idx[j]] = a
+			tokens := effective / parallelism
+			if t < effective%parallelism {
+				tokens++
+			}
+			share := zeroed(p.share, len(dem))
+			waterfill(share, dem, tokens)
+			p.dem, p.share = dem, share
+			for g := range alloc {
+				if ringOwner(g, parallelism) == t {
+					alloc[g], share = share[0], share[1:]
+				}
 			}
 		}
 	} else {
@@ -404,11 +455,8 @@ func (p *Processor) Drain(opts DrainOptions) {
 		size += a
 	}
 	pts := make([]TrainingPoint, 0, size)
-	// decodeBatch's index is sized for the largest ring batch and dropped
-	// with the drain: kept between drains, an unbudgeted sweep's would stay
-	// live for the life of the Processor.
-	p.from = make([]int32, 0, max(slices.Max(alloc[:numRings]), userSamples))
-	charged := make([][NumSubsystems]int64, parallelism)
+	charged := zeroed(p.charged, parallelism)
+	p.charged = charged
 	var counts [NumSubsystems]decodeCounts
 	var points [NumSubsystems]int64
 	var hist [BatchHistBuckets]int64
@@ -448,7 +496,6 @@ func (p *Processor) Drain(opts DrainOptions) {
 			points[tp.Subsystem]++
 		}
 	}
-	p.from = nil
 
 	// Charge virtual time in subsystem order on each ring's owning thread,
 	// then the user pseudo-ring's: the charge sequence the pre-affinity
@@ -507,53 +554,41 @@ func (p *Processor) Drain(opts DrainOptions) {
 // waterfill distributes tokens across shards in proportion to demand,
 // redistributing capacity unclaimed by underloaded shards, so the sum of
 // allocations never exceeds tokens and a single hot shard cannot starve
-// the others.
-func waterfill(demands []int, tokens int) []int {
-	alloc := make([]int, len(demands))
-	if tokens <= 0 {
-		return alloc
-	}
-	remaining := tokens
-	for remaining > 0 {
-		var open []int
-		need := 0
+// the others. It writes shard i's allocation to alloc[i], whatever alloc
+// held before. A shard is open while its allocation is short of its demand.
+func waterfill(alloc, demands []int, tokens int) {
+	clear(alloc)
+	for remaining := tokens; remaining > 0; {
+		open, need := 0, 0
 		for i, d := range demands {
 			if alloc[i] < d {
-				open = append(open, i)
+				open++
 				need += d - alloc[i]
 			}
 		}
-		if len(open) == 0 {
-			break
+		if open == 0 {
+			return
 		}
+		// Every open shard takes what it needs when the tokens cover every
+		// need, one token in shard order when there are fewer tokens than
+		// open shards — either ends the fill — and otherwise an equal share.
+		share := remaining / open
+		last := need <= remaining || share == 0
 		if need <= remaining {
-			for _, i := range open {
-				remaining -= demands[i] - alloc[i]
-				alloc[i] = demands[i]
-			}
-			break
+			share = need
 		}
-		share := remaining / len(open)
-		if share == 0 {
-			for _, i := range open {
-				if remaining == 0 {
-					break
-				}
-				alloc[i]++
-				remaining--
+		share = max(share, 1)
+		for i, d := range demands {
+			if alloc[i] < d && remaining > 0 {
+				give := min(share, d-alloc[i])
+				alloc[i] += give
+				remaining -= give
 			}
-			break
 		}
-		for _, i := range open {
-			give := share
-			if d := demands[i] - alloc[i]; give > d {
-				give = d
-			}
-			alloc[i] += give
-			remaining -= give
+		if last {
+			return
 		}
 	}
-	return alloc
 }
 
 // retryBatch is one sink delivery: the points, how many attempts have
@@ -583,7 +618,7 @@ func (p *Processor) deliver(fresh []TrainingPoint) {
 	if p.sink == nil {
 		return
 	}
-	var due []retryBatch
+	due := p.due[:0]
 	keep := p.retryQueue[:0]
 	for _, rb := range p.retryQueue {
 		if rb.notBefore <= p.polls {
@@ -624,6 +659,8 @@ func (p *Processor) deliver(fresh []TrainingPoint) {
 			})
 		}
 	}
+	clear(due) // the scratch must not pin delivered points
+	p.due = due[:0]
 	if dead {
 		p.sinkRetryDrops += int64(p.pendingRetry())
 		p.retryQueue = nil
@@ -680,19 +717,13 @@ func (c *decodeCounts) fit(n, width int) int {
 //
 // Feature vectors are normalized to the OU's declared width, so a point's
 // Features and FeatureNames always have equal length (a short vector would
-// misalign every feature after it in training). The batch's non-fused
-// points' vectors are carved from one slab, allocated once their declared
-// widths are known and filled from the samples in a second walk over the
-// points. The points and the slab are the sink's once delivered (an archive
-// segment holds them until it seals, a rejected batch is parked for
-// redelivery), so neither is ever reused: they are collected with the batch.
-// Nothing decoded aliases b, which the next ring batch overwrites.
+// misalign every feature after it in training). A non-fused point's vector
+// is cut from the Processor's feature chunk (cutFeatures). The points and
+// their vectors are the sink's once delivered (an archive segment holds them
+// until it seals, a rejected batch is parked for redelivery), so neither is
+// ever reused. Nothing decoded aliases b, which the next ring batch
+// overwrites.
 func (p *Processor) decodeBatch(pts []TrainingPoint, b *bpf.Batch, c *decodeCounts) []TrainingPoint {
-	first := len(pts)
-	// from[k] is the sample pts[first+k] takes its features from once the
-	// slab exists; -1 for a fused part, which brings its own.
-	from := p.from[:0]
-	slabLen := 0
 	for i := 0; i < b.Len(); i++ {
 		buf := b.Sample(i)
 		s, err := decodeHeader(buf)
@@ -702,41 +733,23 @@ func (p *Processor) decodeBatch(pts []TrainingPoint, b *bpf.Batch, c *decodeCoun
 			err = errCorruptMetrics
 		case s.OU == FusedOUID:
 			pts, err = p.expandFused(pts, buf, c)
-			for first+len(from) < len(pts) {
-				from = append(from, -1)
-			}
 		default:
 			def, ok := p.ts.OU(s.OU)
 			if !ok {
 				err = fmt.Errorf("tscout: sample for unregistered OU %d", s.OU)
 				break
 			}
-			pts = append(pts, pointOf(def, s.PID, s.Metrics, nil))
-			from = append(from, int32(i))
-			slabLen += len(def.Features)
+			f := p.cutFeatures(len(def.Features))
+			for j, keep := 0, c.fit(featureCount(buf), len(f)); j < keep; j++ {
+				f[j] = float64(featureWord(buf, j))
+			}
+			pts = append(pts, pointOf(def, s.PID, s.Metrics, f))
 		}
 		if errors.Is(err, errCorruptMetrics) {
 			c.corrupt++
 		} else if err != nil {
 			c.decodeErrs++
 		}
-	}
-	p.from = from
-
-	slab := make([]float64, slabLen)
-	for k, i := range from {
-		if i < 0 {
-			continue
-		}
-		buf := b.Sample(int(i))
-		tp := &pts[first+k]
-		width := len(tp.FeatureNames)
-		f := slab[:width:width]
-		slab = slab[width:]
-		for j, keep := 0, c.fit(featureCount(buf), width); j < keep; j++ {
-			f[j] = float64(featureWord(buf, j))
-		}
-		tp.Features = f
 	}
 	return pts
 }
@@ -868,7 +881,7 @@ func (p *Processor) Stats() ProcessorStats {
 			st.Kernel[sub].Submitted = rs.Submitted
 			st.Kernel[sub].Dropped = rs.Dropped
 			st.Kernel[sub].Orphans = col.Orphans()
-			st.Rings[sub] = col.Ring.CPUStats()
+			st.Rings[sub] = col.Ring.AppendCPUStats(nil)
 			st.Codegen[sub] = col.OptStats
 			st.JIT[sub] = col.JITStats()
 			st.Kernel[sub].RuntimeFaults = col.RuntimeFaults()

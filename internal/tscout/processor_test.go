@@ -2,6 +2,8 @@ package tscout
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -454,5 +456,119 @@ func TestDrainMemoryIsBounded(t *testing.T) {
 	if after > before+slack {
 		t.Fatalf("heap grew %d bytes over %d drains (%d -> %d): something still keeps every point",
 			after-before, drains, before, after)
+	}
+}
+
+// TestWaterfillProperties holds waterfill to its contract on seeded random
+// demands and tokens: it hands out min(tokens, Σdemand), no shard gets less
+// than nothing or more than it asked for, a shard left short of its demand
+// gets at least every other shard's allocation less one (max-min fairness),
+// and the result does not depend on what alloc held: every case reuses one
+// scratch that still holds the previous case's allocation.
+func TestWaterfillProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	scratch := make([]int, 16)
+	for c := 0; c < 5000; c++ {
+		demands := make([]int, 1+rng.Intn(len(scratch)))
+		sum := 0
+		for i := range demands {
+			switch rng.Intn(4) {
+			case 0: // an idle shard
+			case 1:
+				demands[i] = rng.Intn(3)
+			default:
+				demands[i] = rng.Intn(300)
+			}
+			sum += demands[i]
+		}
+		tokens := rng.Intn(sum+len(demands)+2) - 1
+		fresh := make([]int, len(demands))
+		waterfill(fresh, demands, tokens)
+		alloc := scratch[:len(demands)]
+		waterfill(alloc, demands, tokens)
+
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("case %d, demands %v, tokens %d, alloc %v: %s", c, demands, tokens, alloc, fmt.Sprintf(format, args...))
+		}
+		given := 0
+		for i, a := range alloc {
+			if a != fresh[i] {
+				fail("a reused alloc gave shard %d %d, a fresh one %d", i, a, fresh[i])
+			}
+			if a < 0 || a > demands[i] {
+				fail("shard %d got %d of its demand %d", i, a, demands[i])
+			}
+			given += a
+		}
+		if want := max(min(tokens, sum), 0); given != want {
+			fail("handed out %d tokens, want %d", given, want)
+		}
+		for i, a := range alloc {
+			if a == demands[i] {
+				continue
+			}
+			for j, b := range alloc {
+				if a < b-1 {
+					fail("shard %d is short (%d of %d) but got %d, less than shard %d's %d - 1", i, a, demands[i], a, j, b)
+				}
+			}
+		}
+	}
+}
+
+// TestDrainScratchBounded pins what a Processor keeps after an unbudgeted
+// sweep of full rings (FinalDrain's shape): scratch bounded by the ring
+// count, by one ring's capacity and by one feature chunk, however many
+// samples the sweep drained.
+func TestDrainScratchBounded(t *testing.T) {
+	const numCPUs, ringCap, par = 4, 256, 2
+	ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, ringCap, par)
+	sinkOf(ts).discard = true
+	payloads := deployEverySubsystem(t, ts)
+	p := ts.Processor()
+	numRings := numCPUs * int(NumSubsystems)
+	for _, sub := range AllSubsystems {
+		for cpu := 0; cpu < numCPUs; cpu++ {
+			for i := 0; i < 2*ringCap; i++ { // every ring full, half of it overwritten
+				ts.CollectorFor(sub).Ring.SubmitFrom(cpu, payloads[sub])
+			}
+		}
+	}
+	drained, _, _ := drainDelta(p, DrainOptions{})
+	if drained != int64(numRings*ringCap) {
+		t.Fatalf("the sweep drained %d samples, want every ring's %d", drained, numRings*ringCap)
+	}
+
+	tables := map[string]int{
+		"demands": cap(p.demands), "alloc": cap(p.alloc), "dem": cap(p.dem), "share": cap(p.share),
+		"charged": cap(p.charged), "due": cap(p.due),
+	}
+	for _, sub := range AllSubsystems {
+		tables["cpuNow."+sub.String()] = cap(p.cpuNow[sub])
+	}
+	for name, n := range tables {
+		if n > numRings+1 {
+			t.Errorf("%s keeps %d entries after the sweep, more than the %d rings and the user queue", name, n, numRings)
+		}
+	}
+	// A ring batch grows by append, so allow it twice one ring's capacity:
+	// the sweep itself was numRings times that. Its buffers are bpf's, read
+	// here through reflection.
+	batch := reflect.ValueOf(&p.batch).Elem()
+	sampleBytes := len(payloads[0])
+	if n := batch.FieldByName("end").Cap(); n > 2*ringCap {
+		t.Errorf("the ring batch keeps an index of %d samples, more than twice a ring's %d", n, ringCap)
+	}
+	if n := batch.FieldByName("buf").Cap(); n > 2*ringCap*sampleBytes {
+		t.Errorf("the ring batch keeps %d bytes, more than twice a ring's %d samples of %d bytes", n, ringCap, sampleBytes)
+	}
+	for i, rb := range p.due[:cap(p.due)] {
+		if rb.pts != nil {
+			t.Errorf("deliver's due list still holds a batch of %d points in entry %d", len(rb.pts), i)
+		}
+	}
+	if n := cap(p.features); n > featureChunk {
+		t.Errorf("the feature chunk keeps %d places, more than one chunk's %d", n, featureChunk)
 	}
 }
