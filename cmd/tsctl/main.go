@@ -15,10 +15,11 @@
 //	tsctl stats                 run a short instrumented burst and print
 //	                            the Processor pipeline's self-observed
 //	                            telemetry (per-subsystem drain counters,
-//	                            budgets, feedback actions, codegen savings)
-//	tsctl vet                   verify, optimize, and lint every generated
-//	                            Collector program across all subsystems and
-//	                            resource masks; non-zero exit on any failure
+//	                            budgets, feedback actions, JIT dispatch)
+//	tsctl vet                   verify and lint every generated Collector
+//	                            program across all subsystems and resource
+//	                            masks; non-zero exit on any failure or
+//	                            finding
 //	tsctl archive inspect [-json] <file>
 //	                            summarize a columnar training archive:
 //	                            segments, blocks, rows, bytes, row counts
@@ -43,6 +44,7 @@ import (
 	"os"
 	"sort"
 
+	"tscout/internal/bpf"
 	"tscout/internal/dbms"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
@@ -171,15 +173,9 @@ func disasm(srv *dbms.Server, subName string) error {
 	}
 	fmt.Printf("Collector for %s (resources: CPU=%v Disk=%v Network=%v)\n",
 		subName, col.Resources.CPU, col.Resources.Disk, col.Resources.Network)
-	for _, prog := range []struct {
-		name string
-		p    interface{ Disassemble() string }
-	}{
-		{"BEGIN", col.Begin.Program()},
-		{"END", col.End.Program()},
-		{"FEATURES", col.Features.Program()},
-	} {
-		fmt.Printf("\n--- %s ---\n%s", prog.name, prog.p.Disassemble())
+	for _, lp := range []*bpf.LoadedProgram{col.Begin, col.End, col.Features} {
+		p := lp.Program()
+		fmt.Printf("\n--- %s ---\n%s", p.Name, p.Disassemble())
 	}
 	return nil
 }

@@ -193,35 +193,6 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 	}
 }
 
-func TestFormatProcessorStatsCodegenSection(t *testing.T) {
-	var st tscout.ProcessorStats
-	// Disabled everywhere: the codegen section must not render, keeping
-	// the compact layout the tests above pin down.
-	if out := formatProcessorStats(st); strings.Contains(out, "codegen") {
-		t.Fatalf("codegen section rendered with optimization off:\n%s", out)
-	}
-	st.Codegen[tscout.SubsystemExecutionEngine] = tscout.CollectorOptStats{
-		Enabled:  true,
-		Begin:    bpf.OptStats{BeforeInsns: 100, AfterInsns: 91},
-		End:      bpf.OptStats{BeforeInsns: 150, AfterInsns: 141},
-		Features: bpf.OptStats{BeforeInsns: 200, AfterInsns: 186},
-	}
-	out := formatProcessorStats(st)
-	for _, want := range []string{
-		"codegen insns", "100->91", "150->141", "200->186",
-		"total-insns-saved=32",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("codegen section missing %q:\n%s", want, out)
-		}
-	}
-	// Only subsystems with the optimizer enabled get a row.
-	section := out[strings.Index(out, "codegen insns"):]
-	if strings.Contains(section, "disk-writer") {
-		t.Fatalf("codegen row rendered for subsystem without optimization:\n%s", section)
-	}
-}
-
 func TestFormatProcessorStatsJITSection(t *testing.T) {
 	var st tscout.ProcessorStats
 	// Disabled everywhere: the JIT section must not render.

@@ -100,33 +100,6 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		}
 	}
 
-	// Codegen savings only render when the optimizer ran, so deployments
-	// without it (and the zero-value snapshot) keep the compact layout.
-	optimized := false
-	for i := range st.Codegen {
-		optimized = optimized || st.Codegen[i].Enabled
-	}
-	if optimized {
-		fmt.Fprintf(&b, "\ncodegen insns (before->after per program):\n")
-		progCol := func(s tscout.CollectorOptStats) [3]string {
-			format := func(o bpf.OptStats) string {
-				return fmt.Sprintf("%d->%d", o.BeforeInsns, o.AfterInsns)
-			}
-			return [3]string{format(s.Begin), format(s.End), format(s.Features)}
-		}
-		fmt.Fprintf(&b, "%-18s %10s %10s %10s %8s\n", "subsystem", "begin", "end", "features", "saved")
-		for _, sub := range tscout.AllSubsystems {
-			cg := st.Codegen[sub]
-			if !cg.Enabled {
-				continue
-			}
-			cols := progCol(cg)
-			fmt.Fprintf(&b, "%-18s %10s %10s %10s %8d\n",
-				sub.String(), cols[0], cols[1], cols[2], cg.Saved())
-		}
-		fmt.Fprintf(&b, "total-insns-saved=%d\n", st.TotalInsnsSaved())
-	}
-
 	// Autopilot block only renders when a controller is attached: rates,
 	// error horizons, and drift state per subsystem, plus the consumption
 	// counters that show the retraining loop is actually fed.
@@ -157,8 +130,8 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		}
 	}
 
-	// JIT dispatch only renders when compilation was on, mirroring the
-	// codegen block. Each program cell shows its native run count.
+	// JIT dispatch only renders when compilation was on. Each program cell
+	// shows its native run count.
 	jit := false
 	for i := range st.JIT {
 		jit = jit || st.JIT[i].Enabled

@@ -10,7 +10,7 @@ import (
 
 // fullyPopulatedStats builds a ProcessorStats snapshot that exercises every
 // optional section of the renderer: per-CPU rings, batch histogram,
-// resilience counters, codegen savings, and the JIT tables.
+// resilience counters, and the JIT tables.
 func fullyPopulatedStats() tscout.ProcessorStats {
 	var st tscout.ProcessorStats
 	st.Polls = 12
@@ -30,12 +30,6 @@ func fullyPopulatedStats() tscout.ProcessorStats {
 			{Submitted: int64(100 + i), Drained: int64(90 + i), Dropped: int64(10 + i)},
 			{}, // quiet ring: elided, counted in the footer
 			{Submitted: int64(7 * (i + 1)), Drained: int64(7 * (i + 1))},
-		}
-		st.Codegen[i] = tscout.CollectorOptStats{
-			Enabled:  true,
-			Begin:    bpf.OptStats{BeforeInsns: 40 + i, AfterInsns: 30 + i},
-			End:      bpf.OptStats{BeforeInsns: 60 + i, AfterInsns: 45 + i},
-			Features: bpf.OptStats{BeforeInsns: 80 + i, AfterInsns: 70 + i},
 		}
 		st.JIT[i] = tscout.CollectorJITStats{
 			Enabled:  true,
@@ -74,7 +68,7 @@ func TestFormatProcessorStatsDeterministic(t *testing.T) {
 	// the byte-compare proves less than it claims.
 	for _, section := range []string{
 		"per-cpu rings", "quiet-rings=", "batch-size hist:", "resilience:",
-		"codegen insns", "total-insns-saved=", "jit (native runs",
+		"jit (native runs",
 		"compiled-programs=", "jit ops (instructions",
 		"autopilot: epochs=42", "converged", "drifting",
 	} {

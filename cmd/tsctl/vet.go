@@ -9,20 +9,13 @@ import (
 )
 
 // vet runs the Codegen audit: every subsystem × resource mask × marker
-// program is generated, verified, optimized, and linted. Verification or
-// optimization failures print the failing pc and instruction and make vet
-// exit non-zero; lint findings are reported with pc, opcode, and
-// provenance but only warnings on unoptimized output are informational —
-// a finding that survives optimization means the optimizer missed its
-// fixpoint and counts as an error too.
+// program is generated, verified and linted exactly as a deploy loads it.
+// A verification failure prints the failing pc and instruction; a lint
+// finding prints with its pc, opcode and provenance. Either makes vet exit
+// non-zero: codegen emits each program in its final form, so a dead store
+// or any other finding is a codegen bug.
 func vet(w io.Writer) int {
-	var (
-		programs     int
-		verifyErrors int
-		findings     int
-		before       int
-		after        int
-	)
+	var programs, insns, verifyErrors, findings int
 	for _, sub := range tscout.AllSubsystems {
 		for mask := 0; mask < 16; mask++ {
 			res := tscout.ResourceSet{
@@ -31,32 +24,20 @@ func vet(w io.Writer) int {
 			}
 			for _, np := range tscout.CollectorPrograms(sub, res) {
 				programs++
+				insns += len(np.Prog.Insns)
 				prov := fmt.Sprintf("%s/%s cpu=%v mem=%v disk=%v net=%v",
 					sub, np.Name, res.CPU, res.Memory, res.Disk, res.Network)
-				if err := bpf.Verify(np.Prog, 0); err != nil {
+				fs, err := bpf.Lint(np.Prog, 0)
+				if err != nil {
 					verifyErrors++
 					fmt.Fprintf(w, "VERIFY FAIL %s: %v\n", prov, err)
 					continue
 				}
-				opt, stats, err := bpf.Optimize(np.Prog, 0)
-				if err != nil {
-					verifyErrors++
-					fmt.Fprintf(w, "OPTIMIZE FAIL %s: %v\n", prov, err)
-					continue
-				}
-				before += stats.BeforeInsns
-				after += stats.AfterInsns
-				fs, err := bpf.Lint(opt, 0)
-				if err != nil {
-					verifyErrors++
-					fmt.Fprintf(w, "LINT FAIL %s: %v\n", prov, err)
-					continue
-				}
 				for _, f := range fs {
 					findings++
-					if f.PC >= 0 && f.PC < len(opt.Insns) {
+					if f.PC >= 0 {
 						fmt.Fprintf(w, "%s: insn %d (%s): %s: %s: %s\n",
-							prov, f.PC, opt.Insns[f.PC].String(), f.Severity, f.Rule, f.Message)
+							prov, f.PC, np.Prog.Insns[f.PC].String(), f.Severity, f.Rule, f.Message)
 					} else {
 						fmt.Fprintf(w, "%s: %s: %s: %s\n", prov, f.Severity, f.Rule, f.Message)
 					}
@@ -64,11 +45,9 @@ func vet(w io.Writer) int {
 			}
 		}
 	}
-	fmt.Fprintf(w, "vet: %d programs (%d subsystems x 16 resource masks x 3 markers)\n",
-		programs, len(tscout.AllSubsystems))
-	fmt.Fprintf(w, "vet: %d verify/optimize errors, %d residual lint findings\n",
-		verifyErrors, findings)
-	fmt.Fprintf(w, "vet: optimizer: %d insns -> %d (saved %d)\n", before, after, before-after)
+	fmt.Fprintf(w, "vet: %d programs (%d subsystems x 16 resource masks x 3 markers), %d insns\n",
+		programs, len(tscout.AllSubsystems), insns)
+	fmt.Fprintf(w, "vet: %d verify errors, %d lint findings\n", verifyErrors, findings)
 	if verifyErrors > 0 || findings > 0 {
 		return 1
 	}

@@ -6,8 +6,9 @@ import (
 )
 
 // TestVetClean is the acceptance gate: every generated Collector program
-// must verify, optimize, and come out lint-clean, and the optimizer must
-// save a nonzero number of instructions overall.
+// must verify and come out lint-clean as codegen emits it — no dead store,
+// no dead code, no foldable constant — with the instruction total the
+// golden file of internal/bpf pins.
 func TestVetClean(t *testing.T) {
 	var b strings.Builder
 	if code := vet(&b); code != 0 {
@@ -15,15 +16,11 @@ func TestVetClean(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"vet: 192 programs",
-		"0 verify/optimize errors, 0 residual lint findings",
+		"vet: 192 programs (4 subsystems x 16 resource masks x 3 markers), 60928 insns\n",
+		"vet: 0 verify errors, 0 lint findings\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("vet output missing %q:\n%s", want, out)
 		}
-	}
-	// The summary line carries the total savings; it must be positive.
-	if strings.Contains(out, "(saved 0)") || !strings.Contains(out, "saved ") {
-		t.Fatalf("vet reports no optimizer savings:\n%s", out)
 	}
 }

@@ -35,7 +35,7 @@ func main() {
 	sink := archive.NewWriter(&buf)
 	ts := tscout.New(k, tscout.Config{
 		Seed: 5, ProcessorSink: sink,
-		OptimizeCollectors: true, CompileCollectors: true,
+		CompileCollectors: true,
 	})
 
 	// The GC subsystem piggybacks on the log-serializer subsystem slot's

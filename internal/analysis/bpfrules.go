@@ -15,7 +15,7 @@ import (
 // verifyEntryPoints are the bpf package-level functions whose error result
 // is the verification verdict.
 var verifyEntryPoints = map[string]bool{
-	"Verify": true, "Analyze": true, "Load": true, "LoadOptimized": true, "Optimize": true,
+	"Verify": true, "Analyze": true, "Load": true,
 }
 
 // verifyMethods are bpf.LoadedProgram's methods whose error result is a
@@ -28,7 +28,7 @@ var runMethodNames = map[string]bool{"Run": true}
 
 // ConstructedLoadedProgramAnalyzer flags composite literals of
 // bpf.LoadedProgram outside the bpf package: a LoadedProgram that did not
-// come from bpf.Load or bpf.LoadOptimized never passed the verifier, and
+// come from bpf.Load never passed the verifier, and
 // running it would execute unproven code on the marker hot path.
 var ConstructedLoadedProgramAnalyzer = &Analyzer{
 	Name: RuleConstructedLoadedProgram,
@@ -60,7 +60,7 @@ func runConstructedLoadedProgram(pass *Pass) {
 			obj := named.Obj()
 			if obj.Name() == "LoadedProgram" && obj.Pkg() != nil && hasPathSuffix(obj.Pkg().Path(), bpfPkgSuffix) {
 				pass.Reportf(lit.Pos(),
-					"bpf.LoadedProgram constructed directly; only bpf.Load and bpf.LoadOptimized return verified programs")
+					"bpf.LoadedProgram constructed directly; only bpf.Load returns verified programs")
 			}
 			return true
 		})

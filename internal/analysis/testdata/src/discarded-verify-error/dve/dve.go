@@ -26,16 +26,6 @@ func BlankedLoad(p *bpf.Program) *bpf.LoadedProgram {
 	return lp
 }
 
-func BlankedLoadOptimized(p *bpf.Program) *bpf.LoadedProgram {
-	lp, _, _ := bpf.LoadOptimized(p, 512) // want:discarded-verify-error
-	return lp
-}
-
-func BlankedOptimize(p *bpf.Program) *bpf.Program {
-	op, _, _ := bpf.Optimize(p, 512) // want:discarded-verify-error
-	return op
-}
-
 func BareCompile(lp *bpf.LoadedProgram) {
 	lp.Compile() // want:discarded-verify-error
 }
@@ -59,12 +49,6 @@ func Checked(p *bpf.Program) error {
 
 func Handled(p *bpf.Program) (*bpf.Analysis, error) {
 	return bpf.Analyze(p, 512)
-}
-
-// Blanking the stats while keeping the error is fine: not flagged.
-func StatsDropped(p *bpf.Program) (*bpf.Program, error) {
-	op, _, err := bpf.Optimize(p, 512)
-	return op, err
 }
 
 // A local function that happens to be called Verify is not bpf.Verify —

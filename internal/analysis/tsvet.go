@@ -61,13 +61,12 @@ const (
 	RuleSeededSource = "seeded-source"
 	// RuleConstructedLoadedProgram flags composite literals of
 	// bpf.LoadedProgram outside the bpf package: a LoadedProgram that did
-	// not come from bpf.Load or bpf.LoadOptimized never passed
-	// verification.
+	// not come from bpf.Load never passed verification.
 	RuleConstructedLoadedProgram = "constructed-loaded-program"
 	// RuleDiscardedVerifyError flags discarding the error result of
-	// bpf.Verify, bpf.Load, bpf.LoadOptimized, bpf.Analyze, bpf.Optimize or
-	// bpf.LoadedProgram.Compile (blank identifier, bare call statement, or
-	// go/defer): ignoring the verdict defeats the verify-before-run contract.
+	// bpf.Verify, bpf.Load, bpf.Analyze or bpf.LoadedProgram.Compile
+	// (blank identifier, bare call statement, or go/defer): ignoring the
+	// verdict defeats the verify-before-run contract.
 	RuleDiscardedVerifyError = "discarded-verify-error"
 	// RuleDiscardedRunError flags swallowing the fault result of the
 	// execution hot path, matched by receiver type: bare/go/defer calls,

@@ -1,8 +1,8 @@
 package bpf
 
 // evalALU is the single concrete ALU semantics shared by the VM
-// interpreter, the verifier's constant reasoning, and the optimizer's
-// constant folder, so they cannot diverge on the edge cases that split
+// interpreter, the verifier's constant reasoning, and Lint's
+// const-foldable rule, so they cannot diverge on the edge cases that split
 // static analyses from runtimes: arithmetic wraps, division is unsigned
 // and division by zero yields 0 (BPF semantics), and shift amounts are
 // masked to the low 6 bits. a is the dst operand, b the src/imm operand.

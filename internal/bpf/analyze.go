@@ -8,12 +8,12 @@ import (
 // Analysis is the result of abstract-interpreting a program: the
 // per-instruction abstract in-states and per-edge feasibility of every
 // conditional branch. It is the shared substrate for Verify, the liveness
-// pass, the optimizer, and Lint.
+// pass, the JIT, and Lint.
 type Analysis struct {
 	prog   *Program
 	states []absState // abstract state *before* each instruction
 	// Per-pc conditional edge feasibility, recorded when the jump's
-	// in-state is stepped. Meaningful only where isCondJump(insn.Op) and
+	// in-state is stepped. Meaningful only where isJump(insn.Op) and
 	// Reached.
 	condTaken []bool
 	condFall  []bool
@@ -39,13 +39,11 @@ func Verify(p *Program, maxInsns int) error {
 // Analyze verifies p and returns the dataflow facts the verifier
 // computed along the way. maxInsns of 0 uses DefaultMaxInsns.
 func Analyze(p *Program, maxInsns int) (*Analysis, error) {
-	a, err := analyze(p, maxInsns, nil)
+	a, err := analyze(p, maxInsns)
 	return a, withInsn(p, err)
 }
 
-// analyze is Analyze writing the in-states into states[:len(p.Insns)]
-// when states is long enough — the array of an analysis the caller has
-// finished with — and into a fresh array otherwise.
+// analyze is Analyze before the rejected instruction's text is filled in.
 //
 // Every jump goes forward, so the CFG is a DAG in pc order: all of a pc's
 // predecessors come before it. Each analysis is therefore one pass in pc
@@ -53,7 +51,7 @@ func Analyze(p *Program, maxInsns int) (*Analysis, error) {
 // interpretation, which steps each reached pc once, after every
 // predecessor has merged into its in-state. The first error in pc order is
 // the one reported.
-func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
+func analyze(p *Program, maxInsns int) (*Analysis, error) {
 	if maxInsns <= 0 {
 		maxInsns = DefaultMaxInsns
 	}
@@ -109,12 +107,10 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 				return nil, verr(pc, "unknown helper %d", in.Imm)
 			}
 		}
-		// Fall-through off the end of the program.
-		if pc == n-1 && in.Op != OpExit && in.Op != OpJa {
+		// Fall-through off the end of the program. (A jump there has
+		// already failed the range check above.)
+		if pc == n-1 && in.Op != OpExit {
 			return nil, verr(pc, "control flow falls off the end of the program")
-		}
-		if isCondJump(in.Op) && pc == n-1 {
-			return nil, verr(pc, "conditional jump cannot be the last instruction")
 		}
 		if reach[pc] {
 			succs, k := cfgSuccs(in, pc)
@@ -131,12 +127,7 @@ func analyze(p *Program, maxInsns int, states []absState) (*Analysis, error) {
 
 	// Abstract interpretation. Each step writes its successors into out,
 	// which is merged straight into their in-states.
-	if cap(states) >= n {
-		a.states = states[:n]
-		clear(a.states)
-	} else {
-		a.states = make([]absState, n)
-	}
+	a.states = make([]absState, n)
 	a.states[0] = entryState()
 	var out [2]succ
 	for pc := range a.states {
@@ -160,9 +151,7 @@ func cfgSuccs(in Insn, pc int) (succs [2]int, k int) {
 	switch {
 	case in.Op == OpExit:
 		return succs, 0
-	case in.Op == OpJa:
-		return [2]int{pc + 1 + int(in.Off)}, 1
-	case isCondJump(in.Op):
+	case isJump(in.Op):
 		return [2]int{pc + 1, pc + 1 + int(in.Off)}, 2
 	default:
 		return [2]int{pc + 1}, 1

@@ -125,11 +125,6 @@ func (b *Builder) LoadMapPtr(dst Reg, mapIdx int) *Builder {
 	return b.emit(Insn{Op: OpLoadMapPtr, Dst: dst, Imm: int64(mapIdx)})
 }
 
-// Ja jumps unconditionally to label.
-func (b *Builder) Ja(label string) *Builder {
-	return b.emitJump(Insn{Op: OpJa}, label)
-}
-
 // Jeq jumps to label if dst == imm.
 func (b *Builder) Jeq(dst Reg, imm int64, label string) *Builder {
 	return b.emitJump(Insn{Op: OpJeqImm, Dst: dst, Imm: imm}, label)

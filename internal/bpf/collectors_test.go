@@ -2,8 +2,11 @@ package bpf_test
 
 import (
 	"errors"
+	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,24 +17,24 @@ import (
 // These tests live beside the JIT, in an external test package, because
 // the micro kinds are unexported and tscout imports bpf.
 
+var update = flag.Bool("update", false, "rewrite testdata/collectors.golden from this run")
+
 // forEachCollector calls f on every Collector program codegen can emit:
-// 4 subsystems × 16 resource masks × 3 markers, unoptimized and then
-// optimized. name identifies the program.
+// 4 subsystems × 16 resource masks × 3 markers. name identifies the
+// program.
 func forEachCollector(t *testing.T, f func(name string, lp *bpf.LoadedProgram)) {
 	t.Helper()
-	for _, optimize := range []bool{false, true} {
-		for _, sub := range tscout.AllSubsystems {
-			for mask := 0; mask < 16; mask++ {
-				col, err := tscout.GenerateCollector(sub, tscout.ResourceSet{
-					CPU: mask&1 != 0, Memory: mask&2 != 0,
-					Disk: mask&4 != 0, Network: mask&8 != 0,
-				}, tscout.CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Optimize: optimize})
-				if err != nil {
-					t.Fatalf("%s mask=%d optimize=%v: %v", sub, mask, optimize, err)
-				}
-				for _, lp := range []*bpf.LoadedProgram{col.Begin, col.End, col.Features} {
-					f(fmt.Sprintf("%s mask=%d optimize=%v %s", sub, mask, optimize, lp.Program().Name), lp)
-				}
+	for _, sub := range tscout.AllSubsystems {
+		for mask := 0; mask < 16; mask++ {
+			col, err := tscout.GenerateCollector(sub, tscout.ResourceSet{
+				CPU: mask&1 != 0, Memory: mask&2 != 0,
+				Disk: mask&4 != 0, Network: mask&8 != 0,
+			}, tscout.CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16})
+			if err != nil {
+				t.Fatalf("%s mask=%d: %v", sub, mask, err)
+			}
+			for _, lp := range []*bpf.LoadedProgram{col.Begin, col.End, col.Features} {
+				f(fmt.Sprintf("%s mask=%d %s", sub, mask, lp.Program().Name), lp)
 			}
 		}
 	}
@@ -111,23 +114,56 @@ func TestISAIsWhatCodegenEmits(t *testing.T) {
 	}
 }
 
-// TestCollectorDump renders every Collector program as its disassembly
-// followed by its micro-ops (MicroOps). With COLLECTOR_DUMP set it writes
-// the rendering to that file, so a change to the verifier, optimizer or JIT
-// can be shown not to move one instruction: run it on both trees and cmp
-// the two files.
+// TestCollectorDump holds every Collector program to
+// testdata/collectors.golden: one line per program with its instruction
+// count, its micro-op count (lines of MicroOps) and the FNV-64a of its
+// disassembly followed by its micro-ops. A change to codegen, the verifier
+// or the JIT that moves one instruction or micro-op fails here; -update
+// rewrites the file. With COLLECTOR_DUMP set it also writes the full
+// rendering to that file, so two trees' programs can be diffed.
 func TestCollectorDump(t *testing.T) {
-	var b strings.Builder
+	var dump, golden strings.Builder
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
 		ops, err := bpf.MicroOps(lp)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fmt.Fprintf(&b, "== %s\n%s-- micro-ops\n%s", name, lp.Program().Disassemble(), ops)
+		dis := lp.Program().Disassemble()
+		fmt.Fprintf(&dump, "== %s\n%s-- micro-ops\n%s", name, dis, ops)
+		h := fnv.New64a()
+		h.Write([]byte(dis))
+		h.Write([]byte(ops))
+		fmt.Fprintf(&golden, "%s insns=%d uops=%d fnv64a=%016x\n",
+			name, len(lp.Program().Insns), strings.Count(ops, "\n"), h.Sum64())
 	})
 	if path := os.Getenv("COLLECTOR_DUMP"); path != "" {
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(dump.String()), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	path := filepath.Join("testdata", "collectors.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (go test ./internal/bpf -run 'TestCollectorDump$' -update writes it)", err)
+	}
+	if got := golden.String(); got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for len(g) < len(w) {
+			g = append(g, "")
+		}
+		for len(w) < len(g) {
+			w = append(w, "")
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Errorf("%s moved (-update rewrites it): line %d is %q, want %q", path, i+1, g[i], w[i])
+			}
 		}
 	}
 }

@@ -24,9 +24,9 @@ import (
 // The compiled form is micro-op blocks joined by a few terminator closures.
 // One pass over the instructions (compileInsn) pre-decodes each reached one
 // to a microOp — moves, ALU, proven loads and stores, pure helper calls,
-// map and perf-output calls bound to a callFrame, and conditional jumps,
-// which become branch micro-ops with a side exit — or, for Exit, Ja and a
-// call that binds no frame, builds a terminator closure of type copFn.
+// map and perf-output calls bound to a callFrame, and jumps, which become
+// branch micro-ops with a side exit — or, for Exit and a call that binds
+// no frame, builds a terminator closure of type copFn.
 // fuse then turns every maximal run of micro-ops (any length ≥ 1) into one
 // block after peephole has combined idiomatic sequences into pattern
 // super-ops, so a block runs from its head until a terminator or the next
@@ -209,11 +209,9 @@ func (cc *compiler) next(pc int) (*copFn, bool) {
 	return &cc.fns[pc+1], true
 }
 
-func (cc *compiler) slot(pc int) *copFn { return &cc.fns[pc] }
-
 // compileInsn is the single per-instruction pass: it records the compiled
-// form of the instruction at pc — a terminator closure in fns[pc] for Exit,
-// Ja and a call that binds no frame, a pre-decoded micro-op in ops[pc] for
+// form of the instruction at pc — a terminator closure in fns[pc] for Exit
+// and a call that binds no frame, a pre-decoded micro-op in ops[pc] for
 // everything else. A pc the analysis never reached (every edge into it was
 // proven infeasible) gets no code at all; run ends a block before it.
 func (cc *compiler) compileInsn(pc int, in Insn) error {
@@ -225,13 +223,6 @@ func (cc *compiler) compileInsn(pc int, in Insn) error {
 		cc.fns[pc] = func(ec *execState) copFn {
 			ec.executed++
 			return nil
-		}
-		return nil
-	case OpJa:
-		tgt := cc.slot(pc + 1 + int(in.Off))
-		cc.fns[pc] = func(ec *execState) copFn {
-			ec.executed++
-			return *tgt
 		}
 		return nil
 	}
@@ -793,7 +784,7 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 	case in.Op == OpLoadMapPtr:
 		return microOp{kind: muMovImm, dst: uint8(in.Dst), imm: mapTag | uint64(in.Imm)}, true
 
-	case isCondJump(in.Op):
+	case isJump(in.Op):
 		op := microOp{kind: muJccImm, dst: uint8(in.Dst), x: uint8(in.Op), imm: uint64(in.Imm),
 			idx: int32(pc + 1 + int(in.Off)), idx2: int32(pc + 1)}
 		if isRegSrc(in.Op) {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -20,7 +22,7 @@ import (
 // interpreter-vs-compiled divergences that the differential harness is
 // prone to (scalar/pointer dispatch, unsigned ALU edge cases, helper
 // object identity); each also has a raw corpus entry under
-// testdata/fuzz/FuzzOptimize so the fuzzers keep revisiting the exact
+// testdata/fuzz/FuzzVerify so the fuzzer keeps revisiting the exact
 // programs.
 
 // assertCompiledAgreement runs p's instructions twice against fresh
@@ -50,6 +52,105 @@ func assertCompiledAgreement(t *testing.T, p *Program, seed int64) {
 				i, ir.maps[i], cr.maps[i], p.Disassemble())
 		}
 	}
+}
+
+// tableFingerprint renders a table's entries in key order, each through
+// format.
+func tableFingerprint(t *u64Table, format string) string {
+	var keys []uint64
+	vals := map[uint64][]byte{}
+	t.each(func(k uint64, v []byte) bool {
+		keys = append(keys, k)
+		vals[k] = v
+		return true
+	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, format, k, vals[k])
+	}
+	return b.String()
+}
+
+// mapFingerprint renders a map's end-state canonically so two variants can
+// be compared byte-for-byte. Ring buffers fold in their drain contents and
+// submit/drop accounting; hash and per-task maps sort their keys.
+func mapFingerprint(m Map) string {
+	switch mm := m.(type) {
+	case *HashMap:
+		return "hash:" + tableFingerprint(&mm.t, "%x=%x;")
+	case *ArrayMap:
+		return fmt.Sprintf("array:%x", mm.values)
+	case *PerTaskMap:
+		return "pertask:" + tableFingerprint(&mm.t, "%d=%x;")
+	case *PerCPURing:
+		// Per-CPU counters first (Drain moves them), then every ring's
+		// contents in CPU order: routing, overwrites and payloads all show.
+		st := mm.AppendCPUStats(nil)
+		var all Batch
+		for cpu := range st {
+			mm.DrainBatch(cpu, &all, 0)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "ring:%+v:", st)
+		for i := 0; i < all.Len(); i++ {
+			fmt.Fprintf(&b, "%x ", all.Sample(i))
+		}
+		return b.String()
+	default:
+		return fmt.Sprintf("unknown:%s", m.Name())
+	}
+}
+
+// variantResult is one program execution observed in full.
+type variantResult struct {
+	r0    uint64
+	cost  int64
+	err   error
+	trace []HelperCall
+	maps  []string
+}
+
+// runExecVariant runs insns against a fresh kernel, task, and map table so
+// both sides of a differential comparison start from identical state;
+// compile selects the JIT.
+func runExecVariant(tb testing.TB, name string, insns []Insn, seed int64, compile bool) variantResult {
+	if compile {
+		return runExecVariantOn(tb, sim.LargeHW, name, insns, seed, jit)
+	}
+	return runExecVariantOn(tb, sim.LargeHW, name, insns, seed, nil)
+}
+
+// jit compiles lp the way a deploy does.
+func jit(lp *LoadedProgram) error {
+	_, err := lp.Compile()
+	return err
+}
+
+// runExecVariantOn is runExecVariant on a chosen hardware profile, with
+// compile the JIT to run (nil interprets). A verified program always
+// compiles, so a compile error fails tb.
+func runExecVariantOn(tb testing.TB, hw sim.HardwareProfile, name string, insns []Insn, seed int64, compile func(*LoadedProgram) error) variantResult {
+	tb.Helper()
+	p := &Program{Name: name, Insns: insns, Maps: newGenMaps()}
+	lp, err := Load(p, fuzzMaxInsns)
+	if err != nil {
+		return variantResult{err: err}
+	}
+	if compile != nil {
+		if err := compile(lp); err != nil {
+			tb.Fatalf("verified program does not compile: %v\n%s", err, p.Disassemble())
+		}
+	}
+	lp.SetCallTrace(true)
+	k := kernel.New(hw, seed, 0)
+	task := k.NewTask("variant")
+	r0, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
+	res := variantResult{r0: r0, cost: cost, err: rerr, trace: lp.CallTrace()}
+	for _, m := range p.Maps {
+		res.maps = append(res.maps, mapFingerprint(m))
+	}
+	return res
 }
 
 func genMapsBuilder(name string) *Builder {
@@ -167,7 +268,7 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 	// programs are only refused, not run.
 	t.Run("malformed-control-flow", func(t *testing.T) {
 		p := &Program{Name: "jit/wild-jump", Insns: []Insn{
-			{Op: OpJa, Off: 5},
+			{Op: OpJeqImm, Off: 5},
 			{Op: OpExit},
 		}}
 		wantCompileError(t, &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns)), analysis: &Analysis{}}, 0)
@@ -230,9 +331,9 @@ func runsInterpreted(t *testing.T, lp *LoadedProgram) (uint64, error) {
 }
 
 // TestCompileGeneratedProgramsAgree sweeps the constructive generator as an
-// inline differential oracle (the always-on complement of FuzzOptimize's
-// compiled mode); the oracle fails on any generated program that does not
-// compile.
+// inline differential oracle (the always-on complement of
+// FuzzVerifyThenRun); the oracle fails on any generated program that does
+// not compile.
 func TestCompileGeneratedProgramsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
 		p := genProgram(seed, int(seed%40)+1)
@@ -349,10 +450,10 @@ var updateJITCorpus = flag.Bool("update-jit-corpus", false,
 	"rewrite the pinned JIT regression corpus entries under testdata")
 
 // jitRegressionCorpus maps each named interpreter-vs-JIT regression to its
-// pinned FuzzOptimize corpus entry. The entries use raw mode (seed < 0:
-// the byte payload is the wire-encoded program), so the exact
-// divergence-triggering instruction sequences keep being revisited by the
-// fuzzer even as the generator and mutator evolve.
+// pinned FuzzVerify corpus entry. An entry is the wire-encoded program, so
+// the exact divergence-triggering instruction sequences keep being
+// revisited by the fuzzer — whose accept side runs the interpreter-vs-JIT
+// differential — even as the generator and mutator evolve.
 func jitRegressionCorpus() map[string]*Program {
 	return map[string]*Program{
 		"seed-jit-high-bit":        jitHighBitProgram(),
@@ -369,9 +470,8 @@ func jitRegressionCorpus() map[string]*Program {
 //	go test ./internal/bpf -run CorpusPinned -update-jit-corpus
 func TestCompileRegressionCorpusPinned(t *testing.T) {
 	for name, p := range jitRegressionCorpus() {
-		path := filepath.Join("testdata", "fuzz", "FuzzOptimize", name)
-		entry := fmt.Sprintf("go test fuzz v1\nint64(-1)\nbyte('\\x00')\n[]byte(%q)\n",
-			encodeInsns(p.Insns))
+		path := filepath.Join("testdata", "fuzz", "FuzzVerify", name)
+		entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", encodeInsns(p.Insns))
 		if *updateJITCorpus {
 			if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
 				t.Fatalf("write %s: %v", path, err)
@@ -409,33 +509,30 @@ func TestCostRoundsHalfUp(t *testing.T) {
 	}
 }
 
-// isolateInsns pads p with a `ja +0` in front of every instruction that
-// compiles to a micro-op — everything but Ja and Exit, conditional jumps
-// included — and retargets p's own jumps onto the pads. Every such pc is
-// then a jump target whose successor is a Ja or Exit, so each one compiles
-// to a block of exactly one micro-op.
-func isolateInsns(p *Program) *Program {
-	straight := func(in Insn) bool { return in.Op != OpJa && in.Op != OpExit }
-	newPC := make([]int, len(p.Insns))
-	n := 0
-	for pc, in := range p.Insns {
-		newPC[pc] = n
-		if straight(in) {
-			n++
+// decodeIsolated is decode with every pc a jump target, so each reached
+// instruction that compiles to a micro-op is a block of exactly one.
+func decodeIsolated(lp *LoadedProgram) (*compiler, error) {
+	n := len(lp.prog.Insns)
+	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis,
+		fns: make([]copFn, n), ops: make([]microOp, n), isTarget: make([]bool, n)}
+	for pc, in := range cc.p.Insns {
+		cc.isTarget[pc] = true
+		if err := cc.compileInsn(pc, in); err != nil {
+			return nil, err
 		}
-		n++
 	}
-	out := make([]Insn, 0, n)
-	for pc, in := range p.Insns {
-		if straight(in) {
-			out = append(out, Insn{Op: OpJa})
-		}
-		if isJump(in.Op) {
-			in.Off = int32(newPC[pc+1+int(in.Off)] - (len(out) + 1))
-		}
-		out = append(out, in)
+	return cc, nil
+}
+
+// compileIsolated is Compile from decodeIsolated's blocks of one.
+func compileIsolated(lp *LoadedProgram) error {
+	cc, err := decodeIsolated(lp)
+	if err != nil {
+		return err
 	}
-	return &Program{Name: p.Name, Insns: out, Maps: p.Maps}
+	cc.fuse()
+	lp.analysis, lp.compiled = nil, cc.fns[0]
+	return nil
 }
 
 // singleInsnBlocksProgram touches every micro-op family once; r9
@@ -515,13 +612,14 @@ func singleInsnBlocksProgram() *Program {
 	b.LoadMapPtr(R1, genMapPerCPU).MovReg(R2, R10).Sub(R2, 32).Mov(R3, 24).Call(HelperPerfOutput)
 	acc(R0)
 	b.MovReg(R0, R9).Exit()
-	return isolateInsns(b.MustBuild())
+	return b.MustBuild()
 }
 
-// TestSingleInstructionBlocksAgree runs a program in which every block has
-// length 1, so each micro kind family — a conditional jump's branch
-// micro-op like any other — executes as a block of its own and must match
-// the interpreter on R0, cost, helper trace and map end-states.
+// TestSingleInstructionBlocksAgree compiles a program so that every block
+// has length 1 (decodeIsolated), so each micro kind family — a conditional
+// jump's branch micro-op like any other — executes as a block of its own
+// and must match the interpreter on R0, cost, helper trace and map
+// end-states.
 // (Branches in the middle of longer blocks are TestBranchMicroOps' job.)
 func TestSingleInstructionBlocksAgree(t *testing.T) {
 	p := singleInsnBlocksProgram()
@@ -529,7 +627,7 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v\n%s", err, p.Disassemble())
 	}
-	cc, err := lp.decode()
+	cc, err := decodeIsolated(lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,11 +644,6 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 			}
 		}
 	}
-	for pc := range p.Insns {
-		if n := len(cc.run(pc)); n > 1 {
-			t.Fatalf("pc %d starts a block of %d instructions, want 1", pc, n)
-		}
-	}
 	// Every single-instruction kind (the ones before the pattern super-ops,
 	// less the blank gaps retired kinds left) and all four impure helper
 	// call sites.
@@ -564,7 +657,11 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 	if helperCalls != 4 {
 		t.Fatalf("%d proven impure helper calls, want 4", helperCalls)
 	}
-	assertCompiledAgreement(t, p, 5)
+	ir := runExecVariant(t, p.Name, p.Insns, 5, false)
+	cr := runExecVariantOn(t, sim.LargeHW, p.Name, p.Insns, 5, compileIsolated)
+	if ir.err != nil || !reflect.DeepEqual(ir, cr) {
+		t.Fatalf("diverged:\ninterp   %+v\ncompiled %+v\n%s", ir, cr, p.Disassemble())
+	}
 }
 
 // branchProgram builds a program whose block at "head" holds one
@@ -590,7 +687,8 @@ func branchProgram(op Op, b int64, pos string) (*Program, int) {
 		// which ends the block right after the jump.
 		bl.Jeq(R6, 99, "fall")
 	}
-	bl.Ja("head").Label("head")
+	// Never taken (r6 = 2), but it makes "head" a jump target.
+	bl.Jeq(R6, 99, "head").Label("head")
 	if pos != "first" {
 		bl.Add(R9, 1).StoreImm(R10, -8, 7).Lsh(R9, 1)
 	}
@@ -601,7 +699,7 @@ func branchProgram(op Op, b int64, pos string) (*Program, int) {
 	}
 	bl.Label("fall").Add(R9, 16)
 	emit()
-	bl.Ja("done")
+	bl.Jne(R6, 99, "done") // always taken
 	bl.Label("out").Add(R9, 1000)
 	emit()
 	bl.Label("done").MovReg(R0, R9).Exit()
@@ -620,7 +718,7 @@ func TestBranchMicroOps(t *testing.T) {
 	unit.BPFInsnNS = 1
 	ops := 0
 	for op := OpInvalid; op <= OpExit; op++ {
-		if !isCondJump(op) {
+		if !isJump(op) {
 			continue
 		}
 		ops++
@@ -654,8 +752,8 @@ func TestBranchMicroOps(t *testing.T) {
 				if !at[pos] {
 					t.Fatalf("%s: branch is op %d of a %d-op block", p.Name, jpc-head, len(run))
 				}
-				ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, false)
-				cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, true)
+				ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, nil)
+				cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, jit)
 				if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 					t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
 				}

@@ -17,7 +17,7 @@ const maxCycleOps = 110
 
 // TestMarkerCycleDispatchedOps pins the dispatch count of the marker cycle
 // BenchmarkCollectorInterpVsCompiled times: the programs tscout's
-// loadMarkerPrograms loads (unoptimized, every probe on), driven through
+// loadMarkerPrograms loads (every probe on), driven through
 // the compiled form with each micro-op a block of its own. The cycle must
 // also return the interpreter's R0 and cost on a twin set of programs. The
 // benchmark's own timing swings too much to gate on, so the count is the

@@ -2,7 +2,6 @@ package bpf
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"tscout/internal/kernel"
@@ -147,25 +146,6 @@ func DispatchedOps(lp *LoadedProgram, task *kernel.Task, args []uint64) (ops int
 	return ops, ec.regs[R0], costNS, nil
 }
 
-// PtrALU returns lp's per-pc pointer-ALU facts.
-func PtrALU(lp *LoadedProgram) []bool { return lp.ptrALU }
-
-// ProofDiff names the first part of the analysis got keeps that differs
-// from want's, or returns "": the program it proves, the in-states (their
-// number included) and the conditional edges.
-func ProofDiff(got, want *LoadedProgram) string {
-	g, w := got.analysis, want.analysis
-	switch {
-	case g.prog != got.prog:
-		return "the proof is of another program"
-	case !slices.Equal(g.states, w.states):
-		return fmt.Sprintf("in-states differ (%d kept, want %d)", len(g.states), len(w.states))
-	case !slices.Equal(g.condTaken, w.condTaken) || !slices.Equal(g.condFall, w.condFall):
-		return "conditional edges differ"
-	}
-	return ""
-}
-
 // MicroOps renders what Compile would build from lp, pc by pc: every fused
 // block's micro-ops after both peephole passes with their resolved
 // operands (a closure shows only as present), and "term" for each
@@ -200,37 +180,6 @@ func LivenessAgrees(p *Program) string { return livenessDiff(p) }
 // AnalysesAgree runs Analyze and its oracle (verifier_oracle_test.go) on p
 // and describes their first disagreement, or returns "".
 func AnalysesAgree(p *Program) string { return diffAnalyses(p, 0) }
-
-// SetRoundHook makes f rewrite the program every changing optimizer round
-// builds, until the returned function removes it.
-func SetRoundHook(f func(round int, p *Program) *Program) (restore func()) {
-	testRoundHook = f
-	return func() { testRoundHook = nil }
-}
-
-// DropFirstNullCheck returns p without the first null check of a map
-// lookup result whose error path has another way in — what a broken
-// optimizer pass might emit. The program still has no unreachable
-// instruction, so its rejection is the missing check.
-func DropFirstNullCheck(p *Program) *Program {
-	preds := make([]int, len(p.Insns))
-	for pc, in := range p.Insns {
-		succs, k := cfgSuccs(in, pc)
-		for _, s := range succs[:k] {
-			preds[s]++
-		}
-	}
-	drop := make([]bool, len(p.Insns))
-	for pc := 1; pc < len(p.Insns); pc++ {
-		call, in := p.Insns[pc-1], p.Insns[pc]
-		if call.Op == OpCall && call.Imm == HelperMapLookup &&
-			in.Op == OpJeqImm && in.Dst == R0 && in.Imm == 0 && preds[pc+1+int(in.Off)] > 1 {
-			drop[pc] = true
-			break
-		}
-	}
-	return rebuild(p, p.Insns, drop)
-}
 
 // RunInterpreted executes the program through the interpreter even when a
 // compiled form exists — the reference semantics the differential oracles

@@ -41,12 +41,12 @@ func fusedKinds(t *testing.T, p *Program) (kinds map[microKind]int, runLens []ui
 // agreeAtUnitCost runs p interpreted and compiled at 1 ns per instruction,
 // where one miscounted instruction changes the cost, and requires the two
 // to agree on everything observable.
-func agreeAtUnitCost(t *testing.T, p *Program) optVariantResult {
+func agreeAtUnitCost(t *testing.T, p *Program) variantResult {
 	t.Helper()
 	unit := sim.LargeHW
 	unit.BPFInsnNS = 1
-	ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, false)
-	cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, true)
+	ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, nil)
+	cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, jit)
 	if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 		t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
 	}

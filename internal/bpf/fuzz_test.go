@@ -79,7 +79,7 @@ func FuzzVerify(f *testing.F) {
 	}
 	// Historical near-misses: backward jump, cond jump last,
 	// store through scalar, read of uninitialized stack.
-	f.Add(encodeInsns([]Insn{{Op: OpJa, Off: -1}}))
+	f.Add(encodeInsns([]Insn{{Op: OpJeqImm, Off: -1}}))
 	f.Add(encodeInsns([]Insn{{Op: OpMovImm, Dst: R0}, {Op: OpJeqImm, Dst: R0}}))
 	f.Add(encodeInsns([]Insn{{Op: OpStore, Dst: R1, Src: R2}, {Op: OpExit}}))
 	f.Add(encodeInsns([]Insn{{Op: OpLoad, Dst: R0, Src: R10, Off: -8}, {Op: OpExit}}))

@@ -133,8 +133,7 @@ func TestReadCounterOutOfRange(t *testing.T) {
 // TestGeneratorEmitsFusedShapes: the generator's Collector shapes must
 // reach the peephole as the super-ops they exist for — I/O probe triples,
 // copy and delta runs, the guard ladder, map calls with the code around
-// them — so FuzzVerifyThenRun and
-// FuzzOptimize compare each with the interpreter.
+// them — so FuzzVerifyThenRun compares each with the interpreter.
 func TestGeneratorEmitsFusedShapes(t *testing.T) {
 	want := []microKind{muIOACStore, muSockStore, muLoadObjStoreRun, muDeltaObjRun, muArgLadder, muCallFrame}
 	seen := map[microKind]int{}

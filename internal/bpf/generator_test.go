@@ -482,7 +482,9 @@ func (g *progGen) genPointerWalk() {
 }
 
 // genBranch emits an if/else over a scalar, generating both arms and
-// merging the mirrored state the way the verifier joins them.
+// merging the mirrored state the way the verifier joins them. Every jump
+// is conditional, so the then arm leaves through a second one over the
+// else arm, and the else arm is entered from either arm's state.
 func (g *progGen) genBranch() {
 	cond := g.scalarReg()
 	lElse, lEnd := g.label("else"), g.label("end")
@@ -494,10 +496,11 @@ func (g *progGen) genBranch() {
 	for i := g.rng.Intn(3) + 1; i > 0; i-- {
 		g.genLinearStep()
 	}
+	cond = g.scalarReg()
+	jumps[g.rng.Intn(len(jumps))](cond, g.smallImm(), lEnd)
 	thenSt := g.st
-	g.b.Ja(lEnd)
 	g.b.Label(lElse)
-	g.st = pre
+	g.st = mergeGenState(pre, thenSt)
 	for i := g.rng.Intn(3); i > 0; i-- {
 		g.genLinearStep()
 	}

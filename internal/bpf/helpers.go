@@ -96,8 +96,8 @@ const (
 
 // HelperSpec describes a helper's signature and kernel-space cost. Pure
 // helpers only read task/kernel state and write R0 — they have no effect
-// observable outside the invocation, so the optimizer may delete a call
-// whose result is dead. Map helpers are all impure: even lookup can
+// observable outside the invocation, so Lint flags a call whose result is
+// dead. Map helpers are all impure: even lookup can
 // materialize state (PerTaskMap auto-creates the slot on first lookup).
 type HelperSpec struct {
 	Name   string

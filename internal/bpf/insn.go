@@ -91,9 +91,9 @@ const (
 	// imm in dst (the LD_IMM64 map-fd pseudo-instruction in real BPF).
 	OpLoadMapPtr
 
-	// Jumps: relative to the next instruction, in instructions. Every
-	// comparison is unsigned.
-	OpJa
+	// Jumps: conditional, relative to the next instruction, in
+	// instructions. Every comparison is unsigned.
+	_ // 28
 	OpJeqImm
 	OpJeqReg
 	OpJneImm
@@ -120,7 +120,7 @@ var opNames = map[Op]string{
 	OpSubImm: "sub", OpSubReg: "subr", OpMulReg: "mulr", OpDivReg: "divr",
 	OpLshImm: "lsh", OpRshImm: "rsh",
 	OpLoad: "ldx", OpStore: "stx", OpStoreImm: "st", OpLoadMapPtr: "ldmap",
-	OpJa: "ja", OpJeqImm: "jeq", OpJeqReg: "jeqr", OpJneImm: "jne",
+	OpJeqImm: "jeq", OpJeqReg: "jeqr", OpJneImm: "jne",
 	OpJneReg: "jner", OpJgtImm: "jgt", OpJgeImm: "jge", OpJleImm: "jle",
 	OpCall: "call", OpExit: "exit",
 }
@@ -144,8 +144,6 @@ func (i Insn) String() string {
 		return name
 	case OpCall:
 		return fmt.Sprintf("%s %d", name, i.Imm)
-	case OpJa:
-		return fmt.Sprintf("%s %+d", name, i.Off)
 	case OpLoad:
 		return fmt.Sprintf("%s r%d, [r%d%+d]", name, i.Dst, i.Src, i.Off)
 	case OpStore:
@@ -170,13 +168,11 @@ func (i Insn) String() string {
 
 func isJump(op Op) bool {
 	switch op {
-	case OpJa, OpJeqImm, OpJeqReg, OpJneImm, OpJneReg, OpJgtImm, OpJgeImm, OpJleImm:
+	case OpJeqImm, OpJeqReg, OpJneImm, OpJneReg, OpJgtImm, OpJgeImm, OpJleImm:
 		return true
 	}
 	return false
 }
-
-func isCondJump(op Op) bool { return isJump(op) && op != OpJa }
 
 func isRegSrc(op Op) bool {
 	switch op {

@@ -2,7 +2,7 @@ package bpf
 
 import "fmt"
 
-// Lint runs the same dataflow facts the verifier and optimizer use and
+// Lint runs the same dataflow facts the verifier and JIT use and
 // reports *suspicious but legal* constructs as structured diagnostics,
 // the queryable analysis surface TAAF argues for: a bare accept/reject
 // bit hides exactly the information a Codegen author needs to see.
@@ -75,7 +75,7 @@ func Lint(p *Program, maxInsns int) ([]Finding, error) {
 			usedMaps[in.Imm] = true
 		}
 		switch {
-		case isCondJump(in.Op):
+		case isJump(in.Op):
 			taken, fall := a.CondEdges(pc)
 			if taken && !fall {
 				add(pc, RuleBranchAlways, SevWarn, "%q is always taken", in.String())
@@ -122,4 +122,31 @@ func Lint(p *Program, maxInsns int) ([]Finding, error) {
 		}
 	}
 	return out, nil
+}
+
+// foldableConst reports whether the scalar ALU instruction at pc always
+// produces the same value, using the analysis in-state.
+func (a *Analysis) foldableConst(pc int, in Insn) (int64, bool) {
+	st := &a.states[pc]
+	dst := st.regs[in.Dst]
+	var src regState
+	if isRegSrc(in.Op) {
+		src = st.regs[in.Src]
+	} else {
+		src = constReg(in.Imm)
+	}
+	if in.Op == OpMovReg {
+		if src.kind == rkScalar && src.vr.IsConst() {
+			return int64(src.vr.Const()), true
+		}
+		return 0, false
+	}
+	if dst.kind != rkScalar || src.kind != rkScalar {
+		return 0, false
+	}
+	out := vrTransfer(in.Op, dst.vr, src.vr)
+	if out.IsConst() {
+		return int64(out.Const()), true
+	}
+	return 0, false
 }

@@ -3,8 +3,8 @@ package bpf
 // Backward liveness over a verified program, computed from an Analysis in
 // one reverse pass. The pass works on the *static* CFG (no feasibility
 // pruning): using a superset of the real edges can only mark more things
-// live, which is the conservative direction for the dead-code eliminator
-// built on top.
+// live, which is the conservative direction for Lint's dead-store and
+// dead-code rules built on top.
 //
 // Liveness is tracked at two granularities: a register bitmask and a
 // per-byte bitset over the 512-byte stack. Stack accesses are resolved
@@ -132,9 +132,7 @@ func (a *Analysis) effects(pc int) insnEffects {
 		// Stores through map-value pointers escape the invocation; the
 		// stored register is already in useRegs.
 
-	case in.Op == OpJa:
-		// no effects
-	case isCondJump(in.Op):
+	case isJump(in.Op):
 		e.useRegs = regBit(in.Dst)
 		if isRegSrc(in.Op) {
 			e.useRegs |= regBit(in.Src)

@@ -17,10 +17,9 @@ type VerifyError struct {
 	Msg  string
 }
 
-func (e *VerifyError) Error() string { return fmt.Sprintf("%v: %s", ErrVerification, e.at()) }
-
-// at names the pc, the instruction and the reason.
-func (e *VerifyError) at() string { return fmt.Sprintf("insn %d (%s): %s", e.PC, e.Insn, e.Msg) }
+func (e *VerifyError) Error() string {
+	return fmt.Sprintf("%v: insn %d (%s): %s", ErrVerification, e.PC, e.Insn, e.Msg)
+}
 
 func (e *VerifyError) Unwrap() error { return ErrVerification }
 
@@ -321,7 +320,7 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 		}
 		return 0, nil
 
-	case isCondJump(insn.Op):
+	case isJump(insn.Op):
 		if err := requireInit(pc, in, insn.Dst, "jump"); err != nil {
 			return 0, err
 		}
@@ -481,10 +480,6 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 		default:
 			return 0, verr(pc, "store through %s", base.kind)
 		}
-		return 1, nil
-
-	case insn.Op == OpJa:
-		out[0].pc = pc + 1 + int(insn.Off)
 		return 1, nil
 
 	case insn.Op == OpCall:

@@ -69,7 +69,8 @@ func TestVerifyWriteToR10(t *testing.T) {
 
 func TestVerifyJumpOutOfRange(t *testing.T) {
 	p := &Program{Name: "jmp", Insns: []Insn{
-		{Op: OpJa, Off: 5},
+		{Op: OpMovImm, Dst: R0, Imm: 0},
+		{Op: OpJeqImm, Dst: R0, Off: 5},
 		{Op: OpExit},
 	}}
 	mustReject(t, p, "out of range")
@@ -100,8 +101,7 @@ func TestVerifyRejectsBackEdges(t *testing.T) {
 		pc   int
 		jump Insn
 	}{
-		{"self", 1, Insn{Op: OpJa, Off: -1}},
-		{"ja", 1, Insn{Op: OpJa, Off: -2}},
+		{"self", 1, Insn{Op: OpJeqImm, Dst: R0, Off: -1}},
 		{"conditional", 1, Insn{Op: OpJneImm, Dst: R0, Imm: 10, Off: -2}},
 	} {
 		p := &Program{Name: "loop/" + c.name, Insns: []Insn{
@@ -493,7 +493,7 @@ func TestVerifyRegisterRange(t *testing.T) {
 }
 
 func TestBuilderErrors(t *testing.T) {
-	if _, err := NewBuilder("x").Ja("nowhere").Exit().Build(); err == nil {
+	if _, err := NewBuilder("x").Mov(R0, 0).Jeq(R0, 0, "nowhere").Exit().Build(); err == nil {
 		t.Fatalf("undefined label must fail assembly")
 	}
 	b := NewBuilder("y").Label("l").Label("l")

@@ -81,10 +81,10 @@ type LoadedProgram struct {
 	runtimeFaults int64
 
 	// Optional side-effect trace, used by the differential fuzzers to
-	// compare original and optimized programs: every successful call to a
+	// compare the interpreter with the JIT: every successful call to a
 	// non-Pure helper is recorded with its consumed arguments and return
-	// value. Pure helper calls are omitted deliberately — the optimizer is
-	// allowed to delete them when their result is dead.
+	// value. Pure helper calls have no effect outside the invocation and
+	// are omitted.
 	traceOn bool
 	trace   []HelperCall
 }
@@ -108,31 +108,14 @@ func (lp *LoadedProgram) recordCall(ec *execState, id int64) {
 // Load verifies p and returns an executable handle. maxInsns of 0 uses
 // DefaultMaxInsns. This is the moment the real kernel would also JIT the
 // bytecode; the simulator interprets instead and charges per-instruction
-// virtual time.
+// virtual time. The handle keeps the analysis that proved p — the only way
+// a LoadedProgram gets one, so Compile's elisions always rest on a proof
+// of the instructions it compiles.
 func Load(p *Program, maxInsns int) (*LoadedProgram, error) {
 	a, err := Analyze(p, maxInsns)
 	if err != nil {
 		return nil, err
 	}
-	return loaded(a), nil
-}
-
-// LoadOptimized is Load(Optimize(p, maxInsns)) with one analysis fewer:
-// the analysis that proved the optimizer's final program is the proof the
-// LoadedProgram keeps. It returns the same instructions, stats and errors.
-func LoadOptimized(p *Program, maxInsns int) (*LoadedProgram, OptStats, error) {
-	a, stats, err := optimize(p, maxInsns)
-	if err != nil {
-		return nil, stats, err
-	}
-	return loaded(a), stats, nil
-}
-
-// loaded wraps a.prog with the analysis Analyze proved it with — the only
-// way a LoadedProgram gets an analysis, so Compile's elisions always rest
-// on a proof of the instructions it compiles.
-func loaded(a *Analysis) *LoadedProgram {
-	p := a.prog
 	ptrALU := make([]bool, len(p.Insns))
 	for pc, in := range p.Insns {
 		if !isALU(in.Op) || in.Op == OpMovImm || in.Op == OpMovReg || !a.Reached(pc) {
@@ -141,7 +124,7 @@ func loaded(a *Analysis) *LoadedProgram {
 		k := a.states[pc].regs[in.Dst].kind
 		ptrALU[pc] = k == rkPtrStack || k == rkPtrMapValue
 	}
-	return &LoadedProgram{prog: p, ptrALU: ptrALU, analysis: a}
+	return &LoadedProgram{prog: p, ptrALU: ptrALU, analysis: a}, nil
 }
 
 // Program returns the underlying program.
@@ -290,9 +273,7 @@ func (lp *LoadedProgram) runInterp(task *kernel.Task, args []uint64) (uint64, in
 			}
 			pc++
 
-		case in.Op == OpJa:
-			pc += 1 + int(in.Off)
-		case isCondJump(in.Op):
+		case isJump(in.Op):
 			var b uint64
 			if isRegSrc(in.Op) {
 				b = ec.regs[in.Src]

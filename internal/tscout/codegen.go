@@ -26,10 +26,6 @@ type Collector struct {
 	End      *bpf.LoadedProgram
 	Features *bpf.LoadedProgram
 
-	// OptStats records what the optional bpf.Optimize pass removed from
-	// each program before loading (zero when optimization is disabled).
-	OptStats CollectorOptStats
-
 	// jitEnabled records whether GenerateCollector JIT-compiled the
 	// programs; per-program sizes and dispatch counts live on the
 	// LoadedPrograms themselves (see JITStats).
@@ -45,7 +41,7 @@ type Collector struct {
 }
 
 // CollectorConfig is the single codegen configuration surface: it sizes
-// the per-CPU ring set and selects the optional optimization pass.
+// the per-CPU ring set and selects the JIT.
 type CollectorConfig struct {
 	// NumCPUs is the number of per-CPU rings to create (one per simulated
 	// CPU); values below 1 are clamped to 1.
@@ -53,32 +49,12 @@ type CollectorConfig struct {
 	// PerCPUCapacity bounds each individual CPU ring in samples; values
 	// below 1 are clamped to 1.
 	PerCPUCapacity int
-	// Optimize runs the liveness-driven optimizer (bpf.Optimize) on each
-	// generated program before it is loaded, shrinking the marker hot
-	// path. The optimized program loads with the analysis that proved it,
-	// so an enabled pass can never load a program the verifier would
-	// reject.
-	Optimize bool
 	// Compile JIT-compiles each loaded program to native micro-op blocks
 	// (bpf.LoadedProgram.Compile), eliding the checks the verifier's proof
 	// already covers. A verified program always compiles; a Compile error
 	// is a verification error and fails GenerateCollector, so no Collector
 	// is left interpreted.
 	Compile bool
-}
-
-// CollectorOptStats aggregates the optimizer's per-program savings for one
-// Collector; surfaced through ProcessorStats and `tsctl stats`.
-type CollectorOptStats struct {
-	Enabled  bool
-	Begin    bpf.OptStats
-	End      bpf.OptStats
-	Features bpf.OptStats
-}
-
-// Saved returns the total instructions removed across the three programs.
-func (s CollectorOptStats) Saved() int {
-	return s.Begin.Saved() + s.End.Saved() + s.Features.Saved()
 }
 
 // CollectorJITStats aggregates per-program compiled sizes and
@@ -217,23 +193,16 @@ func collectorSkeleton(sub SubsystemID, res ResourceSet, numCPUs, perCPUCap int)
 // GenerateCollector runs TScout's Codegen for one subsystem: it emits the
 // three marker programs tailored to the subsystem's resource set (probes
 // for unchecked resources are simply not compiled in, Fig. 3), sizes the
-// per-CPU ring set from cfg, optionally runs the optimization pass
-// (recording its per-program savings on the Collector), and loads the
-// programs through the BPF verifier.
+// per-CPU ring set from cfg, and loads the programs through the BPF
+// verifier. Codegen emits each program in its final form — no store it
+// makes is dead (`tsctl vet` lints every one) — so nothing rewrites a
+// program between codegen and the verifier.
 func GenerateCollector(sub SubsystemID, res ResourceSet, cfg CollectorConfig) (*Collector, error) {
 	c := collectorSkeleton(sub, res, cfg.NumCPUs, cfg.PerCPUCapacity)
-	c.OptStats.Enabled = cfg.Optimize
 	c.jitEnabled = cfg.Compile
-	load := func(name string, p *bpf.Program, st *bpf.OptStats) (*bpf.LoadedProgram, error) {
-		var lp *bpf.LoadedProgram
-		var err error
-		if cfg.Optimize {
-			// The analysis that proved the optimized program is the one
-			// it loads with: no second pass over the same instructions.
-			if lp, *st, err = bpf.LoadOptimized(p, 0); err != nil {
-				return nil, fmt.Errorf("%s program (optimize): %w", name, err)
-			}
-		} else if lp, err = bpf.Load(p, 0); err != nil {
+	load := func(name string, p *bpf.Program) (*bpf.LoadedProgram, error) {
+		lp, err := bpf.Load(p, 0)
+		if err != nil {
 			return nil, fmt.Errorf("%s program: %w", name, err)
 		}
 		if cfg.Compile {
@@ -244,13 +213,13 @@ func GenerateCollector(sub SubsystemID, res ResourceSet, cfg CollectorConfig) (*
 		return lp, nil
 	}
 	var err error
-	if c.Begin, err = load("BEGIN", c.genBegin(), &c.OptStats.Begin); err != nil {
+	if c.Begin, err = load("BEGIN", c.genBegin()); err != nil {
 		return nil, err
 	}
-	if c.End, err = load("END", c.genEnd(), &c.OptStats.End); err != nil {
+	if c.End, err = load("END", c.genEnd()); err != nil {
 		return nil, err
 	}
-	if c.Features, err = load("FEATURES", c.genFeatures(), &c.OptStats.Features); err != nil {
+	if c.Features, err = load("FEATURES", c.genFeatures()); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -436,13 +405,14 @@ func emitNormCounter(b *bpf.Builder, ctr kernel.Counter, dstOff int32) {
 }
 
 // emitProbeSnapshot fills entry words [entCounter..entSockS] at base with
-// the current probe readings. The whole probe area is zero-filled first and
-// enabled probes overwrite their words: unmonitored resources read as zero
-// with no per-resource branching, and the optimizer's dead-store pass
-// deletes every zero store that an enabled probe shadows.
+// the current probe readings. The words of unmonitored resources are
+// zero-filled first, so they read as zero with no per-resource branching;
+// enabled probes then store their own words.
 func (c *Collector) emitProbeSnapshot(b *bpf.Builder, base int32) {
 	for w := entCounter; w <= entSockS; w++ {
-		b.StoreImm(bpf.R10, base+int32(w)*8, 0)
+		if !c.probesWord(w) {
+			b.StoreImm(bpf.R10, base+int32(w)*8, 0)
+		}
 	}
 	if c.Resources.CPU {
 		for i, ctr := range kernel.AllCounters {
@@ -460,6 +430,18 @@ func (c *Collector) emitProbeSnapshot(b *bpf.Builder, base int32) {
 			Store(bpf.R10, base+entSockR*8, bpf.R0).
 			Mov(bpf.R1, bpf.SockBytesSent).Call(bpf.HelperReadSock).
 			Store(bpf.R10, base+entSockS*8, bpf.R0)
+	}
+}
+
+// probesWord reports whether an enabled probe stores entry word w.
+func (c *Collector) probesWord(w int) bool {
+	switch {
+	case w < entIOACR:
+		return c.Resources.CPU
+	case w < entSockR:
+		return c.Resources.Disk
+	default:
+		return c.Resources.Network
 	}
 }
 
@@ -659,7 +641,7 @@ func (c *Collector) genEnd() *bpf.Program {
 	// common reset (a dropped or never-recorded BEGIN, not a lost entry).
 	b.Label("err_ewb")
 	emitSlotInc(b, errIdx, slotEndWithoutBegin, "ewb_done")
-	b.Ja("err_reset")
+	// ...and falls through into it.
 	c.emitResetEpilogue(b, entriesIdx, errIdx, 0, "err_reset", "reset_done")
 	c.emitErrorEpilogue(b, errIdx, slotEarlyErrors, "err_early", "early_done")
 	return b.MustBuild()
@@ -682,13 +664,9 @@ func (c *Collector) genFeatures() *bpf.Program {
 	c.prologue(b, depthIdx, "err_early")
 	b.Jeq(bpf.R8, 0, "err_reset")
 
-	// Zero the sample's fixed words up front; the header and metric stores
-	// below overwrite the live ones (the optimizer deletes the shadowed
-	// zeros), and anything left — the flags word, metrics of unmonitored
-	// resources — reads as zero by construction.
-	for w := 0; w < sampleFixedWords; w++ {
-		b.StoreImm(bpf.R10, offSample+int32(w)*8, 0)
-	}
+	// Sample word 2 (flags) is zero; every other fixed word is stored
+	// below, on the path to perf_event_output.
+	b.StoreImm(bpf.R10, offSample+16, 0)
 
 	// Sample word 1: pid. The Collector's maps are keyed by generation,
 	// but the archived sample carries the familiar pid.

@@ -248,108 +248,3 @@ func TestMarkerFusedVector(t *testing.T) {
 		t.Fatalf("state-machine errors: %d", got)
 	}
 }
-
-// TestCodegenOptimizeSweep runs every subsystem × resource mask through
-// code generation with the optimizer on: all three programs must verify,
-// the optimizer must remove a nonzero number of instructions from each
-// (the up-front zero-fills guarantee shadowed stores exist), and the
-// optimized output must be lint-clean — if the optimizer left behind
-// something lint can see, it did not reach its fixpoint.
-func TestCodegenOptimizeSweep(t *testing.T) {
-	for _, sub := range AllSubsystems {
-		for mask := 0; mask < 16; mask++ {
-			res := ResourceSet{
-				CPU: mask&1 != 0, Memory: mask&2 != 0,
-				Disk: mask&4 != 0, Network: mask&8 != 0,
-			}
-			col, err := GenerateCollector(sub, res, CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Optimize: true})
-			if err != nil {
-				t.Fatalf("%s mask %d: %v", sub, mask, err)
-			}
-			if !col.OptStats.Enabled {
-				t.Fatalf("%s mask %d: OptStats.Enabled not set", sub, mask)
-			}
-			// FEATURES always shrinks: its header and metric stores shadow
-			// the up-front zero-fill. BEGIN/END only have shadowed stores
-			// when at least one kernel-level probe overwrites its zeros.
-			if st := col.OptStats.Features; st.Saved() <= 0 || st.AfterInsns >= st.BeforeInsns {
-				t.Errorf("%s mask %d: optimizer saved nothing in features: %+v", sub, mask, st)
-			}
-			if res.CPU || res.Disk || res.Network {
-				for name, st := range map[string]bpf.OptStats{
-					"begin": col.OptStats.Begin, "end": col.OptStats.End,
-				} {
-					if st.Saved() <= 0 {
-						t.Errorf("%s mask %d: optimizer saved nothing in %s: %+v", sub, mask, name, st)
-					}
-				}
-			}
-			for name, lp := range map[string]*bpf.LoadedProgram{
-				"begin": col.Begin, "end": col.End, "features": col.Features,
-			} {
-				fs, err := bpf.Lint(lp.Program(), 0)
-				if err != nil {
-					t.Fatalf("%s mask %d: lint %s: %v", sub, mask, name, err)
-				}
-				if len(fs) != 0 {
-					t.Errorf("%s mask %d: optimized %s has lint findings: %v", sub, mask, name, fs)
-				}
-			}
-		}
-	}
-}
-
-// TestCodegenOptimizePreservesSamples runs one full marker cycle through
-// optimized and unoptimized Collectors and compares the raw sample bytes.
-func TestCodegenOptimizePreservesSamples(t *testing.T) {
-	run := func(opt bool) []byte {
-		col, err := GenerateCollector(SubsystemExecutionEngine,
-			ResourceSet{CPU: true, Disk: true, Network: true},
-			CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Optimize: opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := kernel.New(sim.LargeHW, 7, 0)
-		task := k.NewTask("cmp")
-		task.Perf().Enable(kernel.AllCounters...)
-		begin := k.Tracepoint("cmp/begin")
-		end := k.Tracepoint("cmp/end")
-		feat := k.Tracepoint("cmp/features")
-		col.Attach(begin, end, feat)
-		task.HitTracepoint(begin, []uint64{42})
-		task.ChargeUserNS(1000)
-		task.HitTracepoint(end, []uint64{42})
-		task.HitTracepoint(feat, []uint64{42, 512, 2, 7, 9})
-		var samples bpf.Batch
-		if n := col.Ring.DrainBatch(0, &samples, 0); n != 1 {
-			t.Fatalf("opt=%v: %d samples, want 1", opt, n)
-		}
-		if n := col.ErrorCount(); n != 0 {
-			t.Fatalf("opt=%v: %d collector errors", opt, n)
-		}
-		return samples.Sample(0)
-	}
-	plain, optimized := run(false), run(true)
-	if len(plain) != len(optimized) {
-		t.Fatalf("sample sizes diverge: %d vs %d", len(plain), len(optimized))
-	}
-	// The elapsed metric legitimately differs: it measures wall time across
-	// the BEGIN program itself, and the optimized BEGIN costs fewer virtual
-	// ns — the collector observing its own reduced overhead. Every other
-	// byte must match exactly.
-	elapsedOff := (sampleHeaderWords + mwElapsed) * 8
-	for i := range plain {
-		if i >= elapsedOff && i < elapsedOff+8 {
-			continue
-		}
-		if plain[i] != optimized[i] {
-			t.Fatalf("sample byte %d diverges: %#x vs %#x\nplain %x\noptim %x",
-				i, plain[i], optimized[i], plain, optimized)
-		}
-	}
-	pe := bpf.U64(plain[elapsedOff:])
-	oe := bpf.U64(optimized[elapsedOff:])
-	if oe > pe {
-		t.Fatalf("optimized collector reports more elapsed overhead: %d > %d", oe, pe)
-	}
-}

@@ -7,12 +7,12 @@ import (
 )
 
 // deployConfig is the Collector configuration a dbms server deploys with:
-// optimized and JIT-compiled.
-var deployConfig = CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Optimize: true, Compile: true}
+// JIT-compiled.
+var deployConfig = CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Compile: true}
 
 var fullResources = ResourceSet{CPU: true, Memory: true, Disk: true, Network: true}
 
-// deployAll generates, verifies, optimizes, loads and compiles the
+// deployAll generates, verifies, loads and compiles the
 // Collectors of every subsystem: one TScout deploy, 12 programs.
 func deployAll(tb testing.TB) {
 	for _, sub := range AllSubsystems {
@@ -35,12 +35,10 @@ func BenchmarkDeploy(b *testing.B) {
 }
 
 // Ceilings for one GenerateCollector of the full resource set: 1.5× the
-// 557 allocations and 1.82 MB it measured when they were set. Its parent
-// made 8 533 and 13.1 MB, most of them one successor state allocated per
-// abstract step.
+// 393 allocations and 0.77 MB it measured when they were set.
 const (
-	collectorAllocCeiling = 836
-	collectorByteCeiling  = 2_730_000
+	collectorAllocCeiling = 590
+	collectorByteCeiling  = 1_150_000
 )
 
 // TestGenerateCollectorAllocations holds one GenerateCollector under the

@@ -18,40 +18,35 @@ import (
 // jit_bench_test.go reports the speed side on the same loaded programs.
 
 // TestJITSmokeAllCollectorPrograms compiles all 4 subsystems × 16 resource
-// masks × 3 marker programs — 192 programs — through the production path
-// (optimizer on) and again with the optimizer off, requiring every one to
-// compile.
+// masks × 3 marker programs — 192 programs — through the production path,
+// requiring every one to compile.
 func TestJITSmokeAllCollectorPrograms(t *testing.T) {
-	for _, optimize := range []bool{true, false} {
-		compiled := 0
-		for _, sub := range AllSubsystems {
-			for mask := 0; mask < 16; mask++ {
-				res := ResourceSet{
-					CPU: mask&1 != 0, Memory: mask&2 != 0,
-					Disk: mask&4 != 0, Network: mask&8 != 0,
+	compiled := 0
+	for _, sub := range AllSubsystems {
+		for mask := 0; mask < 16; mask++ {
+			res := ResourceSet{
+				CPU: mask&1 != 0, Memory: mask&2 != 0,
+				Disk: mask&4 != 0, Network: mask&8 != 0,
+			}
+			col, err := GenerateCollector(sub, res, CollectorConfig{
+				NumCPUs: 1, PerCPUCapacity: 16, Compile: true,
+			})
+			if err != nil {
+				t.Fatalf("%s mask=%d: %v", sub, mask, err)
+			}
+			js := col.JITStats()
+			for name, ps := range map[string]bpf.ProgramJITStats{
+				"begin": js.Begin, "end": js.End, "features": js.Features,
+			} {
+				if !ps.Compiled {
+					t.Fatalf("%s mask=%d: %s program not compiled", sub, mask, name)
 				}
-				col, err := GenerateCollector(sub, res, CollectorConfig{
-					NumCPUs: 1, PerCPUCapacity: 16,
-					Optimize: optimize, Compile: true,
-				})
-				if err != nil {
-					t.Fatalf("%s mask=%d optimize=%v: %v", sub, mask, optimize, err)
-				}
-				js := col.JITStats()
-				for name, ps := range map[string]bpf.ProgramJITStats{
-					"begin": js.Begin, "end": js.End, "features": js.Features,
-				} {
-					if !ps.Compiled {
-						t.Fatalf("%s mask=%d optimize=%v: %s program not compiled",
-							sub, mask, optimize, name)
-					}
-					compiled++
-				}
+				compiled++
 			}
 		}
-		if compiled != 4*16*3 {
-			t.Fatalf("optimize=%v: compiled %d programs, want %d", optimize, compiled, 4*16*3)
-		}
+	}
+	if compiled != 4*16*3 {
+		t.Fatalf("compiled %d programs, want %d", compiled, 4*16*3)
 	}
 }
 
@@ -62,7 +57,7 @@ func TestJITSmokeAllCollectorPrograms(t *testing.T) {
 func jitSmokeObservation(t *testing.T, compile bool) string {
 	t.Helper()
 	k := kernel.New(sim.LargeHW, 7, 0)
-	ts := New(k, Config{Seed: 11, OptimizeCollectors: true, CompileCollectors: compile})
+	ts := New(k, Config{Seed: 11, CompileCollectors: compile})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},

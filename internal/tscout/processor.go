@@ -882,7 +882,6 @@ func (p *Processor) Stats() ProcessorStats {
 			st.Kernel[sub].Dropped = rs.Dropped
 			st.Kernel[sub].Orphans = col.Orphans()
 			st.Rings[sub] = col.Ring.AppendCPUStats(nil)
-			st.Codegen[sub] = col.OptStats
 			st.JIT[sub] = col.JITStats()
 			st.Kernel[sub].RuntimeFaults = col.RuntimeFaults()
 		}

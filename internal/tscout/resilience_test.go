@@ -478,7 +478,7 @@ func (e errTest) Error() string { return string(e) }
 func deployCompiled(t *testing.T, k *kernel.Kernel) (*TScout, *Marker) {
 	t.Helper()
 	ts := New(k, Config{Seed: 13, RingCapacity: 4, DisableProcessorFeedback: true,
-		OptimizeCollectors: true, CompileCollectors: true, ProcessorSink: &recordingBatchSink{}})
+		CompileCollectors: true, ProcessorSink: &recordingBatchSink{}})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"},

@@ -101,11 +101,6 @@ type ProcessorStats struct {
 	// path is degenerating to per-sample cost.
 	BatchSizeHist [BatchHistBuckets]int64
 
-	// Codegen holds the per-subsystem Collector optimizer savings
-	// (Enabled=false everywhere when Config.OptimizeCollectors is off or
-	// in user modes).
-	Codegen [NumSubsystems]CollectorOptStats
-
 	// JIT holds the per-subsystem Collector compiled sizes and
 	// interpreter/compiled dispatch counters (Enabled=false everywhere
 	// when Config.CompileCollectors is off or in user modes; when it is
@@ -148,15 +143,10 @@ type AutopilotStats struct {
 	Converged [NumSubsystems]bool
 }
 
-// TotalInsnsSaved sums optimizer savings across every subsystem's three
-// Collector programs.
-func (s *ProcessorStats) TotalInsnsSaved() int {
-	n := 0
-	for i := range s.Codegen {
-		n += s.Codegen[i].Saved()
-	}
-	return n
-}
+// TotalInsnsSaved is always zero: codegen emits each Collector program in
+// its final form, so no pass removes instructions before it loads. It
+// stays while benchmark/ reads it (until ROADMAP item 1-S).
+func (s *ProcessorStats) TotalInsnsSaved() int { return 0 }
 
 // TotalCompiledPrograms counts Collector programs running natively across
 // every subsystem.

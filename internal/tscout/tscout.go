@@ -141,13 +141,12 @@ type Config struct {
 	// global per-period sample budget scales with it; the per-CPU rings
 	// are distributed over the threads by ringOwner.
 	ProcessorParallelism int
-	// OptimizeCollectors runs the liveness-driven optimizer on every
-	// generated Collector program at Deploy, shrinking the marker hot
-	// path; per-program savings appear in ProcessorStats.
-	OptimizeCollectors bool
+	// OptimizeCollectors is ignored: codegen emits each Collector program
+	// in its final form, so there is no optimizer pass left to select.
+	OptimizeCollectors bool //tsvet:ignore unread-field benchmark/ sets it until ROADMAP item 1-S
 	// CompileCollectors JIT-compiles every generated Collector program at
-	// Deploy (after the optional optimizer pass), replacing interpretation
-	// on the marker hot path with verifier-proof-guided native blocks.
+	// Deploy, replacing interpretation on the marker hot path with
+	// verifier-proof-guided native blocks.
 	// A program the JIT cannot compile fails Deploy; per-program sizes
 	// and dispatch counts appear in ProcessorStats.
 	CompileCollectors bool
@@ -309,7 +308,6 @@ func (ts *TScout) Deploy() error {
 			col, err := GenerateCollector(sub.id, sub.resources, CollectorConfig{
 				NumCPUs:        ts.kernel.NumCPUs(),
 				PerCPUCapacity: ts.cfg.RingCapacity,
-				Optimize:       ts.cfg.OptimizeCollectors,
 				Compile:        ts.cfg.CompileCollectors,
 			})
 			if err != nil {
