@@ -195,15 +195,14 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 
 func TestFormatProcessorStatsJITSection(t *testing.T) {
 	var st tscout.ProcessorStats
-	// Disabled everywhere: the JIT section must not render.
+	// No Collector deployed (user modes): the JIT section must not render.
 	if out := formatProcessorStats(st); strings.Contains(out, "jit") {
-		t.Fatalf("jit section rendered with compilation off:\n%s", out)
+		t.Fatalf("jit section rendered with no Collector deployed:\n%s", out)
 	}
 	st.JIT[tscout.SubsystemExecutionEngine] = tscout.CollectorJITStats{
-		Enabled:  true,
-		Begin:    bpf.ProgramJITStats{Compiled: true, Insns: 145, Ops: 23, CompiledRuns: 42},
-		End:      bpf.ProgramJITStats{Compiled: true, Insns: 190, Ops: 30, CompiledRuns: 40},
-		Features: bpf.ProgramJITStats{Compiled: true, Insns: 260, Ops: 31, CompiledRuns: 39},
+		Begin:    bpf.ProgramJITStats{Insns: 145, Ops: 23, CompiledRuns: 42},
+		End:      bpf.ProgramJITStats{Insns: 190, Ops: 30, CompiledRuns: 40},
+		Features: bpf.ProgramJITStats{Insns: 260, Ops: 31, CompiledRuns: 39},
 	}
 	out := formatProcessorStats(st)
 	for _, want := range []string{
@@ -216,7 +215,7 @@ func TestFormatProcessorStatsJITSection(t *testing.T) {
 	}
 	section := out[strings.Index(out, "jit ("):]
 	if strings.Contains(section, "disk-writer") {
-		t.Fatalf("jit row rendered for subsystem without compilation:\n%s", section)
+		t.Fatalf("jit row rendered for a subsystem with no Collector:\n%s", section)
 	}
 }
 

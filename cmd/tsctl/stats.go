@@ -130,18 +130,14 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		}
 	}
 
-	// JIT dispatch only renders when compilation was on. Each program cell
-	// shows its native run count.
-	jit := false
-	for i := range st.JIT {
-		jit = jit || st.JIT[i].Enabled
-	}
-	if jit {
+	// JIT dispatch renders for every deployed Collector, all of whose
+	// programs run compiled. Each program cell shows its native run count.
+	if st.TotalCompiledPrograms() > 0 {
 		fmt.Fprintf(&b, "\njit (native runs per program):\n")
 		fmt.Fprintf(&b, "%-18s %12s %12s %12s %8s\n", "subsystem", "begin", "end", "features", "faults")
 		for _, sub := range tscout.AllSubsystems {
 			js := st.JIT[sub]
-			if !js.Enabled {
+			if js.CompiledPrograms() == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "%-18s %12d %12d %12d %8d\n",
@@ -157,7 +153,7 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		}
 		for _, sub := range tscout.AllSubsystems {
 			js := st.JIT[sub]
-			if !js.Enabled {
+			if js.CompiledPrograms() == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "%-18s %12s %12s %12s\n",

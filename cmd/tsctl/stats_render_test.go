@@ -32,10 +32,9 @@ func fullyPopulatedStats() tscout.ProcessorStats {
 			{Submitted: int64(7 * (i + 1)), Drained: int64(7 * (i + 1))},
 		}
 		st.JIT[i] = tscout.CollectorJITStats{
-			Enabled:  true,
-			Begin:    bpf.ProgramJITStats{Compiled: true, CompiledRuns: int64(500 * (i + 1))},
-			End:      bpf.ProgramJITStats{Compiled: true, CompiledRuns: int64(400 * (i + 1))},
-			Features: bpf.ProgramJITStats{Compiled: true, CompiledRuns: int64(300 * (i + 1))},
+			Begin:    bpf.ProgramJITStats{Insns: 150, Ops: 25, CompiledRuns: int64(500 * (i + 1))},
+			End:      bpf.ProgramJITStats{Insns: 190, Ops: 30, CompiledRuns: int64(400 * (i + 1))},
+			Features: bpf.ProgramJITStats{Insns: 260, Ops: 31, CompiledRuns: int64(300 * (i + 1))},
 		}
 	}
 	st.User = tscout.SubsystemStats{Submitted: 77, Drained: 77, Points: 77}

@@ -33,10 +33,7 @@ func main() {
 	// written to memory here.
 	var buf bytes.Buffer
 	sink := archive.NewWriter(&buf)
-	ts := tscout.New(k, tscout.Config{
-		Seed: 5, ProcessorSink: sink,
-		CompileCollectors: true,
-	})
+	ts := tscout.New(k, tscout.Config{Seed: 5, ProcessorSink: sink})
 
 	// The GC subsystem piggybacks on the log-serializer subsystem slot's
 	// sibling: for a real integration you would extend SubsystemID; here

@@ -32,7 +32,6 @@ func main() {
 	sink := archive.NewWriter(&buf)
 	ts := tscout.New(k, tscout.Config{
 		Mode: tscout.KernelContinuous, Seed: 1, ProcessorSink: sink,
-		CompileCollectors: true,
 	})
 	scan := ts.MustRegisterOU(tscout.OUDef{
 		ID:        1,

@@ -13,14 +13,11 @@ import (
 // hot path, and a method value of one is itself a finding.
 
 // verifyEntryPoints are the bpf package-level functions whose error result
-// is the verification verdict.
+// is the verification verdict (Load's includes the JIT's, which refuses
+// only code no proof covers).
 var verifyEntryPoints = map[string]bool{
 	"Verify": true, "Analyze": true, "Load": true,
 }
-
-// verifyMethods are bpf.LoadedProgram's methods whose error result is a
-// verification verdict: Compile refuses only a program no proof covers.
-var verifyMethods = map[string]bool{"Compile": true}
 
 // runMethodNames are LoadedProgram's execution entry points: their final
 // result is the runtime fault.
@@ -68,8 +65,8 @@ func runConstructedLoadedProgram(pass *Pass) {
 }
 
 // DiscardedVerifyErrorAnalyzer flags discarding the error result of the
-// bpf verification entry points and of LoadedProgram.Compile: ignoring the
-// verdict defeats the verify-before-run contract.
+// bpf verification entry points: ignoring the verdict defeats the
+// verify-before-run contract.
 var DiscardedVerifyErrorAnalyzer = &Analyzer{
 	Name: RuleDiscardedVerifyError,
 	Run:  runDiscardedVerifyError,
@@ -79,49 +76,42 @@ func runDiscardedVerifyError(pass *Pass) {
 	if hasPathSuffix(pass.RelPath, bpfPkgSuffix) {
 		return
 	}
-	// verifyCallee returns the verdict-bearing function expr calls and its
-	// name as the findings print it.
-	verifyCallee := func(expr ast.Expr) (*types.Func, string) {
+	// verifyCallee returns the verdict-bearing function expr calls, or nil.
+	verifyCallee := func(expr ast.Expr) *types.Func {
 		call, ok := expr.(*ast.CallExpr)
 		if !ok {
-			return nil, ""
+			return nil
 		}
 		fn := calleeFunc(pass.Info, call)
-		switch {
-		case fn == nil:
-			return nil, ""
-		case recvNamed(fn) != nil:
-			if verifyMethods[fn.Name()] && isMethodOn(fn, bpfPkgSuffix, "LoadedProgram") {
-				return fn, "LoadedProgram." + fn.Name()
-			}
-		case verifyEntryPoints[fn.Name()] && hasPathSuffix(funcPkgPath(fn), bpfPkgSuffix):
-			return fn, fn.Name()
+		if fn == nil || recvNamed(fn) != nil || !verifyEntryPoints[fn.Name()] ||
+			!hasPathSuffix(funcPkgPath(fn), bpfPkgSuffix) {
+			return nil
 		}
-		return nil, ""
+		return fn
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.ExprStmt:
-				if fn, name := verifyCallee(node.X); fn != nil {
+				if fn := verifyCallee(node.X); fn != nil {
 					pass.Reportf(node.Pos(),
-						"result of bpf.%s discarded; the verification verdict must be checked", name)
+						"result of bpf.%s discarded; the verification verdict must be checked", fn.Name())
 				}
 			case *ast.GoStmt:
-				if fn, name := verifyCallee(node.Call); fn != nil {
+				if fn := verifyCallee(node.Call); fn != nil {
 					pass.Reportf(node.Pos(),
-						"result of bpf.%s discarded by go statement; the verification verdict must be checked", name)
+						"result of bpf.%s discarded by go statement; the verification verdict must be checked", fn.Name())
 				}
 			case *ast.DeferStmt:
-				if fn, name := verifyCallee(node.Call); fn != nil {
+				if fn := verifyCallee(node.Call); fn != nil {
 					pass.Reportf(node.Pos(),
-						"result of bpf.%s discarded by defer statement; the verification verdict must be checked", name)
+						"result of bpf.%s discarded by defer statement; the verification verdict must be checked", fn.Name())
 				}
 			case *ast.AssignStmt:
 				if len(node.Rhs) != 1 {
 					return true
 				}
-				fn, name := verifyCallee(node.Rhs[0])
+				fn := verifyCallee(node.Rhs[0])
 				if fn == nil {
 					return true
 				}
@@ -129,7 +119,7 @@ func runDiscardedVerifyError(pass *Pass) {
 				errIdx := errorResultIndex(sig)
 				if errIdx >= 0 && errIdx < len(node.Lhs) && isBlank(node.Lhs[errIdx]) {
 					pass.Reportf(node.Pos(),
-						"error from bpf.%s assigned to _; the verification verdict must be checked", name)
+						"error from bpf.%s assigned to _; the verification verdict must be checked", fn.Name())
 				}
 			}
 			return true

@@ -26,21 +26,13 @@ func BlankedLoad(p *bpf.Program) *bpf.LoadedProgram {
 	return lp
 }
 
-func BareCompile(lp *bpf.LoadedProgram) {
-	lp.Compile() // want:discarded-verify-error
-}
-
-func BlankedCompile(lp *bpf.LoadedProgram) bpf.CompileInfo {
-	info, _ := lp.Compile() // want:discarded-verify-error
-	return info
-}
-
 // Checking or propagating the verdict is the contract: not flagged.
-func CheckedCompile(lp *bpf.LoadedProgram) error {
-	if _, err := lp.Compile(); err != nil {
-		return err
+func CheckedLoad(p *bpf.Program) (*bpf.LoadedProgram, error) {
+	lp, err := bpf.Load(p, 512)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return lp, nil
 }
 
 func Checked(p *bpf.Program) error {

@@ -5,12 +5,16 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tscout/internal/bpf"
+	"tscout/internal/kernel"
+	"tscout/internal/sim"
 	"tscout/internal/tscout"
 )
 
@@ -48,7 +52,7 @@ func forEachCollector(t *testing.T, f func(name string, lp *bpf.LoadedProgram)) 
 func TestEveryPatternFiresOnCollectors(t *testing.T) {
 	var counts [len(bpf.PatternNames)]int
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
-		if err := bpf.PatternCounts(lp, &counts); err != nil {
+		if err := bpf.PatternCounts(lp.Program(), &counts); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	})
@@ -68,7 +72,7 @@ func TestEveryPatternFiresOnCollectors(t *testing.T) {
 func TestEveryCollectorCallIsAFrame(t *testing.T) {
 	calls, framed := 0, 0
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
-		c, f, err := bpf.FramedCalls(lp)
+		c, f, err := bpf.FramedCalls(lp.Program())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -124,7 +128,7 @@ func TestISAIsWhatCodegenEmits(t *testing.T) {
 func TestCollectorDump(t *testing.T) {
 	var dump, golden strings.Builder
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
-		ops, err := bpf.MicroOps(lp)
+		ops, err := bpf.MicroOps(lp.Program())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -166,4 +170,152 @@ func TestCollectorDump(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCollectorsMatchInterpreter is the JIT's differential over every
+// production Collector: for each subsystem and resource mask it generates
+// a Collector and its twin, drives the first through Run (the compiled
+// blocks) and the twin through the interpreter over the same seeded stream
+// of BEGIN/END/FEATURES hits on identical kernels, and requires every hit
+// to return the same R0, cost and error, leave the same ring bytes, error
+// slots and other map contents, and make the same impure helper calls. The
+// stream nests OUs, fires END and FEATURES with nothing in flight, and
+// sends feature vectors up to and past full width. LargeHW charges 0.25 ns
+// an instruction, so cost() rounds on most hits: the virtual cost is
+// checked per hit, not assumed.
+func TestCollectorsMatchInterpreter(t *testing.T) {
+	type side struct {
+		progs [3]*bpf.LoadedProgram // BEGIN, END, FEATURES
+		run   [3]func(*kernel.Task, []uint64) (uint64, int64, error)
+		maps  []bpf.Map
+		tasks [2]*kernel.Task
+	}
+	newSide := func(sub tscout.SubsystemID, res tscout.ResourceSet, interpret bool) *side {
+		col, err := tscout.GenerateCollector(sub, res, tscout.CollectorConfig{NumCPUs: 2, PerCPUCapacity: 64})
+		if err != nil {
+			t.Fatalf("%s %+v: %v", sub, res, err)
+		}
+		s := &side{progs: [3]*bpf.LoadedProgram{col.Begin, col.End, col.Features}}
+		seen := map[bpf.Map]bool{}
+		for i, lp := range s.progs {
+			lp.SetCallTrace(true)
+			s.run[i] = lp.Run
+			if interpret {
+				ip, err := bpf.NewInterpreter(lp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.run[i] = ip.RunInterpreted
+			}
+			for _, m := range lp.Program().Maps {
+				if !seen[m] {
+					seen[m] = true
+					s.maps = append(s.maps, m)
+				}
+			}
+		}
+		k := kernel.New(sim.LargeHW, 5, 0.02)
+		s.tasks = [2]*kernel.Task{k.NewTaskOn("a", 0), k.NewTaskOn("b", 1)}
+		return s
+	}
+	var samples, nested, violations int
+	for _, sub := range tscout.AllSubsystems {
+		for mask := 0; mask < 16; mask++ {
+			res := tscout.ResourceSet{CPU: mask&1 != 0, Memory: mask&2 != 0,
+				Disk: mask&4 != 0, Network: mask&8 != 0}
+			jit, ref := newSide(sub, res, false), newSide(sub, res, true)
+			rng := rand.New(rand.NewSource(int64(sub)*16 + int64(mask)))
+			// open[task] models the OUs in flight, innermost last.
+			type ou struct {
+				id    uint64
+				ended bool
+			}
+			var open [2][]ou
+			for hit := 0; hit < 40; hit++ {
+				ti := rng.Intn(2)
+				w := sim.Work{Instructions: float64(1 + rng.Intn(5000)), BytesTouched: float64(rng.Intn(1 << 16)),
+					WorkingSetBytes: float64(rng.Intn(1 << 22)), AllocBytes: int64(rng.Intn(4096)),
+					DiskWriteBytes: int64(rng.Intn(8192)), DiskOps: int64(rng.Intn(3)),
+					NetRecvBytes: int64(rng.Intn(2048)), NetSendBytes: int64(rng.Intn(2048)),
+					NetMessages: int64(rng.Intn(4))}
+				ioac := [4]int64{rng.Int63n(1 << 20), rng.Int63n(1 << 20), rng.Int63n(64), rng.Int63n(64)}
+				for _, s := range []*side{jit, ref} {
+					task := s.tasks[ti]
+					task.Charge(w)
+					task.IOAC.ReadBytes += ioac[0]
+					task.IOAC.WriteBytes += ioac[1]
+					task.IOAC.ReadOps += ioac[2]
+					task.IOAC.WriteOps += ioac[3]
+				}
+				// The marker the innermost OU expects next (BEGIN with
+				// none in flight) is fired three times in four; otherwise
+				// a random one, which nests or breaks the marker order.
+				st := &open[ti]
+				m, top := 0, ou{id: uint64(1 + rng.Intn(4))}
+				if n := len(*st); n > 0 {
+					top = (*st)[n-1]
+					m = 1
+					if top.ended {
+						m = 2
+					}
+				}
+				if rng.Intn(4) == 0 {
+					m = rng.Intn(3)
+				}
+				args := []uint64{top.id}
+				switch n := len(*st); {
+				case m == 0:
+					if n > 0 {
+						nested++
+						top.id = uint64(1 + rng.Intn(4))
+						args[0] = top.id
+					}
+					*st = append(*st, ou{id: top.id})
+				case m == 1 && n > 0 && !top.ended:
+					(*st)[n-1].ended = true
+				case m == 2 && n > 0 && top.ended:
+					*st = (*st)[:n-1]
+				default: // the Collector resets the task's in-flight OUs
+					violations++
+					*st = (*st)[:0]
+				}
+				if m == 2 { // FEATURES: up to and past full width
+					width := rng.Intn(tscout.MaxFeatures + 1)
+					if rng.Intn(3) == 0 {
+						width = tscout.MaxFeatures + rng.Intn(2)*3
+					}
+					args = append(args, uint64(rng.Intn(1<<16)), uint64(width))
+					for i := 0; i < width; i++ {
+						args = append(args, rng.Uint64()>>rng.Intn(64))
+					}
+				}
+				name := fmt.Sprintf("%s mask=%d hit %d (%s)", sub, mask, hit, jit.progs[m].Program().Name)
+				r0, cost, err := jit.run[m](jit.tasks[ti], args)
+				wr0, wcost, werr := ref.run[m](ref.tasks[ti], args)
+				if r0 != wr0 || cost != wcost || fmt.Sprint(err) != fmt.Sprint(werr) {
+					t.Fatalf("%s: compiled (R0 %d, cost %d, %v), interpreter (R0 %d, cost %d, %v)",
+						name, r0, cost, err, wr0, wcost, werr)
+				}
+				for i, mp := range jit.maps {
+					if ring, ok := mp.(*bpf.PerCPURing); ok {
+						samples += ring.Len()
+					}
+					got, want := bpf.MapFingerprint(mp), bpf.MapFingerprint(ref.maps[i])
+					if got != want {
+						t.Fatalf("%s: map %s: compiled %s, interpreter %s", name, mp.Name(), got, want)
+					}
+				}
+			}
+			for i, lp := range jit.progs {
+				if got, want := lp.CallTrace(), ref.progs[i].CallTrace(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s mask=%d %s: helper traces diverged:\ncompiled    %v\ninterpreter %v",
+						sub, mask, lp.Program().Name, got, want)
+				}
+			}
+		}
+	}
+	if samples == 0 || nested == 0 || violations == 0 {
+		t.Fatalf("the stream missed a path: %d samples, %d nested BEGINs, %d violations", samples, nested, violations)
+	}
+	t.Logf("%d samples, %d nested BEGINs, %d marker-order violations", samples, nested, violations)
 }

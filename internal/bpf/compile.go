@@ -1,15 +1,13 @@
 package bpf
 
 import (
-	"fmt"
-
 	"tscout/internal/kernel"
 )
 
-// This file implements the post-verify JIT: it compiles a verified program
-// to native Go, using the abstract-interpretation proofs the verifier
-// already computed (DESIGN.md §9) to elide exactly the checks the
-// interpreter performs dynamically:
+// This file implements the JIT that Load runs after verifying: it compiles
+// a verified program to native Go, using the abstract-interpretation proofs
+// the verifier already computed (DESIGN.md §9) to elide exactly the checks
+// a plain interpreter performs dynamically:
 //
 //   - Nothing counts toward a runtime limit: the verifier rejects every
 //     backward jump, so a run retires each instruction at most once.
@@ -31,16 +29,17 @@ import (
 // block after peephole has combined idiomatic sequences into pattern
 // super-ops, so a block runs from its head until a terminator or the next
 // jump target, leaving early only through a taken branch. A copFn returns
-// the next one to run (or nil to stop); the dispatch loop is runCompiled's
-// `for f != nil { f = f(ec) }`. The instruction set therefore has two
-// implementations: the interpreter (the reference) and block.run.
+// the next one to run (or nil to stop); the dispatch loop is Run's
+// `for f != nil { f = f(ec) }`. block.run is the one implementation of the
+// instruction set that runs; the interpreter in the package's tests
+// (interp_test.go) is its specification.
 //
 // The compiler is total on verified programs, as a kernel built with
 // CONFIG_BPF_JIT_ALWAYS_ON requires: every instruction the verifier admits
 // has a template, and every proof a template needs is one the verifier
-// made. Compiled and interpreted execution are bit-identical — same R0,
-// same cost() accounting, same helper trace and map end-states — and the
-// differential fuzz oracles enforce that.
+// made. Compiled execution is bit-identical to the interpreter's — same
+// R0, same cost() accounting, same helper trace and map end-states — and
+// the differential oracles enforce that.
 
 // CompileInfo reports a compiled program's static size.
 type CompileInfo struct {
@@ -56,59 +55,49 @@ type CompileInfo struct {
 // ec.err).
 type copFn func(ec *execState) copFn
 
-// Compile JITs the program; Run then dispatches through the compiled form.
-// On a program Load verified it cannot fail. Its one error wraps
-// ErrVerification as a *VerifyError naming the instruction no proof covers: a
-// program that bypassed Load or was changed after it. Whatever the outcome,
-// the analysis it consumed is released, and a second Compile of a compiled
-// program returns the recorded CompileInfo.
-func (lp *LoadedProgram) Compile() (CompileInfo, error) {
-	if lp.compiled != nil {
-		return lp.compileInfo, nil
-	}
-	cc, err := lp.decode()
-	lp.analysis = nil
+// compile JITs lp's program from a, the analysis that verified it. Nothing
+// compiled keeps a: the proof is megabytes per deployment and nothing
+// reads it again. On a program a proves it cannot fail. Its one error
+// wraps ErrVerification as a *VerifyError naming the instruction no proof
+// covers: an analysis of some other program.
+func (lp *LoadedProgram) compile(a *Analysis) error {
+	cc, err := lp.decode(a)
 	if err != nil {
-		return CompileInfo{}, withInsn(lp.prog, err)
+		return withInsn(lp.prog, err)
 	}
 	lp.compileInfo = CompileInfo{Insns: len(lp.prog.Insns), Ops: cc.fuse()}
 	lp.compiled = cc.fns[0]
-	return lp.compileInfo, nil
+	return nil
 }
 
 // ProgramJITStats is a point-in-time snapshot of one program's compiled
 // size and dispatch counters, for stats surfaces.
 type ProgramJITStats struct {
-	Compiled bool
 	// Insns and Ops are CompileInfo's static instruction and micro-op
 	// counts.
-	Insns, Ops    int
-	CompiledRuns  int64
-	InterpRuns    int64
+	Insns, Ops   int
+	CompiledRuns int64
+	// InterpRuns is always 0: every program runs compiled.
+	InterpRuns    int64 //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S
 	RuntimeFaults int64
 }
 
 // JITStats snapshots the program's compiled size and dispatch counters.
 func (lp *LoadedProgram) JITStats() ProgramJITStats {
 	return ProgramJITStats{
-		Compiled:      lp.compiled != nil,
 		Insns:         lp.compileInfo.Insns,
 		Ops:           lp.compileInfo.Ops,
 		CompiledRuns:  lp.compiledRuns,
-		InterpRuns:    lp.interpRuns,
 		RuntimeFaults: lp.runtimeFaults,
 	}
 }
 
-// decode runs the whole-program checks and then the per-instruction pass,
-// returning the compiler state fuse works from or the first pc no proof
-// covers.
-func (lp *LoadedProgram) decode() (*compiler, error) {
-	if lp.analysis == nil {
-		return nil, verr(0, "compile: no proof covers the program")
-	}
+// decode runs the whole-program checks and then the per-instruction pass
+// over lp's program with the proofs in a, returning the compiler state fuse
+// works from or the first pc no proof covers.
+func (lp *LoadedProgram) decode(a *Analysis) (*compiler, error) {
 	n := len(lp.prog.Insns)
-	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis,
+	cc := &compiler{lp: lp, p: lp.prog, a: a,
 		fns: make([]copFn, n), ops: make([]microOp, n)}
 	if err := cc.markTargets(); err != nil {
 		return nil, err
@@ -119,50 +108,6 @@ func (lp *LoadedProgram) decode() (*compiler, error) {
 		}
 	}
 	return cc, nil
-}
-
-// runCompiled drives the compiled form. There is no per-access error
-// plumbing; a verifier/compiler disagreement surfaces as a Go panic,
-// converted here to ErrRuntime so the caller-visible contract matches the
-// interpreter's.
-func (lp *LoadedProgram) runCompiled(task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
-	lp.compiledRuns++
-	insnNS := task.Kernel().Profile.BPFInsnNS
-	ec := lp.resetState()
-	ec.task, ec.args = task, args
-	ec.regs[R10] = mkPtr(0, StackSize)
-	defer func() {
-		if rec := recover(); rec != nil {
-			r0 = 0
-			costNS = cost(ec.executed, ec.helperNS, insnNS)
-			err = fmt.Errorf("%w: compiled execution panic: %v", ErrRuntime, rec)
-		}
-	}()
-	for f := lp.compiled; f != nil; {
-		f = f(ec)
-	}
-	costNS = cost(ec.executed, ec.helperNS, insnNS)
-	if ec.err != nil {
-		return 0, costNS, ec.err
-	}
-	return ec.regs[R0], costNS, nil
-}
-
-// resetState readies the program's execution state for a run; the task
-// and arguments of the last run stay in it until the next one sets them.
-// Registers are zeroed (the interpreter starts from zero registers and
-// trace capture may read helper-argument registers); the 512-byte stack is
-// deliberately left dirty — the verifier rejects any read of a stack byte
-// the program did not write this invocation, so stale contents are
-// unobservable.
-func (lp *LoadedProgram) resetState() *execState {
-	ec := &lp.ec
-	ec.regs = [regSlots]uint64{}
-	ec.objects = ec.objects[:0]
-	ec.executed = 0
-	ec.helperNS = 0
-	ec.err = nil
-	return ec
 }
 
 type compiler struct {
@@ -318,8 +263,9 @@ func scalarConst(st *absState, r Reg) (int64, bool) {
 }
 
 // genericCall is the terminator for an impure helper call that binds no
-// callFrame: it goes through the interpreter's dispatcher, which is always
-// correct and reproduces the interpreter's runtime faults.
+// callFrame: it goes through call, the checked helper dispatcher the
+// interpreter shares, which is always correct and reproduces the
+// interpreter's runtime faults.
 func (cc *compiler) genericCall(id int64, next *copFn) copFn {
 	lp := cc.lp
 	return func(ec *execState) copFn {
@@ -763,6 +709,22 @@ func callMicro(id int64) (microKind, bool) {
 	return 0, false
 }
 
+// ptrALU reports whether a proves that the ALU instruction in at pc
+// operates on a pointer destination. Code for it dispatches on this static
+// fact rather than on the value's runtime tag bits: a scalar whose bits
+// happen to fall in the pointer-tagged range must still take the evalALU
+// path, or scalar semantics would silently change at 1<<63. The verifier
+// guarantees the kind of a register at a given pc is the same on every
+// feasible path (kind mismatches join to uninit, which any use rejects),
+// so the fact is well-defined.
+func ptrALU(a *Analysis, pc int, in Insn) bool {
+	if !isALU(in.Op) || in.Op == OpMovImm || in.Op == OpMovReg || !a.Reached(pc) {
+		return false
+	}
+	k := a.states[pc].regs[in.Dst].kind
+	return k == rkPtrStack || k == rkPtrMapValue
+}
+
 // microFor pre-decodes one instruction into a micro-op with its operands
 // fully resolved, mirroring the interpreter's semantics for that
 // instruction exactly. It reports false for what has no micro form: a
@@ -810,7 +772,7 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 		return microOp{kind: muHelperCall, fn: f.run, imm: uint64(pc)}, true
 
 	case isALU(in.Op):
-		if cc.lp.ptrALU[pc] {
+		if ptrALU(cc.a, pc, in) {
 			if isRegSrc(in.Op) {
 				k := muPtrAddReg
 				if in.Op == OpSubReg {

@@ -15,10 +15,10 @@ import (
 	"tscout/internal/sim"
 )
 
-// This file tests the post-verify JIT (compile.go): every verified program
+// This file tests the JIT Load runs (compile.go): every verified program
 // compiles, and the compiled path must be observationally identical to the
-// interpreter — same R0, same cost accounting, same helper trace and map
-// end-states. The named TestCompileRegression_* cases pin
+// interpreter (interp_test.go) — same R0, same cost accounting, same helper
+// trace and map end-states. The named TestCompileRegression_* cases pin
 // interpreter-vs-compiled divergences that the differential harness is
 // prone to (scalar/pointer dispatch, unsigned ALU edge cases, helper
 // object identity); each also has a raw corpus entry under
@@ -27,11 +27,12 @@ import (
 
 // assertCompiledAgreement runs p's instructions twice against fresh
 // kernels, tasks, and map tables — once interpreted, once through the JIT,
-// which must compile it — and fails on any observable divergence.
-func assertCompiledAgreement(t *testing.T, p *Program, seed int64) {
+// which must compile it — fails on any observable divergence, and returns
+// the interpreter's run.
+func assertCompiledAgreement(t *testing.T, p *Program, seed int64) variantResult {
 	t.Helper()
-	ir := runExecVariant(t, p.Name+"/interp", p.Insns, seed, false)
-	cr := runExecVariant(t, p.Name+"/jit", p.Insns, seed, true)
+	ir := runExecVariant(t, sim.LargeHW, p.Name+"/interp", p.Insns, seed, interpreted)
+	cr := runExecVariant(t, sim.LargeHW, p.Name+"/jit", p.Insns, seed, (*LoadedProgram).Run)
 	if (ir.err == nil) != (cr.err == nil) ||
 		(ir.err != nil && ir.err.Error() != cr.err.Error()) {
 		t.Fatalf("error diverged:\ninterp   %v\ncompiled %v\n%s", ir.err, cr.err, p.Disassemble())
@@ -52,6 +53,7 @@ func assertCompiledAgreement(t *testing.T, p *Program, seed int64) {
 				i, ir.maps[i], cr.maps[i], p.Disassemble())
 		}
 	}
+	return ir
 }
 
 // tableFingerprint renders a table's entries in key order, each through
@@ -111,41 +113,37 @@ type variantResult struct {
 	maps  []string
 }
 
-// runExecVariant runs insns against a fresh kernel, task, and map table so
-// both sides of a differential comparison start from identical state;
-// compile selects the JIT.
-func runExecVariant(tb testing.TB, name string, insns []Insn, seed int64, compile bool) variantResult {
-	if compile {
-		return runExecVariantOn(tb, sim.LargeHW, name, insns, seed, jit)
+// engine runs a loaded program once: (*LoadedProgram).Run, the
+// interpreter, or a differently compiled form.
+type engine func(lp *LoadedProgram, task *kernel.Task, args []uint64) (uint64, int64, error)
+
+// interpreted is the engine that runs lp through the interpreter.
+func interpreted(lp *LoadedProgram, task *kernel.Task, args []uint64) (uint64, int64, error) {
+	ip, err := NewInterpreter(lp)
+	if err != nil {
+		return 0, 0, err
 	}
-	return runExecVariantOn(tb, sim.LargeHW, name, insns, seed, nil)
+	return ip.RunInterpreted(task, args)
 }
 
-// jit compiles lp the way a deploy does.
-func jit(lp *LoadedProgram) error {
-	_, err := lp.Compile()
-	return err
-}
-
-// runExecVariantOn is runExecVariant on a chosen hardware profile, with
-// compile the JIT to run (nil interprets). A verified program always
-// compiles, so a compile error fails tb.
-func runExecVariantOn(tb testing.TB, hw sim.HardwareProfile, name string, insns []Insn, seed int64, compile func(*LoadedProgram) error) variantResult {
+// runExecVariant runs insns through run on hardware hw against a fresh
+// kernel, task, and map table, so both sides of a differential comparison
+// start from identical state. A verified program always compiles, so a
+// compile error fails tb.
+func runExecVariant(tb testing.TB, hw sim.HardwareProfile, name string, insns []Insn, seed int64, run engine) variantResult {
 	tb.Helper()
 	p := &Program{Name: name, Insns: insns, Maps: newGenMaps()}
 	lp, err := Load(p, fuzzMaxInsns)
 	if err != nil {
-		return variantResult{err: err}
-	}
-	if compile != nil {
-		if err := compile(lp); err != nil {
+		if Verify(p, fuzzMaxInsns) == nil {
 			tb.Fatalf("verified program does not compile: %v\n%s", err, p.Disassemble())
 		}
+		return variantResult{err: err}
 	}
 	lp.SetCallTrace(true)
 	k := kernel.New(hw, seed, 0)
 	task := k.NewTask("variant")
-	r0, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
+	r0, cost, rerr := run(lp, task, []uint64{1, 2, 3, 4})
 	res := variantResult{r0: r0, cost: cost, err: rerr, trace: lp.CallTrace()}
 	for _, m := range p.Maps {
 		res.maps = append(res.maps, mapFingerprint(m))
@@ -161,39 +159,23 @@ func genMapsBuilder(name string) *Builder {
 	return b
 }
 
+// TestCompileDispatchCounters: Load compiles, the compiled form's size is
+// recorded, and every run dispatches through it.
 func TestCompileDispatchCounters(t *testing.T) {
 	p := genMapsBuilder("jit/counters").Mov(R0, 7).Exit().MustBuild()
 	lp, err := Load(p, 0)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	info, err := lp.Compile()
-	if err != nil || info != (CompileInfo{Insns: 2, Ops: 1}) {
-		t.Fatalf("straight-line program: %+v, %v", info, err)
-	}
-	// The compiled form has consumed the verifier's proof: it is released,
-	// and asking again reports the same size, not an error.
-	if lp.analysis != nil {
-		t.Fatal("analysis still held after a successful Compile")
-	}
-	if again, err := lp.Compile(); again != info || err != nil {
-		t.Fatalf("second Compile: %+v, %v; want %+v", again, err, info)
-	}
 	k := kernel.New(sim.LargeHW, 1, 0)
 	task := k.NewTask("jit")
-	r0, _, rerr := lp.Run(task, nil)
-	if rerr != nil || r0 != 7 {
-		t.Fatalf("compiled run: r0=%d err=%v", r0, rerr)
+	for i := 0; i < 2; i++ {
+		if r0, _, rerr := lp.Run(task, nil); rerr != nil || r0 != 7 {
+			t.Fatalf("run %d: r0=%d err=%v", i, r0, rerr)
+		}
 	}
-	if r0, _, rerr = lp.RunInterpreted(task, nil); rerr != nil || r0 != 7 {
-		t.Fatalf("interpreted run: r0=%d err=%v", r0, rerr)
-	}
-	st := lp.JITStats()
-	if !st.Compiled || st.CompiledRuns != 1 || st.InterpRuns != 1 || st.RuntimeFaults != 0 {
-		t.Fatalf("dispatch counters: %+v", st)
-	}
-	if lp.Runs() != 2 {
-		t.Fatalf("total runs %d, want 2", lp.Runs())
+	if st := lp.JITStats(); st != (ProgramJITStats{Insns: 2, Ops: 1, CompiledRuns: 2}) {
+		t.Fatalf("straight-line program: %+v", st)
 	}
 }
 
@@ -201,12 +183,17 @@ func TestCompileDispatchCounters(t *testing.T) {
 // error-swallowing bug: a runtime fault during an attached hit must be
 // counted, not silently dropped, while the partial cost is still charged.
 func TestRuntimeFaultsCountedOnAttach(t *testing.T) {
-	// Hand-constructed (unverifiable) program: dereferences scalar R1=0.
+	// A compiled form that disagrees with its program: it dereferences an
+	// object no helper registered, which Run turns into ErrRuntime.
 	p := &Program{Name: "jit/fault", Insns: []Insn{
 		{Op: OpLoad, Dst: R0, Src: R1},
 		{Op: OpExit},
 	}}
-	lp := &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns))}
+	lp := &LoadedProgram{prog: p, compiled: func(ec *execState) copFn {
+		ec.executed++
+		ec.regs[R0] = U64(ec.objects[0])
+		return nil
+	}}
 	k := kernel.New(sim.LargeHW, 1, 0)
 	tp := k.Tracepoint("jit/fault-tp")
 	lp.Attach(tp)
@@ -224,27 +211,16 @@ func TestRuntimeFaultsCountedOnAttach(t *testing.T) {
 	}
 }
 
-// TestCompileFallbackMatchesInterpreter covers the only programs Compile
-// refuses: ones that bypassed Load, or whose instructions changed after
-// it. Each gets a *VerifyError naming the pc no proof covers, gives up its
-// analysis, and stays on the interpreter.
+// TestCompileFallbackMatchesInterpreter covers the only programs the
+// compiler refuses: ones an analysis does not prove, because they changed
+// after it (Load never hands the compiler such a pair). Each gets a
+// *VerifyError naming the pc no proof covers, where the interpreter faults
+// at run time.
 func TestCompileFallbackMatchesInterpreter(t *testing.T) {
-	t.Run("no-analysis", func(t *testing.T) {
-		p := &Program{Name: "jit/no-analysis", Insns: []Insn{
-			{Op: OpMovImm, Dst: R0, Imm: 9},
-			{Op: OpExit},
-		}}
-		lp := &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns))}
-		wantCompileError(t, lp, 0)
-		if r0, err := runsInterpreted(t, lp); r0 != 9 || err != nil {
-			t.Fatalf("interpreted run: r0=%d err=%v", r0, err)
-		}
-	})
-
 	t.Run("unsupported-opcode", func(t *testing.T) {
-		lp := patchedProgram(t, 0, Insn{Op: Op(250)})
-		wantCompileError(t, lp, 0)
-		if _, err := runsInterpreted(t, lp); !errors.Is(err, ErrRuntime) {
+		lp, a := patchedProgram(t, 0, Insn{Op: Op(250)})
+		wantCompileError(t, lp, a, 0)
+		if _, err := runsInterpreted(lp, a); !errors.Is(err, ErrRuntime) {
 			t.Fatalf("interpreted run: %v, want a runtime fault", err)
 		}
 	})
@@ -256,9 +232,9 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 			{Op: OpStore, Dst: R5, Src: R0},
 			{Op: OpStoreImm, Dst: R5, Imm: 1},
 		} {
-			lp := patchedProgram(t, 0, in)
-			wantCompileError(t, lp, 0)
-			if _, err := runsInterpreted(t, lp); !errors.Is(err, ErrRuntime) {
+			lp, a := patchedProgram(t, 0, in)
+			wantCompileError(t, lp, a, 0)
+			if _, err := runsInterpreted(lp, a); !errors.Is(err, ErrRuntime) {
 				t.Fatalf("%v: interpreted run: %v, want a runtime fault", in, err)
 			}
 		}
@@ -271,7 +247,7 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 			{Op: OpJeqImm, Off: 5},
 			{Op: OpExit},
 		}}
-		wantCompileError(t, &LoadedProgram{prog: p, ptrALU: make([]bool, len(p.Insns)), analysis: &Analysis{}}, 0)
+		wantCompileError(t, &LoadedProgram{prog: p}, &Analysis{}, 0)
 		// Straight-line code, an unknown opcode, an unproven access and a
 		// helper call with no successor all run off the end.
 		for _, in := range []Insn{
@@ -280,53 +256,51 @@ func TestCompileFallbackMatchesInterpreter(t *testing.T) {
 			{Op: OpLoad, Dst: R0, Src: R5},
 			{Op: OpCall, Imm: HelperGetPID},
 		} {
-			wantCompileError(t, patchedProgram(t, 1, in), 1)
+			lp, a := patchedProgram(t, 1, in)
+			wantCompileError(t, lp, a, 1)
 		}
 	})
 }
 
-// patchedProgram loads the trivial program `mov r0, 1; exit` and then
-// overwrites the instruction at pc, so the retained analysis (which still
-// marks both pcs reached) proves a program that is no longer there.
-func patchedProgram(t *testing.T, pc int, in Insn) *LoadedProgram {
+// patchedProgram analyzes the trivial program `mov r0, 1; exit` and then
+// overwrites the instruction at pc, so the analysis (which still marks
+// both pcs reached) proves a program that is no longer there. It returns
+// an uncompiled handle on the patched program with that analysis.
+func patchedProgram(t *testing.T, pc int, in Insn) (*LoadedProgram, *Analysis) {
 	t.Helper()
 	p := &Program{Name: "jit/probe", Insns: []Insn{
 		{Op: OpMovImm, Dst: R0, Imm: 1},
 		{Op: OpExit},
 	}}
-	lp, err := Load(p, 0)
+	a, err := Analyze(p, 0)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("analyze: %v", err)
 	}
 	p.Insns[pc] = in
-	return lp
+	return &LoadedProgram{prog: p}, a
 }
 
-// wantCompileError requires Compile — the whole merged pass, not one step
-// of it — to fail with a *VerifyError at pc that wraps ErrVerification,
-// release the analysis and leave the program uncompiled.
-func wantCompileError(t *testing.T, lp *LoadedProgram, pc int) {
+// wantCompileError requires compile — the whole merged pass, not one step
+// of it — to fail on lp with a at pc with a *VerifyError that wraps
+// ErrVerification, and to leave lp uncompiled.
+func wantCompileError(t *testing.T, lp *LoadedProgram, a *Analysis, pc int) {
 	t.Helper()
 	in := lp.prog.Insns[pc]
-	_, err := lp.Compile()
+	err := lp.compile(a)
 	var ve *VerifyError
 	if !errors.Is(err, ErrVerification) || !errors.As(err, &ve) || ve.PC != pc {
-		t.Fatalf("%v at pc %d: Compile error %v, want a verification error at pc %d", in, pc, err, pc)
+		t.Fatalf("%v at pc %d: compile error %v, want a verification error at pc %d", in, pc, err, pc)
 	}
-	if lp.analysis != nil || lp.compiled != nil {
-		t.Fatalf("%v at pc %d: analysis or compiled form held after a failed Compile", in, pc)
+	if lp.compiled != nil {
+		t.Fatalf("%v at pc %d: compiled form set by a failed compile", in, pc)
 	}
 }
 
-// runsInterpreted runs lp once and requires the interpreter to have run
-// it, returning R0 and the run's error.
-func runsInterpreted(t *testing.T, lp *LoadedProgram) (uint64, error) {
-	t.Helper()
+// runsInterpreted runs lp once through the interpreter, with the
+// pointer-ALU facts of a, returning R0 and the run's error.
+func runsInterpreted(lp *LoadedProgram, a *Analysis) (uint64, error) {
 	k := kernel.New(sim.LargeHW, 1, 0)
-	r0, _, err := lp.Run(k.NewTask("t"), nil)
-	if st := lp.JITStats(); st.Compiled || st.InterpRuns != 1 || st.CompiledRuns != 0 {
-		t.Fatalf("run after a failed Compile: %+v", st)
-	}
+	r0, _, err := interpreterFrom(lp, a).RunInterpreted(k.NewTask("t"), nil)
 	return r0, err
 }
 
@@ -512,8 +486,12 @@ func TestCostRoundsHalfUp(t *testing.T) {
 // decodeIsolated is decode with every pc a jump target, so each reached
 // instruction that compiles to a micro-op is a block of exactly one.
 func decodeIsolated(lp *LoadedProgram) (*compiler, error) {
+	a, err := Analyze(lp.prog, 0)
+	if err != nil {
+		return nil, err
+	}
 	n := len(lp.prog.Insns)
-	cc := &compiler{lp: lp, p: lp.prog, a: lp.analysis,
+	cc := &compiler{lp: lp, p: lp.prog, a: a,
 		fns: make([]copFn, n), ops: make([]microOp, n), isTarget: make([]bool, n)}
 	for pc, in := range cc.p.Insns {
 		cc.isTarget[pc] = true
@@ -524,15 +502,16 @@ func decodeIsolated(lp *LoadedProgram) (*compiler, error) {
 	return cc, nil
 }
 
-// compileIsolated is Compile from decodeIsolated's blocks of one.
-func compileIsolated(lp *LoadedProgram) error {
+// isolated is the engine that recompiles lp from decodeIsolated's blocks
+// of one and runs that.
+func isolated(lp *LoadedProgram, task *kernel.Task, args []uint64) (uint64, int64, error) {
 	cc, err := decodeIsolated(lp)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	cc.fuse()
-	lp.analysis, lp.compiled = nil, cc.fns[0]
-	return nil
+	lp.compiled = cc.fns[0]
+	return lp.Run(task, args)
 }
 
 // singleInsnBlocksProgram touches every micro-op family once; r9
@@ -657,8 +636,8 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 	if helperCalls != 4 {
 		t.Fatalf("%d proven impure helper calls, want 4", helperCalls)
 	}
-	ir := runExecVariant(t, p.Name, p.Insns, 5, false)
-	cr := runExecVariantOn(t, sim.LargeHW, p.Name, p.Insns, 5, compileIsolated)
+	ir := runExecVariant(t, sim.LargeHW, p.Name, p.Insns, 5, interpreted)
+	cr := runExecVariant(t, sim.LargeHW, p.Name, p.Insns, 5, isolated)
 	if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 		t.Fatalf("diverged:\ninterp   %+v\ncompiled %+v\n%s", ir, cr, p.Disassemble())
 	}
@@ -728,13 +707,9 @@ func TestBranchMicroOps(t *testing.T) {
 			outcomes[taken] = true
 			for _, pos := range []string{"first", "middle", "last"} {
 				p, jpc := branchProgram(op, b, pos)
-				lp, err := Load(p, 0)
+				cc, err := decodeProgram(p)
 				if err != nil {
-					t.Fatalf("load: %v\n%s", err, p.Disassemble())
-				}
-				cc, err := lp.decode()
-				if err != nil {
-					t.Fatalf("%s: %v", p.Name, err)
+					t.Fatalf("%s: %v\n%s", p.Name, err, p.Disassemble())
 				}
 				head := jpc
 				for head > 0 && cc.fns[head-1] == nil && !cc.isTarget[head] {
@@ -752,8 +727,8 @@ func TestBranchMicroOps(t *testing.T) {
 				if !at[pos] {
 					t.Fatalf("%s: branch is op %d of a %d-op block", p.Name, jpc-head, len(run))
 				}
-				ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, nil)
-				cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, jit)
+				ir := runExecVariant(t, unit, p.Name, p.Insns, 3, interpreted)
+				cr := runExecVariant(t, unit, p.Name, p.Insns, 3, (*LoadedProgram).Run)
 				if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 					t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
 				}

@@ -17,13 +17,23 @@ var PatternNames = [muHelperCall - muStoreZeroRun]string{
 	"muLoadObjStoreRun", "muDeltaObjRun", "muArgLadder",
 }
 
-// PatternCounts decodes lp the way Compile does and adds to counts, per
-// pattern super-op kind, how many each peephole pass produced in lp's
+// decodeProgram analyzes p and decodes it the way Load compiles it, for
+// the helpers below that look inside the compiled form.
+func decodeProgram(p *Program) (*compiler, error) {
+	a, err := Analyze(p, 0)
+	if err != nil {
+		return nil, err
+	}
+	return (&LoadedProgram{prog: p}).decode(a)
+}
+
+// PatternCounts decodes p the way Load compiles it and adds to counts, per
+// pattern super-op kind, how many each peephole pass produced in p's
 // blocks — a super-op counts in the pass that makes it, because a later
-// pass may go on to absorb it into a larger one. It returns Compile's
-// error if lp does not compile.
-func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) error {
-	cc, err := lp.decode()
+// pass may go on to absorb it into a larger one. It returns Load's error if
+// p does not load.
+func PatternCounts(p *Program, counts *[len(PatternNames)]int) error {
+	cc, err := decodeProgram(p)
 	if err != nil {
 		return err
 	}
@@ -47,13 +57,13 @@ func PatternCounts(lp *LoadedProgram, counts *[len(PatternNames)]int) error {
 	return nil
 }
 
-// FramedCalls decodes lp the way Compile does and returns its number of
+// FramedCalls decodes p the way Load compiles it and returns its number of
 // impure helper call sites and how many of them peephole folded into a
 // muCallFrame. A call that binds no callFrame runs through genericCall, and
 // one matchFrame does not fold stays a muHelperCall: either counts only in
 // calls.
-func FramedCalls(lp *LoadedProgram) (calls, framed int, err error) {
-	cc, err := lp.decode()
+func FramedCalls(p *Program) (calls, framed int, err error) {
+	cc, err := decodeProgram(p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -104,13 +114,12 @@ func (cc *compiler) peepholeStarts(run []microOp, head int) ([]microOp, []int) {
 	return ops, starts
 }
 
-// DispatchedOps runs lp once the way Compile would build it, except that
+// DispatchedOps runs p once the way Load would compile it, except that
 // every micro-op after peephole is a block of its own, and returns how
 // many micro-ops the run dispatched beside its R0 and virtual cost (which
-// a block charges by pc, so splitting changes neither). lp must not have
-// been compiled: Compile releases the analysis decode needs.
-func DispatchedOps(lp *LoadedProgram, task *kernel.Task, args []uint64) (ops int, r0 uint64, costNS int64, err error) {
-	cc, err := lp.decode()
+// a block charges by pc, so splitting changes neither).
+func DispatchedOps(p *Program, task *kernel.Task, args []uint64) (ops int, r0 uint64, costNS int64, err error) {
+	cc, err := decodeProgram(p)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -146,13 +155,13 @@ func DispatchedOps(lp *LoadedProgram, task *kernel.Task, args []uint64) (ops int
 	return ops, ec.regs[R0], costNS, nil
 }
 
-// MicroOps renders what Compile would build from lp, pc by pc: every fused
-// block's micro-ops after both peephole passes with their resolved
-// operands (a closure shows only as present), and "term" for each
-// terminator. Two programs with the same rendering compile to the same
-// code. It returns Compile's error instead if lp does not compile.
-func MicroOps(lp *LoadedProgram) (string, error) {
-	cc, err := lp.decode()
+// MicroOps renders what Load compiles p to, pc by pc: every fused block's
+// micro-ops after both peephole passes with their resolved operands (a
+// closure shows only as present), and "term" for each terminator. Two
+// programs with the same rendering compile to the same code. It returns
+// Load's error instead if p does not load.
+func MicroOps(p *Program) (string, error) {
+	cc, err := decodeProgram(p)
 	if err != nil {
 		return "", err
 	}
@@ -181,13 +190,46 @@ func LivenessAgrees(p *Program) string { return livenessDiff(p) }
 // and describes their first disagreement, or returns "".
 func AnalysesAgree(p *Program) string { return diffAnalyses(p, 0) }
 
-// RunInterpreted executes the program through the interpreter even when a
-// compiled form exists — the reference semantics the differential oracles
-// compare the compiled path against.
-func (lp *LoadedProgram) RunInterpreted(task *kernel.Task, args []uint64) (uint64, int64, error) {
-	lp.interpRuns++
-	return lp.runInterp(task, args)
+// Interpreter binds a loaded program to the reference interpreter
+// (interp_test.go).
+type Interpreter struct {
+	lp *LoadedProgram
+	// ptrALU[pc] is the per-pc fact the interpreter dispatches ALU
+	// instructions on (see ptrALU), taken once from a fresh analysis of
+	// the program, since Load keeps none.
+	ptrALU []bool
 }
+
+// NewInterpreter readies lp's program for RunInterpreted. Its error is
+// Analyze's, for a program changed after Load.
+func NewInterpreter(lp *LoadedProgram) (*Interpreter, error) {
+	a, err := Analyze(lp.prog, 0)
+	if err != nil {
+		return nil, err
+	}
+	return interpreterFrom(lp, a), nil
+}
+
+// interpreterFrom binds lp to the interpreter with a's pointer-ALU facts.
+func interpreterFrom(lp *LoadedProgram, a *Analysis) *Interpreter {
+	ip := &Interpreter{lp: lp, ptrALU: make([]bool, len(lp.prog.Insns))}
+	for pc, in := range lp.prog.Insns {
+		ip.ptrALU[pc] = ptrALU(a, pc, in)
+	}
+	return ip
+}
+
+// RunInterpreted executes the program through the interpreter — the
+// reference semantics the differential oracles compare Run against. It
+// works on the same maps, and records into the same call trace, as Run.
+func (ip *Interpreter) RunInterpreted(task *kernel.Task, args []uint64) (uint64, int64, error) {
+	return ip.runInterp(task, args)
+}
+
+// MapFingerprint renders m's contents canonically (compile_test.go's
+// mapFingerprint), so two maps can be compared byte for byte. A ring is
+// drained by it.
+func MapFingerprint(m Map) string { return mapFingerprint(m) }
 
 // SetCallTrace enables or disables recording of impure helper calls.
 func (lp *LoadedProgram) SetCallTrace(on bool) { lp.traceOn = on }
@@ -200,6 +242,3 @@ func (lp *LoadedProgram) CallTrace() []HelperCall {
 	}
 	return out
 }
-
-// Runs returns the number of times the program has been invoked.
-func (lp *LoadedProgram) Runs() int64 { return lp.interpRuns + lp.compiledRuns }

@@ -12,13 +12,9 @@ import (
 // in its blocks, with the count argument (imm) of each run kind.
 func fusedKinds(t *testing.T, p *Program) (kinds map[microKind]int, runLens []uint64) {
 	t.Helper()
-	lp, err := Load(p, 0)
+	cc, err := decodeProgram(p)
 	if err != nil {
-		t.Fatalf("%s: load: %v\n%s", p.Name, err, p.Disassemble())
-	}
-	cc, err := lp.decode()
-	if err != nil {
-		t.Fatalf("%s: %v", p.Name, err)
+		t.Fatalf("%s: %v\n%s", p.Name, err, p.Disassemble())
 	}
 	kinds = map[microKind]int{}
 	for pc := 0; pc < len(cc.fns); {
@@ -45,8 +41,8 @@ func agreeAtUnitCost(t *testing.T, p *Program) variantResult {
 	t.Helper()
 	unit := sim.LargeHW
 	unit.BPFInsnNS = 1
-	ir := runExecVariantOn(t, unit, p.Name, p.Insns, 3, nil)
-	cr := runExecVariantOn(t, unit, p.Name, p.Insns, 3, jit)
+	ir := runExecVariant(t, unit, p.Name, p.Insns, 3, interpreted)
+	cr := runExecVariant(t, unit, p.Name, p.Insns, 3, (*LoadedProgram).Run)
 	if ir.err != nil || !reflect.DeepEqual(ir, cr) {
 		t.Fatalf("%s diverged:\ninterp   %+v\ncompiled %+v\n%s", p.Name, ir, cr, p.Disassemble())
 	}

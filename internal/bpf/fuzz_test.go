@@ -2,12 +2,12 @@ package bpf
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
-
-	"tscout/internal/kernel"
-	"tscout/internal/sim"
 )
 
 // This file holds the differential fuzz targets for the verifier/VM
@@ -45,27 +45,20 @@ func checkRejection(t *testing.T, p *Program, err error) {
 	}
 }
 
-// checkAcceptedRuns asserts the accept side of the oracle: the program
-// must load and run without a runtime error, any of which is a verifier
-// bug. It then runs the interpreter-vs-JIT differential: the program must
-// compile, and compiled execution must agree bit-exactly on R0, cost,
-// helper trace and map end-states.
+// checkAcceptedRuns asserts the accept side of the oracle, the
+// interpreter-vs-JIT differential: the program must load (so compile), and
+// compiled execution must agree bit-exactly with the interpreter on R0,
+// cost, helper trace and map end-states. Neither may end in a runtime
+// error, which would be a verifier bug.
 func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 	t.Helper()
-	lp, err := Load(p, fuzzMaxInsns)
-	if err != nil {
-		t.Fatalf("Verify accepted but Load rejected: %v", err)
+	r := assertCompiledAgreement(t, p, seed)
+	if r.err != nil {
+		t.Fatalf("verified program faulted: %v\n%s", r.err, p.Disassemble())
 	}
-	k := kernel.New(sim.LargeHW, seed, 0)
-	task := k.NewTask("fuzz")
-	_, cost, rerr := lp.Run(task, []uint64{1, 2, 3, 4})
-	if rerr != nil {
-		t.Fatalf("verified program faulted: %v\n%s", rerr, p.Disassemble())
+	if r.cost < 0 {
+		t.Fatalf("negative execution cost %d", r.cost)
 	}
-	if cost < 0 {
-		t.Fatalf("negative execution cost %d", cost)
-	}
-	assertCompiledAgreement(t, p, seed)
 }
 
 // FuzzVerify feeds raw instruction streams (the 20-byte wire form of
@@ -113,6 +106,49 @@ func FuzzVerify(f *testing.F) {
 		}
 		checkAcceptedRuns(t, p, 1)
 	})
+}
+
+// TestRawSeedVerdictsPinned pins the verdict of every hand-named raw
+// corpus entry — accept (""), or the verifier's error text — so an ISA
+// change that turns a seed's accept side into an "invalid opcode"
+// rejection fails here instead of going unnoticed. The pr2-* and pr39
+// entries are ja-free translations of programs that held `ja`: each such
+// jump became `jge rN, 0` to the same target, whose fall-through edge the
+// verifier proves infeasible, which keeps the verdict they had with `ja`.
+// pr3-mut-deep still holds `ja`, past the pc its rejection names.
+func TestRawSeedVerdictsPinned(t *testing.T) {
+	for _, c := range []struct{ entry, want string }{
+		{"FuzzVerify/pr2-seed-141", ""},
+		{"FuzzVerify/pr2-seed-181-mut", ""},
+		{"FuzzVerify/pr2-seed-neg153", ""},
+		{"FuzzVerify/pr2-seed-neg70", ""},
+		{"FuzzVerify/pr3-mut-deep", "bpf: verification failed: insn 7 (sub r3, 48): register out of range"},
+		{"FuzzVerify/seed-jit-div-zero", ""},
+		{"FuzzVerify/seed-jit-high-bit", ""},
+		{"FuzzVerify/seed-jit-lookup-identity", ""},
+		{"FuzzVerify/seed-jit-ucmp", ""},
+		{"FuzzAnalyzeDifferential/pr39-first-error-order",
+			"bpf: verification failed: insn 130 (stx [r0+0], r6): store uses uninitialized r6"},
+	} {
+		b, err := os.ReadFile(filepath.Join("testdata", "fuzz", c.entry))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The raw program is the entry's last value: []byte("...").
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", c.entry, err)
+		}
+		p := &Program{Name: "fuzz/raw", Insns: decodeInsns([]byte(raw)), Maps: newGenMaps()}
+		got := ""
+		if err := Verify(p, fuzzMaxInsns); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("%s: verdict %q, want %q", c.entry, got, c.want)
+		}
+	}
 }
 
 // FuzzVerifyThenRun is the constructive+destructive differential target:

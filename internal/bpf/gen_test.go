@@ -138,11 +138,7 @@ func TestGeneratorEmitsFusedShapes(t *testing.T) {
 	want := []microKind{muIOACStore, muSockStore, muLoadObjStoreRun, muDeltaObjRun, muArgLadder, muCallFrame}
 	seen := map[microKind]int{}
 	for seed := int64(0); seed < 3000; seed++ {
-		lp, err := Load(genProgram(seed, int(seed%15)+1), fuzzMaxInsns)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		cc, err := lp.decode()
+		cc, err := decodeProgram(genProgram(seed, int(seed%15)+1))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

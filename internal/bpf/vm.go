@@ -35,38 +35,16 @@ func isMapHandle(v uint64) bool {
 func ptrObj(v uint64) uint32  { return uint32(v>>32) & 0x3fffffff }
 func ptrAddr(v uint64) uint32 { return uint32(v) }
 
-// LoadedProgram is a verified program ready to attach and run. Its
-// bookkeeping is plain fields: one goroutine drives a simulation (see the
-// sim package doc), so tasks on many virtual CPUs hit it one at a time.
+// LoadedProgram is a verified, compiled program ready to attach and run.
+// Its bookkeeping is plain fields: one goroutine drives a simulation (see
+// the sim package doc), so tasks on many virtual CPUs hit it one at a time.
 type LoadedProgram struct {
 	prog *Program
 
-	// ptrALU[pc] is true when the verifier proved the ALU instruction at
-	// pc operates on a pointer destination. The interpreter dispatches on
-	// this static fact rather than on the value's runtime tag bits: a
-	// scalar whose bits happen to fall in the pointer-tagged range must
-	// still take the evalALU path, or scalar semantics would silently
-	// change at 1<<63. The verifier guarantees the kind of a register at
-	// a given pc is the same on every feasible path (kind mismatches join
-	// to uninit, which any use rejects), so the flag is well-defined.
-	ptrALU []bool
-
-	// analysis is the abstract-interpretation result Load verified the
-	// program with, retained so Compile can license its check elisions
-	// from the same proofs (DESIGN.md §9). Compile's decode is its only
-	// reader, and Compile sets it to nil whatever the outcome — the proof
-	// is megabytes per deployment and nothing reads it again. Otherwise
-	// nil only for hand-constructed programs that bypassed Load, which
-	// Compile refuses.
-	analysis *Analysis
-
-	// compiled is the entry of the native form (compile.go) once Compile
-	// has run; Run dispatches through it when non-nil and interprets
-	// otherwise.
+	// compiled is the entry of the native form (compile.go) Load built;
+	// Run dispatches through it.
 	compiled copFn
-	// compileInfo records the compiled form's size (zero value until
-	// Compile succeeds). Written at load time, before the program can be
-	// attached, so a plain field is safe.
+	// compileInfo records the compiled form's size.
 	compileInfo CompileInfo
 
 	// ec is the compiled form's one execution state. Nothing re-enters a
@@ -76,15 +54,14 @@ type LoadedProgram struct {
 	// stack byte the program did not itself write this invocation.
 	ec execState
 
-	interpRuns    int64
 	compiledRuns  int64
 	runtimeFaults int64
 
-	// Optional side-effect trace, used by the differential fuzzers to
-	// compare the interpreter with the JIT: every successful call to a
-	// non-Pure helper is recorded with its consumed arguments and return
-	// value. Pure helper calls have no effect outside the invocation and
-	// are omitted.
+	// Optional side-effect trace, used by the differential tests to
+	// compare the JIT with the reference interpreter: every successful
+	// call to a non-Pure helper is recorded with its consumed arguments and
+	// return value. Pure helper calls have no effect outside the invocation
+	// and are omitted.
 	traceOn bool
 	trace   []HelperCall
 }
@@ -105,26 +82,23 @@ func (lp *LoadedProgram) recordCall(ec *execState, id int64) {
 	lp.trace = append(lp.trace, HelperCall{ID: id, Args: args, Ret: ec.regs[R0]})
 }
 
-// Load verifies p and returns an executable handle. maxInsns of 0 uses
-// DefaultMaxInsns. This is the moment the real kernel would also JIT the
-// bytecode; the simulator interprets instead and charges per-instruction
-// virtual time. The handle keeps the analysis that proved p — the only way
-// a LoadedProgram gets one, so Compile's elisions always rest on a proof
-// of the instructions it compiles.
+// Load verifies p and JIT-compiles it, as a kernel built with
+// CONFIG_BPF_JIT_ALWAYS_ON does, and returns an executable handle.
+// maxInsns of 0 uses DefaultMaxInsns. The compiler's check elisions rest
+// on the analysis that just proved p; no LoadedProgram keeps that proof,
+// and none gets one from anywhere else. A verified program always
+// compiles; a compile error is a *VerifyError naming the instruction no
+// proof covers (compile.go).
 func Load(p *Program, maxInsns int) (*LoadedProgram, error) {
 	a, err := Analyze(p, maxInsns)
 	if err != nil {
 		return nil, err
 	}
-	ptrALU := make([]bool, len(p.Insns))
-	for pc, in := range p.Insns {
-		if !isALU(in.Op) || in.Op == OpMovImm || in.Op == OpMovReg || !a.Reached(pc) {
-			continue
-		}
-		k := a.states[pc].regs[in.Dst].kind
-		ptrALU[pc] = k == rkPtrStack || k == rkPtrMapValue
+	lp := &LoadedProgram{prog: p}
+	if err := lp.compile(a); err != nil {
+		return nil, err
 	}
-	return &LoadedProgram{prog: p, ptrALU: ptrALU, analysis: a}, nil
+	return lp, nil
 }
 
 // Program returns the underlying program.
@@ -160,7 +134,8 @@ type execState struct {
 	task    *kernel.Task
 	args    []uint64
 
-	// Compiled-path accounting; the interpreter keeps these in locals.
+	// Run accounting: instructions retired, helper nanoseconds, and the
+	// fault that stopped the run.
 	executed int
 	helperNS int64
 	err      error
@@ -196,110 +171,39 @@ func (ec *execState) mem(ptr uint64, off int32, size int) ([]byte, error) {
 // Run executes the program for task with the given tracepoint arguments.
 // It returns R0, the virtual-time cost of the execution (instruction count
 // times the profile's per-instruction cost, plus helper costs), and any
-// runtime fault. Once Compile has run, execution runs the compiled
-// blocks; until then it runs on the interpreter. Both paths produce bit-identical
-// results — R0, cost, helper trace and map end-states — which
-// the differential fuzz oracles enforce.
-func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (uint64, int64, error) {
-	if lp.compiled != nil {
-		return lp.runCompiled(task, args)
-	}
-	lp.interpRuns++
-	return lp.runInterp(task, args)
-}
-
-func (lp *LoadedProgram) runInterp(task *kernel.Task, args []uint64) (uint64, int64, error) {
-	p := lp.prog
-	profile := &task.Kernel().Profile
-	ec := &execState{task: task, args: args}
+// runtime fault. The compiled blocks produce what the reference
+// interpreter (the package's tests) does — R0, cost, helper trace and map
+// end-states — which the differential oracles enforce. There is no
+// per-access error plumbing; a verifier/compiler disagreement surfaces as
+// a Go panic, converted here to ErrRuntime.
+func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
+	lp.compiledRuns++
+	insnNS := task.Kernel().Profile.BPFInsnNS
+	// Registers start from zero, as the interpreter's do (and trace capture
+	// may read helper-argument registers); the stack is deliberately left
+	// dirty — the verifier rejects any read of a stack byte the program did
+	// not write this invocation, so stale contents are unobservable.
+	ec := &lp.ec
+	ec.regs = [regSlots]uint64{}
 	ec.regs[R10] = mkPtr(0, StackSize)
-
-	executed := 0
-	var helperNS int64
-	pc := 0
-	for {
-		executed++
-		in := p.Insns[pc]
-		switch {
-		case in.Op == OpExit:
-			return ec.regs[R0], cost(executed, helperNS, profile.BPFInsnNS), nil
-
-		case in.Op == OpMovImm:
-			ec.regs[in.Dst] = uint64(in.Imm)
-			pc++
-		case in.Op == OpMovReg:
-			ec.regs[in.Dst] = ec.regs[in.Src]
-			pc++
-		case isALU(in.Op):
-			var src uint64
-			if isRegSrc(in.Op) {
-				src = ec.regs[in.Src]
-			} else {
-				src = uint64(in.Imm)
-			}
-			dst := ec.regs[in.Dst]
-			if lp.ptrALU[pc] {
-				// Pointer arithmetic (verified to be add/sub const).
-				delta := int64(src)
-				if in.Op == OpSubImm || in.Op == OpSubReg {
-					delta = -delta
-				}
-				ec.regs[in.Dst] = mkPtr(ptrObj(dst), uint32(int64(ptrAddr(dst))+delta))
-			} else {
-				ec.regs[in.Dst] = uint64(evalALU(in.Op, int64(dst), int64(src)))
-			}
-			pc++
-
-		case in.Op == OpLoadMapPtr:
-			ec.regs[in.Dst] = mapTag | uint64(in.Imm)
-			pc++
-
-		case in.Op == OpLoad:
-			b, err := ec.mem(ec.regs[in.Src], in.Off, 8)
-			if err != nil {
-				return 0, cost(executed, helperNS, profile.BPFInsnNS), err
-			}
-			ec.regs[in.Dst] = U64(b)
-			pc++
-		case in.Op == OpStore, in.Op == OpStoreImm:
-			b, err := ec.mem(ec.regs[in.Dst], in.Off, 8)
-			if err != nil {
-				return 0, cost(executed, helperNS, profile.BPFInsnNS), err
-			}
-			if in.Op == OpStore {
-				PutU64(b, ec.regs[in.Src])
-			} else {
-				PutU64(b, uint64(in.Imm))
-			}
-			pc++
-
-		case isJump(in.Op):
-			var b uint64
-			if isRegSrc(in.Op) {
-				b = ec.regs[in.Src]
-			} else {
-				b = uint64(in.Imm)
-			}
-			if condTrue(in.Op, ec.regs[in.Dst], b) {
-				pc += 1 + int(in.Off)
-			} else {
-				pc++
-			}
-
-		case in.Op == OpCall:
-			ns, err := lp.call(ec, in.Imm)
-			helperNS += ns
-			if err != nil {
-				return 0, cost(executed, helperNS, profile.BPFInsnNS), err
-			}
-			if lp.traceOn {
-				lp.recordCall(ec, in.Imm)
-			}
-			pc++
-		default:
-			return 0, cost(executed, helperNS, profile.BPFInsnNS), fmt.Errorf("%w: bad opcode at %d", ErrRuntime, pc)
+	ec.objects = ec.objects[:0]
+	ec.task, ec.args = task, args
+	ec.executed, ec.helperNS, ec.err = 0, 0, nil
+	defer func() {
+		if rec := recover(); rec != nil {
+			r0 = 0
+			costNS = cost(ec.executed, ec.helperNS, insnNS)
+			err = fmt.Errorf("%w: compiled execution panic: %v", ErrRuntime, rec)
 		}
+	}()
+	for f := lp.compiled; f != nil; {
+		f = f(ec)
 	}
+	costNS = cost(ec.executed, ec.helperNS, insnNS)
+	if ec.err != nil {
+		return 0, costNS, ec.err
+	}
+	return ec.regs[R0], costNS, nil
 }
 
 // cost converts an executed-instruction count into virtual nanoseconds,

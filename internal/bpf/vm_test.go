@@ -314,8 +314,8 @@ func TestAttachToTracepoint(t *testing.T) {
 	if n := rb.DrainBatch(0, &got, 0); n != 1 || U64(got.Sample(0)) != 4242 {
 		t.Fatalf("sample: drained %d", n)
 	}
-	if lp.Runs() != 1 {
-		t.Fatalf("run count: %d", lp.Runs())
+	if runs := lp.JITStats().CompiledRuns; runs != 1 {
+		t.Fatalf("run count: %d", runs)
 	}
 }
 

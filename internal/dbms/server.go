@@ -102,7 +102,6 @@ func NewServer(cfg Config) (*Server, error) {
 			DisableProcessorFeedback: cfg.DisableFeedback,
 			ProcessorParallelism:     cfg.ProcessorParallelism,
 			ProcessorSink:            cfg.Sink,
-			CompileCollectors:        true,
 		})
 	}
 	eng, err := exec.New(srv.Catalog, ts)

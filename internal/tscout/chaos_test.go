@@ -35,7 +35,6 @@ type chaosConfig struct {
 	faults    int  // faults in the seeded plan
 	ringCap   int  // small, so overflow bursts actually overflow
 	drainEvr  int  // budgeted drain every N cycles; 0 = none
-	jit       bool // run the Collectors through the JIT
 	autopilot bool // tick a controller after every drain
 	refuse    bool // the sink refuses every fifth delivery
 	workers   int  // tasks pinned round-robin over the CPUs; 0 = three unpinned
@@ -130,7 +129,6 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 		RingCapacity:             cfg.ringCap,
 		ProcessorParallelism:     cfg.par,
 		DisableProcessorFeedback: true,
-		CompileCollectors:        cfg.jit,
 		ProcessorSink:            sink,
 	})
 	scan := ts.MustRegisterOU(tscout.OUDef{
@@ -377,18 +375,16 @@ func runScenario(t *testing.T, cfg chaosConfig) {
 	}
 }
 
-// TestChaosPipelineIdentityCompiled re-runs the seed corpus with the
-// Collectors JIT-compiled: the identities, zero runtime faults included,
-// hold on the native path, and the run actually dispatched to it.
+// TestChaosPipelineIdentityCompiled re-runs the seed corpus at two drain
+// threads on four CPUs: the identities, zero runtime faults included, hold
+// on the compiled Collectors, and marker hits dispatched to them.
 func TestChaosPipelineIdentityCompiled(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := standard("", seed, 2, 4)
-			cfg.jit = true
-			r := runChaos(t, cfg)
+			r := runChaos(t, standard("", seed, 2, 4))
 			st := r.ts.Processor().Stats()
 			if st.TotalCompiledPrograms() == 0 {
-				t.Fatalf("compiled chaos run never JIT-compiled a program: %+v", st.JIT)
+				t.Fatalf("chaos run deployed no Collector program: %+v", st.JIT)
 			}
 			var native int64
 			for _, sub := range tscout.AllSubsystems {
@@ -468,9 +464,6 @@ func FuzzFaultSchedule(f *testing.F) {
 		runChaos(t, chaosConfig{
 			seed: seed, par: 1 + int(parSel%4), numCPUs: 1 + int(uint64(seed)%8),
 			ous: 120, faults: int(faults), ringCap: 16, drainEvr: 20,
-			// Half the schedules run the JIT so the fuzzer exercises both
-			// execution engines under the same fault corpus.
-			jit: seed%2 != 0,
 		})
 	})
 }

@@ -26,11 +26,6 @@ type Collector struct {
 	End      *bpf.LoadedProgram
 	Features *bpf.LoadedProgram
 
-	// jitEnabled records whether GenerateCollector JIT-compiled the
-	// programs; per-program sizes and dispatch counts live on the
-	// LoadedPrograms themselves (see JITStats).
-	jitEnabled bool
-
 	// Ring is the subsystem's per-CPU perf ring set: one bounded ring per
 	// simulated CPU, with perf_event_output routed by the submitting
 	// task's current CPU (the real perf buffer is likewise per-CPU).
@@ -41,7 +36,7 @@ type Collector struct {
 }
 
 // CollectorConfig is the single codegen configuration surface: it sizes
-// the per-CPU ring set and selects the JIT.
+// the per-CPU ring set.
 type CollectorConfig struct {
 	// NumCPUs is the number of per-CPU rings to create (one per simulated
 	// CPU); values below 1 are clamped to 1.
@@ -49,29 +44,23 @@ type CollectorConfig struct {
 	// PerCPUCapacity bounds each individual CPU ring in samples; values
 	// below 1 are clamped to 1.
 	PerCPUCapacity int
-	// Compile JIT-compiles each loaded program to native micro-op blocks
-	// (bpf.LoadedProgram.Compile), eliding the checks the verifier's proof
-	// already covers. A verified program always compiles; a Compile error
-	// is a verification error and fails GenerateCollector, so no Collector
-	// is left interpreted.
-	Compile bool
 }
 
 // CollectorJITStats aggregates per-program compiled sizes and
 // execution-engine dispatch counts for one Collector; surfaced through ProcessorStats and
 // `tsctl stats`.
 type CollectorJITStats struct {
-	Enabled  bool
 	Begin    bpf.ProgramJITStats
 	End      bpf.ProgramJITStats
 	Features bpf.ProgramJITStats
 }
 
-// CompiledPrograms returns how many of the three programs run natively.
+// CompiledPrograms returns how many of the three programs are deployed;
+// every deployed program runs compiled, and has at least one instruction.
 func (s CollectorJITStats) CompiledPrograms() int {
 	n := 0
 	for _, p := range []bpf.ProgramJITStats{s.Begin, s.End, s.Features} {
-		if p.Compiled {
+		if p.Insns > 0 {
 			n++
 		}
 	}
@@ -89,7 +78,6 @@ func (s CollectorJITStats) RuntimeFaults() int64 {
 // counters.
 func (c *Collector) JITStats() CollectorJITStats {
 	return CollectorJITStats{
-		Enabled:  c.jitEnabled,
 		Begin:    c.Begin.JITStats(),
 		End:      c.End.JITStats(),
 		Features: c.Features.JITStats(),
@@ -194,21 +182,15 @@ func collectorSkeleton(sub SubsystemID, res ResourceSet, numCPUs, perCPUCap int)
 // three marker programs tailored to the subsystem's resource set (probes
 // for unchecked resources are simply not compiled in, Fig. 3), sizes the
 // per-CPU ring set from cfg, and loads the programs through the BPF
-// verifier. Codegen emits each program in its final form — no store it
+// verifier, which JIT-compiles each one. Codegen emits each program in its final form — no store it
 // makes is dead (`tsctl vet` lints every one) — so nothing rewrites a
 // program between codegen and the verifier.
 func GenerateCollector(sub SubsystemID, res ResourceSet, cfg CollectorConfig) (*Collector, error) {
 	c := collectorSkeleton(sub, res, cfg.NumCPUs, cfg.PerCPUCapacity)
-	c.jitEnabled = cfg.Compile
 	load := func(name string, p *bpf.Program) (*bpf.LoadedProgram, error) {
 		lp, err := bpf.Load(p, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s program: %w", name, err)
-		}
-		if cfg.Compile {
-			if _, err = lp.Compile(); err != nil {
-				return nil, fmt.Errorf("%s program (compile): %w", name, err)
-			}
 		}
 		return lp, nil
 	}

@@ -88,6 +88,29 @@ func TestCodegenRingPerSubsystem(t *testing.T) {
 	}
 }
 
+// TestJITSmokeAllCollectorPrograms generates all 4 subsystems × 16 resource
+// masks × 3 marker programs — 192 programs — through the production path,
+// which loads, and so compiles, every one.
+func TestJITSmokeAllCollectorPrograms(t *testing.T) {
+	deployed := 0
+	for _, sub := range AllSubsystems {
+		for mask := 0; mask < 16; mask++ {
+			res := ResourceSet{
+				CPU: mask&1 != 0, Memory: mask&2 != 0,
+				Disk: mask&4 != 0, Network: mask&8 != 0,
+			}
+			col, err := GenerateCollector(sub, res, CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16})
+			if err != nil {
+				t.Fatalf("%s mask=%d: %v", sub, mask, err)
+			}
+			deployed += col.JITStats().CompiledPrograms()
+		}
+	}
+	if deployed != 4*16*3 {
+		t.Fatalf("deployed %d compiled programs, want %d", deployed, 4*16*3)
+	}
+}
+
 // TestCollectorSampleWireLayout drains the raw ring bytes one marker cycle
 // produces and checks the §4 wire contract directly: fixed maximum size,
 // OU/PID/nFeatures header words, and feature words at the fixed offset

@@ -6,9 +6,8 @@ import (
 	"testing"
 )
 
-// deployConfig is the Collector configuration a dbms server deploys with:
-// JIT-compiled.
-var deployConfig = CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16, Compile: true}
+// deployConfig is a one-CPU Collector configuration with small rings.
+var deployConfig = CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16}
 
 var fullResources = ResourceSet{CPU: true, Memory: true, Disk: true, Network: true}
 

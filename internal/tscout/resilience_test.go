@@ -472,13 +472,12 @@ type errTest string
 func (e errTest) Error() string { return string(e) }
 
 // deployCompiled is the deployment dbms.NewServer makes — Kernel-Continuous,
-// optimized and JIT-compiled Collectors — with one ten-feature OU sampled
-// at 100 %. The ring is four samples deep so a test can wrap it: a ring
+// JIT-compiled Collectors — with one ten-feature OU sampled at 100 %. The ring is four samples deep so a test can wrap it: a ring
 // slot's buffer is allocated the first time the slot is used.
 func deployCompiled(t *testing.T, k *kernel.Kernel) (*TScout, *Marker) {
 	t.Helper()
 	ts := New(k, Config{Seed: 13, RingCapacity: 4, DisableProcessorFeedback: true,
-		CompileCollectors: true, ProcessorSink: &recordingBatchSink{}})
+		ProcessorSink: &recordingBatchSink{}})
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"},
@@ -522,7 +521,7 @@ func TestMarkerCycleAllocationFree(t *testing.T) {
 		t.Fatalf("%d samples reached the ring over %d cycles", got, runs+1)
 	}
 	if js := ts.CollectorFor(SubsystemExecutionEngine).JITStats(); js.CompiledPrograms() != 3 || js.RuntimeFaults() != 0 {
-		t.Fatalf("collector not fully compiled or faulting: %+v", js)
+		t.Fatalf("collector not fully deployed or faulting: %+v", js)
 	}
 }
 

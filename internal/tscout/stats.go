@@ -101,10 +101,9 @@ type ProcessorStats struct {
 	// path is degenerating to per-sample cost.
 	BatchSizeHist [BatchHistBuckets]int64
 
-	// JIT holds the per-subsystem Collector compiled sizes and
-	// interpreter/compiled dispatch counters (Enabled=false everywhere
-	// when Config.CompileCollectors is off or in user modes; when it is
-	// on, every program is compiled).
+	// JIT holds the per-subsystem Collector compiled sizes and dispatch
+	// counters (zero for a subsystem with no Collector deployed, as in
+	// user modes).
 	JIT [NumSubsystems]CollectorJITStats
 
 	// Autopilot is the online-retraining controller's self-report
@@ -148,8 +147,8 @@ type AutopilotStats struct {
 // stays while benchmark/ reads it (until ROADMAP item 1-S).
 func (s *ProcessorStats) TotalInsnsSaved() int { return 0 }
 
-// TotalCompiledPrograms counts Collector programs running natively across
-// every subsystem.
+// TotalCompiledPrograms counts the deployed Collector programs across
+// every subsystem, all of which run compiled.
 func (s *ProcessorStats) TotalCompiledPrograms() int {
 	n := 0
 	for i := range s.JIT {

@@ -144,12 +144,9 @@ type Config struct {
 	// OptimizeCollectors is ignored: codegen emits each Collector program
 	// in its final form, so there is no optimizer pass left to select.
 	OptimizeCollectors bool //tsvet:ignore unread-field benchmark/ sets it until ROADMAP item 1-S
-	// CompileCollectors JIT-compiles every generated Collector program at
-	// Deploy, replacing interpretation on the marker hot path with
-	// verifier-proof-guided native blocks.
-	// A program the JIT cannot compile fails Deploy; per-program sizes
-	// and dispatch counts appear in ProcessorStats.
-	CompileCollectors bool
+	// CompileCollectors is ignored: bpf.Load JIT-compiles every Collector
+	// program, so there is no interpreted path left to select.
+	CompileCollectors bool //tsvet:ignore unread-field benchmark/ sets it until ROADMAP item 1-S
 }
 
 func (c *Config) withDefaults() Config {
@@ -308,7 +305,6 @@ func (ts *TScout) Deploy() error {
 			col, err := GenerateCollector(sub.id, sub.resources, CollectorConfig{
 				NumCPUs:        ts.kernel.NumCPUs(),
 				PerCPUCapacity: ts.cfg.RingCapacity,
-				Compile:        ts.cfg.CompileCollectors,
 			})
 			if err != nil {
 				return fmt.Errorf("tscout: codegen for %s: %w", sub.id, err)
