@@ -127,7 +127,7 @@ func fig6(w io.Writer, sc experiment.Scale) error {
 	}
 	header(w, "Figure 6: training-data generation vs sampling rate (20 clients)")
 	printOverhead(w, rows, func(r experiment.OverheadRow) float64 { return r.SamplesPerSec / 1000 }, "k samples/s")
-	fmt.Fprintln(w, "\nPipeline drop fraction (ring overwrite + queue overflow), from Processor telemetry:")
+	fmt.Fprintln(w, "\nPipeline drop fraction (ring overwrite), from Processor telemetry:")
 	printOverhead(w, rows, func(r experiment.OverheadRow) float64 { return r.Stats.DropFraction() * 100 }, "% dropped")
 	return nil
 }

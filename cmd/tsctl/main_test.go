@@ -20,14 +20,13 @@ func TestFormatProcessorStatsLayout(t *testing.T) {
 		Submitted: 1500, Drained: 1400, Dropped: 100,
 		DecodeErrors: 2, PaddedFeatures: 5, TruncatedFeatures: 6, Points: 1398,
 	}
-	st.User = tscout.SubsystemStats{Submitted: 50, Drained: 50, Points: 50}
 
 	out := formatProcessorStats(st)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 
-	// Header, one row per kernel subsystem, the user queue row, a blank
-	// separator, and three footer lines.
-	wantLines := 1 + len(tscout.AllSubsystems) + 1 + 1 + 3
+	// Header, one row per subsystem, a blank separator, and three footer
+	// lines.
+	wantLines := 1 + len(tscout.AllSubsystems) + 1 + 3
 	if len(lines) != wantLines {
 		t.Fatalf("%d output lines, want %d:\n%s", len(lines), wantLines, out)
 	}
@@ -52,14 +51,10 @@ func TestFormatProcessorStatsLayout(t *testing.T) {
 		fields[4] != "2" || fields[5] != "5" || fields[6] != "6" || fields[7] != "1398" {
 		t.Fatalf("exec-engine row fields: %v", strings.Fields(execRow))
 	}
-	userRow := lines[1+len(tscout.AllSubsystems)]
-	if !strings.HasPrefix(userRow, "user-queue") || !strings.Contains(userRow, "50") {
-		t.Fatalf("user-queue row: %q", userRow)
-	}
 
 	// All shard rows align: equal widths up to the first counter column.
 	if idx := strings.Index(lines[0], "submitted"); idx < 0 ||
-		len(execRow) != len(userRow) {
+		len(execRow) != len(lines[1+len(tscout.AllSubsystems)-1]) {
 		t.Fatalf("columns misaligned:\n%s", out)
 	}
 
@@ -162,7 +157,6 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 
 	st.Kernel[tscout.SubsystemExecutionEngine] = tscout.SubsystemStats{
 		CorruptDiscards: 3,
-		WrapClamps:      1,
 		Orphans: tscout.OrphanCounts{
 			BeginWithoutEnd: 4, EndWithoutBegin: 2,
 			TornMigration: 5, StaleReaped: 6,
@@ -171,7 +165,6 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 	st.Kernel[tscout.SubsystemLogSerializer] = tscout.SubsystemStats{
 		Orphans: tscout.OrphanCounts{TornMigration: 1},
 	}
-	st.User = tscout.SubsystemStats{WrapClamps: 2}
 	st.SinkRetries = 7
 	st.SinkRetryDrops = 1
 	st.PendingRetry = 9
@@ -180,11 +173,10 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 	if !strings.Contains(out, "resilience:") {
 		t.Fatalf("resilience section missing:\n%s", out)
 	}
-	// Orphans aggregate across subsystems; wrap clamps across kernel
-	// shards and the user queue.
+	// Orphans aggregate across subsystems.
 	for _, want := range []string{
 		"begin-no-end=4", "end-no-begin=2", "torn-migration=6", "stale-reaped=6",
-		"corrupt-discards=3", "wrap-clamps=3",
+		"corrupt-discards=3",
 		"sink-retries=7", "sink-retry-drops=1", "pending-retry=9",
 	} {
 		if !strings.Contains(out, want) {
@@ -195,7 +187,7 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 
 func TestFormatProcessorStatsJITSection(t *testing.T) {
 	var st tscout.ProcessorStats
-	// No Collector deployed (user modes): the JIT section must not render.
+	// No Collector deployed: the JIT section must not render.
 	if out := formatProcessorStats(st); strings.Contains(out, "jit") {
 		t.Fatalf("jit section rendered with no Collector deployed:\n%s", out)
 	}

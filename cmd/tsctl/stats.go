@@ -9,8 +9,8 @@ import (
 )
 
 // formatProcessorStats renders the Processor's self-observability snapshot
-// as the `tsctl stats` telemetry block: one row per drain shard (kernel
-// subsystems then the user queue), followed by the budget footer. Split
+// as the `tsctl stats` telemetry block: one row per drain shard (one per
+// subsystem), followed by the budget footer. Split
 // from main so the layout is unit-testable.
 func formatProcessorStats(st tscout.ProcessorStats) string {
 	var b strings.Builder
@@ -24,7 +24,6 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 	for _, sub := range tscout.AllSubsystems {
 		shardRow(sub.String(), st.Kernel[sub])
 	}
-	shardRow("user-queue", st.User)
 	fmt.Fprintf(&b, "\npolls=%d parallelism=%d global-budget=%d effective-budget=%d\n",
 		st.Polls, st.Parallelism, st.GlobalBudget, st.EffectiveBudget)
 	fmt.Fprintf(&b, "feedback-actions=%d processed=%d\n", st.FeedbackActions, st.Processed)
@@ -72,17 +71,12 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 	}
 
 	// Resilience telemetry (orphaned in-flight OUs, corrupt-metric
-	// discards, wraparound clamps, sink retries) only renders once any
+	// discards, sink retries) only renders once any
 	// counter is nonzero: a healthy fault-free deployment keeps the
 	// compact layout, and a nonzero section is itself the signal that
 	// samples were lost to faults rather than archived.
 	orphans := st.TotalOrphans()
-	var wrapClamps int64
-	for i := range st.Kernel {
-		wrapClamps += st.Kernel[i].WrapClamps
-	}
-	wrapClamps += st.User.WrapClamps
-	resil := orphans.Total() + st.TotalCorruptDiscards() + wrapClamps +
+	resil := orphans.Total() + st.TotalCorruptDiscards() +
 		st.SinkRetries + st.SinkRetryDrops + int64(st.PendingRetry) +
 		st.TotalRuntimeFaults()
 	if resil > 0 {
@@ -90,9 +84,8 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 		fmt.Fprintf(&b, "orphans: begin-no-end=%d end-no-begin=%d torn-migration=%d stale-reaped=%d\n",
 			orphans.BeginWithoutEnd, orphans.EndWithoutBegin,
 			orphans.TornMigration, orphans.StaleReaped)
-		fmt.Fprintf(&b, "corrupt-discards=%d wrap-clamps=%d sink-retries=%d sink-retry-drops=%d pending-retry=%d\n",
-			st.TotalCorruptDiscards(), wrapClamps,
-			st.SinkRetries, st.SinkRetryDrops, st.PendingRetry)
+		fmt.Fprintf(&b, "corrupt-discards=%d sink-retries=%d sink-retry-drops=%d pending-retry=%d\n",
+			st.TotalCorruptDiscards(), st.SinkRetries, st.SinkRetryDrops, st.PendingRetry)
 		if rf := st.TotalRuntimeFaults(); rf > 0 {
 			// A verified program faulting at runtime is a verifier or JIT
 			// bug, not operational noise — call it out unmistakably.

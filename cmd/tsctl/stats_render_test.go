@@ -24,7 +24,7 @@ func fullyPopulatedStats() tscout.ProcessorStats {
 		st.Kernel[i] = tscout.SubsystemStats{
 			Submitted: int64(1000 * (i + 1)), Drained: int64(900 * (i + 1)),
 			Dropped: int64(100 * (i + 1)), Points: int64(890 * (i + 1)),
-			WrapClamps: int64(i),
+			CorruptDiscards: int64(i),
 		}
 		st.Rings[i] = []bpf.RingStats{
 			{Submitted: int64(100 + i), Drained: int64(90 + i), Dropped: int64(10 + i)},
@@ -37,7 +37,6 @@ func fullyPopulatedStats() tscout.ProcessorStats {
 			Features: bpf.ProgramJITStats{Insns: 260, Ops: 31, CompiledRuns: int64(300 * (i + 1))},
 		}
 	}
-	st.User = tscout.SubsystemStats{Submitted: 77, Drained: 77, Points: 77}
 	st.BatchSizeHist = [tscout.BatchHistBuckets]int64{3, 8, 21, 5, 1, 0}
 	st.Autopilot = tscout.AutopilotStats{
 		Enabled: true, Epochs: 42, Refits: 7, PointsConsumed: 5000, Segments: 11,

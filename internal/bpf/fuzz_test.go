@@ -111,11 +111,12 @@ func FuzzVerify(f *testing.F) {
 // TestRawSeedVerdictsPinned pins the verdict of every hand-named raw
 // corpus entry — accept (""), or the verifier's error text — so an ISA
 // change that turns a seed's accept side into an "invalid opcode"
-// rejection fails here instead of going unnoticed. The pr2-* and pr39
-// entries are ja-free translations of programs that held `ja`: each such
-// jump became `jge rN, 0` to the same target, whose fall-through edge the
-// verifier proves infeasible, which keeps the verdict they had with `ja`.
-// pr3-mut-deep still holds `ja`, past the pc its rejection names.
+// rejection fails here instead of going unnoticed. The pr2-*, pr3 and
+// pr39 entries are ja-free translations of programs that held `ja`: each
+// such jump became `jge rN, 0` to the same target, whose fall-through edge
+// the verifier proves infeasible, which keeps the verdict they had with
+// `ja`. pr3-mut-deep-repaired is pr3-mut-deep with its pc 7 made valid, so
+// the verifier walks past the rejection the seed stops at.
 func TestRawSeedVerdictsPinned(t *testing.T) {
 	for _, c := range []struct{ entry, want string }{
 		{"FuzzVerify/pr2-seed-141", ""},
@@ -123,6 +124,7 @@ func TestRawSeedVerdictsPinned(t *testing.T) {
 		{"FuzzVerify/pr2-seed-neg153", ""},
 		{"FuzzVerify/pr2-seed-neg70", ""},
 		{"FuzzVerify/pr3-mut-deep", "bpf: verification failed: insn 7 (sub r3, 48): register out of range"},
+		{"FuzzVerify/pr3-mut-deep-repaired", ""},
 		{"FuzzVerify/seed-jit-div-zero", ""},
 		{"FuzzVerify/seed-jit-high-bit", ""},
 		{"FuzzVerify/seed-jit-lookup-identity", ""},

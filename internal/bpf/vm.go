@@ -105,23 +105,30 @@ func Load(p *Program, maxInsns int) (*LoadedProgram, error) {
 func (lp *LoadedProgram) Program() *Program { return lp.prog }
 
 // Attach installs the program on a kernel tracepoint. Each hit pays one
-// mode switch (charged by the kernel) plus the program's execution cost.
-// A tracepoint handler has no error channel back to the kernel, so a
-// runtime fault is counted in RuntimeFaults instead of vanishing: the hit
-// still charges its partial cost, but produced no sample, and the loss
-// accounting (chaos identities, tsctl stats) must be able to see that.
+// mode switch (charged by the kernel) plus the program's execution cost,
+// and runs the program through Hit.
 func (lp *LoadedProgram) Attach(tp *kernel.Tracepoint) {
 	tp.Attach(func(t *kernel.Task, args []uint64) int64 {
-		_, cost, err := lp.Run(t, args)
-		if err != nil {
-			lp.runtimeFaults++
-		}
+		_, cost := lp.Hit(t, args)
 		return cost
 	})
 }
 
-// RuntimeFaults returns the number of attached-tracepoint hits whose run
-// ended in a runtime fault (and therefore produced no sample).
+// Hit runs the program for one marker hit and returns R0 and the run's
+// cost. A marker has no error channel back to its caller, so a runtime
+// fault is counted in RuntimeFaults instead of vanishing: the run still
+// returns its partial cost, but produced no sample, and the loss accounting
+// (chaos identities, tsctl stats) must be able to see that.
+func (lp *LoadedProgram) Hit(t *kernel.Task, args []uint64) (r0 uint64, costNS int64) {
+	r0, costNS, err := lp.Run(t, args)
+	if err != nil {
+		lp.runtimeFaults++
+	}
+	return r0, costNS
+}
+
+// RuntimeFaults returns the number of marker hits whose run ended in a
+// runtime fault (and therefore produced no sample).
 func (lp *LoadedProgram) RuntimeFaults() int64 { return lp.runtimeFaults }
 
 type execState struct {

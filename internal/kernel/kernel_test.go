@@ -244,6 +244,14 @@ func TestPerfMultiplexNormalization(t *testing.T) {
 	}
 }
 
+// Normalized is raw * enabled/running (paper §4.1) in floating point.
+func (r Reading) Normalized() float64 {
+	if r.TimeRunning <= 0 {
+		return 0
+	}
+	return r.Raw * r.TimeEnabled / r.TimeRunning
+}
+
 // ReadAll returns readings for every counter in cs.
 func (pc *PerfContext) ReadAll(cs []Counter) []Reading {
 	out := make([]Reading, len(cs))

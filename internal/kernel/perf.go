@@ -178,15 +178,6 @@ type Reading struct {
 	TimeRunning float64
 }
 
-// Normalized returns the multiplexing-corrected estimate of the true count:
-// raw * enabled/running (paper §4.1 — TScout handles this transparently).
-func (r Reading) Normalized() float64 {
-	if r.TimeRunning <= 0 {
-		return 0
-	}
-	return r.Raw * r.TimeEnabled / r.TimeRunning
-}
-
 // Read returns the current reading for counter c without charging any
 // cost. Cost accounting belongs to the access path: a user-space read is a
 // syscall per counter group; a kernel-space (BPF helper) read is free of

@@ -342,10 +342,19 @@ func TestChaosPipelineIdentity(t *testing.T) {
 }
 
 // runScenario runs one row of the scenario table and holds it to the
-// expectations its configuration names.
+// expectations its configuration names, and to running on the compiled
+// Collectors: programs were deployed, and marker hits dispatched to them.
 func runScenario(t *testing.T, cfg chaosConfig) {
 	r := runChaos(t, cfg)
 	expectFaultsFired(t, r)
+	st := r.ts.Processor().Stats()
+	var native int64
+	for _, js := range st.JIT {
+		native += js.Begin.CompiledRuns + js.End.CompiledRuns + js.Features.CompiledRuns
+	}
+	if st.TotalCompiledPrograms() == 0 || native == 0 {
+		t.Fatalf("no Collector program deployed, or no marker hit dispatched to one: %+v", st.JIT)
+	}
 	if got := r.census(); cfg.pin != (chaosPin{}) && got != cfg.pin {
 		t.Fatalf("census at one CPU\n got  %+v\n want %+v", got, cfg.pin)
 	}
@@ -368,33 +377,21 @@ func runScenario(t *testing.T, cfg chaosConfig) {
 		}
 	}
 	if cfg.refuse {
-		if st := r.ts.Processor().Stats(); st.SinkRetries == 0 || r.parked == 0 {
+		if st.SinkRetries == 0 || r.parked == 0 {
 			t.Fatalf("refusals never parked a batch for retry: %d retries, at most %d points parked",
 				st.SinkRetries, r.parked)
 		}
 	}
 }
 
-// TestChaosPipelineIdentityCompiled re-runs the seed corpus at two drain
-// threads on four CPUs: the identities, zero runtime faults included, hold
-// on the compiled Collectors, and marker hits dispatched to them.
+// TestChaosPipelineIdentityCompiled runs the seed corpus at two drain
+// threads on two CPUs, a CPU count the scenario table leaves out: the
+// identities hold, and runScenario finds the compiled Collectors deployed
+// and marker hits dispatched to them.
 func TestChaosPipelineIdentityCompiled(t *testing.T) {
 	for _, seed := range chaosSeeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			r := runChaos(t, standard("", seed, 2, 4))
-			st := r.ts.Processor().Stats()
-			if st.TotalCompiledPrograms() == 0 {
-				t.Fatalf("chaos run deployed no Collector program: %+v", st.JIT)
-			}
-			var native int64
-			for _, sub := range tscout.AllSubsystems {
-				js := st.JIT[sub]
-				native += js.Begin.CompiledRuns + js.End.CompiledRuns + js.Features.CompiledRuns
-			}
-			if native == 0 {
-				t.Fatalf("compiled programs exist but no marker hit dispatched natively: %+v", st.JIT)
-			}
-		})
+		cfg := standard(fmt.Sprintf("seed=%d", seed), seed, 2, 2)
+		t.Run(cfg.name, func(t *testing.T) { runScenario(t, cfg) })
 	}
 }
 

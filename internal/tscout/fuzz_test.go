@@ -30,8 +30,8 @@ func fuzzProcessor() *Processor {
 // decoder crashes found by FuzzProcessorDecode: a part count of ^0 reaches
 // make() as a negative cap, and a feature count of ^0 wraps negative
 // through int() so the old i+n bound check passed and the slice expression
-// panicked. Both inputs are reachable from SubmitUserSample, where a panic
-// takes down Drain's caller.
+// panicked. Both inputs are reachable from any ring, where a panic takes
+// down Drain's caller.
 func TestDecodeFusedFeaturesHostileCounts(t *testing.T) {
 	hostile := [][]uint64{
 		{^uint64(0)},                     // k = -1 after int conversion

@@ -12,7 +12,7 @@ import (
 // probe offered, and every point the Processor produced, is in exactly one
 // bucket once the rings are drained; a leak in either direction means the
 // self-observability stats that drive §3.2 feedback lie — and the
-// fault-free workloads that exercise them on the kernel and user paths.
+// fault-free workloads that exercise them in every collection mode.
 
 // CheckLossIdentities asserts, once every task has exited and the rings are
 // fully drained, that no loss is silent and none is counted twice
@@ -62,8 +62,10 @@ func CheckLossIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 		ks := st.Kernel[sub]
 		// A BEGIN whose program faults pushes no entry, so the program's
 		// fault counter is the bucket that keeps this exact. EndWithoutBegin
-		// is not a term: those ENDs have no BEGIN to account.
-		begins := ts.subsystems[sub].beginTP.Hits
+		// is not a term: those ENDs have no BEGIN to account. The BEGIN
+		// program's runs count the BEGINs in every mode: kernel mode runs it
+		// once per tracepoint delivery, the user modes once per marker.
+		begins := col.Begin.JITStats().CompiledRuns
 		inFlight := ks.Orphans.BeginWithoutEnd + ks.Orphans.TornMigration + ks.Orphans.StaleReaped
 		if begins != agg.Submitted+inFlight+col.Begin.RuntimeFaults() {
 			tb.Fatalf("%s begin identity: %d begins != %d submitted + %d orphaned (%+v) + %d faulted",
@@ -106,69 +108,77 @@ func checkFaultFree(t *testing.T, ts *TScout) int64 {
 
 // TestPipelineAccountingIdentity drives seeded randomized marker workloads
 // from several tasks, interleaved with budgeted drains under a
-// deterministic schedule, across three drain-thread configurations. The
+// deterministic schedule, across three drain-thread configurations, in
+// every collection mode (the kernel rows are named without a mode). The
 // tiny ring forces real overwrite drops, and feature widths straddle the
 // declared OU width so pad/truncate repairs run too.
 func TestPipelineAccountingIdentity(t *testing.T) {
-	for _, par := range []int{1, 2, 4} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("threads=%d/seed=%d", par, seed), func(t *testing.T) {
-				ts, k, scan, wal := deployPerCPU(t, KernelContinuous, seed, 1, 8, par)
-				p := ts.Processor()
+	for _, mode := range []Mode{KernelContinuous, UserToggle, UserContinuous} {
+		for _, par := range []int{1, 2, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("threads=%d/seed=%d", par, seed)
+				if mode != KernelContinuous {
+					name = mode.String() + "/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					ts, k, scan, wal := deployPerCPU(t, mode, seed, 1, 8, par)
+					p := ts.Processor()
 
-				iv := k.NewInterleaver(seed)
-				for ti := 0; ti < 3; ti++ {
-					ti := ti
-					task := k.NewTask(fmt.Sprintf("worker%d", ti))
-					iv.AddOn(fmt.Sprintf("worker%d", ti), 0, 40, func(i int) {
-						h := uint64(seed)*2654435761 + uint64(ti)*1099511628211 + uint64(i)*2246822519
-						h ^= h >> 13
-						m := scan
-						if h%3 == 0 {
-							m = wal
-						}
-						feats := make([]uint64, h%5) // declared width is 2
-						for j := range feats {
-							feats[j] = h >> uint(j)
-						}
-						w := sim.Work{
-							Instructions:    float64(1000 + h%100000),
-							BytesTouched:    float64(h % 65536),
-							WorkingSetBytes: float64(1 + h%(1<<20)),
-							AllocBytes:      int64(h % 4096),
-						}
-						runOU(ts, task, m, w, feats...)
-					})
-				}
-				// Budgeted drains race the submitters under the same
-				// deterministic schedule.
-				iv.AddOn("drain", 0, 15, func(int) { p.Drain(DrainOptions{Budget: 3}) })
-				iv.Run()
-				p.Drain(DrainOptions{}) // unbudgeted sweep: empty the rings
+					iv := k.NewInterleaver(seed)
+					for ti := 0; ti < 3; ti++ {
+						ti := ti
+						task := k.NewTask(fmt.Sprintf("worker%d", ti))
+						iv.AddOn(fmt.Sprintf("worker%d", ti), 0, 40, func(i int) {
+							h := uint64(seed)*2654435761 + uint64(ti)*1099511628211 + uint64(i)*2246822519
+							h ^= h >> 13
+							m := scan
+							if h%3 == 0 {
+								m = wal
+							}
+							feats := make([]uint64, h%5) // declared width is 2
+							for j := range feats {
+								feats[j] = h >> uint(j)
+							}
+							w := sim.Work{
+								Instructions:    float64(1000 + h%100000),
+								BytesTouched:    float64(h % 65536),
+								WorkingSetBytes: float64(1 + h%(1<<20)),
+								AllocBytes:      int64(h % 4096),
+							}
+							runOU(ts, task, m, w, feats...)
+						})
+					}
+					// Budgeted drains race the submitters under the same
+					// deterministic schedule.
+					iv.AddOn("drain", 0, 15, func(int) { p.Drain(DrainOptions{Budget: 3}) })
+					iv.Run()
+					p.Drain(DrainOptions{}) // unbudgeted sweep: empty the rings
 
-				dropped := checkFaultFree(t, ts)
-				if dropped == 0 {
-					t.Fatalf("workload never overflowed an 8-slot ring; the dropped_ring term went untested")
-				}
-				st := p.Stats()
-				adj := st.Kernel[SubsystemExecutionEngine].PaddedFeatures +
-					st.Kernel[SubsystemExecutionEngine].TruncatedFeatures
-				if adj == 0 {
-					t.Fatalf("randomized feature widths never triggered a pad/truncate repair")
-				}
-			})
+					dropped := checkFaultFree(t, ts)
+					if dropped == 0 {
+						t.Fatalf("workload never overflowed an 8-slot ring; the dropped_ring term went untested")
+					}
+					st := p.Stats()
+					adj := st.Kernel[SubsystemExecutionEngine].PaddedFeatures +
+						st.Kernel[SubsystemExecutionEngine].TruncatedFeatures
+					if adj == 0 {
+						t.Fatalf("randomized feature widths never triggered a pad/truncate repair")
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestUserQueueAccountingIdentity is the same identity on the user-probe
-// path: marker workloads in a user mode plus injected hostile samples, so
-// dropped_queue (bounded-queue overflow) and dropped_shape (undecodable
-// and unregistered-OU samples) are both nonzero.
+// TestUserQueueAccountingIdentity puts hostile samples on the rings a user
+// mode's probes submit to: a user-mode workload, then an overflow burst and
+// three undecodable or unregistered-OU samples on the same per-CPU ring, so
+// the ring-drop and decode-error terms are both nonzero, and every sample is
+// still in exactly one bucket.
 func TestUserQueueAccountingIdentity(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("threads=%d", par), func(t *testing.T) {
-			ts, k, scan, wal := deployPerCPU(t, UserContinuous, 9, 1, 0, par)
+			ts, k, scan, wal := deployPerCPU(t, UserContinuous, 9, 1, 64, par)
 			p := ts.Processor()
 			task := k.NewTask("worker")
 			for i := 0; i < 300; i++ {
@@ -178,31 +188,29 @@ func TestUserQueueAccountingIdentity(t *testing.T) {
 				}
 				runOU(ts, task, m, sim.Work{Instructions: 5000, AllocBytes: 32}, uint64(i), 7)
 			}
-			// Shape rejects: garbage bytes, a hostile fused count, an
-			// unregistered OU.
-			p.SubmitUserSample([]byte{1, 2, 3})
-			p.SubmitUserSample(EncodeSample(FusedOUID, 1, Metrics{}, []uint64{^uint64(0)}))
-			p.SubmitUserSample(EncodeSample(999, 1, Metrics{}, nil))
-			// Overflow the bounded queue.
-			for i := 0; i < userQueueCapacity+100; i++ {
-				p.SubmitUserSample(EncodeSample(testOUSeqScan, 1, Metrics{}, []uint64{1, 2}))
+			ring := ts.CollectorFor(SubsystemExecutionEngine).Ring
+			// Overflow the ring, then the shape rejects — after the burst,
+			// so that overwriting the oldest samples spares them: garbage
+			// bytes, a hostile fused count, an unregistered OU.
+			for i := 0; i < 100; i++ {
+				ring.SubmitFrom(task.CPU(), EncodeSample(testOUSeqScan, 1, Metrics{}, []uint64{1, 2}))
 			}
+			ring.SubmitFrom(task.CPU(), []byte{1, 2, 3})
+			ring.SubmitFrom(task.CPU(), EncodeSample(FusedOUID, 1, Metrics{}, []uint64{^uint64(0)}))
+			ring.SubmitFrom(task.CPU(), EncodeSample(999, 1, Metrics{}, nil))
 			p.Drain(DrainOptions{})
 
 			st := p.Stats()
-			if st.User.Submitted != st.User.Drained+st.User.Dropped {
-				t.Fatalf("user identity violated: submitted %d != drained %d + dropped %d",
-					st.User.Submitted, st.User.Drained, st.User.Dropped)
+			for _, sub := range AllSubsystems {
+				// submitted == drained + dropped, drained == points + rejects.
+				if ks := st.Kernel[sub]; ks.Submitted != ks.Drained+ks.Dropped ||
+					ks.Drained != ks.Points+ks.DecodeErrors+ks.CorruptDiscards {
+					t.Fatalf("%s: ring identities violated: %+v", sub, ks)
+				}
 			}
-			if st.User.Drained != st.Processed+st.User.DecodeErrors {
-				t.Fatalf("drained %d != points %d + decode errors %d",
-					st.User.Drained, st.Processed, st.User.DecodeErrors)
-			}
-			if st.User.Dropped == 0 {
-				t.Fatalf("queue never overflowed; the dropped_queue term went untested")
-			}
-			if st.User.DecodeErrors != 3 {
-				t.Fatalf("expected 3 shape rejects, got %d", st.User.DecodeErrors)
+			assertDeliveryIdentity(t, st, sinkOf(ts).Rows())
+			if ee := st.Kernel[SubsystemExecutionEngine]; ee.Dropped == 0 || ee.DecodeErrors != 3 {
+				t.Fatalf("want ring drops and 3 shape rejects, got %d dropped and %d decode errors", ee.Dropped, ee.DecodeErrors)
 			}
 		})
 	}

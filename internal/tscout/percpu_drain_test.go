@@ -83,15 +83,15 @@ func drainDelta(p *Processor, opts DrainOptions) (drained, batches, points int64
 }
 
 // TestRingAffinityDisjoint pins the affinity contract: for every (CPU
-// count, parallelism) combination, each ring — including the user
-// pseudo-ring — is owned by exactly one drain thread, every thread's set is
-// disjoint from every other's, and ownership balances to within one ring.
+// count, parallelism) combination, each ring is owned by exactly one drain
+// thread, every thread's set is disjoint from every other's, and ownership
+// balances to within one ring.
 func TestRingAffinityDisjoint(t *testing.T) {
 	for _, numCPUs := range []int{1, 2, 3, 8, 40} {
 		for _, par := range []int{1, 2, 3, 4, 8} {
 			numRings := numCPUs * int(NumSubsystems)
 			owned := make([][]int, par)
-			for g := 0; g <= numRings; g++ {
+			for g := 0; g < numRings; g++ {
 				owner := ringOwner(g, par)
 				if owner < 0 || owner >= par {
 					t.Fatalf("cpus=%d par=%d: ring %d owned by out-of-range thread %d",
@@ -99,7 +99,7 @@ func TestRingAffinityDisjoint(t *testing.T) {
 				}
 				owned[owner] = append(owned[owner], g)
 			}
-			total, min, max := 0, numRings+2, -1
+			total, min, max := 0, numRings+1, -1
 			for _, set := range owned {
 				total += len(set)
 				if len(set) < min {
@@ -109,11 +109,11 @@ func TestRingAffinityDisjoint(t *testing.T) {
 					max = len(set)
 				}
 			}
-			if total != numRings+1 {
+			if total != numRings {
 				t.Fatalf("cpus=%d par=%d: threads own %d rings, want %d (partition broken)",
-					numCPUs, par, total, numRings+1)
+					numCPUs, par, total, numRings)
 			}
-			if par <= numRings+1 && max-min > 1 {
+			if par <= numRings && max-min > 1 {
 				t.Fatalf("cpus=%d par=%d: ownership imbalanced (min %d, max %d)",
 					numCPUs, par, min, max)
 			}
@@ -448,7 +448,7 @@ func TestDrainAllocationsPerDrain(t *testing.T) {
 // TestDrainRunsOnCaller pins where a drain's work runs: on its caller's
 // goroutine at every drain parallelism — the modeled threads are a
 // virtual-time construct, and the host spawns nothing. A splitter sees the
-// stack it is called on: a fused sample from the user queue takes it there.
+// stack it is called on: a fused sample on a user mode's ring takes it there.
 func TestDrainRunsOnCaller(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		k := kernel.New(sim.LargeHW, 3, 0)
@@ -457,6 +457,9 @@ func TestDrainRunsOnCaller(t *testing.T) {
 			ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 			Features: []string{"num_rows", "row_bytes"},
 		}, ResourceSet{CPU: true})
+		if err := ts.Deploy(); err != nil {
+			t.Fatal(err)
+		}
 		p := ts.Processor()
 		var stack string
 		p.SetSplitter(func(OUID, []float64) float64 {
@@ -468,7 +471,7 @@ func TestDrainRunsOnCaller(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SubmitUserSample(EncodeSample(FusedOUID, 1, Metrics{ElapsedNS: 5}, words))
+		ts.CollectorFor(SubsystemExecutionEngine).Ring.SubmitFrom(0, EncodeSample(FusedOUID, 1, Metrics{ElapsedNS: 5}, words))
 		if _, _, points := drainDelta(p, DrainOptions{}); points != 1 {
 			t.Fatalf("threads=%d: drain produced %d points, want 1", par, points)
 		}

@@ -26,16 +26,14 @@ const (
 // trigger decay toward never firing as the run ages.
 const feedbackDropThreshold = 0.10
 
-// userQueueCapacity bounds the user-probe handoff queue; like the kernel
-// ring buffer, it drops rather than blocking the DBMS. The user-space
-// retrieval path is substantially slower per sample than the in-kernel
-// one, which is why user-mode data generation plateaus at low sampling
-// rates in Fig. 6.
-const userQueueCapacity = 4096
-
-// userDrainPenalty is how many times more expensive one user-probe sample
-// is to retrieve than one kernel ring sample. Budget tokens and drain-
-// thread time are both charged at this multiple.
+// userDrainPenalty is how many times more expensive one sample is to
+// retrieve in the user modes than in Kernel-Continuous: the paper's
+// user-space retrieval path is substantially slower per sample than the
+// in-kernel one, which is why user-mode data generation plateaus at low
+// sampling rates in Fig. 6. Every mode's samples ride the same per-CPU
+// rings; Drain charges budget tokens and drain-thread time at this multiple
+// (drainPenalty), and it is the only difference between the modes' samples
+// once they are submitted.
 const userDrainPenalty = 3
 
 // maxSinkRetries bounds redelivery attempts for a batch the sink rejected.
@@ -117,10 +115,9 @@ func globalRingIndex(cpu int, sub SubsystemID, numCPUs int) int {
 	return int(sub)*numCPUs + cpu
 }
 
-// ringOwner is the drain-thread affinity map: global ring index g (or the
-// user pseudo-ring index) is owned by exactly one of the parallelism modeled
-// drain threads, which waterfills its budget over the ring and is charged
-// the virtual time its samples cost.
+// ringOwner is the drain-thread affinity map: global ring index g is owned
+// by exactly one of the parallelism modeled drain threads, which waterfills
+// its budget over the ring and is charged the virtual time its samples cost.
 func ringOwner(g, parallelism int) int { return g % parallelism }
 
 // BudgetForPeriod returns how many samples one Processor drain thread can
@@ -191,10 +188,7 @@ type Processor struct {
 
 	group               *kernel.TaskGroup
 	kernelStats         [NumSubsystems]SubsystemStats
-	userQueue           [][]byte
-	userStats           SubsystemStats
 	lastRing            [NumSubsystems]bpf.RingStats
-	lastUserSubmitted   int64
 	splitter            SplitWeightFunc
 	retryQueue          []retryBatch
 	sinkRetries         int64
@@ -280,15 +274,13 @@ func (p *Processor) Parallelism() int {
 	return n
 }
 
-// SubmitUserSample enqueues a sample produced by a user-level probe,
-// dropping it if the bounded queue is full.
-func (p *Processor) SubmitUserSample(buf []byte) {
-	p.userStats.Submitted++
-	if len(p.userQueue) >= userQueueCapacity {
-		p.userStats.Dropped++
-		return
+// drainPenalty is how many budget tokens, and how many samples' worth of
+// drain-thread time, retrieving one sample costs in this deployment's mode.
+func (p *Processor) drainPenalty() int {
+	if p.ts.cfg.Mode == KernelContinuous {
+		return 1
 	}
-	p.userQueue = append(p.userQueue, buf)
+	return userDrainPenalty
 }
 
 func (p *Processor) taskGroup() *kernel.TaskGroup {
@@ -311,7 +303,7 @@ func (p *Processor) taskGroup() *kernel.TaskGroup {
 type DrainOptions struct {
 	// Budget is the per-thread sample budget for the period (0 =
 	// unlimited): the global token budget is Budget × parallelism, shared
-	// by every CPU ring and the user queue, and degraded under overload.
+	// by every CPU ring, and degraded under overload.
 	Budget int
 }
 
@@ -322,12 +314,14 @@ type DrainOptions struct {
 // work in one pass, in global ring order, and charges each ring's samples to
 // the thread that owns it: parallelism is a virtual-time model (see the sim
 // package doc).
-// Sustained oversubmission overwrites ring entries (kernel path) or
-// overflows the user queue, and the pipeline's efficiency degrades under
-// overload — the §6.2 dynamics behind Fig. 6's peak-then-decline curve.
+// A sample costs drainPenalty tokens and as many samples' worth of thread
+// time. Sustained oversubmission overwrites ring entries, and the pipeline's
+// efficiency degrades under overload — the §6.2 dynamics behind Fig. 6's
+// peak-then-decline curve.
 func (p *Processor) Drain(opts DrainOptions) {
 	group := p.taskGroup()
 	parallelism := group.Size()
+	penalty := p.drainPenalty()
 	// The drain threads wake together at the period tick.
 	group.Barrier()
 	for i := 0; i < parallelism; i++ {
@@ -357,7 +351,6 @@ func (p *Processor) Drain(opts DrainOptions) {
 		}
 	}
 	numRings := numCPUs * int(NumSubsystems)
-	userIdx := numRings // user queue is the pseudo-ring after the last CPU ring
 
 	// Per-period deltas, demand, and the degraded effective budget.
 	var deltaSub, deltaDrop [NumSubsystems]int64
@@ -372,12 +365,8 @@ func (p *Processor) Drain(opts DrainOptions) {
 		}
 		deltaSub[sub], deltaDrop[sub] = ds, dd
 		p.lastRing[sub] = ringNow[sub]
-		demand += ds
+		demand += ds * int64(penalty)
 	}
-	deltaUser := p.userStats.Submitted - p.lastUserSubmitted
-	p.lastUserSubmitted = p.userStats.Submitted
-	demand += deltaUser * userDrainPenalty
-	userPending := len(p.userQueue)
 
 	globalBudget, effective := 0, 0
 	if opts.Budget > 0 {
@@ -396,21 +385,19 @@ func (p *Processor) Drain(opts DrainOptions) {
 	p.polls++
 	p.lastGlobalBudget, p.lastEffectiveBudget = globalBudget, effective
 
-	// Token demand per ring: one token per pending kernel sample,
-	// userDrainPenalty tokens per pending user sample. Each thread
+	// Token demand per ring: penalty tokens per pending sample. Each thread
 	// waterfills its own slice of the effective budget over the rings it
 	// owns, so no ring can exceed one thread's period capacity and no two
 	// threads compete for the same tokens.
-	demands := zeroed(p.demands, numRings+1)
+	demands := zeroed(p.demands, numRings)
 	p.demands = demands
 	for _, sub := range AllSubsystems {
 		for cpu, rs := range p.cpuNow[sub] {
-			demands[globalRingIndex(cpu, sub, numCPUs)] = rs.Pending
+			demands[globalRingIndex(cpu, sub, numCPUs)] = rs.Pending * penalty
 		}
 	}
-	demands[userIdx] = userPending * userDrainPenalty
 
-	alloc := zeroed(p.alloc, numRings+1)
+	alloc := zeroed(p.alloc, numRings)
 	p.alloc = alloc
 	if opts.Budget > 0 {
 		for t := 0; t < parallelism; t++ {
@@ -437,21 +424,22 @@ func (p *Processor) Drain(opts DrainOptions) {
 		copy(alloc, demands) // unlimited: drain everything
 	}
 
-	// One pass in global ring order, then the user pseudo-ring: each ring
-	// batch is drained into p.batch and decoded onto the end of pts, the
-	// drain's output, sized for a point a sample (a fused sample grows it).
-	// The order the sink sees is therefore a pure function of the drained
-	// data: the same seed yields a bit-identical sink stream at any drain
-	// parallelism. charged counts each (thread, subsystem)'s kernel samples
-	// for the virtual-time charge below.
-	userSamples := 0
-	if alloc[userIdx] > 0 {
-		// Tokens buy 1/userDrainPenalty samples each; partial-token
-		// rounding never starves the queue.
-		userSamples = max(alloc[userIdx]/userDrainPenalty, 1)
+	// A ring's tokens buy 1/penalty samples each; partial-token rounding
+	// never starves a ring that was granted any.
+	for g, a := range alloc {
+		if a > 0 {
+			alloc[g] = max(a/penalty, 1)
+		}
 	}
-	size := userSamples
-	for _, a := range alloc[:numRings] {
+
+	// One pass in global ring order: each ring batch is drained into p.batch
+	// and decoded onto the end of pts, the drain's output, sized for a point
+	// a sample (a fused sample grows it). The order the sink sees is
+	// therefore a pure function of the drained data: the same seed yields a
+	// bit-identical sink stream at any drain parallelism. charged counts each
+	// (thread, subsystem)'s samples for the virtual-time charge below.
+	size := 0
+	for _, a := range alloc {
 		size += a
 	}
 	pts := make([]TrainingPoint, 0, size)
@@ -476,52 +464,26 @@ func (p *Processor) Drain(opts DrainOptions) {
 		pts = p.decodeBatch(pts, &p.batch, &counts[sub])
 		points[sub] += int64(len(pts) - first)
 	}
-	var user decodeCounts
-	var userDrained int64
-	if userSamples > 0 {
-		p.batch.Reset()
-		take := min(userSamples, len(p.userQueue))
-		for _, buf := range p.userQueue[:take] {
-			p.batch.Append(buf)
-		}
-		rest := copy(p.userQueue, p.userQueue[take:])
-		clear(p.userQueue[rest:])
-		p.userQueue = p.userQueue[:rest]
-		userDrained = int64(take)
-		first := len(pts)
-		pts = p.decodeBatch(pts, &p.batch, &user)
-		// Points count toward the subsystem they decode into, while the
-		// drain/decode accounting stays on the user-queue stats.
-		for _, tp := range pts[first:] {
-			points[tp.Subsystem]++
-		}
-	}
 
-	// Charge virtual time in subsystem order on each ring's owning thread,
-	// then the user pseudo-ring's: the charge sequence the pre-affinity
-	// serial drain issued, so identical seeded runs consume the kernel's
-	// noise streams identically.
+	// Charge virtual time in subsystem order on each ring's owning thread:
+	// the charge sequence the pre-affinity serial drain issued, so identical
+	// seeded runs consume the kernel's noise streams identically.
 	for _, sub := range AllSubsystems {
 		for t := range charged {
 			if n := charged[t][sub]; n > 0 {
-				group.Task(t).ChargeUserNS(n * processSampleNS)
+				group.Task(t).ChargeUserNS(n * processSampleNS * int64(penalty))
 			}
 		}
 	}
-	if userDrained > 0 {
-		group.Task(ringOwner(userIdx, parallelism)).ChargeUserNS(userDrained * processSampleNS * userDrainPenalty)
-	}
 
 	// Apart from SinkErrors (charged at delivery) this is the only place the
-	// per-subsystem and user-queue counters are written.
+	// per-subsystem counters are written.
 	for _, sub := range AllSubsystems {
-		ks := &p.kernelStats[sub]
-		// User-probe points land in the subsystem they decode into, whether
-		// or not that subsystem has a kernel Collector.
-		ks.Points += points[sub]
 		if cols[sub] == nil {
 			continue
 		}
+		ks := &p.kernelStats[sub]
+		ks.Points += points[sub]
 		var drained int64
 		for t := range charged {
 			drained += charged[t][sub]
@@ -535,11 +497,6 @@ func (p *Processor) Drain(opts DrainOptions) {
 		ks.PaddedFeatures += c.padded
 		ks.TruncatedFeatures += c.truncated
 	}
-	p.userStats.Drained += userDrained
-	p.userStats.DecodeErrors += user.decodeErrs
-	p.userStats.CorruptDiscards += user.corrupt
-	p.userStats.PaddedFeatures += user.padded
-	p.userStats.TruncatedFeatures += user.truncated
 	for b, c := range hist {
 		p.batchHist[b] += c
 	}
@@ -863,8 +820,6 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 func (p *Processor) Stats() ProcessorStats {
 	var st ProcessorStats
 	st.Kernel = p.kernelStats
-	st.User = p.userStats
-	st.User.WrapClamps = p.ts.userWrapClamps()
 	st.Polls = p.polls
 	st.GlobalBudget = p.lastGlobalBudget
 	st.EffectiveBudget = p.lastEffectiveBudget
@@ -908,10 +863,7 @@ func (p *Processor) Reset() {
 		}
 	}
 	p.kernelStats = [NumSubsystems]SubsystemStats{}
-	p.userQueue = nil
-	p.userStats = SubsystemStats{}
 	p.lastRing = [NumSubsystems]bpf.RingStats{}
-	p.lastUserSubmitted = 0
 	p.retryQueue = nil
 	p.sinkRetries, p.sinkRetryDrops = 0, 0
 	p.processed = 0

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tscout/internal/bpf"
 	"tscout/internal/kernel"
 	"tscout/internal/sim"
 )
@@ -76,30 +77,22 @@ func TestFeedbackFiresLateInLongRun(t *testing.T) {
 	}
 }
 
-// TestResetClearsPipelineState: Reset must clear the user-queue counters
-// and the per-period baselines, not just the point counters — stale
-// baselines would poison the first post-reset feedback and demand computation.
+// TestResetClearsPipelineState: Reset must clear the ring counters and the
+// per-period baselines, not just the point counters — stale baselines would
+// poison the first post-reset feedback and demand computation.
 func TestResetClearsPipelineState(t *testing.T) {
 	ts, ous := newShardedDeployment(t, Config{Seed: 6, RingCapacity: 64})
 	p := ts.Processor()
 
-	// Overflow the user queue so Submitted and Dropped are both nonzero.
-	for i := 0; i < userQueueCapacity+10; i++ {
-		p.SubmitUserSample(EncodeSample(ous[SubsystemNetworking], 2, Metrics{}, []uint64{1, 2}))
-	}
+	// Overflow a ring so Submitted and Dropped are both nonzero.
+	submitKernel(ts, SubsystemNetworking, ous[SubsystemNetworking], 64+10)
 	submitKernel(ts, SubsystemExecutionEngine, ous[SubsystemExecutionEngine], 30)
 	p.Drain(DrainOptions{})
-	if p.Stats().User.Submitted == 0 || p.Stats().User.Dropped == 0 || p.Stats().Processed == 0 {
-		t.Fatalf("setup did not exercise the pipeline: %+v", p.Stats())
+	if st := p.Stats(); st.TotalSubmitted() == 0 || st.TotalDropped() == 0 || st.Processed == 0 {
+		t.Fatalf("setup did not exercise the pipeline: %+v", st)
 	}
 
 	p.Reset()
-	if got := p.Stats().User.Submitted; got != 0 {
-		t.Fatalf("UserSubmitted after Reset = %d", got)
-	}
-	if got := p.Stats().User.Dropped; got != 0 {
-		t.Fatalf("UserDropped after Reset = %d", got)
-	}
 	if got := p.Stats().Processed; got != 0 {
 		t.Fatalf("Processed after Reset = %d", got)
 	}
@@ -192,9 +185,9 @@ func TestShardedParallelismScalesBudget(t *testing.T) {
 	}
 }
 
-// TestUserQueueDrainPenalty: user-probe samples cost userDrainPenalty
-// budget tokens each, so a budgeted poll retrieves roughly budget/penalty
-// of them — the §6.2 reason user modes plateau early.
+// TestUserQueueDrainPenalty: in a user mode every sample costs
+// userDrainPenalty budget tokens, so a budgeted poll retrieves roughly
+// budget/penalty of them — the §6.2 reason user modes plateau early.
 func TestUserQueueDrainPenalty(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 9, 0)
 	ts := New(k, Config{Mode: UserToggle, Seed: 9})
@@ -206,8 +199,9 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ts.Processor()
+	ring := ts.CollectorFor(SubsystemExecutionEngine).Ring
 	for i := 0; i < 20; i++ {
-		p.SubmitUserSample(EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
+		ring.SubmitFrom(0, EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
 	}
 	// Demand (20 samples × 3 tokens = 60) fits the budget: everything
 	// drains, but the 90 tokens bought only 30 samples' worth of work.
@@ -216,13 +210,13 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 		t.Fatalf("underloaded poll drained %d user samples, want all 20", n)
 	}
 
-	// Overload: the queue holds far more than one period's worth. The
+	// Overload: the ring holds far more than one period's worth. The
 	// effective budget degrades and each retrieval still costs penalty
 	// tokens, so the period gets effective/penalty samples — not the
 	// budget/penalty a healthy period would, and nowhere near the 90
 	// kernel samples the same tokens would buy.
 	for i := 0; i < 300; i++ {
-		p.SubmitUserSample(EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
+		ring.SubmitFrom(0, EncodeSample(70, 3, Metrics{}, []uint64{1, 2}))
 	}
 	_, _, n := drainDelta(p, DrainOptions{Budget: budget})
 	st := p.Stats()
@@ -233,12 +227,21 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 		t.Fatalf("drained %d user samples, want effective %d / penalty %d = %d",
 			n, st.EffectiveBudget, userDrainPenalty, want)
 	}
+	// The drain thread was charged penalty samples' worth per sample.
+	before := p.taskGroup().Task(0).Now()
+	if _, _, n = drainDelta(p, DrainOptions{Budget: 3}); n != 1 {
+		t.Fatalf("a 3-token poll drained %d samples, want 1", n)
+	}
+	if spent := p.taskGroup().Task(0).Now() - before; spent < pollBaseNS+userDrainPenalty*processSampleNS*9/10 {
+		t.Fatalf("one user-mode sample cost the drain thread %d ns, want about %d", spent, pollBaseNS+userDrainPenalty*processSampleNS)
+	}
 }
 
-// reentrantSink calls back into the Processor from inside WriteBatch: it
-// reads stats, submits a sample, and re-polls.
+// reentrantSink calls back into the pipeline from inside WriteBatch: it
+// reads stats, submits a sample to a ring, and re-polls.
 type reentrantSink struct {
 	p        *Processor
+	ring     *bpf.PerCPURing
 	repolled bool
 	writes   int
 }
@@ -248,7 +251,7 @@ func (s *reentrantSink) WriteBatch(pts []TrainingPoint) error {
 		s.writes++
 		_ = s.p.Stats().Processed
 		_ = s.p.Stats()
-		s.p.SubmitUserSample(EncodeSample(tp.OU, tp.PID, Metrics{}, []uint64{1, 2}))
+		s.ring.Submit(EncodeSample(tp.OU, tp.PID, Metrics{}, []uint64{1, 2}))
 		if !s.repolled {
 			s.repolled = true
 			s.p.Drain(DrainOptions{})
@@ -275,7 +278,7 @@ func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ts.Processor()
-	sink.p = p
+	sink.p, sink.ring = p, ts.CollectorFor(SubsystemExecutionEngine).Ring
 	submitKernel(ts, SubsystemExecutionEngine, 71, 20)
 	p.Drain(DrainOptions{})
 	if sink.writes == 0 {
@@ -283,8 +286,8 @@ func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 	}
 	// The samples the sink itself submitted drain on a later poll.
 	p.Drain(DrainOptions{})
-	if got := p.Stats().User.Submitted; got == 0 {
-		t.Fatalf("re-entrant submissions lost")
+	if got := p.Stats().Kernel[SubsystemExecutionEngine].Drained; got <= 20 {
+		t.Fatalf("re-entrant submissions lost: %d drained", got)
 	}
 }
 
@@ -331,12 +334,12 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 	}
 }
 
-// TestProcessorConcurrentSubmitPollReset interleaves kernel ring submits on
-// every subsystem, user-queue submits, budgeted drains, stats reads and
-// resets under seeded kernel.Interleaver schedules. Every stats read matches
-// a model of what was submitted since the last reset, and after the final
-// drain every ring and the user queue are empty and every sample submitted
-// since the last reset is a point in the sink or a counted drop.
+// TestProcessorConcurrentSubmitPollReset interleaves ring submits on every
+// subsystem, budgeted drains, stats reads and resets under seeded
+// kernel.Interleaver schedules. Every stats read matches a model of what was
+// submitted since the last reset, and after the final drain every ring is
+// empty and every sample submitted since the last reset is a point in the
+// sink or a counted drop.
 func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		sink := &recordingBatchSink{}
@@ -345,7 +348,7 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 
 		// Submissions and sink rows since the last Reset.
 		var kernelSubmitted [NumSubsystems]int64
-		var userSubmitted, sinkBase int64
+		var sinkBase int64
 		check := func(what string) {
 			st := p.Stats()
 			for _, sub := range AllSubsystems {
@@ -358,9 +361,6 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 					}
 				}
 			}
-			if st.User.Submitted != userSubmitted {
-				t.Fatalf("seed %d %s: user submitted %d, model %d", seed, what, st.User.Submitted, userSubmitted)
-			}
 			assertDeliveryIdentity(t, st, sink.Rows()-sinkBase)
 		}
 
@@ -371,15 +371,11 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 				kernelSubmitted[sub]++
 			})
 		}
-		iv.AddOn("user", 0, 2000, func(int) {
-			p.SubmitUserSample(EncodeSample(ous[SubsystemNetworking], 4, Metrics{}, []uint64{1, 2}))
-			userSubmitted++
-		})
 		iv.AddOn("drain", 0, 500, func(int) { p.Drain(DrainOptions{Budget: 64}) })
 		iv.AddOn("stats", 0, 200, func(int) { check("stats") })
 		iv.AddOn("reset", 0, 10, func(int) {
 			p.Reset()
-			kernelSubmitted, userSubmitted, sinkBase = [NumSubsystems]int64{}, 0, sink.Rows()
+			kernelSubmitted, sinkBase = [NumSubsystems]int64{}, sink.Rows()
 		})
 		iv.Run()
 		// Final unlimited sweep: everything still buffered comes out.
@@ -397,13 +393,9 @@ func TestProcessorConcurrentSubmitPollReset(t *testing.T) {
 			kernelDrained += ks.Drained
 			points += ks.Points
 		}
-		if st.User.Submitted != st.User.Drained+st.User.Dropped {
-			t.Fatalf("seed %d: user queue submitted %d != drained %d + dropped %d",
-				seed, st.User.Submitted, st.User.Drained, st.User.Dropped)
-		}
-		if points != st.Processed || st.Processed != kernelDrained+st.User.Drained {
-			t.Fatalf("seed %d: points %d, processed %d, drained %d kernel + %d user",
-				seed, points, st.Processed, kernelDrained, st.User.Drained)
+		if points != st.Processed || st.Processed != kernelDrained {
+			t.Fatalf("seed %d: points %d, processed %d, drained %d",
+				seed, points, st.Processed, kernelDrained)
 		}
 		if st.TotalDropped() == 0 {
 			t.Fatalf("seed %d: no ring overflowed; the drop term went untested", seed)
@@ -548,8 +540,8 @@ func TestDrainScratchBounded(t *testing.T) {
 		tables["cpuNow."+sub.String()] = cap(p.cpuNow[sub])
 	}
 	for name, n := range tables {
-		if n > numRings+1 {
-			t.Errorf("%s keeps %d entries after the sweep, more than the %d rings and the user queue", name, n, numRings)
+		if n > numRings {
+			t.Errorf("%s keeps %d entries after the sweep, more than the %d rings", name, n, numRings)
 		}
 	}
 	// A ring batch grows by append, so allow it twice one ring's capacity:

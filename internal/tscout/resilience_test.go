@@ -207,35 +207,36 @@ func TestCounterWrapDiscard(t *testing.T) {
 	}
 }
 
-// TestUserModeWrapClamps is the wraparound audit on the user-probe path:
-// deltaU64 clamps a backwards counter to zero, and the clamp must be
-// counted (WrapClamps) instead of silently archiving a zero-cost OU.
+// TestUserModeWrapClamps is the wraparound audit in the user modes: a
+// counter that reads lower at END than at BEGIN is not clamped to a
+// zero-cost OU and kept. The Collector's unsigned delta lands in the
+// wraparound range and the Processor discards the sample as corrupt, as in
+// kernel mode (TestCounterWrapDiscard).
 func TestUserModeWrapClamps(t *testing.T) {
-	ts, k, scan := deployResilience(t, UserContinuous)
-	p := ts.Processor()
-	task := k.NewTask("worker")
+	for _, mode := range []Mode{UserToggle, UserContinuous} {
+		ts, k, scan := deployResilience(t, mode)
+		p := ts.Processor()
+		task := k.NewTask("worker")
 
-	runOU(ts, task, scan, sim.Work{Instructions: 4000}, 1, 1)
+		runOU(ts, task, scan, sim.Work{Instructions: 4000}, 1, 1)
 
-	ts.BeginEvent(task, SubsystemExecutionEngine)
-	scan.Begin(task)
-	task.Charge(sim.Work{Instructions: 2000})
-	task.Perf().InjectWrap(float64(uint64(1) << 44))
-	scan.End(task)
-	scan.Features(task, 0, 1, 1)
+		ts.BeginEvent(task, SubsystemExecutionEngine)
+		scan.Begin(task)
+		task.Charge(sim.Work{Instructions: 2000})
+		task.Perf().InjectWrap(float64(uint64(1) << 44))
+		scan.End(task)
+		scan.Features(task, 0, 1, 1)
 
-	p.Drain(DrainOptions{})
-	st := p.Stats()
-	if st.User.WrapClamps == 0 {
-		t.Fatalf("backwards counter readings were clamped without being counted")
-	}
-	pts := sinkOf(ts).points()
-	if len(pts) != 2 {
-		t.Fatalf("archived %d points, want 2 (clamped sample is kept, at zero)", len(pts))
-	}
-	for _, tp := range pts {
-		if tp.Metrics.Cycles >= corruptCounterLimit {
-			t.Fatalf("user-mode wrap reached the archive unclamped: %+v", tp.Metrics)
+		p.Drain(DrainOptions{})
+		if ks := p.Stats().Kernel[SubsystemExecutionEngine]; ks.CorruptDiscards != 1 || ks.DecodeErrors != 0 {
+			t.Fatalf("%v: the wrapped sample was not discarded as corrupt: %+v", mode, ks)
+		}
+		pts := sinkOf(ts).points()
+		if len(pts) != 1 || pts[0].Features[0] != 1 {
+			t.Fatalf("%v: archived %v, want only the clean control sample", mode, pts)
+		}
+		if pts[0].Metrics.Cycles == 0 || pts[0].Metrics.Cycles >= corruptCounterLimit {
+			t.Fatalf("%v: control sample's cycles %d", mode, pts[0].Metrics.Cycles)
 		}
 	}
 }
@@ -526,9 +527,8 @@ func TestMarkerCycleAllocationFree(t *testing.T) {
 }
 
 // TestTaskLocalStateOwnership covers what the task-local fast path must
-// not change: a task recycling a dead task's pid starts from fresh state
-// carrying only the dead task's error counters, and two deployments
-// driving one task each keep their own state.
+// not change: a task recycling a dead task's pid starts from fresh state,
+// and two deployments driving one task each keep their own state.
 func TestTaskLocalStateOwnership(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 5, 0)
 	ts, _ := deployCompiled(t, k)
@@ -539,7 +539,6 @@ func TestTaskLocalStateOwnership(t *testing.T) {
 		t.Fatalf("a live task must keep one state, parked in its local slot")
 	}
 	sa.eventSampled[SubsystemExecutionEngine] = true
-	sa.userErrors, sa.wrapClamps = 3, 4
 	k.ExitTask(a)
 
 	b := k.NewTask("respawn")
@@ -550,15 +549,8 @@ func TestTaskLocalStateOwnership(t *testing.T) {
 	if sb == sa || sb.task != b || sb.eventSampled[SubsystemExecutionEngine] {
 		t.Fatalf("respawned task inherited the dead task's state")
 	}
-	if sb.userErrors != 3 || sb.wrapClamps != 4 {
-		t.Fatalf("carried counters: errors %d clamps %d, want 3 and 4", sb.userErrors, sb.wrapClamps)
-	}
-	var userErrors int64
-	for _, st := range ts.tasks {
-		userErrors += st.userErrors
-	}
-	if userErrors != 3 {
-		t.Fatalf("user state errors = %d, want 3 (the table must hold the respawned task's state)", userErrors)
+	if ts.tasks[b.PID] != sb {
+		t.Fatalf("the pid-keyed table must hold the respawned task's state")
 	}
 	if b.Perf().EnabledCount() == 0 {
 		t.Fatalf("first contact did not enable the respawned task's counters")

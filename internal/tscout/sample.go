@@ -95,8 +95,9 @@ func MetricsOf(v *[NumMetrics]int64) Metrics {
 		v[mwDiskRead], v[mwDiskWrite], v[mwNetRecv], v[mwNetSend], v[mwAlloc]}
 }
 
-// EncodeSample builds the wire form of a sample; user-mode probes use it
-// so the Processor sees one format regardless of collection mode.
+// EncodeSample builds the wire form of a sample, the layout the Collector's
+// FEATURES program submits, trimmed to its feature words: it lets a caller
+// put a hand-made sample on a ring.
 func EncodeSample(ou OUID, pid int, m Metrics, features []uint64) []byte {
 	buf := make([]byte, (sampleFixedWords+len(features))*8)
 	put := func(word int, v uint64) { bpf.PutU64(buf[word*8:], v) }
@@ -193,9 +194,9 @@ func DecodeFusedFeatures(words []uint64) ([]FusedPart, error) {
 	// words come off the wire: every count must be distrusted. A huge
 	// part count would make the allocation below panic, and a huge
 	// feature count wraps negative through int() so the i+n bounds check
-	// passes and the slice expression panics — both reachable from
-	// SubmitUserSample with attacker-shaped bytes (found by
-	// FuzzProcessorDecode; a panic here takes down Drain's caller).
+	// passes and the slice expression panics — both reachable from any
+	// ring with attacker-shaped bytes (found by FuzzProcessorDecode; a
+	// panic here takes down Drain's caller).
 	k := int(words[0])
 	if k < 0 || k > (len(words)-1)/2 {
 		return nil, fmt.Errorf("tscout: fused vector claims %d parts in %d words", words[0], len(words))

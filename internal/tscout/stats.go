@@ -6,13 +6,11 @@ import "tscout/internal/bpf"
 // pipeline counters, counted since deployment (or the last Reset). A
 // period's count is the difference of two snapshots.
 type SubsystemStats struct {
-	// Submitted counts samples offered to this shard's channel (ring
-	// buffer submissions for kernel shards, queue submissions for the
-	// user shard).
+	// Submitted counts samples submitted to this subsystem's rings.
 	Submitted int64
-	// Drained counts samples the Processor pulled out of the channel.
+	// Drained counts samples the Processor pulled out of the rings.
 	Drained int64
-	// Dropped counts samples lost to ring overwrite / queue overflow.
+	// Dropped counts samples lost to ring overwrite.
 	Dropped int64
 	// DecodeErrors counts drained samples that failed to decode.
 	DecodeErrors int64
@@ -21,10 +19,6 @@ type SubsystemStats struct {
 	// unsigned-wraparound range) and were discarded rather than emitted —
 	// the last line of defense against mid-OU corruption reaching a model.
 	CorruptDiscards int64
-	// WrapClamps counts counter deltas clamped to zero because the end
-	// reading was below the begin reading (user-mode probes; kernel-mode
-	// wraps surface as CorruptDiscards instead).
-	WrapClamps int64
 	// SinkErrors counts training points the sink rejected.
 	SinkErrors int64
 	// PaddedFeatures counts samples that arrived with fewer feature words
@@ -38,13 +32,13 @@ type SubsystemStats struct {
 	// samples expand to several points).
 	Points int64
 	// RuntimeFaults counts marker-context program executions that returned
-	// a runtime error (kernel shards only). The verifier proves these
+	// a runtime error. The verifier proves these
 	// impossible for generated Collectors, so any nonzero value is a
 	// verifier or JIT bug — previously Attach silently swallowed them.
 	RuntimeFaults int64
 
 	// Orphans classifies OU invocations that entered the Collector but
-	// never completed as a sample (kernel shards only; see OrphanCounts).
+	// never completed as a sample (see OrphanCounts).
 	Orphans OrphanCounts
 }
 
@@ -84,13 +78,15 @@ type ProcessorStats struct {
 	// Processed is the cumulative number of training points produced.
 	Processed int64
 
-	// Kernel holds per-subsystem shard counters; User covers the
-	// user-probe queue shard.
+	// Kernel holds the per-subsystem shard counters, in every mode: every
+	// mode's samples ride the Collectors' per-CPU rings.
 	Kernel [NumSubsystems]SubsystemStats
-	User   SubsystemStats
+	// User is always zero: no sample travels outside the rings. The
+	// ledger's gate reads it.
+	User SubsystemStats //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S
 
 	// Rings holds each subsystem's per-CPU ring telemetry, indexed by CPU
-	// (nil in user modes or before Deploy). Submitted/drained/dropped are
+	// (nil before Deploy). Submitted/drained/dropped are
 	// per individual ring, so a hot CPU shows up directly instead of being
 	// averaged away in the subsystem aggregate.
 	Rings [NumSubsystems][]bpf.RingStats
@@ -102,8 +98,7 @@ type ProcessorStats struct {
 	BatchSizeHist [BatchHistBuckets]int64
 
 	// JIT holds the per-subsystem Collector compiled sizes and dispatch
-	// counters (zero for a subsystem with no Collector deployed, as in
-	// user modes).
+	// counters (zero for a subsystem with no Collector deployed).
 	JIT [NumSubsystems]CollectorJITStats
 
 	// Autopilot is the online-retraining controller's self-report
@@ -157,8 +152,8 @@ func (s *ProcessorStats) TotalCompiledPrograms() int {
 	return n
 }
 
-// TotalRuntimeFaults sums swallowed runtime faults across every kernel
-// shard. Anything above zero means a verified program faulted at runtime.
+// TotalRuntimeFaults sums swallowed runtime faults across every shard.
+// Anything above zero means a verified program faulted at runtime.
 func (s *ProcessorStats) TotalRuntimeFaults() int64 {
 	n := int64(0)
 	for i := range s.Kernel {
@@ -169,7 +164,7 @@ func (s *ProcessorStats) TotalRuntimeFaults() int64 {
 
 // TotalSubmitted sums submissions across every shard.
 func (s *ProcessorStats) TotalSubmitted() int64 {
-	n := s.User.Submitted
+	var n int64
 	for i := range s.Kernel {
 		n += s.Kernel[i].Submitted
 	}
@@ -178,7 +173,7 @@ func (s *ProcessorStats) TotalSubmitted() int64 {
 
 // TotalDrained sums drained samples across every shard.
 func (s *ProcessorStats) TotalDrained() int64 {
-	n := s.User.Drained
+	var n int64
 	for i := range s.Kernel {
 		n += s.Kernel[i].Drained
 	}
@@ -187,14 +182,14 @@ func (s *ProcessorStats) TotalDrained() int64 {
 
 // TotalDropped sums losses across every shard.
 func (s *ProcessorStats) TotalDropped() int64 {
-	n := s.User.Dropped
+	var n int64
 	for i := range s.Kernel {
 		n += s.Kernel[i].Dropped
 	}
 	return n
 }
 
-// TotalOrphans sums the orphan classes across every kernel shard.
+// TotalOrphans sums the orphan classes across every shard.
 func (s *ProcessorStats) TotalOrphans() OrphanCounts {
 	var o OrphanCounts
 	for i := range s.Kernel {
@@ -205,7 +200,7 @@ func (s *ProcessorStats) TotalOrphans() OrphanCounts {
 
 // TotalCorruptDiscards sums corrupt-sample discards across every shard.
 func (s *ProcessorStats) TotalCorruptDiscards() int64 {
-	n := s.User.CorruptDiscards
+	var n int64
 	for i := range s.Kernel {
 		n += s.Kernel[i].CorruptDiscards
 	}

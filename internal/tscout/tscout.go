@@ -175,43 +175,28 @@ type TScout struct {
 }
 
 // subsystem holds the per-subsystem runtime: the generated Collector
-// programs and their tracepoints (kernel mode), and the resource set.
+// programs, the tracepoints kernel mode reaches them through, and the
+// resource set.
 type subsystem struct {
 	id        SubsystemID
 	resources ResourceSet
 
 	beginTP, endTP, featTP *kernel.Tracepoint
-	collector              *Collector // kernel-mode generated programs; nil in user modes
+	collector              *Collector // nil before Deploy
 }
 
-// taskState is TScout's per-thread bookkeeping: the sampling-bit offset,
-// the current event decision per subsystem, and (in user modes) the
-// in-flight OU stack that mirrors the Collector's entries map. It lives in
-// ts.tasks and, for the marker path, in the task's own local slot; owner
-// says whose it is, since two deployments may drive one task.
+// taskState is TScout's per-thread bookkeeping: the sampling-bit offset
+// and the current event decision per subsystem. It lives in ts.tasks and,
+// for the marker path, in the task's own local slot; owner says whose it
+// is, since two deployments may drive one task.
 type taskState struct {
 	owner         *TScout
 	task          *kernel.Task
 	sampleOffsets [NumSubsystems]int
 	eventSampled  [NumSubsystems]bool
-	userStack     []userFrame
-	userErrors    int64
-	wrapClamps    int64
-	// featArgs is the FEATURES tracepoint's argument scratch, refilled on
+	// featArgs is the FEATURES program's argument scratch, refilled on
 	// every hit (a TraceHandler may not retain its args).
 	featArgs []uint64
-}
-
-type userFrame struct {
-	ou       OUID
-	ended    bool
-	beginNS  int64
-	counters [5]float64
-	ioacR    int64
-	ioacW    int64
-	sockR    int64
-	sockS    int64
-	metrics  Metrics
 }
 
 // New creates an undeployed TScout bound to a kernel. Register OUs, then
@@ -289,36 +274,36 @@ func (ts *TScout) OU(id OUID) (*OUDef, bool) {
 	return d, ok
 }
 
-// Deploy finalizes registration: in kernel mode it runs code generation,
-// verifies and loads the per-subsystem Collector programs, and attaches
-// them to the marker tracepoints (the Setup Phase → Runtime Phase handoff
-// of Fig. 3). In user modes no kernel programs are generated.
+// Deploy finalizes registration: it runs code generation, verifies and
+// loads the per-subsystem Collector programs, and attaches them to the
+// marker tracepoints (the Setup Phase → Runtime Phase handoff of Fig. 3).
+// Every mode deploys the same Collectors; the user modes' markers run them
+// in place instead of through the tracepoints.
 func (ts *TScout) Deploy() error {
 	if ts.deployed {
 		return fmt.Errorf("tscout: already deployed")
 	}
-	if ts.cfg.Mode == KernelContinuous {
-		for _, sub := range ts.subsystems {
-			if sub == nil {
-				continue
-			}
-			col, err := GenerateCollector(sub.id, sub.resources, CollectorConfig{
-				NumCPUs:        ts.kernel.NumCPUs(),
-				PerCPUCapacity: ts.cfg.RingCapacity,
-			})
-			if err != nil {
-				return fmt.Errorf("tscout: codegen for %s: %w", sub.id, err)
-			}
-			col.Attach(sub.beginTP, sub.endTP, sub.featTP)
-			sub.collector = col
+	for _, sub := range ts.subsystems {
+		if sub == nil {
+			continue
 		}
+		col, err := GenerateCollector(sub.id, sub.resources, CollectorConfig{
+			NumCPUs:        ts.kernel.NumCPUs(),
+			PerCPUCapacity: ts.cfg.RingCapacity,
+		})
+		if err != nil {
+			return fmt.Errorf("tscout: codegen for %s: %w", sub.id, err)
+		}
+		col.Attach(sub.beginTP, sub.endTP, sub.featTP)
+		sub.collector = col
 	}
 	ts.deployed = true
 	return nil
 }
 
-// CollectorFor exposes the generated kernel program for a subsystem
-// (nil in user modes or before Deploy); used by tests and tooling.
+// CollectorFor exposes the generated Collector for a subsystem (nil before
+// Deploy or for a subsystem with no registered OU); used by tests and
+// tooling.
 func (ts *TScout) CollectorFor(s SubsystemID) *Collector {
 	if ts.subsystems[s] == nil {
 		return nil
@@ -350,21 +335,14 @@ func (ts *TScout) taskStateFor(t *kernel.Task) *taskState {
 // continuous modes, first contact enables the task's perf counters so the
 // PMU is live for the task's whole lifetime.
 func (ts *TScout) lookupTaskState(t *kernel.Task) *taskState {
+	// PID reuse: a new task recycled a dead task's pid. Inheriting the dead
+	// task's state would pair the new task's markers with stale sampling
+	// decisions — and would skip the first-contact perf-counter setup, so
+	// every sample the respawned task produced would read disabled (zero)
+	// counters. It starts fresh.
 	st, ok := ts.tasks[t.PID]
-	var carriedErrors, carriedClamps int64
-	if ok && st.task != t {
-		// PID reuse: a new task recycled a dead task's pid. Inheriting the
-		// dead task's state would pair the new task's markers with a stale
-		// in-flight stack and stale sampling decisions — and would skip the
-		// first-contact perf-counter setup, so every sample the respawned
-		// task produced would read disabled (zero) counters. Start fresh,
-		// carrying only the dead task's cumulative error counters so the
-		// deployment-wide totals survive the replacement.
-		carriedErrors, carriedClamps = st.userErrors, st.wrapClamps
-		ok = false
-	}
-	if !ok {
-		st = &taskState{owner: ts, task: t, userErrors: carriedErrors, wrapClamps: carriedClamps}
+	if !ok || st.task != t {
+		st = &taskState{owner: ts, task: t}
 		ts.tasks[t.PID] = st
 		switch ts.cfg.Mode {
 		case KernelContinuous:
@@ -398,14 +376,4 @@ func (ts *TScout) BeginEvent(t *kernel.Task, s SubsystemID) bool {
 	sampled := ts.sampler.ShouldSample(s, &st.sampleOffsets[s])
 	st.eventSampled[s] = sampled
 	return sampled
-}
-
-// userWrapClamps sums the counter-delta clamps recorded by the user-mode
-// probes (surfaced as Stats().User.WrapClamps).
-func (ts *TScout) userWrapClamps() int64 {
-	var n int64
-	for _, st := range ts.tasks {
-		n += st.wrapClamps
-	}
-	return n
 }

@@ -52,9 +52,6 @@ func TestCodegenProgramsVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resource set %+v: %v", res, err)
 		}
-		for _, p := range []string{"begin", "end", "features"} {
-			_ = p
-		}
 		if col.Begin == nil || col.End == nil || col.Features == nil {
 			t.Fatalf("missing programs")
 		}
