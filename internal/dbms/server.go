@@ -171,6 +171,9 @@ type Session struct {
 	// reply is the wire response under construction, rendered in place and
 	// reused by the next one.
 	reply []byte
+	// redo holds the committing transaction's redo records (submitRedo),
+	// which the WAL reads during SubmitFrom and keeps nothing of.
+	redo []wal.Record
 	// ExternalCollect emulates EXPLAIN-based external feature collection
 	// (§2.2): every statement pays an extra planning round.
 	ExternalCollect bool
@@ -274,6 +277,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 		res, err := srv.run(ctx, e.st, se.bindParams(nil, e.lits))
 		if err != nil {
 			_ = tx.Abort()
+			tx.Release()
 			return fail(reply, i, err)
 		}
 		pr.Results = append(pr.Results, res)
@@ -286,6 +290,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 
 	// --- WAL group commit ----------------------------------------------
 	pr.Commit = se.submitRedo(tx, writes)
+	tx.Release()
 
 	se.respond(reply, len(stmts))
 	return pr
@@ -325,7 +330,7 @@ func (se *Session) submitRedo(tx *txn.Txn, writes []txn.Write) *wal.Commit {
 	if len(writes) == 0 {
 		return nil
 	}
-	records := make([]wal.Record, 0, len(writes)+1)
+	records := se.redo[:0]
 	for _, w := range writes {
 		records = append(records, wal.Record{
 			Kind:  recordKind(w.Kind),
@@ -335,6 +340,7 @@ func (se *Session) submitRedo(tx *txn.Txn, writes []txn.Write) *wal.Commit {
 		})
 	}
 	records = append(records, wal.Record{Kind: wal.RecordCommit, TxnID: tx.ID, Bytes: 16})
+	se.redo = records
 	return se.srv.WAL.SubmitFrom(records, se.Task.Now(), se.Task.CPU())
 }
 
@@ -421,13 +427,16 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	res, err := se.srv.run(se.execCtx(tx), st, se.bindParams(params, lits))
 	if err != nil {
 		_ = tx.Abort()
+		tx.Release()
 		return nil, err
 	}
 	writes := tx.Writes()
 	if _, err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	if c := se.submitRedo(tx, writes); c != nil && c.Resolved {
+	c := se.submitRedo(tx, writes)
+	tx.Release()
+	if c != nil && c.Resolved {
 		se.Task.Clock.AdvanceTo(c.DoneNS)
 	}
 	return res, nil

@@ -118,7 +118,9 @@ func (se *Session) Commit() (*wal.Commit, error) {
 	if _, err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	return se.submitRedo(tx, writes), nil
+	c := se.submitRedo(tx, writes)
+	tx.Release()
+	return c, nil
 }
 
 // Rollback aborts the open transaction.
@@ -133,6 +135,7 @@ func (se *Session) Rollback() error {
 func (se *Session) rollback() {
 	if se.tx != nil {
 		_ = se.tx.Abort()
+		se.tx.Release()
 		se.tx = nil
 	}
 }

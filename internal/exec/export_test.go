@@ -18,8 +18,13 @@ import (
 type Lockstep struct {
 	t            testing.TB
 	model, saved specDB
-	tx           *txn.Txn // the transaction the statements so far ran in
-	Statements   int
+	// txID is the ID of the transaction the statements so far ran in, and
+	// first the version of its first write (nil while it has none). A
+	// finished transaction may be released and reused under a new ID, so
+	// neither the *Txn nor its write set outlives it; a version does.
+	txID       uint64
+	first      *storage.Version
+	Statements int
 }
 
 // NewLockstep taps e, whose tables are cat's and whose transactions mgr's.
@@ -34,19 +39,20 @@ func NewLockstep(t testing.TB, e *Engine, cat *catalog.Catalog, mgr *txn.Manager
 // a commit timestamp and no owning transaction; a transaction without
 // writes left the model as it was.
 func (l *Lockstep) Close() {
-	if l.tx != nil {
-		if w := l.tx.Writes(); len(w) > 0 && (w[0].Version.TxnID != 0 || w[0].Version.Begin == 0) {
-			l.model = l.saved
-		}
+	if v := l.first; v != nil && (v.TxnID != 0 || v.Begin == 0) {
+		l.model = l.saved
 	}
-	l.tx = nil
+	l.txID, l.first = 0, nil
 }
 
 func (l *Lockstep) observe(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error) {
 	l.Statements++
-	if ctx.Txn != l.tx {
+	if ctx.Txn.ID != l.txID {
 		l.Close()
-		l.tx, l.saved = ctx.Txn, l.model.clone()
+		l.txID, l.saved = ctx.Txn.ID, l.model.clone()
+	}
+	if w := ctx.Txn.Writes(); l.first == nil && len(w) > 0 {
+		l.first = w[0].Version
 	}
 	want, serr := l.model.run(p.stmt, params)
 	se, _ := serr.(*specErr)

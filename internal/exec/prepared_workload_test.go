@@ -6,21 +6,31 @@ import (
 
 	"tscout/internal/dbms"
 	"tscout/internal/exec"
+	"tscout/internal/storage"
 	"tscout/internal/workload"
 )
 
 // TestPreparedMatchesOracleOnWorkloads runs 300 transactions of each
 // benchmark generator through a server's sessions — statement table,
 // Prepare, Run — and holds every statement's result to the spec, run in
-// lockstep over a model of the tables the generator set up.
+// lockstep over a model of the tables the generator set up. The generators
+// never abort, so where a case names an undo statement, every fifth
+// transaction is followed by one that runs it on one of a few hot rows and
+// rolls back: the model must roll it back too, and the engine must leave
+// no trace of it that a later writer of the row would trip on.
 func TestPreparedMatchesOracleOnWorkloads(t *testing.T) {
-	for _, gen := range []workload.Generator{
-		&workload.TATP{Subscribers: 200},
-		&workload.TPCC{},
-		&workload.SmallBank{Customers: 200},
-		&workload.YCSB{Records: 200},
-		&workload.CHBench{},
+	for _, c := range []struct {
+		gen  workload.Generator
+		undo string // one $1 row key, drawn from [0, keys)
+		keys int
+	}{
+		{gen: &workload.TATP{Subscribers: 200}},
+		{&workload.TPCC{}, "UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = 1 AND d_id = $1 + 1", 10},
+		{&workload.SmallBank{Customers: 200}, "UPDATE checking SET bal = bal + 1 WHERE custid = $1", 10},
+		{gen: &workload.YCSB{Records: 200}},
+		{gen: &workload.CHBench{}},
 	} {
+		gen := c.gen
 		t.Run(gen.Name(), func(t *testing.T) {
 			srv, err := dbms.NewServer(dbms.Config{Seed: 5})
 			if err != nil {
@@ -35,6 +45,18 @@ func TestPreparedMatchesOracleOnWorkloads(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				if _, err := gen.Txn(se, rng); err != nil && !dbms.IsConflict(err) {
 					t.Fatalf("txn %d: %v", i, err)
+				}
+				if c.undo == "" || i%5 != 0 {
+					continue
+				}
+				if err := se.BeginTxn(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := se.Statement(c.undo, storage.NewInt(int64(rng.Intn(c.keys)))); err != nil {
+					t.Fatalf("undo after txn %d: %v", i, err)
+				}
+				if err := se.Rollback(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			lock.Close()

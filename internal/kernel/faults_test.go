@@ -155,13 +155,56 @@ func TestInjectorMigrateAndCounterWrap(t *testing.T) {
 		t.Fatalf("hits per CPU = %d on 0, %d on 2; want 1 each", fi.CPUHits(0), fi.CPUHits(2))
 	}
 	after := tk.Perf().Read(CounterCycles).Raw
-	// The wrap pulls the accumulated count down (to zero here, since the
+	// The wrap pulls the accumulated count down (to half here, since the
 	// wrap delta far exceeds what one Charge accumulated); the CPU-2 base
 	// offset keeps the absolute reading large, so compare base-relative.
 	base := cpuCounterBase(2, CounterCycles)
 	if after-base >= before {
 		t.Fatalf("counter wrap did not roll the counter back: before=%g after(rel)=%g",
 			before, after-base)
+	}
+}
+
+// TestCounterWrapTwice wraps a counter holding far less than
+// counterWrapDelta twice, with a charge in between, per-task and CPU-wide:
+// each wrap leaves the next read strictly below the read before it and the
+// count non-negative, and an OU that begins just after the first wrap and
+// ends just after the second reads lower at END than at BEGIN.
+func TestCounterWrapTwice(t *testing.T) {
+	for _, perTask := range []bool{true, false} {
+		k := testKernel()
+		k.SetNumCPUs(2)
+		tk := k.NewTaskOn("w", 1)
+		tk.Perf().SetPerTask(perTask)
+		tk.Perf().Enable(AllCounters...)
+		read := func() [numCounters]float64 {
+			var r [numCounters]float64
+			for _, c := range AllCounters {
+				r[c] = tk.Perf().Read(c).Raw
+			}
+			return r
+		}
+		wrap := func(before [numCounters]float64) [numCounters]float64 {
+			tk.Perf().InjectWrap(counterWrapDelta)
+			after := read()
+			for _, c := range AllCounters {
+				if tk.Perf().raw[c] < 0 {
+					t.Errorf("perTask=%v: %v counts %g after a wrap", perTask, c, tk.Perf().raw[c])
+				}
+				if before[c] > 0 && !(after[c] < before[c]) {
+					t.Errorf("perTask=%v: %v read %g before a wrap and %g after", perTask, c, before[c], after[c])
+				}
+			}
+			return after
+		}
+		tk.Charge(sim.Work{Instructions: 5e4, BytesTouched: 1 << 14, WorkingSetBytes: 1 << 14})
+		begin := wrap(read())
+		tk.Charge(sim.Work{Instructions: 5e3, BytesTouched: 1 << 10, WorkingSetBytes: 1 << 10})
+		end := wrap(read())
+		if !(end[CounterCycles] < begin[CounterCycles]) {
+			t.Errorf("perTask=%v: an OU across the second wrap read %g cycles at BEGIN and %g at END",
+				perTask, begin[CounterCycles], end[CounterCycles])
+		}
 	}
 }
 

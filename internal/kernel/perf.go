@@ -198,19 +198,28 @@ func (pc *PerfContext) Read(c Counter) Reading {
 	}
 }
 
-// InjectWrap rolls every enabled counter's accumulated count backwards by
-// delta, modeling a hardware counter overflow between two reads: the next
-// read observes a smaller raw value than an earlier snapshot, so unsigned
-// delta computations underflow. Counts never go below zero (the simulated
-// counter re-wraps at zero, the same observable effect).
+// InjectWrap rolls every enabled counter's accumulated count backwards,
+// modeling a hardware counter overflow between two reads: the next read
+// observes a smaller value than an earlier snapshot, so unsigned delta
+// computations underflow. A count of at least delta rolls back by delta;
+// a smaller one halves. The count never goes below zero: the per-CPU base
+// a CPU-wide read adds changes when the task migrates, so only a
+// non-negative count reads as a count on every CPU. Halving rather than
+// stopping at zero keeps every wrap of a counter that has counted
+// anything strictly below the read before it, so an OU that begins after
+// one wrap and ends after another still reads lower at END than at BEGIN.
+// An OU reads higher at END than at BEGIN only when the work it did before
+// the wrap exceeds what the counter held when it began, as a task's first
+// OU's can.
 func (pc *PerfContext) InjectWrap(delta float64) {
 	for c := 0; c < int(numCounters); c++ {
 		if !pc.enabled[c] {
 			continue
 		}
-		pc.raw[c] -= delta
-		if pc.raw[c] < 0 {
-			pc.raw[c] = 0
+		if pc.raw[c] >= delta {
+			pc.raw[c] -= delta
+		} else {
+			pc.raw[c] /= 2
 		}
 	}
 }

@@ -97,6 +97,7 @@ func setupTables(srv *dbms.Server) error {
 			tid, err := tx.Insert(tblEntry.Heap, row)
 			if err != nil {
 				_ = tx.Abort()
+				tx.Release()
 				return err
 			}
 			for _, ix := range tblEntry.Indexes {
@@ -106,6 +107,7 @@ func setupTables(srv *dbms.Server) error {
 		if _, err := tx.Commit(); err != nil {
 			return err
 		}
+		tx.Release()
 	}
 	return nil
 }

@@ -92,6 +92,10 @@ type Epochs struct {
 	epochNS int64
 	index   int64
 	events  []deferred
+	// spare is the events list's second backing array. Barrier iterates
+	// one while callbacks defer into the other, so an event deferred
+	// during a barrier lands in the next epoch.
+	spare   []deferred
 	applied int64
 }
 
@@ -132,7 +136,7 @@ func (e *Epochs) Defer(cpu int, atNS int64, fn func(atNS int64)) {
 // work's ready time.
 func (e *Epochs) Barrier() int {
 	evs := e.events
-	e.events = nil
+	e.events = e.spare[:0]
 	slices.SortStableFunc(evs, func(a, b deferred) int {
 		if c := cmp.Compare(a.atNS, b.atNS); c != 0 {
 			return c
@@ -142,6 +146,8 @@ func (e *Epochs) Barrier() int {
 	for _, ev := range evs {
 		ev.fn(ev.atNS)
 	}
+	clear(evs)
+	e.spare = evs[:0]
 	e.applied += int64(len(evs))
 	e.index++
 	return len(evs)

@@ -95,6 +95,10 @@ type modeOutcome struct {
 	points  []streamPoint
 	orphans OrphanCounts
 	corrupt int64
+	// zeroCycles counts archived points whose cycle counter did not move:
+	// every case charges real work, so such a point is a wrap that went
+	// unseen.
+	zeroCycles int
 }
 
 type streamPoint struct {
@@ -135,6 +139,9 @@ func runStream(t *testing.T, mode Mode, seed int64, cases []int) modeOutcome {
 	out := modeOutcome{orphans: st.TotalOrphans(), corrupt: st.TotalCorruptDiscards()}
 	for _, tp := range sinkOf(ts).points() {
 		out.points = append(out.points, streamPoint{tp.OU, tp.PID, tp.Features, tp.Metrics.AllocBytes})
+		if tp.Metrics.Cycles == 0 {
+			out.zeroCycles++
+		}
 	}
 	return out
 }
@@ -142,12 +149,28 @@ func runStream(t *testing.T, mode Mode, seed int64, cases []int) modeOutcome {
 // TestModeAgreement runs each stream case alone, and then every case four
 // times in a seeded order, in all three modes: the user modes must archive
 // the same (OU, pid, features, AllocBytes) sequence as Kernel-Continuous and
-// count the same orphans and corrupt discards.
+// count the same orphans and corrupt discards. Every mode must discard each
+// counter-wrap case as corrupt and archive no point with a zero cycle count,
+// which is what a wrap that left END reading the same as BEGIN produced.
 func TestModeAgreement(t *testing.T) {
 	check := func(t *testing.T, seed int64, cases []int) {
-		want := runStream(t, KernelContinuous, seed, cases)
+		var wraps int64
+		for _, c := range cases {
+			if streamCases[c].name == "counter-wrap" {
+				wraps++
+			}
+		}
+		run := func(mode Mode) modeOutcome {
+			out := runStream(t, mode, seed, cases)
+			if out.corrupt != wraps || out.zeroCycles != 0 {
+				t.Errorf("%v: %d counter wraps, %d corrupt discards and %d zero-cycle points archived",
+					mode, wraps, out.corrupt, out.zeroCycles)
+			}
+			return out
+		}
+		want := run(KernelContinuous)
 		for _, mode := range []Mode{UserToggle, UserContinuous} {
-			got := runStream(t, mode, seed, cases)
+			got := run(mode)
 			if !reflect.DeepEqual(got.points, want.points) {
 				i := 0
 				for i < min(len(got.points), len(want.points)) && reflect.DeepEqual(got.points[i], want.points[i]) {

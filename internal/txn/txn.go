@@ -14,6 +14,11 @@
 // keeps the versions committed after the oldest running snapshot plus one,
 // and the rest is left to the Go collector. Index entries and tombstones are
 // not reclaimed (DESIGN.md §4, Version reclamation).
+//
+// A finished transaction may be handed back with Release; the Manager's
+// next Begin reuses it and its write set's capacity, so a transaction
+// allocates only the versions it installs (DESIGN.md §4, What a transaction
+// allocates).
 package txn
 
 import (
@@ -38,6 +43,10 @@ const (
 	StateActive State = iota
 	StateCommitted
 	StateAborted
+	// stateReleased marks a transaction handed back by Release: it is on
+	// its Manager's free list and answers every operation with ErrNotActive
+	// until a Begin reuses it.
+	stateReleased
 )
 
 // WriteKind classifies a write for redo logging.
@@ -70,7 +79,15 @@ type Manager struct {
 	// ReadTS is non-decreasing along the list and oldest holds the
 	// watermark.
 	oldest, newest *Txn
+	// free holds released transactions for Begin to reuse, newest last. A
+	// plain slice: one goroutine drives a simulation.
+	free []*Txn
 }
+
+// maxKeptWrites caps the write-set capacity a released transaction keeps
+// for its next Begin, so that one bulk load does not pin a large array for
+// the life of the server.
+const maxKeptWrites = 1024
 
 // NewManager creates a transaction manager. Commit timestamps start at 1;
 // loader transactions committed through the manager are visible to all
@@ -80,11 +97,19 @@ func NewManager() *Manager {
 }
 
 // Begin starts a transaction with a snapshot at the current commit
-// timestamp.
+// timestamp. It reuses a released transaction when there is one.
 func (m *Manager) Begin() *Txn {
 	id := m.nextTxnID
 	m.nextTxnID++
-	t := &Txn{mgr: m, ID: id, ReadTS: m.commitTS, state: StateActive, prev: m.newest}
+	var t *Txn
+	if n := len(m.free); n > 0 {
+		t = m.free[n-1]
+		m.free[n-1] = nil
+		m.free = m.free[:n-1]
+		t.ID, t.ReadTS, t.state, t.prev = id, m.commitTS, StateActive, m.newest
+	} else {
+		t = &Txn{mgr: m, ID: id, ReadTS: m.commitTS, state: StateActive, prev: m.newest}
+	}
 	if m.newest != nil {
 		m.newest.next = t
 	} else {
@@ -122,7 +147,33 @@ type Txn struct {
 }
 
 // Writes returns the transaction's write set (for WAL record generation).
+// The slice is the transaction's own and is cleared by Release.
 func (t *Txn) Writes() []Write { return t.writes }
+
+// Release hands a finished transaction back to its Manager, whose next
+// Begin reuses it together with its write set's capacity. After Release
+// the transaction answers every write, Commit and Abort with ErrNotActive,
+// and its Writes is empty; the caller must drop every reference to it,
+// because a later Begin hands the same *Txn out again under a new ID.
+// Releasing an active transaction, or one already released, panics.
+// Release is optional: a transaction never released is left to the Go
+// collector.
+func (t *Txn) Release() {
+	switch t.state {
+	case StateActive:
+		panic("txn: Release of an active transaction")
+	case stateReleased:
+		panic("txn: Release of a released transaction")
+	}
+	t.state = stateReleased
+	if cap(t.writes) > maxKeptWrites {
+		t.writes = nil
+	} else {
+		clear(t.writes)
+		t.writes = t.writes[:0]
+	}
+	t.mgr.free = append(t.mgr.free, t)
+}
 
 // visible reports whether version v is visible to this transaction.
 func (t *Txn) visible(v *storage.Version) bool {

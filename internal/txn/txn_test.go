@@ -223,6 +223,122 @@ func TestFinishedTxnRejectsOps(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestReleaseContract: a released transaction answers every write, Commit
+// and Abort with ErrNotActive and holds no writes; releasing an active or an
+// already-released transaction panics; Begin reuses the released one under
+// a new ID with an empty write set and a fresh snapshot.
+func TestReleaseContract(t *testing.T) {
+	m := NewManager()
+	tbl := newTestTable()
+	setup := m.Begin()
+	id, _ := setup.Insert(tbl, row(1, 1))
+	setup.Commit()
+
+	for _, finish := range []struct {
+		name string
+		f    func(*Txn) error
+	}{
+		{"commit", func(tx *Txn) error { _, err := tx.Commit(); return err }},
+		{"abort", (*Txn).Abort},
+	} {
+		tx := m.Begin()
+		mustPanic(t, "Release of an active transaction", tx.Release)
+		if err := tx.Update(tbl, id, row(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := finish.f(tx); err != nil {
+			t.Fatal(err)
+		}
+		tx.Release()
+		if n := len(tx.Writes()); n != 0 {
+			t.Errorf("after %s: a released transaction holds %d writes", finish.name, n)
+		}
+		if _, err := tx.Insert(tbl, row(2, 2)); !errors.Is(err, ErrNotActive) {
+			t.Errorf("after %s: insert on a released transaction: %v", finish.name, err)
+		}
+		if err := tx.Update(tbl, id, row(1, 3)); !errors.Is(err, ErrNotActive) {
+			t.Errorf("after %s: update on a released transaction: %v", finish.name, err)
+		}
+		if err := tx.Delete(tbl, id); !errors.Is(err, ErrNotActive) {
+			t.Errorf("after %s: delete on a released transaction: %v", finish.name, err)
+		}
+		if _, err := tx.Commit(); !errors.Is(err, ErrNotActive) {
+			t.Errorf("after %s: commit of a released transaction: %v", finish.name, err)
+		}
+		if err := tx.Abort(); !errors.Is(err, ErrNotActive) {
+			t.Errorf("after %s: abort of a released transaction: %v", finish.name, err)
+		}
+		mustPanic(t, "a second Release", tx.Release)
+
+		oldID := tx.ID
+		next := m.Begin()
+		if next != tx || next.ID == oldID || next.state != StateActive || len(next.Writes()) != 0 || next.ReadTS != m.commitTS {
+			t.Errorf("after %s: Begin did not reuse the released transaction afresh: %+v", finish.name, next)
+		}
+		if running, _ := m.stats(); running != 1 {
+			t.Errorf("after %s: %d transactions running, want 1", finish.name, running)
+		}
+		if err := next.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		next.Release()
+	}
+}
+
+// TestReleaseClearsWrites: a released transaction's write set keeps its
+// capacity but no version, so a transaction on the free list pins nothing.
+func TestReleaseClearsWrites(t *testing.T) {
+	m := NewManager()
+	tbl := newTestTable()
+	tx := m.Begin()
+	tx.Insert(tbl, row(1, 1))
+	tx.Insert(tbl, row(2, 2))
+	tx.Commit()
+	w := tx.Writes()
+	tx.Release()
+	for i, x := range w[:cap(w)] {
+		if x != (Write{}) {
+			t.Fatalf("write %d survives Release: %+v", i, x)
+		}
+	}
+}
+
+// TestTxnCycleAllocatesTheVersion: once the free list holds a transaction,
+// a Begin → Update → Commit → Release cycle allocates exactly one object,
+// the version the update installs.
+func TestTxnCycleAllocatesTheVersion(t *testing.T) {
+	m := NewManager()
+	tbl := newTestTable()
+	setup := m.Begin()
+	id, _ := setup.Insert(tbl, row(1, 1))
+	setup.Commit()
+	setup.Release()
+	r := row(1, 2)
+	if n := testing.AllocsPerRun(100, func() {
+		tx := m.Begin()
+		if err := tx.Update(tbl, id, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tx.Release()
+	}); n != 1 {
+		t.Fatalf("a transaction cycle allocates %v objects, want 1 (the version)", n)
+	}
+}
+
 func TestRedoBytes(t *testing.T) {
 	m := NewManager()
 	tbl := newTestTable()

@@ -5,6 +5,11 @@
 // the (simulated) SSD. Both are TScout OUs; their strong dependence on
 // arrival rate and batch size is exactly why the paper's offline runners
 // mis-predict them and online data helps most (Figs. 2, 7, 9).
+//
+// The log borrows the records it is handed: Submit and SubmitFrom read
+// their records argument before returning and keep only its record count
+// and byte total, so a caller may reuse the slice at once (the DBMS
+// session builds every transaction's redo in one scratch slice).
 package wal
 
 import (
@@ -39,7 +44,7 @@ type Record struct {
 // virtual time at which the commit became durable (set when its batch
 // flushes); Resolved reports whether the flush has happened.
 type Commit struct {
-	Records   []Record
+	records   int // the submission's record count
 	Bytes     int64
 	ArrivalNS int64
 	DoneNS    int64
@@ -82,6 +87,10 @@ type Serializer struct {
 	wrMarker  *tscout.Marker
 
 	pending []*Commit
+	// spare is the pending batch's second backing array: Flush takes the
+	// batch, puts spare in its place, and keeps the batch's array, cleared,
+	// as the next spare.
+	spare []*Commit
 
 	// Deferred-submission state for the epoch driver: while deferMode is
 	// set, SubmitFrom stages commits instead of entering them into the
@@ -89,6 +98,9 @@ type Serializer struct {
 	// merged order at the epoch barrier.
 	deferMode bool
 	stage     []stagedCommit
+	// spareStage is the stage's second backing array, swapped the way
+	// spare is by CommitStaged.
+	spareStage []stagedCommit
 
 	flushes    int64
 	recsLogged int64
@@ -119,7 +131,7 @@ func New(k *kernel.Kernel, ts *tscout.TScout, serMarker, wrMarker *tscout.Marker
 // Submit registers a transaction's records for group commit at virtual
 // time nowNS and returns its pending handle. When the batch-size policy
 // trips, the flush happens immediately (at nowNS) and the handle resolves
-// before Submit returns.
+// before Submit returns. The log keeps nothing of records.
 func (s *Serializer) Submit(records []Record, nowNS int64) *Commit {
 	return s.SubmitFrom(records, nowNS, 0)
 }
@@ -129,12 +141,13 @@ func (s *Serializer) Submit(records []Record, nowNS int64) *Commit {
 // merge key; outside deferred mode SubmitFrom behaves exactly like Submit.
 // Its production caller, dbms.Session.submitRedo, passes its task's CPU,
 // which the pooled driver's staged replay uses to order equal arrivals.
+// Like Submit it borrows records: it keeps their count and byte total.
 func (s *Serializer) SubmitFrom(records []Record, nowNS int64, cpu int) *Commit {
 	var bytes int64
 	for _, r := range records {
 		bytes += r.Bytes
 	}
-	c := &Commit{Records: records, Bytes: bytes, ArrivalNS: nowNS}
+	c := &Commit{records: len(records), Bytes: bytes, ArrivalNS: nowNS}
 	if s.deferMode {
 		s.stage = append(s.stage, stagedCommit{c: c, cpu: cpu})
 		return c
@@ -169,7 +182,7 @@ func (s *Serializer) SetDeferMode(v bool) { s.deferMode = v }
 // returns the number of commits replayed.
 func (s *Serializer) CommitStaged() int {
 	staged := s.stage
-	s.stage = nil
+	s.stage = s.spareStage[:0]
 	slices.SortStableFunc(staged, func(a, b stagedCommit) int {
 		if c := cmp.Compare(a.c.ArrivalNS, b.c.ArrivalNS); c != 0 {
 			return c
@@ -179,6 +192,8 @@ func (s *Serializer) CommitStaged() int {
 	for _, sc := range staged {
 		s.enqueue(sc.c)
 	}
+	clear(staged)
+	s.spareStage = staged[:0]
 	return len(staged)
 }
 
@@ -209,10 +224,10 @@ func (s *Serializer) NextDeadline() int64 {
 // the disk writer OU.
 func (s *Serializer) Flush(nowNS int64) {
 	batch := s.pending
-	s.pending = nil
 	if len(batch) == 0 {
 		return
 	}
+	s.pending = s.spare[:0]
 
 	// The serializer thread wakes when the trigger fires.
 	s.serTask.Clock.AdvanceTo(nowNS)
@@ -220,7 +235,7 @@ func (s *Serializer) Flush(nowNS int64) {
 	var recs int
 	var bytes int64
 	for _, c := range batch {
-		recs += len(c.Records)
+		recs += c.records
 		bytes += c.Bytes
 	}
 
@@ -271,6 +286,8 @@ func (s *Serializer) Flush(nowNS int64) {
 		c.DoneNS = done
 		c.Resolved = true
 	}
+	clear(batch)
+	s.spare = batch[:0]
 	s.flushes++
 	s.recsLogged += int64(recs)
 	s.bytesDone += bytes

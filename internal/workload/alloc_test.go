@@ -1,0 +1,50 @@
+package workload
+
+import (
+	"runtime"
+	"testing"
+
+	"tscout/internal/dbms"
+	"tscout/internal/wal"
+)
+
+// TestPooledTxnAllocations bounds what one more transaction costs the host
+// heap on an instrumented pooled SmallBank run: the allocations of a run of
+// 2N transactions less those of a run of N, per transaction. Setup, the
+// terminals, the sessions and the first-use growth of rings and scratch are
+// the same in both runs and cancel. What remains is what a transaction
+// leaves behind — its versions, its WAL commit handle, its admission ticket
+// — plus its share of the drain's points and the archive's blocks; the
+// transaction, its write set, its redo records and the barrier and
+// group-commit buffers are recycled (DESIGN.md §4, What a transaction
+// allocates).
+func TestPooledTxnAllocations(t *testing.T) {
+	const n, bound = 600, 4.5
+	mallocs := func(txns int) uint64 {
+		arch := newTestArchive(0)
+		srv, gen := scaleServer(t, dbms.Config{
+			Seed: 21, NoiseSigma: 0.03, Instrument: true,
+			NumCPUs: 4, ProcessorParallelism: 2, Sink: arch.w,
+			WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 25_000},
+		}, 200)
+		cfg := Config{Terminals: 200, Transactions: txns, Seed: 21, PoolSessions: 16}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(srv, gen, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed+res.Aborted != txns {
+			t.Fatalf("ran %d transactions, want %d", res.Completed+res.Aborted, txns)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	one, two := mallocs(n), mallocs(2*n)
+	if per := float64(two-one) / n; per > bound {
+		t.Errorf("a pooled SmallBank transaction allocates %.2f objects, want <= %v (%d for %d transactions, %d for %d)",
+			per, bound, one, n, two, 2*n)
+	} else {
+		t.Logf("%.2f allocations per transaction", per)
+	}
+}

@@ -93,6 +93,10 @@ type pooledTerminal struct {
 	se      *dbms.Session
 	pending *wal.Commit
 	startNS int64
+	// done, aborted and durable are the terminal's barrier callbacks,
+	// bound once by runPooled: a finished read-only transaction, an
+	// aborted one, and a commit whose durability a barrier observed.
+	done, aborted, durable func(atNS int64)
 }
 
 // runPooled drives the generator with the pooled multi-core epoch engine.
@@ -119,13 +123,6 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	idle := newTermSet(cfg.Terminals)
 	granted := newTermSet(cfg.Terminals)
 	pending := newTermSet(cfg.Terminals)
-	for i := range terms {
-		terms[i] = &pooledTerminal{
-			idx: i,
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-		}
-		idle.add(i)
-	}
 
 	var (
 		res         Result
@@ -163,6 +160,21 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		t.ticket = nil
 		t.readyNS = atNS
 		idle.add(t.idx)
+	}
+
+	for i := range terms {
+		t := &pooledTerminal{
+			idx: i,
+			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
+		}
+		t.done = func(at int64) { finishRelease(t, at, true) }
+		t.aborted = func(at int64) { finishRelease(t, at, false) }
+		t.durable = func(at int64) {
+			t.se.Task.Clock.AdvanceTo(at)
+			finishRelease(t, at, true)
+		}
+		terms[i] = t
+		idle.add(i)
 	}
 
 	claim := func(t *pooledTerminal) {
@@ -219,9 +231,13 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// --- Per-CPU execution ----------------------------------------
 		ranAny := false
 		for c := 0; c < numCPUs; c++ {
-			for len(runq[c]) > 0 && tl.Now(c) < epochEnd {
-				t := runq[c][0]
-				runq[c] = runq[c][1:]
+			// Nothing appends to a runqueue while the CPUs run, so the
+			// walk keeps its position in q and the terminals it did not
+			// reach move to the front of the same array afterwards.
+			q, ran := runq[c], 0
+			for ran < len(q) && tl.Now(c) < epochEnd {
+				t := q[ran]
+				ran++
 				outstanding--
 				started++
 				ranAny = true
@@ -239,13 +255,11 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				switch {
 				case err != nil && dbms.IsConflict(err):
 					res.Aborted++
-					tt := t
-					ep.Defer(c, task.Now(), func(at int64) { finishRelease(tt, at, false) })
+					ep.Defer(c, task.Now(), t.aborted)
 				case err != nil:
 					return res, fmt.Errorf("workload %s: %w", gen.Name(), err)
 				case commit == nil:
-					tt := t
-					ep.Defer(c, task.Now(), func(at int64) { finishRelease(tt, at, true) })
+					ep.Defer(c, task.Now(), t.done)
 				default:
 					// Deferred-mode submissions never resolve inline; the
 					// terminal holds its slot until a barrier observes
@@ -255,6 +269,9 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				}
 				tl.AdvanceTo(c, task.Now())
 			}
+			n := copy(q, q[ran:])
+			clear(q[n:])
+			runq[c] = q[:n]
 		}
 
 		// --- Barrier ---------------------------------------------------
@@ -271,10 +288,7 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 			done := tt.pending.DoneNS
 			tt.pending = nil
 			pending.remove(i)
-			ep.Defer(tt.se.Task.CPU(), done, func(at int64) {
-				tt.se.Task.Clock.AdvanceTo(at)
-				finishRelease(tt, at, true)
-			})
+			ep.Defer(tt.se.Task.CPU(), done, tt.durable)
 		}
 		applied := ep.Barrier()
 		res.Epochs = ep.Index()

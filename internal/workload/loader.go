@@ -32,6 +32,7 @@ func bulkLoad(srv *dbms.Server, table string, cells []storage.Value) error {
 			tid, err := tx.Insert(tbl.Heap, row)
 			if err != nil {
 				_ = tx.Abort()
+				tx.Release()
 				return fmt.Errorf("workload: loading %s: %w", table, err)
 			}
 			for _, ix := range tbl.Indexes {
@@ -41,6 +42,7 @@ func bulkLoad(srv *dbms.Server, table string, cells []storage.Value) error {
 		if _, err := tx.Commit(); err != nil {
 			return err
 		}
+		tx.Release()
 	}
 	return nil
 }
