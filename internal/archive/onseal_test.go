@@ -34,7 +34,7 @@ func TestOnSealNotifications(t *testing.T) {
 	var dst bytes.Buffer
 	var segs [][]byte
 	w := NewWriterSize(&dst, perSeg)
-	w.SetOnSeal(func(seg []byte) { segs = append(segs, seg) })
+	w.SetOnSeal(func(seg []byte) { segs = append(segs, bytes.Clone(seg)) })
 
 	pts := sealTestPoints(100)
 	// Deliver in uneven batches so seals land mid-batch and multi-seal

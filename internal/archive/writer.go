@@ -52,11 +52,13 @@ func NewWriterSize(dst io.Writer, rowsPerSegment int) *Writer {
 	return &Writer{dst: dst, perSeg: rowsPerSegment}
 }
 
-// SetOnSeal registers fn to receive a copy of every sealed segment's wire
-// bytes. fn runs inline, right after the segment has been written to dst,
-// so notifications arrive in seal order, and any concatenation of
+// SetOnSeal registers fn to receive every sealed segment's wire bytes. fn
+// runs inline, right after the segment has been written to dst, so
+// notifications arrive in seal order, and any concatenation of
 // consecutively sealed segments parses with NewReader: this is the
-// autopilot's incremental tail read, no re-scan of the full archive.
+// autopilot's incremental tail read, no re-scan of the full archive. The
+// slice is the Writer's encode buffer, lent for the call: the next seal
+// overwrites it, so fn must copy what it keeps and must not modify it.
 // Pass nil to stop notifications.
 func (w *Writer) SetOnSeal(fn func(segment []byte)) { w.onSeal = fn }
 
@@ -125,8 +127,7 @@ func (w *Writer) seal(n int) error {
 	}
 	w.pending = w.pending[:rem]
 	if w.onSeal != nil {
-		// A copy: wire is reused by the next seal.
-		w.onSeal(append([]byte(nil), w.wire...))
+		w.onSeal(w.wire)
 	}
 	return nil
 }

@@ -107,9 +107,9 @@ func New(ts *tscout.TScout, w *archive.Writer, cfg Config) *Controller {
 	return c
 }
 
-// onSeal buffers one sealed segment's wire bytes for the next tick. The
-// Writer notifies in seal order, so the buffered tail is always a
-// NewReader-parsable run.
+// onSeal copies one sealed segment's wire bytes, which the Writer lends
+// only for the call, into the tail for the next tick. The Writer notifies
+// in seal order, so the buffered tail is always a NewReader-parsable run.
 func (c *Controller) onSeal(seg []byte) {
 	c.tail = append(c.tail, seg...)
 	c.tailSegs++

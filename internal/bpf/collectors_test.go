@@ -66,9 +66,9 @@ func TestEveryPatternFiresOnCollectors(t *testing.T) {
 
 // TestEveryCollectorCallIsAFrame is the call census: every impure helper
 // call of every Collector binds a callFrame that matchFrame folds, so no
-// bare muHelperCall survives peephole and no call ends its block through
-// genericCall. Without it, a codegen change that moved a key off an exact
-// stack slot would quietly send that call to the interpreter's dispatcher.
+// bare muHelperCall survives peephole. Without it, a codegen change that
+// broke the straight-line code around a call would quietly cost every hit
+// a dispatch per call.
 func TestEveryCollectorCallIsAFrame(t *testing.T) {
 	calls, framed := 0, 0
 	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
@@ -88,18 +88,33 @@ func TestEveryCollectorCallIsAFrame(t *testing.T) {
 }
 
 // TestISAIsWhatCodegenEmits is the instruction set's census: every opcode
-// the verifier knows and every helper it lets a program call must be
-// emitted by some Collector program. The VM exists to run what codegen
-// emits, so an instruction or helper with no caller fails here instead of
-// growing the verifier, interpreter and JIT for nothing.
+// the verifier knows, every helper it lets a program call, and every
+// (helper, map type) pair it admits must be emitted by some Collector
+// program. The VM exists to run what codegen emits, so an instruction,
+// helper or map a helper may take with no caller fails here instead of
+// growing the verifier, interpreter and JIT for nothing. The pairs are
+// compared both ways, so a probe program that fails to verify for a reason
+// of its own cannot pass the census by admitting nothing.
 func TestISAIsWhatCodegenEmits(t *testing.T) {
 	ops, helpers := map[bpf.Op]bool{}, map[int64]bool{}
-	forEachCollector(t, func(_ string, lp *bpf.LoadedProgram) {
+	type pair struct {
+		id  int64
+		typ string
+	}
+	pairs := map[pair]bool{}
+	forEachCollector(t, func(name string, lp *bpf.LoadedProgram) {
 		for _, in := range lp.Program().Insns {
 			ops[in.Op] = true
 			if in.Op == bpf.OpCall {
 				helpers[in.Imm] = true
 			}
+		}
+		calls, err := bpf.MapCalls(lp.Program())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, c := range calls {
+			pairs[pair{c.ID, fmt.Sprintf("%T", c.Map)}] = true
 		}
 	})
 	for op := 0; op < 256; op++ {
@@ -111,11 +126,48 @@ func TestISAIsWhatCodegenEmits(t *testing.T) {
 			t.Errorf("opcode %d (%s) is in the ISA, but no Collector emits it", op, bpf.Insn{Op: bpf.Op(op)})
 		}
 	}
+	maps := []bpf.Map{bpf.NewHashMap("hash", 8, 1), bpf.NewArrayMap("array", 8, 1),
+		bpf.NewPerTaskMap("pertask", 8), bpf.NewPerCPURing("ring", 1, 1)}
+	admitted := map[pair]bool{}
 	for id := int64(0); id < 256; id++ {
-		if spec, ok := bpf.HelperByID(id); ok && !helpers[id] {
+		spec, ok := bpf.HelperByID(id)
+		if ok && !helpers[id] {
 			t.Errorf("helper %d (%s) is callable, but no Collector calls it", id, spec.Name)
 		}
+		for _, m := range maps {
+			// Call id with m and with every pointer argument at 16
+			// initialized stack bytes, which hold any key and value here.
+			b := bpf.NewBuilder("census").StoreImm(bpf.R10, -16, 0).StoreImm(bpf.R10, -8, 0)
+			takesMap := false
+			for i, kind := range spec.Args {
+				r := bpf.R1 + bpf.Reg(i)
+				switch kind {
+				case bpf.ArgConstMap:
+					b.LoadMapPtr(r, b.AddMap(m))
+					takesMap = true
+				case bpf.ArgPtrKey, bpf.ArgPtrValue, bpf.ArgPtrSized:
+					b.MovReg(r, bpf.R10).Sub(r, 16)
+				default:
+					b.Mov(r, 8)
+				}
+			}
+			p := b.Call(id).Mov(bpf.R0, 0).Exit().MustBuild()
+			if takesMap && bpf.Verify(p, 0) == nil {
+				admitted[pair{id, fmt.Sprintf("%T", m)}] = true
+			}
+		}
 	}
+	for pr := range admitted {
+		if !pairs[pr] {
+			t.Errorf("helper %d verifies on a %s, but no Collector calls it on one", pr.id, pr.typ)
+		}
+	}
+	for pr := range pairs {
+		if !admitted[pr] {
+			t.Errorf("a Collector calls helper %d on a %s, but the census program for the pair does not verify", pr.id, pr.typ)
+		}
+	}
+	t.Logf("(helper, map type) pairs: %v", pairs)
 }
 
 // TestCollectorDump holds every Collector program to
@@ -298,7 +350,7 @@ func TestCollectorsMatchInterpreter(t *testing.T) {
 				}
 				for i, mp := range jit.maps {
 					if ring, ok := mp.(*bpf.PerCPURing); ok {
-						samples += ring.Len()
+						samples += ring.Stats().Pending
 					}
 					got, want := bpf.MapFingerprint(mp), bpf.MapFingerprint(ref.maps[i])
 					if got != want {

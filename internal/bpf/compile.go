@@ -15,16 +15,18 @@ import (
 //     proved the base register's kind (stack or map value) and offset range
 //     at every dereference; exact stack offsets become compile-time
 //     constant indices.
-//   - No helper-argument validation: map handles proven rkConstMap bind to
-//     the concrete map at compile time and stack-pointer arguments proven
-//     to exact slots to constant indices; the call becomes a callFrame.
+//   - No helper dispatch or argument validation: map handles proven
+//     rkConstMap bind to the concrete map at compile time and the stack
+//     pointer arguments, which the verifier admits only at exact slots, to
+//     constant indices; every call becomes a callFrame.
 //
-// The compiled form is micro-op blocks joined by a few terminator closures.
+// The compiled form is micro-op blocks and the closures that end a run at
+// Exit.
 // One pass over the instructions (compileInsn) pre-decodes each reached one
 // to a microOp — moves, ALU, proven loads and stores, pure helper calls,
 // map and perf-output calls bound to a callFrame, and jumps, which become
-// branch micro-ops with a side exit — or, for Exit and a call that binds
-// no frame, builds a terminator closure of type copFn.
+// branch micro-ops with a side exit — or, for Exit, builds the terminator
+// closure of type copFn.
 // fuse then turns every maximal run of micro-ops (any length ≥ 1) into one
 // block after peephole has combined idiomatic sequences into pattern
 // super-ops, so a block runs from its head until a terminator or the next
@@ -51,8 +53,8 @@ type CompileInfo struct {
 }
 
 // copFn is one compiled terminator or block: execute against ec, return
-// the next one, or nil when the program exits or faults (the latter sets
-// ec.err).
+// the next one, or nil when the program exits. Nothing compiled returns a
+// fault: the verifier's proofs rule every one out.
 type copFn func(ec *execState) copFn
 
 // compile JITs lp's program from a, the analysis that verified it. Nothing
@@ -144,21 +146,11 @@ func (cc *compiler) markTargets() error {
 	return nil
 }
 
-// next returns the dispatch slot for the instruction after pc. Closures
-// capture the slot address, not its value, so the blocks fuse installs
-// later take effect everywhere.
-func (cc *compiler) next(pc int) (*copFn, bool) {
-	if pc+1 >= len(cc.fns) {
-		return nil, false
-	}
-	return &cc.fns[pc+1], true
-}
-
 // compileInsn is the single per-instruction pass: it records the compiled
-// form of the instruction at pc — a terminator closure in fns[pc] for Exit
-// and a call that binds no frame, a pre-decoded micro-op in ops[pc] for
-// everything else. A pc the analysis never reached (every edge into it was
-// proven infeasible) gets no code at all; run ends a block before it.
+// form of the instruction at pc — a terminator closure in fns[pc] for Exit,
+// a pre-decoded micro-op in ops[pc] for everything else. A pc the analysis
+// never reached (every edge into it was proven infeasible) gets no code at
+// all; run ends a block before it.
 func (cc *compiler) compileInsn(pc int, in Insn) error {
 	if !cc.a.Reached(pc) {
 		return nil
@@ -173,17 +165,14 @@ func (cc *compiler) compileInsn(pc int, in Insn) error {
 	}
 
 	// Everything else falls through to pc+1.
-	next, hasNext := cc.next(pc)
-	if !hasNext {
+	if pc+1 >= len(cc.fns) {
 		return verr(pc, "compile: runs off the end of the program")
 	}
-	if op, ok := cc.microFor(pc, in); ok {
-		cc.ops[pc] = op
-	} else if in.Op == OpCall {
-		cc.fns[pc] = cc.genericCall(in.Imm, next)
-	} else {
+	op, ok := cc.microFor(pc, in)
+	if !ok {
 		return verr(pc, "compile: no proof covers the instruction")
 	}
+	cc.ops[pc] = op
 	return nil
 }
 
@@ -260,27 +249,6 @@ func scalarConst(st *absState, r Reg) (int64, bool) {
 		return 0, false
 	}
 	return int64(rs.vr.Const()), true
-}
-
-// genericCall is the terminator for an impure helper call that binds no
-// callFrame: it goes through call, the checked helper dispatcher the
-// interpreter shares, which is always correct and reproduces the
-// interpreter's runtime faults.
-func (cc *compiler) genericCall(id int64, next *copFn) copFn {
-	lp := cc.lp
-	return func(ec *execState) copFn {
-		ec.executed++
-		ns, err := lp.call(ec, id)
-		ec.helperNS += ns
-		if err != nil {
-			ec.err = err
-			return nil
-		}
-		if lp.traceOn {
-			lp.recordCall(ec, id)
-		}
-		return *next
-	}
 }
 
 // Registers of the padded register file that no instruction names (they
@@ -371,10 +339,11 @@ type frameFold struct {
 var noFold = frameFold{preAdd: regZero, setReg: [3]uint8{regZero, regZero, regZero},
 	movDst: regSink, addDst: regSink}
 
-// frame binds the call at pc to a callFrame when the analysis proves its
-// map, the helper's concrete map type and exact stack slots for its
-// pointer arguments; otherwise it returns nil and the call runs through
-// genericCall.
+// frame binds the call at pc to a callFrame: the analysis proves its map,
+// and the verifier admits a map helper only on a map type it has a frame
+// for and only with exact stack slots for its pointer arguments. It
+// returns nil only where that proof is missing, which compileInsn reports
+// as an instruction no proof covers.
 func (cc *compiler) frame(pc int) *callFrame {
 	st := &cc.a.states[pc]
 	id := cc.p.Insns[pc].Imm
@@ -686,7 +655,7 @@ func aluMicro(op Op) (microKind, bool) {
 
 // callMicro maps a pure helper call to its micro kind. Impure helpers
 // (maps and perf output) need trace recording and object registration;
-// they bind to a callFrame or run through genericCall.
+// they bind to a callFrame.
 func callMicro(id int64) (microKind, bool) {
 	switch id {
 	case HelperGetPID:
@@ -727,10 +696,9 @@ func ptrALU(a *Analysis, pc int, in Insn) bool {
 
 // microFor pre-decodes one instruction into a micro-op with its operands
 // fully resolved, mirroring the interpreter's semantics for that
-// instruction exactly. It reports false for what has no micro form: a
-// helper call that binds no callFrame, which compileInsn sends through
-// genericCall, and — never in a verified program — a memory access whose
-// base the analysis did not prove or an opcode with no template.
+// instruction exactly. It reports false — never for a verified program —
+// for a helper call that binds no callFrame, a memory access whose base the
+// analysis did not prove or an opcode with no template.
 func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 	switch {
 	case in.Op == OpMovImm:

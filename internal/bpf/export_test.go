@@ -59,9 +59,8 @@ func PatternCounts(p *Program, counts *[len(PatternNames)]int) error {
 
 // FramedCalls decodes p the way Load compiles it and returns its number of
 // impure helper call sites and how many of them peephole folded into a
-// muCallFrame. A call that binds no callFrame runs through genericCall, and
-// one matchFrame does not fold stays a muHelperCall: either counts only in
-// calls.
+// muCallFrame. A call that matchFrame does not fold stays a muHelperCall
+// and counts only in calls.
 func FramedCalls(p *Program) (calls, framed int, err error) {
 	cc, err := decodeProgram(p)
 	if err != nil {
@@ -89,6 +88,31 @@ func FramedCalls(p *Program) (calls, framed int, err error) {
 		pc += len(run)
 	}
 	return calls, framed, nil
+}
+
+// MapCall is one helper call site and the map its R1 is proven to hold.
+type MapCall struct {
+	ID  int64
+	Map Map
+}
+
+// MapCalls analyzes p and returns every reached helper call that takes a
+// map, with the map the analysis binds it to.
+func MapCalls(p *Program) ([]MapCall, error) {
+	a, err := Analyze(p, 0)
+	if err != nil {
+		return nil, err
+	}
+	var out []MapCall
+	for pc, in := range p.Insns {
+		if in.Op != OpCall || !a.Reached(pc) {
+			continue
+		}
+		if r1 := a.states[pc].regs[R1]; r1.kind == rkConstMap {
+			out = append(out, MapCall{ID: in.Imm, Map: p.Maps[r1.mapIdx]})
+		}
+	}
+	return out, nil
 }
 
 // peepholeStarts is peephole for the run that starts at head, also
@@ -148,11 +172,7 @@ func DispatchedOps(p *Program, task *kernel.Task, args []uint64) (ops int, r0 ui
 	for f := cc.fns[0]; f != nil; {
 		f = f(ec)
 	}
-	costNS = cost(ec.executed, ec.helperNS, task.Kernel().Profile.BPFInsnNS)
-	if ec.err != nil {
-		return ops, 0, costNS, ec.err
-	}
-	return ops, ec.regs[R0], costNS, nil
+	return ops, ec.regs[R0], cost(ec.executed, ec.helperNS, task.Kernel().Profile.BPFInsnNS), nil
 }
 
 // MicroOps renders what Load compiles p to, pc by pc: every fused block's
@@ -241,4 +261,25 @@ func (lp *LoadedProgram) CallTrace() []HelperCall {
 		out[i] = HelperCall{ID: c.ID, Args: append([]uint64(nil), c.Args...), Ret: c.Ret}
 	}
 	return out
+}
+
+// Lookup returns the value stored for key (aliasing the internal buffer,
+// see the type comment), or nil if absent or the key is the wrong size.
+func (h *HashMap) Lookup(key []byte) []byte {
+	if len(key) != 8 {
+		return nil
+	}
+	return h.t.lookup(U64(key))
+}
+
+// Lookup returns the slot for the task id in key, creating a zeroed slot
+// on first access, or nil if the key is the wrong size.
+func (p *PerTaskMap) Lookup(key []byte) []byte {
+	if len(key) != 8 {
+		return nil
+	}
+	if v := p.t.lookup(U64(key)); v != nil {
+		return v
+	}
+	return p.create(U64(key))
 }

@@ -599,11 +599,15 @@ func (g *progGen) genMapLookup() {
 	g.st.regs[tmp] = genReg{}
 }
 
+// genMapUpdate emits an update of the hash map, the one map the verifier
+// lets map_update_elem take. It draws a map and key as a lookup does and
+// ignores the map, so the random numbers later shapes draw do not depend on
+// which map an update may take.
 func (g *progGen) genMapUpdate() {
-	mapIdx, keyWord, _ := g.mapAndKey()
+	_, keyWord, _ := g.mapAndKey()
 	valWord := g.rng.Intn(StackSize/8 - 2)
 	g.initRange(valWord, 2) // 16-byte values = 2 words
-	g.b.LoadMapPtr(R1, mapIdx)
+	g.b.LoadMapPtr(R1, genMapHash)
 	g.emitStackPtr(R2, keyWord)
 	g.emitStackPtr(R3, valWord)
 	g.b.Call(HelperMapUpdate)

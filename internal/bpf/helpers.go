@@ -67,16 +67,20 @@ type ArgKind int
 const (
 	// ArgScalar is any initialized scalar.
 	ArgScalar ArgKind = iota
-	// ArgConstMap must be a map handle from OpLoadMapPtr.
+	// ArgConstMap must be a map handle from OpLoadMapPtr, of a type the
+	// helper takes: a PerCPURing for perf output, any other map for
+	// lookup, a HashMap for update and delete.
 	ArgConstMap
-	// ArgPtrKey must point to initialized stack memory of the map's key
-	// size (the map comes from the closest preceding ArgConstMap).
+	// ArgPtrKey must point at an exact stack slot (one offset from R10,
+	// not a range) with the map's key size of initialized bytes (the map
+	// comes from the closest preceding ArgConstMap). Every ArgPtr* is
+	// exact because a callFrame reads it at a constant stack index.
 	ArgPtrKey
-	// ArgPtrValue must point to initialized stack memory of the map's
-	// value size.
+	// ArgPtrValue must point at an exact stack slot with the map's value
+	// size of initialized bytes.
 	ArgPtrValue
-	// ArgPtrSized must point to initialized stack memory whose length is
-	// given by the following ArgSizeConst argument.
+	// ArgPtrSized must point at an exact stack slot whose initialized
+	// length is given by the following ArgSizeConst argument.
 	ArgPtrSized
 	// ArgSizeConst must be a compile-time-known scalar constant > 0.
 	ArgSizeConst

@@ -5,29 +5,20 @@ import (
 	"errors"
 )
 
-// Map errors.
-var (
-	ErrMapFull    = errors.New("bpf: map full")
-	ErrBadKeySize = errors.New("bpf: bad key size")
-	ErrBadValSize = errors.New("bpf: bad value size")
-)
+// ErrMapFull is a hash-map insert past the map's capacity.
+var ErrMapFull = errors.New("bpf: map full")
 
-// Map is the interface all BPF map types implement. Values returned by
-// Lookup alias the stored bytes, so in-place mutation through a map-value
-// pointer persists — the same semantics Collector programs rely on to
-// accumulate metrics across marker events (paper §3.2).
+// Map is what the verifier, liveness and the compiler read of a program's
+// map: its name and its key and value sizes. A program reaches a map's
+// contents only through a callFrame (compile.go), bound at compile time to
+// the concrete type the verifier admitted for the helper. A map-value
+// pointer aliases the stored bytes, so in-place mutation through it
+// persists — the same semantics Collector programs rely on to accumulate
+// metrics across marker events (paper §3.2).
 type Map interface {
 	Name() string
 	KeySize() int
 	ValueSize() int
-	MaxEntries() int
-	Len() int
-	// Lookup returns the stored value bytes or nil if absent.
-	Lookup(key []byte) []byte
-	// Update inserts or replaces the value for key.
-	Update(key, value []byte) error
-	// Delete removes key, reporting whether it was present.
-	Delete(key []byte) bool
 }
 
 // U64Key encodes a uint64 as a little-endian 8-byte map key.
@@ -51,8 +42,8 @@ func PutU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
 // pushed at BEGIN and deleted at FEATURES, every invocation — allocates
 // nothing.
 //
-// That makes the aliasing rule the kernel's too: a value returned by Lookup
-// (or seen by Range) is valid until its key is deleted; after that the same
+// That makes the aliasing rule the kernel's too: a value a lookup returned
+// (or Range showed) is valid until its key is deleted; after that the same
 // bytes may hold the value of a different, later key. A program that still
 // needs the value must copy it out before it deletes the key.
 type HashMap struct {
@@ -81,36 +72,11 @@ func (h *HashMap) KeySize() int { return 8 }
 // ValueSize returns the fixed value size in bytes.
 func (h *HashMap) ValueSize() int { return h.valueSize }
 
-// MaxEntries returns the capacity.
-func (h *HashMap) MaxEntries() int { return h.maxEntries }
-
-// Len returns the current entry count.
-func (h *HashMap) Len() int { return h.t.n }
-
-// Lookup returns the value stored for key (aliasing the internal buffer,
-// see the type comment), or nil if absent or the key is the wrong size.
-func (h *HashMap) Lookup(key []byte) []byte {
-	if len(key) != 8 {
-		return nil
-	}
-	return h.t.lookup(U64(key))
-}
-
-// Update inserts or replaces the value for key (the value is copied). An
-// existing slot is overwritten in place — consistent with the aliasing
-// Lookup contract, a map-value pointer observes the update — and a new key
-// takes a recycled buffer when one is free, overwriting all of it.
-func (h *HashMap) Update(key, value []byte) error {
-	if len(key) != 8 {
-		return ErrBadKeySize
-	}
-	if len(value) != h.valueSize {
-		return ErrBadValSize
-	}
-	return h.update(U64(key), value)
-}
-
-// update is Update on a decoded key and a value of the right size.
+// update inserts or replaces the value for k (the value, of the map's
+// value size, is copied). An existing slot is overwritten in place —
+// consistent with the aliasing rule, a map-value pointer observes the
+// update — and a new key takes a recycled buffer when one is free,
+// overwriting all of it.
 func (h *HashMap) update(k uint64, value []byte) error {
 	dst := h.t.lookup(k)
 	if dst == nil {
@@ -183,12 +149,6 @@ func (a *ArrayMap) KeySize() int { return 8 }
 // ValueSize returns the slot size in bytes.
 func (a *ArrayMap) ValueSize() int { return a.valueSize }
 
-// MaxEntries returns the slot count.
-func (a *ArrayMap) MaxEntries() int { return len(a.values) }
-
-// Len returns the slot count (array slots always exist).
-func (a *ArrayMap) Len() int { return len(a.values) }
-
 // Lookup returns the slot for the index encoded in key, or nil if out of
 // range.
 func (a *ArrayMap) Lookup(key []byte) []byte {
@@ -200,31 +160,6 @@ func (a *ArrayMap) Lookup(key []byte) []byte {
 		return nil
 	}
 	return a.values[i]
-}
-
-// Update copies value into the indexed slot.
-func (a *ArrayMap) Update(key, value []byte) error {
-	if len(value) != a.valueSize {
-		return ErrBadValSize
-	}
-	dst := a.Lookup(key)
-	if dst == nil {
-		return ErrBadKeySize
-	}
-	copy(dst, value)
-	return nil
-}
-
-// Delete zeroes the indexed slot (array entries cannot be removed).
-func (a *ArrayMap) Delete(key []byte) bool {
-	dst := a.Lookup(key)
-	if dst == nil {
-		return false
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	return true
 }
 
 // PerTaskMap stores one fixed-size value per task, keyed by an 8-byte id
@@ -252,48 +187,13 @@ func (p *PerTaskMap) KeySize() int { return 8 }
 // ValueSize returns the per-task slot size.
 func (p *PerTaskMap) ValueSize() int { return p.valueSize }
 
-// MaxEntries is unbounded for per-task storage; it returns 0.
-func (p *PerTaskMap) MaxEntries() int { return 0 }
-
-// Len returns the number of tasks with a slot.
-func (p *PerTaskMap) Len() int { return p.t.n }
-
-// Lookup returns the slot for the task id in key, creating a zeroed slot
-// on first access (per-CPU semantics: the slot always exists).
-func (p *PerTaskMap) Lookup(key []byte) []byte {
-	if len(key) != 8 {
-		return nil
-	}
-	return p.slot(U64(key))
-}
-
-// slot is Lookup on a decoded key.
-func (p *PerTaskMap) slot(k uint64) []byte {
-	if v := p.t.lookup(k); v != nil {
-		return v
-	}
-	return p.create(k)
-}
-
-// create inserts a zeroed slot for k, out of line so slot stays small
-// enough to inline.
+// create inserts a zeroed slot for k: a lookup of a task id with no slot
+// yet creates one (per-CPU semantics: the slot always exists). It stays
+// out of line so the lookup that calls it keeps its table probe inlined.
 func (p *PerTaskMap) create(k uint64) []byte {
 	v := make([]byte, p.valueSize)
 	p.t.insert(k, v)
 	return v
-}
-
-// Update copies value into the task's slot.
-func (p *PerTaskMap) Update(key, value []byte) error {
-	if len(value) != p.valueSize {
-		return ErrBadValSize
-	}
-	dst := p.Lookup(key)
-	if dst == nil {
-		return ErrBadKeySize
-	}
-	copy(dst, value)
-	return nil
 }
 
 // Range calls fn for every slot (keys are the task ids, values the live

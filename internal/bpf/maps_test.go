@@ -2,15 +2,14 @@ package bpf
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"testing/quick"
 )
 
 func TestHashMapBasics(t *testing.T) {
 	m := NewHashMap("h", 16, 4)
-	if m.Name() != "h" || m.KeySize() != 8 || m.ValueSize() != 16 || m.MaxEntries() != 4 {
-		t.Fatalf("metadata: %v %v %v %v", m.Name(), m.KeySize(), m.ValueSize(), m.MaxEntries())
+	if m.Name() != "h" || m.KeySize() != 8 || m.ValueSize() != 16 || m.maxEntries != 4 {
+		t.Fatalf("metadata: %v %v %v %v", m.Name(), m.KeySize(), m.ValueSize(), m.maxEntries)
 	}
 	key := U64Key(42)
 	if m.Lookup(key) != nil {
@@ -18,7 +17,7 @@ func TestHashMapBasics(t *testing.T) {
 	}
 	val := make([]byte, 16)
 	PutU64(val, 7)
-	if err := m.Update(key, val); err != nil {
+	if err := m.update(U64(key), val); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Lookup(key)
@@ -40,12 +39,6 @@ func TestHashMapBasics(t *testing.T) {
 
 func TestHashMapSizeChecks(t *testing.T) {
 	m := NewHashMap("h", 8, 4)
-	if err := m.Update([]byte{1}, make([]byte, 8)); err != ErrBadKeySize {
-		t.Fatalf("short key: %v", err)
-	}
-	if err := m.Update(U64Key(1), make([]byte, 3)); err != ErrBadValSize {
-		t.Fatalf("short value: %v", err)
-	}
 	if m.Lookup([]byte{1, 2}) != nil {
 		t.Fatalf("bad key size lookup must be nil")
 	}
@@ -57,21 +50,21 @@ func TestHashMapSizeChecks(t *testing.T) {
 func TestHashMapCapacity(t *testing.T) {
 	m := NewHashMap("h", 8, 2)
 	v := make([]byte, 8)
-	if err := m.Update(U64Key(1), v); err != nil {
+	if err := m.update(1, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(U64Key(2), v); err != nil {
+	if err := m.update(2, v); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(U64Key(3), v); err != ErrMapFull {
+	if err := m.update(3, v); err != ErrMapFull {
 		t.Fatalf("over capacity: %v", err)
 	}
 	// Replacing an existing key is allowed at capacity.
-	if err := m.Update(U64Key(2), v); err != nil {
+	if err := m.update(2, v); err != nil {
 		t.Fatalf("replace at capacity: %v", err)
 	}
-	if m.Len() != 2 {
-		t.Fatalf("len: %d", m.Len())
+	if m.t.n != 2 {
+		t.Fatalf("len: %d", m.t.n)
 	}
 }
 
@@ -79,10 +72,10 @@ func TestHashMapUpdateCopies(t *testing.T) {
 	m := NewHashMap("h", 8, 4)
 	v := make([]byte, 8)
 	PutU64(v, 5)
-	_ = m.Update(U64Key(1), v)
+	_ = m.update(1, v)
 	PutU64(v, 6) // mutate caller buffer after update
 	if U64(m.Lookup(U64Key(1))) != 5 {
-		t.Fatalf("Update must copy the value")
+		t.Fatalf("update must copy the value")
 	}
 }
 
@@ -92,18 +85,18 @@ func TestHashMapUpdateCopies(t *testing.T) {
 func TestHashMapRecyclesDeletedBuffers(t *testing.T) {
 	m := NewHashMap("h", 16, 3)
 	old := bytes.Repeat([]byte{0xff}, 16)
-	if err := m.Update(U64Key(1), old); err != nil {
+	if err := m.update(1, old); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(U64Key(2), old); err != nil {
+	if err := m.update(2, old); err != nil {
 		t.Fatal(err)
 	}
 	stale := m.Lookup(U64Key(1))
-	if !m.Delete(U64Key(1)) || m.Len() != 1 {
-		t.Fatalf("delete: len %d", m.Len())
+	if !m.Delete(U64Key(1)) || m.t.n != 1 {
+		t.Fatalf("delete: len %d", m.t.n)
 	}
 	fresh := []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0}
-	if err := m.Update(U64Key(7), fresh); err != nil {
+	if err := m.update(7, fresh); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Lookup(U64Key(7))
@@ -131,17 +124,17 @@ func TestHashMapRecyclesDeletedBuffers(t *testing.T) {
 	}
 
 	// Capacity counts live entries only, whatever sits on the free list.
-	if err := m.Update(U64Key(8), fresh); err != nil {
+	if err := m.update(8, fresh); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Update(U64Key(9), fresh); err != ErrMapFull || m.Len() != 3 {
-		t.Fatalf("over capacity after churn: %v, len %d", err, m.Len())
+	if err := m.update(9, fresh); err != ErrMapFull || m.t.n != 3 {
+		t.Fatalf("over capacity after churn: %v, len %d", err, m.t.n)
 	}
 
 	key := U64Key(8)
 	if n := testing.AllocsPerRun(100, func() {
 		m.Delete(key)
-		if err := m.Update(key, fresh); err != nil {
+		if err := m.update(U64(key), fresh); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -154,14 +147,14 @@ func TestHashMapRecyclesDeletedBuffers(t *testing.T) {
 			t.Fatalf("delete %d", k)
 		}
 	}
-	if m.Len() != 0 || m.Lookup(key) != nil || m.Delete(key) {
-		t.Fatalf("empty map: len %d", m.Len())
+	if m.t.n != 0 || m.Lookup(key) != nil || m.Delete(key) {
+		t.Fatalf("empty map: len %d", m.t.n)
 	}
 }
 
 func TestArrayMap(t *testing.T) {
 	a := NewArrayMap("a", 8, 3)
-	if a.KeySize() != 8 || a.Len() != 3 || a.MaxEntries() != 3 {
+	if a.Name() != "a" || a.KeySize() != 8 || a.ValueSize() != 8 {
 		t.Fatalf("metadata")
 	}
 	if a.Lookup(U64Key(3)) != nil {
@@ -171,25 +164,13 @@ func TestArrayMap(t *testing.T) {
 	if slot == nil || U64(slot) != 0 {
 		t.Fatalf("slots must exist zeroed")
 	}
-	v := make([]byte, 8)
-	PutU64(v, 11)
-	if err := a.Update(U64Key(1), v); err != nil {
-		t.Fatal(err)
+	// The slot aliases storage: a write through it persists.
+	PutU64(slot, 11)
+	if U64(a.Lookup(U64Key(1))) != 11 || U64(a.Lookup(U64Key(2))) != 0 {
+		t.Fatalf("write through the slot")
 	}
-	if U64(a.Lookup(U64Key(1))) != 11 {
-		t.Fatalf("update")
-	}
-	if err := a.Update(U64Key(9), v); err == nil {
-		t.Fatalf("out-of-range update must fail")
-	}
-	if err := a.Update(U64Key(1), []byte{1}); err != ErrBadValSize {
-		t.Fatalf("bad value size: %v", err)
-	}
-	if !a.Delete(U64Key(1)) || U64(a.Lookup(U64Key(1))) != 0 {
-		t.Fatalf("delete must zero the slot")
-	}
-	if a.Delete(U64Key(5)) {
-		t.Fatalf("out-of-range delete")
+	if a.Lookup([]byte{1}) != nil {
+		t.Fatalf("bad key size")
 	}
 }
 
@@ -206,14 +187,8 @@ func TestPerTaskMap(t *testing.T) {
 	if U64(p.Lookup(U64Key(8))) != 0 {
 		t.Fatalf("other PID must have its own slot")
 	}
-	if p.Len() != 2 {
-		t.Fatalf("len: %d", p.Len())
-	}
-	if err := p.Update(U64Key(7), make([]byte, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if U64(p.Lookup(U64Key(7))) != 0 {
-		t.Fatalf("update must overwrite")
+	if p.t.n != 2 {
+		t.Fatalf("len: %d", p.t.n)
 	}
 	if !p.Delete(U64Key(7)) || p.Delete(U64Key(7)) {
 		t.Fatalf("delete semantics")
@@ -221,10 +196,7 @@ func TestPerTaskMap(t *testing.T) {
 	if p.Lookup([]byte{1}) != nil || p.Delete([]byte{1}) {
 		t.Fatalf("bad key size")
 	}
-	if err := p.Update(U64Key(1), []byte{1}); err != ErrBadValSize {
-		t.Fatalf("bad value size: %v", err)
-	}
-	if p.MaxEntries() != 0 || p.KeySize() != 8 || p.ValueSize() != 16 || p.Name() != "p" {
+	if p.KeySize() != 8 || p.ValueSize() != 16 || p.Name() != "p" {
 		t.Fatalf("metadata")
 	}
 }
@@ -247,7 +219,7 @@ func TestPerfRingBufferOrder(t *testing.T) {
 			t.Fatalf("FIFO order violated: sample %d = %v", i, got.Sample(i))
 		}
 	}
-	if r.Len() != 0 {
+	if r.Stats().Pending != 0 {
 		t.Fatalf("drain must empty the ring")
 	}
 }
@@ -298,20 +270,16 @@ func TestPerfRingBufferReset(t *testing.T) {
 	r.Submit([]byte{2})
 	r.Submit([]byte{3})
 	r.Reset()
-	if st := r.Stats(); r.Len() != 0 || st.Submitted != 0 || st.Dropped != 0 {
+	if st := r.Stats(); r.Stats().Pending != 0 || st.Submitted != 0 || st.Dropped != 0 {
 		t.Fatalf("reset must clear everything")
 	}
 }
 
+// A ring is a keyless Map: perf_event_output is the only helper that
+// takes it, and samples are variable-length.
 func TestPerfRingBufferMapAdapter(t *testing.T) {
-	r := NewPerCPURing("rb", 1, 2)
-	if r.Lookup(nil) != nil || r.Delete(nil) {
-		t.Fatalf("lookup/delete unsupported")
-	}
-	if err := r.Update(nil, []byte{5}); !errors.Is(err, ErrBadKeySize) || r.Len() != 0 {
-		t.Fatalf("update on a keyless ring: err %v, %d samples; want ErrBadKeySize and none", err, r.Len())
-	}
-	if r.KeySize() != 0 || r.ValueSize() != 0 || r.MaxEntries() != 2 || r.Name() != "rb" {
+	var m Map = NewPerCPURing("rb", 1, 2)
+	if m.KeySize() != 0 || m.ValueSize() != 0 || m.Name() != "rb" {
 		t.Fatalf("metadata")
 	}
 }
@@ -319,7 +287,7 @@ func TestPerfRingBufferMapAdapter(t *testing.T) {
 func TestPerfRingBufferMinCapacity(t *testing.T) {
 	r := NewPerCPURing("rb", 1, 0)
 	r.Submit([]byte{1})
-	if r.Len() != 1 {
+	if r.Stats().Pending != 1 {
 		t.Fatalf("capacity must clamp to >=1")
 	}
 }
@@ -370,7 +338,7 @@ func TestHashMapModelProperty(t *testing.T) {
 			case 0:
 				v := make([]byte, 8)
 				PutU64(v, o.Value)
-				_ = m.Update(k, v)
+				_ = m.update(U64(k), v)
 				model[uint64(o.Key)] = o.Value
 			case 1:
 				got := m.Lookup(k)
@@ -389,7 +357,7 @@ func TestHashMapModelProperty(t *testing.T) {
 				delete(model, uint64(o.Key))
 			}
 		}
-		return m.Len() == len(model)
+		return m.t.n == len(model)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

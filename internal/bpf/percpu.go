@@ -134,30 +134,8 @@ func (r *PerCPURing) KeySize() int { return 0 }
 // ValueSize returns 0; samples are variable-length.
 func (r *PerCPURing) ValueSize() int { return 0 }
 
-// MaxEntries returns the total capacity across all CPU rings.
-func (r *PerCPURing) MaxEntries() int { return r.perCPUCap * len(r.rings) }
-
 // NumCPUs returns the number of CPU rings.
 func (r *PerCPURing) NumCPUs() int { return len(r.rings) }
-
-// Len returns the number of buffered samples across all CPU rings.
-func (r *PerCPURing) Len() int {
-	n := 0
-	for i := range r.rings {
-		n += r.rings[i].count
-	}
-	return n
-}
-
-// Lookup is unsupported on ring buffers and returns nil.
-func (r *PerCPURing) Lookup(key []byte) []byte { return nil }
-
-// Update is unsupported on ring buffers: they are keyless, and samples
-// arrive through SubmitFrom. It returns ErrBadKeySize.
-func (r *PerCPURing) Update(key, value []byte) error { return ErrBadKeySize }
-
-// Delete is unsupported on ring buffers.
-func (r *PerCPURing) Delete(key []byte) bool { return false }
 
 // SubmitFrom copies data into the given CPU's ring, overwriting the oldest
 // sample (counted as dropped) when full. Out-of-range CPUs wrap, so a task

@@ -24,8 +24,8 @@ func TestPerCPURingRoutesByCPU(t *testing.T) {
 			t.Fatalf("cpu %d pending = %d, want %d", cpu, got, want)
 		}
 	}
-	if got := r.Len(); got != 6 {
-		t.Fatalf("Len = %d, want 6", got)
+	if got := r.Stats().Pending; got != 6 {
+		t.Fatalf("pending = %d, want 6", got)
 	}
 
 	var b Batch

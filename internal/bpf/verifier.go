@@ -226,6 +226,20 @@ func checkStackRange(pc int, s *absState, base regState, off int32, size int, mo
 	return nil
 }
 
+// exactStackArg requires a, argument i+1 of helper name, to be a stack
+// pointer at one exact offset: a callFrame (compile.go) slices a call's key,
+// value and sample at constant stack indices, so a pointer whose offset is
+// a range has no compiled form.
+func exactStackArg(pc int, name string, i int, a regState) error {
+	if a.kind != rkPtrStack {
+		return verr(pc, "%s arg %d must be a stack pointer, got %s", name, i+1, a.kind)
+	}
+	if a.lo != a.hi {
+		return verr(pc, "%s arg %d must be an exact stack slot, got offsets %d..%d", name, i+1, a.lo, a.hi)
+	}
+	return nil
+}
+
 func checkMapValueAccess(p *Program, pc int, base regState, off int32, size int) error {
 	if base.kind == rkPtrMapValueOrNull {
 		return verr(pc, "possibly-NULL map value dereference (missing null check)")
@@ -504,10 +518,9 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 				}
 				constMap = a.mapIdx
 				// Helper/map-type compatibility, checked statically like
-				// real eBPF: perf output takes a ring and the map helpers
-				// take anything else, so the runtime type assertion in
-				// vm.go is unreachable for verified programs and no map
-				// helper reaches a ring's keyless Map methods.
+				// real eBPF: perf output takes a ring, lookup any keyed
+				// map, and update and delete a hash map — exactly the
+				// pairs the compiler binds a callFrame for.
 				_, ring := p.Maps[constMap].(*PerCPURing)
 				if output := insn.Imm == HelperPerfOutput; ring != output {
 					want := "a keyed map"
@@ -515,6 +528,9 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 						want = "a perf ring buffer"
 					}
 					return 0, verr(pc, "%s arg %d must be %s, got %q", spec.Name, i+1, want, p.Maps[constMap].Name())
+				}
+				if _, hash := p.Maps[constMap].(*HashMap); !hash && (insn.Imm == HelperMapUpdate || insn.Imm == HelperMapDelete) {
+					return 0, verr(pc, "%s arg %d must be a hash map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
 				}
 			case ArgPtrKey, ArgPtrValue:
 				if constMap < 0 {
@@ -524,8 +540,8 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 				if kind == ArgPtrValue {
 					size = p.Maps[constMap].ValueSize()
 				}
-				if a.kind != rkPtrStack {
-					return 0, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
+				if err := exactStackArg(pc, spec.Name, i, a); err != nil {
+					return 0, err
 				}
 				// Every map helper reads its key and value buffers, so
 				// every byte must be initialized.
@@ -533,8 +549,8 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 					return 0, err
 				}
 			case ArgPtrSized:
-				if a.kind != rkPtrStack {
-					return 0, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
+				if err := exactStackArg(pc, spec.Name, i, a); err != nil {
+					return 0, err
 				}
 				sizedPtr = a
 				sizedPtrSeen = true

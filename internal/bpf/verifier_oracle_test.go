@@ -24,6 +24,11 @@ import (
 // like Analyze, steps each reached pc once, in pc order, after all its
 // predecessors have merged into it — in place of a LIFO worklist with
 // widening at loop heads. The first error in pc order is the one reported.
+//
+// A second deliberate change: a helper call verifies only if the compiler
+// can bind it to a callFrame. map_update_elem and map_delete_elem take only
+// a hash map (map_lookup_elem still takes any keyed map), and every key,
+// value or sample pointer must be an exact stack slot, not an offset range.
 
 type oracleAnalysis struct {
 	states    []oracleState
@@ -350,6 +355,10 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 					}
 					return nil, verr(pc, "%s arg %d must be %s, got %q", spec.Name, i+1, want, p.Maps[constMap].Name())
 				}
+				// Update and delete take a hash map.
+				if _, hash := p.Maps[constMap].(*HashMap); !hash && (insn.Imm == HelperMapUpdate || insn.Imm == HelperMapDelete) {
+					return nil, verr(pc, "%s arg %d must be a hash map, got %q", spec.Name, i+1, p.Maps[constMap].Name())
+				}
 			case ArgPtrKey, ArgPtrValue:
 				if constMap < 0 {
 					return nil, verr(pc, "%s arg %d: no preceding map handle", spec.Name, i+1)
@@ -361,6 +370,9 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 				if a.kind != rkPtrStack {
 					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
 				}
+				if a.lo != a.hi {
+					return nil, verr(pc, "%s arg %d must be an exact stack slot, got offsets %d..%d", spec.Name, i+1, a.lo, a.hi)
+				}
 				// Every map helper reads its key and value buffers, so
 				// every byte must be initialized.
 				if err := oracleCheckStackRange(pc, &s, a, 0, size, stackRead); err != nil {
@@ -369,6 +381,9 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 			case ArgPtrSized:
 				if a.kind != rkPtrStack {
 					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
+				}
+				if a.lo != a.hi {
+					return nil, verr(pc, "%s arg %d must be an exact stack slot, got offsets %d..%d", spec.Name, i+1, a.lo, a.hi)
 				}
 				sizedPtr = a
 				sizedPtrSeen = true

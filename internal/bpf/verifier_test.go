@@ -524,11 +524,11 @@ func TestDisassembleSmoke(t *testing.T) {
 
 func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 	// Regression for a divergence found by FuzzVerify: perf_event_output
-	// verified against any map type, then faulted in the VM's type
-	// assertion at runtime. The verifier must reject the
-	// mismatch statically, like real eBPF's map/helper compatibility check.
-	// The map helpers take any map but a ring: a ring is keyless, and
-	// its Map methods do nothing a program could use.
+	// verified against any map type, then faulted at run time. The
+	// verifier must reject the mismatch statically, like real eBPF's
+	// map/helper compatibility check. Perf output takes a ring, lookup any
+	// keyed map, and update and delete only a hash map: exactly the pairs
+	// the compiler binds a callFrame for.
 	cases := []struct {
 		name   string
 		helper int64
@@ -542,6 +542,11 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 		{"map update on per-cpu ring", HelperMapUpdate, genMapPerCPU, false},
 		{"map delete on ring", HelperMapDelete, genMapRing, false},
 		{"map delete on hash map", HelperMapDelete, genMapHash, true},
+		{"map update on hash map", HelperMapUpdate, genMapHash, true},
+		{"map delete on array map", HelperMapDelete, genMapArray, false},
+		{"map delete on per-task map", HelperMapDelete, genMapPerTask, false},
+		{"map update on array map", HelperMapUpdate, genMapArray, false},
+		{"map update on per-task map", HelperMapUpdate, genMapPerTask, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -549,11 +554,14 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 			for _, m := range newGenMaps() {
 				b.AddMap(m)
 			}
-			b.StoreImm(R10, -8, 0).
+			b.StoreImm(R10, -24, 0).StoreImm(R10, -16, 0).StoreImm(R10, -8, 0).
 				LoadMapPtr(R1, tc.mapIdx).
 				MovReg(R2, R10).Sub(R2, 8)
-			if tc.helper == HelperPerfOutput {
+			switch tc.helper {
+			case HelperPerfOutput:
 				b.Mov(R3, 8)
+			case HelperMapUpdate:
+				b.MovReg(R3, R10).Sub(R3, 24)
 			}
 			p := b.Call(tc.helper).Exit().MustBuild()
 			err := Verify(p, 0)
@@ -565,5 +573,40 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 				t.Fatalf("incompatible map: got %v, want a rejection of the call at insn %d", err, call)
 			}
 		})
+	}
+}
+
+// Every key, value and sample pointer must be one exact stack slot: a
+// callFrame slices its buffers at constant stack indices. Each case points
+// one argument at r10-72 plus a scalar in {0, 8, ..., 56}, where every
+// byte it can reach is initialized, so only the range is at fault.
+func TestVerifyHelperPointerMustBeExactSlot(t *testing.T) {
+	for _, tc := range []struct {
+		helper int64
+		mapIdx int
+		ranged Reg // the argument whose offset is a range
+	}{
+		{HelperMapLookup, genMapArray, R2},
+		{HelperMapUpdate, genMapHash, R2},
+		{HelperMapUpdate, genMapHash, R3},
+		{HelperPerfOutput, genMapRing, R2},
+	} {
+		b := NewBuilder("exact")
+		for _, m := range newGenMaps() {
+			b.AddMap(m)
+		}
+		for off := int32(-72); off < 0; off += 8 {
+			b.StoreImm(R10, off, 7)
+		}
+		// r0 in {0, 8, ..., 56}; R2 and R3 at r10-24, then one of them
+		// at r10-72 + r0.
+		b.Call(HelperKtime).Rsh(R0, 61).Lsh(R0, 3).
+			MovReg(R2, R10).Sub(R2, 24).MovReg(R3, R10).Sub(R3, 24).
+			MovReg(tc.ranged, R10).Sub(tc.ranged, 72).AddReg(tc.ranged, R0)
+		if tc.helper == HelperPerfOutput {
+			b.Mov(R3, 16)
+		}
+		p := b.LoadMapPtr(R1, tc.mapIdx).Call(tc.helper).Mov(R0, 0).Exit().MustBuild()
+		mustReject(t, p, fmt.Sprintf("arg %d must be an exact stack slot, got offsets -72..-16", tc.ranged))
 	}
 }

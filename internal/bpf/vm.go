@@ -7,12 +7,10 @@ import (
 	"tscout/internal/kernel"
 )
 
-// Runtime errors. After successful verification these indicate a verifier
-// bug, not a program bug; the kernel kills the program either way.
-var (
-	ErrRuntime      = errors.New("bpf: runtime fault")
-	ErrNotPerfArray = errors.New("bpf: perf_event_output on non-perf map")
-)
+// ErrRuntime is a runtime fault. After successful verification it
+// indicates a verifier or compiler bug, not a program bug; the kernel kills
+// the program either way.
+var ErrRuntime = errors.New("bpf: runtime fault")
 
 // Pointer encoding inside 64-bit registers: bit 63 tags memory pointers
 // (object id in bits 62..32, byte address in bits 31..0); bit 62 together
@@ -28,10 +26,6 @@ func mkPtr(obj uint32, addr uint32) uint64 {
 	return ptrTag | uint64(obj&0x3fffffff)<<32 | uint64(addr)
 }
 
-func isPtr(v uint64) bool { return v&ptrTag != 0 && v&mapTagBit == 0 }
-func isMapHandle(v uint64) bool {
-	return v&mapTag == mapTag
-}
 func ptrObj(v uint64) uint32  { return uint32(v>>32) & 0x3fffffff }
 func ptrAddr(v uint64) uint32 { return uint32(v) }
 
@@ -141,38 +135,14 @@ type execState struct {
 	task    *kernel.Task
 	args    []uint64
 
-	// Run accounting: instructions retired, helper nanoseconds, and the
-	// fault that stopped the run.
+	// Run accounting: instructions retired and helper nanoseconds.
 	executed int
 	helperNS int64
-	err      error
 }
 
 func (ec *execState) registerObject(b []byte) uint64 {
 	ec.objects = append(ec.objects, b)
 	return mkPtr(uint32(len(ec.objects)-1)+1, 0)
-}
-
-func (ec *execState) mem(ptr uint64, off int32, size int) ([]byte, error) {
-	if !isPtr(ptr) {
-		return nil, fmt.Errorf("%w: dereference of non-pointer %#x", ErrRuntime, ptr)
-	}
-	obj := ptrObj(ptr)
-	addr := int64(ptrAddr(ptr)) + int64(off)
-	var buf []byte
-	if obj == 0 {
-		buf = ec.stack[:]
-	} else {
-		i := int(obj) - 1
-		if i >= len(ec.objects) {
-			return nil, fmt.Errorf("%w: dangling object %d", ErrRuntime, obj)
-		}
-		buf = ec.objects[i]
-	}
-	if addr < 0 || addr+int64(size) > int64(len(buf)) {
-		return nil, fmt.Errorf("%w: access at %d size %d outside object of %d bytes", ErrRuntime, addr, size, len(buf))
-	}
-	return buf[addr : addr+int64(size)], nil
 }
 
 // Run executes the program for task with the given tracepoint arguments.
@@ -195,7 +165,7 @@ func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (r0 uint64, costN
 	ec.regs[R10] = mkPtr(0, StackSize)
 	ec.objects = ec.objects[:0]
 	ec.task, ec.args = task, args
-	ec.executed, ec.helperNS, ec.err = 0, 0, nil
+	ec.executed, ec.helperNS = 0, 0
 	defer func() {
 		if rec := recover(); rec != nil {
 			r0 = 0
@@ -206,11 +176,7 @@ func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (r0 uint64, costN
 	for f := lp.compiled; f != nil; {
 		f = f(ec)
 	}
-	costNS = cost(ec.executed, ec.helperNS, insnNS)
-	if ec.err != nil {
-		return 0, costNS, ec.err
-	}
-	return ec.regs[R0], costNS, nil
+	return ec.regs[R0], cost(ec.executed, ec.helperNS, insnNS), nil
 }
 
 // cost converts an executed-instruction count into virtual nanoseconds,
@@ -240,161 +206,3 @@ func condTrue(op Op, a, b uint64) bool {
 // perfScale is the fixed-point scale used for counter enabled/running
 // times so generated code can normalize with integer math.
 const perfScale = 1024
-
-func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
-	spec, _ := HelperByID(id)
-	maps := lp.prog.Maps
-	getMap := func(r Reg) (Map, error) {
-		v := ec.regs[r]
-		if !isMapHandle(v) {
-			return nil, fmt.Errorf("%w: %s: r%d is not a map handle", ErrRuntime, spec.Name, r)
-		}
-		idx := int(v &^ mapTag)
-		if idx >= len(maps) {
-			return nil, fmt.Errorf("%w: %s: map index %d out of range", ErrRuntime, spec.Name, idx)
-		}
-		return maps[idx], nil
-	}
-	stackBytes := func(r Reg, size int) ([]byte, error) {
-		if size == 0 {
-			return nil, nil
-		}
-		return ec.mem(ec.regs[r], 0, size)
-	}
-
-	switch id {
-	case HelperMapLookup:
-		m, err := getMap(R1)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		key, err := stackBytes(R2, m.KeySize())
-		if err != nil {
-			return spec.CostNS, err
-		}
-		v := m.Lookup(key)
-		if v == nil {
-			ec.regs[R0] = 0
-		} else {
-			ec.regs[R0] = ec.registerObject(v)
-		}
-	case HelperMapUpdate:
-		m, err := getMap(R1)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		key, err := stackBytes(R2, m.KeySize())
-		if err != nil {
-			return spec.CostNS, err
-		}
-		val, err := stackBytes(R3, m.ValueSize())
-		if err != nil {
-			return spec.CostNS, err
-		}
-		if uerr := m.Update(key, val); uerr != nil {
-			ec.regs[R0] = ^uint64(0) // -1
-		} else {
-			ec.regs[R0] = 0
-		}
-	case HelperMapDelete:
-		m, err := getMap(R1)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		key, err := stackBytes(R2, m.KeySize())
-		if err != nil {
-			return spec.CostNS, err
-		}
-		if m.Delete(key) {
-			ec.regs[R0] = 1
-		} else {
-			ec.regs[R0] = 0
-		}
-	case HelperPerfOutput:
-		m, err := getMap(R1)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		rb, ok := m.(*PerCPURing)
-		if !ok {
-			return spec.CostNS, ErrNotPerfArray
-		}
-		size := int(ec.regs[R3])
-		data, err := stackBytes(R2, size)
-		if err != nil {
-			return spec.CostNS, err
-		}
-		// Route by the submitting task's current CPU, as perf does.
-		rb.SubmitFrom(ec.task.CPU(), data)
-		ec.regs[R0] = 0
-		// Copy cost scales with sample size.
-		return spec.CostNS + int64(size/16), nil
-	case HelperReadCounter:
-		// The counter selector is a runtime value the verifier cannot
-		// bound; an invalid id reads as 0 like the other field helpers
-		// (found by FuzzVerifyThenRun: Read would index out of range).
-		c := kernel.Counter(ec.regs[R1])
-		if !c.Valid() {
-			ec.regs[R0] = 0
-			break
-		}
-		r := ec.task.Perf().Read(c)
-		switch ec.regs[R2] {
-		case CounterPartRaw:
-			// Via int64 so a wrapped (negative-going) counter converts
-			// with modular semantics on every platform; float-to-uint64
-			// of a negative value is otherwise implementation-defined.
-			ec.regs[R0] = uint64(int64(r.Raw))
-		case CounterPartEnabled:
-			ec.regs[R0] = uint64(r.TimeEnabled * perfScale)
-		case CounterPartRunning:
-			ec.regs[R0] = uint64(r.TimeRunning * perfScale)
-		default:
-			ec.regs[R0] = 0
-		}
-	case HelperReadIOAC:
-		switch ec.regs[R1] {
-		case IOACReadBytes:
-			ec.regs[R0] = uint64(ec.task.IOAC.ReadBytes)
-		case IOACWriteBytes:
-			ec.regs[R0] = uint64(ec.task.IOAC.WriteBytes)
-		case IOACReadOps:
-			ec.regs[R0] = uint64(ec.task.IOAC.ReadOps)
-		case IOACWriteOps:
-			ec.regs[R0] = uint64(ec.task.IOAC.WriteOps)
-		default:
-			ec.regs[R0] = 0
-		}
-	case HelperReadSock:
-		switch ec.regs[R1] {
-		case SockBytesReceived:
-			ec.regs[R0] = uint64(ec.task.Sock.BytesReceived)
-		case SockBytesSent:
-			ec.regs[R0] = uint64(ec.task.Sock.BytesSent)
-		case SockSegsIn:
-			ec.regs[R0] = uint64(ec.task.Sock.SegsIn)
-		case SockSegsOut:
-			ec.regs[R0] = uint64(ec.task.Sock.SegsOut)
-		default:
-			ec.regs[R0] = 0
-		}
-	case HelperGetPID:
-		ec.regs[R0] = uint64(ec.task.PID)
-	case HelperGetTaskGen:
-		ec.regs[R0] = ec.task.Gen()
-	case HelperGetCPU:
-		ec.regs[R0] = uint64(ec.task.CPU())
-	case HelperKtime:
-		ec.regs[R0] = uint64(ec.task.Now())
-	case HelperGetArg:
-		i := int(ec.regs[R1])
-		if i >= 0 && i < len(ec.args) {
-			ec.regs[R0] = ec.args[i]
-		} else {
-			ec.regs[R0] = 0
-		}
-	default:
-		return 0, fmt.Errorf("%w: unknown helper %d", ErrRuntime, id)
-	}
-	return spec.CostNS, nil
-}

@@ -106,7 +106,7 @@ func TestRunMapValueInPlaceMutation(t *testing.T) {
 	m := NewHashMap("m", 8, 8)
 	seed := make([]byte, 8)
 	PutU64(seed, 100)
-	if err := m.Update(U64Key(1), seed); err != nil {
+	if err := m.update(1, seed); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBuilder("accum")

@@ -35,8 +35,10 @@ const (
 // sessions share one Engine on the one goroutine that drives the simulation
 // (see the sim package doc).
 type Engine struct {
-	cat     *catalog.Catalog
-	markers map[tscout.OUID]*tscout.Marker
+	cat *catalog.Catalog
+	// markers is indexed by OUID (1 … OUOutput); a nil entry is an
+	// uninstrumented OU.
+	markers [OUOutput + 1]*tscout.Marker
 	// observe, when set, is shown every Run after it returns. It is the
 	// differential tests' tap on statements that arrive through the dbms.
 	observe func(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error)
@@ -46,7 +48,7 @@ type Engine struct {
 // New creates an engine. ts may be nil for an uninstrumented DBMS;
 // otherwise the engine registers its OUs (call before ts.Deploy).
 func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
-	e := &Engine{cat: cat, markers: make(map[tscout.OUID]*tscout.Marker)}
+	e := &Engine{cat: cat}
 	if ts == nil {
 		return e, nil
 	}

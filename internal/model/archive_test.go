@@ -98,7 +98,7 @@ func requireSamePoints(t *testing.T, got, want []Point) {
 func sealedSegments(t testing.TB, pts []tscout.TrainingPoint, segRows int) [][]byte {
 	var segs [][]byte
 	w := archive.NewWriterSize(io.Discard, segRows)
-	w.SetOnSeal(func(seg []byte) { segs = append(segs, seg) })
+	w.SetOnSeal(func(seg []byte) { segs = append(segs, bytes.Clone(seg)) })
 	if err := w.WriteBatch(pts); err != nil {
 		t.Fatal(err)
 	}

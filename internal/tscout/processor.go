@@ -476,8 +476,10 @@ func (p *Processor) Drain(opts DrainOptions) {
 		}
 	}
 
-	// Apart from SinkErrors (charged at delivery) this is the only place the
-	// per-subsystem counters are written.
+	// The period's per-subsystem counters. SinkErrors is charged at
+	// delivery, and Stats reads Submitted and Dropped from the live ring
+	// counters of every subsystem with a Collector — the only subsystems
+	// this loop visits — so neither is accumulated here.
 	for _, sub := range AllSubsystems {
 		if cols[sub] == nil {
 			continue
@@ -489,8 +491,6 @@ func (p *Processor) Drain(opts DrainOptions) {
 			drained += charged[t][sub]
 		}
 		c := &counts[sub]
-		ks.Submitted += deltaSub[sub]
-		ks.Dropped += deltaDrop[sub]
 		ks.Drained += drained
 		ks.DecodeErrors += c.decodeErrs
 		ks.CorruptDiscards += c.corrupt
