@@ -165,9 +165,7 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 	st.Kernel[tscout.SubsystemLogSerializer] = tscout.SubsystemStats{
 		Orphans: tscout.OrphanCounts{TornMigration: 1},
 	}
-	st.SinkRetries = 7
 	st.SinkRetryDrops = 1
-	st.PendingRetry = 9
 
 	out := formatProcessorStats(st)
 	if !strings.Contains(out, "resilience:") {
@@ -177,7 +175,7 @@ func TestFormatProcessorStatsResilienceSection(t *testing.T) {
 	for _, want := range []string{
 		"begin-no-end=4", "end-no-begin=2", "torn-migration=6", "stale-reaped=6",
 		"corrupt-discards=3",
-		"sink-retries=7", "sink-retry-drops=1", "pending-retry=9",
+		"sink-drops=1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("resilience section missing %q:\n%s", want, out)

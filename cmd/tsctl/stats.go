@@ -71,21 +71,20 @@ func formatProcessorStats(st tscout.ProcessorStats) string {
 	}
 
 	// Resilience telemetry (orphaned in-flight OUs, corrupt-metric
-	// discards, sink retries) only renders once any
+	// discards, points lost at the sink) only renders once any
 	// counter is nonzero: a healthy fault-free deployment keeps the
 	// compact layout, and a nonzero section is itself the signal that
 	// samples were lost to faults rather than archived.
 	orphans := st.TotalOrphans()
 	resil := orphans.Total() + st.TotalCorruptDiscards() +
-		st.SinkRetries + st.SinkRetryDrops + int64(st.PendingRetry) +
-		st.TotalRuntimeFaults()
+		st.SinkRetryDrops + st.TotalRuntimeFaults()
 	if resil > 0 {
 		fmt.Fprintf(&b, "\nresilience:\n")
 		fmt.Fprintf(&b, "orphans: begin-no-end=%d end-no-begin=%d torn-migration=%d stale-reaped=%d\n",
 			orphans.BeginWithoutEnd, orphans.EndWithoutBegin,
 			orphans.TornMigration, orphans.StaleReaped)
-		fmt.Fprintf(&b, "corrupt-discards=%d sink-retries=%d sink-retry-drops=%d pending-retry=%d\n",
-			st.TotalCorruptDiscards(), st.SinkRetries, st.SinkRetryDrops, st.PendingRetry)
+		fmt.Fprintf(&b, "corrupt-discards=%d sink-drops=%d\n",
+			st.TotalCorruptDiscards(), st.SinkRetryDrops)
 		if rf := st.TotalRuntimeFaults(); rf > 0 {
 			// A verified program faulting at runtime is a verifier or JIT
 			// bug, not operational noise — call it out unmistakably.

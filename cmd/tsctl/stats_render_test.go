@@ -18,7 +18,6 @@ func fullyPopulatedStats() tscout.ProcessorStats {
 	st.GlobalBudget = 512
 	st.EffectiveBudget = 384
 	st.Processed = 9000
-	st.SinkRetries = 2
 	st.SinkRetryDrops = 1
 	for i := range st.Kernel {
 		st.Kernel[i] = tscout.SubsystemStats{

@@ -19,8 +19,8 @@ const DefaultSegmentRows = 4096
 // reproduces the Processor's point order exactly.
 //
 // Errors from dst are sticky: once a segment write fails, every later
-// call reports the same error so the Processor's retry/SinkErrors
-// accounting sees a consistently failed sink.
+// call reports the same error, so the Processor charges every later batch
+// to SinkErrors against a consistently failed sink.
 type Writer struct {
 	dst     io.Writer
 	pending []tscout.TrainingPoint // rows not yet sealed
@@ -33,8 +33,8 @@ type Writer struct {
 	onSeal  func(segment []byte)   // seal notification target
 }
 
-// The Processor detects the sticky failure through StickySink and fails
-// fast instead of burning retry backoff against a torn archive.
+// The Processor detects the sticky failure through StickySink and stops
+// offering batches to a torn archive.
 var _ tscout.StickySink = (*Writer)(nil)
 
 // NewWriter returns a Writer sealing DefaultSegmentRows-row segments.
@@ -106,8 +106,8 @@ func (w *Writer) Rows() int64 { return w.rows }
 
 // StickyErr implements tscout.StickySink: it reports the writer's
 // permanent error without consuming a write. The Processor uses it to
-// fail fast instead of retrying deliveries that a torn archive is
-// guaranteed to reject.
+// count a batch lost without offering it to a torn archive, which is
+// guaranteed to reject it.
 func (w *Writer) StickyErr() error { return w.err }
 
 // seal encodes the first n pending rows as one segment, writes it to dst

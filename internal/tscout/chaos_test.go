@@ -80,7 +80,6 @@ type chaosRun struct {
 	fi      *kernel.FaultInjector
 	ctrl    *autopilot.Controller
 	orphans tscout.OrphanCounts
-	parked  int // the most points the sink retry queue held after a drain
 }
 
 func (r chaosRun) census() chaosPin {
@@ -93,7 +92,7 @@ func (r chaosRun) census() chaosPin {
 }
 
 // refusingSink refuses every fifth delivery before it reaches the archive,
-// so the Processor's retry queue fills and drains while faults fly.
+// so batches are lost and counted while faults fly.
 type refusingSink struct {
 	*archive.Writer
 	calls int
@@ -151,17 +150,14 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 		// some subsystem and record the mid-run hardware-change burst.
 		ctrl = autopilot.New(ts, aw, autopilot.Config{MinSamples: 1})
 	}
-	// Every drain leaves each point it produced delivered, parked for
-	// retry or counted lost.
-	parked := 0
+	// Every drain leaves each point it produced delivered or counted lost.
 	drain := func(opts tscout.DrainOptions) {
 		p.Drain(opts)
 		st := p.Stats()
-		if st.Processed != sink.Rows()+st.SinkRetryDrops+int64(st.PendingRetry) {
-			t.Fatalf("poll %d delivery identity: processed %d != sink rows %d + retry drops %d + pending retry %d",
-				st.Polls, st.Processed, sink.Rows(), st.SinkRetryDrops, st.PendingRetry)
+		if st.Processed != sink.Rows()+st.SinkRetryDrops {
+			t.Fatalf("poll %d delivery identity: processed %d != sink rows %d + sink drops %d",
+				st.Polls, st.Processed, sink.Rows(), st.SinkRetryDrops)
 		}
-		parked = max(parked, st.PendingRetry)
 		if ctrl != nil {
 			ctrl.Tick()
 		}
@@ -240,7 +236,7 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 	if err := aw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := chaosRun{ts: ts, fi: fi, ctrl: ctrl, orphans: tscout.CheckLossIdentities(t, ts), parked: parked}
+	r := chaosRun{ts: ts, fi: fi, ctrl: ctrl, orphans: tscout.CheckLossIdentities(t, ts)}
 
 	// A controller thins the sampled events, and an unsampled marker is no
 	// delivery; otherwise every CPU's hit counter matches the census.
@@ -254,9 +250,8 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 	// exactly the delivered ones, per subsystem, none of them corrupt.
 	t.Run("archive", func(t *testing.T) {
 		st := p.Stats()
-		lost := st.SinkRetryDrops + int64(st.PendingRetry)
-		if !cfg.refuse && lost != 0 {
-			t.Fatalf("healthy sink lost deliveries: retryDrops=%d pendingRetry=%d", st.SinkRetryDrops, st.PendingRetry)
+		if !cfg.refuse && st.SinkRetryDrops != 0 {
+			t.Fatalf("healthy sink lost %d points", st.SinkRetryDrops)
 		}
 		ar, err := archive.NewReader(buf.Bytes())
 		if err != nil {
@@ -265,9 +260,9 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 		if err := ar.Verify(); err != nil {
 			t.Fatalf("archive fails deep verify after chaos: %v", err)
 		}
-		if ar.NumRows() != st.Processed-lost {
-			t.Fatalf("archive has %d rows; processed %d - retry drops %d - pending retry %d",
-				ar.NumRows(), st.Processed, st.SinkRetryDrops, st.PendingRetry)
+		if ar.NumRows() != st.Processed-st.SinkRetryDrops {
+			t.Fatalf("archive has %d rows; processed %d - sink drops %d",
+				ar.NumRows(), st.Processed, st.SinkRetryDrops)
 		}
 		pts, err := ar.Points()
 		if err != nil {
@@ -286,7 +281,7 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 			// Only a refused delivery keeps a subsystem's point out of the
 			// archive, and every refused point was charged to its SinkErrors.
 			ks := st.Kernel[sub]
-			if missing := ks.Points - rows[sub]; missing < 0 || missing > ks.SinkErrors {
+			if ks.Points-rows[sub] != ks.SinkErrors {
 				t.Fatalf("%s: archive holds %d rows of %d points, %d refused", sub, rows[sub], ks.Points, ks.SinkErrors)
 			}
 		}
@@ -377,9 +372,14 @@ func runScenario(t *testing.T, cfg chaosConfig) {
 		}
 	}
 	if cfg.refuse {
-		if st.SinkRetries == 0 || r.parked == 0 {
-			t.Fatalf("refusals never parked a batch for retry: %d retries, at most %d points parked",
-				st.SinkRetries, r.parked)
+		// The refusals were counted, once per point; the archive subtest
+		// holds the archive to Processed - SinkRetryDrops rows.
+		var sinkErrors int64
+		for _, sub := range tscout.AllSubsystems {
+			sinkErrors += st.Kernel[sub].SinkErrors
+		}
+		if st.SinkRetryDrops == 0 || st.SinkRetryDrops != sinkErrors {
+			t.Fatalf("refusals not counted: SinkRetryDrops %d, SinkErrors %d", st.SinkRetryDrops, sinkErrors)
 		}
 	}
 }

@@ -25,8 +25,7 @@ import (
 //	drained   == submitted - ring drops
 //
 // with no decode errors and no runtime faults from the verified Collectors;
-// and for the Processor, processed == sink rows + SinkRetryDrops +
-// PendingRetry. It returns the orphans of every subsystem. The chaos
+// and for the Processor, processed == sink rows + SinkRetryDrops. It returns the orphans of every subsystem. The chaos
 // harness (package tscout_test) calls it after every run.
 func CheckLossIdentities(tb testing.TB, ts *TScout) OrphanCounts {
 	tb.Helper()

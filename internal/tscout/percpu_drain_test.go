@@ -303,51 +303,6 @@ func TestUnbudgetedDrainDeliversTail(t *testing.T) {
 	}
 }
 
-// TestRetryBacklogBoundedInPoints: with a drain's output delivered whole, a
-// failing sink parks arbitrarily large batches, so the retry backlog is
-// bounded in points, not batches. Every drain here is 48 000 points against
-// a sink that is down; through poll 14 no batch has used up its attempts
-// (2+4+8 polls of backoff), so anything in SinkRetryDrops got there by
-// overflowing maxRetryQueuePoints. The backlog never exceeds the bound, the
-// delivery identity holds after every drain, and once the sink recovers
-// whatever is still parked is redelivered.
-func TestRetryBacklogBoundedInPoints(t *testing.T) {
-	const numCPUs, perRing = 2, 12000
-	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 9, numCPUs, 16384, 2)
-	p, sink := ts.Processor(), sinkOf(ts)
-	sink.discard = true
-	sink.failBatches = true
-
-	check := func() ProcessorStats {
-		t.Helper()
-		st := p.Stats()
-		if st.PendingRetry > maxRetryQueuePoints {
-			t.Fatalf("poll %d: %d points parked, bound is %d", st.Polls, st.PendingRetry, maxRetryQueuePoints)
-		}
-		assertDeliveryIdentity(t, st, sink.Rows())
-		return st
-	}
-	var next uint64
-	for poll := 1; poll <= 14; poll++ {
-		next = fillRings(ts, numCPUs, perRing, next)
-		p.Drain(DrainOptions{})
-		check()
-	}
-	st := check()
-	if st.SinkRetryDrops == 0 || st.SinkRetryDrops%(4*perRing) != 0 {
-		t.Fatalf("SinkRetryDrops = %d after 14 failed %d-point drains, want whole batches dropped by the bound",
-			st.SinkRetryDrops, 4*perRing)
-	}
-
-	sink.failBatches = false
-	for i := 0; i < 10; i++ { // past the longest backoff window
-		p.Drain(DrainOptions{})
-	}
-	if st = check(); st.PendingRetry != 0 || sink.Rows() == 0 {
-		t.Fatalf("recovered sink: %d points still parked, %d rows delivered", st.PendingRetry, sink.Rows())
-	}
-}
-
 // TestBatchSinkFastPath checks every point is delivered through WriteBatch
 // with whole drained batches (not one-element wraps), and that a batch
 // error is charged against every point in the failed batch.

@@ -36,15 +36,6 @@ const feedbackDropThreshold = 0.10
 // once they are submitted.
 const userDrainPenalty = 3
 
-// maxSinkRetries bounds redelivery attempts for a batch the sink rejected.
-// After the last attempt fails the points are dropped (SinkRetryDrops): a
-// flaky sink degrades delivery, not intake.
-const maxSinkRetries = 3
-
-// maxRetryQueuePoints bounds the points parked in the sink retry queue; a
-// persistently dead sink must not accumulate unbounded redelivery state.
-const maxRetryQueuePoints = 64 * 8192
-
 // corruptCounterLimit is the smallest counter delta treated as unsigned
 // wraparound rather than real work. 2^62 events is centuries of CPU time:
 // unreachable by any legitimate OU, but exactly where an end-before-begin
@@ -134,10 +125,11 @@ func BudgetForPeriod(periodNS int64) int {
 // segment writer, cloud uploader). The interface is batch-first: the
 // Processor delivers everything one Drain produced with one WriteBatch
 // call, so a sink amortizes its per-write overhead (row encoding,
-// syscalls) across a whole drain. A WriteBatch error counts
-// against every point in the batch — the sink rejected the delivery as a
-// unit. The sink is the only place a point lives after Drain: with a nil
-// sink points are counted (Stats().Processed) and discarded.
+// syscalls) across a whole drain. Each batch is offered once: a WriteBatch
+// error loses the whole batch, charged to SinkErrors point by point, and it
+// is never offered again, so the sink sees the points in drain order. The
+// sink is the only place a point lives after Drain: with a nil sink points
+// are counted (Stats().Processed) and discarded.
 //
 // A Sink may call back into the Processor (stats, submissions) from
 // WriteBatch.
@@ -154,10 +146,9 @@ type Sink interface {
 // StickySink is optionally implemented by sinks whose write errors are
 // permanent: once a write fails, every later write reports the same error
 // (archive.Writer behaves this way — a torn segment cannot be resumed).
-// The Processor consults StickyErr around flushes; a non-nil value makes
-// delivery fail fast, dropping queued batches into SinkRetryDrops at once
-// instead of burning maxSinkRetries backoff cycles per batch against a
-// sink that is guaranteed never to accept them.
+// The Processor consults StickyErr before each delivery; once it is non-nil
+// every later batch is lost without a WriteBatch call, since the sink is
+// guaranteed never to accept it.
 type StickySink interface {
 	Sink
 	// StickyErr reports the permanent write error, or nil while healthy.
@@ -178,10 +169,10 @@ type SplitWeightFunc func(ou OUID, features []float64) float64
 // thread-period times the configured parallelism), and each ring's samples
 // are charged to the thread that owns it. On the host a drain is one pass,
 // ring by ring in global ring order, and its finished points leave for the
-// Sink — their only store — as one batch. A drain allocates only what it
-// hands on, the point slice and the feature chunks its vectors are cut
-// from; everything else it uses is scratch kept here between drains,
-// bounded by the ring count or by one ring's capacity.
+// Sink — their only store — as one batch, offered once. A drain allocates
+// only what it hands on, the point slice and the feature chunks its vectors
+// are cut from; everything else it uses is scratch kept here between
+// drains, bounded by the ring count or by one ring's capacity.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -190,9 +181,6 @@ type Processor struct {
 	kernelStats         [NumSubsystems]SubsystemStats
 	lastRing            [NumSubsystems]bpf.RingStats
 	splitter            SplitWeightFunc
-	retryQueue          []retryBatch
-	sinkRetries         int64
-	sinkRetryDrops      int64
 	processed           int64
 	polls               int64
 	lastGlobalBudget    int
@@ -207,15 +195,13 @@ type Processor struct {
 	// unbudgeted sweep leaves nothing larger behind than a budgeted poll:
 	// the per-CPU ring snapshots, the demand and allocation tables, one drain
 	// thread's demands and their waterfill (ring count), the charge table
-	// (drain threads), the ring batch being decoded (a contiguous buffer that
-	// grows to the largest ring batch) and deliver's due list (the retry
-	// queue and the fresh batch, cleared after delivery).
+	// (drain threads) and the ring batch being decoded (a contiguous buffer
+	// that grows to the largest ring batch).
 	cpuNow         [NumSubsystems][]bpf.RingStats
 	demands, alloc []int
 	dem, share     []int
 	charged        [][NumSubsystems]int64
 	batch          bpf.Batch
-	due            []retryBatch
 	// features is the rest of the chunk feature vectors are cut from
 	// (cutFeatures). What is cut from it is handed on with its point, so
 	// unlike the scratch it is never rewound: a full chunk is dropped for a
@@ -548,89 +534,22 @@ func waterfill(alloc, demands []int, tokens int) {
 	}
 }
 
-// retryBatch is one sink delivery: the points, how many attempts have
-// failed (0 for a drain's fresh batch), and the poll count before which the
-// next attempt must not run (exponential backoff in drain periods).
-type retryBatch struct {
-	pts       []TrainingPoint
-	attempts  int
-	notBefore int64
-}
-
-// deliver hands the sink every retry batch whose backoff has expired and
-// then the drain's fresh batch. A sink may call back into the Processor —
-// submit samples or read stats — from WriteBatch.
-//
-// A WriteBatch error counts against every point in the batch: SinkErrors is
-// charged on a batch's first failure only, and the batch is parked for
-// redelivery with bounded exponential backoff — notBefore lands strictly
-// beyond the current poll count, so one pass cannot loop on a failing sink.
-// Past maxSinkRetries attempts or maxRetryQueuePoints parked points it is
-// dropped and counted (SinkRetryDrops): a dead sink costs delivery, never
-// intake. A sink that reports a permanent error (StickySink) skips the
-// backoff ladder: the batch in hand, every later one and the retry queue
-// fail fast into SinkRetryDrops without another WriteBatch, since every
-// redelivery against it is guaranteed futile.
-func (p *Processor) deliver(fresh []TrainingPoint) {
-	if p.sink == nil {
+// deliver hands the drain's batch to the sink once. The batch is lost if the
+// sink rejects it, or if the sink has already reported a permanent error
+// (StickySink), in which case it is not called: each lost point is charged
+// to its subsystem's SinkErrors, and the Processor keeps no reference to it.
+// A sink may call back into the Processor — submit samples or read stats —
+// from WriteBatch.
+func (p *Processor) deliver(pts []TrainingPoint) {
+	if p.sink == nil || len(pts) == 0 {
 		return
 	}
-	due := p.due[:0]
-	keep := p.retryQueue[:0]
-	for _, rb := range p.retryQueue {
-		if rb.notBefore <= p.polls {
-			due = append(due, rb)
-		} else {
-			keep = append(keep, rb)
-		}
+	if p.sinkStickyErr() == nil && p.sink.WriteBatch(pts) == nil {
+		return
 	}
-	p.retryQueue = keep
-	if len(fresh) > 0 {
-		due = append(due, retryBatch{pts: fresh})
+	for _, tp := range pts {
+		p.kernelStats[tp.Subsystem].SinkErrors++
 	}
-
-	dead := p.sinkStickyErr() != nil
-	for _, rb := range due {
-		if !dead {
-			if rb.attempts > 0 {
-				p.sinkRetries++
-			}
-			if p.sink.WriteBatch(rb.pts) == nil {
-				continue
-			}
-			dead = p.sinkStickyErr() != nil
-		}
-		if rb.attempts == 0 {
-			for _, tp := range rb.pts {
-				p.kernelStats[tp.Subsystem].SinkErrors++
-			}
-		}
-		if attempts := rb.attempts + 1; dead || attempts > maxSinkRetries || p.pendingRetry()+len(rb.pts) > maxRetryQueuePoints {
-			p.sinkRetryDrops += int64(len(rb.pts))
-		} else {
-			p.retryQueue = append(p.retryQueue, retryBatch{
-				pts:      rb.pts,
-				attempts: attempts,
-				// 1<<attempts polls of backoff: 2, 4, 8 periods for attempts 1-3.
-				notBefore: p.polls + int64(1)<<attempts,
-			})
-		}
-	}
-	clear(due) // the scratch must not pin delivered points
-	p.due = due[:0]
-	if dead {
-		p.sinkRetryDrops += int64(p.pendingRetry())
-		p.retryQueue = nil
-	}
-}
-
-// pendingRetry counts the points parked in the retry queue.
-func (p *Processor) pendingRetry() int {
-	n := 0
-	for _, rb := range p.retryQueue {
-		n += len(rb.pts)
-	}
-	return n
 }
 
 // sinkStickyErr returns the sink's self-reported permanent error, or nil
@@ -677,9 +596,8 @@ func (c *decodeCounts) fit(n, width int) int {
 // misalign every feature after it in training). A non-fused point's vector
 // is cut from the Processor's feature chunk (cutFeatures). The points and
 // their vectors are the sink's once delivered (an archive segment holds them
-// until it seals, a rejected batch is parked for redelivery), so neither is
-// ever reused. Nothing decoded aliases b, which the next ring batch
-// overwrites.
+// until it seals), so neither is ever reused. Nothing decoded aliases b,
+// which the next ring batch overwrites.
 func (p *Processor) decodeBatch(pts []TrainingPoint, b *bpf.Batch, c *decodeCounts) []TrainingPoint {
 	for i := 0; i < b.Len(); i++ {
 		buf := b.Sample(i)
@@ -712,8 +630,10 @@ func (p *Processor) decodeBatch(pts []TrainingPoint, b *bpf.Batch, c *decodeCoun
 }
 
 // expandFused appends one point per OU of a fused sample, the sample's
-// metrics apportioned across them by the splitter's weights. On error pts
-// comes back as it was handed in.
+// metrics apportioned across them by the splitter's weights. Every part's OU
+// is resolved before anything is counted or appended, so a sample discarded
+// for an unregistered OU counts no repairs and pts comes back as it was
+// handed in.
 func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, c *decodeCounts) ([]TrainingPoint, error) {
 	s, err := DecodeSample(buf)
 	if err != nil {
@@ -724,9 +644,14 @@ func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, c *decodeCounts
 		return pts, err
 	}
 	split := p.splitter
+	defs := make([]*OUDef, len(parts))
 	weights := make([]float64, len(parts))
 	var total float64
 	for i, part := range parts {
+		def, ok := p.ts.OU(part.OU)
+		if !ok {
+			return pts, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
+		}
 		w := 1.0
 		if split != nil {
 			w = split(part.OU, floatVector(part.Features, len(part.Features)))
@@ -734,20 +659,16 @@ func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, c *decodeCounts
 				w = 1e-9
 			}
 		}
-		weights[i] = w
+		defs[i], weights[i] = def, w
 		total += w
 	}
-	out := pts
 	for i, part := range parts {
-		def, ok := p.ts.OU(part.OU)
-		if !ok {
-			return pts, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
-		}
+		def := defs[i]
 		c.fit(len(part.Features), len(def.Features))
-		out = append(out, pointOf(def, s.PID, scaleMetrics(s.Metrics, weights[i]/total),
+		pts = append(pts, pointOf(def, s.PID, scaleMetrics(s.Metrics, weights[i]/total),
 			floatVector(part.Features, len(def.Features))))
 	}
-	return out, nil
+	return pts, nil
 }
 
 // pointOf builds def's training point around a feature vector of its
@@ -824,9 +745,6 @@ func (p *Processor) Stats() ProcessorStats {
 	st.GlobalBudget = p.lastGlobalBudget
 	st.EffectiveBudget = p.lastEffectiveBudget
 	st.FeedbackActions = p.feedbackActions
-	st.SinkRetries = p.sinkRetries
-	st.SinkRetryDrops = p.sinkRetryDrops
-	st.PendingRetry = p.pendingRetry()
 	st.Processed = p.processed
 	st.BatchSizeHist = p.batchHist
 	st.Autopilot = p.autopilot
@@ -840,6 +758,7 @@ func (p *Processor) Stats() ProcessorStats {
 			st.JIT[sub] = col.JITStats()
 			st.Kernel[sub].RuntimeFaults = col.RuntimeFaults()
 		}
+		st.SinkRetryDrops += st.Kernel[sub].SinkErrors
 	}
 	st.Parallelism = p.Parallelism()
 	return st
@@ -855,7 +774,7 @@ func (p *Processor) SetAutopilotStats(st AutopilotStats) { p.autopilot = st }
 // must not start with the previous trial's pending
 // samples, and — just as important — the first post-reset poll must not
 // compute its demand or feedback deltas from a previous trial's cumulative
-// counters. Batches parked for sink redelivery are discarded.
+// counters.
 func (p *Processor) Reset() {
 	for _, sub := range AllSubsystems {
 		if col := p.ts.CollectorFor(sub); col != nil {
@@ -864,8 +783,6 @@ func (p *Processor) Reset() {
 	}
 	p.kernelStats = [NumSubsystems]SubsystemStats{}
 	p.lastRing = [NumSubsystems]bpf.RingStats{}
-	p.retryQueue = nil
-	p.sinkRetries, p.sinkRetryDrops = 0, 0
 	p.processed = 0
 	p.polls = 0
 	p.lastGlobalBudget, p.lastEffectiveBudget = 0, 0

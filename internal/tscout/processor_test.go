@@ -334,6 +334,29 @@ func TestFeatureVectorPadAndTruncate(t *testing.T) {
 	}
 }
 
+// TestFusedDiscardCountsNoRepairs: a fused sample whose later part names an
+// unregistered OU is discarded whole, as one decode error, and the repair
+// its earlier, short part would have needed is not counted.
+func TestFusedDiscardCountsNoRepairs(t *testing.T) {
+	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 5, 1, 128, 1)
+	words, err := EncodeFusedFeatures([]FusedPart{
+		{OU: testOUSeqScan, Features: []uint64{7}}, // short: would be padded
+		{OU: 999, Features: []uint64{1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := SubsystemExecutionEngine
+	ts.CollectorFor(sub).Ring.Submit(EncodeSample(FusedOUID, 1, Metrics{ElapsedNS: 5}, words))
+	p := ts.Processor()
+	p.Drain(DrainOptions{})
+	ks := p.Stats().Kernel[sub]
+	if ks.DecodeErrors != 1 || ks.PaddedFeatures != 0 || ks.TruncatedFeatures != 0 || ks.Points != 0 {
+		t.Fatalf("discarded fused sample: DecodeErrors=%d PaddedFeatures=%d TruncatedFeatures=%d Points=%d, want 1 0 0 0",
+			ks.DecodeErrors, ks.PaddedFeatures, ks.TruncatedFeatures, ks.Points)
+	}
+}
+
 // TestProcessorConcurrentSubmitPollReset interleaves ring submits on every
 // subsystem, budgeted drains, stats reads and resets under seeded
 // kernel.Interleaver schedules. Every stats read matches a model of what was
@@ -534,7 +557,7 @@ func TestDrainScratchBounded(t *testing.T) {
 
 	tables := map[string]int{
 		"demands": cap(p.demands), "alloc": cap(p.alloc), "dem": cap(p.dem), "share": cap(p.share),
-		"charged": cap(p.charged), "due": cap(p.due),
+		"charged": cap(p.charged),
 	}
 	for _, sub := range AllSubsystems {
 		tables["cpuNow."+sub.String()] = cap(p.cpuNow[sub])
@@ -554,11 +577,6 @@ func TestDrainScratchBounded(t *testing.T) {
 	}
 	if n := batch.FieldByName("buf").Cap(); n > 2*ringCap*sampleBytes {
 		t.Errorf("the ring batch keeps %d bytes, more than twice a ring's %d samples of %d bytes", n, ringCap, sampleBytes)
-	}
-	for i, rb := range p.due[:cap(p.due)] {
-		if rb.pts != nil {
-			t.Errorf("deliver's due list still holds a batch of %d points in entry %d", len(rb.pts), i)
-		}
 	}
 	if n := cap(p.features); n > featureChunk {
 		t.Errorf("the feature chunk keeps %d places, more than one chunk's %d", n, featureChunk)

@@ -1,6 +1,7 @@
 package tscout
 
 import (
+	"slices"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -281,74 +282,32 @@ func TestMetricsSaneTable(t *testing.T) {
 	}
 }
 
-// TestSinkRetryRedelivers covers the sink-error retry path: a sink that
-// fails transiently gets the batch redelivered after backoff, retries are
-// counted, SinkErrors stays at the first-failure count, and a sink that
-// never recovers drops the points after the bounded retry budget.
-func TestSinkRetryRedelivers(t *testing.T) {
-	sink := &flakySink{failures: 1}
+// TestSinkStreamInDrainOrder: a batch the sink rejects is lost, never
+// offered again, so the sink stream stays in drain order. Eight one-point
+// drains against a sink that refuses only the second delivery leave the
+// sink with every other point in the order it was drained, and the refused
+// point charged once.
+func TestSinkStreamInDrainOrder(t *testing.T) {
+	sink := &recordingBatchSink{}
 	ts, k, scan := deployWithSink(t, sink)
 	p := ts.Processor()
 	task := k.NewTask("worker")
-	runOU(ts, task, scan, sim.Work{Instructions: 1000}, 1, 1)
-	p.Drain(DrainOptions{}) // first delivery fails, batch queued for retry
-
-	st := p.Stats()
-	if st.PendingRetry == 0 {
-		t.Fatalf("failed batch not queued for retry")
-	}
-	firstErrors := st.Kernel[SubsystemExecutionEngine].SinkErrors
-	if firstErrors == 0 {
-		t.Fatalf("first failure not charged to SinkErrors")
-	}
-	assertDeliveryIdentity(t, st, sink.Rows()) // the point is parked, not lost
-
-	// Drains advance the poll clock past the backoff; the sink now works.
-	for i := 0; i < 4 && p.Stats().PendingRetry > 0; i++ {
+	for i := 1; i <= 8; i++ {
+		runOU(ts, task, scan, sim.Work{Instructions: 1000}, uint64(i), 1)
+		sink.failBatches = i == 2
 		p.Drain(DrainOptions{})
 	}
-	st = p.Stats()
-	if st.PendingRetry != 0 {
-		t.Fatalf("retry never redelivered: %d points still pending", st.PendingRetry)
+	var got []float64
+	for _, tp := range sink.points() {
+		got = append(got, tp.Features[0])
 	}
-	if st.SinkRetries == 0 {
-		t.Fatalf("redelivery not counted in SinkRetries")
-	}
-	if st.SinkRetryDrops != 0 {
-		t.Fatalf("recovered sink still dropped %d points", st.SinkRetryDrops)
-	}
-	if got := st.Kernel[SubsystemExecutionEngine].SinkErrors; got != firstErrors {
-		t.Fatalf("retries inflated SinkErrors: %d -> %d", firstErrors, got)
-	}
-	if sink.delivered == 0 {
-		t.Fatalf("sink never received the retried points")
-	}
-	assertDeliveryIdentity(t, st, sink.Rows())
-}
-
-// TestSinkRetryExhaustionDrops: a sink that keeps failing exhausts the
-// bounded retry budget and the points are dropped — counted — instead of
-// retrying forever.
-func TestSinkRetryExhaustionDrops(t *testing.T) {
-	sink := &flakySink{failures: 1 << 30} // never recovers
-	ts, k, scan := deployWithSink(t, sink)
-	p := ts.Processor()
-	task := k.NewTask("worker")
-	runOU(ts, task, scan, sim.Work{Instructions: 1000}, 1, 1)
-
-	// Enough drains to walk through every backoff window (2+4+8 polls).
-	for i := 0; i < 20; i++ {
-		p.Drain(DrainOptions{})
+	if want := []float64{1, 3, 4, 5, 6, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("sink received features %v, want %v", got, want)
 	}
 	st := p.Stats()
-	if st.PendingRetry != 0 {
-		t.Fatalf("%d points still queued after retry budget exhausted", st.PendingRetry)
-	}
-	if st.SinkRetryDrops == 0 {
-		t.Fatalf("exhausted retries not counted as SinkRetryDrops")
-	}
-	if got := int64(maxSinkRetries); st.SinkRetries != got {
-		t.Fatalf("SinkRetries = %d, want %d (one per backoff attempt)", st.SinkRetries, got)
+	if ks := st.Kernel[SubsystemExecutionEngine]; ks.SinkErrors != 1 || st.SinkRetryDrops != 1 {
+		t.Fatalf("SinkErrors = %d, SinkRetryDrops = %d; want the refused point counted once in each",
+			ks.SinkErrors, st.SinkRetryDrops)
 	}
 	assertDeliveryIdentity(t, st, sink.Rows())
 }
@@ -368,14 +327,10 @@ func deployWithSink(t *testing.T, sink Sink) (*TScout, *kernel.Kernel, *Marker) 
 	return ts, k, scan
 }
 
-// flakySink fails its first `failures` WriteBatch calls, then succeeds.
-// TestStickySinkFailsFast is the regression test for the sticky-retry
-// burn: a sink that reports its write errors as permanent (StickySink,
-// like archive.Writer) must not have batches redelivered through the
-// 2+4+8-poll backoff ladder. After the one failing delivery, queued and
-// future points fail fast into SinkRetryDrops, SinkRetries stays at zero,
-// the sink sees no further WriteBatch calls, and every produced point is
-// either in the sink or counted in SinkRetryDrops.
+// TestStickySinkFailsFast: a sink that reports its write errors as
+// permanent (StickySink, like archive.Writer) is not called again after its
+// one failing delivery. Later points fail fast into SinkRetryDrops, and
+// every produced point is either in the sink or counted in SinkRetryDrops.
 func TestStickySinkFailsFast(t *testing.T) {
 	sink := &stickySink{}
 	ts, k, scan := deployWithSink(t, sink)
@@ -400,12 +355,6 @@ func TestStickySinkFailsFast(t *testing.T) {
 		p.Drain(DrainOptions{})
 	}
 	st := p.Stats()
-	if st.SinkRetries != 0 {
-		t.Fatalf("sticky sink burned %d retry attempts; fast-fail must skip the backoff ladder", st.SinkRetries)
-	}
-	if st.PendingRetry != 0 {
-		t.Fatalf("%d points parked against a dead sink", st.PendingRetry)
-	}
 	if st.SinkRetryDrops == 0 {
 		t.Fatalf("fast-failed points not counted in SinkRetryDrops")
 	}
@@ -447,24 +396,6 @@ func (s *stickySink) WriteBatch(pts []TrainingPoint) error {
 func (s *stickySink) Flush() error     { return s.err }
 func (s *stickySink) Rows() int64      { return int64(s.delivered) }
 func (s *stickySink) StickyErr() error { return s.err }
-
-type flakySink struct {
-	failures  int
-	calls     int
-	delivered int
-}
-
-func (s *flakySink) WriteBatch(pts []TrainingPoint) error {
-	s.calls++
-	if s.calls <= s.failures {
-		return errSinkDown
-	}
-	s.delivered += len(pts)
-	return nil
-}
-
-func (s *flakySink) Flush() error { return nil }
-func (s *flakySink) Rows() int64  { return int64(s.delivered) }
 
 var errSinkDown = errTest("sink down")
 

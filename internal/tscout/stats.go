@@ -19,14 +19,16 @@ type SubsystemStats struct {
 	// unsigned-wraparound range) and were discarded rather than emitted —
 	// the last line of defense against mid-OU corruption reaching a model.
 	CorruptDiscards int64
-	// SinkErrors counts training points the sink rejected.
+	// SinkErrors counts training points lost at delivery: in a batch the
+	// sink rejected, or in one due after it reported a permanent error.
 	SinkErrors int64
-	// PaddedFeatures counts samples that arrived with fewer feature words
-	// than the OU declares (vectors are zero-padded to the declared
-	// width so Features/FeatureNames never diverge).
+	// PaddedFeatures counts feature vectors that arrived with fewer feature
+	// words than the OU declares (vectors are zero-padded to the declared
+	// width so Features/FeatureNames never diverge). A fused sample counts
+	// once per repaired part; a discarded sample counts nothing.
 	PaddedFeatures int64
-	// TruncatedFeatures counts samples that arrived with more feature
-	// words than the OU declares.
+	// TruncatedFeatures counts feature vectors that arrived with more
+	// feature words than the OU declares, counted like PaddedFeatures.
 	TruncatedFeatures int64
 	// Points counts training points produced for this subsystem (fused
 	// samples expand to several points).
@@ -64,17 +66,15 @@ type ProcessorStats struct {
 	FlushQueueDrops int64 //tsvet:ignore unset-field read by benchmark/ until ROADMAP item 1(a)
 	// PendingFlush is always zero (no flush queue); the ledger's gate reads it.
 	PendingFlush int //tsvet:ignore unset-field read by benchmark/ until ROADMAP item 1(a)
-	// SinkRetries counts redelivery attempts of batches the sink rejected
-	// (each retried batch counts once per attempt; the points inside were
-	// already charged to SinkErrors on the first failure).
-	SinkRetries int64
-	// SinkRetryDrops counts training points abandoned after exhausting the
-	// bounded retry budget or overflowing the retry queue — the sink-side
-	// graceful-degradation drop policy; they are lost.
+	// SinkRetries is always zero: a rejected batch is not offered again.
+	// The ledger reads it.
+	SinkRetries int64 //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S
+	// SinkRetryDrops counts training points lost at delivery, the sum of the
+	// subsystems' SinkErrors.
 	SinkRetryDrops int64
-	// PendingRetry is the number of training points currently queued for
-	// sink redelivery.
-	PendingRetry int
+	// PendingRetry is always zero: the Processor parks no batch. The
+	// ledger's gate reads it.
+	PendingRetry int //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S
 	// Processed is the cumulative number of training points produced.
 	Processed int64
 

@@ -39,6 +39,13 @@ func (p *Processor) transform(buf []byte, adj *decodeCounts) ([]TrainingPoint, e
 	if err != nil {
 		return nil, err
 	}
+	// A part naming an unregistered OU discards the whole sample before any
+	// part's repair is counted.
+	for _, part := range parts {
+		if _, ok := p.ts.OU(part.OU); !ok {
+			return nil, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
+		}
+	}
 	split := p.splitter
 
 	weights := make([]float64, len(parts))
@@ -56,10 +63,7 @@ func (p *Processor) transform(buf []byte, adj *decodeCounts) ([]TrainingPoint, e
 	}
 	out := make([]TrainingPoint, 0, len(parts))
 	for i, part := range parts {
-		def, ok := p.ts.OU(part.OU)
-		if !ok {
-			return nil, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
-		}
+		def, _ := p.ts.OU(part.OU)
 		out = append(out, pointFor(def, s.PID, part.Features, scaleMetrics(s.Metrics, weights[i]/total), adj))
 	}
 	return out, nil
@@ -168,8 +172,8 @@ func decodeDifferential(t *testing.T, p *Processor, buf []byte) {
 
 // TestBatchDecodeMatchesTransform drains one ring holding every kind of
 // sample interleaved — exact, padded, truncated, unregistered, fused (one
-// with a part to pad, one that fails on an unregistered part after a
-// repair was already counted), corrupt metrics (on an unregistered OU too,
+// with a part to pad, one that fails on an unregistered part after a part
+// that needs a repair, which must then count none), corrupt metrics (on an unregistered OU too,
 // which must still class as corrupt: metricsSane runs first), malformed —
 // through Drain, and requires the sink's points, their order and what the
 // drain added to the ring subsystem's Stats to equal the per-sample
@@ -206,7 +210,7 @@ func TestBatchDecodeMatchesTransform(t *testing.T) {
 				FusedPart{OU: testOUSeqScan, Features: []uint64{round, 9}},
 				FusedPart{OU: testOUWAL, Features: []uint64{5}})),
 			EncodeSample(testOUSeqScan, 18, sane, []uint64{round + 100, 8})[:15*8+7], // not whole words
-			EncodeSample(FusedOUID, 19, sane, fused( // repair counted, then a bad part
+			EncodeSample(FusedOUID, 19, sane, fused( // a part to truncate, then a bad part
 				FusedPart{OU: testOUSeqScan, Features: []uint64{1, 2, 3}},
 				FusedPart{OU: 777, Features: []uint64{5}})),
 			EncodeSample(testOUSeqScan, 20, sane, []uint64{round, 16}), // exact
@@ -236,7 +240,7 @@ func TestBatchDecodeMatchesTransform(t *testing.T) {
 	if delta != wantStats {
 		t.Fatalf("stats moved differently from the per-sample oracle's:\n%+v\n%+v", delta, wantStats)
 	}
-	if delta.CorruptDiscards != 12 || delta.DecodeErrors != 18 || delta.PaddedFeatures != 18 || delta.TruncatedFeatures != 12 {
+	if delta.CorruptDiscards != 12 || delta.DecodeErrors != 18 || delta.PaddedFeatures != 18 || delta.TruncatedFeatures != 6 {
 		t.Fatalf("the batch did not reach every arm: %+v", delta)
 	}
 	if points, drained := after.Processed-before.Processed, after.TotalDrained()-before.TotalDrained(); points != int64(len(want)) || drained != int64(len(samples)) {
