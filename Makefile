@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build lint race fuzz-smoke test bench cover figures
+.PHONY: check build lint race fuzz-smoke test bench alloc-census cover figures
 
 check build lint race fuzz-smoke:
 	GO="$(GO)" FUZZTIME="$(FUZZTIME)" ./scripts/check.sh $@
@@ -16,6 +16,11 @@ test:
 # The perf ledger: four full-loop workloads, both clocks (see BENCHMARK.json).
 bench:
 	$(GO) run ./benchmark
+
+# Every allocation site of one workload's collect pass, exactly
+# (GODEBUG=memprofilerate=1): make alloc-census W=smallbank_scaleout
+alloc-census:
+	GO="$(GO)" ./scripts/alloc-census.sh $(W)
 
 # Coverage with a per-package summary (baseline recorded in README.md).
 cover:

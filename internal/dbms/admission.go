@@ -1,6 +1,9 @@
 package dbms
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Admission control and connection pooling let the workload scale to
 // thousands of terminals without giving each one a DBMS worker thread: a
@@ -39,12 +42,15 @@ func (o AdmissionOutcome) String() string {
 
 // Ticket is one terminal's admission handle. A granted ticket holds one
 // session slot until Release; a queued ticket becomes granted when the
-// FIFO reaches it.
+// FIFO reaches it. The gate recycles tickets: a ticket is the caller's from
+// Acquire until its Release, and a later Acquire may hand the same ticket
+// out again.
 type Ticket struct {
 	granted bool
-	// Owner is the caller's: the gate never reads or writes it. A driver
-	// that learns of grants from Release's return value stores there
-	// whatever names the waiter (the pooled driver: its terminal index).
+	// Owner is the caller's: the gate never reads it, and Acquire hands a
+	// ticket out with Owner zero. A driver that learns of grants from
+	// Release's return value stores there whatever names the waiter (the
+	// pooled driver: its terminal index).
 	Owner int32
 	// grantNS is the virtual time the slot was granted (the enqueue time
 	// for immediately-granted tickets, the releasing terminal's time for
@@ -61,11 +67,28 @@ func (t *Ticket) GrantNS() int64 { return t.grantNS }
 // AdmissionGate is a bounded-slot admission controller with a FIFO wait
 // queue. Slots model session worker threads; QueueDepth models the
 // listen-backlog bound beyond which connections are refused.
+//
+// Released tickets go on the gate's free list and Acquire reuses them, so a
+// steady stream of admissions allocates nothing: the gate makes tickets, in
+// blocks, only up to the most it has had out at once. The price is one
+// misuse the gate cannot see: a Release through a pointer kept past that
+// ticket's own Release, once Acquire has handed the ticket out again,
+// releases the new holder's slot. Whoever releases a ticket must drop the
+// pointer, as whoever releases a txn.Txn must.
 type AdmissionGate struct {
 	slots      int
 	queueDepth int
 	inUse      int
-	queue      []*Ticket
+	// queue[head:] waits in FIFO order. A pop clears its slot and moves
+	// head; a push into a full array first moves the waiters down to its
+	// start if at least half of it is popped, and otherwise grows it.
+	queue []*Ticket
+	head  int
+	// free holds released tickets for Acquire to reuse; block[made:] are
+	// tickets not handed out yet, each block twice its predecessor's size.
+	free  []*Ticket
+	block []Ticket
+	made  int
 
 	admitted    int64
 	queuedTotal int64
@@ -85,10 +108,15 @@ func NewAdmissionGate(slots, queueDepth int) *AdmissionGate {
 }
 
 // Acquire asks for a session slot at virtual time nowNS. It returns the
-// ticket and whether it was granted immediately, queued, or rejected
-// (rejected tickets are nil).
+// ticket, a released one if the gate holds any, and whether it was granted
+// immediately, queued, or rejected (rejected tickets are nil).
 func (g *AdmissionGate) Acquire(nowNS int64) (*Ticket, AdmissionOutcome) {
-	t := &Ticket{enqueueNS: nowNS}
+	if g.inUse >= g.slots && g.queueDepth > 0 && g.waiting() >= g.queueDepth {
+		g.rejected++
+		return nil, Rejected
+	}
+	t := g.ticket()
+	*t = Ticket{enqueueNS: nowNS}
 	if g.inUse < g.slots {
 		g.inUse++
 		t.granted = true
@@ -96,31 +124,63 @@ func (g *AdmissionGate) Acquire(nowNS int64) (*Ticket, AdmissionOutcome) {
 		g.admitted++
 		return t, Granted
 	}
-	if g.queueDepth > 0 && len(g.queue) >= g.queueDepth {
-		g.rejected++
-		return nil, Rejected
+	if len(g.queue) == cap(g.queue) {
+		if g.head >= len(g.queue)/2 {
+			n := copy(g.queue, g.queue[g.head:])
+			clear(g.queue[n:])
+			g.queue, g.head = g.queue[:n], 0
+		} else {
+			g.queue = slices.Grow(g.queue, max(ticketBlock, len(g.queue)))
+		}
 	}
 	g.queue = append(g.queue, t)
 	g.queuedTotal++
-	if len(g.queue) > g.maxQueued {
-		g.maxQueued = len(g.queue)
-	}
+	g.maxQueued = max(g.maxQueued, g.waiting())
 	return t, Queued
 }
 
+// ticket takes a released ticket off the free list, or the next unused one
+// of the current block, starting a new block when that one is used up.
+func (g *AdmissionGate) ticket() *Ticket {
+	if n := len(g.free); n > 0 {
+		t := g.free[n-1]
+		g.free = g.free[:n-1]
+		return t
+	}
+	if g.made == len(g.block) {
+		g.block, g.made = make([]Ticket, max(ticketBlock, 2*len(g.block))), 0
+	}
+	g.made++
+	return &g.block[g.made-1]
+}
+
+// ticketBlock is the size of the gate's first block of tickets and the
+// least its wait queue grows by: a pooled run keeps thousands of terminals
+// waiting, and growing from one would reallocate a dozen times.
+const ticketBlock = 128
+
+// waiting is the number of queued tickets.
+func (g *AdmissionGate) waiting() int { return len(g.queue) - g.head }
+
 // Release returns the ticket's slot at virtual time nowNS, handing it to
 // the head of the wait queue (FIFO) if anyone is waiting, and returns the
-// ticket it granted (nil when nobody was waiting). Releasing a non-granted
-// ticket is a bug and panics — it would mint a slot from thin air and break
-// the bounded-slot invariant.
+// ticket it granted (nil when nobody was waiting). The released ticket goes
+// on the free list: the caller must not use it again. Releasing a
+// non-granted ticket — a queued one, or one already released — is a bug
+// and panics: it would mint a slot from thin air and break the bounded-slot
+// invariant.
 func (g *AdmissionGate) Release(t *Ticket, nowNS int64) *Ticket {
 	if !t.granted {
 		panic("dbms: Release of a non-granted admission ticket")
 	}
 	t.granted = false
-	if len(g.queue) > 0 {
-		head := g.queue[0]
-		g.queue = g.queue[1:]
+	g.free = append(g.free, t)
+	if g.waiting() > 0 {
+		head := g.queue[g.head]
+		// Clear the popped slot: the array's popped prefix must not keep a
+		// ticket the free list may hand out again.
+		g.queue[g.head] = nil
+		g.head++
 		head.granted = true
 		// The waiter resumes no earlier than the release that freed the
 		// slot, and never before it asked.
@@ -162,7 +222,7 @@ func (g *AdmissionGate) Stats() GateStats {
 		MaxQueueDepth: g.maxQueued,
 		TotalWaitNS:   g.totalWaitNS,
 		InUse:         g.inUse,
-		Waiting:       len(g.queue),
+		Waiting:       g.waiting(),
 	}
 }
 

@@ -2,6 +2,7 @@ package dbms
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -157,16 +158,34 @@ func TestAdmissionGrantNeverBeforeEnqueue(t *testing.T) {
 	}
 }
 
+// TestReleaseNonGrantedTicketPanics: releasing a ticket that holds no slot
+// panics, whether it waits in the queue or was released already and waits
+// on the gate's free list.
 func TestReleaseNonGrantedTicketPanics(t *testing.T) {
-	g := NewAdmissionGate(2, 0)
-	holder, _ := g.Acquire(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("double release must panic")
-		}
-	}()
-	g.Release(holder, 10)
-	g.Release(holder, 20)
+	for _, c := range []struct {
+		name    string
+		release func(g *AdmissionGate)
+	}{
+		{"released-twice", func(g *AdmissionGate) {
+			holder, _ := g.Acquire(0)
+			g.Release(holder, 10)
+			g.Release(holder, 20)
+		}},
+		{"queued", func(g *AdmissionGate) {
+			g.Acquire(0)
+			waiter, _ := g.Acquire(5)
+			g.Release(waiter, 10)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("releasing a non-granted ticket must panic")
+				}
+			}()
+			c.release(NewAdmissionGate(1, 0))
+		})
+	}
 }
 
 func TestSessionPoolPinsRoundRobin(t *testing.T) {
@@ -220,8 +239,8 @@ func TestSessionPoolGetPut(t *testing.T) {
 // TestAdmissionGateStress drives one gate through seeded sequential
 // schedules of Acquire and Release against a FIFO model: every queued ticket
 // is granted by the Release that returns it, in arrival order, and the
-// census matches the model, with InUse never above the slot count, after
-// every operation.
+// census matches the model, with InUse never above the slot count and no
+// popped queue slot holding a ticket, after every operation.
 func TestAdmissionGateStress(t *testing.T) {
 	const slots, acquires = 8, 2000
 	for seed := int64(1); seed <= 3; seed++ {
@@ -233,6 +252,13 @@ func TestAdmissionGateStress(t *testing.T) {
 			st := g.Stats()
 			if st.InUse != inUse || st.InUse > slots || st.Waiting != len(queue) {
 				t.Fatalf("seed %d step %d: census %+v, model inUse=%d waiting=%d", seed, step, st, inUse, len(queue))
+			}
+			// The queue's popped prefix keeps no ticket the free list may
+			// hand out again.
+			for i, tk := range g.queue[:g.head] {
+				if tk != nil {
+					t.Fatalf("seed %d step %d: popped queue slot %d still holds %p", seed, step, i, tk)
+				}
 			}
 		}
 		for step := 0; made < acquires || len(held) > 0; step++ {
@@ -276,5 +302,68 @@ func TestAdmissionGateStress(t *testing.T) {
 		if st := g.Stats(); st.Admitted != acquires || st.Queued == 0 {
 			t.Fatalf("seed %d: admitted %d (want %d), queued %d (want some)", seed, st.Admitted, acquires, st.Queued)
 		}
+	}
+}
+
+// TestAdmissionCycleAllocatesNothing: a released ticket goes on the gate's
+// free list and the next Acquire hands it out again, as new — no Owner,
+// granted at its own Acquire — so once the gate has made its first ticket
+// an Acquire/Release cycle allocates nothing.
+func TestAdmissionCycleAllocatesNothing(t *testing.T) {
+	g := NewAdmissionGate(1, 0)
+	now := int64(0)
+	cycle := func() {
+		tk, _ := g.Acquire(now)
+		if tk.Owner != 0 || tk.GrantNS() != now {
+			t.Fatalf("Acquire at %d handed out %+v", now, tk)
+		}
+		tk.Owner = 7
+		g.Release(tk, now+1)
+		now += 2
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("an Acquire/Release cycle allocates %v objects, want 0", n)
+	}
+}
+
+// TestAdmissionScriptedGrants pins the grants of a scripted schedule — two
+// waves of twice as many acquisitions as slots, the second one served by
+// tickets the first released — to the FIFO order and grant times the gate
+// gave before it recycled tickets.
+func TestAdmissionScriptedGrants(t *testing.T) {
+	const slots = 3
+	g := NewAdmissionGate(slots, 0)
+	type grant struct {
+		owner   int32
+		grantNS int64
+	}
+	var got []grant
+	for wave := int64(0); wave < 2; wave++ {
+		held := make([]*Ticket, 0, 2*slots)
+		for i := int64(0); i < 2*slots; i++ {
+			tk, outcome := g.Acquire(wave*10_000 + i*10)
+			tk.Owner = int32(wave*100 + i)
+			if outcome == Granted {
+				got = append(got, grant{tk.Owner, tk.GrantNS()})
+			}
+			held = append(held, tk)
+		}
+		// Release the holders, the middle one first; each release grants
+		// the queue's head, which is released in turn.
+		order := []int{1, 0, 2, 3, 4, 5}
+		for j, i := range order {
+			if next := g.Release(held[i], wave*10_000+int64(1000+j*7)); next != nil {
+				got = append(got, grant{next.Owner, next.GrantNS()})
+			}
+			held[i] = nil
+		}
+	}
+	want := []grant{
+		{0, 0}, {1, 10}, {2, 20}, {3, 1000}, {4, 1007}, {5, 1014},
+		{100, 10_000}, {101, 10_010}, {102, 10_020}, {103, 11_000}, {104, 11_007}, {105, 11_014},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("grants %v, want %v", got, want)
 	}
 }

@@ -174,6 +174,9 @@ type Session struct {
 	// redo holds the committing transaction's redo records (submitRedo),
 	// which the WAL reads during SubmitFrom and keeps nothing of.
 	redo []wal.Record
+	// commit is the handle of the session's last writing commit, which
+	// submitRedo reuses once the WAL has resolved it.
+	commit *wal.Commit
 	// ExternalCollect emulates EXPLAIN-based external feature collection
 	// (§2.2): every statement pays an extra planning round.
 	ExternalCollect bool
@@ -222,7 +225,9 @@ type PacketResult struct {
 	Results []*exec.Result
 	// Commit is the WAL group-commit handle for a writing transaction
 	// (nil for read-only or aborted ones). The caller must wait for
-	// Commit.Resolved before treating the transaction as durable.
+	// Commit.Resolved before treating the transaction as durable. It is
+	// the session's handle, valid until the session's next commit, as
+	// Session.Commit's is.
 	Commit *wal.Commit //tsvet:ignore unread-field the wire path's durability test waits on it
 	// Err is the error that aborted the packet's transaction (e.g. a
 	// write conflict), if any.
@@ -325,7 +330,10 @@ func (se *Session) netRead(packetBytes, msgs int) {
 
 // submitRedo enters a committed transaction's redo records, one per write
 // plus the commit record, into the group-commit WAL at the session's
-// current virtual time. It returns nil for a read-only transaction.
+// current virtual time. It returns nil for a read-only transaction, and
+// otherwise the session's commit handle: the last commit's, reused, if the
+// WAL has resolved it, or a new one while the WAL still holds that (a
+// session may commit again before its group flushes).
 func (se *Session) submitRedo(tx *txn.Txn, writes []txn.Write) *wal.Commit {
 	if len(writes) == 0 {
 		return nil
@@ -341,7 +349,11 @@ func (se *Session) submitRedo(tx *txn.Txn, writes []txn.Write) *wal.Commit {
 	}
 	records = append(records, wal.Record{Kind: wal.RecordCommit, TxnID: tx.ID, Bytes: 16})
 	se.redo = records
-	return se.srv.WAL.SubmitFrom(records, se.Task.Now(), se.Task.CPU())
+	if se.commit == nil || !se.commit.Resolved {
+		se.commit = new(wal.Commit)
+	}
+	se.srv.WAL.SubmitFrom(se.commit, records, se.Task.Now(), se.Task.CPU())
+	return se.commit
 }
 
 // respondError responds with the sent messages already in reply and err

@@ -107,7 +107,10 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 // Commit closes the open transaction, submitting its redo records to the
 // WAL at the session's current virtual time. The returned handle is nil
 // for read-only transactions; otherwise the caller (the workload driver)
-// must wait for Commit.Resolved before advancing past the commit.
+// must wait for Commit.Resolved before advancing past the commit. The
+// handle is the session's: it is valid until the session's next commit
+// (Commit, Execute or SubmitPacket), which reuses it once it has resolved,
+// so read DoneNS before committing on the session again.
 func (se *Session) Commit() (*wal.Commit, error) {
 	if se.tx == nil {
 		return nil, ErrNoTxn

@@ -307,3 +307,81 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 	execute("UPDATE big SET pad = 'later' WHERE id < 20")
 	check("a later transaction's UPDATE")
 }
+
+// TestCommitReusesResolvedHandle: the commit handle is the session's. Once
+// a commit has resolved, the session's next commit returns the same handle,
+// refilled with the new commit's bytes and times.
+func TestCommitReusesResolvedHandle(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	commit := func(keys ...int64) *wal.Commit {
+		t.Helper()
+		se.BeginTxn()
+		for _, k := range keys {
+			if _, err := se.Statement("INSERT INTO kv VALUES ($1, 'v')", storage.NewInt(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := se.Commit()
+		if err != nil || c == nil || !c.Resolved {
+			t.Fatalf("commit of %v: %+v, %v; want a resolved handle (synchronous WAL)", keys, c, err)
+		}
+		return c
+	}
+	first := commit(1)
+	firstBytes, firstDone := first.Bytes, first.DoneNS
+	_, _, before := srv.WAL.Stats()
+	second := commit(2, 3)
+	_, _, after := srv.WAL.Stats()
+	if second != first {
+		t.Fatalf("the second commit took a new handle after the first resolved")
+	}
+	if second.Bytes != after-before || second.Bytes == firstBytes || second.DoneNS <= firstDone {
+		t.Fatalf("reused handle carries bytes %d done %d; the commit flushed %d bytes, the first handle had %d bytes done %d",
+			second.Bytes, second.DoneNS, after-before, firstBytes, firstDone)
+	}
+}
+
+// TestCommitBeforeFlushTakesANewHandle: a session that commits again while
+// the WAL still holds its last handle (runner.sweepScans does) gets a new
+// handle, and both resolve with their own counts.
+func TestCommitBeforeFlushTakesANewHandle(t *testing.T) {
+	srv, err := NewServer(Config{Seed: 4, WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 1 << 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Catalog.CreateTable("kv", storage.MustSchema(
+		storage.Column{Name: "k", Kind: storage.KindInt},
+		storage.Column{Name: "v", Kind: storage.KindString},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	se := srv.NewSession()
+	var commits []*wal.Commit
+	for i, rows := range []int{1, 3} {
+		se.BeginTxn()
+		for r := 0; r < rows; r++ {
+			if _, err := se.Statement("INSERT INTO kv VALUES ($1, 'v')", storage.NewInt(int64(10*i+r))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := se.Commit()
+		if err != nil || c == nil || c.Resolved {
+			t.Fatalf("commit %d: %+v, %v; want a pending handle", i, c, err)
+		}
+		commits = append(commits, c)
+	}
+	a, b := commits[0], commits[1]
+	if a == b {
+		t.Fatalf("a pending handle was reused")
+	}
+	srv.WAL.Flush(se.Task.Now())
+	flushes, records, bytes := srv.WAL.Stats()
+	if !a.Resolved || !b.Resolved || flushes != 1 {
+		t.Fatalf("after one flush (%d counted): resolved %v and %v", flushes, a.Resolved, b.Resolved)
+	}
+	// One redo record per insert plus one commit record each.
+	if records != (1+1)+(3+1) || bytes != a.Bytes+b.Bytes || a.Bytes >= b.Bytes {
+		t.Fatalf("WAL logged %d records, %d bytes; the handles carry %d and %d bytes", records, bytes, a.Bytes, b.Bytes)
+	}
+}

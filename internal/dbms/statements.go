@@ -37,11 +37,13 @@ type textEntry struct {
 // statementTable maps statement text to its parsed and analyzed form: the
 // server side of a prepared statement, keyed by text because the workloads'
 // clients send text. A text with string literals is an alias of its
-// template (sql.Template), so texts that differ only in their literals
+// template (sql.Templater), so texts that differ only in their literals
 // share one parse and one analysis. Like the rest of a Server's session
 // path it belongs to the one goroutine that drives the server's sessions.
 type statementTable struct {
 	byText map[string]textEntry
+	// tmpl lexes a text missing from byText into its template in scratch.
+	tmpl sql.Templater
 	// Traffic counters: lookups served without parsing, lookups that
 	// parsed, and times a full table was dropped.
 	hits, misses, resets uint64
@@ -49,8 +51,10 @@ type statementTable struct {
 
 // lookup returns text's statement for a call binding nparams parameters,
 // and the literal values to bind after them. A text missing from the table
-// is lexed once into its template, which is parsed only if it is new; the
-// text then enters as the template's alias. A call whose parameter count is
+// is lexed once into its template, in the Templater's scratch, which is
+// parsed and copied into the table only if it is new; the text then enters
+// as the template's alias. So a new text of a known template allocates
+// only its string literals and their slice. A call whose parameter count is
 // not the text's highest $n, and a text whose template does not parse, get
 // the raw text parsed and uncached, so their result or error is the one the
 // text has on its own. Parse errors are never cached.
@@ -59,17 +63,21 @@ func (t *statementTable) lookup(text string, nparams int) (*statement, []storage
 		t.hits++
 		return e.st, e.lits, nil
 	}
-	tmpl, lits, maxParam, err := sql.Template(text)
+	tmpl, lits, maxParam, err := t.tmpl.Template(text)
 	if err == nil && (len(lits) == 0 || maxParam == nparams) {
-		if e, ok := t.byText[tmpl]; ok {
-			t.hits++
-			t.add(text, textEntry{e.st, lits, maxParam})
-			return e.st, lits, nil
+		key := text
+		if tmpl != nil {
+			if e, ok := t.byText[string(tmpl)]; ok {
+				t.hits++
+				t.add(text, textEntry{e.st, lits, maxParam})
+				return e.st, lits, nil
+			}
+			key = string(tmpl)
 		}
-		if ast, err := sql.Parse(tmpl); err == nil {
+		if ast, err := sql.Parse(key); err == nil {
 			t.misses++
 			st := &statement{ast: ast}
-			t.add(tmpl, textEntry{st: st})
+			t.add(key, textEntry{st: st})
 			if len(lits) > 0 {
 				t.add(text, textEntry{st, lits, maxParam})
 			}
@@ -86,10 +94,11 @@ func (t *statementTable) lookup(text string, nparams int) (*statement, []storage
 
 // add enters text. A full table is dropped whole rather than evicted from:
 // the hot templates re-enter within a transaction each, and the hit path
-// carries no bookkeeping.
+// carries no bookkeeping. Dropping clears the map, which keeps the room it
+// grew for the next fill.
 func (t *statementTable) add(text string, e textEntry) {
 	if len(t.byText) >= maxCachedStatements {
-		t.byText = nil
+		clear(t.byText)
 		t.resets++
 	}
 	if t.byText == nil {

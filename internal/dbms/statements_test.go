@@ -389,3 +389,35 @@ func TestEncodeResultBytesUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestNewLiteralTextAllocatesItsLiterals: a text that is new but whose
+// template is known costs the lookup its string literal's copy and the
+// slice that holds it, and little else — the Templater lexes into scratch
+// and the table looks the template up without copying it. A thousand
+// distinct TATP UpdateLocation texts fit the table with their template.
+func TestNewLiteralTextAllocatesItsLiterals(t *testing.T) {
+	const n = 1000
+	texts := make([]string, n+2)
+	for i := range texts {
+		texts[i] = "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = " +
+			network.QuoteString(fmt.Sprintf("nbr%012d", i))
+	}
+	var tbl statementTable
+	if _, _, err := tbl.lookup(texts[n+1], 1); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	per := testing.AllocsPerRun(n, func() {
+		if _, lits, err := tbl.lookup(texts[i], 1); err != nil || len(lits) != 1 {
+			t.Fatalf("text %d: %v, %d literals", i, err, len(lits))
+		}
+		i++
+	})
+	if tbl.misses != 1 || tbl.resets != 0 || len(tbl.byText) != n+3 {
+		t.Fatalf("%d parses, %d resets, %d entries; want 1, 0, %d", tbl.misses, tbl.resets, len(tbl.byText), n+3)
+	}
+	if per > 2.5 {
+		t.Fatalf("a new literal text allocates %.2f objects, want <= 2.5", per)
+	}
+	t.Logf("%.2f allocations per new literal text", per)
+}

@@ -38,11 +38,35 @@ func (t token) String() string {
 	}
 }
 
-// lex tokenizes one SQL statement.
-func lex(input string) ([]token, error) {
+// keywords maps the upper-case spelling of every word the parser matches
+// to its lower-case token text, so a keyword written in capitals lexes
+// without allocating. Any other word goes through strings.ToLower, which
+// allocates only when the word has an upper-case letter.
+var keywords = map[string]string{
+	"ANALYZE": "analyze", "AND": "and", "AS": "as", "ASC": "asc",
+	"BETWEEN": "between", "BY": "by", "CREATE": "create", "DELETE": "delete",
+	"DESC": "desc", "EXPLAIN": "explain", "FOR": "for", "FROM": "from",
+	"GROUP": "group", "INDEX": "index", "INSERT": "insert", "INTO": "into",
+	"JOIN": "join", "KEY": "key", "LIMIT": "limit", "NOT": "not",
+	"NULL": "null", "ON": "on", "ORDER": "order", "PRIMARY": "primary",
+	"SELECT": "select", "SET": "set", "TABLE": "table", "UNIQUE": "unique",
+	"UPDATE": "update", "USING": "using", "VALUES": "values", "WHERE": "where",
+	"HASH": "hash", "BTREE": "btree",
+	"COUNT": "count", "SUM": "sum", "AVG": "avg", "MIN": "min", "MAX": "max",
+	"INT": "int", "BIGINT": "bigint", "INTEGER": "integer", "FLOAT": "float",
+	"DOUBLE": "double", "DECIMAL": "decimal", "VARCHAR": "varchar", "TEXT": "text",
+}
+
+// lex tokenizes one SQL statement into toks, whose contents it replaces.
+// A token's text is a substring of input or a constant, except a string
+// literal's, which is the lexer's own copy.
+func lex(toks []token, input string) ([]token, error) {
 	// Sized once: even a bare value list ("$1,$2,…") spends two bytes a
 	// token, so SQL as the workloads write it never regrows this.
-	toks := make([]token, 0, len(input)/2+2)
+	if n := len(input)/2 + 2; cap(toks) < n {
+		toks = make([]token, 0, n)
+	}
+	toks = toks[:0]
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -58,7 +82,11 @@ func lex(input string) ([]token, error) {
 			for i < len(input) && (isIdentChar(rune(input[i]))) {
 				i++
 			}
-			toks = append(toks, token{tokIdent, strings.ToLower(input[start:i]), start})
+			word, ok := keywords[input[start:i]]
+			if !ok {
+				word = strings.ToLower(input[start:i])
+			}
+			toks = append(toks, token{tokIdent, word, start})
 		case unicode.IsDigit(c) || (c == '.' && i+1 < len(input) && unicode.IsDigit(rune(input[i+1]))):
 			start := i
 			seenDot := false
@@ -77,25 +105,28 @@ func lex(input string) ([]token, error) {
 			toks = append(toks, token{tokNumber, input[start:i], start})
 		case c == '\'':
 			start := i
-			i++
-			var sb strings.Builder
-			for {
+			escaped := false
+			for i++; ; i++ {
 				if i >= len(input) {
 					return nil, fmt.Errorf("sql: unterminated string literal")
 				}
 				if input[i] == '\'' {
 					if i+1 < len(input) && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
+						escaped = true
+						i++
 						continue
 					}
-					i++
 					break
 				}
-				sb.WriteByte(input[i])
-				i++
 			}
-			toks = append(toks, token{tokString, sb.String(), start})
+			i++
+			text := input[start+1 : i-1]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			} else {
+				text = strings.Clone(text)
+			}
+			toks = append(toks, token{tokString, text, start})
 		case c == '$':
 			start := i
 			i++
@@ -107,7 +138,7 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{tokParam, input[start+1 : i], start})
 		case strings.ContainsRune("(),;*=+-/", c):
-			toks = append(toks, token{tokSymbol, string(c), i})
+			toks = append(toks, token{tokSymbol, input[i : i+1], i})
 			i++
 		case c == '<':
 			if i+1 < len(input) && (input[i+1] == '=' || input[i+1] == '>') {
@@ -147,6 +178,15 @@ func isIdentChar(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
 }
 
+// Templater turns statement texts into their templates. It keeps its token
+// array and the template it last built for its next call, so a template
+// costs only its literals; like every other scratch holder it belongs to
+// one goroutine.
+type Templater struct {
+	toks []token
+	tmpl []byte
+}
+
 // Template lexes input once and returns its template: input with each
 // string literal replaced by the next $n after maxParam, the highest $n
 // input names. lits are the literals' values in order, so the template
@@ -157,12 +197,15 @@ func isIdentChar(r rune) bool {
 // lexer's own unescaped copy, never a substring of input, so a row that
 // stores one does not keep the text alive. A text without string literals,
 // or one naming a $n too large to number its literals after, is its own
-// template with no lits. A lex error is the one Parse(input) reports.
-func Template(input string) (template string, lits []storage.Value, maxParam int, err error) {
-	toks, err := lex(input)
+// template: tmpl is nil and there are no lits. Otherwise tmpl is held in
+// tp's scratch and valid until tp's next call. A lex error is the one
+// Parse(input) reports.
+func (tp *Templater) Template(input string) (tmpl []byte, lits []storage.Value, maxParam int, err error) {
+	toks, err := lex(tp.toks, input)
 	if err != nil {
-		return "", nil, 0, err
+		return nil, nil, 0, err
 	}
+	tp.toks = toks
 	strs := 0
 	for _, t := range toks {
 		switch t.kind {
@@ -171,33 +214,33 @@ func Template(input string) (template string, lits []storage.Value, maxParam int
 		case tokParam:
 			n, err := strconv.Atoi(t.text)
 			if err != nil {
-				return input, nil, 0, nil
+				return nil, nil, 0, nil
 			}
 			maxParam = max(maxParam, n)
 		}
 	}
 	if strs == 0 || maxParam > math.MaxInt-strs {
-		return input, nil, maxParam, nil
+		return nil, nil, maxParam, nil
 	}
-	var sb strings.Builder
-	sb.Grow(len(input) + 4*strs)
+	b := tp.tmpl[:0]
 	lits = make([]storage.Value, 0, strs)
 	last := 0
 	for _, t := range toks {
 		if t.kind != tokString {
 			continue
 		}
-		sb.WriteString(input[last:t.pos])
-		sb.WriteByte('$')
-		sb.WriteString(strconv.Itoa(maxParam + len(lits) + 1))
+		b = append(b, input[last:t.pos]...)
+		b = append(b, '$')
+		b = strconv.AppendInt(b, int64(maxParam+len(lits)+1), 10)
 		// The literal's source is its value quoted, each quote doubled.
 		last = t.pos + len(t.text) + strings.Count(t.text, "'") + 2
 		// A digit right after the literal would lex as part of the $n.
 		if last < len(input) && unicode.IsDigit(rune(input[last])) {
-			sb.WriteByte(' ')
+			b = append(b, ' ')
 		}
 		lits = append(lits, storage.NewString(t.text))
 	}
-	sb.WriteString(input[last:])
-	return sb.String(), lits, maxParam, nil
+	b = append(b, input[last:]...)
+	tp.tmpl = b
+	return b, lits, maxParam, nil
 }

@@ -10,7 +10,7 @@ import (
 
 // Parse parses one SQL statement.
 func Parse(input string) (Statement, error) {
-	toks, err := lex(input)
+	toks, err := lex(nil, input)
 	if err != nil {
 		return nil, err
 	}

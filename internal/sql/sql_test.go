@@ -243,7 +243,18 @@ func TestParseErrorPositions(t *testing.T) {
 	}
 }
 
+// templateOf is tp.Template with the template as a string: the text itself
+// when it is its own template.
+func templateOf(tp *Templater, text string) (string, []storage.Value, int, error) {
+	tmpl, lits, maxParam, err := tp.Template(text)
+	if err != nil || tmpl == nil {
+		return text, lits, maxParam, err
+	}
+	return string(tmpl), lits, maxParam, nil
+}
+
 func TestTemplate(t *testing.T) {
+	var tp Templater
 	for _, c := range []struct {
 		text, template string
 		lits           []string
@@ -263,7 +274,7 @@ func TestTemplate(t *testing.T) {
 		// Numbers stay literals; a text without strings is its own template.
 		{"SELECT a FROM t WHERE b = $2 LIMIT 1", "SELECT a FROM t WHERE b = $2 LIMIT 1", nil, 2},
 	} {
-		tmpl, lits, maxParam, err := Template(c.text)
+		tmpl, lits, maxParam, err := templateOf(&tp, c.text)
 		if err != nil {
 			t.Fatalf("%q: %v", c.text, err)
 		}
@@ -276,7 +287,7 @@ func TestTemplate(t *testing.T) {
 				c.text, tmpl, got, maxParam, c.template, c.lits, c.maxParam)
 		}
 	}
-	if _, _, _, err := Template("SELECT a FROM t WHERE b = 'open"); err == nil || err.Error() != "sql: unterminated string literal" {
+	if _, _, _, err := tp.Template("SELECT a FROM t WHERE b = 'open"); err == nil || err.Error() != "sql: unterminated string literal" {
 		t.Errorf("unterminated literal: %v", err)
 	}
 }
@@ -304,7 +315,10 @@ func FuzzStatementTemplate(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		raw, rawErr := Parse(text)
-		tmpl, lits, maxParam, err := Template(text)
+		// A Templater whose scratch already holds another template.
+		var tp Templater
+		tp.Template("INSERT INTO t VALUES ('a', 'it''s', $1, 'ccc', 'dddd', 'eeeee')")
+		tmpl, lits, maxParam, err := templateOf(&tp, text)
 		if err != nil {
 			if rawErr == nil || rawErr.Error() != err.Error() {
 				t.Fatalf("%q: template error %v, parse error %v", text, err, rawErr)
@@ -376,5 +390,47 @@ func sameAST(raw, tmpl reflect.Value, maxParam int, lits []storage.Value) bool {
 func TestCmpOpString(t *testing.T) {
 	if OpNe.String() != "<>" || OpGe.String() != ">=" {
 		t.Fatalf("op names")
+	}
+}
+
+// TestKeywordTable: each entry of the lexer's keyword table is a lower-case
+// word under its upper-case spelling, and every word the parser looks up in
+// a table of its own or matches by name is in it, so those words lex without allocating when
+// written in capitals.
+func TestKeywordTable(t *testing.T) {
+	for upper, word := range keywords {
+		if upper != strings.ToUpper(word) || word != strings.ToLower(word) {
+			t.Errorf("keyword %q maps to %q", upper, word)
+		}
+	}
+	var words []string
+	for w := range reserved {
+		words = append(words, w)
+	}
+	for w := range aggNames {
+		words = append(words, w)
+	}
+	for w := range typeNames {
+		words = append(words, w)
+	}
+	// The words parser.keyword matches that no table of the parser holds.
+	words = append(words, "analyze", "create", "explain", "index", "key", "not",
+		"null", "primary", "table", "unique", "using", "hash", "btree")
+	for _, w := range words {
+		if keywords[strings.ToUpper(w)] != w {
+			t.Errorf("the parser's word %q is not in the keyword table", w)
+		}
+	}
+	toks, err := lex(nil, "SELECT COUNT(*) FROM t WHERE a = 'x' AND Mixed = NULL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, tk := range toks {
+		got = append(got, tk.text)
+	}
+	want := []string{"select", "count", "(", "*", ")", "from", "t", "where", "a", "=", "x", "and", "mixed", "=", "null", ""}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tokens %q, want %q", got, want)
 	}
 }

@@ -9,7 +9,10 @@
 // The log borrows the records it is handed: Submit and SubmitFrom read
 // their records argument before returning and keep only its record count
 // and byte total, so a caller may reuse the slice at once (the DBMS
-// session builds every transaction's redo in one scratch slice).
+// session builds every transaction's redo in one scratch slice). The
+// commit handle is the caller's too: SubmitFrom fills one the caller owns,
+// and the log holds it only until its batch flushes, so a caller may reuse
+// a resolved handle for its next commit (the DBMS session keeps one).
 package wal
 
 import (
@@ -129,31 +132,34 @@ func New(k *kernel.Kernel, ts *tscout.TScout, serMarker, wrMarker *tscout.Marker
 }
 
 // Submit registers a transaction's records for group commit at virtual
-// time nowNS and returns its pending handle. When the batch-size policy
-// trips, the flush happens immediately (at nowNS) and the handle resolves
-// before Submit returns. The log keeps nothing of records.
+// time nowNS and returns a new pending handle for them. When the batch-size
+// policy trips, the flush happens immediately (at nowNS) and the handle
+// resolves before Submit returns. The log keeps nothing of records.
 func (s *Serializer) Submit(records []Record, nowNS int64) *Commit {
-	return s.SubmitFrom(records, nowNS, 0)
+	c := new(Commit)
+	s.SubmitFrom(c, records, nowNS, 0)
+	return c
 }
 
-// SubmitFrom is Submit with the submitting task's simulated CPU. The CPU
-// matters only in deferred mode, where it is part of the deterministic
-// merge key; outside deferred mode SubmitFrom behaves exactly like Submit.
-// Its production caller, dbms.Session.submitRedo, passes its task's CPU,
+// SubmitFrom is Submit into the caller's handle c, with the submitting
+// task's simulated CPU. It overwrites c, which must not be pending: the
+// log holds c until the flush that resolves it, after which the caller may
+// submit through c again. The CPU matters only in deferred mode, where it
+// is part of the deterministic merge key. Its production caller,
+// dbms.Session.submitRedo, passes the session's handle and its task's CPU,
 // which the pooled driver's staged replay uses to order equal arrivals.
 // Like Submit it borrows records: it keeps their count and byte total.
-func (s *Serializer) SubmitFrom(records []Record, nowNS int64, cpu int) *Commit {
+func (s *Serializer) SubmitFrom(c *Commit, records []Record, nowNS int64, cpu int) {
 	var bytes int64
 	for _, r := range records {
 		bytes += r.Bytes
 	}
-	c := &Commit{records: len(records), Bytes: bytes, ArrivalNS: nowNS}
+	*c = Commit{records: len(records), Bytes: bytes, ArrivalNS: nowNS}
 	if s.deferMode {
 		s.stage = append(s.stage, stagedCommit{c: c, cpu: cpu})
-		return c
+		return
 	}
 	s.enqueue(c)
-	return c
 }
 
 // enqueue adds c to the pending batch and flushes at c's arrival time when

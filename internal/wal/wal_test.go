@@ -21,6 +21,13 @@ func testRecords(txn uint64, n int) []Record {
 	return out
 }
 
+// submitFrom is SubmitFrom into a new handle, which it returns.
+func submitFrom(s *Serializer, records []Record, nowNS int64, cpu int) *Commit {
+	c := new(Commit)
+	s.SubmitFrom(c, records, nowNS, cpu)
+	return c
+}
+
 // newWAL returns a serializer on an instrumented kernel and a function
 // that drains TScout's rings and reads the training archive back.
 func newWAL(t *testing.T, cfg Config) (*Serializer, func() []tscout.TrainingPoint) {
@@ -210,7 +217,7 @@ func TestDeferredSubmissionsReplayInMergedOrder(t *testing.T) {
 		}
 		commits := make([]*Commit, len(subs))
 		for _, i := range order {
-			commits[i] = s.SubmitFrom(testRecords(subs[i].txn, 1), subs[i].arrival, subs[i].cpu)
+			commits[i] = submitFrom(s, testRecords(subs[i].txn, 1), subs[i].arrival, subs[i].cpu)
 		}
 		if s.StagedCount() != len(subs) {
 			t.Fatalf("staged %d, want %d", s.StagedCount(), len(subs))
@@ -246,7 +253,7 @@ func TestDeferredSubmissionsReplayInMergedOrder(t *testing.T) {
 func TestSetDeferModeOffKeepsStage(t *testing.T) {
 	s, _ := newWAL(t, Config{GroupSize: 100, FlushIntervalNS: 1 << 40})
 	s.SetDeferMode(true)
-	s.SubmitFrom(testRecords(1, 1), 100, 0)
+	submitFrom(s, testRecords(1, 1), 100, 0)
 	s.SetDeferMode(false)
 	if s.StagedCount() != 1 {
 		t.Fatalf("turning defer mode off must not drop the stage")
@@ -272,7 +279,7 @@ func TestCommitStagedTieHeavy(t *testing.T) {
 	s.SetDeferMode(true)
 	commits := make([]*Commit, 48)
 	for i := range commits {
-		commits[i] = s.SubmitFrom(testRecords(uint64(i+1), 1), int64((i*5)%3)*100, (i*7)%4)
+		commits[i] = submitFrom(s, testRecords(uint64(i+1), 1), int64((i*5)%3)*100, (i*7)%4)
 	}
 	if n := s.CommitStaged(); n != len(commits) {
 		t.Fatalf("replayed %d, want %d", n, len(commits))
@@ -298,10 +305,42 @@ func TestCommitStagedTieHeavy(t *testing.T) {
 
 	// The per-CPU counters restart with the next epoch: two commits staged
 	// on one CPU at one instant replay in staging order again.
-	a := s.SubmitFrom(testRecords(100, 1), 1000, 3)
-	b := s.SubmitFrom(testRecords(101, 1), 1000, 3)
+	a := submitFrom(s, testRecords(100, 1), 1000, 3)
+	b := submitFrom(s, testRecords(101, 1), 1000, 3)
 	s.CommitStaged()
 	if !(a.DoneNS < b.DoneNS) {
 		t.Fatalf("second epoch replayed out of staging order: %d, %d", a.DoneNS, b.DoneNS)
+	}
+}
+
+// TestSubmitFromAllocatesNothing: the log borrows the caller's records and
+// fills the caller's handle, and the pending batch is double-buffered, so
+// once it has grown a submission allocates nothing — the flushes its group
+// size trips included.
+func TestSubmitFromAllocatesNothing(t *testing.T) {
+	const group = 4
+	s := New(kernel.New(sim.LargeHW, 1, 0), nil, nil, nil, Config{GroupSize: group, FlushIntervalNS: 1 << 40})
+	records := testRecords(1, 2)
+	var handles [group]Commit
+	now, i := int64(0), 0
+	submit := func() {
+		s.SubmitFrom(&handles[i%group], records, now, 0)
+		now += 100
+		i++
+	}
+	for range 2 * group {
+		submit()
+	}
+	if n := testing.AllocsPerRun(10*group, submit); n != 0 {
+		t.Fatalf("a SubmitFrom allocates %v objects, want 0", n)
+	}
+	s.Flush(now)
+	for h := range handles {
+		if !handles[h].Resolved {
+			t.Fatalf("handle %d unresolved after the last flush", h)
+		}
+	}
+	if flushes, recs, _ := s.Stats(); flushes != int64((i+group-1)/group) || recs != int64(i*len(records)) {
+		t.Fatalf("%d submissions: %d flushes, %d records", i, flushes, recs)
 	}
 }

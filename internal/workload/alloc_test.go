@@ -13,13 +13,13 @@ import (
 // 2N transactions less those of a run of N, per transaction. Setup, the
 // terminals, the sessions and the first-use growth of rings and scratch are
 // the same in both runs and cancel. What remains is what a transaction
-// leaves behind — its versions, its WAL commit handle, its admission ticket
-// — plus its share of the drain's points and the archive's blocks; the
-// transaction, its write set, its redo records and the barrier and
+// leaves behind — its versions — plus its share of the drain's points and
+// the archive's blocks; the transaction, its write set, its redo records,
+// its WAL commit handle, its admission ticket and the barrier and
 // group-commit buffers are recycled (DESIGN.md §4, What a transaction
-// allocates).
+// allocates). It reads about 1.51; the bound is that plus 15 %.
 func TestPooledTxnAllocations(t *testing.T) {
-	const n, bound = 600, 4.5
+	const n, bound = 600, 1.72
 	mallocs := func(txns int) uint64 {
 		arch := newTestArchive(0)
 		srv, gen := scaleServer(t, dbms.Config{
@@ -43,6 +43,53 @@ func TestPooledTxnAllocations(t *testing.T) {
 	one, two := mallocs(n), mallocs(2*n)
 	if per := float64(two-one) / n; per > bound {
 		t.Errorf("a pooled SmallBank transaction allocates %.2f objects, want <= %v (%d for %d transactions, %d for %d)",
+			per, bound, one, n, two, 2*n)
+	} else {
+		t.Logf("%.2f allocations per transaction", per)
+	}
+}
+
+// TestSingleClockTxnAllocations is TestPooledTxnAllocations on the
+// single-clock driver: an instrumented TATP run, whose UpdateLocation and
+// InsertCallForwarding texts each carry a string literal. Two thousand
+// subscribers give four thousand such texts, more than the statement table
+// keeps, so texts keep arriving new, as in the benchmark. What remains per
+// transaction is its versions, the text the generator builds, a new text's
+// literal copy and the slice that holds it (the statement lookup lexes into
+// scratch), and its share of the drain's points and the archive's blocks.
+// It reads 3.29; the bound is that plus 15 %.
+func TestSingleClockTxnAllocations(t *testing.T) {
+	const n, bound = 1500, 3.78
+	mallocs := func(txns int) uint64 {
+		arch := newTestArchive(0)
+		srv, err := dbms.NewServer(dbms.Config{
+			Seed: 21, NoiseSigma: 0.03, Instrument: true, Sink: arch.w,
+			WAL: wal.Config{GroupSize: 32, FlushIntervalNS: 200_000},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := &TATP{Subscribers: 2000}
+		if err := gen.Setup(srv); err != nil {
+			t.Fatal(err)
+		}
+		srv.TS.Sampler().SetAllRates(100)
+		cfg := Config{Terminals: 20, Transactions: txns, Seed: 21}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(srv, gen, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed+res.Aborted != txns {
+			t.Fatalf("ran %d transactions, want %d", res.Completed+res.Aborted, txns)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	one, two := mallocs(n), mallocs(2*n)
+	if per := float64(two-one) / n; per > bound {
+		t.Errorf("a single-clock TATP transaction allocates %.2f objects, want <= %v (%d for %d transactions, %d for %d)",
 			per, bound, one, n, two, 2*n)
 	} else {
 		t.Logf("%.2f allocations per transaction", per)
