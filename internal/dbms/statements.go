@@ -57,7 +57,9 @@ type statementTable struct {
 // only its string literals and their slice. A call whose parameter count is
 // not the text's highest $n, and a text whose template does not parse, get
 // the raw text parsed and uncached, so their result or error is the one the
-// text has on its own. Parse errors are never cached.
+// text has on its own; a text that is its own template and does not parse
+// is parsed once, and that parse's error returned. Parse errors are never
+// cached.
 func (t *statementTable) lookup(text string, nparams int) (*statement, []storage.Value, error) {
 	if e, ok := t.byText[text]; ok && (len(e.lits) == 0 || e.nparams == nparams) {
 		t.hits++
@@ -74,7 +76,8 @@ func (t *statementTable) lookup(text string, nparams int) (*statement, []storage
 			}
 			key = string(tmpl)
 		}
-		if ast, err := sql.Parse(key); err == nil {
+		ast, err := sql.Parse(key)
+		if err == nil {
 			t.misses++
 			st := &statement{ast: ast}
 			t.add(key, textEntry{st: st})
@@ -82,6 +85,10 @@ func (t *statementTable) lookup(text string, nparams int) (*statement, []storage
 				t.add(text, textEntry{st, lits, maxParam})
 			}
 			return st, lits, nil
+		}
+		if tmpl == nil { // key is text: its own parse failed
+			t.misses++
+			return nil, nil, err
 		}
 	}
 	t.misses++

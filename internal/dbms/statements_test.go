@@ -8,6 +8,7 @@ import (
 
 	"tscout/internal/exec"
 	"tscout/internal/network"
+	"tscout/internal/sql"
 	"tscout/internal/storage"
 )
 
@@ -191,6 +192,33 @@ func TestParseErrorsAreNotCached(t *testing.T) {
 	}
 	if n := len(srv.stmts.byText); n != 0 {
 		t.Fatalf("%d entries after only parse errors", n)
+	}
+}
+
+// TestSelfTemplateParseErrorParsesOnce: a text with no string literal is
+// its own template. When it does not parse, lookup returns the error that
+// text's one parse gave, counts one miss and keeps nothing — and it
+// allocates what lexing it into the template scratch and one parse do, not
+// what two parses do.
+func TestSelfTemplateParseErrorParsesOnce(t *testing.T) {
+	const text = "SELEKT k FROM kv WHERE k = 1"
+	_, want := sql.Parse(text)
+	if want == nil {
+		t.Fatalf("%q parses", text)
+	}
+	var tbl statementTable
+	st, lits, err := tbl.lookup(text, 0)
+	if st != nil || lits != nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("lookup: %v, %v, %v; want the error %q", st, lits, err, want)
+	}
+	if tbl.misses != 1 || tbl.hits != 0 || len(tbl.byText) != 0 {
+		t.Fatalf("%d misses, %d hits, %d entries; want 1, 0, 0", tbl.misses, tbl.hits, len(tbl.byText))
+	}
+	parse := testing.AllocsPerRun(100, func() { _, _ = sql.Parse(text) })
+	lex := testing.AllocsPerRun(100, func() { _, _, _, _ = tbl.tmpl.Template(text) })
+	look := testing.AllocsPerRun(100, func() { _, _, _ = tbl.lookup(text, 0) })
+	if look != lex+parse {
+		t.Fatalf("a failing lookup allocates %v objects; lexing the text allocates %v and one parse %v", look, lex, parse)
 	}
 }
 

@@ -203,13 +203,14 @@ func (c *Ctx) allocPreds(n int) []compiledPred {
 
 // Result is a statement's outcome. For DML, Affected counts rows.
 //
-// A Result, its Rows and the cells a projection or aggregate produced are
-// the caller's forever. They are cut from the engine's result chunks, which
-// are never reused, so no later statement writes them, and a held result
-// pins at most one chunk of each kind. The caller may write its rows and
-// those cells, but not an identity projection's rows, which are stored
-// rows. Cols is the plan's own slice, shared by every execution of the
-// statement, and is read-only.
+// A Result, its Rows and their cells are the caller's forever, whether the
+// transaction that produced it commits or not. They are cut from the
+// engine's result chunks, which are never reused, so no later statement
+// writes them, and a held result pins at most one chunk of each kind. No
+// row aliases a stored row: every projection copies its cells (stored rows
+// are valid only until their transaction ends), so the caller may write
+// its rows and their cells. Cols is the plan's own slice, shared by every
+// execution of the statement, and is read-only.
 type Result struct {
 	Cols     []string
 	Rows     []storage.Row

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -166,6 +167,29 @@ func TestSelectStar(t *testing.T) {
 	res := db.run(t, "SELECT * FROM accounts WHERE id = 1")
 	if len(res.Cols) != 4 || len(res.Rows[0]) != 4 {
 		t.Fatalf("star: %v", res.Cols)
+	}
+}
+
+// TestHeldResultOutlivesLaterCommits: a Result is the caller's for good. A
+// SELECT * Result still reads its original cells after 1 000 later update
+// transactions on its row have committed, although each commit cuts the
+// version the one before installed and the next update rewrites it: the
+// projection copied the cells, it did not hand out the stored row.
+func TestHeldResultOutlivesLaterCommits(t *testing.T) {
+	db := newTestDB(t, false)
+	db.seed(t, 3)
+	held := db.run(t, "SELECT * FROM accounts WHERE id = 1")
+	want := rowText(held.Rows[0], nil)
+	for i := range 1000 {
+		db.run(t, "UPDATE accounts SET balance = $1, name = $2 WHERE id = 1",
+			storage.NewFloat(float64(-i)), storage.NewString(fmt.Sprint("n", i)))
+	}
+	if got := rowText(held.Rows[0], nil); got != want {
+		t.Fatalf("the held row reads %s, want %s", got, want)
+	}
+	now := db.run(t, "SELECT balance, name FROM accounts WHERE id = 1")
+	if got := rowText(now.Rows[0], nil); got != `FLOAT "-999", VARCHAR "n999", ` {
+		t.Fatalf("a new read sees %s, want the last update", got)
 	}
 }
 

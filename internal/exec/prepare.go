@@ -235,11 +235,9 @@ type selectPlan struct {
 	// post holds the predicates that needed the joined relation.
 	post predSet
 	// agg is set for aggregating selects; otherwise projIdxs lists the
-	// input position of each output column and identity says they are the
-	// input row unchanged.
+	// input position of each output column.
 	agg      *aggPlan
 	projIdxs []int
-	identity bool
 	// countJoin says the last join only counts its rows: the aggregate only
 	// counts (aggPlan.countOnly) and no post-join predicate reads the rows.
 	countJoin bool
@@ -372,12 +370,6 @@ func (sp *selectPlan) analyzeProjection(s *sql.SelectStmt, rel *relation) error 
 		}
 		sp.cols = append(sp.cols, x.Col.String())
 		sp.projIdxs = append(sp.projIdxs, i)
-	}
-	sp.identity = len(sp.projIdxs) == rel.numCols
-	for i, idx := range sp.projIdxs {
-		if i != idx {
-			sp.identity = false
-		}
 	}
 	return nil
 }

@@ -241,20 +241,16 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 }
 
 // project evaluates a non-aggregating select list into a Result cut from
-// e's result chunks: rows arrive in statement scratch, so the identity
-// projection copies their headers out (the stored rows they point at are
-// immutable) and any other fills one run of cells cut into rows. Cols is
-// the plan's own slice.
+// e's result chunks. Every projection, SELECT * too, copies its cells into
+// one run cut into rows: the input rows are stored rows, valid only until
+// the transaction ends (txn.Txn.Read), and a Result is the caller's for
+// good. Cols is the plan's own slice.
 func (sp *selectPlan) project(e *Engine, rows []storage.Row) *Result {
 	res := e.results.newResult(sp.cols)
 	if len(rows) == 0 {
 		return res
 	}
 	res.Rows = e.results.newRows(len(rows))
-	if sp.identity {
-		copy(res.Rows, rows)
-		return res
-	}
 	w := len(sp.projIdxs)
 	cells := e.results.newCells(len(rows) * w)
 	for r, row := range rows {

@@ -13,11 +13,12 @@ const InvalidTupleID TupleID = -1
 // snapshot can see: a committing transaction sets that version's Next to nil
 // (package txn), so Next reaches only versions some snapshot may still read.
 //
-// Values is the stored row and is never written once the version is
-// installed. NewVersion copies a row into cells allocated with the header,
-// so Values usually points just past it, into the same object; a row held
-// by a reader therefore keeps its version header, and through Next the
-// versions below it, alive.
+// Values is the stored row and is never written while the version is on a
+// chain. NewVersion copies a row into cells allocated with the header, so
+// Values usually points just past it, into the same object. A version a
+// commit cut off its chain no snapshot can read; package txn keeps it on a
+// free list, linked through Next, and reuses it, cells and all, for a later
+// write.
 type Version struct {
 	Begin   uint64
 	End     uint64

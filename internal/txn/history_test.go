@@ -139,7 +139,10 @@ const (
 //     down to the newest version that began at or before the watermark
 //     (the oldest other open snapshot, else the commit itself), which is at
 //     most the commits since that snapshot plus one;
-//   - Manager.stats agrees with the open snapshots and the oldest of them.
+//   - Manager.stats agrees with the open snapshots and the oldest of them;
+//   - after each operation, no version on any slot's chain is on the
+//     Manager's free lists, and each list holds only live versions of its
+//     own width, as many as it counts and no more than its bound.
 func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	m, h := NewManager(), &history{commitTS: 1}
 	tbl := storage.NewTable("t", storage.MustSchema(
@@ -209,6 +212,30 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 		}
 	}
 
+	checkFree := func(step int) {
+		t.Helper()
+		free := map[*storage.Version]bool{}
+		for i, list := range m.freeLists() {
+			if len(list) != m.nVersions[i] || len(list) > maxFreeVersions {
+				t.Fatalf("step %d: the width-%d free list holds %d versions, counts %d, bound %d",
+					step, i+1, len(list), m.nVersions[i], maxFreeVersions)
+			}
+			for _, v := range list {
+				if len(v.Values) != i+1 || v.Deleted {
+					t.Fatalf("step %d: the width-%d free list holds %+v", step, i+1, *v)
+				}
+				free[v] = true
+			}
+		}
+		for s := range h.slots {
+			for n, v := range chain(s) {
+				if free[v] {
+					t.Fatalf("step %d: slot %d's version %d is on the free lists", step, s, n)
+				}
+			}
+		}
+	}
+
 	loader := begin()
 	for k := 0; k < pruneSeedSlots; k++ {
 		insert(loader, 0)
@@ -216,6 +243,7 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	_, err := loader.real.Commit()
 	same("load", err, nil)
 	h.commit(loader.model)
+	checkFree(-1)
 
 	for step := 0; len(sched) >= 3; step++ {
 		op, who, where := sched[0], int(sched[1]), int(sched[2])
@@ -272,6 +300,7 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 		}
 		readAll(step)
 		checkStats(step)
+		checkFree(step)
 	}
 	open = append(open, begin())
 	readAll(-1)

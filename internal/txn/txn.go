@@ -11,14 +11,22 @@
 // everything older than the newest version the watermark can see. No
 // running or future snapshot walks past that version, so Read returns the
 // same row after the same number of steps as on an uncut chain; a slot
-// keeps the versions committed after the oldest running snapshot plus one,
-// and the rest is left to the Go collector. Index entries and tombstones are
+// keeps the versions committed after the oldest running snapshot plus one.
+// The versions the cut unlinks go on the Manager's free lists, one per row
+// width, and Insert and Update take their versions from there before they
+// allocate; tombstones, deleted versions, rows wider than maxRecycledWidth
+// and a full list's overflow are left to the Go collector. Index entries are
 // not reclaimed (DESIGN.md §4, Version reclamation).
 //
+// Recycling is what makes Read's rule hold: a row Read returns is valid
+// until its transaction ends. A version no snapshot can reach any longer
+// may be rewritten by the next write, so a caller that keeps a row past
+// its transaction copies its cells first (exec's results do).
+//
 // A finished transaction may be handed back with Release; the Manager's
-// next Begin reuses it and its write set's capacity, so a transaction
-// allocates only the versions it installs (DESIGN.md §4, What a transaction
-// allocates).
+// next Begin reuses it and its write set's capacity, so a transaction whose
+// versions come off the free lists allocates nothing (DESIGN.md §4, What a
+// transaction allocates).
 package txn
 
 import (
@@ -82,12 +90,26 @@ type Manager struct {
 	// free holds released transactions for Begin to reuse, newest last. A
 	// plain slice: one goroutine drives a simulation.
 	free []*Txn
+	// versions[w-1] lists the cut versions of width w that the next writes
+	// reuse, linked through Version.Next; nVersions[w-1] counts them.
+	versions  [maxRecycledWidth]*storage.Version
+	nVersions [maxRecycledWidth]int
 }
 
 // maxKeptWrites caps the write-set capacity a released transaction keeps
 // for its next Begin, so that one bulk load does not pin a large array for
 // the life of the server.
 const maxKeptWrites = 1024
+
+// maxRecycledWidth is the widest row whose versions are recycled: the
+// widest storage.NewVersion packs with its header, YCSB's 11-column
+// usertable.
+const maxRecycledWidth = 11
+
+// maxFreeVersions caps each free list, so that the long chains one old
+// snapshot pinned do not stay on the lists for the life of the server once
+// a commit cuts them.
+const maxFreeVersions = 1024
 
 // NewManager creates a transaction manager. Commit timestamps start at 1;
 // loader transactions committed through the manager are visible to all
@@ -132,6 +154,35 @@ func (m *Manager) finish(t *Txn) {
 		m.newest = t.prev
 	}
 	t.prev, t.next = nil, nil
+}
+
+// newVersion returns a version holding a copy of row: one off the free list
+// of row's width, its header reset, or else storage.NewVersion's.
+func (m *Manager) newVersion(row storage.Row) *storage.Version {
+	if w := len(row); w >= 1 && w <= maxRecycledWidth {
+		if v := m.versions[w-1]; v != nil {
+			m.versions[w-1], m.nVersions[w-1] = v.Next, m.nVersions[w-1]-1
+			*v = storage.Version{Values: v.Values}
+			copy(v.Values, row)
+			return v
+		}
+	}
+	return storage.NewVersion(row)
+}
+
+// recycle puts the versions of a chain the cut unlinked on the free lists.
+// Tombstones, deleted versions, rows wider than maxRecycledWidth and what a
+// full list has no room for are left to the Go collector.
+func (m *Manager) recycle(v *storage.Version) {
+	for v != nil {
+		next := v.Next
+		if w := len(v.Values); !v.Deleted && w >= 1 && w <= maxRecycledWidth && m.nVersions[w-1] < maxFreeVersions {
+			v.Next = m.versions[w-1]
+			m.versions[w-1] = v
+			m.nVersions[w-1]++
+		}
+		v = next
+	}
 }
 
 // Txn is one transaction.
@@ -185,11 +236,12 @@ func (t *Txn) visible(v *storage.Version) bool {
 
 // Read returns the visible row for a tuple slot (nil if none) along with
 // the number of versions walked, which the execution engine charges as
-// version-chain traversal work. The row is the stored version's own slice:
-// a stored row is never modified, so the caller may hold it and read it
-// for as long as it likes, and must not write to it. Its cells share an
-// allocation with the version header, so holding the row keeps that
-// version, and the chain below it, alive.
+// version-chain traversal work. The row is the stored version's own slice,
+// which the caller must not write to. It is valid until the transaction
+// ends: while t runs, its snapshot keeps the version on its chain, and no
+// write touches the cells of an installed version; once t has committed or
+// aborted, a commit may cut the version and a later write reuse it for
+// another row. A caller that keeps a row longer copies its cells.
 func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 	walked := 0
 	for v := tbl.Head(id); v != nil; v = v.Next {
@@ -205,8 +257,9 @@ func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 }
 
 // Insert appends a new tuple owned by this transaction. The stored version
-// holds a copy of row in cells of its own (storage.NewVersion), so the
-// caller may reuse row as soon as Insert returns.
+// holds a copy of row in cells of its own (a recycled version's, or
+// storage.NewVersion's), so the caller may reuse row as soon as Insert
+// returns.
 func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, error) {
 	if t.state != StateActive {
 		return storage.InvalidTupleID, ErrNotActive
@@ -214,7 +267,7 @@ func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, erro
 	if err := tbl.Schema().Validate(row); err != nil {
 		return storage.InvalidTupleID, err
 	}
-	v := storage.NewVersion(row)
+	v := t.mgr.newVersion(row)
 	v.TxnID, v.End = t.ID, storage.InfinityTS
 	id := tbl.Append(v)
 	t.writes = append(t.writes, Write{
@@ -273,7 +326,7 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 		})
 		return nil
 	}
-	v := storage.NewVersion(row)
+	v := t.mgr.newVersion(row)
 	v.TxnID, v.End, v.Deleted, v.Next = t.ID, storage.InfinityTS, del, head
 	tbl.SetHead(id, v)
 	t.writes = append(t.writes, Write{
@@ -332,6 +385,7 @@ func (t *Txn) Commit() (uint64, error) {
 			v = v.Next
 		}
 		if v != nil {
+			m.recycle(v.Next)
 			v.Next = nil
 		}
 	}

@@ -314,10 +314,10 @@ func TestReleaseClearsWrites(t *testing.T) {
 	}
 }
 
-// TestTxnCycleAllocatesTheVersion: once the free list holds a transaction,
-// a Begin → Update → Commit → Release cycle allocates exactly one object,
-// the version the update installs.
-func TestTxnCycleAllocatesTheVersion(t *testing.T) {
+// TestTxnCycleAllocatesNothing: once the free lists hold a transaction and
+// a version of the row's width, a Begin → Update → Commit → Release cycle
+// allocates nothing: the update takes the version the previous commit cut.
+func TestTxnCycleAllocatesNothing(t *testing.T) {
 	m := NewManager()
 	tbl := newTestTable()
 	setup := m.Begin()
@@ -334,8 +334,8 @@ func TestTxnCycleAllocatesTheVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		tx.Release()
-	}); n != 1 {
-		t.Fatalf("a transaction cycle allocates %v objects, want 1 (the version)", n)
+	}); n != 0 {
+		t.Fatalf("a transaction cycle allocates %v objects, want 0", n)
 	}
 }
 
@@ -378,7 +378,8 @@ func TestUpdateValidation(t *testing.T) {
 // header, so the caller may reuse its row at once; a stored row is never
 // written to again — a second write by the same transaction gives the
 // version fresh cells rather than writing through the ones it had — and so
-// a reader may hold a row across any later write, commit or abort.
+// a reader may hold a row, while it runs, across any later write, commit or
+// abort.
 func TestWritesCopyTheRow(t *testing.T) {
 	m := NewManager()
 	tbl := newTestTable()
@@ -456,10 +457,11 @@ func TestWritesCopyTheRow(t *testing.T) {
 	}
 }
 
-// TestOneAllocationPerVersion: with the write set already grown, Insert and
-// Update each allocate exactly one object — the version and its cells — at
-// every width up to YCSB's usertable, the widest table a workload creates.
-// A tombstone is a header alone, one allocation too.
+// TestOneAllocationPerVersion: with the write set already grown and the
+// free lists empty, Insert and Update each allocate exactly one object — the
+// version and its cells — at every width up to YCSB's usertable, the widest
+// table a workload creates. A tombstone is a header alone, one allocation
+// too.
 func TestOneAllocationPerVersion(t *testing.T) {
 	const widest, runs = 11, 100
 	for width := 1; width <= widest; width++ {

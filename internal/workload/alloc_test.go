@@ -12,14 +12,14 @@ import (
 // heap on an instrumented pooled SmallBank run: the allocations of a run of
 // 2N transactions less those of a run of N, per transaction. Setup, the
 // terminals, the sessions and the first-use growth of rings and scratch are
-// the same in both runs and cancel. What remains is what a transaction
-// leaves behind — its versions — plus its share of the drain's points and
-// the archive's blocks; the transaction, its write set, its redo records,
-// its WAL commit handle, its admission ticket and the barrier and
-// group-commit buffers are recycled (DESIGN.md §4, What a transaction
-// allocates). It reads about 1.51; the bound is that plus 15 %.
+// the same in both runs and cancel. What remains is a transaction's share of
+// the drain's points and the archive's blocks: its versions come off the
+// transaction manager's free lists, and the transaction, its write set, its
+// redo records, its WAL commit handle, its admission ticket and the barrier
+// and group-commit buffers are recycled (DESIGN.md §4, What a transaction
+// allocates). It reads 0.17 to 0.18; the bound is that plus 15 %.
 func TestPooledTxnAllocations(t *testing.T) {
-	const n, bound = 600, 1.72
+	const n, bound = 600, 0.21
 	mallocs := func(txns int) uint64 {
 		arch := newTestArchive(0)
 		srv, gen := scaleServer(t, dbms.Config{
@@ -54,12 +54,13 @@ func TestPooledTxnAllocations(t *testing.T) {
 // InsertCallForwarding texts each carry a string literal. Two thousand
 // subscribers give four thousand such texts, more than the statement table
 // keeps, so texts keep arriving new, as in the benchmark. What remains per
-// transaction is its versions, the text the generator builds, a new text's
-// literal copy and the slice that holds it (the statement lookup lexes into
-// scratch), and its share of the drain's points and the archive's blocks.
-// It reads 3.29; the bound is that plus 15 %.
+// transaction is its inserted versions, the texts the generator builds on a
+// subscriber's first use, a new text's literal copy and the slice that holds
+// it (the statement lookup lexes into scratch), and its share of the drain's
+// points and the archive's blocks. It reads 3.08 to 3.09; the bound is that
+// plus 15 %.
 func TestSingleClockTxnAllocations(t *testing.T) {
-	const n, bound = 1500, 3.78
+	const n, bound = 1500, 3.55
 	mallocs := func(txns int) uint64 {
 		arch := newTestArchive(0)
 		srv, err := dbms.NewServer(dbms.Config{

@@ -93,11 +93,21 @@ type pooledTerminal struct {
 	se      *dbms.Session
 	pending *wal.Commit
 	startNS int64
-	// done, aborted and durable are the terminal's barrier callbacks,
-	// bound once by runPooled: a finished read-only transaction, an
-	// aborted one, and a commit whose durability a barrier observed.
-	done, aborted, durable func(atNS int64)
+	// ended is how the transaction the terminal last deferred ended, and
+	// finish, bound once by runPooled, the barrier callback that completes
+	// it. A terminal has at most one event deferred at a time.
+	ended  txnEnd
+	finish func(atNS int64)
 }
+
+// txnEnd is how a pooled terminal's transaction ended.
+type txnEnd uint8
+
+const (
+	endedReadOnly txnEnd = iota // finished with no commit to wait for
+	endedAborted                // lost a write conflict
+	endedDurable                // committed, and a barrier saw it durable
+)
 
 // runPooled drives the generator with the pooled multi-core epoch engine.
 func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
@@ -119,7 +129,7 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	// independently within it and cross-CPU events reconcile at the barrier.
 	ep := sim.NewEpochs(tl, cfg.ProcessorPollNS)
 
-	terms := make([]*pooledTerminal, cfg.Terminals)
+	terms := make([]pooledTerminal, cfg.Terminals)
 	idle := newTermSet(cfg.Terminals)
 	granted := newTermSet(cfg.Terminals)
 	pending := newTermSet(cfg.Terminals)
@@ -163,17 +173,15 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	}
 
 	for i := range terms {
-		t := &pooledTerminal{
-			idx: i,
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
+		t := &terms[i]
+		t.idx = i
+		t.rng = rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+		t.finish = func(at int64) {
+			if t.ended == endedDurable {
+				t.se.Task.Clock.AdvanceTo(at)
+			}
+			finishRelease(t, at, t.ended != endedAborted)
 		}
-		t.done = func(at int64) { finishRelease(t, at, true) }
-		t.aborted = func(at int64) { finishRelease(t, at, false) }
-		t.durable = func(at int64) {
-			t.se.Task.Clock.AdvanceTo(at)
-			finishRelease(t, at, true)
-		}
-		terms[i] = t
 		idle.add(i)
 	}
 
@@ -202,10 +210,10 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// barrier, then let idle terminals ask for slots — both in
 		// terminal index order.
 		for i := granted.next(0); i >= 0; i = granted.next(i + 1) {
-			claim(terms[i])
+			claim(&terms[i])
 		}
 		for i := idle.next(0); i >= 0; i = idle.next(i + 1) {
-			t := terms[i]
+			t := &terms[i]
 			if t.readyNS >= epochEnd {
 				continue
 			}
@@ -255,11 +263,13 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				switch {
 				case err != nil && dbms.IsConflict(err):
 					res.Aborted++
-					ep.Defer(c, task.Now(), t.aborted)
+					t.ended = endedAborted
+					ep.Defer(c, task.Now(), t.finish)
 				case err != nil:
 					return res, fmt.Errorf("workload %s: %w", gen.Name(), err)
 				case commit == nil:
-					ep.Defer(c, task.Now(), t.done)
+					t.ended = endedReadOnly
+					ep.Defer(c, task.Now(), t.finish)
 				default:
 					// Deferred-mode submissions never resolve inline; the
 					// terminal holds its slot until a barrier observes
@@ -281,14 +291,15 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		srv.WAL.CommitStaged()
 		srv.WAL.Tick(epochEnd)
 		for i := pending.next(0); i >= 0; i = pending.next(i + 1) {
-			tt := terms[i]
+			tt := &terms[i]
 			if !tt.pending.Resolved {
 				continue
 			}
 			done := tt.pending.DoneNS
 			tt.pending = nil
 			pending.remove(i)
-			ep.Defer(tt.se.Task.CPU(), done, tt.durable)
+			tt.ended = endedDurable
+			ep.Defer(tt.se.Task.CPU(), done, tt.finish)
 		}
 		applied := ep.Barrier()
 		res.Epochs = ep.Index()
@@ -348,7 +359,8 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				// A ticket holds a slot once its terminal has a session or
 				// a Release has granted it.
 				var nPending, nGranted, nQueued, nIdle int
-				for _, t := range terms {
+				for i := range terms {
+					t := &terms[i]
 					switch {
 					case t.pending != nil:
 						nPending++

@@ -17,6 +17,32 @@ type TATP struct {
 	// Subscribers is the subscriber count (default 2000; paper: 20M
 	// tuples across four tables).
 	Subscribers int
+	// texts[sid] holds the texts that name subscriber sid by number, built
+	// on its first use.
+	texts []subscriberTexts
+}
+
+// subscriberTexts is what TATP's transactions send that names one
+// subscriber by number: the number, and the two statements that look the
+// subscriber up by it with the number as a string literal.
+type subscriberTexts struct {
+	nbr, updateLocation, selectByNbr string
+}
+
+// textsOf returns sid's texts, building them on first use. They are the
+// same bytes every call builds, which virtual time charges by length.
+func (t *TATP) textsOf(sid int64) *subscriberTexts {
+	if t.texts == nil {
+		t.texts = make([]subscriberTexts, t.subscribers())
+	}
+	st := &t.texts[sid]
+	if st.nbr == "" {
+		st.nbr = subNbr(sid)
+		lit := network.QuoteString(st.nbr)
+		st.updateLocation = "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = " + lit
+		st.selectByNbr = "SELECT s_id FROM subscriber WHERE sub_nbr = " + lit
+	}
+	return st
 }
 
 // Name implements Generator.
@@ -166,16 +192,14 @@ func (t *TATP) Txn(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error) {
 				iv(int64(rng.Intn(256))), iv(sid))
 		}
 	case p < 96: // UpdateLocation: secondary-index indirection by sub_nbr
-		_, err = se.Statement("UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = "+
-			network.QuoteString(subNbr(sid)), iv(int64(rng.Intn(1<<16))))
+		_, err = se.Statement(t.textsOf(sid).updateLocation, iv(int64(rng.Intn(1<<16))))
 	case p < 98: // InsertCallForwarding
-		_, err = se.Statement("SELECT s_id FROM subscriber WHERE sub_nbr = " +
-			network.QuoteString(subNbr(sid)))
+		_, err = se.Statement(t.textsOf(sid).selectByNbr)
 		if err == nil {
 			start := int64(8 * rng.Intn(3))
 			_, err = se.Statement(
 				"INSERT INTO call_forwarding VALUES ($1, 1, $2, $3, $4)",
-				iv(sid), iv(start), iv(start+8), sv(subNbr(int64(rng.Intn(t.subscribers())))))
+				iv(sid), iv(start), iv(start+8), sv(t.textsOf(int64(rng.Intn(t.subscribers()))).nbr))
 		}
 	default: // DeleteCallForwarding
 		_, err = se.Statement(
