@@ -18,9 +18,10 @@ bench:
 	$(GO) run ./benchmark
 
 # Every allocation site of one workload's collect pass, exactly
-# (GODEBUG=memprofilerate=1): make alloc-census W=smallbank_scaleout
+# (GODEBUG=memprofilerate=1): make alloc-census W=smallbank_scaleout; S= sets
+# the seconds (4), and P=learn takes the learn pass instead.
 alloc-census:
-	GO="$(GO)" ./scripts/alloc-census.sh $(W)
+	GO="$(GO)" ./scripts/alloc-census.sh $(W) $(or $(S),4) $(P)
 
 # Coverage with a per-package summary (baseline recorded in README.md).
 cover:

@@ -275,6 +275,40 @@ func TestScanProjectionNulls(t *testing.T) {
 	})
 }
 
+// TestScanRowsMayBeKept: a scan's callback may keep every row it is handed
+// (the executor does), so no row is reused, and rows that share a block's
+// backing array are capped apart: writing into one held row, or appending to
+// it, changes no other.
+func TestScanRowsMayBeKept(t *testing.T) {
+	r, err := NewReader(writeArchive(t, makePoints(120), 33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []storage.Row
+	var text []string
+	stats := NewTable(r).Scan(nil, nil, func(row storage.Row) bool {
+		held = append(held, row)
+		text = append(text, fmt.Sprint(row))
+		return true
+	})
+	if stats.BlocksRead < 2 || len(held) != 120 {
+		t.Fatalf("%d rows from %d blocks: want 120 from several", len(held), stats.BlocksRead)
+	}
+	mid := held[len(held)/2]
+	for c := range mid {
+		mid[c] = storage.NewInt(-1)
+	}
+	_ = append(mid, storage.NewString("past the end"))
+	for i, row := range held {
+		if i == len(held)/2 {
+			continue
+		}
+		if got := fmt.Sprint(row); got != text[i] {
+			t.Fatalf("row %d is %s after row %d was written, want %s", i, got, len(held)/2, text[i])
+		}
+	}
+}
+
 // TestExportCSVMatchesGolden pins ExportCSV's bytes for the makePoints(120)
 // archive: the header, every metric's decimal form (the five unsigned
 // counters as unsigned), CSV quoting and the features cell. The golden file

@@ -197,8 +197,11 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 		nameVal := storage.NewString(b.OUName())
 		subVal := storage.NewString(b.Subsystem().String())
 
+		// fn may keep its rows, so none is reused: a block's rows are cut
+		// from one array, each capped so that no row can grow into the next.
+		cells := make([]storage.Value, b.NumRows()*numCols)
 		for rowI := 0; rowI < b.NumRows(); rowI++ {
-			row := make(storage.Row, numCols)
+			row := storage.Row(cells[rowI*numCols : (rowI+1)*numCols : (rowI+1)*numCols])
 			if want[ColOU] {
 				row[ColOU] = ouVal
 			}

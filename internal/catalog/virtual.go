@@ -47,7 +47,9 @@ type VirtualScanStats struct {
 // Scan streams rows in source order: proj lists the schema column
 // positions the caller will read (nil means all; unprojected columns come
 // back NULL), preds are pushdown hints. fn returning false stops the
-// scan early.
+// scan early. fn may keep every row it is handed: the source never reuses
+// one. Rows may share a backing array, each capped at its own length, so a
+// row written or appended to changes no other.
 type VirtualTable interface {
 	Schema() *storage.Schema
 	Scan(proj []int, preds []VirtualPred, fn func(storage.Row) bool) VirtualScanStats

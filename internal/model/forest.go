@@ -45,11 +45,12 @@ func (f Forest) Train(X [][]float64, y []float64) (Model, error) {
 	idx := make([]int, len(X))
 	var sc splitScratch
 	sc.encode(X)
-	ens := &forestModel{}
-	for t := 0; t < f.trees(); t++ {
+	ens := &forestModel{trees: make([][]node, f.trees())}
+	var tree []node
+	for t := range ens.trees {
 		bootstrap(idx, rng)
-		tree := buildTree(X, y, idx, f.maxDepth(), minSplitSize, mtry, rng, &sc, 0)
-		ens.trees = append(ens.trees, tree)
+		tree = buildTree(tree[:0], X, y, idx, f.maxDepth(), minSplitSize, mtry, rng, &sc, 0)
+		ens.trees[t] = slices.Clone(tree)
 	}
 	return ens, nil
 }
@@ -69,63 +70,82 @@ func bootstrap(idx []int, rng *rand.Rand) {
 	}
 }
 
-type forestModel struct{ trees []*treeNode }
+type forestModel struct{ trees [][]node }
 
 // Predict implements Model: the ensemble mean.
 func (m *forestModel) Predict(x []float64) float64 {
 	var sum float64
 	for _, t := range m.trees {
-		sum += t.predict(x)
+		sum += predict(t, x)
 	}
 	return sum / float64(len(m.trees))
 }
 
-type treeNode struct {
-	leaf        bool
-	value       float64
-	feature     int
-	threshold   float64
-	left, right *treeNode
+// node is one node of a tree, which is a []node in pre-order: a split's
+// left child is the node after it and its right child is tree[right]. The
+// root is tree[0], so no child has index 0 and a leaf has right == 0.
+type node struct {
+	value     float64 // a leaf's prediction
+	threshold float64 // a split sends x left when x[feature] <= threshold
+	feature   int32
+	right     int32
 }
 
-func (n *treeNode) predict(x []float64) float64 {
-	for !n.leaf {
-		if n.feature < len(x) && x[n.feature] <= n.threshold {
-			n = n.left
+func predict(tree []node, x []float64) float64 {
+	i := 0
+	for tree[i].right != 0 {
+		n := &tree[i]
+		if int(n.feature) < len(x) && x[n.feature] <= n.threshold {
+			i++
 		} else {
-			n = n.right
+			i = int(n.right)
 		}
 	}
-	return n.value
+	return tree[i].value
 }
 
 // buildTree grows one CART regression tree over the bootstrap sample idx,
-// which it reorders in place: each split stably partitions its node's rows
-// into a left and a right sub-slice, so row order within a side — and with
-// it every floating-point sum taken in that order — is the sample's.
+// appends its nodes to tree in pre-order and returns the slice, so a tree
+// rebuilt into its own slice[:0] allocates nothing once the slice is large
+// enough. It reorders idx in place: each split stably partitions its node's
+// rows into a left and a right sub-slice, so row order within a side — and
+// with it every floating-point sum taken in that order — is the sample's.
 //
 // constant has bit f set when an ancestor saw one value in coded column f
 // over its rows. A column constant on a set is constant on its subsets, so
 // no descendant looks at it again; the permutation is drawn all the same.
 // Columns 64 and up have no bit — the shifts yield zero — and are looked at
 // every time.
-func buildTree(X [][]float64, y []float64, idx []int, depth, minSamples, mtry int, rng *rand.Rand, sc *splitScratch, constant uint64) *treeNode {
+func buildTree(tree []node, X [][]float64, y []float64, idx []int, depth, minSamples, mtry int, rng *rand.Rand, sc *splitScratch, constant uint64) []node {
 	mean, sse := meanSSE(y, idx)
 	if depth <= 0 || len(idx) < minSamples || sse < 1e-12 {
-		return &treeNode{leaf: true, value: mean}
+		return append(tree, node{value: mean})
 	}
-	feats := rng.Perm(len(X[0]))[:mtry]
+	feats := sc.perm(rng, len(X[0]))[:mtry]
 	feat, thresh, constant, ok := sc.bestSplit(X, y, idx, mean, sse, feats, constant)
 	if !ok {
-		return &treeNode{leaf: true, value: mean}
+		return append(tree, node{value: mean})
 	}
 	left, right := sc.partition(idx, sc.sides(X, idx, feat, thresh))
-	return &treeNode{
-		feature:   feat,
-		threshold: thresh,
-		left:      buildTree(X, y, left, depth-1, minSamples, mtry, rng, sc, constant),
-		right:     buildTree(X, y, right, depth-1, minSamples, mtry, rng, sc, constant),
+	at := len(tree)
+	tree = append(tree, node{feature: int32(feat), threshold: thresh})
+	tree = buildTree(tree, X, y, left, depth-1, minSamples, mtry, rng, sc, constant)
+	tree[at].right = int32(len(tree))
+	return buildTree(tree, X, y, right, depth-1, minSamples, mtry, rng, sc, constant)
+}
+
+// perm is rng.Perm(n) drawn into scratch: the same Intn(i+1) calls for
+// i = 0…n-1, the i = 0 one included, so the permutation and the rng's state
+// afterwards are Perm's bit for bit. It is valid until the next call.
+func (sc *splitScratch) perm(rng *rand.Rand, n int) []int {
+	m := slices.Grow(sc.feats[:0], n)[:n]
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
 	}
+	sc.feats = m
+	return m
 }
 
 // maxCodes is how many values a coded column may hold: what a byte tells apart.
@@ -151,6 +171,7 @@ type splitScratch struct {
 	ths         []float64 // the same thresholds, sorted
 	pre, suf    []bucket  // rows at or left of / right of each sorted threshold
 	cands       []candidate
+	feats       []int // perm's result
 }
 
 // codedColumn is a feature column as the sorted table of its distinct values

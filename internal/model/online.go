@@ -53,21 +53,28 @@ type WindowedForest struct {
 
 	xs      [][]float64
 	ys      []float64
-	next    int // ring cursor
+	chunk   []float64 // where Observe carves the window's next new rows
+	next    int       // ring cursor
 	full    bool
 	n       int64
 	sumY    float64
-	trees   []*treeNode
-	slot    int   // next ensemble slot to rebuild
-	refresh int64 // refresh generation
+	trees   [][]node // trees[s] is slot s's tree, rebuilt in place
+	slot    int      // next ensemble slot to rebuild
+	refresh int64    // refresh generation
 
 	// Refit's working set, kept between calls.
 	idx []int
 	sc  splitScratch
+	rng *rand.Rand // reseeded for every slot Refit rebuilds
 }
 
 // windowRows is the number of rows a WindowedForest retains.
 const windowRows = 2048
+
+// chunkRows is how many window rows one chunk of Observe's holds: a forest
+// that sees few rows holds few, and a full window is windowRows/chunkRows
+// allocations, not windowRows.
+const chunkRows = 128
 
 func (f *WindowedForest) ensemble() int {
 	if f.Trees <= 0 {
@@ -100,7 +107,14 @@ func (f *WindowedForest) Observe(x []float64, y float64) {
 		f.xs = make([][]float64, windowRows)
 		f.ys = make([]float64, windowRows)
 	}
-	f.xs[f.next] = append(f.xs[f.next][:0], x...)
+	row := f.xs[f.next]
+	if row == nil {
+		if len(f.chunk) < len(x) {
+			f.chunk = make([]float64, chunkRows*len(x))
+		}
+		row, f.chunk = f.chunk[:len(x):len(x)], f.chunk[len(x):]
+	}
+	f.xs[f.next] = append(row[:0], x...)
 	f.ys[f.next] = y
 	f.next++
 	if f.next == windowRows {
@@ -124,8 +138,9 @@ func (f *WindowedForest) Refit() error {
 	}
 	// The sample is drawn over the window in ring order (oldest first), so
 	// it is stable and deterministic, then pointed at where Observe left the
-	// rows. It and the split scratch are kept: the window never grows, so a
-	// refit on a full one allocates only its trees and their rngs.
+	// rows. It, the split scratch, the rng and every slot's tree are kept: the
+	// window never grows, so a refit on a full one allocates nothing once
+	// each slot's slice has held a tree as large as the one it rebuilds.
 	X, y := f.xs[:rows], f.ys[:rows]
 	oldest := 0
 	if f.full {
@@ -138,18 +153,24 @@ func (f *WindowedForest) Refit() error {
 	f.refresh++
 	for k := 0; k < f.perRefresh(); k++ {
 		// Pure function of (Seed, slot, refresh): deterministic and
-		// independent of how other slots were refreshed.
-		rng := rand.New(rand.NewSource(f.Seed + int64(f.slot)*7919 + f.refresh*104729))
-		bootstrap(idx, rng)
+		// independent of how other slots were refreshed. Seed leaves the
+		// source as rand.NewSource would have made it.
+		seed := f.Seed + int64(f.slot)*7919 + f.refresh*104729
+		if f.rng == nil {
+			f.rng = rand.New(rand.NewSource(seed))
+		} else {
+			f.rng.Seed(seed)
+		}
+		bootstrap(idx, f.rng)
 		for j, r := range idx {
 			idx[j] = (oldest + r) % rows
 		}
-		tree := buildTree(X, y, idx, f.maxDepth(), minSplitSize, mtry, rng, &f.sc, 0)
+		s := f.slot
 		if len(f.trees) < f.ensemble() {
-			f.trees = append(f.trees, tree)
-		} else {
-			f.trees[f.slot] = tree
+			s = len(f.trees)
+			f.trees = append(f.trees, nil)
 		}
+		f.trees[s] = buildTree(f.trees[s][:0], X, y, idx, f.maxDepth(), minSplitSize, mtry, f.rng, &f.sc, 0)
 		f.slot = (f.slot + 1) % f.ensemble()
 	}
 	return nil
@@ -166,7 +187,7 @@ func (f *WindowedForest) Predict(x []float64) float64 {
 	}
 	var sum float64
 	for _, t := range f.trees {
-		sum += t.predict(x)
+		sum += predict(t, x)
 	}
 	return sum / float64(len(f.trees))
 }

@@ -214,9 +214,9 @@ func TestOnlineSetRefitReportsFailure(t *testing.T) {
 }
 
 // TestWindowedForestRefitAllocations: on a full window a refit allocates
-// what it returns and nothing for the window, the sample or the split
-// scratch. With stumps that is twelve whatever the arity: an rng, its
-// source, three nodes and the root's permutation, twice.
+// nothing: not for the window, the sample or the split scratch, not for an
+// rng (one is reseeded per slot) and not for the trees, each of which is
+// rebuilt into the slice its slot already holds.
 func TestWindowedForestRefitAllocations(t *testing.T) {
 	for _, arity := range []int{2, 7} {
 		f := &WindowedForest{Trees: 4, RefreshTrees: 2, MaxDepth: 1, Seed: 3}
@@ -233,12 +233,44 @@ func TestWindowedForestRefitAllocations(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(5, func() { _ = f.Refit() })
 		for _, tree := range f.trees {
-			if tree.leaf {
+			if tree[0].right == 0 {
 				t.Fatalf("arity %d: a tree did not split", arity)
 			}
 		}
-		if allocs > 12 {
-			t.Errorf("arity %d: %v allocations a refit, want 12", arity, allocs)
+		if allocs != 0 {
+			t.Errorf("arity %d: %v allocations a refit, want 0", arity, allocs)
+		}
+	}
+}
+
+// TestWindowedForestObserveAllocations: filling a window allocates the
+// ring, its targets and a chunk per chunkRows rows, not a copy per row; the
+// rows hold what was observed, and each is capped, so no row can grow into
+// the next.
+func TestWindowedForestObserveAllocations(t *testing.T) {
+	const arity = 7
+	x := make([]float64, arity)
+	var f WindowedForest
+	allocs := testing.AllocsPerRun(3, func() {
+		f = WindowedForest{}
+		for i := 0; i < windowRows; i++ {
+			for j := range x {
+				x[j] = float64(i*arity + j)
+			}
+			f.Observe(x, float64(i))
+		}
+	})
+	if limit := (windowRows+chunkRows-1)/chunkRows + 2; allocs > float64(limit) {
+		t.Errorf("%v allocations to fill a window of %d rows, want at most %d", allocs, windowRows, limit)
+	}
+	for i, row := range f.xs {
+		if len(row) != arity || cap(row) != arity {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), arity)
+		}
+		for j, v := range row {
+			if v != float64(i*arity+j) {
+				t.Fatalf("row %d holds %v", i, row)
+			}
 		}
 	}
 }

@@ -15,6 +15,31 @@ import (
 	"tscout/internal/workload"
 )
 
+// treeNode is a tree as split_oracle_test.go grows it: one allocation per
+// node, linked by pointers. linked turns buildTree's []node into one, so the
+// oracle and everything that compares with it stay as they were written.
+type treeNode struct {
+	leaf        bool
+	value       float64
+	feature     int
+	threshold   float64
+	left, right *treeNode
+}
+
+// linked is the subtree of tree rooted at tree[i] as linked nodes.
+func linked(tree []node, i int) *treeNode {
+	n := tree[i]
+	if n.right == 0 {
+		return &treeNode{leaf: true, value: n.value}
+	}
+	return &treeNode{
+		feature:   int(n.feature),
+		threshold: n.threshold,
+		left:      linked(tree, i+1),
+		right:     linked(tree, int(n.right)),
+	}
+}
+
 // sameTree reports the first place two trees differ — shape, split feature,
 // or the bits of a threshold or leaf value — or "" when they are identical.
 func sameTree(got, want *treeNode, path string) string {
@@ -66,9 +91,13 @@ func diffTrees(X [][]float64, y []float64, depth, minSamples int, seed int64) (d
 			clear(sc.cols)
 		}
 		idx, rng = sample()
-		got := buildTree(X, y, idx, depth, minSamples, mtry, rng, &sc, 0)
+		tree := buildTree(nil, X, y, idx, depth, minSamples, mtry, rng, &sc, 0)
+		got := linked(tree, 0)
 		if d := sameTree(got, want, path+" root"); d != "" {
 			return d, countNodes(want)
+		}
+		if n := countNodes(got); n != len(tree) {
+			return fmt.Sprintf("%s: %d nodes reachable of the %d grown", path, n, len(tree)), countNodes(want)
 		}
 	}
 	return "", countNodes(want)
@@ -379,9 +408,9 @@ func BenchmarkBuildTree(b *testing.B) {
 						clear(sc.cols)
 					}
 					mtry := mtryFor(len(g.X[0]))
-					tree := buildTree(g.X, g.y, idx, 10, 4, mtry, rng, &sc, 0)
+					tree := buildTree(nil, g.X, g.y, idx, 10, 4, mtry, rng, &sc, 0)
 					b.StopTimer()
-					visits += rowVisits(tree, g.X, sample, mtry)
+					visits += rowVisits(linked(tree, 0), g.X, sample, mtry)
 					b.StartTimer()
 				}
 			}
@@ -390,10 +419,11 @@ func BenchmarkBuildTree(b *testing.B) {
 	}
 }
 
-// TestBuildTreeAllocations holds buildTree to a constant number of
-// allocations per returned node (the node, and rng.Perm at each split),
-// whatever the number of candidates it scored, on a matrix no column of
-// which is coded and on one where every column is.
+// TestBuildTreeAllocations holds buildTree to no allocation at all when it
+// grows a tree into a slice that held one as large, whatever the number of
+// candidates it scored, on a matrix no column of which is coded and on one
+// where every column is: the nodes go in the slice and each split's feature
+// subset in the scratch.
 func TestBuildTreeAllocations(t *testing.T) {
 	for _, kind := range []int{1, 0} {
 		X, y := synthKinds[kind].gen(rand.New(rand.NewSource(5)), 2000, 6)
@@ -404,14 +434,34 @@ func TestBuildTreeAllocations(t *testing.T) {
 		if coded := sc.cols[0].codes != nil; coded != (kind == 0) {
 			t.Fatalf("%s: coded is %v", synthKinds[kind].name, coded)
 		}
-		var tree *treeNode
+		var tree []node
 		allocs := testing.AllocsPerRun(3, func() {
 			rng.Seed(5)
 			bootstrap(idx, rng)
-			tree = buildTree(X, y, idx, 12, 4, mtryFor(6), rng, &sc, 0)
+			tree = buildTree(tree[:0], X, y, idx, 12, 4, mtryFor(6), rng, &sc, 0)
 		})
-		if nodes := countNodes(tree); nodes < 100 || allocs > 2*float64(nodes) {
+		if nodes := len(tree); nodes < 100 || allocs != 0 {
 			t.Fatalf("%s: %v allocations for a tree of %d nodes", synthKinds[kind].name, allocs, nodes)
+		}
+	}
+}
+
+// TestPermMatchesRandPerm: splitScratch.perm draws what rand.Perm draws,
+// and leaves the rng where Perm leaves it, so every later draw of a tree —
+// the next node's subset, the next tree's bootstrap — is unchanged too.
+func TestPermMatchesRandPerm(t *testing.T) {
+	var sc splitScratch
+	for n := 1; n <= 12; n++ {
+		for seed := int64(0); seed < 8; seed++ {
+			ref := rand.New(rand.NewSource(seed))
+			rng := rand.New(rand.NewSource(seed))
+			got, want := sc.perm(rng, n), ref.Perm(n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d seed %d: %v, want %v", n, seed, got, want)
+			}
+			if got, want := rng.Int63(), ref.Int63(); got != want {
+				t.Fatalf("n=%d seed %d: the next draw is %d, want %d", n, seed, got, want)
+			}
 		}
 	}
 }
