@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path"
+	"path/filepath"
 	"sort"
 )
 
@@ -17,7 +18,7 @@ func RunRoot(root string, suite []*Analyzer) ([]Diagnostic, error) {
 }
 
 // runRoot is RunRoot through a loader the caller may have used before:
-// whatever it has already imported is not type-checked again. Every
+// whatever it has already checked is not type-checked again. Every
 // package is loaded before any analyzer runs, so one reference walk
 // (refIndex) serves the whole root.
 func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
@@ -25,37 +26,33 @@ func runRoot(l *loader, root string, suite []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	module, prefix := moduleContext(root)
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	// prefix anchors the root inside its module, so path-scoped rules
+	// classify a subtree invocation exactly like a repo-root one.
+	module, modRoot := findModule(abs)
+	prefix := "."
+	if modRoot != "" {
+		rel, _ := filepath.Rel(modRoot, abs) // modRoot encloses abs
+		prefix = filepath.ToSlash(rel)
+	}
 	var pkgs []*pkgInfo
 	for _, rel := range dirs {
-		// relPath is module-root-relative so path-scoped rules classify a
-		// subtree invocation exactly like a repo-root one.
-		relPath := rel
-		if prefix != "" {
-			if rel == "." {
-				relPath = prefix
-			} else {
-				relPath = path.Join(prefix, rel)
-			}
-		}
+		relPath := path.Join(prefix, rel)
 		pkgPath := relPath
 		if module != "" {
-			if relPath == "." {
-				pkgPath = module
-			} else {
-				pkgPath = path.Join(module, relPath)
-			}
+			pkgPath = path.Join(module, relPath)
 		}
 		pkg, err := l.load(path.Join(root, rel), relPath, pkgPath)
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
+		pkgs = append(pkgs, pkg)
 	}
 	// Below a module root, packages outside the root may use its exports.
-	return runPackages(l, pkgs, suite, prefix == ""), nil
+	return runPackages(l, pkgs, suite, prefix == "."), nil
 }
 
 // runPackages runs the suite over loaded packages that share one
@@ -74,7 +71,7 @@ func runPackages(l *loader, pkgs []*pkgInfo, suite []*Analyzer, closed bool) []D
 		}
 		suite = open
 	}
-	refs := newRefIndex(l.fset, pkgs)
+	refs := newRefIndex(pkgs)
 	known := knownRules()
 	ran := make(map[string]bool)
 	for _, a := range suite {

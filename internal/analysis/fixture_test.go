@@ -113,16 +113,13 @@ func runDir(l *loader, dir, relPath string, suite []*Analyzer) ([]Diagnostic, er
 	if err != nil {
 		return nil, err
 	}
-	if pkg == nil {
-		return nil, fmt.Errorf("tsvet: no non-test Go files in %s", dir)
-	}
 	return runPackages(l, []*pkgInfo{pkg}, suite, false), nil
 }
 
-// testLoader is shared by every test that analyzes a tree: the source
-// importer caches by import path, so the standard library is type-checked
-// once for the binary, not once per fixture (fixture package paths are
-// distinct, and fixtures are checked, never imported).
+// testLoader is shared by every test that analyzes a tree: it caches each
+// package it checks by import path, and its source importer the standard
+// library, so each is type-checked once for the binary, not once per
+// fixture (fixture package and module paths are distinct).
 var testLoader = newLoader()
 
 // TestFixtures runs the full suite over each golden fixture package and
@@ -155,8 +152,7 @@ func TestFixtures(t *testing.T) {
 	}
 	// unused-export, unset-field and unread-field decide over a whole
 	// module, so each fixture is one: a go.mod and two packages, run from
-	// its root through runRoot. The go tool resolves the fixture's own
-	// imports from the working directory.
+	// its root through runRoot.
 	for _, rule := range []string{RuleUnusedExport, RuleUnsetField, RuleUnreadField} {
 		t.Run(rule, func(t *testing.T) {
 			root := filepath.Join("testdata", "src", rule)
@@ -166,21 +162,81 @@ func TestFixtures(t *testing.T) {
 					want[k] = rules
 				}
 			}
-			wd, err := os.Getwd()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.Chdir(root); err != nil {
-				t.Fatal(err)
-			}
-			diags, err := runRoot(testLoader, ".", nil)
-			if err := os.Chdir(wd); err != nil {
-				t.Fatal(err)
-			}
+			diags, err := runRoot(testLoader, root, nil)
 			if err != nil {
 				t.Fatalf("runRoot: %v", err)
 			}
 			diffDiags(t, want, gotDiags(diags), diags)
+			checkOneCopy(t, testLoader, root)
+		})
+	}
+}
+
+// checkOneCopy fails unless every import, by a package l has checked, of a
+// path in root's module is the package l checked for that path: the run's
+// own, so each declaration of the module is one types.Object.
+func checkOneCopy(t *testing.T, l *loader, root string) {
+	t.Helper()
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	module, _ := findModule(abs)
+	n := 0
+	for _, pkg := range l.pkgs {
+		for _, imp := range pkg.Pkg.Imports() {
+			if imp.Path() != module && !strings.HasPrefix(imp.Path(), module+"/") {
+				continue
+			}
+			n++
+			if own := l.pkgs[imp.Path()]; own == nil || own.Pkg != imp {
+				t.Errorf("%s imports a second copy of %s", pkg.Pkg.Path(), imp.Path())
+			}
+		}
+	}
+	if n == 0 {
+		t.Errorf("no checked package imports a package of module %q", module)
+	}
+}
+
+// TestLoaderErrors: the loader answers module imports itself, so a module
+// whose packages import each other, or that imports a path with no Go
+// files, fails the run with an error naming the cycle or the path, rather
+// than recursing for ever or analyzing a partial package.
+func TestLoaderErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string
+	}{
+		{"cycle", map[string]string{
+			"a/a.go": "package a\n\nimport _ \"m/b\"\n",
+			"b/b.go": "package b\n\nimport _ \"m/a\"\n",
+		}, "import cycle: m/a -> m/b -> m/a"},
+		{"no Go files", map[string]string{
+			"a/a.go":       "package a\n\nimport _ \"m/empty\"\n",
+			"empty/doc.md": "no Go here\n",
+		}, "m/empty: no non-test Go files"},
+		{"no directory", map[string]string{
+			"a/a.go": "package a\n\nimport _ \"m/gone\"\n",
+		}, "m/gone: open"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			tc.files["go.mod"] = "module m\n\ngo 1.22\n"
+			for name, src := range tc.files {
+				file := filepath.Join(root, filepath.FromSlash(name))
+				if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			diags, err := runRoot(newLoader(), root, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("runRoot = %v, %v; want an error containing %q", diags, err, tc.want)
+			}
 		})
 	}
 }
@@ -220,6 +276,7 @@ func TestRepoIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %s", d)
 	}
+	checkOneCopy(t, testLoader, "../..")
 }
 
 // TestSubtreeRunSkipsModuleRules: below a module root, packages outside

@@ -10,24 +10,34 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
-// loader parses and type-checks one package directory at a time, sharing a
-// FileSet and a source importer so dependency packages (stdlib and
-// module-internal alike) are type-checked once and cached for the whole
-// run. The source importer resolves module-internal import paths by
-// consulting the go tool, so the loader works anywhere inside the module —
-// including testdata fixture trees, which `go build` itself never touches.
+// loader parses and type-checks packages over one FileSet, and is their
+// importer: a path inside the module whose go.mod encloses the importing
+// directory is checked by the loader itself and cached by import path, so
+// a run checks each module package once, whether it reaches the package
+// as a root or through an import, and each declaration is one
+// types.Object. Testdata fixture trees, which the go tool never sees,
+// resolve their imports the same way. Only paths outside the module (the
+// standard library) go to the source importer, which caches them for the
+// loader's lifetime.
 type loader struct {
-	fset *token.FileSet
-	imp  types.Importer
+	fset     *token.FileSet
+	std      types.ImporterFrom
+	pkgs     map[string]*pkgInfo // checked packages, by import path
+	checking []string            // import paths being checked, outermost first
 }
 
 func newLoader() *loader {
 	fset := token.NewFileSet()
-	return &loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &loader{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs: make(map[string]*pkgInfo),
+	}
 }
 
 // pkgInfo is one fully type-checked package ready for analysis.
@@ -39,13 +49,21 @@ type pkgInfo struct {
 }
 
 // load parses the non-test Go files in dir and type-checks them as the
-// package pkgPath. Type errors are hard failures: an analyzer walking a
-// partially-resolved package would silently miss findings, which is worse
-// than failing loudly.
+// package pkgPath, or returns the package already checked under that path.
+// Type errors are hard failures: an analyzer walking a partially-resolved
+// package would silently miss findings, which is worse than failing
+// loudly. So is a package that imports itself, directly or not: it is
+// still being checked when the import reaches it again.
 func (l *loader) load(dir, relPath, pkgPath string) (*pkgInfo, error) {
+	if pkg, ok := l.pkgs[pkgPath]; ok {
+		return pkg, nil
+	}
+	if i := slices.Index(l.checking, pkgPath); i >= 0 {
+		return nil, fmt.Errorf("tsvet: import cycle: %s -> %s", strings.Join(l.checking[i:], " -> "), pkgPath)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("tsvet: %w", err)
+		return nil, fmt.Errorf("tsvet: %s: %w", pkgPath, err)
 	}
 	var files []*ast.File
 	for _, e := range entries {
@@ -60,7 +78,7 @@ func (l *loader) load(dir, relPath, pkgPath string) (*pkgInfo, error) {
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		return nil, nil
+		return nil, fmt.Errorf("tsvet: %s: no non-test Go files in %s", pkgPath, dir)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -69,49 +87,58 @@ func (l *loader) load(dir, relPath, pkgPath string) (*pkgInfo, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{Importer: l.imp, FakeImportC: true}
+	conf := types.Config{Importer: l, FakeImportC: true}
+	l.checking = append(l.checking, pkgPath)
 	pkg, err := conf.Check(pkgPath, l.fset, files, info)
+	l.checking = l.checking[:len(l.checking)-1]
 	if err != nil {
 		return nil, fmt.Errorf("tsvet: typecheck %s: %w", pkgPath, err)
 	}
-	return &pkgInfo{RelPath: relPath, Files: files, Pkg: pkg, Info: info}, nil
+	l.pkgs[pkgPath] = &pkgInfo{RelPath: relPath, Files: files, Pkg: pkg, Info: info}
+	return l.pkgs[pkgPath], nil
 }
 
-// modulePath reads the module declaration from root/go.mod, or "" when the
-// root is not a module (fixture trees).
-func modulePath(root string) string {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	return ""
+// Import is ImportFrom the working directory.
+func (l *loader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, ".", 0)
 }
 
-// moduleContext anchors an analysis root inside its enclosing module: it
-// returns the module path and the root's slash-separated path relative to
-// the module root ("" when the root is the module root or no module
-// encloses it). Anchoring matters for path-scoped rules — analyzing
-// ./internal/workload must classify packages exactly as analyzing the repo
-// root does, or a subtree invocation would silently weaken (or shift) the
-// wall-clock/seeded-source partition.
-func moduleContext(root string) (module, prefix string) {
-	abs, err := filepath.Abs(root)
+// ImportFrom answers an import by the package whose files are in dir.
+func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return modulePath(root), ""
+		return nil, err
 	}
-	for dir := abs; ; {
-		if m := modulePath(dir); m != "" {
-			rel, err := filepath.Rel(dir, abs)
-			if err != nil || rel == "." {
-				return m, ""
+	module, root := findModule(abs)
+	relPath, inModule := strings.CutPrefix(path, module+"/")
+	if path == module {
+		relPath, inModule = ".", true
+	}
+	if module == "" || !inModule {
+		return l.std.ImportFrom(path, dir, mode)
+	}
+	// Spell the package's directory from dir, as the importer's own files
+	// are spelled, so its positions read as a run over the same root
+	// would print them.
+	rel, _ := filepath.Rel(abs, filepath.Join(root, relPath)) // both absolute
+	pkg, err := l.load(filepath.Join(dir, rel), relPath, path)
+	if err != nil {
+		return nil, err
+	}
+	return pkg.Pkg, nil
+}
+
+// findModule returns the module path the go.mod nearest above the absolute
+// directory dir declares, and the directory holding it; both are "" when
+// no go.mod encloses dir.
+func findModule(dir string) (module, root string) {
+	for {
+		if data, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return strings.TrimSpace(rest), dir
+				}
 			}
-			return m, filepath.ToSlash(rel)
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {

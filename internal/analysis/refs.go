@@ -5,40 +5,30 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // refIndex is the one reference walk of a run: which functions and methods
 // the non-test files of the run's packages name, which struct fields they
-// set and read, and which interfaces those packages can see.
-//
-// A package the run type-checks and the copy of it that the source
-// importer hands its importers are different types.Objects, so functions
-// are keyed by funcKey, which both copies spell the same way.
+// set and read, and which interfaces those packages can see. The loader
+// checks each package once, so a declaration is one types.Object however
+// many packages name it; each is keyed by its generic origin, so a use
+// through an instantiation counts for the declaration.
 type refIndex struct {
-	// used holds the funcKey of every function or method some non-test
-	// file references outside the function's own body.
-	used map[string]bool
+	// used holds every function or method some non-test file references
+	// outside the function's own body.
+	used map[*types.Func]bool
 	// ifaces lists, by method name, every interface type the run's files
 	// write (in a declaration or as a literal), every exported one of a
 	// package they import (an unexported one there sees only that
 	// package's own values), error, and errorsProtocol.
 	ifaces map[string][]*types.Interface
-	set    map[string]bool // fieldKey of every field some non-test file sets
-	read   map[string]bool // fieldKey of every field some non-test file reads
-	fset   *token.FileSet
-}
-
-// funcKey names fn the same way in every copy of its package: its
-// package-qualified full name, taken from the generic origin so that a call
-// through an instantiation counts for the declaration.
-func funcKey(fn *types.Func) string {
-	return fn.Origin().FullName()
+	set    map[*types.Var]bool // every field some non-test file sets
+	read   map[*types.Var]bool // every field some non-test file reads
 }
 
 // newRefIndex walks every declaration of pkgs once.
-func newRefIndex(fset *token.FileSet, pkgs []*pkgInfo) *refIndex {
-	ix := &refIndex{used: map[string]bool{}, set: map[string]bool{}, read: map[string]bool{}, ifaces: map[string][]*types.Interface{}, fset: fset}
+func newRefIndex(pkgs []*pkgInfo) *refIndex {
+	ix := &refIndex{used: map[*types.Func]bool{}, set: map[*types.Var]bool{}, read: map[*types.Var]bool{}, ifaces: map[string][]*types.Interface{}}
 	addIface := func(t types.Type) {
 		iface, ok := t.Underlying().(*types.Interface)
 		if !ok {
@@ -80,7 +70,7 @@ func newRefIndex(fset *token.FileSet, pkgs []*pkgInfo) *refIndex {
 					switch n := n.(type) {
 					case *ast.Ident:
 						if fn, ok := pkg.Info.Uses[n].(*types.Func); ok && fn.Origin() != self {
-							ix.used[funcKey(fn)] = true
+							ix.used[fn.Origin()] = true
 						}
 					case *ast.InterfaceType:
 						if tv, ok := pkg.Info.Types[n]; ok {
@@ -133,44 +123,9 @@ func (ix *refIndex) satisfiesInterface(fn *types.Func) bool {
 	}
 	ptr := types.NewPointer(named)
 	for _, iface := range ix.ifaces[fn.Name()] {
-		if implements(ptr, iface) {
+		if types.Implements(ptr, iface) {
 			return true
 		}
 	}
 	return false
-}
-
-// implements is types.Implements across package copies: method by method,
-// by name and by the package-qualified spelling of each parameter and
-// result type (types.Identical would compare the copies' objects).
-func implements(t types.Type, iface *types.Interface) bool {
-	for i := 0; i < iface.NumMethods(); i++ {
-		m := iface.Method(i)
-		obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name())
-		fn, ok := obj.(*types.Func)
-		if !ok || signatureKey(fn.Type().(*types.Signature)) != signatureKey(m.Type().(*types.Signature)) {
-			return false
-		}
-	}
-	return true
-}
-
-// signatureKey spells a signature's parameter and result types without
-// their names.
-func signatureKey(sig *types.Signature) string {
-	var b strings.Builder
-	tuple := func(t *types.Tuple) {
-		b.WriteByte('(')
-		for i := 0; i < t.Len(); i++ {
-			b.WriteString(types.TypeString(t.At(i).Type(), nil))
-			b.WriteByte(',')
-		}
-		b.WriteByte(')')
-	}
-	tuple(sig.Params())
-	if sig.Variadic() {
-		b.WriteString("...")
-	}
-	tuple(sig.Results())
-	return b.String()
 }

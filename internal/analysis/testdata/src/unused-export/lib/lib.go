@@ -23,6 +23,18 @@ type Square struct{ Side int }
 
 func (s Square) Area() int { return s.Side * s.Side }
 
+// Circle's Area has Shape's method name but not its result type, so no
+// interface exempts it.
+type Circle struct{}
+
+func (Circle) Area() float64 { return 3 } // want:unused-export
+
+// Grid satisfies cmd/app's filler, whose method takes a lib type, and
+// cmd/app calls Fill only through a filler.
+type Grid struct{}
+
+func (Grid) Fill(s Square) int { return s.Side }
+
 // Stack is generic: cmd/app calls Push on a Stack[int], whose method is an
 // instantiation of this one.
 type Stack[E any] struct{ items []E }

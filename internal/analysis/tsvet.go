@@ -10,7 +10,9 @@
 // no code reads, goes.
 //
 // The suite is a set of small analyzers sharing one typed loader (see
-// load.go), one driver (driver.go) and one reference walk (refs.go). Each
+// load.go), which type-checks each package of the module once and is the
+// importer their imports of each other resolve through, one driver
+// (driver.go) and one reference walk (refs.go). Each
 // analyzer owns a stable rule ID (its Name), reports positioned
 // diagnostics, and can be silenced on a single line with a written reason:
 //

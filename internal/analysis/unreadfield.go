@@ -27,7 +27,7 @@ func runUnreadField(pass *Pass) {
 		st, _ := tn.Type().Underlying().(*types.Struct)
 		for i := 0; st != nil && i < st.NumFields(); i++ {
 			v := st.Field(i)
-			if v.Name() != "_" && !v.Embedded() && v.Pkg() == pass.Pkg && !pass.refs.read[pass.refs.fieldKey(v)] {
+			if v.Name() != "_" && !v.Embedded() && v.Pkg() == pass.Pkg && !pass.refs.read[v] {
 				pass.Reportf(v.Pos(), "%s.%s is read by no non-test file: delete it with the code that computes it", name, v.Name())
 			}
 		}
@@ -44,7 +44,7 @@ func (ix *refIndex) noteReads(info *types.Info, written map[*ast.SelectorExpr]bo
 	switch n := n.(type) {
 	case *ast.SelectorExpr:
 		if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
-			ix.read[ix.fieldKey(sel.Obj())] = true
+			ix.read[sel.Obj().(*types.Var).Origin()] = true
 		}
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
@@ -113,7 +113,7 @@ func (ix *refIndex) readAll(t types.Type) {
 	st, _ := t.Underlying().(*types.Struct)
 	for i := 0; st != nil && i < st.NumFields(); i++ {
 		f := st.Field(i)
-		ix.read[ix.fieldKey(f)] = true
+		ix.read[f.Origin()] = true
 		if _, nested := f.Type().Underlying().(*types.Struct); nested {
 			ix.readAll(f.Type())
 		}

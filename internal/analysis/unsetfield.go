@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
 // UnsetFieldAnalyzer flags an exported field of an exported struct type
@@ -25,17 +23,11 @@ func runUnsetField(pass *Pass) {
 		st, _ := tn.Type().Underlying().(*types.Struct)
 		for i := 0; st != nil && i < st.NumFields(); i++ {
 			v := st.Field(i)
-			if v.Exported() && !v.Embedded() && v.Pkg() == pass.Pkg && !pass.refs.set[pass.refs.fieldKey(v)] {
+			if v.Exported() && !v.Embedded() && v.Pkg() == pass.Pkg && !pass.refs.set[v] {
 				pass.Reportf(v.Pos(), "%s.%s is set by no non-test file: delete it with the path it selects", name, v.Name())
 			}
 		}
 	}
-}
-
-// fieldKey names a field alike in every copy of its package.
-func (ix *refIndex) fieldKey(v types.Object) string {
-	p := ix.fset.Position(v.Pos())
-	return fmt.Sprintf("%s/%s:%d", v.Pkg().Path(), filepath.Base(p.Filename), p.Offset)
 }
 
 // noteSets records the fields n (in fn's declaration, if any) sets: an
@@ -50,9 +42,9 @@ func (ix *refIndex) noteSets(info *types.Info, fn types.Object, n ast.Node) {
 		}
 		st, ok := t.Underlying().(*types.Struct)
 		for i := 0; ok && i < len(n.Elts); i++ {
-			v := types.Object(st.Field(i))
+			v := st.Field(i)
 			if kv, keyed := n.Elts[i].(*ast.KeyValueExpr); keyed {
-				v = info.Uses[kv.Key.(*ast.Ident)]
+				v = info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
 			}
 			ix.mark(fn, v, nil)
 		}
@@ -83,7 +75,7 @@ func (ix *refIndex) target(info *types.Info, fn types.Object, e ast.Expr) types.
 	case *ast.SelectorExpr:
 		if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
 			root := ix.target(info, fn, x.X)
-			ix.mark(fn, sel.Obj(), root)
+			ix.mark(fn, sel.Obj().(*types.Var), root)
 			return root
 		}
 	case *ast.Ident:
@@ -95,7 +87,7 @@ func (ix *refIndex) target(info *types.Info, fn types.Object, e ast.Expr) types.
 // mark records v as set through root. In a method of v's own type only a
 // write through its pointer receiver counts: a value receiver or a local
 // copy filling in defaults is not a caller choosing a value.
-func (ix *refIndex) mark(fn, v, root types.Object) {
+func (ix *refIndex) mark(fn types.Object, v *types.Var, root types.Object) {
 	if m, ok := fn.(*types.Func); ok && recvNamed(m) != nil {
 		own, _, _ := types.LookupFieldOrMethod(recvNamed(m), false, v.Pkg(), v.Name())
 		viaRecv := ptrRecv(m) && root == m.Type().(*types.Signature).Recv()
@@ -103,7 +95,7 @@ func (ix *refIndex) mark(fn, v, root types.Object) {
 			return
 		}
 	}
-	ix.set[ix.fieldKey(v)] = true
+	ix.set[v.Origin()] = true
 }
 
 // ptrRecv reports whether the method m has a pointer receiver.

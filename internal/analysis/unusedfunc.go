@@ -23,7 +23,7 @@ func runUnusedFunc(pass *Pass) {
 			continue
 		}
 		fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-		if ok && !pass.refs.used[funcKey(fn)] && (fd.Recv == nil || !pass.refs.satisfiesInterface(fn)) {
+		if ok && !pass.refs.used[fn] && (fd.Recv == nil || !pass.refs.satisfiesInterface(fn)) {
 			pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test file of its package: "+
 				"delete it, or move it into the test file that uses it", fd.Name.Name)
 		}
@@ -48,7 +48,7 @@ func runUnusedExport(pass *Pass) {
 			continue
 		}
 		fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-		if !ok || pass.refs.used[funcKey(fn)] || (fd.Recv != nil && pass.refs.satisfiesInterface(fn)) {
+		if !ok || pass.refs.used[fn] || (fd.Recv != nil && pass.refs.satisfiesInterface(fn)) {
 			continue
 		}
 		pass.Reportf(fd.Name.Pos(), "%s is referenced by no non-test file: delete it, or move it "+

@@ -15,11 +15,13 @@ GO="${GO:-go}"
 build() { $GO build ./...; }
 
 # lint = gofmt, go vet and tsvet, the repo's typed static-analysis suite
-# (internal/analysis): determinism rules, the verify-before-run rules, and
-# the dead-code rules (unused-func, unused-export: a function only tests
-# call lives in the tests). Zero unsuppressed findings required; suppressions are
-# //tsvet:ignore <rule> <reason>. The formatting check skips testdata/,
-# whose analyzer fixtures are deliberately odd.
+# (internal/analysis): determinism rules, the verify-before-run rules,
+# unsafe-import (unsafe only in internal/storage/value.go), and the
+# dead-code rules (unused-func, unused-export: a function only tests call
+# lives in the tests; unset-field: an exported field no caller sets goes;
+# unread-field: a field nothing reads goes). Zero unsuppressed findings
+# required; suppressions are //tsvet:ignore <rule> <reason>. The formatting
+# check skips testdata/, whose analyzer fixtures are deliberately odd.
 lint() {
 	unformatted=$(gofmt -l . | grep -v '/testdata/' || true)
 	if [ -n "$unformatted" ]; then
