@@ -19,9 +19,10 @@ bench:
 
 # Every allocation site of one workload's collect pass, exactly
 # (GODEBUG=memprofilerate=1): make alloc-census W=smallbank_scaleout; S= sets
-# the seconds (4), and P=learn takes the learn pass instead.
+# the seconds (4), SEED= the seed (21), and P=learn takes the learn pass
+# instead.
 alloc-census:
-	GO="$(GO)" ./scripts/alloc-census.sh $(W) $(or $(S),4) $(P)
+	GO="$(GO)" SEED="$(SEED)" ./scripts/alloc-census.sh $(W) $(or $(S),4) $(P)
 
 # Coverage with a per-package summary (baseline recorded in README.md).
 cover:

@@ -146,7 +146,12 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 		}
 	}
 
-	var scratch []byte
+	// text holds a block's feature cells end to end, and ends[i] is where
+	// row i's ends; both are reused for every block.
+	var (
+		text []byte
+		ends []int
+	)
 	t.r.Blocks(func(b *Block) bool {
 		for _, p := range preds {
 			if blockSkipped(b, p) {
@@ -184,14 +189,25 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 			}
 		}
 
-		var names []string
+		// The block's feature cells are one string, and each row's cell is
+		// a slice of it: a row that fn keeps keeps the whole text alive.
+		var features string
 		if want[ColFeatures] {
-			names = make([]string, b.meta.named)
+			names := make([]string, b.meta.named)
 			for i := range names {
 				names[i] = b.FeatureName(i)
 			}
+			featVec := make([]float64, b.NumFeatures())
+			text, ends = text[:0], ends[:0]
+			for rowI := 0; rowI < b.NumRows(); rowI++ {
+				for f := range feats {
+					featVec[f] = feats[f][rowI]
+				}
+				text = appendFeatureCell(text, names, featVec)
+				ends = append(ends, len(text))
+			}
+			features = string(text)
 		}
-		featVec := make([]float64, b.NumFeatures())
 
 		ouVal := storage.NewInt(int64(b.OU()))
 		nameVal := storage.NewString(b.OUName())
@@ -220,11 +236,11 @@ func (t *Table) Scan(proj []int, preds []catalog.VirtualPred, fn func(storage.Ro
 				}
 			}
 			if want[ColFeatures] {
-				for f := range feats {
-					featVec[f] = feats[f][rowI]
+				start := 0
+				if rowI > 0 {
+					start = ends[rowI-1]
 				}
-				scratch = appendFeatureCell(scratch[:0], names, featVec)
-				row[ColFeatures] = storage.NewString(string(scratch))
+				row[ColFeatures] = storage.NewString(features[start:ends[rowI]])
 			}
 			stats.Rows++
 			if !fn(row) {

@@ -493,10 +493,12 @@ func TestWorkingSetCacheEffectAcrossHardware(t *testing.T) {
 }
 
 // TestDMLAllocatesOnlyTheVersion: a warm prepared single-row INSERT or
-// UPDATE builds its row in the Ctx's row scratch, so the one allocation
-// left per statement is the stored version (header and cells together);
-// index growth, the write set and result chunks are amortized below one.
-// Before the scratch, each also allocated its row: two a statement.
+// UPDATE builds its row in the Ctx's row scratch and takes its version off
+// the transaction manager's free list, which one block of versions refills
+// every few dozen writes; so the version's share of its block, index
+// growth, the write set and result chunks are all amortized below one
+// allocation a statement. Before the scratch, each also allocated its row,
+// two a statement; before version blocks, its version was one.
 func TestDMLAllocatesOnlyTheVersion(t *testing.T) {
 	const runs = 200
 	db := newTestDB(t, false)
@@ -531,8 +533,8 @@ func TestDMLAllocatesOnlyTheVersion(t *testing.T) {
 				t.Fatalf("%s: %v, %v", c.name, res, err)
 			}
 		})
-		if n != 1 {
-			t.Errorf("%s: %v allocations a statement, want 1", c.name, n)
+		if n != 0 {
+			t.Errorf("%s: %v allocations a statement, want fewer than one", c.name, n)
 		}
 	}
 	for _, c := range ctx.row[:cap(ctx.row)] {

@@ -4,15 +4,23 @@
 // keys are encoded by the catalog layer.
 package index
 
-import "sort"
+import "slices"
 
 // btreeOrder is the maximum number of keys per node.
 const btreeOrder = 64
 
 // BTree is an in-memory B+Tree mapping int64 keys to one or more TupleIDs
 // (int64).
+//
+// A node's entries are fixed arrays with room for one key more than a node
+// keeps, so an insert shifts entries in place and never grows a slice, and
+// a split, which moves the upper half of an overfull node to a new right
+// sibling, is one allocation. A leaf holds keys and TupleIDs, an internal
+// node keys and children; neither carries the other's array.
 type BTree struct {
-	root   *btreeNode
+	// root is a *leaf when height is 1 and an *inner above that: every
+	// node height-1 levels below the root is a leaf.
+	root   any
 	height int
 	size   int
 	// postings holds, in insertion order, every TupleID of each key that
@@ -20,17 +28,26 @@ type BTree struct {
 	postings map[int64][]int64
 }
 
-type btreeNode struct {
-	leaf     bool
-	keys     []int64
-	children []*btreeNode // internal nodes
-	tids     []int64      // leaf nodes: each key's first TupleID
-	next     *btreeNode   // leaf chain for range scans
+// leaf holds n keys in order and each key's first TupleID.
+type leaf struct {
+	n    int
+	keys [btreeOrder + 1]int64
+	tids [btreeOrder + 1]int64
+	next *leaf // leaf chain for range scans
+}
+
+// inner holds n separator keys in order and n+1 children, each a *leaf or
+// an *inner by level: keys in children[i] are at least keys[i-1] and below
+// keys[i].
+type inner struct {
+	n        int
+	keys     [btreeOrder + 1]int64
+	children [btreeOrder + 2]any
 }
 
 // NewBTree creates an empty tree.
 func NewBTree() *BTree {
-	return &BTree{root: &btreeNode{leaf: true}, height: 1}
+	return &BTree{root: new(leaf), height: 1}
 }
 
 // Len returns the number of distinct keys.
@@ -42,111 +59,119 @@ func (t *BTree) Height() int { return t.height }
 
 // Insert adds tid under key (duplicates allowed).
 func (t *BTree) Insert(key int64, tid int64) {
-	midKey, right := t.insert(t.root, key, tid)
+	midKey, right := t.insert(t.root, t.height, key, tid)
 	if right != nil {
-		newRoot := &btreeNode{
-			keys:     []int64{midKey},
-			children: []*btreeNode{t.root, right},
-		}
-		t.root = newRoot
+		root := &inner{n: 1}
+		root.keys[0] = midKey
+		root.children[0], root.children[1] = t.root, right
+		t.root = root
 		t.height++
 	}
 }
 
-// insert descends to the leaf; on overflow it splits and returns the
-// separator key and new right sibling.
-func (t *BTree) insert(n *btreeNode, key int64, tid int64) (int64, *btreeNode) {
-	if n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-		if i < len(n.keys) && n.keys[i] == key {
+// insert descends from n, a node level levels above the leaves (1 = a
+// leaf), to the leaf; on overflow it splits and returns the separator key
+// and new right sibling.
+func (t *BTree) insert(n any, level int, key int64, tid int64) (int64, any) {
+	if level == 1 {
+		l := n.(*leaf)
+		i, found := slices.BinarySearch(l.keys[:l.n], key)
+		if found {
 			if t.postings == nil {
 				t.postings = make(map[int64][]int64)
 			}
-			t.postings[key] = append(t.tidsAt(n, i), tid)
+			t.postings[key] = append(t.tidsAt(l, i), tid)
 			return 0, nil
 		}
-		n.keys = append(n.keys, 0)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		n.tids = append(n.tids, 0)
-		copy(n.tids[i+1:], n.tids[i:])
-		n.tids[i] = tid
+		copy(l.keys[i+1:l.n+1], l.keys[i:l.n])
+		l.keys[i] = key
+		copy(l.tids[i+1:l.n+1], l.tids[i:l.n])
+		l.tids[i] = tid
+		l.n++
 		t.size++
-		if len(n.keys) <= btreeOrder {
+		if l.n <= btreeOrder {
 			return 0, nil
 		}
-		return t.splitLeaf(n)
+		return l.split()
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-	midKey, right := t.insert(n.children[i], key, tid)
+	in := n.(*inner)
+	i := in.child(key)
+	midKey, right := t.insert(in.children[i], level-1, key, tid)
 	if right == nil {
 		return 0, nil
 	}
-	n.keys = append(n.keys, 0)
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = midKey
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = right
-	if len(n.keys) <= btreeOrder {
+	copy(in.keys[i+1:in.n+1], in.keys[i:in.n])
+	in.keys[i] = midKey
+	copy(in.children[i+2:in.n+2], in.children[i+1:in.n+1])
+	in.children[i+1] = right
+	in.n++
+	if in.n <= btreeOrder {
 		return 0, nil
 	}
-	return t.splitInternal(n)
+	return in.split()
 }
 
-func (t *BTree) splitLeaf(n *btreeNode) (int64, *btreeNode) {
-	mid := len(n.keys) / 2
-	right := &btreeNode{
-		leaf: true,
-		keys: append([]int64(nil), n.keys[mid:]...),
-		tids: append([]int64(nil), n.tids[mid:]...),
-		next: n.next,
-	}
-	n.keys = n.keys[:mid]
-	n.tids = n.tids[:mid]
-	n.next = right
+// split moves the upper half of l's keys, from the middle one on, to a new
+// right sibling and returns that sibling and its first key.
+func (l *leaf) split() (int64, any) {
+	mid := l.n / 2
+	right := &leaf{n: l.n - mid, next: l.next}
+	copy(right.keys[:], l.keys[mid:l.n])
+	copy(right.tids[:], l.tids[mid:l.n])
+	l.n = mid
+	l.next = right
 	return right.keys[0], right
 }
 
-func (t *BTree) splitInternal(n *btreeNode) (int64, *btreeNode) {
-	mid := len(n.keys) / 2
-	midKey := n.keys[mid]
-	right := &btreeNode{
-		keys:     append([]int64(nil), n.keys[mid+1:]...),
-		children: append([]*btreeNode(nil), n.children[mid+1:]...),
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	return midKey, right
+// split moves the keys above the middle one, and the children right of it,
+// to a new right sibling and returns that sibling and the middle key, which
+// moves up.
+func (in *inner) split() (int64, any) {
+	mid := in.n / 2
+	right := &inner{n: in.n - mid - 1}
+	copy(right.keys[:], in.keys[mid+1:in.n])
+	copy(right.children[:], in.children[mid+1:in.n+1])
+	clear(in.children[mid+1 : in.n+1])
+	in.n = mid
+	return in.keys[mid], right
 }
 
-func (t *BTree) findLeaf(key int64) *btreeNode {
+// child returns the index of the child whose keys cover key: the first
+// separator above key. Separators are distinct.
+func (in *inner) child(key int64) int {
+	i, found := slices.BinarySearch(in.keys[:in.n], key)
+	if found {
+		i++
+	}
+	return i
+}
+
+func (t *BTree) findLeaf(key int64) *leaf {
 	n := t.root
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
-		n = n.children[i]
+	for level := t.height; level > 1; level-- {
+		in := n.(*inner)
+		n = in.children[in.child(key)]
 	}
-	return n
+	return n.(*leaf)
 }
 
-// tidsAt returns the TupleIDs under leaf n's i-th key: its posting list, or
+// tidsAt returns the TupleIDs under leaf l's i-th key: its posting list, or
 // a one-element view of the leaf that an append cannot grow in place.
-func (t *BTree) tidsAt(n *btreeNode, i int) []int64 {
+func (t *BTree) tidsAt(l *leaf, i int) []int64 {
 	if len(t.postings) != 0 {
-		if p, ok := t.postings[n.keys[i]]; ok {
+		if p, ok := t.postings[l.keys[i]]; ok {
 			return p
 		}
 	}
-	return n.tids[i : i+1 : i+1]
+	return l.tids[i : i+1 : i+1]
 }
 
 // Search returns the TupleIDs stored under key (nil if absent). The
 // returned slice must not be mutated.
 func (t *BTree) Search(key int64) []int64 {
-	n := t.findLeaf(key)
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
-	if i < len(n.keys) && n.keys[i] == key {
-		return t.tidsAt(n, i)
+	l := t.findLeaf(key)
+	if i, found := slices.BinarySearch(l.keys[:l.n], key); found {
+		return t.tidsAt(l, i)
 	}
 	return nil
 }
@@ -154,19 +179,17 @@ func (t *BTree) Search(key int64) []int64 {
 // Range calls fn for each (key, tids) with lo <= key <= hi, in key order,
 // until fn returns false.
 func (t *BTree) Range(lo, hi int64, fn func(key int64, tids []int64) bool) {
-	n := t.findLeaf(lo)
-	for n != nil {
-		for i, k := range n.keys {
+	for l := t.findLeaf(lo); l != nil; l = l.next {
+		for i, k := range l.keys[:l.n] {
 			if k < lo {
 				continue
 			}
 			if k > hi {
 				return
 			}
-			if !fn(k, t.tidsAt(n, i)) {
+			if !fn(k, t.tidsAt(l, i)) {
 				return
 			}
 		}
-		n = n.next
 	}
 }

@@ -1,7 +1,10 @@
 package index
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
@@ -11,25 +14,28 @@ import (
 // Min returns the smallest key, or (0,false) when empty.
 func (t *BTree) Min() (int64, bool) {
 	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+	for level := t.height; level > 1; level-- {
+		n = n.(*inner).children[0]
 	}
-	if len(n.keys) == 0 {
+	l := n.(*leaf)
+	if l.n == 0 {
 		return 0, false
 	}
-	return n.keys[0], true
+	return l.keys[0], true
 }
 
 // Max returns the largest key, or (0,false) when empty.
 func (t *BTree) Max() (int64, bool) {
 	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
+	for level := t.height; level > 1; level-- {
+		in := n.(*inner)
+		n = in.children[in.n]
 	}
-	if len(n.keys) == 0 {
+	l := n.(*leaf)
+	if l.n == 0 {
 		return 0, false
 	}
-	return n.keys[len(n.keys)-1], true
+	return l.keys[l.n-1], true
 }
 
 func TestBTreeInsertSearch(t *testing.T) {
@@ -244,5 +250,303 @@ func TestBTreeModelWithDuplicates(t *testing.T) {
 				t.Fatalf("step %d: Max %d %v", step, k, ok)
 			}
 		})
+	}
+}
+
+// sliceTree is the B+Tree as it was before its nodes held fixed arrays:
+// each node's keys, TupleIDs and children are slices that inserts grow and
+// splits copy into fresh ones. It is the oracle of
+// TestBTreeMatchesSliceTree and is not edited to make a change pass.
+type sliceTree struct {
+	root     *sliceNode
+	height   int
+	size     int
+	postings map[int64][]int64
+}
+
+type sliceNode struct {
+	leaf     bool
+	keys     []int64
+	children []*sliceNode // internal nodes
+	tids     []int64      // leaf nodes: each key's first TupleID
+	next     *sliceNode   // leaf chain for range scans
+}
+
+func newSliceTree() *sliceTree {
+	return &sliceTree{root: &sliceNode{leaf: true}, height: 1}
+}
+
+func (t *sliceTree) Len() int    { return t.size }
+func (t *sliceTree) Height() int { return t.height }
+
+func (t *sliceTree) Insert(key int64, tid int64) {
+	midKey, right := t.insert(t.root, key, tid)
+	if right != nil {
+		t.root = &sliceNode{keys: []int64{midKey}, children: []*sliceNode{t.root, right}}
+		t.height++
+	}
+}
+
+func (t *sliceTree) insert(n *sliceNode, key int64, tid int64) (int64, *sliceNode) {
+	if n.leaf {
+		i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
+		if i < len(n.keys) && n.keys[i] == key {
+			if t.postings == nil {
+				t.postings = make(map[int64][]int64)
+			}
+			t.postings[key] = append(t.tidsAt(n, i), tid)
+			return 0, nil
+		}
+		n.keys = append(n.keys, 0)
+		copy(n.keys[i+1:], n.keys[i:])
+		n.keys[i] = key
+		n.tids = append(n.tids, 0)
+		copy(n.tids[i+1:], n.tids[i:])
+		n.tids[i] = tid
+		t.size++
+		if len(n.keys) <= btreeOrder {
+			return 0, nil
+		}
+		return t.splitLeaf(n)
+	}
+	i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
+	midKey, right := t.insert(n.children[i], key, tid)
+	if right == nil {
+		return 0, nil
+	}
+	n.keys = append(n.keys, 0)
+	copy(n.keys[i+1:], n.keys[i:])
+	n.keys[i] = midKey
+	n.children = append(n.children, nil)
+	copy(n.children[i+2:], n.children[i+1:])
+	n.children[i+1] = right
+	if len(n.keys) <= btreeOrder {
+		return 0, nil
+	}
+	return t.splitInternal(n)
+}
+
+func (t *sliceTree) splitLeaf(n *sliceNode) (int64, *sliceNode) {
+	mid := len(n.keys) / 2
+	right := &sliceNode{
+		leaf: true,
+		keys: append([]int64(nil), n.keys[mid:]...),
+		tids: append([]int64(nil), n.tids[mid:]...),
+		next: n.next,
+	}
+	n.keys = n.keys[:mid]
+	n.tids = n.tids[:mid]
+	n.next = right
+	return right.keys[0], right
+}
+
+func (t *sliceTree) splitInternal(n *sliceNode) (int64, *sliceNode) {
+	mid := len(n.keys) / 2
+	midKey := n.keys[mid]
+	right := &sliceNode{
+		keys:     append([]int64(nil), n.keys[mid+1:]...),
+		children: append([]*sliceNode(nil), n.children[mid+1:]...),
+	}
+	n.keys = n.keys[:mid]
+	n.children = n.children[:mid+1]
+	return midKey, right
+}
+
+func (t *sliceTree) findLeaf(key int64) *sliceNode {
+	n := t.root
+	for !n.leaf {
+		i := sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
+		n = n.children[i]
+	}
+	return n
+}
+
+func (t *sliceTree) tidsAt(n *sliceNode, i int) []int64 {
+	if len(t.postings) != 0 {
+		if p, ok := t.postings[n.keys[i]]; ok {
+			return p
+		}
+	}
+	return n.tids[i : i+1 : i+1]
+}
+
+func (t *sliceTree) Search(key int64) []int64 {
+	n := t.findLeaf(key)
+	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
+	if i < len(n.keys) && n.keys[i] == key {
+		return t.tidsAt(n, i)
+	}
+	return nil
+}
+
+func (t *sliceTree) Range(lo, hi int64, fn func(key int64, tids []int64) bool) {
+	n := t.findLeaf(lo)
+	for n != nil {
+		for i, k := range n.keys {
+			if k < lo {
+				continue
+			}
+			if k > hi {
+				return
+			}
+			if !fn(k, t.tidsAt(n, i)) {
+				return
+			}
+		}
+		n = n.next
+	}
+}
+
+// rangeOf returns what Range(lo, hi) hands its callback, in order, with
+// each key's TupleIDs copied.
+func rangeOf(r func(lo, hi int64, fn func(key int64, tids []int64) bool), lo, hi int64) (keys []int64, tids [][]int64) {
+	r(lo, hi, func(k int64, ts []int64) bool {
+		keys = append(keys, k)
+		tids = append(tids, slices.Clone(ts))
+		return true
+	})
+	return keys, tids
+}
+
+// TestBTreeMatchesSliceTree drives the B+Tree and the slice-based oracle
+// with the same inserts, seeded random keys over key spaces small enough to
+// repeat keys and large enough not to, and ascending and descending runs
+// long enough for three levels, and compares Len, Height, Search of the
+// inserted key and of a random one, and a Range over a random window after
+// every insert, and a Range over all keys and the two trees' shapes every
+// 500 inserts and at the end. Height feeds the cost of an index probe in
+// virtual time, so a tree whose nodes split anywhere but the middle fails
+// here.
+func TestBTreeMatchesSliceTree(t *testing.T) {
+	const n = 6000
+	cases := []struct {
+		name string
+		key  func(rng *rand.Rand, i int) int64
+	}{
+		{"random/dups", func(rng *rand.Rand, _ int) int64 { return rng.Int63n(1500) }},
+		{"random/wide", func(rng *rand.Rand, _ int) int64 { return rng.Int63n(1 << 40) }},
+		{"ascending", func(_ *rand.Rand, i int) int64 { return int64(i) }},
+		{"ascending/dups", func(_ *rand.Rand, i int) int64 { return int64(i / 3) }},
+		{"descending", func(_ *rand.Rand, i int) int64 { return int64(n - i) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(c.name))))
+			got, want := NewBTree(), newSliceTree()
+			compareRange := func(i int, lo, hi int64) {
+				gk, gt := rangeOf(got.Range, lo, hi)
+				wk, wt := rangeOf(want.Range, lo, hi)
+				if !slices.Equal(gk, wk) || !slices.EqualFunc(gt, wt, slices.Equal) {
+					t.Fatalf("insert %d: Range(%d, %d) gave %v %v, oracle %v %v", i, lo, hi, gk, gt, wk, wt)
+				}
+			}
+			for i := 0; i < n; i++ {
+				k := c.key(rng, i)
+				got.Insert(k, int64(i))
+				want.Insert(k, int64(i))
+				if got.Len() != want.Len() || got.Height() != want.Height() {
+					t.Fatalf("insert %d (key %d): Len %d Height %d, oracle Len %d Height %d",
+						i, k, got.Len(), got.Height(), want.Len(), want.Height())
+				}
+				for _, q := range []int64{k, c.key(rng, i)} {
+					if g, w := got.Search(q), want.Search(q); !slices.Equal(g, w) {
+						t.Fatalf("insert %d: Search(%d) %v, oracle %v", i, q, g, w)
+					}
+				}
+				lo := c.key(rng, i)
+				compareRange(i, lo, lo+int64(rng.Intn(200)))
+				if i%500 == 0 {
+					compareRange(i, math.MinInt64, math.MaxInt64)
+					compareShape(t, i, got, want)
+				}
+			}
+			compareRange(n, math.MinInt64, math.MaxInt64)
+			compareShape(t, n, got, want)
+		})
+	}
+}
+
+// compareShape fails unless both trees have nodes of the same key counts,
+// level by level from the root, left to right: the same splits at the same
+// points. Height alone sees a misplaced inner split only at four levels.
+func compareShape(t *testing.T, i int, got *BTree, want *sliceTree) {
+	t.Helper()
+	var g, w []int
+	level := []any{got.root}
+	for h := got.height; h > 0; h-- {
+		var below []any
+		for _, n := range level {
+			if h == 1 {
+				g = append(g, n.(*leaf).n)
+				continue
+			}
+			in := n.(*inner)
+			g = append(g, in.n)
+			below = append(below, in.children[:in.n+1]...)
+		}
+		g = append(g, -1)
+		level = below
+	}
+	for level := []*sliceNode{want.root}; len(level) > 0; {
+		var below []*sliceNode
+		for _, n := range level {
+			w = append(w, len(n.keys))
+			below = append(below, n.children...)
+		}
+		w = append(w, -1)
+		level = below
+	}
+	if !slices.Equal(g, w) {
+		t.Fatalf("insert %d: node key counts by level %v, oracle %v", i, g, w)
+	}
+}
+
+// TestBTreeInsertAllocations: an insert of a new key that splits no node
+// allocates nothing, and one that does allocates one object for each node
+// it adds (the new right siblings, and a new root), over ascending and
+// random keys.
+func TestBTreeInsertAllocations(t *testing.T) {
+	var nodes func(n any, level int) int
+	nodes = func(n any, level int) int {
+		if level == 1 {
+			return 1
+		}
+		in := n.(*inner)
+		c := 1
+		for _, child := range in.children[:in.n+1] {
+			c += nodes(child, level-1)
+		}
+		return c
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // as testing.AllocsPerRun does
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection cycle allocates
+	for _, ascending := range []bool{true, false} {
+		bt := NewBTree()
+		rng := rand.New(rand.NewSource(7))
+		seen := map[int64]bool{}
+		splits := 0
+		for i := 0; i < 5000; i++ {
+			k := int64(i)
+			if !ascending {
+				for k = rng.Int63(); seen[k]; k = rng.Int63() {
+				}
+				seen[k] = true
+			}
+			before := nodes(bt.root, bt.height)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			bt.Insert(k, k)
+			runtime.ReadMemStats(&m1)
+			added := nodes(bt.root, bt.height) - before
+			if allocs := m1.Mallocs - m0.Mallocs; allocs != uint64(added) {
+				t.Fatalf("ascending=%v insert %d: %d allocations for %d new nodes", ascending, i, allocs, added)
+			}
+			if added > 0 {
+				splits++
+			}
+		}
+		if bt.Height() < 3 || splits < 50 {
+			t.Fatalf("ascending=%v: height %d after %d splitting inserts: too few splits to tell", ascending, bt.Height(), splits)
+		}
 	}
 }

@@ -216,7 +216,7 @@ func NewVersion(row Row) *Version {
 	case row == nil:
 		return new(Version)
 	case len(row) > 0 && len(row) <= maxPackedWidth:
-		v = packedVersions[len(row)-1]()
+		v = versionBlocks[len(row)](1)
 	default:
 		v = &Version{Values: make(Row, len(row))}
 	}
@@ -224,29 +224,73 @@ func NewVersion(row Row) *Version {
 	return v
 }
 
+// NewVersionBlock allocates a block of versions of width cells each, up to
+// versionBlockBytes of them, as one object, and returns the first and their
+// number. The versions are linked through Next, the last one's Next is nil,
+// and each is packed as NewVersion packs one: its Values are width NULL
+// cells right after its header, capped at width. Width 0 gives bare headers
+// with nil Values, for tombstones. Width must be at most 11, the widest
+// NewVersion packs.
+//
+// The block is one object to the Go collector: it is freed only once none
+// of its versions is reachable (DESIGN.md §4, *Version reclamation*).
+func NewVersionBlock(width int) (*Version, int) {
+	n := versionBlockBytes / int(unsafe.Sizeof(Version{})+uintptr(width)*unsafe.Sizeof(Value{}))
+	return versionBlocks[width](n), n
+}
+
 // maxPackedWidth is the widest row NewVersion packs with its header: YCSB's
 // usertable, the widest table a workload creates, has 11 columns.
 const maxPackedWidth = 11
 
-// packedVersions[w-1] allocates a version and w cells as one object.
-var packedVersions = [maxPackedWidth]func() *Version{
-	packedVersion[[1]Value], packedVersion[[2]Value], packedVersion[[3]Value],
-	packedVersion[[4]Value], packedVersion[[5]Value], packedVersion[[6]Value],
-	packedVersion[[7]Value], packedVersion[[8]Value], packedVersion[[9]Value],
-	packedVersion[[10]Value], packedVersion[[11]Value],
+// versionBlockBytes bounds a NewVersionBlock block so that it fits the
+// allocator's 8 KB size class with less than one version to spare at every
+// width. The runtime puts an 8-byte header in front of an object of more
+// than 512 bytes that holds pointers; a block of a full 8 KB would round up
+// to the next class, 9 472 bytes, and waste 1 280 of them.
+const versionBlockBytes = 8<<10 - 8
+
+// versionBlocks[w] allocates n linked versions of width w as one object.
+var versionBlocks = [maxPackedWidth + 1]func(n int) *Version{
+	headerBlock,
+	packedBlock[[1]Value], packedBlock[[2]Value], packedBlock[[3]Value],
+	packedBlock[[4]Value], packedBlock[[5]Value], packedBlock[[6]Value],
+	packedBlock[[7]Value], packedBlock[[8]Value], packedBlock[[9]Value],
+	packedBlock[[10]Value], packedBlock[[11]Value],
 }
 
-// packedVersion allocates a Version followed by the cells of Cells, an
-// array of Value, and points Values at those cells. The object's type is
-// the struct, so the collector scans the cells' string pointers, and a
-// slice into the cells keeps the whole object alive.
-func packedVersion[Cells any]() *Version {
-	p := new(struct {
-		v     Version
-		cells Cells
-	})
-	p.v.Values = unsafe.Slice((*Value)(unsafe.Pointer(&p.cells)), unsafe.Sizeof(p.cells)/unsafe.Sizeof(Value{}))
-	return &p.v
+// packed is a Version followed by the cells of Cells, an array of Value.
+// An array of packed is typed, so the collector scans the cells' string
+// pointers, and a slice into any cell keeps the whole array alive.
+type packed[Cells any] struct {
+	v     Version
+	cells Cells
+}
+
+// packedBlock allocates n packed versions as one array, points each one's
+// Values at its own cells and links each to the next.
+func packedBlock[Cells any](n int) *Version {
+	blk := make([]packed[Cells], n)
+	w := unsafe.Sizeof(blk[0].cells) / unsafe.Sizeof(Value{})
+	for i := range blk {
+		p := &blk[i]
+		p.v.Values = unsafe.Slice((*Value)(unsafe.Pointer(&p.cells)), w)
+		if i+1 < n {
+			p.v.Next = &blk[i+1].v
+		}
+	}
+	return &blk[0].v
+}
+
+// headerBlock allocates n linked bare headers as one array. A width-0
+// packed would be padded by a word: a struct's trailing zero-size field
+// must not point past it.
+func headerBlock(n int) *Version {
+	blk := make([]Version, n)
+	for i := range blk[:n-1] {
+		blk[i].Next = &blk[i+1]
+	}
+	return &blk[0]
 }
 
 // Size returns the row's total byte footprint.

@@ -3,6 +3,8 @@ package storage
 import (
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -117,4 +119,81 @@ func TestNewVersionPacksTheCells(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNewVersionBlockCarvesPackedVersions: at every width up to
+// maxPackedWidth, a block is one allocation, of the 8 KB size class, of as
+// many versions as fit in versionBlockBytes, linked through Next in array order and ending in nil,
+// each a zero header packed with its own width NULL cells, capped at the
+// width; width 0 gives bare headers with nil Values.
+func TestNewVersionBlockCarvesPackedVersions(t *testing.T) {
+	for width := 0; width <= maxPackedWidth; width++ {
+		var (
+			first *Version
+			n     int
+		)
+		if allocs := testing.AllocsPerRun(10, func() { first, n = NewVersionBlock(width) }); allocs != 1 {
+			t.Errorf("width %d: a block takes %v allocations, want 1", width, allocs)
+		}
+		if class := sizeClassOf(func() { first, n = NewVersionBlock(width) }); class != 8<<10 {
+			t.Errorf("width %d: a block takes an object of the %d-byte size class, want 8 KB", width, class)
+		}
+		size := int(unsafe.Sizeof(Version{})) + width*int(unsafe.Sizeof(Value{}))
+		if n*size > versionBlockBytes || (n+1)*size <= versionBlockBytes {
+			t.Errorf("width %d: %d versions of %d bytes, want as many as fit in %d", width, n, size, versionBlockBytes)
+		}
+		got := 0
+		for v := first; v != nil; v = v.Next {
+			if got > 0 && uintptr(unsafe.Pointer(v)) != uintptr(unsafe.Pointer(first))+uintptr(got*size) {
+				t.Fatalf("width %d: version %d is not the array's next", width, got)
+			}
+			if v.Begin != 0 || v.End != 0 || v.TxnID != 0 || v.Deleted {
+				t.Fatalf("width %d: version %d is not a zero header: %+v", width, got, *v)
+			}
+			if width == 0 {
+				if v.Values != nil {
+					t.Fatalf("width 0: version %d has Values %#v", got, v.Values)
+				}
+			} else {
+				if len(v.Values) != width || cap(v.Values) != width ||
+					unsafe.Pointer(&v.Values[0]) != unsafe.Add(unsafe.Pointer(v), unsafe.Sizeof(Version{})) {
+					t.Fatalf("width %d: version %d's cells are not its own packed ones", width, got)
+				}
+				for i, c := range v.Values {
+					if !c.IsNull() {
+						t.Fatalf("width %d: version %d cell %d is %v", width, got, i, c)
+					}
+				}
+			}
+			got++
+		}
+		if got != n {
+			t.Errorf("width %d: the block links %d versions, reports %d", width, got, n)
+		}
+	}
+}
+
+// sizeClassOf returns the size class of the one object f allocates: the
+// class whose allocation count f moved, or 0 if that is not exactly one.
+func sizeClassOf(f func()) uint32 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // as testing.AllocsPerRun does
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection cycle allocates
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	var class uint32
+	for i, c := range after.BySize {
+		switch after.BySize[i].Mallocs - before.BySize[i].Mallocs {
+		case 0:
+		case 1:
+			if class != 0 {
+				return 0
+			}
+			class = c.Size
+		default:
+			return 0
+		}
+	}
+	return class
 }

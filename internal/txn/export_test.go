@@ -19,13 +19,19 @@ func (m *Manager) stats() (running int, oldestReadTS uint64) {
 func (m *Manager) Stats() (running int, oldestReadTS uint64) { return m.stats() }
 
 // freeLists returns the versions on m's free lists, the list of width w at
-// index w-1, each in list order.
-func (m *Manager) freeLists() [maxRecycledWidth][]*storage.Version {
-	var lists [maxRecycledWidth][]*storage.Version
+// index w, each in list order. A version met a second time, on its own list
+// or on another, ends the walk of its list and is returned as twice.
+func (m *Manager) freeLists() (lists [maxRecycledWidth + 1][]*storage.Version, twice *storage.Version) {
+	seen := map[*storage.Version]bool{}
 	for i, v := range m.versions {
 		for ; v != nil; v = v.Next {
+			if seen[v] {
+				twice = v
+				break
+			}
+			seen[v] = true
 			lists[i] = append(lists[i], v)
 		}
 	}
-	return lists
+	return lists, twice
 }

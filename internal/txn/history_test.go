@@ -141,8 +141,12 @@ const (
 //     most the commits since that snapshot plus one;
 //   - Manager.stats agrees with the open snapshots and the oldest of them;
 //   - after each operation, no version on any slot's chain is on the
-//     Manager's free lists, and each list holds only live versions of its
-//     own width, as many as it counts and no more than its bound.
+//     Manager's free lists, no version is on them twice, and each list
+//     holds only live versions of its own width (bare headers at width 0),
+//     as many as it counts and no more than its bound;
+//   - a version first seen on a free list, one a refill put there, is fresh:
+//     a zero header whose Values are its width's NULL cells, capped at the
+//     width; and no two versions, listed or chained, share a cell.
 func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	m, h := NewManager(), &history{commitTS: 1}
 	tbl := storage.NewTable("t", storage.MustSchema(
@@ -212,19 +216,44 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 		}
 	}
 
+	known := map[*storage.Version]bool{} // every version a check has seen
 	checkFree := func(step int) {
 		t.Helper()
+		lists, twice := m.freeLists()
+		if twice != nil {
+			t.Fatalf("step %d: version %p is on the free lists twice", step, twice)
+		}
 		free := map[*storage.Version]bool{}
-		for i, list := range m.freeLists() {
-			if len(list) != m.nVersions[i] || len(list) > maxFreeVersions {
+		cells := map[*storage.Value]*storage.Version{}
+		owns := func(v *storage.Version) {
+			if len(v.Values) == 0 {
+				return
+			}
+			if o := cells[&v.Values[0]]; o != nil && o != v {
+				t.Fatalf("step %d: versions %p and %p share their cells", step, o, v)
+			}
+			cells[&v.Values[0]] = v
+		}
+		for w, list := range lists {
+			if len(list) != m.nVersions[w] || len(list) > maxFreeVersions {
 				t.Fatalf("step %d: the width-%d free list holds %d versions, counts %d, bound %d",
-					step, i+1, len(list), m.nVersions[i], maxFreeVersions)
+					step, w, len(list), m.nVersions[w], maxFreeVersions)
 			}
 			for _, v := range list {
-				if len(v.Values) != i+1 || v.Deleted {
-					t.Fatalf("step %d: the width-%d free list holds %+v", step, i+1, *v)
+				if len(v.Values) != w || v.Deleted || (w == 0 && v.Values != nil) {
+					t.Fatalf("step %d: the width-%d free list holds %+v", step, w, *v)
+				}
+				if !known[v] {
+					fresh := v.Begin == 0 && v.End == 0 && v.TxnID == 0 && cap(v.Values) == w
+					for _, c := range v.Values {
+						fresh = fresh && c.IsNull()
+					}
+					if !fresh {
+						t.Fatalf("step %d: a refill put %+v (cap %d) on the width-%d free list", step, *v, cap(v.Values), w)
+					}
 				}
 				free[v] = true
+				owns(v)
 			}
 		}
 		for s := range h.slots {
@@ -232,7 +261,12 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 				if free[v] {
 					t.Fatalf("step %d: slot %d's version %d is on the free lists", step, s, n)
 				}
+				owns(v)
+				known[v] = true
 			}
+		}
+		for v := range free {
+			known[v] = true
 		}
 	}
 

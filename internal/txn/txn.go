@@ -13,9 +13,13 @@
 // same row after the same number of steps as on an uncut chain; a slot
 // keeps the versions committed after the oldest running snapshot plus one.
 // The versions the cut unlinks go on the Manager's free lists, one per row
-// width, and Insert and Update take their versions from there before they
-// allocate; tombstones, deleted versions, rows wider than maxRecycledWidth
-// and a full list's overflow are left to the Go collector. Index entries are
+// width, and Insert, Update and Delete take every version from there: an
+// empty list is refilled with a block of fresh versions of its width
+// (storage.NewVersionBlock), and tombstones come from a list of bare
+// headers that only blocks refill. Tombstones, deleted versions and a full
+// list's overflow are not recycled, and each pins its block until no
+// version of the block is reachable; rows wider than maxRecycledWidth take
+// storage.NewVersion's and are left to the Go collector. Index entries are
 // not reclaimed (DESIGN.md §4, Version reclamation).
 //
 // Recycling is what makes Read's rule hold: a row Read returns is valid
@@ -90,10 +94,12 @@ type Manager struct {
 	// free holds released transactions for Begin to reuse, newest last. A
 	// plain slice: one goroutine drives a simulation.
 	free []*Txn
-	// versions[w-1] lists the cut versions of width w that the next writes
-	// reuse, linked through Version.Next; nVersions[w-1] counts them.
-	versions  [maxRecycledWidth]*storage.Version
-	nVersions [maxRecycledWidth]int
+	// versions[w] lists the versions of width w that the next writes take,
+	// cut ones and a block's fresh ones, linked through Version.Next;
+	// nVersions[w] counts them. versions[0] holds bare headers for
+	// tombstones.
+	versions  [maxRecycledWidth + 1]*storage.Version
+	nVersions [maxRecycledWidth + 1]int
 }
 
 // maxKeptWrites caps the write-set capacity a released transaction keeps
@@ -102,13 +108,12 @@ type Manager struct {
 const maxKeptWrites = 1024
 
 // maxRecycledWidth is the widest row whose versions are recycled: the
-// widest storage.NewVersion packs with its header, YCSB's 11-column
-// usertable.
+// widest storage.NewVersionBlock packs, YCSB's 11-column usertable.
 const maxRecycledWidth = 11
 
-// maxFreeVersions caps each free list, so that the long chains one old
-// snapshot pinned do not stay on the lists for the life of the server once
-// a commit cuts them.
+// maxFreeVersions caps what recycle puts on each free list, so that the
+// long chains one old snapshot pinned do not stay on the lists for the life
+// of the server once a commit cuts them. A refill is one block, far less.
 const maxFreeVersions = 1024
 
 // NewManager creates a transaction manager. Commit timestamps start at 1;
@@ -156,30 +161,36 @@ func (m *Manager) finish(t *Txn) {
 	t.prev, t.next = nil, nil
 }
 
-// newVersion returns a version holding a copy of row: one off the free list
-// of row's width, its header reset, or else storage.NewVersion's.
+// newVersion returns a version holding a copy of row, and a bare header for
+// a nil row (a tombstone): one off the free list of row's width, its header
+// reset, after refilling an empty list with a block of fresh versions. A row
+// wider than maxRecycledWidth takes storage.NewVersion's.
 func (m *Manager) newVersion(row storage.Row) *storage.Version {
-	if w := len(row); w >= 1 && w <= maxRecycledWidth {
-		if v := m.versions[w-1]; v != nil {
-			m.versions[w-1], m.nVersions[w-1] = v.Next, m.nVersions[w-1]-1
-			*v = storage.Version{Values: v.Values}
-			copy(v.Values, row)
-			return v
-		}
+	w := len(row)
+	if w > maxRecycledWidth || (w == 0 && row != nil) {
+		return storage.NewVersion(row)
 	}
-	return storage.NewVersion(row)
+	v := m.versions[w]
+	if v == nil {
+		v, m.nVersions[w] = storage.NewVersionBlock(w)
+	}
+	m.versions[w], m.nVersions[w] = v.Next, m.nVersions[w]-1
+	*v = storage.Version{Values: v.Values}
+	copy(v.Values, row)
+	return v
 }
 
 // recycle puts the versions of a chain the cut unlinked on the free lists.
 // Tombstones, deleted versions, rows wider than maxRecycledWidth and what a
-// full list has no room for are left to the Go collector.
+// full list has no room for are dropped: the Go collector frees a block once
+// none of its versions is reachable.
 func (m *Manager) recycle(v *storage.Version) {
 	for v != nil {
 		next := v.Next
-		if w := len(v.Values); !v.Deleted && w >= 1 && w <= maxRecycledWidth && m.nVersions[w-1] < maxFreeVersions {
-			v.Next = m.versions[w-1]
-			m.versions[w-1] = v
-			m.nVersions[w-1]++
+		if w := len(v.Values); !v.Deleted && w >= 1 && w <= maxRecycledWidth && m.nVersions[w] < maxFreeVersions {
+			v.Next = m.versions[w]
+			m.versions[w] = v
+			m.nVersions[w]++
 		}
 		v = next
 	}
@@ -257,9 +268,8 @@ func (t *Txn) Read(tbl *storage.Table, id storage.TupleID) (storage.Row, int) {
 }
 
 // Insert appends a new tuple owned by this transaction. The stored version
-// holds a copy of row in cells of its own (a recycled version's, or
-// storage.NewVersion's), so the caller may reuse row as soon as Insert
-// returns.
+// holds a copy of row in cells of its own (a version off the free list of
+// row's width), so the caller may reuse row as soon as Insert returns.
 func (t *Txn) Insert(tbl *storage.Table, row storage.Row) (storage.TupleID, error) {
 	if t.state != StateActive {
 		return storage.InvalidTupleID, ErrNotActive

@@ -3,6 +3,8 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -458,12 +460,23 @@ func TestWritesCopyTheRow(t *testing.T) {
 }
 
 // TestOneAllocationPerVersion: with the write set already grown and the
-// free lists empty, Insert and Update each allocate exactly one object — the
-// version and its cells — at every width up to YCSB's usertable, the widest
-// table a workload creates. A tombstone is a header alone, one allocation
-// too.
+// free lists empty, N inserts, N updates and N deletes each allocate
+// ⌈N/block⌉ objects, one block of versions (or of bare headers, for the
+// tombstones) for every block length of writes, at every width up to YCSB's
+// usertable, the widest table a workload creates. N is three blocks of the
+// row's width, so the updates find the inserts' blocks used up.
 func TestOneAllocationPerVersion(t *testing.T) {
-	const widest, runs = 11, 100
+	const widest = 11
+	mallocs := func(f func()) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // as testing.AllocsPerRun does
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection cycle allocates
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	_, headers := storage.NewVersionBlock(0)
 	for width := 1; width <= widest; width++ {
 		cols := make([]storage.Column, width)
 		r := make(storage.Row, width)
@@ -471,49 +484,62 @@ func TestOneAllocationPerVersion(t *testing.T) {
 			cols[i] = storage.Column{Name: fmt.Sprintf("c%d", i), Kind: storage.KindInt}
 			r[i] = storage.NewInt(int64(i))
 		}
-		tbl := storage.NewTable("t", storage.MustSchema(cols...))
+		schema := storage.MustSchema(cols...)
+		tbl := storage.NewTable("t", schema)
 		m := NewManager()
+		_, block := storage.NewVersionBlock(width)
+		n := 3 * block
+		blocks := func(n, block int) uint64 { return uint64((n + block - 1) / block) }
 
-		// AllocsPerRun calls f runs+1 times. Slot growth is amortized
-		// below one allocation a call.
+		// What the table's slot array allocates as it grows to n slots.
+		slots := storage.NewTable("slots", schema)
+		growth := mallocs(func() {
+			for range n {
+				slots.Append(nil)
+			}
+		})
+
 		tx := m.Begin()
-		tx.writes = make([]Write, 0, 3*(runs+1))
-		if n := testing.AllocsPerRun(runs, func() {
-			if _, err := tx.Insert(tbl, r); err != nil {
-				t.Fatal(err)
+		tx.writes = make([]Write, 0, n)
+		if got, want := mallocs(func() {
+			for range n {
+				if _, err := tx.Insert(tbl, r); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}); n != 1 {
-			t.Errorf("width %d: Insert allocates %v objects, want 1", width, n)
+		}), blocks(n, block)+growth; got != want {
+			t.Errorf("width %d: %d inserts allocate %d objects, want %d (%d blocks of %d, %d slot array growths)",
+				width, n, got, want, blocks(n, block), block, growth)
 		}
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 
 		tx = m.Begin()
-		tx.writes = make([]Write, 0, 3*(runs+1))
-		id := storage.TupleID(0)
-		if n := testing.AllocsPerRun(runs, func() {
-			if err := tx.Update(tbl, id, r); err != nil {
-				t.Fatal(err)
+		tx.writes = make([]Write, 0, n)
+		if got, want := mallocs(func() {
+			for id := range storage.TupleID(n) {
+				if err := tx.Update(tbl, id, r); err != nil {
+					t.Fatal(err)
+				}
 			}
-			id++
-		}); n != 1 {
-			t.Errorf("width %d: Update allocates %v objects, want 1", width, n)
+		}), blocks(n, block); got != want {
+			t.Errorf("width %d: %d updates allocate %d objects, want %d", width, n, got, want)
 		}
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 
 		tx = m.Begin()
-		tx.writes = make([]Write, 0, 3*(runs+1))
-		id = 0
-		if n := testing.AllocsPerRun(runs, func() {
-			if err := tx.Delete(tbl, id); err != nil {
-				t.Fatal(err)
+		tx.writes = make([]Write, 0, n)
+		if got, want := mallocs(func() {
+			for id := range storage.TupleID(n) {
+				if err := tx.Delete(tbl, id); err != nil {
+					t.Fatal(err)
+				}
 			}
-			id++
-		}); n != 1 {
-			t.Errorf("width %d: Delete allocates %v objects, want 1", width, n)
+		}), blocks(n, headers); got != want {
+			t.Errorf("width %d: %d deletes allocate %d objects, want %d", width, n, got, want)
 		}
 		if v := tbl.Head(0); !v.Deleted || v.Values != nil {
 			t.Errorf("width %d: a tombstone holds cells: %v", width, v.Values)
