@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build lint race fuzz-smoke test bench alloc-census cover figures
+.PHONY: check build lint race fuzz-smoke test bench alloc-census neutral pairs cover figures
 
 check build lint race fuzz-smoke:
 	GO="$(GO)" FUZZTIME="$(FUZZTIME)" ./scripts/check.sh $@
@@ -23,6 +23,16 @@ bench:
 # instead.
 alloc-census:
 	GO="$(GO)" SEED="$(SEED)" ./scripts/alloc-census.sh $(W) $(or $(S),4) $(P)
+
+# The bit-neutral recipe against a revision, one line per check: make
+# neutral REV=<rev> (SEED= and SCALE= set the runs).
+neutral:
+	GO="$(GO)" ./scripts/neutral.sh $(REV)
+
+# Alternating pairs of one metric against a revision, with quartiles, wins
+# and a sign test: make pairs REV=<rev> W=<workload> M=<metric> [N=10].
+pairs:
+	GO="$(GO)" ./scripts/pairs.sh $(REV) $(W) $(M) $(N)
 
 # Coverage with a per-package summary (baseline recorded in README.md).
 cover:

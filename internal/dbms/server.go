@@ -3,6 +3,11 @@
 // front end, execution engine, and network protocol — and integrates the
 // TScout markers at every operating-unit boundary. It is the "annotated
 // DBMS" of the paper's Setup Phase.
+//
+// A session lends its results: the *exec.Result a Statement or Execute
+// returns, and every result of a SubmitPacket, is valid until the
+// session's next call, which takes its memory back. A caller reads what it
+// needs from a result before it sends the session's next statement.
 package dbms
 
 import (
@@ -164,9 +169,11 @@ type Session struct {
 	tx   *txn.Txn
 	// ctx is the execution context every statement of this session runs
 	// in, whichever entry point it arrives through: the engine keeps its
-	// per-statement scratch there, so a session's statements reuse it.
+	// per-statement scratch and the session's results there. It is rewound
+	// at the start of each call, so a Result lives until the next one.
 	ctx exec.Ctx
-	// params holds the statement in progress's parameter values (bindParams).
+	// params holds the statement in progress's parameter values and
+	// literals (lookup), or a packet's literals (SubmitPacket).
 	params []storage.Value
 	// reply is the wire response under construction, rendered in place and
 	// reused by the next one.
@@ -207,21 +214,24 @@ func (se *Session) execCtx(tx *txn.Txn) *exec.Ctx {
 	return &se.ctx
 }
 
-// bindParams copies a statement's parameter values, then its text's string
-// literals, into the session's scratch, which the engine reads until Run
-// returns and keeps nothing of. Statement and Execute pass the engine the
-// copy, never their variadic slice: that slice would escape through the
-// plan interface, and every caller's argument array would be allocated on
-// the heap.
-func (se *Session) bindParams(params, lits []storage.Value) []storage.Value {
-	se.params = append(append(se.params[:0], params...), lits...)
-	return se.params
+// lookup finds query's statement and binds it: it copies the call's
+// parameter values into the session's scratch and appends the text's string
+// literals after them, and the engine reads the copy until Run returns and
+// keeps nothing of it. Statement and Execute pass the engine the copy,
+// never their variadic slice: that slice would escape through the plan
+// interface, and every caller's argument array would be allocated on the
+// heap.
+func (se *Session) lookup(query string, params []storage.Value) (*statement, []storage.Value, error) {
+	st, bound, err := se.srv.stmts.lookup(query, len(params), append(se.params[:0], params...))
+	se.params = bound
+	return st, bound, err
 }
 
 // PacketResult is the outcome of one client packet.
 type PacketResult struct {
 	// Results holds per-statement results (nil entries for statements
-	// that did not run because an earlier one failed).
+	// that did not run because an earlier one failed). They are all valid
+	// together until the session's next call, as Statement's result is.
 	Results []*exec.Result
 	// Commit is the WAL group-commit handle for a writing transaction
 	// (nil for read-only or aborted ones). The caller must wait for
@@ -234,32 +244,47 @@ type PacketResult struct {
 	Err error
 }
 
+// packetStmt is one statement of a packet, looked up before any runs: its
+// statement and the literals it binds.
+type packetStmt struct {
+	st   *statement
+	lits []storage.Value
+}
+
 // SubmitPacket processes one client packet: the networking read OU parses
 // the protocol messages, each SQL statement executes inside one
 // transaction, the commit's redo records enter the group-commit WAL, and
-// the networking write OU emits the response.
+// the networking write OU emits the response. It ends the life of the
+// session's earlier results (Statement).
 func (se *Session) SubmitPacket(packet []byte) *PacketResult {
+	se.ctx.Rewind()
 	srv := se.srv
 	task := se.Task
 	pr := &PacketResult{}
 
 	// --- Networking read OU -------------------------------------------
+	// Every statement is looked up before any runs, so each one's literals
+	// are cut from one buffer that later lookups only append to.
 	msgs, derr := network.Decode(packet)
-	var stmts []textEntry
+	var stmts []packetStmt
+	lits := se.params[:0]
 	if derr == nil {
 		for _, m := range msgs {
 			if m.Type != network.MsgQuery {
 				derr = fmt.Errorf("dbms: unexpected message type %q", m.Type)
 				break
 			}
-			st, lits, perr := srv.stmts.lookup(string(m.Payload), 0)
+			n := len(lits)
+			st, all, perr := srv.stmts.lookup(string(m.Payload), 0, lits)
 			if perr != nil {
 				derr = perr
 				break
 			}
-			stmts = append(stmts, textEntry{st: st, lits: lits})
+			lits = all
+			stmts = append(stmts, packetStmt{st, lits[n:]})
 		}
 	}
+	se.params = lits
 	se.netRead(len(packet), len(msgs))
 	// fail ends the packet with err after the sent results already in reply.
 	fail := func(reply []byte, sent int, err error) *PacketResult {
@@ -279,7 +304,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	reply := se.reply[:0]
 	ctx := se.execCtx(tx)
 	for i, e := range stmts {
-		res, err := srv.run(ctx, e.st, se.bindParams(nil, e.lits))
+		res, err := srv.run(ctx, e.st, e.lits)
 		if err != nil {
 			_ = tx.Abort()
 			tx.Release()
@@ -427,8 +452,10 @@ func appendResult(out []byte, r *exec.Result) []byte {
 // Execute is the in-process convenience path used by examples and the
 // offline loader: it looks up and runs one statement with $n parameters in
 // its own transaction on the given session, bypassing the wire protocol.
+// Its result is valid until the session's next call, as Statement's is.
 func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result, error) {
-	st, lits, err := se.srv.stmts.lookup(query, len(params))
+	se.ctx.Rewind()
+	st, bound, err := se.lookup(query, params)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +463,7 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)
 	}
-	res, err := se.srv.run(se.execCtx(tx), st, se.bindParams(params, lits))
+	res, err := se.srv.run(se.execCtx(tx), st, bound)
 	if err != nil {
 		_ = tx.Abort()
 		tx.Release()

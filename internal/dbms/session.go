@@ -38,7 +38,13 @@ func (se *Session) BeginTxn() error {
 // charges the networking read/write OUs for the statement's wire traffic
 // (the extended-protocol Bind message carries the parameters) and one
 // execution-engine sampling event per query (paper §3.1).
+//
+// The result is borrowed from the session: it, its rows and their cells are
+// valid until the session's next call (Statement, Execute or SubmitPacket),
+// which rewinds the memory they are cut from, and Commit and Rollback leave
+// it valid. Read what is needed before the next statement.
 func (se *Session) Statement(query string, params ...storage.Value) (*exec.Result, error) {
+	se.ctx.Rewind()
 	if se.tx == nil {
 		return nil, ErrNoTxn
 	}
@@ -49,8 +55,7 @@ func (se *Session) Statement(query string, params ...storage.Value) (*exec.Resul
 	for _, p := range params {
 		packetBytes += int(p.Size()) + 4
 	}
-	st, lits, perr := srv.stmts.lookup(query, len(params))
-	bound := se.bindParams(params, lits)
+	st, bound, perr := se.lookup(query, params)
 	se.netRead(packetBytes, 1)
 	if perr != nil {
 		se.rollback()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tscout/internal/exec"
+	"tscout/internal/network"
 	"tscout/internal/storage"
 	"tscout/internal/txn"
 	"tscout/internal/wal"
@@ -190,32 +191,32 @@ func TestGroupCommitAcrossSessions(t *testing.T) {
 	}
 }
 
-// TestResultSurvivesLaterStatements: a *Result belongs to its caller for
-// good. TPC-C's delivery reads a result two statements after it was
-// returned; here a SELECT *, a projection, a join, an aggregate, a
-// COUNT(*) join and an UPDATE's count are held across later scans on the
-// same session — first ones that fit the session's statement scratch and
-// so overwrite it in place, then one that outgrows it — across hundreds of
-// small statements on it and on a second session, which use up the
-// engine's result chunks, and across an UPDATE and commit of the very
-// tuples they returned. It fails if a result ever aliases scratch, if
-// result memory is ever handed out twice, or if a stored row is ever
-// written to.
+// TestResultSurvivesLaterStatements: a *Result is valid until its
+// session's next call, however many statements that call runs. Here one
+// packet returns the held results — a SELECT *, a projection, a join, an
+// aggregate, a COUNT(*) join and an UPDATE's count — and then runs later
+// scans on the same session, first ones that fit the session's statement
+// scratch and so overwrite it in place, then ones that outgrow it, and
+// then UPDATEs of the very tuples the results returned; after the packet
+// has committed, a second session runs hundreds of statements and commits
+// another UPDATE of those tuples. It fails if a result ever aliases
+// scratch, if result memory is handed out twice within a call, or if a
+// stored row is ever written to.
 func TestResultSurvivesLaterStatements(t *testing.T) {
 	srv := newTestServer(t, false)
 	se := srv.NewSession()
-	execute := func(q string, params ...storage.Value) {
+	execute := func(se *Session, q string, params ...storage.Value) {
 		t.Helper()
 		if _, err := se.Execute(q, params...); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	execute("CREATE TABLE big (id INT PRIMARY KEY, k INT, pad VARCHAR)")
+	execute(se, "CREATE TABLE big (id INT PRIMARY KEY, k INT, pad VARCHAR)")
 	for i := int64(0); i < 8; i++ {
-		execute("INSERT INTO kv VALUES ($1, $2)", storage.NewInt(i), storage.NewString(fmt.Sprint("v", i)))
+		execute(se, "INSERT INTO kv VALUES ($1, $2)", storage.NewInt(i), storage.NewString(fmt.Sprint("v", i)))
 	}
 	for i := int64(0); i < 600; i++ {
-		execute("INSERT INTO big VALUES ($1, $2, 'pad')", storage.NewInt(i), storage.NewInt(i%8))
+		execute(se, "INSERT INTO big VALUES ($1, $2, 'pad')", storage.NewInt(i), storage.NewInt(i%8))
 	}
 	render := func(res *exec.Result) string {
 		var sb strings.Builder
@@ -228,13 +229,13 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 		}
 		return sb.String()
 	}
-	statement := func(q string) *exec.Result {
+	packet := func(qs ...string) []*exec.Result {
 		t.Helper()
-		res, err := se.Statement(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+		pr := se.SubmitPacket(network.EncodeScript(qs...))
+		if pr.Err != nil {
+			t.Fatal(pr.Err)
 		}
-		return res
+		return pr.Results
 	}
 	// Each later statement is larger than every held one and uses the same
 	// scratch slots: scan, joined table, join output.
@@ -244,16 +245,9 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 		"SELECT * FROM big JOIN kv ON kv.k = big.k WHERE big.id < 300",
 		"SELECT k, COUNT(*) FROM big GROUP BY k",
 	}
+	packet(later...) // grow the scratch past what the held statements need
 
-	if err := se.BeginTxn(); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range later { // grow the scratch past what the held statements need
-		statement(q)
-	}
-	held := map[string]*exec.Result{}
-	want := map[string]string{}
-	for _, q := range []string{
+	held := []string{
 		"SELECT * FROM kv WHERE k = 3",
 		"SELECT * FROM kv",
 		"SELECT v, k FROM kv WHERE k >= 2",
@@ -261,51 +255,137 @@ func TestResultSurvivesLaterStatements(t *testing.T) {
 		"SELECT COUNT(*), MIN(v), MAX(k) FROM kv",
 		"SELECT COUNT(*) FROM kv JOIN big ON big.k = kv.k WHERE big.id < 20",
 		"UPDATE big SET pad = 'held' WHERE id >= 590",
-	} {
-		held[q] = statement(q)
-		want[q] = render(held[q])
-		if len(held[q].Rows) == 0 && held[q].Affected == 0 {
+	}
+	// What each held statement returns, each run in a call of its own.
+	var want []string
+	for _, q := range held {
+		if err := se.BeginTxn(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := se.Statement(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(res.Rows) == 0 && res.Affected == 0 {
 			t.Fatalf("%s returned nothing to hold", q)
 		}
-	}
-	check := func(after string) {
-		t.Helper()
-		for q, res := range held {
-			if got := render(res); got != want[q] {
-				t.Fatalf("after %s, the held result of %q changed:\n%s\nwas:\n%s", after, q, got, want[q])
-			}
-		}
-	}
-	for _, q := range later { // overwrite the scratch in place
-		statement(q)
-		check(q)
-	}
-	for _, q := range []string{"SELECT * FROM big", "SELECT * FROM big JOIN kv ON kv.k = big.k"} { // outgrow it
-		statement(q)
-		check(q)
-	}
-	other := srv.NewSession()  // every session's results are cut from the same chunks
-	for i := 0; i < 300; i++ { // use up several of each kind of result chunk
-		statement("SELECT v, k FROM kv WHERE k >= 2")
-		statement("UPDATE big SET pad = 'again' WHERE id >= 590")
-		if _, err := other.Execute("SELECT * FROM kv WHERE k < 6"); err != nil {
+		want = append(want, render(res))
+		if err := se.Rollback(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("900 small statements on two sessions")
-	// Rewrite the tuples the held results came from: twice in this
-	// transaction (the second write collapses into the first's version),
-	// then once more after the commit.
-	statement("UPDATE kv SET v = 'changed'")
-	statement("UPDATE kv SET v = 'again', k = k + 100")
-	check("two UPDATEs")
+	qs := append(append([]string(nil), held...), later...) // overwrite the scratch in place
+	qs = append(qs,
+		"SELECT * FROM big", "SELECT * FROM big JOIN kv ON kv.k = big.k", // outgrow it
+		// Rewrite the tuples the held results came from, twice (the second
+		// write collapses into the first's version).
+		"UPDATE kv SET v = 'changed'", "UPDATE kv SET v = 'again', k = k + 100")
+	results := packet(qs...)
+	check := func(after string) {
+		t.Helper()
+		for i, q := range held {
+			if got := render(results[i]); got != want[i] {
+				t.Fatalf("after %s, the held result of %q changed:\n%s\nwas:\n%s", after, q, got, want[i])
+			}
+		}
+	}
+	check("the later statements of its packet and its commit")
+	other := srv.NewSession()
+	for i := 0; i < 300; i++ {
+		execute(other, "SELECT v, k FROM kv WHERE k >= 2")
+		execute(other, "UPDATE big SET pad = 'again' WHERE id >= 590")
+	}
+	check("600 statements on another session")
+	execute(other, "UPDATE kv SET v = 'later' WHERE k >= 100")
+	execute(other, "UPDATE big SET pad = 'later' WHERE id < 20")
+	check("another session's UPDATE")
+}
+
+// TestResultOutlivesOtherSessionsCommits: a result is its session's until
+// that session's next call, whatever other sessions do meanwhile. A SELECT *
+// result still reads its row after other sessions have committed 1 000
+// updates of it, although each commit cuts the version the one before
+// installed and the next update rewrites it: the projection copied the
+// cells, it did not hand out the stored row.
+func TestResultOutlivesOtherSessionsCommits(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	if _, err := se.Execute("INSERT INTO kv VALUES (1, 'one')"); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.BeginTxn(); err != nil {
+		t.Fatal(err)
+	}
+	held, err := se.Statement("SELECT * FROM kv WHERE k = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := se.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	check("commit")
-	execute("UPDATE kv SET v = 'later' WHERE k >= 100")
-	execute("UPDATE big SET pad = 'later' WHERE id < 20")
-	check("a later transaction's UPDATE")
+	const want = "1|one|"
+	writers := []*Session{srv.NewSession(), srv.NewSession()}
+	for i := range 1000 {
+		if _, err := writers[i%2].Execute("UPDATE kv SET v = $1 WHERE k = 1", storage.NewString(fmt.Sprint("n", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held.Rows[0][0].String() + "|" + held.Rows[0][1].String() + "|"; got != want {
+		t.Fatalf("the held row reads %s, want %s", got, want)
+	}
+	res, err := se.Execute("SELECT v FROM kv WHERE k = 1")
+	if err != nil || res.Rows[0][0].Str() != "n999" {
+		t.Fatalf("a new read sees %v (%v), want the last update", res, err)
+	}
+}
+
+// TestPacketResultsLiveUntilNextCall: every result of a packet holds its
+// values until the session's next call, which takes them back. The second
+// statement runs after the first one's result is cut, so rewinding per
+// statement, not per call, would hand it the first one's memory.
+func TestPacketResultsLiveUntilNextCall(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	for i, v := range []string{"one", "two"} {
+		if _, err := se.Execute("INSERT INTO kv VALUES ($1, $2)", storage.NewInt(int64(i+1)), storage.NewString(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pr := se.SubmitPacket(network.EncodeScript(
+		"SELECT v FROM kv WHERE k = 1", "SELECT k, v FROM kv WHERE k = 2"))
+	if pr.Err != nil {
+		t.Fatal(pr.Err)
+	}
+	first, second := pr.Results[0], pr.Results[1]
+	read := func() string {
+		var sb strings.Builder
+		for _, res := range []*exec.Result{first, second} {
+			for _, row := range res.Rows {
+				for _, v := range row {
+					sb.WriteString(v.String() + "|")
+				}
+			}
+		}
+		return sb.String()
+	}
+	const want = "one|2|two|"
+	if got := read(); got != want {
+		t.Fatalf("the packet's results read %q, want %q", got, want)
+	}
+	if _, err := srv.NewSession().Execute("UPDATE kv SET v = 'changed'"); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != want {
+		t.Fatalf("after another session's call the packet's results read %q, want %q", got, want)
+	}
+	// The session's next call takes the memory back: a borrowed result
+	// read after it is cleared or a later statement's.
+	if _, err := se.Execute("SELECT COUNT(*) FROM kv"); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got == want {
+		t.Fatalf("the packet's results still read %q after the session's next call", got)
+	}
 }
 
 // TestCommitReusesResolvedHandle: the commit handle is the session's. Once

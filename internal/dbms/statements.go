@@ -8,12 +8,12 @@ import (
 
 // maxCachedStatements bounds a server's statement table. A text's string
 // literals bind as parameters of its template (each '...' becomes the next
-// $n after the text's highest); numbers stay literals, since a number may
-// stand where no $n may (LIMIT 1). So the benchmarks' statements are a few
-// dozen templates, which all fit. What the bound is for is the texts kept
-// for an exact hit beside them: each literal variant of a template, and
-// every text with number literals or typed by hand (npdb's shell), which is
-// its own template. A client can send any number of those.
+// $n after the text's highest), and only the template is entered; numbers
+// stay literals, since a number may stand where no $n may (LIMIT 1). So
+// the benchmarks' statements are a few dozen templates, which all fit.
+// What the bound is for is every text with number literals or typed by
+// hand (npdb's shell), which is its own template. A client can send any
+// number of those.
 const maxCachedStatements = 1024
 
 // statement is one template's parsed form and, once it has executed, its
@@ -25,23 +25,15 @@ type statement struct {
 	plan *exec.Prepared
 }
 
-// textEntry is what the table keeps for one text: its template's statement
-// and the string literals the template lifted out, which bind after the
-// call's parameters, nparams of them (the highest $n the text names).
-type textEntry struct {
-	st      *statement
-	lits    []storage.Value
-	nparams int
-}
-
 // statementTable maps statement text to its parsed and analyzed form: the
 // server side of a prepared statement, keyed by text because the workloads'
-// clients send text. A text with string literals is an alias of its
-// template (sql.Templater), so texts that differ only in their literals
-// share one parse and one analysis. Like the rest of a Server's session
-// path it belongs to the one goroutine that drives the server's sessions.
+// clients send text. It holds templates (sql.Templater): a text with string
+// literals is looked up by its template, so texts that differ only in their
+// literals share one parse and one analysis and are not entered themselves.
+// Like the rest of a Server's session path it belongs to the one goroutine
+// that drives the server's sessions.
 type statementTable struct {
-	byText map[string]textEntry
+	byText map[string]*statement
 	// tmpl lexes a text missing from byText into its template in scratch.
 	tmpl sql.Templater
 	// Traffic counters: lookups served without parsing, lookups that
@@ -50,29 +42,31 @@ type statementTable struct {
 }
 
 // lookup returns text's statement for a call binding nparams parameters,
-// and the literal values to bind after them. A text missing from the table
-// is lexed once into its template, in the Templater's scratch, which is
-// parsed and copied into the table only if it is new; the text then enters
-// as the template's alias. So a new text of a known template allocates
-// only its string literals and their slice. A call whose parameter count is
-// not the text's highest $n, and a text whose template does not parse, get
-// the raw text parsed and uncached, so their result or error is the one the
-// text has on its own; a text that is its own template and does not parse
-// is parsed once, and that parse's error returned. Parse errors are never
-// cached.
-func (t *statementTable) lookup(text string, nparams int) (*statement, []storage.Value, error) {
-	if e, ok := t.byText[text]; ok && (len(e.lits) == 0 || e.nparams == nparams) {
+// with the text's string literals appended to vals: they bind after the
+// call's parameters, and vals is the caller's scratch, which holds those
+// parameters (or, in a packet, the earlier statements' literals). A text
+// missing from the table is lexed into its template, in the Templater's
+// scratch, and its literals are substrings of text (sql.Templater), so a
+// text of a known template allocates nothing; a template that is new is
+// parsed and entered. A call whose parameter count is not the text's
+// highest $n, and a text whose template does not parse, get the raw text
+// parsed and uncached, so their result or error is the one the text has on
+// its own; a text that is its own template and does not parse is parsed
+// once, and that parse's error returned. Parse errors are never cached.
+// Whenever lookup returns no literals it returns vals as it came in.
+func (t *statementTable) lookup(text string, nparams int, vals []storage.Value) (*statement, []storage.Value, error) {
+	if st, ok := t.byText[text]; ok {
 		t.hits++
-		return e.st, e.lits, nil
+		return st, vals, nil
 	}
-	tmpl, lits, maxParam, err := t.tmpl.Template(text)
-	if err == nil && (len(lits) == 0 || maxParam == nparams) {
+	n := len(vals)
+	tmpl, vals, maxParam, err := t.tmpl.Template(text, vals)
+	if err == nil && (tmpl == nil || maxParam == nparams) {
 		key := text
 		if tmpl != nil {
-			if e, ok := t.byText[string(tmpl)]; ok {
+			if st, ok := t.byText[string(tmpl)]; ok {
 				t.hits++
-				t.add(text, textEntry{e.st, lits, maxParam})
-				return e.st, lits, nil
+				return st, vals, nil
 			}
 			key = string(tmpl)
 		}
@@ -80,38 +74,35 @@ func (t *statementTable) lookup(text string, nparams int) (*statement, []storage
 		if err == nil {
 			t.misses++
 			st := &statement{ast: ast}
-			t.add(key, textEntry{st: st})
-			if len(lits) > 0 {
-				t.add(text, textEntry{st, lits, maxParam})
-			}
-			return st, lits, nil
+			t.add(key, st)
+			return st, vals, nil
 		}
 		if tmpl == nil { // key is text: its own parse failed
 			t.misses++
-			return nil, nil, err
+			return nil, vals, err
 		}
 	}
 	t.misses++
 	ast, err := sql.Parse(text)
 	if err != nil {
-		return nil, nil, err
+		return nil, vals[:n], err
 	}
-	return &statement{ast: ast}, nil, nil
+	return &statement{ast: ast}, vals[:n], nil
 }
 
-// add enters text. A full table is dropped whole rather than evicted from:
-// the hot templates re-enter within a transaction each, and the hit path
-// carries no bookkeeping. Dropping clears the map, which keeps the room it
-// grew for the next fill.
-func (t *statementTable) add(text string, e textEntry) {
+// add enters a template. A full table is dropped whole rather than evicted
+// from: the hot templates re-enter within a transaction each, and the hit
+// path carries no bookkeeping. Dropping clears the map, which keeps the
+// room it grew for the next fill.
+func (t *statementTable) add(key string, st *statement) {
 	if len(t.byText) >= maxCachedStatements {
 		clear(t.byText)
 		t.resets++
 	}
 	if t.byText == nil {
-		t.byText = make(map[string]textEntry)
+		t.byText = make(map[string]*statement)
 	}
-	t.byText[text] = e
+	t.byText[key] = st
 }
 
 // prepared returns st's analysis against the catalog as it is now,

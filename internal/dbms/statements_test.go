@@ -92,7 +92,7 @@ func TestCreateIndexReplansCachedStatement(t *testing.T) {
 	if p := explain(); !strings.Contains(p, "Seq Scan on acct") {
 		t.Fatalf("before CREATE INDEX:\n%s", p)
 	}
-	before := srv.stmts.byText[q].st.plan
+	before := srv.stmts.byText[q].plan
 
 	if _, err := loader.Execute("CREATE INDEX acct_owner ON acct (owner)"); err != nil {
 		t.Fatal(err)
@@ -105,12 +105,12 @@ func TestCreateIndexReplansCachedStatement(t *testing.T) {
 	if p := explain(); !strings.Contains(p, "Index Scan using acct_owner on acct") {
 		t.Fatalf("after CREATE INDEX:\n%s", p)
 	}
-	after := srv.stmts.byText[q].st.plan
+	after := srv.stmts.byText[q].plan
 	if after == before {
 		t.Fatalf("the statement was not re-analyzed")
 	}
 	run()
-	if srv.stmts.byText[q].st.plan != after {
+	if srv.stmts.byText[q].plan != after {
 		t.Fatalf("an unchanged catalog must not cause re-analysis")
 	}
 }
@@ -134,7 +134,7 @@ func TestMountArchiveAfterFirstUse(t *testing.T) {
 			t.Fatalf("a failed statement must abort the transaction")
 		}
 	}
-	st := srv.stmts.byText[q].st
+	st := srv.stmts.byText[q]
 	if st == nil || st.plan != nil {
 		t.Fatalf("the text is parsed once (%v) but a failed analysis is not cached", st)
 	}
@@ -207,7 +207,7 @@ func TestSelfTemplateParseErrorParsesOnce(t *testing.T) {
 		t.Fatalf("%q parses", text)
 	}
 	var tbl statementTable
-	st, lits, err := tbl.lookup(text, 0)
+	st, lits, err := tbl.lookup(text, 0, nil)
 	if st != nil || lits != nil || err == nil || err.Error() != want.Error() {
 		t.Fatalf("lookup: %v, %v, %v; want the error %q", st, lits, err, want)
 	}
@@ -215,8 +215,8 @@ func TestSelfTemplateParseErrorParsesOnce(t *testing.T) {
 		t.Fatalf("%d misses, %d hits, %d entries; want 1, 0, 0", tbl.misses, tbl.hits, len(tbl.byText))
 	}
 	parse := testing.AllocsPerRun(100, func() { _, _ = sql.Parse(text) })
-	lex := testing.AllocsPerRun(100, func() { _, _, _, _ = tbl.tmpl.Template(text) })
-	look := testing.AllocsPerRun(100, func() { _, _, _ = tbl.lookup(text, 0) })
+	lex := testing.AllocsPerRun(100, func() { _, _, _, _ = tbl.tmpl.Template(text, nil) })
+	look := testing.AllocsPerRun(100, func() { _, _, _ = tbl.lookup(text, 0, nil) })
 	if look != lex+parse {
 		t.Fatalf("a failing lookup allocates %v objects; lexing the text allocates %v and one parse %v", look, lex, parse)
 	}
@@ -308,7 +308,8 @@ func TestStatementTableBound(t *testing.T) {
 
 // TestLiteralTextsShareATemplate: texts that differ only in a string
 // literal are parsed once, as one template, yet each binds its own literal
-// — two of them in one packet return each one's own rows.
+// — two of them in one packet return each one's own rows — and only the
+// template is entered.
 func TestLiteralTextsShareATemplate(t *testing.T) {
 	srv := newTestServer(t, false)
 	se := srv.NewSession()
@@ -331,9 +332,14 @@ func TestLiteralTextsShareATemplate(t *testing.T) {
 	if got := srv.stmts.misses - misses; got != 1 {
 		t.Fatalf("%d parses for two texts of one template", got)
 	}
-	tmpl := srv.stmts.byText["SELECT k FROM kv WHERE v = $1"]
-	if tmpl.st == nil || srv.stmts.byText[one].st != tmpl.st || srv.stmts.byText[its].st != tmpl.st {
-		t.Fatalf("the texts do not share their template's statement")
+	if srv.stmts.byText["SELECT k FROM kv WHERE v = $1"] == nil {
+		t.Fatalf("the template was not entered")
+	}
+	if _, ok := srv.stmts.byText[one]; ok {
+		t.Fatalf("a literal text was entered beside its template")
+	}
+	if _, ok := srv.stmts.byText[its]; ok {
+		t.Fatalf("a literal text was entered beside its template")
 	}
 }
 
@@ -418,34 +424,37 @@ func TestEncodeResultBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestNewLiteralTextAllocatesItsLiterals: a text that is new but whose
-// template is known costs the lookup its string literal's copy and the
-// slice that holds it, and little else — the Templater lexes into scratch
-// and the table looks the template up without copying it. A thousand
-// distinct TATP UpdateLocation texts fit the table with their template.
-func TestNewLiteralTextAllocatesItsLiterals(t *testing.T) {
-	const n = 1000
-	texts := make([]string, n+2)
+// TestNewLiteralTextAllocatesNothing: a text that is new but whose
+// template is known costs the lookup nothing: the Templater lexes into
+// scratch, its literal is a substring of the text appended to the caller's
+// slice, and the table looks the template up without copying it and does
+// not enter the text. So 2 048 distinct UpdateLocation texts, twice what
+// the table holds, leave it holding their one template.
+func TestNewLiteralTextAllocatesNothing(t *testing.T) {
+	const n = 2 * maxCachedStatements
+	texts, nbrs := make([]string, n+1), make([]string, n+1)
 	for i := range texts {
-		texts[i] = "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = " +
-			network.QuoteString(fmt.Sprintf("nbr%012d", i))
+		nbrs[i] = fmt.Sprintf("nbr%012d", i)
+		texts[i] = "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = " + network.QuoteString(nbrs[i])
 	}
 	var tbl statementTable
-	if _, _, err := tbl.lookup(texts[n+1], 1); err != nil {
+	vals := []storage.Value{storage.NewInt(5)}
+	if _, _, err := tbl.lookup(texts[n], 1, vals); err != nil {
 		t.Fatal(err)
 	}
 	i := 0
-	per := testing.AllocsPerRun(n, func() {
-		if _, lits, err := tbl.lookup(texts[i], 1); err != nil || len(lits) != 1 {
-			t.Fatalf("text %d: %v, %d literals", i, err, len(lits))
+	per := testing.AllocsPerRun(n-1, func() {
+		_, bound, err := tbl.lookup(texts[i], 1, vals[:1])
+		if err != nil || len(bound) != 2 || bound[1].Str() != nbrs[i] {
+			t.Fatalf("text %d: %v, bound %v", i, err, bound)
 		}
+		vals = bound
 		i++
 	})
-	if tbl.misses != 1 || tbl.resets != 0 || len(tbl.byText) != n+3 {
-		t.Fatalf("%d parses, %d resets, %d entries; want 1, 0, %d", tbl.misses, tbl.resets, len(tbl.byText), n+3)
+	if tbl.misses != 1 || tbl.resets != 0 || len(tbl.byText) != 1 {
+		t.Fatalf("%d parses, %d resets, %d entries; want 1, 0, 1", tbl.misses, tbl.resets, len(tbl.byText))
 	}
-	if per > 2.5 {
-		t.Fatalf("a new literal text allocates %.2f objects, want <= 2.5", per)
+	if per != 0 {
+		t.Fatalf("a new literal text allocates %.2f objects, want 0", per)
 	}
-	t.Logf("%.2f allocations per new literal text", per)
 }

@@ -1,11 +1,14 @@
 package dbms_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"tscout/internal/dbms"
+	"tscout/internal/network"
 	"tscout/internal/storage"
 	"tscout/internal/workload"
 )
@@ -14,11 +17,11 @@ import (
 // benchmark generators send a few dozen templates over and over, so nearly
 // every statement is served without a parse. TATP's UpdateLocation and
 // InsertCallForwarding inline sub_nbr as a string literal, so each of their
-// thousands of texts is an alias of one of two templates; TATP runs ten
-// times longer here so that the table, which keeps every such text, fills
-// and is dropped (twice), and the ratio counts the templates' parse after
-// each drop. The floor is what a future hot statement that inlines a
-// number, which stays a literal of its own text, would fall through.
+// thousands of texts is looked up by one of two templates; TATP runs ten
+// times longer here, and the table, which enters only the templates, is
+// never full and never dropped (it was twice while it kept every text). The
+// floor is what a future hot statement that inlines a number, which stays a
+// literal of its own text, would fall through.
 func TestStatementTableTraffic(t *testing.T) {
 	for _, c := range []struct {
 		gen      workload.Generator
@@ -56,6 +59,9 @@ func TestStatementTableTraffic(t *testing.T) {
 			if ratio < c.minRatio {
 				t.Errorf("hit ratio %.4f, want at least %.2f", ratio, c.minRatio)
 			}
+			if resets != 0 {
+				t.Errorf("the table was dropped %d times", resets)
+			}
 			if size > dbms.MaxCachedStatements {
 				t.Errorf("table holds %d entries, bound %d", size, dbms.MaxCachedStatements)
 			}
@@ -70,10 +76,12 @@ func TestStatementTableTraffic(t *testing.T) {
 // to now. For the first five the change is the one that cut results from
 // the engine's chunks, kept parameters off the heap and counted COUNT(*)
 // joins instead of building them; for the rest, the one that bound string
-// literals as template parameters. Only an UPDATE's or INSERT's new
-// version is left, which the table stores. A row with a string literal in
-// its text is held to its $n form's ceiling: the text binds its literal as
-// a parameter of the same template, and binding it allocates nothing.
+// literals as template parameters. Only an UPDATE's new version is left,
+// which the table stores; an INSERT's is its share of a block of versions,
+// under one a statement. A row with a string literal in its text is held
+// to its $n form's ceiling: the text binds its literal as a parameter of
+// the same template, and binding it allocates nothing. Each ceiling is its
+// reading since results became session scratch.
 var statementShapes = []struct {
 	name, text      string
 	tatp            bool
@@ -89,11 +97,11 @@ var statementShapes = []struct {
 	{"stock_level_join", stockLevelJoin, false,
 		func(next int64) []storage.Value { return stockLevelParams(next, 20) }, 11, 0},
 	{"insert", historyInsert + "'payment')", false,
-		func(int64) []storage.Value { return []storage.Value{iv(1), iv(3), iv(7), storage.NewFloat(2.5)} }, 3, 1},
+		func(int64) []storage.Value { return []storage.Value{iv(1), iv(3), iv(7), storage.NewFloat(2.5)} }, 3, 0},
 	{"insert_params", historyInsert + "$5)", false,
 		func(int64) []storage.Value {
 			return []storage.Value{iv(1), iv(3), iv(7), storage.NewFloat(2.5), storage.NewString("payment")}
-		}, 1, 1},
+		}, 1, 0},
 	{"payment_by_name", paymentByName + "'name3'", false,
 		func(int64) []storage.Value { return []storage.Value{iv(1), iv(3)} }, 0, 0},
 	{"payment_by_name_params", paymentByName + "$3", false,
@@ -164,15 +172,16 @@ func tpccSession(tb testing.TB, orders int) (*dbms.Session, int64) {
 	return se, res.Rows[0][0].AsInt()
 }
 
-// tatpSession opens a session on an uninstrumented 500-subscriber TATP
-// server and warms it with 300 transactions of the standard mix.
-func tatpSession(tb testing.TB) *dbms.Session {
+// tatpSession opens a session on an uninstrumented TATP server with the
+// given number of subscribers and warms it with 300 transactions of the
+// standard mix. It returns the session and its server.
+func tatpSession(tb testing.TB, subscribers int) (*dbms.Session, *dbms.Server) {
 	tb.Helper()
 	srv, err := dbms.NewServer(dbms.Config{Seed: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	gen := &workload.TATP{Subscribers: 500}
+	gen := &workload.TATP{Subscribers: subscribers}
 	if err := gen.Setup(srv); err != nil {
 		tb.Fatal(err)
 	}
@@ -183,7 +192,7 @@ func tatpSession(tb testing.TB) *dbms.Session {
 			tb.Fatalf("warm-up txn %d: %v", i, err)
 		}
 	}
-	return se
+	return se, srv
 }
 
 // TestStatementAllocations: first, the point lookup TATP spends most of
@@ -193,7 +202,7 @@ func tatpSession(tb testing.TB) *dbms.Session {
 // shapes, each held to its ceiling in statementShapes.
 func TestStatementAllocations(t *testing.T) {
 	const before = 56
-	tatp := tatpSession(t)
+	tatp, _ := tatpSession(t, 500)
 	if err := tatp.BeginTxn(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +238,47 @@ func TestStatementAllocations(t *testing.T) {
 		}
 	}
 
+	// UpdateLocation over every subscriber's text, as TATP sends it: 2 000
+	// texts, more than the statement table holds, each new to it and all of
+	// one cached template. A text binds its literal in place and is not
+	// entered, so the table is never dropped, and a statement allocates
+	// nothing but its share of the versions' blocks (commits every 100
+	// statements keep the write set as short as a TATP transaction's is).
+	const subscribers, versionShare = 2000, 0.05
+	full, srv := tatpSession(t, subscribers)
+	texts := make([]string, subscribers)
+	for sid := range texts {
+		nbr := fmt.Sprint("nbr", sid)
+		texts[sid] = updateLocation + network.QuoteString(nbr+strings.Repeat("x", 15-len(nbr)))
+	}
+	_, _, resets0, _ := srv.StatementTraffic()
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
+	for i, text := range texts {
+		if i%100 == 0 {
+			if err := full.BeginTxn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := full.Statement(text, iv(int64(i)))
+		if err != nil || res.Affected != 1 {
+			t.Fatalf("%s: %v, %v", text, res, err)
+		}
+		if i%100 == 99 {
+			if _, err := full.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&end)
+	per := float64(end.Mallocs-start.Mallocs) / subscribers
+	_, _, resets, size := srv.StatementTraffic()
+	t.Logf("update_location over %d texts: %.3f allocations per Statement, %d resets, table holds %d", subscribers, per, resets-resets0, size)
+	if per > versionShare || resets != resets0 {
+		t.Errorf("update_location over %d texts: %.3f allocations per Statement (want at most %v) and %d resets (want 0)",
+			subscribers, per, versionShare, resets-resets0)
+	}
+
 	// Literal variadic arguments: Statement hands the engine a copy of
 	// params, so the array the call site builds stays on its stack.
 	n = testing.AllocsPerRun(200, func() {
@@ -242,8 +292,8 @@ func TestStatementAllocations(t *testing.T) {
 	}
 
 	// stockLevel's join only counts, so its bytes do not grow with the
-	// pairs it matches: ten times the window, the same few bytes a call —
-	// its share of the engine's result chunks. Building the joined rows
+	// pairs it matches: ten times the window, the same few bytes a call at
+	// most — its result is the session's reused scratch. Building the joined rows
 	// cost 7 096 B a call over 20 orders and 49 464 B over 200. The
 	// districts start with 300 orders here, so that both windows are full.
 	const maxJoinBytes = 256
@@ -285,7 +335,7 @@ func BenchmarkStatement(b *testing.B) {
 			var se *dbms.Session
 			var next int64
 			if c.tatp {
-				se = tatpSession(b)
+				se, _ = tatpSession(b, 500)
 			} else {
 				se, next = tpccSession(b, 0)
 			}

@@ -62,7 +62,7 @@ func (ip *insertPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes, uint64(n), uint64(bytes), uint64(len(tbl.Indexes)))
-	return e.results.affected(n), nil
+	return ctx.results.affected(n), nil
 }
 
 func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
@@ -119,7 +119,7 @@ func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, work.AllocBytes, uint64(n), uint64(bytes), uint64(len(tbl.Indexes)))
-	return e.results.affected(n), nil
+	return ctx.results.affected(n), nil
 }
 
 func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result, error) {
@@ -151,5 +151,5 @@ func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	ctx.Task.Charge(work)
 	ouEnd(ctx, m)
 	ouFeatures(ctx, m, 0, uint64(n), uint64(len(tbl.Indexes)))
-	return e.results.affected(n), nil
+	return ctx.results.affected(n), nil
 }

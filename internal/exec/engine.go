@@ -5,6 +5,11 @@
 // operator is a TScout operating unit with the feature set MB2-style
 // behavior models expect (tuple counts, widths, probe depths), and charges
 // the simulated CPU for the data volumes it actually processes.
+//
+// A Result is borrowed: it is cut from its Ctx's memory and valid until
+// that Ctx's next Rewind, which a dbms session does at the start of each
+// call it takes. A caller that reads a result after its session's next
+// statement reads cleared or newer cells (Result's doc).
 package exec
 
 import (
@@ -30,10 +35,10 @@ const (
 )
 
 // Engine executes SQL statements against a catalog. Its fields are set by
-// New before the first statement runs and only read afterwards, but for the
-// result chunks every statement cuts its Result from. All of a server's
-// sessions share one Engine on the one goroutine that drives the simulation
-// (see the sim package doc).
+// New before the first statement runs and only read afterwards: everything
+// a statement writes lives in its Ctx. All of a server's sessions share
+// one Engine on the one goroutine that drives the simulation (see the sim
+// package doc).
 type Engine struct {
 	cat *catalog.Catalog
 	// markers is indexed by OUID (1 … OUOutput); a nil entry is an
@@ -42,7 +47,6 @@ type Engine struct {
 	// observe, when set, is shown every Run after it returns. It is the
 	// differential tests' tap on statements that arrive through the dbms.
 	observe func(ctx *Ctx, p *Prepared, params []storage.Value, res *Result, err error)
-	results resultChunks
 }
 
 // New creates an engine. ts may be nil for an uninstrumented DBMS;
@@ -91,10 +95,8 @@ type Ctx struct {
 	Txn  *txn.Txn
 
 	// Statement scratch: memory an execution needs only until it returns.
-	// Run resets it at the statement boundary. Nothing in it is ever
-	// reachable from a *Result — results belong to the caller, who may hold
-	// them across any number of later statements, and are cut from the
-	// engine's resultChunks, which are never reused.
+	// Run resets it at the statement boundary. Nothing in it is reachable
+	// from a *Result.
 	//
 	// matches is the scan in progress (DML consumes it in place); rows are
 	// the row headers a SELECT's operators pass along — the joined rows so
@@ -110,71 +112,92 @@ type Ctx struct {
 	join    joinTable
 	agg     aggTable
 	row     storage.Row
+
+	// results is what every Result run through this Ctx is cut from. Unlike
+	// the statement scratch it lives across Runs, until Rewind.
+	results resultScratch
 }
 
-// resultChunks is the memory every Result an engine returns is cut from:
-// chunks of Result structs, of their row headers and of their projected and
-// aggregated cells. Unlike a Ctx's scratch, a chunk is never handed out
-// twice: what is cut from it is the caller's for good, a full chunk is
-// dropped for a fresh one, not rewound, and a held result pins at most one
-// chunk of each kind. A Result's Cols is not cut from them: it is its
-// plan's, shared and read-only.
-//
-// The engine keeps one set for all its sessions, so consecutive statements,
-// whichever session runs them, cut neighbouring memory. A set per session
-// spreads them over as many partly used chunks as there are sessions, each
-// cold by the time its session runs again.
-type resultChunks struct {
-	structs []Result
-	headers []storage.Row
-	cells   []storage.Value
+// Rewind takes back every Result run through c so far: they, their rows
+// and their cells are cleared, and the next statements cut their results
+// from the same memory. A session rewinds its Ctx once at the start of each
+// call it takes, so a Result is valid until that session's next call; a
+// Ctx nothing rewinds never reuses a Result.
+func (c *Ctx) Rewind() {
+	c.results.structs.rewind()
+	c.results.headers.rewind()
+	c.results.cells.rewind()
 }
 
-// Result chunk lengths, a few KB each. A request for more than a quarter
-// of a chunk gets its own allocation, so a held result pins at most one
-// chunk of each kind and a large result leaves no chunk mostly unused.
-const (
-	resultChunk = 64
-	headerChunk = 128
-	cellChunk   = 256
-)
-
-// cut returns n zeroed elements from the front of *chunk, with capacity
-// clipped so that an append never reaches the next cut. A chunk too short
-// for n is replaced with a fresh one of chunkLen; the old one stays with
-// whatever was cut from it.
-func cut[T any](chunk *[]T, n, chunkLen int) []T {
-	if n > chunkLen/4 {
-		return make([]T, n)
-	}
-	if len(*chunk) < n {
-		*chunk = make([]T, chunkLen)
-	}
-	s := (*chunk)[:n:n]
-	*chunk = (*chunk)[n:]
-	return s
+// resultScratch is the memory a Ctx's Results are cut from: Result
+// structs, their row headers and their projected and aggregated cells. A
+// Result's Cols is not cut from it: it is its plan's, shared and
+// read-only.
+type resultScratch struct {
+	structs arena[Result]
+	headers arena[storage.Row]
+	cells   arena[storage.Value]
 }
 
 // newResult cuts a Result whose column names are cols, a plan's shared
 // slice.
-func (rc *resultChunks) newResult(cols []string) *Result {
-	r := &cut(&rc.structs, 1, resultChunk)[0]
+func (rs *resultScratch) newResult(cols []string) *Result {
+	r := &rs.structs.cut(1)[0]
 	r.Cols = cols
 	return r
 }
 
 // affected cuts a DML statement's Result, which counts n rows written.
-func (rc *resultChunks) affected(n int) *Result {
-	r := rc.newResult(nil)
+func (rs *resultScratch) affected(n int) *Result {
+	r := rs.newResult(nil)
 	r.Affected = n
 	return r
 }
 
 // newRows cuts n row headers for a result.
-func (rc *resultChunks) newRows(n int) []storage.Row { return cut(&rc.headers, n, headerChunk) }
+func (rs *resultScratch) newRows(n int) []storage.Row { return rs.headers.cut(n) }
 
 // newCells cuts n cells for a result's rows.
-func (rc *resultChunks) newCells(n int) []storage.Value { return cut(&rc.cells, n, cellChunk) }
+func (rs *resultScratch) newCells(n int) []storage.Value { return rs.cells.cut(n) }
+
+// arena hands out runs of one array and takes them all back at once. It is
+// sized by use: it starts empty, and a cut that does not fit replaces the
+// array with one large enough for everything cut since the last rewind, and
+// at least twice the old one, so after a rewind a call the same size as the
+// largest so far cuts from one array and allocates nothing, and a session
+// whose calls grow replaces its arrays a few times, not once a call. The
+// replaced array is not touched again: what was cut from it stays valid
+// until the rewind, and then it is garbage. An arena nothing rewinds grows
+// no array past maxArena elements beyond the cut that needs it.
+type arena[T any] struct {
+	buf []T
+	// off is the next free element of buf, which is zero from off on; used
+	// counts the elements cut since the last rewind, from any array.
+	off, used int
+}
+
+// maxArena bounds how far an arena sizes a new array ahead of its cut.
+const maxArena = 4096
+
+// cut returns n zeroed elements with capacity clipped so that an append
+// never reaches the next cut.
+func (a *arena[T]) cut(n int) []T {
+	a.used += n
+	if a.off+n > len(a.buf) {
+		a.buf = make([]T, max(n, min(max(a.used, 2*len(a.buf)), maxArena)))
+		a.off = 0
+	}
+	s := a.buf[a.off : a.off+n : a.off+n]
+	a.off += n
+	return s
+}
+
+// rewind takes back everything cut, clearing it so that the array pins
+// nothing a result held.
+func (a *arena[T]) rewind() {
+	clear(a.buf[:a.off])
+	a.off, a.used = 0, 0
+}
 
 // resetScratch starts a statement: whatever the previous one bound is dead.
 // The match and row slots are truncated by their next user.
@@ -203,10 +226,12 @@ func (c *Ctx) allocPreds(n int) []compiledPred {
 
 // Result is a statement's outcome. For DML, Affected counts rows.
 //
-// A Result, its Rows and their cells are the caller's forever, whether the
-// transaction that produced it commits or not. They are cut from the
-// engine's result chunks, which are never reused, so no later statement
-// writes them, and a held result pins at most one chunk of each kind. No
+// A Result, its Rows and their cells are borrowed from the Ctx that ran the
+// statement, whether its transaction commits or not: they are valid until
+// that Ctx's next Rewind, which a session does at the start of its next
+// call (Statement, Execute or SubmitPacket), and read as cleared or as a
+// later statement's after it. Copy what must outlive the call. A Ctx that
+// is never rewound, such as a fresh &Ctx{}, never reuses its results. No
 // row aliases a stored row: every projection copies its cells (stored rows
 // are valid only until their transaction ends), so the caller may write
 // its rows and their cells. Cols is the plan's own slice, shared by every

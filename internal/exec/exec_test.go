@@ -170,26 +170,54 @@ func TestSelectStar(t *testing.T) {
 	}
 }
 
-// TestHeldResultOutlivesLaterCommits: a Result is the caller's for good. A
-// SELECT * Result still reads its original cells after 1 000 later update
-// transactions on its row have committed, although each commit cuts the
-// version the one before installed and the next update rewrites it: the
-// projection copied the cells, it did not hand out the stored row.
-func TestHeldResultOutlivesLaterCommits(t *testing.T) {
+// TestFreshCtxResultOutlivesOtherCtx: a Result lives until its Ctx's next
+// Rewind, so one from a fresh &Ctx{}, which nothing rewinds, is the
+// caller's for good. A SELECT * Result still reads its original cells after
+// 1 000 update transactions on its row have run through another Ctx,
+// rewound before each as a session's is, and committed, although each
+// commit cuts the version the one before installed and the next update
+// rewrites it: the projection copied the cells, it did not hand out the
+// stored row. The other Ctx's own result is taken back by its Rewind.
+func TestFreshCtxResultOutlivesOtherCtx(t *testing.T) {
 	db := newTestDB(t, false)
 	db.seed(t, 3)
 	held := db.run(t, "SELECT * FROM accounts WHERE id = 1")
 	want := rowText(held.Rows[0], nil)
+	other := &Ctx{Task: db.task}
+	runOther := func(q string, params ...storage.Value) *Result {
+		t.Helper()
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.Rewind()
+		other.Txn = db.mgr.Begin()
+		res, err := db.engine.Execute(other, stmt, params)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if _, err := other.Txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for i := range 1000 {
-		db.run(t, "UPDATE accounts SET balance = $1, name = $2 WHERE id = 1",
+		runOther("UPDATE accounts SET balance = $1, name = $2 WHERE id = 1",
 			storage.NewFloat(float64(-i)), storage.NewString(fmt.Sprint("n", i)))
 	}
 	if got := rowText(held.Rows[0], nil); got != want {
 		t.Fatalf("the held row reads %s, want %s", got, want)
 	}
-	now := db.run(t, "SELECT balance, name FROM accounts WHERE id = 1")
+	now := runOther("SELECT balance, name FROM accounts WHERE id = 1")
 	if got := rowText(now.Rows[0], nil); got != `FLOAT "-999", VARCHAR "n999", ` {
 		t.Fatalf("a new read sees %s, want the last update", got)
+	}
+	other.Rewind()
+	if now.Rows != nil || now.Cols != nil {
+		t.Fatalf("a rewound result still reads %v %v", now.Cols, now.Rows)
+	}
+	if got := rowText(held.Rows[0], nil); got != want {
+		t.Fatalf("after the other Ctx's rewind the held row reads %s, want %s", got, want)
 	}
 }
 
@@ -496,7 +524,8 @@ func TestWorkingSetCacheEffectAcrossHardware(t *testing.T) {
 // UPDATE builds its row in the Ctx's row scratch and takes its version off
 // the transaction manager's free list, which one block of versions refills
 // every few dozen writes; so the version's share of its block, index
-// growth, the write set and result chunks are all amortized below one
+// growth, the write set and the Results (this Ctx is never rewound, so its
+// result memory grows by whole arrays) are all amortized below one
 // allocation a statement. Before the scratch, each also allocated its row,
 // two a statement; before version blocks, its version was one.
 func TestDMLAllocatesOnlyTheVersion(t *testing.T) {

@@ -49,7 +49,7 @@ func (sp *selectPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 	if sp.agg != nil {
 		res = e.aggregate(ctx, rows, n, sp.agg, sp.cols)
 	} else {
-		res = sp.project(e, rows)
+		res = sp.project(ctx, rows)
 	}
 	if len(sp.sort) > 0 {
 		e.sortResult(ctx, res, sp.sort)
@@ -241,18 +241,19 @@ func (e *Engine) hashJoin(ctx *Ctx, left, right []storage.Row, j *joinPlan, slot
 }
 
 // project evaluates a non-aggregating select list into a Result cut from
-// e's result chunks. Every projection, SELECT * too, copies its cells into
-// one run cut into rows: the input rows are stored rows, valid only until
-// the transaction ends (txn.Txn.Read), and a Result is the caller's for
-// good. Cols is the plan's own slice.
-func (sp *selectPlan) project(e *Engine, rows []storage.Row) *Result {
-	res := e.results.newResult(sp.cols)
+// ctx's results. Every projection, SELECT * too, copies its cells into one
+// run cut into rows: the input rows are stored rows, valid only until the
+// transaction ends (txn.Txn.Read), and a Result lives until ctx's next
+// Rewind, which may come after the transaction ends. Cols is the plan's own
+// slice.
+func (sp *selectPlan) project(ctx *Ctx, rows []storage.Row) *Result {
+	res := ctx.results.newResult(sp.cols)
 	if len(rows) == 0 {
 		return res
 	}
-	res.Rows = e.results.newRows(len(rows))
+	res.Rows = ctx.results.newRows(len(rows))
 	w := len(sp.projIdxs)
-	cells := e.results.newCells(len(rows) * w)
+	cells := ctx.results.newCells(len(rows) * w)
 	for r, row := range rows {
 		out := cells[r*w : (r+1)*w : (r+1)*w]
 		for i, idx := range sp.projIdxs {
@@ -325,7 +326,7 @@ func (t *aggTable) group(row storage.Row, ap *aggPlan) int {
 
 // aggregate groups its n input rows by the GROUP BY keys — two rows share a
 // group when Value.Equal holds on every key (appendKey) — and evaluates the
-// aggregates into a Result cut from e's result chunks. rows holds the
+// aggregates into a Result cut from ctx's results. rows holds the
 // input unless the aggregate only counts (ap.countOnly): then n is all it
 // reads, and a counting join hands it no rows.
 func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, n int, ap *aggPlan, cols []string) *Result {
@@ -370,9 +371,9 @@ func (e *Engine) aggregate(ctx *Ctx, rows []storage.Row, n int, ap *aggPlan, col
 	}
 
 	groups := len(t.rows)
-	res := e.results.newResult(cols)
-	res.Rows = e.results.newRows(groups)
-	cells := e.results.newCells(groups * nExprs)
+	res := ctx.results.newResult(cols)
+	res.Rows = ctx.results.newRows(groups)
+	cells := ctx.results.newCells(groups * nExprs)
 	for g := range groups {
 		row := cells[g*nExprs : (g+1)*nExprs : (g+1)*nExprs]
 		accs := t.accs[g*nExprs : (g+1)*nExprs]

@@ -59,7 +59,8 @@ var keywords = map[string]string{
 
 // lex tokenizes one SQL statement into toks, whose contents it replaces.
 // A token's text is a substring of input or a constant, except a string
-// literal's, which is the lexer's own copy.
+// literal's with a doubled quote, which is its unescaped copy. A caller
+// that keeps a literal past input's life clones it (the parser does).
 func lex(toks []token, input string) ([]token, error) {
 	// Sized once: even a bare value list ("$1,$2,…") spends two bytes a
 	// token, so SQL as the workloads write it never regrows this.
@@ -123,8 +124,6 @@ func lex(toks []token, input string) ([]token, error) {
 			text := input[start+1 : i-1]
 			if escaped {
 				text = strings.ReplaceAll(text, "''", "'")
-			} else {
-				text = strings.Clone(text)
 			}
 			toks = append(toks, token{tokString, text, start})
 		case c == '$':
@@ -180,8 +179,8 @@ func isIdentChar(r rune) bool {
 
 // Templater turns statement texts into their templates. It keeps its token
 // array and the template it last built for its next call, so a template
-// costs only its literals; like every other scratch holder it belongs to
-// one goroutine.
+// costs no allocation but a literal with a doubled quote; like every other
+// scratch holder it belongs to one goroutine.
 type Templater struct {
 	toks []token
 	tmpl []byte
@@ -189,21 +188,22 @@ type Templater struct {
 
 // Template lexes input once and returns its template: input with each
 // string literal replaced by the next $n after maxParam, the highest $n
-// input names. lits are the literals' values in order, so the template
-// bound to its caller's maxParam values followed by lits is the statement
-// input is. The rewrite is sound because the parser consumes a string
-// token only where it consumes a $n (term), and it covers strings alone
-// because numbers also stand where no $n may (LIMIT 1). Each literal is the
-// lexer's own unescaped copy, never a substring of input, so a row that
-// stores one does not keep the text alive. A text without string literals,
-// or one naming a $n too large to number its literals after, is its own
-// template: tmpl is nil and there are no lits. Otherwise tmpl is held in
+// input names. It appends the literals' values in order to vals and returns
+// the result, so the template bound to its caller's maxParam values
+// followed by the literals is the statement input is. The rewrite is sound
+// because the parser consumes a string token only where it consumes a $n
+// (term), and it covers strings alone because numbers also stand where no
+// $n may (LIMIT 1). A literal without a doubled quote is a substring of
+// input, so a row that stores it keeps input alive; one with a doubled
+// quote is its unescaped copy. A text without string literals, or one
+// naming a $n too large to number its literals after, is its own template:
+// tmpl is nil and vals comes back as it went in. Otherwise tmpl is held in
 // tp's scratch and valid until tp's next call. A lex error is the one
 // Parse(input) reports.
-func (tp *Templater) Template(input string) (tmpl []byte, lits []storage.Value, maxParam int, err error) {
+func (tp *Templater) Template(input string, vals []storage.Value) (tmpl []byte, _ []storage.Value, maxParam int, err error) {
 	toks, err := lex(tp.toks, input)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, vals, 0, err
 	}
 	tp.toks = toks
 	strs := 0
@@ -214,33 +214,33 @@ func (tp *Templater) Template(input string) (tmpl []byte, lits []storage.Value, 
 		case tokParam:
 			n, err := strconv.Atoi(t.text)
 			if err != nil {
-				return nil, nil, 0, nil
+				return nil, vals, 0, nil
 			}
 			maxParam = max(maxParam, n)
 		}
 	}
 	if strs == 0 || maxParam > math.MaxInt-strs {
-		return nil, nil, maxParam, nil
+		return nil, vals, maxParam, nil
 	}
 	b := tp.tmpl[:0]
-	lits = make([]storage.Value, 0, strs)
-	last := 0
+	last, n := 0, maxParam
 	for _, t := range toks {
 		if t.kind != tokString {
 			continue
 		}
+		n++
 		b = append(b, input[last:t.pos]...)
 		b = append(b, '$')
-		b = strconv.AppendInt(b, int64(maxParam+len(lits)+1), 10)
+		b = strconv.AppendInt(b, int64(n), 10)
 		// The literal's source is its value quoted, each quote doubled.
 		last = t.pos + len(t.text) + strings.Count(t.text, "'") + 2
 		// A digit right after the literal would lex as part of the $n.
 		if last < len(input) && unicode.IsDigit(rune(input[last])) {
 			b = append(b, ' ')
 		}
-		lits = append(lits, storage.NewString(t.text))
+		vals = append(vals, storage.NewString(t.text))
 	}
 	b = append(b, input[last:]...)
 	tp.tmpl = b
-	return b, lits, maxParam, nil
+	return b, vals, maxParam, nil
 }

@@ -547,7 +547,8 @@ func (p *parser) term() (Expr, error) {
 		return Literal{storage.NewInt(n)}, nil
 	case tokString:
 		p.next()
-		return Literal{storage.NewString(t.text)}, nil
+		// The AST outlives input: keep the literal's own copy.
+		return Literal{storage.NewString(strings.Clone(t.text))}, nil
 	case tokParam:
 		p.next()
 		n, err := strconv.Atoi(t.text)

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -244,9 +245,18 @@ func TestParseErrorPositions(t *testing.T) {
 }
 
 // templateOf is tp.Template with the template as a string: the text itself
-// when it is its own template.
+// when it is its own template. It hands Template a slice that already holds
+// a value, as a session's parameters are, and returns only what Template
+// appended after it, panicking if the value is not left as it was.
 func templateOf(tp *Templater, text string) (string, []storage.Value, int, error) {
-	tmpl, lits, maxParam, err := tp.Template(text)
+	tmpl, vals, maxParam, err := tp.Template(text, []storage.Value{storage.NewInt(-1)})
+	if len(vals) == 0 || vals[0].Kind() != storage.KindInt || vals[0].AsInt() != -1 {
+		panic(fmt.Sprintf("%q: Template did not append to the values it was given: %v", text, vals))
+	}
+	lits := vals[1:]
+	if len(lits) == 0 {
+		lits = nil
+	}
 	if err != nil || tmpl == nil {
 		return text, lits, maxParam, err
 	}
@@ -287,7 +297,7 @@ func TestTemplate(t *testing.T) {
 				c.text, tmpl, got, maxParam, c.template, c.lits, c.maxParam)
 		}
 	}
-	if _, _, _, err := tp.Template("SELECT a FROM t WHERE b = 'open"); err == nil || err.Error() != "sql: unterminated string literal" {
+	if _, _, _, err := tp.Template("SELECT a FROM t WHERE b = 'open", nil); err == nil || err.Error() != "sql: unterminated string literal" {
 		t.Errorf("unterminated literal: %v", err)
 	}
 }
@@ -317,7 +327,7 @@ func FuzzStatementTemplate(f *testing.F) {
 		raw, rawErr := Parse(text)
 		// A Templater whose scratch already holds another template.
 		var tp Templater
-		tp.Template("INSERT INTO t VALUES ('a', 'it''s', $1, 'ccc', 'dddd', 'eeeee')")
+		tp.Template("INSERT INTO t VALUES ('a', 'it''s', $1, 'ccc', 'dddd', 'eeeee')", nil)
 		tmpl, lits, maxParam, err := templateOf(&tp, text)
 		if err != nil {
 			if rawErr == nil || rawErr.Error() != err.Error() {

@@ -131,10 +131,13 @@ func BudgetForPeriod(periodNS int64) int {
 // sink is the only place a point lives after Drain: with a nil sink points
 // are counted (Stats().Processed) and discarded.
 //
-// A Sink may call back into the Processor (stats, submissions) from
-// WriteBatch.
+// A Sink may call back into the Processor (stats, submissions, a drain)
+// from WriteBatch.
 type Sink interface {
-	// WriteBatch delivers one drained batch.
+	// WriteBatch delivers one drained batch. It borrows pts until it
+	// returns: the Processor reuses the slice for its next drain, so a sink
+	// copies the points it keeps. A point's Features vector is the sink's
+	// for good.
 	WriteBatch(pts []TrainingPoint) error
 	// Flush forces buffered output to the underlying target and reports
 	// any deferred write error.
@@ -170,9 +173,10 @@ type SplitWeightFunc func(ou OUID, features []float64) float64
 // are charged to the thread that owns it. On the host a drain is one pass,
 // ring by ring in global ring order, and its finished points leave for the
 // Sink — their only store — as one batch, offered once. A drain allocates
-// only what it hands on, the point slice and the feature chunks its vectors
-// are cut from; everything else it uses is scratch kept here between
-// drains, bounded by the ring count or by one ring's capacity.
+// only what it hands on, the feature chunks its vectors are cut from;
+// everything else it uses is scratch kept here between drains, bounded by
+// the ring count, by one ring's capacity or, for the point slice the sink
+// borrows, by maxKeptPoints.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -202,12 +206,24 @@ type Processor struct {
 	dem, share     []int
 	charged        [][NumSubsystems]int64
 	batch          bpf.Batch
+	// pts is the point slice the next drain decodes into, cleared. A drain
+	// takes it out while the sink has it, so a drain the sink starts from
+	// WriteBatch gets a slice of its own, and puts it back afterwards if it
+	// holds at most maxKeptPoints.
+	pts []TrainingPoint
 	// features is the rest of the chunk feature vectors are cut from
 	// (cutFeatures). What is cut from it is handed on with its point, so
 	// unlike the scratch it is never rewound: a full chunk is dropped for a
 	// fresh one and stays with the vectors cut from it.
 	features []float64
 }
+
+// maxKeptPoints bounds the point slice a drain keeps for the next one, about
+// 370 KB. A drain larger than a poll — an unbudgeted sweep of full rings —
+// drops its slice instead, so the Processor keeps a poll's worth, not a
+// sweep's: the ledger's budgeted polls drain at most a few hundred points,
+// and its final sweeps over 8 000.
+const maxKeptPoints = 2048
 
 // featureChunk is the length of the chunks feature vectors are cut from,
 // 32 KB: a drain of a few thousand points cuts one. A vector longer than a
@@ -420,15 +436,20 @@ func (p *Processor) Drain(opts DrainOptions) {
 
 	// One pass in global ring order: each ring batch is drained into p.batch
 	// and decoded onto the end of pts, the drain's output, sized for a point
-	// a sample (a fused sample grows it). The order the sink sees is
-	// therefore a pure function of the drained data: the same seed yields a
-	// bit-identical sink stream at any drain parallelism. charged counts each
-	// (thread, subsystem)'s samples for the virtual-time charge below.
+	// a sample (a fused sample grows it) and kept for the next drain. The
+	// order the sink sees is therefore a pure function of the drained data:
+	// the same seed yields a bit-identical sink stream at any drain
+	// parallelism. charged counts each (thread, subsystem)'s samples for the
+	// virtual-time charge below.
 	size := 0
 	for _, a := range alloc {
 		size += a
 	}
-	pts := make([]TrainingPoint, 0, size)
+	pts := p.pts[:0]
+	p.pts = nil
+	if cap(pts) < size {
+		pts = make([]TrainingPoint, 0, size)
+	}
 	charged := zeroed(p.charged, parallelism)
 	p.charged = charged
 	var counts [NumSubsystems]decodeCounts
@@ -492,6 +513,10 @@ func (p *Processor) Drain(opts DrainOptions) {
 		p.applyFeedback(deltaSub, deltaDrop)
 	}
 	p.deliver(pts)
+	if cap(pts) <= maxKeptPoints {
+		clear(pts) // the slice pins no vector or name the sink has let go
+		p.pts = pts[:0]
+	}
 }
 
 // waterfill distributes tokens across shards in proportion to demand,
@@ -537,7 +562,8 @@ func waterfill(alloc, demands []int, tokens int) {
 // deliver hands the drain's batch to the sink once. The batch is lost if the
 // sink rejects it, or if the sink has already reported a permanent error
 // (StickySink), in which case it is not called: each lost point is charged
-// to its subsystem's SinkErrors, and the Processor keeps no reference to it.
+// to its subsystem's SinkErrors. The Processor keeps the slice, not the
+// points: Drain clears it for the next drain.
 // A sink may call back into the Processor — submit samples or read stats —
 // from WriteBatch.
 func (p *Processor) deliver(pts []TrainingPoint) {

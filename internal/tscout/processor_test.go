@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tscout/internal/bpf"
@@ -238,15 +239,19 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 }
 
 // reentrantSink calls back into the pipeline from inside WriteBatch: it
-// reads stats, submits a sample to a ring, and re-polls.
+// reads stats, submits a sample to a ring, and re-polls. clobbered records
+// whether a batch changed under it while it was being written.
 type reentrantSink struct {
-	p        *Processor
-	ring     *bpf.PerCPURing
-	repolled bool
-	writes   int
+	p         *Processor
+	ring      *bpf.PerCPURing
+	repolled  bool
+	writes    int
+	clobbered bool
 }
 
 func (s *reentrantSink) WriteBatch(pts []TrainingPoint) error {
+	before := slices.Clone(pts)
+	defer func() { s.clobbered = s.clobbered || !reflect.DeepEqual(before, pts) }()
 	for _, tp := range pts {
 		s.writes++
 		_ = s.p.Stats().Processed
@@ -283,6 +288,10 @@ func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 	p.Drain(DrainOptions{})
 	if sink.writes == 0 {
 		t.Fatalf("sink never invoked")
+	}
+	// The drain the sink started decoded into a point slice of its own.
+	if !sink.repolled || sink.clobbered {
+		t.Fatalf("re-polled %v, and the batch being written changed under the sink: %v", sink.repolled, sink.clobbered)
 	}
 	// The samples the sink itself submitted drain on a later poll.
 	p.Drain(DrainOptions{})
@@ -534,8 +543,8 @@ func TestWaterfillProperties(t *testing.T) {
 
 // TestDrainScratchBounded pins what a Processor keeps after an unbudgeted
 // sweep of full rings (FinalDrain's shape): scratch bounded by the ring
-// count, by one ring's capacity and by one feature chunk, however many
-// samples the sweep drained.
+// count, by one ring's capacity, by one feature chunk and by maxKeptPoints
+// points, however many samples the sweep drained.
 func TestDrainScratchBounded(t *testing.T) {
 	const numCPUs, ringCap, par = 4, 256, 2
 	ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, ringCap, par)
@@ -580,5 +589,8 @@ func TestDrainScratchBounded(t *testing.T) {
 	}
 	if n := cap(p.features); n > featureChunk {
 		t.Errorf("the feature chunk keeps %d places, more than one chunk's %d", n, featureChunk)
+	}
+	if n := cap(p.pts); n > maxKeptPoints {
+		t.Errorf("the point slice keeps %d points after a sweep of %d, more than %d", n, drained, maxKeptPoints)
 	}
 }

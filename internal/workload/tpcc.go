@@ -446,6 +446,13 @@ func (t *TPCC) delivery(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A result lives until the session's next statement: read the
+		// customer now.
+		found := len(cres.Rows) > 0
+		var cid int64
+		if found {
+			cid = cres.Rows[0][0].AsInt()
+		}
 		if _, err := se.Statement(
 			"UPDATE orders SET o_carrier_id = $1 WHERE o_w_id = $2 AND o_d_id = $3 AND o_id = $4",
 			iv(carrier), iv(w), iv(d), iv(oid)); err != nil {
@@ -457,8 +464,7 @@ func (t *TPCC) delivery(se *dbms.Session, rng *rand.Rand) (*wal.Commit, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(cres.Rows) > 0 {
-			cid := cres.Rows[0][0].AsInt()
+		if found {
 			total := sres.Rows[0][0].AsFloat()
 			if _, err := se.Statement(
 				"UPDATE customer SET c_balance = c_balance + $1 WHERE c_w_id = $2 AND c_d_id = $3 AND c_id = $4",
