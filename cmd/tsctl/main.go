@@ -16,10 +16,10 @@
 //	                            the Processor pipeline's self-observed
 //	                            telemetry (per-subsystem drain counters,
 //	                            budgets, feedback actions, JIT dispatch)
-//	tsctl vet                   verify and lint every generated Collector
-//	                            program across all subsystems and resource
-//	                            masks; non-zero exit on any failure or
-//	                            finding
+//	tsctl vet                   verify every generated Collector program
+//	                            across all subsystems and resource masks
+//	                            and total their instructions; non-zero
+//	                            exit on any failure
 //	tsctl archive inspect [-json] <file>
 //	                            summarize a columnar training archive:
 //	                            segments, blocks, rows, bytes, row counts

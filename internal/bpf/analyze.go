@@ -6,29 +6,17 @@ import (
 )
 
 // Analysis is the result of abstract-interpreting a program: the
-// per-instruction abstract in-states and per-edge feasibility of every
-// conditional branch. It is the shared substrate for Verify, the liveness
-// pass, the JIT, and Lint.
+// per-instruction abstract in-states. Verify keeps only its verdict; the
+// JIT compiles from the in-states.
 type Analysis struct {
 	prog   *Program
 	states []absState // abstract state *before* each instruction
-	// Per-pc conditional edge feasibility, recorded when the jump's
-	// in-state is stepped. Meaningful only where isJump(insn.Op) and
-	// Reached.
-	condTaken []bool
-	condFall  []bool
 }
 
 // Reached reports whether pc is reachable under the abstract semantics
 // (CFG-reachable pcs may still be unreached when every path to them is
 // pruned as infeasible).
 func (a *Analysis) Reached(pc int) bool { return a.states[pc].valid }
-
-// CondEdges reports feasibility of the taken and fall-through edges of
-// the conditional jump at pc. Both are false when pc is unreached.
-func (a *Analysis) CondEdges(pc int) (taken, fall bool) {
-	return a.condTaken[pc], a.condFall[pc]
-}
 
 // Verify statically checks a program. maxInsns of 0 uses DefaultMaxInsns.
 func Verify(p *Program, maxInsns int) error {
@@ -63,19 +51,10 @@ func analyze(p *Program, maxInsns int) (*Analysis, error) {
 		return nil, fmt.Errorf("%w: program has %d instructions, limit %d", ErrVerification, n, maxInsns)
 	}
 
-	// One slab holds every per-pc flag: the edge feasibility the Analysis
-	// keeps, and the reachability marks it does not.
-	flags := make([]bool, 3*n)
-	a := &Analysis{
-		prog:      p,
-		condTaken: flags[:n:n],
-		condFall:  flags[n : 2*n : 2*n],
-	}
-
 	// Structural pass: opcode validity, jump targets, and reachability
 	// from instruction 0 over the static CFG — a pc's mark is final when
 	// the pass reaches it.
-	reach := flags[2*n:]
+	reach := make([]bool, n)
 	reach[0] = true
 	for pc, in := range p.Insns {
 		if in.Op == OpInvalid || opNames[in.Op] == "" {
@@ -127,7 +106,7 @@ func analyze(p *Program, maxInsns int) (*Analysis, error) {
 
 	// Abstract interpretation. Each step writes its successors into out,
 	// which is merged straight into their in-states.
-	a.states = make([]absState, n)
+	a := &Analysis{prog: p, states: make([]absState, n)}
 	a.states[0] = entryState()
 	var out [2]succ
 	for pc := range a.states {

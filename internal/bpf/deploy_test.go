@@ -44,18 +44,8 @@ func TestCollectorAnalysesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCollectorLivenessMatchesFixpoint holds the one-pass Liveness to the
-// round-robin fixpoint on the programs a deploy verifies.
-func TestCollectorLivenessMatchesFixpoint(t *testing.T) {
-	forEachVetProgram(func(name string, p *bpf.Program) {
-		if d := bpf.LivenessAgrees(p); d != "" {
-			t.Fatalf("%s: %s", name, d)
-		}
-	})
-}
-
 // analyzeAllocs is the allocation count of one Analyze: the Analysis, its
-// per-pc flag slab and the in-states. A step allocates nothing.
+// per-pc reach marks and the in-states. A step allocates nothing.
 const analyzeAllocs = 3
 
 func TestAnalyzeAllocatesPerProgramNotPerStep(t *testing.T) {

@@ -202,10 +202,6 @@ func MicroOps(p *Program) (string, error) {
 	return b.String(), nil
 }
 
-// LivenessAgrees analyzes p and describes the first pc where Liveness
-// disagrees with a round-robin fixpoint (liveness_test.go), or returns "".
-func LivenessAgrees(p *Program) string { return livenessDiff(p) }
-
 // AnalysesAgree runs Analyze and its oracle (verifier_oracle_test.go) on p
 // and describes their first disagreement, or returns "".
 func AnalysesAgree(p *Program) string { return diffAnalyses(p, 0) }

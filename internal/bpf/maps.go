@@ -8,7 +8,7 @@ import (
 // ErrMapFull is a hash-map insert past the map's capacity.
 var ErrMapFull = errors.New("bpf: map full")
 
-// Map is what the verifier, liveness and the compiler read of a program's
+// Map is what the verifier and the compiler read of a program's
 // map: its name and its key and value sizes. A program reaches a map's
 // contents only through a callFrame (compile.go), bound at compile time to
 // the concrete type the verifier admitted for the helper. A map-value

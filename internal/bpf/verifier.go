@@ -107,6 +107,14 @@ type absState struct {
 	valid     bool
 }
 
+const stackWords = StackSize / 64
+
+// stackSet is a bitset over the bytes of the stack.
+type stackSet [stackWords]uint64
+
+func (s *stackSet) set(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s *stackSet) get(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
 func entryState() absState {
 	var s absState
 	s.valid = true
@@ -319,8 +327,7 @@ func condStates(s *absState, insn Insn, taken, fall *absState) (feasT, feasF boo
 var helperArgRegs = [...]Reg{R1, R2, R3, R4, R5}
 
 // step abstractly executes the instruction at pc on its in-state and
-// writes its feasible successors to out, returning how many it wrote; a
-// conditional jump also records which of its edges are feasible. The
+// writes its feasible successors to out, returning how many it wrote. The
 // in-state is only read. analyze owns out and merges each slot into its
 // target's in-state, so a step allocates nothing unless it rejects the
 // program.
@@ -350,7 +357,6 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 			}
 			return 0, err
 		}
-		a.condTaken[pc], a.condFall[pc] = feasT, feasF
 		switch {
 		case feasT && feasF:
 			out[0].pc, out[1].pc = pc+1+int(insn.Off), pc+1

@@ -576,7 +576,17 @@ func diffAnalyses(p *Program, maxInsns int) string {
 			return fmt.Sprintf("in-state at pc %d (%s) differs:\nAnalyze %+v\noracle  %+v",
 				pc, p.Insns[pc], got, want)
 		}
-		gotT, gotF := a.CondEdges(pc)
+		if !isJump(p.Insns[pc].Op) || !a.states[pc].valid {
+			continue
+		}
+		// Analyze keeps no edges: its own condStates, on its own in-state,
+		// stands in for the edges its step followed.
+		var taken, fall absState
+		gotT, gotF, err := condStates(&a.states[pc], p.Insns[pc], &taken, &fall)
+		if err != nil {
+			return fmt.Sprintf("edges at pc %d (%s): Analyze accepted an in-state condStates rejects: %v",
+				pc, p.Insns[pc], err)
+		}
 		if gotT != o.condTaken[pc] || gotF != o.condFall[pc] {
 			return fmt.Sprintf("edges at pc %d (%s): Analyze taken=%v fall=%v, oracle taken=%v fall=%v",
 				pc, p.Insns[pc], gotT, gotF, o.condTaken[pc], o.condFall[pc])
@@ -613,10 +623,10 @@ func stackJoinRegression() *Program {
 }
 
 // helperReadsStoreProgram stores a map key and value, hands both to
-// map_update_elem, then shadows the first value word with a second store:
-// the helper reads its buffers, so the first store is live although
-// nothing after the call loads it. R0 is the value the map saw (0x5a). A
-// raw-mode seed of FuzzAnalyzeDifferential.
+// map_update_elem, then overwrites the first value word with a second
+// store, so the in-states carry stack pointers into both of a map helper's
+// buffer arguments. R0 is the value the map saw (0x5a). A raw-mode seed of
+// FuzzAnalyzeDifferential.
 func helperReadsStoreProgram() *Program {
 	b := NewBuilder("opt/helper-reads-store")
 	for _, m := range newGenMaps() {
