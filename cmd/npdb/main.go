@@ -44,7 +44,7 @@ func main() {
 		Seed:       1,
 		Instrument: *instrument,
 		Sink:       sink,
-		WAL:        wal.Config{Synchronous: true},
+		WAL:        wal.Config{GroupSize: 1},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "npdb: %v\n", err)

@@ -73,7 +73,7 @@ func main() {
 	srv, err := dbms.NewServer(dbms.Config{
 		Seed:       1,
 		Instrument: true,
-		WAL:        wal.Config{Synchronous: true},
+		WAL:        wal.Config{GroupSize: 1},
 	})
 	if err != nil {
 		// A Collector verification failure names its pc and instruction;

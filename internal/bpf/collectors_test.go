@@ -230,7 +230,8 @@ func TestCollectorDump(t *testing.T) {
 // blocks) and the twin through the interpreter over the same seeded stream
 // of BEGIN/END/FEATURES hits on identical kernels, and requires every hit
 // to return the same R0, cost and error, leave the same ring bytes, error
-// slots and other map contents, and make the same impure helper calls. The
+// slots and other map contents, and put the same impure helper calls and
+// ring submits on their kernels' event streams, in the same order. The
 // stream nests OUs, fires END and FEATURES with nothing in flight, and
 // sends feature vectors up to and past full width. LargeHW charges 0.25 ns
 // an instruction, so cost() rounds on most hits: the virtual cost is
@@ -240,6 +241,7 @@ func TestCollectorsMatchInterpreter(t *testing.T) {
 		progs [3]*bpf.LoadedProgram // BEGIN, END, FEATURES
 		run   [3]func(*kernel.Task, []uint64) (uint64, int64, error)
 		maps  []bpf.Map
+		k     *kernel.Kernel
 		tasks [2]*kernel.Task
 	}
 	newSide := func(sub tscout.SubsystemID, res tscout.ResourceSet, interpret bool) *side {
@@ -250,7 +252,6 @@ func TestCollectorsMatchInterpreter(t *testing.T) {
 		s := &side{progs: [3]*bpf.LoadedProgram{col.Begin, col.End, col.Features}}
 		seen := map[bpf.Map]bool{}
 		for i, lp := range s.progs {
-			lp.SetCallTrace(true)
 			s.run[i] = lp.Run
 			if interpret {
 				ip, err := bpf.NewInterpreter(lp)
@@ -266,11 +267,12 @@ func TestCollectorsMatchInterpreter(t *testing.T) {
 				}
 			}
 		}
-		k := kernel.New(sim.LargeHW, 5, 0.02)
-		s.tasks = [2]*kernel.Task{k.NewTaskOn("a", 0), k.NewTaskOn("b", 1)}
+		s.k = kernel.New(sim.LargeHW, 5, 0.02)
+		s.tasks = [2]*kernel.Task{s.k.NewTaskOn("a", 0), s.k.NewTaskOn("b", 1)}
+		s.k.Observe(make([]kernel.Event, 0, 1024))
 		return s
 	}
-	var samples, nested, violations int
+	var samples, nested, violations, calls int
 	for _, sub := range tscout.AllSubsystems {
 		for mask := 0; mask < 16; mask++ {
 			res := tscout.ResourceSet{CPU: mask&1 != 0, Memory: mask&2 != 0,
@@ -358,16 +360,20 @@ func TestCollectorsMatchInterpreter(t *testing.T) {
 					}
 				}
 			}
-			for i, lp := range jit.progs {
-				if got, want := lp.CallTrace(), ref.progs[i].CallTrace(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s mask=%d %s: helper traces diverged:\ncompiled    %v\ninterpreter %v",
-						sub, mask, lp.Program().Name, got, want)
-				}
+			got, gotDropped := jit.k.Observe(nil)
+			want, wantDropped := ref.k.Observe(nil)
+			if gotDropped != 0 || wantDropped != 0 {
+				t.Fatalf("%s mask=%d: the event streams dropped %d and %d events", sub, mask, gotDropped, wantDropped)
 			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s mask=%d: event streams diverged:\ncompiled    %v\ninterpreter %v", sub, mask, got, want)
+			}
+			calls += len(got)
 		}
 	}
-	if samples == 0 || nested == 0 || violations == 0 {
-		t.Fatalf("the stream missed a path: %d samples, %d nested BEGINs, %d violations", samples, nested, violations)
+	if samples == 0 || nested == 0 || violations == 0 || calls == 0 {
+		t.Fatalf("the stream missed a path: %d samples, %d nested BEGINs, %d violations, %d events",
+			samples, nested, violations, calls)
 	}
-	t.Logf("%d samples, %d nested BEGINs, %d marker-order violations", samples, nested, violations)
+	t.Logf("%d samples, %d nested BEGINs, %d marker-order violations, %d events", samples, nested, violations, calls)
 }

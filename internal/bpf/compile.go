@@ -40,7 +40,7 @@ import (
 // CONFIG_BPF_JIT_ALWAYS_ON requires: every instruction the verifier admits
 // has a template, and every proof a template needs is one the verifier
 // made. Compiled execution is bit-identical to the interpreter's — same
-// R0, same cost() accounting, same helper trace and map end-states — and
+// R0, same cost() accounting, same event stream and map end-states — and
 // the differential oracles enforce that.
 
 // CompileInfo reports a compiled program's static size.
@@ -99,7 +99,7 @@ func (lp *LoadedProgram) JITStats() ProgramJITStats {
 // works from or the first pc no proof covers.
 func (lp *LoadedProgram) decode(a *Analysis) (*compiler, error) {
 	n := len(lp.prog.Insns)
-	cc := &compiler{lp: lp, p: lp.prog, a: a,
+	cc := &compiler{p: lp.prog, a: a,
 		fns: make([]copFn, n), ops: make([]microOp, n)}
 	if err := cc.markTargets(); err != nil {
 		return nil, err
@@ -113,9 +113,8 @@ func (lp *LoadedProgram) decode(a *Analysis) (*compiler, error) {
 }
 
 type compiler struct {
-	lp *LoadedProgram
-	p  *Program
-	a  *Analysis
+	p *Program
+	a *Analysis
 	// After the compileInsn pass every pc holds exactly one of: a
 	// terminator closure in fns[pc], or — where fns[pc] is nil — a
 	// micro-op in ops[pc]. fuse then fills the head slot of each micro-op
@@ -293,7 +292,6 @@ const (
 // effect of those instructions in program order, fixed slots a call site
 // lacks writing regZero or regSink instead.
 type callFrame struct {
-	lp     *LoadedProgram
 	id     int64
 	costNS int64
 
@@ -352,7 +350,7 @@ func (cc *compiler) frame(pc int) *callFrame {
 	if !known || m == nil {
 		return nil
 	}
-	f := &callFrame{lp: cc.lp, id: id, costNS: spec.CostNS, frameFold: noFold}
+	f := &callFrame{id: id, costNS: spec.CostNS, frameFold: noFold}
 	var ok bool
 	switch id {
 	case HelperMapLookup, HelperMapUpdate, HelperMapDelete:
@@ -458,11 +456,14 @@ func (f *callFrame) run(ec *execState) bool {
 		}
 	case frameOutput:
 		f.ring.SubmitFrom(ec.task.CPU(), ec.stack[f.val:f.val+f.size])
+		if w := ec.task.Emit(kernel.EvSubmit); w != nil {
+			noteSample(w, ec.stack[f.val:f.val+f.size])
+		}
 	}
 	ec.regs[R0] = r0
 	ec.helperNS += f.costNS
-	if f.lp.traceOn {
-		f.lp.recordCall(ec, f.id)
+	if w := ec.task.Emit(kernel.EvHelperCall); w != nil {
+		noteCall(w, ec, f.id)
 	}
 	if f.branch && condTrue(f.bop, r0, f.bimm) {
 		return true
@@ -564,8 +565,8 @@ const (
 	muStoreRegObj    // obj(base)[addr(base)+idx] = src
 
 	// Pure helper calls. The verifier admits only helpers that exist, and
-	// recordCall skips Pure helpers, so these fuse into blocks with no
-	// trace or fault plumbing; imm carries the helper's CostNS.
+	// Pure helpers emit no event, so these fuse into blocks with no event
+	// or fault plumbing; imm carries the helper's CostNS.
 	muCallGetPID
 	muCallGetTaskGen
 	muCallGetCPU

@@ -43,9 +43,9 @@ func assertCompiledAgreement(t *testing.T, p *Program, seed int64) variantResult
 	if ir.cost != cr.cost {
 		t.Fatalf("cost diverged: interp %d, compiled %d\n%s", ir.cost, cr.cost, p.Disassemble())
 	}
-	if !reflect.DeepEqual(ir.trace, cr.trace) {
-		t.Fatalf("helper traces diverged:\ninterp   %v\ncompiled %v\n%s",
-			ir.trace, cr.trace, p.Disassemble())
+	if !reflect.DeepEqual(ir.events, cr.events) {
+		t.Fatalf("event streams diverged:\ninterp   %v\ncompiled %v\n%s",
+			ir.events, cr.events, p.Disassemble())
 	}
 	for i := range ir.maps {
 		if ir.maps[i] != cr.maps[i] {
@@ -104,13 +104,14 @@ func mapFingerprint(m Map) string {
 	}
 }
 
-// variantResult is one program execution observed in full.
+// variantResult is one program execution observed in full: events is its
+// kernel's event stream (impure helper calls and ring submits).
 type variantResult struct {
-	r0    uint64
-	cost  int64
-	err   error
-	trace []HelperCall
-	maps  []string
+	r0     uint64
+	cost   int64
+	err    error
+	events []kernel.Event
+	maps   []string
 }
 
 // engine runs a loaded program once: (*LoadedProgram).Run, the
@@ -140,11 +141,15 @@ func runExecVariant(tb testing.TB, hw sim.HardwareProfile, name string, insns []
 		}
 		return variantResult{err: err}
 	}
-	lp.SetCallTrace(true)
 	k := kernel.New(hw, seed, 0)
 	task := k.NewTask("variant")
+	k.Observe(make([]kernel.Event, 0, 2*fuzzMaxInsns)) // a call, and a submit, per instruction at most
 	r0, cost, rerr := run(lp, task, []uint64{1, 2, 3, 4})
-	res := variantResult{r0: r0, cost: cost, err: rerr, trace: lp.CallTrace()}
+	events, dropped := k.Observe(nil)
+	if dropped != 0 {
+		tb.Fatalf("the event stream dropped %d events", dropped)
+	}
+	res := variantResult{r0: r0, cost: cost, err: rerr, events: events}
 	for _, m := range p.Maps {
 		res.maps = append(res.maps, mapFingerprint(m))
 	}
@@ -503,7 +508,7 @@ func decodeIsolated(lp *LoadedProgram) (*compiler, error) {
 		return nil, err
 	}
 	n := len(lp.prog.Insns)
-	cc := &compiler{lp: lp, p: lp.prog, a: a,
+	cc := &compiler{p: lp.prog, a: a,
 		fns: make([]copFn, n), ops: make([]microOp, n), isTarget: make([]bool, n)}
 	for pc, in := range cc.p.Insns {
 		cc.isTarget[pc] = true
@@ -609,7 +614,7 @@ func singleInsnBlocksProgram() *Program {
 // TestSingleInstructionBlocksAgree compiles a program so that every block
 // has length 1 (decodeIsolated), so each micro kind family — a conditional
 // jump's branch micro-op like any other — executes as a block of its own
-// and must match the interpreter on R0, cost, helper trace and map
+// and must match the interpreter on R0, cost, event stream and map
 // end-states.
 // (Branches in the middle of longer blocks are TestBranchMicroOps' job.)
 func TestSingleInstructionBlocksAgree(t *testing.T) {
@@ -659,7 +664,7 @@ func TestSingleInstructionBlocksAgree(t *testing.T) {
 // pc. On the fall-through edge the same block goes on to a store and a map
 // update, and the taken edge does the same with a different r9,
 // so a skipped op, a wrong edge or a wrong instruction count each change
-// R0, the cost, the helper trace or the hash map's end-state.
+// R0, the cost, the event stream or the hash map's end-state.
 func branchProgram(op Op, b int64, pos string) (*Program, int) {
 	bl := genMapsBuilder(fmt.Sprintf("jit/branch/%v/%d/%s", op, b, pos))
 	emit := func() {
@@ -697,7 +702,7 @@ func branchProgram(op Op, b int64, pos string) (*Program, int) {
 // TestBranchMicroOps is the differential test for branches inside blocks:
 // every conditional opcode, taken and not taken, as the first, a middle and
 // the last micro-op of its block, compiled against the interpreter on R0,
-// cost, helper trace and map end-states.
+// cost, event stream and map end-states.
 func TestBranchMicroOps(t *testing.T) {
 	// At 1 ns per instruction the cost is the instruction count plus the
 	// helper costs, so one miscounted instruction shows (LargeHW's 0.25 ns

@@ -237,7 +237,7 @@ func interpreterFrom(lp *LoadedProgram, a *Analysis) *Interpreter {
 
 // RunInterpreted executes the program through the interpreter — the
 // reference semantics the differential oracles compare Run against. It
-// works on the same maps, and records into the same call trace, as Run.
+// works on the same maps, and emits on the same kernel event stream, as Run.
 func (ip *Interpreter) RunInterpreted(task *kernel.Task, args []uint64) (uint64, int64, error) {
 	return ip.runInterp(task, args)
 }
@@ -246,18 +246,6 @@ func (ip *Interpreter) RunInterpreted(task *kernel.Task, args []uint64) (uint64,
 // mapFingerprint), so two maps can be compared byte for byte. A ring is
 // drained by it.
 func MapFingerprint(m Map) string { return mapFingerprint(m) }
-
-// SetCallTrace enables or disables recording of impure helper calls.
-func (lp *LoadedProgram) SetCallTrace(on bool) { lp.traceOn = on }
-
-// CallTrace returns a copy of the recorded impure helper calls.
-func (lp *LoadedProgram) CallTrace() []HelperCall {
-	out := make([]HelperCall, len(lp.trace))
-	for i, c := range lp.trace {
-		out[i] = HelperCall{ID: c.ID, Args: append([]uint64(nil), c.Args...), Ret: c.Ret}
-	}
-	return out
-}
 
 // Lookup returns the value stored for key (aliasing the internal buffer,
 // see the type comment), or nil if absent or the key is the wrong size.

@@ -75,7 +75,7 @@ func ladderProgram(n, count int) *Program {
 // TestArgLadderExitsAtEveryRung runs the fused guard ladder leaving at each
 // rung, and running through, against the interpreter: same R0 (the copied
 // slots and the last rung's r0), the same cost at 1 ns per
-// instruction, the same helper trace.
+// instruction, the same event stream.
 func TestArgLadderExitsAtEveryRung(t *testing.T) {
 	for _, n := range []int{2, 5, 16} {
 		results := map[uint64]bool{}

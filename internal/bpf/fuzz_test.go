@@ -48,7 +48,7 @@ func checkRejection(t *testing.T, p *Program, err error) {
 // checkAcceptedRuns asserts the accept side of the oracle, the
 // interpreter-vs-JIT differential: the program must load (so compile), and
 // compiled execution must agree bit-exactly with the interpreter on R0,
-// cost, helper trace and map end-states. Neither may end in a runtime
+// cost, event stream and map end-states. Neither may end in a runtime
 // error, which would be a verifier bug.
 func checkAcceptedRuns(t *testing.T, p *Program, seed int64) {
 	t.Helper()

@@ -100,7 +100,7 @@ const (
 
 // HelperSpec describes a helper's signature and kernel-space cost. Pure
 // helpers only read task/kernel state and write R0 — they have no effect
-// observable outside the invocation, so the VM's call trace leaves them
+// observable outside the invocation, so the kernel event stream leaves them
 // out and the JIT fuses each into a micro-op of its own instead of binding
 // it to a callFrame. Map helpers are all impure: even lookup can
 // materialize state (PerTaskMap auto-creates the slot on first lookup).

@@ -104,8 +104,10 @@ func (ip *Interpreter) runInterp(task *kernel.Task, args []uint64) (uint64, int6
 			if err != nil {
 				return 0, cost(executed, helperNS, profile.BPFInsnNS), err
 			}
-			if lp.traceOn {
-				lp.recordCall(ec, in.Imm)
+			if spec, _ := HelperByID(in.Imm); !spec.Pure {
+				if w := ec.task.Emit(kernel.EvHelperCall); w != nil {
+					noteCall(w, ec, in.Imm)
+				}
 			}
 			pc++
 		default:
@@ -204,6 +206,9 @@ func (lp *LoadedProgram) call(ec *execState, id int64) (int64, error) {
 		}
 		// Route by the submitting task's current CPU, as perf does.
 		rb.SubmitFrom(ec.task.CPU(), data)
+		if w := ec.task.Emit(kernel.EvSubmit); w != nil {
+			noteSample(w, data)
+		}
 		ec.regs[R0] = 0
 		// Copy cost scales with sample size.
 		return spec.CostNS + int64(size/16), nil

@@ -50,30 +50,22 @@ type LoadedProgram struct {
 
 	compiledRuns  int64
 	runtimeFaults int64
-
-	// Optional side-effect trace, used by the differential tests to
-	// compare the JIT with the reference interpreter: every successful
-	// call to a non-Pure helper is recorded with its consumed arguments and
-	// return value. Pure helper calls have no effect outside the invocation
-	// and are omitted.
-	traceOn bool
-	trace   []HelperCall
 }
 
-// HelperCall is one recorded side-effecting helper invocation.
-type HelperCall struct {
-	ID   int64    //tsvet:ignore unread-field the differential fuzzers compare the reference trace
-	Args []uint64 //tsvet:ignore unread-field the differential fuzzers compare the reference trace
-	Ret  uint64   //tsvet:ignore unread-field the differential fuzzers compare the reference trace
+// noteCall fills an EvHelperCall event for the impure helper id that just
+// ran on ec; the differential oracles compare two engines' streams.
+func noteCall(w *[6]uint64, ec *execState, id int64) {
+	spec, _ := HelperByID(id)
+	w[0] = uint64(id)
+	copy(w[1:4], ec.regs[R1:R1+Reg(len(spec.Args))])
+	w[4] = ec.regs[R0]
 }
 
-func (lp *LoadedProgram) recordCall(ec *execState, id int64) {
-	spec, ok := HelperByID(id)
-	if !ok || spec.Pure {
-		return
+// noteSample fills an EvSubmit event with the sample's leading words.
+func noteSample(w *[6]uint64, sample []byte) {
+	for i := 0; i < len(w) && 8*i+8 <= len(sample); i++ {
+		w[i] = U64(sample[8*i:])
 	}
-	args := append([]uint64(nil), ec.regs[R1:R1+Reg(len(spec.Args))]...)
-	lp.trace = append(lp.trace, HelperCall{ID: id, Args: args, Ret: ec.regs[R0]})
 }
 
 // Load verifies p and JIT-compiles it, as a kernel built with
@@ -149,15 +141,15 @@ func (ec *execState) registerObject(b []byte) uint64 {
 // It returns R0, the virtual-time cost of the execution (instruction count
 // times the profile's per-instruction cost, plus helper costs), and any
 // runtime fault. The compiled blocks produce what the reference
-// interpreter (the package's tests) does — R0, cost, helper trace and map
+// interpreter (the package's tests) does — R0, cost, event stream and map
 // end-states — which the differential oracles enforce. There is no
 // per-access error plumbing; a verifier/compiler disagreement surfaces as
 // a Go panic, converted here to ErrRuntime.
 func (lp *LoadedProgram) Run(task *kernel.Task, args []uint64) (r0 uint64, costNS int64, err error) {
 	lp.compiledRuns++
 	insnNS := task.Kernel().Profile.BPFInsnNS
-	// Registers start from zero, as the interpreter's do (and trace capture
-	// may read helper-argument registers); the stack is deliberately left
+	// Registers start from zero, as the interpreter's do (and an observed call
+	// reads helper-argument registers); the stack is deliberately left
 	// dirty — the verifier rejects any read of a stack byte the program did
 	// not write this invocation, so stale contents are unobservable.
 	ec := &lp.ec

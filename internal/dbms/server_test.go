@@ -67,7 +67,7 @@ func newTestServerSink(t *testing.T, instrument bool, sink tscout.Sink) *Server 
 		Seed:       1,
 		Instrument: instrument,
 		Sink:       sink,
-		WAL:        wal.Config{Synchronous: true},
+		WAL:        wal.Config{GroupSize: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

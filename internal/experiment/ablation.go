@@ -87,7 +87,7 @@ type GroupCommitAblationRow struct {
 func AblationGroupCommit(sc Scale) ([]GroupCommitAblationRow, error) {
 	var rows []GroupCommitAblationRow
 	for _, cfg := range []wal.Config{
-		{Synchronous: true},
+		{GroupSize: 1},
 		{GroupSize: 4, FlushIntervalNS: 50_000},
 		{GroupSize: 16, FlushIntervalNS: 200_000},
 		{GroupSize: 64, FlushIntervalNS: 800_000},
@@ -116,9 +116,6 @@ func AblationGroupCommit(sc Scale) ([]GroupCommitAblationRow, error) {
 		}
 		if flushes > 0 {
 			row.MeanBatchRecords = float64(recs) / float64(flushes)
-		}
-		if cfg.Synchronous {
-			row.GroupSize = 1
 		}
 		rows = append(rows, row)
 	}

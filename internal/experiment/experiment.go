@@ -79,7 +79,7 @@ func serverConfig(profile sim.HardwareProfile, mode tscout.Mode, instrument bool
 		DisableFeedback: true,
 	}
 	if syncWAL {
-		cfg.WAL = wal.Config{Synchronous: true}
+		cfg.WAL = wal.Config{GroupSize: 1}
 	} else {
 		cfg.WAL = wal.Config{GroupSize: 32, FlushIntervalNS: 200_000}
 	}

@@ -139,7 +139,6 @@ type FaultInjector struct {
 	cpus         map[int]*cpuFaultQueue
 	pendingKill  bool
 	pendingBurst int
-	applied      [numFaultKinds]int64
 }
 
 // cpuFaultQueue is one simulated CPU's slice of a plan: its own delivery
@@ -201,10 +200,12 @@ func (fi *FaultInjector) beforeHit(t *Task) int {
 	return times
 }
 
-// apply fires one fault against the hitting task and returns the updated
-// delivery multiplicity.
+// apply fires one fault against the hitting task, on the kernel's event
+// stream too, and returns the updated delivery multiplicity.
 func (fi *FaultInjector) apply(f Fault, t *Task, times int) int {
-	fi.applied[f.Kind]++
+	if w := t.Emit(EvFault); w != nil {
+		w[0] = uint64(f.Kind)
+	}
 	switch f.Kind {
 	case FaultDropMarker:
 		times = 0
@@ -220,27 +221,6 @@ func (fi *FaultInjector) apply(f Fault, t *Task, times int) int {
 		fi.pendingBurst += f.Count
 	}
 	return times
-}
-
-// CPUHits returns how many marker deliveries the injector has observed on
-// the given simulated CPU.
-//
-//tsvet:ignore unused-export fault-injection test hook: chaos tests check the per-CPU hit census with it
-func (fi *FaultInjector) CPUHits(cpu int) int64 {
-	if q := fi.cpus[cpu]; q != nil {
-		return q.hits
-	}
-	return 0
-}
-
-// Applied returns how many faults of a kind have fired.
-//
-//tsvet:ignore unused-export fault-injection test hook: chaos tests count the faults that fired with it
-func (fi *FaultInjector) Applied(k FaultKind) int64 {
-	if k < 0 || k >= numFaultKinds {
-		return 0
-	}
-	return fi.applied[k]
 }
 
 // TakePendingKill reports (and clears) a queued kill-task fault. A driver

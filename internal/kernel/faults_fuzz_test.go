@@ -53,7 +53,8 @@ func FuzzPerCPUFaultOrder(f *testing.F) {
 				runs[tk.CPU()]++
 				return 0
 			})
-			fi := NewFaultInjector(k, plan)
+			NewFaultInjector(k, plan)
+			watch(k)
 			rng := rand.New(rand.NewSource(orderSeed))
 			for len(live) > 0 {
 				i := rng.Intn(len(live))
@@ -64,13 +65,16 @@ func FuzzPerCPUFaultOrder(f *testing.F) {
 					live = append(live[:i], live[i+1:]...)
 				}
 			}
+			evs := observed(t, k)
+			markers, _ := tally(evs, EvMarker)
+			faults, _ := tally(evs, EvFault)
 			hits := make([]int64, numCPUs)
 			for c := 0; c < numCPUs; c++ {
-				hits[c] = fi.CPUHits(c)
+				hits[c] = markers[uint64(c)]
 			}
 			var applied [numFaultKinds]int64
 			for kind := FaultKind(0); kind < numFaultKinds; kind++ {
-				applied[kind] = fi.Applied(kind)
+				applied[kind] = faults[uint64(kind)]
 			}
 			return hits, runs, applied
 		}
@@ -79,7 +83,7 @@ func FuzzPerCPUFaultOrder(f *testing.F) {
 		h2, r2, a2 := run(int64(orderSel) + 7919)
 		for c := 0; c < numCPUs; c++ {
 			if h1[c] != h2[c] {
-				t.Fatalf("CPUHits(%d) diverged across interleavings: %d vs %d (plan=%+v)", c, h1[c], h2[c], plan)
+				t.Fatalf("markers on CPU %d diverged across interleavings: %d vs %d (plan=%+v)", c, h1[c], h2[c], plan)
 			}
 			if r1[c] != r2[c] {
 				t.Fatalf("handler runs on CPU %d diverged across interleavings: %d vs %d (plan=%+v)", c, r1[c], r2[c], plan)

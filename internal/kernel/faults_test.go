@@ -11,6 +11,37 @@ func testKernel() *Kernel {
 	return New(sim.LargeHW, 1, 0)
 }
 
+// watch attaches a 4096-event stream to k.
+func watch(k *Kernel) { k.Observe(make([]Event, 0, 4096)) }
+
+// observed detaches k's event stream and returns its events, failing t if
+// the stream dropped any.
+func observed(t testing.TB, k *Kernel) []Event {
+	t.Helper()
+	evs, dropped := k.Observe(nil)
+	if dropped != 0 {
+		t.Fatalf("the event stream dropped %d events", dropped)
+	}
+	return evs
+}
+
+// tally counts the events of kind in evs, in total and by key: a marker's
+// CPU, or any other event's Arg[0] (a fault's kind).
+func tally(evs []Event, kind uint8) (byKey map[uint64]int64, total int64) {
+	byKey = map[uint64]int64{}
+	for _, e := range evs {
+		if e.Kind == kind {
+			key := e.Arg[0]
+			if kind == EvMarker {
+				key = uint64(e.CPU)
+			}
+			byKey[key]++
+			total++
+		}
+	}
+	return byKey, total
+}
+
 func TestGenFaultPlanDeterministic(t *testing.T) {
 	a := GenFaultPlan(42, 16, 1000, 4)
 	b := GenFaultPlan(42, 16, 1000, 4)
@@ -82,10 +113,11 @@ func TestInjectorDropAndDupDeliveries(t *testing.T) {
 	tp := k.Tracepoint("tp")
 	var runs int
 	tp.Attach(func(t *Task, args []uint64) int64 { runs++; return 0 })
-	fi := NewFaultInjector(k, FaultPlan{
+	NewFaultInjector(k, FaultPlan{
 		{Kind: FaultDropMarker, AtHit: 1},
 		{Kind: FaultDupMarker, AtHit: 2},
 	})
+	watch(k)
 	for i := 0; i < 4; i++ {
 		tk.HitTracepoint(tp, nil)
 	}
@@ -96,12 +128,12 @@ func TestInjectorDropAndDupDeliveries(t *testing.T) {
 	if got := tp.Hits; got != 4 {
 		t.Fatalf("tracepoint hits = %d, want 4", got)
 	}
-	if fi.CPUHits(0) != 4 {
-		t.Fatalf("injector observed %d deliveries, want 4", fi.CPUHits(0))
+	evs := observed(t, k)
+	if markers, _ := tally(evs, EvMarker); markers[0] != 4 {
+		t.Fatalf("the stream saw %d markers on CPU 0, want 4", markers[0])
 	}
-	if fi.Applied(FaultDropMarker) != 1 || fi.Applied(FaultDupMarker) != 1 {
-		t.Fatalf("applied counts wrong: drop=%d dup=%d",
-			fi.Applied(FaultDropMarker), fi.Applied(FaultDupMarker))
+	if faults, n := tally(evs, EvFault); n != 2 || faults[uint64(FaultDropMarker)] != 1 || faults[uint64(FaultDupMarker)] != 1 {
+		t.Fatalf("applied counts wrong: %v", faults)
 	}
 }
 
@@ -142,17 +174,18 @@ func TestInjectorMigrateAndCounterWrap(t *testing.T) {
 	tp.Attach(func(t *Task, args []uint64) int64 { return 0 })
 	// The migrating hit counts against CPU 0, where it was delivered; the
 	// next hit is CPU 2's first.
-	fi := NewFaultInjector(k, FaultPlan{
+	NewFaultInjector(k, FaultPlan{
 		{Kind: FaultMigrate, AtHit: 0, CPU: 2},
 		{Kind: FaultCounterWrap, AtHit: 0, OnCPU: 2},
 	})
+	watch(k)
 	tk.HitTracepoint(tp, nil)
 	if tk.CPU() != 2 {
 		t.Fatalf("migrate fault left task on cpu %d, want 2", tk.CPU())
 	}
 	tk.HitTracepoint(tp, nil)
-	if fi.CPUHits(0) != 1 || fi.CPUHits(2) != 1 {
-		t.Fatalf("hits per CPU = %d on 0, %d on 2; want 1 each", fi.CPUHits(0), fi.CPUHits(2))
+	if markers, n := tally(observed(t, k), EvMarker); n != 2 || markers[0] != 1 || markers[2] != 1 {
+		t.Fatalf("markers per CPU = %v; want 1 on 0 and 1 on 2", markers)
 	}
 	after := tk.Perf().Read(CounterCycles).Raw
 	// The wrap pulls the accumulated count down (to half here, since the
@@ -247,7 +280,7 @@ func TestCPUCounterBaseCancelsInSameCPUDeltas(t *testing.T) {
 // global interleaving: order[i] names which CPU delivers next. It returns
 // the per-CPU handler run counts. Each CPU's deliveries happen in its own
 // fixed sequence; only the cross-CPU merge order varies.
-func deliverInterleaved(t *testing.T, plan FaultPlan, numCPUs int, order []int) ([]int64, *FaultInjector) {
+func deliverInterleaved(t *testing.T, plan FaultPlan, numCPUs int, order []int) ([]int64, map[uint64]int64) {
 	t.Helper()
 	k := testKernel()
 	k.SetNumCPUs(numCPUs)
@@ -261,11 +294,13 @@ func deliverInterleaved(t *testing.T, plan FaultPlan, numCPUs int, order []int) 
 		runs[tk.CPU()]++
 		return 0
 	})
-	fi := NewFaultInjector(k, plan)
+	NewFaultInjector(k, plan)
+	watch(k)
 	for _, c := range order {
 		tasks[c].HitTracepoint(tp, nil)
 	}
-	return runs, fi
+	markers, _ := tally(observed(t, k), EvMarker)
+	return runs, markers
 }
 
 func TestPerCPUFaultIndexingIsInterleavingIndependent(t *testing.T) {
@@ -294,13 +329,13 @@ func TestPerCPUFaultIndexingIsInterleavingIndependent(t *testing.T) {
 	}
 	want := []int64{perCPU - 1, perCPU + 1, perCPU - 1, perCPU}
 	for name, order := range map[string][]int{"round-robin": rr, "cpu-major": major, "reversed": rev} {
-		runs, fi := deliverInterleaved(t, plan, numCPUs, order)
+		runs, markers := deliverInterleaved(t, plan, numCPUs, order)
 		if !reflect.DeepEqual(runs, want) {
 			t.Fatalf("%s: per-CPU handler runs = %v, want %v", name, runs, want)
 		}
 		for c := 0; c < numCPUs; c++ {
-			if got := fi.CPUHits(c); got != perCPU {
-				t.Fatalf("%s: CPUHits(%d) = %d, want %d", name, c, got, perCPU)
+			if got := markers[uint64(c)]; got != perCPU {
+				t.Fatalf("%s: %d markers on CPU %d, want %d", name, got, c, perCPU)
 			}
 		}
 	}
@@ -310,22 +345,24 @@ func TestInterleaverCPULanes(t *testing.T) {
 	// Two workloads pinned to different lanes never context-switch each
 	// other, no matter how the seeded schedule interleaves them.
 	k := testKernel()
+	watch(k)
 	iv := k.NewInterleaver(7)
 	iv.AddOn("a", 0, 50, func(i int) {})
 	iv.AddOn("b", 1, 50, func(i int) {})
 	iv.Run()
-	if got := k.CtxSwitches; got != 0 {
+	if _, got := tally(observed(t, k), evCtxSwitch); got != 0 {
 		t.Fatalf("cross-lane workloads charged %d context switches, want 0", got)
 	}
 	// The same two workloads on one lane do switch (the legacy accounting):
 	// with 100 quanta from two runners a seed-7 schedule must alternate at
 	// least once.
 	k2 := testKernel()
+	watch(k2)
 	iv2 := k2.NewInterleaver(7)
 	iv2.AddOn("a", 0, 50, func(i int) {})
 	iv2.AddOn("b", 0, 50, func(i int) {})
 	trace := iv2.Run()
-	if got := k2.CtxSwitches; got == 0 {
+	if _, got := tally(observed(t, k2), evCtxSwitch); got == 0 {
 		t.Fatalf("same-lane workloads charged no context switches; trace=%v", trace)
 	}
 }

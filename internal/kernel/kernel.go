@@ -47,11 +47,9 @@ type Kernel struct {
 	loadFactor float64
 	injector   *FaultInjector
 
-	// CtxSwitches counts context switches across all tasks (exposed for
-	// the overhead experiments).
-	CtxSwitches int64 //tsvet:ignore unread-field the §6.2 oracle: one mode switch per delivered hit
-	// ModeSwitches counts user<->kernel transitions across all tasks.
-	ModeSwitches int64 //tsvet:ignore unread-field the §6.2 oracle: one mode switch per delivered hit
+	// events is the stream Observe attached; dropped counts its overflow.
+	events  []Event
+	dropped int64
 }
 
 // New creates a simulated kernel on the given hardware with deterministic

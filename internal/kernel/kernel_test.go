@@ -96,6 +96,7 @@ func TestMissRateBounded(t *testing.T) {
 func TestSyscallCost(t *testing.T) {
 	k := newTestKernel()
 	task := k.NewTask("w")
+	watch(k)
 	ns := task.Syscall(0, true)
 	want := sim.LargeHW.ModeSwitchNS + sim.LargeHW.SyscallNS
 	if ns != want {
@@ -104,8 +105,8 @@ func TestSyscallCost(t *testing.T) {
 	if task.KernelInstrumentationNS != ns {
 		t.Fatalf("instrumentation accounting: got %d want %d", task.KernelInstrumentationNS, ns)
 	}
-	if k.ModeSwitches != 1 {
-		t.Fatalf("mode switch counter: %d", k.ModeSwitches)
+	if _, n := tally(observed(t, k), evModeSwitch); n != 1 {
+		t.Fatalf("mode switches: %d", n)
 	}
 }
 
@@ -156,6 +157,7 @@ func TestTracepointAttachedCharges(t *testing.T) {
 		gotArgs = append([]uint64(nil), args...)
 		return 500
 	})
+	watch(k)
 	task.HitTracepoint(tp, []uint64{7, 9})
 	want := sim.LargeHW.ModeSwitchNS + 500
 	if task.Now() != want {
@@ -167,8 +169,8 @@ func TestTracepointAttachedCharges(t *testing.T) {
 	if tp.Hits != 1 {
 		t.Fatalf("hit count: %d", tp.Hits)
 	}
-	if k.ModeSwitches != tp.Hits {
-		t.Fatalf("mode switches %d != delivered hits %d", k.ModeSwitches, tp.Hits)
+	if _, n := tally(observed(t, k), evModeSwitch); n != tp.Hits {
+		t.Fatalf("mode switches %d != delivered hits %d", n, tp.Hits)
 	}
 	if !tp.Attached() {
 		t.Fatalf("Attached must report true")

@@ -24,8 +24,8 @@ type ivRunner struct {
 }
 
 // NewInterleaver creates a deterministic scheduler on this kernel. Each
-// switch between different workloads during Run is charged as one context
-// switch on the kernel's global counter.
+// switch between different workloads during Run is one context switch on
+// the kernel's event stream.
 //
 //tsvet:ignore unused-export interleaver test hook: tests write their interleavings as seeded schedules
 func (k *Kernel) NewInterleaver(seed int64) *Interleaver {
@@ -62,8 +62,8 @@ func (iv *Interleaver) Run() []string {
 	for len(live) > 0 {
 		i := iv.rng.Intn(len(live))
 		r := live[i]
-		if prev, ok := prevOnLane[r.cpu]; ok && prev != r.name {
-			iv.kernel.CtxSwitches++
+		if prev, ok := prevOnLane[r.cpu]; ok && prev != r.name && iv.kernel.events != nil {
+			iv.kernel.emit(evCtxSwitch, r.cpu, 0, 0)
 		}
 		prevOnLane[r.cpu] = r.name
 		trace = append(trace, r.name)

@@ -53,6 +53,7 @@ func TestInterleaverRunsEveryQuantumInOrder(t *testing.T) {
 
 func TestInterleaverChargesContextSwitches(t *testing.T) {
 	k := New(sim.LargeHW, 1, 0)
+	watch(k)
 	iv := k.NewInterleaver(5)
 	iv.AddOn("x", 0, 10, func(int) {})
 	iv.AddOn("y", 0, 10, func(int) {})
@@ -63,7 +64,7 @@ func TestInterleaverChargesContextSwitches(t *testing.T) {
 			want++
 		}
 	}
-	if got := k.CtxSwitches; got != want {
+	if _, got := tally(observed(t, k), evCtxSwitch); got != want {
 		t.Fatalf("charged %d context switches, trace implies %d", got, want)
 	}
 	if want == 0 {

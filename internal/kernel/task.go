@@ -167,7 +167,7 @@ func (t *Task) Syscall(extraNS int64, instrumentation bool) int64 {
 	p := &t.kernel.Profile
 	ns := t.kernel.noiseFor(t.cpu).ApplyNS(p.ModeSwitchNS + p.SyscallNS + extraNS)
 	t.Clock.Advance(ns)
-	t.kernel.ModeSwitches++
+	t.Emit(evModeSwitch)
 	if instrumentation {
 		t.KernelInstrumentationNS += ns
 	}
@@ -186,7 +186,7 @@ func (t *Task) ContextSwitch() int64 {
 	}
 	ns = t.kernel.noiseFor(t.cpu).ApplyNS(ns)
 	t.Clock.Advance(ns)
-	t.kernel.CtxSwitches++
+	t.Emit(evCtxSwitch)
 	return ns
 }
 
@@ -203,6 +203,7 @@ func (t *Task) HitTracepoint(tp *Tracepoint, args []uint64) {
 	// An installed fault injector may drop this delivery (the hit never
 	// happens, as with a lost perf event), duplicate it, or perturb the
 	// task (migration, counter wrap) before the handler runs.
+	t.Emit(EvMarker)
 	times := 1
 	if fi := t.kernel.injector; fi != nil {
 		times = fi.beforeHit(t)
@@ -215,7 +216,7 @@ func (t *Task) HitTracepoint(tp *Tracepoint, args []uint64) {
 		// actually runs on.
 		enter := t.kernel.noiseFor(t.cpu).ApplyNS(p.ModeSwitchNS)
 		t.Clock.Advance(enter)
-		t.kernel.ModeSwitches++
+		t.Emit(evModeSwitch)
 		cost := h(t, args)
 		if cost > 0 {
 			t.Clock.Advance(cost)

@@ -21,7 +21,7 @@ func offlineServer(t *testing.T) (*dbms.Server, func() []tscout.TrainingPoint) {
 		Seed:       3,
 		Instrument: true,
 		Sink:       w,
-		WAL:        wal.Config{Synchronous: true},
+		WAL:        wal.Config{GroupSize: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

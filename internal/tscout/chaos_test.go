@@ -74,21 +74,21 @@ var oneCPU = map[int64]chaosPin{
 		orphans: tscout.OrphanCounts{BeginWithoutEnd: 7, EndWithoutBegin: 1, StaleReaped: 3}},
 }
 
-// chaosRun is what a scenario's own expectations inspect.
+// chaosRun is what a scenario's own expectations inspect. applied and
+// markers are read off the kernel's event stream: the faults fired, by
+// FaultKind, and the markers that reached the Collectors, by the CPU each
+// arrived on.
 type chaosRun struct {
 	ts      *tscout.TScout
-	fi      *kernel.FaultInjector
 	ctrl    *autopilot.Controller
 	orphans tscout.OrphanCounts
+	applied [kernel.FaultRingBurst + 1]int64
+	markers []int64
 }
 
 func (r chaosRun) census() chaosPin {
 	st := r.ts.Processor().Stats()
-	p := chaosPin{orphans: r.orphans, points: st.Processed, ringDrops: st.TotalDropped()}
-	for k := range p.applied {
-		p.applied[k] = r.fi.Applied(kernel.FaultKind(k))
-	}
-	return p
+	return chaosPin{applied: r.applied, orphans: r.orphans, points: st.Processed, ringDrops: st.TotalDropped()}
 }
 
 // refusingSink refuses every fifth delivery before it reaches the archive,
@@ -163,11 +163,32 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 		}
 	}
 
+	// The kernel's event stream is folded after every OU cycle, so a few
+	// thousand events bound it.
+	r := chaosRun{ts: ts, ctrl: ctrl, markers: make([]int64, cfg.numCPUs)}
+	events := make([]kernel.Event, 0, 4096)
+	k.Observe(events)
+	fold := func() {
+		evs, dropped := k.Observe(events)
+		if dropped != 0 {
+			t.Fatalf("the event stream dropped %d events", dropped)
+		}
+		for _, e := range evs {
+			switch e.Kind {
+			case kernel.EvMarker:
+				r.markers[e.CPU]++
+			case kernel.EvFault:
+				r.applied[e.Arg[0]]++
+			}
+		}
+	}
+
 	// census counts the marker calls made on each CPU, on the CPU the task
 	// is on when the call arrives; while every event is sampled, each call is
 	// one delivery.
 	census := make([]int64, cfg.numCPUs)
 	cycle := func(task *kernel.Task, m *tscout.Marker, w sim.Work, feats ...uint64) {
+		defer fold()
 		ts.BeginEvent(task, m.OU().Subsystem)
 		census[task.CPU()]++
 		m.Begin(task)
@@ -236,13 +257,14 @@ func runChaos(t *testing.T, cfg chaosConfig) chaosRun {
 	if err := aw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := chaosRun{ts: ts, fi: fi, ctrl: ctrl, orphans: tscout.CheckLossIdentities(t, ts)}
+	fold()
+	r.orphans = tscout.CheckLossIdentities(t, ts)
 
 	// A controller thins the sampled events, and an unsampled marker is no
-	// delivery; otherwise every CPU's hit counter matches the census.
+	// delivery; otherwise the stream saw every marker call on its CPU.
 	for cpu := 0; ctrl == nil && cpu < cfg.numCPUs; cpu++ {
-		if got := fi.CPUHits(cpu); got != census[cpu] {
-			t.Fatalf("cpu %d: injector counted %d hits, %d markers were delivered there", cpu, got, census[cpu])
+		if got := r.markers[cpu]; got != census[cpu] {
+			t.Fatalf("cpu %d: the stream saw %d markers, %d were delivered there", cpu, got, census[cpu])
 		}
 	}
 
@@ -296,7 +318,7 @@ func expectFaultsFired(t *testing.T, r chaosRun) {
 	if r.census().applied == [len(chaosPin{}.applied)]int64{} {
 		t.Fatalf("the schedule applied no fault")
 	}
-	if r.fi.Applied(kernel.FaultKillTask) > 0 && r.orphans.StaleReaped == 0 {
+	if r.applied[kernel.FaultKillTask] > 0 && r.orphans.StaleReaped == 0 {
 		t.Fatalf("kills injected but no StaleReaped orphans")
 	}
 }
@@ -424,7 +446,7 @@ func TestChaosEveryFaultClassAt8CPUs(t *testing.T) {
 			}
 			r := runChaos(t, chaosConfig{seed: 99, par: 4, numCPUs: numCPUs, ous: 600,
 				ringCap: 16, drainEvr: 25, workers: numCPUs, plan: plan})
-			if r.fi.Applied(class) == 0 {
+			if r.applied[class] == 0 {
 				t.Fatalf("%v: planned on every CPU but never applied", class)
 			}
 			expectFaultsFired(t, r)
@@ -432,7 +454,7 @@ func TestChaosEveryFaultClassAt8CPUs(t *testing.T) {
 			// counter passed its first planned hit. (Migrations and
 			// kill/respawn move tasks off their home CPUs.)
 			for cpu := 0; class != kernel.FaultMigrate && class != kernel.FaultKillTask && cpu < numCPUs; cpu++ {
-				if got := r.fi.CPUHits(cpu); got <= 2 {
+				if got := r.markers[cpu]; got <= 2 {
 					t.Fatalf("%v: cpu %d saw only %d hits: per-CPU delivery untested", class, cpu, got)
 				}
 			}

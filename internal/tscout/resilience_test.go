@@ -428,6 +428,26 @@ func deployCompiled(t *testing.T, k *kernel.Kernel) (*TScout, *Marker) {
 // the entries map's key string and value buffer.)
 func TestMarkerCycleAllocationFree(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 5, 0)
+	ts, cycle := warmMarkerCycle(t, k)
+	ring := ts.CollectorFor(SubsystemExecutionEngine).Ring
+	before := ring.Stats().Submitted
+	const runs = 50
+	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
+		t.Fatalf("BEGIN → END → FEATURES allocates %v times per cycle, want 0", n)
+	}
+	// AllocsPerRun calls cycle once more than runs, to warm up.
+	if got := ring.Stats().Submitted - before; got != runs+1 {
+		t.Fatalf("%d samples reached the ring over %d cycles", got, runs+1)
+	}
+	if js := ts.CollectorFor(SubsystemExecutionEngine).JITStats(); js.CompiledPrograms() != 3 || js.RuntimeFaults() != 0 {
+		t.Fatalf("collector not fully deployed or faulting: %+v", js)
+	}
+}
+
+// warmMarkerCycle deploys deployCompiled's OU on k and returns one task's
+// BEGIN → END → FEATURES cycle, run until it allocates no more.
+func warmMarkerCycle(t *testing.T, k *kernel.Kernel) (*TScout, func()) {
+	t.Helper()
 	ts, scan := deployCompiled(t, k)
 	task := k.NewTask("worker")
 	feats := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -442,18 +462,38 @@ func TestMarkerCycleAllocationFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cycle()
 	}
-	ring := ts.CollectorFor(SubsystemExecutionEngine).Ring
-	before := ring.Stats().Submitted
+	return ts, cycle
+}
+
+// TestObservedMarkerCycleAllocationFree is TestMarkerCycleAllocationFree
+// with a sized event stream attached: emitting allocates nothing, and every
+// cycle puts its three markers and its sample's submit on the stream.
+func TestObservedMarkerCycleAllocationFree(t *testing.T) {
+	k := kernel.New(sim.LargeHW, 5, 0)
+	_, cycle := warmMarkerCycle(t, k)
 	const runs = 50
+	k.Observe(make([]kernel.Event, 0, 64*(runs+1)))
 	if n := testing.AllocsPerRun(runs, cycle); n != 0 {
-		t.Fatalf("BEGIN → END → FEATURES allocates %v times per cycle, want 0", n)
+		t.Fatalf("an observed BEGIN → END → FEATURES allocates %v times per cycle, want 0", n)
 	}
-	// AllocsPerRun calls cycle once more than runs, to warm up.
-	if got := ring.Stats().Submitted - before; got != runs+1 {
-		t.Fatalf("%d samples reached the ring over %d cycles", got, runs+1)
+	evs, dropped := k.Observe(nil)
+	if dropped != 0 {
+		t.Fatalf("the event stream dropped %d events", dropped)
 	}
-	if js := ts.CollectorFor(SubsystemExecutionEngine).JITStats(); js.CompiledPrograms() != 3 || js.RuntimeFaults() != 0 {
-		t.Fatalf("collector not fully deployed or faulting: %+v", js)
+	var markers, submits int
+	for _, e := range evs {
+		switch e.Kind {
+		case kernel.EvMarker:
+			markers++
+		case kernel.EvSubmit:
+			if OUID(e.Arg[0]) != testOUSeqScan {
+				t.Fatalf("submit of OU %d, want %d: %v", e.Arg[0], testOUSeqScan, e)
+			}
+			submits++
+		}
+	}
+	if markers != 3*(runs+1) || submits != runs+1 {
+		t.Fatalf("%d cycles put %d markers and %d submits on the stream (%d events)", runs+1, markers, submits, len(evs))
 	}
 }
 

@@ -63,9 +63,9 @@ type ProcessorStats struct {
 	// FeedbackActions counts §3.2 sampling-rate reductions taken.
 	FeedbackActions int64
 	// FlushQueueDrops is always zero (no flush queue); the ledger's gate reads it.
-	FlushQueueDrops int64 //tsvet:ignore unset-field read by benchmark/ until ROADMAP item 1(a)
+	FlushQueueDrops int64 //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S
 	// PendingFlush is always zero (no flush queue); the ledger's gate reads it.
-	PendingFlush int //tsvet:ignore unset-field read by benchmark/ until ROADMAP item 1(a)
+	PendingFlush int //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S
 	// SinkRetries is always zero: a rejected batch is not offered again.
 	// The ledger reads it.
 	SinkRetries int64 //tsvet:ignore unset-field benchmark/ reads it until ROADMAP item 1-S

@@ -71,7 +71,7 @@ func TestWorkloadsLeaveNoSnapshotOpen(t *testing.T) {
 // that loses a write conflict, then a packet and an Execute that meet the
 // same conflict. Each must end the transaction it ran in, and only that one.
 func TestFailedStatementsLeaveNoSnapshotOpen(t *testing.T) {
-	srv, err := dbms.NewServer(dbms.Config{Seed: 1, WAL: wal.Config{Synchronous: true}})
+	srv, err := dbms.NewServer(dbms.Config{Seed: 1, WAL: wal.Config{GroupSize: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

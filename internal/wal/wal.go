@@ -57,15 +57,12 @@ type Commit struct {
 // Config tunes the group commit policy.
 type Config struct {
 	// GroupSize flushes when this many transactions are pending
-	// (default 32).
+	// (default 32); 1 flushes each commit as it arrives, the synchronous
+	// log the offline runners use.
 	GroupSize int
 	// FlushIntervalNS flushes when the oldest pending commit has waited
 	// this long (default 200µs).
 	FlushIntervalNS int64
-	// Synchronous flushes every commit immediately (batch size 1): the
-	// configuration the offline runners exercise, with no group commit
-	// amortization.
-	Synchronous bool
 }
 
 func (c Config) withDefaults() Config {
@@ -166,7 +163,7 @@ func (s *Serializer) SubmitFrom(c *Commit, records []Record, nowNS int64, cpu in
 // the batch-size policy trips.
 func (s *Serializer) enqueue(c *Commit) {
 	s.pending = append(s.pending, c)
-	if s.cfg.Synchronous || len(s.pending) >= s.cfg.GroupSize {
+	if len(s.pending) >= s.cfg.GroupSize {
 		s.Flush(c.ArrivalNS)
 	}
 }

@@ -112,7 +112,7 @@ func TestGroupCommitFlushByDeadline(t *testing.T) {
 }
 
 func TestSynchronousMode(t *testing.T) {
-	s, _ := newWAL(t, Config{Synchronous: true})
+	s, _ := newWAL(t, Config{GroupSize: 1})
 	c := s.Submit(testRecords(1, 1), 0)
 	if !c.Resolved {
 		t.Fatalf("synchronous commits resolve immediately")
@@ -183,7 +183,7 @@ func TestWALEmitsTrainingData(t *testing.T) {
 
 func TestUninstrumentedWAL(t *testing.T) {
 	k := kernel.New(sim.LargeHW, 1, 0)
-	s := New(k, nil, nil, nil, Config{Synchronous: true})
+	s := New(k, nil, nil, nil, Config{GroupSize: 1})
 	c := s.Submit(testRecords(1, 1), 0)
 	if !c.Resolved || c.DoneNS <= 0 {
 		t.Fatalf("uninstrumented WAL must still work: %+v", c)
@@ -275,7 +275,7 @@ func TestSetDeferModeOffKeepsStage(t *testing.T) {
 // WAL flushes each commit as it is replayed, so durability times rise in
 // replay order and reading them back recovers it.
 func TestCommitStagedTieHeavy(t *testing.T) {
-	s, _ := newWAL(t, Config{Synchronous: true})
+	s, _ := newWAL(t, Config{GroupSize: 1})
 	s.SetDeferMode(true)
 	commits := make([]*Commit, 48)
 	for i := range commits {

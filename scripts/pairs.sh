@@ -4,8 +4,16 @@
 # pairs of the same workload (10 by default), the base first in odd pairs
 # and the head first in even ones, and prints each pair, both sides'
 # quartiles, how many pairs the head wins, a two-sided sign-test p-value
-# over the pairs that are not ties, and the ratio of the medians (head over
-# base).
+# over the pairs that are not ties, the ratio of the medians (head over
+# base), and last a verdict line against the metric's BENCHMARK.json bound
+# (0 for a metric it does not list), the first of these that holds:
+#   unresolved     the base's quartile spread over its median exceeds the
+#                  bound, and not every head run beats every base run;
+#   gain           the head wins at least 9 in 10 pairs and its median is
+#                  better by more than the base's quartile spread;
+#   worse          the head's median is worse than the base's by more than
+#                  the bound, as a fraction of the base's;
+#   no regression  otherwise.
 #
 #   scripts/pairs.sh <rev> <workload> <metric> [n]
 #   make pairs REV=<rev> W=<workload> M=<metric> [N=n]
@@ -36,6 +44,10 @@ better=$(awk -v m="\"$metric\"" '
 	$1 == "\"name\":" { hit = ($2 == m ",") }
 	hit && $1 == "\"better\":" { gsub(/[",]/, "", $2); print $2; exit }' BENCHMARK.json)
 better=${better:-lower}
+bound=$(awk -v m="\"$metric\"" '
+	$1 == "\"name\":" { hit = ($2 == m ",") }
+	hit && $1 == "\"bound\":" { gsub(/,/, "", $2); print $2; exit }' BENCHMARK.json)
+bound=${bound:-0}
 
 tmp=$(mktemp -d)
 cleanup() {
@@ -99,8 +111,14 @@ qb=$(quartiles 1)
 qh=$(quartiles 2)
 echo "base quartiles $qb"
 echo "head quartiles $qh"
-awk -v better="$better" -v qb="$qb" -v qh="$qh" '
-	{ if ($1 == $2) ties++; else if ((better == "lower") == ($2 < $1)) wins++; else losses++ }
+awk -v better="$better" -v bound="$bound" -v qb="$qb" -v qh="$qh" '
+	function beats(h, b) { return better == "lower" ? h < b : h > b }
+	NR == 1 { bmin = bmax = $1; hmin = hmax = $2 }
+	{
+		if ($1 == $2) ties++; else if (beats($2, $1)) wins++; else losses++
+		if ($1 < bmin) bmin = $1; if ($1 > bmax) bmax = $1
+		if ($2 < hmin) hmin = $2; if ($2 > hmax) hmax = $2
+	}
 	END {
 		m = wins + losses; k = wins < losses ? wins : losses
 		# Two-sided sign test: twice the smaller tail of Binomial(m, 1/2).
@@ -111,4 +129,12 @@ awk -v better="$better" -v qb="$qb" -v qh="$qh" '
 		split(qb, b, " "); split(qh, h, " ")
 		printf "head wins %d of %d pairs (%d ties), sign test p = %.4g\n", wins, NR, ties, p
 		printf "median ratio head/base %.4f\n", b[2] ? h[2] / b[2] : 0
+		spread = b[3] - b[1]
+		sweep = better == "lower" ? hmax < bmin : hmin > bmax
+		worse = (better == "lower" ? h[2] - b[2] : b[2] - h[2]) / (b[2] ? b[2] : 1)
+		if (b[2] && spread / b[2] > bound && !sweep) v = "unresolved"
+		else if (10 * wins >= 9 * NR && beats(h[2], b[2]) && (h[2] - b[2]) ^ 2 > spread ^ 2) v = "gain"
+		else if (worse > bound) v = "worse"
+		else v = "no regression"
+		printf "verdict: %s (bound %s, base quartile spread %.4g of its median)\n", v, bound, b[2] ? spread / b[2] : 0
 	}' "$tmp/pairs"
