@@ -15,7 +15,6 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -75,9 +74,12 @@ type segmentData struct {
 // ---------------------------------------------------------------------------
 // Encoding
 
-// encoder holds reusable scratch state for sealing segments. Each seal
-// refills it and none of it leaves with the wire bytes, so once the first
-// seals have grown it, a seal allocates nothing per block.
+// encoder builds the open segment's blocks as rows arrive and seals them
+// into wire segments. Each row goes straight into the column builder of its
+// block, so nothing of a row outlives the call that adds it. All of it is
+// reused from segment to segment and none of it leaves with the wire bytes,
+// so once the first segments have grown it, a seal allocates nothing per
+// block.
 type encoder struct {
 	payload []byte
 	footer  []byte
@@ -86,35 +88,162 @@ type encoder struct {
 	dict    []string
 	dictIdx map[string]int
 	vals    []int64
-	uvals   []uint64
-	key     []byte                     // block-key scratch (avoids a per-row alloc)
-	lastKey []byte                     // the previous row's block key
-	mvals   [tscout.NumMetrics][]int64 // per-metric scratch, filled in one row pass
+	key     []byte // block-key scratch (avoids a per-row alloc)
 
-	// blocks maps every block key the encoder has seen to its slot, so a
-	// key's string is made once, not once a seal; it is dropped whole when
-	// it outgrows maxBlockKeys. seals numbers the seals, so that a slot
-	// tells which seal its block number belongs to.
-	blocks map[string]*blockSlot
-	seals  int
-	// blockOf is each row's block number in the seal; rows is the row
-	// indexes laid out block by block, and ends[b] is where block b ends
-	// in it. Both hold a segment's rows, which a uint32 payload length
-	// already keeps far below 2^31, so they are int32: the encoder keeps
-	// them between seals. metas is the footer entries, their slices reused.
-	blockOf []int32
-	rows    []int32
-	ends    []int
-	metas   []blockMeta
+	// blocks maps every block key the encoder has seen to its builder in
+	// builders, so a key's string is made once, not once a segment, and a
+	// key's columns keep the room its blocks have needed. Both are dropped
+	// whole when the keys outgrow maxBlockKeys. seals numbers the segments,
+	// so that a builder tells whether it has rows in the open one.
+	blocks   map[string]int
+	builders []blockBuilder
+	seals    int
+	// order lists the builders with rows in the open segment, in the
+	// order of their first row, which is the order their blocks seal in.
+	order []int
+	// recent holds, a slot per OU id modulo its length, one more than the
+	// builder of the last row looked up with an OU id of that slot (0 for
+	// none). Rows of one OU usually share a block, so a row is checked
+	// against that builder field by field and builds no key bytes.
+	recent [64]int32
+	metas  []blockMeta // the footer entries, their slices reused
 }
 
-// blockSlot is one block key's entry in encoder.blocks: the number of its
-// block in seal seal.
-type blockSlot struct{ seal, num int }
+// blockBuilder builds one block key's block of the open segment, column by
+// column as rows arrive: the block's identity from its first row, then the
+// global row index, the PID, the metrics (Metrics.Values order) and each
+// feature (its IEEE-754 bits) of every row. The columns are 64-bit words in
+// one array, each with room for the same c rows, so a row costs one
+// capacity check and growing a block is one allocation, whatever its
+// width.
+type blockBuilder struct {
+	seal  int // the segment the builder last had rows in
+	ou    tscout.OUID
+	sub   tscout.SubsystemID
+	name  string
+	names []string // the first row's FeatureNames, copied
+	n, c  int      // rows, and the rows every column has room for
+	nf    int      // features a row
+	words []int64  // column k at [k*c, k*c+n)
+}
+
+// Columns of a blockBuilder: the row index, the PID, the metrics from
+// metricCol and the features from featCol.
+const (
+	rowCol    = 0
+	pidCol    = 1
+	metricCol = 2
+	featCol   = metricCol + tscout.NumMetrics
+)
 
 // maxBlockKeys bounds encoder.blocks. A deployment's rows fall into one
 // block key per OU (and per repaired feature width), far fewer than this.
 const maxBlockKeys = 1024
+
+// add appends tp to its block in the open segment as global row row. The
+// first row of a segment starts the segment's numbering. A row whose block
+// is its OU slot's recent builder, which it checks field by field, builds
+// no key bytes; any other row is looked up by its key.
+func (e *encoder) add(tp *tscout.TrainingPoint, row uint64) {
+	if len(e.order) == 0 {
+		if e.blocks == nil || len(e.blocks) > maxBlockKeys {
+			e.blocks, e.builders = make(map[string]int), nil
+			clear(e.recent[:])
+		}
+		e.seals++
+	}
+	r := &e.recent[int(tp.OU)%len(e.recent)]
+	i := int(*r) - 1
+	if i < 0 || !e.builders[i].holds(tp) {
+		i = e.builderOf(tp)
+		*r = int32(i + 1)
+	}
+	b := &e.builders[i]
+	if b.seal != e.seals {
+		// The key's first row in the open segment starts its block there.
+		b.seal = e.seals
+		b.start(tp)
+		e.order = append(e.order, i)
+	}
+	b.add(tp, row)
+}
+
+// builderOf returns the builder of tp's block key, making one for a key
+// it has not seen. A builder is only ever started with a row of its key, so
+// a row with every field blockKey reads equal to a builder's has its key.
+func (e *encoder) builderOf(tp *tscout.TrainingPoint) int {
+	e.key = blockKey(e.key[:0], tp)
+	i, ok := e.blocks[string(e.key)]
+	if !ok {
+		i = len(e.builders)
+		e.blocks[string(e.key)] = i
+		e.builders = append(e.builders, blockBuilder{})
+	}
+	return i
+}
+
+// start empties b, keeping its columns' room, for a block whose first row
+// is tp.
+func (b *blockBuilder) start(tp *tscout.TrainingPoint) {
+	b.ou, b.sub, b.name = tp.OU, tp.Subsystem, tp.OUName
+	b.names = append(b.names[:0], tp.FeatureNames...)
+	b.n, b.nf = 0, len(tp.Features)
+	if need := (featCol + b.nf) * b.c; len(b.words) < need {
+		b.words = make([]int64, need)
+	}
+}
+
+// add appends tp's values, as global row row, to b's columns.
+func (b *blockBuilder) add(tp *tscout.TrainingPoint, row uint64) {
+	if b.n == b.c {
+		b.grow()
+	}
+	n, c, w := b.n, b.c, b.words
+	w[rowCol*c+n] = int64(row)
+	w[pidCol*c+n] = int64(tp.PID)
+	vals := tp.Metrics.Values()
+	for m, v := range &vals {
+		w[(metricCol+m)*c+n] = v
+	}
+	for f, v := range tp.Features[:b.nf] {
+		w[(featCol+f)*c+n] = int64(math.Float64bits(v))
+	}
+	b.n++
+}
+
+// grow makes room for more rows in every column, moving the columns: twice
+// the rows up to 256, then a quarter more. A builder keeps its room from
+// segment to segment, so the small steps are paid once, while the room its
+// largest block leaves unused stays small.
+func (b *blockBuilder) grow() {
+	c := max(2*b.c, 16)
+	if b.c >= 256 {
+		c = b.c + b.c/4
+	}
+	words := make([]int64, (featCol+b.nf)*c)
+	for k := range featCol + b.nf {
+		copy(words[k*c:], b.col(k))
+	}
+	b.words, b.c = words, c
+}
+
+// col returns column k.
+func (b *blockBuilder) col(k int) []int64 { return b.words[k*b.c : k*b.c+b.n] }
+
+// holds reports whether tp has every field blockKey keys b's first row by,
+// and so b's key.
+func (b *blockBuilder) holds(tp *tscout.TrainingPoint) bool {
+	if tp.OU != b.ou || tp.Subsystem != b.sub || len(tp.Features) != b.nf ||
+		len(tp.FeatureNames) != len(b.names) || tp.OUName != b.name {
+		return false
+	}
+	for i, n := range tp.FeatureNames {
+		if n != b.names[i] {
+			return false
+		}
+	}
+	return true
+}
 
 func (e *encoder) reset() {
 	e.payload = e.payload[:0]
@@ -157,33 +286,44 @@ func blockKey(key []byte, tp *tscout.TrainingPoint) []byte {
 	return key
 }
 
-// appendDeltaU appends vals as uvarint(first) + uvarint deltas (wrapping).
-func appendDeltaU(dst []byte, vals []uint64) []byte {
+// appendDeltaU appends vals, read as unsigned, as uvarint(first) + uvarint
+// deltas (wrapping).
+func appendDeltaU(dst []byte, vals []int64) []byte {
+	dst, n := slices.Grow(dst, len(vals)*binary.MaxVarintLen64), len(dst)
+	buf := dst[:cap(dst)]
 	var prev uint64
-	for i, v := range vals {
-		if i == 0 {
-			dst = binary.AppendUvarint(dst, v)
-		} else {
-			dst = binary.AppendUvarint(dst, v-prev)
-		}
-		prev = v
+	for _, v := range vals {
+		n = putUvarint(buf, n, uint64(v)-prev)
+		prev = uint64(v)
 	}
-	return dst
+	return buf[:n]
 }
 
 // appendDeltaI appends vals as varint(first) + zigzag-varint deltas, with
 // wraparound subtraction so extreme values cannot overflow.
 func appendDeltaI(dst []byte, vals []int64) []byte {
+	dst, n := slices.Grow(dst, len(vals)*binary.MaxVarintLen64), len(dst)
+	buf := dst[:cap(dst)]
 	var prev int64
-	for i, v := range vals {
-		if i == 0 {
-			dst = binary.AppendVarint(dst, v)
-		} else {
-			dst = binary.AppendVarint(dst, int64(uint64(v)-uint64(prev)))
-		}
+	for _, v := range vals {
+		d := int64(uint64(v) - uint64(prev))
+		n = putUvarint(buf, n, uint64(d<<1)^uint64(d>>63)) // zigzag, as binary.AppendVarint
 		prev = v
 	}
-	return dst
+	return buf[:n]
+}
+
+// putUvarint writes x as a uvarint at buf[n:], which has room for one, and
+// returns the index after it: binary.AppendUvarint's bytes, with no append
+// a byte.
+func putUvarint(buf []byte, n int, x uint64) int {
+	for x >= 0x80 {
+		buf[n] = byte(x) | 0x80
+		x >>= 7
+		n++
+	}
+	buf[n] = byte(x)
+	return n + 1
 }
 
 // integralExact reports whether f survives a round trip through int64 with
@@ -200,31 +340,28 @@ func integralExact(f float64) (int64, bool) {
 	return i, true
 }
 
-// encodeSegment seals pts (whose global row indexes start at firstRow)
-// into one wire segment appended to dst.
-func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow uint64) []byte {
+// encodeSegment seals the open segment's blocks, in first-appearance
+// order, into one wire segment of rows rows appended to dst, and leaves the
+// encoder with an empty open segment.
+func (e *encoder) encodeSegment(dst []byte, rows int) []byte {
 	e.reset()
-	nb := e.groupBlocks(pts)
-	e.metas = slices.Grow(e.metas[:0], nb)[:nb]
-	lo := 0
-	for b := range e.metas {
-		idxs := e.rows[lo:e.ends[b]]
-		lo = e.ends[b]
-		proto := &pts[idxs[0]]
-		nf := len(proto.Features)
-		meta := &e.metas[b]
+	e.metas = slices.Grow(e.metas[:0], len(e.order))[:len(e.order)]
+	for bi, i := range e.order {
+		b := &e.builders[i]
+		nf := b.nf
+		meta := &e.metas[bi]
 		*meta = blockMeta{
-			ou:      uint64(proto.OU),
-			nameIdx: e.intern(proto.OUName),
-			sub:     uint64(proto.Subsystem),
-			rows:    len(idxs),
+			ou:      uint64(b.ou),
+			nameIdx: e.intern(b.name),
+			sub:     uint64(b.sub),
+			rows:    b.n,
 			off:     len(e.payload),
-			named:   len(proto.FeatureNames),
+			named:   len(b.names),
 			featIdx: meta.featIdx[:0],
 			featMin: slices.Grow(meta.featMin[:0], nf)[:nf],
 			featMax: slices.Grow(meta.featMax[:0], nf)[:nf],
 		}
-		for _, n := range proto.FeatureNames {
+		for _, n := range b.names {
 			meta.featIdx = append(meta.featIdx, e.intern(n))
 		}
 		// FeatureNames may be shorter than Features (repaired vectors);
@@ -246,35 +383,18 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 			colStart = len(e.colBuf)
 		}
 
-		// Column 0: global row indexes (archive order).
-		rowIdx := e.uvals[:0]
-		for _, ri := range idxs {
-			rowIdx = append(rowIdx, firstRow+uint64(ri))
-		}
-		e.uvals = rowIdx
-		meta.rowLo, meta.rowHi = rowIdx[0], rowIdx[len(rowIdx)-1]
-		e.colBuf = appendDeltaU(e.colBuf, rowIdx)
+		// Column 0: global row indexes (archive order), then column 1: PID
+		// and columns 2..12: the metrics in MetricNames order, all
+		// zigzag-delta varint.
+		rows := b.col(rowCol)
+		meta.rowLo, meta.rowHi = uint64(rows[0]), uint64(rows[b.n-1])
+		e.colBuf = appendDeltaU(e.colBuf, rows)
 		endCol()
-
-		// Column 1: PID, then columns 2..12: the metrics in MetricNames
-		// order (Metrics.Values), all zigzag-delta varint. One pass over the
-		// rows fills every scratch column — each TrainingPoint struct is
-		// touched once, not twelve times.
-		e.vals = e.vals[:0]
-		for m := range e.mvals {
-			e.mvals[m] = e.mvals[m][:0]
-		}
-		for _, ri := range idxs {
-			p := &pts[ri]
-			e.vals = append(e.vals, int64(p.PID))
-			for m, v := range p.Metrics.Values() {
-				e.mvals[m] = append(e.mvals[m], v)
-			}
-		}
-		meta.pidMin, meta.pidMax = minMax(e.vals)
-		e.colBuf = appendDeltaI(e.colBuf, e.vals)
+		meta.pidMin, meta.pidMax = minMax(b.col(pidCol))
+		e.colBuf = appendDeltaI(e.colBuf, b.col(pidCol))
 		endCol()
-		for m, vals := range e.mvals {
+		for m := range tscout.NumMetrics {
+			vals := b.col(metricCol + m)
 			meta.minVal[m], meta.maxVal[m] = minMax(vals)
 			e.colBuf = appendDeltaI(e.colBuf, vals)
 			endCol()
@@ -283,13 +403,14 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		// Feature columns: integral zigzag-delta when bit-exact, raw bits
 		// otherwise. One pass decides the encoding and the zone map; NaNs
 		// poison the zone map open (-Inf, +Inf).
-		for f := 0; f < nf; f++ {
+		for f := range nf {
+			col := b.col(featCol + f)
 			integral := true
 			sawNaN := false
 			lo, hi := math.Inf(1), math.Inf(-1)
 			e.vals = e.vals[:0]
-			for _, ri := range idxs {
-				v := pts[ri].Features[f]
+			for _, bits := range col {
+				v := math.Float64frombits(uint64(bits))
 				if v != v {
 					sawNaN = true
 				} else {
@@ -317,8 +438,8 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 				e.colBuf = appendDeltaI(e.colBuf, e.vals)
 			} else {
 				e.colBuf = append(e.colBuf, featEncRaw)
-				for _, ri := range idxs {
-					e.colBuf = binary.LittleEndian.AppendUint64(e.colBuf, math.Float64bits(pts[ri].Features[f]))
+				for _, bits := range col {
+					e.colBuf = binary.LittleEndian.AppendUint64(e.colBuf, uint64(bits))
 				}
 			}
 			endCol()
@@ -332,61 +453,10 @@ func (e *encoder) encodeSegment(dst []byte, pts []tscout.TrainingPoint, firstRow
 		e.payload = append(e.payload, e.colBuf...)
 		meta.ln = len(e.payload) - meta.off
 	}
+	e.order = e.order[:0]
 
-	e.footer = appendFooter(e.footer[:0], e.dict, len(pts), e.metas)
+	e.footer = appendFooter(e.footer[:0], e.dict, rows, e.metas)
 	return appendSegment(dst, e.payload, e.footer)
-}
-
-// groupBlocks groups pts into blocks in first-appearance order
-// (deterministic for a given input order) and returns how many there are:
-// e.rows holds the row indexes block by block, each block's ascending, and
-// block b ends at e.ends[b]. Keys are looked up with the scratch key bytes,
-// and consecutive rows usually share a block, so a run skips the map.
-func (e *encoder) groupBlocks(pts []tscout.TrainingPoint) int {
-	if e.blocks == nil || len(e.blocks) > maxBlockKeys {
-		e.blocks = make(map[string]*blockSlot)
-	}
-	e.seals++
-	nb := 0
-	e.blockOf = e.blockOf[:0]
-	var last *blockSlot
-	for i := range pts {
-		e.key = blockKey(e.key[:0], &pts[i])
-		if last == nil || !bytes.Equal(e.key, e.lastKey) {
-			slot, ok := e.blocks[string(e.key)]
-			if !ok {
-				slot = &blockSlot{}
-				e.blocks[string(e.key)] = slot
-			}
-			if slot.seal != e.seals {
-				slot.seal, slot.num = e.seals, nb
-				nb++
-			}
-			e.lastKey = append(e.lastKey[:0], e.key...)
-			last = slot
-		}
-		e.blockOf = append(e.blockOf, int32(last.num))
-	}
-
-	// A counting sort lays the rows out block by block: count each block's
-	// rows, turn the counts into start offsets, then place every row at its
-	// block's cursor, which leaves ends[b] at the end of block b.
-	e.ends = slices.Grow(e.ends[:0], nb)[:nb]
-	clear(e.ends)
-	for _, b := range e.blockOf {
-		e.ends[b]++
-	}
-	off := 0
-	for b, n := range e.ends {
-		e.ends[b] = off
-		off += n
-	}
-	e.rows = slices.Grow(e.rows[:0], len(pts))[:len(pts)]
-	for i, b := range e.blockOf {
-		e.rows[e.ends[b]] = int32(i)
-		e.ends[b]++
-	}
-	return nb
 }
 
 // appendFooter appends a segment footer: the dictionary, the row count,

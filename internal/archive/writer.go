@@ -12,25 +12,28 @@ import (
 // granularity stays cache-friendly.
 const DefaultSegmentRows = 4096
 
-// Writer is the archive's tscout.Sink: WriteBatch buffers drained points
-// and seals them into columnar wire segments on dst once DefaultSegmentRows
-// accumulate (Flush seals the remainder). Global row indexes are assigned
-// in arrival order, so an archive written at drain parallelism 1
-// reproduces the Processor's point order exactly.
+// Writer is the archive's tscout.Sink: WriteBatch appends each drained
+// point's values to the column builder of its block in the open segment,
+// and the segment seals into columnar wire segments on dst as soon as it
+// holds DefaultSegmentRows rows (Flush seals the remainder). The Writer
+// keeps nothing of a batch: the Processor's points and their vectors are
+// borrowed only until WriteBatch returns. Global row indexes are assigned
+// in arrival order, so an archive written at drain parallelism 1 reproduces
+// the Processor's point order exactly.
 //
 // Errors from dst are sticky: once a segment write fails, every later
 // call reports the same error, so the Processor charges every later batch
 // to SinkErrors against a consistently failed sink.
 type Writer struct {
 	dst     io.Writer
-	pending []tscout.TrainingPoint // rows not yet sealed
-	perSeg  int                    // rows per segment
-	rows    int64                  // total accepted rows
-	nextRow uint64                 // next global row index
-	err     error                  // sticky write error
-	enc     encoder                // reusable seal scratch
-	wire    []byte                 // reusable wire buffer
-	onSeal  func(segment []byte)   // seal notification target
+	perSeg  int                  // rows per segment
+	open    int                  // rows in the open segment
+	rows    int64                // total accepted rows
+	nextRow uint64               // global row index of the open segment's first row
+	err     error                // sticky write error
+	enc     encoder              // the open segment's blocks and the seal scratch
+	wire    []byte               // reusable wire buffer
+	onSeal  func(segment []byte) // seal notification target
 }
 
 // The Processor detects the sticky failure through StickySink and stops
@@ -62,41 +65,33 @@ func NewWriterSize(dst io.Writer, rowsPerSegment int) *Writer {
 // Pass nil to stop notifications.
 func (w *Writer) SetOnSeal(fn func(segment []byte)) { w.onSeal = fn }
 
-// WriteBatch implements tscout.Sink. The batch is copied into the pending
-// buffer; full segments seal inline (for the Processor, inside Drain).
+// WriteBatch implements tscout.Sink. Each point goes into its block's
+// columns at once; a full segment seals inline (for the Processor, inside
+// Drain), so nothing of pts is kept once WriteBatch returns.
 func (w *Writer) WriteBatch(pts []tscout.TrainingPoint) error {
 	if w.err != nil {
 		return w.err
 	}
-	// Grow straight to one segment's capacity instead of walking append's
-	// doubling chain: pending oscillates within [0, perSeg+batch), so a
-	// single reservation serves the writer's whole life.
-	if need := len(w.pending) + len(pts); need > cap(w.pending) {
-		if need < w.perSeg {
-			need = w.perSeg
-		}
-		np := make([]tscout.TrainingPoint, len(w.pending), need)
-		copy(np, w.pending)
-		w.pending = np
-	}
-	w.pending = append(w.pending, pts...)
-	for len(w.pending) >= w.perSeg {
-		if err := w.seal(w.perSeg); err != nil {
-			return err
+	for i := range pts {
+		w.enc.add(&pts[i], w.nextRow+uint64(w.open))
+		if w.open++; w.open == w.perSeg {
+			if err := w.seal(); err != nil {
+				return err
+			}
 		}
 	}
 	w.rows += int64(len(pts))
 	return nil
 }
 
-// Flush implements tscout.Sink: the pending remainder is sealed into a
+// Flush implements tscout.Sink: the open segment's rows are sealed into a
 // final (short) segment.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
 	}
-	if len(w.pending) > 0 {
-		return w.seal(len(w.pending))
+	if w.open > 0 {
+		return w.seal()
 	}
 	return nil
 }
@@ -110,22 +105,16 @@ func (w *Writer) Rows() int64 { return w.rows }
 // guaranteed to reject it.
 func (w *Writer) StickyErr() error { return w.err }
 
-// seal encodes the first n pending rows as one segment, writes it to dst
-// and notifies the seal listener.
-func (w *Writer) seal(n int) error {
-	w.wire = w.enc.encodeSegment(w.wire[:0], w.pending[:n], w.nextRow)
+// seal encodes the open segment, writes it to dst and notifies the seal
+// listener.
+func (w *Writer) seal() error {
+	w.wire = w.enc.encodeSegment(w.wire[:0], w.open)
 	if _, err := w.dst.Write(w.wire); err != nil {
 		w.err = err
 		return err
 	}
-	w.nextRow += uint64(n)
-	// Slide the tail down rather than re-slicing so sealed TrainingPoints
-	// (and their Features backing arrays) are released promptly.
-	rem := copy(w.pending, w.pending[n:])
-	for i := rem; i < len(w.pending); i++ {
-		w.pending[i] = tscout.TrainingPoint{}
-	}
-	w.pending = w.pending[:rem]
+	w.nextRow += uint64(w.open)
+	w.open = 0
 	if w.onSeal != nil {
 		w.onSeal(w.wire)
 	}

@@ -1,36 +1,33 @@
 package bpf
 
-// Batch is the reusable destination of the batched drain path: drained
-// samples are copied back-to-back into one contiguous buffer with an
-// offsets index, so a drain cycle makes zero per-sample allocations once
-// the buffer has grown to the working-set size. Sample slices returned by
-// Sample alias the buffer and are valid only until the next Reset.
+// Batch is the reusable destination of the batched drain path: a list of
+// lent samples. A drain appends each ring slot's own bytes to it without
+// copying them, so a drain cycle makes no per-sample allocation and copies
+// no sample once the list has grown to the working-set size. A lent sample
+// is the ring's: it stays valid until that ring's next submission, which
+// may refill its slot, so a consumer reads what it needs from a batch
+// before anything submits to the rings it drained, and never writes to it.
 type Batch struct {
-	buf []byte
-	end []int // end[i] is the exclusive end offset of sample i in buf
+	samples [][]byte
 }
 
-// Reset empties the batch, retaining capacity.
+// Reset empties the batch, retaining capacity, and lets go of the samples
+// it was lent.
 func (b *Batch) Reset() {
-	b.buf = b.buf[:0]
-	b.end = b.end[:0]
+	clear(b.samples)
+	b.samples = b.samples[:0]
 }
 
 // Len returns the number of samples in the batch.
-func (b *Batch) Len() int { return len(b.end) }
+func (b *Batch) Len() int { return len(b.samples) }
 
-// Sample returns the i'th sample. The slice aliases the batch's buffer:
-// it is valid until the next Reset and must not be retained across cycles.
-func (b *Batch) Sample(i int) []byte {
-	start := 0
-	if i > 0 {
-		start = b.end[i-1]
-	}
-	return b.buf[start:b.end[i]:b.end[i]]
-}
+// Sample returns the i'th sample: the slice its lender handed over, capped
+// at its length. It is valid as long as the lender keeps it, and must not
+// be written or retained across cycles.
+func (b *Batch) Sample(i int) []byte { return b.samples[i] }
 
-// Append copies one sample onto the end of the batch.
+// Append lends one sample to the end of the batch: the batch keeps data
+// itself, capped at its length, not a copy.
 func (b *Batch) Append(data []byte) {
-	b.buf = append(b.buf, data...)
-	b.end = append(b.end, len(b.buf))
+	b.samples = append(b.samples, data[:len(data):len(data)])
 }

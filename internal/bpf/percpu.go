@@ -69,6 +69,9 @@ func (r *cpuRing) submit(data []byte) {
 	r.submitted++
 }
 
+// drainBatch lends up to max of the oldest entries (0 or less = all) to dst
+// in submission order. The slots keep their buffers: a lent entry stays as
+// it was until the next submission to this ring refills its slot.
 func (r *cpuRing) drainBatch(dst *Batch, max int) int {
 	n := r.count
 	if max > 0 && max < n {
@@ -156,8 +159,10 @@ func (r *PerCPURing) SubmitFrom(cpu int, data []byte) {
 func (r *PerCPURing) Submit(data []byte) { r.SubmitFrom(0, data) }
 
 // DrainBatch removes up to max samples (0 or less = everything) from one
-// CPU's ring in submission order, appending them to dst's contiguous
-// buffer, and returns the number drained. No per-sample slice is allocated.
+// CPU's ring in submission order, lending them to dst, and returns the
+// number drained. Nothing is copied or allocated per sample: each sample in
+// dst is the ring slot's own bytes, valid until the next submission to
+// that CPU's ring (or Reset), so read a batch before submitting again.
 func (r *PerCPURing) DrainBatch(cpu int, dst *Batch, max int) int {
 	if cpu < 0 || cpu >= len(r.rings) {
 		return 0

@@ -127,18 +127,49 @@ func TestPerfRingBufferDrainBatch(t *testing.T) {
 
 func TestBatchSampleBoundaries(t *testing.T) {
 	var b Batch
-	b.Append([]byte{1, 2})
+	first := []byte{1, 2, 9}
+	b.Append(first[:2])
 	b.Append(nil)
 	b.Append([]byte{3})
-	if b.Len() != 3 || len(b.buf) != 3 {
-		t.Fatalf("Len=%d Bytes=%d", b.Len(), len(b.buf))
+	if b.Len() != 3 {
+		t.Fatalf("Len=%d", b.Len())
 	}
 	if !bytes.Equal(b.Sample(0), []byte{1, 2}) || len(b.Sample(1)) != 0 || !bytes.Equal(b.Sample(2), []byte{3}) {
 		t.Fatalf("samples %v %v %v", b.Sample(0), b.Sample(1), b.Sample(2))
 	}
+	// A sample is capped at its length, so an append to it never reaches
+	// its lender's next bytes, and it is the lender's slice, not a copy.
+	if c := cap(b.Sample(0)); c != 2 {
+		t.Fatalf("sample 0 has capacity %d, want its length 2", c)
+	}
+	first[0] = 7
+	if b.Sample(0)[0] != 7 {
+		t.Fatalf("the batch copied its sample instead of borrowing it")
+	}
 	b.Reset()
-	if b.Len() != 0 || len(b.buf) != 0 {
+	if b.Len() != 0 {
 		t.Fatalf("batch not empty after Reset")
+	}
+}
+
+// TestDrainLendsUntilNextSubmission pins the lending contract: a drained
+// sample is its ring slot's bytes, unchanged by drains of other rings and
+// by submissions to them, until its own ring's next submission refills
+// the slot.
+func TestDrainLendsUntilNextSubmission(t *testing.T) {
+	r := NewPerCPURing("t/lend", 2, 1)
+	r.SubmitFrom(0, []byte{1, 1})
+	r.SubmitFrom(1, []byte{2, 2})
+	var b Batch
+	r.DrainBatch(0, &b, 0)
+	r.DrainBatch(1, &b, 0)
+	r.SubmitFrom(1, []byte{3, 3})
+	if !bytes.Equal(b.Sample(0), []byte{1, 1}) {
+		t.Fatalf("CPU 0's sample changed under other rings' traffic: %v", b.Sample(0))
+	}
+	r.SubmitFrom(0, []byte{4, 4})
+	if !bytes.Equal(b.Sample(0), []byte{4, 4}) {
+		t.Fatalf("CPU 0's sample is %v after its slot was refilled: the drain copied it", b.Sample(0))
 	}
 }
 

@@ -10,11 +10,11 @@ import (
 	"tscout/internal/tscout"
 )
 
-// TestArchivedFeaturesSurviveLaterDrains guards the feature chunks against
-// aliasing: the archive writer's segment spans many drains, so its pending
-// rows still hold vectors cut in earlier drains while later drains cut
-// theirs, and every archived vector must still be the one its sample
-// carried. A chunk rewound or reused by a later drain would overwrite them.
+// TestArchivedFeaturesSurviveLaterDrains guards the archive against
+// aliasing: the archive writer's segment spans many drains, while every
+// drain cuts its vectors from the same feature slice, and every archived
+// vector must still be the one its sample carried. A writer that kept a
+// drain's vectors past WriteBatch would see later drains overwrite them.
 func TestArchivedFeaturesSurviveLaterDrains(t *testing.T) {
 	const drains, perDrain, segRows = 40, 90, 1000 // a segment spans 11 drains
 	k := kernel.New(sim.LargeHW, 5, 0)

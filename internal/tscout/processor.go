@@ -2,7 +2,7 @@ package tscout
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 
 	"tscout/internal/bpf"
 	"tscout/internal/kernel"
@@ -53,8 +53,9 @@ var errCorruptMetrics = errors.New("tscout: corrupt sample metrics")
 // slips past the Collector's in-kernel checks — perf-counter wraparound
 // faults, torn reads — is discarded here instead of poisoning a model.
 // AllocBytes, the user-level memory probe's figure, is not checked.
-func metricsSane(m Metrics) bool {
-	for i, v := range m.Values() {
+func metricsSane(m *Metrics) bool {
+	vals := m.Values()
+	for i, v := range &vals {
 		switch {
 		case i == mwAlloc: // not checked
 		case MetricIsCounter(i):
@@ -134,10 +135,12 @@ func BudgetForPeriod(periodNS int64) int {
 // A Sink may call back into the Processor (stats, submissions, a drain)
 // from WriteBatch.
 type Sink interface {
-	// WriteBatch delivers one drained batch. It borrows pts until it
-	// returns: the Processor reuses the slice for its next drain, so a sink
-	// copies the points it keeps. A point's Features vector is the sink's
-	// for good.
+	// WriteBatch delivers one drained batch. It borrows pts, and every
+	// point's Features vector, until it returns: the Processor's next drain
+	// decodes over both, so a sink copies what it keeps — the points, or
+	// the values in them, as the archive Writer appends each point's values
+	// to its column blocks. A drain WriteBatch itself starts decodes into
+	// slices of its own, and leaves pts as it was.
 	WriteBatch(pts []TrainingPoint) error
 	// Flush forces buffered output to the underlying target and reports
 	// any deferred write error.
@@ -162,7 +165,8 @@ type StickySink interface {
 // (paper §5.2/§6: "we preprocess the DBMS's online models to break
 // multiple OUs per operation into per-OU data points using offline
 // models"). It returns a relative weight for one OU's share; weights are
-// normalized over the sample. The default splits equally.
+// normalized over the sample. The default splits equally. features is the
+// part's wire vector, borrowed for the call: the drain reuses its places.
 type SplitWeightFunc func(ou OUID, features []float64) float64
 
 // Processor is TScout's user-space component (paper §3.2): a budgeted,
@@ -171,12 +175,15 @@ type SplitWeightFunc func(ou OUID, features []float64) float64
 // the threads share one global token budget per drain period (a single
 // thread-period times the configured parallelism), and each ring's samples
 // are charged to the thread that owns it. On the host a drain is one pass,
-// ring by ring in global ring order, and its finished points leave for the
-// Sink — their only store — as one batch, offered once. A drain allocates
-// only what it hands on, the feature chunks its vectors are cut from;
-// everything else it uses is scratch kept here between drains, bounded by
-// the ring count, by one ring's capacity or, for the point slice the sink
-// borrows, by maxKeptPoints.
+// ring by ring in global ring order: each ring lends its samples (a
+// bpf.Batch), and each sample is read once, in place, into a point of the
+// drain's point slice, its features into a vector cut from the drain's
+// feature slice. The finished points leave for the Sink — their only store —
+// as one batch, offered once and borrowed until WriteBatch returns. So a
+// drain allocates nothing at steady state: everything it uses is scratch
+// kept here between drains, bounded by the ring count, by one ring's
+// capacity or, for the point and feature slices the sink borrows, by
+// maxKeptPoints points.
 type Processor struct {
 	ts   *TScout
 	sink Sink
@@ -194,58 +201,47 @@ type Processor struct {
 	autopilot           AutopilotStats
 
 	// Drain's scratch: what a drain needs only while it runs, truncated and
-	// refilled by the next one and never handed on. Each is bounded by the
-	// ring count or by one ring batch, never by a drain's size, so an
+	// refilled by the next one. Each is bounded by the ring count, by one
+	// ring batch or by maxKeptPoints, never by a drain's size, so an
 	// unbudgeted sweep leaves nothing larger behind than a budgeted poll:
 	// the per-CPU ring snapshots, the demand and allocation tables, one drain
 	// thread's demands and their waterfill (ring count), the charge table
-	// (drain threads) and the ring batch being decoded (a contiguous buffer
-	// that grows to the largest ring batch).
+	// (drain threads), the ring batch being decoded (one lent slice a
+	// sample) and a fused sample's parts.
 	cpuNow         [NumSubsystems][]bpf.RingStats
 	demands, alloc []int
 	dem, share     []int
 	charged        [][NumSubsystems]int64
 	batch          bpf.Batch
-	// pts is the point slice the next drain decodes into, cleared. A drain
-	// takes it out while the sink has it, so a drain the sink starts from
-	// WriteBatch gets a slice of its own, and puts it back afterwards if it
-	// holds at most maxKeptPoints.
-	pts []TrainingPoint
-	// features is the rest of the chunk feature vectors are cut from
-	// (cutFeatures). What is cut from it is handed on with its point, so
-	// unlike the scratch it is never rewound: a full chunk is dropped for a
-	// fresh one and stays with the vectors cut from it.
+	parts          []fusedPart
+	// pts and features are the point slice the next drain decodes into and
+	// the slice its feature vectors are cut from. The sink borrows both, so
+	// a drain takes them out while the sink has them — a drain the sink
+	// starts from WriteBatch gets slices of its own — and puts them back
+	// afterwards if the points number at most maxKeptPoints.
+	pts      []TrainingPoint
 	features []float64
 }
 
 // maxKeptPoints bounds the point slice a drain keeps for the next one, about
-// 370 KB. A drain larger than a poll — an unbudgeted sweep of full rings —
-// drops its slice instead, so the Processor keeps a poll's worth, not a
-// sweep's: the ledger's budgeted polls drain at most a few hundred points,
-// and its final sweeps over 8 000.
+// 370 KB, and its feature slice, that many vectors of the widest registered
+// OU. A drain larger than a poll — an unbudgeted sweep of full rings — drops
+// both instead, so the Processor keeps a poll's worth, not a sweep's: the
+// ledger's budgeted polls drain at most a few hundred points, and its final
+// sweeps over 8 000.
 const maxKeptPoints = 2048
 
-// featureChunk is the length of the chunks feature vectors are cut from,
-// 32 KB: a drain of a few thousand points cuts one. A vector longer than a
-// quarter of a chunk gets its own allocation, so a chunk is never left
-// mostly unused.
-const featureChunk = 4096
-
-// cutFeatures returns a zeroed feature vector of n places from the front of
-// the current chunk, with its capacity clipped so that an append never
-// reaches the next vector. A chunk too short for n is replaced with a fresh
-// one; the old one stays with whatever was cut from it. The first call makes
-// a chunk even for n = 0, so that a vector is never nil.
-func (p *Processor) cutFeatures(n int) []float64 {
-	if n > featureChunk/4 {
-		return make([]float64, n)
-	}
-	if p.features == nil || len(p.features) < n {
-		p.features = make([]float64, featureChunk)
-	}
-	f := p.features[:n:n]
-	p.features = p.features[n:]
-	return f
+// cutVector cuts a zeroed vector of n places from the end of feats, with its
+// capacity clipped so that an append never reaches the next vector. A drain
+// reserves room for a vector of the widest OU a sample, so only a fused
+// sample's extra parts can outgrow feats; then feats moves to a larger
+// array, and the vectors cut before stay in the old one.
+func cutVector(feats []float64, n int) ([]float64, []float64) {
+	lo := len(feats)
+	feats = slices.Grow(feats, n)[:lo+n]
+	f := feats[lo : lo+n : lo+n]
+	clear(f)
+	return feats, f
 }
 
 // zeroed returns s resized to n zeroed elements, reusing its array when it
@@ -434,21 +430,25 @@ func (p *Processor) Drain(opts DrainOptions) {
 		}
 	}
 
-	// One pass in global ring order: each ring batch is drained into p.batch
-	// and decoded onto the end of pts, the drain's output, sized for a point
-	// a sample (a fused sample grows it) and kept for the next drain. The
-	// order the sink sees is therefore a pure function of the drained data:
-	// the same seed yields a bit-identical sink stream at any drain
+	// One pass in global ring order: each ring lends its batch to p.batch,
+	// which is decoded onto the end of pts, the drain's output, sized for a
+	// point a sample (a fused sample grows it), and of feats, sized for a
+	// vector of the widest OU a sample; both are kept for the next drain.
+	// The order the sink sees is therefore a pure function of the drained
+	// data: the same seed yields a bit-identical sink stream at any drain
 	// parallelism. charged counts each (thread, subsystem)'s samples for the
 	// virtual-time charge below.
 	size := 0
 	for _, a := range alloc {
 		size += a
 	}
-	pts := p.pts[:0]
-	p.pts = nil
+	pts, feats := p.pts[:0], p.features[:0]
+	p.pts, p.features = nil, nil
 	if cap(pts) < size {
 		pts = make([]TrainingPoint, 0, size)
+	}
+	if need := size * p.ts.widest; feats == nil || cap(feats) < need {
+		feats = make([]float64, 0, max(need, 1)) // never nil: a vector of no features is empty, not nil
 	}
 	charged := zeroed(p.charged, parallelism)
 	p.charged = charged
@@ -468,9 +468,10 @@ func (p *Processor) Drain(opts DrainOptions) {
 		charged[ringOwner(g, parallelism)][sub] += int64(n)
 		hist[histBucket(n)]++
 		first := len(pts)
-		pts = p.decodeBatch(pts, &p.batch, &counts[sub])
+		pts, feats = p.decodeBatch(pts, feats, &p.batch, &counts[sub])
 		points[sub] += int64(len(pts) - first)
 	}
+	p.batch.Reset()
 
 	// Charge virtual time in subsystem order on each ring's owning thread:
 	// the charge sequence the pre-affinity serial drain issued, so identical
@@ -514,8 +515,7 @@ func (p *Processor) Drain(opts DrainOptions) {
 	}
 	p.deliver(pts)
 	if cap(pts) <= maxKeptPoints {
-		clear(pts) // the slice pins no vector or name the sink has let go
-		p.pts = pts[:0]
+		p.pts, p.features = pts[:0], feats[:0]
 	}
 }
 
@@ -562,8 +562,8 @@ func waterfill(alloc, demands []int, tokens int) {
 // deliver hands the drain's batch to the sink once. The batch is lost if the
 // sink rejects it, or if the sink has already reported a permanent error
 // (StickySink), in which case it is not called: each lost point is charged
-// to its subsystem's SinkErrors. The Processor keeps the slice, not the
-// points: Drain clears it for the next drain.
+// to its subsystem's SinkErrors. The sink borrows the points and their
+// vectors until WriteBatch returns; the next drain decodes over them.
 // A sink may call back into the Processor — submit samples or read stats —
 // from WriteBatch.
 func (p *Processor) deliver(pts []TrainingPoint) {
@@ -611,114 +611,160 @@ func (c *decodeCounts) fit(n, width int) int {
 }
 
 // decodeBatch is the one sample-decode path: it decodes one ring batch onto
-// the end of pts, in sample order, and counts in c what it discarded and
-// repaired. Each sample is read in place, once: the header decode's
-// structural checks, then metricsSane — before the OU lookup and before any
-// fused expansion, since scaleMetrics would smear a wrapped counter across
-// every part — then the OU.
+// the end of pts, in sample order, cuts the points' feature vectors from the
+// end of feats, and counts in c what it discarded and repaired. Each sample
+// is read once, in place, into the point at the end of pts: the structural
+// checks and the metrics (decodePoint), then metricsSane — before the OU
+// lookup and before any fused expansion, since scaleMetrics would smear a
+// wrapped counter across every part — then the OU, one index into the
+// registry. A discarded sample leaves pts and feats as they were.
 //
 // Feature vectors are normalized to the OU's declared width, so a point's
 // Features and FeatureNames always have equal length (a short vector would
-// misalign every feature after it in training). A non-fused point's vector
-// is cut from the Processor's feature chunk (cutFeatures). The points and
-// their vectors are the sink's once delivered (an archive segment holds them
-// until it seals), so neither is ever reused. Nothing decoded aliases b,
-// which the next ring batch overwrites.
-func (p *Processor) decodeBatch(pts []TrainingPoint, b *bpf.Batch, c *decodeCounts) []TrainingPoint {
+// misalign every feature after it in training). Nothing decoded aliases b,
+// whose samples the rings lend only until their next submission.
+func (p *Processor) decodeBatch(pts []TrainingPoint, feats []float64, b *bpf.Batch, c *decodeCounts) ([]TrainingPoint, []float64) {
 	for i := 0; i < b.Len(); i++ {
 		buf := b.Sample(i)
-		s, err := decodeHeader(buf)
+		n, nf := len(pts), len(feats)
+		pts = slices.Grow(pts, 1)[:n+1]
+		tp := &pts[n]
+		ou, err := decodePoint(tp, buf)
 		switch {
 		case err != nil:
-		case !metricsSane(s.Metrics):
+		case !metricsSane(&tp.Metrics):
 			err = errCorruptMetrics
-		case s.OU == FusedOUID:
-			pts, err = p.expandFused(pts, buf, c)
+		case ou == FusedOUID:
+			pts, feats, err = p.expandFused(pts, feats, buf, c)
 		default:
-			def, ok := p.ts.OU(s.OU)
-			if !ok {
-				err = fmt.Errorf("tscout: sample for unregistered OU %d", s.OU)
+			def := p.ts.ou(ou)
+			if def == nil {
+				err = errUnregisteredOU
 				break
 			}
-			f := p.cutFeatures(len(def.Features))
+			var f []float64
+			feats, f = cutVector(feats, len(def.Features))
 			for j, keep := 0, c.fit(featureCount(buf), len(f)); j < keep; j++ {
 				f[j] = float64(featureWord(buf, j))
 			}
-			pts = append(pts, pointOf(def, s.PID, s.Metrics, f))
+			tp.OU, tp.OUName, tp.Subsystem = def.ID, def.Name, def.Subsystem
+			tp.Features, tp.FeatureNames = f, def.Features
 		}
-		if errors.Is(err, errCorruptMetrics) {
-			c.corrupt++
-		} else if err != nil {
-			c.decodeErrs++
-		}
-	}
-	return pts
-}
-
-// expandFused appends one point per OU of a fused sample, the sample's
-// metrics apportioned across them by the splitter's weights. Every part's OU
-// is resolved before anything is counted or appended, so a sample discarded
-// for an unregistered OU counts no repairs and pts comes back as it was
-// handed in.
-func (p *Processor) expandFused(pts []TrainingPoint, buf []byte, c *decodeCounts) ([]TrainingPoint, error) {
-	s, err := DecodeSample(buf)
-	if err != nil {
-		return pts, err
-	}
-	parts, err := DecodeFusedFeatures(s.Features)
-	if err != nil {
-		return pts, err
-	}
-	split := p.splitter
-	defs := make([]*OUDef, len(parts))
-	weights := make([]float64, len(parts))
-	var total float64
-	for i, part := range parts {
-		def, ok := p.ts.OU(part.OU)
-		if !ok {
-			return pts, fmt.Errorf("tscout: fused sample for unregistered OU %d", part.OU)
-		}
-		w := 1.0
-		if split != nil {
-			w = split(part.OU, floatVector(part.Features, len(part.Features)))
-			if w <= 0 {
-				w = 1e-9
+		if err != nil {
+			pts, feats = pts[:n], feats[:nf]
+			if errors.Is(err, errCorruptMetrics) {
+				c.corrupt++
+			} else {
+				c.decodeErrs++
 			}
 		}
-		defs[i], weights[i] = def, w
-		total += w
 	}
-	for i, part := range parts {
-		def := defs[i]
-		c.fit(len(part.Features), len(def.Features))
-		pts = append(pts, pointOf(def, s.PID, scaleMetrics(s.Metrics, weights[i]/total),
-			floatVector(part.Features, len(def.Features))))
-	}
-	return pts, nil
+	return pts, feats
 }
 
-// pointOf builds def's training point around a feature vector of its
-// declared width.
-func pointOf(def *OUDef, pid int, m Metrics, features []float64) TrainingPoint {
-	return TrainingPoint{
-		OU:           def.ID,
-		OUName:       def.Name,
-		Subsystem:    def.Subsystem,
-		PID:          pid,
-		Features:     features,
-		FeatureNames: def.Features,
-		Metrics:      m,
-	}
+// Errors a fused sample's layout or an unregistered OU discards it with.
+var (
+	errUnregisteredOU = errors.New("tscout: sample for an unregistered OU")
+	errFusedLayout    = errors.New("tscout: fused feature words do not parse")
+)
+
+// fusedPart is one OU's slice of a fused sample, resolved: where its
+// feature words start in the sample's feature area and how many there are,
+// its OU's definition and its weight.
+type fusedPart struct {
+	ou     OUID
+	off, n int
+	def    *OUDef
+	weight float64
 }
 
-// floatVector converts feature words into a vector of the given width:
-// words beyond it are dropped, places beyond the words stay zero.
-func floatVector(words []uint64, width int) []float64 {
-	f := make([]float64, width)
-	for j := 0; j < len(words) && j < width; j++ {
-		f[j] = float64(words[j])
+// fusedParts parses the fused feature-word layout of a sample decodePoint
+// accepted ([k, then per OU: ouID, nFeats, feats...]) into parts, in place:
+// every count comes off the wire and is checked against the words there are.
+func fusedParts(parts []fusedPart, buf []byte) ([]fusedPart, error) {
+	nw := featureCount(buf)
+	if nw == 0 {
+		return parts, errFusedLayout
 	}
-	return f
+	k := featureWord(buf, 0)
+	if k > uint64((nw-1)/2) {
+		return parts, errFusedLayout
+	}
+	for i := 1; k > 0; k-- {
+		if i+2 > nw {
+			return parts, errFusedLayout
+		}
+		ou, cnt := OUID(featureWord(buf, i)), featureWord(buf, i+1)
+		i += 2
+		if cnt > uint64(nw-i) {
+			return parts, errFusedLayout
+		}
+		parts = append(parts, fusedPart{ou: ou, off: i, n: int(cnt)})
+		i += int(cnt)
+	}
+	return parts, nil
+}
+
+// expandFused replaces the fused sample decoded into the last point of pts
+// with one point per OU of the sample, its metrics apportioned across them
+// by the splitter's weights. Every part's OU is resolved before anything is
+// counted or kept, so a sample discarded for an unregistered OU counts no
+// repairs. The parts are Processor scratch, and a splitter's vector is cut
+// from feats and given back before the parts' vectors are cut.
+func (p *Processor) expandFused(pts []TrainingPoint, feats []float64, buf []byte, c *decodeCounts) ([]TrainingPoint, []float64, error) {
+	n := len(pts) - 1
+	pid, m := pts[n].PID, pts[n].Metrics
+	parts, err := fusedParts(p.parts[:0], buf)
+	p.parts = parts
+	if err != nil {
+		return pts, feats, err
+	}
+	var total float64
+	for i := range parts {
+		part := &parts[i]
+		if part.def = p.ts.ou(part.ou); part.def == nil {
+			return pts, feats, errUnregisteredOU
+		}
+		part.weight = 1
+		if p.splitter != nil {
+			lo := len(feats)
+			var f []float64
+			feats, f = cutVector(feats, part.n)
+			part.fill(f, buf)
+			if part.weight = p.splitter(part.ou, f); part.weight <= 0 {
+				part.weight = 1e-9
+			}
+			feats = feats[:lo]
+		}
+		total += part.weight
+	}
+	pts = pts[:n]
+	for i := range parts {
+		part := &parts[i]
+		def := part.def
+		c.fit(part.n, len(def.Features))
+		var f []float64
+		feats, f = cutVector(feats, len(def.Features))
+		part.fill(f, buf)
+		pts = append(pts, TrainingPoint{
+			OU:           def.ID,
+			OUName:       def.Name,
+			Subsystem:    def.Subsystem,
+			PID:          pid,
+			Features:     f,
+			FeatureNames: def.Features,
+			Metrics:      scaleMetrics(m, part.weight/total),
+		})
+	}
+	return pts, feats, nil
+}
+
+// fill converts the part's feature words into f: words beyond its width are
+// dropped, places beyond the words keep their zero.
+func (part *fusedPart) fill(f []float64, buf []byte) {
+	for j := 0; j < part.n && j < len(f); j++ {
+		f[j] = float64(featureWord(buf, part.off+j))
+	}
 }
 
 // scaleMetrics multiplies every metric by f through float64, keeping each

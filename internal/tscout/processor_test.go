@@ -239,8 +239,9 @@ func TestUserQueueDrainPenalty(t *testing.T) {
 }
 
 // reentrantSink calls back into the pipeline from inside WriteBatch: it
-// reads stats, submits a sample to a ring, and re-polls. clobbered records
-// whether a batch changed under it while it was being written.
+// reads stats, submits a sample to a ring, and re-polls; until p is set it
+// only takes batches. clobbered records whether a batch, its points'
+// feature vectors included, changed under it while it was being written.
 type reentrantSink struct {
 	p         *Processor
 	ring      *bpf.PerCPURing
@@ -250,13 +251,21 @@ type reentrantSink struct {
 }
 
 func (s *reentrantSink) WriteBatch(pts []TrainingPoint) error {
+	if s.p == nil {
+		return nil
+	}
 	before := slices.Clone(pts)
+	for i := range before {
+		before[i].Features = slices.Clone(pts[i].Features) // DeepEqual then sees a vector rewritten in place
+	}
 	defer func() { s.clobbered = s.clobbered || !reflect.DeepEqual(before, pts) }()
 	for _, tp := range pts {
 		s.writes++
 		_ = s.p.Stats().Processed
 		_ = s.p.Stats()
-		s.ring.Submit(EncodeSample(tp.OU, tp.PID, Metrics{}, []uint64{1, 2}))
+		// Features unlike any in the batch: a nested drain that decoded
+		// into the batch's vectors would change them.
+		s.ring.Submit(EncodeSample(tp.OU, tp.PID, Metrics{}, []uint64{uint64(100 + s.writes), 7}))
 		if !s.repolled {
 			s.repolled = true
 			s.p.Drain(DrainOptions{})
@@ -283,19 +292,24 @@ func TestReentrantSinkDoesNotDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ts.Processor()
+	// A first drain leaves the Processor its point and feature slices, which
+	// the drain below must take off it while the sink has them.
+	submitKernel(ts, SubsystemExecutionEngine, 71, 20)
+	p.Drain(DrainOptions{})
 	sink.p, sink.ring = p, ts.CollectorFor(SubsystemExecutionEngine).Ring
 	submitKernel(ts, SubsystemExecutionEngine, 71, 20)
 	p.Drain(DrainOptions{})
 	if sink.writes == 0 {
 		t.Fatalf("sink never invoked")
 	}
-	// The drain the sink started decoded into a point slice of its own.
+	// The drain the sink started decoded into a point slice and feature
+	// vectors of its own.
 	if !sink.repolled || sink.clobbered {
 		t.Fatalf("re-polled %v, and the batch being written changed under the sink: %v", sink.repolled, sink.clobbered)
 	}
 	// The samples the sink itself submitted drain on a later poll.
 	p.Drain(DrainOptions{})
-	if got := p.Stats().Kernel[SubsystemExecutionEngine].Drained; got <= 20 {
+	if got := p.Stats().Kernel[SubsystemExecutionEngine].Drained; got <= 40 {
 		t.Fatalf("re-entrant submissions lost: %d drained", got)
 	}
 }
@@ -543,8 +557,8 @@ func TestWaterfillProperties(t *testing.T) {
 
 // TestDrainScratchBounded pins what a Processor keeps after an unbudgeted
 // sweep of full rings (FinalDrain's shape): scratch bounded by the ring
-// count, by one ring's capacity, by one feature chunk and by maxKeptPoints
-// points, however many samples the sweep drained.
+// count, by one ring's capacity and by maxKeptPoints points and their
+// vectors, however many samples the sweep drained.
 func TestDrainScratchBounded(t *testing.T) {
 	const numCPUs, ringCap, par = 4, 256, 2
 	ts, _ := newPerCPU(KernelContinuous, 7, numCPUs, ringCap, par)
@@ -577,18 +591,16 @@ func TestDrainScratchBounded(t *testing.T) {
 		}
 	}
 	// A ring batch grows by append, so allow it twice one ring's capacity:
-	// the sweep itself was numRings times that. Its buffers are bpf's, read
-	// here through reflection.
-	batch := reflect.ValueOf(&p.batch).Elem()
-	sampleBytes := len(payloads[0])
-	if n := batch.FieldByName("end").Cap(); n > 2*ringCap {
-		t.Errorf("the ring batch keeps an index of %d samples, more than twice a ring's %d", n, ringCap)
+	// the sweep itself was numRings times that. It holds one lent slice a
+	// sample and no bytes of its own; its list is bpf's, read here through
+	// reflection.
+	if n := reflect.ValueOf(&p.batch).Elem().FieldByName("samples").Cap(); n > 2*ringCap {
+		t.Errorf("the ring batch keeps a list of %d samples, more than twice a ring's %d", n, ringCap)
 	}
-	if n := batch.FieldByName("buf").Cap(); n > 2*ringCap*sampleBytes {
-		t.Errorf("the ring batch keeps %d bytes, more than twice a ring's %d samples of %d bytes", n, ringCap, sampleBytes)
-	}
-	if n := cap(p.features); n > featureChunk {
-		t.Errorf("the feature chunk keeps %d places, more than one chunk's %d", n, featureChunk)
+	// Two features a sample: a poll's feature slice holds maxKeptPoints
+	// vectors of two places.
+	if n := cap(p.features); n > 2*maxKeptPoints {
+		t.Errorf("the feature slice keeps %d places, more than %d", n, 2*maxKeptPoints)
 	}
 	if n := cap(p.pts); n > maxKeptPoints {
 		t.Errorf("the point slice keeps %d points after a sweep of %d, more than %d", n, drained, maxKeptPoints)

@@ -276,7 +276,7 @@ func TestMetricsSaneTable(t *testing.T) {
 	for _, tc := range cases {
 		m := base
 		tc.mutate(&m)
-		if got := metricsSane(m); got != tc.sane {
+		if got := metricsSane(&m); got != tc.sane {
 			t.Errorf("%s: metricsSane = %v, want %v", tc.name, got, tc.sane)
 		}
 	}

@@ -1,6 +1,7 @@
 package tscout
 
 import (
+	"errors"
 	"fmt"
 
 	"tscout/internal/bpf"
@@ -114,60 +115,54 @@ func EncodeSample(ou OUID, pid int, m Metrics, features []uint64) []byte {
 	return buf
 }
 
-// Sample is the decoded wire form.
-type Sample struct {
-	OU       OUID
-	PID      int
-	Metrics  Metrics
-	Features []uint64
-}
+// Errors a sample's structural checks report. Decoding counts them and
+// moves on, so they carry no detail and cost no allocation.
+var (
+	errMalformedSample = errors.New("tscout: sample is not whole words of at least a header")
+	errFeatureCount    = errors.New("tscout: sample feature count inconsistent with its length")
+)
 
-// decodeHeader makes every structural check a sample gets — its length, that
+// decodePoint makes every structural check a sample gets — its length, that
 // it is whole words, the feature count against MaxFeatures and against the
-// buffer — and reads the header and the metrics in place. The feature words
-// it vouches for (featureCount of them, read with featureWord) stay in buf;
-// the returned Sample's Features is nil.
-func decodeHeader(buf []byte) (Sample, error) {
+// buffer — and reads the PID and the metrics in place into tp, returning the
+// sample's OU id. Nothing else of tp is written. The feature words it
+// vouches for (featureCount of them, read with featureWord) stay in buf.
+func decodePoint(tp *TrainingPoint, buf []byte) (OUID, error) {
 	if len(buf) < sampleFixedWords*8 || len(buf)%8 != 0 {
-		return Sample{}, fmt.Errorf("tscout: malformed sample of %d bytes", len(buf))
+		return 0, errMalformedSample
 	}
-	get := func(word int) uint64 { return bpf.U64(buf[word*8:]) }
-	n := featureCount(buf)
-	if n < 0 || n > MaxFeatures || sampleFixedWords+n > len(buf)/8 {
-		return Sample{}, fmt.Errorf("tscout: sample feature count %d inconsistent with %d bytes", n, len(buf))
+	if n := featureCount(buf); n < 0 || n > MaxFeatures || sampleFixedWords+n > len(buf)/8 {
+		return 0, errFeatureCount
 	}
-	var v [NumMetrics]int64
-	for i := range v {
-		v[i] = int64(get(sampleHeaderWords + i))
-	}
-	return Sample{OU: OUID(get(0)), PID: int(get(1)), Metrics: MetricsOf(&v)}, nil
+	w := buf[:sampleFixedWords*8]
+	get := func(word int) uint64 { return bpf.U64(w[word*8:]) }
+	m := &tp.Metrics
+	m.ElapsedNS = int64(get(sampleHeaderWords + mwElapsed))
+	m.Cycles = get(sampleHeaderWords + mwCycles)
+	m.Instructions = get(sampleHeaderWords + mwInstructions)
+	m.CacheRefs = get(sampleHeaderWords + mwCacheRefs)
+	m.CacheMisses = get(sampleHeaderWords + mwCacheMisses)
+	m.RefCycles = get(sampleHeaderWords + mwRefCycles)
+	m.DiskReadBytes = int64(get(sampleHeaderWords + mwDiskRead))
+	m.DiskWriteBytes = int64(get(sampleHeaderWords + mwDiskWrite))
+	m.NetRecvBytes = int64(get(sampleHeaderWords + mwNetRecv))
+	m.NetSendBytes = int64(get(sampleHeaderWords + mwNetSend))
+	m.AllocBytes = int64(get(sampleHeaderWords + mwAlloc))
+	tp.PID = int(get(1))
+	return OUID(get(0)), nil
 }
 
 // featureCount reads header word 3 of a sample at least a header long: how
 // many feature words it says follow the metrics.
 func featureCount(buf []byte) int { return int(bpf.U64(buf[3*8:])) }
 
-// featureWord reads feature word i of a sample decodeHeader accepted.
+// featureWord reads feature word i of a sample decodePoint accepted.
 func featureWord(buf []byte, i int) uint64 { return bpf.U64(buf[(sampleFixedWords+i)*8:]) }
-
-// DecodeSample parses a sample emitted by the Collector or a user-level
-// probe: the header decode plus a copy of the feature words.
-func DecodeSample(buf []byte) (Sample, error) {
-	s, err := decodeHeader(buf)
-	if err != nil {
-		return Sample{}, err
-	}
-	s.Features = make([]uint64, featureCount(buf))
-	for i := range s.Features {
-		s.Features[i] = featureWord(buf, i)
-	}
-	return s, nil
-}
 
 // EncodeFusedFeatures packs the feature vectors of several OUs into the
 // feature-word area of a single sample (paper §5.2, Fig. 4): the layout is
 // [k, then per OU: ouID, nFeats, feats...]. The caller sends it with
-// OU = FusedOUID; DecodeFusedFeatures inverts it.
+// OU = FusedOUID; the Processor's fusedParts inverts it.
 func EncodeFusedFeatures(parts []FusedPart) ([]uint64, error) {
 	words := []uint64{uint64(len(parts))}
 	for _, p := range parts {
@@ -184,40 +179,6 @@ func EncodeFusedFeatures(parts []FusedPart) ([]uint64, error) {
 type FusedPart struct {
 	OU       OUID
 	Features []uint64
-}
-
-// DecodeFusedFeatures parses the fused feature-word layout.
-func DecodeFusedFeatures(words []uint64) ([]FusedPart, error) {
-	if len(words) == 0 {
-		return nil, fmt.Errorf("tscout: empty fused vector")
-	}
-	// words come off the wire: every count must be distrusted. A huge
-	// part count would make the allocation below panic, and a huge
-	// feature count wraps negative through int() so the i+n bounds check
-	// passes and the slice expression panics — both reachable from any
-	// ring with attacker-shaped bytes (found by FuzzProcessorDecode; a
-	// panic here takes down Drain's caller).
-	k := int(words[0])
-	if k < 0 || k > (len(words)-1)/2 {
-		return nil, fmt.Errorf("tscout: fused vector claims %d parts in %d words", words[0], len(words))
-	}
-	parts := make([]FusedPart, 0, k)
-	i := 1
-	for p := 0; p < k; p++ {
-		if i+2 > len(words) {
-			return nil, fmt.Errorf("tscout: truncated fused vector")
-		}
-		ou := OUID(words[i])
-		nw := words[i+1]
-		i += 2
-		if nw > uint64(len(words)-i) {
-			return nil, fmt.Errorf("tscout: truncated fused features")
-		}
-		n := int(nw)
-		parts = append(parts, FusedPart{OU: ou, Features: append([]uint64(nil), words[i:i+n]...)})
-		i += n
-	}
-	return parts, nil
 }
 
 // TrainingPoint is the Processor's output: one (features -> metrics)

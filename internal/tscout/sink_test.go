@@ -2,14 +2,15 @@ package tscout
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 // recordingBatchSink is the slice-backed Sink this package's tests read
 // training points back from (they cannot import internal/archive): it
-// keeps every delivered point in arrival order and counts WriteBatch
-// calls, and can be told to reject deliveries, or to count rows without
-// keeping them.
+// keeps a copy of every delivered point, its feature vector too (both are
+// borrowed), in arrival order and counts WriteBatch calls, and can be told
+// to reject deliveries, or to count rows without keeping them.
 type recordingBatchSink struct {
 	pts          []TrainingPoint
 	rows         int64
@@ -17,6 +18,9 @@ type recordingBatchSink struct {
 	failBatches  bool
 	discard      bool
 	pointsInFail int
+	// inspect, when set, sees each accepted batch as the Processor lends
+	// it, before anything is copied.
+	inspect func(pts []TrainingPoint)
 }
 
 func (s *recordingBatchSink) WriteBatch(pts []TrainingPoint) error {
@@ -26,8 +30,14 @@ func (s *recordingBatchSink) WriteBatch(pts []TrainingPoint) error {
 		return errors.New("sink down")
 	}
 	s.rows += int64(len(pts))
+	if s.inspect != nil {
+		s.inspect(pts)
+	}
 	if !s.discard {
-		s.pts = append(s.pts, pts...)
+		for _, tp := range pts {
+			tp.Features = slices.Clone(tp.Features)
+			s.pts = append(s.pts, tp)
+		}
 	}
 	return nil
 }

@@ -15,6 +15,72 @@ import (
 // floats (a fresh []float64) and a one-element []TrainingPoint per sample.
 // FuzzProcessorDecode and TestBatchDecodeMatchesTransform compare the two.
 
+// Sample is the decoded wire form.
+type Sample struct {
+	OU       OUID
+	PID      int
+	Metrics  Metrics
+	Features []uint64
+}
+
+// DecodeSample parses a sample emitted by the Collector or a user-level
+// probe, copying its feature words out: the same structural checks as
+// decodePoint, and the metrics read through MetricsOf.
+func DecodeSample(buf []byte) (Sample, error) {
+	if len(buf) < sampleFixedWords*8 || len(buf)%8 != 0 {
+		return Sample{}, fmt.Errorf("tscout: malformed sample of %d bytes", len(buf))
+	}
+	get := func(word int) uint64 { return bpf.U64(buf[word*8:]) }
+	n := int(get(3))
+	if n < 0 || n > MaxFeatures || sampleFixedWords+n > len(buf)/8 {
+		return Sample{}, fmt.Errorf("tscout: sample feature count %d inconsistent with %d bytes", n, len(buf))
+	}
+	var v [NumMetrics]int64
+	for i := range v {
+		v[i] = int64(get(sampleHeaderWords + i))
+	}
+	s := Sample{OU: OUID(get(0)), PID: int(get(1)), Metrics: MetricsOf(&v), Features: make([]uint64, n)}
+	for i := range s.Features {
+		s.Features[i] = get(sampleFixedWords + i)
+	}
+	return s, nil
+}
+
+// DecodeFusedFeatures parses the fused feature-word layout, copying each
+// part's words out.
+func DecodeFusedFeatures(words []uint64) ([]FusedPart, error) {
+	if len(words) == 0 {
+		return nil, fmt.Errorf("tscout: empty fused vector")
+	}
+	// words come off the wire: every count must be distrusted. A huge
+	// part count would make the allocation below panic, and a huge
+	// feature count wraps negative through int() so the i+n bounds check
+	// passes and the slice expression panics — both reachable from any
+	// ring with attacker-shaped bytes (found by FuzzProcessorDecode; a
+	// panic here takes down Drain's caller).
+	k := int(words[0])
+	if k < 0 || k > (len(words)-1)/2 {
+		return nil, fmt.Errorf("tscout: fused vector claims %d parts in %d words", words[0], len(words))
+	}
+	parts := make([]FusedPart, 0, k)
+	i := 1
+	for p := 0; p < k; p++ {
+		if i+2 > len(words) {
+			return nil, fmt.Errorf("tscout: truncated fused vector")
+		}
+		ou := OUID(words[i])
+		nw := words[i+1]
+		i += 2
+		if nw > uint64(len(words)-i) {
+			return nil, fmt.Errorf("tscout: truncated fused features")
+		}
+		n := int(nw)
+		parts = append(parts, FusedPart{OU: ou, Features: append([]uint64(nil), words[i:i+n]...)})
+		i += n
+	}
+	return parts, nil
+}
+
 // transform decodes a wire sample into training points, expanding fused
 // samples into per-OU points with apportioned metrics.
 func (p *Processor) transform(buf []byte, adj *decodeCounts) ([]TrainingPoint, error) {
@@ -24,7 +90,7 @@ func (p *Processor) transform(buf []byte, adj *decodeCounts) ([]TrainingPoint, e
 	}
 	// Sanity-check the raw metrics before any fused-sample expansion:
 	// scaleMetrics would smear a wrapped counter across every part.
-	if !metricsSane(s.Metrics) {
+	if !metricsSane(&s.Metrics) {
 		return nil, errCorruptMetrics
 	}
 	if s.OU != FusedOUID {
@@ -161,7 +227,7 @@ func decodeDifferential(t *testing.T, p *Processor, buf []byte) {
 	var b bpf.Batch
 	b.Append(buf)
 	var counts decodeCounts
-	got := p.decodeBatch(nil, &b, &counts)
+	got, _ := p.decodeBatch(nil, []float64{}, &b, &counts)
 	if counts != wantCounts {
 		t.Fatalf("decodeBatch counted %+v, transform %+v (%v)", counts, wantCounts, err)
 	}
@@ -178,9 +244,9 @@ func decodeDifferential(t *testing.T, p *Processor, buf []byte) {
 // through Drain, and requires the sink's points, their order and what the
 // drain added to the ring subsystem's Stats to equal the per-sample
 // oracle's. Padding outweighs truncation, so a slab sized from the wire
-// counts would be too small. The non-fused points' vectors must also sit
-// back to back in one array, and the ring's samples must be charged to the
-// drain thread that owns the ring — thread 1 of two — and to no other.
+// counts would be too small. The points' vectors must also sit back to
+// back in one array, and the ring's samples must be charged to the drain
+// thread that owns the ring — thread 1 of two — and to no other.
 func TestBatchDecodeMatchesTransform(t *testing.T) {
 	const numCPUs, par = 2, 2
 	ts, _, _, _ := deployPerCPU(t, KernelContinuous, 5, numCPUs, 128, par) // seq_scan and log_serialize, two features each
@@ -227,9 +293,25 @@ func TestBatchDecodeMatchesTransform(t *testing.T) {
 	for i := range chargedBefore {
 		chargedBefore[i] = group.Task(i).UserInstrumentationNS
 	}
+	// The slab is real: the points' vectors, a fused sample's parts' too,
+	// are consecutive runs of the one feature slice the drain lends.
+	adjacent := 0
+	sinkOf(ts).inspect = func(got []TrainingPoint) {
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			gap := uintptr(unsafe.Pointer(&b.Features[0])) - uintptr(unsafe.Pointer(&a.Features[0]))
+			if gap != uintptr(len(a.Features))*unsafe.Sizeof(float64(0)) {
+				t.Fatalf("points %d and %d: vectors %d bytes apart, want %d (one slab)", i-1, i, gap, len(a.Features)*8)
+			}
+			adjacent++
+		}
+	}
 	before := p.Stats()
 	p.Drain(DrainOptions{})
 	after := p.Stats()
+	if adjacent < 20 {
+		t.Fatalf("only %d adjacent pairs checked", adjacent)
+	}
 
 	want, wantStats := oracleRingDecode(p, samples)
 	got := sinkOf(ts).points()
@@ -272,21 +354,4 @@ func TestBatchDecodeMatchesTransform(t *testing.T) {
 		}
 	}
 
-	// The slab is real: between two fused expansions the points' vectors
-	// are consecutive runs of one backing array.
-	adjacent := 0
-	for i := 1; i < len(got); i++ {
-		a, b := got[i-1], got[i]
-		if a.PID == 17 || b.PID == 17 {
-			continue // a fused part brings its own vector
-		}
-		gap := uintptr(unsafe.Pointer(&b.Features[0])) - uintptr(unsafe.Pointer(&a.Features[0]))
-		if gap != uintptr(len(a.Features))*unsafe.Sizeof(float64(0)) {
-			t.Fatalf("points %d and %d: vectors %d bytes apart, want %d (one slab)", i-1, i, gap, len(a.Features)*8)
-		}
-		adjacent++
-	}
-	if adjacent < 20 {
-		t.Fatalf("only %d adjacent pairs checked", adjacent)
-	}
 }

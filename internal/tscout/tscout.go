@@ -166,7 +166,12 @@ type TScout struct {
 	cfg    Config
 	kernel *kernel.Kernel
 
-	ous        map[OUID]*OUDef
+	// ous is the OU registry, indexed by OUID (nil where no OU is
+	// registered): the Processor resolves every sample's OU with one index.
+	ous []*OUDef
+	// widest is the most features any registered OU declares: a drain
+	// reserves that many feature places a sample.
+	widest     int
 	subsystems [NumSubsystems]*subsystem
 	tasks      map[int]*taskState
 	sampler    *Sampler
@@ -206,7 +211,6 @@ func New(k *kernel.Kernel, cfg Config) *TScout {
 	ts := &TScout{
 		cfg:    c,
 		kernel: k,
-		ous:    make(map[OUID]*OUDef),
 		tasks:  make(map[int]*taskState),
 	}
 	ts.sampler = NewSampler(c.Seed)
@@ -234,11 +238,15 @@ func (ts *TScout) RegisterOU(def OUDef, res ResourceSet) (*Marker, error) {
 	if len(def.Features) > MaxFeatures {
 		return nil, fmt.Errorf("tscout: OU %q has %d features, max %d", def.Name, len(def.Features), MaxFeatures)
 	}
-	if _, dup := ts.ous[def.ID]; dup {
+	if ts.ou(def.ID) != nil {
 		return nil, fmt.Errorf("tscout: duplicate OU id %d", def.ID)
 	}
 	d := def
+	if n := int(def.ID) + 1; n > len(ts.ous) {
+		ts.ous = append(ts.ous, make([]*OUDef, n-len(ts.ous))...)
+	}
 	ts.ous[def.ID] = &d
+	ts.widest = max(ts.widest, len(def.Features))
 
 	sub := ts.subsystems[def.Subsystem]
 	if sub == nil {
@@ -270,8 +278,16 @@ func (ts *TScout) MustRegisterOU(def OUDef, res ResourceSet) *Marker {
 
 // OU returns a registered OU definition.
 func (ts *TScout) OU(id OUID) (*OUDef, bool) {
-	d, ok := ts.ous[id]
-	return d, ok
+	d := ts.ou(id)
+	return d, d != nil
+}
+
+// ou returns id's definition, or nil if no OU has that id.
+func (ts *TScout) ou(id OUID) *OUDef {
+	if int(id) < len(ts.ous) {
+		return ts.ous[id]
+	}
+	return nil
 }
 
 // Deploy finalizes registration: it runs code generation, verifies and

@@ -548,13 +548,16 @@ func TestSampleEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeSampleMalformed(t *testing.T) {
-	if _, err := DecodeSample([]byte{1, 2, 3}); err == nil {
-		t.Fatalf("short buffer must fail")
+	var tp TrainingPoint
+	_, perr := decodePoint(&tp, []byte{1, 2, 3})
+	if _, err := DecodeSample([]byte{1, 2, 3}); err == nil || perr == nil {
+		t.Fatalf("short buffer must fail: %v, %v", err, perr)
 	}
 	buf := EncodeSample(1, 1, Metrics{}, nil)
 	buf[3*8] = 200 // nFeatures absurd
-	if _, err := DecodeSample(buf); err == nil {
-		t.Fatalf("inconsistent feature count must fail")
+	_, perr = decodePoint(&tp, buf)
+	if _, err := DecodeSample(buf); err == nil || perr == nil {
+		t.Fatalf("inconsistent feature count must fail: %v, %v", err, perr)
 	}
 }
 

@@ -14,21 +14,26 @@ import (
 // 2N transactions less those of a run of N, per transaction. Setup, the
 // terminals, the sessions and the first-use growth of rings and scratch are
 // the same in both runs and cancel. What remains is a transaction's share of
-// the drain's feature chunks and the archive's blocks: its versions come
-// off the transaction manager's free lists, and the transaction, its write
-// set, its results, its redo records, its WAL commit handle, its admission
-// ticket, the drain's point slice and the barrier and group-commit buffers
-// are recycled (DESIGN.md §4, What a transaction allocates). The runs are
-// counted on one P with the collector off, as testing.AllocsPerRun counts,
-// so nothing else allocates beside them. It reads 0.0070 to 0.0103 (1 999
-// to 2 005 objects for 3 000 transactions, 2 026 to 2 030 for 6 000), and
-// 0.0060 to 0.0163 under the race detector (2 053 to 2 072, 2 088 to
-// 2 103): what still moves between runs is the growth of Go maps under
-// their random hash seeds (two runs' memory profiles differ only at sites
-// that fill maps). The bound is the highest reading plus 15 %, rounded up.
-// (Counted over 600 and 1 200 transactions with the collector on, it read
-// 0.02 to 0.053, mostly chunk and block growth steps and the collector's
-// own allocations.)
+// the archive's growth: its versions come off the transaction manager's
+// free lists, and the transaction, its write set, its results, its redo
+// records, its WAL commit handle, its admission ticket, the drain's point
+// and feature slices, the archive's block builders and the barrier and
+// group-commit buffers are recycled (DESIGN.md §4, What a transaction
+// allocates). The runs are counted on one P with the collector off, as
+// testing.AllocsPerRun counts, so nothing else allocates beside them. It
+// reads 0.0017 to 0.0037 (1 880 to 1 884 objects for 3 000 transactions,
+// 1 887 to 1 891 for 6 000), and −0.0007 to 0.0090 under the race
+// detector; 0.0070 to 0.0103 while the drain cut vectors from feature
+// chunks the archive kept, when the bound was set at the highest reading
+// then plus 15 %, rounded up. What still moves between runs is the growth
+// of Go maps under their random hash seeds (two runs' memory profiles
+// differ only at sites that fill maps). (Counted over 600 and 1 200
+// transactions with the collector on, it read 0.02 to 0.053, mostly chunk
+// and block growth steps and the collector's own allocations.)
+//
+// Each test subtracts the counts as floats: what a transaction allocates is
+// below the runs' spread, so the longer run may allocate fewer objects than
+// the shorter one, and an unsigned difference would wrap.
 func TestPooledTxnAllocations(t *testing.T) {
 	const n, bound = 3000, 0.02
 	mallocs := func(txns int) uint64 {
@@ -54,7 +59,7 @@ func TestPooledTxnAllocations(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	one, two := mallocs(n), mallocs(2*n)
-	if per := float64(two-one) / n; per > bound {
+	if per := (float64(two) - float64(one)) / n; per > bound {
 		t.Errorf("a pooled SmallBank transaction allocates %.4f objects, want <= %v (%d for %d transactions, %d for %d)",
 			per, bound, one, n, two, 2*n)
 	} else {
@@ -63,19 +68,23 @@ func TestPooledTxnAllocations(t *testing.T) {
 }
 
 // TestSingleClockTxnAllocations is TestPooledTxnAllocations on the
-// single-clock driver: an instrumented TATP run, whose UpdateLocation and
-// InsertCallForwarding texts each carry a string literal. Two thousand
-// subscribers give four thousand such texts, more than the statement table
-// keeps, so texts keep arriving new, as in the benchmark; a new text of a
-// known template binds its literal in place and allocates nothing. What
-// remains per transaction is its inserted versions' share of their blocks,
-// the texts the generator builds on a subscriber's first use, and its share
-// of the drain's feature chunks and the archive's blocks. It reads 2.74
-// (3.07 while a new text copied its literal into a slice of its own and
-// results and the drain's point slice were never reused); the bound is
-// that plus 15 %.
+// single-clock driver, counted the same way: an instrumented TATP run,
+// whose UpdateLocation and InsertCallForwarding texts each carry a string
+// literal. Two thousand subscribers give four thousand such texts, more
+// than the statement table keeps, so texts keep arriving new, as in the
+// benchmark; a new text of a known template binds its literal in place and
+// allocates nothing, and the generator builds every subscriber's texts in
+// one string on first use. What remains per transaction is its inserted
+// versions' share of their blocks and its share of the archive's growth.
+// Ten readings were 0.0180 to 0.0200 (9 576 to 9 580 objects for 3 000
+// transactions, 9 634 to 9 637 for 6 000), and thirty under the race
+// detector 0.0180 to 0.0290; the bound is the highest plus 15 %, rounded
+// up. (Over
+// 1 500 and 3 000 transactions with the collector on and every P it read
+// 2.74 while each subscriber's texts were built on their own and the drain
+// cut vectors from chunks the archive kept.)
 func TestSingleClockTxnAllocations(t *testing.T) {
-	const n, bound = 1500, 3.15
+	const n, bound = 3000, 0.034
 	mallocs := func(txns int) uint64 {
 		arch := newTestArchive(0)
 		srv, err := dbms.NewServer(dbms.Config{
@@ -91,6 +100,8 @@ func TestSingleClockTxnAllocations(t *testing.T) {
 		}
 		srv.TS.Sampler().SetAllRates(100)
 		cfg := Config{Terminals: 20, Transactions: txns, Seed: 21}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection cycle allocates
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := Run(srv, gen, cfg)
@@ -104,28 +115,31 @@ func TestSingleClockTxnAllocations(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	one, two := mallocs(n), mallocs(2*n)
-	if per := float64(two-one) / n; per > bound {
-		t.Errorf("a single-clock TATP transaction allocates %.2f objects, want <= %v (%d for %d transactions, %d for %d)",
+	if per := (float64(two) - float64(one)) / n; per > bound {
+		t.Errorf("a single-clock TATP transaction allocates %.4f objects, want <= %v (%d for %d transactions, %d for %d)",
 			per, bound, one, n, two, 2*n)
 	} else {
-		t.Logf("%.2f allocations per transaction", per)
+		t.Logf("%.4f allocations per transaction (%d for %d transactions, %d for %d)", per, one, n, two, 2*n)
 	}
 }
 
 // TestTPCCTxnAllocations is TestPooledTxnAllocations on an instrumented
 // TPC-C run on the single-clock driver, at the ledger's four-warehouse
-// scale. Most of what TPC-C allocates is what it stores: the versions of
-// order lines, orders, history rows and new-order tombstones come off the
-// transaction manager's free lists, which a block of versions refills, and
-// its B+Tree indexes take one allocation a split. What remains per
-// transaction is the share of those blocks and splits, of hash-index
-// growth, of the cells a second write to a row clones, and of the drain's
-// feature chunks and the archive's blocks. It reads 0.45 (1.02 while
-// results and the drain's point slice were never reused, 7.64 with each
-// version and each node's slices allocated on their own); the bound is
-// that plus 15 %.
+// scale, counted the same way. Most of what TPC-C allocates is what it
+// stores: the versions of order lines, orders, history rows and new-order
+// tombstones come off the transaction manager's free lists, which a block
+// of versions refills, and its B+Tree indexes take one allocation a split.
+// What remains per transaction is the share of those blocks and splits, of
+// hash-index growth, of the cells a second write to a row clones, and of
+// the archive's growth. Ten readings were 0.4120 to 0.4150 (3 777 to 3 783
+// objects for 3 000 transactions, 5 018 to 5 022 for 6 000), and thirty
+// under the race detector 0.4070 to 0.4213; the bound is the highest plus
+// 15 %, rounded up. (Over 1 500 and 3 000 transactions with the collector on and
+// every P it read 0.45, 1.02 while results and the drain's point slice
+// were never reused, 7.64 with each version and each node's slices
+// allocated on their own.)
 func TestTPCCTxnAllocations(t *testing.T) {
-	const n, bound = 1500, 0.52
+	const n, bound = 3000, 0.49
 	mallocs := func(txns int) uint64 {
 		arch := newTestArchive(0)
 		srv, err := dbms.NewServer(dbms.Config{
@@ -140,6 +154,8 @@ func TestTPCCTxnAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Terminals: 20, Transactions: txns, Seed: 21}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection cycle allocates
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		res, err := Run(srv, gen, cfg)
@@ -153,10 +169,10 @@ func TestTPCCTxnAllocations(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	one, two := mallocs(n), mallocs(2*n)
-	if per := float64(two-one) / n; per > bound {
-		t.Errorf("a single-clock TPC-C transaction allocates %.2f objects, want <= %v (%d for %d transactions, %d for %d)",
+	if per := (float64(two) - float64(one)) / n; per > bound {
+		t.Errorf("a single-clock TPC-C transaction allocates %.4f objects, want <= %v (%d for %d transactions, %d for %d)",
 			per, bound, one, n, two, 2*n)
 	} else {
-		t.Logf("%.2f allocations per transaction", per)
+		t.Logf("%.4f allocations per transaction (%d for %d transactions, %d for %d)", per, one, n, two, 2*n)
 	}
 }

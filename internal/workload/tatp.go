@@ -2,9 +2,10 @@ package workload
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"tscout/internal/dbms"
-	"tscout/internal/network"
 	"tscout/internal/storage"
 	"tscout/internal/wal"
 )
@@ -29,20 +30,67 @@ type subscriberTexts struct {
 	nbr, updateLocation, selectByNbr string
 }
 
-// textsOf returns sid's texts, building them on first use. They are the
-// same bytes every call builds, which virtual time charges by length.
+// The statements that name a subscriber by number, before its literal.
+const (
+	updateLocationByNbr = "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = "
+	selectByNbr         = "SELECT s_id FROM subscriber WHERE sub_nbr = "
+)
+
+// textsOf returns sid's texts. The first call builds every subscriber's
+// into one string, which the texts slice: each subscriber's number, then
+// its two statements, back to back. They are the same bytes every call
+// builds, which virtual time charges by length.
 func (t *TATP) textsOf(sid int64) *subscriberTexts {
 	if t.texts == nil {
-		t.texts = make([]subscriberTexts, t.subscribers())
+		t.buildTexts()
 	}
-	st := &t.texts[sid]
-	if st.nbr == "" {
-		st.nbr = subNbr(sid)
-		lit := network.QuoteString(st.nbr)
-		st.updateLocation = "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = " + lit
-		st.selectByNbr = "SELECT s_id FROM subscriber WHERE sub_nbr = " + lit
+	return &t.texts[sid]
+}
+
+// buildTexts builds every subscriber's texts into one string of exactly
+// their length and slices it. A number is letters and digits, so its
+// string literal (what network.QuoteString makes of it) only wraps it in
+// quotes.
+func (t *TATP) buildTexts() {
+	n := t.subscribers()
+	size := 0
+	for sid := range n {
+		size += 3*nbrLen(int64(sid)) + len(updateLocationByNbr) + len(selectByNbr) + 4
 	}
-	return st
+	var b strings.Builder
+	b.Grow(size)
+	var buf [24]byte
+	for sid := range n {
+		nbr := strconv.AppendInt(append(buf[:0], "nbr"...), int64(sid), 10)
+		for len(nbr) < nbrLen(int64(sid)) {
+			nbr = append(nbr, 'x')
+		}
+		b.Write(nbr)
+		for _, stmt := range [...]string{updateLocationByNbr, selectByNbr} {
+			b.WriteString(stmt)
+			b.WriteByte('\'')
+			b.Write(nbr)
+			b.WriteByte('\'')
+		}
+	}
+	s := b.String()
+	t.texts = make([]subscriberTexts, n)
+	for sid := range t.texts {
+		st := &t.texts[sid]
+		nl := nbrLen(int64(sid))
+		st.nbr, s = s[:nl], s[nl:]
+		st.updateLocation, s = s[:len(updateLocationByNbr)+nl+2], s[len(updateLocationByNbr)+nl+2:]
+		st.selectByNbr, s = s[:len(selectByNbr)+nl+2], s[len(selectByNbr)+nl+2:]
+	}
+}
+
+// nbrLen is the length of subNbr(sid): "nbr" and sid's digits, padded to 15.
+func nbrLen(sid int64) int {
+	digits := 1
+	for ; sid >= 10; sid /= 10 {
+		digits++
+	}
+	return max(3+digits, 15)
 }
 
 // Name implements Generator.

@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"tscout/internal/dbms"
+	"tscout/internal/network"
 	"tscout/internal/storage"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
@@ -71,6 +72,27 @@ func TestTATPRuns(t *testing.T) {
 		Config{Terminals: 4, Transactions: 300, Seed: 3})
 	if res.Completed+res.Aborted != 300 || res.Completed < 200 {
 		t.Fatalf("tatp: %+v", res)
+	}
+}
+
+// TestTATPTextsAreTheirParts holds the texts TATP slices from one string
+// to the ones it would build subscriber by subscriber, across the widths
+// of a number (3-digit ids pad to 15 bytes, 13-digit ones do not).
+func TestTATPTextsAreTheirParts(t *testing.T) {
+	gen := &TATP{Subscribers: 1200}
+	for _, sid := range []int64{0, 9, 10, 99, 100, 1199} {
+		st := gen.textsOf(sid)
+		lit := network.QuoteString(subNbr(sid))
+		if st.nbr != subNbr(sid) ||
+			st.updateLocation != "UPDATE subscriber SET vlr_location = $1 WHERE sub_nbr = "+lit ||
+			st.selectByNbr != "SELECT s_id FROM subscriber WHERE sub_nbr = "+lit {
+			t.Fatalf("subscriber %d: texts %+v", sid, *st)
+		}
+	}
+	for _, sid := range []int64{0, 7, 999_999_999_999, 1_000_000_000_000} {
+		if got, want := nbrLen(sid), len(subNbr(sid)); got != want {
+			t.Fatalf("nbrLen(%d) = %d, want %d", sid, got, want)
+		}
 	}
 }
 
