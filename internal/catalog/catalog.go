@@ -1,7 +1,11 @@
 // Package catalog maintains the DBMS's table and index metadata and the
 // mapping from names to storage and index objects. Composite index keys
 // are packed into int64s using declared per-column bit widths (ordered
-// B+Tree keys) or FNV hashing (hash-index keys).
+// B+Tree keys) or FNV hashing (hash-index keys). An ordered key clamps each
+// cell into its column's bits, so packed keys sort as the values do (NULL,
+// which sorts first, packs as 0): a range of keys covers every row whose
+// values lie between its ends, and an out-of-range value shares the end
+// key of its column with the values clamped beside it.
 package catalog
 
 import (
@@ -49,7 +53,7 @@ func (ix *Index) KeyFor(row storage.Row) int64 {
 	var key int64
 	for i, c := range ix.KeyCols {
 		b := ix.Bits[i]
-		key = key<<b | (row[c].AsInt() & (int64(1)<<b - 1))
+		key = key<<b | clampCell(row[c].AsInt(), b)
 	}
 	return key
 }
@@ -68,9 +72,16 @@ func (ix *Index) KeyForValues(vals []storage.Value) int64 {
 	var key int64
 	for i := range vals {
 		b := ix.Bits[i]
-		key = key<<b | (vals[i].AsInt() & (int64(1)<<b - 1))
+		key = key<<b | clampCell(vals[i].AsInt(), b)
 	}
 	return key
+}
+
+// clampCell is an ordered key column's bits for the value x: x clamped
+// into [0, 2^bits−1]. Masking instead would file −1 under the column's
+// largest key and 2^bits under 0, out of the values' order.
+func clampCell(x int64, bits uint) int64 {
+	return min(max(x, 0), int64(1)<<bits-1)
 }
 
 // FNV-64a, written out so a key hashes without the hash.Hash64 object and

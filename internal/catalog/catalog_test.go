@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 
 	"tscout/internal/storage"
@@ -91,6 +93,44 @@ func TestPrefixRange(t *testing.T) {
 	}
 }
 
+// TestOrderedKeysSortAsValues: an ordered key sorts as its cells do under
+// Value.Compare, out-of-range values included, so a range of keys misses no
+// row whose values lie between its ends. Masking fails it: −1 packed as the
+// column's largest key and 2^24 as 0.
+func TestOrderedKeysSortAsValues(t *testing.T) {
+	c, _ := testCatalog(t)
+	ix, err := c.CreateBTreeIndex("orders_pk", "orders", []string{"w_id", "d_id"}, []uint{16, 24}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []storage.Value{storage.Null(), storage.NewInt(math.MinInt64), storage.NewInt(-1 << 24),
+		storage.NewInt(-1), storage.NewInt(0), storage.NewInt(1), storage.NewInt(1<<24 - 1),
+		storage.NewInt(1 << 24), storage.NewInt(1<<24 + 1), storage.NewInt(math.MaxInt64)}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		cells = append(cells, storage.NewInt(rng.Int63n(1<<27)-1<<26))
+	}
+	key := func(v storage.Value) int64 {
+		return ix.KeyFor(storage.Row{storage.NewInt(7), v, storage.Null(), storage.Null()})
+	}
+	lo, hi := ix.PrefixRange([]storage.Value{storage.NewInt(7)})
+	for _, a := range cells {
+		if k := key(a); k < lo || k > hi {
+			t.Fatalf("%v packs to %#x, outside its prefix's range [%#x, %#x]", a, k, lo, hi)
+		}
+		for _, b := range cells {
+			if a.Compare(b) < 0 && key(a) > key(b) {
+				t.Fatalf("%v < %v but their keys are %#x > %#x", a, b, key(a), key(b))
+			}
+		}
+	}
+	for v, want := range map[int64]int64{-1: 0, 1 << 24: 1<<24 - 1, math.MaxInt64: 1<<24 - 1, 5: 5} {
+		if got := key(storage.NewInt(v)) - lo; got != want {
+			t.Errorf("%d packs as %#x, want %#x", v, got, want)
+		}
+	}
+}
+
 func TestHashIndexStringsAndValidation(t *testing.T) {
 	c, _ := testCatalog(t)
 	ix, err := c.CreateHashIndex("orders_note", "orders", []string{"note"}, false)
@@ -127,7 +167,9 @@ func TestHashIndexStringsAndValidation(t *testing.T) {
 }
 
 // oldKeyFor is the key function as it was before keys were packed and
-// hashed directly from values: hash/fnv over each column's rendered text.
+// hashed directly from values: hash/fnv over each column's rendered text,
+// and for an ordered key each cell clamped into its bits (it was masked
+// until packed keys had to sort as the values do).
 func oldKeyFor(ix *Index, row storage.Row) int64 {
 	if ix.Kind == HashKind {
 		h := fnv.New64a()
@@ -142,7 +184,7 @@ func oldKeyFor(ix *Index, row storage.Row) int64 {
 		b := ix.Bits[i]
 		v := row[c].AsInt()
 		mask := int64(1)<<b - 1
-		key = key<<b | (v & mask)
+		key = key<<b | max(0, min(v, mask))
 	}
 	return key
 }
