@@ -177,13 +177,14 @@ func (t *BTree) Search(key int64) []int64 {
 }
 
 // Range calls fn for each (key, tids) with lo <= key <= hi, in key order,
-// until fn returns false.
+// until fn returns false. A binary search finds lo's slot in its leaf; the
+// leaves after it hold only larger keys.
 func (t *BTree) Range(lo, hi int64, fn func(key int64, tids []int64) bool) {
-	for l := t.findLeaf(lo); l != nil; l = l.next {
-		for i, k := range l.keys[:l.n] {
-			if k < lo {
-				continue
-			}
+	l := t.findLeaf(lo)
+	i, _ := slices.BinarySearch(l.keys[:l.n], lo)
+	for ; l != nil; l, i = l.next, 0 {
+		for ; i < l.n; i++ {
+			k := l.keys[i]
 			if k > hi {
 				return
 			}

@@ -164,7 +164,10 @@ func TestBTreeRangeProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// A range whose ends cross is empty.
+		empty := true
+		bt.Range(hi+1, lo, func(int64, []int64) bool { empty = false; return false })
+		return empty
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
