@@ -114,17 +114,37 @@ func hashRendered(h uint64, v *storage.Value) uint64 {
 }
 
 // PrefixRange returns the packed-key range [lo, hi] covering every key
-// whose leading columns equal vals (BTree indexes only). The Delivery
-// transaction's oldest-new-order scan uses it.
-func (ix *Index) PrefixRange(vals []storage.Value) (lo, hi int64) {
-	prefix := ix.KeyForValues(vals)
+// whose leading columns equal vals and, when a column follows them, whose
+// next cell holds a value in [from, to] (BTree indexes only).
+// math.MinInt64 and math.MaxInt64 leave a side open, and from > to gives
+// lo > hi, a range with no key. The bounds clamp as cells do, so the range
+// holds every key whose cell compares between them, NULL (packed as 0)
+// wherever 0 is in range. A range predicate on the column after an
+// equality prefix narrows an index walk this way; Delivery's
+// oldest-new-order scan reads a whole prefix.
+func (ix *Index) PrefixRange(vals []storage.Value, from, to int64) (lo, hi int64) {
 	var rest uint
 	for _, b := range ix.Bits[len(vals):] {
 		rest += b
 	}
-	lo = prefix << rest
-	hi = lo | (int64(1)<<rest - 1)
-	return lo, hi
+	base := ix.KeyForValues(vals) << rest
+	if len(vals) == len(ix.Bits) {
+		return base, base
+	}
+	if from > to {
+		return base + 1, base
+	}
+	b := ix.Bits[len(vals)]
+	below := rest - b
+	// Predicates compare INT cells through float64, which holds every
+	// integer only up to 2^53: a bound past it could exclude a cell that
+	// rounds onto it, so a lower one drops to 2^53 and an upper one opens.
+	const exact = 1 << 53
+	loCell, hiCell := min(clampCell(from, b), exact), clampCell(to, b)
+	if hiCell >= exact {
+		hiCell = int64(1)<<b - 1
+	}
+	return base | loCell<<below, base | hiCell<<below | (int64(1)<<below - 1)
 }
 
 // RangeSearch visits all (key, tids) in [lo, hi] on a BTree index.

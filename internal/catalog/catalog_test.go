@@ -77,7 +77,7 @@ func TestPrefixRange(t *testing.T) {
 	other := ix.KeyForValues([]storage.Value{storage.NewInt(1), storage.NewInt(3), storage.NewInt(1)})
 	ix.Insert(other, storage.TupleID(99))
 
-	lo, hi := ix.PrefixRange([]storage.Value{storage.NewInt(1), storage.NewInt(2)})
+	lo, hi := ix.PrefixRange([]storage.Value{storage.NewInt(1), storage.NewInt(2)}, math.MinInt64, math.MaxInt64)
 	var got []int64
 	ix.RangeSearch(lo, hi, func(k int64, tids []int64) bool {
 		got = append(got, tids...)
@@ -113,7 +113,7 @@ func TestOrderedKeysSortAsValues(t *testing.T) {
 	key := func(v storage.Value) int64 {
 		return ix.KeyFor(storage.Row{storage.NewInt(7), v, storage.Null(), storage.Null()})
 	}
-	lo, hi := ix.PrefixRange([]storage.Value{storage.NewInt(7)})
+	lo, hi := ix.PrefixRange([]storage.Value{storage.NewInt(7)}, math.MinInt64, math.MaxInt64)
 	for _, a := range cells {
 		if k := key(a); k < lo || k > hi {
 			t.Fatalf("%v packs to %#x, outside its prefix's range [%#x, %#x]", a, k, lo, hi)
@@ -129,6 +129,61 @@ func TestOrderedKeysSortAsValues(t *testing.T) {
 			t.Errorf("%d packs as %#x, want %#x", v, got, want)
 		}
 	}
+}
+
+// TestPrefixRangeBounds: a bounded prefix range holds the key of every row
+// under the prefix whose next cell lies between the bounds, and, for bounds
+// inside the column's bits, no other; crossed bounds give no key.
+func TestPrefixRangeBounds(t *testing.T) {
+	c, _ := testCatalog(t)
+	ix, err := c.CreateBTreeIndex("orders_pk", "orders", []string{"w_id", "d_id", "o_id"}, []uint{4, 6, 3}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxCell = 1<<6 - 1
+	ints := []int64{math.MinInt64, -100, -1, 0, 1, 5, 17, maxCell - 1, maxCell, maxCell + 1, 1 << 40, math.MaxInt64}
+	prefix := []storage.Value{storage.NewInt(3)}
+	for _, from := range ints {
+		for _, to := range ints {
+			lo, hi := ix.PrefixRange(prefix, from, to)
+			if from > to {
+				if lo <= hi {
+					t.Errorf("[%d, %d] gives keys [%#x, %#x]", from, to, lo, hi)
+				}
+				continue
+			}
+			for _, cell := range append([]storage.Value{storage.Null()}, values(ints)...) {
+				for _, last := range []int64{0, 7} {
+					k := ix.KeyFor(storage.Row{storage.NewInt(3), cell, storage.NewInt(last), storage.Null()})
+					in := lo <= k && k <= hi
+					v := cell.AsInt() // NULL packs as 0
+					if v >= from && v <= to && !in {
+						t.Errorf("[%d, %d] gives keys [%#x, %#x], missing %v's %#x", from, to, lo, hi, cell, k)
+					}
+					if inBits := from >= 0 && to <= maxCell && v >= 0 && v <= maxCell; inBits && in != (v >= from && v <= to) {
+						t.Errorf("[%d, %d] gives keys [%#x, %#x], holding %v's %#x", from, to, lo, hi, cell, k)
+					}
+				}
+			}
+			other := ix.KeyFor(storage.Row{storage.NewInt(4), storage.NewInt(0), storage.NewInt(0), storage.Null()})
+			if lo <= other && other <= hi {
+				t.Errorf("[%d, %d] reaches the next prefix", from, to)
+			}
+		}
+	}
+	// A full key takes no bound.
+	full := []storage.Value{storage.NewInt(3), storage.NewInt(9), storage.NewInt(2)}
+	if lo, hi := ix.PrefixRange(full, 50, 1); lo != hi || lo != ix.KeyForValues(full) {
+		t.Errorf("full key: [%#x, %#x]", lo, hi)
+	}
+}
+
+func values(ints []int64) []storage.Value {
+	out := make([]storage.Value, len(ints))
+	for i, v := range ints {
+		out[i] = storage.NewInt(v)
+	}
+	return out
 }
 
 func TestHashIndexStringsAndValidation(t *testing.T) {
@@ -256,7 +311,7 @@ func TestKeyFunctionsMatchOldImplementation(t *testing.T) {
 			continue
 		}
 		for n := 1; n <= len(c.vals); n++ {
-			lo, hi := c.ix.PrefixRange(c.vals[:n])
+			lo, hi := c.ix.PrefixRange(c.vals[:n], math.MinInt64, math.MaxInt64)
 			wantLo, wantHi := oldPrefixRange(c.ix, c.vals[:n])
 			if lo != wantLo || hi != wantHi {
 				t.Errorf("%s: PrefixRange(%d) [%#x, %#x], old [%#x, %#x]", c.name, n, lo, hi, wantLo, wantHi)
@@ -265,7 +320,7 @@ func TestKeyFunctionsMatchOldImplementation(t *testing.T) {
 	}
 	ix := btree(16, 16)
 	vals := []storage.Value{iv(5), iv(6)}
-	if n := testing.AllocsPerRun(100, func() { ix.KeyForValues(vals); ix.PrefixRange(vals[:1]) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { ix.KeyForValues(vals); ix.PrefixRange(vals[:1], 3, 9) }); n != 0 {
 		t.Errorf("B+Tree key packing allocates %v times per probe", n)
 	}
 	hix := hash(2)

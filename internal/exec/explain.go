@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"tscout/internal/sim"
 	"tscout/internal/storage"
@@ -127,10 +128,10 @@ func (a *accessPlan) describe(ctx *Ctx, params []storage.Value) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	return accessLine(ap), nil
+	return a.accessLine(ap), nil
 }
 
-func accessLine(ap accessPath) string {
+func (a *accessPlan) accessLine(ap accessPath) string {
 	tbl := ap.table
 	switch {
 	case tbl.Virtual != nil:
@@ -142,8 +143,22 @@ func accessLine(ap accessPath) string {
 	case ap.exact:
 		return fmt.Sprintf("Index Scan using %s on %s (key=%d)",
 			ap.index.Name, tbl.Name, ap.key)
-	default:
-		return fmt.Sprintf("Index Range Scan using %s on %s (prefix range)",
-			ap.index.Name, tbl.Name)
 	}
+	// A range names the bounds that narrowed it, or "prefix range".
+	var bounds []string
+	for _, i := range []int{a.lower, a.upper} {
+		if b, ok := intBound(ap.residual, i); ok {
+			bounds = append(bounds, fmt.Sprintf("%s %s %d",
+				tbl.Heap.Schema().Column(b.col).Name, b.op, b.val.AsInt()))
+		}
+	}
+	if bounds == nil {
+		bounds = []string{"prefix range"}
+	}
+	keys := "no keys"
+	if ap.keyLo <= ap.keyHi {
+		keys = fmt.Sprintf("keys %d..%d", ap.keyLo, ap.keyHi)
+	}
+	return fmt.Sprintf("Index Range Scan using %s on %s (%s: %s)",
+		ap.index.Name, tbl.Name, strings.Join(bounds, " AND "), keys)
 }

@@ -103,3 +103,23 @@ func TestExplainErrors(t *testing.T) {
 		t.Fatalf("bare explain must fail")
 	}
 }
+
+// TestExplainRangeBounds pins the line of each kind of prefix range on
+// items_grp (grp, sub; 24 bits each): the bounds that narrowed it and its
+// keys, or "prefix range" when nothing did.
+func TestExplainRangeBounds(t *testing.T) {
+	db := newDiffDB(t, false)
+	const scan = "Index Range Scan using items_grp on items "
+	for _, c := range []struct{ where, want string }{
+		{"grp = 2", "(prefix range: keys 33554432..50331647)"},
+		{"grp = 2 AND sub > 2", "(sub > 2: keys 33554435..50331647)"},
+		{"sub <= 1 AND grp = 2", "(sub <= 1: keys 33554432..33554433)"},
+		{"grp = 2 AND sub >= 1 AND sub < 3 AND sub > 0", "(sub >= 1 AND sub < 3: keys 33554433..33554434)"},
+		{"grp = 2 AND sub > 9223372036854775807", "(sub > 9223372036854775807: no keys)"},
+		{"grp = 2 AND sub >= 2.5", "(prefix range: keys 33554432..50331647)"},
+	} {
+		if p := planText(t, db, "EXPLAIN SELECT id FROM items WHERE "+c.where); p != scan+c.want+"\n" {
+			t.Errorf("%s:\n%s", c.where, p)
+		}
+	}
+}

@@ -170,6 +170,10 @@ type accessPlan struct {
 	// keyPreds indexes preds: the equality supplying each covered key
 	// column, major first.
 	keyPreds []int
+	// lower and upper index preds, or are -1: on a prefix range, the first
+	// > or >= and the first < or <= on the key column after the prefix,
+	// whose INT values narrow the range.
+	lower, upper int
 	predSet
 	// proj lists the schema columns the query reads (virtual tables only);
 	// nil means all.
@@ -179,7 +183,8 @@ type accessPlan struct {
 // chooseAccess picks the cheapest access path for preds on tbl: a full-key
 // index probe (unique first), then a leading-prefix B+Tree range, then a
 // sequential scan. Only which columns carry an equality matters, never the
-// values, so the choice holds for every execution.
+// values, so the choice holds for every execution. A prefix range takes
+// its bounds from the range predicates on the next key column.
 func chooseAccess(tbl *catalog.Table, ps predSet) accessPlan {
 	// The first equality on a column supplies its key value.
 	firstEq := func(col int) int {
@@ -191,9 +196,9 @@ func chooseAccess(tbl *catalog.Table, ps predSet) accessPlan {
 		return -1
 	}
 	// Every predicate stays as a residual re-check, whatever the index
-	// covers: a key is packed into masked bits or hashed, so different
+	// covers: a key is packed into clamped bits or hashed, so different
 	// values can share one, and the filter OU's features count them all.
-	best := accessPlan{table: tbl, predSet: ps}
+	best := accessPlan{table: tbl, predSet: ps, lower: -1, upper: -1}
 	bestScore := 0 // 0 = seqscan, 1 = prefix, 2 = full, 3 = full unique
 	for _, ix := range tbl.Indexes {
 		var keyPreds []int
@@ -223,9 +228,31 @@ func chooseAccess(tbl *catalog.Table, ps predSet) accessPlan {
 			continue
 		}
 		best.index, best.exact, best.keyPreds = ix, full, keyPreds
+		best.lower, best.upper = -1, -1
+		if !full {
+			best.lower, best.upper = rangeBounds(ps.preds, ix.KeyCols[covered])
+		}
 		bestScore = score
 	}
 	return best
+}
+
+// rangeBounds returns the indexes in preds of the first lower (> or >=)
+// and the first upper (< or <=) bound on col, each -1 if there is none.
+func rangeBounds(preds []predPlan, col int) (lower, upper int) {
+	lower, upper = -1, -1
+	for i, p := range preds {
+		if p.col != col {
+			continue
+		}
+		switch {
+		case lower < 0 && (p.op == sql.OpGt || p.op == sql.OpGe):
+			lower = i
+		case upper < 0 && (p.op == sql.OpLt || p.op == sql.OpLe):
+			upper = i
+		}
+	}
+	return lower, upper
 }
 
 // selectPlan is an analyzed SELECT.

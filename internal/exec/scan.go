@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+
 	"tscout/internal/catalog"
 	"tscout/internal/sim"
 	"tscout/internal/sql"
@@ -13,7 +15,8 @@ type accessPath struct {
 	table *catalog.Table
 	index *catalog.Index
 	// exact means a full-key point probe; otherwise keyLo..keyHi is a
-	// leading-prefix range. index == nil means sequential scan.
+	// leading-prefix range, narrowed by its INT bounds (empty when keyLo >
+	// keyHi). index == nil means sequential scan.
 	exact        bool
 	key          int64
 	keyLo, keyHi int64
@@ -25,8 +28,9 @@ type accessPath struct {
 }
 
 // bind evaluates the plan's predicate operands against params and packs the
-// index key from the equality values analysis picked. The bound predicates
-// are cut from ctx's arena and live until the statement ends.
+// index key from the equality values analysis picked, and a prefix range's
+// bounds from its range predicates. The bound predicates are cut from
+// ctx's arena and live until the statement ends.
 func (a *accessPlan) bind(ctx *Ctx, params []storage.Value) (accessPath, error) {
 	residual, err := a.predSet.bind(ctx, params)
 	if err != nil {
@@ -42,10 +46,48 @@ func (a *accessPlan) bind(ctx *Ctx, params []storage.Value) (accessPath, error) 
 		if a.exact {
 			ap.key = a.index.KeyForValues(vals)
 		} else {
-			ap.keyLo, ap.keyHi = a.index.PrefixRange(vals)
+			from, to := a.keyBounds(residual)
+			ap.keyLo, ap.keyHi = a.index.PrefixRange(vals, from, to)
 		}
 	}
 	return ap, nil
+}
+
+// keyBounds turns a prefix range's bound predicates, as bound, into
+// inclusive bounds on the key column after the prefix: math.MinInt64 and
+// math.MaxInt64 where a side is open, from > to when no INT can lie
+// between. Only an INT value narrows; a FLOAT, NULL or string leaves its
+// side open. The predicates stay residuals, so a bound only has to keep
+// every row they pass.
+func (a *accessPlan) keyBounds(residual []compiledPred) (from, to int64) {
+	from, to = math.MinInt64, math.MaxInt64
+	if b, ok := intBound(residual, a.lower); ok {
+		if b.op == sql.OpGt && b.val.AsInt() == math.MaxInt64 {
+			return math.MaxInt64, math.MinInt64
+		}
+		from = b.val.AsInt()
+		if b.op == sql.OpGt {
+			from++
+		}
+	}
+	if b, ok := intBound(residual, a.upper); ok {
+		to = b.val.AsInt()
+		// Below math.MinInt64 lies only NULL, which sorts first and packs
+		// as the lowest cell: keep math.MinInt64's key.
+		if b.op == sql.OpLt && to > math.MinInt64 {
+			to--
+		}
+	}
+	return from, to
+}
+
+// intBound returns the bound predicate at index i if it narrows a range: it
+// exists and its value is an INT.
+func intBound(residual []compiledPred, i int) (*compiledPred, bool) {
+	if i < 0 || residual[i].val.Kind() != storage.KindInt {
+		return nil, false
+	}
+	return &residual[i], true
 }
 
 // match is one visible row produced by a scan, with its address for DML.
