@@ -198,8 +198,8 @@ func TestParseErrorsAreNotCached(t *testing.T) {
 // TestSelfTemplateParseErrorParsesOnce: a text with no string literal is
 // its own template. When it does not parse, lookup returns the error that
 // text's one parse gave, counts one miss and keeps nothing — and it
-// allocates what lexing it into the template scratch and one parse do, not
-// what two parses do.
+// allocates less than lexing it into the template scratch and two parses
+// would.
 func TestSelfTemplateParseErrorParsesOnce(t *testing.T) {
 	const text = "SELEKT k FROM kv WHERE k = 1"
 	_, want := sql.Parse(text)
@@ -214,10 +214,13 @@ func TestSelfTemplateParseErrorParsesOnce(t *testing.T) {
 	if tbl.misses != 1 || tbl.hits != 0 || len(tbl.byText) != 0 {
 		t.Fatalf("%d misses, %d hits, %d entries; want 1, 0, 0", tbl.misses, tbl.hits, len(tbl.byText))
 	}
+	// A second parse would allocate a whole parse more. AllocsPerRun does
+	// not repeat exactly under -race, so the lookup is held below lexing
+	// plus two parses rather than to lexing plus one.
 	parse := testing.AllocsPerRun(100, func() { _, _ = sql.Parse(text) })
 	lex := testing.AllocsPerRun(100, func() { _, _, _, _ = tbl.tmpl.Template(text, nil) })
 	look := testing.AllocsPerRun(100, func() { _, _, _ = tbl.lookup(text, 0, nil) })
-	if look != lex+parse {
+	if look >= lex+2*parse {
 		t.Fatalf("a failing lookup allocates %v objects; lexing the text allocates %v and one parse %v", look, lex, parse)
 	}
 }
