@@ -136,15 +136,7 @@ func (ix *Index) PrefixRange(vals []storage.Value, from, to int64) (lo, hi int64
 	}
 	b := ix.Bits[len(vals)]
 	below := rest - b
-	// Predicates compare INT cells through float64, which holds every
-	// integer only up to 2^53: a bound past it could exclude a cell that
-	// rounds onto it, so a lower one drops to 2^53 and an upper one opens.
-	const exact = 1 << 53
-	loCell, hiCell := min(clampCell(from, b), exact), clampCell(to, b)
-	if hiCell >= exact {
-		hiCell = int64(1)<<b - 1
-	}
-	return base | loCell<<below, base | hiCell<<below | (int64(1)<<below - 1)
+	return base | clampCell(from, b)<<below, base | clampCell(to, b)<<below | (int64(1)<<below - 1)
 }
 
 // RangeSearch visits all (key, tids) in [lo, hi] on a BTree index.
@@ -244,11 +236,22 @@ func (c *Catalog) TableNames() []string {
 	return names
 }
 
+// maxCellBits is the widest ordered key column. Predicates compare INT
+// cells through float64, which holds every integer only up to 2^53; in a
+// wider column a range bound could pack apart from a cell that compares
+// equal to it.
+const maxCellBits = 53
+
 // CreateBTreeIndex adds an ordered index over the named columns with the
-// given per-column bit widths for key packing.
+// given per-column bit widths for key packing, each at most 53.
 func (c *Catalog) CreateBTreeIndex(name, table string, cols []string, bits []uint, unique bool) (*Index, error) {
 	if len(cols) != len(bits) {
 		return nil, fmt.Errorf("catalog: %d cols but %d bit widths", len(cols), len(bits))
+	}
+	for _, b := range bits {
+		if b > maxCellBits {
+			return nil, fmt.Errorf("catalog: a key column of %d bits is wider than %d", b, maxCellBits)
+		}
 	}
 	return c.createIndex(name, table, cols, BTreeKind, bits, unique)
 }

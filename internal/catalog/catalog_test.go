@@ -216,6 +216,9 @@ func TestHashIndexStringsAndValidation(t *testing.T) {
 	if _, err := c.CreateBTreeIndex("bad2", "orders", []string{"w_id"}, []uint{8, 8}, false); err == nil {
 		t.Fatalf("bits arity must fail")
 	}
+	if _, err := c.CreateBTreeIndex("wide", "orders", []string{"w_id", "d_id"}, []uint{4, 54}, false); err == nil {
+		t.Fatalf("a column wider than float64 holds integers exactly must fail")
+	}
 	if _, err := c.CreateHashIndex("bad3", "nope", []string{"x"}, false); err == nil {
 		t.Fatalf("unknown table must fail")
 	}
