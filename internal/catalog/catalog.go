@@ -118,10 +118,8 @@ func hashRendered(h uint64, v *storage.Value) uint64 {
 // next cell holds a value in [from, to] (BTree indexes only).
 // math.MinInt64 and math.MaxInt64 leave a side open, and from > to gives
 // lo > hi, a range with no key. The bounds clamp as cells do, so the range
-// holds every key whose cell compares between them, NULL (packed as 0)
-// wherever 0 is in range. A range predicate on the column after an
-// equality prefix narrows an index walk this way; Delivery's
-// oldest-new-order scan reads a whole prefix.
+// holds every key whose cell lies between them, NULL (packed as 0)
+// wherever 0 is in range.
 func (ix *Index) PrefixRange(vals []storage.Value, from, to int64) (lo, hi int64) {
 	var rest uint
 	for _, b := range ix.Bits[len(vals):] {

@@ -152,7 +152,7 @@ func TestPrefixRangeBounds(t *testing.T) {
 				}
 				continue
 			}
-			for _, cell := range append([]storage.Value{storage.Null()}, values(ints)...) {
+			for _, cell := range append([]storage.Value{storage.Null()}, intValues(ints)...) {
 				for _, last := range []int64{0, 7} {
 					k := ix.KeyFor(storage.Row{storage.NewInt(3), cell, storage.NewInt(last), storage.Null()})
 					in := lo <= k && k <= hi
@@ -178,7 +178,7 @@ func TestPrefixRangeBounds(t *testing.T) {
 	}
 }
 
-func values(ints []int64) []storage.Value {
+func intValues(ints []int64) []storage.Value {
 	out := make([]storage.Value, len(ints))
 	for i, v := range ints {
 		out[i] = storage.NewInt(v)

@@ -147,7 +147,7 @@ func (a *accessPlan) accessLine(ap accessPath) string {
 	// A range names the bounds that narrowed it, or "prefix range".
 	var bounds []string
 	for _, i := range []int{a.lower, a.upper} {
-		if b, ok := intBound(ap.residual, i); ok {
+		if b := intBound(ap.residual, i); b != nil {
 			bounds = append(bounds, fmt.Sprintf("%s %s %d",
 				tbl.Heap.Schema().Column(b.col).Name, b.op, b.val.AsInt()))
 		}

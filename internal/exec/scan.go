@@ -61,7 +61,7 @@ func (a *accessPlan) bind(ctx *Ctx, params []storage.Value) (accessPath, error) 
 // every row they pass.
 func (a *accessPlan) keyBounds(residual []compiledPred) (from, to int64) {
 	from, to = math.MinInt64, math.MaxInt64
-	if b, ok := intBound(residual, a.lower); ok {
+	if b := intBound(residual, a.lower); b != nil {
 		if b.op == sql.OpGt && b.val.AsInt() == math.MaxInt64 {
 			return math.MaxInt64, math.MinInt64
 		}
@@ -70,7 +70,7 @@ func (a *accessPlan) keyBounds(residual []compiledPred) (from, to int64) {
 			from++
 		}
 	}
-	if b, ok := intBound(residual, a.upper); ok {
+	if b := intBound(residual, a.upper); b != nil {
 		to = b.val.AsInt()
 		// Below math.MinInt64 lies only NULL, which sorts first and packs
 		// as the lowest cell: keep math.MinInt64's key.
@@ -81,13 +81,13 @@ func (a *accessPlan) keyBounds(residual []compiledPred) (from, to int64) {
 	return from, to
 }
 
-// intBound returns the bound predicate at index i if it narrows a range: it
-// exists and its value is an INT.
-func intBound(residual []compiledPred, i int) (*compiledPred, bool) {
+// intBound returns the bound predicate at index i if it narrows a range (it
+// exists and its value is an INT), or nil.
+func intBound(residual []compiledPred, i int) *compiledPred {
 	if i < 0 || residual[i].val.Kind() != storage.KindInt {
-		return nil, false
+		return nil
 	}
-	return &residual[i], true
+	return &residual[i]
 }
 
 // match is one visible row produced by a scan, with its address for DML.
