@@ -123,3 +123,49 @@ func TestExplainRangeBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainDeepestPrefix pins the tie-break between prefix ranges: of two
+// indexes whose equalities both cover a leading prefix, the one covering
+// more key columns serves the range, and at equal depth the first does.
+// TPC-C's orders table carries orders_pk (w, d, o) and orders_cust
+// (w, d, c, o), declared here as workload/tpcc.go declares them, so
+// Order-Status walks one customer's orders rather than the district's.
+func TestExplainDeepestPrefix(t *testing.T) {
+	db := newEmptyTestDB(t, false)
+	db.run(t, "CREATE TABLE orders (o_w_id INT, o_d_id INT, o_id INT, o_c_id INT, o_carrier_id INT, o_ol_cnt INT)")
+	for _, ix := range []struct {
+		name string
+		cols []string
+		bits []uint
+	}{
+		{"orders_pk", []string{"o_w_id", "o_d_id", "o_id"}, []uint{9, 5, 26}},
+		{"orders_cust", []string{"o_w_id", "o_d_id", "o_c_id", "o_id"}, []uint{9, 5, 16, 26}},
+	} {
+		if _, err := db.cat.CreateBTreeIndex(ix.name, "orders", ix.cols, ix.bits, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ where, want string }{
+		// Order-Status.
+		{"o_w_id = 1 AND o_d_id = 2 AND o_c_id = 3 ORDER BY o_id DESC LIMIT 1", "orders_cust"},
+		{"o_c_id = 3 AND o_d_id = 2 AND o_w_id = 1", "orders_cust"},
+		{"o_w_id = 1 AND o_d_id = 2", "orders_pk"},
+		{"o_w_id = 1 AND o_d_id = 2 AND o_id > 5", "orders_pk"},
+		{"o_w_id = 1 AND o_c_id = 3", "orders_pk"},
+	} {
+		if p := planText(t, db, "EXPLAIN SELECT o_id FROM orders WHERE "+c.where); !strings.Contains(p, "Index Range Scan using "+c.want+" on orders") {
+			t.Errorf("%s: want %s:\n%s", c.where, c.want, p)
+		}
+	}
+	db = newDiffDB(t, false)
+	for _, c := range []struct{ where, want string }{
+		{"grp = 1 AND qty = 3", "Index Range Scan using items_gq"},
+		{"grp = 1", "Index Range Scan using items_grp"},
+		// A full key outranks any prefix.
+		{"qty = 3 AND grp = 1 AND sub = 2", "Index Scan using items_grp"},
+	} {
+		if p := planText(t, db, "EXPLAIN SELECT id FROM items WHERE "+c.where); !strings.Contains(p, c.want+" on items") {
+			t.Errorf("%s: want %s:\n%s", c.where, c.want, p)
+		}
+	}
+}

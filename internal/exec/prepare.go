@@ -181,10 +181,12 @@ type accessPlan struct {
 }
 
 // chooseAccess picks the cheapest access path for preds on tbl: a full-key
-// index probe (unique first), then a leading-prefix B+Tree range, then a
-// sequential scan. Only which columns carry an equality matters, never the
-// values, so the choice holds for every execution. A prefix range takes
-// its bounds from the range predicates on the next key column.
+// index probe (unique first), then a leading-prefix B+Tree range, the one
+// whose equalities cover the most key columns, then a sequential scan;
+// between equals the first index wins. Only which columns carry an
+// equality matters, never the values, so the choice holds for every
+// execution. A prefix range takes its bounds from the range predicates on
+// the next key column.
 func chooseAccess(tbl *catalog.Table, ps predSet) accessPlan {
 	// The first equality on a column supplies its key value.
 	firstEq := func(col int) int {
@@ -224,7 +226,9 @@ func chooseAccess(tbl *catalog.Table, ps predSet) accessPlan {
 		if !full && ix.Kind == catalog.HashKind {
 			continue // hash indexes cannot serve prefix ranges
 		}
-		if score <= bestScore {
+		// A deeper prefix narrows the walk to the rows its extra columns
+		// select.
+		if score < bestScore || (score == bestScore && (score != 1 || covered <= len(best.keyPreds))) {
 			continue
 		}
 		best.index, best.exact, best.keyPreds = ix, full, keyPreds

@@ -53,8 +53,9 @@ func (m *memVirtual) Scan(proj []int, _ []catalog.VirtualPred, fn func(storage.R
 }
 
 // newDiffDB builds the harness's database: three heap tables with a unique
-// B+Tree, a non-unique two-column B+Tree (prefix ranges), a hash index and
-// a unique hash index between them, plus a virtual table. Column names
+// B+Tree, a non-unique two-column B+Tree (prefix ranges), a three-column
+// one whose prefix shares its first column, a hash index and a unique hash
+// index between them, plus a virtual table. Column names
 // repeat across tables (id, grp, qty) so bare references in a join can be
 // ambiguous.
 func newDiffDB(t testing.TB, instrumented bool) *testDB {
@@ -71,6 +72,7 @@ func newDiffDB(t testing.TB, instrumented bool) *testDB {
 		"CREATE TABLE items (id INT PRIMARY KEY, grp INT, sub INT, qty INT, price FLOAT, name VARCHAR(16))",
 		"CREATE INDEX items_grp ON items (grp, sub)",
 		"CREATE INDEX items_name ON items (name) USING HASH",
+		"CREATE INDEX items_gq ON items (grp, qty, sub)",
 		"CREATE TABLE orders (id INT PRIMARY KEY, item_id INT, qty INT, note VARCHAR(16))",
 		"CREATE INDEX orders_item ON orders (item_id)",
 		"CREATE TABLE regions (rid INT PRIMARY KEY, grp INT, label VARCHAR(16))",
@@ -402,6 +404,8 @@ func accessKind(p *Prepared) string {
 		return "hash"
 	case !a.exact && (a.lower >= 0 || a.upper >= 0):
 		return "bounded range"
+	case !a.exact && len(a.keyPreds) > 1:
+		return "two-column prefix"
 	case !a.exact:
 		return "prefix range"
 	case len(a.index.KeyCols) > 1:
@@ -792,6 +796,11 @@ var diffCases = []struct {
 	// Bounds on sub, the key column after items_grp's grp prefix, narrow
 	// the range: each operator, both sides, crossed bounds, and bounds
 	// that are not INTs (which leave the range whole).
+	// items_grp (grp, sub) and items_gq (grp, qty, sub) both serve a prefix
+	// range: grp alone ties and takes items_grp, the first; grp and qty
+	// take items_gq, the deeper.
+	{"SELECT id, qty FROM items WHERE qty = $1 AND grp = 1", []storage.Value{storage.NewInt(3)}},
+	{"SELECT id FROM items WHERE grp = 1 AND qty = 7 AND id > 3", nil},
 	{"SELECT id, sub FROM items WHERE grp = $1 AND sub > 1", []storage.Value{storage.NewInt(1)}},
 	{"SELECT id, sub FROM items WHERE sub >= 2 AND grp = 2", nil},
 	{"SELECT id FROM items WHERE grp = 3 AND sub < $1", []storage.Value{storage.NewInt(3)}},
@@ -898,7 +907,7 @@ func TestPreparedMatchesSpec(t *testing.T) {
 			if h.countJoins == 0 {
 				t.Errorf("TLP never partitioned a join that only counts")
 			}
-			for _, path := range []string{"seq", "unique exact", "two-column exact", "prefix range", "bounded range", "hash", "virtual"} {
+			for _, path := range []string{"seq", "unique exact", "two-column exact", "prefix range", "two-column prefix", "bounded range", "hash", "virtual"} {
 				if h.paths[path] == 0 {
 					t.Errorf("TLP never partitioned a %s read", path)
 				}
