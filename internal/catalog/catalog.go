@@ -161,6 +161,15 @@ func (ix *Index) Insert(key int64, tid storage.TupleID) {
 	ix.BTree.Insert(key, int64(tid))
 }
 
+// Delete removes (key, tid), and key once it has no TupleID left.
+func (ix *Index) Delete(key int64, tid storage.TupleID) {
+	if ix.Kind == HashKind {
+		ix.Hash.Delete(key, int64(tid))
+		return
+	}
+	ix.BTree.Delete(key, int64(tid))
+}
+
 // Height returns the probe depth estimate (1 for hash indexes).
 func (ix *Index) Height() int {
 	if ix.Kind == HashKind {

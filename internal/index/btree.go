@@ -17,6 +17,11 @@ const btreeOrder = 64
 // a split, which moves the upper half of an overfull node to a new right
 // sibling, is one allocation. A leaf holds keys and TupleIDs, an internal
 // node keys and children; neither carries the other's array.
+//
+// Nodes never merge: a delete shifts a leaf's entries in place, and a leaf
+// it empties stays in the tree and on the leaf chain, where a later insert
+// of a key it covers fills it again. Separators stay as they were, which
+// keeps every key of a subtree between them.
 type BTree struct {
 	// root is a *leaf when height is 1 and an *inner above that: every
 	// node height-1 levels below the root is a leaf.
@@ -50,7 +55,8 @@ func NewBTree() *BTree {
 	return &BTree{root: new(leaf), height: 1}
 }
 
-// Len returns the number of distinct keys.
+// Len returns the number of distinct keys: a key leaves with its last
+// TupleID.
 func (t *BTree) Len() int { return t.size }
 
 // Height returns the tree height (1 = just the root leaf). The execution
@@ -109,6 +115,38 @@ func (t *BTree) insert(n any, level int, key int64, tid int64) (int64, any) {
 		return 0, nil
 	}
 	return in.split()
+}
+
+// Delete removes tid from key's TupleIDs, and key from the tree once it has
+// none; a (key, tid) the tree does not hold is left alone. The rest of the
+// key's TupleIDs keep their order.
+func (t *BTree) Delete(key int64, tid int64) {
+	l := t.findLeaf(key)
+	i, found := slices.BinarySearch(l.keys[:l.n], key)
+	if !found {
+		return
+	}
+	if p, ok := t.postings[key]; ok {
+		j := slices.Index(p, tid)
+		if j < 0 {
+			return
+		}
+		p = slices.Delete(p, j, j+1)
+		if len(p) == 1 {
+			delete(t.postings, key)
+		} else {
+			t.postings[key] = p
+		}
+		l.tids[i] = p[0]
+		return
+	}
+	if l.tids[i] != tid {
+		return
+	}
+	copy(l.keys[i:l.n-1], l.keys[i+1:l.n])
+	copy(l.tids[i:l.n-1], l.tids[i+1:l.n])
+	l.n--
+	t.size--
 }
 
 // split moves the upper half of l's keys, from the middle one on, to a new

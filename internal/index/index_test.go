@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
@@ -11,31 +12,39 @@ import (
 	"testing/quick"
 )
 
-// Min returns the smallest key, or (0,false) when empty.
-func (t *BTree) Min() (int64, bool) {
+// leaves returns the tree's leaves in chain order, from the leftmost.
+func (t *BTree) leaves() []*leaf {
 	n := t.root
 	for level := t.height; level > 1; level-- {
 		n = n.(*inner).children[0]
 	}
-	l := n.(*leaf)
-	if l.n == 0 {
-		return 0, false
+	var out []*leaf
+	for l := n.(*leaf); l != nil; l = l.next {
+		out = append(out, l)
 	}
-	return l.keys[0], true
+	return out
+}
+
+// Min returns the smallest key, or (0,false) when empty. Leaves a delete
+// emptied hold none.
+func (t *BTree) Min() (int64, bool) {
+	for _, l := range t.leaves() {
+		if l.n > 0 {
+			return l.keys[0], true
+		}
+	}
+	return 0, false
 }
 
 // Max returns the largest key, or (0,false) when empty.
 func (t *BTree) Max() (int64, bool) {
-	n := t.root
-	for level := t.height; level > 1; level-- {
-		in := n.(*inner)
-		n = in.children[in.n]
+	ls := t.leaves()
+	for i := len(ls) - 1; i >= 0; i-- {
+		if l := ls[i]; l.n > 0 {
+			return l.keys[l.n-1], true
+		}
 	}
-	l := n.(*leaf)
-	if l.n == 0 {
-		return 0, false
-	}
-	return l.keys[l.n-1], true
+	return 0, false
 }
 
 func TestBTreeInsertSearch(t *testing.T) {
@@ -177,15 +186,18 @@ func TestBTreeRangeProperty(t *testing.T) {
 // postings is what both index structures are: TupleIDs under int64 keys.
 type postings interface {
 	Insert(key, tid int64)
+	Delete(key, tid int64)
 	Search(key int64) []int64
 	Len() int
 }
 
-// checkModel drives random inserts and lookups on ix against a map of
-// posting lists, over a key space small enough that keys gain more
-// TupleIDs. Postings come back in insertion order, which makes an index
-// scan's output order a function of the history alone; Len counts the keys
-// that have any. check, every 50 steps and at the end, looks at the rest.
+// checkModel drives random inserts, deletes and lookups on ix against a map
+// of posting lists, over a key space small enough that keys gain more
+// TupleIDs. A delete takes one of the key's TupleIDs, or one it does not
+// hold, which must change nothing. Postings come back in insertion order,
+// less what was deleted, which makes an index scan's output order a
+// function of the history alone; Len counts the keys that have any. check,
+// every 50 steps and at the end, looks at the rest.
 func checkModel(t *testing.T, ix postings, rng *rand.Rand, keySpace, steps int, check func(step int, model map[int64][]int64)) {
 	model := map[int64][]int64{}
 	verify := func(step int) {
@@ -198,9 +210,18 @@ func checkModel(t *testing.T, ix postings, rng *rand.Rand, keySpace, steps int, 
 	}
 	for step := 0; step < steps; step++ {
 		k := int64(rng.Intn(keySpace))
-		if rng.Intn(5) < 3 {
+		switch r := rng.Intn(6); {
+		case r < 3:
 			ix.Insert(k, int64(step))
 			model[k] = append(model[k], int64(step))
+		case r == 3 && len(model[k]) > 0:
+			j := rng.Intn(len(model[k]))
+			ix.Delete(k, model[k][j])
+			if model[k] = slices.Delete(slices.Clone(model[k]), j, j+1); len(model[k]) == 0 {
+				delete(model, k)
+			}
+		case r == 3:
+			ix.Delete(k, -1)
 		}
 		if got := ix.Search(k); !slices.Equal(got, model[k]) {
 			t.Fatalf("step %d: Search(%d) %v, model %v", step, k, got, model[k])
@@ -552,4 +573,132 @@ func TestBTreeInsertAllocations(t *testing.T) {
 			t.Fatalf("ascending=%v: height %d after %d splitting inserts: too few splits to tell", ascending, bt.Height(), splits)
 		}
 	}
+}
+
+// TestBTreeDeleteEmptiesLeaves deletes every key of an ascending load from
+// the front, as Delivery deletes new orders: each leaf it empties stays on
+// the chain, Len counts only what is left, Range skips the empty leaves, and
+// inserts refill them.
+func TestBTreeDeleteEmptiesLeaves(t *testing.T) {
+	bt := NewBTree()
+	const n = 1000
+	for k := int64(0); k < n; k++ {
+		bt.Insert(k, k)
+	}
+	bt.Insert(500, -500)
+	height, leaves := bt.Height(), len(bt.leaves())
+	for k := int64(0); k < n-10; k++ {
+		bt.Delete(k, k+1) // a TupleID the key does not hold
+		if want := n - int(k) + int(k/501); bt.Len() != want { // 500 keeps -500
+			t.Fatalf("Delete(%d) of a TupleID it lacks: Len %d", k, bt.Len())
+		}
+		bt.Delete(k, k)
+	}
+	if bt.Len() != 11 || bt.Height() != height || len(bt.leaves()) != leaves {
+		t.Fatalf("Len %d, height %d, %d leaves; want 11, %d, %d", bt.Len(), bt.Height(), len(bt.leaves()), height, leaves)
+	}
+	if got := bt.Search(500); !slices.Equal(got, []int64{-500}) {
+		t.Fatalf("Search(500) %v after its first TupleID left", got)
+	}
+	bt.Delete(500, -500)
+	var keys []int64
+	bt.Range(math.MinInt64, math.MaxInt64, func(k int64, _ []int64) bool { keys = append(keys, k); return true })
+	if want := []int64{990, 991, 992, 993, 994, 995, 996, 997, 998, 999}; !slices.Equal(keys, want) {
+		t.Fatalf("Range over the emptied leaves: %v", keys)
+	}
+	for k := int64(0); k < n; k += 7 {
+		bt.Insert(k, k)
+	}
+	if got, ok := bt.Min(); !ok || got != 0 || bt.Search(994)[0] != 994 || bt.Len() != 10+143-1 {
+		t.Fatalf("refill: Min %d %v, Len %d", got, ok, bt.Len())
+	}
+}
+
+// FuzzBTreeOps holds Insert, Delete, Search, Range and Len to a sorted slice
+// of keys and their posting lists. Each op is three bytes: an operation, a
+// key out of about 256 (enough for three levels), and an argument: the
+// posting to delete (or one that is not there), or a Range's width. After
+// every op the probed key's postings and Len must match, and at the end a
+// Range over every key.
+func FuzzBTreeOps(f *testing.F) {
+	// Ascending inserts, duplicates on every tenth key, then every key
+	// deleted from the front and a few inserted again: emptied leaves.
+	var seed []byte
+	for k := 0; k < 256; k++ {
+		seed = append(seed, 0, byte(k), 0)
+		if k%10 == 0 {
+			seed = append(seed, 1, byte(k), 0)
+		}
+	}
+	for k := 0; k < 256; k++ {
+		seed = append(seed, 2, byte(k), 0, 2, byte(k), 1)
+	}
+	seed = append(seed, 0, 5, 0, 3, 0, 255, 0, 200, 0)
+	f.Add(seed)
+	f.Add([]byte{0, 7, 0, 1, 7, 0, 1, 7, 0, 2, 7, 1, 3, 0, 10, 2, 7, 0, 2, 7, 0, 3, 7, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		type entry struct {
+			key  int64
+			tids []int64
+		}
+		var model []entry // sorted by key
+		find := func(k int64) (int, bool) {
+			return slices.BinarySearchFunc(model, k, func(e entry, k int64) int { return cmp.Compare(e.key, k) })
+		}
+		bt := NewBTree()
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			k, arg := int64(ops[1])*3, int(ops[2])
+			i, found := find(k)
+			switch ops[0] % 4 {
+			case 0, 1:
+				bt.Insert(k, int64(step))
+				if !found {
+					model = slices.Insert(model, i, entry{key: k})
+				}
+				model[i].tids = append(model[i].tids, int64(step))
+			case 2:
+				tid := int64(-1)
+				if found {
+					if j := arg % (len(model[i].tids) + 1); j < len(model[i].tids) {
+						tid = model[i].tids[j]
+						if model[i].tids = slices.Delete(model[i].tids, j, j+1); len(model[i].tids) == 0 {
+							model = slices.Delete(model, i, i+1)
+						}
+					}
+				}
+				bt.Delete(k, tid)
+			case 3:
+				hi := k + int64(arg)*3
+				var got []entry
+				bt.Range(k, hi, func(k int64, tids []int64) bool {
+					got = append(got, entry{k, slices.Clone(tids)})
+					return true
+				})
+				j, _ := find(hi + 1)
+				if want := model[i:j]; !slices.EqualFunc(got, want, func(a, b entry) bool {
+					return a.key == b.key && slices.Equal(a.tids, b.tids)
+				}) {
+					t.Fatalf("step %d: Range(%d, %d) %v, model %v", step, k, hi, got, want)
+				}
+			}
+			var want []int64
+			if i, found := find(k); found {
+				want = model[i].tids
+			}
+			if got := bt.Search(k); !slices.Equal(got, want) || bt.Len() != len(model) {
+				t.Fatalf("step %d: Search(%d) %v, Len %d; model %v, %d keys", step, k, got, bt.Len(), want, len(model))
+			}
+		}
+		var keys []int64
+		bt.Range(math.MinInt64, math.MaxInt64, func(k int64, tids []int64) bool {
+			if i, found := find(k); !found || !slices.Equal(tids, model[i].tids) {
+				t.Fatalf("Range gave (%d, %v), which the model lacks", k, tids)
+			}
+			keys = append(keys, k)
+			return true
+		})
+		if len(keys) != len(model) {
+			t.Fatalf("Range over every key gave %d keys, model %d", len(keys), len(model))
+		}
+	})
 }
