@@ -46,7 +46,9 @@ func (ip *insertPlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 			return nil, err
 		}
 		for _, ix := range tbl.Indexes {
-			ix.Insert(ix.KeyFor(row), tid)
+			key := ix.KeyFor(row)
+			ix.Insert(key, tid)
+			ctx.Txn.Unindex(ix, tbl.Heap, tid, key, true)
 			indexWork += ix.Height()
 		}
 		bytes += row.Size()
@@ -95,16 +97,23 @@ func (up *updatePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 			return nil, err
 		}
 		// Index maintenance only when a key column changed. The old-key
-		// entry stays for older snapshots (lazy cleanup under MVCC); a prefix
-		// range yields a row only under its own key. The new key may have an
-		// entry already — the key went back to one it had, or an aborted
-		// write added it — and a second would be read twice.
+		// entry stays while older snapshots read the old version, and leaves
+		// once none can (txn.Unindex); meanwhile a prefix range yields a row
+		// only under its own key. The new key may have an entry already — the
+		// key went back to one an older snapshot still reads — and a second
+		// would be read twice; it is handed to Unindex either way, so that an
+		// abort finds it.
 		for _, ix := range tbl.Indexes {
 			oldKey, newKey := ix.KeyFor(mt.row), ix.KeyFor(newRow)
-			if oldKey != newKey && !slices.Contains(ix.Search(newKey), int64(mt.tid)) {
+			if oldKey == newKey {
+				continue
+			}
+			ctx.Txn.Unindex(ix, tbl.Heap, mt.tid, oldKey, false)
+			if !slices.Contains(ix.Search(newKey), int64(mt.tid)) {
 				ix.Insert(newKey, mt.tid)
 				indexWork += ix.Height()
 			}
+			ctx.Txn.Unindex(ix, tbl.Heap, mt.tid, newKey, true)
 		}
 		bytes += newRow.Size()
 	}
@@ -138,8 +147,12 @@ func (dp *deletePlan) run(e *Engine, ctx *Ctx, params []storage.Value) (*Result,
 			ouFeatures(ctx, m, 0, 0, 0)
 			return nil, err
 		}
-		// Index entries stay: the tombstone version filters probes, and
-		// older snapshots still reach the pre-delete version through them.
+		// Index entries stay while older snapshots reach the pre-delete
+		// version through them, and leave once none can (txn.Unindex); the
+		// tombstone filters probes until then.
+		for _, ix := range tbl.Indexes {
+			ctx.Txn.Unindex(ix, tbl.Heap, mt.tid, ix.KeyFor(mt.row), false)
+		}
 		indexWork += len(tbl.Indexes)
 	}
 	n := len(matches)

@@ -171,10 +171,10 @@ func (e *Engine) runScan(ctx *Ctx, ap *accessPath) []match {
 					n := len(out)
 					read(storage.TupleID(t))
 					// A prefix range can meet a row under a key it no longer
-					// has — a key-changing update or an aborted write left the
-					// entry for other snapshots — as well as under its own,
-					// which alone yields it. (An exact probe's residuals reject
-					// such an entry themselves.)
+					// has — a key-changing update left the entry for older
+					// snapshots, which still read the old version — as well as
+					// under its own, which alone yields it. (An exact probe's
+					// residuals reject such an entry themselves.)
 					if len(out) > n && ap.index.KeyFor(out[n].row) != k {
 						out = out[:n]
 					}

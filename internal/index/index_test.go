@@ -588,8 +588,9 @@ func TestBTreeDeleteEmptiesLeaves(t *testing.T) {
 	bt.Insert(500, -500)
 	height, leaves := bt.Height(), len(bt.leaves())
 	for k := int64(0); k < n-10; k++ {
-		bt.Delete(k, k+1) // a TupleID the key does not hold
-		if want := n - int(k) + int(k/501); bt.Len() != want { // 500 keeps -500
+		// A TupleID the key does not hold changes nothing; 500 keeps -500.
+		bt.Delete(k, k+1)
+		if want := n - int(k) + int(k/501); bt.Len() != want {
 			t.Fatalf("Delete(%d) of a TupleID it lacks: Len %d", k, bt.Len())
 		}
 		bt.Delete(k, k)

@@ -9,11 +9,14 @@ package txn
 // runSchedule drives the real Manager beside it.
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"tscout/internal/index"
 	"tscout/internal/storage"
 )
 
@@ -118,6 +121,63 @@ func (h *history) abort(t *histTxn) {
 	}
 }
 
+// histIndex files a row under its value modulo histKeys, so that a slot's
+// key moves on most updates and comes back to one it had: A → B → A.
+type histIndex struct{ *index.BTree }
+
+const histKeys = 4
+
+func (ix histIndex) KeyFor(r storage.Row) int64 { return r[1].AsInt() % histKeys }
+
+func (ix histIndex) Delete(key int64, tid storage.TupleID) { ix.BTree.Delete(key, int64(tid)) }
+
+// entries is every (key, slot) ix holds, sorted; a slot filed twice under
+// one key appears twice.
+func (ix histIndex) entries() [][2]int64 {
+	var out [][2]int64
+	ix.Range(math.MinInt64, math.MaxInt64, func(k int64, tids []int64) bool {
+		for _, tid := range tids {
+			out = append(out, [2]int64{k, tid})
+		}
+		return true
+	})
+	slices.SortFunc(out, compareEntries)
+	return out
+}
+
+func compareEntries(a, b [2]int64) int {
+	return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+}
+
+// indexed is what an index over the history holds: an entry for each
+// version some running or future snapshot may read, the committed versions
+// that end after the watermark and the uncommitted writes, less the
+// deleted ones; each (key, slot) once.
+func (h *history) indexed(ix histIndex, watermark uint64) [][2]int64 {
+	var out [][2]int64
+	add := func(s int, v histVersion) {
+		if v.deleted {
+			return
+		}
+		if e := [2]int64{ix.KeyFor(v.row), int64(s)}; !slices.Contains(out, e) {
+			out = append(out, e)
+		}
+	}
+	for s := range h.slots {
+		sl := &h.slots[s]
+		for _, v := range sl.versions {
+			if v.end > watermark {
+				add(s, v)
+			}
+		}
+		if sl.owner != 0 {
+			add(s, sl.write)
+		}
+	}
+	slices.SortFunc(out, compareEntries)
+	return out
+}
+
 // Schedule shape: at most pruneMaxOpen snapshots open at once over at most
 // pruneMaxSlots tuple slots, pruneSeedSlots of them loaded up front.
 const (
@@ -146,7 +206,13 @@ const (
 //     as many as it counts and no more than its bound;
 //   - a version first seen on a free list, one a refill put there, is fresh:
 //     a zero header whose Values are its width's NULL cells, capped at the
-//     width; and no two versions, listed or chained, share a cell.
+//     width; and no two versions, listed or chained, share a cell;
+//   - after each operation, an index over the values, maintained as the
+//     execution engine maintains one (an insert files the row's key; an
+//     update that moves the key hands the old one to Unindex and files the
+//     new one, unless the slot has it, and hands that to Unindex too; a
+//     delete hands the row's key to Unindex), holds exactly one entry for each key a version some running
+//     or future snapshot may read carries, and nothing else.
 func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	m, h := NewManager(), &history{commitTS: 1}
 	tbl := storage.NewTable("t", storage.MustSchema(
@@ -173,6 +239,14 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 			t.Fatalf("%s: real %v, history %v", what, rerr, herr)
 		}
 	}
+	ix := histIndex{index.NewBTree()}
+	file := func(p pair, s int, r storage.Row) {
+		key := ix.KeyFor(r)
+		if !slices.Contains(ix.Search(key), int64(s)) {
+			ix.Insert(key, int64(s))
+		}
+		p.real.Unindex(ix, tbl, storage.TupleID(s), key, true)
+	}
 	insert := func(p pair, val int64) {
 		t.Helper()
 		s := len(h.slots)
@@ -180,6 +254,38 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 		_ = h.write(p.model, s, row(int64(s), val), false) // a new slot has no writer to lose to
 		if id, err := p.real.Insert(tbl, row(int64(s), val)); err != nil || int(id) != s {
 			t.Fatalf("insert: real slot %d (%v), history %d", id, err, s)
+		}
+		file(p, s, row(int64(s), val))
+	}
+	// update and remove write slot s as the engine does, which reads the
+	// row first: a write that finds none has no key to leave behind.
+	update := func(p pair, s int, r storage.Row) error {
+		old, _ := p.real.Read(tbl, storage.TupleID(s))
+		err := p.real.Update(tbl, storage.TupleID(s), r)
+		if err == nil && (old == nil || ix.KeyFor(old) != ix.KeyFor(r)) {
+			if old != nil {
+				p.real.Unindex(ix, tbl, storage.TupleID(s), ix.KeyFor(old), false)
+			}
+			file(p, s, r)
+		}
+		return err
+	}
+	remove := func(p pair, s int) error {
+		old, _ := p.real.Read(tbl, storage.TupleID(s))
+		err := p.real.Delete(tbl, storage.TupleID(s))
+		if err == nil && old != nil {
+			p.real.Unindex(ix, tbl, storage.TupleID(s), ix.KeyFor(old), false)
+		}
+		return err
+	}
+	checkIndex := func(step int) {
+		t.Helper()
+		watermark := h.commitTS
+		if len(open) > 0 {
+			watermark = open[0].model.readTS
+		}
+		if got, want := ix.entries(), h.indexed(ix, watermark); !slices.Equal(got, want) {
+			t.Fatalf("step %d: at watermark %d the index holds %v, reachable versions carry %v", step, watermark, got, want)
 		}
 	}
 	chain := func(id int) []*storage.Version {
@@ -278,6 +384,7 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 	same("load", err, nil)
 	h.commit(loader.model)
 	checkFree(-1)
+	checkIndex(-1)
 
 	for step := 0; len(sched) >= 3; step++ {
 		op, who, where := sched[0], int(sched[1]), int(sched[2])
@@ -293,10 +400,9 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 		switch op % 8 {
 		case 0, 1: // (begin, when full) and read: the sweep below reads everything
 		case 2, 3:
-			same("update", p.real.Update(tbl, storage.TupleID(s), row(int64(s), val)),
-				h.write(p.model, s, row(int64(s), val), false))
+			same("update", update(p, s, row(int64(s), val)), h.write(p.model, s, row(int64(s), val), false))
 		case 4:
-			same("delete", p.real.Delete(tbl, storage.TupleID(s)), h.write(p.model, s, nil, true))
+			same("delete", remove(p, s), h.write(p.model, s, nil, true))
 		case 5:
 			if len(h.slots) < pruneMaxSlots {
 				insert(p, val)
@@ -333,6 +439,7 @@ func runSchedule(t testing.TB, sched []byte, maxOpen int) {
 			h.abort(p.model)
 		}
 		readAll(step)
+		checkIndex(step)
 		checkStats(step)
 		checkFree(step)
 	}

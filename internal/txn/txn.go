@@ -19,8 +19,16 @@
 // headers that only blocks refill. Tombstones, deleted versions and a full
 // list's overflow are not recycled, and each pins its block until no
 // version of the block is reachable; rows wider than maxRecycledWidth take
-// storage.NewVersion's and are left to the Go collector. Index entries are
-// not reclaimed (DESIGN.md §4, Version reclamation).
+// storage.NewVersion's and are left to the Go collector.
+//
+// Index entries leave at the same cut (DESIGN.md §4, Index reclamation).
+// The execution engine hands a transaction, through Unindex, each entry
+// its writes filed and each old key they left behind. An aborted
+// transaction's filed entries go at once; the keys a committed one left
+// behind wait on the Manager's queue, in commit order, until the watermark
+// reaches the commit, and each later commit or abort deletes those that
+// have. Neither deletes an entry whose key a version some running or future
+// snapshot can reach still carries.
 //
 // Recycling is what makes Read's rule hold: a row Read returns is valid
 // until its transaction ends. A version no snapshot can reach any longer
@@ -100,6 +108,31 @@ type Manager struct {
 	// tombstones.
 	versions  [maxRecycledWidth + 1]*storage.Version
 	nVersions [maxRecycledWidth + 1]int
+	// dead[deadOff:] queues, in commit order, the index entries committed
+	// transactions left behind that a running snapshot may still need.
+	dead    []indexEntry
+	deadOff int
+}
+
+// rowIndex is an index over a table's rows as the Manager sees it: the key a
+// row files under, and the removal of an entry. The catalog's indexes are
+// the ones.
+type rowIndex interface {
+	KeyFor(storage.Row) int64
+	Delete(key int64, tid storage.TupleID)
+}
+
+// indexEntry is ix's entry (key, tid) into slot tid of tbl. made says the
+// transaction's write filed it, which an abort undoes; otherwise the write
+// left it behind, and ts, once the transaction has committed, is its
+// commit timestamp.
+type indexEntry struct {
+	ix   rowIndex
+	tbl  *storage.Table
+	tid  storage.TupleID
+	key  int64
+	made bool
+	ts   uint64
 }
 
 // maxKeptWrites caps the write-set capacity a released transaction keeps
@@ -144,6 +177,49 @@ func (m *Manager) Begin() *Txn {
 	}
 	m.newest = t
 	return t
+}
+
+// watermark is the oldest running snapshot, or the snapshot the next Begin
+// would take when none runs: no running or future snapshot reads a slot
+// past the newest version that began at or before it.
+func (m *Manager) watermark() uint64 {
+	if m.oldest != nil {
+		return m.oldest.ReadTS
+	}
+	return m.commitTS
+}
+
+// reachable reports whether a version of e's slot that a snapshot at or
+// after watermark, or its uncommitted writer, may read carries e's key.
+func (e *indexEntry) reachable(watermark uint64) bool {
+	for v := e.tbl.Head(e.tid); v != nil; v = v.Next {
+		if !v.Deleted && e.ix.KeyFor(v.Values) == e.key {
+			return true
+		}
+		if v.TxnID == 0 && v.Begin <= watermark {
+			return false
+		}
+	}
+	return false
+}
+
+// reclaim deletes each queued entry whose commit is at or before watermark
+// unless a reachable version carries its key, and drops it from the queue.
+func (m *Manager) reclaim(watermark uint64) {
+	i := m.deadOff
+	for ; i < len(m.dead) && m.dead[i].ts <= watermark; i++ {
+		if e := &m.dead[i]; !e.reachable(watermark) {
+			e.ix.Delete(e.key, e.tid)
+		}
+	}
+	switch {
+	case i == len(m.dead):
+		m.dead, m.deadOff = m.dead[:0], 0
+	case 2*i > len(m.dead):
+		m.dead, m.deadOff = m.dead[:copy(m.dead, m.dead[i:])], 0
+	default:
+		m.deadOff = i
+	}
 }
 
 // finish takes t off the running list.
@@ -203,6 +279,8 @@ type Txn struct {
 	ReadTS uint64
 	state  State
 	writes []Write
+	// unindex holds the index entries t's writes filed or left behind.
+	unindex []indexEntry
 	// prev and next link the transaction into its Manager's running list
 	// (older and newer snapshot); both are nil once it has finished.
 	prev, next *Txn
@@ -233,6 +311,12 @@ func (t *Txn) Release() {
 	} else {
 		clear(t.writes)
 		t.writes = t.writes[:0]
+	}
+	if cap(t.unindex) > maxKeptWrites {
+		t.unindex = nil
+	} else {
+		clear(t.unindex)
+		t.unindex = t.unindex[:0]
 	}
 	t.mgr.free = append(t.mgr.free, t)
 }
@@ -346,6 +430,23 @@ func (t *Txn) write(tbl *storage.Table, id storage.TupleID, row storage.Row, del
 	return nil
 }
 
+// Unindex hands t the entry (key, tid) of ix into slot tid of tbl that a
+// write of t's filed, with made set, or left behind: the key of a row t
+// deleted, or the old key of one it moved. The entry leaves ix when no
+// running or future snapshot can reach a version of the slot that carries
+// key: a filed entry when t aborts, a left one at once if only t's own
+// write carried it, and otherwise once t has committed and every running
+// snapshot began at or after its commit. A write that files no entry and
+// leaves none behind, such as an update of no key column, hands t nothing.
+func (t *Txn) Unindex(ix rowIndex, tbl *storage.Table, tid storage.TupleID, key int64, made bool) {
+	e := indexEntry{ix: ix, tbl: tbl, tid: tid, key: key, made: made}
+	if !made && !e.reachable(t.mgr.watermark()) {
+		ix.Delete(key, tid)
+		return
+	}
+	t.unindex = append(t.unindex, e)
+}
+
 func kindFor(del bool) WriteKind {
 	if del {
 		return WriteDelete
@@ -364,6 +465,10 @@ func rowBytes(r storage.Row) int64 {
 // returns the commit timestamp. WAL persistence is the caller's concern
 // (the DBMS session hands the write set to the log serializer).
 //
+// The commit queues the index entries t's writes left behind, and deletes
+// every queued entry the watermark has passed: a key a version no snapshot
+// reaches any longer carried.
+//
 // The timestamp, the watermark, the stamps and the cut are one step: a
 // snapshot begun after the timestamp exists must find every version it
 // stamps already committed, or it would skip a head still owned by the
@@ -378,10 +483,7 @@ func (t *Txn) Commit() (uint64, error) {
 	m.commitTS++
 	ts := m.commitTS
 	m.finish(t)
-	watermark := ts
-	if m.oldest != nil {
-		watermark = m.oldest.ReadTS
-	}
+	watermark := m.watermark()
 	for _, w := range t.writes {
 		v := w.Version
 		v.Begin = ts
@@ -399,12 +501,22 @@ func (t *Txn) Commit() (uint64, error) {
 			v.Next = nil
 		}
 	}
+	for _, e := range t.unindex {
+		if !e.made {
+			e.ts = ts
+			m.dead = append(m.dead, e)
+		}
+	}
+	m.reclaim(watermark)
 	t.state = StateCommitted
 	return ts, nil
 }
 
 // Abort rolls the transaction back: updated/deleted slots get their old
 // heads restored; inserted slots become permanently-invisible tombstones.
+// The index entries t's writes filed leave, unless a version a snapshot can
+// reach carries the key, and so do the queued entries the watermark has
+// now passed.
 func (t *Txn) Abort() error {
 	if t.state != StateActive {
 		return ErrNotActive
@@ -430,6 +542,13 @@ func (t *Txn) Abort() error {
 			w.Version.Deleted = true
 		}
 	}
+	watermark := t.mgr.watermark()
+	for i := range t.unindex {
+		if e := &t.unindex[i]; e.made && !e.reachable(watermark) {
+			e.ix.Delete(e.key, e.tid)
+		}
+	}
+	t.mgr.reclaim(watermark)
 	t.state = StateAborted
 	return nil
 }
