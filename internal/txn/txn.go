@@ -27,8 +27,8 @@
 // transaction's filed entries go at once; the keys a committed one left
 // behind wait on the Manager's queue, in commit order, until the watermark
 // reaches the commit, and each later commit or abort deletes those that
-// have. Neither deletes an entry whose key a version some running or future
-// snapshot can reach still carries.
+// have. No entry goes while a version some running or future snapshot can
+// reach still carries its key.
 //
 // Recycling is what makes Read's rule hold: a row Read returns is valid
 // until its transaction ends. A version no snapshot can reach any longer

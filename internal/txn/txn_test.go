@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"tscout/internal/index"
 	"tscout/internal/storage"
 )
 
@@ -338,6 +339,62 @@ func TestTxnCycleAllocatesNothing(t *testing.T) {
 		tx.Release()
 	}); n != 0 {
 		t.Fatalf("a transaction cycle allocates %v objects, want 0", n)
+	}
+}
+
+// TestIndexReclaimAllocatesNothing: once warm, index reclamation allocates
+// nothing. Each cycle holds an older snapshot open, so the key a committed
+// update moves off waits on the Manager's queue, and an aborted update
+// files a key its abort deletes; ending the old snapshot drains the queue.
+func TestIndexReclaimAllocatesNothing(t *testing.T) {
+	m := NewManager()
+	tbl := newTestTable()
+	ix := histIndex{index.NewBTree()}
+	setup := m.Begin()
+	id, _ := setup.Insert(tbl, row(1, 0))
+	ix.Insert(0, int64(id))
+	setup.Commit()
+	setup.Release()
+	val := int64(0)
+	move := func(tx *Txn) {
+		old := val % histKeys
+		val++
+		if err := tx.Update(tbl, id, row(1, val)); err != nil {
+			t.Fatal(err)
+		}
+		tx.Unindex(ix, tbl, id, old, false)
+		ix.Insert(val%histKeys, int64(id))
+		tx.Unindex(ix, tbl, id, val%histKeys, true)
+	}
+	cycle := func() {
+		old := m.Begin()
+		tx := m.Begin()
+		move(tx)
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		tx.Release()
+		if len(m.dead) != 1 {
+			t.Fatalf("the queue holds %d entries, want 1", len(m.dead))
+		}
+		tx = m.Begin()
+		move(tx)
+		val--
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		tx.Release()
+		if _, err := old.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		old.Release()
+		if tids := ix.Search(val % histKeys); ix.Len() != 1 || len(tids) != 1 || tids[0] != int64(id) {
+			t.Fatalf("the index holds %d keys after the cycle, and %v under key %d; want only that", ix.Len(), tids, val%histKeys)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a reclaiming cycle allocates %v objects, want 0", n)
 	}
 }
 
