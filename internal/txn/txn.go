@@ -465,9 +465,9 @@ func rowBytes(r storage.Row) int64 {
 // returns the commit timestamp. WAL persistence is the caller's concern
 // (the DBMS session hands the write set to the log serializer).
 //
-// The commit queues the index entries t's writes left behind, and deletes
-// every queued entry the watermark has passed: a key a version no snapshot
-// reaches any longer carried.
+// The commit queues the index entries t's writes left behind, then deletes
+// each queued entry the watermark has passed whose key no reachable
+// version carries.
 //
 // The timestamp, the watermark, the stamps and the cut are one step: a
 // snapshot begun after the timestamp exists must find every version it
