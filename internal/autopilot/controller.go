@@ -9,10 +9,10 @@
 // ones burst back to full sampling until the models re-learn.
 //
 // Determinism: ticks fire from the workload driver's OnDrain hook at
-// virtual-time-scheduled points (never a wall clock); Sampler.SetRate
-// draws from per-subsystem noise streams, so retuning one subsystem
-// cannot perturb another's sampling field; model refreshes are seeded
-// pure functions of their inputs. A same-seed run with the controller
+// virtual-time-scheduled points (never a wall clock); a sampling field is
+// a pure function of (seed, subsystem, rate), so retuning one subsystem
+// cannot perturb another's; model refreshes are seeded pure functions of
+// their inputs. A same-seed run with the controller
 // attached is therefore bit-reproducible, and a run without it is
 // untouched (the golden fingerprint never sees this package).
 package autopilot

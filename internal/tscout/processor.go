@@ -785,7 +785,8 @@ func scaleMetrics(m Metrics, f float64) Metrics {
 // are overwriting faster than the Processor drains (paper §3.2). The
 // trigger compares this period's drops against this period's submissions —
 // delta against delta — so a drop burst fires the feedback no matter how
-// long the run has been going.
+// long the run has been going. A lowered rate keeps a subset of the bits
+// the field had (Sampler), so feedback only thins what is sampled.
 func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 	for _, sub := range AllSubsystems {
 		if deltaSub[sub] == 0 || deltaDrop[sub] == 0 {
@@ -794,11 +795,7 @@ func (p *Processor) applyFeedback(deltaSub, deltaDrop [NumSubsystems]int64) {
 		if float64(deltaDrop[sub]) > feedbackDropThreshold*float64(deltaSub[sub]) {
 			rate := p.ts.sampler.Rate(sub)
 			if rate > 1 {
-				// The feedback path stays on the sampler's shared stream:
-				// it runs once per drain in AllSubsystems order at
-				// deterministic virtual times, and the golden
-				// fingerprints pin its historical draw schedule.
-				p.ts.sampler.setRateShared(sub, rate*8/10)
+				p.ts.sampler.SetRate(sub, rate*8/10)
 				p.feedbackActions++
 			}
 		}

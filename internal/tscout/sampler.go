@@ -6,12 +6,6 @@ import "tscout/internal/sim"
 // (paper §5.3: "TS maintains a 100-bit field for each subsystem").
 const SamplingBits = 100
 
-// samplerStreamStride separates the per-subsystem noise-stream seeds from
-// each other and from the shared deployment-time stream (Knuth's golden
-// 32-bit multiplier keeps neighboring seeds uncorrelated under LCG-style
-// sources).
-const samplerStreamStride = 0x9E3779B9
-
 // Sampler implements TScout's per-subsystem adjustable sampling. Each
 // subsystem has a 100-bit field; a rate of N% sets N randomly-placed bits.
 // The random placement de-bursts collection: without shuffling, a
@@ -19,97 +13,51 @@ const samplerStreamStride = 0x9E3779B9
 // window and see much higher latency than its peers. Each thread keeps its
 // own offset into the field and advances it per candidate event.
 //
-// Two noise streams feed field regeneration, and the split is what makes
-// live retuning deterministic:
-//
-//   - SetRate (the controller path) draws from a per-subsystem stream, so
-//     the field a subsystem carries after its g-th retune is a pure
-//     function of (seed, subsystem, g). A controller retuning subsystem A
-//     can never perturb subsystem B's future fields, no matter how its
-//     retunes interleave with B's across epochs — with one shared
-//     stream, every call shifted every later subsystem's permutation,
-//     so archives diverged bit-for-bit the moment two runs disagreed on
-//     unrelated retune counts.
-//   - SetAllRates (deployment-time bulk init) and the Processor's §3.2
-//     overload feedback keep the original shared stream and its historical
-//     draw schedule. Both draw at fixed points (init runs before the
-//     workload; feedback runs once per drain in AllSubsystems order at
-//     deterministic virtual times), and the recorded golden fingerprints
-//     pin the exact fields that schedule produced.
+// Each subsystem's bit positions are shuffled once, at construction, and a
+// rate of N% sets the first N positions of that order. A field is therefore
+// a pure function of (seed, subsystem, rate): no retune, on any subsystem
+// and in any order, changes another subsystem's field, and lowering a rate
+// only clears bits.
 type Sampler struct {
-	// shared is the deployment-time/feedback stream.
-	shared *sim.Noise
-	// perSub holds one controller stream per subsystem.
-	perSub [NumSubsystems]*sim.Noise
+	// order holds each subsystem's shuffled bit positions.
+	order [NumSubsystems][SamplingBits]uint8
 	// bits holds the live sampling fields.
 	bits [NumSubsystems][SamplingBits]bool
 	// rates holds the configured percentages.
 	rates [NumSubsystems]int
 }
 
-// NewSampler creates a sampler with all rates at 0%.
+// NewSampler creates a sampler with all rates at 0%, shuffling each
+// subsystem's bit positions from the seed in AllSubsystems order.
 func NewSampler(seed int64) *Sampler {
-	return &Sampler{
-		shared: sim.NewNoise(seed, 0),
-		perSub: newPerSubStreams(seed),
+	s := &Sampler{}
+	src := sim.NewNoise(seed, 0)
+	for _, sub := range AllSubsystems {
+		for i, pos := range src.Perm(SamplingBits) {
+			s.order[sub][i] = uint8(pos)
+		}
 	}
-}
-
-// newPerSubStreams derives one independent controller stream per
-// subsystem from the deployment seed (see the type comment for why the
-// streams must be disjoint from the shared one and from each other).
-func newPerSubStreams(seed int64) [NumSubsystems]*sim.Noise {
-	var perSub [NumSubsystems]*sim.Noise
-	for i := range perSub {
-		perSub[i] = sim.NewNoise(seed+(int64(i)+1)*samplerStreamStride, 0)
-	}
-	return perSub
+	return s
 }
 
 // SetRate sets a subsystem's sampling rate in percent (clamped to
-// [0,100]) by regenerating its bit field with rate bits set at shuffled
-// positions. Rates are adjustable at runtime without redeploying (the
-// Fig. 8 experiment and the autopilot controller toggle them live); the
-// permutation comes from the subsystem's own noise stream, so retuning one
-// subsystem cannot perturb another's fields (see the type comment for the
-// determinism argument).
+// [0,100]) by setting the first rate positions of its shuffled order.
+// Rates are adjustable at runtime without redeploying (the Fig. 8
+// experiment, the autopilot controller and the Processor's §3.2 feedback
+// retune them live).
 func (s *Sampler) SetRate(sub SubsystemID, rate int) {
-	s.setRate(sub, rate, s.perSub[sub])
-}
-
-// setRateShared regenerates a field from the shared deployment-time
-// stream. It exists only for the two legacy paths — SetAllRates and the
-// Processor's overload feedback — whose draw schedule the golden
-// fingerprints pin; new callers must use SetRate.
-func (s *Sampler) setRateShared(sub SubsystemID, rate int) {
-	s.setRate(sub, rate, s.shared)
-}
-
-// setRate clamps, records, and regenerates one subsystem's field from the
-// given stream.
-func (s *Sampler) setRate(sub SubsystemID, rate int, src *sim.Noise) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 100 {
-		rate = 100
-	}
+	rate = min(max(rate, 0), 100)
 	s.rates[sub] = rate
-	var field [SamplingBits]bool
-	perm := src.Perm(SamplingBits)
-	for i := 0; i < rate; i++ {
-		field[perm[i]] = true
+	s.bits[sub] = [SamplingBits]bool{}
+	for _, pos := range s.order[sub][:rate] {
+		s.bits[sub][pos] = true
 	}
-	s.bits[sub] = field
 }
 
-// SetAllRates sets every subsystem to the same rate. It draws from the
-// shared deployment-time stream (not the per-subsystem controller
-// streams), preserving the historical draw schedule that the recorded
-// golden fingerprints depend on.
+// SetAllRates sets every subsystem to the same rate.
 func (s *Sampler) SetAllRates(rate int) {
 	for _, sub := range AllSubsystems {
-		s.setRateShared(sub, rate)
+		s.SetRate(sub, rate)
 	}
 }
 

@@ -2,6 +2,7 @@ package tscout
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -44,10 +45,8 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 	schedule := []int{37, 83, 12, 61, 100, 45}
 	var fields [][SamplingBits]bool
 	for epoch, rate := range schedule {
-		// Parallelism-dependent retunes of the *other* subsystem. With one
-		// shared noise stream these draws shifted the execution engine's
-		// next permutation, so runs at different drain widths silently
-		// disagreed on which events sampled.
+		// Parallelism-dependent retunes of the *other* subsystem: they
+		// must not change which of the execution engine's events sample.
 		for j := 0; j < par+epoch; j++ {
 			ts.Sampler().SetRate(SubsystemLogSerializer, 50+j)
 		}
@@ -70,11 +69,11 @@ func retuneRun(t *testing.T, seed int64, par int) ([][SamplingBits]bool, []Train
 	return fields, sinkOf(ts).pointsFor(SubsystemExecutionEngine)
 }
 
-// TestLiveRetuneBitEquality is the regression test for the shared-stream
-// SetRate bug: with rates toggled mid-run, a subsystem's sampling fields
-// (and therefore the points its sink receives) must be bit-equal across drain
-// parallelism 1/2/4 and across same-seed reruns, even when other
-// subsystems' retune counts differ per parallelism.
+// TestLiveRetuneBitEquality holds live retuning deterministic: with rates
+// toggled mid-run, a subsystem's sampling fields (and therefore the points
+// its sink receives) must be bit-equal across drain parallelism 1/2/4 and
+// across same-seed reruns, even when other subsystems' retune counts differ
+// per parallelism.
 func TestLiveRetuneBitEquality(t *testing.T) {
 	const seed = 9
 	baseFields, basePts := retuneRun(t, seed, 1)
@@ -104,9 +103,12 @@ func TestLiveRetuneBitEquality(t *testing.T) {
 	}
 }
 
-// TestRetuneIsolationAcrossSubsystems pins the per-subsystem stream
-// property directly: subsystem B's field after its g-th retune must not
-// depend on how many times subsystem A was retuned in between.
+// TestRetuneIsolationAcrossSubsystems pins that a field is a pure function
+// of (seed, subsystem, rate): subsystem B's field must not depend on how
+// often subsystem A was retuned; a field at rate r sets exactly r bits and
+// is a subset of the field at any higher rate; any history of SetRate,
+// SetAllRates and §3.2 feedback calls leaves every subsystem with a fresh
+// sampler's field at its rate; and a retune allocates nothing.
 func TestRetuneIsolationAcrossSubsystems(t *testing.T) {
 	fieldAfter := func(aRetunes int) [SamplingBits]bool {
 		s := NewSampler(123)
@@ -122,22 +124,86 @@ func TestRetuneIsolationAcrossSubsystems(t *testing.T) {
 			t.Fatalf("disk-writer field depends on %d unrelated networking retunes", n)
 		}
 	}
-	// Both paths regenerate a field: it sets as many bits as its rate.
-	s := NewSampler(7)
-	s.SetAllRates(100)
-	s.SetRate(SubsystemExecutionEngine, 30)
-	for _, c := range []struct {
-		sub  SubsystemID
-		rate int
-	}{{SubsystemExecutionEngine, 30}, {SubsystemNetworking, 100}} {
-		set := 0
-		for _, b := range s.bits[c.sub] {
-			if b {
-				set++
+
+	for _, seed := range []int64{7, 21, 123} {
+		// fresh[sub][r] is a new sampler's field at rate r.
+		var fresh [NumSubsystems][101][SamplingBits]bool
+		for _, sub := range AllSubsystems {
+			for r := 0; r <= 100; r++ {
+				s := NewSampler(seed)
+				s.SetRate(sub, r)
+				fresh[sub][r] = s.bits[sub]
 			}
 		}
-		if set != c.rate {
-			t.Fatalf("%s field sets %d bits, want its rate %d", c.sub, set, c.rate)
+		for _, sub := range AllSubsystems {
+			for r := 0; r <= 100; r++ {
+				set := 0
+				for i, b := range fresh[sub][r] {
+					if !b {
+						continue
+					}
+					set++
+					for hi := r + 1; hi <= 100; hi++ {
+						if !fresh[sub][hi][i] {
+							t.Fatalf("seed %d %s: bit %d is set at %d%% but not at %d%%", seed, sub, i, r, hi)
+						}
+					}
+				}
+				if set != r {
+					t.Fatalf("seed %d %s: field at %d%% sets %d bits", seed, sub, r, set)
+				}
+			}
+		}
+
+		// A seeded history of retunes through every path, the feedback
+		// through the Processor itself.
+		ts := New(kernel.New(sim.LargeHW, seed, 0), Config{Seed: seed})
+		s := ts.Sampler()
+		rng := rand.New(rand.NewSource(seed + 1))
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(3); op {
+			case 0:
+				s.SetRate(AllSubsystems[rng.Intn(len(AllSubsystems))], rng.Intn(121)-10)
+			case 1:
+				s.SetAllRates(rng.Intn(101))
+			case 2:
+				var sub, drop [NumSubsystems]int64
+				for i := range sub {
+					sub[i] = 100
+					drop[i] = int64(rng.Intn(2)) * 50
+				}
+				ts.Processor().applyFeedback(sub, drop)
+			}
+			for _, sub := range AllSubsystems {
+				if s.bits[sub] != fresh[sub][s.Rate(sub)] {
+					t.Fatalf("seed %d step %d: %s field at %d%% differs from a fresh sampler's", seed, step, sub, s.Rate(sub))
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { s.SetRate(SubsystemExecutionEngine, 37) }); allocs != 0 {
+			t.Fatalf("SetRate allocates %v objects a call", allocs)
+		}
+	}
+}
+
+// TestSamplerOrderPinned pins the positions a 10% rate sets at seed 21.
+// The shuffle decides which events Figs. 5 and 6 and the ledger's
+// fixed-rate workloads sample, so a change to it moves those figures.
+func TestSamplerOrderPinned(t *testing.T) {
+	s := NewSampler(21)
+	s.SetAllRates(10)
+	for sub, want := range map[SubsystemID][]int{
+		SubsystemExecutionEngine: {12, 30, 31, 50, 61, 65, 73, 76, 77, 84},
+		SubsystemDiskWriter:      {4, 6, 30, 34, 35, 44, 59, 76, 77, 84},
+	} {
+		var got []int
+		for i, b := range s.bits[sub] {
+			if b {
+				got = append(got, i)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s at 10%% sets %v, want %v", sub, got, want)
 		}
 	}
 }

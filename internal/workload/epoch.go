@@ -309,9 +309,9 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// per wakeup (no catch-up credit), checked at every epoch end. The
 		// legacy driver checks only at the clock of the next terminal to
 		// start, a different schedule: on the canonical TPC-C run it wakes
-		// 109 times in 39.4 virtual ms, drops 1 026 samples and fires §3.2
+		// 108 times in 39.8 virtual ms, drops 894 samples and fires §3.2
 		// feedback 13 times, ending at 20 % (execution engine) and 25 %
-		// (networking) sampling; this driver wakes 413 times in 113.8 ms,
+		// (networking) sampling; this driver wakes 407 times in 112.8 ms,
 		// drops none and stays at 100 % (testdata/golden.txt against
 		// testdata/golden_pooled.txt).
 		if srv.TS != nil && epochEnd-lastPoll >= cfg.ProcessorPollNS {
