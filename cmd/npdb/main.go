@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,11 +27,22 @@ import (
 	"tscout/internal/wal"
 )
 
-func main() {
-	profileName := flag.String("profile", "large", "hardware profile: large or small")
-	instrument := flag.Bool("instrument", false, "deploy TScout (Kernel-Continuous)")
-	rate := flag.Int("rate", 100, "sampling rate percent when instrumented")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the shell: it reads statements from in until EOF or \q and
+// returns the exit status, 2 for a usage error.
+func run(args []string, in io.Reader, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("npdb", flag.ExitOnError)
+	fs.SetOutput(errOut)
+	profileName := fs.String("profile", "large", "hardware profile: large or small")
+	instrument := fs.Bool("instrument", false, "deploy TScout (Kernel-Continuous)")
+	rate := fs.Int("rate", 100, "sampling rate percent (0-100) when instrumented")
+	fs.Parse(args) // a malformed flag exits 2, -h 0
+	if *rate < 0 || *rate > 100 {
+		fmt.Fprintf(errOut, "npdb: -rate %d is outside 0-100\n", *rate)
+		fs.Usage()
+		return 2
+	}
 
 	profile := sim.LargeHW
 	if *profileName == "small" {
@@ -47,55 +59,55 @@ func main() {
 		WAL:        wal.Config{GroupSize: 1},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "npdb: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(errOut, "npdb: %v\n", err)
+		return 1
 	}
 	if srv.TS != nil {
 		srv.TS.Sampler().SetAllRates(*rate)
 	}
 	se := srv.NewSession()
 
-	fmt.Printf("npdb — simulated %s (%d cores, %.1f GHz). End statements with Enter; \\q quits.\n",
+	fmt.Fprintf(out, "npdb — simulated %s (%d cores, %.1f GHz). End statements with Enter; \\q quits.\n",
 		profile.Name, profile.Cores, profile.ClockGHz)
-	fmt.Println("Try: CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(32)); INSERT INTO t VALUES (1, 'x'); SELECT * FROM t")
-	fmt.Println(`Meta: \q quit, \points show collected training points, \tables list tables.`)
+	fmt.Fprintln(out, "Try: CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(32)); INSERT INTO t VALUES (1, 'x'); SELECT * FROM t")
+	fmt.Fprintln(out, `Meta: \q quit, \points show collected training points, \tables list tables.`)
 
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := bufio.NewScanner(in)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
-		fmt.Print("npdb> ")
-		if !in.Scan() {
+		fmt.Fprint(out, "npdb> ")
+		if !sc.Scan() {
 			break
 		}
-		line := strings.TrimSpace(in.Text())
+		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "":
 			continue
 		case line == `\q`:
-			return
+			return 0
 		case line == `\tables`:
 			for _, n := range srv.Catalog.TableNames() {
-				fmt.Println(" ", n)
+				fmt.Fprintln(out, " ", n)
 			}
 			continue
 		case line == `\points`:
 			if srv.TS == nil {
-				fmt.Println("not instrumented (run with -instrument)")
+				fmt.Fprintln(out, "not instrumented (run with -instrument)")
 				continue
 			}
 			srv.TS.Processor().Drain(tscout.DrainOptions{})
 			pts, err := archivedPoints(sink, &arch)
 			if err != nil {
-				fmt.Printf("error: %v\n", err)
+				fmt.Fprintf(out, "error: %v\n", err)
 				continue
 			}
-			fmt.Printf("%d training points\n", len(pts))
+			fmt.Fprintf(out, "%d training points\n", len(pts))
 			for i, p := range pts {
 				if i >= 20 {
-					fmt.Println("  ... (truncated)")
+					fmt.Fprintln(out, "  ... (truncated)")
 					break
 				}
-				fmt.Printf("  %-16s %-18s features=%v elapsed=%dns\n",
+				fmt.Fprintf(out, "  %-16s %-18s features=%v elapsed=%dns\n",
 					p.OUName, p.Subsystem.String(), p.Features, p.Metrics.ElapsedNS)
 			}
 			continue
@@ -104,25 +116,26 @@ func main() {
 		before := se.Task.Now()
 		res, err := se.Execute(line)
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(out, "error: %v\n", err)
 			continue
 		}
 		elapsed := se.Task.Now() - before
 		if len(res.Cols) == 0 {
-			fmt.Printf("OK, %d row(s) affected  (%.1f us virtual)\n",
+			fmt.Fprintf(out, "OK, %d row(s) affected  (%.1f us virtual)\n",
 				res.Affected, float64(elapsed)/1000)
 			continue
 		}
-		fmt.Println(strings.Join(res.Cols, "\t"))
+		fmt.Fprintln(out, strings.Join(res.Cols, "\t"))
 		for _, row := range res.Rows {
 			cells := make([]string, len(row))
 			for i, v := range row {
 				cells[i] = v.String()
 			}
-			fmt.Println(strings.Join(cells, "\t"))
+			fmt.Fprintln(out, strings.Join(cells, "\t"))
 		}
-		fmt.Printf("(%d row(s), %.1f us virtual)\n", len(res.Rows), float64(elapsed)/1000)
+		fmt.Fprintf(out, "(%d row(s), %.1f us virtual)\n", len(res.Rows), float64(elapsed)/1000)
 	}
+	return 0
 }
 
 // archivedPoints seals what the sink has buffered and decodes the archive.
