@@ -41,6 +41,7 @@ cover:
 	@echo "---- per package ----"
 	@$(GO) test -cover ./... 2>/dev/null | awk '/coverage:/ {print $$2, $$5}'
 
-# Regenerate every figure at quick scale.
+# Re-record EXPERIMENTS.md's figure blocks from the figure-shape tests
+# (quick scale); a change that moves virtual time commits the diff.
 figures:
-	$(GO) run ./cmd/tsbench all
+	$(GO) test ./internal/experiment -count=1 -update

@@ -43,10 +43,11 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-
-	profile := sim.LargeHW
-	if *profileName == "small" {
-		profile = sim.SmallHW
+	profile, ok := map[string]sim.HardwareProfile{"large": sim.LargeHW, "small": sim.SmallHW}[*profileName]
+	if !ok {
+		fmt.Fprintf(errOut, "npdb: -profile %q is not large or small\n", *profileName)
+		fs.Usage()
+		return 2
 	}
 	// The training archive: the Processor's sink, read back by \points.
 	var arch bytes.Buffer

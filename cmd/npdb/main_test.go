@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,29 @@ func TestRateOutsidePercentIsUsageError(t *testing.T) {
 		}
 		if !strings.Contains(out.String(), "training points") {
 			t.Errorf("-rate %s: \\points printed nothing: %q", rate, out.String())
+		}
+	}
+}
+
+func TestUnknownProfileIsUsageError(t *testing.T) {
+	for _, profile := range []string{"smal", "Large", ""} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-profile", profile}, strings.NewReader(""), &out, &errOut)
+		if code != 2 || !strings.Contains(errOut.String(), fmt.Sprintf("-profile %q is not large or small", profile)) ||
+			!strings.Contains(errOut.String(), "Usage of npdb") {
+			t.Errorf("-profile %q: exit %d, stderr %q; want 2, the choices and the usage", profile, code, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-profile %q: the shell started: %q", profile, out.String())
+		}
+	}
+	for _, profile := range []string{"large", "small"} {
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-profile", profile}, strings.NewReader("\\q\n"), &out, &errOut); code != 0 {
+			t.Fatalf("-profile %s: exit %d, stderr %q", profile, code, errOut.String())
+		}
+		if !strings.Contains(out.String(), "simulated "+profile) {
+			t.Errorf("-profile %s: banner %q does not name the profile", profile, out.String())
 		}
 	}
 }

@@ -89,7 +89,7 @@ func TestMarkerCycleDispatchedOps(t *testing.T) {
 // pure feature-serialization path whose cost is all Collector code rather
 // than shared kernel helpers. TestMarkerCycleDispatchedOps and
 // TestCollectorsMatchInterpreter are the correctness side; this reports
-// the speed side for EXPERIMENTS.md.
+// the speed side, whose tables CHANGES.md records.
 //
 // Run: go test ./internal/bpf -run xxx -bench CollectorInterpVsCompiled -benchtime 2s
 func BenchmarkCollectorInterpVsCompiled(b *testing.B) {

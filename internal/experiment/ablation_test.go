@@ -4,11 +4,11 @@ import "testing"
 
 func TestAblationNoise(t *testing.T) {
 	t.Parallel()
-	sc := quickAcc()
-	rows, err := AblationNoise(sc)
+	rows, err := AblationNoise(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "ablation-noise", rows, renderAblationNoise)
 	if len(rows) != 4 || rows[0].Sigma != 0 {
 		t.Fatalf("rows: %+v", rows)
 	}
@@ -29,11 +29,11 @@ func TestAblationNoise(t *testing.T) {
 
 func TestAblationGroupCommit(t *testing.T) {
 	t.Parallel()
-	sc := quickAcc()
-	rows, err := AblationGroupCommit(sc)
+	rows, err := AblationGroupCommit(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "ablation-group-commit", rows, renderAblationGroupCommit)
 	if len(rows) != 4 || rows[0].GroupSize != 1 {
 		t.Fatalf("rows: %+v", rows)
 	}
@@ -57,11 +57,11 @@ func TestAblationGroupCommit(t *testing.T) {
 
 func TestAblationSamplingGranularity(t *testing.T) {
 	t.Parallel()
-	sc := quickAcc()
-	rows, err := AblationSamplingGranularity(sc)
+	rows, err := AblationSamplingGranularity(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "ablation-granularity", rows, renderAblationGranularity)
 	if len(rows) != 3 {
 		t.Fatalf("rows: %+v", rows)
 	}
@@ -80,11 +80,11 @@ func TestAblationSamplingGranularity(t *testing.T) {
 
 func TestAblationExternalCollection(t *testing.T) {
 	t.Parallel()
-	sc := quickAcc()
-	rows, err := AblationExternalCollection(sc)
+	rows, err := AblationExternalCollection(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "ablation-external", rows, renderAblationExternal)
 	if len(rows) != 3 {
 		t.Fatalf("rows: %+v", rows)
 	}

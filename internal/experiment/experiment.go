@@ -1,9 +1,10 @@
 // Package experiment regenerates every table and figure of the paper's
-// evaluation (§6). Each FigN function returns the rows the paper plots;
-// cmd/tsbench prints them and this package's Test*Shape tests pin them.
-// Absolute numbers come from the simulated substrate, so EXPERIMENTS.md
-// compares shapes (who wins, by what factor, where crossovers fall)
-// rather than raw values.
+// evaluation (§6). Each FigN function returns the rows the paper plots, and
+// Render writes them as text: cmd/tsbench prints it, and this package's
+// Test*Shape tests assert each figure's shape and hold its text to the
+// figure's block in EXPERIMENTS.md. Absolute numbers come from the
+// simulated substrate, so EXPERIMENTS.md compares shapes (who wins, by what
+// factor, where crossovers fall) rather than raw values.
 package experiment
 
 import (
@@ -20,8 +21,8 @@ import (
 	"tscout/internal/workload"
 )
 
-// Scale selects experiment fidelity: Quick for CI-speed runs, Full for
-// the numbers recorded in EXPERIMENTS.md.
+// Scale selects experiment fidelity: Quick for the figure-shape tests and
+// EXPERIMENTS.md's blocks, Full for denser sweeps (`tsbench -full`).
 type Scale struct {
 	// OnlineTxns is the per-collection transaction budget.
 	OnlineTxns int
@@ -33,15 +34,15 @@ type Scale struct {
 	ConvergenceSizes []int
 }
 
-// Quick is the CI-speed scale.
+// Quick is the one scale the figure-shape tests run and EXPERIMENTS.md records.
 var Quick = Scale{
-	OnlineTxns:       1500,
+	OnlineTxns:       1200,
 	RunnerScale:      1,
-	RatePoints:       []int{0, 20, 60, 100},
-	ConvergenceSizes: []int{200, 500, 1000, 2000},
+	RatePoints:       []int{0, 20, 100},
+	ConvergenceSizes: []int{150, 400, 1000},
 }
 
-// Full is the EXPERIMENTS.md scale.
+// Full sweeps more points, more slowly (`tsbench -full`).
 var Full = Scale{
 	OnlineTxns:       6000,
 	RunnerScale:      2,

@@ -158,10 +158,10 @@ type SummaryRow struct {
 // Summary computes the paper's §6.2 claims on the YCSB workload: ~7%
 // overhead at the recommended setting and a ~3x collection-rate advantage
 // for Kernel-Continuous.
-func Summary() (*SummaryRow, error) {
+func Summary(sc Scale) (*SummaryRow, error) {
 	run := func(mode tscout.Mode, rate int) (float64, float64, error) {
 		r, err := runOnline(serverConfig(defaultProfile(), mode, true, 7, false), &workload.YCSB{Records: 4000}, rate,
-			workload.Config{Terminals: 20, Transactions: Quick.OnlineTxns, Seed: 7}, nil)
+			workload.Config{Terminals: 20, Transactions: sc.OnlineTxns, Seed: 7}, nil)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -177,15 +177,19 @@ func Summary() (*SummaryRow, error) {
 	}
 	out := &SummaryRow{KernelOverheadPctAt10: (base - at10) / base * 100}
 	for _, rate := range []int{10, 20, 30} {
-		if _, sps, err := run(tscout.KernelContinuous, rate); err == nil && sps > out.KernelPeakSamplesPerSec {
-			out.KernelPeakSamplesPerSec = sps
+		_, sps, err := run(tscout.KernelContinuous, rate)
+		if err != nil {
+			return nil, err
 		}
+		out.KernelPeakSamplesPerSec = max(out.KernelPeakSamplesPerSec, sps)
 	}
 	for _, mode := range []tscout.Mode{tscout.UserToggle, tscout.UserContinuous} {
 		for _, rate := range []int{10, 30, 100} {
-			if _, sps, err := run(mode, rate); err == nil && sps > out.BestUserSamplesPerSec {
-				out.BestUserSamplesPerSec = sps
+			_, sps, err := run(mode, rate)
+			if err != nil {
+				return nil, err
 			}
+			out.BestUserSamplesPerSec = max(out.BestUserSamplesPerSec, sps)
 		}
 	}
 	return out, nil

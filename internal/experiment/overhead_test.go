@@ -12,6 +12,7 @@ func TestFig1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "fig1", rows, renderFig1)
 	if len(rows) != 3 {
 		t.Fatalf("rows: %+v", rows)
 	}
@@ -34,13 +35,12 @@ func TestFig5and6Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	sc := Quick
-	sc.OnlineTxns = 800
-	sc.RatePoints = []int{0, 20, 100}
-	rows, err := Fig5and6(sc)
+	rows, err := Fig5and6(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "fig5", rows, renderFig5)
+	checkBlock(t, "fig6", rows, renderFig6)
 	// Index rows by (workload, mode, rate).
 	type key struct {
 		wl   string
@@ -91,12 +91,11 @@ func TestFig5and6Shapes(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	t.Parallel()
-	sc := Quick
-	sc.OnlineTxns = 1000
-	rows, err := Fig8(sc)
+	rows, err := Fig8(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "fig8", rows, renderFig8)
 	if len(rows) != 3 {
 		t.Fatalf("phases: %+v", rows)
 	}
@@ -125,10 +124,11 @@ func TestSummaryClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep")
 	}
-	s, err := Summary()
+	s, err := Summary(Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkBlock(t, "summary", s, renderSummary)
 	// Paper §6.2: ~7% overhead at the recommended configuration; the
 	// shape constraint here is "small but nonzero".
 	if s.KernelOverheadPctAt10 <= 0 || s.KernelOverheadPctAt10 > 25 {

@@ -198,7 +198,7 @@ func TestRingBiasTATP(t *testing.T) {
 // logs both pools' execution-engine model error.
 func TestRingBiasFig11(t *testing.T) {
 	t.Parallel()
-	sc := quickAcc()
+	sc := Quick
 	const terminals = 20
 	seed := int64(82 + terminals)
 	offline, err := collectOffline(defaultProfile(), 81, sc)

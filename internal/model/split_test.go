@@ -377,8 +377,8 @@ func rowVisits(tree *treeNode, X [][]float64, idx []int, mtry int) int {
 
 // BenchmarkBuildTree is what a row-visit costs down each path: the TPC-C
 // groups (every column coded) as they are and with their codes taken away,
-// and a continuous matrix no column of which can be coded. It backs the
-// split-search table in EXPERIMENTS.md.
+// and a continuous matrix no column of which can be coded. Its split-search
+// table is on CHANGES.md's line for the coded columns.
 func BenchmarkBuildTree(b *testing.B) {
 	tpcc := tpccGroups(b)
 	var continuous trainingGroup

@@ -446,7 +446,7 @@ func TestDrainRunsOnCaller(t *testing.T) {
 // draining. Drain threads are a virtual-time construct, so they do not
 // scale it: what it compares is the per-ring cost of a pass (more, smaller
 // batches with eight CPUs) and the small per-thread bookkeeping of the
-// waterfill and the charges. EXPERIMENTS.md records the table.
+// waterfill and the charges. CHANGES.md records the table.
 func BenchmarkDrainPerCPUvsSingle(b *testing.B) {
 	run := func(b *testing.B, numCPUs, threads int) {
 		ts, _ := newPerCPU(KernelContinuous, 1, numCPUs, 1024, threads)

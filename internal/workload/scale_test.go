@@ -135,7 +135,7 @@ func TestScaleSmoke(t *testing.T) {
 // scales with the topology (one thread per four CPUs). The metrics are
 // virtual-time training-sample and transaction throughput; sample
 // throughput must scale ≥3x from 1 to 8 CPUs and keep improving at 32
-// (EXPERIMENTS.md records the reference numbers).
+// (CHANGES.md records the reference numbers).
 //
 // The WAL runs large commit groups on a short flush interval: pooled runs
 // are commit-latency-bound, so keeping group formation fast is what lets
@@ -172,7 +172,7 @@ func BenchmarkEndToEndNumCPUs(b *testing.B) {
 // the driver, the gate and the DBMS under them; an epoch that costs its
 // state changes rather than its terminal census keeps ns/txn close to flat
 // (what is left at 20 000 is seeding that many terminal RNGs).
-// EXPERIMENTS.md records the table.
+// CHANGES.md records the table.
 func BenchmarkPooledTerminals(b *testing.B) {
 	const txns = 20_000
 	for _, terminals := range []int{200, 2000, 20000} {

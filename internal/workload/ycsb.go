@@ -42,7 +42,7 @@ func (y *YCSB) Setup(srv *dbms.Server) error {
 		[]string{"ycsb_key"}, []uint{32}, true); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(1)) //tsvet:ignore seeded-source population seed is part of the dataset definition; cmd/tsbench/testdata/fig8.golden depends on it
+	rng := rand.New(rand.NewSource(1)) //tsvet:ignore seeded-source population seed is part of the dataset definition; EXPERIMENTS.md's YCSB figure blocks depend on it
 	field := pad("", 100)
 	cells := make([]storage.Value, 0, 11*y.records())
 	for i := 0; i < y.records(); i++ {
