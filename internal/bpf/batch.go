@@ -1,12 +1,14 @@
 package bpf
 
 // Batch is the reusable destination of the batched drain path: a list of
-// lent samples. A drain appends each ring slot's own bytes to it without
-// copying them, so a drain cycle makes no per-sample allocation and copies
-// no sample once the list has grown to the working-set size. A lent sample
-// is the ring's: it stays valid until that ring's next submission, which
-// may refill its slot, so a consumer reads what it needs from a batch
-// before anything submits to the rings it drained, and never writes to it.
+// lent samples. A drain appends each sample's slot in its ring's arena to
+// it without copying the bytes, so a drain cycle makes no per-sample
+// allocation and copies no sample once the list has grown to the
+// working-set size. A lent sample is the ring's: it stays valid until that
+// ring's next submission, which may overwrite its slot, so a consumer reads
+// what it needs from a batch before anything submits to the rings it
+// drained, and never writes to it. Each sample is capped at its length,
+// because the next slot's sample follows it in the arena.
 type Batch struct {
 	samples [][]byte
 }

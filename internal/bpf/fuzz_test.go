@@ -1,6 +1,7 @@
 package bpf
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -279,9 +280,12 @@ func FuzzRingbuf(f *testing.F) {
 // per CPU: submissions route by CPU (with wrap-around for out-of-range
 // values), each ring is an independent FIFO with overwrite-oldest-on-full,
 // and both the per-ring and the aggregate accounting identities
-// submitted == drained + dropped + pending hold at every step. Capacities
-// run to 200, so rings grow, and no ring may own more than
-// max(ringMinSlots, 2×its high water) slots after any operation.
+// submitted == drained + dropped + pending hold at every step. Payloads run
+// from 2 to 9 bytes, so a longer sample widens a ring's slots mid-ring,
+// after a wrap and at capacity, and every drained sample is compared whole.
+// Capacities run to 200, so rings grow, and no ring may own more than
+// max(ringMinSlots, 2×its high water) slots, or slots wider than the
+// longest sample it has held, after any operation.
 func FuzzPerCPURing(f *testing.F) {
 	f.Add(uint8(3), uint8(4), []byte{0x09, 0x51, 0x0B, 0xFF, 0x00})
 	f.Add(uint8(1), uint8(1), []byte{0x09, 0x09, 0x0B, 0x15})
@@ -299,6 +303,7 @@ func FuzzPerCPURing(f *testing.F) {
 			dropped   int64
 			drained   int64
 			high      int
+			width     int // the longest sample since the last reset
 		}
 		ms := make([]model, cpus)
 		next := byte(0)
@@ -307,8 +312,12 @@ func FuzzPerCPURing(f *testing.F) {
 		for _, op := range ops {
 			cpu := int(op>>3) % cpus
 			switch op & 0x7 {
-			case 0, 1: // submit a tagged sample from cpu
-				payload := []byte{next, byte(op)}
+			case 0, 1: // submit a tagged sample of 2 to 9 bytes from cpu
+				payload := make([]byte, 2+int(op>>5))
+				payload[0] = next
+				for i := 1; i < len(payload); i++ {
+					payload[i] = op + byte(i)
+				}
 				next++
 				r.SubmitFrom(int(op>>3), payload) // ring wraps out-of-range itself
 				m := &ms[cpu]
@@ -319,6 +328,7 @@ func FuzzPerCPURing(f *testing.F) {
 				}
 				m.queue = append(m.queue, payload)
 				m.high = max(m.high, len(m.queue))
+				m.width = max(m.width, len(payload))
 			case 2: // legacy Submit routes to cpu 0
 				payload := []byte{next, 0xEE}
 				next++
@@ -331,6 +341,7 @@ func FuzzPerCPURing(f *testing.F) {
 				}
 				m.queue = append(m.queue, payload)
 				m.high = max(m.high, len(m.queue))
+				m.width = max(m.width, len(payload))
 			case 3, 4: // drain one ring into a reused batch
 				max := cpu + 1 // reuse the routed cpu as a small max
 				batch.Reset()
@@ -345,7 +356,7 @@ func FuzzPerCPURing(f *testing.F) {
 				}
 				for i := 0; i < n; i++ {
 					s, w := batch.Sample(i), m.queue[i]
-					if len(s) != len(w) || s[0] != w[0] || s[1] != w[1] {
+					if !bytes.Equal(s, w) {
 						t.Fatalf("cpu %d drain order: sample %d = %v, model %v", cpu, i, s, w)
 					}
 				}
@@ -389,10 +400,14 @@ func FuzzPerCPURing(f *testing.F) {
 					ms[c] = model{}
 				}
 			}
-			// A ring owns slots for its high water, never for its capacity.
+			// A ring owns slots for its high water, never for its capacity,
+			// each as wide as its longest sample.
 			for c := range ms {
-				if n, bound := len(r.rings[c].slots), min(capV, max(ringMinSlots, 2*ms[c].high)); n > bound {
+				if n, bound := len(r.rings[c].lens), min(capV, max(ringMinSlots, 2*ms[c].high)); n > bound {
 					t.Fatalf("cpu %d owns %d slots at high water %d, want <= %d", c, n, ms[c].high, bound)
+				}
+				if w := r.rings[c].width; w != ms[c].width {
+					t.Fatalf("cpu %d has %d-byte slots, longest sample %d", c, w, ms[c].width)
 				}
 			}
 		}

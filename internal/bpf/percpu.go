@@ -10,7 +10,8 @@ type RingStats struct {
 	Pending   int   // samples currently buffered
 	// HighWater is the peak Pending since creation/Reset (overflow
 	// forensics). A ring's host memory follows it, not Capacity: a ring
-	// owns at most max(16, 2×HighWater) slots and slot buffers.
+	// owns at most max(16, 2×HighWater) slots, each as wide as the longest
+	// sample it has held.
 	HighWater int
 	Capacity  int
 }
@@ -19,15 +20,20 @@ type RingStats struct {
 const ringMinSlots = 16
 
 // cpuRing is one CPU's slice of a PerCPURing: a bounded FIFO with its own
-// counters, like one CPU's mmap'd perf buffer. Its slot array starts empty
-// and doubles, up to the ring set's per-CPU capacity, only when a
-// submission finds every slot full, so a ring owns at most
-// max(ringMinSlots, 2×high water) slots whatever its capacity. Slot backing
-// arrays are reused across submissions (copy-in truncates and refills the
-// slot), so a ring that has reached its high water, and whose head has
-// gone round the slot array once, submits and drains with zero allocations.
+// counters, like one CPU's mmap'd perf buffer. Its samples live in one byte
+// arena of fixed-width slots: slot i is buf[i*width : i*width+lens[i]], and
+// width is the longest sample the ring has held (the Collector always
+// submits tscout.SampleMaxBytes, so in production the first sample sets it
+// for good). The arena starts empty and doubles its slot count, up to the
+// ring set's per-CPU capacity, only when a submission finds every slot
+// full, so a ring owns at most max(ringMinSlots, 2×high water) slots
+// whatever its capacity. Submission copies into the arena in place, so a
+// ring allocates only when it grows: two objects a doubling or widening,
+// and the arena holds no pointer for the GC to scan.
 type cpuRing struct {
-	slots     [][]byte
+	buf       []byte  // len(lens) slots of width bytes each
+	lens      []int32 // each slot's sample length
+	width     int
 	head      int // index of oldest entry
 	count     int
 	high      int
@@ -36,28 +42,37 @@ type cpuRing struct {
 	dropped   int64
 }
 
-// grow doubles the full slot array (to ringMinSlots from empty, never past
-// capacity) and rotates the live entries, oldest first, to index 0. A full
-// array has no dead slot, so every slot buffer moves along for reuse.
-func (r *cpuRing) grow(capacity int) {
-	slots := make([][]byte, min(max(2*len(r.slots), ringMinSlots), capacity))
-	n := copy(slots, r.slots[r.head:])
-	copy(slots[n:], r.slots[:r.head])
-	r.slots, r.head = slots, 0
+// grow re-lays the ring into a new arena: it doubles the slot count of a
+// full ring (to ringMinSlots from empty, never past capacity) and widens
+// the slots to need bytes when a longer sample arrives. The live entries
+// move, oldest first, to slot 0.
+func (r *cpuRing) grow(capacity, need int) {
+	slots := len(r.lens)
+	if r.count == slots {
+		slots = min(max(2*slots, ringMinSlots), capacity)
+	}
+	width := max(r.width, need)
+	buf, lens := make([]byte, slots*width), make([]int32, slots)
+	for i := 0; i < r.count; i++ {
+		j := (r.head + i) % len(r.lens)
+		lens[i] = int32(copy(buf[i*width:], r.buf[j*r.width:j*r.width+int(r.lens[j])]))
+	}
+	r.buf, r.lens, r.width, r.head = buf, lens, width, 0
 }
 
 // submit copies data into the next slot, overwriting the oldest entry when
-// every slot is full. SubmitFrom grows a full ring that is below capacity
-// first, so a full slot array here is a full ring. Growth stays out of
-// submit: a call from it would push submit past the inliner's budget, and
-// submit runs on every sample a Collector outputs (scripts/check.sh lint,
+// every slot is full. SubmitFrom grows a full ring that is below capacity,
+// and widens the slots for a longer sample, first, so a full slot array
+// here is a full ring and data fits its slot. Growth stays out of submit:
+// a call from it would push submit past the inliner's budget, and submit
+// runs on every sample a Collector outputs (scripts/check.sh lint,
 // submit_inlined).
 func (r *cpuRing) submit(data []byte) {
-	slot := (r.head + r.count) % len(r.slots)
-	if r.count == len(r.slots) {
+	slot := (r.head + r.count) % len(r.lens)
+	if r.count == len(r.lens) {
 		// Full: overwrite the oldest (TScout never blocks the submitter).
 		slot = r.head
-		r.head = (r.head + 1) % len(r.slots)
+		r.head = (r.head + 1) % len(r.lens)
 		r.dropped++
 	} else {
 		r.count++
@@ -65,21 +80,22 @@ func (r *cpuRing) submit(data []byte) {
 			r.high = r.count
 		}
 	}
-	r.slots[slot] = append(r.slots[slot][:0], data...)
+	r.lens[slot] = int32(copy(r.buf[slot*r.width:], data))
 	r.submitted++
 }
 
 // drainBatch lends up to max of the oldest entries (0 or less = all) to dst
-// in submission order. The slots keep their buffers: a lent entry stays as
-// it was until the next submission to this ring refills its slot.
+// in submission order. The arena keeps its bytes: a lent entry stays as it
+// was until the next submission to this ring overwrites its slot.
 func (r *cpuRing) drainBatch(dst *Batch, max int) int {
 	n := r.count
 	if max > 0 && max < n {
 		n = max
 	}
 	for i := 0; i < n; i++ {
-		dst.Append(r.slots[r.head])
-		r.head = (r.head + 1) % len(r.slots)
+		off := r.head * r.width
+		dst.Append(r.buf[off : off+int(r.lens[r.head])])
+		r.head = (r.head + 1) % len(r.lens)
 	}
 	r.count -= n
 	r.drained += int64(n)
@@ -148,8 +164,8 @@ func (r *PerCPURing) SubmitFrom(cpu int, data []byte) {
 		cpu = 0
 	}
 	ring := &r.rings[cpu%len(r.rings)]
-	if ring.count == len(ring.slots) && ring.count < r.perCPUCap {
-		ring.grow(r.perCPUCap)
+	if ring.count == len(ring.lens) && ring.count < r.perCPUCap || len(data) > ring.width {
+		ring.grow(r.perCPUCap, len(data))
 	}
 	ring.submit(data)
 }
@@ -161,8 +177,9 @@ func (r *PerCPURing) Submit(data []byte) { r.SubmitFrom(0, data) }
 // DrainBatch removes up to max samples (0 or less = everything) from one
 // CPU's ring in submission order, lending them to dst, and returns the
 // number drained. Nothing is copied or allocated per sample: each sample in
-// dst is the ring slot's own bytes, valid until the next submission to
-// that CPU's ring (or Reset), so read a batch before submitting again.
+// dst is its slot's bytes in the ring's arena, valid until the next
+// submission to that CPU's ring (or Reset), so read a batch before
+// submitting again.
 func (r *PerCPURing) DrainBatch(cpu int, dst *Batch, max int) int {
 	if cpu < 0 || cpu >= len(r.rings) {
 		return 0

@@ -3,6 +3,7 @@ package bpf
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"tscout/internal/kernel"
@@ -74,14 +75,14 @@ func TestPerCPURingOverwriteAndIdentity(t *testing.T) {
 	}
 }
 
-// TestPerCPURingDrainIsAllocationFree is the tentpole's zero-allocation
-// contract: once the slot buffers and the destination batch have warmed
-// up, a submit → drain cycle allocates nothing.
+// TestPerCPURingDrainIsAllocationFree is the ring's zero-allocation
+// contract: once the arenas and the destination batch have warmed up, a
+// submit → drain cycle allocates nothing.
 func TestPerCPURingDrainIsAllocationFree(t *testing.T) {
 	r := NewPerCPURing("t/percpu", 2, 64)
 	payload := bytes.Repeat([]byte{7}, 248)
 	var b Batch
-	// Warm-up: grow every slot buffer and the batch buffer.
+	// Warm-up: grow every arena and the batch buffer.
 	for i := 0; i < 128; i++ {
 		r.SubmitFrom(i%2, payload)
 	}
@@ -153,9 +154,11 @@ func TestBatchSampleBoundaries(t *testing.T) {
 }
 
 // TestDrainLendsUntilNextSubmission pins the lending contract: a drained
-// sample is its ring slot's bytes, unchanged by drains of other rings and
-// by submissions to them, until its own ring's next submission refills
-// the slot.
+// sample is its slot's bytes in its ring's arena, unchanged by drains of
+// other rings and by submissions to them, until its own ring's next
+// submission overwrites the slot. Slots sit side by side in one arena, so
+// every lent sample is capped at its length: an append to one reallocates
+// instead of writing over the next slot's sample.
 func TestDrainLendsUntilNextSubmission(t *testing.T) {
 	r := NewPerCPURing("t/lend", 2, 1)
 	r.SubmitFrom(0, []byte{1, 1})
@@ -170,6 +173,54 @@ func TestDrainLendsUntilNextSubmission(t *testing.T) {
 	r.SubmitFrom(0, []byte{4, 4})
 	if !bytes.Equal(b.Sample(0), []byte{4, 4}) {
 		t.Fatalf("CPU 0's sample is %v after its slot was refilled: the drain copied it", b.Sample(0))
+	}
+
+	// Three slots of one arena, drained in one batch: the first sample is
+	// shorter than the slot width, so its spare bytes lie between it and
+	// the next sample.
+	r = NewPerCPURing("t/lend", 1, 4)
+	for _, s := range [][]byte{{5}, {6, 6, 6}, {7, 7, 7}} {
+		r.SubmitFrom(0, s)
+	}
+	b.Reset()
+	if n := r.DrainBatch(0, &b, 0); n != 3 {
+		t.Fatalf("drained %d, want 3", n)
+	}
+	for i := 0; i < b.Len(); i++ {
+		s := b.Sample(i)
+		if cap(s) != len(s) {
+			t.Fatalf("lent sample %d has length %d but capacity %d", i, len(s), cap(s))
+		}
+		_ = append(s, 9, 9, 9, 9, 9, 9)
+	}
+	for i, want := range [][]byte{{5}, {6, 6, 6}, {7, 7, 7}} {
+		if !bytes.Equal(b.Sample(i), want) {
+			t.Fatalf("sample %d is %v after appends to the samples before it, want %v", i, b.Sample(i), want)
+		}
+	}
+}
+
+// TestRingGrowthAllocations pins the arena's cost: a ring filled from empty
+// to a capacity of 4 096 with Collector-sized samples doubles nine times
+// (16, 32, …, 4 096 slots) and allocates only its new arena and lengths
+// each time, never a buffer per slot.
+func TestRingGrowthAllocations(t *testing.T) {
+	const capacity, sampleBytes, doublings = 4096, 248, 9
+	r := NewPerCPURing("t/growth", 1, capacity)
+	payload := bytes.Repeat([]byte{7}, sampleBytes)
+	fill := func() {
+		r.Reset()
+		for i := 0; i < capacity; i++ {
+			r.SubmitFrom(0, payload)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection cycle allocates
+	allocs := testing.AllocsPerRun(5, fill)
+	if st := r.Stats(); st.Pending != capacity || st.Dropped != 0 || len(r.rings[0].lens) != capacity {
+		t.Fatalf("fill left %+v in %d slots, want %d pending in %d", st, len(r.rings[0].lens), capacity, capacity)
+	}
+	if allocs > float64(2*doublings) {
+		t.Fatalf("filling a ring to %d slots allocates %.0f objects, want <= %d (2 a doubling)", capacity, allocs, 2*doublings)
 	}
 }
 
@@ -236,7 +287,7 @@ func TestRingSlotsTrackHighWater(t *testing.T) {
 				if got := r.AppendCPUStats(nil)[0]; got != want {
 					t.Fatalf("%s: stats %+v, model %+v", op, got, want)
 				}
-				if n, bound := len(ring.slots), min(capacity, max(ringMinSlots, 2*want.HighWater)); n > bound {
+				if n, bound := len(ring.lens), min(capacity, max(ringMinSlots, 2*want.HighWater)); n > bound {
 					t.Fatalf("%s: %d slots at high water %d, want <= %d", op, n, want.HighWater, bound)
 				}
 			}
@@ -289,7 +340,7 @@ func TestRingSlotsTrackHighWater(t *testing.T) {
 			}
 			// Steady state at H: empty the ring and refill it to H until the
 			// head has gone round every slot the ring owns.
-			for i := 0; i < 2*len(ring.slots)/high+2; i++ {
+			for i := 0; i < 2*len(ring.lens)/high+2; i++ {
 				drain(0)
 				for len(queue) < high {
 					submit()

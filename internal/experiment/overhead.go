@@ -94,12 +94,14 @@ func Fig5and6(sc Scale) ([]OverheadRow, error) {
 	return rows, nil
 }
 
-// Fig8Row is one phase of Figure 8's adjustable-sampling timeline.
+// Fig8Row is one phase of Figure 8's adjustable-sampling timeline. The
+// phases share one server, so its counters are the phase's own: the
+// Processor's points archived, ring drops and drain polls at the end of
+// the phase less those at its start.
 type Fig8Row struct {
-	Phase         string
-	ThroughputTPS float64
-	// Stats snapshots the Processor pipeline at the end of the phase.
-	Stats tscout.ProcessorStats
+	Phase                string
+	ThroughputTPS        float64
+	Points, Drops, Polls int64
 }
 
 // Fig8 reproduces Figure 8 (adjustable sampling): YCSB runs through three
@@ -126,6 +128,7 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 		}},
 	}
 	var rows []Fig8Row
+	before := srv.TS.Processor().Stats()
 	for i, ph := range phases {
 		srv.TS.Sampler().SetAllRates(0)
 		for sub, rate := range ph.rates {
@@ -137,9 +140,14 @@ func Fig8(sc Scale) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, err
 		}
+		after := run.Result.Processor
 		rows = append(rows, Fig8Row{
-			Phase: ph.name, ThroughputTPS: run.Result.ThroughputTPS, Stats: run.Result.Processor,
+			Phase: ph.name, ThroughputTPS: run.Result.ThroughputTPS,
+			Points: after.Processed - before.Processed,
+			Drops:  after.TotalDropped() - before.TotalDropped(),
+			Polls:  after.Polls - before.Polls,
 		})
+		before = after
 	}
 	return rows, nil
 }

@@ -117,6 +117,16 @@ func TestFig8Shape(t *testing.T) {
 	if recovery > dip {
 		t.Fatalf("recovery must close most of the gap: recovery=%.3f dip=%.3f", recovery, dip)
 	}
+	// Each row counts its own phase: nothing samples with collection off,
+	// and the read-only workload gives the WAL subsystems nothing to sample.
+	for _, i := range []int{0, 2} {
+		if rows[i].Points != 0 {
+			t.Fatalf("%s phase archived %d points, want 0", rows[i].Phase, rows[i].Points)
+		}
+	}
+	if rows[1].Points == 0 {
+		t.Fatalf("%s phase archived no points", rows[1].Phase)
+	}
 }
 
 func TestSummaryClaims(t *testing.T) {

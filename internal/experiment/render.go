@@ -172,8 +172,7 @@ func renderFig8(w io.Writer, rows []Fig8Row) {
 	header(w, "Figure 8: adjustable sampling timeline (YCSB, 20 clients)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-22s %10.0f txns/s   points=%d drops=%d polls=%d\n",
-			r.Phase, r.ThroughputTPS,
-			r.Stats.Processed, r.Stats.TotalDropped(), r.Stats.Polls)
+			r.Phase, r.ThroughputTPS, r.Points, r.Drops, r.Polls)
 	}
 }
 

@@ -110,7 +110,7 @@ runner_inlined() {
 # called from SubmitFrom. Fail if submit stops being inlinable.
 submit_inlined() {
 	if ! $GO build -gcflags=-m ./internal/bpf 2>&1 | grep -q 'can inline (\*cpuRing)\.submit'; then
-		echo "submit_inlined: bpf.(*cpuRing).submit is no longer inlinable; keep ring growth out of it (cpuRing.grow)" >&2
+		echo "submit_inlined: bpf.(*cpuRing).submit is no longer inlinable; keep ring growth and slot widening out of it (cpuRing.grow)" >&2
 		return 1
 	fi
 }
