@@ -132,7 +132,8 @@ func TestFixtures(t *testing.T) {
 		"wall-clock/sim",
 		"wall-clock/noncritical",
 		"map-order/src",
-		"seeded-source/src",
+		"seeded-source/internal/ss",
+		"seeded-source/tool",
 		"constructed-loaded-program/clp",
 		"discarded-verify-error/dve",
 		"discarded-run-error/dre",

@@ -5,12 +5,18 @@ import (
 )
 
 // SeededSourceAnalyzer enforces that randomness is constructed from
-// configuration, not conjured in place:
+// configuration, as one kind of stream, not conjured in place:
 //
-//   - rand.NewSource(<constant>) in non-test code hard-wires a seed the
-//     operator can never steer; experiments become unrepeatable the moment
-//     someone "fixes" the literal. Seeds must flow in through config (the
-//     repo's Config.Seed / FaultPlan seed / workload seed plumbing).
+//   - Under internal/, cmd/ and examples/, math/rand's NewSource is
+//     flagged whatever its seed: every simulation stream is a keyed PCG,
+//     rand.New(sim.NewPCG(seed, key)), 16 bytes of state where NewSource
+//     builds a 4.9 KB sequential source whose every draw depends on all
+//     the draws before it.
+//   - A compile-time-constant seed given to rand.NewSource or sim.NewPCG
+//     hard-wires a seed the operator can never steer; experiments become
+//     unrepeatable the moment someone "fixes" the literal. Seeds must flow
+//     in through config (the repo's Config.Seed / FaultPlan seed / workload
+//     seed plumbing); a PCG's key names its stream and may be constant.
 //   - Outside the simulation-critical packages (where wall-clock already
 //     bans them outright), the math/rand package-level functions draw from
 //     the process-global source — unseeded, racily shared, and invisible
@@ -20,8 +26,17 @@ var SeededSourceAnalyzer = &Analyzer{
 	Run:  runSeededSource,
 }
 
+// simPkgSuffix identifies the package of the PCG constructor by
+// import-path suffix, as bpfPkgSuffix does the bpf package.
+const simPkgSuffix = "internal/sim"
+
+// streamSegments are the path segments of the trees whose streams must all
+// be keyed PCGs.
+var streamSegments = map[string]bool{"internal": true, "cmd": true, "examples": true}
+
 func runSeededSource(pass *Pass) {
 	critical := simCritical(pass.RelPath)
+	keyedOnly := hasSegment(pass.RelPath, streamSegments)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -29,16 +44,23 @@ func runSeededSource(pass *Pass) {
 				return true
 			}
 			fn := calleeFunc(pass.Info, call)
-			if fn == nil || funcPkgPath(fn) != "math/rand" || recvNamed(fn) != nil {
+			if fn == nil || recvNamed(fn) != nil {
 				return true
 			}
+			pkg := funcPkgPath(fn)
+			mathRand := pkg == "math/rand"
+			seeded := mathRand && fn.Name() == "NewSource" ||
+				hasPathSuffix(pkg, simPkgSuffix) && fn.Name() == "NewPCG"
 			switch {
-			case fn.Name() == "NewSource" && len(call.Args) == 1:
+			case mathRand && fn.Name() == "NewSource" && keyedOnly:
+				pass.Reportf(call.Pos(),
+					"rand.NewSource is a sequential 4.9 KB source; a simulation stream is a keyed PCG: rand.New(sim.NewPCG(seed, key))")
+			case seeded && len(call.Args) > 0:
 				if tv, ok := pass.Info.Types[call.Args[0]]; ok && tv.Value != nil {
 					pass.Reportf(call.Pos(),
-						"rand.NewSource seed is the compile-time constant %s; seeds must arrive through config so runs are reproducible and steerable", tv.Value.String())
+						"%s seed is the compile-time constant %s; seeds must arrive through config so runs are reproducible and steerable", fn.Name(), tv.Value.String())
 				}
-			case globalRandFuncs[fn.Name()] && !critical:
+			case mathRand && globalRandFuncs[fn.Name()] && !critical:
 				// In critical packages wall-clock reports this call; the
 				// rules partition so one line never earns two findings.
 				pass.Reportf(call.Pos(),

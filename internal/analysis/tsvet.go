@@ -44,7 +44,7 @@ const (
 	// the timer constructors) and the top-level math/rand functions (the
 	// process-global, racily-shared source) in simulation-critical
 	// packages: every timestamp must come from the virtual clock and every
-	// random draw from a seeded *rand.Rand or a sim noise stream, or
+	// random draw from a keyed sim.PCG or a sim noise stream, or
 	// identical seeds stop producing identical archives.
 	RuleWallClock = "wall-clock"
 	// RuleMapOrder flags ranging over a map when the loop body reaches an
@@ -55,9 +55,11 @@ const (
 	// observes differs run to run. Collecting keys into a slice and
 	// sorting is the sanctioned idiom and is not flagged.
 	RuleMapOrder = "map-order"
-	// RuleSeededSource flags rand.NewSource with a compile-time-constant
-	// seed in non-test code (seeds must arrive through config so runs are
-	// reproducible *and* steerable), and — outside the
+	// RuleSeededSource flags, in non-test code, rand.NewSource under
+	// internal/, cmd/ and examples/ (every simulation stream is a keyed
+	// PCG, sim.NewPCG), rand.NewSource or sim.NewPCG with a
+	// compile-time-constant seed (seeds must arrive through config so runs
+	// are reproducible *and* steerable), and — outside the
 	// simulation-critical packages wall-clock already covers — any use of
 	// math/rand's unseeded process-global source.
 	RuleSeededSource = "seeded-source"
@@ -198,9 +200,12 @@ var criticalSegments = map[string]bool{
 
 // simCritical reports whether the package at relPath is one of the
 // simulation-critical trees.
-func simCritical(relPath string) bool {
+func simCritical(relPath string) bool { return hasSegment(relPath, criticalSegments) }
+
+// hasSegment reports whether one of relPath's segments is in segs.
+func hasSegment(relPath string, segs map[string]bool) bool {
 	for _, seg := range strings.Split(relPath, "/") {
-		if criticalSegments[seg] {
+		if segs[seg] {
 			return true
 		}
 	}

@@ -297,6 +297,7 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	}
 
 	// --- Execute the statements in one transaction --------------------
+	task.BeginScope()
 	tx := srv.TxnMgr.Begin()
 	if srv.TS != nil {
 		srv.TS.BeginEvent(task, tscout.SubsystemExecutionEngine)
@@ -459,6 +460,7 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if err != nil {
 		return nil, err
 	}
+	se.Task.BeginScope()
 	tx := se.srv.TxnMgr.Begin()
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)

@@ -25,11 +25,14 @@ var (
 	ErrNoTxn   = fmt.Errorf("dbms: no open transaction")
 )
 
-// BeginTxn opens a session transaction.
+// BeginTxn opens a session transaction, and with it the next noise scope
+// of the session's task: the transaction's charges draw their measurement
+// noise by their ordinal within it (kernel.Task.BeginScope).
 func (se *Session) BeginTxn() error {
 	if se.tx != nil {
 		return ErrTxnOpen
 	}
+	se.Task.BeginScope()
 	se.tx = se.srv.TxnMgr.Begin()
 	return nil
 }

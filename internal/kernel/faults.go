@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"tscout/internal/sim"
 )
 
 // FaultKind enumerates the injectable failure modes of the marker delivery
@@ -109,7 +111,7 @@ func GenFaultPlan(seed int64, n int, maxHitPerCPU int64, numCPUs int) FaultPlan 
 	if numCPUs < 1 {
 		numCPUs = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewPCG(seed, 0))
 	plan := make(FaultPlan, 0, n)
 	for i := 0; i < n; i++ {
 		f := Fault{

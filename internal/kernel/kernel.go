@@ -22,20 +22,15 @@ import (
 // simulated CPUs interleave only in virtual time.
 type Kernel struct {
 	Profile sim.HardwareProfile
-	// Noise is simulated CPU 0's measurement-noise stream. It is the only
-	// stream on the default single-CPU topology, and it is seeded directly
-	// from the kernel seed so single-CPU schedules are bit-identical to the
-	// pre-multi-core engine. Charges on other CPUs draw from derived
-	// per-CPU streams (see noiseFor), so tasks on different CPUs never
-	// perturb each other's deterministic sequences.
-	Noise *sim.Noise
 
-	seed  int64
+	// noise is the run's measurement noise, open on stream 0, which is no
+	// task's generation: each task copies it and keys its draws by its
+	// generation and transaction ordinal (Task.BeginScope), so no draw
+	// depends on what another task, or another CPU, drew before it.
+	noise *sim.Noise
 	sigma float64
-	// noiseStreams holds one *sim.Noise per simulated CPU (index 0 is the
-	// public Noise). SetNumCPUs rebuilds it, which is why SetNumCPUs must
-	// run before any task activity.
-	noiseStreams []*sim.Noise
+	// draws counts noise draws by the CPU whose charge took them.
+	draws []uint64
 
 	nextPID     int
 	nextGen     uint64
@@ -62,53 +57,25 @@ type Kernel struct {
 // routing change with the CPU count, so defaulting it to the profile's
 // cores would silently reshuffle the sample streams of existing setups.
 func New(profile sim.HardwareProfile, seed int64, sigma float64) *Kernel {
-	k := &Kernel{
+	return &Kernel{
 		Profile:     profile,
-		Noise:       sim.NewNoise(seed, sigma),
-		seed:        seed,
+		noise:       sim.NewNoise(seed, sigma),
 		sigma:       sigma,
+		draws:       make([]uint64, 1),
 		nextPID:     1,
 		nextGen:     1,
 		liveGens:    make(map[uint64]bool),
 		numCPUs:     1,
 		tracepoints: make(map[string]*Tracepoint),
 	}
-	k.noiseStreams = []*sim.Noise{k.Noise}
-	return k
 }
 
-// deriveStreamSeed mixes a per-CPU stream index into the kernel seed
-// (splitmix64 finalizer) so each simulated CPU gets an independent,
-// reproducible noise stream. Stream 0 never goes through this — it keeps
-// the raw seed for pre-multi-core bit compatibility.
-func deriveStreamSeed(seed int64, cpu int) int64 {
-	z := uint64(seed) + uint64(cpu)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-// noiseFor returns the measurement-noise stream of the given simulated
-// CPU (out-of-range CPUs fall back to stream 0). Streams are per-CPU, not
-// per-task: tasks on one CPU share a stream — they are time-multiplexed on
-// that CPU — while tasks on different CPUs draw from disjoint streams.
-func (k *Kernel) noiseFor(cpu int) *sim.Noise {
-	if cpu >= 0 && cpu < len(k.noiseStreams) {
-		return k.noiseStreams[cpu]
-	}
-	return k.noiseStreams[0]
-}
-
-// NoiseDraws returns the per-CPU noise-stream draw counters. Two runs of
-// the same seeded schedule must report identical vectors; the multi-core
-// determinism suite uses this as a cheap fingerprint that no charge was
-// reordered across streams.
+// NoiseDraws returns how many noise draws each simulated CPU's charges
+// took. Two runs of the same seeded schedule must report identical
+// vectors; the multi-core determinism suite uses this as a cheap
+// fingerprint that no charge moved across CPUs.
 func (k *Kernel) NoiseDraws() []uint64 {
-	out := make([]uint64, len(k.noiseStreams))
-	for i, n := range k.noiseStreams {
-		out[i] = n.Draws()
-	}
-	return out
+	return append([]uint64(nil), k.draws...)
 }
 
 // NumCPUs returns the number of simulated CPUs (1 by default). Per-CPU
@@ -119,19 +86,12 @@ func (k *Kernel) NumCPUs() int { return k.numCPUs }
 // SetNumCPUs overrides the simulated CPU count (n < 1 is clamped to 1).
 // Call it before creating tasks or deploying per-CPU consumers: existing
 // tasks keep their assigned CPU, so shrinking the count mid-run would leave
-// tasks on CPUs no new ring covers — and the per-CPU noise streams for
-// CPUs 1..n-1 are (re)derived here, so calling it mid-run would rewind
-// their deterministic sequences.
+// tasks on CPUs no new ring covers, and the per-CPU draw counters restart.
 func (k *Kernel) SetNumCPUs(n int) {
 	if n < 1 {
 		n = 1
 	}
-	streams := make([]*sim.Noise, n)
-	streams[0] = k.Noise
-	for i := 1; i < n; i++ {
-		streams[i] = sim.NewNoise(deriveStreamSeed(k.seed, i), k.sigma)
-	}
-	k.noiseStreams = streams
+	k.draws = make([]uint64, n)
 	k.numCPUs = n
 }
 
@@ -200,7 +160,9 @@ func (k *Kernel) newTask(name string, cpu int) *Task {
 		cpu:    cpu,
 		Name:   name,
 		kernel: k,
+		noise:  *k.noise,
 	}
+	t.noise.Open(gen, 0)
 	t.perf = newPerfContext(k, t)
 	return t
 }

@@ -152,17 +152,13 @@ func (pc *PerfContext) accumulate(deltas [numCounters]float64) {
 		return
 	}
 	duty := pc.dutyCycle()
-	n := pc.kernel.Noise
-	if pc.task != nil {
-		n = pc.kernel.noiseFor(pc.task.cpu)
-	}
 	for c, d := range deltas {
 		if !pc.enabled[c] {
 			continue
 		}
 		observed := d * duty
 		if duty < 1.0 {
-			observed = n.Apply(observed)
+			observed = pc.task.noiseDraw().Apply(observed)
 		}
 		pc.raw[c] += observed
 		pc.timeEnabled[c] += 1.0

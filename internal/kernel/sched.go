@@ -1,6 +1,10 @@
 package kernel
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"tscout/internal/sim"
+)
 
 // Interleaver replays a seeded pseudo-random schedule over a set of task
 // workloads: every Run tick picks one workload that still has quanta left
@@ -29,7 +33,7 @@ type ivRunner struct {
 //
 //tsvet:ignore unused-export interleaver test hook: tests write their interleavings as seeded schedules
 func (k *Kernel) NewInterleaver(seed int64) *Interleaver {
-	return &Interleaver{kernel: k, rng: rand.New(rand.NewSource(seed))}
+	return &Interleaver{kernel: k, rng: rand.New(sim.NewPCG(seed, 0))}
 }
 
 // AddOn registers a workload of n quanta on the given CPU lane. step is

@@ -46,6 +46,11 @@ type Task struct {
 	KernelInstrumentationNS int64
 
 	local any
+
+	// noise is the task's measurement noise, open at its current scope:
+	// scope 0 from NewTask, then one per BeginScope.
+	noise  sim.Noise
+	scopes uint64
 }
 
 // Local returns the task-local storage slot: one value the code driving the
@@ -82,6 +87,25 @@ func (t *Task) Migrate(cpu int) {
 // collectors need because bare pids recycle.
 func (t *Task) Gen() uint64 { return t.gen }
 
+// BeginScope opens the task's next noise scope. The draws of the task's
+// charges from here to the next BeginScope are keyed by (generation, scope
+// ordinal, draw ordinal), so what one scope draws moves no other scope's
+// draws: an added charge re-rolls only the later charges of its own scope.
+// A session opens one scope per transaction.
+func (t *Task) BeginScope() {
+	t.scopes++
+	t.noise.Open(t.gen, t.scopes)
+}
+
+// noiseDraw returns the task's noise to serve one draw, counted on the CPU
+// the task runs on.
+func (t *Task) noiseDraw() *sim.Noise {
+	if k := t.kernel; k.sigma != 0 {
+		k.draws[t.cpu]++
+	}
+	return &t.noise
+}
+
 // Perf returns the task's perf_event context.
 func (t *Task) Perf() *PerfContext { return t.perf }
 
@@ -95,15 +119,14 @@ func (t *Task) Now() int64 { return t.Clock.Now() }
 // the work descriptor is charged too (a real thread blocks in the syscall).
 func (t *Task) Charge(w sim.Work) int64 {
 	p := &t.kernel.Profile
-	n := t.kernel.noiseFor(t.cpu)
 
 	refs := w.BytesTouched / float64(p.CacheLineBytes)
 	missRate := missRate(w, p)
 	misses := refs * missRate
-	instructions := n.Apply(w.Instructions)
+	instructions := t.noiseDraw().Apply(w.Instructions)
 	stall := misses * p.MissPenaltyCycles
 	cycles := (instructions/p.BaseIPC + stall) * t.kernel.contentionMult()
-	cpuNS := p.CyclesToNS(n.Apply(cycles))
+	cpuNS := p.CyclesToNS(t.noiseDraw().Apply(cycles))
 
 	var ioNS int64
 	if w.DiskOps > 0 || w.DiskWriteBytes > 0 {
@@ -111,7 +134,7 @@ func (t *Task) Charge(w sim.Work) int64 {
 		if w.DiskWriteBytes > 0 {
 			ioNS += int64(float64(w.DiskWriteBytes) / p.DiskWriteBytesPerNS)
 		}
-		ioNS = n.ApplyNS(ioNS)
+		ioNS = t.noiseDraw().ApplyNS(ioNS)
 		t.IOAC.WriteBytes += w.DiskWriteBytes
 		if w.DiskWriteBytes > 0 {
 			t.IOAC.WriteOps += maxI64(1, w.DiskOps)
@@ -122,7 +145,7 @@ func (t *Task) Charge(w sim.Work) int64 {
 	if w.NetMessages > 0 || w.NetRecvBytes > 0 || w.NetSendBytes > 0 {
 		netNS += w.NetMessages * p.NetLatencyNS
 		netNS += int64(float64(w.NetRecvBytes+w.NetSendBytes) / p.NetBytesPerNS)
-		netNS = n.ApplyNS(netNS)
+		netNS = t.noiseDraw().ApplyNS(netNS)
 		t.Sock.BytesReceived += w.NetRecvBytes
 		t.Sock.BytesSent += w.NetSendBytes
 		t.Sock.SegsIn += w.NetMessages
@@ -165,7 +188,7 @@ func missRate(w sim.Work, p *sim.HardwareProfile) float64 {
 // overhead when instrumentation is true.
 func (t *Task) Syscall(extraNS int64, instrumentation bool) int64 {
 	p := &t.kernel.Profile
-	ns := t.kernel.noiseFor(t.cpu).ApplyNS(p.ModeSwitchNS + p.SyscallNS + extraNS)
+	ns := t.noiseDraw().ApplyNS(p.ModeSwitchNS + p.SyscallNS + extraNS)
 	t.Clock.Advance(ns)
 	t.Emit(evModeSwitch)
 	if instrumentation {
@@ -184,7 +207,7 @@ func (t *Task) ContextSwitch() int64 {
 	if t.perf.perTask && t.perf.anyEnabled() {
 		ns += p.PMUSaveNS
 	}
-	ns = t.kernel.noiseFor(t.cpu).ApplyNS(ns)
+	ns = t.noiseDraw().ApplyNS(ns)
 	t.Clock.Advance(ns)
 	t.Emit(evCtxSwitch)
 	return ns
@@ -211,10 +234,9 @@ func (t *Task) HitTracepoint(tp *Tracepoint, args []uint64) {
 	p := &t.kernel.Profile
 	for i := 0; i < times; i++ {
 		tp.Hits++
-		// Fetched inside the loop: a migrate fault in beforeHit may have
-		// moved the task, and delivery noise is charged on the CPU the hit
-		// actually runs on.
-		enter := t.kernel.noiseFor(t.cpu).ApplyNS(p.ModeSwitchNS)
+		// A migrate fault in beforeHit may have moved the task: the draw
+		// is counted on the CPU the hit actually runs on.
+		enter := t.noiseDraw().ApplyNS(p.ModeSwitchNS)
 		t.Clock.Advance(enter)
 		t.Emit(evModeSwitch)
 		cost := h(t, args)
@@ -231,7 +253,7 @@ func (t *Task) ChargeUserNS(ns int64) {
 	if ns <= 0 {
 		return
 	}
-	ns = t.kernel.noiseFor(t.cpu).ApplyNS(ns)
+	ns = t.noiseDraw().ApplyNS(ns)
 	t.Clock.Advance(ns)
 	t.UserInstrumentationNS += ns
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+
+	"tscout/internal/sim"
 )
 
 // Forest is a random forest of CART regression trees: bootstrap-sampled
@@ -40,7 +42,7 @@ func (f Forest) Train(X [][]float64, y []float64) (Model, error) {
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, ErrNoData
 	}
-	rng := rand.New(rand.NewSource(f.Seed + 1))
+	rng := rand.New(sim.NewPCG(f.Seed, 1))
 	mtry := mtryFor(len(X[0]))
 	idx := make([]int, len(X))
 	var sc splitScratch

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"tscout/internal/sim"
 	"tscout/internal/tscout"
 )
 
@@ -65,7 +66,8 @@ type WindowedForest struct {
 	// Refit's working set, kept between calls.
 	idx []int
 	sc  splitScratch
-	rng *rand.Rand // reseeded for every slot Refit rebuilds
+	src sim.PCG    // reseeded for every slot Refit rebuilds
+	rng *rand.Rand // math/rand's method set over src
 }
 
 // windowRows is the number of rows a WindowedForest retains.
@@ -153,13 +155,10 @@ func (f *WindowedForest) Refit() error {
 	f.refresh++
 	for k := 0; k < f.perRefresh(); k++ {
 		// Pure function of (Seed, slot, refresh): deterministic and
-		// independent of how other slots were refreshed. Seed leaves the
-		// source as rand.NewSource would have made it.
-		seed := f.Seed + int64(f.slot)*7919 + f.refresh*104729
+		// independent of how other slots were refreshed.
+		f.src.Reseed(f.Seed, uint64(f.refresh)<<16|uint64(f.slot))
 		if f.rng == nil {
-			f.rng = rand.New(rand.NewSource(seed))
-		} else {
-			f.rng.Seed(seed)
+			f.rng = rand.New(&f.src)
 		}
 		bootstrap(idx, f.rng)
 		for j, r := range idx {

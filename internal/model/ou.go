@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"tscout/internal/sim"
 	"tscout/internal/tscout"
 )
 
@@ -232,7 +233,7 @@ func SplitByTemplate(points []Point, holdFrac float64, seed int64) (train, test 
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewPCG(seed, 0))
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 	nHold := int(float64(len(keys)) * holdFrac)
 	if nHold < 1 && len(keys) > 1 {
@@ -257,7 +258,7 @@ func SplitByTemplate(points []Point, holdFrac float64, seed int64) (train, test 
 // experiments (§6.5) — unlike SplitByTemplate, test templates also appear
 // in training.
 func SplitRows(points []Point, holdFrac float64, seed int64) (train, test []Point) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewPCG(seed, 0))
 	idx := rng.Perm(len(points))
 	nHold := int(float64(len(points)) * holdFrac)
 	if nHold < 1 && len(points) > 1 {
@@ -283,7 +284,7 @@ func Sample(points []Point, n int, seed int64) []Point {
 	if n >= len(points) {
 		return points
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewPCG(seed, 0))
 	idx := rng.Perm(len(points))[:n]
 	out := make([]Point, n)
 	for i, pi := range idx {

@@ -77,8 +77,21 @@ func (tl *CPUTimelines) clamp(cpu int) int {
 type deferred struct {
 	atNS int64
 	cpu  int
-	fn   func(atNS int64)
+	ev   Event
 }
+
+// An Event is what a barrier applies for one deferred event: Fire runs
+// with the virtual time the event was deferred at. A driver can make a
+// long-lived object its own event (a pointer in an interface is no new
+// heap object), where a callback per deferral would be a closure each.
+type Event interface {
+	Fire(atNS int64)
+}
+
+// eventFunc is a callback as an Event.
+type eventFunc func(atNS int64)
+
+func (f eventFunc) Fire(atNS int64) { f(atNS) }
 
 // Epochs coordinates per-CPU timelines with an epoch/barrier scheme. The
 // virtual timeline is cut into fixed-length epochs; cross-CPU events raised
@@ -125,7 +138,12 @@ func (e *Epochs) Applied() int64 { return e.applied }
 // ties in deferral order — so the barrier's merge is a pure function of
 // what each CPU did, not of when the driver ran it.
 func (e *Epochs) Defer(cpu int, atNS int64, fn func(atNS int64)) {
-	e.events = append(e.events, deferred{atNS: atNS, cpu: e.tl.clamp(cpu), fn: fn})
+	e.DeferEvent(cpu, atNS, eventFunc(fn))
+}
+
+// DeferEvent is Defer with an Event in place of the callback.
+func (e *Epochs) DeferEvent(cpu int, atNS int64, ev Event) {
+	e.events = append(e.events, deferred{atNS: atNS, cpu: e.tl.clamp(cpu), ev: ev})
 }
 
 // Barrier ends the current epoch: every deferred event is applied in the
@@ -144,7 +162,7 @@ func (e *Epochs) Barrier() int {
 		return cmp.Compare(a.cpu, b.cpu)
 	})
 	for _, ev := range evs {
-		ev.fn(ev.atNS)
+		ev.ev.Fire(ev.atNS)
 	}
 	clear(evs)
 	e.spare = evs[:0]

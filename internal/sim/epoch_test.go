@@ -150,24 +150,29 @@ func TestEpochSkipTo(t *testing.T) {
 
 func TestNoiseDraws(t *testing.T) {
 	n := NewNoise(7, 0.05)
-	if n.Draws() != 0 {
-		t.Fatalf("fresh stream draws = %d", n.Draws())
+	if n.next != 0 {
+		t.Fatalf("fresh scope draws = %d", n.next)
 	}
 	n.Mult()
 	n.ApplyNS(100)
-	n.Perm(4)
-	if got := n.Draws(); got != 3 {
-		t.Fatalf("draws = %d, want 3", got)
+	n.Apply(4)
+	if n.next != 3 {
+		t.Fatalf("draws = %d, want 3", n.next)
+	}
+	// Opening a scope starts its ordinals over.
+	n.Open(1, 1)
+	if n.next != 0 {
+		t.Fatalf("opened scope draws = %d", n.next)
 	}
 	// sigma 0 consumes nothing on Mult/ApplyNS (the documented fast path).
 	z := NewNoise(7, 0)
 	z.Mult()
 	z.ApplyNS(100)
-	if z.Draws() != 0 {
-		t.Fatalf("sigma-0 stream drew %d", z.Draws())
+	if z.next != 0 {
+		t.Fatalf("sigma-0 stream drew %d", z.next)
 	}
-	if (*Noise)(nil).Draws() != 0 {
-		t.Fatalf("nil stream draws nonzero")
+	if (*Noise)(nil).Mult() != 1 {
+		t.Fatalf("nil stream is not the identity")
 	}
 }
 

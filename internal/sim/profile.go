@@ -12,6 +12,16 @@
 // observes is a function of its seed, and nothing in one takes a lock or an
 // atomic. Separate simulations may run on separate goroutines because they
 // share no mutable state: every package-level variable is read-only.
+//
+// Randomness is keyed, never sequential. Measurement noise (Noise) is a
+// function of (run seed, stream, scope, draw ordinal): the kernel's stream
+// is a task's generation and its scope the task's transaction ordinal,
+// which a session opens at each transaction, so a draw names what it
+// perturbs rather than counting every draw before it on its CPU, and an
+// added charge re-rolls only the rest of its own transaction. Every other
+// stream (terminals, populations, forests, fault plans, the interleaver,
+// the sampler's shuffle) is math/rand's method set over a PCG keyed by
+// (seed, key).
 package sim
 
 // HardwareProfile describes the simulated machine. The two canonical

@@ -1,6 +1,10 @@
 package tscout
 
-import "tscout/internal/sim"
+import (
+	"math/rand"
+
+	"tscout/internal/sim"
+)
 
 // SamplingBits is the width of each subsystem's sampling bit field
 // (paper §5.3: "TS maintains a 100-bit field for each subsystem").
@@ -28,14 +32,18 @@ type Sampler struct {
 }
 
 // NewSampler creates a sampler with all rates at 0%, shuffling each
-// subsystem's bit positions from the seed in AllSubsystems order.
+// subsystem's bit positions from the PCG stream (seed, subsystem).
 func NewSampler(seed int64) *Sampler {
 	s := &Sampler{}
-	src := sim.NewNoise(seed, 0)
+	var src sim.PCG
+	rng := rand.New(&src)
 	for _, sub := range AllSubsystems {
-		for i, pos := range src.Perm(SamplingBits) {
-			s.order[sub][i] = uint8(pos)
+		src.Reseed(seed, uint64(sub))
+		order := &s.order[sub]
+		for i := range order {
+			order[i] = uint8(i)
 		}
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	return s
 }

@@ -193,8 +193,8 @@ func TestSamplerOrderPinned(t *testing.T) {
 	s := NewSampler(21)
 	s.SetAllRates(10)
 	for sub, want := range map[SubsystemID][]int{
-		SubsystemExecutionEngine: {12, 30, 31, 50, 61, 65, 73, 76, 77, 84},
-		SubsystemDiskWriter:      {4, 6, 30, 34, 35, 44, 59, 76, 77, 84},
+		SubsystemExecutionEngine: {4, 10, 20, 26, 32, 63, 65, 66, 70, 77},
+		SubsystemDiskWriter:      {12, 24, 28, 36, 55, 60, 70, 75, 77, 79},
 	} {
 		var got []int
 		for i, b := range s.bits[sub] {

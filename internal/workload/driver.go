@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"tscout/internal/dbms"
+	"tscout/internal/sim"
 	"tscout/internal/tscout"
 	"tscout/internal/wal"
 )
@@ -113,9 +114,13 @@ type Result struct {
 	BarrierEvents int64
 }
 
+// terminal is one legacy-driver client. Like a pooledTerminal, it holds
+// its PCG stream and math/rand's method set over it by value, in the one
+// terminals slice.
 type terminal struct {
 	se      *dbms.Session
-	rng     *rand.Rand
+	src     sim.PCG
+	rng     rand.Rand
 	pending *wal.Commit
 	startNS int64
 }
@@ -131,13 +136,13 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	srv.Kernel.SetLoadFactor(float64(cfg.Terminals))
 	defer srv.Kernel.SetLoadFactor(1)
 
-	terms := make([]*terminal, cfg.Terminals)
+	terms := make([]terminal, cfg.Terminals)
 	for i := range terms {
-		terms[i] = &terminal{
-			se:  srv.NewSession(),
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-		}
-		terms[i].se.ExternalCollect = cfg.ExternalCollect
+		t := &terms[i]
+		t.se = srv.NewSession()
+		t.se.ExternalCollect = cfg.ExternalCollect
+		t.src.Reseed(cfg.Seed, uint64(i))
+		t.rng = *rand.New(&t.src)
 	}
 
 	var (
@@ -159,7 +164,8 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	for res.Completed+res.Aborted < cfg.Transactions {
 		// Unblock terminals whose group commit resolved.
 		progressed := false
-		for _, t := range terms {
+		for i := range terms {
+			t := &terms[i]
 			if t.pending != nil && t.pending.Resolved {
 				t.se.Task.Clock.AdvanceTo(t.pending.DoneNS)
 				finish(t, t.se.Task.Now())
@@ -175,7 +181,8 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		// but only start new work while budget remains.
 		var next *terminal
 		if started < cfg.Transactions {
-			for _, t := range terms {
+			for i := range terms {
+				t := &terms[i]
 				if t.pending != nil {
 					continue
 				}
@@ -221,7 +228,7 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 		for i := 0; i < contextSwitchesPerTxn; i++ {
 			next.se.Task.ContextSwitch()
 		}
-		commit, err := gen.Txn(next.se, next.rng)
+		commit, err := gen.Txn(next.se, &next.rng)
 		switch {
 		case err != nil && dbms.IsConflict(err):
 			res.Aborted++
@@ -239,8 +246,8 @@ func Run(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 
 	// Makespan: terminals run in parallel up to the core budget.
 	var maxNS, totalNS int64
-	for _, t := range terms {
-		now := t.se.Task.Now()
+	for i := range terms {
+		now := terms[i].se.Task.Now()
 		totalNS += now
 		if now > maxNS {
 			maxNS = now

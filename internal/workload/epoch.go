@@ -86,18 +86,32 @@ func (s termSet) next(i int) int {
 }
 
 type pooledTerminal struct {
-	idx     int
-	rng     *rand.Rand
+	idx int
+	// src is the terminal's generator stream, rng math/rand's method set
+	// over it: both live in the terms slice, so a terminal's stream is no
+	// heap object of its own.
+	src     sim.PCG
+	rng     rand.Rand
 	readyNS int64
 	ticket  *dbms.Ticket
 	se      *dbms.Session
 	pending *wal.Commit
 	startNS int64
 	// ended is how the transaction the terminal last deferred ended, and
-	// finish, bound once by runPooled, the barrier callback that completes
-	// it. A terminal has at most one event deferred at a time.
-	ended  txnEnd
-	finish func(atNS int64)
+	// release, runPooled's one finishRelease, what completes it when a
+	// barrier fires the terminal. A terminal has at most one event
+	// deferred at a time.
+	ended   txnEnd
+	release func(t *pooledTerminal, atNS int64, completed bool)
+}
+
+// Fire completes the transaction the terminal deferred (a sim.Event): a
+// durable commit first advances the session's clock to its durability.
+func (t *pooledTerminal) Fire(atNS int64) {
+	if t.ended == endedDurable {
+		t.se.Task.Clock.AdvanceTo(atNS)
+	}
+	t.release(t, atNS, t.ended != endedAborted)
 }
 
 // txnEnd is how a pooled terminal's transaction ended.
@@ -175,13 +189,9 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 	for i := range terms {
 		t := &terms[i]
 		t.idx = i
-		t.rng = rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		t.finish = func(at int64) {
-			if t.ended == endedDurable {
-				t.se.Task.Clock.AdvanceTo(at)
-			}
-			finishRelease(t, at, t.ended != endedAborted)
-		}
+		t.src.Reseed(cfg.Seed, uint64(i))
+		t.rng = *rand.New(&t.src)
+		t.release = finishRelease
 		idle.add(i)
 	}
 
@@ -259,17 +269,17 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 				for i := 0; i < contextSwitchesPerTxn; i++ {
 					task.ContextSwitch()
 				}
-				commit, err := gen.Txn(t.se, t.rng)
+				commit, err := gen.Txn(t.se, &t.rng)
 				switch {
 				case err != nil && dbms.IsConflict(err):
 					res.Aborted++
 					t.ended = endedAborted
-					ep.Defer(c, task.Now(), t.finish)
+					ep.DeferEvent(c, task.Now(), t)
 				case err != nil:
 					return res, fmt.Errorf("workload %s: %w", gen.Name(), err)
 				case commit == nil:
 					t.ended = endedReadOnly
-					ep.Defer(c, task.Now(), t.finish)
+					ep.DeferEvent(c, task.Now(), t)
 				default:
 					// Deferred-mode submissions never resolve inline; the
 					// terminal holds its slot until a barrier observes
@@ -299,7 +309,7 @@ func runPooled(srv *dbms.Server, gen Generator, cfg Config) (Result, error) {
 			tt.pending = nil
 			pending.remove(i)
 			tt.ended = endedDurable
-			ep.Defer(tt.se.Task.CPU(), done, tt.finish)
+			ep.DeferEvent(tt.se.Task.CPU(), done, tt)
 		}
 		applied := ep.Barrier()
 		res.Epochs = ep.Index()

@@ -39,10 +39,10 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 
 	terms := make([]*pooledTerminal, cfg.Terminals)
 	for i := range terms {
-		terms[i] = &pooledTerminal{
-			idx: i,
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-		}
+		t := &pooledTerminal{idx: i}
+		t.src.Reseed(cfg.Seed, uint64(i))
+		t.rng = *rand.New(&t.src)
+		terms[i] = t
 	}
 
 	var (
@@ -155,7 +155,7 @@ func runPooledScanning(srv *dbms.Server, gen Generator, cfg Config) (Result, err
 				for i := 0; i < contextSwitchesPerTxn; i++ {
 					task.ContextSwitch()
 				}
-				commit, err := gen.Txn(t.se, t.rng)
+				commit, err := gen.Txn(t.se, &t.rng)
 				switch {
 				case err != nil && dbms.IsConflict(err):
 					res.Aborted++
