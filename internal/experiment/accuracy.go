@@ -22,31 +22,41 @@ type SubsystemRow struct {
 
 // Fig2 reproduces Figure 2 (offline vs online training data): models
 // trained with offline runner data alone vs augmented with online TPC-C
-// data, evaluated on a 20% held-out set of query templates. The paper's
+// data, evaluated on held-out query templates: five folds of 20% each,
+// so every template is held out once (evalTemplateFolds). The paper's
 // shape: WAL subsystems improve most (93%, 77%), networking ~53%, the
-// execution engine least (~9.5%).
+// execution engine least (~9.5%). Each row averages sc's seed sets, and
+// its reduction is that of the mean errors.
 func Fig2(sc Scale) ([]SubsystemRow, error) {
-	offline, err := collectOffline(defaultProfile(), 21, sc)
+	sets, err := seedSets(sc, func(off int64) ([]SubsystemRow, error) {
+		offline, err := collectOffline(defaultProfile(), 21+off, sc)
+		if err != nil {
+			return nil, err
+		}
+		online, err := collectOnline(defaultProfile(), tpccGen(2), 16, sc.OnlineTxns, 22+off)
+		if err != nil {
+			return nil, err
+		}
+		errs, err := evalTemplateFolds(offline, online.Points, 5, 23+off)
+		if err != nil {
+			return nil, err
+		}
+		var rows []SubsystemRow
+		for _, sub := range tscout.AllSubsystems {
+			rows = append(rows, SubsystemRow{
+				Subsystem: sub, Scenario: "tpcc-holdout-20pct",
+				OfflineUS: errs.OfflineUS[sub],
+				OnlineUS:  errs.OnlineUS[sub],
+			})
+		}
+		return rows, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	online, err := collectOnline(defaultProfile(), tpccGen(2), 16, sc.OnlineTxns, 22)
-	if err != nil {
-		return nil, err
-	}
-	trainOn, testOn := splitPerSubsystem(online.Points, 0.2, 23)
-	errs, err := evalSubsystems(offline, trainOn, testOn)
-	if err != nil {
-		return nil, err
-	}
-	var rows []SubsystemRow
-	for _, sub := range tscout.AllSubsystems {
-		rows = append(rows, SubsystemRow{
-			Subsystem: sub, Scenario: "tpcc-holdout-20pct",
-			OfflineUS:    errs.OfflineUS[sub],
-			OnlineUS:     errs.OnlineUS[sub],
-			ReductionPct: reduction(errs.OfflineUS[sub], errs.OnlineUS[sub]),
-		})
+	rows := meanRows(sets, func(r *SubsystemRow) []*float64 { return []*float64{&r.OfflineUS, &r.OnlineUS} })
+	for i := range rows {
+		rows[i].ReductionPct = reduction(rows[i].OfflineUS, rows[i].OnlineUS)
 	}
 	return rows, nil
 }
@@ -110,9 +120,15 @@ type ConvergenceRow struct {
 // training-set size against the offline baseline. The paper's shape: the
 // log serializer and disk writer converge far below the baseline; the
 // networking difference is small; the execution engine's online benefit
-// is marginal with a single client.
+// is marginal with a single client. Each point averages sc's seed sets.
 func Fig9(sc Scale) ([]ConvergenceRow, error) {
-	return convergence(tpccGen(2), 1, sc, 61)
+	sets, err := seedSets(sc, func(off int64) ([]ConvergenceRow, error) {
+		return convergence(tpccGen(2), 1, sc, 61+off)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return meanRows(sets, func(r *ConvergenceRow) []*float64 { return []*float64{&r.OfflineUS, &r.OnlineUS} }), nil
 }
 
 // Fig10 reproduces Figure 10 (model convergence, CH-benCHmark): the HTAP

@@ -10,6 +10,8 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 
 	"tscout/internal/archive"
 	"tscout/internal/dbms"
@@ -32,6 +34,12 @@ type Scale struct {
 	RatePoints []int
 	// ConvergenceSizes are the training-set sizes of Figs. 9/10.
 	ConvergenceSizes []int
+	// SeedSets is how many seed sets Figs. 2, 5/6 and 9 and the frontier
+	// run and average (seedSets). One run of those figures is a single
+	// roll: which templates a split holds out, which flush a run's last
+	// commit waits for, which points a ring overwrites. Their claims turn
+	// on it at 1 200 transactions.
+	SeedSets int
 }
 
 // Quick is the one scale the figure-shape tests run and EXPERIMENTS.md records.
@@ -40,21 +48,71 @@ var Quick = Scale{
 	RunnerScale:      1,
 	RatePoints:       []int{0, 20, 100},
 	ConvergenceSizes: []int{150, 400, 1000},
+	SeedSets:         5,
 }
 
-// Full sweeps more points, more slowly (`tsbench -full`).
+// Full sweeps more points, more slowly (`tsbench -full`). Its runs are
+// five times longer, so it runs one seed set.
 var Full = Scale{
 	OnlineTxns:       6000,
 	RunnerScale:      2,
 	RatePoints:       []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
 	ConvergenceSizes: []int{500, 1000, 2000, 4000, 8000, 16000},
+	SeedSets:         1,
+}
+
+// seedStride separates seed sets: seed set i adds i*seedStride to every
+// seed its figure uses, so set 0 is the figure's own seeds.
+const seedStride = 1000
+
+// seedSets runs fig once per seed set of sc, giving it the set's seed
+// offset, and returns each set's rows. Every set must yield the same rows
+// in the same order (they differ only in the values measured), so the
+// caller can average them row by row.
+func seedSets[R any](sc Scale, fig func(offset int64) ([]R, error)) ([][]R, error) {
+	sets := make([][]R, max(sc.SeedSets, 1))
+	for i := range sets {
+		rows, err := fig(int64(i) * seedStride)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && len(rows) != len(sets[0]) {
+			return nil, fmt.Errorf("seed set %d: %d rows, seed set 0 has %d", i, len(rows), len(sets[0]))
+		}
+		sets[i] = rows
+	}
+	return sets, nil
+}
+
+// meanRows returns sets[0] with each field that fields names replaced by
+// its mean over every set, row by row.
+func meanRows[R any](sets [][]R, fields func(*R) []*float64) []R {
+	rows := sets[0]
+	for i := range rows {
+		sum := fields(&rows[i])
+		for _, set := range sets[1:] {
+			for f, v := range fields(&set[i]) {
+				*sum[f] += *v
+			}
+		}
+		for _, v := range sum {
+			*v /= float64(len(sets))
+		}
+	}
+	return rows
 }
 
 // trainer is the behavior-model family used throughout the evaluation.
 // Forests extrapolate conservatively (constant beyond the training range),
 // which is exactly why offline-runner data mis-predicts group-commit
-// batches it never saw.
-func trainer() model.Trainer { return model.Forest{Trees: 16, MaxDepth: 10, Seed: 7} }
+// batches it never saw. Every split tries every feature: a networking
+// OU's three features include the constant clock speed, and a split
+// drawing two of the three cut reads by bytes alone, so online data
+// pulled an unseen template's one-message reads toward the offline
+// runners' multi-message ones.
+func trainer() model.Trainer {
+	return model.Forest{Trees: 16, MaxDepth: 10, Seed: 7, AllFeatures: true}
+}
 
 // hwContext returns the hardware features available to the models: per
 // §6.4 the only CPU context feature is the clock speed.
@@ -285,6 +343,73 @@ func evalSubsystems(offline, onlineTrain, onlineTest []model.Point) (*subsystemE
 			return nil, fmt.Errorf("combined %v: %w", sub, err)
 		}
 		out.OnlineUS[sub] = onSet.AvgAbsErrorByTemplate(tst)
+	}
+	return out, nil
+}
+
+// evalTemplateFolds is evalSubsystems under k-fold cross-validation by
+// template: per subsystem, the online templates are shuffled by seed and
+// dealt into folds (template j to fold j mod folds), and each fold in turn
+// is the test set while the other folds join the offline data. A subsystem
+// with fewer templates than folds gets one fold per template. The errors
+// average every template, each scored once, by a model that never saw it.
+// TPC-C's networking and WAL subsystems have four to seven templates, so a
+// single 20% holdout scores one of them.
+func evalTemplateFolds(offline, online []model.Point, folds int, seed int64) (*subsystemErrors, error) {
+	out := &subsystemErrors{
+		OfflineUS: map[tscout.SubsystemID]float64{},
+		OnlineUS:  map[tscout.SubsystemID]float64{},
+	}
+	for i, sub := range tscout.AllSubsystems {
+		pts := model.FilterSub(online, sub)
+		var tmpls []uint64
+		seen := map[uint64]bool{}
+		for _, p := range pts {
+			if !seen[p.Template] {
+				seen[p.Template] = true
+				tmpls = append(tmpls, p.Template)
+			}
+		}
+		if len(tmpls) < 2 {
+			continue
+		}
+		slices.Sort(tmpls)
+		rng := rand.New(sim.NewPCG(seed, uint64(i)))
+		rng.Shuffle(len(tmpls), func(a, b int) { tmpls[a], tmpls[b] = tmpls[b], tmpls[a] })
+		k := min(folds, len(tmpls))
+		fold := map[uint64]int{}
+		for j, t := range tmpls {
+			fold[t] = j % k
+		}
+
+		off := model.FilterSub(offline, sub)
+		offSet, err := model.Train(off, trainer())
+		if err != nil {
+			return nil, fmt.Errorf("offline %v: %w", sub, err)
+		}
+		var offSum, onSum float64
+		for f := range k {
+			combined := append([]model.Point(nil), off...)
+			var test []model.Point
+			for _, p := range pts {
+				if fold[p.Template] == f {
+					test = append(test, p)
+				} else {
+					combined = append(combined, p)
+				}
+			}
+			onSet, err := model.Train(combined, trainer())
+			if err != nil {
+				return nil, fmt.Errorf("combined %v fold %d: %w", sub, f, err)
+			}
+			// Weighted by the fold's template count: the sum over folds is
+			// the sum over templates.
+			n := float64((len(tmpls) - f + k - 1) / k)
+			offSum += offSet.AvgAbsErrorByTemplate(test) * n
+			onSum += onSet.AvgAbsErrorByTemplate(test) * n
+		}
+		out.OfflineUS[sub] = offSum / float64(len(tmpls))
+		out.OnlineUS[sub] = onSum / float64(len(tmpls))
 	}
 	return out, nil
 }

@@ -55,8 +55,51 @@ func frontierModel() model.OnlineModel {
 // samples at 100% only until its models converge, then throttles to the
 // floor, so its models train on an early full-rate flood while most of
 // the run executes at near-zero collection cost.
+//
+// Each row averages sc's seed sets. A final rate averages the sets whose
+// controller set it (-1 when none did); counts are rounded down.
 func Frontier(sc Scale) ([]FrontierRow, error) {
-	const seed = 411
+	sets, err := seedSets(sc, func(off int64) ([]FrontierRow, error) {
+		return frontier(sc, 411+off)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := meanRows(sets, func(r *FrontierRow) []*float64 {
+		return []*float64{&r.ThroughputTPS, &r.OverheadPct, &r.ErrorUS}
+	})
+	n := int64(len(sets))
+	for i := range rows {
+		r := &rows[i]
+		var rates, rated [tscout.NumSubsystems]int
+		for k, s := range sets {
+			if k > 0 {
+				r.TrainingRows += s[i].TrainingRows
+				r.Epochs += s[i].Epochs
+				r.DriftEvents += s[i].DriftEvents
+			}
+			for sub, rate := range s[i].FinalRates {
+				if rate >= 0 {
+					rates[sub] += rate
+					rated[sub]++
+				}
+			}
+		}
+		r.TrainingRows /= n
+		r.Epochs /= n
+		r.DriftEvents /= n
+		for sub := range r.FinalRates {
+			r.FinalRates[sub] = -1
+			if rated[sub] > 0 {
+				r.FinalRates[sub] = rates[sub] / rated[sub]
+			}
+		}
+	}
+	return rows, nil
+}
+
+// frontier runs every policy of the frontier once, at seed.
+func frontier(sc Scale, seed int64) ([]FrontierRow, error) {
 	profile := defaultProfile()
 	// TPC-C: feature-dependent OU costs (order lines, payment amounts), so
 	// model error actually responds to how much data a policy collected —

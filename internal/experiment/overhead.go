@@ -46,10 +46,10 @@ type OverheadRow struct {
 	Rate          int
 	ThroughputTPS float64
 	SamplesPerSec float64
-	// Stats is the Processor's end-of-run pipeline telemetry: drop
-	// fractions and budget degradation explain the peak-then-decline of
-	// Fig. 6 directly from the collector's own counters.
-	Stats tscout.ProcessorStats
+	// DropPct is the share of submitted samples the rings overwrote, from
+	// the Processor's end-of-run telemetry: it explains the
+	// peak-then-decline of Fig. 6 from the collector's own counters.
+	DropPct float64
 }
 
 // fig56Workloads builds the four OLTP workloads of §6.2. TPC-C's
@@ -67,31 +67,40 @@ func fig56Workloads() []workload.Generator {
 // Fig5and6 reproduces Figures 5 (transaction throughput vs sampling rate)
 // and 6 (training-data samples/s vs sampling rate) for the three
 // collection methods across the four OLTP workloads, 20 clients each.
+// Each point averages sc's seed sets.
 func Fig5and6(sc Scale) ([]OverheadRow, error) {
-	var rows []OverheadRow
-	for _, gen := range fig56Workloads() {
-		for _, mode := range []tscout.Mode{
-			tscout.KernelContinuous, tscout.UserToggle, tscout.UserContinuous,
-		} {
-			for _, rate := range sc.RatePoints {
-				run, err := runOnline(serverConfig(defaultProfile(), mode, true, 99, false), gen, rate,
-					workload.Config{Terminals: 20, Transactions: sc.OnlineTxns, Seed: 99}, nil)
-				if err != nil {
-					return nil, err
+	sets, err := seedSets(sc, func(off int64) ([]OverheadRow, error) {
+		var rows []OverheadRow
+		for _, gen := range fig56Workloads() {
+			for _, mode := range []tscout.Mode{
+				tscout.KernelContinuous, tscout.UserToggle, tscout.UserContinuous,
+			} {
+				for _, rate := range sc.RatePoints {
+					run, err := runOnline(serverConfig(defaultProfile(), mode, true, 99+off, false), gen, rate,
+						workload.Config{Terminals: 20, Transactions: sc.OnlineTxns, Seed: 99 + off}, nil)
+					if err != nil {
+						return nil, err
+					}
+					res := run.Result
+					rows = append(rows, OverheadRow{
+						Workload:      gen.Name(),
+						Mode:          mode,
+						Rate:          rate,
+						ThroughputTPS: res.ThroughputTPS,
+						SamplesPerSec: res.SamplesPerSec,
+						DropPct:       res.Processor.DropFraction() * 100,
+					})
 				}
-				res := run.Result
-				rows = append(rows, OverheadRow{
-					Workload:      gen.Name(),
-					Mode:          mode,
-					Rate:          rate,
-					ThroughputTPS: res.ThroughputTPS,
-					SamplesPerSec: res.SamplesPerSec,
-					Stats:         res.Processor,
-				})
 			}
 		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return meanRows(sets, func(r *OverheadRow) []*float64 {
+		return []*float64{&r.ThroughputTPS, &r.SamplesPerSec, &r.DropPct}
+	}), nil
 }
 
 // Fig8Row is one phase of Figure 8's adjustable-sampling timeline. The

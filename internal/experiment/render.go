@@ -98,7 +98,7 @@ func renderFig1(w io.Writer, rows []Fig1Row) {
 }
 
 func renderFig2(w io.Writer, rows []SubsystemRow) {
-	header(w, "Figure 2: offline vs online training data (TPC-C, 20% template holdout)")
+	header(w, "Figure 2: offline vs online training data (TPC-C, 20% template holdout, 5 folds)")
 	renderSubsystemRows(w, rows)
 }
 
@@ -130,7 +130,7 @@ func renderFig6(w io.Writer, rows []OverheadRow) {
 	header(w, "Figure 6: training-data generation vs sampling rate (20 clients)")
 	renderOverhead(w, rows, func(r OverheadRow) float64 { return r.SamplesPerSec / 1000 }, "k samples/s")
 	fmt.Fprintln(w, "\nPipeline drop fraction (ring overwrite), from Processor telemetry:")
-	renderOverhead(w, rows, func(r OverheadRow) float64 { return r.Stats.DropFraction() * 100 }, "% dropped")
+	renderOverhead(w, rows, func(r OverheadRow) float64 { return r.DropPct }, "% dropped")
 }
 
 // renderOverhead writes one line per (workload, mode), in row order, with

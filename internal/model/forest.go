@@ -18,6 +18,13 @@ type Forest struct {
 	MaxDepth int
 	// Seed drives bootstrapping.
 	Seed int64
+	// AllFeatures makes every split try every feature, as scikit-learn's
+	// regression forests do by default; otherwise a split tries half of
+	// them plus one. With a few features, one of them the hardware
+	// context that one machine holds constant, a split that draws the
+	// constant one must cut on a single other feature: a network read's
+	// bytes without its message count, say.
+	AllFeatures bool
 }
 
 func (f Forest) trees() int {
@@ -44,6 +51,9 @@ func (f Forest) Train(X [][]float64, y []float64) (Model, error) {
 	}
 	rng := rand.New(sim.NewPCG(f.Seed, 1))
 	mtry := mtryFor(len(X[0]))
+	if f.AllFeatures {
+		mtry = len(X[0])
+	}
 	idx := make([]int, len(X))
 	var sc splitScratch
 	sc.encode(X)

@@ -52,6 +52,43 @@ func TestForestConstantTarget(t *testing.T) {
 	}
 }
 
+// TestForestAllFeatures holds the case AllFeatures exists for: a network
+// read's cost set by its message count, with bytes and a constant clock
+// speed beside it. Dense one-message reads up to 93 bytes, a few sparse
+// ones beyond, and multi-message reads at 144 and 288 bytes: an unseen
+// one-message read of 150 to 240 bytes costs what the other one-message
+// reads cost, and a split that cannot see the message count groups it
+// with the 144-byte four-message reads instead.
+func TestForestAllFeatures(t *testing.T) {
+	cost := func(msgs float64) float64 { return 5 + 4.2*(msgs-1) }
+	var X [][]float64
+	var y []float64
+	add := func(bytes, msgs float64, n int) {
+		for range n {
+			X = append(X, []float64{bytes, msgs, 2100})
+			y = append(y, cost(msgs))
+		}
+	}
+	for b := 30.0; b <= 93; b++ {
+		add(b, 1, 20)
+	}
+	for _, b := range []float64{104, 296, 1064} {
+		add(b, 1, 3)
+	}
+	add(72, 2, 3)
+	add(144, 4, 3)
+	add(288, 8, 3)
+	m, err := Forest{Trees: 16, MaxDepth: 10, Seed: 7, AllFeatures: true}.Train(X, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []float64{150, 200, 240} {
+		if got := m.Predict([]float64{b, 1, 2100}); math.Abs(got-cost(1)) > 0.5 {
+			t.Errorf("one-message read of %v bytes: predicted %.2f µs, costs %.2f", b, got, cost(1))
+		}
+	}
+}
+
 func syntheticPoints(n int, ou tscout.OUID, sub tscout.SubsystemID, f func(x float64) float64, seed int64) []Point {
 	rng := rand.New(rand.NewSource(seed))
 	var out []Point
