@@ -23,7 +23,7 @@ type SubsystemRow struct {
 // Fig2 reproduces Figure 2 (offline vs online training data): models
 // trained with offline runner data alone vs augmented with online TPC-C
 // data, evaluated on held-out query templates: five folds of 20% each,
-// so every template is held out once (evalTemplateFolds). The paper's
+// so every template is held out once (templateFolds). The paper's
 // shape: WAL subsystems improve most (93%, 77%), networking ~53%, the
 // execution engine least (~9.5%). Each row averages sc's seed sets, and
 // its reduction is that of the mean errors.
@@ -37,14 +37,14 @@ func Fig2(sc Scale) ([]SubsystemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		errs, err := evalTemplateFolds(offline, online.Points, 5, 23+off)
+		errs, err := evalSubsystems(offline, templateFolds(online.Points, 5, 23+off)...)
 		if err != nil {
 			return nil, err
 		}
 		var rows []SubsystemRow
 		for _, sub := range tscout.AllSubsystems {
 			rows = append(rows, SubsystemRow{
-				Subsystem: sub, Scenario: "tpcc-holdout-20pct",
+				Subsystem: sub, Scenario: "tpcc-5fold-cv",
 				OfflineUS: errs.OfflineUS[sub],
 				OnlineUS:  errs.OnlineUS[sub],
 			})
@@ -90,7 +90,7 @@ func Fig7(sc Scale) ([]SubsystemRow, error) {
 		// The paper evaluates Fig. 7 with 5-fold cross-validation on the
 		// combined data, so the split is row-wise.
 		trainOn, testOn := model.SplitRows(online.Points, 0.2, int64(51+i))
-		errs, err := evalSubsystems(offline, trainOn, testOn)
+		errs, err := evalSubsystems(offline, split{trainOn, testOn})
 		if err != nil {
 			return nil, err
 		}
@@ -270,14 +270,14 @@ func Fig12(sc Scale) ([]SubsystemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var trainOn, testOn []model.Point
+		var s split
 		if sce.templateHoldout {
 			online, err := collectOnline(sce.trainHW, tpccGen(sce.trainWH),
 				sce.trainCli, sc.OnlineTxns, seed+1)
 			if err != nil {
 				return nil, err
 			}
-			trainOn, testOn = splitPerSubsystem(online.Points, 0.2, seed+2)
+			s = splitPerSubsystem(online.Points, 0.2, seed+2)
 		} else {
 			trainRun, err := collectOnline(sce.trainHW, tpccGen(sce.trainWH),
 				sce.trainCli, sc.OnlineTxns, seed+1)
@@ -289,9 +289,9 @@ func Fig12(sc Scale) ([]SubsystemRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			trainOn, testOn = trainRun.Points, evalRun.Points
+			s = split{trainRun.Points, evalRun.Points}
 		}
-		errs, err := evalSubsystems(offline, trainOn, testOn)
+		errs, err := evalSubsystems(offline, s)
 		if err != nil {
 			return nil, err
 		}

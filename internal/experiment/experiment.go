@@ -34,12 +34,6 @@ type Scale struct {
 	RatePoints []int
 	// ConvergenceSizes are the training-set sizes of Figs. 9/10.
 	ConvergenceSizes []int
-	// SeedSets is how many seed sets Figs. 2, 5/6 and 9 and the frontier
-	// run and average (seedSets). One run of those figures is a single
-	// roll: which templates a split holds out, which flush a run's last
-	// commit waits for, which points a ring overwrites. Their claims turn
-	// on it at 1 200 transactions.
-	SeedSets int
 }
 
 // Quick is the one scale the figure-shape tests run and EXPERIMENTS.md records.
@@ -48,29 +42,34 @@ var Quick = Scale{
 	RunnerScale:      1,
 	RatePoints:       []int{0, 20, 100},
 	ConvergenceSizes: []int{150, 400, 1000},
-	SeedSets:         5,
 }
 
-// Full sweeps more points, more slowly (`tsbench -full`). Its runs are
-// five times longer, so it runs one seed set.
+// Full sweeps more points, more slowly (`tsbench -full`).
 var Full = Scale{
 	OnlineTxns:       6000,
 	RunnerScale:      2,
 	RatePoints:       []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100},
 	ConvergenceSizes: []int{500, 1000, 2000, 4000, 8000, 16000},
-	SeedSets:         1,
 }
+
+// seedSetTxns is how many online transactions a point of Figs. 2, 5/6
+// and 9 and the frontier rests on: they run seedSetTxns/OnlineTxns seed
+// sets, at least one, and average them (five at Quick, one at Full). One
+// run of those figures is a single roll: which templates a split holds
+// out, which flush a run's last commit waits for, which points a ring
+// overwrites. Their claims turn on it at 1 200 transactions.
+const seedSetTxns = 6000
 
 // seedStride separates seed sets: seed set i adds i*seedStride to every
 // seed its figure uses, so set 0 is the figure's own seeds.
 const seedStride = 1000
 
-// seedSets runs fig once per seed set of sc, giving it the set's seed
-// offset, and returns each set's rows. Every set must yield the same rows
-// in the same order (they differ only in the values measured), so the
-// caller can average them row by row.
+// seedSets runs fig once per seed set of sc (seedSetTxns), giving it the
+// set's seed offset, and returns each set's rows. Every set must yield the
+// same rows in the same order (they differ only in the values measured),
+// so the caller can average them row by row.
 func seedSets[R any](sc Scale, fig func(offset int64) ([]R, error)) ([][]R, error) {
-	sets := make([][]R, max(sc.SeedSets, 1))
+	sets := make([][]R, max(seedSetTxns/sc.OnlineTxns, 1))
 	for i := range sets {
 		rows, err := fig(int64(i) * seedStride)
 		if err != nil {
@@ -105,11 +104,12 @@ func meanRows[R any](sets [][]R, fields func(*R) []*float64) []R {
 // trainer is the behavior-model family used throughout the evaluation.
 // Forests extrapolate conservatively (constant beyond the training range),
 // which is exactly why offline-runner data mis-predicts group-commit
-// batches it never saw. Every split tries every feature: a networking
-// OU's three features include the constant clock speed, and a split
-// drawing two of the three cut reads by bytes alone, so online data
+// batches it never saw. Every split tries every feature (AllFeatures): a
+// networking OU's three features include the constant clock speed, and a
+// split drawing two of the three cut reads by bytes alone, so online data
 // pulled an unseen template's one-message reads toward the offline
-// runners' multi-message ones.
+// runners' multi-message ones. The autopilot's refits keep the cheaper
+// default, which they pay for in the DBMS's own loop.
 func trainer() model.Trainer {
 	return model.Forest{Trees: 16, MaxDepth: 10, Seed: 7, AllFeatures: true}
 }
@@ -307,109 +307,108 @@ type subsystemErrors struct {
 	OnlineUS  map[tscout.SubsystemID]float64
 }
 
+// split divides the online points into those a model trains on, beside
+// the offline points, and those it is scored on.
+type split struct{ train, test []model.Point }
+
 // splitPerSubsystem holds out a fraction of templates independently per
 // subsystem, so subsystems with few invocation classes (the WAL pair)
 // always retain both training and test data.
-func splitPerSubsystem(points []model.Point, frac float64, seed int64) (train, test []model.Point) {
+func splitPerSubsystem(points []model.Point, frac float64, seed int64) split {
+	var s split
 	for i, sub := range tscout.AllSubsystems {
 		trn, tst := model.SplitByTemplate(model.FilterSub(points, sub), frac, seed+int64(i))
-		train = append(train, trn...)
-		test = append(test, tst...)
+		s.train = append(s.train, trn...)
+		s.test = append(s.test, tst...)
 	}
-	return train, test
+	return s
 }
 
-func evalSubsystems(offline, onlineTrain, onlineTest []model.Point) (*subsystemErrors, error) {
+// templateFolds is k-fold cross-validation by template: per subsystem, the
+// templates are shuffled by seed and dealt into folds (template j to fold
+// j mod k), and split f holds fold f's templates out. A subsystem with
+// fewer templates than folds is held out one template per split, and one
+// with a single template in none. TPC-C's networking and WAL subsystems
+// have four to seven templates, so a single 20% holdout scores one of them.
+func templateFolds(points []model.Point, k int, seed int64) []split {
+	splits := make([]split, k)
+	for i, sub := range tscout.AllSubsystems {
+		pts := model.FilterSub(points, sub)
+		tmpls := templates(pts)
+		if len(tmpls) < 2 {
+			continue
+		}
+		rng := rand.New(sim.NewPCG(seed, uint64(i)))
+		rng.Shuffle(len(tmpls), func(a, b int) { tmpls[a], tmpls[b] = tmpls[b], tmpls[a] })
+		fold := make(map[uint64]int, len(tmpls))
+		for j, t := range tmpls {
+			fold[t] = j % min(k, len(tmpls))
+		}
+		for _, p := range pts {
+			for f := range splits {
+				if fold[p.Template] == f {
+					splits[f].test = append(splits[f].test, p)
+				} else {
+					splits[f].train = append(splits[f].train, p)
+				}
+			}
+		}
+	}
+	return splits
+}
+
+// templates returns the distinct templates of pts, ascending.
+func templates(pts []model.Point) []uint64 {
+	t := make([]uint64, len(pts))
+	for i, p := range pts {
+		t[i] = p.Template
+	}
+	slices.Sort(t)
+	return slices.Compact(t)
+}
+
+// evalSubsystems trains, per subsystem, one model on the offline points
+// and, per split, one on the offline points plus the split's online
+// training points, and scores both on the split's test points
+// (AvgAbsErrorByTemplate). A subsystem's errors weight each split by the
+// templates it scores, so over templateFolds they average every template,
+// each scored by models that never saw it. A subsystem no split tests has
+// no entry.
+func evalSubsystems(offline []model.Point, splits ...split) (*subsystemErrors, error) {
 	out := &subsystemErrors{
 		OfflineUS: map[tscout.SubsystemID]float64{},
 		OnlineUS:  map[tscout.SubsystemID]float64{},
 	}
 	for _, sub := range tscout.AllSubsystems {
 		off := model.FilterSub(offline, sub)
-		trn := model.FilterSub(onlineTrain, sub)
-		tst := model.FilterSub(onlineTest, sub)
-		if len(tst) == 0 {
-			continue
-		}
-		offSet, err := model.Train(off, trainer())
-		if err != nil {
-			return nil, fmt.Errorf("offline %v: %w", sub, err)
-		}
-		out.OfflineUS[sub] = offSet.AvgAbsErrorByTemplate(tst)
-
-		combined := append(append([]model.Point(nil), off...), trn...)
-		onSet, err := model.Train(combined, trainer())
-		if err != nil {
-			return nil, fmt.Errorf("combined %v: %w", sub, err)
-		}
-		out.OnlineUS[sub] = onSet.AvgAbsErrorByTemplate(tst)
-	}
-	return out, nil
-}
-
-// evalTemplateFolds is evalSubsystems under k-fold cross-validation by
-// template: per subsystem, the online templates are shuffled by seed and
-// dealt into folds (template j to fold j mod folds), and each fold in turn
-// is the test set while the other folds join the offline data. A subsystem
-// with fewer templates than folds gets one fold per template. The errors
-// average every template, each scored once, by a model that never saw it.
-// TPC-C's networking and WAL subsystems have four to seven templates, so a
-// single 20% holdout scores one of them.
-func evalTemplateFolds(offline, online []model.Point, folds int, seed int64) (*subsystemErrors, error) {
-	out := &subsystemErrors{
-		OfflineUS: map[tscout.SubsystemID]float64{},
-		OnlineUS:  map[tscout.SubsystemID]float64{},
-	}
-	for i, sub := range tscout.AllSubsystems {
-		pts := model.FilterSub(online, sub)
-		var tmpls []uint64
-		seen := map[uint64]bool{}
-		for _, p := range pts {
-			if !seen[p.Template] {
-				seen[p.Template] = true
-				tmpls = append(tmpls, p.Template)
-			}
-		}
-		if len(tmpls) < 2 {
-			continue
-		}
-		slices.Sort(tmpls)
-		rng := rand.New(sim.NewPCG(seed, uint64(i)))
-		rng.Shuffle(len(tmpls), func(a, b int) { tmpls[a], tmpls[b] = tmpls[b], tmpls[a] })
-		k := min(folds, len(tmpls))
-		fold := map[uint64]int{}
-		for j, t := range tmpls {
-			fold[t] = j % k
-		}
-
-		off := model.FilterSub(offline, sub)
-		offSet, err := model.Train(off, trainer())
-		if err != nil {
-			return nil, fmt.Errorf("offline %v: %w", sub, err)
-		}
+		var offSet *model.OUModelSet
 		var offSum, onSum float64
-		for f := range k {
-			combined := append([]model.Point(nil), off...)
-			var test []model.Point
-			for _, p := range pts {
-				if fold[p.Template] == f {
-					test = append(test, p)
-				} else {
-					combined = append(combined, p)
+		var scored int
+		for _, s := range splits {
+			tst := model.FilterSub(s.test, sub)
+			if len(tst) == 0 {
+				continue
+			}
+			var err error
+			if offSet == nil {
+				if offSet, err = model.Train(off, trainer()); err != nil {
+					return nil, fmt.Errorf("offline %v: %w", sub, err)
 				}
 			}
+			combined := append(append([]model.Point(nil), off...), model.FilterSub(s.train, sub)...)
 			onSet, err := model.Train(combined, trainer())
 			if err != nil {
-				return nil, fmt.Errorf("combined %v fold %d: %w", sub, f, err)
+				return nil, fmt.Errorf("combined %v: %w", sub, err)
 			}
-			// Weighted by the fold's template count: the sum over folds is
-			// the sum over templates.
-			n := float64((len(tmpls) - f + k - 1) / k)
-			offSum += offSet.AvgAbsErrorByTemplate(test) * n
-			onSum += onSet.AvgAbsErrorByTemplate(test) * n
+			n := len(templates(tst))
+			offSum += offSet.AvgAbsErrorByTemplate(tst) * float64(n)
+			onSum += onSet.AvgAbsErrorByTemplate(tst) * float64(n)
+			scored += n
 		}
-		out.OfflineUS[sub] = offSum / float64(len(tmpls))
-		out.OnlineUS[sub] = onSum / float64(len(tmpls))
+		if scored > 0 {
+			out.OfflineUS[sub] = offSum / float64(scored)
+			out.OnlineUS[sub] = onSum / float64(scored)
+		}
 	}
 	return out, nil
 }

@@ -98,7 +98,7 @@ func renderFig1(w io.Writer, rows []Fig1Row) {
 }
 
 func renderFig2(w io.Writer, rows []SubsystemRow) {
-	header(w, "Figure 2: offline vs online training data (TPC-C, 20% template holdout, 5 folds)")
+	header(w, "Figure 2: offline vs online training data (TPC-C, 5-fold template cross-validation)")
 	renderSubsystemRows(w, rows)
 }
 

@@ -23,7 +23,11 @@ type Forest struct {
 	// them plus one. With a few features, one of them the hardware
 	// context that one machine holds constant, a split that draws the
 	// constant one must cut on a single other feature: a network read's
-	// bytes without its message count, say.
+	// bytes without its message count, say. The default is the cheaper
+	// one. On a three-feature OU whose third feature is constant, every
+	// split then searches both others instead of one and a third on
+	// average, and the benchmark's tpcc_autopilot learn pass spent about
+	// half again the CPU a point.
 	AllFeatures bool
 }
 
