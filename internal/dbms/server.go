@@ -297,31 +297,30 @@ func (se *Session) SubmitPacket(packet []byte) *PacketResult {
 	}
 
 	// --- Execute the statements in one transaction --------------------
-	task.BeginScope()
-	tx := srv.TxnMgr.Begin()
+	if err := se.BeginTxn(); err != nil {
+		return fail(se.reply[:0], 0, err)
+	}
 	if srv.TS != nil {
 		srv.TS.BeginEvent(task, tscout.SubsystemExecutionEngine)
 	}
 	reply := se.reply[:0]
-	ctx := se.execCtx(tx)
+	ctx := se.execCtx(se.tx)
 	for i, e := range stmts {
 		res, err := srv.run(ctx, e.st, e.lits)
 		if err != nil {
-			_ = tx.Abort()
-			tx.Release()
+			se.rollback()
 			return fail(reply, i, err)
 		}
 		pr.Results = append(pr.Results, res)
 		reply = appendResult(reply, res)
 	}
-	writes := tx.Writes()
-	if _, err := tx.Commit(); err != nil {
-		return fail(reply[:0], 0, err)
-	}
 
 	// --- WAL group commit ----------------------------------------------
-	pr.Commit = se.submitRedo(tx, writes)
-	tx.Release()
+	c, err := se.Commit()
+	if err != nil {
+		return fail(reply[:0], 0, err)
+	}
+	pr.Commit = c
 
 	se.respond(reply, len(stmts))
 	return pr
@@ -460,23 +459,21 @@ func (se *Session) Execute(query string, params ...storage.Value) (*exec.Result,
 	if err != nil {
 		return nil, err
 	}
-	se.Task.BeginScope()
-	tx := se.srv.TxnMgr.Begin()
+	if err := se.BeginTxn(); err != nil {
+		return nil, err
+	}
 	if se.srv.TS != nil {
 		se.srv.TS.BeginEvent(se.Task, tscout.SubsystemExecutionEngine)
 	}
-	res, err := se.srv.run(se.execCtx(tx), st, bound)
+	res, err := se.srv.run(se.execCtx(se.tx), st, bound)
 	if err != nil {
-		_ = tx.Abort()
-		tx.Release()
+		se.rollback()
 		return nil, err
 	}
-	writes := tx.Writes()
-	if _, err := tx.Commit(); err != nil {
+	c, err := se.Commit()
+	if err != nil {
 		return nil, err
 	}
-	c := se.submitRedo(tx, writes)
-	tx.Release()
 	if c != nil && c.Resolved {
 		se.Task.Clock.AdvanceTo(c.DoneNS)
 	}

@@ -81,6 +81,30 @@ func TestSessionRollback(t *testing.T) {
 	}
 }
 
+// TestExecuteWithOpenTxn: Execute opens its own transaction through
+// BeginTxn, so on a session with one already open it fails, and the open
+// transaction carries on.
+func TestExecuteWithOpenTxn(t *testing.T) {
+	srv := newTestServer(t, false)
+	se := srv.NewSession()
+	if err := se.BeginTxn(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Execute("INSERT INTO kv VALUES (6, 'six')"); !errors.Is(err, ErrTxnOpen) {
+		t.Fatalf("execute in open txn: %v", err)
+	}
+	res, err := se.Statement("SELECT COUNT(*) FROM kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].AsInt(); n != 0 {
+		t.Fatalf("refused execute wrote %d rows", n)
+	}
+	if _, err := se.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSessionStatementErrorAborts(t *testing.T) {
 	srv := newTestServer(t, false)
 	se := srv.NewSession()

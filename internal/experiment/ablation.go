@@ -49,22 +49,13 @@ func AblationNoise(sc Scale) ([]NoiseAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		trainOn, testOn := model.SplitRows(
-			model.FilterSub(online, tscout.SubsystemLogSerializer), 0.2, 203)
-		offSub := model.FilterSub(offline, tscout.SubsystemLogSerializer)
-		offSet, err := model.Train(offSub, trainer())
+		ls := tscout.SubsystemLogSerializer
+		trainOn, testOn := model.SplitRows(model.FilterSub(online, ls), 0.2, 203)
+		offUS, onUS, err := scoreSplits(model.FilterSub(offline, ls), split{trainOn, testOn})
 		if err != nil {
 			return nil, err
 		}
-		onSet, err := model.Train(append(append([]model.Point(nil), offSub...), trainOn...), trainer())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, NoiseAblationRow{
-			Sigma:           sigma,
-			LogSerOfflineUS: offSet.AvgAbsErrorByTemplate(testOn),
-			LogSerOnlineUS:  onSet.AvgAbsErrorByTemplate(testOn),
-		})
+		rows = append(rows, NoiseAblationRow{Sigma: sigma, LogSerOfflineUS: offUS[0], LogSerOnlineUS: onUS[0]})
 	}
 	return rows, nil
 }

@@ -37,19 +37,7 @@ func Fig2(sc Scale) ([]SubsystemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		errs, err := evalSubsystems(offline, templateFolds(online.Points, 5, 23+off)...)
-		if err != nil {
-			return nil, err
-		}
-		var rows []SubsystemRow
-		for _, sub := range tscout.AllSubsystems {
-			rows = append(rows, SubsystemRow{
-				Subsystem: sub, Scenario: "tpcc-5fold-cv",
-				OfflineUS: errs.OfflineUS[sub],
-				OnlineUS:  errs.OnlineUS[sub],
-			})
-		}
-		return rows, nil
+		return evalSubsystems("tpcc-5fold-cv", offline, templateFolds(online.Points, 5, 23+off)...)
 	})
 	if err != nil {
 		return nil, err
@@ -87,21 +75,14 @@ func Fig7(sc Scale) ([]SubsystemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The paper evaluates Fig. 7 with 5-fold cross-validation on the
-		// combined data, so the split is row-wise.
+		// The paper cross-validates Fig. 7 with five row-wise folds of the
+		// combined data; this holds out one 20% row fold of the five.
 		trainOn, testOn := model.SplitRows(online.Points, 0.2, int64(51+i))
-		errs, err := evalSubsystems(offline, split{trainOn, testOn})
+		r, err := evalSubsystems(sce.name, offline, split{trainOn, testOn})
 		if err != nil {
 			return nil, err
 		}
-		for _, sub := range tscout.AllSubsystems {
-			rows = append(rows, SubsystemRow{
-				Subsystem: sub, Scenario: sce.name,
-				OfflineUS:    errs.OfflineUS[sub],
-				OnlineUS:     errs.OnlineUS[sub],
-				ReductionPct: reduction(errs.OfflineUS[sub], errs.OnlineUS[sub]),
-			})
-		}
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }
@@ -147,35 +128,29 @@ func convergence(gen workload.Generator, terminals int, sc Scale, seed int64) ([
 	if err != nil {
 		return nil, err
 	}
-	// The paper evaluates convergence with 5-fold cross-validation, so
-	// the split is row-wise: test templates also appear in training.
+	// The paper cross-validates convergence with five row-wise folds; this
+	// holds out one 20% row fold of the five, so test templates also
+	// appear in training.
 	trainPool, test := model.SplitRows(online.Points, 0.2, seed+2)
 
 	var rows []ConvergenceRow
 	for _, sub := range tscout.AllSubsystems {
-		offSub := model.FilterSub(offline, sub)
 		poolSub := model.FilterSub(trainPool, sub)
 		testSub := model.FilterSub(test, sub)
 		if len(testSub) == 0 || len(poolSub) == 0 {
 			continue
 		}
-		offSet, err := model.Train(offSub, trainer())
+		offUS, onUS, err := scoreSplits(model.FilterSub(offline, sub),
+			sized(poolSub, testSub, sc.ConvergenceSizes, seed+3)...)
 		if err != nil {
 			return nil, err
 		}
-		baseline := offSet.AvgAbsErrorByTemplate(testSub)
-		for _, size := range sc.ConvergenceSizes {
-			sample := model.Sample(poolSub, size, seed+3)
-			combined := append(append([]model.Point(nil), offSub...), sample...)
-			set, err := model.Train(combined, trainer())
-			if err != nil {
-				return nil, err
-			}
+		for i, size := range sc.ConvergenceSizes {
 			rows = append(rows, ConvergenceRow{
 				Subsystem: sub,
 				DataSize:  size,
-				OfflineUS: baseline,
-				OnlineUS:  set.AvgAbsErrorByTemplate(testSub),
+				OfflineUS: offUS[i],
+				OnlineUS:  onUS[i],
 			})
 		}
 	}
@@ -201,8 +176,9 @@ func Fig11(sc Scale) ([]Fig11Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	offEE := model.FilterSub(offline, tscout.SubsystemExecutionEngine)
+	// One offline model scores every client count's test points.
 	var rows []Fig11Row
+	var splits []split
 	for _, terminals := range []int{2, 5, 10, 20} {
 		online, err := collectOnlineComplete(defaultProfile(), tpccGen(2), terminals,
 			sc.OnlineTxns, int64(82+terminals))
@@ -215,27 +191,21 @@ func Fig11(sc Scale) ([]Fig11Row, error) {
 		if len(testEE) == 0 {
 			continue
 		}
-		offSet, err := model.Train(offEE, trainer())
-		if err != nil {
-			return nil, err
-		}
-		offErr := offSet.AvgAbsErrorByTemplate(testEE)
 		// The paper's Fig. 11 sizes (10k/20k/30k) are large relative to
 		// the collected pool; sweep quarters of the available data.
 		sizes := []int{len(trainEE) / 4, len(trainEE) / 2, len(trainEE)}
+		splits = append(splits, sized(trainEE, testEE, sizes, 84)...)
 		for _, size := range sizes {
-			sample := model.Sample(trainEE, size, 84)
-			set, err := model.Train(append(append([]model.Point(nil), offEE...), sample...), trainer())
-			if err != nil {
-				return nil, err
-			}
-			onErr := set.AvgAbsErrorByTemplate(testEE)
-			rows = append(rows, Fig11Row{
-				Terminals: terminals, DataSize: size,
-				OfflineUS: offErr, OnlineUS: onErr,
-				ReductionPct: reduction(offErr, onErr),
-			})
+			rows = append(rows, Fig11Row{Terminals: terminals, DataSize: size})
 		}
+	}
+	offUS, onUS, err := scoreSplits(model.FilterSub(offline, tscout.SubsystemExecutionEngine), splits...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range rows {
+		rows[i].OfflineUS, rows[i].OnlineUS = offUS[i], onUS[i]
+		rows[i].ReductionPct = reduction(offUS[i], onUS[i])
 	}
 	return rows, nil
 }
@@ -245,7 +215,8 @@ func Fig11(sc Scale) ([]Fig11Row, error) {
 // unseen setting. Scenarios vary database size, hardware, thread count,
 // and the query set. The paper's shape: small-error models (networking,
 // execution engine) stay robust; the disk writer degrades when migrating
-// to larger hardware it has no context features for.
+// to larger hardware it has no context features for. *New Queries* holds
+// out each fifth of the templates in turn (templateFolds).
 func Fig12(sc Scale) ([]SubsystemRow, error) {
 	type scenario struct {
 		name              string
@@ -270,14 +241,14 @@ func Fig12(sc Scale) ([]SubsystemRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		var s split
+		var splits []split
 		if sce.templateHoldout {
 			online, err := collectOnline(sce.trainHW, tpccGen(sce.trainWH),
 				sce.trainCli, sc.OnlineTxns, seed+1)
 			if err != nil {
 				return nil, err
 			}
-			s = splitPerSubsystem(online.Points, 0.2, seed+2)
+			splits = templateFolds(online.Points, 5, seed+2)
 		} else {
 			trainRun, err := collectOnline(sce.trainHW, tpccGen(sce.trainWH),
 				sce.trainCli, sc.OnlineTxns, seed+1)
@@ -289,20 +260,13 @@ func Fig12(sc Scale) ([]SubsystemRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			s = split{trainRun.Points, evalRun.Points}
+			splits = []split{{trainRun.Points, evalRun.Points}}
 		}
-		errs, err := evalSubsystems(offline, s)
+		r, err := evalSubsystems(sce.name, offline, splits...)
 		if err != nil {
 			return nil, err
 		}
-		for _, sub := range tscout.AllSubsystems {
-			rows = append(rows, SubsystemRow{
-				Subsystem: sub, Scenario: sce.name,
-				OfflineUS:    errs.OfflineUS[sub],
-				OnlineUS:     errs.OnlineUS[sub],
-				ReductionPct: reduction(errs.OfflineUS[sub], errs.OnlineUS[sub]),
-			})
-		}
+		rows = append(rows, r...)
 	}
 	return rows, nil
 }

@@ -299,30 +299,9 @@ func chbenchGen(warehouses int) *workload.CHBench {
 	return &workload.CHBench{TPCC: *tpccGen(warehouses)}
 }
 
-// subsystemErrors evaluates offline-only vs offline+online models per
-// subsystem on a held-out online test set, returning per-subsystem
-// average absolute error in microseconds.
-type subsystemErrors struct {
-	OfflineUS map[tscout.SubsystemID]float64
-	OnlineUS  map[tscout.SubsystemID]float64
-}
-
 // split divides the online points into those a model trains on, beside
 // the offline points, and those it is scored on.
 type split struct{ train, test []model.Point }
-
-// splitPerSubsystem holds out a fraction of templates independently per
-// subsystem, so subsystems with few invocation classes (the WAL pair)
-// always retain both training and test data.
-func splitPerSubsystem(points []model.Point, frac float64, seed int64) split {
-	var s split
-	for i, sub := range tscout.AllSubsystems {
-		trn, tst := model.SplitByTemplate(model.FilterSub(points, sub), frac, seed+int64(i))
-		s.train = append(s.train, trn...)
-		s.test = append(s.test, tst...)
-	}
-	return s
-}
 
 // templateFolds is k-fold cross-validation by template: per subsystem, the
 // templates are shuffled by seed and dealt into folds (template j to fold
@@ -342,7 +321,7 @@ func templateFolds(points []model.Point, k int, seed int64) []split {
 		rng.Shuffle(len(tmpls), func(a, b int) { tmpls[a], tmpls[b] = tmpls[b], tmpls[a] })
 		fold := make(map[uint64]int, len(tmpls))
 		for j, t := range tmpls {
-			fold[t] = j % min(k, len(tmpls))
+			fold[t] = j % k
 		}
 		for _, p := range pts {
 			for f := range splits {
@@ -367,50 +346,76 @@ func templates(pts []model.Point) []uint64 {
 	return slices.Compact(t)
 }
 
-// evalSubsystems trains, per subsystem, one model on the offline points
-// and, per split, one on the offline points plus the split's online
-// training points, and scores both on the split's test points
-// (AvgAbsErrorByTemplate). A subsystem's errors weight each split by the
-// templates it scores, so over templateFolds they average every template,
-// each scored by models that never saw it. A subsystem no split tests has
-// no entry.
-func evalSubsystems(offline []model.Point, splits ...split) (*subsystemErrors, error) {
-	out := &subsystemErrors{
-		OfflineUS: map[tscout.SubsystemID]float64{},
-		OnlineUS:  map[tscout.SubsystemID]float64{},
+// scoreSplits trains one model on the offline points off and, per split,
+// one on off plus the split's training points, and scores both on the
+// split's test points (AvgAbsErrorByTemplate): offUS[i] and onUS[i] are
+// split i's errors. The offline model is trained once; a split with no
+// test points trains nothing and scores 0.
+func scoreSplits(off []model.Point, splits ...split) (offUS, onUS []float64, err error) {
+	offUS = make([]float64, len(splits))
+	onUS = make([]float64, len(splits))
+	var offSet *model.OUModelSet
+	for i, s := range splits {
+		if len(s.test) == 0 {
+			continue
+		}
+		if offSet == nil {
+			if offSet, err = model.Train(off, trainer()); err != nil {
+				return nil, nil, fmt.Errorf("offline: %w", err)
+			}
+		}
+		onSet, err := model.Train(slices.Concat(off, s.train), trainer())
+		if err != nil {
+			return nil, nil, fmt.Errorf("combined: %w", err)
+		}
+		offUS[i] = offSet.AvgAbsErrorByTemplate(s.test)
+		onUS[i] = onSet.AvgAbsErrorByTemplate(s.test)
 	}
+	return offUS, onUS, nil
+}
+
+// sized returns one split per training-set size: a sample of that many
+// points of pool (model.Sample) to train on, each scored on test.
+func sized(pool, test []model.Point, sizes []int, seed int64) []split {
+	splits := make([]split, len(sizes))
+	for i, n := range sizes {
+		splits[i] = split{model.Sample(pool, n, seed), test}
+	}
+	return splits
+}
+
+// evalSubsystems scores each subsystem's share of the splits against its
+// offline points (scoreSplits), one scenario row per subsystem. A
+// subsystem's errors weight each split by the templates it scores, so over
+// templateFolds they average every template, each scored by models that
+// never saw it. A subsystem no split tests scores 0.
+func evalSubsystems(scenario string, offline []model.Point, splits ...split) ([]SubsystemRow, error) {
+	var rows []SubsystemRow
 	for _, sub := range tscout.AllSubsystems {
-		off := model.FilterSub(offline, sub)
-		var offSet *model.OUModelSet
+		subSplits := make([]split, len(splits))
+		for i, s := range splits {
+			subSplits[i] = split{model.FilterSub(s.train, sub), model.FilterSub(s.test, sub)}
+		}
+		offUS, onUS, err := scoreSplits(model.FilterSub(offline, sub), subSplits...)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", sub, err)
+		}
 		var offSum, onSum float64
 		var scored int
-		for _, s := range splits {
-			tst := model.FilterSub(s.test, sub)
-			if len(tst) == 0 {
-				continue
-			}
-			var err error
-			if offSet == nil {
-				if offSet, err = model.Train(off, trainer()); err != nil {
-					return nil, fmt.Errorf("offline %v: %w", sub, err)
-				}
-			}
-			combined := append(append([]model.Point(nil), off...), model.FilterSub(s.train, sub)...)
-			onSet, err := model.Train(combined, trainer())
-			if err != nil {
-				return nil, fmt.Errorf("combined %v: %w", sub, err)
-			}
-			n := len(templates(tst))
-			offSum += offSet.AvgAbsErrorByTemplate(tst) * float64(n)
-			onSum += onSet.AvgAbsErrorByTemplate(tst) * float64(n)
+		for i, s := range subSplits {
+			n := len(templates(s.test))
+			offSum += offUS[i] * float64(n)
+			onSum += onUS[i] * float64(n)
 			scored += n
 		}
+		row := SubsystemRow{Subsystem: sub, Scenario: scenario}
 		if scored > 0 {
-			out.OfflineUS[sub] = offSum / float64(scored)
-			out.OnlineUS[sub] = onSum / float64(scored)
+			row.OfflineUS, row.OnlineUS = offSum/float64(scored), onSum/float64(scored)
+			row.ReductionPct = reduction(row.OfflineUS, row.OnlineUS)
 		}
+		rows = append(rows, row)
 	}
-	return out, nil
+	return rows, nil
 }
 
 // reduction computes the paper's "reduction in average absolute error"

@@ -233,17 +233,12 @@ func TestRingBiasFig11(t *testing.T) {
 // data size: the execution-engine error of the offline model and of the
 // model trained on the offline data plus the pool's training split.
 func fig11Errors(offline, online []model.Point) (offErr, onErr float64) {
-	offEE := model.FilterSub(offline, tscout.SubsystemExecutionEngine)
+	ee := tscout.SubsystemExecutionEngine
 	trainOn, testOn := model.SplitRows(online, 0.2, 83)
-	trainEE := model.FilterSub(trainOn, tscout.SubsystemExecutionEngine)
-	testEE := model.FilterSub(testOn, tscout.SubsystemExecutionEngine)
-	offSet, err := model.Train(offEE, trainer())
+	offUS, onUS, err := scoreSplits(model.FilterSub(offline, ee),
+		split{model.FilterSub(trainOn, ee), model.FilterSub(testOn, ee)})
 	if err != nil {
 		return math.NaN(), math.NaN()
 	}
-	set, err := model.Train(append(append([]model.Point(nil), offEE...), model.Sample(trainEE, len(trainEE), 84)...), trainer())
-	if err != nil {
-		return math.NaN(), math.NaN()
-	}
-	return offSet.AvgAbsErrorByTemplate(testEE), set.AvgAbsErrorByTemplate(testEE)
+	return offUS[0], onUS[0]
 }

@@ -149,27 +149,6 @@ func TestAvgAbsErrorByTemplate(t *testing.T) {
 	}
 }
 
-func TestSplitByTemplateDisjoint(t *testing.T) {
-	pts := syntheticPoints(500, 1, tscout.SubsystemExecutionEngine,
-		func(x float64) float64 { return x }, 4)
-	train, test := SplitByTemplate(pts, 0.2, 7)
-	if len(train) == 0 || len(test) == 0 {
-		t.Fatalf("split: %d/%d", len(train), len(test))
-	}
-	trainT := map[uint64]bool{}
-	for _, p := range train {
-		trainT[p.Template] = true
-	}
-	for _, p := range test {
-		if trainT[p.Template] {
-			t.Fatalf("template %d leaked into both sides", p.Template)
-		}
-	}
-	if len(train)+len(test) != len(pts) {
-		t.Fatalf("partition: %d+%d != %d", len(train), len(test), len(pts))
-	}
-}
-
 // CrossValidate runs k-fold cross-validation (the paper uses 5-fold) and
 // returns the mean per-template absolute error across folds. extraTrain
 // points (e.g. offline runner data) join every fold's training set.

@@ -221,42 +221,10 @@ func FilterSub(points []Point, sub tscout.SubsystemID) []Point {
 	return out
 }
 
-// SplitByTemplate holds out a fraction of templates (not rows): the paper
-// holds out 20% of queries by template type (§2.4, §6.6 "New Queries").
-func SplitByTemplate(points []Point, holdFrac float64, seed int64) (train, test []Point) {
-	tmpls := map[uint64]bool{}
-	for _, p := range points {
-		tmpls[p.Template] = true
-	}
-	keys := make([]uint64, 0, len(tmpls))
-	for k := range tmpls {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	rng := rand.New(sim.NewPCG(seed, 0))
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	nHold := int(float64(len(keys)) * holdFrac)
-	if nHold < 1 && len(keys) > 1 {
-		nHold = 1
-	}
-	held := map[uint64]bool{}
-	for _, k := range keys[:nHold] {
-		held[k] = true
-	}
-	for _, p := range points {
-		if held[p.Template] {
-			test = append(test, p)
-		} else {
-			train = append(train, p)
-		}
-	}
-	return train, test
-}
-
-// SplitRows randomly holds out a fraction of points (row-wise), matching
-// the paper's 5-fold cross-validation protocol for the convergence
-// experiments (§6.5) — unlike SplitByTemplate, test templates also appear
-// in training.
+// SplitRows randomly holds out a fraction of points (row-wise), so test
+// templates also appear in training. The paper cross-validates its
+// convergence experiments (§6.5) with five row-wise folds; a holdFrac of
+// 0.2 is one of them.
 func SplitRows(points []Point, holdFrac float64, seed int64) (train, test []Point) {
 	rng := rand.New(sim.NewPCG(seed, 0))
 	idx := rng.Perm(len(points))

@@ -38,6 +38,7 @@ lint() {
 	stmt_params_stack
 	wal_records_borrowed
 	one_chaos_driver
+	one_evaluation_path
 	no_goroutines
 }
 
@@ -71,6 +72,19 @@ one_chaos_driver() {
 		grep -v -e '^\./internal/kernel/' -e '^\./internal/tscout/chaos_test\.go$' || true)
 	if [ -n "$stray" ]; then
 		echo "one_chaos_driver: only internal/tscout/chaos_test.go may drive faults; add a scenario there instead:" >&2
+		echo "$stray" >&2
+		return 1
+	fi
+}
+
+# Every accuracy figure trains and scores its models through one function,
+# scoreSplits in internal/experiment/experiment.go. No other non-test file of
+# the package may call model.Train, so the scoring loop cannot fork again.
+one_evaluation_path() {
+	stray=$(grep -l --include='*.go' --exclude='*_test.go' -r 'model\.Train(' internal/experiment |
+		grep -v '^internal/experiment/experiment\.go$' || true)
+	if [ -n "$stray" ]; then
+		echo "one_evaluation_path: only scoreSplits (internal/experiment/experiment.go) may train a model; pass it a split instead:" >&2
 		echo "$stray" >&2
 		return 1
 	fi
