@@ -19,10 +19,11 @@ bench:
 
 # Every allocation site of one workload's collect pass, exactly
 # (GODEBUG=memprofilerate=1): make alloc-census W=smallbank_scaleout; S= sets
-# the seconds (4), SEED= the seed (21), and P=learn takes the learn pass
-# instead.
+# the seconds (4), SEED= the seed (21), P=learn takes the learn pass
+# instead, and F= keeps only the call paths a pprof -focus regex matches
+# (F='Controller..Tick').
 alloc-census:
-	GO="$(GO)" SEED="$(SEED)" ./scripts/alloc-census.sh $(W) $(or $(S),4) $(P)
+	GO="$(GO)" SEED="$(SEED)" FOCUS="$(F)" ./scripts/alloc-census.sh $(W) $(or $(S),4) $(P)
 
 # The bit-neutral recipe against a revision, one line per check: make
 # neutral REV=<rev> (SEED= and SCALE= set the runs).

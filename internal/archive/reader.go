@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"slices"
 
 	"tscout/internal/tscout"
 )
@@ -25,10 +24,11 @@ func corruptf(format string, args ...any) error {
 // projected scan touches only the columns it needs. A Reader is
 // immutable after NewReader.
 type Reader struct {
-	segs  []segmentData
-	first uint64 // global row index of the archive's first row
-	rows  int64
-	size  int64
+	segs    []segmentData
+	first   uint64 // global row index of the archive's first row
+	rows    int64
+	size    int64
+	maxRows int // the largest block's rows: every decode buffer's size
 }
 
 // NewReader parses data as a sequence of segments. It never panics on
@@ -42,6 +42,11 @@ type Reader struct {
 // [FirstRow(), FirstRow()+NumRows()), and a reader places each row at
 // index-FirstRow() instead of sorting. A run of consecutively sealed
 // segments (the autopilot's tail) is an archive; a rewind or a gap is not.
+//
+// Parsing costs a fixed number of allocations per segment (parseFooter),
+// whatever its blocks or dictionary entries, and a Blocks call a fixed
+// number per call: its Block sizes every buffer once, to the largest
+// block NewReader saw.
 func NewReader(data []byte) (*Reader, error) {
 	r := &Reader{size: int64(len(data))}
 	for off := 0; off < len(data); {
@@ -51,6 +56,9 @@ func NewReader(data []byte) (*Reader, error) {
 		}
 		if err := r.checkDense(&seg); err != nil {
 			return nil, fmt.Errorf("segment %d at offset %d: %w", len(r.segs), off, err)
+		}
+		for bi := range seg.blocks {
+			r.maxRows = max(r.maxRows, seg.blocks[bi].rows)
 		}
 		r.segs = append(r.segs, seg)
 		r.rows += seg.rows
@@ -179,22 +187,54 @@ func (f *footerReader) float64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
+// Footer bytes a block's entry occupies at least, from the wire format
+// (appendFooter): twelve varints of identity, extent, row and PID ranges
+// and feature counts, and a varint pair per metric zone map; each feature
+// adds a name index and its two float64 zone-map bounds. parseFooter
+// sizes its per-segment slabs from these, so no claimed count allocates
+// more than a fixed multiple of the footer bytes that must back it.
+const (
+	minBlockFooterBytes   = 12 + 2*tscout.NumMetrics
+	minFeatureFooterBytes = 1 + 2*8
+)
+
+// parseFooter parses a segment's footer into seg in a fixed number of
+// allocations, whatever its dictionary or block counts: the dictionary is
+// one string whose entries are substrings, the blocks one slice, and every
+// block's feature name indexes and zone maps are capacity-capped cuts of
+// two per-segment slabs, so no block's slice reaches the next one's.
 func parseFooter(seg *segmentData, footer []byte) error {
 	fr := &footerReader{b: footer}
 
 	// Dictionary. Each entry consumes at least one footer byte, so the
-	// claimed count is implicitly bounded by the (checksummed) footer size;
-	// entry bodies are bounds-checked by fr.bytes.
+	// claimed count is bounded by the (checksummed) footer size; entry
+	// bodies are bounds-checked by fr.bytes. A first pass finds the
+	// dictionary's extent, which is copied into one string; the second
+	// cuts each entry from it.
 	nDict := fr.uvarint()
-	if fr.err == nil && nDict > uint64(len(footer)) {
+	if fr.err == nil && nDict > uint64(len(fr.b)) {
 		return corruptf("dictionary count %d exceeds footer size %d", nDict, len(footer))
 	}
+	start := fr.b
 	for i := uint64(0); i < nDict && fr.err == nil; i++ {
 		n := fr.uvarint()
 		if fr.err == nil && n > uint64(len(fr.b)) {
 			return corruptf("dictionary entry %d: length %d exceeds remaining footer", i, n)
 		}
-		seg.dict = append(seg.dict, string(fr.bytes(int(n))))
+		fr.bytes(int(n))
+	}
+	if fr.err != nil {
+		return fr.err
+	}
+	dictBytes := start[:len(start)-len(fr.b)]
+	dict := string(dictBytes)
+	seg.dict = make([]string, nDict)
+	entries := footerReader{b: dictBytes}
+	for i := range seg.dict {
+		n := int(entries.uvarint())
+		at := len(dictBytes) - len(entries.b)
+		seg.dict[i] = dict[at : at+n]
+		entries.b = entries.b[n:]
 	}
 
 	totalRows := fr.uvarint()
@@ -203,15 +243,23 @@ func parseFooter(seg *segmentData, footer []byte) error {
 		return fr.err
 	}
 	// A legitimate block has at least one payload byte per row (the row
-	// index column) and several footer bytes, so both counts are bounded
-	// by the segment's actual size. This keeps hostile allocations small.
+	// index column) and minBlockFooterBytes of footer, so both counts are
+	// bounded by the segment's actual size. This keeps hostile
+	// allocations small.
 	if totalRows > uint64(len(seg.payload)) {
 		return corruptf("row count %d exceeds payload size %d", totalRows, len(seg.payload))
 	}
-	if nBlocks > uint64(len(footer)) {
+	if nBlocks > uint64(len(fr.b)/minBlockFooterBytes) {
 		return corruptf("block count %d exceeds footer size %d", nBlocks, len(footer))
 	}
 	seg.rows = int64(totalRows)
+	seg.blocks = make([]blockMeta, 0, nBlocks)
+	// The bytes the blocks' fixed fields do not take bound the features
+	// all blocks can hold; a block whose features would overrun the slabs
+	// overruns the footer too.
+	nFeatMax := min((uint64(len(fr.b))-nBlocks*minBlockFooterBytes)/minFeatureFooterBytes, nBlocks*tscout.MaxFeatures)
+	idxSlab := make([]int, 0, nFeatMax)
+	zoneSlab := make([]float64, 0, 2*nFeatMax)
 
 	var rowSum uint64
 	for bi := uint64(0); bi < nBlocks; bi++ {
@@ -246,12 +294,18 @@ func parseFooter(seg *segmentData, footer []byte) error {
 		if nFeat > tscout.MaxFeatures || named > nFeat {
 			return corruptf("block %d: feature counts %d/%d exceed limit %d", bi, named, nFeat, tscout.MaxFeatures)
 		}
+		nf := int(nFeat)
+		if len(idxSlab)+nf > cap(idxSlab) {
+			return corruptf("block %d: %d features overrun the footer", bi, nf)
+		}
 		m.nameIdx = int(nameIdx)
 		m.rows = int(rows)
 		m.off = int(off)
 		m.ln = int(ln)
 		m.named = int(named)
-		m.featIdx = make([]int, nFeat)
+		k := len(idxSlab)
+		idxSlab = idxSlab[:k+nf]
+		m.featIdx = idxSlab[k : k+nf : k+nf]
 		for fi := range m.featIdx {
 			di := fr.uvarint()
 			if fr.err != nil {
@@ -266,8 +320,10 @@ func parseFooter(seg *segmentData, footer []byte) error {
 			m.minVal[mi] = fr.varint()
 			m.maxVal[mi] = fr.varint()
 		}
-		m.featMin = make([]float64, nFeat)
-		m.featMax = make([]float64, nFeat)
+		k = len(zoneSlab)
+		zoneSlab = zoneSlab[:k+2*nf]
+		m.featMin = zoneSlab[k : k+nf : k+nf]
+		m.featMax = zoneSlab[k+nf : k+2*nf : k+2*nf]
 		for fi := range m.featMin {
 			m.featMin[fi] = fr.float64()
 			m.featMax[fi] = fr.float64()
@@ -298,11 +354,14 @@ func parseFooter(seg *segmentData, footer []byte) error {
 // for every block of a call, so the handle and every slice its accessors
 // return are valid only until the callback returns.
 type Block struct {
-	seg  *segmentData
-	meta *blockMeta
+	seg     *segmentData
+	meta    *blockMeta
+	maxRows int // the reader's largest block: the size of a decode buffer
 
 	// Column buffers, kept across blocks; an empty slice is a column not
-	// yet decoded for this block (every block has at least one row).
+	// yet decoded for this block (every block has at least one row). Each
+	// is made once, at its full size: cols and lens hold the widest
+	// layout's columns, and a decode buffer maxRows values.
 	cols    [][]byte // sliced column extents
 	lens    []int    // parseCols scratch
 	rowIdx  []uint64
@@ -310,6 +369,20 @@ type Block struct {
 	metrics [tscout.NumMetrics][]int64
 	feats   [][]float64
 	ints    []int64 // integral feature scratch
+}
+
+// maxCols is the widest block layout: row index, PID, the metrics and
+// tscout.MaxFeatures features.
+const maxCols = 2 + tscout.NumMetrics + tscout.MaxFeatures
+
+// buffer returns buf resliced to the block's rows, or a new buffer of
+// maxRows values if buf has never held any, so a Blocks call makes each
+// buffer once, whatever order its blocks' sizes come in.
+func buffer[T int64 | uint64 | float64](buf []T, rows, maxRows int) []T {
+	if cap(buf) < rows {
+		buf = make([]T, max(rows, maxRows))
+	}
+	return buf[:rows]
 }
 
 // reset points b at a new block, emptying its buffers for reuse.
@@ -370,6 +443,9 @@ func (b *Block) parseCols() error {
 	if nCols != want {
 		return corruptf("block: %d columns, layout requires %d", nCols, want)
 	}
+	if b.lens == nil {
+		b.cols, b.lens = make([][]byte, 0, maxCols), make([]int, 0, maxCols)
+	}
 	lens := b.lens[:0]
 	var sum uint64
 	for i := 0; i < int(nCols); i++ {
@@ -397,10 +473,10 @@ func (b *Block) parseCols() error {
 	return nil
 }
 
-// decodeDeltaU decodes a uvarint-delta column of exactly rows values into
-// dst's storage, growing it if needed.
-func decodeDeltaU(dst []uint64, data []byte, rows int) ([]uint64, error) {
-	out := slices.Grow(dst[:0], rows)[:rows]
+// decodeDeltaU decodes a uvarint-delta column of exactly len(out) values
+// into out.
+func decodeDeltaU(out []uint64, data []byte) ([]uint64, error) {
+	rows := len(out)
 	var prev uint64
 	for i := 0; i < rows; i++ {
 		v, n := binary.Uvarint(data)
@@ -421,11 +497,10 @@ func decodeDeltaU(dst []uint64, data []byte, rows int) ([]uint64, error) {
 	return out, nil
 }
 
-// decodeDeltaI decodes a zigzag-varint-delta column of exactly rows
-// values into dst's storage, with wraparound addition mirroring the
-// encoder.
-func decodeDeltaI(dst []int64, data []byte, rows int) ([]int64, error) {
-	out := slices.Grow(dst[:0], rows)[:rows]
+// decodeDeltaI decodes a zigzag-varint-delta column of exactly len(out)
+// values into out, with wraparound addition mirroring the encoder.
+func decodeDeltaI(out []int64, data []byte) ([]int64, error) {
+	rows := len(out)
 	var prev int64
 	for i := 0; i < rows; i++ {
 		v, n := binary.Varint(data)
@@ -454,7 +529,7 @@ func (b *Block) RowIndexes() ([]uint64, error) {
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	v, err := decodeDeltaU(b.rowIdx, b.cols[0], b.meta.rows)
+	v, err := decodeDeltaU(buffer(b.rowIdx, b.meta.rows, b.maxRows), b.cols[0])
 	if err != nil {
 		return nil, err
 	}
@@ -470,7 +545,7 @@ func (b *Block) PIDs() ([]int64, error) {
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	v, err := decodeDeltaI(b.pids, b.cols[1], b.meta.rows)
+	v, err := decodeDeltaI(buffer(b.pids, b.meta.rows, b.maxRows), b.cols[1])
 	if err != nil {
 		return nil, err
 	}
@@ -490,7 +565,7 @@ func (b *Block) Metric(m int) ([]int64, error) {
 	if err := b.parseCols(); err != nil {
 		return nil, err
 	}
-	v, err := decodeDeltaI(b.metrics[m], b.cols[2+m], b.meta.rows)
+	v, err := decodeDeltaI(buffer(b.metrics[m], b.meta.rows, b.maxRows), b.cols[2+m])
 	if err != nil {
 		return nil, err
 	}
@@ -503,8 +578,8 @@ func (b *Block) Feature(i int) ([]float64, error) {
 	if i < 0 || i >= len(b.meta.featIdx) {
 		return nil, fmt.Errorf("archive: feature index %d out of range", i)
 	}
-	if len(b.feats) <= i {
-		b.feats = slices.Grow(b.feats, len(b.meta.featIdx))[:len(b.meta.featIdx)]
+	if b.feats == nil {
+		b.feats = make([][]float64, tscout.MaxFeatures)
 	}
 	if len(b.feats[i]) > 0 {
 		return b.feats[i], nil
@@ -518,10 +593,10 @@ func (b *Block) Feature(i int) ([]float64, error) {
 	}
 	tag, col := col[0], col[1:]
 	rows := b.meta.rows
-	out := slices.Grow(b.feats[i][:0], rows)[:rows]
+	out := buffer(b.feats[i], rows, b.maxRows)
 	switch tag {
 	case featEncIntegral:
-		iv, err := decodeDeltaI(b.ints, col, rows)
+		iv, err := decodeDeltaI(buffer(b.ints, rows, b.maxRows), col)
 		if err != nil {
 			return nil, err
 		}
@@ -560,7 +635,7 @@ func (r *Reader) FirstRow() uint64 { return r.first }
 // slices its accessors return are valid only during the call. Each call
 // owns its own Block, so nested scans are safe.
 func (r *Reader) Blocks(fn func(*Block) bool) {
-	var b Block
+	b := Block{maxRows: r.maxRows}
 	for si := range r.segs {
 		seg := &r.segs[si]
 		for bi := range seg.blocks {

@@ -2,7 +2,10 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -180,8 +183,8 @@ func TestVerifyRejects(t *testing.T) {
 
 // TestReadPathAllocations pins Verify's allocations on a 20 000-row,
 // 70-block archive — the row bitset, one Block and the column buffers it
-// reuses across blocks — and holds them flat as blocks grow: the same 70
-// blocks at four times the rows allocate no more.
+// makes once, at the largest block's size — and holds them flat as blocks
+// grow: the same 70 blocks at four times the rows allocate no more.
 func TestReadPathAllocations(t *testing.T) {
 	allocs := func(rows int) float64 {
 		pts := make([]tscout.TrainingPoint, rows)
@@ -207,8 +210,8 @@ func TestReadPathAllocations(t *testing.T) {
 			}
 		})
 	}
-	// Measured 29, and 46 under -race; one more allocation per block would
-	// read 99. A map of seen rows and fresh columns per block made 1 395.
+	// Measured 21, also under -race; one more allocation per block would
+	// read 91. A map of seen rows and fresh columns per block made 1 395.
 	const ceiling = 50
 	small, large := allocs(20_000), allocs(80_000)
 	t.Logf("Verify allocations: %.0f at 20 000 rows, %.0f at 80 000", small, large)
@@ -217,5 +220,107 @@ func TestReadPathAllocations(t *testing.T) {
 	}
 	if large > small {
 		t.Fatalf("Verify allocations grow with rows per block: %.0f at 20 000 rows, %.0f at 80 000", small, large)
+	}
+}
+
+// TestNewReaderAllocations holds NewReader to a fixed number of
+// allocations per segment: parsing k segments costs at most a·k + b
+// objects, and the same k segments with fifteen times the blocks and
+// dictionary entries cost exactly as many. A per-entry dictionary string
+// or a per-block feature slice would make the wide archive cost more.
+func TestNewReaderAllocations(t *testing.T) {
+	// archive seals k segments of 60 rows over ous OUs; each OU has its
+	// own name and two feature names of its own, so a segment holds ous
+	// blocks and 3·ous dictionary entries.
+	archive := func(k, ous int) []byte {
+		pts := make([]tscout.TrainingPoint, 60*k)
+		for i := range pts {
+			ou := i % ous
+			pts[i] = tscout.TrainingPoint{
+				OU: tscout.OUID(1 + ou), OUName: fmt.Sprintf("ou%d", ou), Subsystem: tscout.SubsystemID(ou % 2),
+				PID:          100 + i%5,
+				Features:     []float64{float64(i % 40), 0.25 * float64(i)},
+				FeatureNames: []string{fmt.Sprintf("rows%d", ou), fmt.Sprintf("width%d", ou)},
+				Metrics:      tscout.Metrics{ElapsedNS: int64(i)*31 + 7},
+			}
+		}
+		return writeArchive(t, pts, 60)
+	}
+	allocs := func(k, ous int) float64 {
+		data := archive(k, ous)
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Segments != k || st.Blocks != k*ous {
+			t.Fatalf("%d segments and %d blocks, want %d and %d", st.Segments, st.Blocks, k, k*ous)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewReader(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Measured 35 at 6 segments and 86 at 16, the same under -race: 5 a
+	// segment (the dictionary string and its entries, the blocks, and the
+	// two feature slabs) and the Reader's list of segments. A string per
+	// dictionary entry would add 6 a segment narrow and 90 wide.
+	const perSeg, fixed = 6, 10
+	for _, k := range []int{6, 16} {
+		narrow, wide := allocs(k, 2), allocs(k, 30)
+		t.Logf("NewReader allocations over %d segments: %.0f at 2 blocks a segment, %.0f at 30", k, narrow, wide)
+		if limit := float64(perSeg*k + fixed); narrow > limit || wide > limit {
+			t.Errorf("NewReader allocates %.0f and %.0f times over %d segments, want <= %.0f", narrow, wide, k, limit)
+		}
+		if wide != narrow {
+			t.Errorf("NewReader allocations grow with blocks and dictionary entries: %.0f at 2 blocks a segment, %.0f at 30", narrow, wide)
+		}
+	}
+}
+
+// TestNewReaderHostileFooterBytes: a footer that claims the largest block
+// count its bytes allow (minBlockFooterBytes each) gets its blocks
+// presized, and that presize stays within a fixed multiple of the input, as
+// NewReader's doc promises for every length a footer claims; a larger
+// claim, up to one block a byte, is corrupt before any presize.
+func TestNewReaderHostileFooterBytes(t *testing.T) {
+	const blocksRegion = 1 << 16
+	maxBlocks := blocksRegion / minBlockFooterBytes
+	// segment claims nBlocks blocks over blocksRegion zero bytes: the first
+	// block claims 0 rows, which is corrupt, so a parse that gets past the
+	// block count stops right after the presize.
+	segment := func(nBlocks int) []byte {
+		footer := binary.AppendUvarint(nil, 1) // one dictionary entry, "x"
+		footer = binary.AppendUvarint(footer, 1)
+		footer = append(footer, 'x')
+		footer = binary.AppendUvarint(footer, 1) // total rows
+		footer = binary.AppendUvarint(footer, uint64(nBlocks))
+		footer = append(footer, make([]byte, blocksRegion)...)
+		return appendSegment(nil, []byte{0}, footer)
+	}
+	// Measured 10 at maxBlocks (656 112 bytes): a blockMeta is about ten
+	// times minBlockFooterBytes, and the dictionary and the error add a
+	// few hundred bytes.
+	const perInputByte = 12
+	for _, c := range []struct {
+		blocks int
+		msg    string
+	}{
+		{maxBlocks, "block 0: row count 0 out of range"},
+		{maxBlocks + 1, fmt.Sprintf("block count %d exceeds footer size", maxBlocks+1)},
+		{blocksRegion, fmt.Sprintf("block count %d exceeds footer size", blocksRegion)},
+	} {
+		data := segment(c.blocks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewReader(data)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d blocks claimed: NewReader allocates %d bytes over a %d-byte segment", c.blocks, got, len(data))
+		if got > perInputByte*uint64(len(data)) {
+			t.Errorf("%d blocks claimed: NewReader allocates %d bytes for a %d-byte segment, want <= %d",
+				c.blocks, got, len(data), perInputByte*len(data))
+		}
+		wantCorrupt(t, err, c.msg)
 	}
 }

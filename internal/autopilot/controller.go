@@ -79,7 +79,7 @@ type Controller struct {
 	surface *model.ErrorSurface
 	set     *model.OnlineSet
 
-	tail     []byte                     // sealed segments not yet consumed
+	tail     []byte                     // sealed segments not yet consumed; its capacity is kept
 	tailSegs int64                      // segment count in tail
 	stats    tscout.AutopilotStats      // last published self-report
 	drifting [tscout.NumSubsystems]bool // current drift latch
@@ -110,6 +110,8 @@ func New(ts *tscout.TScout, w *archive.Writer, cfg Config) *Controller {
 // onSeal copies one sealed segment's wire bytes, which the Writer lends
 // only for the call, into the tail for the next tick. The Writer notifies
 // in seal order, so the buffered tail is always a NewReader-parsable run.
+// No seal happens inside Tick, which writes nothing to the archive, so
+// Tick may read the tail in place and truncate it afterwards.
 func (c *Controller) onSeal(seg []byte) {
 	c.tail = append(c.tail, seg...)
 	c.tailSegs++
@@ -125,17 +127,14 @@ func (c *Controller) Hook() func(nowNS int64) {
 // their own drain schedule (chaos tests, tsctl) can drive epochs
 // directly. Returns the number of archive rows absorbed.
 func (c *Controller) Tick() int {
-	tail := c.tail
-	segs := c.tailSegs
-	c.tail = nil
-	c.tailSegs = 0
-
 	absorbed := 0
-	if len(tail) > 0 {
+	if len(c.tail) > 0 {
 		// The tail is a run of consecutively sealed segments; NewReader
 		// accepts any such run (only row-index rewinds are rejected), so
-		// incremental consumption needs no full-archive re-scan.
-		if r, err := archive.NewReader(tail); err == nil {
+		// incremental consumption needs no full-archive re-scan. Nothing
+		// read from it outlives the read: FromArchive copies every value
+		// out, so the next seals may reuse the tail's bytes.
+		if r, err := archive.NewReader(c.tail); err == nil {
 			if pts, err := model.FromArchive(r, c.cfg.HWContext); err == nil {
 				c.set.ObservePrequential(pts, c.surface)
 				_ = c.set.Refit() // soft failures keep prior predictors
@@ -146,6 +145,8 @@ func (c *Controller) Tick() int {
 		// destination still has the bytes, and the next seal starts a
 		// fresh consecutive run.
 	}
+	segs := c.tailSegs
+	c.tail, c.tailSegs = c.tail[:0], 0
 
 	c.stats.Epochs++
 	c.stats.Segments += segs

@@ -222,3 +222,98 @@ func TestControllerDeterminism(t *testing.T) {
 		t.Fatalf("archives diverged: %d vs %d bytes", len(p1), len(p2))
 	}
 }
+
+// sealedSegments makes d's Writer hand each sealed segment to fn before the
+// controller takes it.
+func (d *deployment) sealedSegments(fn func(seg []byte)) {
+	d.aw.SetOnSeal(func(seg []byte) {
+		fn(seg)
+		d.ctrl.onSeal(seg)
+	})
+}
+
+// TestTickAllocations: once the models' window is full and every forest
+// slot has held its largest tree, a Tick over one sealed 32-row segment
+// allocates a fixed few objects — the tail's reader, its decode and the
+// points — and the tail buffer none, whatever the ticks before it read.
+func TestTickAllocations(t *testing.T) {
+	d := newDeployment(t, 11, 1, testConfig())
+	var last []byte
+	d.sealedSegments(func(seg []byte) { last = append(last[:0], seg...) })
+	rng := rand.New(rand.NewSource(5))
+	for e := 0; e < 4; e++ {
+		d.epoch(rng, 120, 50)
+	}
+	seg := append([]byte(nil), last...)
+	if r, err := archive.NewReader(seg); err != nil || r.NumRows() != 32 {
+		t.Fatalf("last sealed segment: %v, want 32 rows", err)
+	}
+	tick := func() {
+		d.ctrl.onSeal(seg)
+		if got := d.ctrl.Tick(); got != 32 {
+			t.Fatalf("Tick absorbed %d rows, want 32", got)
+		}
+	}
+	// 2 048 window rows are 64 ticks; the rest lets each slot's tree grow
+	// to its largest.
+	for range 200 {
+		tick()
+	}
+	// Measured 20, also under -race. A string per dictionary entry and
+	// feature slices per block, a feature arena per block and a fresh tail
+	// buffer every tick made 44.
+	const ceiling = 23
+	got := testing.AllocsPerRun(20, tick)
+	t.Logf("a steady-state Tick over one 32-row segment allocates %.0f times", got)
+	if got > ceiling {
+		t.Fatalf("a steady-state Tick over one 32-row segment allocates %.0f times, ceiling %d", got, ceiling)
+	}
+	if cap(d.ctrl.tail) < len(seg) || len(d.ctrl.tail) != 0 {
+		t.Fatalf("Tick left a tail of %d bytes with room for %d, want an empty one with room for %d",
+			len(d.ctrl.tail), cap(d.ctrl.tail), len(seg))
+	}
+}
+
+// TestTickConsumesEverySealedRow: tails of different sizes, sealed between
+// ticks by full segments and by flushes of part of one, reach the models
+// row for row through the tail buffer each tick reuses — a tail shorter
+// than the last one is not padded by its leftovers, and a longer one is
+// not cut.
+func TestTickConsumesEverySealedRow(t *testing.T) {
+	d := newDeployment(t, 19, 1, testConfig())
+	var sealed int64
+	d.sealedSegments(func(seg []byte) {
+		r, err := archive.NewReader(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed += r.NumRows()
+	})
+	rng := rand.New(rand.NewSource(7))
+	for e, n := range []int{40, 3, 90, 1, 17, 0, 60, 5} {
+		for i := 0; i < n; i++ {
+			d.cycle(d.scan, tscout.SubsystemExecutionEngine, 1+rng.Intn(40), 50)
+			d.cycle(d.wal, tscout.SubsystemLogSerializer, 1+rng.Intn(20), 50)
+		}
+		d.ts.Processor().Drain(tscout.DrainOptions{})
+		if e%2 == 0 {
+			if err := d.aw.Flush(); err != nil { // seal a segment of part of 32 rows
+				t.Fatal(err)
+			}
+		}
+		before := sealed - d.ctrl.Stats().PointsConsumed
+		if got := d.ctrl.Tick(); int64(got) != before {
+			t.Fatalf("epoch %d: Tick absorbed %d rows, %d sealed since the last", e, got, before)
+		}
+		if got := d.ctrl.Stats().PointsConsumed; got != sealed {
+			t.Fatalf("epoch %d: %d points consumed, %d rows sealed", e, got, sealed)
+		}
+	}
+	if err := d.aw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d.ctrl.Tick()
+	if got, want := d.ctrl.Stats().PointsConsumed, d.aw.Rows(); got != want || sealed != want {
+		t.Fatalf("%d points consumed and %d rows sealed, the Writer wrote %d", got, sealed, want)
+	}
+}

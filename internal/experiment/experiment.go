@@ -349,14 +349,18 @@ func templates(pts []model.Point) []uint64 {
 // scoreSplits trains one model on the offline points off and, per split,
 // one on off plus the split's training points, and scores both on the
 // split's test points (AvgAbsErrorByTemplate): offUS[i] and onUS[i] are
-// split i's errors. The offline model is trained once; a split with no
-// test points trains nothing and scores 0.
+// split i's errors. The offline model is trained once, and scored once per
+// test set: a split whose test slice is the previous split's (sized's
+// splits share one) reuses that score. A split with no test points trains
+// nothing and scores 0.
 func scoreSplits(off []model.Point, splits ...split) (offUS, onUS []float64, err error) {
 	offUS = make([]float64, len(splits))
 	onUS = make([]float64, len(splits))
 	var offSet *model.OUModelSet
+	var scored []model.Point // the test set offUS[i-1] scored, if any
 	for i, s := range splits {
 		if len(s.test) == 0 {
+			scored = nil
 			continue
 		}
 		if offSet == nil {
@@ -368,7 +372,12 @@ func scoreSplits(off []model.Point, splits ...split) (offUS, onUS []float64, err
 		if err != nil {
 			return nil, nil, fmt.Errorf("combined: %w", err)
 		}
-		offUS[i] = offSet.AvgAbsErrorByTemplate(s.test)
+		if len(scored) == len(s.test) && &scored[0] == &s.test[0] {
+			offUS[i] = offUS[i-1]
+		} else {
+			offUS[i] = offSet.AvgAbsErrorByTemplate(s.test)
+		}
+		scored = s.test
 		onUS[i] = onSet.AvgAbsErrorByTemplate(s.test)
 	}
 	return offUS, onUS, nil

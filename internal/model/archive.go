@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tscout/internal/archive"
+	"tscout/internal/tscout"
 )
 
 // FromArchive builds model points straight from the columnar archive:
@@ -14,12 +15,22 @@ import (
 // FromTrainingPoints(reader.Points(), hwContext), the row-at-a-time oracle
 // in archive_test.go. A row index outside the archive or seen twice is
 // archive.ErrCorrupt.
+//
+// Every point's features are cut from one arena per call, sized by a pass
+// over the blocks' metadata that decodes nothing, so a call's allocations
+// do not grow with its blocks.
 func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
 	n := uint64(r.NumRows())
 	first := r.FirstRow()
 	out := make([]Point, n)
 	placed := make([]uint64, (n+63)/64)
-	var cols [][]float64
+	var size int
+	r.Blocks(func(b *archive.Block) bool {
+		size += b.NumRows() * (b.NumFeatures() + len(hwContext))
+		return true
+	})
+	arena := make([]float64, size)
+	cols := make([][]float64, 0, tscout.MaxFeatures)
 	var err error
 	r.Blocks(func(b *archive.Block) bool {
 		idx, e := b.RowIndexes()
@@ -43,11 +54,11 @@ func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
 			cols = append(cols, col)
 		}
 		ou, sub := b.OU(), b.Subsystem()
-		// One feature arena per block; each point's cut is
-		// capacity-limited, so appending to one point's features never
-		// reaches the next.
+		// Each point's cut of the arena is capacity-limited, so appending
+		// to one point's features never reaches the next.
 		width := nf + len(hwContext)
-		arena := make([]float64, width*len(idx))
+		blockArena := arena[:width*len(idx)]
+		arena = arena[width*len(idx):]
 		for row, ri := range idx {
 			pos := ri - first
 			if pos >= n {
@@ -59,7 +70,7 @@ func FromArchive(r *archive.Reader, hwContext []float64) ([]Point, error) {
 				return false
 			}
 			placed[pos/64] |= 1 << (pos % 64)
-			feats := arena[row*width : (row+1)*width : (row+1)*width]
+			feats := blockArena[row*width : (row+1)*width : (row+1)*width]
 			for f, col := range cols {
 				feats[f] = col[row]
 			}

@@ -232,10 +232,10 @@ func TestFromArchiveRejectsMisplacedRows(t *testing.T) {
 }
 
 // TestFromArchiveAllocations pins FromArchive's allocations on a 20 000-row,
-// 70-block archive — the result, its placement bitset and one feature arena
-// per block, with column buffers reused across blocks — and holds them flat
-// as blocks grow: the same 70 blocks at four times the rows allocate no
-// more.
+// 70-block archive — the result, its placement bitset, one feature arena
+// for the call, and the column buffers each Blocks call makes once — and
+// holds them flat as blocks grow: the same 70 blocks at four times the rows
+// allocate no more.
 func TestFromArchiveAllocations(t *testing.T) {
 	allocs := func(rows int) float64 {
 		segs := sealedSegments(t, readPathPoints(rows), rows/10)
@@ -255,9 +255,10 @@ func TestFromArchiveAllocations(t *testing.T) {
 			}
 		})
 	}
-	// Measured 91, and 97 under -race; one more allocation per block would
-	// read 161. A sort and a feature slice per row made 20 635.
-	const ceiling = 100
+	// Measured 13, also under -race; one more allocation per block would
+	// read 83. An arena per block made 91, and a sort and a feature slice
+	// per row 20 635.
+	const ceiling = 30
 	small, large := allocs(20_000), allocs(80_000)
 	t.Logf("FromArchive allocations: %.0f at 20 000 rows, %.0f at 80 000", small, large)
 	if small > ceiling {

@@ -3,11 +3,14 @@
 # benchmark workload: every object the pass allocates, by the function that
 # allocated it.
 #
-#   [SEED=n] scripts/alloc-census.sh <workload> [seconds] [learn]
-#   make alloc-census W=<workload> [S=seconds] [P=learn] [SEED=n]
+#   [SEED=n] [FOCUS=regex] scripts/alloc-census.sh <workload> [seconds] [learn]
+#   make alloc-census W=<workload> [S=seconds] [P=learn] [SEED=n] [F=regex]
 #
 # SEED is the run's -seed (21 by default, the ledger's); a claim tuned at
-# one seed is checked at another.
+# one seed is checked at another. FOCUS, if set, is passed to pprof as
+# -focus, so the table counts only the allocations made under the call
+# paths it matches: FOCUS='Controller..Tick' is one autopilot tick's share
+# of the pass.
 #
 # It builds ./benchmark once and runs it twice under GODEBUG=memprofilerate=1,
 # which records every allocation instead of a sample, taking its allocation
@@ -25,6 +28,7 @@ cd "$(dirname "$0")/.."
 
 GO=${GO:-go}
 seed=${SEED:-21}
+focus=${FOCUS:-}
 usage='usage: scripts/alloc-census.sh <workload> [seconds] [learn]'
 workload=${1:?$usage}
 seconds=${2:-4}
@@ -46,4 +50,5 @@ for phase in $base $pass; do
 		-phase "$phase" -memprofile "$dir/$phase.prof" -out "$dir/out" >"$dir/$phase.txt"
 done
 grep '^host_allocs_per_txn' "$dir/$pass.txt"
-$GO tool pprof -sample_index=alloc_objects -top -diff_base "$dir/$base.prof" "$dir/benchmark" "$dir/$pass.prof"
+$GO tool pprof -sample_index=alloc_objects -top ${focus:+-focus "$focus"} \
+	-diff_base "$dir/$base.prof" "$dir/benchmark" "$dir/$pass.prof"
