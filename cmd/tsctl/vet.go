@@ -19,23 +19,22 @@ import (
 func vet(w io.Writer) int {
 	var programs, insns, verifyErrors int
 	for _, sub := range tscout.AllSubsystems {
-		for mask := 0; mask < 16; mask++ {
+		for mask := 0; mask < 8; mask++ {
 			res := tscout.ResourceSet{
-				CPU: mask&1 != 0, Memory: mask&2 != 0,
-				Disk: mask&4 != 0, Network: mask&8 != 0,
+				CPU: mask&1 != 0, Disk: mask&2 != 0, Network: mask&4 != 0,
 			}
 			for _, np := range tscout.CollectorPrograms(sub, res) {
 				programs++
 				insns += len(np.Prog.Insns)
 				if err := bpf.Verify(np.Prog, 0); err != nil {
 					verifyErrors++
-					fmt.Fprintf(w, "VERIFY FAIL %s/%s cpu=%v mem=%v disk=%v net=%v: %v\n",
-						sub, np.Name, res.CPU, res.Memory, res.Disk, res.Network, err)
+					fmt.Fprintf(w, "VERIFY FAIL %s/%s cpu=%v disk=%v net=%v: %v\n",
+						sub, np.Name, res.CPU, res.Disk, res.Network, err)
 				}
 			}
 		}
 	}
-	fmt.Fprintf(w, "vet: %d programs (%d subsystems x 16 resource masks x 3 markers), %d insns\n",
+	fmt.Fprintf(w, "vet: %d programs (%d subsystems x 8 resource masks x 3 markers), %d insns\n",
 		programs, len(tscout.AllSubsystems), insns)
 	fmt.Fprintf(w, "vet: %d verify errors\n", verifyErrors)
 	if verifyErrors > 0 {

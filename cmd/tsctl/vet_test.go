@@ -15,7 +15,7 @@ func TestVetClean(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"vet: 192 programs (4 subsystems x 16 resource masks x 3 markers), 60928 insns\n",
+		"vet: 96 programs (4 subsystems x 8 resource masks x 3 markers), 30464 insns\n",
 		"vet: 0 verify errors\n",
 	} {
 		if !strings.Contains(out, want) {

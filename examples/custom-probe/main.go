@@ -42,13 +42,13 @@ func main() {
 		ID: ouGCPipeline, Name: "gc_pipeline",
 		Subsystem: tscout.SubsystemExecutionEngine,
 		Features:  []string{"num_ous"},
-	}, tscout.ResourceSet{CPU: true, Memory: true})
+	}, tscout.ResourceSet{CPU: true})
 	for id, name := range map[tscout.OUID]string{ouGCMark: "gc_mark", ouGCSweep: "gc_sweep"} {
 		ts.MustRegisterOU(tscout.OUDef{
 			ID: id, Name: name,
 			Subsystem: tscout.SubsystemExecutionEngine,
 			Features:  []string{"num_objects"},
-		}, tscout.ResourceSet{CPU: true, Memory: true})
+		}, tscout.ResourceSet{CPU: true})
 	}
 	if err := ts.Deploy(); err != nil {
 		log.Fatal(err)

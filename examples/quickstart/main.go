@@ -38,7 +38,7 @@ func main() {
 		Name:      "seq_scan",
 		Subsystem: tscout.SubsystemExecutionEngine,
 		Features:  []string{"num_rows", "row_bytes"},
-	}, tscout.ResourceSet{CPU: true, Memory: true, Disk: true})
+	}, tscout.ResourceSet{CPU: true, Disk: true})
 
 	// 2. Deploy: codegen emits the Collector BPF programs, the verifier
 	//    checks them, and they attach to the marker tracepoints.

@@ -12,9 +12,9 @@ import (
 //   - Nothing counts toward a runtime limit: the verifier rejects every
 //     backward jump, so a run retires each instruction at most once.
 //   - No pointer-tag decode or bounds check on memory access: the verifier
-//     proved the base register's kind (stack or map value) and offset range
-//     at every dereference; exact stack offsets become compile-time
-//     constant indices.
+//     proved the base register's kind (stack or map value) and its one
+//     exact offset at every dereference, so a stack access is a
+//     compile-time constant index.
 //   - No helper dispatch or argument validation: map handles proven
 //     rkConstMap bind to the concrete map at compile time and the stack
 //     pointer arguments, which the verifier admits only at exact slots, to
@@ -181,7 +181,6 @@ type memKind int
 const (
 	memBad        memKind = iota
 	memStackExact         // constant stack index, proven in range
-	memStackDyn           // stack base, runtime offset, proven in range
 	memObjDyn             // map-value object, runtime offset, proven in range
 )
 
@@ -192,21 +191,16 @@ type memRef struct {
 
 // resolveMem classifies the 8-byte access [r+off] at pc using the
 // verifier's register state. The returned forms carry no runtime checks:
-// rkPtrStack/rkPtrMapValue kinds were only assigned where checkStackRange
-// or the map-value range check proved every byte in bounds.
+// checkStack or checkMapValueAccess proved every byte in bounds.
 func (cc *compiler) resolveMem(pc int, r Reg, off int32) memRef {
 	st := &cc.a.states[pc].regs[r]
 	switch st.kind {
 	case rkPtrStack:
-		if st.lo == st.hi {
-			// Exact frame offset: runtime address is always
-			// StackSize + lo (+ off), a compile-time constant.
-			idx := StackSize + int(st.lo) + int(off)
-			if idx >= 0 && idx+8 <= StackSize {
-				return memRef{kind: memStackExact, idx: idx}
-			}
+		// The runtime address is StackSize plus the pointer's offset
+		// plus the instruction's: a compile-time constant.
+		if idx := StackSize + int(st.off) + int(off); idx >= 0 && idx+8 <= StackSize {
+			return memRef{kind: memStackExact, idx: idx}
 		}
-		return memRef{kind: memStackDyn}
 	case rkPtrMapValue:
 		return memRef{kind: memObjDyn}
 	}
@@ -226,16 +220,16 @@ func (cc *compiler) constMap(st *absState, r Reg) Map {
 	return cc.p.Maps[idx]
 }
 
-// stackArgConst reports the exact stack index of a size-byte argument in
-// register r when the analysis pins the pointer to a single slot — what
-// lets a callFrame slice the stack at constant indices.
+// stackArgConst reports the stack index of a size-byte argument in
+// register r, a stack pointer at its one exact offset — what lets a
+// callFrame slice the stack at constant indices.
 func (cc *compiler) stackArgConst(st *absState, r Reg, size int) (int, bool) {
 	rs := &st.regs[r]
-	if size <= 0 || rs.kind != rkPtrStack || rs.lo != rs.hi {
+	if size <= 0 || rs.kind != rkPtrStack {
 		return 0, false
 	}
-	idx := StackSize + int(rs.lo)
-	if idx < 0 || idx+size > StackSize {
+	idx := StackSize + int(rs.off)
+	if idx < 0 || idx > StackSize-size {
 		return 0, false
 	}
 	return idx, true
@@ -551,17 +545,17 @@ const (
 	_ // 24
 
 	muPtrAddImm // dst = ptr(dst) + int64(imm), delta pre-negated for Sub
-	muPtrAddReg // dst = ptr(dst) + int64(src)
-	muPtrSubReg // dst = ptr(dst) - int64(src)
+	_           // 26
+	_           // 27
 
 	muLoadStackExact // dst = stack[idx]
-	muLoadStackDyn   // dst = stack[addr(src)+idx]
+	_                // 29
 	muLoadObjDyn     // dst = obj(src)[addr(src)+idx]
 	muStoreImmExact  // stack[idx] = imm
-	muStoreImmDyn    // stack[addr(base)+idx] = imm  (base in dst)
-	muStoreImmObj    // obj(base)[addr(base)+idx] = imm
+	_                // 32
+	muStoreImmObj    // obj(base)[addr(base)+idx] = imm  (base in dst)
 	muStoreRegExact  // stack[idx] = src
-	muStoreRegDyn    // stack[addr(base)+idx] = src
+	_                // 35
 	muStoreRegObj    // obj(base)[addr(base)+idx] = src
 
 	// Pure helper calls. The verifier admits only helpers that exist, and
@@ -743,11 +737,7 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 	case isALU(in.Op):
 		if ptrALU(cc.a, pc, in) {
 			if isRegSrc(in.Op) {
-				k := muPtrAddReg
-				if in.Op == OpSubReg {
-					k = muPtrSubReg
-				}
-				return microOp{kind: k, dst: uint8(in.Dst), src: uint8(in.Src)}, true
+				return microOp{}, false // only an immediate moves a pointer
 			}
 			delta := in.Imm
 			if in.Op == OpSubImm {
@@ -769,8 +759,6 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 		switch m.kind {
 		case memStackExact:
 			return microOp{kind: muLoadStackExact, dst: uint8(in.Dst), idx: int32(m.idx)}, true
-		case memStackDyn:
-			return microOp{kind: muLoadStackDyn, dst: uint8(in.Dst), src: uint8(in.Src), idx: in.Off}, true
 		case memObjDyn:
 			return microOp{kind: muLoadObjDyn, dst: uint8(in.Dst), src: uint8(in.Src), idx: in.Off}, true
 		}
@@ -781,8 +769,6 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 		switch m.kind {
 		case memStackExact:
 			return microOp{kind: muStoreImmExact, idx: int32(m.idx), imm: uint64(in.Imm)}, true
-		case memStackDyn:
-			return microOp{kind: muStoreImmDyn, dst: uint8(in.Dst), idx: in.Off, imm: uint64(in.Imm)}, true
 		case memObjDyn:
 			return microOp{kind: muStoreImmObj, dst: uint8(in.Dst), idx: in.Off, imm: uint64(in.Imm)}, true
 		}
@@ -793,8 +779,6 @@ func (cc *compiler) microFor(pc int, in Insn) (microOp, bool) {
 		switch m.kind {
 		case memStackExact:
 			return microOp{kind: muStoreRegExact, src: uint8(in.Src), idx: int32(m.idx)}, true
-		case memStackDyn:
-			return microOp{kind: muStoreRegDyn, dst: uint8(in.Dst), src: uint8(in.Src), idx: in.Off}, true
 		case memObjDyn:
 			return microOp{kind: muStoreRegObj, dst: uint8(in.Dst), src: uint8(in.Src), idx: in.Off}, true
 		}
@@ -1306,18 +1290,9 @@ func (blk *block) run(ec *execState) copFn {
 		case muPtrAddImm:
 			d := ec.regs[op.dst&regMask]
 			ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+int64(op.imm)))
-		case muPtrAddReg:
-			d := ec.regs[op.dst&regMask]
-			ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))+int64(ec.regs[op.src&regMask])))
-		case muPtrSubReg:
-			d := ec.regs[op.dst&regMask]
-			ec.regs[op.dst&regMask] = mkPtr(ptrObj(d), uint32(int64(ptrAddr(d))-int64(ec.regs[op.src&regMask])))
 
 		case muLoadStackExact:
 			ec.regs[op.dst&regMask] = U64(ec.stack[op.idx : op.idx+8])
-		case muLoadStackDyn:
-			a := int32(ptrAddr(ec.regs[op.src&regMask])) + op.idx
-			ec.regs[op.dst&regMask] = U64(ec.stack[a : a+8])
 		case muLoadObjDyn:
 			v := ec.regs[op.src&regMask]
 			b := ec.objects[ptrObj(v)-1]
@@ -1325,9 +1300,6 @@ func (blk *block) run(ec *execState) copFn {
 			ec.regs[op.dst&regMask] = U64(b[a : a+8])
 		case muStoreImmExact:
 			PutU64(ec.stack[op.idx:op.idx+8], op.imm)
-		case muStoreImmDyn:
-			a := int32(ptrAddr(ec.regs[op.dst&regMask])) + op.idx
-			PutU64(ec.stack[a:a+8], op.imm)
 		case muStoreImmObj:
 			v := ec.regs[op.dst&regMask]
 			b := ec.objects[ptrObj(v)-1]
@@ -1335,9 +1307,6 @@ func (blk *block) run(ec *execState) copFn {
 			PutU64(b[a:a+8], op.imm)
 		case muStoreRegExact:
 			PutU64(ec.stack[op.idx:op.idx+8], ec.regs[op.src&regMask])
-		case muStoreRegDyn:
-			a := int32(ptrAddr(ec.regs[op.dst&regMask])) + op.idx
-			PutU64(ec.stack[a:a+8], ec.regs[op.src&regMask])
 		case muStoreRegObj:
 			v := ec.regs[op.dst&regMask]
 			b := ec.objects[ptrObj(v)-1]

@@ -33,7 +33,7 @@ type runFn func(*kernel.Task, []uint64) (uint64, int64, error)
 // interpreter's; otherwise it is Run.
 func loadMarkerPrograms(tb testing.TB, interpret bool) (lps map[string]*bpf.LoadedProgram, run map[string]runFn, task *kernel.Task) {
 	tb.Helper()
-	all := tscout.ResourceSet{CPU: true, Memory: true, Disk: true, Network: true}
+	all := tscout.ResourceSet{CPU: true, Disk: true, Network: true}
 	lps, run = map[string]*bpf.LoadedProgram{}, map[string]runFn{}
 	for _, np := range tscout.CollectorPrograms(tscout.SubsystemExecutionEngine, all) {
 		lp, err := bpf.Load(np.Prog, 0)

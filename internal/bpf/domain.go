@@ -3,12 +3,16 @@ package bpf
 import "math/bits"
 
 // This file implements the scalar abstract domain the verifier interprets
-// programs over: one unsigned interval [Lo, Hi] per register, the
+// programs over: one unsigned interval [Lo, Hi] per scalar register, the
 // umin/umax half of what the real eBPF verifier tracks. The instruction set
 // is what codegen emits — add, sub, mul and div by a register, shifts by a
-// constant, and unsigned compares — so the interval proves every range
-// fact a Collector needs ("this offset is < 64", "this branch is never
-// taken") and nothing asks for known bits.
+// constant, and unsigned compares — so nothing asks for known bits.
+// Pointers carry one exact offset of their own (verifier.go), so no
+// interval bounds a memory access. The interval supplies the constants the
+// verifier checks (a perf output's size, a known-zero divisor) and prunes
+// the conditional edges it proves infeasible; over the Collectors it prunes
+// none, since no Collector branch is one-sided and every pc is reached
+// (ROADMAP item 39).
 //
 // All transfer functions are sound over-approximations of evalALU: for
 // every concrete a in gamma(A) and b in gamma(B),

@@ -2,6 +2,7 @@ package bpf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tscout/internal/kernel"
@@ -15,6 +16,54 @@ var PatternNames = [muHelperCall - muStoreZeroRun]string{
 	"muAddImmObjStore", "muProbeScaleStore", "muCallFrame",
 	"muIOACStore", "muSockStore",
 	"muLoadObjStoreRun", "muDeltaObjRun", "muArgLadder",
+}
+
+// DecodedKind is one micro-op kind microFor can return.
+type DecodedKind struct {
+	Kind microKind
+	Name string
+}
+
+// DecodedKinds lists every micro-op kind microFor can return — what one
+// instruction decodes to before peephole — in declaration order. A kind
+// microFor gains or loses joins or leaves the list with it.
+var DecodedKinds = [...]DecodedKind{
+	{muMovImm, "muMovImm"}, {muMovReg, "muMovReg"},
+	{muAddImm, "muAddImm"}, {muAddReg, "muAddReg"}, {muSubImm, "muSubImm"},
+	{muSubReg, "muSubReg"}, {muMulReg, "muMulReg"}, {muDivReg, "muDivReg"},
+	{muLshImm, "muLshImm"}, {muRshImm, "muRshImm"},
+	{muPtrAddImm, "muPtrAddImm"},
+	{muLoadStackExact, "muLoadStackExact"}, {muLoadObjDyn, "muLoadObjDyn"},
+	{muStoreImmExact, "muStoreImmExact"}, {muStoreImmObj, "muStoreImmObj"},
+	{muStoreRegExact, "muStoreRegExact"}, {muStoreRegObj, "muStoreRegObj"},
+	{muCallGetPID, "muCallGetPID"}, {muCallGetTaskGen, "muCallGetTaskGen"},
+	{muCallGetCPU, "muCallGetCPU"}, {muCallKtime, "muCallKtime"},
+	{muCallGetArg, "muCallGetArg"}, {muCallReadCounter, "muCallReadCounter"},
+	{muCallReadIOAC, "muCallReadIOAC"}, {muCallReadSock, "muCallReadSock"},
+	{muJccImm, "muJccImm"}, {muJccReg, "muJccReg"},
+	{muHelperCall, "muHelperCall"},
+}
+
+// DecodeCounts decodes p the way Load compiles it and adds to counts[i]
+// how many of p's reached instructions decode to DecodedKinds[i]. It
+// returns Load's error if p does not load, and an error naming any kind
+// an instruction decodes to that DecodedKinds lacks.
+func DecodeCounts(p *Program, counts *[len(DecodedKinds)]int) error {
+	cc, err := decodeProgram(p)
+	if err != nil {
+		return err
+	}
+	for pc := range cc.ops {
+		if cc.fns[pc] != nil || !cc.a.Reached(pc) {
+			continue
+		}
+		i := slices.IndexFunc(DecodedKinds[:], func(k DecodedKind) bool { return k.Kind == cc.ops[pc].kind })
+		if i < 0 {
+			return fmt.Errorf("insn %d (%s) decodes to micro kind %d, which DecodedKinds lacks", pc, p.Insns[pc], cc.ops[pc].kind)
+		}
+		counts[i]++
+	}
+	return nil
 }
 
 // decodeProgram analyzes p and decodes it the way Load compiles it, for

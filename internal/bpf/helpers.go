@@ -71,10 +71,11 @@ const (
 	// helper takes: a PerCPURing for perf output, any other map for
 	// lookup, a HashMap for update and delete.
 	ArgConstMap
-	// ArgPtrKey must point at an exact stack slot (one offset from R10,
-	// not a range) with the map's key size of initialized bytes (the map
-	// comes from the closest preceding ArgConstMap). Every ArgPtr* is
-	// exact because a callFrame reads it at a constant stack index.
+	// ArgPtrKey must be a stack pointer, which is at one exact slot (every
+	// pointer has one offset from R10), with the map's key size of
+	// initialized bytes (the map comes from the closest preceding
+	// ArgConstMap). A callFrame reads every ArgPtr* at a constant stack
+	// index.
 	ArgPtrKey
 	// ArgPtrValue must point at an exact stack slot with the map's value
 	// size of initialized bytes.

@@ -3,7 +3,6 @@ package bpf
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrVerification wraps all verifier rejections.
@@ -49,10 +48,13 @@ func withInsn(p *Program, err error) error {
 // helper calls checked against typed signatures.
 //
 // Each register carries a kind (the pointer lattice below) and, for
-// scalars, a VReg interval (domain.go); pointers carry an offset *range*
-// [lo, hi] instead of a single offset, so register-offset accesses verify
-// whenever every offset in the range is in bounds. Conditional edges are
-// refined with vrRefine and pruned when provably infeasible.
+// scalars, a VReg interval (domain.go). A pointer carries one exact offset:
+// only an immediate moves it (add or sub, the forms codegen emits), and a
+// join of a pointer held at two different offsets is uninit, so any later
+// use of it is rejected. Every memory access and every pointer a helper
+// takes is therefore one window at one offset, which the JIT compiles to
+// constant stack indices. Conditional edges are refined with vrRefine and
+// pruned when provably infeasible.
 
 type regKind uint8
 
@@ -83,17 +85,17 @@ func (k regKind) String() string {
 	return "?"
 }
 
-// offWindow bounds the pointer offsets an access check will even
-// consider. Tracked offsets themselves are exact int64s (matching the
-// VM's wrapping arithmetic modulo 2^32 — exactness is what keeps the two
-// in sync); the window guard exists so the checks below can add off and
-// size without risking int64 overflow on extreme tracked bounds.
+// offWindow bounds a pointer's offset: addOff refuses a move whose
+// immediate or result leaves [-offWindow, offWindow]. Offsets are exact
+// int64s, which agree with the VM's address arithmetic modulo 2^32; the
+// window keeps them, and an access's offset and size added to them, far
+// from int64 overflow.
 const offWindow = int64(1) << 32
 
 type regState struct {
 	kind   regKind
 	mapIdx int32
-	lo, hi int64 // pointer offset bounds (stack: rel. R10; map value: into value)
+	off    int64 // pointer offset (stack: rel. R10; map value: into value)
 	vr     VReg  // scalar value, meaningful only when kind == rkScalar
 }
 
@@ -130,11 +132,8 @@ func joinReg(a, b regState) regState {
 	case rkScalar:
 		a.vr = vrJoin(a.vr, b.vr)
 	case rkPtrStack, rkPtrMapValue, rkPtrMapValueOrNull:
-		if b.lo < a.lo {
-			a.lo = b.lo
-		}
-		if b.hi > a.hi {
-			a.hi = b.hi
+		if a.off != b.off {
+			return regState{kind: rkUninit}
 		}
 	}
 	return a
@@ -167,83 +166,52 @@ func requireInit(pc int, s *absState, r Reg, what string) error {
 	return nil
 }
 
-// addOff adds delta bounds [dlo, dhi] to offset bounds [lo, hi] exactly.
-// Any int64 overflow poisons the bounds to the full range: a poisoned
-// pointer fails every access-window check, and the full range is
-// absorbing under further addOff calls (one endpoint stays extreme), so
-// exactness — and with it agreement with the VM's wrapping arithmetic —
-// is only ever given up on pointers that can never be dereferenced.
-func addOff(lo, hi, dlo, dhi int64) (int64, int64) {
-	nlo := lo + dlo
-	nhi := hi + dhi
-	if (dlo > 0 && nlo < lo) || (dlo < 0 && nlo > lo) ||
-		(dhi > 0 && nhi < hi) || (dhi < 0 && nhi > hi) {
-		return math.MinInt64, math.MaxInt64
+// addOff returns off moved by delta, and false when the delta or the
+// result leaves [-offWindow, offWindow]. Checking delta first keeps the sum
+// from overflowing.
+func addOff(off, delta int64) (int64, bool) {
+	if delta < -offWindow || delta > offWindow {
+		return 0, false
 	}
-	return nlo, nhi
+	off += delta
+	return off, off >= -offWindow && off <= offWindow
 }
 
-// signedBounds reinterprets an unsigned VReg as signed bounds. ok is
-// false when the range straddles the signed boundary (the value's sign is
-// unknown), in which case no signed bounds exist.
-func signedBounds(v VReg) (lo, hi int64, ok bool) {
-	const sign = uint64(1) << 63
-	if v.Hi < sign || v.Lo >= sign {
-		return int64(v.Lo), int64(v.Hi), true
-	}
-	return 0, 0, false
-}
-
-// stackAccess selects checkStackRange's semantics for the access.
+// stackAccess selects checkStack's semantics for the access.
 type stackAccess uint8
 
 const (
-	// stackRead requires every possibly-touched byte initialized.
+	// stackRead requires every touched byte initialized.
 	stackRead stackAccess = iota
-	// stackWrite marks bytes initialized, but only when the address is
-	// exact (a weak update would be unsound to treat as initializing).
+	// stackWrite marks the touched bytes initialized.
 	stackWrite
 )
 
-// checkStackRange validates an access of size bytes through base (a stack
-// pointer with offset range [lo,hi]) plus the static offset off, with
-// read or write semantics per mode.
-func checkStackRange(pc int, s *absState, base regState, off int32, size int, mode stackAccess) error {
-	if base.lo < -offWindow || base.hi > offWindow {
-		return verr(pc, "stack access at offset %d size %d out of bounds", base.lo, size)
-	}
-	lo := base.lo + int64(off)
-	hi := base.hi + int64(off)
-	if lo < -StackSize || hi+int64(size) > 0 {
+// checkStack validates an access of size bytes at the stack pointer base
+// plus the static offset off, with read or write semantics per mode.
+// size is positive; comparing lo with -size rather than adding them keeps
+// a huge size from overflowing.
+func checkStack(pc int, s *absState, base regState, off int32, size int, mode stackAccess) error {
+	lo := base.off + int64(off)
+	if lo < -StackSize || lo > -int64(size) {
 		return verr(pc, "stack access at offset %d size %d out of bounds", lo, size)
 	}
-	if mode == stackWrite {
-		if base.lo == base.hi {
-			idx := int(lo + StackSize)
-			for i := 0; i < size; i++ {
-				s.stackInit.set(idx + i)
-			}
-		}
-		return nil
-	}
-	for a := lo; a < hi+int64(size); a++ {
-		if !s.stackInit.get(int(a + StackSize)) {
-			return verr(pc, "read of uninitialized stack byte at offset %d", a)
+	for i := int(lo + StackSize); i < int(lo+StackSize)+size; i++ {
+		if mode == stackWrite {
+			s.stackInit.set(i)
+		} else if !s.stackInit.get(i) {
+			return verr(pc, "read of uninitialized stack byte at offset %d", i-StackSize)
 		}
 	}
 	return nil
 }
 
-// exactStackArg requires a, argument i+1 of helper name, to be a stack
-// pointer at one exact offset: a callFrame (compile.go) slices a call's key,
-// value and sample at constant stack indices, so a pointer whose offset is
-// a range has no compiled form.
-func exactStackArg(pc int, name string, i int, a regState) error {
+// stackArg requires a, argument i+1 of helper name, to be a stack pointer:
+// a callFrame (compile.go) slices a call's key, value and sample at the
+// pointer's constant stack index.
+func stackArg(pc int, name string, i int, a regState) error {
 	if a.kind != rkPtrStack {
 		return verr(pc, "%s arg %d must be a stack pointer, got %s", name, i+1, a.kind)
-	}
-	if a.lo != a.hi {
-		return verr(pc, "%s arg %d must be an exact stack slot, got offsets %d..%d", name, i+1, a.lo, a.hi)
 	}
 	return nil
 }
@@ -253,12 +221,8 @@ func checkMapValueAccess(p *Program, pc int, base regState, off int32, size int)
 		return verr(pc, "possibly-NULL map value dereference (missing null check)")
 	}
 	vs := int64(p.Maps[base.mapIdx].ValueSize())
-	if base.lo < -offWindow || base.hi > offWindow {
-		return verr(pc, "map value access at offset %d size %d outside value size %d", base.lo, size, vs)
-	}
-	lo := base.lo + int64(off)
-	hi := base.hi + int64(off)
-	if lo < 0 || hi+int64(size) > vs {
+	lo := base.off + int64(off)
+	if lo < 0 || lo+int64(size) > vs {
 		return verr(pc, "map value access at offset %d size %d outside value size %d", lo, size, vs)
 	}
 	return nil
@@ -276,9 +240,9 @@ func condStates(s *absState, insn Insn, taken, fall *absState) (feasT, feasF boo
 		switch insn.Op {
 		case OpJeqImm: // taken => ptr == 0 => NULL; fallthrough => non-null
 			taken.regs[insn.Dst] = constReg(0)
-			fall.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, lo: d.lo, hi: d.hi}
+			fall.regs[insn.Dst].kind = rkPtrMapValue
 		case OpJneImm: // taken => non-null
-			taken.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, lo: d.lo, hi: d.hi}
+			taken.regs[insn.Dst].kind = rkPtrMapValue
 			fall.regs[insn.Dst] = constReg(0)
 		default:
 			return false, false, verr(-1, "map value pointer compared with non-equality op before null check")
@@ -411,30 +375,23 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 			src = constReg(insn.Imm)
 		}
 		dst := s.regs[insn.Dst]
-		// Pointer arithmetic: ptr +/- scalar with known signed bounds.
+		// Pointer arithmetic: an immediate moves the exact offset.
 		if dst.kind == rkPtrStack || dst.kind == rkPtrMapValue {
 			switch insn.Op {
-			case OpAddImm, OpAddReg, OpSubImm, OpSubReg:
-				if src.kind != rkScalar {
-					return 0, verr(pc, "pointer arithmetic with unknown scalar")
+			case OpAddImm, OpSubImm:
+				delta := insn.Imm
+				if insn.Op == OpSubImm {
+					delta = -delta // MinInt64 stays itself, outside the window
 				}
-				dlo, dhi, ok := signedBounds(src.vr)
+				off, ok := addOff(dst.off, delta)
 				if !ok {
-					return 0, verr(pc, "pointer arithmetic with unknown scalar")
+					return 0, verr(pc, "pointer offset %d moved by %d leaves the offset window", dst.off, delta)
 				}
-				if insn.Op == OpSubImm || insn.Op == OpSubReg {
-					if dlo == math.MinInt64 {
-						// The VM's wrapping negation maps MinInt64 to
-						// itself, so the negated delta set is not an
-						// interval; take the full hull (poisons the bounds).
-						dlo, dhi = math.MinInt64, math.MaxInt64
-					} else {
-						dlo, dhi = -dhi, -dlo
-					}
-				}
-				dst.lo, dst.hi = addOff(dst.lo, dst.hi, dlo, dhi)
+				dst.off = off
 				s.regs[insn.Dst] = dst
 				return 1, nil
+			case OpAddReg, OpSubReg:
+				return 0, verr(pc, "pointer arithmetic with a register (only an immediate moves a pointer)")
 			default:
 				return 0, verr(pc, "forbidden ALU op on pointer")
 			}
@@ -465,7 +422,7 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 		base := s.regs[insn.Src]
 		switch base.kind {
 		case rkPtrStack:
-			if err := checkStackRange(pc, s, base, insn.Off, 8, stackRead); err != nil {
+			if err := checkStack(pc, s, base, insn.Off, 8, stackRead); err != nil {
 				return 0, err
 			}
 		case rkPtrMapValue, rkPtrMapValueOrNull:
@@ -490,7 +447,7 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 		}
 		switch base.kind {
 		case rkPtrStack:
-			if err := checkStackRange(pc, s, base, insn.Off, 8, stackWrite); err != nil {
+			if err := checkStack(pc, s, base, insn.Off, 8, stackWrite); err != nil {
 				return 0, err
 			}
 		case rkPtrMapValue, rkPtrMapValueOrNull:
@@ -546,16 +503,16 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 				if kind == ArgPtrValue {
 					size = p.Maps[constMap].ValueSize()
 				}
-				if err := exactStackArg(pc, spec.Name, i, a); err != nil {
+				if err := stackArg(pc, spec.Name, i, a); err != nil {
 					return 0, err
 				}
 				// Every map helper reads its key and value buffers, so
 				// every byte must be initialized.
-				if err := checkStackRange(pc, s, a, 0, size, stackRead); err != nil {
+				if err := checkStack(pc, s, a, 0, size, stackRead); err != nil {
 					return 0, err
 				}
 			case ArgPtrSized:
-				if err := exactStackArg(pc, spec.Name, i, a); err != nil {
+				if err := stackArg(pc, spec.Name, i, a); err != nil {
 					return 0, err
 				}
 				sizedPtr = a
@@ -567,7 +524,7 @@ func (a *Analysis) step(pc int, out *[2]succ) (int, error) {
 				if !sizedPtrSeen {
 					return 0, verr(pc, "%s arg %d: size without preceding pointer", spec.Name, i+1)
 				}
-				if err := checkStackRange(pc, s, sizedPtr, 0, int(a.vr.Const()), stackRead); err != nil {
+				if err := checkStack(pc, s, sizedPtr, 0, int(a.vr.Const()), stackRead); err != nil {
 					return 0, err
 				}
 			}

@@ -27,8 +27,11 @@ import (
 //
 // A second deliberate change: a helper call verifies only if the compiler
 // can bind it to a callFrame. map_update_elem and map_delete_elem take only
-// a hash map (map_lookup_elem still takes any keyed map), and every key,
-// value or sample pointer must be an exact stack slot, not an offset range.
+// a hash map (map_lookup_elem still takes any keyed map).
+//
+// A third: a pointer has one exact offset, not an offset range. Only an
+// immediate moves it, within the offset window; pointer ± register is
+// rejected; a join of a pointer held at two offsets is uninit (joinReg).
 
 type oracleAnalysis struct {
 	states    []oracleState
@@ -75,28 +78,22 @@ func oracleRequireInit(pc int, s *oracleState, r Reg, what string) error {
 	return nil
 }
 
-// oracleCheckStackRange validates an access of size bytes through base (a stack
-// pointer with offset range [lo,hi]) plus the static offset off, with
-// read or write semantics per mode.
-func oracleCheckStackRange(pc int, s *oracleState, base regState, off int32, size int, mode stackAccess) error {
-	if base.lo < -offWindow || base.hi > offWindow {
-		return verr(pc, "stack access at offset %d size %d out of bounds", base.lo, size)
-	}
-	lo := base.lo + int64(off)
-	hi := base.hi + int64(off)
-	if lo < -StackSize || hi+int64(size) > 0 {
+// oracleCheckStack validates an access of size bytes through base (a stack
+// pointer at its exact offset) plus the static offset off, with read or
+// write semantics per mode.
+func oracleCheckStack(pc int, s *oracleState, base regState, off int32, size int, mode stackAccess) error {
+	lo := base.off + int64(off)
+	if lo < -StackSize || lo > -int64(size) {
 		return verr(pc, "stack access at offset %d size %d out of bounds", lo, size)
 	}
 	if mode == stackWrite {
-		if base.lo == base.hi {
-			idx := int(lo + StackSize)
-			for i := 0; i < size; i++ {
-				s.stackInit[idx+i] = true
-			}
+		idx := int(lo + StackSize)
+		for i := 0; i < size; i++ {
+			s.stackInit[idx+i] = true
 		}
 		return nil
 	}
-	for a := lo; a < hi+int64(size); a++ {
+	for a := lo; a < lo+int64(size); a++ {
 		if !s.stackInit[a+StackSize] {
 			return verr(pc, "read of uninitialized stack byte at offset %d", a)
 		}
@@ -115,9 +112,9 @@ func oracleCondStates(s oracleState, insn Insn) (taken, fall oracleState, feasT,
 		switch insn.Op {
 		case OpJeqImm: // taken => ptr == 0 => NULL; fallthrough => non-null
 			taken.regs[insn.Dst] = constReg(0)
-			fall.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, lo: d.lo, hi: d.hi}
+			fall.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, off: d.off}
 		case OpJneImm: // taken => non-null
-			taken.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, lo: d.lo, hi: d.hi}
+			taken.regs[insn.Dst] = regState{kind: rkPtrMapValue, mapIdx: d.mapIdx, off: d.off}
 			fall.regs[insn.Dst] = constReg(0)
 		default:
 			return s, s, false, false, verr(-1, "map value pointer compared with non-equality op before null check")
@@ -208,30 +205,26 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 			src = constReg(insn.Imm)
 		}
 		dst := s.regs[insn.Dst]
-		// Pointer arithmetic: ptr +/- scalar with known signed bounds.
+		// Pointer arithmetic: ptr +/- immediate, within the offset window.
 		if dst.kind == rkPtrStack || dst.kind == rkPtrMapValue {
 			switch insn.Op {
-			case OpAddImm, OpAddReg, OpSubImm, OpSubReg:
-				if src.kind != rkScalar {
-					return nil, verr(pc, "pointer arithmetic with unknown scalar")
-				}
-				dlo, dhi, ok := signedBounds(src.vr)
-				if !ok {
-					return nil, verr(pc, "pointer arithmetic with unknown scalar")
-				}
-				if insn.Op == OpSubImm || insn.Op == OpSubReg {
-					if dlo == math.MinInt64 {
-						// The VM's wrapping negation maps MinInt64 to
-						// itself, so the negated delta set is not an
-						// interval; take the full hull (poisons the bounds).
-						dlo, dhi = math.MinInt64, math.MaxInt64
-					} else {
-						dlo, dhi = -dhi, -dlo
+			case OpAddImm, OpSubImm:
+				delta := insn.Imm
+				if insn.Op == OpSubImm {
+					if delta == math.MinInt64 {
+						return nil, verr(pc, "pointer offset %d moved by %d leaves the offset window", dst.off, delta)
 					}
+					delta = -delta
 				}
-				dst.lo, dst.hi = addOff(dst.lo, dst.hi, dlo, dhi)
+				if delta < -offWindow || delta > offWindow ||
+					dst.off+delta < -offWindow || dst.off+delta > offWindow {
+					return nil, verr(pc, "pointer offset %d moved by %d leaves the offset window", dst.off, delta)
+				}
+				dst.off += delta
 				s.regs[insn.Dst] = dst
 				return next(), nil
+			case OpAddReg, OpSubReg:
+				return nil, verr(pc, "pointer arithmetic with a register (only an immediate moves a pointer)")
 			default:
 				return nil, verr(pc, "forbidden ALU op on pointer")
 			}
@@ -262,7 +255,7 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 		base := s.regs[insn.Src]
 		switch base.kind {
 		case rkPtrStack:
-			if err := oracleCheckStackRange(pc, &s, base, insn.Off, 8, stackRead); err != nil {
+			if err := oracleCheckStack(pc, &s, base, insn.Off, 8, stackRead); err != nil {
 				return nil, err
 			}
 		case rkPtrMapValue, rkPtrMapValueOrNull:
@@ -287,7 +280,7 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 		}
 		switch base.kind {
 		case rkPtrStack:
-			if err := oracleCheckStackRange(pc, &s, base, insn.Off, 8, stackWrite); err != nil {
+			if err := oracleCheckStack(pc, &s, base, insn.Off, 8, stackWrite); err != nil {
 				return nil, err
 			}
 		case rkPtrMapValue, rkPtrMapValueOrNull:
@@ -370,20 +363,14 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 				if a.kind != rkPtrStack {
 					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
 				}
-				if a.lo != a.hi {
-					return nil, verr(pc, "%s arg %d must be an exact stack slot, got offsets %d..%d", spec.Name, i+1, a.lo, a.hi)
-				}
 				// Every map helper reads its key and value buffers, so
 				// every byte must be initialized.
-				if err := oracleCheckStackRange(pc, &s, a, 0, size, stackRead); err != nil {
+				if err := oracleCheckStack(pc, &s, a, 0, size, stackRead); err != nil {
 					return nil, err
 				}
 			case ArgPtrSized:
 				if a.kind != rkPtrStack {
 					return nil, verr(pc, "%s arg %d must be a stack pointer, got %s", spec.Name, i+1, a.kind)
-				}
-				if a.lo != a.hi {
-					return nil, verr(pc, "%s arg %d must be an exact stack slot, got offsets %d..%d", spec.Name, i+1, a.lo, a.hi)
 				}
 				sizedPtr = a
 				sizedPtrSeen = true
@@ -394,7 +381,7 @@ func oracleStep(p *Program, pc int, in oracleState) ([]oracleSucc, error) {
 				if !sizedPtrSeen {
 					return nil, verr(pc, "%s arg %d: size without preceding pointer", spec.Name, i+1)
 				}
-				if err := oracleCheckStackRange(pc, &s, sizedPtr, 0, int(a.vr.Const()), stackRead); err != nil {
+				if err := oracleCheckStack(pc, &s, sizedPtr, 0, int(a.vr.Const()), stackRead); err != nil {
 					return nil, err
 				}
 			}

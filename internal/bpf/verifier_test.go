@@ -3,6 +3,7 @@ package bpf
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,17 @@ func mustReject(t *testing.T, p *Program, substr string) {
 	}
 	if substr != "" && !strings.Contains(err.Error(), substr) {
 		t.Fatalf("rejection reason %q does not mention %q", err.Error(), substr)
+	}
+}
+
+// mustRejectAt is mustReject that also requires the rejection to name the
+// instruction at pc.
+func mustRejectAt(t *testing.T, p *Program, pc int, substr string) {
+	t.Helper()
+	mustReject(t, p, substr)
+	var ve *VerifyError
+	if err := Verify(p, 0); !errors.As(err, &ve) || ve.PC != pc {
+		t.Fatalf("rejection %v names the wrong instruction, want insn %d:\n%s", err, pc, p.Disassemble())
 	}
 }
 
@@ -208,9 +220,9 @@ func TestVerifyInfeasibleBranchPruned(t *testing.T) {
 }
 
 func TestVerifyRegisterOffsetStackAccess(t *testing.T) {
-	// An unknown scalar cut to [0, 56] indexes an 8-slot stack array:
-	// every 8-byte access from [-64, -8] is in bounds and initialized, so
-	// the range-tracking verifier must accept it.
+	// An unknown scalar cut to [0, 56] would index an 8-slot stack array
+	// in bounds, but a pointer has one exact offset: only an immediate
+	// moves it, so the register form is rejected where it is added.
 	b := NewBuilder("regoff")
 	for off := int32(-64); off < 0; off += 8 {
 		b.StoreImm(R10, off, 7)
@@ -223,41 +235,68 @@ func TestVerifyRegisterOffsetStackAccess(t *testing.T) {
 		AddReg(R1, R0).
 		Load(R0, R1, 0).
 		Exit().MustBuild()
-	mustVerify(t, p)
+	mustRejectAt(t, p, 13, "pointer arithmetic with a register")
 
-	// Without the shifts the offset is unbounded and must still be rejected.
-	p2 := NewBuilder("regoff-bad").
+	// A register the verifier proves constant is no exception.
+	p2 := NewBuilder("regoff-const").
 		StoreImm(R10, -8, 7).
-		Call(HelperKtime).
+		Mov(R2, 8).
 		MovReg(R1, R10).
-		AddReg(R1, R0).
+		Sub(R1, 16).
+		AddReg(R1, R2).
 		Load(R0, R1, 0).
 		Exit().MustBuild()
-	mustReject(t, p2, "unknown scalar")
+	mustRejectAt(t, p2, 4, "pointer arithmetic with a register")
 }
 
 func TestVerifyRegisterOffsetMapValueAccess(t *testing.T) {
-	// A bounds-checked scalar indexes into a 32-byte map value. The
-	// conditional edge refinement must prove r6*8 stays inside the value.
-	m := NewHashMap("m", 32, 4)
-	b := NewBuilder("mapoff")
-	idx := b.AddMap(m)
-	p := b.StoreImm(R10, -8, 1).
-		LoadMapPtr(R1, idx).
-		MovReg(R2, R10).Sub(R2, 8).
-		Call(HelperMapLookup).
-		Jeq(R0, 0, "miss").
-		MovReg(R6, R0).
-		Call(HelperKtime).
-		Jgt(R0, 3, "miss"). // r0 <= 3 on fallthrough
-		Lsh(R0, 3).         // r0 in {0, 8, 16, 24}
-		AddReg(R6, R0).
-		Load(R0, R6, 0). // offsets [0,24] + 8 <= 32: in bounds
-		Exit().
-		Label("miss").
-		Mov(R0, 0).
-		Exit().MustBuild()
-	mustVerify(t, p)
+	// A bounds-checked scalar r0*8 stays inside a 32-byte map value, but
+	// adding it to the value pointer is pointer ± register: rejected, as
+	// is subtracting it.
+	for _, op := range []Op{OpAddReg, OpSubReg} {
+		m := NewHashMap("m", 32, 4)
+		b := NewBuilder("mapoff")
+		idx := b.AddMap(m)
+		b.StoreImm(R10, -8, 1).
+			LoadMapPtr(R1, idx).
+			MovReg(R2, R10).Sub(R2, 8).
+			Call(HelperMapLookup).
+			Jeq(R0, 0, "miss").
+			MovReg(R6, R0).
+			Add(R6, 24).
+			Call(HelperKtime).
+			Jgt(R0, 3, "miss"). // r0 <= 3 on fallthrough
+			Lsh(R0, 3)          // r0 in {0, 8, 16, 24}
+		p := b.emit(Insn{Op: op, Dst: R6, Src: R0}).Load(R0, R6, 0).
+			Exit().
+			Label("miss").
+			Mov(R0, 0).
+			Exit().MustBuild()
+		mustRejectAt(t, p, 11, "pointer arithmetic with a register")
+	}
+}
+
+// TestVerifyJoinedPointerRejected: a pointer that reaches a join at two
+// different offsets has no exact offset, so the join makes it uninit and
+// the load through it is rejected. The same pointer at one offset on both
+// paths keeps it and verifies.
+func TestVerifyJoinedPointerRejected(t *testing.T) {
+	build := func(elseOff int64) *Program {
+		return NewBuilder("join-ptr").
+			StoreImm(R10, -16, 1).
+			StoreImm(R10, -8, 2).
+			Call(HelperKtime).
+			MovReg(R1, R10).
+			Sub(R1, 8).
+			Jeq(R0, 0, "join").
+			MovReg(R1, R10).
+			Sub(R1, elseOff).
+			Label("join").
+			Load(R0, R1, 0).
+			Exit().MustBuild()
+	}
+	mustVerify(t, build(8))
+	mustRejectAt(t, build(16), 8, "load through uninit")
 }
 
 func TestVerifyLoadThroughScalar(t *testing.T) {
@@ -291,7 +330,7 @@ func TestVerifyPointerArithmeticUnknownScalar(t *testing.T) {
 		AddReg(R1, R0).
 		Mov(R0, 0).
 		Exit().MustBuild()
-	mustReject(t, p, "unknown scalar")
+	mustReject(t, p, "pointer arithmetic with a register")
 }
 
 func TestVerifyMapIndexRange(t *testing.T) {
@@ -413,6 +452,23 @@ func TestVerifyPerfOutputSizeMustBeConst(t *testing.T) {
 		Call(HelperPerfOutput).
 		Exit().MustBuild()
 	mustReject(t, p2, "known positive constant")
+}
+
+// TestVerifyPerfOutputHugeSizeRejected: a sample pointer above the stack
+// top with a size near MaxInt64 is out of bounds. Its end, offset plus
+// size, wraps past int64 to a negative number, so a check that adds the
+// two passes it, and the compiled call faults slicing the stack.
+func TestVerifyPerfOutputHugeSizeRejected(t *testing.T) {
+	rb := NewPerCPURing("rb", 1, 4)
+	b := NewBuilder("perfhuge")
+	idx := b.AddMap(rb)
+	p := b.LoadMapPtr(R1, idx).
+		MovReg(R2, R10).Add(R2, 8).
+		Mov(R3, math.MaxInt64).
+		Call(HelperPerfOutput).
+		Mov(R0, 0).
+		Exit().MustBuild()
+	mustRejectAt(t, p, 4, "out of bounds")
 }
 
 func TestVerifyPerfOutputOK(t *testing.T) {
@@ -578,13 +634,14 @@ func TestVerifyRejectsHelperOnWrongMapKind(t *testing.T) {
 
 // Every key, value and sample pointer must be one exact stack slot: a
 // callFrame slices its buffers at constant stack indices. Each case points
-// one argument at r10-72 plus a scalar in {0, 8, ..., 56}, where every
-// byte it can reach is initialized, so only the range is at fault.
+// one argument at r10-72 on one path and r10-64 on the other, where every
+// byte either can reach is initialized, so only the join is at fault: it
+// leaves the argument uninit.
 func TestVerifyHelperPointerMustBeExactSlot(t *testing.T) {
 	for _, tc := range []struct {
 		helper int64
 		mapIdx int
-		ranged Reg // the argument whose offset is a range
+		joined Reg // the argument the join leaves at two offsets
 	}{
 		{HelperMapLookup, genMapArray, R2},
 		{HelperMapUpdate, genMapHash, R2},
@@ -598,15 +655,17 @@ func TestVerifyHelperPointerMustBeExactSlot(t *testing.T) {
 		for off := int32(-72); off < 0; off += 8 {
 			b.StoreImm(R10, off, 7)
 		}
-		// r0 in {0, 8, ..., 56}; R2 and R3 at r10-24, then one of them
-		// at r10-72 + r0.
-		b.Call(HelperKtime).Rsh(R0, 61).Lsh(R0, 3).
+		// R2 and R3 at r10-24, then one of them at r10-72 or r10-64.
+		b.Call(HelperKtime).
 			MovReg(R2, R10).Sub(R2, 24).MovReg(R3, R10).Sub(R3, 24).
-			MovReg(tc.ranged, R10).Sub(tc.ranged, 72).AddReg(tc.ranged, R0)
+			MovReg(tc.joined, R10).Sub(tc.joined, 72).
+			Jeq(R0, 0, "join").
+			MovReg(tc.joined, R10).Sub(tc.joined, 64).
+			Label("join")
 		if tc.helper == HelperPerfOutput {
 			b.Mov(R3, 16)
 		}
 		p := b.LoadMapPtr(R1, tc.mapIdx).Call(tc.helper).Mov(R0, 0).Exit().MustBuild()
-		mustReject(t, p, fmt.Sprintf("arg %d must be an exact stack slot, got offsets -72..-16", tc.ranged))
+		mustReject(t, p, fmt.Sprintf("uses uninitialized r%d", tc.joined))
 	}
 }

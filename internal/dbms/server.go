@@ -134,7 +134,7 @@ func NewServer(cfg Config) (*Server, error) {
 		serM, err = ts.RegisterOU(tscout.OUDef{
 			ID: OULogSerializer, Name: "log_serializer", Subsystem: tscout.SubsystemLogSerializer,
 			Features: []string{"num_records", "bytes", "num_txns"},
-		}, tscout.ResourceSet{CPU: true, Memory: true})
+		}, tscout.ResourceSet{CPU: true})
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,7 @@ func New(cat *catalog.Catalog, ts *tscout.TScout) (*Engine, error) {
 			ID: d.id, Name: d.name,
 			Subsystem: tscout.SubsystemExecutionEngine,
 			Features:  d.features,
-		}, tscout.ResourceSet{CPU: true, Memory: true, Disk: true})
+		}, tscout.ResourceSet{CPU: true, Disk: true})
 		if err != nil {
 			return nil, err
 		}

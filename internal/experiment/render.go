@@ -6,9 +6,11 @@ import (
 )
 
 // Figures names every figure Render draws, in paper order (the §6.2
-// summary right after Figs. 5/6, which it is drawn from): `tsbench all`
-// prints them in this order, and EXPERIMENTS.md records each one's output
-// at Quick scale as a fenced block, in the same order.
+// summary right after Figs. 5/6, beside which the paper states it; Summary
+// runs a YCSB sweep of its own at seed 7, kernel rates 0/10/20/30 % and
+// user rates 10/30/100 %): `tsbench all` prints them in this order, and
+// EXPERIMENTS.md records each one's output at Quick scale as a fenced
+// block, in the same order.
 var Figures = []string{
 	"fig1", "fig2", "fig5", "fig6", "summary", "fig7", "fig8", "fig9", "fig10", "fig11",
 	"fig12", "ablation-noise", "ablation-group-commit", "ablation-granularity",

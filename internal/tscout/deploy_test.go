@@ -9,7 +9,7 @@ import (
 // deployConfig is a one-CPU Collector configuration with small rings.
 var deployConfig = CollectorConfig{NumCPUs: 1, PerCPUCapacity: 16}
 
-var fullResources = ResourceSet{CPU: true, Memory: true, Disk: true, Network: true}
+var fullResources = ResourceSet{CPU: true, Disk: true, Network: true}
 
 // deployAll generates, verifies, loads and compiles the
 // Collectors of every subsystem: one TScout deploy, 12 programs.

@@ -118,7 +118,7 @@ func runStream(t *testing.T, mode Mode, seed int64, cases []int) modeOutcome {
 	ts := New(k, Config{Mode: mode, Seed: seed, DisableProcessorFeedback: true, ProcessorSink: &recordingBatchSink{}})
 	s := &markerStream{ts: ts, k: k, task: k.NewTask("worker"), rng: rand.New(rand.NewSource(seed))}
 	s.scan = ts.MustRegisterOU(OUDef{ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
-		Features: []string{"num_rows", "row_bytes"}}, ResourceSet{CPU: true, Memory: true, Disk: true})
+		Features: []string{"num_rows", "row_bytes"}}, ResourceSet{CPU: true, Disk: true})
 	s.filter = ts.MustRegisterOU(OUDef{ID: testOUFilter, Name: "filter", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows"}}, ResourceSet{CPU: true})
 	s.wal = ts.MustRegisterOU(OUDef{ID: testOUWAL, Name: "log_serialize", Subsystem: SubsystemLogSerializer,

@@ -263,14 +263,9 @@ func NewProcessor(ts *TScout, sink Sink) *Processor {
 // SetSplitter installs the fused-sample metric splitter.
 func (p *Processor) SetSplitter(f SplitWeightFunc) { p.splitter = f }
 
-// Parallelism returns the number of modeled drain threads.
-func (p *Processor) Parallelism() int {
-	n := p.ts.cfg.ProcessorParallelism
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// Parallelism returns the number of modeled drain threads (New clamps
+// the configured number to at least 1).
+func (p *Processor) Parallelism() int { return p.ts.cfg.ProcessorParallelism }
 
 // drainPenalty is how many budget tokens, and how many samples' worth of
 // drain-thread time, retrieving one sample costs in this deployment's mode.

@@ -61,12 +61,11 @@ var AllSubsystems = []SubsystemID{
 type OUID uint16
 
 // ResourceSet selects which hardware categories a subsystem's Collector
-// monitors (the per-subsystem probe checkboxes of Fig. 3). Memory is
-// always user-level (paper §4.2): the DBMS reports allocation bytes at the
-// FEATURES marker.
+// monitors (the per-subsystem probe checkboxes of Fig. 3). Memory has no
+// checkbox: it is always user-level (paper §4.2), the DBMS reporting
+// allocation bytes at the FEATURES marker, so every Collector carries it.
 type ResourceSet struct {
 	CPU     bool
-	Memory  bool
 	Disk    bool
 	Network bool
 }
@@ -260,7 +259,6 @@ func (ts *TScout) RegisterOU(def OUDef, res ResourceSet) (*Marker, error) {
 	}
 	// The subsystem's resource set is the union of its OUs' needs.
 	sub.resources.CPU = sub.resources.CPU || res.CPU
-	sub.resources.Memory = sub.resources.Memory || res.Memory
 	sub.resources.Disk = sub.resources.Disk || res.Disk
 	sub.resources.Network = sub.resources.Network || res.Network
 

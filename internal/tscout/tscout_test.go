@@ -23,7 +23,7 @@ func newDeployment(t *testing.T, mode Mode) (*TScout, *kernel.Kernel, *Marker, *
 	scan := ts.MustRegisterOU(OUDef{
 		ID: testOUSeqScan, Name: "seq_scan", Subsystem: SubsystemExecutionEngine,
 		Features: []string{"num_rows", "row_bytes"},
-	}, ResourceSet{CPU: true, Memory: true, Disk: true})
+	}, ResourceSet{CPU: true, Disk: true})
 	wal := ts.MustRegisterOU(OUDef{
 		ID: testOUWAL, Name: "log_serialize", Subsystem: SubsystemLogSerializer,
 		Features: []string{"num_records", "bytes"},

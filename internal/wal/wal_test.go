@@ -39,7 +39,7 @@ func newWAL(t *testing.T, cfg Config) (*Serializer, func() []tscout.TrainingPoin
 	serM := ts.MustRegisterOU(tscout.OUDef{
 		ID: 50, Name: "log_serializer", Subsystem: tscout.SubsystemLogSerializer,
 		Features: []string{"num_records", "bytes", "num_txns"},
-	}, tscout.ResourceSet{CPU: true, Memory: true})
+	}, tscout.ResourceSet{CPU: true})
 	wrM := ts.MustRegisterOU(tscout.OUDef{
 		ID: 51, Name: "disk_writer", Subsystem: tscout.SubsystemDiskWriter,
 		Features: []string{"bytes", "num_records"},

@@ -45,9 +45,9 @@ import (
 // rather than the terminal census:
 //
 //   - idle: no session and no ticket. Everyone starts here; finishRelease
-//     returns a terminal to it; the Granted and Queued arms of Acquire take
-//     it out. A rejected terminal stays, with readyNS pushed to the epoch's
-//     end, and asks again next epoch.
+//     returns a terminal to it; Acquire takes it out. The gate's queue is
+//     unbounded (NewAdmissionGate(poolSize, 0)), so Acquire grants a slot
+//     or queues for one and never rejects.
 //   - granted: handed a slot by some other terminal's Release (which
 //     returns the ticket it granted; Ticket.Owner names the terminal) and
 //     not yet bound to a session. claim takes it out at the next epoch start.

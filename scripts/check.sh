@@ -213,6 +213,13 @@ race() { $GO test -race -timeout 45m ./...; }
 # package invocation). Raise FUZZTIME for real sessions; crashers land in
 # testdata/fuzz/ for replay. The targets are what `go test -list` finds, and
 # a checked-in corpus directory whose target is gone fails the step.
+# A "0/sec" stretch after "new interesting" is the toolchain minimizing that
+# input, not a slow one: go's byte minimizer tries removing every subset of
+# bytes, quadratic in the input's length, for up to -fuzzminimizetime (60 s
+# by default), and counts none of those calls as execs. FuzzSegmentCodec's
+# largest seed is a 5 908-byte archive, so an input grown from it stalls the
+# run for the whole minute while every call still takes microseconds
+# (go1.24; with -fuzzminimizetime 0 the same run keeps ~12 000 execs/s).
 fuzz_smoke() {
 	list=$($GO test -list '^Fuzz' ./internal/...)
 	targets=$(echo "$list" | awk '
